@@ -23,6 +23,7 @@ import (
 	"repro/internal/hotpath"
 	"repro/internal/prg"
 	"repro/internal/ring"
+	"repro/internal/xnoise"
 )
 
 func benchExperiment(b *testing.B, id string, sc experiments.Scale) {
@@ -141,11 +142,11 @@ func BenchmarkAblationShuffle(b *testing.B) {
 
 // BenchmarkMulticoreMatrix sweeps GOMAXPROCS over the protocol hot
 // paths (internal/hotpath — the same workloads dordis-bench -hotpath
-// runs): Skellam sampling under both noise epochs, seekable-CTR
+// runs): Skellam sampling under every noise epoch, seekable-CTR
 // segmented mask expansion at large dim, and the whole amortized
-// XNoise round. Sampling is single-threaded, so its rows should be
-// flat across procs — they pin that the matrix isolates the parallel
-// paths rather than measuring scheduler noise. Recorded numbers live
+// XNoise round at the default epoch. Sampling is single-threaded, so
+// its rows should be flat across procs — they pin that the matrix
+// isolates the parallel paths rather than measuring scheduler noise. Recorded numbers live
 // in BENCH_SECAGG_HOTPATH.json (pr7 entries); note that on a 1-core
 // CI box the procs>1 rows timeshare, so only ratios at matching procs
 // are meaningful there.
@@ -160,7 +161,7 @@ func BenchmarkMulticoreMatrix(b *testing.B) {
 	for _, procs := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			for _, epoch := range []uint64{0, 1} {
+			for epoch := uint64(0); epoch <= xnoise.MaxNoiseEpoch; epoch++ {
 				b.Run(fmt.Sprintf("skellam/mu=%d/epoch=%d", skellamMu, epoch), func(b *testing.B) {
 					s := prg.NewStream(prg.NewSeed([]byte("multicore-skellam")))
 					out := make([]int64, skellamDim)
@@ -187,7 +188,7 @@ func BenchmarkMulticoreMatrix(b *testing.B) {
 			})
 			b.Run(fmt.Sprintf("round/n=%d/dim=%d", roundN, roundDim), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if err := hotpath.Round(roundN, roundDim, 1); err != nil {
+					if err := hotpath.Round(roundN, roundDim, 0); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -10,14 +10,15 @@ import (
 	"repro/internal/hotpath"
 	"repro/internal/prg"
 	"repro/internal/ring"
+	"repro/internal/xnoise"
 )
 
 // runHotpath runs the GOMAXPROCS × workload matrix over the protocol
-// hot paths (internal/hotpath): Skellam sampling under both noise
-// epochs, seekable-CTR segmented mask expansion, and the whole
-// amortized XNoise round. It is the CLI twin of the root bench matrix
-// (go test -bench MulticoreMatrix .) for machines where running the
-// full test binary is inconvenient. Results are ns/op from
+// hot paths (internal/hotpath): Skellam sampling under every noise
+// epoch, seekable-CTR segmented mask expansion, and the whole
+// amortized XNoise round at the default epoch. It is the CLI twin of the
+// root bench matrix (go test -bench MulticoreMatrix .) for machines where
+// running the full test binary is inconvenient. Results are ns/op from
 // testing.Benchmark, which auto-scales iteration counts.
 func runHotpath(coresSpec string) error {
 	procsList, err := parseCores(coresSpec)
@@ -41,7 +42,7 @@ func runHotpath(coresSpec string) error {
 			fn    func(b *testing.B)
 		}
 		rows := []row{}
-		for _, epoch := range []uint64{0, 1} {
+		for epoch := uint64(0); epoch <= xnoise.MaxNoiseEpoch; epoch++ {
 			epoch := epoch
 			rows = append(rows, row{
 				name:  fmt.Sprintf("skellam/mu=%d/epoch=%d", skellamMu, epoch),
@@ -74,10 +75,10 @@ func runHotpath(coresSpec string) error {
 			},
 		})
 		rows = append(rows, row{
-			name: fmt.Sprintf("round/n=%d/dim=%d/epoch=1", roundN, roundDim),
+			name: fmt.Sprintf("round/n=%d/dim=%d/epoch=0", roundN, roundDim),
 			fn: func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if err := hotpath.Round(roundN, roundDim, 1); err != nil {
+					if err := hotpath.Round(roundN, roundDim, 0); err != nil {
 						b.Fatal(err)
 					}
 				}

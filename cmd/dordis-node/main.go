@@ -116,7 +116,7 @@ func main() {
 		deadline   = flag.Duration("deadline", 3*time.Second, "per-stage collection deadline")
 		protocol   = flag.String("protocol", "secagg", "secagg | lightsecagg")
 		noiseEpoch = flag.Uint64("noise-epoch", 0,
-			"XNoise draw-sequence version: 0 = legacy Knuth/PTRS sequence, 1 = CDF-inversion fast path; in session mode the server announces it via the handshake and clients adopt the committed value")
+			"XNoise draw-sequence version: 0 = Poisson-splitting sampler, 1 = CDF inversion throughout; in session mode the server announces it via the handshake and clients adopt the committed value")
 
 		rounds = flag.Int("rounds", 1,
 			"consecutive rounds to run; > 1 enables the per-round re-key handshake")

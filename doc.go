@@ -53,16 +53,17 @@
 // round may expand with any worker count.
 //
 // Noise sampling. Config.NoiseEpoch versions the XNoise draw sequence
-// exactly as MaskEpoch versions mask derivation: epoch 0 is
-// byte-identical to the historical Knuth/PTRS Skellam sampler
-// (golden-pinned), epoch 1 selects CDF inversion — a cached per-λ
-// inversion table binary-searched with one 64-bit uniform per draw,
-// guard-banded tails falling back to the exact sampler — which is ~20x
-// at λ=16 and flat in λ, where the Knuth loops cost ~2·sqrt(λ)
-// exponential draws per sample. All parties must draw under the same
-// epoch for noise removal to cancel, so the handshake pins it per
-// round and persisted sessions carry it (PROTOCOL.md); new epochs are
-// opt-in, never a silent default change.
+// exactly as MaskEpoch versions mask derivation. Epoch 0, the default,
+// is a whole-vector Poisson-splitting Skellam sampler: all but one of a
+// client's T+1 noise components have per-coordinate variance of a few
+// hundredths, so it draws the vector's ±1 mass once and scatters it —
+// O(variance·dim), not O(dim) — and hands variances ≥ 1 to CDF
+// inversion. Epoch 1 is inversion throughout: a cached per-λ table, one
+// uniform per draw, guard-banded tails falling back to the exact
+// two-Poisson sampler. Both sequences are golden-pinned. All parties
+// must draw under the same epoch for noise removal to cancel, so the
+// handshake pins it per round and persisted sessions carry it
+// (PROTOCOL.md).
 //
 // Parallel unmasking. The server's unmask step and the client's masking
 // step fan their independent PRG expansions (key agreement included)

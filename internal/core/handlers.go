@@ -106,7 +106,7 @@ func (CTRPG) Stream(seed prg.Seed) *prg.Stream { return prg.NewStream(seed) }
 // SkellamDP implements DPHandler with the DSkellam codec — the default
 // mechanism of the paper's prototype (§5). The same codec carries the
 // DDGauss instantiation: the mechanisms differ only in the noise sampler
-// handed to XNoise (xnoise.SkellamSampler vs dgauss.Sampler), not in the
+// handed to XNoise (xnoise.SamplerForEpoch vs dgauss.Sampler), not in the
 // encoding.
 type SkellamDP struct {
 	Params skellam.Params

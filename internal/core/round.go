@@ -97,9 +97,9 @@ type RoundConfig struct {
 	Tolerance int
 	TargetMu  float64
 	Sampler   xnoise.Sampler
-	// NoiseEpoch versions the noise draw sequence (secagg.Config.NoiseEpoch):
-	// 0 = historical Knuth/PTRS Skellam, 1 = CDF inversion. All parties of a
-	// round must agree; the wire handshake pins it per round.
+	// NoiseEpoch versions the noise draw sequence (secagg.Config.NoiseEpoch,
+	// xnoise.SamplerForEpoch). All parties of a round must agree; the wire
+	// handshake pins it per round.
 	NoiseEpoch uint64
 	// Seed drives per-round deterministic randomness (noise seeds, chunk
 	// sub-streams).
@@ -140,14 +140,13 @@ func (c RoundConfig) Validate() error {
 	return nil
 }
 
+// sampler returns the explicitly configured noise sampler, or the frozen
+// sampler of the config's NoiseEpoch (Validate rejects unknown epochs).
 func (c RoundConfig) sampler() xnoise.Sampler {
 	if c.Sampler != nil {
 		return c.Sampler
 	}
-	if s := xnoise.SamplerForEpoch(c.NoiseEpoch); s != nil {
-		return s
-	}
-	return xnoise.SkellamSampler
+	return xnoise.SamplerForEpoch(c.NoiseEpoch)
 }
 
 // RoundResult is the outcome of one aggregation round.
@@ -373,6 +372,13 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 		}
 	}
 
+	// Per-round XNoise constants, shared by every chunk's stages.
+	sampler := cfg.sampler()
+	var removed []int
+	if plan != nil {
+		removed = plan.RemovalComponents(numDropped)
+	}
+
 	// Chunk pipeline state.
 	chunkInputs := make([]map[uint64]ring.Vector, m)
 	chunkSums := make([]ring.Vector, m)
@@ -399,7 +405,7 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 				Data: append([]uint64(nil), encoded[id].Data[lo:hi]...),
 			}
 			if plan != nil && aggregated(id) {
-				total, err := noise[c][i].client.TotalNoise(*plan, cfg.sampler(), chunk.Len())
+				total, err := noise[c][i].client.TotalNoise(*plan, sampler, chunk.Len())
 				if err != nil {
 					return setErr(err)
 				}
@@ -445,13 +451,13 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 			if !aggregated(id) {
 				continue
 			}
-			byK := make(map[int]field.Element)
-			for _, k := range plan.RemovalComponents(numDropped) {
+			byK := make(map[int]field.Element, len(removed))
+			for _, k := range removed {
 				byK[k] = noise[c][i].client.Seeds[k]
 			}
 			seeds[id] = byK
 		}
-		removal, err := xnoise.RemovalNoise(*plan, cfg.sampler(), seeds, numDropped, chunkSums[c].Len())
+		removal, err := xnoise.RemovalNoise(*plan, sampler, seeds, numDropped, chunkSums[c].Len())
 		if err != nil {
 			return setErr(err)
 		}
@@ -482,9 +488,7 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 		return nil, err
 	}
 	res := &roundPartial{Sum: agg, Chunks: m, Protocol: proto}
-	if plan != nil {
-		res.RemovedComponents = plan.RemovalComponents(numDropped)
-	}
+	res.RemovedComponents = removed
 	for _, id := range ids {
 		if !aggregated(id) {
 			res.Dropped = append(res.Dropped, id)

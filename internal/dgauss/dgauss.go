@@ -121,14 +121,17 @@ func Vector(s *prg.Stream, sigma2 float64, out []int64) {
 	}
 }
 
-// Sampler is an xnoise.Sampler-compatible adapter: it draws dim iid
-// discrete Gaussian values with variance parameter `variance` from the
-// stream. Plugging it into xnoise.Plan runs the full add-then-remove
-// scheme on DDGauss noise. Removal is exact (seed-regenerated components
-// cancel bit-for-bit); only the *residual* distribution is approximately
-// N_Z(0, σ²·…) — quantified by SumClosenessTau.
+// Sampler is an xnoise.Sampler-compatible adapter: it adds an iid
+// discrete Gaussian value with variance parameter `variance` to every
+// out[i] from the stream. Plugging it into xnoise.Plan runs the full
+// add-then-remove scheme on DDGauss noise. Removal is exact
+// (seed-regenerated components cancel bit-for-bit); only the *residual*
+// distribution is approximately N_Z(0, σ²·…) — quantified by
+// SumClosenessTau.
 func Sampler(s *prg.Stream, variance float64, out []int64) {
-	Vector(s, variance, out)
+	for i := range out {
+		out[i] += Sample(s, variance)
+	}
 }
 
 // SumClosenessTau bounds the total-variation-style slack between the sum

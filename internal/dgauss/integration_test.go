@@ -135,7 +135,7 @@ func TestDGaussVsSkellamSamplerInterchangeable(t *testing.T) {
 	const variance = 25.0
 	for name, sampler := range map[string]xnoise.Sampler{
 		"dgauss":  dgauss.Sampler,
-		"skellam": xnoise.SkellamSampler,
+		"skellam": xnoise.SamplerForEpoch(0),
 	} {
 		out := make([]int64, dim)
 		sampler(prg.NewStream(prg.NewSeed([]byte(name))), variance, out)

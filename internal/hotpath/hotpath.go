@@ -14,23 +14,20 @@ import (
 
 	"repro/internal/prg"
 	"repro/internal/ring"
-	"repro/internal/rng"
 	"repro/internal/secagg"
 	"repro/internal/xnoise"
 )
 
-// Skellam draws len(out) Skellam(mu) samples from s under the given
-// noise epoch: 0 is the frozen Knuth/PTRS sequence, 1 the CDF-inversion
-// fast path. Unknown epochs are rejected, mirroring secagg.Config.
+// Skellam draws len(out) Skellam(mu) samples from s with the sampler
+// xnoise.SamplerForEpoch assigns to the given noise epoch. Unknown epochs
+// are rejected, mirroring secagg.Config.
 func Skellam(epoch uint64, s *prg.Stream, mu float64, out []int64) error {
-	switch epoch {
-	case 0:
-		rng.SkellamVector(s, mu, out)
-	case 1:
-		rng.SkellamVectorInv(s, mu, out)
-	default:
+	sampler := xnoise.SamplerForEpoch(epoch)
+	if sampler == nil {
 		return fmt.Errorf("hotpath: unknown noise epoch %d (max %d)", epoch, xnoise.MaxNoiseEpoch)
 	}
+	clear(out)
+	sampler(s, mu, out)
 	return nil
 }
 

@@ -6,7 +6,12 @@
 //   - Skellam noise for the DSkellam distributed-DP mechanism (§5): a
 //     Skellam(μ/2, μ/2) variate is the difference of two Poisson(μ/2)
 //     variates; it is integer-valued and closed under summation, the
-//     property XNoise relies on (§3).
+//     property XNoise relies on (§3). Three vector samplers draw it: the
+//     Poisson-splitting AddSkellamSplit (noise epoch 0, the protocol
+//     default: cost proportional to the noise mass, not the dimension),
+//     the CDF-inversion AddSkellamInv (noise epoch 1, and what splitting
+//     hands dense variances to), and the exact two-Poisson SkellamVector
+//     both fall back on.
 //   - Gaussian noise for the continuous-Gaussian DP path and for synthetic
 //     dataset generation.
 //   - Zipf variates for the client compute/bandwidth heterogeneity model
@@ -20,6 +25,8 @@ package rng
 
 import (
 	"math"
+	"math/bits"
+	"sync"
 
 	"repro/internal/prg"
 )
@@ -63,26 +70,71 @@ func Poisson(s *prg.Stream, lambda float64) int64 {
 // vector samplers therefore require a dedicated stream (which is how every
 // protocol call site uses them: one seed-derived stream per noise
 // component).
+//
+// Batches are pooled: FillUint64 hands its argument to the cipher through
+// an interface, so a batch declared in a sampler's frame would be a fresh
+// 4 KiB heap object per vector fill.
 type uniformBatch struct {
-	s   *prg.Stream
-	buf [512]uint64
-	pos int
+	s     *prg.Stream
+	buf   [512]uint64
+	n     int // prefetched words in buf
+	pos   int // next unread word
+	quota int // draws the fill still expects to make; caps the next refill
 }
 
-func newUniformBatch(s *prg.Stream) *uniformBatch {
-	b := &uniformBatch{s: s}
-	b.pos = len(b.buf)
+// minRefill is the refill size once a fill has outrun its quota (rejected
+// index draws, guard-band fallbacks).
+const minRefill = 8
+
+var batchPool = sync.Pool{New: func() any { return new(uniformBatch) }}
+
+// newUniformBatch returns an empty batch over s whose refills fetch at most
+// quota words in total before dropping to minRefill — a sparse fill that
+// expects 100 draws does not pay the cipher for 512. Dense fills pass
+// math.MaxInt. The quota only moves the stream position after the fill,
+// which the dedicated-stream contract already leaves unspecified.
+func newUniformBatch(s *prg.Stream, quota int) *uniformBatch {
+	b := batchPool.Get().(*uniformBatch)
+	b.s, b.n, b.pos, b.quota = s, 0, 0, quota
 	return b
 }
 
-func (b *uniformBatch) float64() float64 {
-	if b.pos == len(b.buf) {
-		b.s.FillUint64(b.buf[:])
-		b.pos = 0
+func (b *uniformBatch) release() {
+	b.s = nil
+	batchPool.Put(b)
+}
+
+func (b *uniformBatch) uint64() uint64 {
+	if b.pos == b.n {
+		b.refill() // out of line so the draw itself inlines
 	}
 	v := b.buf[b.pos]
 	b.pos++
-	return float64(v>>11) / (1 << 53)
+	return v
+}
+
+func (b *uniformBatch) refill() {
+	n := min(max(b.quota, minRefill), len(b.buf))
+	b.s.FillUint64(b.buf[:n])
+	b.n, b.pos = n, 0
+	b.quota -= n
+}
+
+func (b *uniformBatch) float64() float64 {
+	return float64(b.uint64()>>11) / (1 << 53)
+}
+
+// index returns an unbiased draw from [0, n), n ≥ 1: Lemire's multiply-shift
+// with rejection of the n-dependent sliver of the low word that would make
+// some residues one draw more likely than others.
+func (b *uniformBatch) index(n uint64) uint64 {
+	hi, lo := bits.Mul64(b.uint64(), n)
+	if lo < n {
+		for thresh := -n % n; lo < thresh; {
+			hi, lo = bits.Mul64(b.uint64(), n)
+		}
+	}
+	return hi
 }
 
 // poissonSampler holds the λ-dependent constants of both Poisson
@@ -158,14 +210,18 @@ func Skellam(s *prg.Stream, mu float64) int64 {
 	return Poisson(s, mu/2) - Poisson(s, mu/2)
 }
 
-// SkellamVector fills out with iid Skellam(mu) samples. The λ-dependent
-// sampler constants are computed once for the whole vector and the
-// uniforms are prefetched in bulk, so a fill runs at the PRG's bulk rate.
+// SkellamVector fills out with iid Skellam(mu) samples by the exact
+// two-Poisson (Knuth/PTRS) draw. The λ-dependent sampler constants are
+// computed once for the whole vector and the uniforms are prefetched in
+// bulk, so a fill runs at the PRG's bulk rate. This is the sampler the fl
+// experiment harness uses and the one the others fall back on; it is not a
+// protocol noise epoch (those are AddSkellamSplit and AddSkellamInv), but
+// its draw sequence is pinned by a golden test all the same.
 //
-// Stream-consumption contract: the underlying stream is consumed in batch
-// quanta (leftover prefetched draws are discarded at the end of the fill),
-// so the stream position afterwards differs from a loop of Skellam(s, mu)
-// calls. The samples are iid Skellam(mu) either way, but callers needing
+// Stream-consumption contract, shared by every vector sampler of this
+// package: the underlying stream is consumed in batch quanta (leftover
+// prefetched draws are discarded at the end of the fill), so the stream
+// position afterwards differs from a loop of scalar calls. Callers needing
 // two parties to regenerate identical noise must give each vector fill a
 // dedicated seed-derived stream — the XNoise add/remove path does exactly
 // that (one stream per noise component, xnoise.ComponentNoise). Call sites
@@ -173,17 +229,22 @@ func Skellam(s *prg.Stream, mu float64) int64 {
 // harness) get a different — equally distributed — noise sequence than a
 // scalar-draw implementation would produce.
 func SkellamVector(s *prg.Stream, mu float64, out []int64) {
-	if mu <= 0 {
-		for i := range out {
-			out[i] = 0
-		}
+	clear(out)
+	addSkellamExact(s, mu, out)
+}
+
+// addSkellamExact adds an iid two-Poisson Skellam(mu) draw to every acc[i].
+func addSkellamExact(s *prg.Stream, mu float64, acc []int64) {
+	if !(mu > 0) {
 		return
 	}
 	ps := newPoissonSampler(mu / 2)
-	next := newUniformBatch(s).float64
-	for i := range out {
-		out[i] = ps.draw(next) - ps.draw(next)
+	b := newUniformBatch(s, math.MaxInt)
+	next := b.float64
+	for i := range acc {
+		acc[i] += ps.draw(next) - ps.draw(next)
 	}
+	b.release()
 }
 
 // Zipf draws a rank in [1, n] following a Zipf distribution with exponent

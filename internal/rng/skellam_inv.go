@@ -10,12 +10,13 @@ import (
 // This file implements the NoiseEpoch-1 Skellam sampler: CDF inversion
 // from a per-μ precomputed table, one uniform per draw on the central
 // band, with a guard-banded fallback to the exact two-Poisson sampler for
-// tail uniforms. The epoch-0 sampler (Skellam/SkellamVector) burns
+// tail uniforms. The two-Poisson sampler (Skellam/SkellamVector) burns
 // ~2(λ+2) uniforms per draw in the Knuth regime; inversion replaces that
 // with one table lookup, which is what makes DSkellam noise generation
-// run at the PRG's bulk rate. The draw SEQUENCE differs from epoch 0, so
-// protocol use is versioned through xnoise.SamplerForEpoch /
-// secagg.Config.NoiseEpoch — all parties of a round must agree.
+// run at the PRG's bulk rate. It is also what the epoch-0 splitting
+// sampler (skellam_split.go) hands dense variances to. Draw sequences are
+// versioned through xnoise.SamplerForEpoch / secagg.Config.NoiseEpoch —
+// all parties of a round must agree.
 
 // invGuardMass is the per-tail probability mass served by the exact
 // fallback sampler instead of the table. Uniforms landing in the guard
@@ -32,8 +33,8 @@ const invBuildSigmas = 10
 
 // InvMaxMu caps the variance for which an inversion table is built. The
 // build costs O(μ) time and O(√μ) memory (a truncated Poisson
-// self-convolution); beyond the cap SkellamVectorInv falls back to the
-// epoch-0 bulk sampler, which is already O(1)/draw (PTRS) at such λ.
+// self-convolution); beyond the cap the inversion samplers fall back to the
+// two-Poisson bulk sampler, which is already O(1)/draw (PTRS) at such λ.
 const InvMaxMu = 1 << 16
 
 // skellamTable is a guide-accelerated CDF-inversion table for Skellam(mu).
@@ -155,26 +156,25 @@ func SkellamInv(s *prg.Stream, mu float64) int64 {
 	return skellamTableFor(mu).draw(s.Float64)
 }
 
-// SkellamVectorInv fills out with iid Skellam(mu) samples by CDF inversion
-// — the NoiseEpoch-1 counterpart of SkellamVector, sharing its
+// AddSkellamInv adds an iid Skellam(mu) draw to every acc[i] by CDF
+// inversion — the NoiseEpoch-1 sampler, under SkellamVector's
 // stream-consumption contract (bulk-prefetched uniforms: value sequence ==
 // scalar SkellamInv draws, stream position consumed in batch quanta; give
 // each fill a dedicated seed-derived stream). Above InvMaxMu it defers to
-// the epoch-0 bulk sampler, whose PTRS path is already O(1)/draw.
-func SkellamVectorInv(s *prg.Stream, mu float64, out []int64) {
-	if mu <= 0 {
-		for i := range out {
-			out[i] = 0
-		}
+// the two-Poisson bulk sampler, whose PTRS path is already O(1)/draw.
+func AddSkellamInv(s *prg.Stream, mu float64, acc []int64) {
+	if !(mu > 0) {
 		return
 	}
 	if mu > InvMaxMu {
-		SkellamVector(s, mu, out)
+		addSkellamExact(s, mu, acc)
 		return
 	}
 	t := skellamTableFor(mu)
-	next := newUniformBatch(s).float64
-	for i := range out {
-		out[i] = t.draw(next)
+	b := newUniformBatch(s, math.MaxInt)
+	next := b.float64
+	for i := range acc {
+		acc[i] += t.draw(next)
 	}
+	b.release()
 }

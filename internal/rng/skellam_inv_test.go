@@ -60,7 +60,7 @@ func TestSkellamInvClosedUnderSum(t *testing.T) {
 }
 
 // TestSkellamInvPMFMatchesExact cross-validates the inversion table
-// against the exact epoch-0 sampler: empirical frequencies of 300k exact
+// against the exact two-Poisson sampler: empirical frequencies of 300k exact
 // draws must match the table's pmf on the central support.
 func TestSkellamInvPMFMatchesExact(t *testing.T) {
 	const mu = 6.0
@@ -72,11 +72,7 @@ func TestSkellamInvPMFMatchesExact(t *testing.T) {
 		counts[Skellam(s, mu)]++
 	}
 	for k := int64(-8); k <= 8; k++ {
-		i := int(k - tab.kmin)
-		pmf := tab.cdf[i]
-		if i > 0 {
-			pmf -= tab.cdf[i-1]
-		}
+		pmf := skellamPMF(tab, k)
 		got := float64(counts[k]) / n
 		// 5σ binomial tolerance plus a floor for tiny cells.
 		tol := 5*math.Sqrt(pmf/n) + 1e-4
@@ -86,9 +82,9 @@ func TestSkellamInvPMFMatchesExact(t *testing.T) {
 	}
 }
 
-// TestSkellamVectorInvMatchesScalar: the bulk fill draws the same value
+// TestAddSkellamInvMatchesScalar: the bulk fill draws the same value
 // sequence as scalar SkellamInv calls on a dedicated stream.
-func TestSkellamVectorInvMatchesScalar(t *testing.T) {
+func TestAddSkellamInvMatchesScalar(t *testing.T) {
 	for _, mu := range []float64{0.5, 16, 1000} {
 		const n = 2000
 		want := make([]int64, n)
@@ -98,10 +94,10 @@ func TestSkellamVectorInvMatchesScalar(t *testing.T) {
 		}
 		got := make([]int64, n)
 		s2 := stream("inv-vec-vs-scalar")
-		SkellamVectorInv(s2, mu, got)
+		AddSkellamInv(s2, mu, got)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("mu=%v: SkellamVectorInv[%d] = %d, want %d", mu, i, got[i], want[i])
+				t.Fatalf("mu=%v: AddSkellamInv[%d] = %d, want %d", mu, i, got[i], want[i])
 			}
 		}
 	}
@@ -159,13 +155,13 @@ func firstAbove(cdf []float64, u float64) int {
 	return len(cdf) - 1
 }
 
-// TestSkellamEpoch0GoldenSequence is the NoiseEpoch version pin: epoch 0
-// (SkellamVector) must reproduce the exact Knuth/PTRS draw sequence of the
-// seed implementation for a fixed seed, byte for byte. These values were
-// generated by the pre-NoiseEpoch sampler; if this test fails, epoch-0
-// noise no longer regenerates across versions and XNoise removal breaks
-// for persisted sessions.
-func TestSkellamEpoch0GoldenSequence(t *testing.T) {
+// TestSkellamVectorLegacyGoldenSequence pins the two-Poisson sampler
+// (SkellamVector) to the exact Knuth/PTRS draw sequence of the seed
+// implementation for a fixed seed, byte for byte. It was NoiseEpoch 0 until
+// the splitting sampler took that number; the fl harness still draws from
+// it and both epochs fall back on it above InvMaxMu, so a change here
+// changes their sequences too.
+func TestSkellamVectorLegacyGoldenSequence(t *testing.T) {
 	golden := map[float64][]int64{
 		// Knuth regime (λ = mu/2 = 8).
 		16: {3, -1, -3, -3, 0, 0, 2, 5, 9, -5, 0, -3, 1, -6, 4, 3},
@@ -177,12 +173,12 @@ func TestSkellamEpoch0GoldenSequence(t *testing.T) {
 		SkellamVector(stream("noise-epoch-golden"), mu, out)
 		for i := range want {
 			if out[i] != want[i] {
-				t.Fatalf("epoch-0 golden sequence changed: SkellamVector(mu=%v)[%d] = %d, want %d",
+				t.Fatalf("legacy golden sequence changed: SkellamVector(mu=%v)[%d] = %d, want %d",
 					mu, i, out[i], want[i])
 			}
 		}
-		// Scalar epoch-0 draws from a dedicated stream must agree with the
-		// vector values (the documented value-sequence contract).
+		// Scalar draws from a dedicated stream must agree with the vector
+		// values (the documented value-sequence contract).
 		s := stream("noise-epoch-golden")
 		for i := range want {
 			if got := Skellam(s, mu); got != want[i] {
@@ -193,21 +189,23 @@ func TestSkellamEpoch0GoldenSequence(t *testing.T) {
 }
 
 // TestSkellamVectorStreamPositionContract pins the documented
-// stream-consumption contract of the vector fills (both epochs): the draw
-// VALUE sequence equals scalar draws, but uniforms are prefetched in
-// 512-word batches, so the stream position after a fill is a multiple of
-// the batch quantum and generally differs from the scalar position.
-// Callers may NOT interleave a vector fill with further draws from the
-// same stream and expect scalar-equivalent positions — every protocol
-// fill uses a dedicated seed-derived stream (xnoise.ComponentNoiseInto).
+// stream-consumption contract of the dense vector fills: the draw VALUE
+// sequence equals scalar draws, but uniforms are prefetched in 512-word
+// batches, so the stream position after a fill is a multiple of the batch
+// quantum and generally differs from the scalar position. (The splitting
+// sampler sizes its prefetch to its noise mass instead —
+// TestSkellamSplitPrefetchSized.) Callers may NOT interleave a vector fill
+// with further draws from the same stream and expect scalar-equivalent
+// positions — every protocol fill uses a dedicated seed-derived stream
+// (xnoise.ComponentNoise).
 func TestSkellamVectorStreamPositionContract(t *testing.T) {
 	const mu, n = 16.0, 257
 	fills := []struct {
 		name string
 		fill func(*prg.Stream, []int64)
 	}{
-		{"epoch0", func(s *prg.Stream, out []int64) { SkellamVector(s, mu, out) }},
-		{"epoch1", func(s *prg.Stream, out []int64) { SkellamVectorInv(s, mu, out) }},
+		{"two-poisson", func(s *prg.Stream, out []int64) { SkellamVector(s, mu, out) }},
+		{"inversion", func(s *prg.Stream, out []int64) { AddSkellamInv(s, mu, out) }},
 	}
 	for _, f := range fills {
 		sv := stream("stream-pos-" + f.name)
@@ -234,14 +232,14 @@ func TestSkellamVectorStreamPositionContract(t *testing.T) {
 	}
 }
 
-// BenchmarkSkellamVector measures both noise epochs at Knuth-regime and
-// PTRS-regime variances (pr7 ledger: the ≥1.8x acceptance bound applies
-// to epoch1 vs epoch0 at λ ≥ 8, i.e. mu ≥ 16).
+// BenchmarkSkellamVector measures the two dense samplers at Knuth-regime
+// and PTRS-regime variances (pr7 ledger: the ≥1.8x acceptance bound
+// applies to inversion vs two-Poisson at λ ≥ 8, i.e. mu ≥ 16).
 func BenchmarkSkellamVector(b *testing.B) {
 	const dim = 4096
 	out := make([]int64, dim)
 	for _, mu := range []float64{16, 80, 1024} {
-		b.Run(fmt.Sprintf("epoch0/mu=%v", mu), func(b *testing.B) {
+		b.Run(fmt.Sprintf("two-poisson/mu=%v", mu), func(b *testing.B) {
 			s := stream("bench-skellam-e0")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -249,12 +247,12 @@ func BenchmarkSkellamVector(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/dim, "ns/elem")
 		})
-		b.Run(fmt.Sprintf("epoch1/mu=%v", mu), func(b *testing.B) {
+		b.Run(fmt.Sprintf("inversion/mu=%v", mu), func(b *testing.B) {
 			s := stream("bench-skellam-e1")
 			skellamTableFor(mu) // build outside the timer
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				SkellamVectorInv(s, mu, out)
+				AddSkellamInv(s, mu, out)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/dim, "ns/elem")
 		})

@@ -81,8 +81,8 @@ type Config struct {
 	Sampler xnoise.Sampler
 
 	// NoiseEpoch versions the noise draw sequence exactly as MaskEpoch
-	// versions mask derivation: epoch 0 is byte-identical to the historical
-	// Knuth/PTRS Skellam sampler, epoch 1 selects CDF inversion
+	// versions mask derivation: epoch 0, the default, is the
+	// Poisson-splitting Skellam sampler, epoch 1 CDF inversion throughout
 	// (xnoise.SamplerForEpoch). Client noise addition and server removal
 	// regenerate the same vectors only under the same epoch, so all parties
 	// must agree on it; the handshake pins it per round and persisted
@@ -296,16 +296,12 @@ func (c Config) UnmaskQuorum() int {
 }
 
 // sampler returns the explicitly configured noise sampler, or the frozen
-// sampler of the config's NoiseEpoch.
+// sampler of the config's NoiseEpoch (Validate rejects unknown epochs).
 func (c Config) sampler() xnoise.Sampler {
 	if c.Sampler != nil {
 		return c.Sampler
 	}
-	if s := xnoise.SamplerForEpoch(c.NoiseEpoch); s != nil {
-		return s
-	}
-	// Unknown epochs are rejected by Validate; default defensively.
-	return xnoise.SkellamSampler
+	return xnoise.SamplerForEpoch(c.NoiseEpoch)
 }
 
 // indexOf returns the 1-based Shamir abscissa index of a client id within

@@ -40,8 +40,7 @@ const (
 	// Version history:
 	//   1 — initial layout (keys, ratchet, taint, roster, secret caches).
 	//   2 — appends the 8-byte NoiseEpoch after the flags byte; v1 blobs
-	//       still decode, restoring as epoch 0 (the only epoch that
-	//       existed when they were written).
+	//       still decode, restoring as epoch 0, the default.
 	persistVersion = 2
 
 	// maxPersistEntries caps decoded section counts (roster members, cached
@@ -185,7 +184,7 @@ func UnmarshalSession(p []byte) (*Session, error) {
 	s.taint = src[8]&1 != 0
 	src = src[9:]
 	if version >= 2 {
-		// v1 blobs predate noise epochs and restore as epoch 0.
+		// v1 blobs predate noise epochs and restore as the default, 0.
 		if len(src) < 8 {
 			return nil, fmt.Errorf("secagg: persisted noise epoch truncated")
 		}

@@ -148,7 +148,7 @@ func TestXNoiseExactRemoval(t *testing.T) {
 			if !keep[k] {
 				continue // removed by the server
 			}
-			comp, err := xnoise.ComponentNoise(*plan, xnoise.SkellamSampler, seeds[k], k, cfg.Dim)
+			comp, err := xnoise.ComponentNoise(*plan, cfg.sampler(), seeds[k], k, cfg.Dim)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,7 +223,7 @@ func TestXNoiseMidRemovalDropout(t *testing.T) {
 	want := expectedSum(cfg, inputs, rr.Result.Survivors)
 	for _, id := range rr.Result.Survivors {
 		seeds := rr.Clients[id].NoiseSeeds()
-		comp, err := xnoise.ComponentNoise(*plan, xnoise.SkellamSampler, seeds[0], 0, cfg.Dim)
+		comp, err := xnoise.ComponentNoise(*plan, cfg.sampler(), seeds[0], 0, cfg.Dim)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -56,7 +56,7 @@ func TestSecAggPlusMidRemovalRecovery(t *testing.T) {
 	for _, id := range rr.Result.Survivors {
 		seeds := rr.Clients[id].NoiseSeeds()
 		for k := 0; k <= 1; k++ {
-			comp, err := xnoise.ComponentNoise(*plan, xnoise.SkellamSampler, seeds[k], k, cfg.Dim)
+			comp, err := xnoise.ComponentNoise(*plan, xnoise.SamplerForEpoch(cfg.NoiseEpoch), seeds[k], k, cfg.Dim)
 			if err != nil {
 				t.Fatal(err)
 			}

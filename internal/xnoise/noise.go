@@ -11,62 +11,51 @@ import (
 	"repro/internal/shamir"
 )
 
-// Sampler draws dim iid noise values of the given variance into out,
-// deterministically from the stream. The distribution must be closed under
-// summation w.r.t. the variance (paper §3 assumption); the package default
-// is Skellam, matching the DSkellam instantiation.
+// Sampler adds an iid noise value of the given variance to every out[i],
+// deterministically from the stream. Adding rather than overwriting is what
+// lets TotalNoise and RemovalNoise sum components in place, and lets a
+// sampler whose noise is sparse touch only the coordinates that receive
+// any. The distribution must be closed under summation w.r.t. the variance
+// (paper §3 assumption); the package default is Skellam, matching the
+// DSkellam instantiation.
 type Sampler func(s *prg.Stream, variance float64, out []int64)
-
-// SkellamSampler is the default integer noise sampler (NoiseEpoch 0): the
-// historical Knuth/PTRS two-Poisson draw sequence.
-func SkellamSampler(s *prg.Stream, variance float64, out []int64) {
-	rng.SkellamVector(s, variance, out)
-}
-
-// SkellamSamplerInv is the NoiseEpoch-1 sampler: CDF inversion, one
-// uniform per draw on the central band (rng.SkellamVectorInv). Same
-// distribution as SkellamSampler, different draw sequence — parties mixing
-// epochs regenerate different noise, so the epoch travels with the round
-// config (secagg.Config.NoiseEpoch) and the handshake.
-func SkellamSamplerInv(s *prg.Stream, variance float64, out []int64) {
-	rng.SkellamVectorInv(s, variance, out)
-}
 
 // MaxNoiseEpoch is the highest noise-sampler epoch this build understands.
 // Epochs are a protocol compatibility contract, not a tuning knob: every
-// epoch's draw sequence is frozen forever once released (golden tests pin
-// epoch 0 to the seed implementation), and a new sampler gets the next
-// number.
+// epoch's draw sequence is frozen once released (golden tests in package
+// rng pin both), and a new sampler gets the next number.
 const MaxNoiseEpoch = 1
 
-// SamplerForEpoch maps a NoiseEpoch to its frozen sampler, or nil for
-// epochs this build does not know (callers reject those during config
-// validation / handshake).
+// SamplerForEpoch maps a NoiseEpoch to its frozen Skellam sampler, or nil
+// for epochs this build does not know (callers reject those during config
+// validation / handshake). Epoch 0, what a zero-valued config runs, is the
+// Poisson-splitting sampler: O(variance·dim) below per-coordinate variance
+// 1, CDF inversion from there up. Epoch 1 is CDF inversion at every
+// variance. Same distribution, different draw sequences — parties mixing
+// epochs regenerate different noise, so the epoch travels with the round
+// config (secagg.Config.NoiseEpoch) and the handshake.
 func SamplerForEpoch(epoch uint64) Sampler {
 	switch epoch {
 	case 0:
-		return SkellamSampler
+		return rng.AddSkellamSplit
 	case 1:
-		return SkellamSamplerInv
+		return rng.AddSkellamInv
 	default:
 		return nil
 	}
 }
 
-// RoundedGaussianSampler draws Gaussian noise rounded to the nearest
+// RoundedGaussianSampler adds Gaussian noise rounded to the nearest
 // integer. Its variance is variance + 1/12 + o(1) rather than exact, so it
 // is offered for experimentation (the paper's χ must be closed under
 // summation; rounded Gaussians are approximately so at the variances used).
 func RoundedGaussianSampler(s *prg.Stream, variance float64, out []int64) {
 	if variance <= 0 {
-		for i := range out {
-			out[i] = 0
-		}
 		return
 	}
 	std := math.Sqrt(variance)
 	for i := range out {
-		out[i] = int64(math.Round(rng.Gaussian(s, 0, std)))
+		out[i] += int64(math.Round(rng.Gaussian(s, 0, std)))
 	}
 }
 
@@ -76,21 +65,20 @@ func RoundedGaussianSampler(s *prg.Stream, variance float64, out []int64) {
 // vectors — the property that makes seed-transfer removal exact.
 func ComponentNoise(p Plan, sampler Sampler, seed field.Element, k, dim int) ([]int64, error) {
 	out := make([]int64, dim)
-	if err := ComponentNoiseInto(p, sampler, seed, k, out); err != nil {
+	if err := addComponent(p, sampler, seed, k, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// ComponentNoiseInto is ComponentNoise sampling into a caller-owned buffer,
-// so accumulation loops (TotalNoise, RemovalNoise) regenerate many
-// components without one allocation each.
-func ComponentNoiseInto(p Plan, sampler Sampler, seed field.Element, k int, out []int64) error {
+// addComponent adds component k of the client holding seed to acc, from a
+// stream of its own (the samplers' dedicated-stream contract).
+func addComponent(p Plan, sampler Sampler, seed field.Element, k int, acc []int64) error {
 	v, err := p.ComponentVariance(k)
 	if err != nil {
 		return err
 	}
-	sampler(prg.NewStreamFromElement(seed), v, out)
+	sampler(prg.NewStreamFromElement(seed), v, acc)
 	return nil
 }
 
@@ -123,13 +111,9 @@ func (cn *ClientNoise) TotalNoise(p Plan, sampler Sampler, dim int) ([]int64, er
 		return nil, fmt.Errorf("xnoise: have %d seeds, plan needs %d", len(cn.Seeds), p.NumComponents())
 	}
 	total := make([]int64, dim)
-	comp := make([]int64, dim)
-	for k := range cn.Seeds {
-		if err := ComponentNoiseInto(p, sampler, cn.Seeds[k], k, comp); err != nil {
+	for k, seed := range cn.Seeds {
+		if err := addComponent(p, sampler, seed, k, total); err != nil {
 			return nil, err
-		}
-		for i := range total {
-			total[i] += comp[i]
 		}
 	}
 	return total, nil
@@ -164,18 +148,14 @@ func RemovalNoise(p Plan, sampler Sampler, seedsByClient map[uint64]map[int]fiel
 	}
 	ks := p.RemovalComponents(numDropped)
 	total := make([]int64, dim)
-	comp := make([]int64, dim)
 	for client, seeds := range seedsByClient {
 		for _, k := range ks {
 			seed, ok := seeds[k]
 			if !ok {
 				return nil, fmt.Errorf("xnoise: client %d missing seed for component %d", client, k)
 			}
-			if err := ComponentNoiseInto(p, sampler, seed, k, comp); err != nil {
+			if err := addComponent(p, sampler, seed, k, total); err != nil {
 				return nil, err
-			}
-			for i := range total {
-				total[i] += comp[i]
 			}
 		}
 	}

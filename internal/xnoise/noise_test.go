@@ -9,6 +9,9 @@ import (
 	"repro/internal/shamir"
 )
 
+// defaultSampler is what a zero-valued round config runs.
+var defaultSampler = SamplerForEpoch(0)
+
 // empiricalVariance runs the full add-then-remove flow over many trials and
 // returns the measured per-coordinate variance of the residual noise.
 func empiricalVariance(t *testing.T, p Plan, numDropped, dim, trials int) float64 {
@@ -28,7 +31,7 @@ func empiricalVariance(t *testing.T, p Plan, numDropped, dim, trials int) float6
 		agg := make([]int64, dim)
 		survivorSeeds := make(map[uint64]map[int]field.Element)
 		for i := numDropped; i < p.NumClients; i++ {
-			total, err := clients[i].TotalNoise(p, SkellamSampler, dim)
+			total, err := clients[i].TotalNoise(p, defaultSampler, dim)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,7 +44,7 @@ func empiricalVariance(t *testing.T, p Plan, numDropped, dim, trials int) float6
 			}
 			survivorSeeds[uint64(i)] = seeds
 		}
-		removal, err := RemovalNoise(p, SkellamSampler, survivorSeeds, numDropped, dim)
+		removal, err := RemovalNoise(p, defaultSampler, survivorSeeds, numDropped, dim)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,11 +84,11 @@ func TestServerRegeneratesIdenticalComponents(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 0; k <= p.DropoutTolerance; k++ {
-		a, err := ComponentNoise(p, SkellamSampler, cn.Seeds[k], k, 100)
+		a, err := ComponentNoise(p, defaultSampler, cn.Seeds[k], k, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := ComponentNoise(p, SkellamSampler, cn.Seeds[k], k, 100)
+		b, err := ComponentNoise(p, defaultSampler, cn.Seeds[k], k, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,13 +107,13 @@ func TestTotalNoiseIsSumOfComponents(t *testing.T) {
 		t.Fatal(err)
 	}
 	const dim = 64
-	total, err := cn.TotalNoise(p, SkellamSampler, dim)
+	total, err := cn.TotalNoise(p, defaultSampler, dim)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sum := make([]int64, dim)
 	for k := 0; k <= p.DropoutTolerance; k++ {
-		comp, err := ComponentNoise(p, SkellamSampler, cn.Seeds[k], k, dim)
+		comp, err := ComponentNoise(p, defaultSampler, cn.Seeds[k], k, dim)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,6 +124,65 @@ func TestTotalNoiseIsSumOfComponents(t *testing.T) {
 	for i := range sum {
 		if sum[i] != total[i] {
 			t.Fatalf("total != Σ components at %d", i)
+		}
+	}
+}
+
+// TestAddThenRemoveExactAcrossDropouts: at a cohort shape whose removable
+// components are sparse (variance ≈ 0.03, the splitting path) and whose
+// component 0 is dense (inversion), what survives add-then-remove is, bit
+// for bit, components 0..|D| of every survivor regenerated one at a time.
+func TestAddThenRemoveExactAcrossDropouts(t *testing.T) {
+	p := Plan{NumClients: 64, DropoutTolerance: 16, Threshold: 48, TargetVariance: 100}
+	const dim = 700 // not a power of two: the index draw's rejection arm is live
+	clients := make([]*ClientNoise, p.NumClients)
+	for i := range clients {
+		cn, err := NewClientNoise(p, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients[i] = cn
+	}
+	T := p.DropoutTolerance
+	for epoch := uint64(0); epoch <= MaxNoiseEpoch; epoch++ {
+		sampler := SamplerForEpoch(epoch)
+		for _, numDropped := range []int{0, 1, T / 2, T, T + 1} {
+			residual := make([]int64, dim)
+			want := make([]int64, dim)
+			seeds := make(map[uint64]map[int]field.Element)
+			for i := numDropped; i < p.NumClients; i++ {
+				total, err := clients[i].TotalNoise(p, sampler, dim)
+				if err != nil {
+					t.Fatal(err)
+				}
+				byK := make(map[int]field.Element)
+				for _, k := range p.RemovalComponents(numDropped) {
+					byK[k] = clients[i].Seeds[k]
+				}
+				seeds[uint64(i)] = byK
+				for k := 0; k <= min(numDropped, T); k++ {
+					comp, err := ComponentNoise(p, sampler, clients[i].Seeds[k], k, dim)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for j := range want {
+						want[j] += comp[j]
+					}
+				}
+				for j := range residual {
+					residual[j] += total[j]
+				}
+			}
+			removal, err := RemovalNoise(p, sampler, seeds, numDropped, dim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range residual {
+				if residual[j]-removal[j] != want[j] {
+					t.Fatalf("epoch %d, |D|=%d: residual[%d] = %d, want %d",
+						epoch, numDropped, j, residual[j]-removal[j], want[j])
+				}
+			}
 		}
 	}
 }
@@ -206,7 +268,7 @@ func TestDroppedSurvivorRecoveredViaShares(t *testing.T) {
 	}
 	seedsByClient[3] = recovered
 	dim := 50
-	removal, err := RemovalNoise(p, SkellamSampler, seedsByClient, numDropped, dim)
+	removal, err := RemovalNoise(p, defaultSampler, seedsByClient, numDropped, dim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +276,7 @@ func TestDroppedSurvivorRecoveredViaShares(t *testing.T) {
 	want := make([]int64, dim)
 	for i := 0; i < 4; i++ {
 		for _, k := range p.RemovalComponents(numDropped) {
-			comp, _ := ComponentNoise(p, SkellamSampler, clients[i].Seeds[k], k, dim)
+			comp, _ := ComponentNoise(p, defaultSampler, clients[i].Seeds[k], k, dim)
 			for j := range want {
 				want[j] += comp[j]
 			}
@@ -230,14 +292,14 @@ func TestDroppedSurvivorRecoveredViaShares(t *testing.T) {
 func TestRemovalNoiseMissingSeed(t *testing.T) {
 	p := Plan{NumClients: 4, DropoutTolerance: 2, Threshold: 2, TargetVariance: 1}
 	seeds := map[uint64]map[int]field.Element{7: {1: field.New(9)}} // missing k=2
-	if _, err := RemovalNoise(p, SkellamSampler, seeds, 0, 10); err == nil {
+	if _, err := RemovalNoise(p, defaultSampler, seeds, 0, 10); err == nil {
 		t.Error("missing component seed should error")
 	}
 }
 
 func TestRemovalNoiseBeyondTolerance(t *testing.T) {
 	p := Plan{NumClients: 4, DropoutTolerance: 1, Threshold: 3, TargetVariance: 1}
-	out, err := RemovalNoise(p, SkellamSampler, nil, 2, 5)
+	out, err := RemovalNoise(p, defaultSampler, nil, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,13 +329,11 @@ func TestRoundedGaussianSampler(t *testing.T) {
 	if math.Abs(variance-want) > 0.15*want {
 		t.Errorf("rounded-gaussian per-client variance %v, want ≈%v", variance, want)
 	}
-	// Zero variance path.
-	zero := make([]int64, 4)
-	RoundedGaussianSampler(nil, 0, zero)
-	for _, v := range zero {
-		if v != 0 {
-			t.Error("zero variance should produce zeros")
-		}
+	// Zero variance path: nothing is added.
+	acc := []int64{3, -1, 0, 7}
+	RoundedGaussianSampler(nil, 0, acc)
+	if acc[0] != 3 || acc[1] != -1 || acc[2] != 0 || acc[3] != 7 {
+		t.Errorf("zero variance changed the accumulator: %v", acc)
 	}
 }
 

@@ -15,6 +15,13 @@
 // then exactly σ²* (Theorem 1). Under mild collusion tolerance T_C each
 // component is inflated by t/(t−T_C) where t is the SecAgg threshold
 // (§3.3, "Handling Mild Collusion").
+//
+// Components are drawn by a Sampler, which adds into its output so that
+// sums of components need no scratch vector. The Skellam samplers are a
+// versioned protocol contract (SamplerForEpoch): for k ≥ 1 the variance
+// above is a few hundredths per coordinate at realistic |U|, which is why
+// the default epoch samples in time proportional to the noise mass rather
+// than to the dimension.
 package xnoise
 
 import (

@@ -37,7 +37,7 @@ func NewRebasing(p Plan, sampler Sampler, originalSeed, updateSeed field.Element
 		return nil, err
 	}
 	if sampler == nil {
-		sampler = SkellamSampler
+		sampler = SamplerForEpoch(0)
 	}
 	return &Rebasing{plan: p, sampler: sampler, originalSeed: originalSeed, updateSeed: updateSeed}, nil
 }
