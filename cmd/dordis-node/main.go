@@ -15,7 +15,10 @@
 //
 // -protocol lightsecagg runs the LightSecAgg baseline instead (one-shot
 // mask recovery, no DP noise): -tolerance then means the dropout
-// tolerance D and -threshold the privacy threshold T.
+// tolerance D and -threshold the privacy threshold T. The server, client
+// and selftest roles — single round or session mode — are the same code
+// under either protocol (substrate.go holds the whole difference);
+// transcripts and the sharded roles are SecAgg-only.
 //
 // # Sessions, resume, and the re-key handshake
 //
@@ -82,6 +85,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -90,72 +94,95 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/field"
 	"repro/internal/lightsecagg"
-	"repro/internal/ring"
-	"repro/internal/secagg"
 	"repro/internal/sessionstore"
 	"repro/internal/sig"
 	"repro/internal/transcript"
 	"repro/internal/transport"
-	"repro/internal/xnoise"
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if !errors.Is(err, flag.ErrHelp) {
+			fmt.Fprintln(os.Stderr, "dordis-node:", err)
+		}
+		os.Exit(1)
+	}
+}
+
+// node is one invocation's output streams; the roles are its methods, so
+// tests can run several parties in one process and read what each printed.
+type node struct {
+	out, errOut io.Writer
+}
+
+func (n node) printf(format string, args ...any) { fmt.Fprintf(n.out, format, args...) }
+
+func (n node) warnf(format string, args ...any) {
+	fmt.Fprintf(n.errOut, "dordis-node: "+format+"\n", args...)
+}
+
+// run parses the command line and runs the selected role to completion.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("dordis-node", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		role       = flag.String("role", "selftest", "server | client | selftest")
-		listen     = flag.String("listen", "127.0.0.1:7700", "server listen address")
-		connect    = flag.String("connect", "127.0.0.1:7700", "client: server address")
-		id         = flag.Uint64("id", 0, "client id (must appear in -clients)")
-		clients    = flag.String("clients", "1,2,3,4,5", "comma-separated sampled client ids")
-		threshold  = flag.Int("threshold", 3, "SecAgg threshold t (lightsecagg: privacy threshold T)")
-		dim        = flag.Int("dim", 64, "vector dimension")
-		value      = flag.Uint64("value", 1, "client: constant vector value")
-		tolerance  = flag.Int("tolerance", 1, "XNoise dropout tolerance T (0 = plain SecAgg; lightsecagg: dropout tolerance D)")
-		targetMu   = flag.Float64("mu", 25, "XNoise central noise variance target")
-		deadline   = flag.Duration("deadline", 3*time.Second, "per-stage collection deadline")
-		protocol   = flag.String("protocol", "secagg", "secagg | lightsecagg")
-		noiseEpoch = flag.Uint64("noise-epoch", 0,
+		role       = fs.String("role", "selftest", "server | client | selftest | combiner | shard | shardtest")
+		listen     = fs.String("listen", "127.0.0.1:7700", "server listen address")
+		connect    = fs.String("connect", "127.0.0.1:7700", "client: server address")
+		id         = fs.Uint64("id", 0, "client id (must appear in -clients)")
+		clients    = fs.String("clients", "1,2,3,4,5", "comma-separated sampled client ids")
+		threshold  = fs.Int("threshold", 3, "SecAgg threshold t (lightsecagg: privacy threshold T)")
+		dim        = fs.Int("dim", 64, "vector dimension")
+		value      = fs.Uint64("value", 1, "client: constant vector value")
+		tolerance  = fs.Int("tolerance", 1, "XNoise dropout tolerance T (0 = plain SecAgg; lightsecagg: dropout tolerance D)")
+		targetMu   = fs.Float64("mu", 25, "XNoise central noise variance target")
+		deadline   = fs.Duration("deadline", 3*time.Second, "per-stage collection deadline")
+		protocol   = fs.String("protocol", "secagg", "secagg | lightsecagg")
+		noiseEpoch = fs.Uint64("noise-epoch", 0,
 			"XNoise draw-sequence version: 0 = Poisson-splitting sampler, 1 = CDF inversion throughout; in session mode the server announces it via the handshake and clients adopt the committed value")
 
-		rounds = flag.Int("rounds", 1,
+		rounds = fs.Int("rounds", 1,
 			"consecutive rounds to run; > 1 enables the per-round re-key handshake")
-		sessionDir = flag.String("session-dir", "",
+		sessionDir = fs.String("session-dir", "",
 			"client: directory of the AEAD-encrypted session store; enables session persistence and the handshake")
-		sessionKeyFile = flag.String("session-key-file", "",
+		sessionKeyFile = fs.String("session-key-file", "",
 			"client: file holding the session store's key material (created with random bytes on first use; defaults to <session-dir>/store.key)")
-		keyRounds = flag.Int("key-rounds", 1,
+		keyRounds = fs.Int("key-rounds", 1,
 			"server: rounds one key generation may serve; > 1 lets handshakes resume sessions across rounds, <= 1 re-keys every round (conservative default)")
-		signKeyFile = flag.String("sign-key-file", "",
+		signKeyFile = fs.String("sign-key-file", "",
 			"server: Ed25519 seed file for signing handshake offers/commits (created on first use; prints the verification key)")
-		serverPub = flag.String("server-pub", "",
+		serverPub = fs.String("server-pub", "",
 			"client: hex Ed25519 verification key; when set, unsigned or mis-signed handshakes are rejected")
 
-		transcriptOn = flag.Bool("transcript", false,
+		transcriptOn = fs.Bool("transcript", false,
 			"server/shard/combiner: commit each round to a Merkle transcript with chained, signed roots (-sign-key-file) and serve clients inclusion proofs; enable on every aggregator role of a topology together")
-		verifyTranscript = flag.Bool("verify-transcript", false,
+		verifyTranscript = fs.Bool("verify-transcript", false,
 			"client: require and verify the round transcript proof for this client's own contribution; pins -server-pub when set (and -combiner-pub for the combiner tier of sharded runs)")
-		combinerPubHex = flag.String("combiner-pub", "",
+		combinerPubHex = fs.String("combiner-pub", "",
 			"client: hex Ed25519 verification key of the combiner's transcript signer (sharded runs with -verify-transcript)")
 
-		shards = flag.Int("shards", 1,
+		shards = fs.Int("shards", 1,
 			"shard count S of the two-level topology; > 1 makes clients derive their shard sub-roster from -clients (roles combiner/shard/shardtest; see sharded.go)")
-		shardID = flag.Uint64("shard-id", 0,
+		shardID = fs.Uint64("shard-id", 0,
 			"shard: this aggregator's shard id (0..S-1, also its id on the combiner connection)")
-		combinerAddr = flag.String("combiner-addr", "127.0.0.1:7800",
+		combinerAddr = fs.String("combiner-addr", "127.0.0.1:7800",
 			"shard: root combiner address to fold the shard partial into")
-		shardQuorum = flag.Int("shard-quorum", 0,
+		shardQuorum = fs.Int("shard-quorum", 0,
 			"combiner: minimum shard partials to fold (0 = all); missing shards above it degrade the round instead of aborting")
-		combineDeadline = flag.Duration("combine-deadline", 60*time.Second,
+		combineDeadline = fs.Duration("combine-deadline", 60*time.Second,
 			"combiner: bound for collecting shard partials (must cover a full shard round); shard: bound for the folded report")
-		killShard = flag.Int("kill-shard", -1,
+		killShard = fs.Int("kill-shard", -1,
 			"shardtest: crash this shard aggregator mid-round (-1 = none)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	n := node{out: stdout, errOut: stderr}
 
 	ids, err := parseIDs(*clients)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	sessionsOn := *rounds > 1 || *sessionDir != ""
 	sf := shardedFlags{
@@ -166,88 +193,66 @@ func main() {
 	switch *role {
 	case "combiner", "shard", "shardtest":
 		if *protocol != "secagg" {
-			fail(fmt.Errorf("the sharded topology supports -protocol secagg only"))
+			return fmt.Errorf("the sharded topology supports -protocol secagg only")
 		}
 		switch *role {
 		case "combiner":
-			runCombinerRole(sf, *listen, *rounds,
-				transcriptRecorder(*transcriptOn, *signKeyFile, "-combiner-pub"))
+			rec, err := n.transcriptRecorder(*transcriptOn, *signKeyFile, "-combiner-pub")
+			if err != nil {
+				return err
+			}
+			return n.runCombinerRole(sf, *listen, *rounds, rec)
 		case "shard":
-			sub := shardRoster(ids, sf.shards, sf.shardID)
-			scfg := shardSecaggConfig(sub, sf.shards, *threshold, *dim, *tolerance, *targetMu, *noiseEpoch)
-			runShardRole(scfg, sf, *listen, *rounds, *deadline,
-				transcriptRecorder(*transcriptOn, *signKeyFile, "-server-pub"))
-		case "shardtest":
-			shardSelfTest(ids, sf, *threshold, *dim, *tolerance, *targetMu, *noiseEpoch, *deadline,
+			sub, err := shardRoster(ids, sf.shards, sf.shardID)
+			if err != nil {
+				return err
+			}
+			scfg, err := secAggConfig(sub, sf.shards, *threshold, *dim, *tolerance, *targetMu, *noiseEpoch)
+			if err != nil {
+				return err
+			}
+			rec, err := n.transcriptRecorder(*transcriptOn, *signKeyFile, "-server-pub")
+			if err != nil {
+				return err
+			}
+			return n.runShardRole(scfg, sf, *listen, *rounds, *deadline, rec)
+		default:
+			return n.shardSelfTest(ids, sf, *threshold, *dim, *tolerance, *targetMu, *noiseEpoch, *deadline,
 				*transcriptOn || *verifyTranscript)
 		}
-		return
 	}
 
-	if *protocol == "lightsecagg" {
+	var sub substrate
+	switch *protocol {
+	case "lightsecagg":
 		if *transcriptOn || *verifyTranscript {
-			fail(fmt.Errorf("-transcript/-verify-transcript require -protocol secagg"))
+			return fmt.Errorf("-transcript/-verify-transcript require -protocol secagg")
 		}
-		lcfg := lightsecagg.Config{
-			ClientIDs: ids, PrivacyT: *threshold, Dropout: *tolerance, Dim: *dim,
-		}
+		lcfg := lightsecagg.Config{ClientIDs: ids, PrivacyT: *threshold, Dropout: *tolerance, Dim: *dim}
 		if err := lcfg.Validate(); err != nil {
-			fail(err)
+			return err
 		}
-		switch *role {
-		case "server":
-			if sessionsOn {
-				runServerSessionsLSA(lcfg, *listen, *deadline, *rounds, *keyRounds, loadSigner(*signKeyFile, "-server-pub"))
-			} else {
-				runServerLSA(lcfg, *listen, *deadline)
-			}
-		case "client":
+		sub = lightSecAggSubstrate(lcfg)
+	case "secagg":
+		split := 1
+		if *shards > 1 && *role == "client" {
+			// A sharded client aggregates inside the shard owning its id: narrow
+			// the roster to that sub-roster and draw the split noise share mu/S.
 			if *id == 0 {
-				fail(fmt.Errorf("client needs -id"))
+				return fmt.Errorf("client needs -id")
 			}
-			if sessionsOn {
-				runClientSessionsLSA(lcfg, *connect, *id, *value, *rounds,
-					openStore(*sessionDir, *sessionKeyFile), parsePub(*serverPub))
-			} else {
-				runClientLSA(lcfg, *connect, *id, *value)
+			if ids, err = shardRosterOf(ids, *shards, *id); err != nil {
+				return err
 			}
-		case "selftest":
-			selfTestLSA(lcfg, *deadline)
-		default:
-			fail(fmt.Errorf("unknown role %q", *role))
+			split = *shards
 		}
-		return
-	}
-	if *protocol != "secagg" {
-		fail(fmt.Errorf("unknown protocol %q", *protocol))
-	}
-	if *shards > 1 && *role == "client" {
-		// A sharded client aggregates inside the shard owning its id: narrow
-		// the roster to that sub-roster and draw the split noise share mu/S.
-		if *id == 0 {
-			fail(fmt.Errorf("client needs -id"))
+		cfg, err := secAggConfig(ids, split, *threshold, *dim, *tolerance, *targetMu, *noiseEpoch)
+		if err != nil {
+			return err
 		}
-		ids = shardRosterOf(ids, *shards, *id)
-		*targetMu /= float64(*shards)
-	}
-	cfg := secagg.Config{
-		Round:      1,
-		ClientIDs:  ids,
-		Threshold:  *threshold,
-		Bits:       20,
-		Dim:        *dim,
-		NoiseEpoch: *noiseEpoch,
-	}
-	if *tolerance > 0 {
-		cfg.XNoise = &xnoise.Plan{
-			NumClients:       len(ids),
-			DropoutTolerance: *tolerance,
-			Threshold:        *threshold,
-			TargetVariance:   *targetMu,
-		}
-	}
-	if err := cfg.Validate(); err != nil {
-		fail(err)
+		sub = secAggSubstrate(cfg)
+	default:
+		return fmt.Errorf("unknown protocol %q", *protocol)
 	}
 
 	switch *role {
@@ -255,29 +260,47 @@ func main() {
 		if sessionsOn {
 			// One signer serves both the handshake and the transcript chain,
 			// so clients pin a single -server-pub for both layers.
-			signer := loadSigner(*signKeyFile, "-server-pub")
-			runServerSessions(cfg, *listen, *deadline, *rounds, *keyRounds, signer,
-				recorderFrom(*transcriptOn, signer))
-		} else {
-			runServer(cfg, *listen, *deadline,
-				transcriptRecorder(*transcriptOn, *signKeyFile, "-server-pub"))
+			signer, err := n.loadSigner(*signKeyFile, "-server-pub")
+			if err != nil {
+				return err
+			}
+			var rec *transcript.Recorder
+			if *transcriptOn {
+				rec = transcript.NewRecorder(signer)
+			}
+			return n.runServerSessions(sub, *listen, *deadline, *rounds, *keyRounds, signer, rec)
 		}
+		rec, err := n.transcriptRecorder(*transcriptOn, *signKeyFile, "-server-pub")
+		if err != nil {
+			return err
+		}
+		return n.runServer(sub, *listen, *deadline, rec)
 	case "client":
 		if *id == 0 {
-			fail(fmt.Errorf("client needs -id"))
+			return fmt.Errorf("client needs -id")
 		}
-		aud, caud := clientAuditors(*verifyTranscript, parsePub(*serverPub),
-			parsePub(*combinerPubHex), *shards > 1)
+		pub, err := parsePub("-server-pub", *serverPub)
+		if err != nil {
+			return err
+		}
+		combinerPub, err := parsePub("-combiner-pub", *combinerPubHex)
+		if err != nil {
+			return err
+		}
+		r := round{}
+		r.aud, r.caud = clientAuditors(*verifyTranscript, pub, combinerPub, *shards > 1)
 		if sessionsOn {
-			runClientSessions(cfg, *connect, *id, *value, *rounds,
-				openStore(*sessionDir, *sessionKeyFile), parsePub(*serverPub), aud, caud)
-		} else {
-			runClient(cfg, *connect, *id, *value, aud, caud)
+			store, err := openStore(*sessionDir, *sessionKeyFile)
+			if err != nil {
+				return err
+			}
+			return n.runClientSessions(sub, *connect, *id, *value, *rounds, store, pub, r)
 		}
+		return n.runClient(sub, *connect, *id, *value, r)
 	case "selftest":
-		selfTest(cfg, *listen, *deadline, *transcriptOn || *verifyTranscript)
+		return n.selfTest(sub, *deadline, *transcriptOn || *verifyTranscript)
 	default:
-		fail(fmt.Errorf("unknown role %q", *role))
+		return fmt.Errorf("unknown role %q", *role)
 	}
 }
 
@@ -294,48 +317,40 @@ func parseIDs(s string) ([]uint64, error) {
 	return out, nil
 }
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "dordis-node:", err)
-	os.Exit(1)
-}
-
 // --- session-mode helpers ---
 
 // loadSigner loads (or creates) the role's Ed25519 signing key, printing
 // the verification key next to the flag clients pin it with. An empty
 // path means unsigned operation (semi-honest mode).
-func loadSigner(path, pinFlag string) *sig.Signer {
+func (n node) loadSigner(path, pinFlag string) (*sig.Signer, error) {
 	if path == "" {
-		return nil
+		return nil, nil
 	}
-	seed := loadOrCreateKey(path)
+	seed, err := loadOrCreateKey(path)
+	if err != nil {
+		return nil, err
+	}
 	signer, err := sig.NewSigner(bytes.NewReader(seed[:32]))
 	if err != nil {
-		fail(err)
+		return nil, err
 	}
-	fmt.Printf("signing enabled; clients pin with %s %s\n",
-		pinFlag, hex.EncodeToString(signer.Public()))
-	return signer
+	n.printf("signing enabled; clients pin with %s %s\n", pinFlag, hex.EncodeToString(signer.Public()))
+	return signer, nil
 }
 
-// recorderFrom wraps an already-loaded signer in a transcript recorder
-// when -transcript is on. One recorder spans every round of the process
-// so the round roots chain.
-func recorderFrom(on bool, signer *sig.Signer) *transcript.Recorder {
+// transcriptRecorder builds the -transcript recorder for roles that have
+// no other use for the signing key: the key is loaded (or created) only
+// when the transcript layer actually needs it. One recorder spans every
+// round of the process so the round roots chain.
+func (n node) transcriptRecorder(on bool, signKeyFile, pinFlag string) (*transcript.Recorder, error) {
 	if !on {
-		return nil
+		return nil, nil
 	}
-	return transcript.NewRecorder(signer)
-}
-
-// transcriptRecorder is recorderFrom for roles that have no other use
-// for the signing key: the key is loaded (or created) only when the
-// transcript layer actually needs it.
-func transcriptRecorder(on bool, signKeyFile, pinFlag string) *transcript.Recorder {
-	if !on {
-		return nil
+	signer, err := n.loadSigner(signKeyFile, pinFlag)
+	if err != nil {
+		return nil, err
 	}
-	return transcript.NewRecorder(loadSigner(signKeyFile, pinFlag))
+	return transcript.NewRecorder(signer), nil
 }
 
 // clientAuditors builds the client's transcript verification state:
@@ -357,33 +372,31 @@ func clientAuditors(on bool, serverPub, combinerPub []byte, sharded bool) (
 
 // printAudit reports the last verified transcript roots after a round
 // (no-op without -verify-transcript).
-func printAudit(id uint64, aud *transcript.Auditor, caud *transcript.CombineAuditor) {
+func (n node) printAudit(id uint64, aud *transcript.Auditor, caud *transcript.CombineAuditor) {
 	if aud == nil {
 		return
 	}
 	if h := aud.History(); len(h) > 0 {
 		last := h[len(h)-1]
-		fmt.Printf("client %d: transcript verified, round %d root %s\n",
-			id, last.Round, shortRoot(last.Root))
+		n.printf("client %d: transcript verified, round %d root %s\n", id, last.Round, shortRoot(last.Root))
 	}
 	if caud == nil {
 		return
 	}
 	if h := caud.History(); len(h) > 0 {
 		last := h[len(h)-1]
-		fmt.Printf("client %d: combiner tier verified, round %d root %s\n",
-			id, last.Round, shortRoot(last.Root))
+		n.printf("client %d: combiner tier verified, round %d root %s\n", id, last.Round, shortRoot(last.Root))
 	}
 }
 
 // printRecorderTip reports the chained round root after a round (no-op
 // without -transcript).
-func printRecorderTip(rec *transcript.Recorder) {
+func (n node) printRecorderTip(rec *transcript.Recorder) {
 	if rec == nil {
 		return
 	}
 	if tip, ok := rec.Tip(); ok {
-		fmt.Printf("transcript root %s (chained)\n", shortRoot(tip))
+		n.printf("transcript root %s (chained)\n", shortRoot(tip))
 	}
 }
 
@@ -392,54 +405,54 @@ func shortRoot(r [32]byte) string { return hex.EncodeToString(r[:8]) }
 // loadOrCreateKey reads key material from path, creating the file with 32
 // random bytes (0600) on first use — shared by the handshake signing seed
 // and the session store key.
-func loadOrCreateKey(path string) []byte {
+func loadOrCreateKey(path string) ([]byte, error) {
 	material, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		material = make([]byte, 32)
 		if _, err := rand.Read(material); err != nil {
-			fail(err)
+			return nil, err
 		}
 		if err := os.WriteFile(path, material, 0o600); err != nil {
-			fail(err)
+			return nil, err
 		}
 	} else if err != nil {
-		fail(err)
+		return nil, err
 	}
 	if len(material) < 32 {
-		fail(fmt.Errorf("key file %s holds %d bytes, need at least 32", path, len(material)))
+		return nil, fmt.Errorf("key file %s holds %d bytes, need at least 32", path, len(material))
 	}
-	return material
+	return material, nil
 }
 
-func parsePub(hexPub string) []byte {
+func parsePub(flagName, hexPub string) ([]byte, error) {
 	if hexPub == "" {
-		return nil
+		return nil, nil
 	}
 	pub, err := hex.DecodeString(hexPub)
 	if err != nil {
-		fail(fmt.Errorf("bad -server-pub: %w", err))
+		return nil, fmt.Errorf("bad %s: %w", flagName, err)
 	}
-	return pub
+	return pub, nil
 }
 
 // openStore opens the client's session store, creating the key file with
-// random bytes on first use. A nil return means persistence is off
+// random bytes on first use. A nil store means persistence is off
 // (-rounds > 1 without -session-dir: sessions live in process memory).
-func openStore(dir, keyFile string) *sessionstore.Store {
+func openStore(dir, keyFile string) (*sessionstore.Store, error) {
 	if dir == "" {
-		return nil
+		return nil, nil
 	}
 	if err := os.MkdirAll(dir, 0o700); err != nil {
-		fail(err)
+		return nil, err
 	}
 	if keyFile == "" {
 		keyFile = dir + "/store.key"
 	}
-	st, err := sessionstore.Open(dir, sessionstore.DeriveKey(loadOrCreateKey(keyFile)))
+	key, err := loadOrCreateKey(keyFile)
 	if err != nil {
-		fail(err)
+		return nil, err
 	}
-	return st
+	return sessionstore.Open(dir, sessionstore.DeriveKey(key))
 }
 
 // waitForClients blocks until n clients are connected or, when deadline
@@ -460,71 +473,59 @@ func waitForClients(srv *transport.TCPServer, n int, deadline time.Duration) {
 
 // --- single-round roles (no handshake; one process, one round) ---
 
-func runServer(cfg secagg.Config, listen string, deadline time.Duration, rec *transcript.Recorder) {
+func (n node) runServer(sub substrate, listen string, deadline time.Duration, rec *transcript.Recorder) error {
 	srv, err := transport.ListenTCP(listen)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	defer srv.Close()
-	fmt.Printf("server listening on %s, waiting for %d clients...\n", srv.Addr(), len(cfg.ClientIDs))
-	waitForClients(srv, len(cfg.ClientIDs), 0)
-	res, err := core.RunWireServer(context.Background(),
-		core.WireServerConfig{SecAgg: cfg, StageDeadline: deadline, Transcript: rec}, srv)
+	n.printf("%s server listening on %s, waiting for %d clients...\n", sub.protocol, srv.Addr(), len(sub.ids))
+	waitForClients(srv, len(sub.ids), 0)
+	report, err := sub.serverRound(context.Background(), srv, nil, round{deadline: deadline, rec: rec})
 	if err != nil {
-		fail(err)
+		return err
 	}
-	printResult(cfg, res)
-	printRecorderTip(rec)
+	n.printf("%s", report)
+	n.printRecorderTip(rec)
+	return nil
 }
 
-func runClient(cfg secagg.Config, addr string, id, value uint64,
-	aud *transcript.Auditor, caud *transcript.CombineAuditor) {
-
+func (n node) runClient(sub substrate, addr string, id, value uint64, r round) error {
 	conn, err := transport.DialTCP(addr, id)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	defer conn.Close()
-	res, err := core.RunWireClient(context.Background(), core.WireClientConfig{
-		SecAgg: cfg, ID: id, Input: constInput(cfg, value), DropBefore: core.NoDrop, Rand: rand.Reader,
-		Transcript: aud, CombineTranscript: caud,
-	}, conn)
+	outcome, err := sub.clientRound(context.Background(), conn, id, value, nil, r)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	if res != nil {
-		fmt.Printf("client %d: round complete, %d survivors\n", id, len(res.Survivors))
-		printAudit(id, aud, caud)
+	if outcome != "" {
+		n.printf("client %d: round %s\n", id, outcome)
+		n.printAudit(id, r.aud, r.caud)
 	}
-}
-
-func constInput(cfg secagg.Config, value uint64) ring.Vector {
-	input := ring.NewVector(cfg.Bits, cfg.Dim)
-	for i := range input.Data {
-		input.Data[i] = value & input.Mask()
-	}
-	return input
+	return nil
 }
 
 // --- session-mode roles (handshake per round, persistent sessions) ---
 
-func runServerSessions(cfg secagg.Config, listen string, deadline time.Duration,
-	rounds, keyRounds int, signer *sig.Signer, rec *transcript.Recorder) {
+func (n node) runServerSessions(sub substrate, listen string, deadline time.Duration,
+	rounds, keyRounds int, signer *sig.Signer, rec *transcript.Recorder) error {
 
 	srv, err := transport.ListenTCP(listen)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	defer srv.Close()
-	fmt.Printf("server listening on %s, %d rounds, key generations serve up to %d round(s)\n",
-		srv.Addr(), rounds, max(keyRounds, 1))
+	n.printf("%s server listening on %s, %d rounds, key generations serve up to %d round(s)\n",
+		sub.protocol, srv.Addr(), rounds, max(keyRounds, 1))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// One engine (one transport fan-in) spans every handshake and round on
 	// this connection; a per-round fan-in would steal frames across the
 	// handshake/round boundary.
 	eng := engine.New(engine.TransportSource(ctx, srv))
-	sess := secagg.NewServerSession()
+	sess := sub.newServerSession()
 	for r := 1; r <= rounds; r++ {
 		// Round 1 waits for the full roster (service bring-up); later
 		// rounds wait at most one stage deadline for re-dials, then let
@@ -533,31 +534,23 @@ func runServerSessions(cfg secagg.Config, listen string, deadline time.Duration,
 		if r == 1 {
 			bound = 0
 		}
-		waitForClients(srv, len(cfg.ClientIDs), bound)
+		waitForClients(srv, len(sub.ids), bound)
 		hs, err := core.RunHandshakeServer(ctx, core.HandshakeConfig{
-			Round: uint64(r), Protocol: core.ProtocolSecAgg, ClientIDs: cfg.ClientIDs,
+			Round: uint64(r), Protocol: sub.protocol, ClientIDs: sub.ids,
 			KeyRounds: keyRounds, Deadline: deadline, Signer: signer,
-			NoiseEpoch: cfg.NoiseEpoch,
+			NoiseEpoch: sub.noiseEpoch,
 		}, sess, eng, srv)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		rcfg := cfg
-		rcfg.Round = hs.Round
-		rcfg.KeyRatchet = hs.Ratchet
-		rcfg.NoiseEpoch = hs.NoiseEpoch
-		res, err := core.RunWireServer(ctx, core.WireServerConfig{
-			SecAgg: rcfg, StageDeadline: deadline,
-			Session: sess, Resume: hs.Resume, Divergent: hs.Divergent, Engine: eng,
-			Transcript: rec,
-		}, srv)
+		report, err := sub.serverRound(ctx, srv, sess, round{deadline: deadline, hs: &hs, eng: eng, rec: rec})
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("round %d (%s): ", r, describe(hs))
-		printResult(rcfg, res)
-		printRecorderTip(rec)
+		n.printf("round %d (%s): %s", r, describe(hs), report)
+		n.printRecorderTip(rec)
 	}
+	return nil
 }
 
 func describe(hs core.Handshake) string {
@@ -575,46 +568,47 @@ func describe(hs core.Handshake) string {
 // single-round roles, a long-lived client tolerates the service coming up
 // after it and transient blips, so it dials with capped exponential
 // backoff under a bounded budget.
-func sessionDial(ctx context.Context, addr string, id uint64) *transport.TCPClient {
+func sessionDial(ctx context.Context, addr string, id uint64) (*transport.TCPClient, error) {
 	dctx, cancel := context.WithTimeout(ctx, time.Minute)
 	defer cancel()
-	conn, err := transport.DialRetry(dctx, addr, id, transport.RetryConfig{})
+	return transport.DialRetry(dctx, addr, id, transport.RetryConfig{})
+}
+
+func (n node) runClientSessions(sub substrate, addr string, id, value uint64,
+	rounds int, store *sessionstore.Store, serverPub []byte, r round) error {
+
+	record := fmt.Sprintf("%s-%d", sub.record, id)
+	sess, err := n.loadSession(sub, store, record)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	return conn
-}
-
-// redial recovers the session-mode client loop from a failure mid-round.
-// The round is forfeited — the stored session keeps its in-flight taint,
-// so the next handshake lands this client in the divergent subset and
-// re-keys only its edges — the old connection is torn down, and a fresh
-// one is dialed with backoff. The caller's next loop iteration re-hellos
-// on the new connection; the server engine parks hellos that arrive
-// mid-round and replays them into the next handshake.
-func redial(ctx context.Context, old *transport.TCPClient, addr string, id uint64,
-	round int, cause error) *transport.TCPClient {
-
-	fmt.Fprintf(os.Stderr, "dordis-node: client %d round %d failed (%v); reconnecting\n", id, round, cause)
-	old.Close()
-	return sessionDial(ctx, addr, id)
-}
-
-func runClientSessions(cfg secagg.Config, addr string, id, value uint64,
-	rounds int, store *sessionstore.Store, serverPub []byte,
-	aud *transcript.Auditor, caud *transcript.CombineAuditor) {
-
-	record := fmt.Sprintf("client-%d", id)
-	sess := loadSession(store, record)
 	ctx := context.Background()
-	conn := sessionDial(ctx, addr, id)
+	conn, err := sessionDial(ctx, addr, id)
+	if err != nil {
+		return err
+	}
 	defer func() { conn.Close() }()
-	for r := 1; r <= rounds; r++ {
+	// redial recovers the loop from a failure mid-round. The round is
+	// forfeited — the stored session keeps its in-flight taint, so the next
+	// handshake lands this client in the divergent subset and re-keys only
+	// its edges — the old connection is torn down, and a fresh one is
+	// dialed with backoff. The next iteration re-hellos on the new
+	// connection; the server engine parks hellos that arrive mid-round and
+	// replays them into the next handshake.
+	redial := func(round int, cause error) error {
+		n.warnf("client %d round %d failed (%v); reconnecting", id, round, cause)
+		conn.Close()
+		conn, err = sessionDial(ctx, addr, id)
+		return err
+	}
+	for i := 1; i <= rounds; i++ {
 		hs, err := core.RunHandshakeClient(ctx, core.ClientHandshakeConfig{
-			ID: id, Protocol: core.ProtocolSecAgg, ServerPub: serverPub, Rand: rand.Reader,
+			ID: id, Protocol: sub.protocol, ServerPub: serverPub, Rand: rand.Reader,
 		}, sess, conn)
 		if err != nil {
-			conn = redial(ctx, conn, addr, id, r, err)
+			if err := redial(i, err); err != nil {
+				return err
+			}
 			continue
 		}
 		// Persist immediately after the handshake: the stored state carries
@@ -622,136 +616,108 @@ func runClientSessions(cfg secagg.Config, addr string, id, value uint64,
 		// committed noise epoch, so a crash mid-round restores into a
 		// session the next handshake re-keys (at least this client's edges)
 		// under the sampler it negotiated.
-		sess.SetNoiseEpoch(hs.NoiseEpoch)
-		saveSession(store, record, sess)
-		rcfg := cfg
-		rcfg.Round = hs.Round
-		rcfg.KeyRatchet = hs.Ratchet
-		rcfg.NoiseEpoch = hs.NoiseEpoch
-		res, err := core.RunWireClient(ctx, core.WireClientConfig{
-			SecAgg: rcfg, ID: id, Input: constInput(rcfg, value),
-			DropBefore: core.NoDrop, Rand: rand.Reader,
-			Session: sess, Resume: hs.Resume, Divergent: hs.Divergent,
-			Transcript: aud, CombineTranscript: caud,
-		}, conn)
+		sub.adopt(sess, hs)
+		if err := saveSession(store, record, sess); err != nil {
+			return err
+		}
+		r.hs = &hs
+		outcome, err := sub.clientRound(ctx, conn, id, value, sess, r)
 		if err != nil {
-			conn = redial(ctx, conn, addr, id, r, err)
+			if err := redial(i, err); err != nil {
+				return err
+			}
 			continue
 		}
 		// Persist again with the taint cleared: the next start may resume.
-		saveSession(store, record, sess)
-		if res != nil {
-			fmt.Printf("client %d round %d (%s): complete, %d survivors\n",
-				id, r, describe(hs), len(res.Survivors))
-			printAudit(id, aud, caud)
+		if err := saveSession(store, record, sess); err != nil {
+			return err
+		}
+		if outcome != "" {
+			n.printf("client %d round %d (%s): %s\n", id, i, describe(hs), outcome)
+			n.printAudit(id, r.aud, r.caud)
 		}
 	}
+	return nil
 }
 
-// loadStoredSession restores a session record through unmarshal, or
-// returns ok=false when the caller should start fresh. A store auth
-// failure (wrong -session-key-file, tampered record) warns loudly: a
+// loadSession restores the client's session record, or starts a fresh
+// session when there is no store, no record, or an unreadable one. A store
+// auth failure (wrong -session-key-file, tampered record) warns loudly: a
 // silently fresh session would re-key every round.
-func loadStoredSession[T any](store *sessionstore.Store, record string,
-	unmarshal func([]byte) (T, error)) (T, bool) {
-
-	var zero T
-	if store == nil {
-		return zero, false
-	}
-	blob, err := store.Load(record)
-	switch {
-	case err == nil:
-		sess, err := unmarshal(blob)
-		if err == nil {
-			fmt.Printf("restored session %s from store\n", record)
-			return sess, true
+func (n node) loadSession(sub substrate, store *sessionstore.Store, record string) (clientSession, error) {
+	if store != nil {
+		blob, err := store.Load(record)
+		switch {
+		case err == nil:
+			if sess, err := sub.unmarshalSession(blob); err == nil {
+				n.printf("restored session %s from store\n", record)
+				return sess, nil
+			}
+			n.warnf("stored session %s unreadable, starting fresh", record)
+		case !errors.Is(err, sessionstore.ErrNotFound):
+			n.warnf("session store: %v — starting fresh", err)
 		}
-		fmt.Fprintf(os.Stderr, "dordis-node: stored session %s unreadable, starting fresh\n", record)
-	case !errors.Is(err, sessionstore.ErrNotFound):
-		fmt.Fprintf(os.Stderr, "dordis-node: session store: %v — starting fresh\n", err)
 	}
-	return zero, false
+	return sub.newSession()
 }
 
-// saveStoredSession persists one session record (no-op without a store).
-func saveStoredSession(store *sessionstore.Store, record string, marshal func() ([]byte, error)) {
+// saveSession persists one session record (no-op without a store).
+func saveSession(store *sessionstore.Store, record string, sess clientSession) error {
 	if store == nil {
-		return
+		return nil
 	}
-	blob, err := marshal()
+	blob, err := sess.MarshalBinary()
 	if err != nil {
-		fail(err)
+		return err
 	}
-	if err := store.Save(record, blob); err != nil {
-		fail(err)
-	}
+	return store.Save(record, blob)
 }
 
-func loadSession(store *sessionstore.Store, record string) *secagg.Session {
-	if sess, ok := loadStoredSession(store, record, secagg.UnmarshalSession); ok {
-		return sess
-	}
-	sess, err := secagg.NewSession(rand.Reader)
-	if err != nil {
-		fail(err)
-	}
-	return sess
-}
-
-func saveSession(store *sessionstore.Store, record string, sess *secagg.Session) {
-	saveStoredSession(store, record, sess.MarshalBinary)
-}
-
-func selfTest(cfg secagg.Config, listen string, deadline time.Duration, transcriptOn bool) {
+// selfTest runs a whole single round in one process over loopback TCP:
+// the server role and every client role, client i contributing the
+// constant i+1. With transcripts, a throwaway signing key and one auditor
+// per client exercise the full signed-transcript path without key files.
+func (n node) selfTest(sub substrate, deadline time.Duration, transcriptOn bool) error {
 	srv, err := transport.ListenTCP("127.0.0.1:0")
 	if err != nil {
-		fail(err)
+		return err
 	}
 	defer srv.Close()
-	// In-process round: a throwaway signing key and one auditor per client
-	// exercise the full signed-transcript path without any key files.
 	var rec *transcript.Recorder
 	auds := map[uint64]*transcript.Auditor{}
 	if transcriptOn {
 		signer, err := sig.NewSigner(rand.Reader)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		rec = transcript.NewRecorder(signer)
-		for _, id := range cfg.ClientIDs {
+		for _, id := range sub.ids {
 			auds[id] = transcript.NewAuditor(signer.Public())
 		}
 	}
 	var wg sync.WaitGroup
-	for i, id := range cfg.ClientIDs {
-		id := id
-		value := uint64(i + 1)
+	for i, id := range sub.ids {
 		wg.Add(1)
-		go func() {
+		go func(id, value uint64) {
 			defer wg.Done()
 			conn, err := transport.DialTCP(srv.Addr(), id)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "client", id, "dial:", err)
+				n.warnf("client %d dial: %v", id, err)
 				return
 			}
 			defer conn.Close()
-			if _, err := core.RunWireClient(context.Background(), core.WireClientConfig{
-				SecAgg: cfg, ID: id, Input: constInput(cfg, value), DropBefore: core.NoDrop, Rand: rand.Reader,
-				Transcript: auds[id],
-			}, conn); err != nil {
-				fmt.Fprintln(os.Stderr, "client", id, ":", err)
+			if _, err := sub.clientRound(context.Background(), conn, id, value, nil, round{aud: auds[id]}); err != nil {
+				n.warnf("client %d: %v", id, err)
 			}
-		}()
+		}(id, uint64(i+1))
 	}
-	waitForClients(srv, len(cfg.ClientIDs), 0)
-	res, err := core.RunWireServer(context.Background(),
-		core.WireServerConfig{SecAgg: cfg, StageDeadline: deadline, Transcript: rec}, srv)
+	waitForClients(srv, len(sub.ids), 0)
+	report, err := sub.serverRound(context.Background(), srv, nil, round{deadline: deadline, rec: rec})
 	if err != nil {
-		fail(err)
+		return err
 	}
 	wg.Wait()
-	printResult(cfg, res)
+	n.printf("%s", report)
 	if rec != nil {
 		verified := 0
 		for _, a := range auds {
@@ -759,214 +725,8 @@ func selfTest(cfg secagg.Config, listen string, deadline time.Duration, transcri
 				verified++
 			}
 		}
-		fmt.Printf("transcript verified by %d/%d clients, ", verified, len(auds))
-		printRecorderTip(rec)
+		n.printf("transcript verified by %d/%d clients, ", verified, len(auds))
+		n.printRecorderTip(rec)
 	}
-}
-
-func printResult(cfg secagg.Config, res *secagg.Result) {
-	got := ring.Vector{Bits: cfg.Bits, Data: res.Sum}
-	centered := got.Centered()
-	var mean float64
-	for _, v := range centered {
-		mean += float64(v)
-	}
-	mean /= float64(len(centered))
-	fmt.Printf("round complete: survivors=%v dropped=%v\n", res.Survivors, res.Dropped)
-	fmt.Printf("aggregate per-coordinate mean: %.2f (first 8: %v)\n", mean, centered[:min(8, len(centered))])
-	if len(res.RemovedComponents) > 0 {
-		fmt.Printf("XNoise removed components: %v\n", res.RemovedComponents)
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// --- LightSecAgg roles ---
-
-func lsaInput(dim int, value uint64) []field.Element {
-	out := make([]field.Element, dim)
-	for i := range out {
-		out[i] = lightsecagg.Lift(int64(value))
-	}
-	return out
-}
-
-func printResultLSA(sum []field.Element) {
-	var mean float64
-	for _, e := range sum {
-		mean += float64(lightsecagg.Center(e))
-	}
-	mean /= float64(len(sum))
-	first := make([]int64, 0, 8)
-	for i := 0; i < min(8, len(sum)); i++ {
-		first = append(first, lightsecagg.Center(sum[i]))
-	}
-	fmt.Printf("lightsecagg round complete: per-coordinate mean %.2f (first 8: %v)\n", mean, first)
-}
-
-func runServerLSA(cfg lightsecagg.Config, listen string, deadline time.Duration) {
-	srv, err := transport.ListenTCP(listen)
-	if err != nil {
-		fail(err)
-	}
-	defer srv.Close()
-	fmt.Printf("lightsecagg server on %s, waiting for %d clients...\n", srv.Addr(), len(cfg.ClientIDs))
-	waitForClients(srv, len(cfg.ClientIDs), 0)
-	sum, err := lightsecagg.RunWireServer(context.Background(),
-		lightsecagg.WireServerConfig{Config: cfg, StageDeadline: deadline}, srv)
-	if err != nil {
-		fail(err)
-	}
-	printResultLSA(sum)
-}
-
-func runClientLSA(cfg lightsecagg.Config, addr string, id, value uint64) {
-	conn, err := transport.DialTCP(addr, id)
-	if err != nil {
-		fail(err)
-	}
-	defer conn.Close()
-	sum, err := lightsecagg.RunWireClient(context.Background(), lightsecagg.WireClientConfig{
-		Config: cfg, ID: id, Input: lsaInput(cfg.Dim, value), Rand: rand.Reader,
-	}, conn)
-	if err != nil {
-		fail(err)
-	}
-	if sum != nil {
-		fmt.Printf("client %d: round complete\n", id)
-	}
-}
-
-func runServerSessionsLSA(cfg lightsecagg.Config, listen string, deadline time.Duration,
-	rounds, keyRounds int, signer *sig.Signer) {
-
-	srv, err := transport.ListenTCP(listen)
-	if err != nil {
-		fail(err)
-	}
-	defer srv.Close()
-	fmt.Printf("lightsecagg server on %s, %d rounds\n", srv.Addr(), rounds)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	eng := engine.New(engine.TransportSource(ctx, srv))
-	sess := lightsecagg.NewServerSession()
-	for r := 1; r <= rounds; r++ {
-		bound := deadline
-		if r == 1 {
-			bound = 0
-		}
-		waitForClients(srv, len(cfg.ClientIDs), bound)
-		hs, err := core.RunHandshakeServer(ctx, core.HandshakeConfig{
-			Round: uint64(r), Protocol: core.ProtocolLightSecAgg, ClientIDs: cfg.ClientIDs,
-			KeyRounds: keyRounds, Deadline: deadline, Signer: signer,
-		}, sess, eng, srv)
-		if err != nil {
-			fail(err)
-		}
-		rcfg := cfg
-		rcfg.Round = hs.Round
-		sum, err := lightsecagg.RunWireServer(ctx, lightsecagg.WireServerConfig{
-			Config: rcfg, StageDeadline: deadline,
-			Session: sess, Resume: hs.Resume, Divergent: hs.Divergent, Engine: eng,
-		}, srv)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("round %d (%s): ", r, describe(hs))
-		printResultLSA(sum)
-	}
-}
-
-func runClientSessionsLSA(cfg lightsecagg.Config, addr string, id, value uint64,
-	rounds int, store *sessionstore.Store, serverPub []byte) {
-
-	record := fmt.Sprintf("lsa-client-%d", id)
-	sess := loadSessionLSA(store, record)
-	ctx := context.Background()
-	conn := sessionDial(ctx, addr, id)
-	defer func() { conn.Close() }()
-	for r := 1; r <= rounds; r++ {
-		hs, err := core.RunHandshakeClient(ctx, core.ClientHandshakeConfig{
-			ID: id, Protocol: core.ProtocolLightSecAgg, ServerPub: serverPub, Rand: rand.Reader,
-		}, sess, conn)
-		if err != nil {
-			conn = redial(ctx, conn, addr, id, r, err)
-			continue
-		}
-		saveSessionLSA(store, record, sess)
-		rcfg := cfg
-		rcfg.Round = hs.Round
-		if _, err := lightsecagg.RunWireClient(ctx, lightsecagg.WireClientConfig{
-			Config: rcfg, ID: id, Input: lsaInput(cfg.Dim, value), Rand: rand.Reader,
-			Session: sess, Resume: hs.Resume, Divergent: hs.Divergent,
-		}, conn); err != nil {
-			conn = redial(ctx, conn, addr, id, r, err)
-			continue
-		}
-		saveSessionLSA(store, record, sess)
-		fmt.Printf("client %d round %d (%s): complete\n", id, r, describe(hs))
-	}
-}
-
-func loadSessionLSA(store *sessionstore.Store, record string) *lightsecagg.Session {
-	if sess, ok := loadStoredSession(store, record, lightsecagg.UnmarshalSession); ok {
-		return sess
-	}
-	sess, err := lightsecagg.NewSession(rand.Reader)
-	if err != nil {
-		fail(err)
-	}
-	return sess
-}
-
-func saveSessionLSA(store *sessionstore.Store, record string, sess *lightsecagg.Session) {
-	saveStoredSession(store, record, sess.MarshalBinary)
-}
-
-func selfTestLSA(cfg lightsecagg.Config, deadline time.Duration) {
-	srv, err := transport.ListenTCP("127.0.0.1:0")
-	if err != nil {
-		fail(err)
-	}
-	defer srv.Close()
-	var wg sync.WaitGroup
-	for i, id := range cfg.ClientIDs {
-		id := id
-		value := uint64(i + 1)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			conn, err := transport.DialTCP(srv.Addr(), id)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "client", id, "dial:", err)
-				return
-			}
-			defer conn.Close()
-			if _, err := lightsecagg.RunWireClient(context.Background(), lightsecagg.WireClientConfig{
-				Config: cfg, ID: id, Input: lsaInput(cfg.Dim, value), Rand: rand.Reader,
-			}, conn); err != nil {
-				fmt.Fprintln(os.Stderr, "client", id, ":", err)
-			}
-		}()
-	}
-	waitForClients(srv, len(cfg.ClientIDs), 0)
-	sum, err := lightsecagg.RunWireServer(context.Background(),
-		lightsecagg.WireServerConfig{Config: cfg, StageDeadline: deadline}, srv)
-	if err != nil {
-		fail(err)
-	}
-	wg.Wait()
-	printResultLSA(sum)
+	return nil
 }

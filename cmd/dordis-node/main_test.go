@@ -1,0 +1,151 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"regexp"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+)
+
+// The multi-process recipe of the deployment notes as assertions: every
+// party is one run() call — the same function main wraps — talking over
+// loopback TCP, so the flag plumbing, the roles and the substrate glue are
+// all on the tested path.
+
+// output is a party's stdout, safe to read while the party still writes.
+type output struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (o *output) Write(p []byte) (int, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.buf.Write(p)
+}
+
+func (o *output) String() string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.buf.String()
+}
+
+// await polls until the party printed something matching re and returns
+// the first submatch.
+func (o *output) await(t *testing.T, re *regexp.Regexp) string {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if m := re.FindStringSubmatch(o.String()); m != nil {
+			return m[1]
+		}
+	}
+	t.Fatalf("no %q in output:\n%s", re, o.String())
+	return ""
+}
+
+var listeningOn = regexp.MustCompile(`listening on (\S+),`)
+
+// party starts one node and returns its stdout and a wait function.
+func party(t *testing.T, args ...string) (*output, func()) {
+	t.Helper()
+	var stdout, stderr output
+	done := make(chan error, 1)
+	go func() { done <- run(args, &stdout, &stderr) }()
+	return &stdout, func() {
+		t.Helper()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("dordis-node %s: %v\nstderr:\n%s", strings.Join(args, " "), err, stderr.String())
+			}
+		case <-time.After(60 * time.Second):
+			t.Fatalf("dordis-node %s: still running\nstdout:\n%s\nstderr:\n%s",
+				strings.Join(args, " "), stdout.String(), stderr.String())
+		}
+	}
+}
+
+// substrates are the shared round flags per -protocol: plain SecAgg (no
+// XNoise, so the aggregate is exact) and LightSecAgg.
+var substrates = map[string][]string{
+	"secagg":      {"-protocol", "secagg", "-clients", "1,2,3,4", "-threshold", "3", "-tolerance", "0", "-dim", "16"},
+	"lightsecagg": {"-protocol", "lightsecagg", "-clients", "1,2,3,4", "-threshold", "1", "-tolerance", "1", "-dim", "16"},
+}
+
+// Client i contributes the constant 3i, so every coordinate sums to 30.
+const wantMean = "mean:? 30.00 "
+
+func clientArgs(shared []string, addr string, id int, extra ...string) []string {
+	args := append([]string{"-role", "client", "-connect", addr,
+		"-id", fmt.Sprint(id), "-value", fmt.Sprint(3 * id)}, shared...)
+	return append(args, extra...)
+}
+
+func TestNodeSingleRound(t *testing.T) {
+	for name, shared := range substrates {
+		t.Run(name, func(t *testing.T) {
+			server, waitServer := party(t, append([]string{"-role", "server", "-listen", "127.0.0.1:0"}, shared...)...)
+			addr := server.await(t, listeningOn)
+			var waits []func()
+			for id := 1; id <= 4; id++ {
+				out, wait := party(t, clientArgs(shared, addr, id)...)
+				waits = append(waits, func() {
+					wait()
+					if !strings.Contains(out.String(), "round complete") {
+						t.Errorf("client %d did not report completion:\n%s", id, out.String())
+					}
+				})
+			}
+			waitServer()
+			for _, wait := range waits {
+				wait()
+			}
+			if ok, _ := regexp.MatchString(wantMean, server.String()); !ok {
+				t.Errorf("server aggregate is not the sum of -value:\n%s", server.String())
+			}
+		})
+	}
+}
+
+// TestNodeSessionRounds: three rounds on one key generation. Clients 1–3
+// stay up; client 4 is a fresh process every round (-rounds 1, three
+// times) that reloads its session from its -session-dir, and must not
+// cost the service a re-key.
+func TestNodeSessionRounds(t *testing.T) {
+	for name, shared := range substrates {
+		t.Run(name, func(t *testing.T) {
+			server, waitServer := party(t, append([]string{"-role", "server", "-listen", "127.0.0.1:0",
+				"-rounds", "3", "-key-rounds", "3"}, shared...)...)
+			addr := server.await(t, listeningOn)
+			var waits []func()
+			for id := 1; id <= 3; id++ {
+				_, wait := party(t, clientArgs(shared, addr, id, "-rounds", "3")...)
+				waits = append(waits, wait)
+			}
+			dir := t.TempDir()
+			for r := 1; r <= 3; r++ {
+				out, wait := party(t, clientArgs(shared, addr, 4, "-rounds", "1", "-session-dir", dir)...)
+				wait()
+				if restored := strings.Contains(out.String(), "restored session"); restored != (r > 1) {
+					t.Errorf("round %d: restored from store = %v:\n%s", r, restored, out.String())
+				}
+				if !strings.Contains(out.String(), "complete") {
+					t.Errorf("round %d: client 4 did not complete:\n%s", r, out.String())
+				}
+			}
+			waitServer()
+			for _, wait := range waits {
+				wait()
+			}
+			for r, how := range []string{`re-keyed`, `resumed, ratchet 1`, `resumed, ratchet 2`} {
+				re := fmt.Sprintf(`round %d \(%s\): [^\n]*\n?[^\n]*%s`, r+1, how, wantMean)
+				if ok, _ := regexp.MatchString(re, server.String()); !ok {
+					t.Errorf("round %d: want %q with the sum of -value in:\n%s", r+1, how, server.String())
+				}
+			}
+		})
+	}
+}

@@ -31,7 +31,6 @@ import (
 	"context"
 	"crypto/rand"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -57,65 +56,67 @@ type shardedFlags struct {
 
 // shardRoster derives the sub-roster the given shard aggregates — the
 // same contiguous plan every party derives from (-clients, -shards).
-func shardRoster(ids []uint64, shards int, shard uint64) []uint64 {
+func shardRoster(ids []uint64, shards int, shard uint64) ([]uint64, error) {
 	plan, err := core.NewShardPlan(ids, shards)
 	if err != nil {
-		fail(err)
+		return nil, err
 	}
 	if shard >= uint64(shards) {
-		fail(fmt.Errorf("shard id %d out of range [0, %d)", shard, shards))
+		return nil, fmt.Errorf("shard id %d out of range [0, %d)", shard, shards)
 	}
-	return plan.Rosters[shard]
+	return plan.Rosters[shard], nil
 }
 
 // shardRosterOf narrows the full roster to the sub-roster owning client
 // id — the client-side half of the shared plan derivation.
-func shardRosterOf(ids []uint64, shards int, id uint64) []uint64 {
+func shardRosterOf(ids []uint64, shards int, id uint64) ([]uint64, error) {
 	plan, err := core.NewShardPlan(ids, shards)
 	if err != nil {
-		fail(err)
+		return nil, err
 	}
 	s := plan.ShardOf(id)
 	if s < 0 {
-		fail(fmt.Errorf("client %d not in the sampled set", id))
+		return nil, fmt.Errorf("client %d not in the sampled set", id)
 	}
-	return plan.Rosters[s]
+	return plan.Rosters[s], nil
 }
 
-// shardSecaggConfig builds one shard's round config: the sub-roster, the
-// per-shard threshold/tolerance, and the split noise target mu/S.
-func shardSecaggConfig(sub []uint64, shards, threshold, dim, tolerance int,
-	mu float64, noiseEpoch uint64) secagg.Config {
+// secAggConfig builds the round config of one aggregator over roster: the
+// flat server (shards = 1) or one shard of S, whose threshold and
+// tolerance are per shard and whose noise target is the split mu/S.
+func secAggConfig(roster []uint64, shards, threshold, dim, tolerance int,
+	mu float64, noiseEpoch uint64) (secagg.Config, error) {
 
 	cfg := secagg.Config{
-		Round: 1, ClientIDs: sub, Threshold: threshold, Bits: 20, Dim: dim,
+		Round: 1, ClientIDs: roster, Threshold: threshold, Bits: 20, Dim: dim,
 		NoiseEpoch: noiseEpoch,
 	}
 	if tolerance > 0 {
 		cfg.XNoise = &xnoise.Plan{
-			NumClients:       len(sub),
+			NumClients:       len(roster),
 			DropoutTolerance: tolerance,
 			Threshold:        threshold,
 			TargetVariance:   mu / float64(shards),
 		}
 	}
-	if err := cfg.Validate(); err != nil {
-		fail(fmt.Errorf("shard config (threshold and tolerance apply per shard): %w", err))
+	err := cfg.Validate()
+	if err != nil && shards > 1 {
+		err = fmt.Errorf("shard config (threshold and tolerance apply per shard): %w", err)
 	}
-	return cfg
+	return cfg, err
 }
 
-func runCombinerRole(sf shardedFlags, listen string, rounds int, rec *transcript.Recorder) {
+func (n node) runCombinerRole(sf shardedFlags, listen string, rounds int, rec *transcript.Recorder) error {
 	srv, err := transport.ListenTCP(listen)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	defer srv.Close()
 	shardIDs := make([]uint64, sf.shards)
 	for i := range shardIDs {
 		shardIDs[i] = uint64(i)
 	}
-	fmt.Printf("combiner listening on %s for %d shard aggregators (quorum %d)\n",
+	n.printf("combiner listening on %s for %d shard aggregators (quorum %d)\n",
 		srv.Addr(), sf.shards, sf.shardQuorum)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -138,15 +139,16 @@ func runCombinerRole(sf shardedFlags, listen string, rounds int, rec *transcript
 			Transcript: rec,
 		}, srv)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("round %d: ", r)
-		printReport(report)
-		printRecorderTip(rec)
+		n.printf("round %d: ", r)
+		n.printReport(report)
+		n.printRecorderTip(rec)
 	}
+	return nil
 }
 
-func printReport(report *combine.RoundReport) {
+func (n node) printReport(report *combine.RoundReport) {
 	state := "complete"
 	if report.Degraded {
 		state = fmt.Sprintf("DEGRADED (missing shards %v)", report.Missing)
@@ -157,21 +159,24 @@ func printReport(report *combine.RoundReport) {
 		mean += float64(v)
 	}
 	mean /= float64(len(centered))
-	fmt.Printf("%s: shards=%v survivors=%d dropped=%d, folded per-coordinate mean %.2f\n",
+	n.printf("%s: shards=%v survivors=%d dropped=%d, folded per-coordinate mean %.2f\n",
 		state, report.Contributing, len(report.Survivors), len(report.Dropped), mean)
 }
 
-func runShardRole(cfg secagg.Config, sf shardedFlags, listen string, rounds int,
-	deadline time.Duration, rec *transcript.Recorder) {
+func (n node) runShardRole(cfg secagg.Config, sf shardedFlags, listen string, rounds int,
+	deadline time.Duration, rec *transcript.Recorder) error {
 	srv, err := transport.ListenTCP(listen)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	defer srv.Close()
 	ctx := context.Background()
-	up := sessionDial(ctx, sf.combinerAddr, sf.shardID)
+	up, err := sessionDial(ctx, sf.combinerAddr, sf.shardID)
+	if err != nil {
+		return err
+	}
 	defer up.Close()
-	fmt.Printf("shard %d listening on %s for %d clients, combiner at %s\n",
+	n.printf("shard %d listening on %s for %d clients, combiner at %s\n",
 		sf.shardID, srv.Addr(), len(cfg.ClientIDs), sf.combinerAddr)
 	for r := 1; r <= rounds; r++ {
 		bound := deadline
@@ -188,12 +193,13 @@ func runShardRole(cfg secagg.Config, sf shardedFlags, listen string, rounds int,
 			RelayCombineTranscript: rec != nil,
 		}, srv, up)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("shard %d round %d: %d survivors, partial folded; combiner ", sf.shardID, r, len(res.Survivors))
-		printReport(report)
-		printRecorderTip(rec)
+		n.printf("shard %d round %d: %d survivors, partial folded; combiner ", sf.shardID, r, len(res.Survivors))
+		n.printReport(report)
+		n.printRecorderTip(rec)
 	}
+	return nil
 }
 
 // shardSelfTest runs the whole two-level topology in one process over
@@ -203,16 +209,24 @@ func runShardRole(cfg secagg.Config, sf shardedFlags, listen string, rounds int,
 // transcriptOn wires the verifiable-transcript layer through both tiers
 // with throwaway signing keys: every client audits its shard's signed
 // root and the shard root's inclusion in the combiner's tree.
-func shardSelfTest(ids []uint64, sf shardedFlags, threshold, dim, tolerance int,
-	mu float64, noiseEpoch uint64, deadline time.Duration, transcriptOn bool) {
+func (n node) shardSelfTest(ids []uint64, sf shardedFlags, threshold, dim, tolerance int,
+	mu float64, noiseEpoch uint64, deadline time.Duration, transcriptOn bool) error {
 
 	plan, err := core.NewShardPlan(ids, sf.shards)
 	if err != nil {
-		fail(err)
+		return err
+	}
+	// Every shard's config is validated up front, so a bad flag fails the
+	// command instead of one goroutine.
+	shardCfgs := make([]secagg.Config, sf.shards)
+	for s := range shardCfgs {
+		if shardCfgs[s], err = secAggConfig(plan.Rosters[s], sf.shards, threshold, dim, tolerance, mu, noiseEpoch); err != nil {
+			return err
+		}
 	}
 	comb, err := transport.ListenTCP("127.0.0.1:0")
 	if err != nil {
-		fail(err)
+		return err
 	}
 	defer comb.Close()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -223,7 +237,7 @@ func shardSelfTest(ids []uint64, sf shardedFlags, threshold, dim, tolerance int,
 	if transcriptOn {
 		combSigner, err := sig.NewSigner(rand.Reader)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		combRec = transcript.NewRecorder(combSigner)
 		combPub = combSigner.Public()
@@ -241,17 +255,16 @@ func shardSelfTest(ids []uint64, sf shardedFlags, threshold, dim, tolerance int,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sub := plan.Rosters[s]
-			scfg := shardSecaggConfig(sub, sf.shards, threshold, dim, tolerance, mu, noiseEpoch)
+			sub, scfg := plan.Rosters[s], shardCfgs[s]
 			srv, err := transport.ListenTCP("127.0.0.1:0")
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "shard", s, "listen:", err)
+				n.warnf("shard %d listen: %v", s, err)
 				return
 			}
 			defer srv.Close()
 			up, err := transport.DialTCP(comb.Addr(), uint64(s))
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "shard", s, "dial combiner:", err)
+				n.warnf("shard %d dial combiner: %v", s, err)
 				return
 			}
 			defer up.Close()
@@ -260,7 +273,7 @@ func shardSelfTest(ids []uint64, sf shardedFlags, threshold, dim, tolerance int,
 			if transcriptOn {
 				shardSigner, err := sig.NewSigner(rand.Reader)
 				if err != nil {
-					fmt.Fprintln(os.Stderr, "shard", s, "signer:", err)
+					n.warnf("shard %d signer: %v", s, err)
 					return
 				}
 				shardRec = transcript.NewRecorder(shardSigner)
@@ -282,7 +295,7 @@ func shardSelfTest(ids []uint64, sf shardedFlags, threshold, dim, tolerance int,
 					defer cwg.Done()
 					conn, err := transport.DialTCP(srv.Addr(), id)
 					if err != nil {
-						fmt.Fprintln(os.Stderr, "client", id, "dial:", err)
+						n.warnf("client %d dial: %v", id, err)
 						return
 					}
 					defer conn.Close()
@@ -294,7 +307,7 @@ func shardSelfTest(ids []uint64, sf shardedFlags, threshold, dim, tolerance int,
 						DropBefore: core.NoDrop, Rand: rand.Reader,
 						Transcript: aud, CombineTranscript: caud,
 					}, conn); err != nil && s != sf.killShard {
-						fmt.Fprintln(os.Stderr, "client", id, ":", err)
+						n.warnf("client %d: %v", id, err)
 					}
 					if aud != nil {
 						auditMu.Lock()
@@ -317,7 +330,7 @@ func shardSelfTest(ids []uint64, sf shardedFlags, threshold, dim, tolerance int,
 				RelayCombineTranscript: shardRec != nil,
 			}, srv, up)
 			if err != nil && s != sf.killShard {
-				fmt.Fprintln(os.Stderr, "shard", s, ":", err)
+				n.warnf("shard %d: %v", s, err)
 			}
 			cwg.Wait()
 		}()
@@ -334,18 +347,19 @@ func shardSelfTest(ids []uint64, sf shardedFlags, threshold, dim, tolerance int,
 		Transcript: combRec,
 	}, comb)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	wg.Wait() // shards drain the report broadcast before teardown
-	printReport(report)
+	n.printReport(report)
 	// Every client fed a constant 1, so the folded sum per coordinate is
 	// the survivor count (plus XNoise when -tolerance > 0).
 	want := len(report.Survivors)
-	fmt.Printf("expected per-coordinate mean ~%d over %d contributing shard(s)\n",
+	n.printf("expected per-coordinate mean ~%d over %d contributing shard(s)\n",
 		want, len(report.Contributing))
 	if transcriptOn {
-		fmt.Printf("transcripts: %d/%d clients verified their shard tier, %d the combiner tier, ",
+		n.printf("transcripts: %d/%d clients verified their shard tier, %d the combiner tier, ",
 			tierOne, audited, tierTwo)
-		printRecorderTip(combRec)
+		n.printRecorderTip(combRec)
 	}
+	return nil
 }

@@ -79,17 +79,18 @@
 // Wire codec. The dim-length payloads — stage-2 masked inputs and the
 // final result broadcast — and the n² stage-1 encrypted share bundles use
 // a hand-rolled length-prefixed little-endian codec
-// (internal/core/codec.go) with a magic/tag prefix; the remaining
-// low-rate control messages stay on gob.
+// (internal/core/codec.go) with a magic/tag prefix, and so do the
+// low-rate control messages (internal/core/control.go).
 // transport.AppendUint64sLE/DecodeUint64sLE move word slabs with a single
 // memmove on little-endian hosts, and TCP frames go out header+payload in
 // one gathered write.
 //
-// Streaming stage collection. Every round driver — core.RunWireServer
-// and lightsecagg.RunWireServer (real transport, fan-in via
+// Streaming stage collection. Every round — core.RunWireServer and
+// lightsecagg.RunWireServer (real transport, fan-in via
 // engine.TransportSource) as well as secagg.Run and lightsecagg.Run
-// (in-process clients as goroutines) — drives stages through the shared
-// round engine (internal/engine), the runtime counterpart of the paper's
+// (in-process clients as goroutines) — is a substrate's stage table
+// walked by the one server walker of the shared round engine
+// (internal/engine), the runtime counterpart of the paper's
 // §4.1 claim that aggregation latency hides when stage work is pipelined
 // rather than barriered. The engine's Collect admits one stage's
 // messages until every expected sender answered or the stage deadline

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"crypto/rand"
+	"encoding/binary"
 	"math"
 	"sync"
 	"testing"
@@ -391,5 +392,97 @@ func TestChaosTooManyLossyClientsAborts(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 20*time.Second {
 		t.Errorf("abort took %v — server should fail fast on starved stages", elapsed)
+	}
+}
+
+// forgingClient rewrites the sender field of its own advertise,
+// masked-input and unmask payloads to claim another member's id (all three
+// layouts are [magic][tag][From:8]…).
+type forgingClient struct {
+	transport.ClientConn
+	claim uint64
+}
+
+func (c *forgingClient) Send(f transport.Frame) error {
+	switch f.Stage {
+	case secagg.TagAdvertise, secagg.TagMasked, secagg.TagUnmask:
+		p := append([]byte(nil), f.Payload...)
+		binary.LittleEndian.PutUint64(p[2:], c.claim)
+		f.Payload = p
+	}
+	return c.ClientConn.Send(f)
+}
+
+// slowClient delays every uplink frame.
+type slowClient struct {
+	transport.ClientConn
+	delay time.Duration
+}
+
+func (c *slowClient) Send(f transport.Frame) error {
+	time.Sleep(c.delay)
+	return c.ClientConn.Send(f)
+}
+
+// TestWireSpoofedSenderStamped: client 4 claims to be client 3 inside its
+// advertise, masked-input and unmask payloads, and client 3's own frames
+// are delayed so the forged ones arrive first. The server must credit each
+// frame to the connection it arrived on: the round completes with every
+// member a survivor and the exact plaintext sum, the forger counted once
+// under its own id. (Unstamped, the forged frames land under id 3 and the
+// round dies with a duplicate advertisement / masked input when 3's own
+// arrive.)
+func TestWireSpoofedSenderStamped(t *testing.T) {
+	const n, dim = 5, 32
+	ids := []uint64{1, 2, 3, 4, 5}
+	saCfg := secagg.Config{Round: 11, ClientIDs: ids, Threshold: 3, Bits: 20, Dim: dim}
+	net := transport.NewMemoryNetwork(256)
+	conns := make(map[uint64]transport.ClientConn, n)
+	for _, id := range ids {
+		c, err := net.Connect(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch id {
+		case 3:
+			c = &slowClient{ClientConn: c, delay: 30 * time.Millisecond}
+		case 4:
+			c = &forgingClient{ClientConn: c, claim: 3}
+		}
+		conns[id] = c
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	for _, id := range ids {
+		wg.Add(1)
+		go func(id uint64) {
+			defer wg.Done()
+			input := ring.NewVector(20, dim)
+			for j := range input.Data {
+				input.Data[j] = id
+			}
+			if _, err := RunWireClient(ctx, WireClientConfig{
+				SecAgg: saCfg, ID: id, Input: input, DropBefore: NoDrop, Rand: rand.Reader,
+			}, conns[id]); err != nil {
+				t.Errorf("client %d: %v", id, err)
+			}
+		}(id)
+	}
+	res, err := RunWireServer(ctx, WireServerConfig{SecAgg: saCfg, StageDeadline: 2 * time.Second}, net.Server())
+	if err != nil {
+		cancel() // release the clients waiting for a result that will not come
+	}
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Survivors) != n || len(res.Dropped) != 0 {
+		t.Fatalf("survivors = %v, dropped = %v, want every member a survivor", res.Survivors, res.Dropped)
+	}
+	for i, v := range res.Sum {
+		if v != 1+2+3+4+5 {
+			t.Fatalf("sum[%d] = %d, want 15: the forger's input counted once, under its own id", i, v)
+		}
 	}
 }

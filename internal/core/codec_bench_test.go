@@ -18,34 +18,6 @@ func benchMaskedMsg(dim int) secagg.MaskedInputMsg {
 	return secagg.MaskedInputMsg{From: 42, Y: y}
 }
 
-func BenchmarkWireEncodeGob100k(b *testing.B) {
-	msg := benchMaskedMsg(100000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := encodePayload(msg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(p)))
-	}
-}
-
-func BenchmarkWireDecodeGob100k(b *testing.B) {
-	msg := benchMaskedMsg(100000)
-	p, err := encodePayload(msg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(p)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var m secagg.MaskedInputMsg
-		if err := decodePayload(p, &m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkWireEncodeBinary100k(b *testing.B) {
 	msg := benchMaskedMsg(100000)
 	b.ResetTimer()

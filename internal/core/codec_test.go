@@ -72,7 +72,7 @@ func TestResultCodecRoundTrip(t *testing.T) {
 }
 
 // TestCodecRejectsMalformed: truncated, mis-tagged, and trailing-garbage
-// payloads must error, and a gob payload must not pass the magic check.
+// payloads must error, and another family member must not pass the tag check.
 func TestCodecRejectsMalformed(t *testing.T) {
 	msg := secagg.MaskedInputMsg{From: 9, Y: []uint64{1, 2, 3}}
 	p, err := encodeMaskedInput(msg)
@@ -87,7 +87,7 @@ func TestCodecRejectsMalformed(t *testing.T) {
 		"wrong tag":    append([]byte{codecMagic, tagResult}, p[2:]...),
 		"no magic":     append([]byte{0x00}, p[1:]...),
 		"length lie":   append(p[:10], 0xFF, 0xFF, 0xFF, 0x7F),
-		"gob payload":  mustGob(t, msg),
+		"ctl payload":  mustControl(t),
 		"result bytes": mustEncodeResult(t),
 	}
 	for name, bad := range cases {
@@ -158,7 +158,7 @@ func TestShareMsgsCodecRejectsMalformed(t *testing.T) {
 		"no magic":    append([]byte{0x13}, p[1:]...),
 		"count lie":   countLie,
 		"ctlen lie":   ctLie,
-		"gob payload": mustGob(t, msgs),
+		"ctl payload": mustControl(t),
 	}
 	for name, bad := range cases {
 		if _, err := decodeShareMsgs(bad); err == nil {
@@ -309,7 +309,7 @@ func TestUnmaskCodecRejectsMalformed(t *testing.T) {
 		"no magic":    append([]byte{0x42}, p[1:]...),
 		"count lie":   countLie,
 		"dup target":  dupTarget,
-		"gob payload": mustGob(t, sampleUnmaskMsg()),
+		"ctl payload": mustControl(t),
 	}
 	for name, bad := range cases {
 		if _, err := decodeUnmask(bad); err == nil {
@@ -379,9 +379,11 @@ func TestUnmaskCodecFuzz(t *testing.T) {
 	}
 }
 
-func mustGob(t *testing.T, v any) []byte {
+// mustControl returns a well-formed payload of another member of the 0xD0
+// family, which no bulk decoder may accept.
+func mustControl(t *testing.T) []byte {
 	t.Helper()
-	p, err := encodePayload(v)
+	p, err := encodeIDSet([]uint64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/combine"
+	"repro/internal/engine"
 	"repro/internal/prg"
 	"repro/internal/secagg"
 	"repro/internal/skellam"
@@ -129,19 +130,6 @@ type ShardedRoundResult struct {
 	Plan *ShardPlan
 }
 
-// lockedReader serializes an io.Reader shared by concurrent shard rounds
-// (deterministic test readers are rarely goroutine-safe).
-type lockedReader struct {
-	mu sync.Mutex
-	r  io.Reader
-}
-
-func (l *lockedReader) Read(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.r.Read(p)
-}
-
 // shardConfig derives shard s's RoundConfig from the sharded config: the
 // per-shard Seed fork keeps noise and mask streams independent across
 // shards (correctness-critical — a shared seed would correlate the
@@ -191,7 +179,9 @@ func RunShardedRound(cfg ShardedRoundConfig, updates map[uint64][]float64, drops
 		dropsBy[s] = append(dropsBy[s], id)
 	}
 
-	rng := &lockedReader{r: rand}
+	// Deterministic test readers are rarely goroutine-safe, and the shard
+	// rounds run concurrently.
+	rng := engine.SharedReader(rand)
 	type shardOutcome struct {
 		partial *roundPartial
 		err     error

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"time"
@@ -15,50 +13,15 @@ import (
 	"repro/internal/transport"
 )
 
-// Wire driver: runs one SecAgg(+XNoise) round over a transport.Transport,
-// with the server collecting each stage's responses until either every
-// live client answered or the stage deadline fires — the deadline-based
-// collection of the paper's §2.1 ("collects the updates from participants
-// until a certain deadline").
-//
-// Collection streams through the shared round engine (internal/engine): a
-// fan-in goroutine drains the transport continuously, admitted frames are
-// decoded concurrently across a worker pool, and each decoded message
-// feeds the incremental secagg.Server in admission order while later
-// frames are still in flight. The masked-input stage therefore costs
-// collection time plus an O(1) tail merge instead of collection time plus
-// n decodes plus n vector adds at a stage barrier.
-
-// wire stage tags (transport.Frame.Stage).
-const (
-	wireAdvertise = iota
-	wireRoster
-	wireShares
-	wireDeliver
-	wireMasked
-	wireConsistencyReq
-	wireConsistency
-	wireUnmaskReq
-	wireUnmask
-	wireNoiseReq
-	wireNoise
-	wireResult
-)
-
-func encodePayload(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("core: encoding payload: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decodePayload(p []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(v); err != nil {
-		return fmt.Errorf("core: decoding payload: %w", err)
-	}
-	return nil
-}
+// Wire driver: runs one SecAgg(+XNoise) round over a transport.Transport.
+// Both sides walk the substrate's stage tables (secagg.Server.Program,
+// secagg.Client.Program) through the engine's wire walkers — frames are
+// admitted as they arrive, decoded concurrently by the binary codec
+// (codec.go, control.go), and applied to the incremental secagg.Server in
+// admission order, each stage waiting until every live client answered or
+// the stage deadline fired (the deadline-based collection of the paper's
+// §2.1). What remains here is what is not a stage: configuration, the
+// transcript tail that follows the result, and session taint.
 
 // WireServerConfig configures the wire server for one round.
 type WireServerConfig struct {
@@ -87,12 +50,6 @@ type WireServerConfig struct {
 	// builds a round-scoped engine (single-round callers).
 	Engine *engine.Engine
 
-	// NoUnmaskQuorum disables the stage-4 unmask quorum and restores the
-	// historical wait-all-survivors-until-deadline collection. It exists as
-	// the reference path for the straggler-tail benchmarks; deployments
-	// have no reason to set it.
-	NoUnmaskQuorum bool
-
 	// Transcript, when non-nil, turns on the verifiable-transcript layer
 	// (internal/transcript): masked-input digests are captured during the
 	// round (SecAgg.TranscriptDigests is forced on), and after the result
@@ -113,22 +70,10 @@ func broadcast(conn transport.ServerConn, ids []uint64, stage int, payload []byt
 	}
 }
 
-// gobDecode adapts a gob control-message decode to an engine stage.
-func gobDecode[T any](m engine.Msg) (any, error) {
-	var v T
-	if err := decodePayload(m.Body.([]byte), &v); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
 // RunWireServer drives the server side of one round through the shared
 // round engine and returns the aggregation result. ctx bounds the whole
-// round; cfg.StageDeadline bounds each stage's collection.
+// round; cfg.StageDeadline bounds each stage's collection (≤0: 2s).
 func RunWireServer(ctx context.Context, cfg WireServerConfig, conn transport.ServerConn) (*secagg.Result, error) {
-	if cfg.StageDeadline <= 0 {
-		cfg.StageDeadline = 2 * time.Second
-	}
 	if cfg.Resume && cfg.Session == nil {
 		return nil, fmt.Errorf("core: resume requires a server session")
 	}
@@ -139,220 +84,18 @@ func RunWireServer(ctx context.Context, cfg WireServerConfig, conn transport.Ser
 	if err != nil {
 		return nil, err
 	}
-	ids := cfg.SecAgg.ClientIDs
-
-	roundCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	eng := cfg.Engine
-	if eng == nil {
-		eng = engine.New(engine.TransportSource(roundCtx, conn))
-	}
-	collect := func(name string, tag int, expect []uint64, quorum int,
-		decode func(m engine.Msg) (any, error), apply func(from uint64, body any) error) error {
-		_, err := eng.Collect(roundCtx, engine.Stage{
-			Name: name, Tag: tag, Expect: expect, Quorum: quorum, Deadline: cfg.StageDeadline,
-			Decode: decode, Apply: apply,
-		})
-		return err
-	}
-
-	// Stage 0: AdvertiseKeys — collected over the wire, skipped entirely on
-	// a full resume (the clients skip symmetrically and reuse their own
-	// cached rosters), or collected from just the divergent subset on a
-	// partial resume: the session's cached entries pre-seed the stage, the
-	// divergent members' fresh advertisements merge in, and the sealed
-	// (merged) roster is broadcast to everyone so the non-divergent members
-	// learn the fresh keys their invalidated edges re-agree against.
-	partial := cfg.Resume && len(cfg.Divergent) > 0
-	var roster []secagg.AdvertiseMsg
-	switch {
-	case cfg.Resume && !partial:
-		roster = cfg.Session.RosterFor(ids)
-		if roster == nil {
-			return nil, fmt.Errorf("core: resume without a cached roster for this client set")
-		}
-		if err := server.InstallRoster(roster); err != nil {
-			return nil, err
-		}
-	case partial:
-		cached := cfg.Session.RosterFor(ids)
-		if cached == nil {
-			return nil, fmt.Errorf("core: partial resume without a cached roster for this client set")
-		}
-		for _, m := range cached {
-			if err := server.AddAdvertise(m); err != nil {
-				return nil, err
-			}
-		}
-		err = collect("advertise", wireAdvertise, cfg.Divergent, 0, gobDecode[secagg.AdvertiseMsg],
-			func(_ uint64, body any) error {
-				return server.AddAdvertise(body.(secagg.AdvertiseMsg))
-			})
-		if err != nil {
-			return nil, err
-		}
-		if roster, err = server.SealAdvertise(); err != nil {
-			return nil, err
-		}
-		cfg.Session.StoreRoster(roster, ids)
-	default:
-		err = collect("advertise", wireAdvertise, ids, 0, gobDecode[secagg.AdvertiseMsg],
-			func(_ uint64, body any) error {
-				return server.AddAdvertise(body.(secagg.AdvertiseMsg))
-			})
-		if err != nil {
-			return nil, err
-		}
-		if roster, err = server.SealAdvertise(); err != nil {
-			return nil, err
-		}
-		if cfg.Session != nil {
-			cfg.Session.StoreRoster(roster, ids)
-		}
-	}
-	u1 := make([]uint64, 0, len(roster))
-	for _, m := range roster {
-		u1 = append(u1, m.From)
-	}
-	if !cfg.Resume || partial {
-		rosterPayload, err := encodePayload(roster)
-		if err != nil {
-			return nil, err
-		}
-		broadcast(conn, u1, wireRoster, rosterPayload)
-	}
-
-	// Stage 1: ShareKeys. The n² encrypted share bundles ride the binary
-	// codec; each sender's list routes into recipient outboxes on arrival.
-	err = collect("shares", wireShares, u1, 0,
-		func(m engine.Msg) (any, error) { return decodeShareMsgs(m.Body.([]byte)) },
-		func(from uint64, body any) error {
-			return server.AddShare(from, body.([]secagg.EncryptedShareMsg))
-		})
-	if err != nil {
+	var round secagg.ServerRound
+	program := server.Program(&round)
+	program.Resume, program.Divergent = cfg.Resume, cfg.Divergent
+	if err := engine.ServeWire(ctx, conn, cfg.Engine, wireCodec, cfg.StageDeadline, program); err != nil {
 		return nil, err
 	}
-	deliveries, err := server.SealShares()
-	if err != nil {
-		return nil, err
-	}
-	u2 := make([]uint64, 0, len(deliveries))
-	for id, cts := range deliveries {
-		payload, err := encodeShareMsgs(cts)
-		if err != nil {
-			return nil, err
-		}
-		_ = conn.SendTo(id, transport.Frame{Stage: wireDeliver, Payload: payload})
-		u2 = append(u2, id)
-	}
-
-	// Stage 2: MaskedInputCollection. The dim-length masked inputs ride
-	// the binary codec and fold into the server's partial aggregate as
-	// they decode — the round's dominant payload never waits for a stage
-	// barrier.
-	err = collect("masked", wireMasked, u2, 0,
-		func(m engine.Msg) (any, error) { return decodeMaskedInput(m.Body.([]byte)) },
-		func(_ uint64, body any) error {
-			return server.AddMasked(body.(secagg.MaskedInputMsg))
-		})
-	if err != nil {
-		return nil, err
-	}
-	u3, err := server.SealMasked()
-	if err != nil {
-		return nil, err
-	}
-	u3Payload, err := encodePayload(u3)
-	if err != nil {
-		return nil, err
-	}
-	broadcast(conn, u3, wireConsistencyReq, u3Payload)
-
-	// Stage 3: ConsistencyCheck.
-	err = collect("consistency", wireConsistency, u3, 0, gobDecode[secagg.ConsistencyMsg],
-		func(_ uint64, body any) error {
-			return server.AddConsistency(body.(secagg.ConsistencyMsg))
-		})
-	if err != nil {
-		return nil, err
-	}
-	unmaskReq, err := server.SealConsistency()
-	if err != nil {
-		return nil, err
-	}
-	reqPayload, err := encodePayload(unmaskReq)
-	if err != nil {
-		return nil, err
-	}
-	broadcast(conn, unmaskReq.U4, wireUnmaskReq, reqPayload)
-
-	// Stage 4: Unmasking. The per-survivor share maps ride the binary
-	// codec (the last high-volume payload to leave gob); bundles index into
-	// reconstruction cohorts on arrival. Two quorums can cut the stage
-	// before all-of-N: the count quorum (complete graph: the first t
-	// responses are t shares per cohort) and the per-cohort predicate
-	// (SecAgg+ sparse graphs: seal the moment every reconstruction cohort
-	// holds its t shares, instead of waiting the deadline for stragglers).
-	// XNoise rounds keep the all-of-N deadline semantics — see
-	// secagg.Config.UnmaskQuorum for why.
-	unmaskQuorum := cfg.SecAgg.UnmaskQuorum()
-	var unmaskQuorumMet func() bool
-	if cfg.SecAgg.XNoise == nil {
-		unmaskQuorumMet = server.UnmaskQuorumMet
-	}
-	if cfg.NoUnmaskQuorum {
-		unmaskQuorum, unmaskQuorumMet = 0, nil
-	}
-	_, err = eng.Collect(roundCtx, engine.Stage{
-		Name: "unmask", Tag: wireUnmask, Expect: unmaskReq.U4,
-		Quorum: unmaskQuorum, QuorumMet: unmaskQuorumMet, Deadline: cfg.StageDeadline,
-		Decode: func(m engine.Msg) (any, error) { return decodeUnmask(m.Body.([]byte)) },
-		Apply: func(_ uint64, body any) error {
-			return server.AddUnmask(body.(secagg.UnmaskMsg))
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	noiseReq, err := server.SealUnmask()
-	if err != nil {
-		return nil, err
-	}
-
-	// Stage 5: ExcessiveNoiseRemoval, when needed.
-	if noiseReq != nil {
-		nrPayload, err := encodePayload(*noiseReq)
-		if err != nil {
-			return nil, err
-		}
-		broadcast(conn, noiseReq.U5, wireNoiseReq, nrPayload)
-		err = collect("noise-shares", wireNoise, noiseReq.U5, 0, gobDecode[secagg.NoiseShareMsg],
-			func(_ uint64, body any) error {
-				return server.AddNoiseShare(body.(secagg.NoiseShareMsg))
-			})
-		if err != nil {
-			return nil, err
-		}
-		if err := server.SealNoiseShares(); err != nil {
-			return nil, err
-		}
-	}
-
-	res, err := server.Finalize()
-	if err != nil {
-		return nil, err
-	}
-	resPayload, err := encodeResult(res)
-	if err != nil {
-		return nil, err
-	}
-	broadcast(conn, res.Survivors, wireResult, resPayload)
 	if cfg.Transcript != nil {
-		if err := emitTranscript(cfg.Transcript, cfg.SecAgg.Round, roster, server, &res, conn); err != nil {
+		if err := emitTranscript(cfg.Transcript, cfg.SecAgg.Round, round.Roster, server, &round.Result, conn); err != nil {
 			return nil, fmt.Errorf("core: round transcript: %w", err)
 		}
 	}
-	return &res, nil
+	return &round.Result, nil
 }
 
 // emitTranscript builds, chains, and ships the round transcript after the
@@ -443,9 +186,6 @@ type WireClientConfig struct {
 // decoded round result frame (nil for clients that dropped or when the
 // protocol ended before dispatch).
 func RunWireClient(ctx context.Context, cfg WireClientConfig, conn transport.ClientConn) (*secagg.Result, error) {
-	drop := func(s secagg.Stage) bool {
-		return cfg.DropBefore >= 0 && s >= cfg.DropBefore
-	}
 	if cfg.Resume && cfg.Session == nil {
 		return nil, fmt.Errorf("core: resume requires a client session")
 	}
@@ -456,226 +196,51 @@ func RunWireClient(ctx context.Context, cfg WireClientConfig, conn transport.Cli
 	if err != nil {
 		return nil, err
 	}
-	if drop(secagg.StageAdvertiseKeys) {
-		return nil, conn.Close()
+	var round secagg.ClientRound
+	program := client.Program(&round)
+	program.Resume, program.Divergent = cfg.Resume, cfg.Divergent
+	if err := engine.JoinWire(ctx, conn, wireCodec, program, int(cfg.DropBefore)); err != nil {
+		return nil, err
 	}
-
-	// recvFrame blocks for the next frame with the given stage tag,
-	// discarding anything else (stale broadcasts, replays).
-	recvFrame := func(stage int) ([]byte, error) {
-		for {
-			f, err := conn.Recv(ctx)
-			if err != nil {
-				return nil, err
-			}
-			if f.Stage == stage {
-				return f.Payload, nil
-			}
+	if round.Result == nil {
+		return nil, nil
+	}
+	// The transcript frames follow the result on the same ordered
+	// connection; a failed audit fails the round before the taint is
+	// cleared — a round whose aggregate the client cannot verify is not a
+	// clean completion. The wait is bounded: an aggregator that never sends
+	// the frames (transcripts off, or this shard's partial missed the fold)
+	// fails the audit instead of hanging the client.
+	if cfg.Transcript != nil {
+		td := cfg.TranscriptDeadline
+		if td <= 0 {
+			td = 10 * time.Second
 		}
-	}
-	recv := func(stage int, v any) error {
-		p, err := recvFrame(stage)
-		if err != nil {
-			return err
-		}
-		return decodePayload(p, v)
-	}
-
-	// Stage 0: AdvertiseKeys, the session-resumed skip (install the
-	// session's keys locally and reuse the roster cached when a previous
-	// round on this session sealed it), or the partial-resume variants: a
-	// divergent client advertises its fresh keys like a re-keyed one, a
-	// non-divergent one skips advertise but takes the merged roster
-	// broadcast instead of its cached copy. ShareKeys verifies this
-	// client's own entry in whatever roster it ends up with, so a merge
-	// that lost or replaced it fails loudly here rather than desynchronize
-	// the round.
-	partial := cfg.Resume && len(cfg.Divergent) > 0
-	selfDivergent := false
-	for _, id := range cfg.Divergent {
-		if id == cfg.ID {
-			selfDivergent = true
-		}
-	}
-	var payload []byte
-	var roster []secagg.AdvertiseMsg
-	switch {
-	case cfg.Resume && !partial:
-		if roster = cfg.Session.Roster(); roster == nil {
-			return nil, fmt.Errorf("core: resume without a cached roster at client %d", cfg.ID)
-		}
-		if err := client.SkipAdvertise(); err != nil {
-			return nil, err
-		}
-	case partial && !selfDivergent:
-		if err := client.SkipAdvertise(); err != nil {
-			return nil, err
-		}
-		if err := recv(wireRoster, &roster); err != nil {
-			return nil, err
-		}
-		if cfg.Session != nil {
-			cfg.Session.StoreRoster(roster)
-		}
-	default:
-		adv, err := client.AdvertiseKeys()
-		if err != nil {
-			return nil, err
-		}
-		if payload, err = encodePayload(adv); err != nil {
-			return nil, err
-		}
-		if err := conn.Send(transport.Frame{Stage: wireAdvertise, Payload: payload}); err != nil {
-			return nil, err
-		}
-		if err := recv(wireRoster, &roster); err != nil {
-			return nil, err
-		}
-		if cfg.Session != nil {
-			cfg.Session.StoreRoster(roster)
-		}
-	}
-	if drop(secagg.StageShareKeys) {
-		return nil, conn.Close()
-	}
-	cts, err := client.ShareKeys(roster)
-	if err != nil {
-		return nil, err
-	}
-	if payload, err = encodeShareMsgs(cts); err != nil {
-		return nil, err
-	}
-	if err := conn.Send(transport.Frame{Stage: wireShares, Payload: payload}); err != nil {
-		return nil, err
-	}
-
-	deliverPayload, err := recvFrame(wireDeliver)
-	if err != nil {
-		return nil, err
-	}
-	delivered, err := decodeShareMsgs(deliverPayload)
-	if err != nil {
-		return nil, err
-	}
-	if drop(secagg.StageMaskedInput) {
-		return nil, conn.Close()
-	}
-	masked, err := client.MaskedInput(delivered)
-	if err != nil {
-		return nil, err
-	}
-	if payload, err = encodeMaskedInput(masked); err != nil {
-		return nil, err
-	}
-	if err := conn.Send(transport.Frame{Stage: wireMasked, Payload: payload}); err != nil {
-		return nil, err
-	}
-
-	var u3 []uint64
-	if err := recv(wireConsistencyReq, &u3); err != nil {
-		return nil, err
-	}
-	if drop(secagg.StageConsistencyCheck) {
-		return nil, conn.Close()
-	}
-	cons, err := client.ConsistencyCheck(u3)
-	if err != nil {
-		return nil, err
-	}
-	if payload, err = encodePayload(cons); err != nil {
-		return nil, err
-	}
-	if err := conn.Send(transport.Frame{Stage: wireConsistency, Payload: payload}); err != nil {
-		return nil, err
-	}
-
-	var unmaskReq secagg.UnmaskRequest
-	if err := recv(wireUnmaskReq, &unmaskReq); err != nil {
-		return nil, err
-	}
-	if drop(secagg.StageUnmasking) {
-		return nil, conn.Close()
-	}
-	um, err := client.Unmask(unmaskReq)
-	if err != nil {
-		return nil, err
-	}
-	if payload, err = encodeUnmask(um); err != nil {
-		return nil, err
-	}
-	if err := conn.Send(transport.Frame{Stage: wireUnmask, Payload: payload}); err != nil {
-		return nil, err
-	}
-
-	// Either a stage-5 request or the final result arrives next.
-	for {
-		f, err := conn.Recv(ctx)
-		if err != nil {
-			return nil, err
-		}
-		switch f.Stage {
-		case wireNoiseReq:
-			var nr secagg.NoiseShareRequest
-			if err := decodePayload(f.Payload, &nr); err != nil {
-				return nil, err
-			}
-			if drop(secagg.StageNoiseRemoval) {
-				return nil, conn.Close()
-			}
-			ns, err := client.RevealNoiseShares(nr)
-			if err != nil {
-				return nil, err
-			}
-			if payload, err = encodePayload(ns); err != nil {
-				return nil, err
-			}
-			if err := conn.Send(transport.Frame{Stage: wireNoise, Payload: payload}); err != nil {
-				return nil, err
-			}
-		case wireResult:
-			res, err := decodeResult(f.Payload)
-			if err != nil {
-				return nil, err
-			}
-			// The transcript frames follow the result on the same ordered
-			// connection; a failed audit fails the round before the taint
-			// is cleared — a round whose aggregate the client cannot
-			// verify is not a clean completion. The wait is bounded: an
-			// aggregator that never sends the frames (transcripts off, or
-			// this shard's partial missed the fold) fails the audit
-			// instead of hanging the client.
-			if cfg.Transcript != nil {
-				td := cfg.TranscriptDeadline
-				if td <= 0 {
-					td = 10 * time.Second
-				}
-				tctx, tcancel := context.WithTimeout(ctx, td)
-				recvTranscript := func(stage int) ([]byte, error) {
-					for {
-						f, err := conn.Recv(tctx)
-						if err != nil {
-							return nil, err
-						}
-						if f.Stage == stage {
-							return f.Payload, nil
-						}
-					}
-				}
-				err := verifyClientTranscript(cfg, client, roster, recvTranscript)
-				tcancel()
+		tctx, tcancel := context.WithTimeout(ctx, td)
+		recvTranscript := func(stage int) ([]byte, error) {
+			for {
+				f, err := conn.Recv(tctx)
 				if err != nil {
 					return nil, err
 				}
+				if f.Stage == stage {
+					return f.Payload, nil
+				}
 			}
-			// Clean completion: the server cannot have reconstructed this
-			// client's mask key, so the session may resume at the next
-			// handshake (the handshake set the taint when the round began).
-			if cfg.Session != nil {
-				cfg.Session.ClearTaint()
-			}
-			return &res, nil
+		}
+		err := verifyClientTranscript(cfg, client, round.Roster, recvTranscript)
+		tcancel()
+		if err != nil {
+			return nil, err
 		}
 	}
+	// Clean completion: the server cannot have reconstructed this client's
+	// mask key, so the session may resume at the next handshake (the
+	// handshake set the taint when the round began).
+	if cfg.Session != nil {
+		cfg.Session.ClearTaint()
+	}
+	return round.Result, nil
 }
 
 // verifyClientTranscript runs the client's post-result audit: receive the

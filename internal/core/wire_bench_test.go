@@ -14,171 +14,12 @@ import (
 	"repro/internal/xnoise"
 )
 
-// Wire-round benchmark: the same 64-client round over the in-memory
-// transport, driven either by the streaming engine (RunWireServer) or by
-// the barriered reference driver below, which reproduces the pre-engine
-// collection shape — buffer a whole stage's frames, then decode them all,
-// then feed the batch Collect* call — so the overlap win stays measurable
-// in one run on any machine (the convention BENCH_SECAGG_HOTPATH.json
-// documents).
+// Wire-round benchmark: a 64-client XNoise round over the in-memory
+// transport, driven by the streaming engine (RunWireServer). The barriered
+// reference driver this used to be measured against is in git history
+// (CHANGES.md, PR 13), with its before-numbers.
 
-// runBarrieredWireServer is the barriered reference: stage frames are
-// fully collected before the first decode, and the masked-input stage
-// pays n decodes plus n vector adds after collection instead of hiding
-// them under it.
-func runBarrieredWireServer(ctx context.Context, cfg WireServerConfig, conn transport.ServerConn) (*secagg.Result, error) {
-	server, err := secagg.NewServer(cfg.SecAgg)
-	if err != nil {
-		return nil, err
-	}
-	collect := func(stage int, expect []uint64) map[uint64][]byte {
-		want := make(map[uint64]bool, len(expect))
-		for _, id := range expect {
-			want[id] = true
-		}
-		out := make(map[uint64][]byte)
-		cctx, cancel := context.WithTimeout(ctx, cfg.StageDeadline)
-		defer cancel()
-		for len(out) < len(expect) {
-			f, err := conn.Recv(cctx)
-			if err != nil {
-				break
-			}
-			if f.Stage != stage || !want[f.From] {
-				continue
-			}
-			if _, dup := out[f.From]; dup {
-				continue
-			}
-			out[f.From] = f.Payload
-		}
-		return out
-	}
-
-	var adverts []secagg.AdvertiseMsg
-	for _, p := range collect(wireAdvertise, cfg.SecAgg.ClientIDs) {
-		var m secagg.AdvertiseMsg
-		if err := decodePayload(p, &m); err != nil {
-			return nil, err
-		}
-		adverts = append(adverts, m)
-	}
-	roster, err := server.CollectAdvertise(adverts)
-	if err != nil {
-		return nil, err
-	}
-	rosterPayload, err := encodePayload(roster)
-	if err != nil {
-		return nil, err
-	}
-	u1 := make([]uint64, 0, len(roster))
-	for _, m := range roster {
-		u1 = append(u1, m.From)
-	}
-	broadcast(conn, u1, wireRoster, rosterPayload)
-
-	perSender := make(map[uint64][]secagg.EncryptedShareMsg)
-	for id, p := range collect(wireShares, u1) {
-		cts, err := decodeShareMsgs(p)
-		if err != nil {
-			return nil, err
-		}
-		perSender[id] = cts
-	}
-	deliveries, err := server.CollectShares(perSender)
-	if err != nil {
-		return nil, err
-	}
-	u2 := make([]uint64, 0, len(deliveries))
-	for id, cts := range deliveries {
-		payload, err := encodeShareMsgs(cts)
-		if err != nil {
-			return nil, err
-		}
-		_ = conn.SendTo(id, transport.Frame{Stage: wireDeliver, Payload: payload})
-		u2 = append(u2, id)
-	}
-
-	var maskedMsgs []secagg.MaskedInputMsg
-	for _, p := range collect(wireMasked, u2) {
-		m, err := decodeMaskedInput(p)
-		if err != nil {
-			return nil, err
-		}
-		maskedMsgs = append(maskedMsgs, m)
-	}
-	u3, err := server.CollectMasked(maskedMsgs)
-	if err != nil {
-		return nil, err
-	}
-	u3Payload, err := encodePayload(u3)
-	if err != nil {
-		return nil, err
-	}
-	broadcast(conn, u3, wireConsistencyReq, u3Payload)
-
-	var consMsgs []secagg.ConsistencyMsg
-	for _, p := range collect(wireConsistency, u3) {
-		var m secagg.ConsistencyMsg
-		if err := decodePayload(p, &m); err != nil {
-			return nil, err
-		}
-		consMsgs = append(consMsgs, m)
-	}
-	unmaskReq, err := server.CollectConsistency(consMsgs)
-	if err != nil {
-		return nil, err
-	}
-	reqPayload, err := encodePayload(unmaskReq)
-	if err != nil {
-		return nil, err
-	}
-	broadcast(conn, unmaskReq.U4, wireUnmaskReq, reqPayload)
-
-	var unmaskMsgs []secagg.UnmaskMsg
-	for _, p := range collect(wireUnmask, unmaskReq.U4) {
-		m, err := decodeUnmask(p)
-		if err != nil {
-			return nil, err
-		}
-		unmaskMsgs = append(unmaskMsgs, m)
-	}
-	noiseReq, err := server.CollectUnmask(unmaskMsgs)
-	if err != nil {
-		return nil, err
-	}
-	if noiseReq != nil {
-		nrPayload, err := encodePayload(*noiseReq)
-		if err != nil {
-			return nil, err
-		}
-		broadcast(conn, noiseReq.U5, wireNoiseReq, nrPayload)
-		var noiseMsgs []secagg.NoiseShareMsg
-		for _, p := range collect(wireNoise, noiseReq.U5) {
-			var m secagg.NoiseShareMsg
-			if err := decodePayload(p, &m); err != nil {
-				return nil, err
-			}
-			noiseMsgs = append(noiseMsgs, m)
-		}
-		if err := server.CollectNoiseShares(noiseMsgs); err != nil {
-			return nil, err
-		}
-	}
-
-	res, err := server.Finalize()
-	if err != nil {
-		return nil, err
-	}
-	resPayload, err := encodeResult(res)
-	if err != nil {
-		return nil, err
-	}
-	broadcast(conn, res.Survivors, wireResult, resPayload)
-	return &res, nil
-}
-
-func benchWireRound64(b *testing.B, dim int, overlapped bool) {
+func benchWireRound64(b *testing.B, dim int) {
 	const n = 64
 	ids := make([]uint64, n)
 	for i := range ids {
@@ -221,12 +62,7 @@ func benchWireRound64(b *testing.B, dim int, overlapped bool) {
 			}()
 		}
 		srvCfg := WireServerConfig{SecAgg: saCfg, StageDeadline: time.Minute}
-		var err error
-		if overlapped {
-			_, err = RunWireServer(ctx, srvCfg, net.Server())
-		} else {
-			_, err = runBarrieredWireServer(ctx, srvCfg, net.Server())
-		}
+		_, err := RunWireServer(ctx, srvCfg, net.Server())
 		cancel()
 		wg.Wait()
 		if err != nil {
@@ -235,15 +71,12 @@ func benchWireRound64(b *testing.B, dim int, overlapped bool) {
 	}
 }
 
-// BenchmarkWireRound64 is the acceptance benchmark: a full 64-client
-// XNoise wire round at the QuickScale dimension, masked-input collection
-// overlapped (engine) vs. barriered (reference).
+// BenchmarkWireRound64 is a full 64-client XNoise wire round at the
+// QuickScale dimensions.
 func BenchmarkWireRound64(b *testing.B) {
 	for _, dim := range []int{4096, 16384} {
-		for _, mode := range []string{"overlapped", "barriered"} {
-			b.Run(fmt.Sprintf("dim=%d/%s", dim, mode), func(b *testing.B) {
-				benchWireRound64(b, dim, mode == "overlapped")
-			})
-		}
+		b.Run(fmt.Sprintf("dim=%d", dim), func(b *testing.B) {
+			benchWireRound64(b, dim)
+		})
 	}
 }

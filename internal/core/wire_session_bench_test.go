@@ -17,13 +17,13 @@ import (
 
 // Straggler-tail and WAN-profile wire benchmarks.
 //
-// BenchmarkWireUnmaskStragglerTail16 measures what engine.Stage.Quorum
-// buys the secagg unmask stage: one client vanishes after the consistency
-// stage, so the all-of-N reference waits the full stage deadline for its
-// unmask response, while the quorum path (UnmaskQuorum: the first t
-// responses carry t shares per reconstruction cohort under the complete
-// graph) seals the stage as soon as the threshold is met. The delta is the
-// deadline minus the time the t-th response takes — the straggler tail.
+// BenchmarkWireUnmaskStragglerTail16 is the round engine.Stage.Quorum
+// exists for: one client vanishes after the consistency stage, and the
+// unmask stage seals as soon as the threshold is met (UnmaskQuorum: the
+// first t responses carry t shares per reconstruction cohort under the
+// complete graph) instead of waiting the stage deadline for the straggler.
+// The all-of-N arm it was measured against (0.433s → 0.040s) went with
+// WireServerConfig.NoUnmaskQuorum; see CHANGES.md, PR 13.
 //
 // BenchmarkWireRoundWAN16 exercises the transport's latency-injection
 // knob (transport.FaultConfig.DelayMax), which the benches never used
@@ -33,7 +33,7 @@ import (
 // modeling constrained server egress. The lan reference is the identical
 // round without the injector.
 
-func benchWireStragglerRound(b *testing.B, quorum bool) {
+func BenchmarkWireUnmaskStragglerTail16(b *testing.B) {
 	const (
 		n        = 16
 		t        = 10
@@ -80,25 +80,13 @@ func benchWireStragglerRound(b *testing.B, quorum bool) {
 				_, _ = RunWireClient(ctx, cfg, conns[id])
 			}()
 		}
-		srvCfg := WireServerConfig{
-			SecAgg: saCfg, StageDeadline: deadline, NoUnmaskQuorum: !quorum,
-		}
+		srvCfg := WireServerConfig{SecAgg: saCfg, StageDeadline: deadline}
 		_, err := RunWireServer(ctx, srvCfg, net.Server())
 		cancel()
 		wg.Wait()
 		if err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkWireUnmaskStragglerTail16 runs the straggler round with the
-// stage-4 quorum (current default) against the all-of-N reference.
-func BenchmarkWireUnmaskStragglerTail16(b *testing.B) {
-	for _, mode := range []string{"quorum", "all-of-n"} {
-		b.Run(mode, func(b *testing.B) {
-			benchWireStragglerRound(b, mode == "quorum")
-		})
 	}
 }
 

@@ -1,29 +1,30 @@
-// Package engine is the concurrent round engine shared by every protocol
-// driver in the repository: deadline-bounded, streaming collection of one
-// stage's messages at a time.
+// Package engine is the concurrent round engine every aggregation round
+// in the repository runs on. It has two layers.
 //
-// The paper's central systems claim (§4.1, Appendix C schedule) is that
-// aggregation latency hides when stage work is pipelined rather than
-// barriered. The engine realizes that on the server's collection path:
+// Collect is deadline-bounded, streaming collection of one stage's
+// messages. The paper's central systems claim (§4.1, Appendix C schedule)
+// is that aggregation latency hides when stage work is pipelined rather
+// than barriered; Collect realizes that on the server's collection path:
 // instead of buffering a whole stage's messages and then decoding and
-// aggregating them in one barrier, Collect admits messages as they
-// arrive, decodes them concurrently across a bounded worker pool, and
-// feeds an incremental per-message sink (the Add* methods of
-// secagg.Server and lightsecagg.Server) behind a pipeline.Gate, which
-// serializes the sink in admission order while the next arrivals are
-// still being decoded. A 64-client masked-input stage therefore costs
-// collection time plus an O(1) tail merge, not collection time plus n
-// decodes plus n vector adds.
+// aggregating them in one barrier, it admits messages as they arrive,
+// decodes them concurrently across a bounded worker pool, and feeds an
+// incremental per-message sink (the Add* methods of secagg.Server and
+// lightsecagg.Server) behind a pipeline.Gate, which serializes the sink in
+// admission order while the next arrivals are still being decoded. A
+// 64-client masked-input stage therefore costs collection time plus an
+// O(1) tail merge, not collection time plus n decodes plus n vector adds.
+// Stages that need any-K-of-N completion rather than all-of-N
+// (LightSecAgg's one-shot recovery accepts any U aggregate shares) set
+// Stage.Quorum.
 //
-// The engine is protocol-agnostic: message bodies are opaque (raw frame
-// payloads on the wire, typed messages in-process), and the stage spec
-// supplies the decode and apply steps. All four round drivers run on it —
-// core.RunWireServer and lightsecagg.RunWireServer over a real transport
-// (via TransportSource), secagg.Run and lightsecagg.Run in-process with
-// clients as goroutines. Stages that need any-K-of-N completion rather
-// than all-of-N (LightSecAgg's one-shot recovery accepts any U aggregate
-// shares) set Stage.Quorum. See ARCHITECTURE.md for how the engine maps
-// onto the paper's pipeline stages.
+// The stage walkers (program.go) run a whole round: a substrate exports
+// its server and client rounds as ordered stage tables, and one server
+// walker and one client walker run any table over either network — typed
+// values over channels in-process (RunLocal), a Codec's encodings over a
+// transport with a per-stage deadline on the wire (ServeWire, JoinWire).
+// The engine stays protocol-agnostic throughout: message bodies are
+// opaque, and everything substrate-specific is a table row. See
+// ARCHITECTURE.md for how this maps onto the paper's pipeline stages.
 package engine
 
 import (
@@ -37,17 +38,17 @@ import (
 )
 
 // Msg is one protocol message offered to the engine. Body is opaque: the
-// wire driver passes the raw frame payload ([]byte), the in-process
-// driver passes typed protocol messages (or an error, which the driver's
-// Apply surfaces to abort the round).
+// wire passes the raw frame payload ([]byte), an in-process round passes
+// typed protocol messages (or an error, which the walker's Apply surfaces
+// to abort the round).
 type Msg struct {
 	From  uint64
 	Stage int
 	Body  any
 }
 
-// Re-key handshake frame tags, shared by every wire driver. The per-driver
-// round stages start at tag 0 (core: 0–11, lightsecagg: 0–7), so the
+// Re-key handshake frame tags, shared by every substrate. The round
+// stages start at tag 0 (secagg: 0–11, lightsecagg: 0–7), so the
 // handshake tags are reserved well above both spaces: one connection — and
 // one engine fan-in — carries a handshake followed by round traffic
 // without a handshake frame ever aliasing a round stage, and vice versa.
@@ -339,8 +340,7 @@ func (e *Engine) Collect(ctx context.Context, s Stage) ([]uint64, error) {
 // buffered channel for the round's whole lifetime, so slow stage
 // processing (decode pool full, apply in progress) never backpressures
 // the transport mid-collection. ctx must span the round; cancelling it
-// stops the fan-in. Both wire drivers (core and lightsecagg) build their
-// engines on this source.
+// stops the fan-in.
 func TransportSource(ctx context.Context, conn transport.ServerConn) RecvFunc {
 	frames := make(chan transport.Frame, 256)
 	go func() {

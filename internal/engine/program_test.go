@@ -1,0 +1,320 @@
+package engine
+
+import (
+	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/transport"
+)
+
+// A toy substrate for the walkers: clients advertise a key (step 0),
+// upload a number once they hold the roster (step 1), optionally confirm
+// (step 2, solicited only when the server is told to), and get the sum.
+// Every message body is a uint64, so the toy codec is eight bytes.
+const (
+	toyAdvertise = iota
+	toyRoster
+	toyValue
+	toyConfirmReq
+	toyConfirm
+	toyResult
+)
+
+// toyServer records what the walker fed it.
+type toyServer struct {
+	ids        []uint64
+	cache      []Msg // a previous round's sealed advertisements
+	confirm    bool  // solicit the optional step
+	advertised map[uint64]uint64
+	values     map[uint64]uint64
+	confirmed  []uint64
+	sum        uint64
+}
+
+func (s *toyServer) program() ServerProgram {
+	s.advertised, s.values = map[uint64]uint64{}, map[uint64]uint64{}
+	sorted := func(m map[uint64]uint64) []uint64 {
+		out := make([]uint64, 0, len(m))
+		for id := range m {
+			out = append(out, id)
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		return out
+	}
+	return ServerProgram{Roster: s.ids, Steps: []ServerStep{{
+		Name: "advertise", Tag: toyAdvertise,
+		Apply: func(from uint64, body any) error { s.advertised[from] = body.(uint64); return nil },
+		Preseed: func() error {
+			if s.cache == nil {
+				return errors.New("toy: nothing cached")
+			}
+			for _, m := range s.cache {
+				s.advertised[m.From] = m.Body.(uint64)
+			}
+			return nil
+		},
+		Seal: func() (Downlink, error) {
+			u := sorted(s.advertised)
+			return Downlink{To: u, Tag: toyRoster, Body: uint64(len(u))}, nil
+		},
+	}, {
+		Name: "value", Tag: toyValue,
+		Apply: func(from uint64, body any) error { s.values[from] = body.(uint64); return nil },
+		Seal: func() (Downlink, error) {
+			for _, v := range s.values {
+				s.sum += v
+			}
+			if !s.confirm {
+				return Downlink{}, nil
+			}
+			return Downlink{To: sorted(s.values), Tag: toyConfirmReq, Body: s.sum}, nil
+		},
+	}, {
+		Name: "confirm", Tag: toyConfirm,
+		Apply: func(from uint64, _ any) error { s.confirmed = append(s.confirmed, from); return nil },
+		Seal: func() (Downlink, error) {
+			return Downlink{To: sorted(s.values), Tag: toyResult, Body: s.sum}, nil
+		},
+	}}}
+}
+
+// toyClient records which of its steps ran.
+type toyClient struct {
+	id     uint64
+	cached bool // holds a roster from a previous round
+	failAt string
+	ran    []string
+	result uint64
+}
+
+func (c *toyClient) program() ClientProgram {
+	step := func(name string, out func(body any) uint64) func(any) (any, error) {
+		return func(body any) (any, error) {
+			c.ran = append(c.ran, name)
+			if c.failAt == name {
+				return nil, errors.New("toy failure")
+			}
+			return out(body), nil
+		}
+	}
+	return ClientProgram{ID: c.id, Steps: []ClientStep{{
+		Name: "advertise", Await: NoTag, Send: toyAdvertise,
+		Do:   step("advertise", func(any) uint64 { return c.id * 100 }),
+		Skip: func() error { c.ran = append(c.ran, "skip"); return nil },
+	}, {
+		Name: "value", Await: toyRoster, Send: toyValue,
+		Do: step("value", func(any) uint64 { return c.id }),
+		Cached: func() (any, error) {
+			if !c.cached {
+				return nil, errors.New("toy: nothing cached")
+			}
+			c.ran = append(c.ran, "cached")
+			return uint64(0), nil
+		},
+	}, {
+		Name: "confirm", Await: toyConfirmReq, Send: toyConfirm, Optional: true,
+		Do: step("confirm", func(body any) uint64 { return body.(uint64) }),
+	}, {
+		Name: "result", Await: toyResult, Send: NoTag,
+		Do: step("result", func(body any) uint64 { c.result = body.(uint64); return 0 }),
+	}}}
+}
+
+var toyMsg = MsgOf(
+	func(v uint64) ([]byte, error) { return binary.LittleEndian.AppendUint64(nil, v), nil },
+	func(p []byte) (uint64, error) {
+		if len(p) != 8 {
+			return 0, fmt.Errorf("toy: %d-byte payload", len(p))
+		}
+		return binary.LittleEndian.Uint64(p), nil
+	})
+
+var toyCodec = Codec{toyAdvertise: toyMsg, toyRoster: toyMsg, toyValue: toyMsg,
+	toyConfirmReq: toyMsg, toyConfirm: toyMsg, toyResult: toyMsg}
+
+func toyRound(n int) (*toyServer, []*toyClient) {
+	s := &toyServer{}
+	var clients []*toyClient
+	for id := uint64(1); id <= uint64(n); id++ {
+		s.ids = append(s.ids, id)
+		clients = append(clients, &toyClient{id: id})
+	}
+	return s, clients
+}
+
+func runToyLocal(s *toyServer, clients []*toyClient, resume bool, divergent []uint64, drops map[uint64]int) error {
+	sp := s.program()
+	sp.Resume, sp.Divergent = resume, divergent
+	var cps []ClientProgram
+	for _, c := range clients {
+		p := c.program()
+		p.Resume, p.Divergent = resume, divergent
+		cps = append(cps, p)
+	}
+	return RunLocal(sp, cps, func(id uint64) int {
+		if d, ok := drops[id]; ok {
+			return d
+		}
+		return NoDrop
+	})
+}
+
+func ran(c *toyClient) string { return strings.Join(c.ran, ",") }
+
+// TestRunLocalFreshRound: the fresh path runs every step, skips the
+// optional one when the server does not solicit it, and a scheduled
+// dropper contributes to the steps before its drop and none after.
+func TestRunLocalFreshRound(t *testing.T) {
+	s, clients := toyRound(4)
+	if err := runToyLocal(s, clients, false, nil, map[uint64]int{3: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.advertised) != 4 || len(s.values) != 3 || s.sum != 1+2+4 {
+		t.Fatalf("advertised %v, values %v, sum %d", s.advertised, s.values, s.sum)
+	}
+	if got := ran(clients[0]); got != "advertise,value,result" || clients[0].result != 7 {
+		t.Errorf("client 1 ran %q, result %d", got, clients[0].result)
+	}
+	if got := ran(clients[2]); got != "advertise" {
+		t.Errorf("dropper ran %q, want only the step before its drop", got)
+	}
+}
+
+// TestRunLocalOptionalStep: when the server solicits the optional step,
+// every client runs it before the result.
+func TestRunLocalOptionalStep(t *testing.T) {
+	s, clients := toyRound(3)
+	s.confirm = true
+	if err := runToyLocal(s, clients, false, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.confirmed) != 3 {
+		t.Fatalf("confirmed = %v", s.confirmed)
+	}
+	if got := ran(clients[1]); got != "advertise,value,confirm,result" {
+		t.Errorf("client 2 ran %q", got)
+	}
+}
+
+// TestWalkersResume: on a full resume nothing is advertised, collected or
+// re-broadcast — the server seals its cache, every client takes its own —
+// and on a partial resume exactly the divergent member re-advertises
+// while everyone waits for the merged roster.
+func TestWalkersResume(t *testing.T) {
+	cache := func(ids ...uint64) (out []Msg) {
+		for _, id := range ids {
+			out = append(out, Msg{From: id, Body: id * 100})
+		}
+		return out
+	}
+	t.Run("full", func(t *testing.T) {
+		s, clients := toyRound(3)
+		s.cache = cache(1, 2, 3)
+		for _, c := range clients {
+			c.cached = true
+		}
+		if err := runToyLocal(s, clients, true, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if s.sum != 6 || len(s.advertised) != 3 {
+			t.Fatalf("sum %d, advertised %v", s.sum, s.advertised)
+		}
+		for _, c := range clients {
+			if got := ran(c); got != "skip,cached,value,result" {
+				t.Errorf("client %d ran %q", c.id, got)
+			}
+		}
+	})
+	t.Run("partial", func(t *testing.T) {
+		s, clients := toyRound(3)
+		s.cache = cache(1, 3)
+		if err := runToyLocal(s, clients, true, []uint64{2}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if s.sum != 6 || s.advertised[2] != 200 {
+			t.Fatalf("sum %d, advertised %v", s.sum, s.advertised)
+		}
+		if got := ran(clients[0]); got != "skip,value,result" {
+			t.Errorf("client 1 ran %q", got)
+		}
+		if got := ran(clients[1]); got != "advertise,value,result" {
+			t.Errorf("divergent client 2 ran %q", got)
+		}
+	})
+	t.Run("nothing cached", func(t *testing.T) {
+		s, clients := toyRound(3)
+		if err := runToyLocal(s, clients, true, nil, nil); err == nil {
+			t.Fatal("resume on an empty cache succeeded")
+		}
+	})
+}
+
+// TestRunLocalClientFailureAborts: a client whose step fails aborts the
+// round with that error instead of hanging the deadline-less collection.
+func TestRunLocalClientFailureAborts(t *testing.T) {
+	s, clients := toyRound(3)
+	clients[1].failAt = "value"
+	err := runToyLocal(s, clients, false, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "client 2 value: toy failure") {
+		t.Fatalf("err = %v, want client 2's failure", err)
+	}
+}
+
+// dupConn sends every frame twice.
+type dupConn struct{ transport.ClientConn }
+
+func (c dupConn) Send(f transport.Frame) error {
+	if err := c.ClientConn.Send(f); err != nil {
+		return err
+	}
+	return c.ClientConn.Send(f)
+}
+
+// TestWireRound: the same toy tables over a memory transport through the
+// codec — stage deadline, wire drop, duplicate frames discarded, optional
+// step solicited.
+func TestWireRound(t *testing.T) {
+	s, clients := toyRound(4)
+	s.confirm = true
+	net := transport.NewMemoryNetwork(64)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	for _, c := range clients {
+		conn, err := net.Connect(c.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drop := NoDrop
+		if c.id == 4 {
+			drop = 2 // uploads its value, vanishes before confirming
+		}
+		wg.Add(1)
+		go func(c *toyClient) {
+			defer wg.Done()
+			if err := JoinWire(ctx, dupConn{conn}, toyCodec, c.program(), drop); err != nil {
+				t.Errorf("client %d: %v", c.id, err)
+			}
+		}(c)
+	}
+	if err := ServeWire(ctx, net.Server(), nil, toyCodec, 300*time.Millisecond, s.program()); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if s.sum != 10 || len(s.confirmed) != 3 {
+		t.Fatalf("sum %d, confirmed %v", s.sum, s.confirmed)
+	}
+	if got := ran(clients[0]); got != "advertise,value,confirm,result" || clients[0].result != 10 {
+		t.Errorf("client 1 ran %q, result %d", got, clients[0].result)
+	}
+	if got := ran(clients[3]); got != "advertise,value" {
+		t.Errorf("dropper ran %q", got)
+	}
+}

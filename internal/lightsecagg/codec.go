@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/transport"
 )
@@ -13,13 +14,12 @@ import (
 // code directly — core imports lightsecagg for the RunRound substrate —
 // but they share the transport slab helpers and the same conventions).
 //
-// The messages that dominate the round's byte volume ride these layouts:
-// the masked uploads and the result broadcast (dim-length element
-// vectors), the n² sealed share envelopes (LightSecAgg's structurally
-// heavy offline phase — n·d/(U−T) elements per client), and the aggregate
-// shares of the one-shot recovery. The remaining control messages (roster,
-// survivor set) stay on gob: their cost is irrelevant and gob's tolerance
-// of structural evolution is worth keeping there.
+// Every message of the round rides these layouts: the masked uploads and
+// the result broadcast (dim-length element vectors), the n² sealed share
+// envelopes (LightSecAgg's structurally heavy offline phase — n·d/(U−T)
+// elements per client), the aggregate shares of the one-shot recovery, and
+// the two small control messages (roster, survivor set). The stage-0
+// advertisement is the raw 32-byte channel public key, unframed.
 //
 // Layout (all integers little-endian):
 //
@@ -28,17 +28,40 @@ import (
 //	result:    [magic][tagLSAResult][n:4][Sum: n×8]
 //	envelopes: [magic][tagEnvelopes][n:4]
 //	           n × ([From:8][To:8][ctLen:4][Ciphertext: ctLen bytes])
+//	roster:    [magic][tagRoster][n:4] n × ([From:8][pubLen:2][Pub])
+//	survivors: [magic][tagSurvivors][n:4][ids: n×8]
 //	share vec: [n:4][S: n×8]   (AEAD plaintext inside an envelope)
 //
-// The magic byte distinguishes the binary codec from a gob stream, so a
-// mixed-version peer fails loudly rather than mis-decoding.
+// Every count is checked against the bytes that remain before anything is
+// allocated, and trailing bytes are rejected.
 const (
 	lsaMagic     = 0xD1
 	tagMasked    = 0x01
 	tagAggShare  = 0x02
 	tagLSAResult = 0x03
 	tagEnvelopes = 0x04
+	tagRoster    = 0x05
+	tagSurvivors = 0x06
 )
+
+// maxPubBytes caps a roster entry's channel key (32 bytes today).
+const maxPubBytes = 1 << 10
+
+// wireCodec is the substrate's wire format: the typed stage messages of
+// program.go to and from frame payloads, by frame tag. The stage-0
+// advertisement is the raw channel key; its sender is the link's to name.
+var wireCodec = engine.Codec{
+	wireAdvertise: engine.MsgOf(
+		func(m AdvertiseMsg) ([]byte, error) { return m.Pub, nil },
+		func(p []byte) (AdvertiseMsg, error) { return AdvertiseMsg{Pub: p}, nil }),
+	wireRoster:    engine.MsgOf(encodeRoster, decodeRoster),
+	wireShares:    engine.MsgOf(encodeEnvelopes, decodeEnvelopes),
+	wireDeliver:   engine.MsgOf(encodeEnvelopes, decodeEnvelopes),
+	wireMasked:    engine.MsgOf(encodeMasked, decodeMasked),
+	wireSurvivors: engine.MsgOf(encodeSurvivors, decodeSurvivors),
+	wireAggShare:  engine.MsgOf(encodeAggShare, decodeAggShare),
+	wireResult:    engine.MsgOf(encodeLSAResult, decodeLSAResult),
+}
 
 // maxLSAElems caps decoded element-slab lengths so a hostile length prefix
 // cannot force a huge allocation; sized like core's cap to the transport's
@@ -101,28 +124,35 @@ func decodeShareVector(p []byte) ([]field.Element, error) {
 	return s, nil
 }
 
+func writeElems(w *transport.Writer, xs []field.Element) {
+	w.Count(len(xs), maxLSAElems)
+	for _, x := range xs {
+		w.Uint64(x.Uint64())
+	}
+}
+
+func readElems(r *transport.Reader) []field.Element {
+	words := r.Words(maxLSAElems)
+	out := make([]field.Element, len(words))
+	for i, w := range words {
+		out[i] = field.New(w)
+	}
+	return out
+}
+
 // encodeFromVector encodes the shared [From][slab] shape of masked and
 // aggregate-share messages.
 func encodeFromVector(tag byte, from uint64, xs []field.Element) ([]byte, error) {
-	out := make([]byte, 0, 2+8+4+8*len(xs))
-	out = append(out, lsaMagic, tag)
-	out = binary.LittleEndian.AppendUint64(out, from)
-	return appendElems(out, xs)
+	w := transport.NewWriter(lsaMagic, tag, 8+4+8*len(xs))
+	w.Uint64(from)
+	writeElems(w, xs)
+	return w.Done()
 }
 
 func decodeFromVector(tag byte, p []byte) (uint64, []field.Element, error) {
-	if len(p) < 10 || p[0] != lsaMagic || p[1] != tag {
-		return 0, nil, fmt.Errorf("lightsecagg: not a binary payload with tag %#x", tag)
-	}
-	from := binary.LittleEndian.Uint64(p[2:])
-	xs, rest, err := decodeElems(p[10:])
-	if err != nil {
-		return 0, nil, err
-	}
-	if len(rest) != 0 {
-		return 0, nil, fmt.Errorf("lightsecagg: payload: %d trailing bytes", len(rest))
-	}
-	return from, xs, nil
+	r := transport.NewReader(p, lsaMagic, tag)
+	from, xs := r.Uint64(), readElems(r)
+	return from, xs, r.Done()
 }
 
 func encodeMasked(m MaskedMsg) ([]byte, error) {
@@ -150,21 +180,16 @@ func decodeAggShare(p []byte) (AggShareMsg, error) {
 }
 
 func encodeLSAResult(sum []field.Element) ([]byte, error) {
-	out := make([]byte, 0, 2+4+8*len(sum))
-	out = append(out, lsaMagic, tagLSAResult)
-	return appendElems(out, sum)
+	w := transport.NewWriter(lsaMagic, tagLSAResult, 4+8*len(sum))
+	writeElems(w, sum)
+	return w.Done()
 }
 
 func decodeLSAResult(p []byte) ([]field.Element, error) {
-	if len(p) < 2 || p[0] != lsaMagic || p[1] != tagLSAResult {
-		return nil, fmt.Errorf("lightsecagg: not a binary result payload")
-	}
-	sum, rest, err := decodeElems(p[2:])
-	if err != nil {
+	r := transport.NewReader(p, lsaMagic, tagLSAResult)
+	sum := readElems(r)
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("lightsecagg: result: %w", err)
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("lightsecagg: result: %d trailing bytes", len(rest))
 	}
 	return sum, nil
 }
@@ -172,74 +197,72 @@ func decodeLSAResult(p []byte) ([]field.Element, error) {
 // encodeEnvelopes encodes a sealed share list (uplink: one sender's
 // envelopes; downlink: one recipient's delivery).
 func encodeEnvelopes(envs []Envelope) ([]byte, error) {
-	if len(envs) > maxEnvelopes {
-		return nil, fmt.Errorf("lightsecagg: envelope list of %d exceeds wire cap", len(envs))
-	}
-	size := 2 + 4
+	size := 4
 	for _, e := range envs {
 		size += 8 + 8 + 4 + len(e.Ciphertext)
 	}
-	out := make([]byte, 0, size)
-	out = append(out, lsaMagic, tagEnvelopes)
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], uint32(len(envs)))
-	out = append(out, b[:]...)
+	w := transport.NewWriter(lsaMagic, tagEnvelopes, size)
+	w.Count(len(envs), maxEnvelopes)
 	for _, e := range envs {
-		if len(e.Ciphertext) > maxEnvelopeCtBytes {
-			return nil, fmt.Errorf("lightsecagg: envelope ciphertext of %d bytes exceeds wire cap", len(e.Ciphertext))
-		}
-		out = binary.LittleEndian.AppendUint64(out, e.From)
-		out = binary.LittleEndian.AppendUint64(out, e.To)
-		binary.LittleEndian.PutUint32(b[:], uint32(len(e.Ciphertext)))
-		out = append(out, b[:]...)
-		out = append(out, e.Ciphertext...)
+		w.Uint64(e.From)
+		w.Uint64(e.To)
+		w.Bytes(e.Ciphertext, maxEnvelopeCtBytes)
 	}
-	return out, nil
+	return w.Done()
 }
 
 // decodeEnvelopes decodes a sealed share list. Counts the remaining bytes
 // cannot carry are rejected before the slice allocation (each envelope
 // costs at least its 20-byte header).
 func decodeEnvelopes(p []byte) ([]Envelope, error) {
-	if len(p) < 6 || p[0] != lsaMagic || p[1] != tagEnvelopes {
-		return nil, fmt.Errorf("lightsecagg: not a binary envelope payload")
-	}
-	n := int(binary.LittleEndian.Uint32(p[2:]))
-	if n > maxEnvelopes {
-		return nil, fmt.Errorf("lightsecagg: declared envelope list of %d exceeds wire cap", n)
-	}
-	rest := p[6:]
-	if n > len(rest)/20 {
-		return nil, fmt.Errorf("lightsecagg: declared envelope list of %d exceeds payload", n)
-	}
+	r := transport.NewReader(p, lsaMagic, tagEnvelopes)
 	var envs []Envelope
-	if n > 0 {
-		envs = make([]Envelope, 0, n)
+	if n := r.Count(20, maxEnvelopes); n > 0 {
+		envs = make([]Envelope, n)
+		for i := range envs {
+			envs[i] = Envelope{From: r.Uint64(), To: r.Uint64(), Ciphertext: r.Bytes(maxEnvelopeCtBytes)}
+		}
 	}
-	for i := 0; i < n; i++ {
-		if len(rest) < 20 {
-			return nil, fmt.Errorf("lightsecagg: envelope %d header truncated", i)
-		}
-		e := Envelope{
-			From: binary.LittleEndian.Uint64(rest),
-			To:   binary.LittleEndian.Uint64(rest[8:]),
-		}
-		ctLen := int(binary.LittleEndian.Uint32(rest[16:]))
-		if ctLen > maxEnvelopeCtBytes {
-			return nil, fmt.Errorf("lightsecagg: declared ciphertext of %d bytes exceeds wire cap", ctLen)
-		}
-		rest = rest[20:]
-		if len(rest) < ctLen {
-			return nil, fmt.Errorf("lightsecagg: envelope %d ciphertext truncated", i)
-		}
-		if ctLen > 0 {
-			e.Ciphertext = append([]byte(nil), rest[:ctLen]...)
-		}
-		rest = rest[ctLen:]
-		envs = append(envs, e)
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("lightsecagg: envelope list: %d trailing bytes", len(rest))
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return envs, nil
+}
+
+// encodeRoster encodes the stage-1 roster broadcast.
+func encodeRoster(roster []AdvertiseMsg) ([]byte, error) {
+	w := transport.NewWriter(lsaMagic, tagRoster, 4+len(roster)*(8+2+32))
+	w.Count(len(roster), maxEnvelopes)
+	for _, m := range roster {
+		w.Uint64(m.From)
+		w.Blob(m.Pub, maxPubBytes)
+	}
+	return w.Done()
+}
+
+// decodeRoster decodes the stage-1 roster broadcast (each entry costs at
+// least its 10-byte header).
+func decodeRoster(p []byte) ([]AdvertiseMsg, error) {
+	r := transport.NewReader(p, lsaMagic, tagRoster)
+	var roster []AdvertiseMsg
+	if n := r.Count(10, maxEnvelopes); n > 0 {
+		roster = make([]AdvertiseMsg, n)
+		for i := range roster {
+			roster[i] = AdvertiseMsg{From: r.Uint64(), Pub: r.Blob(maxPubBytes)}
+		}
+	}
+	return roster, r.Done()
+}
+
+// encodeSurvivors encodes the stage-5 survivor set.
+func encodeSurvivors(ids []uint64) ([]byte, error) {
+	w := transport.NewWriter(lsaMagic, tagSurvivors, 4+8*len(ids))
+	w.Words(ids, maxLSAElems)
+	return w.Done()
+}
+
+func decodeSurvivors(p []byte) ([]uint64, error) {
+	r := transport.NewReader(p, lsaMagic, tagSurvivors)
+	ids := r.Words(maxLSAElems)
+	return ids, r.Done()
 }

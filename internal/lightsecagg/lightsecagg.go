@@ -40,11 +40,12 @@
 // structured exactly like its SecAgg sibling:
 //
 //   - Client is a per-round state machine (Advertise → SealShares →
-//     OpenEnvelopes → MaskedInput → AggregateShare) driven identically by
-//     the in-process driver (Run/RunWithSessions, clients as goroutines)
-//     and the wire driver (RunWireClient). Coded shares always travel
-//     inside pairwise AEAD envelopes, in-process too, so both drivers
-//     exercise the same crypto path.
+//     OpenEnvelopes → MaskedInput → AggregateShare). Its stage table
+//     (Program, program.go) is walked identically in-process
+//     (Run/RunWithSessions, clients as goroutines) and on the wire
+//     (RunWireClient). Coded shares always travel inside pairwise AEAD
+//     envelopes, in-process too, so both links exercise the same crypto
+//     path.
 //   - Server exposes incremental per-message Add*/Seal* collection
 //     surfaces (AddAdvertise, AddShareBundle, AddMasked, AddAggShare, and
 //     the matching Seal* closers) mirroring secagg.Server. Masked inputs
@@ -52,9 +53,10 @@
 //     masked stage is an O(1) threshold check plus sort — not n decodes
 //     plus n length-d vector adds — and the server never retains the
 //     n·d masked matrix, only the d-length running sum.
-//   - Both drivers collect stages through internal/engine: deadline-
-//     bounded streaming admission, concurrent decode on a bounded worker
-//     pool, applies serialized in admission order. The one-shot recovery
+//   - Both links collect stages through internal/engine's one server
+//     walker: streaming admission (deadline-bounded on the wire),
+//     concurrent decode on a bounded worker pool, applies serialized in
+//     admission order. The one-shot recovery
 //     stage sets engine.Stage.Quorum = U, completing as soon as any U
 //     aggregate shares arrive instead of waiting out stragglers.
 //   - Session/ServerSession (session.go) amortize the fixed round costs —
@@ -64,8 +66,8 @@
 //     plugged into core.RunRound's SessionPool.
 //   - The volume payloads (masked models, sealed share envelopes,
 //     aggregate shares, the result broadcast) use the binary wire codec in
-//     codec.go, following core/codec.go's magic/tag layout; only the
-//     low-rate control messages (roster, survivor set) stay on gob.
+//     codec.go, following core/codec.go's magic/tag layout, and so do the
+//     two control messages (roster, survivor set).
 package lightsecagg
 
 import (
@@ -256,8 +258,9 @@ func routeAD(round, from, to uint64) []byte {
 }
 
 // Client is one participant's round state machine. Its stage methods are
-// driven identically by the in-process driver (run.go) and the wire driver
-// (wire.go); see the package comment for the stage order.
+// driven identically in-process (run.go) and on the wire (wire.go)
+// through its stage table (program.go); see the package comment for the
+// stage order.
 type Client struct {
 	cfg     Config
 	id      uint64

@@ -1,7 +1,6 @@
 package lightsecagg
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -30,120 +29,63 @@ const (
 func (s *Session) MarshalBinary() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.roster) > maxPersistEntries || len(s.channel) > maxPersistEntries {
-		return nil, fmt.Errorf("lightsecagg: session exceeds persist caps")
-	}
-	out := []byte{persistMagic, persistTag, persistVersion}
+	w := transport.NewWriter(persistMagic, persistTag, 0)
 	priv := s.key.PrivateBytes()
-	out = append(out, priv[:]...)
-
-	var cnt [4]byte
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], s.nextRound)
-	out = append(out, b[:]...)
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(s.roster)))
-	out = append(out, cnt[:]...)
+	w.Raw(persistVersion)
+	w.Raw(priv[:]...)
+	w.Uint64(s.nextRound)
+	w.Count(len(s.roster), maxPersistEntries)
 	for _, m := range s.roster {
-		binary.LittleEndian.PutUint64(b[:], m.From)
-		out = append(out, b[:]...)
-		out = transport.AppendBlob(out, m.Pub)
+		w.Uint64(m.From)
+		w.Blob(m.Pub, maxPersistBlob)
 	}
-
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(s.channel)))
-	out = append(out, cnt[:]...)
+	w.Count(len(s.channel), maxPersistEntries)
 	keys := make([]string, 0, len(s.channel))
 	for k := range s.channel {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys) // deterministic encoding
 	for _, k := range keys {
-		out = transport.AppendBlob(out, []byte(k))
 		sec := s.channel[k]
-		out = append(out, sec[:]...)
+		w.Blob([]byte(k), maxPersistBlob)
+		w.Raw(sec[:]...)
 	}
-	return out, nil
+	return w.Done()
 }
 
 // UnmarshalSession rebuilds a session from MarshalBinary output. The
 // restored session resumes with zero key generations and zero agreements.
+// Section counts the payload cannot carry are rejected before anything is
+// allocated for them.
 func UnmarshalSession(p []byte) (*Session, error) {
-	if len(p) < 3 || p[0] != persistMagic || p[1] != persistTag {
-		return nil, fmt.Errorf("lightsecagg: not a persisted session")
-	}
-	if p[2] != persistVersion {
-		return nil, fmt.Errorf("lightsecagg: persisted session version %d, want %d", p[2], persistVersion)
-	}
-	src := p[3:]
-	if len(src) < 32+8 {
-		return nil, fmt.Errorf("lightsecagg: persisted session truncated")
+	r := transport.NewReader(p, persistMagic, persistTag)
+	if v := r.Byte(); v != persistVersion {
+		r.Fail(fmt.Errorf("lightsecagg: persisted session version %d, want %d", v, persistVersion))
 	}
 	var priv [32]byte
-	copy(priv[:], src)
-	src = src[32:]
-	key, err := dh.FromPrivateBytes(priv)
-	if err != nil {
-		return nil, err
-	}
-	s := &Session{key: key, channel: make(map[string][dh.SharedSize]byte)}
-	s.nextRound = binary.LittleEndian.Uint64(src)
-	src = src[8:]
-
-	if len(src) < 4 {
-		return nil, fmt.Errorf("lightsecagg: persisted roster header truncated")
-	}
-	n := int(binary.LittleEndian.Uint32(src))
-	src = src[4:]
-	if n > maxPersistEntries {
-		return nil, fmt.Errorf("lightsecagg: persisted roster of %d entries exceeds cap", n)
-	}
-	if n > 0 {
-		if n > len(src)/(8+2) {
-			return nil, fmt.Errorf("lightsecagg: persisted roster of %d entries exceeds payload", n)
-		}
-		s.roster = make([]AdvertiseMsg, 0, n)
-		for i := 0; i < n; i++ {
-			if len(src) < 8 {
-				return nil, fmt.Errorf("lightsecagg: persisted roster entry %d truncated", i)
-			}
-			m := AdvertiseMsg{From: binary.LittleEndian.Uint64(src)}
-			src = src[8:]
-			if m.Pub, src, err = transport.DecodeBlob(src, maxPersistBlob); err != nil {
-				return nil, err
-			}
-			s.roster = append(s.roster, m)
+	copy(priv[:], r.Raw(32))
+	s := &Session{nextRound: r.Uint64(), channel: make(map[string][dh.SharedSize]byte)}
+	if n := r.Count(8+2, maxPersistEntries); n > 0 {
+		s.roster = make([]AdvertiseMsg, n)
+		for i := range s.roster {
+			s.roster[i] = AdvertiseMsg{From: r.Uint64(), Pub: r.Blob(maxPersistBlob)}
 		}
 	}
-
-	if len(src) < 4 {
-		return nil, fmt.Errorf("lightsecagg: persisted secret section header truncated")
-	}
-	n = int(binary.LittleEndian.Uint32(src))
-	src = src[4:]
-	if n > maxPersistEntries {
-		return nil, fmt.Errorf("lightsecagg: persisted secret section of %d entries exceeds cap", n)
-	}
-	if n > len(src)/(2+dh.SharedSize) {
-		return nil, fmt.Errorf("lightsecagg: persisted secret section of %d entries exceeds payload", n)
-	}
-	for i := 0; i < n; i++ {
-		pub, rest, err := transport.DecodeBlob(src, maxPersistBlob)
-		if err != nil {
-			return nil, err
-		}
-		src = rest
-		if len(src) < dh.SharedSize {
-			return nil, fmt.Errorf("lightsecagg: persisted secret %d truncated", i)
-		}
+	for i, n := 0, r.Count(2+dh.SharedSize, maxPersistEntries); i < n; i++ {
+		pub := string(r.Blob(maxPersistBlob))
 		var sec [dh.SharedSize]byte
-		copy(sec[:], src)
-		src = src[dh.SharedSize:]
-		if _, dup := s.channel[string(pub)]; dup {
-			return nil, fmt.Errorf("lightsecagg: duplicate persisted secret entry")
+		copy(sec[:], r.Raw(dh.SharedSize))
+		if _, dup := s.channel[pub]; dup {
+			r.Fail(fmt.Errorf("lightsecagg: duplicate persisted secret entry"))
 		}
-		s.channel[string(pub)] = sec
+		s.channel[pub] = sec
 	}
-	if len(src) != 0 {
-		return nil, fmt.Errorf("lightsecagg: persisted session: %d trailing bytes", len(src))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("lightsecagg: persisted session: %w", err)
+	}
+	var err error
+	if s.key, err = dh.FromPrivateBytes(priv); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

@@ -1,36 +1,20 @@
 package lightsecagg
 
-// Wire driver: one LightSecAgg round over a transport.Transport, built on
-// the shared round engine exactly like core.RunWireServer. Coded mask
-// shares relay through the untrusted server (the star topology of §3.3)
-// inside pairwise AEAD envelopes keyed by X25519 agreement — otherwise
-// the server could collect U of them and unmask every client.
-//
-// Stages:
-//
-//	0 advertise   client → server: X25519 channel public key
-//	1 roster      server → clients: all public keys (gob)
-//	2 shares      client → server: sealed coded shares (binary codec)
-//	3 deliver     server → client: the envelopes addressed to it
-//	4 masked      client → server: y_i = x_i + z_i (binary codec)
-//	5 survivors   server → clients: ids that uploaded (gob)
-//	6 aggshare    client → server: Σ_{i∈survivors} f_i(α_me) (binary)
-//	7 result      server → clients: the aggregate (binary codec)
-//
-// The server collects every stage through engine.Collect: frames are
-// admitted as they arrive, decoded concurrently on the bounded worker
-// pool, and applied to the incremental Server in admission order, so the
-// masked stage folds uploads into the running aggregate while later
-// uploads are still in flight, and the recovery stage completes on the
-// first U aggregate shares (engine quorum) instead of waiting for every
-// survivor. With sessions (WireServerConfig.Session / WireClientConfig.
-// Session and the Resume flags), consecutive rounds skip the advertise
-// round trip and reuse the cached channel secrets and coding matrices.
+// Wire driver: one LightSecAgg round over a transport.Transport — the
+// substrate's stage tables (Program) walked by engine.ServeWire and
+// engine.JoinWire, exactly like core.RunWireServer. Frames (tags in
+// program.go, payload layouts in codec.go and PROTOCOL.md) are admitted as
+// they arrive, decoded concurrently on the engine's bounded worker pool,
+// and applied to the incremental Server in admission order, so the masked
+// stage folds uploads into the running aggregate while later uploads are
+// still in flight, and the recovery stage completes on the first U
+// aggregate shares instead of waiting for every survivor. With sessions
+// (WireServerConfig.Session / WireClientConfig.Session and the Resume
+// flags), consecutive rounds skip the advertise round trip and reuse the
+// cached channel secrets and coding matrices.
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"time"
@@ -38,18 +22,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/transport"
-)
-
-// Wire stage tags (transport.Frame.Stage).
-const (
-	wireAdvertise = iota
-	wireRoster
-	wireShares
-	wireDeliver
-	wireMasked
-	wireSurvivors
-	wireAggShare
-	wireResult
 )
 
 // WireStage identifies a point in the client lifecycle for dropout
@@ -62,21 +34,6 @@ const (
 	WireDropBeforeMasked
 	WireDropBeforeAggShare
 )
-
-func gobEncode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("lightsecagg: encoding payload: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func gobDecode(p []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(v); err != nil {
-		return fmt.Errorf("lightsecagg: decoding payload: %w", err)
-	}
-	return nil
-}
 
 // WireServerConfig configures the wire server for one round.
 type WireServerConfig struct {
@@ -105,179 +62,21 @@ type WireServerConfig struct {
 	Engine *engine.Engine
 }
 
-func broadcast(conn transport.ServerConn, ids []uint64, stage int, payload []byte) {
-	for _, id := range ids {
-		// Errors mean the client vanished; the protocol's thresholds
-		// handle that downstream.
-		_ = conn.SendTo(id, transport.Frame{Stage: stage, Payload: payload})
-	}
-}
-
 // RunWireServer drives the server side of one LightSecAgg round through
 // the shared round engine.
 func RunWireServer(ctx context.Context, cfg WireServerConfig, conn transport.ServerConn) ([]field.Element, error) {
-	if err := cfg.Config.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.StageDeadline <= 0 {
-		cfg.StageDeadline = 2 * time.Second
-	}
 	if cfg.Resume && cfg.Session == nil {
 		return nil, fmt.Errorf("lightsecagg: resume requires a server session")
 	}
-	c := cfg.Config
-	ids := c.ClientIDs
-
-	server, err := NewSessionServer(c, cfg.Session)
+	server, err := NewSessionServer(cfg.Config, cfg.Session)
 	if err != nil {
 		return nil, err
 	}
-	roundCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	eng := cfg.Engine
-	if eng == nil {
-		eng = engine.New(engine.TransportSource(roundCtx, conn))
-	}
-	collect := func(name string, tag int, expect []uint64, quorum int,
-		decode func(m engine.Msg) (any, error), apply func(from uint64, body any) error) error {
-		_, err := eng.Collect(roundCtx, engine.Stage{
-			Name: name, Tag: tag, Expect: expect, Quorum: quorum,
-			Deadline: cfg.StageDeadline, Decode: decode, Apply: apply,
-		})
-		return err
-	}
-
-	// Stage 0/1: channel keys — collected over the wire, skipped entirely
-	// on a full resume, or collected from just the divergent subset on a
-	// partial resume (cached entries pre-seed the stage, the merged roster
-	// is broadcast to everyone).
-	partial := cfg.Resume && len(cfg.Divergent) > 0
-	var roster []AdvertiseMsg
-	switch {
-	case cfg.Resume && !partial:
-		roster = cfg.Session.RosterFor(ids)
-		if roster == nil {
-			return nil, fmt.Errorf("lightsecagg: resume without a cached roster for this client set")
-		}
-		if err := server.InstallRoster(roster); err != nil {
-			return nil, err
-		}
-	case partial:
-		cached := cfg.Session.RosterFor(ids)
-		if cached == nil {
-			return nil, fmt.Errorf("lightsecagg: partial resume without a cached roster for this client set")
-		}
-		for _, m := range cached {
-			if err := server.AddAdvertise(m); err != nil {
-				return nil, err
-			}
-		}
-		err = collect("advertise", wireAdvertise, cfg.Divergent, 0, nil,
-			func(from uint64, body any) error {
-				return server.AddAdvertise(AdvertiseMsg{From: from, Pub: body.([]byte)})
-			})
-		if err != nil {
-			return nil, err
-		}
-		if roster, err = server.SealAdvertise(); err != nil {
-			return nil, err
-		}
-		cfg.Session.StoreRoster(roster, ids)
-		rosterPayload, err := gobEncode(roster)
-		if err != nil {
-			return nil, err
-		}
-		broadcast(conn, ids, wireRoster, rosterPayload)
-	default:
-		err = collect("advertise", wireAdvertise, ids, 0, nil,
-			func(from uint64, body any) error {
-				return server.AddAdvertise(AdvertiseMsg{From: from, Pub: body.([]byte)})
-			})
-		if err != nil {
-			return nil, err
-		}
-		if roster, err = server.SealAdvertise(); err != nil {
-			return nil, err
-		}
-		cfg.Session.StoreRoster(roster, ids)
-		rosterPayload, err := gobEncode(roster)
-		if err != nil {
-			return nil, err
-		}
-		broadcast(conn, ids, wireRoster, rosterPayload)
-	}
-
-	// Stage 2/3: sealed share envelopes, routed into recipient outboxes
-	// on arrival.
-	err = collect("shares", wireShares, ids, 0,
-		func(m engine.Msg) (any, error) { return decodeEnvelopes(m.Body.([]byte)) },
-		func(from uint64, body any) error {
-			return server.AddShareBundle(from, body.([]Envelope))
-		})
-	if err != nil {
-		return nil, err
-	}
-	deliveries, err := server.SealShareBundles()
-	if err != nil {
-		return nil, err
-	}
-	for id, envs := range deliveries {
-		payload, err := encodeEnvelopes(envs)
-		if err != nil {
-			return nil, err
-		}
-		_ = conn.SendTo(id, transport.Frame{Stage: wireDeliver, Payload: payload})
-	}
-
-	// Stage 4/5: masked inputs fold into the running partial aggregate as
-	// they decode; the stage close is a threshold check plus sort.
-	err = collect("masked", wireMasked, ids, 0,
-		func(m engine.Msg) (any, error) { return decodeMasked(m.Body.([]byte)) },
-		func(from uint64, body any) error {
-			// Stamp the transport-verified origin over whatever the payload
-			// claims, so one client cannot spoof another's upload (the same
-			// defense AddShareBundle applies to envelopes).
-			m := body.(MaskedMsg)
-			m.From = from
-			return server.AddMasked(m)
-		})
-	if err != nil {
-		return nil, err
-	}
-	survivors, err := server.SealMasked()
-	if err != nil {
-		return nil, err
-	}
-	survPayload, err := gobEncode(survivors)
-	if err != nil {
-		return nil, err
-	}
-	broadcast(conn, survivors, wireSurvivors, survPayload)
-
-	// Stage 6: one-shot aggregate shares — any U responses complete the
-	// stage (engine quorum), stragglers need not be waited out.
-	err = collect("agg-share", wireAggShare, survivors, c.RecoveryThreshold(),
-		func(m engine.Msg) (any, error) { return decodeAggShare(m.Body.([]byte)) },
-		func(from uint64, body any) error {
-			// Transport-verified origin wins here too: a spoofed From would
-			// feed shares under the wrong rank into the recovery.
-			m := body.(AggShareMsg)
-			m.From = from
-			return server.AddAggShare(m)
-		})
-	if err != nil {
-		return nil, err
-	}
-	sum, err := server.SealAggShares()
-	if err != nil {
-		return nil, err
-	}
-	resPayload, err := encodeLSAResult(sum)
-	if err != nil {
-		return nil, err
-	}
-	broadcast(conn, survivors, wireResult, resPayload)
-	return sum, nil
+	var sum []field.Element
+	program := server.Program(&sum)
+	program.Resume, program.Divergent = cfg.Resume, cfg.Divergent
+	err = engine.ServeWire(ctx, conn, cfg.Engine, wireCodec, cfg.StageDeadline, program)
+	return sum, err
 }
 
 // WireClientConfig configures one wire client.
@@ -306,9 +105,6 @@ type WireClientConfig struct {
 // aggregate (nil when the client drops or is excluded from the result
 // broadcast).
 func RunWireClient(ctx context.Context, cfg WireClientConfig, conn transport.ClientConn) ([]field.Element, error) {
-	if err := cfg.Config.Validate(); err != nil {
-		return nil, err
-	}
 	if cfg.Resume && cfg.Session == nil {
 		return nil, fmt.Errorf("lightsecagg: resume requires a client session")
 	}
@@ -316,138 +112,15 @@ func RunWireClient(ctx context.Context, cfg WireClientConfig, conn transport.Cli
 	if err != nil {
 		return nil, err
 	}
-
-	// Stage 0/1: advertise the channel key and learn the roster, resume on
-	// the session's cached roster, or the partial-resume variants: a
-	// divergent client advertises fresh, a non-divergent one skips
-	// advertise and takes the merged roster broadcast.
-	partial := cfg.Resume && len(cfg.Divergent) > 0
-	selfDivergent := false
-	for _, id := range cfg.Divergent {
-		if id == cfg.ID {
-			selfDivergent = true
-		}
+	var sum []field.Element
+	program := client.Program(cfg.Input, &sum)
+	program.Resume, program.Divergent = cfg.Resume, cfg.Divergent
+	dropStep := engine.NoDrop
+	if cfg.DropBefore != WireNoDrop {
+		// WireDropBeforeMasked and WireDropBeforeAggShare are, in order,
+		// StageMaskedInput and StageAggShare.
+		dropStep = int(cfg.DropBefore) + int(StageShares)
 	}
-	var roster []AdvertiseMsg
-	switch {
-	case cfg.Resume && !partial:
-		if roster = cfg.Session.Roster(); roster == nil {
-			return nil, fmt.Errorf("lightsecagg: resume without a cached roster at client %d", cfg.ID)
-		}
-	case partial && !selfDivergent:
-		f, err := recvStage(ctx, conn, wireRoster)
-		if err != nil {
-			return nil, err
-		}
-		if err := gobDecode(f.Payload, &roster); err != nil {
-			return nil, err
-		}
-		if cfg.Session != nil {
-			cfg.Session.StoreRoster(roster)
-		}
-	default:
-		adv := client.Advertise()
-		if err := conn.Send(transport.Frame{Stage: wireAdvertise, Payload: adv.Pub}); err != nil {
-			return nil, err
-		}
-		f, err := recvStage(ctx, conn, wireRoster)
-		if err != nil {
-			return nil, err
-		}
-		if err := gobDecode(f.Payload, &roster); err != nil {
-			return nil, err
-		}
-		if cfg.Session != nil {
-			cfg.Session.StoreRoster(roster)
-		}
-	}
-
-	// Stage 2: seal one coded share per peer.
-	envs, err := client.SealShares(roster)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := encodeEnvelopes(envs)
-	if err != nil {
-		return nil, err
-	}
-	if err := conn.Send(transport.Frame{Stage: wireShares, Payload: payload}); err != nil {
-		return nil, err
-	}
-
-	// Stage 3: unseal the envelopes addressed to us.
-	f, err := recvStage(ctx, conn, wireDeliver)
-	if err != nil {
-		return nil, err
-	}
-	inbox, err := decodeEnvelopes(f.Payload)
-	if err != nil {
-		return nil, err
-	}
-	if err := client.OpenEnvelopes(inbox); err != nil {
-		return nil, err
-	}
-
-	// Stage 4: masked upload (dropout injection point).
-	if cfg.DropBefore == WireDropBeforeMasked {
-		return nil, conn.Close()
-	}
-	y, err := client.MaskedInput(cfg.Input)
-	if err != nil {
-		return nil, err
-	}
-	if payload, err = encodeMasked(MaskedMsg{From: cfg.ID, Y: y}); err != nil {
-		return nil, err
-	}
-	if err := conn.Send(transport.Frame{Stage: wireMasked, Payload: payload}); err != nil {
-		return nil, err
-	}
-
-	// Stage 5/6: survivors, then the one-shot aggregate share.
-	f, err = recvStage(ctx, conn, wireSurvivors)
-	if err != nil {
-		return nil, err
-	}
-	var survivors []uint64
-	if err := gobDecode(f.Payload, &survivors); err != nil {
-		return nil, err
-	}
-	if cfg.DropBefore == WireDropBeforeAggShare {
-		return nil, conn.Close()
-	}
-	agg, err := client.AggregateShare(survivors)
-	if err != nil {
-		return nil, err
-	}
-	if payload, err = encodeAggShare(AggShareMsg{From: cfg.ID, S: agg}); err != nil {
-		return nil, err
-	}
-	if err := conn.Send(transport.Frame{Stage: wireAggShare, Payload: payload}); err != nil {
-		return nil, err
-	}
-
-	// Stage 7: the result.
-	f, err = recvStage(ctx, conn, wireResult)
-	if err != nil {
-		return nil, err
-	}
-	// Clean completion: clear the in-flight marker the handshake set (a
-	// no-op on LightSecAgg sessions, which never carry taint, but kept for
-	// lifecycle symmetry with the secagg wire client).
-	if cfg.Session != nil {
-		cfg.Session.ClearTaint()
-	}
-	return decodeLSAResult(f.Payload)
-}
-
-func recvStage(ctx context.Context, conn transport.ClientConn, stage int) (transport.Frame, error) {
-	for {
-		f, err := conn.Recv(ctx)
-		if err != nil {
-			return transport.Frame{}, err
-		}
-		if f.Stage == stage {
-			return f, nil
-		}
-	}
+	err = engine.JoinWire(ctx, conn, wireCodec, program, dropStep)
+	return sum, err
 }

@@ -1,9 +1,7 @@
 package secagg
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 
 	"repro/internal/field"
@@ -11,10 +9,10 @@ import (
 )
 
 // Binary codec for the stage-1 ShareBundle — the plaintext sealed inside
-// the share-distribution AEAD. The historical encoding was gob, which
-// costs ~32µs and ~230 allocations per edge (reflection, type dictionary,
-// varint framing); at 64 clients that is ≈130ms of pure encoding per
-// round. The fixed layout below is a single allocation each way.
+// the share-distribution AEAD. A reflective encoding costs ~32µs and ~230
+// allocations per edge (type dictionary, varint framing) — ≈130ms of pure
+// encoding per round at 64 clients; the fixed layout below is a single
+// allocation each way.
 //
 // Layout (integers little-endian, field elements as raw uint64):
 //
@@ -25,13 +23,8 @@ import (
 //
 // The magic byte keeps the family disjoint from the repo's other framed
 // encodings (0xD0 core codec, 0xDA persisted sessions, 0xDC combiner
-// frames) and — more importantly — from gob itself: a gob stream's first
-// byte is the message length as a varint, which for any plausible bundle
-// is either < 0x80 (single-byte length) or 0xF8–0xFF (multi-byte length
-// marker), never 0xDB. decodeBundle exploits that to fall back to the gob
-// decoder for blobs sealed by older clients, so a mixed-fleet rollout
-// (old clients, new server, or vice versa) keeps every edge decodable.
-// The version byte gates structural evolution within the binary family.
+// frames); anything that does not lead with it is rejected. The version
+// byte gates structural evolution: a peer on another version fails loudly.
 const (
 	bundleMagic   = 0xDB
 	bundleVersion = 1
@@ -86,13 +79,13 @@ func decodeBundle(p []byte) (ShareBundle, error) {
 		return ShareBundle{}, fmt.Errorf("secagg: empty bundle")
 	}
 	if p[0] != bundleMagic {
-		return decodeBundleGob(p)
+		return ShareBundle{}, fmt.Errorf("secagg: not a binary bundle")
 	}
 	if len(p) < bundleFixedLen {
 		return ShareBundle{}, fmt.Errorf("secagg: bundle truncated: %d bytes", len(p))
 	}
-	if v := p[1]; v < 1 || v > bundleVersion {
-		return ShareBundle{}, fmt.Errorf("secagg: bundle version %d, want <= %d", v, bundleVersion)
+	if v := p[1]; v != bundleVersion {
+		return ShareBundle{}, fmt.Errorf("secagg: bundle version %d, want %d", v, bundleVersion)
 	}
 	var b ShareBundle
 	b.From = binary.LittleEndian.Uint64(p[2:])
@@ -118,17 +111,6 @@ func decodeBundle(p []byte) (ShareBundle, error) {
 			b.NoiseSeeds[i] = decodeShare(p[off:])
 			off += 16
 		}
-	}
-	return b, nil
-}
-
-// decodeBundleGob decodes the historical gob encoding (bundles sealed by
-// pre-binary clients); the magic-byte dispatch in decodeBundle keeps both
-// generations of blob decodable through one rollout.
-func decodeBundleGob(p []byte) (ShareBundle, error) {
-	var b ShareBundle
-	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&b); err != nil {
-		return ShareBundle{}, fmt.Errorf("secagg: decoding bundle: %w", err)
 	}
 	return b, nil
 }

@@ -1,8 +1,6 @@
 package secagg
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -43,34 +41,12 @@ func TestBundleCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBundleCodecGobFallback: blobs sealed by pre-binary clients (gob)
-// must keep decoding through the magic-byte dispatch, so a mixed fleet
-// survives the rollout.
-func TestBundleCodecGobFallback(t *testing.T) {
-	in := testBundle(2)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(in); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Bytes()[0] == bundleMagic {
-		t.Fatal("gob stream collides with the binary magic byte")
-	}
-	out, err := decodeBundle(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("gob fallback mismatch:\n in: %+v\nout: %+v", in, out)
-	}
-}
-
 func TestBundleCodecMalformed(t *testing.T) {
 	good, err := encodeBundle(testBundle(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every truncation with the binary magic intact must error (shorter
-	// cuts lose the magic and fall to gob, which errors on garbage too).
+	// Every truncation must error.
 	for cut := 1; cut < len(good); cut++ {
 		if _, err := decodeBundle(good[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
@@ -99,7 +75,7 @@ func TestBundleCodecMalformed(t *testing.T) {
 }
 
 // TestBundleCodecFuzzSeeded throws deterministic random bytes at the
-// decoder (both dispatch arms), then round-trips random valid bundles.
+// decoder, then round-trips random valid bundles.
 func TestBundleCodecFuzzSeeded(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 5000; i++ {
@@ -148,20 +124,6 @@ func BenchmarkBundleDecodeBinary(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := decodeBundle(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBundleDecodeGobFallback(b *testing.B) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(testBundle(3)); err != nil {
-		b.Fatal(err)
-	}
-	p := buf.Bytes()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := decodeBundle(p); err != nil {

@@ -42,7 +42,6 @@ const (
 	StageConsistencyCheck
 	StageUnmasking
 	StageNoiseRemoval
-	stageCount
 )
 
 // String implements fmt.Stringer.

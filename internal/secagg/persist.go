@@ -1,7 +1,6 @@
 package secagg
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -37,10 +36,9 @@ import (
 const (
 	persistMagic = 0xDA
 	persistTag   = 0x53 // 'S': secagg client session
-	// Version history:
-	//   1 — initial layout (keys, ratchet, taint, roster, secret caches).
-	//   2 — appends the 8-byte NoiseEpoch after the flags byte; v1 blobs
-	//       still decode, restoring as epoch 0, the default.
+	// Only the current layout decodes (keys, ratchet, taint, NoiseEpoch,
+	// roster, secret caches); any other version fails loudly and the
+	// caller starts a fresh session, which costs one re-key.
 	persistVersion = 2
 
 	// maxPersistEntries caps decoded section counts (roster members, cached
@@ -51,62 +49,69 @@ const (
 	maxPersistBlob = 1 << 16
 )
 
-func appendSecretSection(dst []byte, cache map[string]ratchetedSecret) ([]byte, error) {
-	if len(cache) > maxPersistEntries {
-		return nil, fmt.Errorf("secagg: %d cached secrets exceed persist cap", len(cache))
-	}
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(cache)))
-	dst = append(dst, cnt[:]...)
+func writeSecretSection(w *transport.Writer, cache map[string]ratchetedSecret) {
+	w.Count(len(cache), maxPersistEntries)
 	keys := make([]string, 0, len(cache))
 	for k := range cache {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys) // deterministic encoding
-	var step [8]byte
 	for _, k := range keys {
-		dst = transport.AppendBlob(dst, []byte(k))
 		c := cache[k]
-		binary.LittleEndian.PutUint64(step[:], c.step)
-		dst = append(dst, step[:]...)
-		dst = append(dst, c.sec[:]...)
+		w.Blob([]byte(k), maxPersistBlob)
+		w.Uint64(c.step)
+		w.Raw(c.sec[:]...)
 	}
-	return dst, nil
 }
 
-func decodeSecretSection(src []byte) (map[string]ratchetedSecret, []byte, error) {
-	if len(src) < 4 {
-		return nil, nil, fmt.Errorf("secagg: persisted secret section header truncated")
-	}
-	n := int(binary.LittleEndian.Uint32(src))
-	src = src[4:]
-	if n > maxPersistEntries {
-		return nil, nil, fmt.Errorf("secagg: persisted secret section of %d entries exceeds cap", n)
-	}
-	// Each entry costs at least 2+8+SharedSize bytes; reject counts the
-	// payload cannot carry before allocating.
-	if n > len(src)/(2+8+dh.SharedSize) {
-		return nil, nil, fmt.Errorf("secagg: persisted secret section of %d entries exceeds payload", n)
-	}
+// readSecretSection decodes one secret cache; each entry costs at least
+// 2+8+SharedSize bytes, so a count the payload cannot carry is rejected
+// before the map is allocated.
+func readSecretSection(r *transport.Reader) map[string]ratchetedSecret {
+	n := r.Count(2+8+dh.SharedSize, maxPersistEntries)
 	out := make(map[string]ratchetedSecret, n)
 	for i := 0; i < n; i++ {
-		pub, rest, err := transport.DecodeBlob(src, maxPersistBlob)
-		if err != nil {
-			return nil, nil, err
+		pub := string(r.Blob(maxPersistBlob))
+		c := ratchetedSecret{step: r.Uint64()}
+		copy(c.sec[:], r.Raw(dh.SharedSize))
+		if _, dup := out[pub]; dup {
+			r.Fail(fmt.Errorf("secagg: duplicate persisted secret entry"))
 		}
-		src = rest
-		if len(src) < 8+dh.SharedSize {
-			return nil, nil, fmt.Errorf("secagg: persisted secret %d truncated", i)
-		}
-		c := ratchetedSecret{step: binary.LittleEndian.Uint64(src)}
-		copy(c.sec[:], src[8:8+dh.SharedSize])
-		src = src[8+dh.SharedSize:]
-		if _, dup := out[string(pub)]; dup {
-			return nil, nil, fmt.Errorf("secagg: duplicate persisted secret entry")
-		}
-		out[string(pub)] = c
+		out[pub] = c
 	}
-	return out, src, nil
+	return out
+}
+
+func writeRoster(w *transport.Writer, roster []AdvertiseMsg) {
+	w.Count(len(roster), maxPersistEntries)
+	for _, m := range roster {
+		w.Uint64(m.From)
+		w.Blob(m.CipherPub, maxPersistBlob)
+		w.Blob(m.MaskPub, maxPersistBlob)
+		w.Blob(m.Signature, maxPersistBlob)
+	}
+}
+
+// readRoster decodes a cached roster (nil when empty); the minimum entry
+// is an id plus three empty blobs.
+func readRoster(r *transport.Reader) []AdvertiseMsg {
+	n := r.Count(8+3*2, maxPersistEntries)
+	if n == 0 {
+		return nil
+	}
+	roster := make([]AdvertiseMsg, n)
+	for i := range roster {
+		roster[i] = AdvertiseMsg{From: r.Uint64(), CipherPub: r.Blob(maxPersistBlob),
+			MaskPub: r.Blob(maxPersistBlob), Signature: r.Blob(maxPersistBlob)}
+	}
+	return roster
+}
+
+// readVersion checks a record's version byte.
+func readVersion(r *transport.Reader, want byte) {
+	if v := r.Byte(); v != want {
+		r.Fail(fmt.Errorf("secagg: persisted record version %d, want %d", v, want))
+	}
 }
 
 // MarshalBinary serializes the session (see the package-level layout note
@@ -115,40 +120,22 @@ func decodeSecretSection(src []byte) (map[string]ratchetedSecret, []byte, error)
 func (s *Session) MarshalBinary() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.roster) > maxPersistEntries {
-		return nil, fmt.Errorf("secagg: roster of %d entries exceeds persist cap", len(s.roster))
-	}
-	out := []byte{persistMagic, persistTag, persistVersion}
-	cpriv := s.cipherKey.PrivateBytes()
-	mpriv := s.maskKey.PrivateBytes()
-	out = append(out, cpriv[:]...)
-	out = append(out, mpriv[:]...)
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], s.nextRatchet)
-	out = append(out, b[:]...)
+	w := transport.NewWriter(persistMagic, persistTag, 0)
+	cpriv, mpriv := s.cipherKey.PrivateBytes(), s.maskKey.PrivateBytes()
 	var flags byte
 	if s.taint {
 		flags |= 1
 	}
-	out = append(out, flags)
-	binary.LittleEndian.PutUint64(b[:], s.noiseEpoch)
-	out = append(out, b[:]...)
-
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(s.roster)))
-	out = append(out, cnt[:]...)
-	for _, m := range s.roster {
-		binary.LittleEndian.PutUint64(b[:], m.From)
-		out = append(out, b[:]...)
-		out = transport.AppendBlob(out, m.CipherPub)
-		out = transport.AppendBlob(out, m.MaskPub)
-		out = transport.AppendBlob(out, m.Signature)
-	}
-	var err error
-	if out, err = appendSecretSection(out, s.mask); err != nil {
-		return nil, err
-	}
-	return appendSecretSection(out, s.channel)
+	w.Raw(persistVersion)
+	w.Raw(cpriv[:]...)
+	w.Raw(mpriv[:]...)
+	w.Uint64(s.nextRatchet)
+	w.Raw(flags)
+	w.Uint64(s.noiseEpoch)
+	writeRoster(w, s.roster)
+	writeSecretSection(w, s.mask)
+	writeSecretSection(w, s.channel)
+	return w.Done()
 }
 
 // UnmarshalSession rebuilds a session from MarshalBinary output. The
@@ -156,82 +143,24 @@ func (s *Session) MarshalBinary() ([]byte, error) {
 // the key pairs come back via dh.FromPrivateBytes and every cached
 // pairwise secret is reinstalled at its persisted ratchet step.
 func UnmarshalSession(p []byte) (*Session, error) {
-	if len(p) < 3 || p[0] != persistMagic || p[1] != persistTag {
-		return nil, fmt.Errorf("secagg: not a persisted session")
-	}
-	version := p[2]
-	if version < 1 || version > persistVersion {
-		return nil, fmt.Errorf("secagg: persisted session version %d, want <= %d", version, persistVersion)
-	}
-	src := p[3:]
-	if len(src) < 2*32+8+1 {
-		return nil, fmt.Errorf("secagg: persisted session truncated")
-	}
+	r := transport.NewReader(p, persistMagic, persistTag)
+	readVersion(r, persistVersion)
 	var cpriv, mpriv [32]byte
-	copy(cpriv[:], src)
-	copy(mpriv[:], src[32:])
-	src = src[64:]
-	cipherKey, err := dh.FromPrivateBytes(cpriv)
-	if err != nil {
+	copy(cpriv[:], r.Raw(32))
+	copy(mpriv[:], r.Raw(32))
+	s := &Session{nextRatchet: r.Uint64(), taint: r.Byte()&1 != 0, noiseEpoch: r.Uint64()}
+	s.roster = readRoster(r)
+	s.mask = readSecretSection(r)
+	s.channel = readSecretSection(r)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("secagg: persisted session: %w", err)
+	}
+	var err error
+	if s.cipherKey, err = dh.FromPrivateBytes(cpriv); err != nil {
 		return nil, err
 	}
-	maskKey, err := dh.FromPrivateBytes(mpriv)
-	if err != nil {
+	if s.maskKey, err = dh.FromPrivateBytes(mpriv); err != nil {
 		return nil, err
-	}
-	s := &Session{cipherKey: cipherKey, maskKey: maskKey}
-	s.nextRatchet = binary.LittleEndian.Uint64(src)
-	s.taint = src[8]&1 != 0
-	src = src[9:]
-	if version >= 2 {
-		// v1 blobs predate noise epochs and restore as the default, 0.
-		if len(src) < 8 {
-			return nil, fmt.Errorf("secagg: persisted noise epoch truncated")
-		}
-		s.noiseEpoch = binary.LittleEndian.Uint64(src)
-		src = src[8:]
-	}
-
-	if len(src) < 4 {
-		return nil, fmt.Errorf("secagg: persisted roster header truncated")
-	}
-	n := int(binary.LittleEndian.Uint32(src))
-	src = src[4:]
-	if n > maxPersistEntries {
-		return nil, fmt.Errorf("secagg: persisted roster of %d entries exceeds cap", n)
-	}
-	if n > 0 {
-		// Minimum entry size: id plus three empty blobs.
-		if n > len(src)/(8+3*2) {
-			return nil, fmt.Errorf("secagg: persisted roster of %d entries exceeds payload", n)
-		}
-		s.roster = make([]AdvertiseMsg, 0, n)
-		for i := 0; i < n; i++ {
-			if len(src) < 8 {
-				return nil, fmt.Errorf("secagg: persisted roster entry %d truncated", i)
-			}
-			m := AdvertiseMsg{From: binary.LittleEndian.Uint64(src)}
-			src = src[8:]
-			if m.CipherPub, src, err = transport.DecodeBlob(src, maxPersistBlob); err != nil {
-				return nil, err
-			}
-			if m.MaskPub, src, err = transport.DecodeBlob(src, maxPersistBlob); err != nil {
-				return nil, err
-			}
-			if m.Signature, src, err = transport.DecodeBlob(src, maxPersistBlob); err != nil {
-				return nil, err
-			}
-			s.roster = append(s.roster, m)
-		}
-	}
-	if s.mask, src, err = decodeSecretSection(src); err != nil {
-		return nil, err
-	}
-	if s.channel, src, err = decodeSecretSection(src); err != nil {
-		return nil, err
-	}
-	if len(src) != 0 {
-		return nil, fmt.Errorf("secagg: persisted session: %d trailing bytes", len(src))
 	}
 	return s, nil
 }

@@ -140,42 +140,6 @@ func TestSessionPersistMalformed(t *testing.T) {
 	}
 }
 
-// TestSessionPersistV1Compat: a version-1 blob (written before noise
-// epochs existed) still decodes and restores as NoiseEpoch 0.
-func TestSessionPersistV1Compat(t *testing.T) {
-	s, err := NewSession(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.StoreRoster([]AdvertiseMsg{{From: 1, CipherPub: make([]byte, 32), MaskPub: make([]byte, 32)}})
-	s.MarkRatchetUsed(4)
-	s.SetNoiseEpoch(1)
-	blob, err := s.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite as v1: drop the 8 epoch bytes after the flags byte and
-	// patch the version.
-	const pre = 3 + 64 + 8 + 1
-	v1 := append(append([]byte(nil), blob[:pre]...), blob[pre+8:]...)
-	v1[2] = 1
-	restored, err := UnmarshalSession(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := restored.NoiseEpoch(); got != 0 {
-		t.Fatalf("v1 blob restored NoiseEpoch = %d, want 0", got)
-	}
-	if got := restored.NextRatchet(); got != 5 {
-		t.Fatalf("v1 blob restored NextRatchet = %d, want 5", got)
-	}
-	wantHash, _ := s.StateHash()
-	gotHash, ok := restored.StateHash()
-	if !ok || wantHash != gotHash {
-		t.Fatal("v1 blob lost roster state")
-	}
-}
-
 // TestSessionPersistSeeded fuzzes the decoder with structured garbage: it
 // must reject or terminate, never panic.
 func TestSessionPersistSeeded(t *testing.T) {

@@ -1,7 +1,6 @@
 package secagg
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -46,52 +45,18 @@ const (
 func (s *ServerSession) MarshalBinary() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.roster) > maxPersistEntries || len(s.rosterIDs) > maxPersistEntries ||
-		len(s.tainted) > maxPersistEntries {
-		return nil, fmt.Errorf("secagg: server session exceeds persist caps")
-	}
-	out := []byte{persistMagic, persistServerTag, persistServerVersion}
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], s.nextRatchet)
-	out = append(out, b[:]...)
-
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(s.roster)))
-	out = append(out, cnt[:]...)
-	for _, m := range s.roster {
-		binary.LittleEndian.PutUint64(b[:], m.From)
-		out = append(out, b[:]...)
-		out = transport.AppendBlob(out, m.CipherPub)
-		out = transport.AppendBlob(out, m.MaskPub)
-		out = transport.AppendBlob(out, m.Signature)
-	}
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(s.rosterIDs)))
-	out = append(out, cnt[:]...)
-	out = transport.AppendUint64sLE(out, s.rosterIDs)
-
+	w := transport.NewWriter(persistMagic, persistServerTag, 0)
+	w.Raw(persistServerVersion)
+	w.Uint64(s.nextRatchet)
+	writeRoster(w, s.roster)
+	w.Words(s.rosterIDs, maxPersistEntries)
 	tainted := make([]uint64, 0, len(s.tainted))
 	for id := range s.tainted {
 		tainted = append(tainted, id)
 	}
 	sort.Slice(tainted, func(i, j int) bool { return tainted[i] < tainted[j] }) // deterministic encoding
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(tainted)))
-	out = append(out, cnt[:]...)
-	return transport.AppendUint64sLE(out, tainted), nil
-}
-
-func decodePersistSlab(src []byte, what string) ([]uint64, []byte, error) {
-	if len(src) < 4 {
-		return nil, nil, fmt.Errorf("secagg: persisted %s header truncated", what)
-	}
-	n := int(binary.LittleEndian.Uint32(src))
-	if n > maxPersistEntries {
-		return nil, nil, fmt.Errorf("secagg: persisted %s of %d entries exceeds cap", what, n)
-	}
-	out, rest, err := transport.DecodeUint64sLE(src[4:], n)
-	if err != nil {
-		return nil, nil, fmt.Errorf("secagg: persisted %s: %w", what, err)
-	}
-	return out, rest, nil
+	w.Words(tainted, maxPersistEntries)
+	return w.Done()
 }
 
 // UnmarshalServerSession rebuilds a server session from MarshalBinary
@@ -100,65 +65,20 @@ func decodePersistSlab(src []byte, what string) ([]uint64, []byte, error) {
 // partitions the tainted members as divergent and re-keys exactly those
 // edges — the restart downgrade ARCHITECTURE.md describes.
 func UnmarshalServerSession(p []byte) (*ServerSession, error) {
-	if len(p) < 3 || p[0] != persistMagic || p[1] != persistServerTag {
-		return nil, fmt.Errorf("secagg: not a persisted server session")
-	}
-	if v := p[2]; v < 1 || v > persistServerVersion {
-		return nil, fmt.Errorf("secagg: persisted server session version %d, want <= %d", v, persistServerVersion)
-	}
-	src := p[3:]
-	if len(src) < 8+4 {
-		return nil, fmt.Errorf("secagg: persisted server session truncated")
-	}
+	r := transport.NewReader(p, persistMagic, persistServerTag)
+	readVersion(r, persistServerVersion)
 	s := NewServerSession()
-	s.nextRatchet = binary.LittleEndian.Uint64(src)
-	src = src[8:]
-
-	n := int(binary.LittleEndian.Uint32(src))
-	src = src[4:]
-	if n > maxPersistEntries {
-		return nil, fmt.Errorf("secagg: persisted roster of %d entries exceeds cap", n)
-	}
-	if n > 0 {
-		if n > len(src)/(8+3*2) {
-			return nil, fmt.Errorf("secagg: persisted roster of %d entries exceeds payload", n)
-		}
-		s.roster = make([]AdvertiseMsg, 0, n)
-		var err error
-		for i := 0; i < n; i++ {
-			if len(src) < 8 {
-				return nil, fmt.Errorf("secagg: persisted roster entry %d truncated", i)
-			}
-			m := AdvertiseMsg{From: binary.LittleEndian.Uint64(src)}
-			src = src[8:]
-			if m.CipherPub, src, err = transport.DecodeBlob(src, maxPersistBlob); err != nil {
-				return nil, err
-			}
-			if m.MaskPub, src, err = transport.DecodeBlob(src, maxPersistBlob); err != nil {
-				return nil, err
-			}
-			if m.Signature, src, err = transport.DecodeBlob(src, maxPersistBlob); err != nil {
-				return nil, err
-			}
-			s.roster = append(s.roster, m)
-		}
-	}
-	var err error
-	if s.rosterIDs, src, err = decodePersistSlab(src, "roster id set"); err != nil {
-		return nil, err
-	}
-	var tainted []uint64
-	if tainted, src, err = decodePersistSlab(src, "taint set"); err != nil {
-		return nil, err
-	}
-	if len(tainted) > 0 {
+	s.nextRatchet = r.Uint64()
+	s.roster = readRoster(r)
+	s.rosterIDs = r.Words(maxPersistEntries)
+	if tainted := r.Words(maxPersistEntries); len(tainted) > 0 {
 		s.tainted = make(map[uint64]bool, len(tainted))
 		for _, id := range tainted {
 			s.tainted[id] = true
 		}
 	}
-	if len(src) != 0 {
-		return nil, fmt.Errorf("secagg: persisted server session: %d trailing bytes", len(src))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("secagg: persisted server session: %w", err)
 	}
 	return s, nil
 }

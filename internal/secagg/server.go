@@ -29,8 +29,9 @@ const maskedFoldBatch = 8
 //     the streaming round engine drives: by the time the last message of
 //     a stage arrives, the per-message work is already done and Seal is
 //     an O(1) (or O(t)) tail.
-//   - batch: the Collect* methods are thin wrappers (Add* in a loop, then
-//     Seal*) kept for white-box tests and non-streaming callers.
+//   - batch: CollectAdvertise/CollectShares/CollectMasked are thin
+//     wrappers (Add* in a loop, then Seal*) the white-box tests drive the
+//     first three stages with.
 //
 // Methods must be called in stage order. A Server is not safe for
 // concurrent use; the round engine serializes Add* calls in admission
@@ -349,18 +350,6 @@ func (s *Server) SealConsistency() (UnmaskRequest, error) {
 	return req, nil
 }
 
-// CollectConsistency ingests stage-3 signatures (malicious mode) and
-// returns the stage-4 unmask request. In semi-honest mode, call it with
-// one ConsistencyMsg per live client carrying no signature.
-func (s *Server) CollectConsistency(msgs []ConsistencyMsg) (UnmaskRequest, error) {
-	for _, m := range msgs {
-		if err := s.AddConsistency(m); err != nil {
-			return UnmaskRequest{}, err
-		}
-	}
-	return s.SealConsistency()
-}
-
 // AddUnmask ingests one stage-4 response on arrival, indexing its share
 // bundles by target client so reconstruction cohorts are ready at Seal.
 func (s *Server) AddUnmask(m UnmaskMsg) error {
@@ -468,18 +457,6 @@ func (s *Server) SealUnmask() (*NoiseShareRequest, error) {
 		return nil, nil
 	}
 	return &NoiseShareRequest{U5: append([]uint64(nil), s.u5...)}, nil
-}
-
-// CollectUnmask ingests stage-4 responses (the senders form U5), unmasks
-// the aggregate, and returns the stage-5 request (XNoise) or nil when no
-// stage 5 is needed (batch wrapper over AddUnmask/SealUnmask).
-func (s *Server) CollectUnmask(msgs []UnmaskMsg) (*NoiseShareRequest, error) {
-	for _, m := range msgs {
-		if err := s.AddUnmask(m); err != nil {
-			return nil, err
-		}
-	}
-	return s.SealUnmask()
 }
 
 // unmask computes z = Σ_{u∈U3} y_u − Σ_{u∈U3} p_u + Σ_{u∈U3, v∈U2\U3} p_{v,u}.
@@ -670,24 +647,6 @@ func (s *Server) SealNoiseShares() error {
 		s.noiseSeeds[v] = seeds
 	}
 	return nil
-}
-
-// CollectNoiseShares ingests stage-5 responses and reconstructs the
-// removable seeds of clients in U3\U5 (batch wrapper over
-// AddNoiseShare/SealNoiseShares).
-func (s *Server) CollectNoiseShares(msgs []NoiseShareMsg) error {
-	if s.cfg.XNoise == nil {
-		return nil
-	}
-	if len(msgs) < s.cfg.Threshold {
-		return fmt.Errorf("secagg: |U6|=%d < t=%d, aborting", len(msgs), s.cfg.Threshold)
-	}
-	for _, m := range msgs {
-		if err := s.AddNoiseShare(m); err != nil {
-			return err
-		}
-	}
-	return s.SealNoiseShares()
 }
 
 // PartialSum is the sealed output of one aggregator in the two-level

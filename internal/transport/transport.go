@@ -3,9 +3,9 @@
 // the server, as in the paper's server-mediated network, §3.3).
 //
 // Two implementations are provided: an in-memory transport (channels) used
-// by simulations and tests, and a TCP transport (length-prefixed gob
+// by simulations and tests, and a TCP transport (length-prefixed binary
 // frames) used by the deployment-flavor binaries. Both present the same
-// interfaces, so the protocol drivers in package core are transport-
+// interfaces, so the stage walkers in package engine are transport-
 // agnostic.
 package transport
 
@@ -22,7 +22,7 @@ import (
 )
 
 // Frame is one protocol message on the wire. Payload encoding is the
-// caller's concern (package core uses gob).
+// caller's concern (the binary codecs of packages core and lightsecagg).
 type Frame struct {
 	From    uint64
 	Stage   int
