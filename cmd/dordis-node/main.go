@@ -612,11 +612,10 @@ func (n node) runClientSessions(sub substrate, addr string, id, value uint64,
 			continue
 		}
 		// Persist immediately after the handshake: the stored state carries
-		// the burned ratchet step, the round-in-flight taint, and the
-		// committed noise epoch, so a crash mid-round restores into a
-		// session the next handshake re-keys (at least this client's edges)
-		// under the sampler it negotiated.
-		sub.adopt(sess, hs)
+		// the burned ratchet step and the round-in-flight taint, so a crash
+		// mid-round restores into a session the next handshake re-keys (at
+		// least this client's edges). The noise epoch is not session state:
+		// every round takes it from its own signed commit.
 		if err := saveSession(store, record, sess); err != nil {
 			return err
 		}

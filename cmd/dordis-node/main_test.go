@@ -149,3 +149,53 @@ func TestNodeSessionRounds(t *testing.T) {
 		})
 	}
 }
+
+// shardTest runs -role shardtest — combiner, two shard aggregators and
+// eight clients (constant 1 each, no XNoise) in one run() over loopback
+// TCP — and returns what it printed.
+func shardTest(t *testing.T, extra ...string) string {
+	t.Helper()
+	out, wait := party(t, append([]string{"-role", "shardtest", "-clients", "1,2,3,4,5,6,7,8",
+		"-shards", "2", "-threshold", "3", "-tolerance", "0", "-dim", "16"}, extra...)...)
+	wait()
+	return out.String()
+}
+
+// TestNodeShardedRound: both shards contribute and the folded
+// per-coordinate mean is the survivor count.
+func TestNodeShardedRound(t *testing.T) {
+	out := shardTest(t)
+	for _, want := range []string{
+		"complete: shards=[0 1] survivors=8 dropped=0, folded per-coordinate mean 8.00\n",
+		"mean ~8 over 2 contributing shard(s)\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("no %q in:\n%s", want, out)
+		}
+	}
+}
+
+// TestNodeShardedKillShard: shard 1 crashes on its first masked input;
+// with a quorum of one the round completes degraded over shard 0 and folds
+// exactly its four clients.
+func TestNodeShardedKillShard(t *testing.T) {
+	out := shardTest(t, "-kill-shard", "1", "-shard-quorum", "1")
+	for _, want := range []string{
+		"DEGRADED (missing shards [1]): shards=[0] survivors=4 dropped=0, folded per-coordinate mean 4.00\n",
+		"mean ~4 over 1 contributing shard(s)\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("no %q in:\n%s", want, out)
+		}
+	}
+}
+
+// TestNodeShardedTranscript: every client verifies its shard's signed
+// round root and that root's inclusion in the combiner's tree.
+func TestNodeShardedTranscript(t *testing.T) {
+	out := shardTest(t, "-transcript")
+	if !strings.Contains(out, "complete: shards=[0 1] survivors=8 ") ||
+		!strings.Contains(out, "transcripts: 8/8 clients verified their shard tier, 8 the combiner tier, ") {
+		t.Errorf("not every client verified both tiers:\n%s", out)
+	}
+}

@@ -202,6 +202,22 @@ func (n node) runShardRole(cfg secagg.Config, sf shardedFlags, listen string, ro
 	return nil
 }
 
+// crashOnMasked is -kill-shard's crash: the shard dies the moment the first
+// masked input reaches it — presence announced, keys shared, the round
+// under way, whatever its size — the worst-case loss for the combiner.
+type crashOnMasked struct {
+	transport.ServerConn
+	kill context.CancelFunc
+}
+
+func (c crashOnMasked) Recv(ctx context.Context) (transport.Frame, error) {
+	f, err := c.ServerConn.Recv(ctx)
+	if err == nil && f.Stage == secagg.TagMasked {
+		c.kill()
+	}
+	return f, err
+}
+
 // shardSelfTest runs the whole two-level topology in one process over
 // loopback TCP: a combiner, -shards shard aggregators (each a real TCP
 // server), and every client. killShard >= 0 cancels that shard's context
@@ -249,12 +265,21 @@ func (n node) shardSelfTest(ids []uint64, sf shardedFlags, threshold, dim, toler
 	for i := range shardIDs {
 		shardIDs[i] = uint64(i)
 	}
+	// ready holds every shard at the start line until all of them have
+	// their clients connected. Shards announce themselves to the combiner
+	// as they start their round, and the combiner's hello stage discards a
+	// partial that overtakes another shard's hello — which a small round
+	// manages when the shards start a client-poll interval apart.
+	var ready sync.WaitGroup
+	ready.Add(sf.shards)
 	var wg sync.WaitGroup
 	for s := 0; s < sf.shards; s++ {
 		s := s
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			arrive := sync.OnceFunc(ready.Done)
+			defer arrive() // a shard that failed to set up must not hold the others
 			sub, scfg := plan.Rosters[s], shardCfgs[s]
 			srv, err := transport.ListenTCP("127.0.0.1:0")
 			if err != nil {
@@ -279,13 +304,12 @@ func (n node) shardSelfTest(ids []uint64, sf shardedFlags, threshold, dim, toler
 				shardRec = transcript.NewRecorder(shardSigner)
 				shardPub = shardSigner.Public()
 			}
-			shardCtx := ctx
+			shardCtx, clientConn := ctx, transport.ServerConn(srv)
 			if s == sf.killShard {
 				var kill context.CancelFunc
 				shardCtx, kill = context.WithCancel(ctx)
-				// Crash after the clients are mid-protocol: presence announced,
-				// round under way — the worst-case loss for the combiner.
-				time.AfterFunc(300*time.Millisecond, kill)
+				defer kill()
+				clientConn = crashOnMasked{srv, kill}
 			}
 			var cwg sync.WaitGroup
 			for _, id := range sub {
@@ -323,12 +347,14 @@ func (n node) shardSelfTest(ids []uint64, sf shardedFlags, threshold, dim, toler
 				}()
 			}
 			waitForClients(srv, len(sub), 0)
+			arrive()
+			ready.Wait()
 			_, _, err = core.RunShardWire(shardCtx, core.ShardWireConfig{
 				Shard: uint64(s), Round: 1,
 				Server:                 core.WireServerConfig{SecAgg: scfg, StageDeadline: deadline, Transcript: shardRec},
 				ReportDeadline:         sf.combineDeadline,
 				RelayCombineTranscript: shardRec != nil,
-			}, srv, up)
+			}, clientConn, up)
 			if err != nil && s != sf.killShard {
 				n.warnf("shard %d: %v", s, err)
 			}

@@ -31,9 +31,6 @@ type substrate struct {
 	newSession       func() (clientSession, error)
 	unmarshalSession func([]byte) (clientSession, error)
 	newServerSession func() core.ServerSessionState
-	// adopt records in the session what the handshake committed beyond
-	// resume-or-re-key, before the session is persisted.
-	adopt func(clientSession, core.Handshake)
 	// serverRound runs one round and returns the printable outcome; sess is
 	// nil outside session mode.
 	serverRound func(ctx context.Context, conn transport.ServerConn, sess core.ServerSessionState, r round) (string, error)
@@ -82,9 +79,6 @@ func secAggSubstrate(cfg secagg.Config) substrate {
 			return secagg.UnmarshalSession(blob)
 		},
 		newServerSession: func() core.ServerSessionState { return secagg.NewServerSession() },
-		adopt: func(sess clientSession, hs core.Handshake) {
-			sess.(*secagg.Session).SetNoiseEpoch(hs.NoiseEpoch)
-		},
 		serverRound: func(ctx context.Context, conn transport.ServerConn, sess core.ServerSessionState, r round) (string, error) {
 			wc := core.WireServerConfig{
 				SecAgg: roundConfig(r), StageDeadline: r.deadline, Engine: r.eng, Transcript: r.rec,
@@ -156,7 +150,6 @@ func lightSecAggSubstrate(cfg lightsecagg.Config) substrate {
 			return lightsecagg.UnmarshalSession(blob)
 		},
 		newServerSession: func() core.ServerSessionState { return lightsecagg.NewServerSession() },
-		adopt:            func(clientSession, core.Handshake) {},
 		serverRound: func(ctx context.Context, conn transport.ServerConn, sess core.ServerSessionState, r round) (string, error) {
 			wc := lightsecagg.WireServerConfig{Config: roundConfig(r), StageDeadline: r.deadline, Engine: r.eng}
 			wc.Resume, wc.Divergent = r.resume()

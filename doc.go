@@ -62,8 +62,7 @@
 // uniform per draw, guard-banded tails falling back to the exact
 // two-Poisson sampler. Both sequences are golden-pinned. All parties
 // must draw under the same epoch for noise removal to cancel, so the
-// handshake pins it per round and persisted sessions carry it
-// (PROTOCOL.md).
+// handshake's signed offer and commit pin it per round (PROTOCOL.md).
 //
 // Parallel unmasking. The server's unmask step and the client's masking
 // step fan their independent PRG expansions (key agreement included)

@@ -198,6 +198,9 @@ func decodeRoundOffer(p []byte, serverPub []byte) (RoundOffer, error) {
 	if p[2] != handshakeVersion {
 		return RoundOffer{}, fmt.Errorf("core: round offer version %d, want %d", p[2], handshakeVersion)
 	}
+	if p[12]&^1 != 0 {
+		return RoundOffer{}, fmt.Errorf("core: round offer: unknown flag bits %#x", p[12])
+	}
 	var o RoundOffer
 	o.Round = binary.LittleEndian.Uint64(p[3:])
 	o.Protocol = Protocol(p[11])
@@ -264,6 +267,9 @@ func decodeRoundAck(p []byte) (RoundAck, error) {
 	if p[2] != handshakeVersion {
 		return RoundAck{}, fmt.Errorf("core: round ack version %d, want %d", p[2], handshakeVersion)
 	}
+	if p[19]&^7 != 0 {
+		return RoundAck{}, fmt.Errorf("core: round ack: unknown flag bits %#x", p[19])
+	}
 	var a RoundAck
 	a.Round = binary.LittleEndian.Uint64(p[3:])
 	a.From = binary.LittleEndian.Uint64(p[11:])
@@ -312,6 +318,9 @@ func decodeRoundCommit(p []byte, serverPub []byte) (RoundCommit, error) {
 	if p[2] != handshakeVersion {
 		return RoundCommit{}, fmt.Errorf("core: round commit version %d, want %d", p[2], handshakeVersion)
 	}
+	if p[11]&^3 != 0 {
+		return RoundCommit{}, fmt.Errorf("core: round commit: unknown flag bits %#x", p[11])
+	}
 	var c RoundCommit
 	c.Round = binary.LittleEndian.Uint64(p[3:])
 	c.Resume = p[11]&1 != 0
@@ -326,6 +335,11 @@ func decodeRoundCommit(p []byte, serverPub []byte) (RoundCommit, error) {
 	c.Divergent = div
 	if partial != (count > 0) || (partial && !c.Resume) {
 		return RoundCommit{}, fmt.Errorf("core: round commit divergent section inconsistent with flags")
+	}
+	for i := 1; i < count; i++ {
+		if div[i] <= div[i-1] {
+			return RoundCommit{}, fmt.Errorf("core: round commit divergent ids not strictly ascending at %d", div[i])
+		}
 	}
 	bodyLen := fixedLen + count*8
 	sg, err := decodeSigSection(p[bodyLen:])

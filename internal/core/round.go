@@ -352,10 +352,11 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 	if cfg.Sessions != nil {
 		var err error
 		if proto == ProtocolLightSecAgg {
-			if lsaSess, err = cfg.Sessions.acquireLightSecAgg(ids, rand); err != nil {
-				return nil, err
-			}
-		} else if sess, ratchet, err = cfg.Sessions.acquire(ids, rand); err != nil {
+			lsaSess, _, err = acquire(cfg.Sessions, &cfg.Sessions.lsa, ids, rand, lightsecagg.NewRoundSessions)
+		} else {
+			sess, ratchet, err = acquire(cfg.Sessions, &cfg.Sessions.sa, ids, rand, secagg.NewRoundSessions)
+		}
+		if err != nil {
 			return nil, err
 		}
 		// Taint scheduled droppers up front, before any chunk runs: the

@@ -2,10 +2,12 @@ package core
 
 import (
 	"io"
+	"slices"
 	"sync"
 
 	"repro/internal/lightsecagg"
 	"repro/internal/secagg"
+	"repro/internal/session"
 )
 
 // SessionPool owns the key-agreement sessions RunRound amortizes over: one
@@ -35,20 +37,14 @@ type SessionPool struct {
 	// may serve. Values ≤ 1 mean within-round amortization only.
 	RatchetRounds int
 
-	mu         sync.Mutex
-	sess       *secagg.RoundSessions
-	ids        []uint64
-	roundsUsed int
-
-	// LightSecAgg arm: rounds pinned to ProtocolLightSecAgg draw their
-	// sessions here instead. The reuse policy is the same RatchetRounds
-	// lifetime bound and same-roster requirement, but there is no taint
-	// set: LightSecAgg's server never reconstructs client key material
-	// (dropout recovery interpolates the aggregate mask), so a dropped
-	// client's session stays sound and droppers do not force a re-key.
-	lsa       *lightsecagg.RoundSessions
-	lsaIDs    []uint64
-	lsaRounds int
+	mu sync.Mutex
+	// One pooled key generation per substrate: rounds pinned to
+	// ProtocolLightSecAgg draw from lsa, all others from sa. The reuse
+	// policy is the same for both; only secagg's server ever taints
+	// (LightSecAgg's never reconstructs client key material, so a dropped
+	// client's session stays sound and droppers do not force a re-key).
+	sa  generation[*secagg.RoundSessions]
+	lsa generation[*lightsecagg.RoundSessions]
 }
 
 // NewSessionPool returns a pool that reuses each key generation for up to
@@ -57,87 +53,56 @@ func NewSessionPool(ratchetRounds int) *SessionPool {
 	return &SessionPool{RatchetRounds: ratchetRounds}
 }
 
-// acquire returns the sessions for a round over ids plus the ratchet step
-// the round must run at. It reuses the pooled sessions when the client set
-// is unchanged, the session layer carries no dropout taint, and the key
-// generation has rounds left; otherwise it generates fresh sessions
-// (step 0). Taint lives in secagg.ServerSession — the same store the wire
-// re-key handshake consults — so reconstruction observed by any driver
-// (in-process DropSchedule or a real wire dropout) forces the same re-key.
-func (p *SessionPool) acquire(ids []uint64, rand io.Reader) (*secagg.RoundSessions, uint64, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	max := p.RatchetRounds
-	if max < 1 {
-		max = 1
-	}
-	if p.sess != nil && p.roundsUsed < max && sameIDs(p.ids, ids) && !p.sess.Server.HasTaint() {
-		step := uint64(p.roundsUsed)
-		p.roundsUsed++
-		p.sess.Server.MarkRatchetUsed(step)
-		return p.sess, step, nil
-	}
-	sess, err := secagg.NewRoundSessions(ids, rand)
-	if err != nil {
-		return nil, 0, err
-	}
-	p.sess = sess
-	p.ids = append([]uint64(nil), ids...)
-	p.roundsUsed = 1
-	sess.Server.MarkRatchetUsed(0)
-	return sess, 0, nil
+// generation is one pooled key generation: a substrate's round sessions
+// (*secagg.RoundSessions or *lightsecagg.RoundSessions), the client set
+// they were generated for, and the rounds they have served (0: none pooled
+// yet). Taint is read from the sessions' own server state — the store the
+// wire re-key handshake consults too, so reconstruction observed by any
+// driver (in-process DropSchedule or a real wire dropout) forces the same
+// re-key.
+type generation[S any] struct {
+	sess   S
+	ids    []uint64
+	rounds int
 }
 
-// acquireLightSecAgg returns the LightSecAgg sessions for a round over
-// ids: the pooled set when the client roster is unchanged and the key
-// generation has rounds left (subsequent rounds then skip the advertise
-// stage on the cached roster), fresh sessions otherwise.
-func (p *SessionPool) acquireLightSecAgg(ids []uint64, rand io.Reader) (*lightsecagg.RoundSessions, error) {
+// acquire returns the sessions of generation g for a round over ids plus
+// the ratchet step the round must run at (KeyRatchet on secagg; on
+// LightSecAgg it only counts the round). It reuses the pooled generation
+// when the client set is unchanged, its server carries no dropout taint,
+// and it has rounds left; otherwise fresh (the substrate's
+// NewRoundSessions) replaces it, at step 0. The step is burned on the
+// server state either way.
+func acquire[S interface{ ServerState() *session.ServerState }](p *SessionPool, g *generation[S],
+	ids []uint64, rand io.Reader, fresh func([]uint64, io.Reader) (S, error)) (S, uint64, error) {
+
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	max := p.RatchetRounds
-	if max < 1 {
-		max = 1
+	if g.rounds == 0 || g.rounds >= max(p.RatchetRounds, 1) || !slices.Equal(g.ids, ids) ||
+		g.sess.ServerState().HasTaint() {
+
+		sess, err := fresh(ids, rand)
+		if err != nil {
+			return sess, 0, err
+		}
+		*g = generation[S]{sess: sess, ids: slices.Clone(ids)}
 	}
-	if p.lsa != nil && p.lsaRounds < max && sameIDs(p.lsaIDs, ids) {
-		p.lsaRounds++
-		return p.lsa, nil
-	}
-	sess, err := lightsecagg.NewRoundSessions(ids, rand)
-	if err != nil {
-		return nil, err
-	}
-	p.lsa = sess
-	p.lsaIDs = append([]uint64(nil), ids...)
-	p.lsaRounds = 1
-	return sess, nil
+	step := uint64(g.rounds)
+	g.rounds++
+	g.sess.ServerState().MarkRatchetUsed(step)
+	return g.sess, step, nil
 }
 
 // invalidate marks clients whose sessions must not survive into the next
 // round (the server reconstructed — or may have reconstructed — their mask
-// keys). The taint is recorded on the pooled secagg.ServerSession, the
-// same store Server.unmask taints organically when it actually
-// reconstructs a key; the next acquire sees it and regenerates every
-// session (a partial roster cannot skip the advertise stage anyway).
+// keys). The taint is recorded on the pooled secagg server state, the same
+// store Server.unmask taints organically when it actually reconstructs a
+// key; the next acquire sees it and regenerates every session (a partial
+// roster cannot skip the advertise stage anyway).
 func (p *SessionPool) invalidate(ids []uint64) {
-	if len(ids) == 0 {
-		return
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.sess != nil {
-		p.sess.Server.MarkTainted(ids...)
+	if p.sa.rounds > 0 {
+		p.sa.sess.ServerState().MarkTainted(ids...)
 	}
-}
-
-func sameIDs(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

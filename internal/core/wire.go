@@ -9,6 +9,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/ring"
 	"repro/internal/secagg"
+	"repro/internal/session"
 	"repro/internal/transcript"
 	"repro/internal/transport"
 )
@@ -106,7 +107,7 @@ func RunWireServer(ctx context.Context, cfg WireServerConfig, conn transport.Ser
 // soft case.
 func emitTranscript(rec *transcript.Recorder, round uint64, roster []secagg.AdvertiseMsg,
 	server *secagg.Server, res *secagg.Result, conn transport.ServerConn) error {
-	t, err := rec.BuildRound(round, secagg.RosterEntries(roster), server.MaskedDigests())
+	t, err := rec.BuildRound(round, session.RosterEntries(roster), server.MaskedDigests())
 	if err != nil {
 		return err
 	}

@@ -52,8 +52,8 @@ const maxPubBytes = 1 << 10
 // advertisement is the raw channel key; its sender is the link's to name.
 var wireCodec = engine.Codec{
 	wireAdvertise: engine.MsgOf(
-		func(m AdvertiseMsg) ([]byte, error) { return m.Pub, nil },
-		func(p []byte) (AdvertiseMsg, error) { return AdvertiseMsg{Pub: p}, nil }),
+		func(m AdvertiseMsg) ([]byte, error) { return m.CipherPub, nil },
+		func(p []byte) (AdvertiseMsg, error) { return AdvertiseMsg{CipherPub: p}, nil }),
 	wireRoster:    engine.MsgOf(encodeRoster, decodeRoster),
 	wireShares:    engine.MsgOf(encodeEnvelopes, decodeEnvelopes),
 	wireDeliver:   engine.MsgOf(encodeEnvelopes, decodeEnvelopes),
@@ -235,7 +235,7 @@ func encodeRoster(roster []AdvertiseMsg) ([]byte, error) {
 	w.Count(len(roster), maxEnvelopes)
 	for _, m := range roster {
 		w.Uint64(m.From)
-		w.Blob(m.Pub, maxPubBytes)
+		w.Blob(m.CipherPub, maxPubBytes)
 	}
 	return w.Done()
 }
@@ -248,7 +248,7 @@ func decodeRoster(p []byte) ([]AdvertiseMsg, error) {
 	if n := r.Count(10, maxEnvelopes); n > 0 {
 		roster = make([]AdvertiseMsg, n)
 		for i := range roster {
-			roster[i] = AdvertiseMsg{From: r.Uint64(), Pub: r.Blob(maxPubBytes)}
+			roster[i] = AdvertiseMsg{From: r.Uint64(), CipherPub: r.Blob(maxPubBytes)}
 		}
 	}
 	return roster, r.Done()

@@ -17,9 +17,9 @@ import (
 func controlCodecSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	roster, err := encodeRoster([]AdvertiseMsg{
-		{From: 1, Pub: bytes.Repeat([]byte{0x11}, 32)},
+		{From: 1, CipherPub: bytes.Repeat([]byte{0x11}, 32)},
 		{From: 2},
-		{From: 9, Pub: bytes.Repeat([]byte{0x99}, 32)},
+		{From: 9, CipherPub: bytes.Repeat([]byte{0x99}, 32)},
 	})
 	if err != nil {
 		tb.Fatal(err)

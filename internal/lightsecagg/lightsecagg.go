@@ -81,6 +81,7 @@ import (
 	"repro/internal/aead"
 	"repro/internal/field"
 	"repro/internal/prg"
+	"repro/internal/session"
 	"repro/internal/transcript"
 )
 
@@ -222,11 +223,10 @@ func lagrangeWeightsAt(xs []field.Element, x field.Element) ([]field.Element, er
 // Protocol messages. Drivers carry these typed in-process and through the
 // binary codec (codec.go) on the wire.
 
-// AdvertiseMsg is the stage-0 channel-key advertisement.
-type AdvertiseMsg struct {
-	From uint64
-	Pub  []byte // X25519 channel public key
-}
+// AdvertiseMsg is the stage-0 channel-key advertisement: the roster entry
+// the session layer caches, hashes and persists, with the X25519 channel
+// public key as its CipherPub (MaskPub and Signature stay empty).
+type AdvertiseMsg = session.Entry
 
 // Envelope is one AEAD-sealed coded share in transit. On the uplink, From
 // is the sealing client and To the addressee; the server re-stamps From
@@ -431,7 +431,7 @@ func fillUniformSpan(s *prg.Stream, out []field.Element) {
 
 // Advertise returns the stage-0 channel-key advertisement.
 func (c *Client) Advertise() AdvertiseMsg {
-	return AdvertiseMsg{From: c.id, Pub: c.session.PublicBytes()}
+	return AdvertiseMsg{From: c.id, CipherPub: c.session.PublicBytes()}
 }
 
 // encTile is the sub-vector tile of the blocked share encoding: all U
@@ -545,7 +545,7 @@ func (c *Client) installRoster(roster []AdvertiseMsg) error {
 		if _, dup := pubs[m.From]; dup {
 			return fmt.Errorf("lightsecagg: duplicate roster entry for %d", m.From)
 		}
-		pubs[m.From] = m.Pub
+		pubs[m.From] = m.CipherPub
 	}
 	if len(pubs) != len(c.cfg.ClientIDs) {
 		return fmt.Errorf("lightsecagg: roster covers %d/%d clients", len(pubs), len(c.cfg.ClientIDs))
@@ -658,7 +658,7 @@ func (c *Client) AggregateShare(survivors []uint64) ([]field.Element, error) {
 // order (engine.Stage.Apply contract).
 type Server struct {
 	cfg     Config
-	session *ServerSession // may be nil: no cross-round caching
+	session *ServerSession // never nil: a throwaway one when the caller passed none
 
 	roster map[uint64][]byte // stage 0: id → channel pub
 	outbox map[uint64][]Envelope
@@ -691,6 +691,9 @@ func NewSessionServer(cfg Config, sess *ServerSession) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if sess == nil {
+		sess = NewServerSession()
+	}
 	return &Server{cfg: cfg, session: sess}, nil
 }
 
@@ -705,7 +708,7 @@ func (s *Server) AddAdvertise(m AdvertiseMsg) error {
 	if _, dup := s.roster[m.From]; dup {
 		return fmt.Errorf("lightsecagg: duplicate advertisement from %d", m.From)
 	}
-	s.roster[m.From] = m.Pub
+	s.roster[m.From] = m.CipherPub
 	return nil
 }
 
@@ -741,7 +744,7 @@ func (s *Server) rosterBroadcast() []AdvertiseMsg {
 	out := make([]AdvertiseMsg, 0, len(s.roster))
 	for _, id := range s.cfg.ClientIDs {
 		if pub, ok := s.roster[id]; ok {
-			out = append(out, AdvertiseMsg{From: id, Pub: pub})
+			out = append(out, AdvertiseMsg{From: id, CipherPub: pub})
 		}
 	}
 	return out

@@ -22,8 +22,8 @@ func TestLSASessionPersistRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	roster := []AdvertiseMsg{
-		{From: 1, Pub: a.PublicBytes()},
-		{From: 2, Pub: b.PublicBytes()},
+		{From: 1, CipherPub: a.PublicBytes()},
+		{From: 2, CipherPub: b.PublicBytes()},
 	}
 	a.StoreRoster(roster)
 
@@ -62,7 +62,7 @@ func TestLSASessionPersistMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.StoreRoster([]AdvertiseMsg{{From: 1, Pub: make([]byte, 32)}})
+	s.StoreRoster([]AdvertiseMsg{{From: 1, CipherPub: make([]byte, 32)}})
 	blob, err := s.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)

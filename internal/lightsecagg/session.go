@@ -1,6 +1,7 @@
 package lightsecagg
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -9,7 +10,7 @@ import (
 	"repro/internal/aead"
 	"repro/internal/dh"
 	"repro/internal/field"
-	"repro/internal/transcript"
+	"repro/internal/session"
 )
 
 // Session amortization for LightSecAgg, mirroring secagg.Session. The
@@ -39,32 +40,30 @@ import (
 // secrecy for share confidentiality against endpoint-state compromise
 // (see ARCHITECTURE.md for the comparison with the secagg ratchet rules).
 type Session struct {
-	key *dh.KeyPair // X25519 channel key advertised in stage 0
+	// The shared continuity state: cached roster and the ratchet mark. On
+	// this substrate the mark counts the rounds the key generation has
+	// served and derives nothing (every mask is a fresh one-time pad;
+	// cross-round replay of sealed envelopes is prevented by the (Round,
+	// from, to) AEAD associated data instead) — it exists so the
+	// handshake's KeyRounds lifetime budget expires LightSecAgg key
+	// generations exactly as it does secagg's.
+	session.ClientState
 
-	mu      sync.Mutex
-	channel map[string][dh.SharedSize]byte // peer channel pub → agreed secret
-	roster  []AdvertiseMsg                 // cached stage-0 roster (advertise skip)
-	enc     *encodingMatrix                // cached Lagrange encoding matrix
+	mu  sync.Mutex
+	key *dh.KeyPair     // X25519 channel key advertised in stage 0
+	enc *encodingMatrix // cached Lagrange encoding matrix
 
-	// nextRound counts the rounds this key generation has served — the
-	// LightSecAgg face of the handshake's NextRatchet/MarkRatchetUsed
-	// surface. Unlike secagg's ratchet it derives no mask material (every
-	// mask is a fresh one-time pad); it exists so the handshake's
-	// KeyRounds lifetime budget expires LightSecAgg key generations too.
-	nextRound uint64
+	channel session.Secrets // peer channel pub → agreed secret (always step 0)
 }
 
 // NewSession generates the session's channel key pair with randomness
 // from rand.
 func NewSession(rand io.Reader) (*Session, error) {
-	key, err := dh.Generate(rand)
-	if err != nil {
+	s := &Session{}
+	if err := s.Rekey(rand); err != nil {
 		return nil, err
 	}
-	return &Session{
-		key:     key,
-		channel: make(map[string][dh.SharedSize]byte),
-	}, nil
+	return s, nil
 }
 
 // PublicBytes returns the session's advertised channel public key.
@@ -83,104 +82,19 @@ func (s *Session) keyPair() *dh.KeyPair {
 // for concurrent use — the in-process driver runs clients as goroutines
 // over shared sessions.
 func (s *Session) channelKey(peerPub []byte) ([aead.KeySize]byte, error) {
-	k := string(peerPub)
-	s.mu.Lock()
-	sec, ok := s.channel[k]
-	s.mu.Unlock()
-	if ok {
-		return sec, nil
-	}
-	// Agreement runs outside the lock (it is the expensive part and
-	// deterministic, so a racing duplicate computes the identical value).
-	sec, err := s.keyPair().Agree(peerPub)
-	if err != nil {
-		return sec, err
-	}
-	s.mu.Lock()
-	s.channel[k] = sec
-	s.mu.Unlock()
-	return sec, nil
+	key := s.keyPair()
+	return s.channel.At(string(peerPub), 0,
+		func() ([dh.SharedSize]byte, error) { return key.Agree(peerPub) })
 }
 
-// StoreRoster caches a stage-0 roster so a later round on the same
-// session can skip the advertise stage. The driver is responsible for
-// only storing rosters it obtained through a completed advertise stage.
-func (s *Session) StoreRoster(roster []AdvertiseMsg) {
-	cp := append([]AdvertiseMsg(nil), roster...)
-	s.mu.Lock()
-	s.roster = cp
-	s.mu.Unlock()
-}
-
-// Roster returns the cached stage-0 roster, or nil when none is stored.
-func (s *Session) Roster() []AdvertiseMsg {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.roster
-}
-
-// RosterEntries converts a stage-0 roster into the transcript layer's
-// leaf form. LightSecAgg advertises a single channel key, carried as the
-// entry's CipherPub with an empty MaskPub — the length-prefixed leaf
-// encoding keeps the two shapes from ever aliasing.
-func RosterEntries(roster []AdvertiseMsg) []transcript.RosterEntry {
-	out := make([]transcript.RosterEntry, len(roster))
-	for i, m := range roster {
-		out[i] = transcript.RosterEntry{ID: m.From, CipherPub: m.Pub}
-	}
-	return out
-}
-
-// RosterHash returns the canonical digest of a sealed stage-0 roster: the
-// Merkle root of the transcript layer's roster subtree
-// (transcript.RosterRoot) over every member's (id, channel pub) in roster
-// order — the LightSecAgg half of the re-key handshake's shared-state
-// check, and the roster commitment a round transcript's inclusion proofs
-// verify against (see internal/transcript).
-func RosterHash(roster []AdvertiseMsg) [32]byte {
-	return transcript.RosterRoot(RosterEntries(roster))
-}
-
-// StateHash returns the digest of the roster this session could resume on,
-// with ok=false when no completed advertise stage was cached.
-func (s *Session) StateHash() ([32]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.roster == nil {
-		return [32]byte{}, false
-	}
-	return RosterHash(s.roster), true
-}
-
-// Taint, ClearTaint and Tainted exist for handshake symmetry with
-// secagg.Session but are deliberately inert: LightSecAgg's server never
-// reconstructs client key material (dropout recovery interpolates the
-// aggregate mask, and every mask is a fresh one-time pad), so a client
-// that vanishes mid-round can still safely resume its channel keys.
+// Taint, ClearTaint and Tainted shadow the shared state's and are
+// deliberately inert: LightSecAgg's server never reconstructs client key
+// material (dropout recovery interpolates the aggregate mask, and every
+// mask is a fresh one-time pad), so a client that vanishes mid-round can
+// still safely resume its channel keys.
 func (s *Session) Taint()        {}
 func (s *Session) ClearTaint()   {}
 func (s *Session) Tainted() bool { return false }
-
-// NextRatchet returns the rounds-served counter of this key generation.
-// LightSecAgg has no mask ratchet (cross-round replay of sealed
-// envelopes is prevented by the (Round, from, to) AEAD associated data
-// instead), but the counter makes the handshake's KeyRounds lifetime
-// budget apply to LightSecAgg key generations exactly as it does to
-// secagg's.
-func (s *Session) NextRatchet() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nextRound
-}
-
-// MarkRatchetUsed advances the rounds-served counter (see NextRatchet).
-func (s *Session) MarkRatchetUsed(step uint64) {
-	s.mu.Lock()
-	if step >= s.nextRound {
-		s.nextRound = step + 1
-	}
-	s.mu.Unlock()
-}
 
 // Rekey replaces the session's channel key pair and drops the cached
 // secrets, the roster, and the rounds-served counter. The geometry-only
@@ -193,12 +107,9 @@ func (s *Session) Rekey(rand io.Reader) error {
 	}
 	s.mu.Lock()
 	s.key = key
-	for k := range s.channel {
-		delete(s.channel, k)
-	}
-	s.roster = nil
-	s.nextRound = 0
 	s.mu.Unlock()
+	s.channel.Clear()
+	s.Reset()
 	return nil
 }
 
@@ -209,26 +120,9 @@ func (s *Session) Rekey(rand io.Reader) error {
 // coming round (delivered with the merged roster broadcast) and the
 // dropped edges re-agree on first use.
 func (s *Session) RekeyEdges(ids []uint64) {
-	if len(ids) == 0 {
-		return
+	for _, m := range s.DropMembers(ids) {
+		s.channel.Delete(string(m.CipherPub))
 	}
-	drop := make(map[uint64]bool, len(ids))
-	for _, id := range ids {
-		drop[id] = true
-	}
-	s.mu.Lock()
-	kept := make([]AdvertiseMsg, 0, len(s.roster))
-	for _, m := range s.roster {
-		if drop[m.From] {
-			delete(s.channel, string(m.Pub))
-			continue
-		}
-		kept = append(kept, m)
-	}
-	// Fresh slice, not in-place: Roster() hands out the cached slice and a
-	// concurrent holder must keep seeing the roster it was given.
-	s.roster = kept
-	s.mu.Unlock()
 }
 
 // encodingMatrix holds the Lagrange basis weights w[rank][k] for
@@ -274,18 +168,21 @@ func (s *Session) matrix(cfg Config) (*encodingMatrix, error) {
 	return enc, nil
 }
 
-// ServerSession is the aggregator's cross-round state: the cached stage-0
-// roster (advertise skip) and the recovery interpolation weights keyed by
-// responder cohort — chunked rounds see the same cohort every chunk, so
-// the O(U²·(U−T)) weight computation runs once per cohort instead of once
-// per chunk. Safe for concurrent use. All methods are nil-receiver safe,
-// so the per-round Server calls them unconditionally.
+// ServerSession is the aggregator's cross-round state: the shared
+// continuity state (session.ServerState — the sealed roster for the
+// advertise skip and the rounds-served mark; the server never reconstructs
+// client key material, so its taint set stays empty) plus the recovery
+// interpolation weights keyed by responder cohort — chunked rounds see the
+// same cohort every chunk, so the O(U²·(U−T)) weight computation runs once
+// per cohort instead of once per chunk. There is no per-edge key material
+// on this substrate and the weights are key-independent, so Rekey and
+// RekeyEdges are the shared state's Reset and DropMembers. Safe for
+// concurrent use.
 type ServerSession struct {
-	mu        sync.Mutex
-	roster    []AdvertiseMsg
-	rosterIDs []uint64
-	recovery  map[string]recoveryEntry // cohort key → ranks + weights
-	nextRound uint64                   // rounds served (see NextRatchet)
+	session.ServerState
+
+	mu       sync.Mutex
+	recovery map[string]recoveryEntry // cohort key → ranks + weights
 }
 
 // recoveryEntry is one cached cohort's interpolation weights together
@@ -302,134 +199,16 @@ func NewServerSession() *ServerSession {
 	return &ServerSession{recovery: make(map[string]recoveryEntry)}
 }
 
-// StoreRoster caches the sealed stage-0 roster together with the client
-// set it was sealed for.
-func (s *ServerSession) StoreRoster(roster []AdvertiseMsg, clientIDs []uint64) {
-	if s == nil {
-		return
-	}
-	r := append([]AdvertiseMsg(nil), roster...)
-	ids := append([]uint64(nil), clientIDs...)
-	s.mu.Lock()
-	s.roster, s.rosterIDs = r, ids
-	s.mu.Unlock()
-}
-
-// RosterFor returns the cached roster if it was sealed for exactly the
-// given client set, else nil.
-func (s *ServerSession) RosterFor(clientIDs []uint64) []AdvertiseMsg {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.roster == nil || !sameIDs(s.rosterIDs, clientIDs) {
-		return nil
-	}
-	return s.roster
-}
-
-// StateHashFor returns the digest of the roster this session could resume
-// a round over clientIDs on, with ok=false when none is cached for that
-// client set. The roster need not cover every client: the handshake folds
-// the members it misses (MissingMembers) into the divergent subset, and
-// they re-advertise under a partial resume — the share exchange still
-// needs every sampled client, but their channel keys arrive with the
-// merged roster before it runs.
-func (s *ServerSession) StateHashFor(clientIDs []uint64) ([32]byte, bool) {
-	roster := s.RosterFor(clientIDs)
-	if len(roster) == 0 {
-		return [32]byte{}, false
-	}
-	return RosterHash(roster), true
-}
-
-// MissingMembers returns the subset of clientIDs the cached roster (for
-// exactly that client set) does not cover; a resumed round treats them as
-// divergent so they re-advertise. Returns nil when no roster is cached at
-// all. nil-receiver safe.
-func (s *ServerSession) MissingMembers(clientIDs []uint64) []uint64 {
-	roster := s.RosterFor(clientIDs)
-	if roster == nil {
-		return nil
-	}
-	have := make(map[uint64]bool, len(roster))
-	for _, m := range roster {
-		have[m.From] = true
-	}
-	var out []uint64
-	for _, id := range clientIDs {
-		if !have[id] {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// HasTaint reports false always: LightSecAgg's server never reconstructs
-// client key material, so dropouts do not poison the key generation (see
-// Session.Tainted).
-func (s *ServerSession) HasTaint() bool { return false }
-
-// TaintedMembers returns nil always (see HasTaint).
-func (s *ServerSession) TaintedMembers() []uint64 { return nil }
-
-// NextRatchet returns the rounds-served counter, mirroring
-// Session.NextRatchet: it enforces the handshake's KeyRounds lifetime
-// budget, not a mask ratchet.
-func (s *ServerSession) NextRatchet() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nextRound
-}
-
-// MarkRatchetUsed advances the rounds-served counter.
-func (s *ServerSession) MarkRatchetUsed(step uint64) {
-	s.mu.Lock()
-	if step >= s.nextRound {
-		s.nextRound = step + 1
-	}
-	s.mu.Unlock()
-}
-
 // Rekey drops the cached roster and the rounds-served counter so the
 // next round collects a fresh advertise stage. The recovery-weight cache
 // survives: it depends only on the geometry and responder ranks, not on
 // any key material.
-func (s *ServerSession) Rekey() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.roster, s.rosterIDs = nil, nil
-	s.nextRound = 0
-	s.mu.Unlock()
-}
+func (s *ServerSession) Rekey() { s.Reset() }
 
 // RekeyEdges drops the roster entries of the given divergent members so
 // their fresh advertisements replace them in the merged roster of a
-// partial resume. The server holds no per-edge key material on this
-// substrate (recovery weights are key-independent), so entries are all
-// there is to drop. nil-receiver safe.
-func (s *ServerSession) RekeyEdges(ids []uint64) {
-	if s == nil || len(ids) == 0 {
-		return
-	}
-	drop := make(map[uint64]bool, len(ids))
-	for _, id := range ids {
-		drop[id] = true
-	}
-	s.mu.Lock()
-	kept := make([]AdvertiseMsg, 0, len(s.roster))
-	for _, m := range s.roster {
-		if !drop[m.From] {
-			kept = append(kept, m)
-		}
-	}
-	// Fresh slice for the same aliasing reason as Session.RekeyEdges.
-	s.roster = kept
-	s.mu.Unlock()
-}
+// partial resume.
+func (s *ServerSession) RekeyEdges(ids []uint64) { s.DropMembers(ids) }
 
 // cohortKey identifies a recovery cohort by what the weights actually
 // depend on: the geometry (U, T) and the responders' *ranks* within the
@@ -454,7 +233,8 @@ func cohortKey(cfg Config, ranks []int) string {
 // are computed once and reused across the chunks that see it again;
 // callers pass responders in canonical (sorted) order so arrival-order
 // jitter between chunks still hits the cache and the map stays bounded
-// by the number of distinct cohorts.
+// by the number of distinct cohorts. A nil receiver computes cold and
+// caches nothing — the reference the cache tests compare against.
 func (s *ServerSession) recoveryWeights(cfg Config, responders []uint64) ([][]field.Element, error) {
 	u := cfg.RecoveryThreshold()
 	ranks := make([]int, len(responders))
@@ -646,6 +426,10 @@ type RoundSessions struct {
 	Server *ServerSession
 }
 
+// ServerState returns the server session's continuity state, the part of
+// the bundle core.SessionPool's reuse policy reads.
+func (rs *RoundSessions) ServerState() *session.ServerState { return &rs.Server.ServerState }
+
 // NewRoundSessions creates one client session per id (channel key
 // generation happens here, once per id instead of once per chunk) plus an
 // empty server session.
@@ -665,51 +449,15 @@ func NewRoundSessions(ids []uint64, rand io.Reader) (*RoundSessions, error) {
 }
 
 // resumable reports whether the sessions can skip the advertise stage for
-// cfg: the server session holds a roster sealed for exactly cfg.ClientIDs
-// and every member has a live client session whose advertised key matches
-// the cached entry. (The offline phase needs every sampled client, so
-// there is no partial-roster resume.)
+// cfg (session.ServerState.Resumable over every sampled client: the
+// offline phase needs them all, so there is no partial-roster resume;
+// rosterBroadcast follows ClientIDs order, so both are ascending).
 func (rs *RoundSessions) resumable(cfg Config) bool {
 	if rs == nil {
 		return false
 	}
-	roster := rs.Server.RosterFor(cfg.ClientIDs)
-	if roster == nil || len(roster) != len(cfg.ClientIDs) {
-		return false
-	}
-	for i, m := range roster {
-		// Both ascending: rosterBroadcast follows ClientIDs order.
-		if m.From != cfg.ClientIDs[i] {
-			return false
-		}
+	return rs.Server.Resumable(cfg.ClientIDs, cfg.ClientIDs, func(m AdvertiseMsg) bool {
 		sess := rs.Client[m.From]
-		if sess == nil || !sameBytes(sess.PublicBytes(), m.Pub) {
-			return false
-		}
-	}
-	return true
-}
-
-func sameIDs(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sameBytes(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+		return sess != nil && bytes.Equal(sess.PublicBytes(), m.CipherPub)
+	})
 }

@@ -253,7 +253,7 @@ func TestEnvelopeRoundDomainSeparation(t *testing.T) {
 	a := mkClient(1, 1)
 	roster := []AdvertiseMsg{}
 	for _, id := range cfg.ClientIDs {
-		roster = append(roster, AdvertiseMsg{From: id, Pub: sess.Client[id].PublicBytes()})
+		roster = append(roster, AdvertiseMsg{From: id, CipherPub: sess.Client[id].PublicBytes()})
 	}
 	envs, err := a.SealShares(roster)
 	if err != nil {

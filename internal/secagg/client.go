@@ -3,6 +3,7 @@ package secagg
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/aead"
@@ -151,7 +152,7 @@ func (c *Client) AdvertiseKeys() (AdvertiseMsg, error) {
 		MaskPub:   c.maskKey.PublicBytes(),
 	}
 	if c.cfg.Malicious {
-		msg.Signature = c.signer.Sign(msg.advertisePayload())
+		msg.Signature = c.signer.Sign(advertisePayload(msg))
 	}
 	return msg, nil
 }
@@ -177,7 +178,7 @@ func (c *Client) ShareKeys(roster []AdvertiseMsg) ([]EncryptedShareMsg, error) {
 			seenKeys[string(k)] = struct{}{}
 		}
 		if c.cfg.Malicious {
-			if !c.cfg.Registry.VerifyFrom(m.From, m.advertisePayload(), m.Signature) {
+			if !c.cfg.Registry.VerifyFrom(m.From, advertisePayload(m), m.Signature) {
 				return nil, fmt.Errorf("secagg: bad advertise signature from %d", m.From)
 			}
 		}
@@ -439,7 +440,7 @@ func (c *Client) Unmask(req UnmaskRequest) (UnmaskMsg, error) {
 			return UnmaskMsg{}, fmt.Errorf("secagg: |U3|=%d < t at client %d", len(req.U3), c.id)
 		}
 		c.u3 = append([]uint64(nil), req.U3...)
-	} else if !equalIDs(req.U3, c.u3) {
+	} else if !slices.Equal(req.U3, c.u3) {
 		return UnmaskMsg{}, fmt.Errorf("secagg: server changed U3 at client %d", c.id)
 	}
 	if len(req.U4) < c.cfg.Threshold {
@@ -605,18 +606,6 @@ func subset(sub, super []uint64) bool {
 	s := toSet(super)
 	for _, id := range sub {
 		if _, ok := s[id]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-func equalIDs(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
 			return false
 		}
 	}

@@ -84,8 +84,8 @@ type Config struct {
 	// Poisson-splitting Skellam sampler, epoch 1 CDF inversion throughout
 	// (xnoise.SamplerForEpoch). Client noise addition and server removal
 	// regenerate the same vectors only under the same epoch, so all parties
-	// must agree on it; the handshake pins it per round and persisted
-	// sessions carry it, so resumed peers never mix sequences.
+	// must agree on it; the handshake's signed offer and commit pin it per
+	// round, so resumed peers never mix sequences.
 	NoiseEpoch uint64
 
 	// Graph restricts pairwise masking and secret sharing to each client's

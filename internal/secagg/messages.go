@@ -4,20 +4,17 @@ import (
 	"encoding/binary"
 
 	"repro/internal/field"
+	"repro/internal/session"
 	"repro/internal/shamir"
 )
 
 // AdvertiseMsg is the stage-0 client message: the two ephemeral public
-// keys, optionally signed (malicious mode).
-type AdvertiseMsg struct {
-	From      uint64
-	CipherPub []byte // c^PK: channel-encryption key agreement
-	MaskPub   []byte // s^PK: pairwise-mask key agreement
-	Signature []byte // SIG.sign(d^SK, c^PK ∥ s^PK); empty when semi-honest
-}
+// keys, optionally signed (malicious mode). It is the roster entry the
+// session layer caches, hashes and persists.
+type AdvertiseMsg = session.Entry
 
 // advertisePayload is the byte string the stage-0 signature covers.
-func (m AdvertiseMsg) advertisePayload() []byte {
+func advertisePayload(m AdvertiseMsg) []byte {
 	out := make([]byte, 0, len(m.CipherPub)+len(m.MaskPub)+1)
 	out = append(out, m.CipherPub...)
 	out = append(out, '|')

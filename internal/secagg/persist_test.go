@@ -40,7 +40,6 @@ func TestSessionPersistRoundTrip(t *testing.T) {
 	a.StoreRoster(roster)
 	a.MarkRatchetUsed(1)
 	a.Taint()
-	a.SetNoiseEpoch(1)
 
 	blob, err := a.MarshalBinary()
 	if err != nil {
@@ -56,9 +55,6 @@ func TestSessionPersistRoundTrip(t *testing.T) {
 	}
 	if got := restored.NextRatchet(); got != 2 {
 		t.Fatalf("NextRatchet = %d, want 2", got)
-	}
-	if got := restored.NoiseEpoch(); got != 1 {
-		t.Fatalf("NoiseEpoch = %d, want 1", got)
 	}
 	wantHash, ok1 := a.StateHash()
 	gotHash, ok2 := restored.StateHash()
@@ -131,10 +127,10 @@ func TestSessionPersistMalformed(t *testing.T) {
 
 	// A lying section count must be rejected before allocation.
 	lying := append([]byte(nil), blob...)
-	// Roster count lives after magic(3)+privs(64)+ratchet(8)+flags(1)+epoch(8).
-	lying[3+64+8+1+8] = 0xFF
-	lying[3+64+8+1+8+1] = 0xFF
-	lying[3+64+8+1+8+2] = 0x0F
+	// Roster count lives after magic(3)+privs(64)+ratchet(8)+flags(1).
+	lying[3+64+8+1] = 0xFF
+	lying[3+64+8+1+1] = 0xFF
+	lying[3+64+8+1+2] = 0x0F
 	if _, err := UnmarshalSession(lying); err == nil {
 		t.Error("lying roster count: decode succeeded")
 	}
@@ -158,5 +154,42 @@ func TestSessionPersistSeeded(t *testing.T) {
 			_, _ = UnmarshalSession(mut) // must not panic
 		}
 		_, _ = UnmarshalSession(blob[:i])
+	}
+}
+
+// TestServerSessionPersistCarriesNoKeys pins the security boundary of the
+// server record: reconstructed keys and pairwise secrets must never
+// survive a persist/restore cycle.
+func TestServerSessionPersistCarriesNoKeys(t *testing.T) {
+	dropped, err := dh.Generate(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := dh.Generate(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := NewServerSession()
+	in.storeKey(dropped.PublicBytes(), dropped)
+	if _, err := in.pairSecret(dropped, peer.PublicBytes(), 0); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := in.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := UnmarshalServerSession(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.key(dropped.PublicBytes()) != nil {
+		t.Fatal("restored session carries a reconstructed key")
+	}
+	before := dh.AgreeCount()
+	if _, err := out.pairSecret(dropped, peer.PublicBytes(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if dh.AgreeCount() == before {
+		t.Fatal("restored session carries a pairwise secret")
 	}
 }

@@ -64,7 +64,7 @@ func (s *Server) Program(round *ServerRound) engine.ServerProgram {
 		},
 		Seal: func() (engine.Downlink, error) {
 			roster, err := s.SealAdvertise()
-			if err == nil && s.session != nil {
+			if err == nil {
 				s.session.StoreRoster(roster, cfg.ClientIDs)
 			}
 			round.Roster = roster

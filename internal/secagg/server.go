@@ -1,6 +1,7 @@
 package secagg
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -39,9 +40,10 @@ const maskedFoldBatch = 8
 type Server struct {
 	cfg Config
 
-	// session, when non-nil, caches reconstructed mask keys and pairwise
-	// secrets across the sub-rounds that share it (key-agreement
-	// amortization); nil means every unmasking re-agrees, the classic flow.
+	// session caches reconstructed mask keys and pairwise secrets across
+	// the sub-rounds that share it (key-agreement amortization). Never nil:
+	// a server constructed without one gets a throwaway session that lives
+	// for the round, the classic flow.
 	session *ServerSession
 
 	roster map[uint64]AdvertiseMsg
@@ -96,6 +98,9 @@ func NewServer(cfg Config) (*Server, error) {
 func NewSessionServer(cfg Config, sess *ServerSession) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if sess == nil {
+		sess = NewServerSession()
 	}
 	return &Server{cfg: cfg, session: sess}, nil
 }
@@ -514,7 +519,7 @@ func (s *Server) unmask() error {
 			}
 			// Sanity: the rebuilt key must match the advertised public key —
 			// detects clients that shared a wrong key (malicious behavior).
-			if !equalBytes(kp.PublicBytes(), advPub) {
+			if !bytes.Equal(kp.PublicBytes(), advPub) {
 				return fmt.Errorf("secagg: reconstructed key of %d does not match advertisement", v)
 			}
 			s.session.storeKey(advPub, kp)
@@ -529,7 +534,7 @@ func (s *Server) unmask() error {
 			uPub := s.roster[u].MaskPub
 			// Client u added γ_{u,v}·PRG; cancel it.
 			tasks = append(tasks, maskTask{sign: -pairMaskSign(u, v), make: func() (*prg.Stream, error) {
-				secret, err := s.pairSecret(kp, uPub)
+				secret, err := s.session.pairSecret(kp, uPub, s.cfg.KeyRatchet)
 				if err != nil {
 					return nil, fmt.Errorf("secagg: mask key agreement %d↔%d: %w", u, v, err)
 				}
@@ -546,20 +551,6 @@ func (s *Server) unmask() error {
 	}
 	s.sum = z
 	return nil
-}
-
-// pairSecret returns the (ratcheted) pairwise secret between a
-// reconstructed key and a survivor's advertised public key, via the
-// session cache when one is live.
-func (s *Server) pairSecret(kp *dh.KeyPair, peerPub []byte) ([dh.SharedSize]byte, error) {
-	if s.session != nil {
-		return s.session.pairSecret(kp, peerPub, s.cfg.KeyRatchet)
-	}
-	raw, err := kp.Agree(peerPub)
-	if err != nil {
-		return raw, err
-	}
-	return dh.RatchetN(raw, s.cfg.KeyRatchet), nil
 }
 
 // pairMaskSign returns γ_{u,v} (+1 iff u > v), mirroring the client's mask
@@ -726,16 +717,4 @@ func contains(ids []uint64, id uint64) bool {
 		}
 	}
 	return false
-}
-
-func equalBytes(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,6 +1,7 @@
 package secagg
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -9,7 +10,7 @@ import (
 	"repro/internal/aead"
 	"repro/internal/dh"
 	"repro/internal/prg"
-	"repro/internal/transcript"
+	"repro/internal/session"
 )
 
 // Key-agreement amortization (the "agree once, fork per-chunk streams"
@@ -55,75 +56,33 @@ func pairMaskSeed(secret [dh.SharedSize]byte, epoch uint64) prg.Seed {
 	return prg.Seed(dh.Expand(secret, info))
 }
 
-// ratchetedSecret is a cached pairwise secret at a given ratchet step.
-type ratchetedSecret struct {
-	step uint64
-	sec  [dh.SharedSize]byte
-}
-
-// advanceTo returns the secret ratcheted forward to step. It never goes
-// backwards; callers re-derive from the key pair when an earlier step is
-// needed (drivers advance monotonically, so that path is cold).
-func (r ratchetedSecret) advanceTo(step uint64) ratchetedSecret {
-	for r.step < step {
-		r.sec = dh.Ratchet(r.sec)
-		r.step++
-	}
-	return r
-}
-
 // Session is one client's amortized key-agreement state: the two X25519
 // key pairs it advertises and the pairwise secrets agreed with each peer,
 // cached across the sub-rounds (pipeline chunks) and rounds that share the
-// session. Safe for concurrent use — mask expansion fans agreements across
-// a worker pool.
+// session, on top of the shared continuity state (session.ClientState:
+// cached roster, in-flight taint, ratchet high-water mark). Taint is real
+// on this substrate — a client that vanished mid-round may have had its
+// mask key reconstructed by the server — and a ratchet step derives mask
+// streams, so resuming below the mark would repeat them. Safe for
+// concurrent use — mask expansion fans agreements across a worker pool.
 type Session struct {
+	session.ClientState
+
+	mu        sync.Mutex  // guards the key pairs (Rekey swaps them)
 	cipherKey *dh.KeyPair // c^PK / c^SK
 	maskKey   *dh.KeyPair // s^PK / s^SK
 
-	mu      sync.Mutex
-	mask    map[string]ratchetedSecret // peer mask pub → secret
-	channel map[string]ratchetedSecret // peer cipher pub → channel key
-	roster  []AdvertiseMsg             // cached stage-0 roster (advertise skip)
-
-	// Cross-round continuity state, driven by the re-key handshake
-	// (core.RunHandshakeClient) and persisted with the session:
-	//
-	//   - taint marks a round in flight or abandoned: set when the client
-	//     commits to a round, cleared only on clean completion. A client
-	//     that vanished mid-round may have had its mask key reconstructed
-	//     by the server, so a tainted session must never resume — the next
-	//     handshake reports the taint and forces a re-key.
-	//   - nextRatchet is the derivation-point high-water mark: the lowest
-	//     KeyRatchet step this key generation has not served yet. Resuming
-	//     at an earlier step would repeat pairwise mask streams, so the
-	//     handshake refuses offers below it.
-	taint       bool
-	nextRatchet uint64
-	// noiseEpoch is the noise draw-sequence version (Config.NoiseEpoch)
-	// the session last committed to in a handshake. Persisted so a
-	// restored client resumes under the sampler it negotiated rather
-	// than a process default — resumed peers must never mix epoch
-	// sequences within a round.
-	noiseEpoch uint64
+	mask    session.Secrets // peer mask pub → secret
+	channel session.Secrets // peer cipher pub → channel key
 }
 
 // NewSession generates the session's key pairs with randomness from rand.
 func NewSession(rand io.Reader) (*Session, error) {
-	cipherKey, err := dh.Generate(rand)
-	if err != nil {
+	s := &Session{}
+	if err := s.Rekey(rand); err != nil {
 		return nil, err
 	}
-	maskKey, err := dh.Generate(rand)
-	if err != nil {
-		return nil, err
-	}
-	return &Session{
-		cipherKey: cipherKey,
-		maskKey:   maskKey,
-		mask:      make(map[string]ratchetedSecret),
-		channel:   make(map[string]ratchetedSecret),
-	}, nil
+	return s, nil
 }
 
 // keyPairs returns the session's current key pairs under the lock (Rekey
@@ -134,49 +93,13 @@ func (s *Session) keyPairs() (cipherKey, maskKey *dh.KeyPair) {
 	return s.cipherKey, s.maskKey
 }
 
-// cachedAgreement resolves a pairwise secret at the given ratchet step
-// through a cache guarded by mu — the one cache protocol both Session and
-// ServerSession use: read under the lock; on a miss (or a request for an
-// earlier step than the cached one, which only a non-monotonic driver
-// produces) run the agreement outside the lock (it is the expensive part
-// and deterministic, so a racing duplicate computes the identical value);
-// ratchet forward to step; store only monotonically.
-func cachedAgreement(mu *sync.Mutex, cache map[string]ratchetedSecret, key string,
-	step uint64, agree func() ([dh.SharedSize]byte, error)) ([dh.SharedSize]byte, error) {
-
-	mu.Lock()
-	c, ok := cache[key]
-	mu.Unlock()
-	if !ok || c.step > step {
-		raw, err := agree()
-		if err != nil {
-			return raw, err
-		}
-		c = ratchetedSecret{step: 0, sec: raw}
-	}
-	c = c.advanceTo(step)
-	mu.Lock()
-	if cur, ok := cache[key]; !ok || cur.step <= c.step {
-		cache[key] = c
-	}
-	mu.Unlock()
-	return c.sec, nil
-}
-
-// secretFrom returns the shared secret with the peer at the given ratchet
-// step, agreeing on first use and caching the result.
-func (s *Session) secretFrom(kp *dh.KeyPair, cache map[string]ratchetedSecret,
-	peerPub []byte, step uint64) ([dh.SharedSize]byte, error) {
-
-	return cachedAgreement(&s.mu, cache, string(peerPub), step,
-		func() ([dh.SharedSize]byte, error) { return kp.Agree(peerPub) })
-}
-
 // maskSecret returns the pairwise-mask secret with the peer identified by
-// its advertised mask public key, at the given ratchet step.
+// its advertised mask public key, at the given ratchet step, agreeing on
+// first use and caching the result.
 func (s *Session) maskSecret(peerPub []byte, step uint64) ([dh.SharedSize]byte, error) {
 	_, maskKey := s.keyPairs()
-	return s.secretFrom(maskKey, s.mask, peerPub, step)
+	return s.mask.At(string(peerPub), step,
+		func() ([dh.SharedSize]byte, error) { return maskKey.Agree(peerPub) })
 }
 
 // channelSecret returns the channel-encryption key with the peer
@@ -184,124 +107,8 @@ func (s *Session) maskSecret(peerPub []byte, step uint64) ([dh.SharedSize]byte, 
 // step.
 func (s *Session) channelSecret(peerPub []byte, step uint64) ([aead.KeySize]byte, error) {
 	cipherKey, _ := s.keyPairs()
-	return s.secretFrom(cipherKey, s.channel, peerPub, step)
-}
-
-// StoreRoster caches a verified stage-0 roster so a later round on the
-// same session can skip the advertise stage. The driver is responsible for
-// only storing rosters it obtained through a completed advertise stage.
-func (s *Session) StoreRoster(roster []AdvertiseMsg) {
-	cp := append([]AdvertiseMsg(nil), roster...)
-	s.mu.Lock()
-	s.roster = cp
-	s.mu.Unlock()
-}
-
-// Roster returns the cached stage-0 roster, or nil when none is stored.
-func (s *Session) Roster() []AdvertiseMsg {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.roster
-}
-
-// RosterEntries converts a sealed stage-0 roster into the transcript
-// layer's leaf form: every member's (id, cipher pub, mask pub).
-// Signatures are excluded: they authenticate the advertisement but do not
-// change the key material a resumed round derives from.
-func RosterEntries(roster []AdvertiseMsg) []transcript.RosterEntry {
-	out := make([]transcript.RosterEntry, len(roster))
-	for i, m := range roster {
-		out[i] = transcript.RosterEntry{ID: m.From, CipherPub: m.CipherPub, MaskPub: m.MaskPub}
-	}
-	return out
-}
-
-// RosterHash returns the canonical digest of a sealed stage-0 roster: the
-// Merkle root of the transcript layer's roster subtree
-// (transcript.RosterRoot), one leaf per member's (id, cipher pub, mask
-// pub) in roster order. Server and clients cache the identical broadcast
-// roster, so equal hashes mean both sides hold the same key generation
-// for the same client set — the shared-state check of the re-key
-// handshake. Because the handshake pins this exact root, a round
-// transcript's roster commitment is the same value the client already
-// agreed to at offer time, and an inclusion proof for the client's own
-// advertise keys verifies against it (see internal/transcript).
-func RosterHash(roster []AdvertiseMsg) [32]byte {
-	return transcript.RosterRoot(RosterEntries(roster))
-}
-
-// StateHash returns the digest of the roster this session could resume on,
-// with ok=false when no completed advertise stage was cached. It is the
-// client's half of the handshake's shared-state check.
-func (s *Session) StateHash() ([32]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.roster == nil {
-		return [32]byte{}, false
-	}
-	return RosterHash(s.roster), true
-}
-
-// Taint marks a round in flight on this session: until ClearTaint, the
-// session must not resume (the server may have reconstructed the mask key
-// of a client that vanished mid-round). Drivers taint when they commit to
-// a round and clear only on clean completion, so a crash-and-restore
-// surfaces as taint at the next handshake.
-func (s *Session) Taint() {
-	s.mu.Lock()
-	s.taint = true
-	s.mu.Unlock()
-}
-
-// ClearTaint marks the in-flight round cleanly completed.
-func (s *Session) ClearTaint() {
-	s.mu.Lock()
-	s.taint = false
-	s.mu.Unlock()
-}
-
-// Tainted reports whether the session carries dropout taint.
-func (s *Session) Tainted() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.taint
-}
-
-// NextRatchet returns the lowest KeyRatchet step this key generation has
-// not served yet.
-func (s *Session) NextRatchet() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nextRatchet
-}
-
-// MarkRatchetUsed burns the derivation point at step: the session will
-// refuse to resume at or below it. Burning happens at handshake commit
-// time, before the round runs, so an aborted round still consumes its
-// step — reusing it would repeat every pairwise mask stream.
-func (s *Session) MarkRatchetUsed(step uint64) {
-	s.mu.Lock()
-	if step >= s.nextRatchet {
-		s.nextRatchet = step + 1
-	}
-	s.mu.Unlock()
-}
-
-// NoiseEpoch returns the noise draw-sequence version the session last
-// committed to (zero for a fresh session).
-func (s *Session) NoiseEpoch() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.noiseEpoch
-}
-
-// SetNoiseEpoch records the committed noise draw-sequence version.
-// Drivers call it with Handshake.NoiseEpoch before persisting, so a
-// crash-and-restore resumes under the negotiated sampler.
-func (s *Session) SetNoiseEpoch(epoch uint64) {
-	s.mu.Lock()
-	s.noiseEpoch = epoch
-	s.mu.Unlock()
+	return s.channel.At(string(peerPub), step,
+		func() ([dh.SharedSize]byte, error) { return cipherKey.Agree(peerPub) })
 }
 
 // Rekey replaces the session's key pairs with fresh ones and drops every
@@ -318,19 +125,10 @@ func (s *Session) Rekey(rand io.Reader) error {
 	}
 	s.mu.Lock()
 	s.cipherKey, s.maskKey = cipherKey, maskKey
-	// Clear the caches in place: the map headers are shared with concurrent
-	// cachedAgreement callers (which lock mu per access), so swapping them
-	// would race on the field reads.
-	for k := range s.mask {
-		delete(s.mask, k)
-	}
-	for k := range s.channel {
-		delete(s.channel, k)
-	}
-	s.roster = nil
-	s.taint = false
-	s.nextRatchet = 0
 	s.mu.Unlock()
+	s.mask.Clear()
+	s.channel.Clear()
+	s.Reset()
 	return nil
 }
 
@@ -340,65 +138,36 @@ func (s *Session) Rekey(rand io.Reader) error {
 // partial resume. The divergent members advertise fresh keys in the next
 // round, so only the edges touching them re-agree (their mask streams
 // restart from the new secrets); the rest of the graph keeps its cached
-// secrets and skips advertise. Taint and the ratchet position are left to
-// the handshake, which manages them around this call.
+// secrets and skips advertise.
 func (s *Session) RekeyEdges(ids []uint64) {
-	if len(ids) == 0 {
-		return
+	for _, m := range s.DropMembers(ids) {
+		s.mask.Delete(string(m.MaskPub))
+		s.channel.Delete(string(m.CipherPub))
 	}
-	drop := toSet(ids)
-	s.mu.Lock()
-	kept := make([]AdvertiseMsg, 0, len(s.roster))
-	for _, m := range s.roster {
-		if _, div := drop[m.From]; div {
-			delete(s.mask, string(m.MaskPub))
-			delete(s.channel, string(m.CipherPub))
-			continue
-		}
-		kept = append(kept, m)
-	}
-	// Fresh slice, not in-place: Roster() hands out the cached slice and a
-	// concurrent holder must keep seeing the roster it was given.
-	s.roster = kept
-	s.mu.Unlock()
 }
 
 // ServerSession is the aggregator's amortized key-agreement state: the
 // reconstructed-and-verified mask keys of dropped clients and the pairwise
 // secrets derived from them, cached across the sub-rounds and rounds that
-// share the session, plus the stage-0 roster for advertise skipping. Safe
-// for concurrent use.
+// share the session, on top of the shared continuity state
+// (session.ServerState: sealed roster, tainted members, ratchet high-water
+// mark). Reconstructing a key is what taints its owner. Safe for
+// concurrent use.
 type ServerSession struct {
-	mu        sync.Mutex
-	keys      map[string]*dh.KeyPair     // advertised mask pub → verified key
-	secrets   map[string]ratchetedSecret // canonical pub pair → secret
-	roster    []AdvertiseMsg
-	rosterIDs []uint64 // the ClientIDs the roster was sealed for
+	session.ServerState
 
-	// Cross-round continuity state (see Session): tainted collects the
-	// clients whose mask keys this server reconstructed — or may have —
-	// during the rounds sharing the session. Any taint forces the next
-	// handshake to re-key: a reconstructed key would let the server derive
-	// that client's future pairwise masks. nextRatchet is the server's
-	// derivation-point high-water mark, mirroring the clients'.
-	tainted     map[uint64]bool
-	nextRatchet uint64
+	mu      sync.Mutex
+	keys    map[string]*dh.KeyPair // advertised mask pub → verified key
+	secrets session.Secrets        // canonical pub pair → secret
 }
 
 // NewServerSession returns an empty server session.
 func NewServerSession() *ServerSession {
-	return &ServerSession{
-		keys:    make(map[string]*dh.KeyPair),
-		secrets: make(map[string]ratchetedSecret),
-	}
+	return &ServerSession{keys: make(map[string]*dh.KeyPair)}
 }
 
 // key returns the cached reconstructed key pair advertised as pub, or nil.
-// nil-receiver safe so the server can call it unconditionally.
 func (s *ServerSession) key(pub []byte) *dh.KeyPair {
-	if s == nil {
-		return nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.keys[string(pub)]
@@ -407,9 +176,6 @@ func (s *ServerSession) key(pub []byte) *dh.KeyPair {
 // storeKey caches a reconstructed key pair that was verified against the
 // advertised public key pub.
 func (s *ServerSession) storeKey(pub []byte, kp *dh.KeyPair) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	s.keys[string(pub)] = kp
 	s.mu.Unlock()
@@ -428,186 +194,43 @@ func pairKey(a, b []byte) string {
 // and the peer public key, at the given ratchet step, agreeing on first
 // use and caching by the unordered key pair.
 func (s *ServerSession) pairSecret(kp *dh.KeyPair, peerPub []byte, step uint64) ([dh.SharedSize]byte, error) {
-	return cachedAgreement(&s.mu, s.secrets, pairKey(kp.PublicBytes(), peerPub), step,
+	return s.secrets.At(pairKey(kp.PublicBytes(), peerPub), step,
 		func() ([dh.SharedSize]byte, error) { return kp.Agree(peerPub) })
 }
 
-// StoreRoster caches the sealed stage-0 roster together with the client
-// set it was sealed for.
-func (s *ServerSession) StoreRoster(roster []AdvertiseMsg, clientIDs []uint64) {
-	r := append([]AdvertiseMsg(nil), roster...)
-	ids := append([]uint64(nil), clientIDs...)
-	s.mu.Lock()
-	s.roster, s.rosterIDs = r, ids
-	s.mu.Unlock()
-}
-
-// RosterFor returns the cached roster if it was sealed for exactly the
-// given client set, else nil. nil-receiver safe.
-func (s *ServerSession) RosterFor(clientIDs []uint64) []AdvertiseMsg {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.roster == nil || !equalIDs(s.rosterIDs, clientIDs) {
-		return nil
-	}
-	return s.roster
-}
-
-// StateHashFor returns the digest of the roster this session could resume
-// a round over clientIDs on, with ok=false when none is cached for that
-// client set. The roster need not cover every client: members it misses
-// (dead or unheard at the sealing advertise stage) are reported by
-// MissingMembers and folded into the handshake's divergent subset — they
-// re-advertise under a partial resume instead of forcing a full re-key of
-// every cached edge, and instead of being silently excluded forever.
-func (s *ServerSession) StateHashFor(clientIDs []uint64) ([32]byte, bool) {
-	roster := s.RosterFor(clientIDs)
-	if len(roster) == 0 {
-		return [32]byte{}, false
-	}
-	return RosterHash(roster), true
-}
-
-// MissingMembers returns the subset of clientIDs the cached roster (for
-// exactly that client set) does not cover. These members hold no advertised
-// keys in the current generation, so a resumed round must treat them as
-// divergent: they re-advertise and their edges agree fresh. Returns nil
-// when no roster is cached at all (a full re-key applies then anyway).
-// nil-receiver safe.
-func (s *ServerSession) MissingMembers(clientIDs []uint64) []uint64 {
-	roster := s.RosterFor(clientIDs)
-	if roster == nil {
-		return nil
-	}
-	have := make(map[uint64]bool, len(roster))
-	for _, m := range roster {
-		have[m.From] = true
-	}
-	var out []uint64
-	for _, id := range clientIDs {
-		if !have[id] {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// MarkTainted records clients whose sessions must not survive into another
-// round on this key generation: the server reconstructed — or, for a
-// scheduled dropper, may reconstruct — their mask keys. nil-receiver safe.
-func (s *ServerSession) MarkTainted(ids ...uint64) {
-	if s == nil || len(ids) == 0 {
-		return
-	}
-	s.mu.Lock()
-	if s.tainted == nil {
-		s.tainted = make(map[uint64]bool, len(ids))
-	}
-	for _, id := range ids {
-		s.tainted[id] = true
-	}
-	s.mu.Unlock()
-}
-
-// HasTaint reports whether any client's key material was (or may have
-// been) reconstructed during this key generation. nil-receiver safe.
-func (s *ServerSession) HasTaint() bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.tainted) > 0
-}
-
-// TaintedMembers returns the ids whose mask keys this server reconstructed
-// (or may have) during this key generation, ascending. The handshake folds
-// them into the divergent subset of a partial resume: re-keying exactly
-// those members' edges removes the reconstruction hazard without burning
-// the rest of the graph's cached secrets. nil-receiver safe.
-func (s *ServerSession) TaintedMembers() []uint64 {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return sortedIDs(s.tainted)
-}
-
-// NextRatchet returns the lowest KeyRatchet step this key generation has
-// not served yet.
-func (s *ServerSession) NextRatchet() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nextRatchet
-}
-
-// MarkRatchetUsed burns the derivation point at step (see
-// Session.MarkRatchetUsed).
-func (s *ServerSession) MarkRatchetUsed(step uint64) {
-	s.mu.Lock()
-	if step >= s.nextRatchet {
-		s.nextRatchet = step + 1
-	}
-	s.mu.Unlock()
-}
-
 // RekeyEdges drops the cached state touching the given divergent members —
-// their roster entries, any reconstructed key pairs, every pairwise secret
-// with one end at a divergent member, and their taint marks — while keeping
+// their roster entries and taint marks, any reconstructed key pairs, and
+// every pairwise secret with one end at a divergent member — while keeping
 // all other edges. This is the server half of the handshake's partial
-// resume: only the divergent members' edges re-key next round, so a past
-// reconstruction poisons exactly the dropper's edges instead of the whole
-// key generation. nil-receiver safe.
+// resume.
 func (s *ServerSession) RekeyEdges(ids []uint64) {
-	if s == nil || len(ids) == 0 {
+	dropped := s.DropMembers(ids)
+	if len(dropped) == 0 {
 		return
 	}
-	drop := toSet(ids)
+	dropPubs := make(map[string]bool, len(dropped))
 	s.mu.Lock()
-	dropPubs := make(map[string]bool, len(ids))
-	kept := make([]AdvertiseMsg, 0, len(s.roster))
-	for _, m := range s.roster {
-		if _, div := drop[m.From]; div {
-			dropPubs[string(m.MaskPub)] = true
-			delete(s.keys, string(m.MaskPub))
-			continue
-		}
-		kept = append(kept, m)
-	}
-	// Fresh slice for the same aliasing reason as Session.RekeyEdges.
-	s.roster = kept
-	for k := range s.secrets {
-		// pairKey concatenates two mask public keys; drop the pair when
-		// either half belongs to a divergent member.
-		if len(k) == 2*dh.PublicKeySize &&
-			(dropPubs[k[:dh.PublicKeySize]] || dropPubs[k[dh.PublicKeySize:]]) {
-			delete(s.secrets, k)
-		}
-	}
-	for _, id := range ids {
-		delete(s.tainted, id)
+	for _, m := range dropped {
+		dropPubs[string(m.MaskPub)] = true
+		delete(s.keys, string(m.MaskPub))
 	}
 	s.mu.Unlock()
+	// pairKey concatenates two mask public keys; drop the pair when either
+	// half belongs to a divergent member.
+	s.secrets.DeleteFunc(func(k string) bool {
+		return len(k) == 2*dh.PublicKeySize &&
+			(dropPubs[k[:dh.PublicKeySize]] || dropPubs[k[dh.PublicKeySize:]])
+	})
 }
 
 // Rekey drops every cached key, secret, roster, taint, and the ratchet
 // position: the next round collects a fresh advertise stage from scratch.
 func (s *ServerSession) Rekey() {
 	s.mu.Lock()
-	for k := range s.keys {
-		delete(s.keys, k)
-	}
-	for k := range s.secrets {
-		delete(s.secrets, k)
-	}
-	s.roster, s.rosterIDs = nil, nil
-	s.tainted = nil
-	s.nextRatchet = 0
+	clear(s.keys)
 	s.mu.Unlock()
+	s.secrets.Clear()
+	s.Reset()
 }
 
 // RoundSessions bundles the per-participant sessions a driver shares
@@ -625,6 +248,10 @@ type RoundSessions struct {
 	mu     sync.Mutex
 	served map[[2]uint64]bool // (KeyRatchet, MaskEpoch) already used
 }
+
+// ServerState returns the server session's continuity state, the part of
+// the bundle core.SessionPool's reuse policy reads.
+func (rs *RoundSessions) ServerState() *session.ServerState { return &rs.Server.ServerState }
 
 // markServed records that a sub-round ran at the derivation point and
 // rejects reuse of an already-served point.
@@ -663,39 +290,21 @@ func NewRoundSessions(ids []uint64, rand io.Reader) (*RoundSessions, error) {
 }
 
 // resumable reports whether the sessions can skip the advertise stage for
-// cfg under the round's drop schedule: the server session holds a roster
-// sealed for exactly cfg.ClientIDs whose members are exactly the clients
-// alive at the advertise stage (so a client that was dead when the roster
-// was sealed but has since recovered forces a fresh advertise stage
-// instead of being silently excluded forever), and every member has a
-// live client session whose advertised keys match the cached entry.
+// cfg under the round's drop schedule (session.ServerState.Resumable over
+// the clients alive at the advertise stage; SealAdvertise sorts the roster
+// and Validate sorts ClientIDs, so both are ascending).
 func (rs *RoundSessions) resumable(cfg *Config, drops DropSchedule) bool {
 	if rs == nil {
 		return false
 	}
-	roster := rs.Server.RosterFor(cfg.ClientIDs)
-	if roster == nil {
-		return false
-	}
-	expect := drops.participants(cfg.ClientIDs, StageAdvertiseKeys)
-	if len(roster) != len(expect) {
-		return false
-	}
-	for i, m := range roster {
-		// Both are ascending: SealAdvertise sorts the roster and ClientIDs
-		// are sorted by Validate.
-		if m.From != expect[i] {
-			return false
-		}
-		sess := rs.Client[m.From]
-		if sess == nil {
-			return false
-		}
-		cipherKey, maskKey := sess.keyPairs()
-		if !equalBytes(cipherKey.PublicBytes(), m.CipherPub) ||
-			!equalBytes(maskKey.PublicBytes(), m.MaskPub) {
-			return false
-		}
-	}
-	return true
+	return rs.Server.Resumable(cfg.ClientIDs, drops.participants(cfg.ClientIDs, StageAdvertiseKeys),
+		func(m AdvertiseMsg) bool {
+			sess := rs.Client[m.From]
+			if sess == nil {
+				return false
+			}
+			cipherKey, maskKey := sess.keyPairs()
+			return bytes.Equal(cipherKey.PublicBytes(), m.CipherPub) &&
+				bytes.Equal(maskKey.PublicBytes(), m.MaskPub)
+		})
 }

@@ -83,8 +83,6 @@ func TestPerChunkMaskDeterminism(t *testing.T) {
 		return &Session{
 			cipherKey: s.cipherKey,
 			maskKey:   s.maskKey,
-			mask:      make(map[string]ratchetedSecret),
-			channel:   make(map[string]ratchetedSecret),
 		}
 	}
 	u1, err := NewSession(sessionRand("u"))

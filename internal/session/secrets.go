@@ -1,0 +1,91 @@
+package session
+
+import (
+	"sync"
+
+	"repro/internal/dh"
+)
+
+// ratchetedSecret is a cached pairwise secret at a given ratchet step.
+type ratchetedSecret struct {
+	step uint64
+	sec  [dh.SharedSize]byte
+}
+
+// advanceTo returns the secret ratcheted forward to step. It never goes
+// backwards; callers re-derive from the key pair when an earlier step is
+// needed (drivers advance monotonically, so that path is cold).
+func (r ratchetedSecret) advanceTo(step uint64) ratchetedSecret {
+	for r.step < step {
+		r.sec = dh.Ratchet(r.sec)
+		r.step++
+	}
+	return r
+}
+
+// Secrets caches pairwise X25519 secrets by a caller-chosen key (the
+// peer's public key, or a canonical key pair) together with the ratchet
+// step each was last advanced to. It is the one cache every session uses,
+// so an m-chunk round agrees once per pair instead of m times and a
+// resumed round not at all. The zero value is an empty cache. Safe for
+// concurrent use — mask expansion fans agreements across a worker pool.
+type Secrets struct {
+	mu sync.Mutex
+	m  map[string]ratchetedSecret
+}
+
+// At resolves the secret cached under key at the given ratchet step: read
+// under the lock; on a miss (or a request for an earlier step than the
+// cached one, which only a non-monotonic driver produces) run agree
+// outside the lock (it is the expensive part and deterministic, so a
+// racing duplicate computes the identical value); ratchet forward to step;
+// store only monotonically.
+func (c *Secrets) At(key string, step uint64,
+	agree func() ([dh.SharedSize]byte, error)) ([dh.SharedSize]byte, error) {
+
+	c.mu.Lock()
+	r, ok := c.m[key]
+	c.mu.Unlock()
+	if !ok || r.step > step {
+		raw, err := agree()
+		if err != nil {
+			return raw, err
+		}
+		r = ratchetedSecret{step: 0, sec: raw}
+	}
+	r = r.advanceTo(step)
+	c.mu.Lock()
+	if cur, ok := c.m[key]; !ok || cur.step <= r.step {
+		if c.m == nil {
+			c.m = make(map[string]ratchetedSecret)
+		}
+		c.m[key] = r
+	}
+	c.mu.Unlock()
+	return r.sec, nil
+}
+
+// Delete drops the secret cached under key, if any.
+func (c *Secrets) Delete(key string) {
+	c.mu.Lock()
+	delete(c.m, key)
+	c.mu.Unlock()
+}
+
+// DeleteFunc drops every secret whose key del reports true for.
+func (c *Secrets) DeleteFunc(del func(key string) bool) {
+	c.mu.Lock()
+	for k := range c.m {
+		if del(k) {
+			delete(c.m, k)
+		}
+	}
+	c.mu.Unlock()
+}
+
+// Clear drops every cached secret.
+func (c *Secrets) Clear() {
+	c.mu.Lock()
+	clear(c.m)
+	c.mu.Unlock()
+}
