@@ -16,14 +16,9 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"runtime"
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/hotpath"
-	"repro/internal/prg"
-	"repro/internal/ring"
-	"repro/internal/xnoise"
 )
 
 func benchExperiment(b *testing.B, id string, sc experiments.Scale) {
@@ -138,61 +133,4 @@ func BenchmarkAblationMechanisms(b *testing.B) {
 // vs SecAgg-based distributed DP (§2.2 aside).
 func BenchmarkAblationShuffle(b *testing.B) {
 	benchExperiment(b, "ablU", experiments.QuickScale())
-}
-
-// BenchmarkMulticoreMatrix sweeps GOMAXPROCS over the protocol hot
-// paths (internal/hotpath — the same workloads dordis-bench -hotpath
-// runs): Skellam sampling under every noise epoch, seekable-CTR
-// segmented mask expansion at large dim, and the whole amortized
-// XNoise round at the default epoch. Sampling is single-threaded, so
-// its rows should be flat across procs — they pin that the matrix
-// isolates the parallel paths rather than measuring scheduler noise. Recorded numbers live
-// in BENCH_SECAGG_HOTPATH.json (pr7 entries); note that on a 1-core
-// CI box the procs>1 rows timeshare, so only ratios at matching procs
-// are meaningful there.
-func BenchmarkMulticoreMatrix(b *testing.B) {
-	const (
-		skellamDim = 4096
-		skellamMu  = 16
-		maskDim    = 1 << 16
-		roundN     = 16
-		roundDim   = 16384
-	)
-	for _, procs := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			for epoch := uint64(0); epoch <= xnoise.MaxNoiseEpoch; epoch++ {
-				b.Run(fmt.Sprintf("skellam/mu=%d/epoch=%d", skellamMu, epoch), func(b *testing.B) {
-					s := prg.NewStream(prg.NewSeed([]byte("multicore-skellam")))
-					out := make([]int64, skellamDim)
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if err := hotpath.Skellam(epoch, s, skellamMu, out); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(skellamDim), "ns/elem")
-				})
-			}
-			b.Run(fmt.Sprintf("maskexpand/dim=%d", maskDim), func(b *testing.B) {
-				v := ring.NewVector(20, maskDim)
-				s := prg.NewStream(prg.NewSeed([]byte("multicore-mask")))
-				b.SetBytes(int64(maskDim) * 8)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := hotpath.MaskExpand(v, s, procs); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(maskDim), "ns/elem")
-			})
-			b.Run(fmt.Sprintf("round/n=%d/dim=%d", roundN, roundDim), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if err := hotpath.Round(roundN, roundDim, 0); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
 }

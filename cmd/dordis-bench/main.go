@@ -8,21 +8,11 @@
 //	dordis-bench -exp fig8
 //	dordis-bench -exp table2 -scale paper
 //	dordis-bench -exp all -scale quick
-//	dordis-bench -hotpath -cores 1,2,4
-//	dordis-bench -sharded
 //
-// Protocol-level hot-path microbenchmarks mostly live in the go
-// benchmarks (go test -bench . ./...) with their recorded before/after
-// numbers in BENCH_SECAGG_HOTPATH.json; the -hotpath mode is the one
-// exception, running the GOMAXPROCS × workload matrix (Skellam
-// sampling per noise epoch, segmented mask expansion, whole amortized
-// round) from the CLI — the same workloads as the root
-// BenchmarkMulticoreMatrix. Note for readers of
-// older revisions: since the session layer, chunked rounds agree keys
-// once per (round, pair) — n·k X25519 agreements per round, not m·n·k
-// across m chunks — on every substrate, including the engine-unified
-// LightSecAgg baseline; the per-chunk-keys numbers survive only as
-// reference paths inside those benches.
+// Protocol-level measurements live elsewhere: the per-package go
+// benchmarks (go test -bench . ./...) and the round benchmark
+// (go run -C bench . — four end-to-end workloads plus a per-layer ledger,
+// host-tagged; see bench/README.md).
 package main
 
 import (
@@ -35,29 +25,11 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "", "experiment id (or 'all')")
-		scale   = flag.String("scale", "quick", "fidelity: quick | paper")
-		list    = flag.Bool("list", false, "list experiment ids")
-		hotpath = flag.Bool("hotpath", false, "run the GOMAXPROCS × hot-path matrix instead of an experiment")
-		cores   = flag.String("cores", "1,2,4", "comma-separated GOMAXPROCS values for -hotpath")
-		sharded = flag.Bool("sharded", false, "run the sharded scaling sweep (clients × shard-count matrix, combiner overhead ratio)")
+		exp   = flag.String("exp", "", "experiment id (or 'all')")
+		scale = flag.String("scale", "quick", "fidelity: quick | paper")
+		list  = flag.Bool("list", false, "list experiment ids")
 	)
 	flag.Parse()
-
-	if *hotpath {
-		if err := runHotpath(*cores); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		return
-	}
-	if *sharded {
-		if err := runShardedSweep(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		return
-	}
 
 	if *list || *exp == "" {
 		fmt.Println("experiments:")

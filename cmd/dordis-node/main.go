@@ -1,24 +1,29 @@
 // Command dordis-node runs one party of a Dordis aggregation service over
-// TCP — the deployment flavor of the protocol stack. Start a server, then
-// clients (one process each, e.g. on different machines):
+// TCP — the deployment flavor of the protocol stack. The flags parse into
+// one config, validated once against -role, and every role runs from it:
+//
+//   - the server loop (-role server; -role shard is the same loop plus an
+//     upward connection to -combiner-addr, see sharded.go),
+//   - the client loop (-role client),
+//   - the root combiner of the sharded topology (-role combiner),
+//   - the self-tests (-role selftest | shardtest), which start those same
+//     role functions on loopback listeners in one process.
+//
+// Start a server, then clients (one process each, e.g. on different
+// machines) — or the whole round in one process for a smoke test:
 //
 //	dordis-node -role server -listen :7700 -clients 1,2,3,4,5 -threshold 3
 //	dordis-node -role client -connect host:7700 -id 1 -clients 1,2,3,4,5 -threshold 3 -value 7
-//
-// Or run the whole round in one process for a smoke test:
-//
 //	dordis-node -role selftest
 //
 // Every client contributes a constant vector of its -value; the server
 // prints the unmasked aggregate. With -tolerance > 0 the round runs
 // XNoise with the given dropout tolerance and target noise level.
-//
 // -protocol lightsecagg runs the LightSecAgg baseline instead (one-shot
-// mask recovery, no DP noise): -tolerance then means the dropout
-// tolerance D and -threshold the privacy threshold T. The server, client
-// and selftest roles — single round or session mode — are the same code
-// under either protocol (substrate.go holds the whole difference);
-// transcripts and the sharded roles are SecAgg-only.
+// mask recovery, no DP noise; -tolerance is then the dropout tolerance D
+// and -threshold the privacy threshold T) through the same loops —
+// substrate.go holds the whole difference; transcripts and the sharded
+// roles are SecAgg-only.
 //
 // # Sessions, resume, and the re-key handshake
 //
@@ -28,7 +33,7 @@
 // *resumes* the live key generation — skipping the advertise stage and
 // performing zero X25519 key generations and zero agreements — or
 // re-keys from scratch. Resume requires -key-rounds > 1 on the server
-// and succeeds only while every client's session state hash matches the
+// (or shard) and succeeds only while every client's session state hash matches the
 // server's, nobody carries dropout taint (a client that vanished
 // mid-round may have had its mask key reconstructed), and the key
 // generation has rounds left. Divergence of a *few* members downgrades
@@ -122,185 +127,224 @@ func (n node) warnf(format string, args ...any) {
 	fmt.Fprintf(n.errOut, "dordis-node: "+format+"\n", args...)
 }
 
+// config is one party's whole configuration: the flags as parsed, then
+// what resolve and open derive from them. Every role runs from one value;
+// the self-tests hand each party they start a copy.
+type config struct {
+	role, protocol, clients       string
+	listen, connect, combinerAddr string
+	id, value, shardID            uint64
+	noiseEpoch                    uint64
+	threshold, dim, tolerance     int
+	mu                            float64
+	deadline, combineDeadline     time.Duration
+	rounds, keyRounds             int
+	sessionDir, sessionKeyFile    string
+	signKeyFile                   string
+	serverPubHex, combinerPubHex  string
+	transcript, verifyTranscript  bool
+	shards, shardQuorum           int
+	killShard                     int
+
+	// resolve: the parsed -clients, the substrate over this party's roster
+	// (server, shard and client roles) and the client's transcript auditors
+	// (nil without -verify-transcript).
+	ids       []uint64
+	sub       substrate
+	serverPub []byte // the client's -server-pub pin, decoded
+	aud       *transcript.Auditor
+	caud      *transcript.CombineAuditor
+	// open: what the role keeps on disk. A nil signer means unsigned
+	// operation, a nil store that sessions live in process memory.
+	signer *sig.Signer
+	store  *sessionstore.Store
+}
+
+// flags declares the command line over c.
+func (c *config) flags(fs *flag.FlagSet) {
+	fs.StringVar(&c.role, "role", "selftest", "server | client | selftest | combiner | shard | shardtest")
+	fs.StringVar(&c.listen, "listen", "127.0.0.1:7700", "server listen address")
+	fs.StringVar(&c.connect, "connect", "127.0.0.1:7700", "client: server address")
+	fs.Uint64Var(&c.id, "id", 0, "client id (must appear in -clients)")
+	fs.StringVar(&c.clients, "clients", "1,2,3,4,5", "comma-separated sampled client ids")
+	fs.IntVar(&c.threshold, "threshold", 3, "SecAgg threshold t (lightsecagg: privacy threshold T)")
+	fs.IntVar(&c.dim, "dim", 64, "vector dimension")
+	fs.Uint64Var(&c.value, "value", 1, "client: constant vector value")
+	fs.IntVar(&c.tolerance, "tolerance", 1, "XNoise dropout tolerance T (0 = plain SecAgg; lightsecagg: dropout tolerance D)")
+	fs.Float64Var(&c.mu, "mu", 25, "XNoise central noise variance target")
+	fs.DurationVar(&c.deadline, "deadline", 3*time.Second, "per-stage collection deadline")
+	fs.StringVar(&c.protocol, "protocol", "secagg", "secagg | lightsecagg")
+	fs.Uint64Var(&c.noiseEpoch, "noise-epoch", 0,
+		"XNoise draw-sequence version: 0 = Poisson-splitting sampler, 1 = CDF inversion throughout; in session mode the server announces it via the handshake and clients adopt the committed value")
+
+	fs.IntVar(&c.rounds, "rounds", 1,
+		"consecutive rounds to run; > 1 enables the per-round re-key handshake")
+	fs.StringVar(&c.sessionDir, "session-dir", "",
+		"client: directory of the AEAD-encrypted session store; enables session persistence and the handshake")
+	fs.StringVar(&c.sessionKeyFile, "session-key-file", "",
+		"client: file holding the session store's key material (created with random bytes on first use; defaults to <session-dir>/store.key)")
+	fs.IntVar(&c.keyRounds, "key-rounds", 1,
+		"server/shard: rounds one key generation may serve; > 1 lets handshakes resume sessions across rounds, <= 1 re-keys every round (conservative default)")
+	fs.StringVar(&c.signKeyFile, "sign-key-file", "",
+		"server/shard/combiner: Ed25519 seed file for signing handshake offers/commits and transcript roots (created on first use; prints the verification key)")
+	fs.StringVar(&c.serverPubHex, "server-pub", "",
+		"client: hex Ed25519 verification key; when set, unsigned or mis-signed handshakes are rejected")
+
+	fs.BoolVar(&c.transcript, "transcript", false,
+		"server/shard/combiner: commit each round to a Merkle transcript with chained, signed roots (-sign-key-file) and serve clients inclusion proofs; enable on every aggregator role of a topology together")
+	fs.BoolVar(&c.verifyTranscript, "verify-transcript", false,
+		"client: require and verify the round transcript proof for this client's own contribution; pins -server-pub when set (and -combiner-pub for the combiner tier of sharded runs)")
+	fs.StringVar(&c.combinerPubHex, "combiner-pub", "",
+		"client: hex Ed25519 verification key of the combiner's transcript signer (sharded runs with -verify-transcript)")
+
+	fs.IntVar(&c.shards, "shards", 1,
+		"shard count S of the two-level topology; > 1 makes clients derive their shard sub-roster from -clients (roles combiner/shard/shardtest; see sharded.go)")
+	fs.Uint64Var(&c.shardID, "shard-id", 0,
+		"shard: this aggregator's shard id (0..S-1, also its id on the combiner connection)")
+	fs.StringVar(&c.combinerAddr, "combiner-addr", "127.0.0.1:7800",
+		"shard: root combiner address to fold the shard partial into")
+	fs.IntVar(&c.shardQuorum, "shard-quorum", 0,
+		"combiner: minimum shard partials to fold (0 = all); missing shards above it degrade the round instead of aborting")
+	fs.DurationVar(&c.combineDeadline, "combine-deadline", 60*time.Second,
+		"combiner: bound for collecting shard partials (must cover a full shard round); shard: bound for the folded report")
+	fs.IntVar(&c.killShard, "kill-shard", -1,
+		"shard/shardtest: crash this shard aggregator on its first masked input (-1 = none)")
+}
+
+// sessions reports whether the party runs the per-round handshake.
+func (c *config) sessions() bool { return c.rounds > 1 || c.sessionDir != "" }
+
+// resolve validates the flags against the role, once, and derives what the
+// role runs on. It touches neither the network nor the disk.
+func (c *config) resolve() error {
+	var err error
+	if c.ids, err = parseIDs(c.clients); err != nil {
+		return err
+	}
+	c.rounds = max(c.rounds, 1)
+	sharded := c.role == "combiner" || c.role == "shard" || c.role == "shardtest"
+	switch c.protocol {
+	case "secagg":
+	case "lightsecagg":
+		if sharded {
+			return fmt.Errorf("the sharded topology supports -protocol secagg only")
+		}
+		if c.transcript || c.verifyTranscript {
+			return fmt.Errorf("-transcript/-verify-transcript require -protocol secagg")
+		}
+	default:
+		return fmt.Errorf("unknown protocol %q", c.protocol)
+	}
+
+	// split is how many aggregators share the round: a shard, and a sharded
+	// client, aggregate inside one sub-roster and draw the noise share mu/S.
+	roster, split := c.ids, 1
+	switch c.role {
+	case "combiner", "selftest", "shardtest":
+		return nil // no round of their own; the self-tests resolve one config per party
+	case "server":
+	case "shard":
+		split = c.shards
+	case "client":
+		if c.id == 0 {
+			return fmt.Errorf("client needs -id")
+		}
+		if c.shards > 1 && c.protocol == "secagg" {
+			split = c.shards
+		}
+		if c.serverPub, err = parsePub("-server-pub", c.serverPubHex); err != nil {
+			return err
+		}
+		combinerPub, err := parsePub("-combiner-pub", c.combinerPubHex)
+		if err != nil {
+			return err
+		}
+		// The flat-tier auditor pins the server key; sharded runs add the
+		// combiner-tier auditor pinning the combiner's.
+		if c.verifyTranscript {
+			c.aud = transcript.NewAuditor(c.serverPub)
+			if c.shards > 1 {
+				c.caud = transcript.NewCombineAuditor(combinerPub)
+			}
+		}
+	default:
+		return fmt.Errorf("unknown role %q", c.role)
+	}
+	if split > 1 || c.role == "shard" { // a shard validates its -shard-id even at -shards 1
+		if roster, err = c.shardRoster(); err != nil {
+			return err
+		}
+	}
+	if c.protocol == "lightsecagg" {
+		lcfg := lightsecagg.Config{ClientIDs: roster, PrivacyT: c.threshold, Dropout: c.tolerance, Dim: c.dim}
+		if err := lcfg.Validate(); err != nil {
+			return err
+		}
+		c.sub = lightSecAggSubstrate(lcfg)
+		return nil
+	}
+	scfg, err := c.secAggConfig(roster, split)
+	if err != nil {
+		return err
+	}
+	c.sub = secAggSubstrate(scfg)
+	return nil
+}
+
+// open loads what the role keeps on disk: the aggregator's signing key
+// (only when the handshake or the transcript layer will sign with it) and
+// the client's session store. One signer serves both the handshake and the
+// transcript chain, so clients pin a single -server-pub for both layers.
+func (n node) open(c *config) (err error) {
+	switch c.role {
+	case "server", "shard":
+		if c.sessions() || c.transcript {
+			c.signer, err = n.loadSigner(c.signKeyFile, "-server-pub")
+		}
+	case "combiner":
+		if c.transcript {
+			c.signer, err = n.loadSigner(c.signKeyFile, "-combiner-pub")
+		}
+	case "client":
+		if c.sessions() {
+			c.store, err = openStore(c.sessionDir, c.sessionKeyFile)
+		}
+	}
+	return err
+}
+
 // run parses the command line and runs the selected role to completion.
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("dordis-node", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		role       = fs.String("role", "selftest", "server | client | selftest | combiner | shard | shardtest")
-		listen     = fs.String("listen", "127.0.0.1:7700", "server listen address")
-		connect    = fs.String("connect", "127.0.0.1:7700", "client: server address")
-		id         = fs.Uint64("id", 0, "client id (must appear in -clients)")
-		clients    = fs.String("clients", "1,2,3,4,5", "comma-separated sampled client ids")
-		threshold  = fs.Int("threshold", 3, "SecAgg threshold t (lightsecagg: privacy threshold T)")
-		dim        = fs.Int("dim", 64, "vector dimension")
-		value      = fs.Uint64("value", 1, "client: constant vector value")
-		tolerance  = fs.Int("tolerance", 1, "XNoise dropout tolerance T (0 = plain SecAgg; lightsecagg: dropout tolerance D)")
-		targetMu   = fs.Float64("mu", 25, "XNoise central noise variance target")
-		deadline   = fs.Duration("deadline", 3*time.Second, "per-stage collection deadline")
-		protocol   = fs.String("protocol", "secagg", "secagg | lightsecagg")
-		noiseEpoch = fs.Uint64("noise-epoch", 0,
-			"XNoise draw-sequence version: 0 = Poisson-splitting sampler, 1 = CDF inversion throughout; in session mode the server announces it via the handshake and clients adopt the committed value")
-
-		rounds = fs.Int("rounds", 1,
-			"consecutive rounds to run; > 1 enables the per-round re-key handshake")
-		sessionDir = fs.String("session-dir", "",
-			"client: directory of the AEAD-encrypted session store; enables session persistence and the handshake")
-		sessionKeyFile = fs.String("session-key-file", "",
-			"client: file holding the session store's key material (created with random bytes on first use; defaults to <session-dir>/store.key)")
-		keyRounds = fs.Int("key-rounds", 1,
-			"server: rounds one key generation may serve; > 1 lets handshakes resume sessions across rounds, <= 1 re-keys every round (conservative default)")
-		signKeyFile = fs.String("sign-key-file", "",
-			"server: Ed25519 seed file for signing handshake offers/commits (created on first use; prints the verification key)")
-		serverPub = fs.String("server-pub", "",
-			"client: hex Ed25519 verification key; when set, unsigned or mis-signed handshakes are rejected")
-
-		transcriptOn = fs.Bool("transcript", false,
-			"server/shard/combiner: commit each round to a Merkle transcript with chained, signed roots (-sign-key-file) and serve clients inclusion proofs; enable on every aggregator role of a topology together")
-		verifyTranscript = fs.Bool("verify-transcript", false,
-			"client: require and verify the round transcript proof for this client's own contribution; pins -server-pub when set (and -combiner-pub for the combiner tier of sharded runs)")
-		combinerPubHex = fs.String("combiner-pub", "",
-			"client: hex Ed25519 verification key of the combiner's transcript signer (sharded runs with -verify-transcript)")
-
-		shards = fs.Int("shards", 1,
-			"shard count S of the two-level topology; > 1 makes clients derive their shard sub-roster from -clients (roles combiner/shard/shardtest; see sharded.go)")
-		shardID = fs.Uint64("shard-id", 0,
-			"shard: this aggregator's shard id (0..S-1, also its id on the combiner connection)")
-		combinerAddr = fs.String("combiner-addr", "127.0.0.1:7800",
-			"shard: root combiner address to fold the shard partial into")
-		shardQuorum = fs.Int("shard-quorum", 0,
-			"combiner: minimum shard partials to fold (0 = all); missing shards above it degrade the round instead of aborting")
-		combineDeadline = fs.Duration("combine-deadline", 60*time.Second,
-			"combiner: bound for collecting shard partials (must cover a full shard round); shard: bound for the folded report")
-		killShard = fs.Int("kill-shard", -1,
-			"shardtest: crash this shard aggregator mid-round (-1 = none)")
-	)
+	var cfg config
+	cfg.flags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	n := node{out: stdout, errOut: stderr}
-
-	ids, err := parseIDs(*clients)
-	if err != nil {
+	if err := cfg.resolve(); err != nil {
 		return err
 	}
-	sessionsOn := *rounds > 1 || *sessionDir != ""
-	sf := shardedFlags{
-		shards: *shards, shardID: *shardID, combinerAddr: *combinerAddr,
-		shardQuorum: *shardQuorum, combineDeadline: *combineDeadline, killShard: *killShard,
+	n := node{out: stdout, errOut: stderr}
+	if err := n.open(&cfg); err != nil {
+		return err
 	}
+	return n.start(cfg, nil)
+}
 
-	switch *role {
-	case "combiner", "shard", "shardtest":
-		if *protocol != "secagg" {
-			return fmt.Errorf("the sharded topology supports -protocol secagg only")
-		}
-		switch *role {
-		case "combiner":
-			rec, err := n.transcriptRecorder(*transcriptOn, *signKeyFile, "-combiner-pub")
-			if err != nil {
-				return err
-			}
-			return n.runCombinerRole(sf, *listen, *rounds, rec)
-		case "shard":
-			sub, err := shardRoster(ids, sf.shards, sf.shardID)
-			if err != nil {
-				return err
-			}
-			scfg, err := secAggConfig(sub, sf.shards, *threshold, *dim, *tolerance, *targetMu, *noiseEpoch)
-			if err != nil {
-				return err
-			}
-			rec, err := n.transcriptRecorder(*transcriptOn, *signKeyFile, "-server-pub")
-			if err != nil {
-				return err
-			}
-			return n.runShardRole(scfg, sf, *listen, *rounds, *deadline, rec)
-		default:
-			return n.shardSelfTest(ids, sf, *threshold, *dim, *tolerance, *targetMu, *noiseEpoch, *deadline,
-				*transcriptOn || *verifyTranscript)
-		}
-	}
-
-	var sub substrate
-	switch *protocol {
-	case "lightsecagg":
-		if *transcriptOn || *verifyTranscript {
-			return fmt.Errorf("-transcript/-verify-transcript require -protocol secagg")
-		}
-		lcfg := lightsecagg.Config{ClientIDs: ids, PrivacyT: *threshold, Dropout: *tolerance, Dim: *dim}
-		if err := lcfg.Validate(); err != nil {
-			return err
-		}
-		sub = lightSecAggSubstrate(lcfg)
-	case "secagg":
-		split := 1
-		if *shards > 1 && *role == "client" {
-			// A sharded client aggregates inside the shard owning its id: narrow
-			// the roster to that sub-roster and draw the split noise share mu/S.
-			if *id == 0 {
-				return fmt.Errorf("client needs -id")
-			}
-			if ids, err = shardRosterOf(ids, *shards, *id); err != nil {
-				return err
-			}
-			split = *shards
-		}
-		cfg, err := secAggConfig(ids, split, *threshold, *dim, *tolerance, *targetMu, *noiseEpoch)
-		if err != nil {
-			return err
-		}
-		sub = secAggSubstrate(cfg)
-	default:
-		return fmt.Errorf("unknown protocol %q", *protocol)
-	}
-
-	switch *role {
-	case "server":
-		if sessionsOn {
-			// One signer serves both the handshake and the transcript chain,
-			// so clients pin a single -server-pub for both layers.
-			signer, err := n.loadSigner(*signKeyFile, "-server-pub")
-			if err != nil {
-				return err
-			}
-			var rec *transcript.Recorder
-			if *transcriptOn {
-				rec = transcript.NewRecorder(signer)
-			}
-			return n.runServerSessions(sub, *listen, *deadline, *rounds, *keyRounds, signer, rec)
-		}
-		rec, err := n.transcriptRecorder(*transcriptOn, *signKeyFile, "-server-pub")
-		if err != nil {
-			return err
-		}
-		return n.runServer(sub, *listen, *deadline, rec)
+// start runs the role a resolved config names; ln, when non-nil, is an
+// already open listener for it to serve on (the self-tests open their
+// parties' to learn the addresses).
+func (n node) start(cfg config, ln *transport.TCPServer) error {
+	switch cfg.role {
+	case "server", "shard":
+		return n.serve(cfg, ln)
+	case "combiner":
+		return n.combiner(cfg, ln)
 	case "client":
-		if *id == 0 {
-			return fmt.Errorf("client needs -id")
-		}
-		pub, err := parsePub("-server-pub", *serverPub)
-		if err != nil {
-			return err
-		}
-		combinerPub, err := parsePub("-combiner-pub", *combinerPubHex)
-		if err != nil {
-			return err
-		}
-		r := round{}
-		r.aud, r.caud = clientAuditors(*verifyTranscript, pub, combinerPub, *shards > 1)
-		if sessionsOn {
-			store, err := openStore(*sessionDir, *sessionKeyFile)
-			if err != nil {
-				return err
-			}
-			return n.runClientSessions(sub, *connect, *id, *value, *rounds, store, pub, r)
-		}
-		return n.runClient(sub, *connect, *id, *value, r)
-	case "selftest":
-		return n.selfTest(sub, *deadline, *transcriptOn || *verifyTranscript)
+		return n.join(cfg)
 	default:
-		return fmt.Errorf("unknown role %q", *role)
+		return n.selfTest(cfg)
 	}
 }
 
@@ -316,8 +360,6 @@ func parseIDs(s string) ([]uint64, error) {
 	}
 	return out, nil
 }
-
-// --- session-mode helpers ---
 
 // loadSigner loads (or creates) the role's Ed25519 signing key, printing
 // the verification key next to the flag clients pin it with. An empty
@@ -338,54 +380,29 @@ func (n node) loadSigner(path, pinFlag string) (*sig.Signer, error) {
 	return signer, nil
 }
 
-// transcriptRecorder builds the -transcript recorder for roles that have
-// no other use for the signing key: the key is loaded (or created) only
-// when the transcript layer actually needs it. One recorder spans every
-// round of the process so the round roots chain.
-func (n node) transcriptRecorder(on bool, signKeyFile, pinFlag string) (*transcript.Recorder, error) {
-	if !on {
-		return nil, nil
+// recorder builds the -transcript recorder (nil when off). One recorder
+// spans every round of the process so the round roots chain.
+func (c *config) recorder() *transcript.Recorder {
+	if !c.transcript {
+		return nil
 	}
-	signer, err := n.loadSigner(signKeyFile, pinFlag)
-	if err != nil {
-		return nil, err
-	}
-	return transcript.NewRecorder(signer), nil
-}
-
-// clientAuditors builds the client's transcript verification state:
-// the flat-tier auditor pinning the server key and, for sharded runs,
-// the combiner-tier auditor pinning the combiner key. Both are nil
-// without -verify-transcript.
-func clientAuditors(on bool, serverPub, combinerPub []byte, sharded bool) (
-	*transcript.Auditor, *transcript.CombineAuditor) {
-
-	if !on {
-		return nil, nil
-	}
-	aud := transcript.NewAuditor(serverPub)
-	if !sharded {
-		return aud, nil
-	}
-	return aud, transcript.NewCombineAuditor(combinerPub)
+	return transcript.NewRecorder(c.signer)
 }
 
 // printAudit reports the last verified transcript roots after a round
 // (no-op without -verify-transcript).
 func (n node) printAudit(id uint64, aud *transcript.Auditor, caud *transcript.CombineAuditor) {
-	if aud == nil {
-		return
+	tier := func(what string, h []transcript.RootRecord) {
+		if len(h) > 0 {
+			last := h[len(h)-1]
+			n.printf("client %d: %s verified, round %d root %s\n", id, what, last.Round, shortRoot(last.Root))
+		}
 	}
-	if h := aud.History(); len(h) > 0 {
-		last := h[len(h)-1]
-		n.printf("client %d: transcript verified, round %d root %s\n", id, last.Round, shortRoot(last.Root))
+	if aud != nil {
+		tier("transcript", aud.History())
 	}
-	if caud == nil {
-		return
-	}
-	if h := caud.History(); len(h) > 0 {
-		last := h[len(h)-1]
-		n.printf("client %d: combiner tier verified, round %d root %s\n", id, last.Round, shortRoot(last.Root))
+	if caud != nil {
+		tier("combiner tier", caud.History())
 	}
 }
 
@@ -455,13 +472,21 @@ func openStore(dir, keyFile string) (*sessionstore.Store, error) {
 	return sessionstore.Open(dir, sessionstore.DeriveKey(key))
 }
 
+// listener returns the role's listener: the one it was handed (the
+// self-tests open theirs to learn the address) or a new one on -listen.
+func (c *config) listener(srv *transport.TCPServer) (*transport.TCPServer, error) {
+	if srv != nil {
+		return srv, nil
+	}
+	return transport.ListenTCP(c.listen)
+}
+
 // waitForClients blocks until n clients are connected or, when deadline
 // is positive, until it expires — the multi-round service must not wedge
 // on a permanently dead client at a round boundary (the handshake offers
 // past absentees and the round thresholds decide downstream), while
-// initial bring-up (deadline 0) waits for the full roster as the
-// single-round roles always have.
-func waitForClients(srv *transport.TCPServer, n int, deadline time.Duration) {
+// initial bring-up (deadline 0) waits for the full roster.
+func waitForClients(srv transport.ServerConn, n int, deadline time.Duration) {
 	start := time.Now()
 	for len(srv.Clients()) < n {
 		if deadline > 0 && time.Since(start) >= deadline {
@@ -471,84 +496,79 @@ func waitForClients(srv *transport.TCPServer, n int, deadline time.Duration) {
 	}
 }
 
-// --- single-round roles (no handshake; one process, one round) ---
-
-func (n node) runServer(sub substrate, listen string, deadline time.Duration, rec *transcript.Recorder) error {
-	srv, err := transport.ListenTCP(listen)
+// serve is the server loop — listen, then per round: wait for the clients,
+// run the re-key handshake (session mode only), run the round, report.
+// The flat single-round server is one iteration without a handshake; a
+// shard aggregator (-role shard) is the same loop with an upward
+// connection, over which the substrate folds each round's result into the
+// combiner instead of keeping it. srv, when non-nil, is an already open
+// listener to serve on.
+func (n node) serve(cfg config, srv *transport.TCPServer) error {
+	sub := cfg.sub
+	srv, err := cfg.listener(srv)
 	if err != nil {
 		return err
 	}
 	defer srv.Close()
-	n.printf("%s server listening on %s, waiting for %d clients...\n", sub.protocol, srv.Addr(), len(sub.ids))
-	waitForClients(srv, len(sub.ids), 0)
-	report, err := sub.serverRound(context.Background(), srv, nil, round{deadline: deadline, rec: rec})
-	if err != nil {
-		return err
-	}
-	n.printf("%s", report)
-	n.printRecorderTip(rec)
-	return nil
-}
-
-func (n node) runClient(sub substrate, addr string, id, value uint64, r round) error {
-	conn, err := transport.DialTCP(addr, id)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	outcome, err := sub.clientRound(context.Background(), conn, id, value, nil, r)
-	if err != nil {
-		return err
-	}
-	if outcome != "" {
-		n.printf("client %d: round %s\n", id, outcome)
-		n.printAudit(id, r.aud, r.caud)
-	}
-	return nil
-}
-
-// --- session-mode roles (handshake per round, persistent sessions) ---
-
-func (n node) runServerSessions(sub substrate, listen string, deadline time.Duration,
-	rounds, keyRounds int, signer *sig.Signer, rec *transcript.Recorder) error {
-
-	srv, err := transport.ListenTCP(listen)
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	n.printf("%s server listening on %s, %d rounds, key generations serve up to %d round(s)\n",
-		sub.protocol, srv.Addr(), rounds, max(keyRounds, 1))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	conn, rd := transport.ServerConn(srv), round{deadline: cfg.deadline, rec: cfg.recorder()}
+	who, where := fmt.Sprintf("%s server", sub.protocol), ""
+	if cfg.role == "shard" {
+		up, err := sessionDial(ctx, cfg.combinerAddr, cfg.shardID)
+		if err != nil {
+			return err
+		}
+		defer up.Close()
+		rd.up = &uplink{conn: up, shard: cfg.shardID, deadline: cfg.combineDeadline}
+		who, where = fmt.Sprintf("shard %d", cfg.shardID), ", combiner at "+cfg.combinerAddr
+		if cfg.killShard >= 0 && uint64(cfg.killShard) == cfg.shardID {
+			conn = crashOnMasked{srv, cancel}
+		}
+	}
+	// Only session mode has a key generation to reuse and a handshake to
+	// decide it in.
+	var sess core.ServerSessionState
+	if cfg.sessions() {
+		sess = sub.newServerSession()
+		where = fmt.Sprintf(", key generations serve up to %d round(s)", max(cfg.keyRounds, 1)) + where
+	}
+	n.printf("%s listening on %s, %d clients, %d round(s)%s\n", who, srv.Addr(), len(sub.ids), cfg.rounds, where)
 	// One engine (one transport fan-in) spans every handshake and round on
 	// this connection; a per-round fan-in would steal frames across the
 	// handshake/round boundary.
-	eng := engine.New(engine.TransportSource(ctx, srv))
-	sess := sub.newServerSession()
-	for r := 1; r <= rounds; r++ {
+	rd.eng = engine.New(engine.TransportSource(ctx, conn))
+	for r := 1; r <= cfg.rounds; r++ {
 		// Round 1 waits for the full roster (service bring-up); later
 		// rounds wait at most one stage deadline for re-dials, then let
 		// the handshake offer past absentees.
-		bound := deadline
+		bound := cfg.deadline
 		if r == 1 {
 			bound = 0
 		}
-		waitForClients(srv, len(sub.ids), bound)
-		hs, err := core.RunHandshakeServer(ctx, core.HandshakeConfig{
-			Round: uint64(r), Protocol: sub.protocol, ClientIDs: sub.ids,
-			KeyRounds: keyRounds, Deadline: deadline, Signer: signer,
-			NoiseEpoch: sub.noiseEpoch,
-		}, sess, eng, srv)
+		waitForClients(conn, len(sub.ids), bound)
+		label := fmt.Sprintf("round %d", r)
+		if rd.up != nil {
+			label = who + " " + label
+		}
+		if sess != nil {
+			hs, err := core.RunHandshakeServer(ctx, core.HandshakeConfig{
+				Round: uint64(r), Protocol: sub.protocol, ClientIDs: sub.ids,
+				KeyRounds: cfg.keyRounds, Deadline: cfg.deadline, Signer: cfg.signer,
+				NoiseEpoch: sub.noiseEpoch,
+			}, sess, rd.eng, conn)
+			if err != nil {
+				return err
+			}
+			rd.hs = &hs
+			label += " (" + describe(hs) + ")"
+		}
+		report, err := sub.serverRound(ctx, conn, sess, rd)
 		if err != nil {
 			return err
 		}
-		report, err := sub.serverRound(ctx, srv, sess, round{deadline: deadline, hs: &hs, eng: eng, rec: rec})
-		if err != nil {
-			return err
-		}
-		n.printf("round %d (%s): %s", r, describe(hs), report)
-		n.printRecorderTip(rec)
+		n.printf("%s: %s", label, report)
+		n.printRecorderTip(rd.rec)
 	}
 	return nil
 }
@@ -564,63 +584,81 @@ func describe(hs core.Handshake) string {
 	}
 }
 
-// sessionDial is the session-mode client's connect: unlike the
-// single-round roles, a long-lived client tolerates the service coming up
-// after it and transient blips, so it dials with capped exponential
-// backoff under a bounded budget.
+// sessionDial is the long-lived party's connect (session-mode clients, a
+// shard's leg to its combiner): it tolerates the service coming up after
+// it and transient blips, so it dials with capped exponential backoff
+// under a bounded budget.
 func sessionDial(ctx context.Context, addr string, id uint64) (*transport.TCPClient, error) {
 	dctx, cancel := context.WithTimeout(ctx, time.Minute)
 	defer cancel()
 	return transport.DialRetry(dctx, addr, id, transport.RetryConfig{})
 }
 
-func (n node) runClientSessions(sub substrate, addr string, id, value uint64,
-	rounds int, store *sessionstore.Store, serverPub []byte, r round) error {
-
-	record := fmt.Sprintf("%s-%d", sub.record, id)
-	sess, err := n.loadSession(sub, store, record)
-	if err != nil {
-		return err
-	}
+// join is the client loop — dial, then per round: run the re-key handshake
+// (session mode only), run the round, report. The single-round client is
+// one iteration with no handshake, no store and a plain dial: any failure
+// is final. A session-mode client outlives failures instead.
+func (n node) join(cfg config) error {
+	sub, id, sessions := cfg.sub, cfg.id, cfg.sessions()
 	ctx := context.Background()
-	conn, err := sessionDial(ctx, addr, id)
+	var (
+		sess   clientSession
+		record string
+		conn   *transport.TCPClient
+		err    error
+	)
+	if sessions {
+		record = fmt.Sprintf("%s-%d", sub.record, id)
+		if sess, err = n.loadSession(sub, cfg.store, record); err != nil {
+			return err
+		}
+		conn, err = sessionDial(ctx, cfg.connect, id)
+	} else {
+		conn, err = transport.DialTCP(cfg.connect, id)
+	}
 	if err != nil {
 		return err
 	}
 	defer func() { conn.Close() }()
-	// redial recovers the loop from a failure mid-round. The round is
-	// forfeited — the stored session keeps its in-flight taint, so the next
-	// handshake lands this client in the divergent subset and re-keys only
-	// its edges — the old connection is torn down, and a fresh one is
+	// redial recovers the session loop from a failure mid-round. The round
+	// is forfeited — the stored session keeps its in-flight taint, so the
+	// next handshake lands this client in the divergent subset and re-keys
+	// only its edges — the old connection is torn down, and a fresh one is
 	// dialed with backoff. The next iteration re-hellos on the new
 	// connection; the server engine parks hellos that arrive mid-round and
 	// replays them into the next handshake.
 	redial := func(round int, cause error) error {
+		if !sessions {
+			return cause
+		}
 		n.warnf("client %d round %d failed (%v); reconnecting", id, round, cause)
 		conn.Close()
-		conn, err = sessionDial(ctx, addr, id)
+		conn, err = sessionDial(ctx, cfg.connect, id)
 		return err
 	}
-	for i := 1; i <= rounds; i++ {
-		hs, err := core.RunHandshakeClient(ctx, core.ClientHandshakeConfig{
-			ID: id, Protocol: sub.protocol, ServerPub: serverPub, Rand: rand.Reader,
-		}, sess, conn)
-		if err != nil {
-			if err := redial(i, err); err != nil {
+	rd := round{aud: cfg.aud, caud: cfg.caud}
+	for i := 1; i <= cfg.rounds; i++ {
+		if sessions {
+			hs, err := core.RunHandshakeClient(ctx, core.ClientHandshakeConfig{
+				ID: id, Protocol: sub.protocol, ServerPub: cfg.serverPub, Rand: rand.Reader,
+			}, sess, conn)
+			if err != nil {
+				if err := redial(i, err); err != nil {
+					return err
+				}
+				continue
+			}
+			// Persist immediately after the handshake: the stored state carries
+			// the burned ratchet step and the round-in-flight taint, so a crash
+			// mid-round restores into a session the next handshake re-keys (at
+			// least this client's edges). The noise epoch is not session state:
+			// every round takes it from its own signed commit.
+			if err := saveSession(cfg.store, record, sess); err != nil {
 				return err
 			}
-			continue
+			rd.hs = &hs
 		}
-		// Persist immediately after the handshake: the stored state carries
-		// the burned ratchet step and the round-in-flight taint, so a crash
-		// mid-round restores into a session the next handshake re-keys (at
-		// least this client's edges). The noise epoch is not session state:
-		// every round takes it from its own signed commit.
-		if err := saveSession(store, record, sess); err != nil {
-			return err
-		}
-		r.hs = &hs
-		outcome, err := sub.clientRound(ctx, conn, id, value, sess, r)
+		outcome, err := sub.clientRound(ctx, conn, id, cfg.value, sess, rd)
 		if err != nil {
 			if err := redial(i, err); err != nil {
 				return err
@@ -628,13 +666,18 @@ func (n node) runClientSessions(sub substrate, addr string, id, value uint64,
 			continue
 		}
 		// Persist again with the taint cleared: the next start may resume.
-		if err := saveSession(store, record, sess); err != nil {
+		if err := saveSession(cfg.store, record, sess); err != nil {
 			return err
 		}
-		if outcome != "" {
-			n.printf("client %d round %d (%s): %s\n", id, i, describe(hs), outcome)
-			n.printAudit(id, r.aud, r.caud)
+		switch {
+		case outcome == "": // no result reached this client
+			continue
+		case sessions:
+			n.printf("client %d round %d (%s): %s\n", id, i, describe(*rd.hs), outcome)
+		default:
+			n.printf("client %d: round %s\n", id, outcome)
 		}
+		n.printAudit(id, rd.aud, rd.caud)
 	}
 	return nil
 }
@@ -672,60 +715,148 @@ func saveSession(store *sessionstore.Store, record string, sess clientSession) e
 	return store.Save(record, blob)
 }
 
-// selfTest runs a whole single round in one process over loopback TCP:
-// the server role and every client role, client i contributing the
-// constant i+1. With transcripts, a throwaway signing key and one auditor
-// per client exercise the full signed-transcript path without key files.
-func (n node) selfTest(sub substrate, deadline time.Duration, transcriptOn bool) error {
-	srv, err := transport.ListenTCP("127.0.0.1:0")
+// selfTest runs one whole round in one process over loopback TCP by
+// starting the roles above — what -role server|shard|combiner|client run —
+// as goroutines, each from its own copy of the config. -role selftest is
+// the flat topology (one server; client i contributes the constant i+1);
+// -role shardtest is the two-level one (a combiner, -shards shard
+// aggregators, every client contributing 1), where -kill-shard makes that
+// shard crash mid-round, which a -shard-quorum below -shards must survive
+// degraded. With transcripts, throwaway signing keys — pinned by the
+// clients exactly as -server-pub / -combiner-pub would — exercise the
+// signed two-tier audit without key files. Only the root aggregator (the
+// first party) prints, and its outcome is the command's.
+func (n node) selfTest(cfg config) error {
+	sharded, tier := cfg.role == "shardtest", "shard"
+	audit := cfg.transcript || cfg.verifyTranscript
+	cfg.transcript, cfg.verifyTranscript = audit, audit
+	cfg.rounds, cfg.sessionDir = 1, ""
+	if !sharded {
+		cfg.shards, tier = 1, "server"
+	}
+	plan, err := core.NewShardPlan(cfg.ids, cfg.shards)
 	if err != nil {
 		return err
 	}
-	defer srv.Close()
-	var rec *transcript.Recorder
-	auds := map[uint64]*transcript.Auditor{}
-	if transcriptOn {
-		signer, err := sig.NewSigner(rand.Reader)
+
+	// A party is one role to start; stranded ones — the killed shard and its
+	// clients — fail by design.
+	type party struct {
+		config
+		name     string
+		ln       *transport.TCPServer
+		stranded bool
+	}
+	var parties []*party
+	// A listener refused or a config rejected after some were opened must
+	// not leak those; a role closes the one it was handed on its own.
+	defer func() {
+		for _, p := range parties {
+			if p.ln != nil {
+				p.ln.Close()
+			}
+		}
+	}()
+	// add resolves one party's config — all of them before any party starts,
+	// so a bad flag fails the command instead of one goroutine — and gives
+	// an aggregator its loopback listener and throwaway signing key,
+	// returning the address and pin its clients need.
+	add := func(c config, name string, stranded bool) (addr, pin string, err error) {
+		if err := c.resolve(); err != nil {
+			return "", "", err
+		}
+		p := &party{config: c, name: name, stranded: stranded}
+		parties = append(parties, p)
+		if c.role == "client" {
+			return "", "", nil
+		}
+		if p.ln, err = transport.ListenTCP("127.0.0.1:0"); err != nil {
+			return "", "", err
+		}
+		if audit {
+			if p.signer, err = sig.NewSigner(rand.Reader); err != nil {
+				return "", "", err
+			}
+			pin = hex.EncodeToString(p.signer.Public())
+		}
+		return p.ln.Addr(), pin, nil
+	}
+	if sharded {
+		comb := cfg
+		comb.role = "combiner"
+		if cfg.combinerAddr, cfg.combinerPubHex, err = add(comb, "combiner", false); err != nil {
+			return err
+		}
+	}
+	for s, roster := range plan.Rosters {
+		stranded := sharded && s == cfg.killShard
+		agg := cfg
+		agg.role, agg.shardID = tier, uint64(s)
+		addr, pin, err := add(agg, fmt.Sprintf("%s %d", tier, s), stranded)
 		if err != nil {
 			return err
 		}
-		rec = transcript.NewRecorder(signer)
-		for _, id := range sub.ids {
-			auds[id] = transcript.NewAuditor(signer.Public())
+		for i, id := range roster {
+			cl := cfg
+			cl.role, cl.id, cl.value, cl.connect, cl.serverPubHex = "client", id, 1, addr, pin
+			if !sharded {
+				cl.value = uint64(i + 1)
+			}
+			if _, _, err := add(cl, fmt.Sprintf("client %d", id), stranded); err != nil {
+				return err
+			}
 		}
 	}
+
+	quiet := node{out: io.Discard, errOut: n.errOut}
+	errs := make([]error, len(parties))
 	var wg sync.WaitGroup
-	for i, id := range sub.ids {
+	for i, p := range parties {
+		who := quiet
+		if i == 0 {
+			who = n
+		}
 		wg.Add(1)
-		go func(id, value uint64) {
+		go func() {
 			defer wg.Done()
-			conn, err := transport.DialTCP(srv.Addr(), id)
-			if err != nil {
-				n.warnf("client %d dial: %v", id, err)
-				return
-			}
-			defer conn.Close()
-			if _, err := sub.clientRound(context.Background(), conn, id, value, nil, round{aud: auds[id]}); err != nil {
-				n.warnf("client %d: %v", id, err)
-			}
-		}(id, uint64(i+1))
-	}
-	waitForClients(srv, len(sub.ids), 0)
-	report, err := sub.serverRound(context.Background(), srv, nil, round{deadline: deadline, rec: rec})
-	if err != nil {
-		return err
+			errs[i] = who.start(p.config, p.ln)
+		}()
 	}
 	wg.Wait()
-	n.printf("%s", report)
-	if rec != nil {
-		verified := 0
-		for _, a := range auds {
-			if len(a.History()) > 0 {
-				verified++
+	if errs[0] != nil {
+		return errs[0]
+	}
+	// What the root should have printed: the sum of what the live clients
+	// fed (a shard the combiner's quorum did not wait for subtracts its own).
+	var want uint64
+	var live, audited, tierOne, tierTwo int
+	for i, p := range parties {
+		switch {
+		case p.stranded:
+		case errs[i] != nil:
+			n.warnf("%s: %v", p.name, errs[i])
+		case p.role == "client":
+			want += p.value
+		case p.role != "combiner":
+			live++
+		}
+		if p.aud != nil {
+			audited++
+			if len(p.aud.History()) > 0 {
+				tierOne++
+			}
+			if p.caud != nil && len(p.caud.History()) > 0 {
+				tierTwo++
 			}
 		}
-		n.printf("transcript verified by %d/%d clients, ", verified, len(auds))
-		n.printRecorderTip(rec)
+	}
+	n.printf("expected per-coordinate mean ~%d over %d contributing %s(s)\n", want, live, tier)
+	if audit {
+		line := fmt.Sprintf("transcripts: %d/%d clients verified the %s tier", tierOne, audited, tier)
+		if sharded {
+			line += fmt.Sprintf(", %d the combiner tier", tierTwo)
+		}
+		n.printf("%s\n", line)
 	}
 	return nil
 }

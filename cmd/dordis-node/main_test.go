@@ -150,9 +150,9 @@ func TestNodeSessionRounds(t *testing.T) {
 	}
 }
 
-// shardTest runs -role shardtest — combiner, two shard aggregators and
-// eight clients (constant 1 each, no XNoise) in one run() over loopback
-// TCP — and returns what it printed.
+// shardTest runs -role shardtest — the combiner, shard and client roles
+// started by one run(): two shard aggregators and eight clients (constant 1
+// each, no XNoise) over loopback TCP — and returns what it printed.
 func shardTest(t *testing.T, extra ...string) string {
 	t.Helper()
 	out, wait := party(t, append([]string{"-role", "shardtest", "-clients", "1,2,3,4,5,6,7,8",
@@ -195,7 +195,99 @@ func TestNodeShardedKillShard(t *testing.T) {
 func TestNodeShardedTranscript(t *testing.T) {
 	out := shardTest(t, "-transcript")
 	if !strings.Contains(out, "complete: shards=[0 1] survivors=8 ") ||
-		!strings.Contains(out, "transcripts: 8/8 clients verified their shard tier, 8 the combiner tier, ") {
+		!strings.Contains(out, "transcripts: 8/8 clients verified the shard tier, 8 the combiner tier\n") {
 		t.Errorf("not every client verified both tiers:\n%s", out)
+	}
+}
+
+// TestNodeSelfTest: -role selftest starts the server and client roles in
+// one run(); client i of four contributes i+1, so every coordinate sums to
+// 10 under either substrate.
+func TestNodeSelfTest(t *testing.T) {
+	for name, shared := range substrates {
+		t.Run(name, func(t *testing.T) {
+			out, wait := party(t, append([]string{"-role", "selftest"}, shared...)...)
+			wait()
+			if ok, _ := regexp.MatchString(`mean:? 10.00 `, out.String()); !ok ||
+				!strings.Contains(out.String(), "expected per-coordinate mean ~10 over 1 contributing server(s)\n") {
+				t.Errorf("aggregate is not 1+2+3+4:\n%s", out.String())
+			}
+		})
+	}
+}
+
+// TestNodeShardedRoles is the recipe of sharded.go's header with one run()
+// per party — a combiner, two shard aggregators, eight clients — for two
+// rounds on one key generation: a shard is the server loop, so it runs the
+// per-round handshake with its clients and resumes their sessions.
+func TestNodeShardedRoles(t *testing.T) {
+	shared := []string{"-clients", "1,2,3,4,5,6,7,8", "-shards", "2", "-threshold", "3",
+		"-tolerance", "0", "-dim", "16", "-rounds", "2"}
+	combiner, waitCombiner := party(t, append([]string{"-role", "combiner", "-listen", "127.0.0.1:0"}, shared...)...)
+	combinerAddr := combiner.await(t, listeningOn)
+	waits := []func(){waitCombiner}
+	var shards []*output
+	for s := 0; s < 2; s++ {
+		shard, wait := party(t, append([]string{"-role", "shard", "-shard-id", fmt.Sprint(s), "-listen", "127.0.0.1:0",
+			"-combiner-addr", combinerAddr, "-key-rounds", "2"}, shared...)...)
+		addr := shard.await(t, listeningOn)
+		shards, waits = append(shards, shard), append(waits, wait)
+		for id := 4*s + 1; id <= 4*s+4; id++ {
+			_, wait := party(t, append([]string{"-role", "client", "-connect", addr, "-id", fmt.Sprint(id)}, shared...)...)
+			waits = append(waits, wait)
+		}
+	}
+	for _, wait := range waits {
+		wait()
+	}
+	for r := 1; r <= 2; r++ {
+		want := fmt.Sprintf("round %d: complete: shards=[0 1] survivors=8 dropped=0, folded per-coordinate mean 8.00\n", r)
+		if !strings.Contains(combiner.String(), want) {
+			t.Errorf("no %q in:\n%s", want, combiner.String())
+		}
+	}
+	for s, shard := range shards {
+		for _, want := range []string{
+			fmt.Sprintf("shard %d round 1 (re-keyed): 4 survivors, partial folded; combiner complete: ", s),
+			fmt.Sprintf("shard %d round 2 (resumed, ratchet 1): 4 survivors, partial folded; combiner complete: ", s),
+		} {
+			if !strings.Contains(shard.String(), want) {
+				t.Errorf("no %q in:\n%s", want, shard.String())
+			}
+		}
+	}
+}
+
+// TestNodeRejectedFlags: every flag combination a role cannot run is
+// refused by the one validation pass, before anything listens or dials.
+func TestNodeRejectedFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		args       []string
+	}{
+		{"client without id", "client needs -id", []string{"-role", "client"}},
+		{"sharded client without id", "client needs -id", []string{"-role", "client", "-shards", "2"}},
+		{"lightsecagg transcript", "require -protocol secagg", []string{"-role", "server", "-protocol", "lightsecagg", "-transcript"}},
+		{"lightsecagg verify", "require -protocol secagg", []string{"-role", "selftest", "-protocol", "lightsecagg", "-verify-transcript"}},
+		{"lightsecagg shard", "secagg only", []string{"-role", "shard", "-protocol", "lightsecagg"}},
+		{"lightsecagg combiner", "secagg only", []string{"-role", "combiner", "-protocol", "lightsecagg"}},
+		{"lightsecagg shardtest", "secagg only", []string{"-role", "shardtest", "-protocol", "lightsecagg"}},
+		{"shard id out of range", "shard id 2 out of range [0, 2)", []string{"-role", "shard", "-shards", "2", "-shard-id", "2", "-clients", "1,2,3,4"}},
+		{"per-shard threshold", "apply per shard", []string{"-role", "shard", "-shards", "2", "-clients", "1,2,3,4", "-threshold", "3"}},
+		{"unknown role", `unknown role "leader"`, []string{"-role", "leader"}},
+		{"unknown protocol", `unknown protocol "bgw"`, []string{"-protocol", "bgw"}},
+		{"bad client id", `bad client id "x"`, []string{"-role", "server", "-clients", "1,x"}},
+		{"bad pin", "bad -server-pub", []string{"-role", "client", "-id", "1", "-server-pub", "zz"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr output
+			err := run(append(tc.args, "-listen", "127.0.0.1:0"), &stdout, &stderr)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("got %v, want an error mentioning %q", err, tc.want)
+			}
+			if stdout.String() != "" {
+				t.Errorf("the rejected role got as far as printing:\n%s", stdout.String())
+			}
+		})
 	}
 }

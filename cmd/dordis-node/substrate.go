@@ -49,10 +49,19 @@ type clientSession interface {
 type round struct {
 	deadline time.Duration        // server: per-stage collection deadline
 	hs       *core.Handshake      // session mode: what the handshake committed
-	eng      *engine.Engine       // session-mode server: the connection's engine
+	eng      *engine.Engine       // server: the connection's engine
 	rec      *transcript.Recorder // server: -transcript
+	up       *uplink              // shard: the leg to the combiner
 	aud      *transcript.Auditor  // client: -verify-transcript
 	caud     *transcript.CombineAuditor
+}
+
+// uplink is a shard aggregator's upward leg: with one, a server round ends
+// by folding its result into the combiner and reports the combiner's fold.
+type uplink struct {
+	conn     transport.ClientConn
+	shard    uint64        // this aggregator's id on the combiner connection
+	deadline time.Duration // bound for the folded report
 }
 
 // resume unpacks the handshake's decision (a single round never resumes).
@@ -87,11 +96,23 @@ func secAggSubstrate(cfg secagg.Config) substrate {
 			if sess != nil {
 				wc.Session = sess.(*secagg.ServerSession)
 			}
-			res, err := core.RunWireServer(ctx, wc, conn)
+			if r.up == nil {
+				res, err := core.RunWireServer(ctx, wc, conn)
+				if err != nil {
+					return "", err
+				}
+				return secAggReport(cfg, res), nil
+			}
+			// A shard runs the complete flat round — session, handshake
+			// outcome and transcript included — and ships the result upward.
+			report, res, err := core.RunShardWire(ctx, core.ShardWireConfig{
+				Shard: r.up.shard, Round: wc.SecAgg.Round, Server: wc,
+				ReportDeadline: r.up.deadline, RelayCombineTranscript: r.rec != nil,
+			}, conn, r.up.conn)
 			if err != nil {
 				return "", err
 			}
-			return secAggReport(cfg, res), nil
+			return fmt.Sprintf("%d survivors, partial folded; combiner %s", len(res.Survivors), foldLine(report)), nil
 		},
 		clientRound: func(ctx context.Context, conn transport.ClientConn, id, value uint64, sess clientSession, r round) (string, error) {
 			c := roundConfig(r)

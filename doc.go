@@ -106,7 +106,7 @@
 // protocol thresholds) costs an O(1) tail merge instead of n decodes
 // plus n vector adds at a stage barrier: the 64-client masked-stage
 // close drops ~6-7x on secagg and ~16-50x on lightsecagg (see
-// BENCH_SECAGG_HOTPATH.json). The batch Collect*/Reconstruct methods
+// CHANGES.md). The batch Collect*/Reconstruct methods
 // remain as thin wrappers over Add*/Seal* for white-box tests and
 // non-streaming callers. Frame hygiene (stale-stage, duplicate,
 // out-of-order, unknown-sender admission filtering) lives in the engine
@@ -125,7 +125,7 @@
 // pinned by a golden test), and m-chunk rounds driven through a
 // core.SessionPool perform n·k agreements instead of m·n·k (3.5x on the
 // 64-client 8-chunk dim-4096 round; 2.5x on the SecAgg+ graph, which
-// composes both levers; see BENCH_SECAGG_HOTPATH.json). Consecutive rounds sharing a pool reuse the keys
+// composes both levers; see CHANGES.md). Consecutive rounds sharing a pool reuse the keys
 // for up to RatchetRounds rounds: every cached secret advances one
 // dh.Ratchet step per round (Config.KeyRatchet), and the advertise stage
 // is skipped outright on the cached roster — both drivers support the
@@ -207,12 +207,11 @@
 // differ by one straggler swap incrementally, O(parts·u) instead of a
 // cold O(parts·u²) recompute.
 //
-// Measuring the floor. The GOMAXPROCS × workload matrix — root
-// bench_test.go BenchmarkMulticoreMatrix, or dordis-bench -hotpath
-// -cores 1,2,4 from the CLI, both driving the same internal/hotpath
-// workloads — sweeps per-epoch Skellam sampling, segmented mask
-// expansion, and the whole amortized round across proc counts.
-// Recorded before/after numbers live in BENCH_SECAGG_HOTPATH.json
-// (pr7_* entries); reference implementations stay in the benches so
-// any machine can re-measure both sides in one run.
+// Measuring the floor. The round benchmark (go run -C bench .; see
+// bench/README.md) runs four end-to-end workloads and a per-layer ledger —
+// per-epoch Skellam sampling, mask expansion, codecs, transport — and tags
+// every row with the host, so a run at another GOMAXPROCS is just another
+// row. Historical before/after numbers are in CHANGES.md; reference
+// implementations stay in the per-package benches so any machine can
+// re-measure both sides in one run.
 package repro

@@ -1,7 +1,7 @@
-// Custom mechanism: the Appendix-D extension story. Swap the noise
-// distribution (rounded Gaussian instead of Skellam) and account it with a
-// custom RDP curve through the DPHandler-style hooks, without touching the
-// XNoise enforcement or the protocol.
+// Custom mechanism: swap the noise distribution — an xnoise.Sampler drawing
+// rounded Gaussians instead of Skellam — and account it with a custom RDP
+// curve (dp.Accountant.AddRDPFunc), without touching the XNoise
+// enforcement or the protocol.
 //
 // Run with: go run ./examples/custom_mechanism
 package main

@@ -125,6 +125,18 @@ func EncodePartial(p Partial) ([]byte, error) {
 	return w.Done()
 }
 
+// PartialRound reads the round a shard partial was sealed for from the
+// frame's header alone, so a combiner can tell an early partial from a
+// stale one without decoding the sum.
+func PartialRound(p []byte) (round uint64, ok bool) {
+	const header = 2 + 1 + 8
+	if len(p) < header {
+		return 0, false
+	}
+	r, round := readHeader(p[:header], tagPartial)
+	return round, r.Done() == nil
+}
+
 // DecodePartial decodes one shard partial.
 func DecodePartial(p []byte) (Partial, error) {
 	r, round := readHeader(p, tagPartial)

@@ -299,3 +299,25 @@ func TestCombinerRejectsGeometryMismatch(t *testing.T) {
 		t.Fatal("empty partial accepted")
 	}
 }
+
+// TestPartialRound: the header peek agrees with the full decode on a
+// partial and refuses everything that is not one — another frame of the
+// family, a cut header, another version.
+func TestPartialRound(t *testing.T) {
+	p, err := EncodePartial(Partial{Shard: 3, Round: 41, Sum: ring.NewVector(16, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if round, ok := PartialRound(p); !ok || round != 41 {
+		t.Fatalf("PartialRound = %d, %v; want 41, true", round, ok)
+	}
+	wrongVersion := append([]byte(nil), p...)
+	wrongVersion[2]++
+	for name, bad := range map[string][]byte{
+		"hello": EncodeHello(41, 3), "cut header": p[:10], "empty": nil, "wrong version": wrongVersion,
+	} {
+		if round, ok := PartialRound(bad); ok {
+			t.Errorf("%s: accepted as a partial of round %d", name, round)
+		}
+	}
+}

@@ -38,8 +38,8 @@ func BenchmarkRunRoundChunks(b *testing.B) {
 // amortization: a 64-client, 8-chunk, dim-4096 XNoise round with 8
 // dropouts, with fresh keys per chunk (m·n·k X25519 agreements — the
 // historical behavior) or one session set per round (n·k agreements,
-// per-chunk mask streams forked by KDF). Run on either substrate;
-// BENCH_SECAGG_HOTPATH.json records the measured delta.
+// per-chunk mask streams forked by KDF). Run on either substrate; the
+// measured delta is in CHANGES.md (PR 1).
 func benchRound64Chunk8(b *testing.B, proto Protocol, amortized bool) {
 	const n, dim, chunks = 64, 4096, 8
 	updates := randomUpdates(n, dim, 0.5)

@@ -14,8 +14,8 @@ import (
 // XNoise round run flat (shards=1, RunRound's topology plus combiner
 // bookkeeping) and sharded. On one box the shard rounds contend for the
 // same cores, so this measures overhead, not the deployment speedup — the
-// dordis-bench sharded sweep measures the combiner-fold share of round
-// time that the acceptance criterion bounds.
+// combiner-fold share of round time is BenchmarkCombinerFold16 below and
+// the round benchmark's combine.fold_s row (go run -C bench .).
 func BenchmarkShardedRound(b *testing.B) {
 	const n, dim = 64, 256
 	updates := randomUpdates(n, dim, 0.5)

@@ -31,7 +31,8 @@ type CombinerConfig struct {
 	StageDeadline time.Duration
 	// AwaitHellos, when set, runs a quorum-bounded presence stage before
 	// the partial collection, so operators see dead shards before paying
-	// a full shard-round of latency.
+	// a full shard-round of latency. A fast shard's partial for this
+	// round that arrives during it is kept for the partial collection.
 	AwaitHellos bool
 	// Engine, when non-nil, is an externally owned round engine whose
 	// message source outlives this call (multi-round combiner
@@ -80,14 +81,20 @@ func RunCombiner(ctx context.Context, cfg CombinerConfig, conn transport.ServerC
 		_, err := eng.Collect(roundCtx, engine.Stage{
 			Name: "shard-hello", Tag: engine.TagShardHello, Expect: cfg.ShardIDs,
 			Quorum: quorum, Deadline: cfg.StageDeadline,
-			Apply: func(from uint64, body any) error {
-				// Hellos are idempotent presence signals; a stale or
-				// misrouted one is ignored, never an abort.
-				round, shard, err := combine.DecodeHello(body.([]byte))
-				if err != nil || round != cfg.Round || shard != from {
-					return nil
+			// Hellos are idempotent presence signals; a stale or
+			// misrouted one is ignored, never an abort.
+			Apply: func(uint64, any) error { return nil },
+			// A fast shard's partial may overtake a slow shard's hello:
+			// keep it for the partial stage below. Only this round's — a
+			// stale partial parked here would burn its sender's slot
+			// there, shadowing the real one.
+			Park: func(m engine.Msg) bool {
+				if m.Stage != engine.TagShardPartial {
+					return false
 				}
-				return nil
+				body, _ := m.Body.([]byte)
+				round, ok := combine.PartialRound(body)
+				return ok && round == cfg.Round
 			},
 		})
 		if err != nil {

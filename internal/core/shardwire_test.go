@@ -251,6 +251,90 @@ func TestCombinerStaleAndDuplicateFrames(t *testing.T) {
 	}
 }
 
+// combinerFrames returns the hello and partial frames shard sends for round,
+// its partial summing to val per coordinate.
+func combinerFrames(t *testing.T, shard, round, val uint64) (hello, partial transport.Frame) {
+	t.Helper()
+	p, err := combine.EncodePartial(combine.Partial{
+		Shard: shard, Round: round,
+		Sum:       ring.Vector{Bits: 16, Data: []uint64{val, val}},
+		Survivors: []uint64{shard*10 + 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return transport.Frame{Stage: engine.TagShardHello, Payload: combine.EncodeHello(round, shard)},
+		transport.Frame{Stage: engine.TagShardPartial, Payload: p}
+}
+
+// TestCombinerEarlyPartialKept: a fast shard's hello and partial both
+// reach the combiner before a slow shard's hello. The presence stage must
+// keep that partial for the partial stage, not discard it as a tag
+// mismatch — both shards fold.
+func TestCombinerEarlyPartialKept(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	net := transport.NewMemoryNetwork(64)
+	c0, _ := net.Connect(0)
+	c1, _ := net.Connect(1)
+	hello0, partial0 := combinerFrames(t, 0, 7, 3)
+	hello1, partial1 := combinerFrames(t, 1, 7, 4)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = c0.Send(hello0)
+		_ = c0.Send(partial0)
+		time.Sleep(150 * time.Millisecond) // shard 0 is done before shard 1 shows up
+		_ = c1.Send(hello1)
+		_ = c1.Send(partial1)
+	}()
+	report, err := RunCombiner(ctx, CombinerConfig{
+		Round: 7, ShardIDs: []uint64{0, 1}, StageDeadline: time.Second, AwaitHellos: true,
+	}, net.Server())
+	<-done
+	if err != nil {
+		t.Fatalf("early partial lost: %v", err)
+	}
+	if report.Degraded || report.Sum.Data[0] != 7 {
+		t.Fatalf("want both shards folded (3 + 4): %+v", report)
+	}
+}
+
+// TestCombinerStalePartialNotParked: a round-6 partial that reaches the
+// round-7 presence stage ahead of its sender's hello is discarded there,
+// not parked — parked, it would take shard 0's slot in the partial stage
+// and shadow the real round-7 partial.
+func TestCombinerStalePartialNotParked(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	net := transport.NewMemoryNetwork(64)
+	c0, _ := net.Connect(0)
+	c1, _ := net.Connect(1)
+	_, stale := combinerFrames(t, 0, 6, 9)
+	hello0, partial0 := combinerFrames(t, 0, 7, 3)
+	hello1, partial1 := combinerFrames(t, 1, 7, 4)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = c0.Send(stale)
+		_ = c0.Send(hello0)
+		time.Sleep(150 * time.Millisecond) // the stale frame meets the presence stage
+		_ = c1.Send(hello1)
+		_ = c0.Send(partial0)
+		_ = c1.Send(partial1)
+	}()
+	report, err := RunCombiner(ctx, CombinerConfig{
+		Round: 7, ShardIDs: []uint64{0, 1}, StageDeadline: time.Second, AwaitHellos: true,
+	}, net.Server())
+	<-done
+	if err != nil {
+		t.Fatalf("stale partial cost shard 0 its slot: %v", err)
+	}
+	if report.Degraded || report.Sum.Data[0] != 7 || len(report.StaleRounds) != 0 {
+		t.Fatalf("want both round-7 partials folded (3 + 4) and the stale one gone: %+v", report)
+	}
+}
+
 // TestShardWire1kKillOneShard is the scale acceptance case: a
 // 1000-simulated-client round across four shard aggregators over the
 // wire driver, with one shard killed mid-round. The round must complete

@@ -126,8 +126,8 @@ func (a *Accountant) AddSkellam(delta1, delta2, mu float64) {
 }
 
 // AddRDPFunc composes one release described by an arbitrary order→RDP
-// function (extension hook for custom mechanisms, cf. the paper's
-// DPHandler interface in Appendix D).
+// function (the hook for custom mechanisms; examples/custom_mechanism
+// uses it).
 func (a *Accountant) AddRDPFunc(f func(alpha float64) float64) {
 	for i, alpha := range a.orders {
 		a.rdp[i] += f(alpha)

@@ -100,7 +100,8 @@ const (
 // the round check as a re-key vote, with the fresh ack then dropped as a
 // duplicate) and force a spurious fleet re-key. Offers and commits flow
 // server→client and never reach a server Collect; round-stage tags rely
-// on the existing discard semantics.
+// on the existing discard semantics, unless the running stage claims
+// them (Stage.Park).
 func parkable(t int) bool { return t == TagRoundHello }
 
 // maxParked bounds the parking map against hostile senders inventing
@@ -154,6 +155,14 @@ type Stage struct {
 	// serializes Apply calls in admission order (pipeline.Gate), so the
 	// sink needs no internal locking.
 	Apply func(from uint64, body any) error
+	// Park, when non-nil, is asked about every frame of another tag this
+	// stage would discard: true parks it for the later Collect of that tag
+	// (as hellos always are, see parkable) instead of dropping it. A stage
+	// that runs ahead of the one a peer may already be answering uses it —
+	// the combiner's presence stage keeps a fast shard's partial. Park
+	// only what is known fresh: a parked frame takes its sender's slot in
+	// the stage that replays it.
+	Park func(m Msg) bool
 }
 
 // Engine drives stage collection over one message source. An Engine is
@@ -163,11 +172,11 @@ type Engine struct {
 	recv    RecvFunc
 	workers int
 
-	// parked holds RoundHello frames that arrived during a stage with a
-	// different tag (see parkable), keyed by (tag, sender) so a
-	// retransmit replaces rather than accumulates. Only touched from
-	// Collect's admission loop (single-goroutine contract), so no
-	// locking.
+	// parked holds frames that arrived during a stage with a different
+	// tag — RoundHellos (see parkable) and what a stage's Park claimed —
+	// keyed by (tag, sender) so a retransmit replaces rather than
+	// accumulates. Only touched from Collect's admission loop
+	// (single-goroutine contract), so no locking.
 	parked map[parkedKey]Msg
 }
 
@@ -290,8 +299,8 @@ func (e *Engine) Collect(ctx context.Context, s Stage) ([]uint64, error) {
 		return true
 	}
 
-	// Replay parked hello frames addressed to this stage before reading
-	// live traffic (see parkable); entries for this tag are consumed
+	// Replay parked frames addressed to this stage before reading live
+	// traffic (see parkable, Stage.Park); entries for this tag are consumed
 	// either way.
 	stopped := false
 	for key, m := range e.parked {
@@ -313,9 +322,11 @@ func (e *Engine) Collect(ctx context.Context, s Stage) ([]uint64, error) {
 		}
 		if m.Stage != s.Tag || !want[m.From] || seen[m.From] {
 			// Stale, out-of-order, unexpected, or duplicate — discarded,
-			// except hellos during a *different* stage, which are parked
-			// for the handshake Collect they belong to.
-			if parkable(m.Stage) && m.Stage != s.Tag && len(e.parked) < maxParked {
+			// except hellos, and what the stage claims, during a
+			// *different* stage: those are parked for the Collect they
+			// belong to.
+			if m.Stage != s.Tag && len(e.parked) < maxParked &&
+				(parkable(m.Stage) || s.Park != nil && s.Park(m)) {
 				if e.parked == nil {
 					e.parked = make(map[parkedKey]Msg)
 				}

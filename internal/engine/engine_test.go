@@ -349,3 +349,31 @@ func TestCollectParksHandshakeFrames(t *testing.T) {
 		t.Fatalf("stale ack was parked: admitted=%v err=%v", admitted, err)
 	}
 }
+
+// TestCollectStagePark: a stage's Park predicate claims mismatched frames
+// for the later Collect of their tag — and only the ones it says yes to.
+func TestCollectStagePark(t *testing.T) {
+	frames := make(chan Msg, 3)
+	frames <- Msg{From: 1, Stage: 9, Body: "fresh"}
+	frames <- Msg{From: 2, Stage: 9, Body: "stale"}
+	frames <- Msg{From: 1, Stage: 5, Body: "presence"}
+	eng := New(chanRecv(frames))
+	nop := func(uint64, any) error { return nil }
+
+	admitted, err := eng.Collect(context.Background(), Stage{
+		Name: "presence", Tag: 5, Expect: []uint64{1}, Apply: nop,
+		Park: func(m Msg) bool { return m.Stage == 9 && m.Body == "fresh" },
+	})
+	if err != nil || len(admitted) != 1 {
+		t.Fatalf("presence stage: admitted=%v err=%v", admitted, err)
+	}
+	// The source is drained: only the parked replay can feed this stage.
+	var got []any
+	admitted, err = eng.Collect(context.Background(), Stage{
+		Name: "payload", Tag: 9, Expect: []uint64{1, 2}, Deadline: 50 * time.Millisecond,
+		Apply: func(_ uint64, body any) error { got = append(got, body); return nil },
+	})
+	if err != nil || len(admitted) != 1 || admitted[0] != 1 || got[0] != "fresh" {
+		t.Fatalf("want exactly the claimed frame replayed: admitted=%v got=%v err=%v", admitted, got, err)
+	}
+}

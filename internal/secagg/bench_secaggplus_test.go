@@ -16,7 +16,7 @@ import (
 // X25519 pair agreements twice over (client masking and server
 // unmasking); the circulant k-regular graph cuts that to n·k/2, which at
 // n=64 is the dominant fixed cost of the QuickScale round per the PR 1
-// profile. BENCH_SECAGG_HOTPATH.json records the measured delta.
+// profile. CHANGES.md (PR 1) records the measured delta.
 func benchRoundGraph(b *testing.B, n, dim, degree, dropped int) {
 	b.Helper()
 	tol := n / 4

@@ -1,14 +1,16 @@
 package transcript
 
 import (
-	"encoding/binary"
 	"fmt"
+
+	"repro/internal/transport"
 )
 
 // Fixed binary codec for the 0x60 frame family, in the 0xDB/0xDC style:
 // a magic byte naming the family, a frame tag, a version byte, then
-// little-endian fixed-width fields. See PROTOCOL.md ("Transcript frames
-// (0x60 family)") for the byte-level layouts.
+// little-endian fixed-width fields, read and written through the shared
+// transport.Reader/Writer. See PROTOCOL.md ("Transcript frames (0x60
+// family)") for the byte-level layouts.
 const (
 	codecMagic   = 0xDD
 	codecVersion = 1
@@ -21,203 +23,112 @@ const (
 	// maxPathLen bounds an audit path: 255 levels ≍ 2^255 leaves, far
 	// beyond any roster, and keeps the length field one byte.
 	maxPathLen = 255
+	// maxSigLen is what the signature's two-byte length field can say.
+	maxSigLen = 1<<16 - 1
 )
 
-func appendTranscriptHeader(out []byte, tag byte) []byte {
-	return append(out, codecMagic, tag, codecVersion)
+// newFrame starts a frame of the given version: magic, tag, version.
+func newFrame(tag, version byte, size int) *transport.Writer {
+	w := transport.NewWriter(codecMagic, tag, 1+size)
+	w.Raw(version)
+	return w
 }
 
-func decodeTranscriptHeader(p []byte, tag byte, what string) ([]byte, error) {
-	if len(p) < 3 || p[0] != codecMagic || p[1] != tag {
-		return nil, fmt.Errorf("transcript: not a %s frame", what)
+// openFrame validates a frame's magic, tag and version.
+func openFrame(p []byte, tag, version byte) *transport.Reader {
+	r := transport.NewReader(p, codecMagic, tag)
+	if v := r.Byte(); v != version {
+		r.Fail(fmt.Errorf("frame version %d, want %d", v, version))
 	}
-	if p[2] != codecVersion {
-		return nil, fmt.Errorf("transcript: %s frame version %d, want %d", what, p[2], codecVersion)
-	}
-	return p[3:], nil
+	return r
 }
 
-func appendU64(out []byte, v uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return append(out, b[:]...)
+func readHash(r *transport.Reader) (h [32]byte) {
+	copy(h[:], r.Raw(32))
+	return h
 }
 
-func appendU32(out []byte, v uint32) []byte {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return append(out, b[:]...)
-}
-
-func appendSig(out, sig []byte) ([]byte, error) {
-	if len(sig) > 0xFFFF {
-		return nil, fmt.Errorf("transcript: signature of %d bytes", len(sig))
-	}
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], uint16(len(sig)))
-	out = append(out, b[:]...)
-	return append(out, sig...), nil
-}
-
-func decodeSig(p []byte) ([]byte, []byte, error) {
-	if len(p) < 2 {
-		return nil, nil, fmt.Errorf("transcript: truncated signature length")
-	}
-	n := int(binary.LittleEndian.Uint16(p))
-	p = p[2:]
-	if len(p) < n {
-		return nil, nil, fmt.Errorf("transcript: truncated signature")
-	}
-	if n == 0 {
-		return nil, p, nil
-	}
-	return append([]byte(nil), p[:n]...), p[n:], nil
-}
-
-func appendPath(out []byte, path [][32]byte) ([]byte, error) {
+// writePath appends a [n:1][n×32] audit path.
+func writePath(w *transport.Writer, path [][32]byte) {
 	if len(path) > maxPathLen {
-		return nil, fmt.Errorf("transcript: audit path of %d levels", len(path))
+		w.Fail(fmt.Errorf("transcript: audit path of %d levels", len(path)))
+		return
 	}
-	out = append(out, byte(len(path)))
-	for _, h := range path {
-		out = append(out, h[:]...)
+	w.Raw(byte(len(path)))
+	for i := range path {
+		w.Raw(path[i][:]...)
 	}
-	return out, nil
 }
 
-func decodePath(p []byte) ([][32]byte, []byte, error) {
-	if len(p) < 1 {
-		return nil, nil, fmt.Errorf("transcript: truncated path length")
+// readPath reads a writePath field (nil when empty); the levels are
+// allocated only once the payload has proved it carries them.
+func readPath(r *transport.Reader) [][32]byte {
+	n := int(r.Byte())
+	raw := r.Raw(32 * n)
+	if n == 0 || raw == nil {
+		return nil
 	}
-	n := int(p[0])
-	p = p[1:]
-	if len(p) < n*32 {
-		return nil, nil, fmt.Errorf("transcript: truncated audit path")
+	path := make([][32]byte, n)
+	for i := range path {
+		copy(path[i][:], raw[32*i:])
 	}
-	var path [][32]byte
-	if n > 0 {
-		path = make([][32]byte, n)
-		for i := range path {
-			copy(path[i][:], p[i*32:])
-		}
-	}
-	return path, p[n*32:], nil
-}
-
-func decodeHash(p []byte) ([32]byte, []byte, error) {
-	var h [32]byte
-	if len(p) < 32 {
-		return h, nil, fmt.Errorf("transcript: truncated hash")
-	}
-	copy(h[:], p)
-	return h, p[32:], nil
-}
-
-func decodeU64(p []byte) (uint64, []byte, error) {
-	if len(p) < 8 {
-		return 0, nil, fmt.Errorf("transcript: truncated u64")
-	}
-	return binary.LittleEndian.Uint64(p), p[8:], nil
-}
-
-func decodeU32(p []byte) (uint32, []byte, error) {
-	if len(p) < 4 {
-		return 0, nil, fmt.Errorf("transcript: truncated u32")
-	}
-	return binary.LittleEndian.Uint32(p), p[4:], nil
+	return path
 }
 
 // EncodeCommitment serializes a round commitment (the TagTranscriptCommit
 // payload, broadcast to every survivor).
 func EncodeCommitment(c *Commitment) ([]byte, error) {
-	out := appendTranscriptHeader(nil, tagCommitment)
-	out = appendU64(out, c.Round)
-	out = append(out, c.Prev[:]...)
-	out = append(out, c.RosterRoot[:]...)
-	out = appendU32(out, c.RosterCount)
-	out = append(out, c.InputRoot[:]...)
-	out = appendU32(out, c.InputCount)
-	return appendSig(out, c.Signature)
+	w := newFrame(tagCommitment, codecVersion, 8+32+32+4+32+4+2+len(c.Signature))
+	w.Uint64(c.Round)
+	w.Raw(c.Prev[:]...)
+	w.Raw(c.RosterRoot[:]...)
+	w.Uint32(c.RosterCount)
+	w.Raw(c.InputRoot[:]...)
+	w.Uint32(c.InputCount)
+	w.Blob(c.Signature, maxSigLen)
+	return w.Done()
 }
 
 // DecodeCommitment parses an EncodeCommitment payload.
 func DecodeCommitment(p []byte) (*Commitment, error) {
-	p, err := decodeTranscriptHeader(p, tagCommitment, "commitment")
-	if err != nil {
-		return nil, err
+	r := openFrame(p, tagCommitment, codecVersion)
+	c := &Commitment{
+		Round: r.Uint64(), Prev: readHash(r),
+		RosterRoot: readHash(r), RosterCount: r.Uint32(),
+		InputRoot: readHash(r), InputCount: r.Uint32(),
+		Signature: r.Blob(maxSigLen),
 	}
-	var c Commitment
-	if c.Round, p, err = decodeU64(p); err != nil {
-		return nil, err
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("transcript: commitment: %w", err)
 	}
-	if c.Prev, p, err = decodeHash(p); err != nil {
-		return nil, err
-	}
-	if c.RosterRoot, p, err = decodeHash(p); err != nil {
-		return nil, err
-	}
-	if c.RosterCount, p, err = decodeU32(p); err != nil {
-		return nil, err
-	}
-	if c.InputRoot, p, err = decodeHash(p); err != nil {
-		return nil, err
-	}
-	if c.InputCount, p, err = decodeU32(p); err != nil {
-		return nil, err
-	}
-	if c.Signature, p, err = decodeSig(p); err != nil {
-		return nil, err
-	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("transcript: %d trailing bytes after commitment", len(p))
-	}
-	return &c, nil
+	return c, nil
 }
 
 // EncodeProof serializes a per-client inclusion proof (the
 // TagTranscriptProof payload, sent to that survivor only).
 func EncodeProof(pr *Proof) ([]byte, error) {
-	out := appendTranscriptHeader(nil, tagProof)
-	out = appendU64(out, pr.Round)
-	out = appendU64(out, pr.ID)
-	out = appendU32(out, pr.RosterIndex)
-	out, err := appendPath(out, pr.RosterPath)
-	if err != nil {
-		return nil, err
-	}
-	out = appendU32(out, pr.InputIndex)
-	return appendPath(out, pr.InputPath)
+	w := newFrame(tagProof, codecVersion, 8+8+4+1+4+1+32*(len(pr.RosterPath)+len(pr.InputPath)))
+	w.Uint64(pr.Round)
+	w.Uint64(pr.ID)
+	w.Uint32(pr.RosterIndex)
+	writePath(w, pr.RosterPath)
+	w.Uint32(pr.InputIndex)
+	writePath(w, pr.InputPath)
+	return w.Done()
 }
 
 // DecodeProof parses an EncodeProof payload.
 func DecodeProof(p []byte) (*Proof, error) {
-	p, err := decodeTranscriptHeader(p, tagProof, "proof")
-	if err != nil {
-		return nil, err
+	r := openFrame(p, tagProof, codecVersion)
+	pr := &Proof{
+		Round: r.Uint64(), ID: r.Uint64(),
+		RosterIndex: r.Uint32(), RosterPath: readPath(r),
+		InputIndex: r.Uint32(), InputPath: readPath(r),
 	}
-	var pr Proof
-	if pr.Round, p, err = decodeU64(p); err != nil {
-		return nil, err
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("transcript: proof: %w", err)
 	}
-	if pr.ID, p, err = decodeU64(p); err != nil {
-		return nil, err
-	}
-	if pr.RosterIndex, p, err = decodeU32(p); err != nil {
-		return nil, err
-	}
-	if pr.RosterPath, p, err = decodePath(p); err != nil {
-		return nil, err
-	}
-	if pr.InputIndex, p, err = decodeU32(p); err != nil {
-		return nil, err
-	}
-	if pr.InputPath, p, err = decodePath(p); err != nil {
-		return nil, err
-	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("transcript: %d trailing bytes after proof", len(p))
-	}
-	return &pr, nil
+	return pr, nil
 }
 
 // CombineTierMsg is the TagCombineTranscript payload: the combiner-tier
@@ -230,57 +141,33 @@ type CombineTierMsg struct {
 
 // EncodeCombineTier serializes a combiner-tier frame.
 func EncodeCombineTier(m *CombineTierMsg) ([]byte, error) {
-	out := appendTranscriptHeader(nil, tagCombine)
-	out = appendU64(out, m.Commitment.Round)
-	out = append(out, m.Commitment.Prev[:]...)
-	out = append(out, m.Commitment.ShardRoot[:]...)
-	out = appendU32(out, m.Commitment.ShardCount)
-	out, err := appendSig(out, m.Commitment.Signature)
-	if err != nil {
-		return nil, err
-	}
-	out = appendU64(out, m.Proof.Round)
-	out = appendU64(out, m.Proof.Shard)
-	out = appendU32(out, m.Proof.Index)
-	return appendPath(out, m.Proof.Path)
+	c, pr := &m.Commitment, &m.Proof
+	w := newFrame(tagCombine, codecVersion, 8+32+32+4+2+len(c.Signature)+8+8+4+1+32*len(pr.Path))
+	w.Uint64(c.Round)
+	w.Raw(c.Prev[:]...)
+	w.Raw(c.ShardRoot[:]...)
+	w.Uint32(c.ShardCount)
+	w.Blob(c.Signature, maxSigLen)
+	w.Uint64(pr.Round)
+	w.Uint64(pr.Shard)
+	w.Uint32(pr.Index)
+	writePath(w, pr.Path)
+	return w.Done()
 }
 
 // DecodeCombineTier parses an EncodeCombineTier payload.
 func DecodeCombineTier(p []byte) (*CombineTierMsg, error) {
-	p, err := decodeTranscriptHeader(p, tagCombine, "combine-tier")
-	if err != nil {
-		return nil, err
+	r := openFrame(p, tagCombine, codecVersion)
+	m := &CombineTierMsg{
+		Commitment: CombineCommitment{
+			Round: r.Uint64(), Prev: readHash(r),
+			ShardRoot: readHash(r), ShardCount: r.Uint32(),
+			Signature: r.Blob(maxSigLen),
+		},
+		Proof: ShardProof{Round: r.Uint64(), Shard: r.Uint64(), Index: r.Uint32(), Path: readPath(r)},
 	}
-	var m CombineTierMsg
-	if m.Commitment.Round, p, err = decodeU64(p); err != nil {
-		return nil, err
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("transcript: combine-tier frame: %w", err)
 	}
-	if m.Commitment.Prev, p, err = decodeHash(p); err != nil {
-		return nil, err
-	}
-	if m.Commitment.ShardRoot, p, err = decodeHash(p); err != nil {
-		return nil, err
-	}
-	if m.Commitment.ShardCount, p, err = decodeU32(p); err != nil {
-		return nil, err
-	}
-	if m.Commitment.Signature, p, err = decodeSig(p); err != nil {
-		return nil, err
-	}
-	if m.Proof.Round, p, err = decodeU64(p); err != nil {
-		return nil, err
-	}
-	if m.Proof.Shard, p, err = decodeU64(p); err != nil {
-		return nil, err
-	}
-	if m.Proof.Index, p, err = decodeU32(p); err != nil {
-		return nil, err
-	}
-	if m.Proof.Path, p, err = decodePath(p); err != nil {
-		return nil, err
-	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("transcript: %d trailing bytes after combine-tier frame", len(p))
-	}
-	return &m, nil
+	return m, nil
 }

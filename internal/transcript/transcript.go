@@ -598,39 +598,32 @@ func (c *Chain) Extend(round uint64, prev, root [32]byte) error {
 	return nil
 }
 
-// chainMagic tags a marshalled chain (0xDD is the transcript codec
-// family; see codec.go).
+// chainVersion versions a marshalled chain, a frame of the 0xDD transcript
+// codec family (see codec.go).
 const chainVersion = 1
 
 // MarshalBinary serializes the chain tip (for server persistence across
 // restarts — the chain must survive so the next round's Prev links to the
 // root committed before the crash).
 func (c *Chain) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 0, 3+8+32+1)
-	out = append(out, codecMagic, tagChain, chainVersion)
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], c.round)
-	out = append(out, b[:]...)
-	out = append(out, c.tip[:]...)
+	w := newFrame(tagChain, chainVersion, 8+32+1)
+	w.Uint64(c.round)
+	w.Raw(c.tip[:]...)
 	if c.have {
-		out = append(out, 1)
+		w.Raw(1)
 	} else {
-		out = append(out, 0)
+		w.Raw(0)
 	}
-	return out, nil
+	return w.Done()
 }
 
 // UnmarshalChain restores a chain from MarshalBinary bytes.
 func UnmarshalChain(p []byte) (*Chain, error) {
-	if len(p) != 3+8+32+1 || p[0] != codecMagic || p[1] != tagChain {
-		return nil, fmt.Errorf("transcript: not a chain blob")
+	r := openFrame(p, tagChain, chainVersion)
+	c := &Chain{round: r.Uint64(), tip: readHash(r), have: r.Byte() != 0}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("transcript: chain blob: %w", err)
 	}
-	if p[2] != chainVersion {
-		return nil, fmt.Errorf("transcript: chain version %d, want %d", p[2], chainVersion)
-	}
-	c := &Chain{round: binary.LittleEndian.Uint64(p[3:])}
-	copy(c.tip[:], p[11:])
-	c.have = p[43] != 0
 	return c, nil
 }
 

@@ -6,10 +6,10 @@ import (
 )
 
 // Reader and Writer are the shared idiom of the binary payload codecs
-// (core's 0xD0 family, lightsecagg's 0xD1, the combiner's 0xDC):
-// little-endian integers, count-prefixed sections, and — on the decode
-// side — no allocation a length prefix asks for that the remaining bytes
-// cannot back.
+// (core's 0xD0 family, lightsecagg's 0xD1, the combiner's 0xDC, the
+// transcript's 0xDD): little-endian integers, count-prefixed sections,
+// and — on the decode side — no allocation a length prefix asks for that
+// the remaining bytes cannot back.
 
 // Reader walks one payload. The first read the payload cannot satisfy
 // poisons it — later reads return zero values — so a decoder checks Done
@@ -50,6 +50,14 @@ func (r *Reader) Raw(n int) []byte {
 func (r *Reader) Byte() byte {
 	if b := r.Raw(1); b != nil {
 		return b[0]
+	}
+	return 0
+}
+
+// Uint32 reads one 4-byte integer that is a value, not a section count.
+func (r *Reader) Uint32() uint32 {
+	if b := r.Raw(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
 	return 0
 }
@@ -148,16 +156,26 @@ func NewWriter(magic, tag byte, size int) *Writer {
 	return &Writer{b: append(make([]byte, 0, 2+size), magic, tag)}
 }
 
+// Fail poisons the writer with err (the first failure wins).
+func (w *Writer) Fail(err error) {
+	if w.err == nil {
+		w.err = err
+	}
+}
+
 // Raw appends bytes as they are.
 func (w *Writer) Raw(b ...byte) { w.b = append(w.b, b...) }
+
+// Uint32 appends one 4-byte integer that is a value, not a section count.
+func (w *Writer) Uint32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
 
 // Uint64 appends one 8-byte integer.
 func (w *Writer) Uint64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
 
 // Count appends a section's 4-byte entry count, at most max.
 func (w *Writer) Count(n, max int) {
-	if n > max && w.err == nil {
-		w.err = fmt.Errorf("transport: section of %d entries exceeds wire cap %d", n, max)
+	if n > max {
+		w.Fail(fmt.Errorf("transport: section of %d entries exceeds wire cap %d", n, max))
 	}
 	w.b = binary.LittleEndian.AppendUint32(w.b, uint32(n))
 }
@@ -178,9 +196,7 @@ func (w *Writer) Bytes(b []byte, max int) {
 // more than the 16-bit length can say).
 func (w *Writer) Blob(b []byte, max int) {
 	if len(b) > max || len(b) > 1<<16-1 {
-		if w.err == nil {
-			w.err = fmt.Errorf("transport: blob of %d bytes exceeds cap %d", len(b), max)
-		}
+		w.Fail(fmt.Errorf("transport: blob of %d bytes exceeds cap %d", len(b), max))
 		b = nil
 	}
 	w.b = AppendBlob(w.b, b)
