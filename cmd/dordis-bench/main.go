@@ -9,8 +9,8 @@
 //	dordis-bench -exp table2 -scale paper
 //	dordis-bench -exp all -scale quick
 //
-// Protocol-level measurements live elsewhere: the per-package go
-// benchmarks (go test -bench . ./...) and the round benchmark
+// It is the only runner of the experiments registry. Protocol-level
+// measurements live in one other place, the round benchmark
 // (go run -C bench . — four end-to-end workloads plus a per-layer ledger,
 // host-tagged; see bench/README.md).
 package main

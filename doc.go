@@ -6,9 +6,9 @@
 // cmd/dordis (training CLI), cmd/dordis-node (TCP deployment: one round,
 // or a multi-round service with the re-key handshake and persistent
 // client sessions), cmd/dordis-bench (regenerates every table and
-// figure), and examples/ (indexed in examples/README.md). The root
-// package exists to host the benchmark harness (bench_test.go), which
-// prints the same rows and series the paper reports.
+// figure, printing the same rows and series the paper reports), and
+// examples/ (indexed in examples/README.md). The root package holds only
+// this file.
 //
 // ARCHITECTURE.md maps the paper's pipeline onto the packages: the round
 // lifecycle, the shared stage-collection engine, the per-substrate
@@ -44,9 +44,9 @@
 // prg.Stream.SeekBlock and FillAt jump to any block offset in O(1)
 // (128-bit counter arithmetic, no keystream generated in between), so
 // one logical mask stream splits into segments that workers expand
-// concurrently — ring.Vector.MaskParallelInPlace, the segmented
-// unmask/mask task fan-out in secagg, and lightsecagg's segmented
-// uniform fill all cut at block-aligned offsets of the same stream
+// concurrently — the segmented unmask/mask task fan-out in secagg
+// (through ring.Vector.MaskRangeInPlace) and lightsecagg's segmented
+// uniform fill both cut at block-aligned offsets of the same stream
 // instead of re-keying per worker. The result is byte-identical to the
 // sequential pass (property-pinned against the golden keystream), so
 // parallelism is a local scheduling decision: either side of a wire
@@ -196,8 +196,8 @@
 // core.SessionPool, and a binary codec for its volume payloads. It is
 // selectable per round via core.RoundConfig.Protocol =
 // ProtocolLightSecAgg (Threshold keeps response-count semantics:
-// U = Threshold, T = D = n − Threshold), and
-// fl.RecommendedProtocolUnderDropout says when the trade is worth it.
+// U = Threshold, T = D = n − Threshold); ProtocolAuto never picks it,
+// because the trade pays only under a dropout forecast the caller has.
 // Its field-layer hot paths run through two GF(2^61−1) kernels:
 // field.WeightedSumInto (share encoding and aggregate-mask recovery as
 // blocked matrix–vector products with deferred Mersenne reduction —
@@ -211,7 +211,12 @@
 // bench/README.md) runs four end-to-end workloads and a per-layer ledger —
 // per-epoch Skellam sampling, mask expansion, codecs, transport — and tags
 // every row with the host, so a run at another GOMAXPROCS is just another
-// row. Historical before/after numbers are in CHANGES.md; reference
-// implementations stay in the per-package benches so any machine can
-// re-measure both sides in one run.
+// row. It is the one place a round, a stage or a kernel is timed: the few
+// `go test -bench` harnesses left in the packages cover kernels it does
+// not reach (field inversion, the Shamir threshold sweep, the bundle
+// codec, dgauss, ml, vrf, the pipeline simulator) and nothing asserts on
+// them. Historical before/after numbers are in CHANGES.md; the reference
+// implementations the optimized paths are tested against
+// (maskInPlaceScalarRef, encodeSharesNaive, the scalar SkellamInv) stay
+// in their packages as test oracles.
 package repro

@@ -99,14 +99,3 @@ func TestOverheadConstant(t *testing.T) {
 		t.Fatalf("ciphertext length %d, want %d", len(ct), 100+Overhead)
 	}
 }
-
-func BenchmarkSeal1KB(b *testing.B) {
-	k := key(7)
-	pt := make([]byte, 1024)
-	b.SetBytes(1024)
-	for i := 0; i < b.N; i++ {
-		if _, err := Seal(k, rand.Reader, pt, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -1,19 +1,17 @@
 package combine
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strconv"
 	"testing"
 
+	"repro/internal/fuzzcorpus"
 	"repro/internal/ring"
 )
 
 // Native fuzz target for the 0xDC combiner frame family. CI runs a
 // -fuzztime smoke over the checked-in seed corpus
-// (testdata/fuzz/FuzzCombineCodec, regenerated via
+// (testdata/fuzz/FuzzCombineCodec, which plain `go test` compares with
+// these generators — fuzzcorpus.Check — and which is regenerated via
 // WRITE_FUZZ_CORPUS=1 go test -run TestWriteCombineCorpus).
 
 // combineCodecSeeds returns the seed frames: every frame kind in both
@@ -109,23 +107,6 @@ func FuzzCombineCodec(f *testing.F) {
 	})
 }
 
-func writeFuzzCorpus(t *testing.T, fuzzName string, seeds [][]byte) {
-	t.Helper()
-	if os.Getenv("WRITE_FUZZ_CORPUS") == "" {
-		t.Skip("set WRITE_FUZZ_CORPUS=1 to regenerate the checked-in seed corpus")
-	}
-	dir := filepath.Join("testdata", "fuzz", fuzzName)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range seeds {
-		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(s)) + ")\n"
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seed-%02d", i)), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestWriteCombineCorpus(t *testing.T) {
-	writeFuzzCorpus(t, "FuzzCombineCodec", combineCodecSeeds(t))
+	fuzzcorpus.Check(t, "FuzzCombineCodec", combineCodecSeeds(t))
 }

@@ -1,13 +1,10 @@
 package core
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strconv"
 	"testing"
 
+	"repro/internal/fuzzcorpus"
 	"repro/internal/secagg"
 )
 
@@ -15,7 +12,8 @@ import (
 // frame family's list-structured member — the one with nested length
 // prefixes, where a lying count or ciphertext length must fail before any
 // allocation). CI runs a -fuzztime smoke over the checked-in seed corpus
-// (testdata/fuzz/FuzzShareBundleCodec, regenerated via
+// (testdata/fuzz/FuzzShareBundleCodec, which plain `go test` compares with
+// these generators — fuzzcorpus.Check — and which is regenerated via
 // WRITE_FUZZ_CORPUS=1 go test -run TestWriteShareBundleCorpus).
 
 // shareBundleSeeds returns the seed frames: canonical encodings of the
@@ -73,25 +71,6 @@ func FuzzShareBundleCodec(f *testing.F) {
 	})
 }
 
-// writeFuzzCorpus writes seeds into testdata/fuzz/<fuzzName> in the
-// "go test fuzz v1" corpus format the native fuzzer reads.
-func writeFuzzCorpus(t *testing.T, fuzzName string, seeds [][]byte) {
-	t.Helper()
-	if os.Getenv("WRITE_FUZZ_CORPUS") == "" {
-		t.Skip("set WRITE_FUZZ_CORPUS=1 to regenerate the checked-in seed corpus")
-	}
-	dir := filepath.Join("testdata", "fuzz", fuzzName)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range seeds {
-		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(s)) + ")\n"
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seed-%02d", i)), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestWriteShareBundleCorpus(t *testing.T) {
-	writeFuzzCorpus(t, "FuzzShareBundleCodec", shareBundleSeeds(t))
+	fuzzcorpus.Check(t, "FuzzShareBundleCodec", shareBundleSeeds(t))
 }

@@ -7,13 +7,15 @@ import (
 	"testing"
 
 	"repro/internal/field"
+	"repro/internal/fuzzcorpus"
 	"repro/internal/secagg"
 	"repro/internal/shamir"
 )
 
 // Tests and the native fuzz target for the control codec (control.go). CI
 // runs a -fuzztime smoke over the checked-in seed corpus
-// (testdata/fuzz/FuzzControlCodec, regenerated via
+// (testdata/fuzz/FuzzControlCodec, which plain `go test` compares with
+// these generators — fuzzcorpus.Check — and which is regenerated via
 // WRITE_FUZZ_CORPUS=1 go test -run TestWriteControlCorpus).
 
 // controlSample is one control message and the frame tag it travels under.
@@ -177,5 +179,5 @@ func FuzzControlCodec(f *testing.F) {
 }
 
 func TestWriteControlCorpus(t *testing.T) {
-	writeFuzzCorpus(t, "FuzzControlCodec", controlCodecSeeds(t))
+	fuzzcorpus.Check(t, "FuzzControlCodec", controlCodecSeeds(t))
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	crand "crypto/rand"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"time"
@@ -159,7 +158,53 @@ func sigPayload(label, body []byte) []byte {
 	return append(out, body...)
 }
 
-func appendSig(body []byte, signer *sig.Signer, label []byte) []byte {
+// The handshake frames are read and written through the shared
+// transport.Reader/Writer, like every other payload of the 0xD0 family:
+// magic, tag, version, then little-endian fixed-width fields. A signed
+// message ends in a [len:2][sig] blob, and its signed body is every byte
+// before that blob.
+
+// newHandshakeFrame starts a message: magic, tag, version.
+func newHandshakeFrame(tag byte, size int) *transport.Writer {
+	w := transport.NewWriter(codecMagic, tag, 1+size)
+	w.Raw(handshakeVersion)
+	return w
+}
+
+// openHandshakeFrame validates a message's magic, tag and version.
+func openHandshakeFrame(p []byte, tag byte) *transport.Reader {
+	r := transport.NewReader(p, codecMagic, tag)
+	if v := r.Byte(); v != handshakeVersion {
+		r.Fail(fmt.Errorf("version %d, want %d", v, handshakeVersion))
+	}
+	return r
+}
+
+// flagByte packs the set flags, bit i for flags[i].
+func flagByte(flags ...bool) (b byte) {
+	for i, f := range flags {
+		if f {
+			b |= 1 << i
+		}
+	}
+	return b
+}
+
+// readFlags reads a flag byte and refuses bits outside known: an accepted
+// frame carries no slack a peer could hide a second meaning in.
+func readFlags(r *transport.Reader, known byte) byte {
+	b := r.Byte()
+	if b&^known != 0 {
+		r.Fail(fmt.Errorf("unknown flag bits %#x", b))
+	}
+	return b
+}
+
+// signFrame ends a signed message: what w holds is the body, signed under
+// label when the deployment has a signer, and the signature blob (empty
+// otherwise) follows it.
+func signFrame(w *transport.Writer, signer *sig.Signer, label []byte) []byte {
+	body, _ := w.Done() // no capped field: cannot fail
 	var sg []byte
 	if signer != nil {
 		sg = signer.Sign(sigPayload(label, body))
@@ -167,117 +212,74 @@ func appendSig(body []byte, signer *sig.Signer, label []byte) []byte {
 	return transport.AppendBlob(body, sg)
 }
 
+// openSignature ends the decode of the signed message p (named what in
+// errors): it reads the trailing signature blob, rejects anything after
+// it, and — serverPub, when non-empty, making a valid signature mandatory —
+// verifies it over the body, every byte of p before the blob.
+func openSignature(r *transport.Reader, p, serverPub, label []byte, what string) ([]byte, error) {
+	sg := r.Blob(maxHandshakeSig)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("core: %s: %w", what, err)
+	}
+	body := p[:len(p)-2-len(sg)]
+	if len(serverPub) > 0 && !sig.Verify(serverPub, sigPayload(label, body), sg) {
+		return nil, fmt.Errorf("core: %s signature invalid or missing", what)
+	}
+	return sg, nil
+}
+
 // encodeRoundOffer encodes and (optionally) signs an offer.
 func encodeRoundOffer(o RoundOffer, signer *sig.Signer) []byte {
-	body := make([]byte, 0, 3+8+1+1+8+32+8+2+64)
-	body = append(body, codecMagic, tagRoundOffer, handshakeVersion)
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], o.Round)
-	body = append(body, b[:]...)
-	body = append(body, byte(o.Protocol))
-	var flags byte
-	if o.Resume {
-		flags |= 1
-	}
-	body = append(body, flags)
-	binary.LittleEndian.PutUint64(b[:], o.Ratchet)
-	body = append(body, b[:]...)
-	body = append(body, o.RosterHash[:]...)
-	binary.LittleEndian.PutUint64(b[:], o.NoiseEpoch)
-	body = append(body, b[:]...)
-	return appendSig(body, signer, offerSigLabel)
+	w := newHandshakeFrame(tagRoundOffer, 8+1+1+8+32+8+2+64)
+	w.Uint64(o.Round)
+	w.Raw(byte(o.Protocol), flagByte(o.Resume))
+	w.Uint64(o.Ratchet)
+	w.Raw(o.RosterHash[:]...)
+	w.Uint64(o.NoiseEpoch)
+	return signFrame(w, signer, offerSigLabel)
 }
 
 // decodeRoundOffer decodes an offer; serverPub, when non-empty, makes a
 // valid signature mandatory.
 func decodeRoundOffer(p []byte, serverPub []byte) (RoundOffer, error) {
-	const bodyLen = 3 + 8 + 1 + 1 + 8 + 32 + 8
-	if len(p) < bodyLen+2 || p[0] != codecMagic || p[1] != tagRoundOffer {
-		return RoundOffer{}, fmt.Errorf("core: not a round offer")
-	}
-	if p[2] != handshakeVersion {
-		return RoundOffer{}, fmt.Errorf("core: round offer version %d, want %d", p[2], handshakeVersion)
-	}
-	if p[12]&^1 != 0 {
-		return RoundOffer{}, fmt.Errorf("core: round offer: unknown flag bits %#x", p[12])
-	}
-	var o RoundOffer
-	o.Round = binary.LittleEndian.Uint64(p[3:])
-	o.Protocol = Protocol(p[11])
-	o.Resume = p[12]&1 != 0
-	o.Ratchet = binary.LittleEndian.Uint64(p[13:])
-	copy(o.RosterHash[:], p[21:])
-	o.NoiseEpoch = binary.LittleEndian.Uint64(p[53:])
-	sg, err := decodeSigSection(p[bodyLen:])
+	r := openHandshakeFrame(p, tagRoundOffer)
+	o := RoundOffer{Round: r.Uint64(), Protocol: Protocol(r.Byte())}
+	o.Resume = readFlags(r, 1)&1 != 0
+	o.Ratchet = r.Uint64()
+	copy(o.RosterHash[:], r.Raw(32))
+	o.NoiseEpoch = r.Uint64()
+	sg, err := openSignature(r, p, serverPub, offerSigLabel, "round offer")
 	if err != nil {
-		return RoundOffer{}, fmt.Errorf("core: round offer: %w", err)
+		return RoundOffer{}, err
 	}
 	o.Signature = sg
-	if len(serverPub) > 0 && !sig.Verify(serverPub, sigPayload(offerSigLabel, p[:bodyLen]), sg) {
-		return RoundOffer{}, fmt.Errorf("core: round offer signature invalid or missing")
-	}
 	return o, nil
-}
-
-// decodeSigSection decodes the trailing [len:2][sig] section (the shared
-// transport blob codec) and rejects trailing bytes.
-func decodeSigSection(p []byte) ([]byte, error) {
-	sg, rest, err := transport.DecodeBlob(p, maxHandshakeSig)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%d trailing bytes after signature", len(rest))
-	}
-	return sg, nil
 }
 
 // encodeRoundAck encodes an ack (unsigned: the transport authenticates the
 // sender, exactly as it does for every round-stage upload).
 func encodeRoundAck(a RoundAck) []byte {
-	out := make([]byte, 0, 3+8+8+1+8+32)
-	out = append(out, codecMagic, tagRoundAck, handshakeVersion)
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], a.Round)
-	out = append(out, b[:]...)
-	binary.LittleEndian.PutUint64(b[:], a.From)
-	out = append(out, b[:]...)
-	var flags byte
-	if a.CanResume {
-		flags |= 1
-	}
-	if a.Tainted {
-		flags |= 2
-	}
-	if a.HasHash {
-		flags |= 4
-	}
-	out = append(out, flags)
-	binary.LittleEndian.PutUint64(b[:], a.NextRatchet)
-	out = append(out, b[:]...)
-	return append(out, a.StateHash[:]...)
+	w := newHandshakeFrame(tagRoundAck, 8+8+1+8+32)
+	w.Uint64(a.Round)
+	w.Uint64(a.From)
+	w.Raw(flagByte(a.CanResume, a.Tainted, a.HasHash))
+	w.Uint64(a.NextRatchet)
+	w.Raw(a.StateHash[:]...)
+	out, _ := w.Done() // no capped field: cannot fail
+	return out
 }
 
 // decodeRoundAck decodes an ack.
 func decodeRoundAck(p []byte) (RoundAck, error) {
-	const wantLen = 3 + 8 + 8 + 1 + 8 + 32
-	if len(p) != wantLen || p[0] != codecMagic || p[1] != tagRoundAck {
-		return RoundAck{}, fmt.Errorf("core: not a round ack")
+	r := openHandshakeFrame(p, tagRoundAck)
+	a := RoundAck{Round: r.Uint64(), From: r.Uint64()}
+	flags := readFlags(r, 7)
+	a.CanResume, a.Tainted, a.HasHash = flags&1 != 0, flags&2 != 0, flags&4 != 0
+	a.NextRatchet = r.Uint64()
+	copy(a.StateHash[:], r.Raw(32))
+	if err := r.Done(); err != nil {
+		return RoundAck{}, fmt.Errorf("core: round ack: %w", err)
 	}
-	if p[2] != handshakeVersion {
-		return RoundAck{}, fmt.Errorf("core: round ack version %d, want %d", p[2], handshakeVersion)
-	}
-	if p[19]&^7 != 0 {
-		return RoundAck{}, fmt.Errorf("core: round ack: unknown flag bits %#x", p[19])
-	}
-	var a RoundAck
-	a.Round = binary.LittleEndian.Uint64(p[3:])
-	a.From = binary.LittleEndian.Uint64(p[11:])
-	a.CanResume = p[19]&1 != 0
-	a.Tainted = p[19]&2 != 0
-	a.HasHash = p[19]&4 != 0
-	a.NextRatchet = binary.LittleEndian.Uint64(p[20:])
-	copy(a.StateHash[:], p[28:])
 	return a, nil
 }
 
@@ -285,71 +287,46 @@ func decodeRoundAck(p []byte) (RoundAck, error) {
 // section ([count:2][ids count×8]) sits inside the signed body, so a
 // network adversary cannot edit the subset without breaking the signature.
 func encodeRoundCommit(c RoundCommit, signer *sig.Signer) []byte {
-	body := make([]byte, 0, 3+8+1+8+8+2+len(c.Divergent)*8+2+64)
-	body = append(body, codecMagic, tagRoundCommit, handshakeVersion)
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], c.Round)
-	body = append(body, b[:]...)
-	var flags byte
-	if c.Resume {
-		flags |= 1
+	w := newHandshakeFrame(tagRoundCommit, 8+1+8+8+2+len(c.Divergent)*8+2+64)
+	w.Uint64(c.Round)
+	w.Raw(flagByte(c.Resume, len(c.Divergent) > 0)) // bit 1: partial resume
+	w.Uint64(c.Ratchet)
+	w.Uint64(c.NoiseEpoch)
+	w.Uint16(uint16(len(c.Divergent)))
+	for _, id := range c.Divergent {
+		w.Uint64(id)
 	}
-	if len(c.Divergent) > 0 {
-		flags |= 2 // partial resume
-	}
-	body = append(body, flags)
-	binary.LittleEndian.PutUint64(b[:], c.Ratchet)
-	body = append(body, b[:]...)
-	binary.LittleEndian.PutUint64(b[:], c.NoiseEpoch)
-	body = append(body, b[:]...)
-	binary.LittleEndian.PutUint16(b[:2], uint16(len(c.Divergent)))
-	body = append(body, b[:2]...)
-	body = transport.AppendUint64sLE(body, c.Divergent)
-	return appendSig(body, signer, commitSigLabel)
+	return signFrame(w, signer, commitSigLabel)
 }
 
 // decodeRoundCommit decodes a commit; serverPub, when non-empty, makes a
 // valid signature mandatory.
 func decodeRoundCommit(p []byte, serverPub []byte) (RoundCommit, error) {
-	const fixedLen = 3 + 8 + 1 + 8 + 8 + 2
-	if len(p) < fixedLen+2 || p[0] != codecMagic || p[1] != tagRoundCommit {
-		return RoundCommit{}, fmt.Errorf("core: not a round commit")
+	r := openHandshakeFrame(p, tagRoundCommit)
+	c := RoundCommit{Round: r.Uint64()}
+	flags := readFlags(r, 3)
+	c.Resume = flags&1 != 0
+	partial := flags&2 != 0
+	c.Ratchet = r.Uint64()
+	c.NoiseEpoch = r.Uint64()
+	count := int(r.Uint16())
+	// Raw proves the payload carries count ids before they are allocated.
+	if raw := r.Raw(8 * count); raw != nil {
+		c.Divergent, _, _ = transport.DecodeUint64sLE(raw, count)
 	}
-	if p[2] != handshakeVersion {
-		return RoundCommit{}, fmt.Errorf("core: round commit version %d, want %d", p[2], handshakeVersion)
-	}
-	if p[11]&^3 != 0 {
-		return RoundCommit{}, fmt.Errorf("core: round commit: unknown flag bits %#x", p[11])
-	}
-	var c RoundCommit
-	c.Round = binary.LittleEndian.Uint64(p[3:])
-	c.Resume = p[11]&1 != 0
-	partial := p[11]&2 != 0
-	c.Ratchet = binary.LittleEndian.Uint64(p[12:])
-	c.NoiseEpoch = binary.LittleEndian.Uint64(p[20:])
-	count := int(binary.LittleEndian.Uint16(p[28:]))
-	div, _, err := transport.DecodeUint64sLE(p[fixedLen:], count)
-	if err != nil {
-		return RoundCommit{}, fmt.Errorf("core: round commit: %w", err)
-	}
-	c.Divergent = div
 	if partial != (count > 0) || (partial && !c.Resume) {
-		return RoundCommit{}, fmt.Errorf("core: round commit divergent section inconsistent with flags")
+		r.Fail(fmt.Errorf("divergent section inconsistent with flags"))
 	}
-	for i := 1; i < count; i++ {
-		if div[i] <= div[i-1] {
-			return RoundCommit{}, fmt.Errorf("core: round commit divergent ids not strictly ascending at %d", div[i])
+	for i := 1; i < len(c.Divergent); i++ {
+		if c.Divergent[i] <= c.Divergent[i-1] {
+			r.Fail(fmt.Errorf("divergent ids not strictly ascending at %d", c.Divergent[i]))
 		}
 	}
-	bodyLen := fixedLen + count*8
-	sg, err := decodeSigSection(p[bodyLen:])
+	sg, err := openSignature(r, p, serverPub, commitSigLabel, "round commit")
 	if err != nil {
-		return RoundCommit{}, fmt.Errorf("core: round commit: %w", err)
+		return RoundCommit{}, err
 	}
 	c.Signature = sg
-	if len(serverPub) > 0 && !sig.Verify(serverPub, sigPayload(commitSigLabel, p[:bodyLen]), sg) {
-		return RoundCommit{}, fmt.Errorf("core: round commit signature invalid or missing")
-	}
 	return c, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/fuzzcorpus"
 	"repro/internal/sig"
 	"repro/internal/transport"
 )
@@ -122,5 +123,5 @@ func FuzzHandshakeCodec(f *testing.F) {
 
 func TestWriteHandshakeCorpus(t *testing.T) {
 	seeds, _, _ := handshakeCodecSeeds(t)
-	writeFuzzCorpus(t, "FuzzHandshakeCodec", seeds)
+	fuzzcorpus.Check(t, "FuzzHandshakeCodec", seeds)
 }

@@ -40,8 +40,8 @@ type Protocol int
 // T = n − Threshold — symmetric with the dropout tolerance D = n −
 // Threshold, the standard LightSecAgg instantiation — which is weaker
 // than SecAgg's Threshold−1, so pinning this substrate is an explicit
-// opt-in to that trade (fl.RecommendedProtocolUnderDropout encodes when
-// it pays). ProtocolAuto never resolves here on its own.
+// opt-in to that trade. ProtocolAuto never resolves here on its own: the
+// choice needs a dropout forecast only the deployment has.
 const (
 	ProtocolAuto Protocol = iota
 	ProtocolSecAgg

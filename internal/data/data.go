@@ -1,6 +1,6 @@
 // Package data generates the synthetic federated datasets used in place of
-// CIFAR-10/100, FEMNIST, and Reddit (see DESIGN.md §2 for the substitution
-// rationale). Each task is a Gaussian-mixture classification problem whose
+// CIFAR-10/100, FEMNIST, and Reddit (ARCHITECTURE.md, "Datasets and
+// models", has the substitution rationale). Each task is a Gaussian-mixture classification problem whose
 // class clusters are shared globally, partitioned across clients with the
 // same latent-Dirichlet-allocation (LDA) label-skew the paper uses
 // (§6.1, concentration 1.0).
@@ -147,49 +147,4 @@ func sampleCategorical(s *prg.Stream, probs []float64) int {
 		}
 	}
 	return len(probs) - 1
-}
-
-// LabelSkew measures non-IIDness: the average total-variation distance
-// between each client's label distribution and the global one. 0 = IID;
-// →1 = each client holds a single class.
-func LabelSkew(f *Federated) float64 {
-	if len(f.Clients) == 0 {
-		return 0
-	}
-	classes := f.Clients[0].NumClasses
-	global := make([]float64, classes)
-	total := 0
-	for _, c := range f.Clients {
-		for _, y := range c.Y {
-			global[y]++
-			total++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	for i := range global {
-		global[i] /= float64(total)
-	}
-	var avg float64
-	for _, c := range f.Clients {
-		if len(c.Y) == 0 {
-			continue
-		}
-		local := make([]float64, classes)
-		for _, y := range c.Y {
-			local[y]++
-		}
-		var tv float64
-		for i := range local {
-			local[i] /= float64(len(c.Y))
-			d := local[i] - global[i]
-			if d < 0 {
-				d = -d
-			}
-			tv += d
-		}
-		avg += tv / 2
-	}
-	return avg / float64(len(f.Clients))
 }

@@ -77,7 +77,8 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestDirichletSkew(t *testing.T) {
-	// α = 0.1 must produce more label skew than α = 100 (→IID).
+	// α = 0.1 must concentrate each client on fewer classes than α = 100
+	// (→IID); the measure is the mean share of a client's majority class.
 	mk := func(alpha float64) float64 {
 		cfg := baseCfg()
 		cfg.Alpha = alpha
@@ -86,18 +87,27 @@ func TestDirichletSkew(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return LabelSkew(fed)
+		var sum float64
+		for _, c := range fed.Clients {
+			counts := make([]int, cfg.NumClasses)
+			top := 0
+			for _, y := range c.Y {
+				counts[y]++
+				if counts[y] > top {
+					top = counts[y]
+				}
+			}
+			sum += float64(top) / float64(len(c.Y))
+		}
+		return sum / float64(len(fed.Clients))
 	}
 	sparse := mk(0.1)
 	iid := mk(100)
-	if sparse <= iid {
-		t.Fatalf("α=0.1 skew %v should exceed α=100 skew %v", sparse, iid)
+	if iid > 0.3 {
+		t.Errorf("α=100 should be near IID (majority share ≈ 1/10), got %v", iid)
 	}
-	if iid > 0.25 {
-		t.Errorf("α=100 should be near IID, skew %v", iid)
-	}
-	if sparse < 0.4 {
-		t.Errorf("α=0.1 should be strongly skewed, got %v", sparse)
+	if sparse < 0.6 {
+		t.Errorf("α=0.1 should be strongly skewed, majority share %v", sparse)
 	}
 }
 

@@ -135,15 +135,3 @@ func TestAgreeAndGenerateCounters(t *testing.T) {
 		t.Fatalf("AgreeCount advanced by %d, want ≥ 2", d)
 	}
 }
-
-func BenchmarkAgree(b *testing.B) {
-	alice, _ := Generate(rand.Reader)
-	bob, _ := Generate(rand.Reader)
-	pk := bob.PublicBytes()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := alice.Agree(pk); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -6,13 +6,13 @@
 //
 //  1. Offline noise planning: given a global budget (ε_G, δ_G) and a round
 //     count R, compute the minimum per-round central noise variance σ²*
-//     such that composing R releases stays within budget (PlanGaussianSigma
-//     / PlanSkellamMu).
+//     such that composing R releases stays within budget (PlanSkellamMu,
+//     PlanSkellamMuSampled).
 //  2. Online noise enforcement: every round actually releases an aggregate
 //     perturbed with some achieved variance (exactly σ²* under XNoise;
-//     possibly less under Orig with dropout). The Ledger replays the
-//     achieved noise levels and reports the ε actually consumed, which is
-//     how Figures 1b–1d and 8 are produced.
+//     possibly less under Orig with dropout). SampledLedger replays the
+//     achieved noise levels at the run's sampling rate and reports the ε
+//     actually consumed, which is how Figures 1b–1d and 8 are produced.
 //
 // Accounting is performed in Rényi-DP (RDP) space over a grid of orders α:
 // per-round RDP values add under composition, and the final (ε, δ)
@@ -185,34 +185,6 @@ func GaussianEpsilon(rounds int, sensitivity, sigma, delta float64) float64 {
 		a.AddGaussian(sensitivity, sigma)
 	}
 	return a.Epsilon(delta)
-}
-
-// PlanGaussianSigma performs offline noise planning (paper §2.2,
-// "distributed DP ... performs offline noise planning ahead of time"):
-// the smallest per-round Gaussian σ (central, i.e. of the aggregate noise)
-// such that R rounds compose to at most (epsilonBudget, delta). The result
-// is found by bisection; relative precision 1e-4.
-func PlanGaussianSigma(epsilonBudget, delta, sensitivity float64, rounds int) (float64, error) {
-	if epsilonBudget <= 0 || rounds <= 0 || sensitivity <= 0 {
-		return 0, fmt.Errorf("dp: invalid plan parameters eps=%v rounds=%d sens=%v",
-			epsilonBudget, rounds, sensitivity)
-	}
-	lo, hi := 1e-6, 1e-3
-	for GaussianEpsilon(rounds, sensitivity, hi, delta) > epsilonBudget {
-		hi *= 2
-		if hi > 1e12 {
-			return 0, fmt.Errorf("dp: cannot satisfy budget ε=%v", epsilonBudget)
-		}
-	}
-	for i := 0; i < 80 && hi/lo > 1+1e-4; i++ {
-		mid := math.Sqrt(lo * hi)
-		if GaussianEpsilon(rounds, sensitivity, mid, delta) > epsilonBudget {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi, nil
 }
 
 // SkellamEpsilon is the (ε, δ) cost of R Skellam releases.

@@ -123,38 +123,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestPlanGaussianSigmaMeetsBudget(t *testing.T) {
-	for _, tc := range []struct {
-		eps    float64
-		rounds int
-	}{{6, 150}, {3, 150}, {9, 50}, {1, 300}} {
-		sigma, err := PlanGaussianSigma(tc.eps, 1e-3, 1, tc.rounds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := GaussianEpsilon(tc.rounds, 1, sigma, 1e-3)
-		if got > tc.eps {
-			t.Errorf("planned σ=%v exceeds budget: ε=%v > %v", sigma, got, tc.eps)
-		}
-		// Minimality: 2% less noise should blow the budget.
-		if under := GaussianEpsilon(tc.rounds, 1, sigma*0.98, 1e-3); under <= tc.eps {
-			t.Errorf("σ not minimal: 0.98σ still meets budget (ε=%v ≤ %v)", under, tc.eps)
-		}
-	}
-}
-
-func TestPlanGaussianSigmaErrors(t *testing.T) {
-	if _, err := PlanGaussianSigma(0, 1e-5, 1, 10); err == nil {
-		t.Error("zero budget should error")
-	}
-	if _, err := PlanGaussianSigma(1, 1e-5, 1, 0); err == nil {
-		t.Error("zero rounds should error")
-	}
-	if _, err := PlanGaussianSigma(1, 1e-5, 0, 10); err == nil {
-		t.Error("zero sensitivity should error")
-	}
-}
-
 func TestPlanSkellamMuMeetsBudget(t *testing.T) {
 	const (
 		eps, delta = 6.0, 1e-3
@@ -175,9 +143,9 @@ func TestPlanSkellamMuMeetsBudget(t *testing.T) {
 }
 
 func TestMoreRoundsNeedMoreNoise(t *testing.T) {
-	s150, _ := PlanGaussianSigma(6, 1e-3, 1, 150)
-	s300, _ := PlanGaussianSigma(6, 1e-3, 1, 300)
-	if s300 <= s150 {
-		t.Errorf("300 rounds should need more noise than 150: %v vs %v", s300, s150)
+	mu150, _ := PlanSkellamMu(6, 1e-3, 1000, 100, 150)
+	mu300, _ := PlanSkellamMu(6, 1e-3, 1000, 100, 300)
+	if mu300 <= mu150 {
+		t.Errorf("300 rounds should need more noise than 150: %v vs %v", mu300, mu150)
 	}
 }

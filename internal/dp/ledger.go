@@ -1,9 +1,6 @@
 package dp
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Mechanism selects the noise distribution used for accounting.
 type Mechanism int
@@ -15,87 +12,12 @@ const (
 	MechanismSkellam
 )
 
-// Ledger tracks the privacy budget actually consumed over a training run.
-//
-// Each training round releases one aggregate update perturbed with an
-// achieved central noise variance. Under XNoise the achieved variance
-// always equals the planned σ²* (Theorem 1); under Orig with dropout it is
-// lower, consuming more budget than planned — the effect Figures 1 and 8
-// quantify. The ledger composes the achieved rounds and answers "how much ε
-// has been spent so far", plus the per-round trajectory.
-type Ledger struct {
-	mech        Mechanism
-	delta       float64
-	sensitivity float64 // L2 sensitivity (clip bound) in the noise's units
-	delta1      float64 // L1 sensitivity, Skellam only
-	acct        *Accountant
-	history     []RoundRecord
-}
-
 // RoundRecord captures one composed round.
 type RoundRecord struct {
 	Round            int
 	PlannedVariance  float64
 	AchievedVariance float64
 	EpsilonSoFar     float64
-}
-
-// NewLedger creates a ledger for a run with the given accounting mechanism.
-// delta is the target δ; sensitivity the L2 clip bound (and delta1 the L1
-// bound, used only by the Skellam mechanism).
-func NewLedger(mech Mechanism, delta, sensitivity, delta1 float64) *Ledger {
-	return &Ledger{
-		mech:        mech,
-		delta:       delta,
-		sensitivity: sensitivity,
-		delta1:      delta1,
-		acct:        NewAccountant(nil),
-	}
-}
-
-// RecordRound composes one release with the given achieved central
-// variance and returns the cumulative ε.
-func (l *Ledger) RecordRound(planned, achieved float64) float64 {
-	if achieved <= 0 {
-		// A round with no noise exposes the aggregate completely; model it
-		// as (near-)infinite cost by composing an enormous RDP value.
-		l.acct.AddRDPFunc(func(alpha float64) float64 { return math.Inf(1) })
-	} else {
-		switch l.mech {
-		case MechanismGaussian:
-			l.acct.AddGaussian(l.sensitivity, math.Sqrt(achieved))
-		case MechanismSkellam:
-			l.acct.AddSkellam(l.delta1, l.sensitivity, achieved)
-		}
-	}
-	eps := l.acct.Epsilon(l.delta)
-	l.history = append(l.history, RoundRecord{
-		Round:            len(l.history) + 1,
-		PlannedVariance:  planned,
-		AchievedVariance: achieved,
-		EpsilonSoFar:     eps,
-	})
-	return eps
-}
-
-// Epsilon returns the cumulative ε consumed so far.
-func (l *Ledger) Epsilon() float64 {
-	return l.acct.Epsilon(l.delta)
-}
-
-// Rounds returns the number of composed rounds.
-func (l *Ledger) Rounds() int { return len(l.history) }
-
-// History returns the per-round trajectory (a copy).
-func (l *Ledger) History() []RoundRecord {
-	out := make([]RoundRecord, len(l.history))
-	copy(out, l.history)
-	return out
-}
-
-// String summarizes the ledger state.
-func (l *Ledger) String() string {
-	return fmt.Sprintf("dp.Ledger{rounds=%d ε=%.3f δ=%g}", l.Rounds(), l.Epsilon(), l.delta)
 }
 
 // AchievedVariance computes the central noise variance actually present in

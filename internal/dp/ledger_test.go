@@ -5,6 +5,17 @@ import (
 	"testing"
 )
 
+// unsampledLedger is the ledger of a run in which every client
+// participates in every round (q = 1, no amplification).
+func unsampledLedger(t *testing.T, delta, d1, d2 float64) *SampledLedger {
+	t.Helper()
+	l, err := NewSampledLedger(MechanismSkellam, delta, d2, d1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
 func TestLedgerXNoiseVsOrig(t *testing.T) {
 	// The paper's core privacy claim (Figs 1b/8): with dropout, Orig
 	// consumes more ε than planned while XNoise lands exactly on budget.
@@ -12,17 +23,17 @@ func TestLedgerXNoiseVsOrig(t *testing.T) {
 		rounds  = 150
 		budget  = 6.0
 		delta   = 1e-2
+		d1, d2  = 1000, 100 // integer L1 / L2 sensitivities
 		u       = 16
 		dropped = 5 // ~30% dropout each round
 	)
-	sigma, err := PlanGaussianSigma(budget, delta, 1, rounds)
+	sigma2, err := PlanSkellamMu(budget, delta, d1, d2, rounds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sigma2 := sigma * sigma
 
-	orig := NewLedger(MechanismGaussian, delta, 1, 0)
-	xnoise := NewLedger(MechanismGaussian, delta, 1, 0)
+	orig := unsampledLedger(t, delta, d1, d2)
+	xnoise := unsampledLedger(t, delta, d1, d2)
 	for r := 0; r < rounds; r++ {
 		av, err := AchievedVariance("orig", sigma2, u, dropped, 0)
 		if err != nil {
@@ -42,44 +53,6 @@ func TestLedgerXNoiseVsOrig(t *testing.T) {
 	}
 	if epsOrig <= epsX {
 		t.Errorf("Orig (%v) should consume more than XNoise (%v)", epsOrig, epsX)
-	}
-}
-
-func TestLedgerMonotoneTrajectory(t *testing.T) {
-	l := NewLedger(MechanismGaussian, 1e-5, 1, 0)
-	prev := 0.0
-	for r := 0; r < 20; r++ {
-		eps := l.RecordRound(1e-4, 1e-4)
-		if eps < prev {
-			t.Fatalf("ε trajectory must be non-decreasing: round %d: %v < %v", r, eps, prev)
-		}
-		prev = eps
-	}
-	if l.Rounds() != 20 {
-		t.Errorf("rounds = %d", l.Rounds())
-	}
-	h := l.History()
-	if len(h) != 20 || h[19].Round != 20 {
-		t.Errorf("history malformed: %+v", h[len(h)-1])
-	}
-}
-
-func TestLedgerZeroNoiseRound(t *testing.T) {
-	l := NewLedger(MechanismGaussian, 1e-5, 1, 0)
-	eps := l.RecordRound(1, 0)
-	if !math.IsInf(eps, 1) {
-		t.Errorf("zero-noise release should cost infinite ε, got %v", eps)
-	}
-}
-
-func TestLedgerSkellamMechanism(t *testing.T) {
-	l := NewLedger(MechanismSkellam, 1e-3, 100, 1000)
-	for r := 0; r < 10; r++ {
-		l.RecordRound(1e8, 1e8)
-	}
-	eps := l.Epsilon()
-	if eps <= 0 || math.IsInf(eps, 1) {
-		t.Errorf("Skellam ledger ε = %v", eps)
 	}
 }
 
@@ -138,11 +111,10 @@ func TestAchievedVarianceErrors(t *testing.T) {
 func TestHigherDropoutMoreEpsilon(t *testing.T) {
 	// Figure 1d shape: ε consumed grows with dropout rate for Orig.
 	const rounds, u = 150, 16
-	sigma, _ := PlanGaussianSigma(6, 1e-2, 1, rounds)
-	sigma2 := sigma * sigma
+	sigma2, _ := PlanSkellamMu(6, 1e-2, 1000, 100, rounds)
 	prev := 0.0
 	for _, dropRate := range []float64{0, 0.1, 0.2, 0.3, 0.4} {
-		l := NewLedger(MechanismGaussian, 1e-2, 1, 0)
+		l := unsampledLedger(t, 1e-2, 1000, 100)
 		d := int(dropRate * u)
 		for r := 0; r < rounds; r++ {
 			av, _ := AchievedVariance("orig", sigma2, u, d, 0)

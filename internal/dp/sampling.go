@@ -90,8 +90,16 @@ func PlanSkellamMuSampled(epsilonBudget, delta, delta1, delta2 float64, rounds i
 	return hi, nil
 }
 
-// SampledLedger wraps Ledger with subsampling amplification: achieved
-// variances are accounted at rate q.
+// SampledLedger tracks the privacy budget actually consumed over a
+// training run, with subsampling amplification at rate q (q = 1 is a run in
+// which every client participates every round).
+//
+// Each training round releases one aggregate update perturbed with an
+// achieved central noise variance. Under XNoise the achieved variance
+// always equals the planned σ²* (Theorem 1); under Orig with dropout it is
+// lower, consuming more budget than planned — the effect Figures 1 and 8
+// quantify. The ledger composes the achieved rounds and answers "how much ε
+// has been spent so far", plus the per-round trajectory.
 type SampledLedger struct {
 	mech        Mechanism
 	delta       float64
@@ -117,6 +125,8 @@ func NewSampledLedger(mech Mechanism, delta, sensitivity, delta1, q float64) (*S
 // returns the cumulative ε.
 func (l *SampledLedger) RecordRound(planned, achieved float64) float64 {
 	if achieved <= 0 {
+		// A round with no noise exposes the aggregate completely; model it
+		// as infinite cost.
 		l.acct.AddRDPFunc(func(alpha float64) float64 { return math.Inf(1) })
 	} else {
 		switch l.mech {

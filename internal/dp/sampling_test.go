@@ -48,17 +48,16 @@ func TestSampledPlanNeedsLessNoise(t *testing.T) {
 }
 
 func TestSampledLedgerMatchesFullAtQ1(t *testing.T) {
-	full := NewLedger(MechanismSkellam, 1e-3, 100, 1000)
 	sampled, err := NewSampledLedger(MechanismSkellam, 1e-3, 100, 1000, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < 10; r++ {
-		full.RecordRound(1e7, 1e7)
 		sampled.RecordRound(1e7, 1e7)
 	}
-	if math.Abs(full.Epsilon()-sampled.Epsilon()) > 1e-9 {
-		t.Errorf("q=1 sampled ledger %v != full ledger %v", sampled.Epsilon(), full.Epsilon())
+	full := SkellamEpsilon(10, 1000, 100, 1e7, 1e-3)
+	if math.Abs(full-sampled.Epsilon()) > 1e-9 {
+		t.Errorf("q=1 sampled ledger %v != unsampled accounting %v", sampled.Epsilon(), full)
 	}
 }
 

@@ -1,7 +1,7 @@
 package experiments
 
-// Ablations for the design choices DESIGN.md calls out. These have no
-// paper counterpart figure; they quantify the decisions the paper makes
+// Ablations for the paper's design choices. These have no paper
+// counterpart figure; they quantify the decisions the paper makes
 // by argument:
 //
 //	ablT — the dropout-tolerance knob T (§3.2): what a larger T costs in

@@ -1,8 +1,8 @@
 // Package experiments contains one runner per table and figure of the
 // paper's motivation and evaluation sections. Each runner returns typed
 // rows and renders the same rows/series the paper reports, so that
-// `dordis-bench -exp <id>` (or the root bench harness) regenerates the
-// experiment. DESIGN.md §4 is the index.
+// `dordis-bench -exp <id>` regenerates the experiment. The registry in this
+// file is the index (`dordis-bench -list` prints it).
 //
 // Scale note: utility experiments (Fig. 1b/1c, Table 2, Fig. 9) train real
 // models; Scale shrinks rounds/data uniformly so the full suite runs in
@@ -24,8 +24,8 @@ type Scale struct {
 	PerClient int
 }
 
-// QuickScale is the reduced setting used by `go test -bench` so the whole
-// suite regenerates quickly.
+// QuickScale is the reduced setting (`dordis-bench -scale quick`, and this
+// package's tests) under which the whole suite regenerates quickly.
 func QuickScale() Scale { return Scale{Rounds: 20, PerClient: 25} }
 
 // PaperScale runs the presets at the paper's round counts.

@@ -85,7 +85,7 @@ type Fig1dRow struct {
 	Epsilon     float64
 }
 
-// Fig1d computes the grid (exported for tests and the bench harness).
+// Fig1d computes the grid (exported for tests).
 func Fig1d() ([]Fig1dRow, error) {
 	const (
 		rounds  = 150

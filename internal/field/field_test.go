@@ -190,14 +190,6 @@ func TestRandomElementCanonical(t *testing.T) {
 	}
 }
 
-func BenchmarkMul(b *testing.B) {
-	x, y := New(0x123456789abcdef), New(0xfedcba987654321)
-	for i := 0; i < b.N; i++ {
-		x = Mul(x, y)
-	}
-	_ = x
-}
-
 func BenchmarkInv(b *testing.B) {
 	x := New(0x123456789abcdef)
 	for i := 0; i < b.N; i++ {

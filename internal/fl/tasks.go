@@ -11,9 +11,10 @@ import (
 // Task presets mirroring the paper's three workloads (§6.1) at laptop
 // scale. The class counts, client counts, sampling sizes, round counts,
 // privacy deltas, clip bounds, and optimizer settings follow the paper;
-// the datasets and models are the synthetic substitutes of DESIGN.md §2.
-// Callers may override Rounds (etc.) before running — the benchmark
-// harness shrinks them to keep regeneration fast.
+// the datasets and models are the synthetic substitutes ARCHITECTURE.md
+// ("Datasets and models") describes. Callers may override Rounds (etc.)
+// before running — dordis-bench's quick scale shrinks them to keep
+// regeneration fast.
 
 // TaskScale shrinks a preset uniformly: data volume and rounds scale down,
 // keeping the privacy/utility comparisons intact.

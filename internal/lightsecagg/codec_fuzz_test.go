@@ -2,16 +2,15 @@ package lightsecagg
 
 import (
 	"bytes"
-	"fmt"
-	"os"
-	"path/filepath"
-	"strconv"
 	"testing"
+
+	"repro/internal/fuzzcorpus"
 )
 
 // Native fuzz target for the two control decoders (roster, survivor set).
 // CI runs a -fuzztime smoke over the checked-in seed corpus
-// (testdata/fuzz/FuzzControlCodec, regenerated via
+// (testdata/fuzz/FuzzControlCodec, which plain `go test` compares with
+// these generators — fuzzcorpus.Check — and which is regenerated via
 // WRITE_FUZZ_CORPUS=1 go test -run TestWriteControlCorpus).
 
 func controlCodecSeeds(tb testing.TB) [][]byte {
@@ -92,17 +91,5 @@ func FuzzControlCodec(f *testing.F) {
 }
 
 func TestWriteControlCorpus(t *testing.T) {
-	if os.Getenv("WRITE_FUZZ_CORPUS") == "" {
-		t.Skip("set WRITE_FUZZ_CORPUS=1 to regenerate the checked-in seed corpus")
-	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzControlCodec")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range controlCodecSeeds(t) {
-		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(s)) + ")\n"
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seed-%02d", i)), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	fuzzcorpus.Check(t, "FuzzControlCodec", controlCodecSeeds(t))
 }

@@ -478,8 +478,8 @@ func (c *Client) EncodeShares() (map[uint64][]field.Element, error) {
 }
 
 // encodeSharesNaive is the pre-blocking reference implementation (one
-// rank at a time, Mul+Add per term), kept for the equality tests and as
-// the bench ledger's before-side of the blocked kernel.
+// rank at a time, Mul+Add per term), kept as the oracle of the equality
+// tests of the blocked kernel.
 func (c *Client) encodeSharesNaive() (map[uint64][]field.Element, error) {
 	enc, err := c.session.matrix(c.cfg)
 	if err != nil {

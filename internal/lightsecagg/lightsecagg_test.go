@@ -308,31 +308,6 @@ func TestClientCost(t *testing.T) {
 	}
 }
 
-func BenchmarkRound8x1024(b *testing.B) {
-	cfg := testConfig(8, 2, 2, 1024)
-	inputs, _ := makeInputs(cfg)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg, inputs, nil, nil, rng("bench")); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEncodeShares16x4096(b *testing.B) {
-	cfg := testConfig(16, 4, 4, 4096)
-	c, err := NewClient(cfg, 1, rng("bench-enc"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.EncodeShares(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestEncodeSharesBlockedMatchesNaive: the cache-blocked deferred-
 // reduction encoding is value-identical to the historical per-rank
 // Mul/Add loop, across sub-vector lengths that straddle the tile sizes.
@@ -367,22 +342,6 @@ func TestEncodeSharesBlockedMatchesNaive(t *testing.T) {
 						tc.n, tc.dim, id, i, g[i], w[i])
 				}
 			}
-		}
-	}
-}
-
-// BenchmarkEncodeSharesNaive16x4096 is the before-side of the blocked
-// encoding kernel in the pr7 bench ledger.
-func BenchmarkEncodeSharesNaive16x4096(b *testing.B) {
-	cfg := testConfig(16, 4, 4, 4096)
-	c, err := NewClient(cfg, 1, rng("bench-enc"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.encodeSharesNaive(); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

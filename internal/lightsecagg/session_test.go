@@ -356,51 +356,3 @@ func TestRecoveryWeightsIncremental(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkRecoveryWeights compares the cold O(parts·u²) cohort weight
-// computation with the one-straggler incremental update (pr7 ledger).
-func BenchmarkRecoveryWeights(b *testing.B) {
-	cfg := testConfig(64, 16, 16, 4096) // U = 48, parts = 32
-	base := make([]uint64, 48)
-	swapped := make([]uint64, 48)
-	for i := range base {
-		base[i] = uint64(i + 1)
-		swapped[i] = uint64(i + 1)
-	}
-	swapped[47] = 64 // straggler 48 replaced by 64
-
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := (*ServerSession)(nil).recoveryWeights(cfg, base); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("incremental", func(b *testing.B) {
-		s := NewServerSession()
-		if _, err := s.recoveryWeights(cfg, base); err != nil {
-			b.Fatal(err)
-		}
-		ranks := make([]int, len(swapped))
-		for i, id := range swapped {
-			r, err := cfg.rank(id)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ranks[i] = r
-		}
-		baseRanks := make([]int, len(base))
-		for i, id := range base {
-			r, _ := cfg.rank(id)
-			baseRanks[i] = r
-		}
-		old := recoveryEntry{ranks: baseRanks}
-		old.ws, _ = (*ServerSession)(nil).recoveryWeights(cfg, base)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := swapRecoveryWeights(cfg, old, ranks); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

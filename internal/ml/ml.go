@@ -3,7 +3,7 @@
 // with momentum, softmax cross-entropy, and the L2 clipping that DP-FL
 // applies to model updates.
 //
-// Substitution note (see DESIGN.md §2): the paper trains ResNet-18, VGG-19,
+// Substitution note (see ARCHITECTURE.md, "Datasets and models"): the paper trains ResNet-18, VGG-19,
 // a CNN, and Albert under PyTorch. The distributed-DP machinery treats the
 // model as an opaque parameter vector; these compact models exercise the
 // identical code paths (clip → encode → noise → aggregate → decode → apply)

@@ -31,7 +31,7 @@ import (
 const SeedSize = 32
 
 // Seed is PRG key material. The protocol treats some seeds as field elements
-// (so they can be Shamir-shared); FromFieldElement/ToFieldElement convert.
+// (so they can be Shamir-shared); FromFieldElement expands one to a Seed.
 type Seed [SeedSize]byte
 
 // NewSeed derives a Seed from arbitrary bytes via SHA-256. It is used both
@@ -54,14 +54,6 @@ func FromFieldElement(e field.Element) Seed {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], e.Uint64())
 	return NewSeed([]byte("dordis/prg/from-field/v1"), b[:])
-}
-
-// ToFieldElement compresses a Seed into a field element, used when a
-// uniformly random field value is needed from seed material.
-func ToFieldElement(s Seed) field.Element {
-	var b [8]byte
-	copy(b[:], s[:8])
-	return field.RandomElement(b)
 }
 
 // BlockSize is the AES-CTR keystream block granularity in bytes. SeekBlock
@@ -224,11 +216,6 @@ func (s *Stream) Uint64n(n uint64) uint64 {
 			return v % n
 		}
 	}
-}
-
-// Int63 returns a uniform value in [0, 2^63).
-func (s *Stream) Int63() int64 {
-	return int64(s.Uint64() >> 1)
 }
 
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.

@@ -174,16 +174,6 @@ func TestFieldElementStream(t *testing.T) {
 	}
 }
 
-func BenchmarkRead1MB(b *testing.B) {
-	s := NewStream(NewSeed([]byte("bench")))
-	buf := make([]byte, 1<<20)
-	b.SetBytes(1 << 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Read(buf)
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	s := NewStream(NewSeed([]byte("bench64")))
 	for i := 0; i < b.N; i++ {
@@ -451,25 +441,5 @@ func TestSegmentedFillMatchesSequential(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%d-way segmented expansion differs from sequential", nseg)
 		}
-	}
-}
-
-func BenchmarkFill1MB(b *testing.B) {
-	s := NewStream(NewSeed([]byte("bench-fill")))
-	buf := make([]byte, 1<<20)
-	b.SetBytes(1 << 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Fill(buf)
-	}
-}
-
-func BenchmarkFillUint64Masked(b *testing.B) {
-	s := NewStream(NewSeed([]byte("bench-fill-u64")))
-	buf := make([]uint64, 1<<17)
-	b.SetBytes(1 << 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.FillUint64Masked(buf, (1<<20)-1)
 	}
 }

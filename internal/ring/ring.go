@@ -219,36 +219,6 @@ func maskSpan(data []uint64, m uint64, s *prg.Stream, sign int) {
 	maskScratch.Put(sp)
 }
 
-// MaskParallelInPlace is MaskInPlace with the single stream split into up
-// to `workers` independently expanded segments (ChunkBounds geometry) — the
-// standalone form of the segmented fan-out, used by benchmarks and by
-// callers that expand one large mask with idle cores available. The result
-// is byte-identical to MaskInPlace; the receiver stream is advanced past
-// the full expansion so subsequent draws continue as if it ran
-// sequentially.
-func (v Vector) MaskParallelInPlace(s *prg.Stream, sign int, workers int) error {
-	if sign != 1 && sign != -1 {
-		return fmt.Errorf("ring: mask sign must be ±1, got %d", sign)
-	}
-	if workers > len(v.Data)/maskScratchLen {
-		workers = len(v.Data) / maskScratchLen
-	}
-	if workers <= 1 {
-		return v.MaskInPlace(s, sign)
-	}
-	var wg sync.WaitGroup
-	for _, b := range ChunkBounds(len(v.Data), workers) {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			v.MaskRangeInPlace(s, sign, lo, hi) // bounds pre-validated
-		}(b[0], b[1])
-	}
-	wg.Wait()
-	s.Seek(s.Offset() + 8*uint64(len(v.Data)))
-	return nil
-}
-
 // AddManyInPlace sets v += Σ os (mod 2^b) in cache-friendly blocks: each
 // block of v is kept hot while every addend streams through it once, so the
 // accumulator's cache lines are touched once per block rather than once per

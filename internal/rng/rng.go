@@ -14,8 +14,6 @@
 //     both fall back on.
 //   - Gaussian noise for the continuous-Gaussian DP path and for synthetic
 //     dataset generation.
-//   - Zipf variates for the client compute/bandwidth heterogeneity model
-//     (§6.1 sets a=1.2).
 //   - Dirichlet for the non-IID (LDA) data partitioner.
 //
 // Every sampler takes the stream explicitly so noise components can be
@@ -245,56 +243,6 @@ func addSkellamExact(s *prg.Stream, mu float64, acc []int64) {
 		acc[i] += ps.draw(next) - ps.draw(next)
 	}
 	b.release()
-}
-
-// Zipf draws a rank in [1, n] following a Zipf distribution with exponent
-// a > 1: P(rank=i) ∝ i^-a. Used for the client heterogeneity model
-// (paper §6.1: latency of the i-th slowest client ∝ i^-1.2). Sampling is by
-// inverse transform over the exact normalized CDF for the (small) n used in
-// deployments.
-type Zipf struct {
-	cdf []float64 // cdf[i] = P(rank <= i+1)
-}
-
-// NewZipf precomputes the CDF for ranks 1..n with exponent a.
-func NewZipf(n int, a float64) *Zipf {
-	if n <= 0 {
-		panic("rng: Zipf needs n >= 1")
-	}
-	cdf := make([]float64, n)
-	acc := 0.0
-	for i := 1; i <= n; i++ {
-		acc += math.Pow(float64(i), -a)
-		cdf[i-1] = acc
-	}
-	for i := range cdf {
-		cdf[i] /= acc
-	}
-	cdf[n-1] = 1.0
-	return &Zipf{cdf: cdf}
-}
-
-// Rank draws a rank in [1, len(cdf)].
-func (z *Zipf) Rank(s *prg.Stream) int {
-	u := s.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo + 1
-}
-
-// Weight returns the normalized probability mass of rank i (1-based).
-func (z *Zipf) Weight(i int) float64 {
-	if i == 1 {
-		return z.cdf[0]
-	}
-	return z.cdf[i-1] - z.cdf[i-2]
 }
 
 // Dirichlet draws one sample from Dirichlet(alpha, ..., alpha) of the given

@@ -123,41 +123,6 @@ func TestSkellamClosedUnderSum(t *testing.T) {
 	}
 }
 
-func TestZipfDistribution(t *testing.T) {
-	z := NewZipf(10, 1.2)
-	s := stream("zipf")
-	const n = 200000
-	counts := make([]int, 11)
-	for i := 0; i < n; i++ {
-		r := z.Rank(s)
-		if r < 1 || r > 10 {
-			t.Fatalf("rank %d out of range", r)
-		}
-		counts[r]++
-	}
-	// Monotone non-increasing frequencies (allowing small noise).
-	for i := 1; i < 10; i++ {
-		if float64(counts[i+1]) > float64(counts[i])*1.05 {
-			t.Errorf("Zipf counts not decreasing: rank %d=%d rank %d=%d",
-				i, counts[i], i+1, counts[i+1])
-		}
-	}
-	// Empirical mass of rank 1 should match Weight(1).
-	w1 := z.Weight(1)
-	emp := float64(counts[1]) / n
-	if math.Abs(emp-w1) > 0.01 {
-		t.Errorf("rank-1 mass %v, want ≈%v", emp, w1)
-	}
-	// Weights must sum to 1.
-	var tw float64
-	for i := 1; i <= 10; i++ {
-		tw += z.Weight(i)
-	}
-	if math.Abs(tw-1) > 1e-9 {
-		t.Errorf("weights sum to %v", tw)
-	}
-}
-
 func TestDirichletSimplex(t *testing.T) {
 	s := stream("dirichlet")
 	for trial := 0; trial < 200; trial++ {
@@ -270,20 +235,6 @@ func TestBernoulliRate(t *testing.T) {
 	rate := float64(hits) / n
 	if math.Abs(rate-0.3) > 0.01 {
 		t.Errorf("Bernoulli(0.3) rate %v", rate)
-	}
-}
-
-func BenchmarkSkellamSmallMu(b *testing.B) {
-	s := stream("bench-skellam")
-	for i := 0; i < b.N; i++ {
-		_ = Skellam(s, 2.0)
-	}
-}
-
-func BenchmarkSkellamLargeMu(b *testing.B) {
-	s := stream("bench-skellam-lg")
-	for i := 0; i < b.N; i++ {
-		_ = Skellam(s, 1e6)
 	}
 }
 

@@ -1,7 +1,6 @@
 package rng
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -229,32 +228,5 @@ func TestSkellamVectorStreamPositionContract(t *testing.T) {
 				t.Fatalf("%s: consecutive fills from one stream are not deterministic", f.name)
 			}
 		}
-	}
-}
-
-// BenchmarkSkellamVector measures the two dense samplers at Knuth-regime
-// and PTRS-regime variances (pr7 ledger: the ≥1.8x acceptance bound
-// applies to inversion vs two-Poisson at λ ≥ 8, i.e. mu ≥ 16).
-func BenchmarkSkellamVector(b *testing.B) {
-	const dim = 4096
-	out := make([]int64, dim)
-	for _, mu := range []float64{16, 80, 1024} {
-		b.Run(fmt.Sprintf("two-poisson/mu=%v", mu), func(b *testing.B) {
-			s := stream("bench-skellam-e0")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				SkellamVector(s, mu, out)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/dim, "ns/elem")
-		})
-		b.Run(fmt.Sprintf("inversion/mu=%v", mu), func(b *testing.B) {
-			s := stream("bench-skellam-e1")
-			skellamTableFor(mu) // build outside the timer
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				AddSkellamInv(s, mu, out)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/dim, "ns/elem")
-		})
 	}
 }

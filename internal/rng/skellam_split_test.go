@@ -369,28 +369,3 @@ func TestSkellamSplitPrefetchSized(t *testing.T) {
 		t.Errorf("sparse fill of ≥%d units consumed %d bytes, want ≤ %d", units, s.Offset(), max)
 	}
 }
-
-// BenchmarkAddSkellamSplit measures the epoch-0 sampler at the variances
-// of an XNoise round (components k ≥ 1 at n=64, μ=100; component 0) next
-// to the inversion sampler it replaces there.
-func BenchmarkAddSkellamSplit(b *testing.B) {
-	const dim = 2048
-	acc := make([]int64, dim)
-	for _, mu := range []float64{100.0 / (64 * 63), 100.0 / (49 * 48), 0.99, 100.0 / 64} {
-		for _, sampler := range []struct {
-			name string
-			add  func(*prg.Stream, float64, []int64)
-		}{{"split", AddSkellamSplit}, {"inv", AddSkellamInv}} {
-			b.Run(fmt.Sprintf("%s/mu=%.4f", sampler.name, mu), func(b *testing.B) {
-				skellamTableFor(mu) // build outside the timer
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					// a stream per fill, as every protocol call site has it
-					sampler.add(stream("bench-split"), mu, acc)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/dim, "ns/elem")
-			})
-		}
-	}
-}

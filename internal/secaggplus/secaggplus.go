@@ -150,32 +150,3 @@ func NewConfig(base secagg.Config, degree int) (secagg.Config, error) {
 	}
 	return cfg, nil
 }
-
-// CostModel captures the asymptotic per-round complexity of the two
-// protocols in the units the pipeline simulator consumes. Values follow
-// Table 1/§2 of Bell et al.: per-client work is O(k + d) vs SecAgg's
-// O(n + d), share traffic O(k) vs O(n).
-type CostModel struct {
-	// Neighbors is the masking degree: n−1 for SecAgg, k for SecAgg+.
-	Neighbors int
-	// SharesPerClient is the number of share bundles sent: same as
-	// Neighbors.
-	SharesPerClient int
-	// MaskExpansions is the number of PRG vector expansions a client
-	// performs at masking time (pairwise masks + self mask).
-	MaskExpansions int
-}
-
-// Costs returns the cost models of classic SecAgg and SecAgg+ over n
-// clients with the given SecAgg+ degree (0 = recommended).
-func Costs(n, degree int) (secAgg, secAggPlus CostModel) {
-	if degree <= 0 {
-		degree = RecommendedDegree(n)
-	}
-	if degree > n-1 {
-		degree = n - 1
-	}
-	secAgg = CostModel{Neighbors: n - 1, SharesPerClient: n - 1, MaskExpansions: n}
-	secAggPlus = CostModel{Neighbors: degree, SharesPerClient: degree, MaskExpansions: degree + 1}
-	return
-}

@@ -238,16 +238,3 @@ func TestNewConfigLowersThresholdToNeighborhood(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestCostsAsymptotics(t *testing.T) {
-	sa, sap := Costs(1000, 0)
-	if sa.Neighbors != 999 {
-		t.Errorf("SecAgg neighbors %d", sa.Neighbors)
-	}
-	if sap.Neighbors >= sa.Neighbors/10 {
-		t.Errorf("SecAgg+ neighbors %d not ≪ SecAgg %d", sap.Neighbors, sa.Neighbors)
-	}
-	if sap.MaskExpansions != sap.Neighbors+1 {
-		t.Errorf("mask expansions should be degree+1")
-	}
-}

@@ -8,10 +8,10 @@ import (
 	"repro/internal/field"
 )
 
-// BenchmarkThresholdSweep is the ablation DESIGN.md calls out: how share
-// and reconstruction cost scale with the threshold t at fixed n = 100 —
-// the knob trading SecAgg robustness (small t) against collusion
-// resistance (large t, §3.4 requires 2t > |U|).
+// BenchmarkThresholdSweep: how share and reconstruction cost scale with
+// the threshold t at fixed n = 100 — the knob trading SecAgg robustness
+// (small t) against collusion resistance (large t, §3.4 requires
+// 2t > |U|).
 func BenchmarkThresholdSweep(b *testing.B) {
 	const n = 100
 	secret := field.New(123456789)
@@ -39,7 +39,9 @@ func BenchmarkThresholdSweep(b *testing.B) {
 
 // BenchmarkReconstructMany measures recovering K secrets shared over the
 // same abscissa set — the exact shape of XNoise seed recovery (§3.2), where
-// the survivor set is identical across all K noise seeds.
+// the survivor set is identical across all K noise seeds — one Reconstruct
+// at a time: the unbatched reference for the batched pass production runs,
+// which the round benchmark times (bench/, shamir.reconstruct_batch_us).
 func BenchmarkReconstructMany(b *testing.B) {
 	const n, t, k = 64, 48, 16
 	sets := make([][]Share, k)
@@ -59,25 +61,4 @@ func BenchmarkReconstructMany(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkReconstructBatch is the batched counterpart of
-// BenchmarkReconstructMany: one Lagrange coefficient pass shared by all
-// K secrets.
-func BenchmarkReconstructBatch(b *testing.B) {
-	const n, t, k = 64, 48, 16
-	sets := make([][]Share, k)
-	for i := range sets {
-		shares, err := SplitIndexed(field.New(uint64(1000+i)), t, n, rand.Reader)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sets[i] = shares[:t]
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReconstructBatch(sets, t); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

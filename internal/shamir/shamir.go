@@ -149,20 +149,3 @@ func ReconstructBatch(shareSets [][]Share, t int) ([]field.Element, error) {
 	}
 	return out, nil
 }
-
-// Combine adds two sharings of the same participant set point-wise,
-// producing shares of the sum of the underlying secrets. Both inputs must
-// have matching abscissas in matching order.
-func Combine(a, b []Share) ([]Share, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("shamir: combine length mismatch %d vs %d", len(a), len(b))
-	}
-	out := make([]Share, len(a))
-	for i := range a {
-		if a[i].X != b[i].X {
-			return nil, fmt.Errorf("shamir: combine abscissa mismatch at %d", i)
-		}
-		out[i] = Share{X: a[i].X, Y: field.Add(a[i].Y, b[i].Y)}
-	}
-	return out, nil
-}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	mrand "math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/field"
 )
@@ -121,46 +120,6 @@ func TestSecrecyDegreesOfFreedom(t *testing.T) {
 	}
 }
 
-func TestCombineIsAdditive(t *testing.T) {
-	f := func(a, b uint64) bool {
-		sa := field.New(a)
-		sb := field.New(b)
-		sharesA, err := SplitIndexed(sa, 3, 5, rand.Reader)
-		if err != nil {
-			return false
-		}
-		sharesB, err := SplitIndexed(sb, 3, 5, rand.Reader)
-		if err != nil {
-			return false
-		}
-		sum, err := Combine(sharesA, sharesB)
-		if err != nil {
-			return false
-		}
-		got, err := Reconstruct(sum[:3], 3)
-		if err != nil {
-			return false
-		}
-		return got == field.Add(sa, sb)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCombineValidation(t *testing.T) {
-	sharesA, _ := SplitIndexed(field.New(1), 2, 3, rand.Reader)
-	sharesB, _ := SplitIndexed(field.New(2), 2, 4, rand.Reader)
-	if _, err := Combine(sharesA, sharesB); err == nil {
-		t.Error("length mismatch should error")
-	}
-	sharesC, _ := SplitIndexed(field.New(3), 2, 3, rand.Reader)
-	sharesC[0].X, sharesC[1].X = sharesC[1].X, sharesC[0].X
-	if _, err := Combine(sharesA, sharesC); err == nil {
-		t.Error("abscissa mismatch should error")
-	}
-}
-
 func TestWrongSharesGiveWrongSecret(t *testing.T) {
 	secret := field.New(31337)
 	shares, err := SplitIndexed(secret, 3, 5, rand.Reader)
@@ -175,29 +134,6 @@ func TestWrongSharesGiveWrongSecret(t *testing.T) {
 	}
 	if got == secret {
 		t.Error("corrupted share should not reconstruct the true secret")
-	}
-}
-
-func BenchmarkSplit100(b *testing.B) {
-	secret := field.New(12345)
-	for i := 0; i < b.N; i++ {
-		if _, err := SplitIndexed(secret, 51, 100, rand.Reader); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkReconstruct51of100(b *testing.B) {
-	secret := field.New(12345)
-	shares, err := SplitIndexed(secret, 51, 100, rand.Reader)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Reconstruct(shares[:51], 51); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -122,24 +122,3 @@ func TestIdentitiesSorted(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkSign(b *testing.B) {
-	s, _ := NewSigner(rand.Reader)
-	msg := make([]byte, 64)
-	for i := 0; i < b.N; i++ {
-		_ = s.Sign(msg)
-	}
-}
-
-func BenchmarkVerify(b *testing.B) {
-	s, _ := NewSigner(rand.Reader)
-	msg := make([]byte, 64)
-	sigBytes := s.Sign(msg)
-	pub := s.Public()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !Verify(pub, msg, sigBytes) {
-			b.Fatal("verify failed")
-		}
-	}
-}

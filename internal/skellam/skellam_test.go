@@ -359,24 +359,3 @@ func TestChooseScaleCapacity(t *testing.T) {
 		t.Fatalf("capacity violated: decode error %v", math.Sqrt(errNorm))
 	}
 }
-
-func BenchmarkEncode10k(b *testing.B) {
-	p := testParams(10000, 16)
-	s := prg.NewStream(prg.NewSeed([]byte("bench")))
-	x := randomUpdate(s, p.Dim, 0.9)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Encode(p, x, s.Fork("r")); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRotate1M(b *testing.B) {
-	seed := prg.NewSeed([]byte("rotbench"))
-	x := make([]float64, 1<<20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Rotate(seed, x)
-	}
-}

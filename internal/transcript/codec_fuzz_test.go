@@ -2,19 +2,17 @@ package transcript
 
 import (
 	"bytes"
-	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strconv"
 	"testing"
 
+	"repro/internal/fuzzcorpus"
 	"repro/internal/sig"
 )
 
 // Native fuzz target for the 0xDD transcript frame family. CI runs a
 // -fuzztime smoke over the checked-in seed corpus
-// (testdata/fuzz/FuzzTranscriptCodec, regenerated via
+// (testdata/fuzz/FuzzTranscriptCodec, which plain `go test` compares with
+// these generators — fuzzcorpus.Check — and which is regenerated via
 // WRITE_FUZZ_CORPUS=1 go test -run TestWriteTranscriptCorpus).
 
 // transcriptCodecSeeds returns the seed frames: signed and unsigned
@@ -114,23 +112,6 @@ func FuzzTranscriptCodec(f *testing.F) {
 	})
 }
 
-func writeFuzzCorpus(t *testing.T, fuzzName string, seeds [][]byte) {
-	t.Helper()
-	if os.Getenv("WRITE_FUZZ_CORPUS") == "" {
-		t.Skip("set WRITE_FUZZ_CORPUS=1 to regenerate the checked-in seed corpus")
-	}
-	dir := filepath.Join("testdata", "fuzz", fuzzName)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range seeds {
-		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(s)) + ")\n"
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seed-%02d", i)), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestWriteTranscriptCorpus(t *testing.T) {
-	writeFuzzCorpus(t, "FuzzTranscriptCodec", transcriptCodecSeeds(t))
+	fuzzcorpus.Check(t, "FuzzTranscriptCodec", transcriptCodecSeeds(t))
 }

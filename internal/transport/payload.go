@@ -54,6 +54,14 @@ func (r *Reader) Byte() byte {
 	return 0
 }
 
+// Uint16 reads one 2-byte integer.
+func (r *Reader) Uint16() uint16 {
+	if b := r.Raw(2); b != nil {
+		return binary.LittleEndian.Uint16(b)
+	}
+	return 0
+}
+
 // Uint32 reads one 4-byte integer that is a value, not a section count.
 func (r *Reader) Uint32() uint32 {
 	if b := r.Raw(4); b != nil {
@@ -165,6 +173,9 @@ func (w *Writer) Fail(err error) {
 
 // Raw appends bytes as they are.
 func (w *Writer) Raw(b ...byte) { w.b = append(w.b, b...) }
+
+// Uint16 appends one 2-byte integer.
+func (w *Writer) Uint16(v uint16) { w.b = binary.LittleEndian.AppendUint16(w.b, v) }
 
 // Uint32 appends one 4-byte integer that is a value, not a section count.
 func (w *Writer) Uint32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }

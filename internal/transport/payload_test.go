@@ -10,6 +10,7 @@ import (
 func TestPayloadRoundTrip(t *testing.T) {
 	w := NewWriter(0xD0, 0x7F, 0)
 	w.Raw(3)
+	w.Uint16(0xBEEF)
 	w.Uint64(42)
 	w.Words([]uint64{1, 2, 3}, 8)
 	w.Bytes([]byte("ciphertext"), 64)
@@ -20,7 +21,7 @@ func TestPayloadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewReader(p, 0xD0, 0x7F)
-	if r.Byte() != 3 || r.Uint64() != 42 {
+	if r.Byte() != 3 || r.Uint16() != 0xBEEF || r.Uint64() != 42 {
 		t.Fatal("fixed fields diverged")
 	}
 	if ws := r.Words(8); len(ws) != 3 || ws[2] != 3 {
@@ -35,6 +36,7 @@ func TestPayloadRoundTrip(t *testing.T) {
 	for cut := 0; cut < len(p); cut++ {
 		r := NewReader(p[:cut], 0xD0, 0x7F)
 		r.Byte()
+		r.Uint16()
 		r.Uint64()
 		r.Words(8)
 		r.Bytes(64)
@@ -58,7 +60,7 @@ func TestPayloadBounds(t *testing.T) {
 	if n := r.Count(1, 1<<30); n != 0 || r.Done() == nil {
 		t.Fatalf("lying count accepted: n = %d", n)
 	}
-	if r.Uint64() != 0 || r.Words(8) != nil || r.Bytes(8) != nil || r.Blob(8) != nil || r.Raw(1) != nil {
+	if r.Uint16() != 0 || r.Uint64() != 0 || r.Words(8) != nil || r.Bytes(8) != nil || r.Blob(8) != nil || r.Raw(1) != nil {
 		t.Fatal("poisoned reader returned data")
 	}
 	r = NewReader([]byte{0xD0, 1, 3, 0, 0, 0, 1, 2, 3}, 0xD0, 1)
