@@ -34,23 +34,29 @@
 // client/server mask agreement and must fail there. Word draws are
 // little-endian on every platform (big-endian hosts byte-swap in place).
 //
-// Bulk masking. ring.Vector.MaskInPlace expands masks through a pooled
-// keystream scratch and a fused add/sub loop, element-identical to the
-// seed's scalar Uint64()&mask loop (property-tested in package ring) while
-// running ~5x faster; AddManyInPlace/SubManyInPlace fold many vectors into
-// an accumulator in cache-resident blocks.
+// Bulk masking. A mask is its AES-CTR keystream read ⌊64/Bits⌋
+// coordinates to the 64-bit word (three at the paper's 20 bits), a layout
+// that is part of the protocol (PROTOCOL.md, "Mask expansion") and pinned
+// against a scalar reference in package ring. One kernel,
+// ring.Vector.MaskManyInPlace, accumulates Σ sign_k·PRG_k into a
+// coordinate range of its destination block by block: a block stays in
+// cache while every stream passes through it, the streams summed while
+// still packed and unpacked into the vector once, so the destination is
+// read and written once however many masks there are and nothing
+// dim-sized is allocated. MaskInPlace and MaskRangeInPlace are its
+// single-stream forms; AddManyInPlace/SubManyInPlace fold many vectors
+// into an accumulator in cache-resident blocks.
 //
-// Seekable expansion. The CTR keystream is position-addressable:
-// prg.Stream.SeekBlock and FillAt jump to any block offset in O(1)
-// (128-bit counter arithmetic, no keystream generated in between), so
-// one logical mask stream splits into segments that workers expand
-// concurrently — the segmented unmask/mask task fan-out in secagg
-// (through ring.Vector.MaskRangeInPlace) and lightsecagg's segmented
-// uniform fill both cut at block-aligned offsets of the same stream
-// instead of re-keying per worker. The result is byte-identical to the
-// sequential pass (property-pinned against the golden keystream), so
-// parallelism is a local scheduling decision: either side of a wire
-// round may expand with any worker count.
+// Seekable expansion. The CTR keystream is position-addressable
+// (prg.Stream.Seek, AtInto: 128-bit counter arithmetic, no keystream
+// generated in between), so a range of a mask is expanded through a
+// cursor aimed at its first word and disjoint ranges of one destination
+// expand concurrently: secagg's mask fan-out cuts the coordinate range at
+// kernel-block multiples, and lightsecagg's segmented uniform fill cuts
+// its own stream the same way. The result is identical to the sequential
+// pass (property-pinned for GOMAXPROCS 1–8), so parallelism is a local
+// scheduling decision: either side of a wire round may expand with any
+// worker count.
 //
 // Noise sampling. Config.NoiseEpoch versions the XNoise draw sequence
 // exactly as MaskEpoch versions mask derivation. Epoch 0, the default,
@@ -65,15 +71,18 @@
 // handshake's signed offer and commit pin it per round (PROTOCOL.md).
 //
 // Parallel unmasking. The server's unmask step and the client's masking
-// step fan their independent PRG expansions (key agreement included)
-// across a bounded worker pool, each worker accumulating into a private
-// partial vector; partials merge once at the end. Correctness rests on
-// mask removals being independent and commutative in Z_2^b, so the merged
-// result is exactly the sequential one; the pools are exercised under
-// -race in CI. Self-mask seeds and XNoise noise seeds reconstruct through
-// shamir.ReconstructBatch, which computes the Lagrange-at-zero
-// coefficients once per survivor cohort (one batched inversion) and reuses
-// them across all secrets.
+// step go through one function (secagg.applyMaskTasks): the streams are
+// built across a bounded worker pool — key agreement or reconstruction
+// included, once per mask — then the same workers split the coordinate
+// range and accumulate every mask straight into the destination (the
+// client's y, the server's masked sum), with no per-worker partial
+// vectors and no merge. Mask removals commute in Z_2^b and the ranges are
+// disjoint, so the result is exactly the sequential one; a stream that
+// fails to build aborts before anything is expanded. The pool is
+// exercised under -race in CI. Self-mask seeds and XNoise noise seeds
+// reconstruct through shamir.ReconstructBatch, which computes the
+// Lagrange-at-zero coefficients once per survivor cohort (one batched
+// inversion) and reuses them across all secrets.
 //
 // Wire codec. The dim-length payloads — stage-2 masked inputs and the
 // final result broadcast — and the n² stage-1 encrypted share bundles use

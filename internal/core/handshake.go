@@ -77,8 +77,12 @@ const (
 	// mixed-version peer fails loudly at decode. Version 2 added the
 	// divergent-member section to the commit (partial resume); version 3
 	// added the NoiseEpoch field to offer and commit, pinning the noise
-	// draw-sequence version per round.
-	handshakeVersion = 3
+	// draw-sequence version per round. Version 4 changed no field: it
+	// gates the mask expansion layout (ring.MaskManyInPlace: ⌊64/Bits⌋
+	// coordinates per keystream word), which both ends of every pairwise
+	// mask must share, so builds on either side of it refuse each other
+	// here instead of aggregating garbage.
+	handshakeVersion = 4
 
 	// maxHandshakeSig caps a declared signature length (Ed25519 needs 64).
 	maxHandshakeSig = 1 << 10

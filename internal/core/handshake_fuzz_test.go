@@ -49,7 +49,8 @@ func recodeHandshake(p, serverPub []byte) ([]byte, error) {
 // unsigned, each also truncated by a byte and extended by one, plus the
 // non-canonical frames the decoders must refuse — unknown flag bits, an
 // unsorted and a duplicated divergent section, a divergent count the
-// payload cannot carry.
+// payload cannot carry, and an otherwise valid offer from the previous
+// handshake version (a build that expands masks differently).
 func handshakeCodecSeeds(tb testing.TB) (seeds, nonCanonical [][]byte, serverPub []byte) {
 	tb.Helper()
 	signer, err := sig.NewSigner(bytes.NewReader(bytes.Repeat([]byte{0x5A}, 64)))
@@ -79,9 +80,11 @@ func handshakeCodecSeeds(tb testing.TB) (seeds, nonCanonical [][]byte, serverPub
 	duplicated := encodeRoundCommit(RoundCommit{Round: 7, Resume: true, Divergent: []uint64{3, 3}}, nil)
 	lying := append([]byte(nil), valid[5]...)
 	lying[28], lying[29] = 0xFF, 0xFF
+	older := append([]byte(nil), valid[0]...)
+	older[2] = handshakeVersion - 1
 	nonCanonical = [][]byte{
 		flip(valid[0], 12, 0x80), flip(valid[3], 19, 0x08), flip(valid[5], 11, 0x04),
-		unsorted, duplicated, lying,
+		unsorted, duplicated, lying, older,
 	}
 	return append(seeds, nonCanonical...), nonCanonical, signer.Public()
 }

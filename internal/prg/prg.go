@@ -175,7 +175,8 @@ func (s *Stream) FillUint64(dst []uint64) {
 }
 
 // FillUint64Masked is FillUint64 with each draw ANDed with mask — the bulk
-// form of the Uint64()&mask loop at the heart of SecAgg mask expansion.
+// form of a Uint64()&mask loop: a uniform ring vector, one word per
+// coordinate. (Mask expansion packs its words instead: ring.MaskManyInPlace.)
 func (s *Stream) FillUint64Masked(dst []uint64, mask uint64) {
 	s.FillUint64(dst)
 	for i := range dst {
@@ -267,13 +268,22 @@ func (s *Stream) SeekBlock(blk uint64) {
 // At returns a new independent cursor over the same keystream, positioned
 // at byte offset off. The receiver is not advanced or disturbed, so
 // distinct segments of one logical stream can be expanded concurrently
-// from different goroutines — the basis of segmented mask expansion in
-// packages ring and secagg.
+// from different goroutines — the basis of range-partitioned mask
+// expansion in packages ring and secagg.
 func (s *Stream) At(off uint64) *Stream {
-	c := &Stream{block: s.block, iv: s.iv}
-	c.pos = len(c.buf)
-	c.Seek(off)
+	c := new(Stream)
+	s.AtInto(c, off)
 	return c
+}
+
+// AtInto is At re-aiming an existing cursor: c — a zero Stream or one
+// aimed at any keystream before — becomes an independent cursor over the
+// receiver's keystream at byte offset off. A caller that needs many
+// cursors (ring's many-stream mask kernel: one per stream per range) owns
+// their storage and pays only the seek, not a Stream per cursor.
+func (s *Stream) AtInto(c *Stream, off uint64) {
+	c.block, c.iv = s.block, s.iv
+	c.Seek(off)
 }
 
 // FillAt overwrites dst with len(dst) keystream bytes starting at absolute

@@ -356,6 +356,37 @@ func TestSeekBlockAndAt(t *testing.T) {
 	}
 }
 
+// TestAtIntoReaims: one cursor re-aimed in place — across offsets, across
+// buffered lookahead left by the previous aim, and across parents with
+// different keys — reads exactly what a fresh At cursor would, and costs
+// fewer allocations than At (no Stream per cursor).
+func TestAtIntoReaims(t *testing.T) {
+	parents := []*Stream{NewStream(NewSeed([]byte("reaim-a"))), NewStream(NewSeed([]byte("reaim-b")))}
+	var c Stream
+	for i, off := range []uint64{0, 7, 16, 500, 513, 4096, 3, 40000} {
+		p := parents[i%2]
+		p.AtInto(&c, off)
+		got, want := make([]byte, 600), make([]byte, 600)
+		c.Fill(got[:5]) // leaves lookahead buffered for the next aim to drop
+		c.Fill(got[5:])
+		p.At(off).Fill(want)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("re-aimed cursor at %d of parent %d differs from a fresh At cursor", off, i%2)
+		}
+		if c.Offset() != off+600 {
+			t.Fatalf("re-aimed cursor at %d: Offset = %d after 600 bytes", off, c.Offset())
+		}
+		if p.Offset() != 0 {
+			t.Fatalf("AtInto advanced its parent to %d", p.Offset())
+		}
+	}
+	into := testing.AllocsPerRun(100, func() { parents[0].AtInto(&c, 4096) })
+	fresh := testing.AllocsPerRun(100, func() { _ = parents[0].At(4096) })
+	if into >= fresh {
+		t.Errorf("AtInto allocates %v per aim, At %v: re-aiming must not allocate a Stream", into, fresh)
+	}
+}
+
 // TestFillAtEveryOffset: exhaustive golden sweep — FillAt at every byte
 // offset in a window equals the corresponding sequential slice, and the
 // uint64 variant equals the scalar draw sequence after a skip.
@@ -417,7 +448,8 @@ func TestSeekCounterWraparound(t *testing.T) {
 
 // TestSegmentedFillMatchesSequential: expanding one stream as disjoint
 // concurrent segments via At reproduces the sequential expansion exactly,
-// for every split point — the contract segmented mask expansion relies on.
+// for every split point — the contract range-partitioned mask expansion
+// relies on.
 func TestSegmentedFillMatchesSequential(t *testing.T) {
 	seed := NewSeed([]byte("segmented"))
 	const total = 8192

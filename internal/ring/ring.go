@@ -125,98 +125,223 @@ func (v Vector) Centered() []int64 {
 	return out
 }
 
-// maskScratchLen is the per-chunk element count of the bulk masking path:
-// 16 KiB of keystream per chunk amortizes the cipher call while keeping
-// scratch, the PRG's zero source, and the vector chunk cache-resident.
-const maskScratchLen = 2048
+// maskBlockWords is the keystream quantum of the mask kernel: 8 KiB of
+// keystream, the packed sum of as much, and the maskBlockWords·per
+// coordinates they cover stay L1-resident while every stream of a
+// many-stream call passes through them.
+const maskBlockWords = 1024
 
-// maskScratch pools keystream chunks so concurrent maskers (the parallel
-// unmask workers, the client's per-peer expansion) never allocate per call.
-var maskScratch = sync.Pool{New: func() any {
-	b := make([]uint64, maskScratchLen)
-	return &b
-}}
+// maskState is the kernel's working memory, pooled so concurrent maskers
+// (secagg's range workers, one client per goroutine) allocate per call
+// only what re-aiming a cursor costs (prg.Stream.AtInto).
+type maskState struct {
+	sum, ks [maskBlockWords]uint64 // the block in hand: packed sum, one stream's words
+	cursors []prg.Stream           // MaskManyInPlace's cursors, re-aimed per call
+	cur     []Mask                 // the same as the kernel takes them
+}
 
-// MaskInPlace adds (sign=+1) or subtracts (sign=-1) a PRG-expanded mask:
-// the SecAgg pairwise mask p_{u,v} = γ_{u,v}·PRG(s_{u,v}) or the self mask
-// p_u = PRG(b_u). The stream is consumed for exactly Len() 8-byte draws, so
-// client and server expansions coincide; the bulk expansion below is
-// element-identical to the seed's scalar Uint64()&mask loop.
-func (v Vector) MaskInPlace(s *prg.Stream, sign int) error {
+var maskStates = sync.Pool{New: func() any { return new(maskState) }}
+
+// maskPer returns per = ⌊64/b⌋, the number of coordinates the mask
+// expansion reads from each 64-bit keystream word: coordinate i of a mask
+// is bits [b·(i mod per), b·(i mod per)+b) of word ⌊i/per⌋, so a mask of n
+// coordinates consumes ⌈n/per⌉ words. Widths above 32 get per = 1, one
+// word per coordinate. The layout is part of the protocol (PROTOCOL.md,
+// "Mask expansion"): both ends of a mask must expand it identically.
+func maskPer(bits uint) int { return int(64 / bits) }
+
+// MaskBlockLen returns the coordinate count of one kernel block at the
+// given width. Callers that split one expansion into concurrent ranges
+// (MaskManyInPlace) cut at multiples of it, so no two ranges share a
+// keystream word or a block.
+func MaskBlockLen(bits uint) int { return maskBlockWords * maskPer(bits) }
+
+// Mask is one signed PRG expansion Sign·PRG(Stream), Sign = ±1: the SecAgg
+// pairwise mask p_{u,v} = γ_{u,v}·PRG(s_{u,v}) or the self mask
+// p_u = PRG(b_u).
+type Mask struct {
+	Stream *prg.Stream
+	Sign   int
+}
+
+func checkMaskSign(sign int) error {
 	if sign != 1 && sign != -1 {
 		return fmt.Errorf("ring: mask sign must be ±1, got %d", sign)
 	}
-	maskSpan(v.Data, v.Mask(), s, sign)
+	return nil
+}
+
+// MaskInPlace adds (sign=+1) or subtracts (sign=-1) the PRG-expanded mask
+// of s over the whole vector, in the packed layout of maskPer. The stream
+// is advanced by exactly ⌈Len()/per⌉ 8-byte words, so client and server
+// expansions coincide.
+func (v Vector) MaskInPlace(s *prg.Stream, sign int) error {
+	if err := checkMaskSign(sign); err != nil {
+		return err
+	}
+	st := maskStates.Get().(*maskState)
+	st.maskBlocks(v.Data, v.Bits, []Mask{{s, sign}}, 0)
+	maskStates.Put(st)
 	return nil
 }
 
 // MaskRangeInPlace applies the mask expansion of MaskInPlace to elements
-// [lo, hi) only, reading the exact keystream words a full sequential
-// expansion would read for that range: element i consumes stream bytes
-// [8i, 8i+8) relative to the receiver stream's current offset. The
-// receiver stream is NOT advanced — the range is expanded through an
-// independent prg.Stream.At cursor — so disjoint ranges of one mask can be
-// expanded concurrently from different goroutines and the concatenation is
-// byte-identical to one sequential MaskInPlace (golden-tested at every
-// segment boundary in ring_test.go). This is the intra-stream parallelism
-// primitive behind secagg's segmented mask fan-out.
+// [lo, hi) only: MaskManyInPlace with a single stream.
 func (v Vector) MaskRangeInPlace(s *prg.Stream, sign int, lo, hi int) error {
-	if sign != 1 && sign != -1 {
-		return fmt.Errorf("ring: mask sign must be ±1, got %d", sign)
+	return v.MaskManyInPlace([]Mask{{s, sign}}, lo, hi)
+}
+
+// MaskManyInPlace accumulates Σ_k Sign_k·PRG(Stream_k) into elements
+// [lo, hi), reading the keystream words a whole MaskInPlace of each stream
+// would read for that range: element i takes its bits from the word at
+// byte 8·⌊i/per⌋ past the stream's current offset, and lo and hi need not
+// be multiples of per. It runs block by block — a block of v stays in
+// cache while every stream passes through it — so v is streamed through
+// memory once however many masks there are.
+//
+// The streams are NOT advanced: the range expands through cursors of its
+// own (prg.Stream.AtInto), so disjoint ranges of one set of masks may run
+// concurrently and their concatenation equals applying the masks whole,
+// one by one — the primitive under secagg's range-partitioned fan-out.
+func (v Vector) MaskManyInPlace(masks []Mask, lo, hi int) error {
+	for _, mk := range masks {
+		if err := checkMaskSign(mk.Sign); err != nil {
+			return err
+		}
 	}
 	if lo < 0 || hi > len(v.Data) || lo > hi {
 		return fmt.Errorf("ring: mask range [%d,%d) out of [0,%d)", lo, hi, len(v.Data))
 	}
-	if lo == hi {
+	if lo == hi || len(masks) == 0 {
 		return nil
 	}
-	c := s.At(s.Offset() + 8*uint64(lo))
-	maskSpan(v.Data[lo:hi], v.Mask(), c, sign)
+	per := maskPer(v.Bits)
+	st := maskStates.Get().(*maskState)
+	if len(st.cursors) < len(masks) {
+		st.cursors, st.cur = make([]prg.Stream, len(masks)), make([]Mask, len(masks))
+	}
+	cur := st.cur[:len(masks)]
+	for k, mk := range masks {
+		mk.Stream.AtInto(&st.cursors[k], mk.Stream.Offset()+8*uint64(lo/per))
+		cur[k] = Mask{&st.cursors[k], mk.Sign}
+	}
+	st.maskBlocks(v.Data[lo:hi], v.Bits, cur, lo%per)
+	maskStates.Put(st)
 	return nil
 }
 
-// maskSpan is the shared bulk expansion loop of MaskInPlace and
-// MaskRangeInPlace: data[i] ±= keystream word i (mod 2^b), in
-// scratch-pooled chunks.
-func maskSpan(data []uint64, m uint64, s *prg.Stream, sign int) {
-	sp := maskScratch.Get().(*[]uint64)
-	full := *sp
-	for len(data) > 0 {
-		n := len(data)
-		if n > maskScratchLen {
-			n = maskScratchLen
-		}
-		ks := full[:n]
-		s.FillUint64(ks)
-		chunk := data[:n:n]
-		// (x ± (k&m)) & m == (x ± k) & m: carries/borrows propagate upward
-		// only, so the raw keystream word adds without pre-masking.
-		if sign == 1 {
-			i := 0
-			for ; i+4 <= len(chunk); i += 4 {
-				chunk[i] = (chunk[i] + ks[i]) & m
-				chunk[i+1] = (chunk[i+1] + ks[i+1]) & m
-				chunk[i+2] = (chunk[i+2] + ks[i+2]) & m
-				chunk[i+3] = (chunk[i+3] + ks[i+3]) & m
-			}
-			for ; i < len(chunk); i++ {
-				chunk[i] = (chunk[i] + ks[i]) & m
-			}
-		} else {
-			i := 0
-			for ; i+4 <= len(chunk); i += 4 {
-				chunk[i] = (chunk[i] - ks[i]) & m
-				chunk[i+1] = (chunk[i+1] - ks[i+1]) & m
-				chunk[i+2] = (chunk[i+2] - ks[i+2]) & m
-				chunk[i+3] = (chunk[i+3] - ks[i+3]) & m
-			}
-			for ; i < len(chunk); i++ {
-				chunk[i] = (chunk[i] - ks[i]) & m
-			}
-		}
-		data = data[n:]
+// maskBlocks is the one mask-expansion kernel. data[0] is coordinate skip
+// (< per) of the keystream word every stream of cur is aimed at; each
+// block of up to maskBlockWords words is drawn from every stream in turn,
+// leaving each just past the last word it read. Within a block the
+// streams are summed while still packed — one field-wise addition per
+// word, not one addition per coordinate — and the sum is unpacked into
+// data once, so a stream costs little more than its keystream.
+func (st *maskState) maskBlocks(data []uint64, bits uint, cur []Mask, skip int) {
+	per := maskPer(bits)
+	// top has the top bit of every field set. Adding the fields without it
+	// cannot carry across a field boundary; it is then added back by xor.
+	var top, negs uint64
+	for j := 0; j < per; j++ {
+		top |= 1 << (bits*uint(j) + bits - 1)
 	}
-	maskScratch.Put(sp)
+	for _, c := range cur {
+		if c.Sign < 0 {
+			negs++
+		}
+	}
+	for len(data) > 0 {
+		n := min(len(data), maskBlockWords*per-skip)
+		words := (skip + n + per - 1) / per
+		sum, ks := st.sum[:words], st.ks[:words]
+		for k, c := range cur {
+			// −x = ^x + 1 in every field: a subtracted stream adds its
+			// complement here, and the +1s (negs of them) are added with
+			// the unpacking.
+			var flip uint64
+			if c.Sign < 0 {
+				flip = ^uint64(0)
+			}
+			if k == 0 {
+				c.Stream.FillUint64(sum)
+				if flip != 0 {
+					for i := range sum {
+						sum[i] = ^sum[i]
+					}
+				}
+				continue
+			}
+			c.Stream.FillUint64(ks)
+			for i, w := range ks {
+				x, y := sum[i], w^flip
+				sum[i] = ((x &^ top) + (y &^ top)) ^ ((x ^ y) & top)
+			}
+		}
+		foldWords(data[:n], sum, bits, skip, negs)
+		data = data[n:]
+		skip = 0
+	}
+}
+
+// foldWords sets data[i] += inc + coordinate skip+i of the packed words ks
+// (mod 2^b). A field is added without isolating it first: its upper
+// neighbours only reach bits the final mask clears.
+func foldWords(data, ks []uint64, bits uint, skip int, inc uint64) {
+	per := maskPer(bits)
+	m := uint64(1)<<bits - 1
+	if skip > 0 {
+		n := min(per-skip, len(data))
+		foldWord(data[:n], ks[0]>>(bits*uint(skip)), bits, m, inc)
+		data, ks = data[n:], ks[1:]
+	}
+	full := len(data) / per
+	// Masking the shift counts lets the compiler drop its ≥64 guards; the
+	// only count that reaches 64 is Bits = 64, where per = 1 never shifts.
+	s1, s2, s3 := bits&63, 2*bits&63, 3*bits&63
+	switch per {
+	case 1:
+		for i, w := range ks[:full] {
+			data[i] = (data[i] + w + inc) & m
+		}
+	case 2:
+		for i, w := range ks[:full] {
+			d := data[2*i : 2*i+2 : 2*i+2]
+			d[0] = (d[0] + w + inc) & m
+			d[1] = (d[1] + w>>s1 + inc) & m
+		}
+	case 3:
+		for i, w := range ks[:full] {
+			d := data[3*i : 3*i+3 : 3*i+3]
+			d[0] = (d[0] + w + inc) & m
+			d[1] = (d[1] + w>>s1 + inc) & m
+			d[2] = (d[2] + w>>s2 + inc) & m
+		}
+	case 4:
+		for i, w := range ks[:full] {
+			d := data[4*i : 4*i+4 : 4*i+4]
+			d[0] = (d[0] + w + inc) & m
+			d[1] = (d[1] + w>>s1 + inc) & m
+			d[2] = (d[2] + w>>s2 + inc) & m
+			d[3] = (d[3] + w>>s3 + inc) & m
+		}
+	default:
+		for i, w := range ks[:full] {
+			foldWord(data[i*per:i*per+per], w, bits, m, inc)
+		}
+	}
+	if tail := data[full*per:]; len(tail) > 0 {
+		foldWord(tail, ks[full], bits, m, inc)
+	}
+}
+
+// foldWord folds the leading len(d) fields of w into d: the words a range
+// enters or leaves mid-way, and every word of the widths foldWords does not
+// unroll.
+func foldWord(d []uint64, w uint64, bits uint, m, inc uint64) {
+	for j := range d {
+		d[j] = (d[j] + w + inc) & m
+		w >>= bits
+	}
 }
 
 // AddManyInPlace sets v += Σ os (mod 2^b) in cache-friendly blocks: each

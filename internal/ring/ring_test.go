@@ -1,6 +1,8 @@
 package ring
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -268,71 +270,100 @@ func TestChunkwiseAggregationEqualsWhole(t *testing.T) {
 	}
 }
 
-// maskInPlaceScalarRef is the seed implementation of MaskInPlace: one
-// buffered 8-byte draw per element. It is kept as the reference the bulk
-// path is property-tested against.
-func maskInPlaceScalarRef(v Vector, s *prg.Stream, sign int) {
+// maskBits are the widths the mask goldens sweep: every per from 64 down
+// to 1, the widths either side of a change of per (20/21/22, 31/32/33),
+// and 64, which NewVector refuses but the layout defines (per = 1).
+var maskBits = []uint{1, 8, 16, 20, 21, 22, 31, 32, 33, 64}
+
+// maskDims returns the dimensions the goldens sweep at one width: the
+// word and block boundaries and one many-block vector.
+func maskDims(bits uint) []int {
+	per, block := maskPer(bits), MaskBlockLen(bits)
+	return []int{0, 1, per - 1, per, per + 1, block - 1, block, block + 1, 65536}
+}
+
+// testVector is NewVector without its width check, filled with a pattern.
+func testVector(bits uint, dim int) Vector {
+	v := Vector{Bits: bits, Data: make([]uint64, dim)}
+	for i := range v.Data {
+		v.Data[i] = uint64(i*7+1) & v.Mask()
+	}
+	return v
+}
+
+// maskScalarRef is the mask expansion written from its definition, one
+// scalar draw per keystream word: with per = ⌊64/b⌋, coordinate i takes
+// bits [b·(i mod per), b·(i mod per)+b) of word ⌊i/per⌋, so dim coordinates
+// consume ⌈dim/per⌉ words. It applies the mask to [lo, hi) only and leaves
+// s just past the last word of the whole vector.
+func maskScalarRef(v Vector, s *prg.Stream, sign, lo, hi int) {
+	per := int(64 / v.Bits)
+	words := make([]uint64, (len(v.Data)+per-1)/per)
+	for w := range words {
+		words[w] = s.Uint64()
+	}
 	m := v.Mask()
-	if sign == 1 {
-		for i := range v.Data {
-			v.Data[i] = (v.Data[i] + (s.Uint64() & m)) & m
-		}
-	} else {
-		for i := range v.Data {
-			v.Data[i] = (v.Data[i] - (s.Uint64() & m)) & m
+	for i := lo; i < hi; i++ {
+		k := (words[i/per] >> (v.Bits * uint(i%per))) & m
+		if sign == 1 {
+			v.Data[i] = (v.Data[i] + k) & m
+		} else {
+			v.Data[i] = (v.Data[i] - k) & m
 		}
 	}
 }
 
-// TestMaskInPlaceMatchesScalarRef: the bulk mask expansion is
-// element-identical to the seed's scalar Uint64()&mask loop, across odd
-// dimensions (scratch-boundary straddling) and both signs, and a +1 then
-// -1 round trip restores the original vector.
+// TestMaskInPlaceMatchesScalarRef: the kernel is element-identical to the
+// definition at every width class and at the word and block boundaries,
+// for both signs, and a +1 then -1 round trip restores the vector.
 func TestMaskInPlaceMatchesScalarRef(t *testing.T) {
-	dims := []int{0, 1, 7, 63, 512, 2047, 2048, 2049, 5000, 10000}
-	for _, dim := range dims {
-		for _, sign := range []int{1, -1} {
-			seed := prg.NewSeed([]byte("bulk-vs-scalar"), []byte{byte(dim), byte(sign + 2)})
-			want := NewVector(20, dim)
-			got := NewVector(20, dim)
-			for i := 0; i < dim; i++ {
-				want.Data[i] = uint64(i*7+1) & want.Mask()
-				got.Data[i] = want.Data[i]
-			}
-			orig := got.Clone()
-			maskInPlaceScalarRef(want, prg.NewStream(seed), sign)
-			if err := got.MaskInPlace(prg.NewStream(seed), sign); err != nil {
-				t.Fatal(err)
-			}
-			if !Equal(want, got) {
-				t.Fatalf("dim %d sign %+d: bulk mask differs from scalar reference", dim, sign)
-			}
-			if err := got.MaskInPlace(prg.NewStream(seed), -sign); err != nil {
-				t.Fatal(err)
-			}
-			if !Equal(got, orig) {
-				t.Fatalf("dim %d sign %+d: +/- mask round trip does not restore vector", dim, sign)
+	for _, bits := range maskBits {
+		for _, dim := range maskDims(bits) {
+			for _, sign := range []int{1, -1} {
+				seed := prg.NewSeed([]byte("kernel-vs-scalar"), []byte{byte(bits), byte(sign + 2)})
+				want := testVector(bits, dim)
+				got := want.Clone()
+				orig := want.Clone()
+				maskScalarRef(want, prg.NewStream(seed), sign, 0, dim)
+				if err := got.MaskInPlace(prg.NewStream(seed), sign); err != nil {
+					t.Fatal(err)
+				}
+				if !Equal(want, got) {
+					t.Fatalf("bits %d dim %d sign %+d: kernel differs from scalar reference", bits, dim, sign)
+				}
+				if err := got.MaskInPlace(prg.NewStream(seed), -sign); err != nil {
+					t.Fatal(err)
+				}
+				if !Equal(got, orig) {
+					t.Fatalf("bits %d dim %d sign %+d: +/- mask round trip does not restore vector", bits, dim, sign)
+				}
 			}
 		}
 	}
 }
 
-// TestMaskInPlaceStreamPosition: bulk masking consumes exactly 8·dim
-// stream bytes, so draws after masking coincide with the scalar path.
+// TestMaskInPlaceStreamPosition: masking dim coordinates advances the
+// stream by exactly ⌈dim/per⌉ words, so draws after masking coincide with
+// the scalar path.
 func TestMaskInPlaceStreamPosition(t *testing.T) {
 	seed := prg.NewSeed([]byte("position"))
-	const dim = 777
-	sBulk := prg.NewStream(seed)
-	sScalar := prg.NewStream(seed)
-	v := NewVector(20, dim)
-	if err := v.MaskInPlace(sBulk, 1); err != nil {
-		t.Fatal(err)
-	}
-	w := NewVector(20, dim)
-	maskInPlaceScalarRef(w, sScalar, 1)
-	for i := 0; i < 16; i++ {
-		if a, b := sBulk.Uint64(), sScalar.Uint64(); a != b {
-			t.Fatalf("draw %d after masking: bulk stream at %#x, scalar at %#x", i, a, b)
+	for _, bits := range maskBits {
+		per := int(64 / bits)
+		for _, dim := range maskDims(bits) {
+			sKernel := prg.NewStream(seed)
+			sScalar := prg.NewStream(seed)
+			if err := testVector(bits, dim).MaskInPlace(sKernel, 1); err != nil {
+				t.Fatal(err)
+			}
+			maskScalarRef(testVector(bits, dim), sScalar, 1, 0, dim)
+			if got, want := sKernel.Offset(), 8*uint64((dim+per-1)/per); got != want {
+				t.Fatalf("bits %d dim %d: stream at byte %d after masking, want %d", bits, dim, got, want)
+			}
+			for i := 0; i < 4; i++ {
+				if a, b := sKernel.Uint64(), sScalar.Uint64(); a != b {
+					t.Fatalf("bits %d dim %d: draw %d after masking: kernel stream at %#x, scalar at %#x", bits, dim, i, a, b)
+				}
+			}
 		}
 	}
 }
@@ -381,46 +412,134 @@ func TestAddSubManyInPlace(t *testing.T) {
 }
 
 // TestMaskRangeInPlaceMatchesSequential: expanding a mask as disjoint
-// ranges — at every split point of several segment counts — is
-// byte-identical to one sequential MaskInPlace, and the base stream is
-// never advanced by range expansion.
+// ranges — cut where ChunkBounds falls, which at these dimensions is not
+// on multiples of per — equals the scalar reference range by range and
+// one sequential MaskInPlace in total, and the base stream is never
+// advanced by range expansion.
 func TestMaskRangeInPlaceMatchesSequential(t *testing.T) {
 	seed := prg.NewSeed([]byte("mask-range"))
-	for _, dim := range []int{1, 7, 2048, 2049, 5000} {
-		for _, sign := range []int{1, -1} {
-			want := NewVector(20, dim)
-			for i := range want.Data {
-				want.Data[i] = uint64(i*31) & want.Mask()
-			}
-			got := want.Clone()
-			if err := want.MaskInPlace(prg.NewStream(seed), sign); err != nil {
-				t.Fatal(err)
-			}
-			for _, nseg := range []int{1, 2, 3, 5} {
-				v := got.Clone()
-				s := prg.NewStream(seed)
-				for _, b := range ChunkBounds(dim, nseg) {
-					if err := v.MaskRangeInPlace(s, sign, b[0], b[1]); err != nil {
-						t.Fatal(err)
+	for _, bits := range []uint{16, 20, 32, 40} {
+		block := MaskBlockLen(bits)
+		for _, dim := range []int{1, 7, block - 1, block + 1, 2*block + 5} {
+			for _, sign := range []int{1, -1} {
+				orig := testVector(bits, dim)
+				want := orig.Clone()
+				if err := want.MaskInPlace(prg.NewStream(seed), sign); err != nil {
+					t.Fatal(err)
+				}
+				for _, nseg := range []int{1, 2, 3, 5, 7} {
+					v := orig.Clone()
+					s := prg.NewStream(seed)
+					for _, b := range ChunkBounds(dim, nseg) {
+						ref := v.Clone()
+						maskScalarRef(ref, prg.NewStream(seed), sign, b[0], b[1])
+						if err := v.MaskRangeInPlace(s, sign, b[0], b[1]); err != nil {
+							t.Fatal(err)
+						}
+						if !Equal(v, ref) {
+							t.Fatalf("bits=%d dim=%d sign=%d: range [%d,%d) differs from scalar reference", bits, dim, sign, b[0], b[1])
+						}
 					}
-				}
-				if !Equal(v, want) {
-					t.Fatalf("dim=%d sign=%d nseg=%d: segmented mask differs from sequential", dim, sign, nseg)
-				}
-				if s.Offset() != 0 {
-					t.Fatalf("MaskRangeInPlace advanced the base stream to %d", s.Offset())
+					if !Equal(v, want) {
+						t.Fatalf("bits=%d dim=%d sign=%d nseg=%d: ranged mask differs from sequential", bits, dim, sign, nseg)
+					}
+					if s.Offset() != 0 {
+						t.Fatalf("MaskRangeInPlace advanced the base stream to %d", s.Offset())
+					}
 				}
 			}
 		}
 	}
 }
 
+// TestMaskManyInPlaceMatchesOneByOne is the kernel's defining property:
+// blocked accumulation of many streams, cut into concurrent ranges, equals
+// applying the streams whole and one by one — for any mix of signs, for
+// cuts on and off the block grid, and for any number of range goroutines
+// (run under -race: ranges of one vector share nothing but the read-only
+// parent streams).
+func TestMaskManyInPlaceMatchesOneByOne(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, bits := range []uint{8, 20, 33, 64} {
+			block := MaskBlockLen(bits)
+			for _, dim := range []int{1, block, 3*block - 1, 5*block + 2} {
+				for _, nstreams := range []int{1, 2, 33} {
+					masks := make([]Mask, nstreams)
+					want := testVector(bits, dim)
+					for k := range masks {
+						seed := prg.NewSeed([]byte("many"), []byte{byte(procs), byte(k)})
+						sign := 1 - 2*((k*k+k/3)%2) // a fixed irregular mix of +1 and -1
+						masks[k] = Mask{Stream: prg.NewStream(seed), Sign: sign}
+						if err := want.MaskInPlace(prg.NewStream(seed), sign); err != nil {
+							t.Fatal(err)
+						}
+					}
+					// Cut once on the block grid, as secagg does, and once
+					// wherever ChunkBounds falls.
+					blocks := (dim + block - 1) / block
+					grid := make([][2]int, procs)
+					for r := range grid {
+						grid[r] = [2]int{min(blocks*r/procs*block, dim), min(blocks*(r+1)/procs*block, dim)}
+					}
+					for _, bounds := range [][][2]int{grid, ChunkBounds(dim, procs)} {
+						got := testVector(bits, dim)
+						var wg sync.WaitGroup
+						for _, b := range bounds {
+							wg.Add(1)
+							go func(lo, hi int) {
+								defer wg.Done()
+								if err := got.MaskManyInPlace(masks, lo, hi); err != nil {
+									t.Error(err)
+								}
+							}(b[0], b[1])
+						}
+						wg.Wait()
+						if !Equal(got, want) {
+							t.Fatalf("procs=%d bits=%d dim=%d streams=%d bounds=%v: blocked accumulation differs from one-by-one",
+								procs, bits, dim, nstreams, bounds)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMaskManyInPlaceAllocs: the kernel allocates its cursors — O(streams)
+// — and nothing that grows with the dimension or the number of blocks.
+func TestMaskManyInPlaceAllocs(t *testing.T) {
+	const bits, nstreams = 20, 16
+	masks := make([]Mask, nstreams)
+	for k := range masks {
+		masks[k] = Mask{Stream: prg.NewStream(prg.NewSeed([]byte{byte(k)})), Sign: 1}
+	}
+	allocs := func(dim int) float64 {
+		v := NewVector(bits, dim)
+		return testing.AllocsPerRun(10, func() {
+			if err := v.MaskManyInPlace(masks, 0, dim); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, many := allocs(MaskBlockLen(bits)), allocs(40*MaskBlockLen(bits))
+	// A collection between runs can empty the scratch pool: allow one refill.
+	if many > one+1 {
+		t.Errorf("allocations grow with the block count: %v for 1 block, %v for 40", one, many)
+	}
+	if one > 8*nstreams+8 {
+		t.Errorf("%v allocations for %d streams: more than a few per cursor", one, nstreams)
+	}
+}
+
 // TestMaskRangeInPlaceAfterOffset: ranges are relative to the stream's
-// current offset, so a pre-advanced stream still expands the exact bytes a
+// current offset — here not even word-aligned, and the cuts not multiples
+// of per — so a pre-advanced stream still expands the exact bytes a
 // sequential expansion from that position would.
 func TestMaskRangeInPlaceAfterOffset(t *testing.T) {
 	seed := prg.NewSeed([]byte("mask-range-skew"))
-	const dim, skew = 3000, 123
+	const dim, skew = 3001, 123
 	want := NewVector(20, dim)
 	got := want.Clone()
 

@@ -56,7 +56,10 @@ type Client struct {
 
 // NewClient constructs a participant for the round. signer may be nil in
 // the semi-honest setting; with cfg.Malicious it is required and its
-// public key must be registered in cfg.Registry.
+// public key must be registered in cfg.Registry. input is borrowed, not
+// copied: the client only reads it (MaskedInput clones it once, into the
+// masked vector it uploads), and the caller must not change it until
+// MaskedInput has returned.
 func NewClient(cfg Config, id uint64, input ring.Vector, signer *sig.Signer, rand io.Reader) (*Client, error) {
 	return NewSessionClient(cfg, id, input, signer, rand, nil)
 }
@@ -81,7 +84,7 @@ func NewSessionClient(cfg Config, id uint64, input ring.Vector, signer *sig.Sign
 	if cfg.Malicious && signer == nil {
 		return nil, fmt.Errorf("secagg: malicious mode requires a signer for client %d", id)
 	}
-	c := &Client{cfg: cfg, id: id, input: input.Clone(), rand: rand, signer: signer, session: sess}
+	c := &Client{cfg: cfg, id: id, input: input, rand: rand, signer: signer, session: sess}
 	if cfg.XNoise != nil {
 		noise, err := xnoise.NewClientNoise(*cfg.XNoise, rand)
 		if err != nil {
@@ -317,7 +320,7 @@ func (c *Client) MaskedInput(ciphertexts []EncryptedShareMsg) (MaskedInputMsg, e
 	// Self mask p_u = PRG(b_u) plus pairwise masks p_{u,v} over u2 (the set
 	// that holds shares of our key, hence can unmask us if we die). Each
 	// mask is an independent PRG expansion — key agreement included — so
-	// they fan out across the worker pool and merge commutatively.
+	// they fan out across the worker pool and accumulate into y in place.
 	tasks := make([]maskTask, 0, len(c.u2))
 	selfSeed := c.selfSeed
 	tasks = append(tasks, maskTask{sign: 1, make: func() (*prg.Stream, error) {
@@ -337,11 +340,7 @@ func (c *Client) MaskedInput(ciphertexts []EncryptedShareMsg) (MaskedInputMsg, e
 			return prg.NewStream(pairMaskSeed(secret, c.cfg.MaskEpoch)), nil
 		}})
 	}
-	delta, err := applyMaskTasks(c.cfg.Bits, c.cfg.Dim, tasks)
-	if err != nil {
-		return MaskedInputMsg{}, err
-	}
-	if err := y.AddInPlace(delta); err != nil {
+	if err := applyMaskTasks(y, tasks); err != nil {
 		return MaskedInputMsg{}, err
 	}
 	if c.cfg.TranscriptDigests {

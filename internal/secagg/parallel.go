@@ -15,121 +15,89 @@ import (
 
 // maskTask is one independent mask expansion: build a PRG stream (any key
 // agreement or share reconstruction happens on the worker) and fold its
-// expansion into an accumulator with the given sign.
+// expansion into the destination with the given sign.
 type maskTask struct {
 	sign int
 	make func() (*prg.Stream, error)
 }
 
-// segMinElems is the smallest element count worth handing to a dedicated
-// expansion segment: below it the At-cursor setup and scheduling overhead
-// outweigh the AES work being split.
-const segMinElems = 16384
-
-// applyMaskTasks expands every task and returns Δ = Σ sign_i·PRG_i as a
-// fresh vector. Mask removals/additions are independent and commutative in
-// ℤ_{2^b}, so tasks fan out across a bounded worker pool, each worker
-// accumulating into a private partial vector; the partials are merged once
-// at the end. With a single worker (or a single task at small dim) the
-// pool is skipped entirely, so the sequential hot path pays no
-// synchronization.
-//
-// When there are more workers than tasks and the dimension is large, each
-// task's stream is additionally split into independently expanded segments
-// (ring.MaskRangeInPlace over prg.Stream.At cursors — AES-CTR is random
-// access), so a single large mask saturates the pool instead of pinning
-// one core: intra-stream parallelism on top of across-task parallelism.
-// Each task's stream is built exactly once (sync.Once), so per-task key
-// agreement or share reconstruction is never duplicated across segments.
-func applyMaskTasks(bits uint, dim int, tasks []maskTask) (ring.Vector, error) {
-	delta := ring.NewVector(bits, dim)
-	workers := runtime.GOMAXPROCS(0)
-	segs := 1
-	if workers > len(tasks) && dim >= 2*segMinElems {
-		// Enough spare parallelism to split streams: pick the segment count
-		// that spreads tasks×segments over the pool without creating
-		// segments smaller than segMinElems.
-		segs = (workers + len(tasks) - 1) / len(tasks)
-		if max := dim / segMinElems; segs > max {
-			segs = max
-		}
-	}
-	if workers > len(tasks)*segs {
-		workers = len(tasks) * segs
-	}
-	if workers <= 1 {
-		for _, t := range tasks {
-			s, err := t.make()
-			if err != nil {
-				return ring.Vector{}, err
-			}
-			if err := delta.MaskInPlace(s, t.sign); err != nil {
-				return ring.Vector{}, err
-			}
-		}
-		return delta, nil
-	}
-
-	type lazyStream struct {
-		once sync.Once
-		s    *prg.Stream
-		err  error
-	}
-	bounds := ring.ChunkBounds(dim, segs)
-	streams := make([]lazyStream, len(tasks))
-	items := len(tasks) * segs
-
+// applyMaskTasks accumulates Σ sign_i·PRG_i straight into dst — the
+// client's y, the server's masked sum — in two fan-outs over one bounded
+// worker pool. First the streams are built, each task's make (an X25519
+// agreement, a key reconstruction) running exactly once; a failing make
+// stops further claims and its error is returned before any stream is
+// expanded, so dst is untouched on error. Then the workers split the
+// coordinate range at multiples of ring.MaskBlockLen and each runs the
+// many-stream kernel over its range: dst is read and written once however
+// many masks there are, and nothing dim-sized is allocated. One block —
+// a chunked round's 1–2k coordinates — is a single range on the calling
+// goroutine. Mask additions commute in ℤ_{2^b} and the ranges are
+// disjoint, so the result does not depend on the worker count.
+func applyMaskTasks(dst ring.Vector, tasks []maskTask) error {
 	var (
-		next    int
-		nextMu  sync.Mutex
-		wg      sync.WaitGroup
+		next    atomic.Int64
+		failed  atomic.Bool
 		errOnce sync.Once
 		firstEr error
-		failed  atomic.Bool
 	)
 	fail := func(err error) {
 		errOnce.Do(func() { firstEr = err })
 		failed.Store(true)
 	}
-	partials := make([]ring.Vector, workers)
-	for w := 0; w < workers; w++ {
-		partials[w] = ring.NewVector(bits, dim)
-		wg.Add(1)
-		go func(p ring.Vector) {
-			defer wg.Done()
-			for {
-				nextMu.Lock()
-				i := next
-				next++
-				nextMu.Unlock()
-				// Stop claiming work once any worker failed: the round is
-				// aborting, no point burning key agreements and expansions.
-				if i >= items || failed.Load() {
-					return
-				}
-				task, seg := i/segs, i%segs
-				ls := &streams[task]
-				ls.once.Do(func() { ls.s, ls.err = tasks[task].make() })
-				if ls.err != nil {
-					fail(ls.err)
-					return
-				}
-				b := bounds[seg]
-				if err := p.MaskRangeInPlace(ls.s, tasks[task].sign, b[0], b[1]); err != nil {
-					fail(err)
-					return
-				}
+	workers := runtime.GOMAXPROCS(0)
+
+	masks := make([]ring.Mask, len(tasks))
+	fanOut(min(workers, len(tasks)), func(int) {
+		// Stop claiming work once any worker failed: the round is aborting,
+		// no point burning key agreements.
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= len(tasks) {
+				return
 			}
-		}(partials[w])
+			s, err := tasks[i].make()
+			if err != nil {
+				fail(err)
+				return
+			}
+			masks[i] = ring.Mask{Stream: s, Sign: tasks[i].sign}
+		}
+	})
+	if firstEr != nil {
+		return firstEr
+	}
+
+	block := ring.MaskBlockLen(dst.Bits)
+	blocks := (dst.Len() + block - 1) / block
+	ranges := min(workers, blocks)
+	fanOut(ranges, func(r int) {
+		lo := blocks * r / ranges * block
+		hi := min(blocks*(r+1)/ranges*block, dst.Len())
+		if err := dst.MaskManyInPlace(masks, lo, hi); err != nil {
+			fail(err)
+		}
+	})
+	return firstEr
+}
+
+// fanOut runs f(0..n-1) concurrently and waits for all of them; n ≤ 1 runs
+// on the calling goroutine, so the sequential path pays no synchronization.
+func fanOut(n int, f func(int)) {
+	if n <= 1 {
+		if n == 1 {
+			f(0)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			f(i)
+		}(i)
 	}
 	wg.Wait()
-	if firstEr != nil {
-		return ring.Vector{}, firstEr
-	}
-	if err := delta.AddManyInPlace(partials); err != nil {
-		return ring.Vector{}, err
-	}
-	return delta, nil
 }
 
 // abscissaKey packs the first t share abscissas into a comparable string,

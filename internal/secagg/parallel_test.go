@@ -4,104 +4,128 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/prg"
 	"repro/internal/ring"
 )
 
-// TestApplyMaskTasksSegmentedMatchesSequential: with more workers than
-// tasks and a large dim, applyMaskTasks splits each stream into segments;
-// the result must be byte-identical to the sequential expansion, and every
-// task's stream must be built exactly once.
-func TestApplyMaskTasksSegmentedMatchesSequential(t *testing.T) {
-	prev := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(prev)
-
-	const bits, dim = 20, 2*segMinElems + 1021
-	seeds := []prg.Seed{
-		prg.NewSeed([]byte("task-a")),
-		prg.NewSeed([]byte("task-b")),
-		prg.NewSeed([]byte("task-c")),
-	}
-	signs := []int{1, -1, 1}
-
-	for _, ntasks := range []int{1, 2, 3} {
-		made := make([]int, ntasks)
-		tasks := make([]maskTask, ntasks)
-		for i := range tasks {
-			i := i
-			tasks[i] = maskTask{sign: signs[i], make: func() (*prg.Stream, error) {
-				made[i]++
-				return prg.NewStream(seeds[i]), nil
-			}}
-		}
-		got, err := applyMaskTasks(bits, dim, tasks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := ring.NewVector(bits, dim)
-		for i := 0; i < ntasks; i++ {
-			if err := ref.MaskInPlace(prg.NewStream(seeds[i]), signs[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !ring.Equal(got, ref) {
-			t.Errorf("ntasks=%d: segmented fan-out differs from sequential expansion", ntasks)
-		}
-		for i, n := range made {
-			if n != 1 {
-				t.Errorf("ntasks=%d: task %d stream built %d times, want exactly once", ntasks, i, n)
-			}
-		}
-	}
-}
-
-// TestApplyMaskTasksSegmentedError: a failing stream constructor aborts
-// the segmented fan-out with that error.
-func TestApplyMaskTasksSegmentedError(t *testing.T) {
-	prev := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(prev)
-
-	boom := errors.New("agreement failed")
-	tasks := []maskTask{
-		{sign: 1, make: func() (*prg.Stream, error) {
-			return prg.NewStream(prg.NewSeed([]byte("ok"))), nil
-		}},
-		{sign: 1, make: func() (*prg.Stream, error) { return nil, boom }},
-	}
-	if _, err := applyMaskTasks(20, 3*segMinElems, tasks); !errors.Is(err, boom) {
-		t.Fatalf("got err %v, want %v", err, boom)
-	}
-}
-
-// TestApplyMaskTasksSmallDimUnchanged: below the segmentation threshold
-// the fan-out stays per-task and still matches sequential expansion.
-func TestApplyMaskTasksSmallDimUnchanged(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
-	const bits, dim = 16, 1000
-	var tasks []maskTask
-	ref := ring.NewVector(bits, dim)
-	for i := 0; i < 5; i++ {
-		seed := prg.NewSeed([]byte(fmt.Sprintf("small-%d", i)))
-		sign := 1
-		if i%2 == 1 {
-			sign = -1
-		}
+// seededTasks returns n mask tasks over distinct seeds with mixed signs,
+// the reference Σ sign_i·PRG_i applied to a copy of dst one stream at a
+// time, and a per-task count of make calls.
+func seededTasks(t *testing.T, dst ring.Vector, n int) (tasks []maskTask, want ring.Vector, made []atomic.Int32) {
+	t.Helper()
+	want = dst.Clone()
+	made = make([]atomic.Int32, n)
+	for i := 0; i < n; i++ {
+		seed := prg.NewSeed([]byte(fmt.Sprintf("task-%d", i)))
+		sign := 1 - 2*(i%2)
 		tasks = append(tasks, maskTask{sign: sign, make: func() (*prg.Stream, error) {
+			made[i].Add(1)
 			return prg.NewStream(seed), nil
 		}})
-		if err := ref.MaskInPlace(prg.NewStream(seed), sign); err != nil {
+		if err := want.MaskInPlace(prg.NewStream(seed), sign); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := applyMaskTasks(bits, dim, tasks)
-	if err != nil {
-		t.Fatal(err)
+	return tasks, want, made
+}
+
+// TestApplyMaskTasksSegmentedMatchesSequential: at many blocks the range
+// workers split the destination; the in-place result must equal applying
+// the streams one by one on top of what dst already held, whatever the
+// worker count, and every task's stream must be built exactly once.
+func TestApplyMaskTasksSegmentedMatchesSequential(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const bits = 20
+	dim := 5*ring.MaskBlockLen(bits) + 1021
+	for _, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, ntasks := range []int{1, 2, 3, 33} {
+			dst := ring.NewVector(bits, dim)
+			for i := range dst.Data {
+				dst.Data[i] = uint64(i) & dst.Mask()
+			}
+			tasks, want, made := seededTasks(t, dst, ntasks)
+			if err := applyMaskTasks(dst, tasks); err != nil {
+				t.Fatal(err)
+			}
+			if !ring.Equal(dst, want) {
+				t.Errorf("procs=%d ntasks=%d: range fan-out differs from sequential expansion", procs, ntasks)
+			}
+			for i := range made {
+				if n := made[i].Load(); n != 1 {
+					t.Errorf("procs=%d ntasks=%d: task %d stream built %d times, want exactly once", procs, ntasks, i, n)
+				}
+			}
+		}
 	}
-	if !ring.Equal(got, ref) {
-		t.Error("per-task fan-out differs from sequential expansion")
+}
+
+// TestApplyMaskTasksSegmentedError is the abort path: a failing stream
+// constructor (a bad peer key) returns that first error, no stream is
+// expanded — the destination is untouched and no task is made after the
+// failure was seen — and every worker goroutine has exited on return.
+func TestApplyMaskTasksSegmentedError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	boom := errors.New("agreement failed")
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		before := runtime.NumGoroutine()
+		var madeAfter atomic.Int32
+		tasks := []maskTask{{sign: 1, make: func() (*prg.Stream, error) { return nil, boom }}}
+		for i := 0; i < 64; i++ {
+			tasks = append(tasks, maskTask{sign: 1, make: func() (*prg.Stream, error) {
+				madeAfter.Add(1)
+				time.Sleep(time.Millisecond) // an agreement's worth of work
+				return prg.NewStream(prg.NewSeed([]byte("ok"))), nil
+			}})
+		}
+		dst := ring.NewVector(20, 3*ring.MaskBlockLen(20))
+		if err := applyMaskTasks(dst, tasks); !errors.Is(err, boom) {
+			t.Fatalf("procs=%d: got err %v, want %v", procs, err, boom)
+		}
+		if !ring.Equal(dst, ring.NewVector(20, dst.Len())) {
+			t.Errorf("procs=%d: destination changed although a stream failed to build", procs)
+		}
+		// Task 0 fails at once; the other workers are inside their first
+		// make when it does and must not claim a second.
+		if n := int(madeAfter.Load()); n > len(tasks)/2 {
+			t.Errorf("procs=%d: %d of %d streams built although the first failed", procs, n, len(tasks)-1)
+		}
+		for i := 0; runtime.NumGoroutine() > before && i < 100; i++ {
+			time.Sleep(time.Millisecond) // exited goroutines are reaped asynchronously
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("procs=%d: %d goroutines before, %d after: fan-out leaked", procs, before, n)
+		}
 	}
+}
+
+// TestApplyMaskTasksSmallDimUnchanged: a destination of at most one block
+// — the chunked rounds' shape — is a single range, which fanOut runs on
+// the calling goroutine, and still matches sequential expansion.
+func TestApplyMaskTasksSmallDimUnchanged(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, dim := range []int{1000, 2048} { // sharded_mem's and flat_cold's chunk
+		if dim > ring.MaskBlockLen(16) {
+			t.Fatalf("dim %d is more than one block", dim)
+		}
+		dst := ring.NewVector(16, dim)
+		tasks, want, _ := seededTasks(t, dst, 5)
+		if err := applyMaskTasks(dst, tasks); err != nil {
+			t.Fatal(err)
+		}
+		if !ring.Equal(dst, want) {
+			t.Errorf("dim=%d: single-range expansion differs from sequential expansion", dim)
+		}
+	}
+	before := runtime.NumGoroutine()
+	fanOut(1, func(int) {
+		if n := runtime.NumGoroutine(); n != before {
+			t.Errorf("fanOut(1) ran with %d goroutines, %d before: a single range must not spawn", n, before)
+		}
+	})
 }

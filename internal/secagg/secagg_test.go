@@ -3,6 +3,7 @@ package secagg
 import (
 	"crypto/rand"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/field"
@@ -434,6 +435,43 @@ func TestClientRejectsShrunkU3(t *testing.T) {
 	req := UnmaskRequest{U3: u3[:3], U4: u3[:3]}
 	if _, err := clients[1].Unmask(req); err == nil {
 		t.Fatal("client accepted a changed U3")
+	}
+}
+
+// TestMaskedInputBadPeerKey: a roster entry whose mask key no X25519
+// agreement accepts (the all-zero low-order point) fails the masked upload
+// with that agreement's error — the abort path of the mask fan-out —
+// rather than uploading a vector some of whose masks were skipped.
+func TestMaskedInputBadPeerKey(t *testing.T) {
+	cfg := mkConfig(4, 3, nil)
+	inputs := mkInputs(cfg)
+	clients := make(map[uint64]*Client)
+	server, _ := NewServer(cfg)
+	var adverts []AdvertiseMsg
+	for _, id := range cfg.ClientIDs {
+		c, _ := NewClient(cfg, id, inputs[id], nil, rand.Reader)
+		clients[id] = c
+		m, _ := c.AdvertiseKeys()
+		adverts = append(adverts, m)
+	}
+	roster, _ := server.CollectAdvertise(adverts)
+	for i := range roster {
+		if roster[i].From == 3 {
+			roster[i].MaskPub = make([]byte, len(roster[i].MaskPub))
+		}
+	}
+	perSender := make(map[uint64][]EncryptedShareMsg)
+	for _, id := range cfg.ClientIDs {
+		cts, err := clients[id].ShareKeys(roster)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perSender[id] = cts
+	}
+	deliveries, _ := server.CollectShares(perSender)
+	_, err := clients[1].MaskedInput(deliveries[1])
+	if err == nil || !strings.Contains(err.Error(), "mask key agreement 1↔3") {
+		t.Fatalf("MaskedInput with an unusable peer key: err = %v, want the 1↔3 agreement failure", err)
 	}
 }
 

@@ -542,11 +542,7 @@ func (s *Server) unmask() error {
 			}})
 		}
 	}
-	delta, err := applyMaskTasks(s.cfg.Bits, s.cfg.Dim, tasks)
-	if err != nil {
-		return err
-	}
-	if err := z.AddInPlace(delta); err != nil {
+	if err := applyMaskTasks(z, tasks); err != nil {
 		return err
 	}
 	s.sum = z
