@@ -75,10 +75,13 @@ func encodeMaskedInput(m secagg.MaskedInputMsg) ([]byte, error) {
 	return w.Done()
 }
 
-// decodeMaskedInput decodes the stage-2 masked input message.
+// decodeMaskedInput decodes the stage-2 masked input message. It is the
+// one decoder that borrows: YLE is the frame's own little-endian words,
+// which secagg.Server.AddMasked folds in place, and it dies with the
+// payload (ARCHITECTURE.md "Frame ownership").
 func decodeMaskedInput(p []byte) (secagg.MaskedInputMsg, error) {
 	r := transport.NewReader(p, codecMagic, tagMaskedInput)
-	m := secagg.MaskedInputMsg{From: r.Uint64(), Y: r.Words(maxWireElems)}
+	m := secagg.MaskedInputMsg{From: r.Uint64(), YLE: r.WordsLE(maxWireElems)}
 	return m, r.Done()
 }
 

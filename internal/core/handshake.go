@@ -62,8 +62,9 @@ import (
 // (the same trust the round stages place in it). Replayed acks from an
 // earlier round carry a mismatched round number and count as re-key votes
 // rather than aborting the handshake. PROTOCOL.md documents the byte
-// layouts and the full state machine; doc.go covers the threat model of
-// resumed key generations.
+// layouts and the full state machine; ARCHITECTURE.md ("Sessions and the
+// key-reuse threat model") covers the threat model of resumed key
+// generations.
 
 // Handshake message codec tags, continuing the core binary codec tag
 // namespace (codec.go: 0x01–0x04).
@@ -403,7 +404,7 @@ type HandshakeConfig struct {
 	// serve, mirroring SessionPool.RatchetRounds: resume is proposed only
 	// while the ratchet high-water mark is below it. Values ≤ 1 disable
 	// cross-round resume — every handshake re-keys, the conservative
-	// default of the session threat model (doc.go).
+	// default of the session threat model (ARCHITECTURE.md).
 	KeyRounds int
 	// Deadline bounds ack collection; ≤ 0 defaults to 2s.
 	Deadline time.Duration

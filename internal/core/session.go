@@ -25,7 +25,8 @@ import (
 // hands the server its raw root key (the unchanged private key is
 // re-shared every round), from which the server can re-derive that
 // client's masks for the earlier rounds of the same key generation and
-// unmask its past updates (doc.go, caveat 1). RatchetRounds ≤ 1 confines
+// unmask its past updates (ARCHITECTURE.md, "Sessions and the key-reuse
+// threat model", rule 2). RatchetRounds ≤ 1 confines
 // the pool to within-round amortization — the SecAgg+ assumption of one
 // key-agreement phase per round — which is the conservative default. The
 // pool also regenerates the sessions of clients scheduled to drop

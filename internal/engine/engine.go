@@ -12,7 +12,7 @@
 // lightsecagg.Server) behind a pipeline.Gate, which serializes the sink in
 // admission order while the next arrivals are still being decoded. A
 // 64-client masked-input stage therefore costs collection time plus an
-// O(1) tail merge, not collection time plus n decodes plus n vector adds.
+// O(1) seal, not collection time plus n decodes plus n vector adds.
 // Stages that need any-K-of-N completion rather than all-of-N
 // (LightSecAgg's one-shot recovery accepts any U aggregate shares) set
 // Stage.Quorum.
@@ -45,6 +45,18 @@ type Msg struct {
 	From  uint64
 	Stage int
 	Body  any
+}
+
+// release hands a wire message's frame payload back to the transport
+// (transport.Release; ARCHITECTURE.md "Frame ownership"). The engine owns
+// every release point: Collect calls it once a frame's Apply has returned
+// or the frame is discarded, so a Decode may borrow from the payload —
+// core's masked-input decoder does — as long as Apply retains nothing of
+// it. Typed in-process bodies have no frame.
+func (m Msg) release() {
+	if p, ok := m.Body.([]byte); ok {
+		transport.Release(p)
+	}
 }
 
 // Re-key handshake frame tags, shared by every substrate. The round
@@ -265,7 +277,9 @@ func (e *Engine) Collect(ctx context.Context, s Stage) ([]uint64, error) {
 		admitted = append(admitted, m.From)
 		if s.Decode == nil {
 			// Nothing to overlap: apply inline, no goroutine hop.
-			if err := s.Apply(m.From, m.Body); err != nil {
+			err := s.Apply(m.From, m.Body)
+			m.release()
+			if err != nil {
 				fail(err)
 				return false
 			}
@@ -283,6 +297,7 @@ func (e *Engine) Collect(ctx context.Context, s Stage) ([]uint64, error) {
 		go func(m Msg, ticket pipeline.Ticket) {
 			defer wg.Done()
 			defer func() { <-sem }()
+			defer m.release() // after Apply: the decoded body may borrow from the frame
 			body, err := s.Decode(m)
 			gate.Wait(ticket)
 			defer gate.Release()
@@ -309,6 +324,7 @@ func (e *Engine) Collect(ctx context.Context, s Stage) ([]uint64, error) {
 		}
 		delete(e.parked, key)
 		if stopped || len(seen) >= target || !want[m.From] || seen[m.From] {
+			m.release()
 			continue
 		}
 		if !process(m) {
@@ -330,7 +346,11 @@ func (e *Engine) Collect(ctx context.Context, s Stage) ([]uint64, error) {
 				if e.parked == nil {
 					e.parked = make(map[parkedKey]Msg)
 				}
-				e.parked[parkedKey{tag: m.Stage, from: m.From}] = m
+				key := parkedKey{tag: m.Stage, from: m.From}
+				e.parked[key].release() // a retransmit replaces the parked frame
+				e.parked[key] = m       // a parked frame keeps its payload until replayed
+			} else {
+				m.release()
 			}
 			continue
 		}

@@ -120,6 +120,11 @@ type ClientProgram struct {
 type Codec map[int]MsgCodec
 
 // MsgCodec turns one tag's typed message into a frame payload and back.
+// Both directions hand over ownership, because the wire link releases
+// the payload (ARCHITECTURE.md "Frame ownership"): Encode returns one
+// nothing else references, Decode a message with no alias into it. A
+// server uplink's decoder may borrow — Collect releases a frame only
+// after its Apply — and core's masked-input decoder is the one that does.
 type MsgCodec struct {
 	Encode func(body any) ([]byte, error)
 	Decode func(payload []byte) (any, error)
@@ -437,6 +442,7 @@ func ServeWire(ctx context.Context, conn transport.ServerConn, eng *Engine, code
 				// thresholds handle that downstream.
 				_ = conn.SendTo(id, transport.Frame{Stage: tag, Payload: payload})
 			}
+			transport.Release(payload)
 			return nil
 		},
 	}, p)
@@ -452,7 +458,9 @@ func (c wireClient) send(tag int, body any) error {
 	if err != nil {
 		return err
 	}
-	return c.conn.Send(transport.Frame{Stage: tag, Payload: payload})
+	err = c.conn.Send(transport.Frame{Stage: tag, Payload: payload})
+	transport.Release(payload)
+	return err
 }
 
 func (c wireClient) recv(ctx context.Context, tags []int) (Msg, error) {
@@ -461,12 +469,13 @@ func (c wireClient) recv(ctx context.Context, tags []int) (Msg, error) {
 		if err != nil {
 			return Msg{}, err
 		}
-		for _, t := range tags {
-			if f.Stage == t {
-				body, err := c.codec.decode(t, f.Payload)
-				return Msg{Stage: t, Body: body}, err
-			}
+		if !slices.Contains(tags, f.Stage) {
+			transport.Release(f.Payload)
+			continue
 		}
+		body, err := c.codec.decode(f.Stage, f.Payload)
+		transport.Release(f.Payload)
+		return Msg{Stage: f.Stage, Body: body}, err
 	}
 }
 

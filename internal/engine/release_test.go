@@ -1,0 +1,100 @@
+package engine
+
+import (
+	"context"
+	"testing"
+	"time"
+	"unsafe"
+
+	"repro/internal/transport"
+)
+
+// leasedFrame builds a wire message whose payload is a transport lease of
+// a size class nothing else in this package's tests uses.
+func leasedFrame(t *testing.T, from uint64, tag int, label string) Msg {
+	t.Helper()
+	w := transport.NewWriter(0xEE, byte(tag), 3000)
+	w.Raw([]byte(label)...)
+	p, err := w.Done()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Msg{From: from, Stage: tag, Body: p}
+}
+
+func label(m Msg) string { return string(m.Body.([]byte)[2:]) }
+
+// releasedFrames empties that size class of the transport's free list and
+// reports which of msgs' payloads were in it — i.e. had been released.
+func releasedFrames(msgs map[string]Msg) map[string]bool {
+	pooled := map[*byte]bool{}
+	for i := 0; i <= len(msgs); i++ {
+		p, _ := transport.NewWriter(0, 0, 3000).Done()
+		pooled[unsafe.SliceData(p)] = true
+	}
+	out := map[string]bool{}
+	for name, m := range msgs {
+		out[name] = pooled[unsafe.SliceData(m.Body.([]byte))]
+	}
+	return out
+}
+
+// TestCollectReleasesDiscardsKeepsParked: Collect is the wire server's
+// release point. A frame goes back to the transport once its Apply has
+// returned — not before, the decoded body may borrow from it — or when it
+// is discarded as stale, duplicate or unexpected; a parked hello keeps its
+// payload until the Collect that replays it.
+func TestCollectReleasesDiscardsKeepsParked(t *testing.T) {
+	msgs := map[string]Msg{
+		"stale":      leasedFrame(t, 1, 0, "stale"),
+		"unexpected": leasedFrame(t, 9, 2, "unexpected"),
+		"first":      leasedFrame(t, 1, 2, "first"),
+		"duplicate":  leasedFrame(t, 1, 2, "duplicate"),
+		"old hello":  leasedFrame(t, 2, TagRoundHello, "old hello"),
+		"hello":      leasedFrame(t, 2, TagRoundHello, "hello"), // a retransmit replaces the parked one
+		"second":     leasedFrame(t, 2, 2, "second"),
+	}
+	ch := make(chan Msg, len(msgs))
+	for _, name := range []string{"stale", "unexpected", "first", "duplicate", "old hello", "hello", "second"} {
+		ch <- msgs[name]
+	}
+	eng := New(chanRecv(ch))
+
+	var applied []string
+	admitted, err := eng.Collect(context.Background(), Stage{
+		Name: "round-stage", Tag: 2, Expect: []uint64{1, 2},
+		// A borrowing decoder: the body is the payload itself.
+		Decode: func(m Msg) (any, error) { return m.Body, nil },
+		Apply: func(from uint64, body any) error {
+			applied = append(applied, label(Msg{Body: body}))
+			return nil
+		},
+	})
+	if err != nil || len(admitted) != 2 {
+		t.Fatalf("round stage: admitted %v, err %v", admitted, err)
+	}
+	if len(applied) != 2 || applied[0] != "first" || applied[1] != "second" {
+		t.Fatalf("applied %q: a frame was released before its Apply", applied)
+	}
+	released := releasedFrames(msgs)
+	for _, name := range []string{"stale", "unexpected", "first", "duplicate", "old hello", "second"} {
+		if !released[name] {
+			t.Errorf("the %s frame was not released", name)
+		}
+	}
+	if released["hello"] {
+		t.Fatal("the parked hello was released while parked")
+	}
+
+	var replayed string
+	admitted, err = eng.Collect(context.Background(), Stage{
+		Name: "hello", Tag: TagRoundHello, Expect: []uint64{2}, Deadline: 100 * time.Millisecond,
+		Apply: func(_ uint64, body any) error { replayed = label(Msg{Body: body}); return nil },
+	})
+	if err != nil || len(admitted) != 1 || replayed != "hello" {
+		t.Fatalf("hello stage: admitted %v, replayed %q, err %v", admitted, replayed, err)
+	}
+	if !releasedFrames(msgs)["hello"] {
+		t.Error("the replayed hello was not released after its Apply")
+	}
+}

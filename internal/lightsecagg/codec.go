@@ -1,6 +1,7 @@
 package lightsecagg
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -50,10 +51,12 @@ const maxPubBytes = 1 << 10
 // wireCodec is the substrate's wire format: the typed stage messages of
 // program.go to and from frame payloads, by frame tag. The stage-0
 // advertisement is the raw channel key; its sender is the link's to name.
+// Both directions copy the key: the link releases a payload once it is
+// sent or decoded (engine.MsgCodec).
 var wireCodec = engine.Codec{
 	wireAdvertise: engine.MsgOf(
-		func(m AdvertiseMsg) ([]byte, error) { return m.CipherPub, nil },
-		func(p []byte) (AdvertiseMsg, error) { return AdvertiseMsg{CipherPub: p}, nil }),
+		func(m AdvertiseMsg) ([]byte, error) { return bytes.Clone(m.CipherPub), nil },
+		func(p []byte) (AdvertiseMsg, error) { return AdvertiseMsg{CipherPub: bytes.Clone(p)}, nil }),
 	wireRoster:    engine.MsgOf(encodeRoster, decodeRoster),
 	wireShares:    engine.MsgOf(encodeEnvelopes, decodeEnvelopes),
 	wireDeliver:   engine.MsgOf(encodeEnvelopes, decodeEnvelopes),

@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"encoding/binary"
 	"runtime"
 	"sync"
 	"testing"
@@ -574,5 +575,48 @@ func TestMaskRangeInPlaceBounds(t *testing.T) {
 	}
 	if err := v.MaskRangeInPlace(s, 1, 4, 4); err != nil {
 		t.Errorf("empty range should be a no-op, got %v", err)
+	}
+}
+
+// TestAddBytesLEMatchesAddInPlace: folding an addend from its wire bytes
+// equals AddInPlace of the decoded words — for reduced and unreduced
+// addends, across the unrolled loop's tail lengths, at every bit width
+// the ring admits, and with the payload at every byte offset of a word
+// (a frame's vector starts 14 bytes into its payload, so it is never
+// aligned).
+func TestAddBytesLEMatchesAddInPlace(t *testing.T) {
+	s := prg.NewStream(prg.NewSeed([]byte("add-bytes-le")))
+	for _, bits := range []uint{1, 20, 32, 63} {
+		for _, dim := range []int{0, 1, 3, 4, 5, 7, 2047, 2048, 4099} {
+			for offset := 0; offset < 8; offset++ {
+				acc := NewVector(bits, dim)
+				addend := NewVector(bits, dim)
+				for i := range acc.Data {
+					acc.Data[i] = s.Uint64() & acc.Mask()
+					addend.Data[i] = s.Uint64() // unreduced: the fold reduces
+				}
+				buf := make([]byte, offset+8*dim)
+				wire := buf[offset:]
+				for i, x := range addend.Data {
+					binary.LittleEndian.PutUint64(wire[8*i:], x)
+				}
+				want := acc.Clone()
+				if err := want.AddInPlace(addend); err != nil {
+					t.Fatal(err)
+				}
+				if err := acc.AddBytesLE(wire); err != nil {
+					t.Fatal(err)
+				}
+				if !Equal(acc, want) {
+					t.Fatalf("bits %d dim %d offset %d: fold from bytes differs from AddInPlace", bits, dim, offset)
+				}
+			}
+		}
+	}
+	v := NewVector(20, 4)
+	for _, n := range []int{0, 31, 33, 40} {
+		if err := v.AddBytesLE(make([]byte, n)); err == nil {
+			t.Fatalf("a %d-byte addend for 4 coordinates was accepted", n)
+		}
 	}
 }

@@ -52,9 +52,15 @@ func shareAD(round, from, to uint64) []byte {
 // MaskedInputMsg is the stage-2 client message: the masked (and noised)
 // input vector, plus (malicious mode) the round signature ω'_u that lets
 // peers verify the server's claimed survivor set.
+//
+// The vector travels in one of two forms. A client produces Y; the wire
+// decoder leaves Y nil and sets YLE to the same words as they lie in the
+// frame, little-endian, borrowed from the payload. Server.AddMasked takes
+// either and keeps neither.
 type MaskedInputMsg struct {
 	From uint64
 	Y    []uint64 // masked input, reduced mod 2^b
+	YLE  []byte   // or its wire bytes: 8 little-endian bytes per coordinate
 }
 
 // ConsistencyMsg is the stage-3 client message: a signature over

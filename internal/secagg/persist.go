@@ -30,8 +30,8 @@ import (
 //
 // The plaintext contains raw private keys, so it must only ever touch disk
 // through an authenticated encryption wrap — package sessionstore provides
-// the at-rest envelope; see doc.go ("At-rest session state") for what a
-// store leak costs.
+// the at-rest envelope; see ARCHITECTURE.md ("At-rest session state") for
+// what a store leak costs.
 const (
 	persistTag = 0x53 // 'S': secagg client session
 	// Version 3 dropped version 2's noise-epoch field.

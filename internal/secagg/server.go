@@ -14,11 +14,6 @@ import (
 	"repro/internal/xnoise"
 )
 
-// maskedFoldBatch is how many pending masked inputs accumulate before
-// AddMasked folds them into the running aggregate with one fused
-// AddManyInPlace pass (cache-resident blocks across the batch).
-const maskedFoldBatch = 8
-
 // Server is the aggregator's state machine for one round. It exposes two
 // equivalent collection surfaces per stage:
 //
@@ -58,14 +53,12 @@ type Server struct {
 	sigs   map[uint64][]byte              // stage-3 signatures
 	u4set  map[uint64]struct{}
 
-	// Streaming masked-input aggregation: arrivals fold into maskedSum in
-	// maskedFoldBatch-sized AddManyInPlace passes; pendingMasked holds the
-	// unfolded tail.
-	u3set         map[uint64]struct{}
-	maskedSum     ring.Vector
-	pendingMasked []ring.Vector
+	// Streaming masked-input aggregation: every arrival folds into
+	// maskedSum before AddMasked returns.
+	u3set     map[uint64]struct{}
+	maskedSum ring.Vector
 	// maskedDigests records each arrival's transcript digest (only with
-	// cfg.TranscriptDigests), captured before the fold consumes the vector.
+	// cfg.TranscriptDigests).
 	maskedDigests map[uint64][32]byte
 
 	// Unmasking state.
@@ -229,16 +222,13 @@ func (s *Server) CollectShares(perSender map[uint64][]EncryptedShareMsg) (map[ui
 	return s.SealShares()
 }
 
-// AddMasked ingests one stage-2 masked input on arrival, folding it into
-// the running partial aggregate so sealing the stage costs an O(1) tail
-// merge instead of |U3| vector adds at the barrier.
-//
-// AddMasked takes ownership of m.Y until SealMasked: up to
-// maskedFoldBatch arrivals are held unfolded, so the caller must not
-// reuse the backing array afterwards. Both drivers satisfy this for free
-// (the wire codec decodes into a fresh slice per frame; in-process
-// clients hand over their own masked vector and never touch it again),
-// which is why the dominant payload is not defensively copied.
+// AddMasked ingests one stage-2 masked input on arrival: it validates the
+// message, digests it and folds it into the running partial aggregate
+// before it returns, so sealing the stage is a threshold check and the
+// server never holds a per-client vector. It retains nothing of m — the
+// wire link hands it the frame's own bytes (m.YLE) and releases the frame
+// the moment this returns; a caller of the words form (m.Y) may likewise
+// reuse its vector at once.
 func (s *Server) AddMasked(m MaskedInputMsg) error {
 	if s.u3set == nil {
 		s.u3set = make(map[uint64]struct{}, len(s.u2))
@@ -250,33 +240,31 @@ func (s *Server) AddMasked(m MaskedInputMsg) error {
 	if _, dup := s.u3set[m.From]; dup {
 		return fmt.Errorf("secagg: duplicate masked input from %d", m.From)
 	}
-	if len(m.Y) != s.cfg.Dim {
-		return fmt.Errorf("secagg: masked input from %d has dim %d, want %d", m.From, len(m.Y), s.cfg.Dim)
+	dim := len(m.Y)
+	if m.YLE != nil {
+		if m.Y != nil || len(m.YLE)%8 != 0 {
+			return fmt.Errorf("secagg: masked input from %d is malformed", m.From)
+		}
+		dim = len(m.YLE) / 8
+	}
+	if dim != s.cfg.Dim {
+		return fmt.Errorf("secagg: masked input from %d has dim %d, want %d", m.From, dim, s.cfg.Dim)
 	}
 	s.u3set[m.From] = struct{}{}
 	if s.cfg.TranscriptDigests {
 		if s.maskedDigests == nil {
 			s.maskedDigests = make(map[uint64][32]byte, len(s.u2))
 		}
-		s.maskedDigests[m.From] = transcript.Digest(m.Y)
+		if m.YLE != nil {
+			s.maskedDigests[m.From] = transcript.DigestLE(m.YLE)
+		} else {
+			s.maskedDigests[m.From] = transcript.Digest(m.Y)
+		}
 	}
-	s.pendingMasked = append(s.pendingMasked, ring.Vector{Bits: s.cfg.Bits, Data: m.Y})
-	if len(s.pendingMasked) >= maskedFoldBatch {
-		return s.foldPendingMasked()
+	if m.YLE != nil {
+		return s.maskedSum.AddBytesLE(m.YLE)
 	}
-	return nil
-}
-
-// foldPendingMasked merges the unfolded arrivals into the running sum.
-func (s *Server) foldPendingMasked() error {
-	if len(s.pendingMasked) == 0 {
-		return nil
-	}
-	if err := s.maskedSum.AddManyInPlace(s.pendingMasked); err != nil {
-		return err
-	}
-	s.pendingMasked = s.pendingMasked[:0]
-	return nil
+	return s.maskedSum.AddInPlace(ring.Vector{Bits: s.cfg.Bits, Data: m.Y})
 }
 
 // MaskedDigests returns the transcript digests of every masked input
@@ -297,9 +285,6 @@ func (s *Server) MaskedDigests() []transcript.InputDigest {
 
 // SealMasked closes stage 2: the senders form U3.
 func (s *Server) SealMasked() ([]uint64, error) {
-	if err := s.foldPendingMasked(); err != nil {
-		return nil, err
-	}
 	if len(s.u3set) < s.cfg.Threshold {
 		return nil, fmt.Errorf("secagg: |U3|=%d < t=%d, aborting", len(s.u3set), s.cfg.Threshold)
 	}
@@ -308,8 +293,7 @@ func (s *Server) SealMasked() ([]uint64, error) {
 }
 
 // CollectMasked ingests stage-2 masked inputs; the senders form U3 (batch
-// wrapper over AddMasked/SealMasked, inheriting AddMasked's ownership of
-// each message's Y).
+// wrapper over AddMasked/SealMasked).
 func (s *Server) CollectMasked(msgs []MaskedInputMsg) ([]uint64, error) {
 	for _, m := range msgs {
 		if err := s.AddMasked(m); err != nil {

@@ -34,7 +34,8 @@ import (
 //     key-agreement phase from many masked aggregations that SecAgg+
 //     (Bell et al., CCS 2020) assumes.
 //
-// Threat-model caveats (see doc.go): ratcheting separates per-round masks
+// Threat-model caveats (see ARCHITECTURE.md, "Sessions and the key-reuse
+// threat model"): ratcheting separates per-round masks
 // and bounds key lifetime, but the X25519 private keys persist for
 // re-sharing, so session reuse does not provide forward secrecy against
 // endpoint-state compromise; and a client whose mask key was reconstructed

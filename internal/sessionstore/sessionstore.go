@@ -10,7 +10,7 @@
 // envelope version. A record copied to another name, truncated, or
 // bit-flipped fails authentication instead of restoring a wrong session.
 //
-// Threat model (see doc.go, "At-rest session state"): the envelope
+// Threat model (see ARCHITECTURE.md, "At-rest session state"): the envelope
 // protects against a leaked *file*; a leaked file *plus* the store key
 // hands the attacker exactly what a live-endpoint compromise would — the
 // session's private keys and cached secrets, with which it can derive that

@@ -46,6 +46,7 @@ import (
 	"sync"
 
 	"repro/internal/sig"
+	"repro/internal/transport"
 )
 
 // Domain-separation labels. Leaves hash with a 0x00 prefix and a kind
@@ -88,18 +89,28 @@ type ShardRoot struct {
 	Root  [32]byte
 }
 
+// maskedLabel domain-separates the masked-input digest.
+const maskedLabel = "dordis/transcript/masked/v1"
+
 // Digest is the canonical masked-input digest both sides compute: SHA-256
 // over the little-endian bytes of the masked vector. Client (at upload)
 // and server (at AddMasked) must agree on it byte-for-byte; it is the
 // leaf preimage the inclusion proof anchors.
 func Digest(xs []uint64) [32]byte {
 	h := sha256.New()
-	h.Write([]byte("dordis/transcript/masked/v1"))
-	var b [8]byte
-	for _, x := range xs {
-		binary.LittleEndian.PutUint64(b[:], x)
-		h.Write(b[:])
-	}
+	h.Write([]byte(maskedLabel))
+	_ = transport.WriteUint64sLE(h, xs) // a hash never fails a Write
+	var out [32]byte
+	h.Sum(out[:0])
+	return out
+}
+
+// DigestLE is Digest of the vector whose little-endian wire bytes are b —
+// what the server holds when it folds a masked input from its frame.
+func DigestLE(b []byte) [32]byte {
+	h := sha256.New()
+	h.Write([]byte(maskedLabel))
+	h.Write(b)
 	var out [32]byte
 	h.Sum(out[:0])
 	return out

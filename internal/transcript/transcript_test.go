@@ -3,10 +3,13 @@ package transcript
 import (
 	"bytes"
 	"crypto/rand"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"reflect"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/sig"
 )
@@ -529,6 +532,43 @@ func TestDigestCanonical(t *testing.T) {
 }
 
 func sum32(d [32]byte) []byte { return d[:] }
+
+// TestDigestGolden pins the digest byte for byte against the values the
+// per-word implementation produced: hashing the slab in one Write, or from
+// a frame's bytes, must not move a single committed leaf.
+func TestDigestGolden(t *testing.T) {
+	xs := make([]uint64, 1000)
+	for i := range xs {
+		xs[i] = uint64(i)*0x9E3779B97F4A7C15 + 1
+	}
+	for _, c := range []struct {
+		xs   []uint64
+		want string
+	}{
+		{xs, "41fd8812980a6f2b355edbe40058abb781b1664cc2bf624818dc229817ed4a31"},
+		{nil, "53eb47d28d5c0f60fece9d078d162c3fe7f3cb67d8082d4274f0a27909f5b724"},
+	} {
+		if got := hex.EncodeToString(sum32(Digest(c.xs))); got != c.want {
+			t.Fatalf("Digest of %d words = %s, want %s", len(c.xs), got, c.want)
+		}
+	}
+}
+
+// TestDigestWordsEqualBytes: the words form and the bytes form are the
+// same function of the same vector, wherever the bytes happen to lie.
+func TestDigestWordsEqualBytes(t *testing.T) {
+	prop := func(xs []uint64, offset uint8) bool {
+		buf := make([]byte, int(offset%8)+8*len(xs))
+		wire := buf[offset%8:]
+		for i, x := range xs {
+			binary.LittleEndian.PutUint64(wire[8*i:], x)
+		}
+		return Digest(xs) == DigestLE(wire)
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // TestRosterRootOrderInsensitiveThroughBuild pins that Build commits
 // entries in ascending-id order regardless of input order, so server and

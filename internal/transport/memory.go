@@ -8,11 +8,13 @@ import (
 
 // MemoryNetwork is an in-process star network: one server endpoint and any
 // number of client endpoints, connected by buffered channels. It is safe
-// for concurrent use.
+// for concurrent use. Like a socket, it copies: a sent payload is copied
+// into a leased buffer, so sender and receiver never share memory and a
+// frame sent twice arrives as two independent frames.
 type MemoryNetwork struct {
 	mu       sync.Mutex
 	toServer chan Frame
-	toClient map[uint64]chan Frame
+	clients  map[uint64]*memoryClient
 	closed   bool
 }
 
@@ -23,7 +25,7 @@ func NewMemoryNetwork(buffer int) *MemoryNetwork {
 	}
 	return &MemoryNetwork{
 		toServer: make(chan Frame, buffer),
-		toClient: make(map[uint64]chan Frame),
+		clients:  make(map[uint64]*memoryClient),
 	}
 }
 
@@ -50,12 +52,18 @@ func (n *MemoryNetwork) Connect(id uint64) (ClientConn, error) {
 	if n.closed {
 		return nil, ErrClosed
 	}
-	if _, dup := n.toClient[id]; dup {
+	if _, dup := n.clients[id]; dup {
 		return nil, ErrClosed
 	}
-	in := make(chan Frame, cap(n.toServer))
-	n.toClient[id] = in
-	return &memoryClient{id: id, net: n, in: in, done: make(chan struct{})}, nil
+	c := &memoryClient{id: id, net: n, in: make(chan Frame, cap(n.toServer)), done: make(chan struct{})}
+	n.clients[id] = c
+	return c, nil
+}
+
+// copied returns f with its payload copied into a leased buffer.
+func copied(f Frame) Frame {
+	f.Payload = append(lease(len(f.Payload))[:0], f.Payload...)
+	return f
 }
 
 // Server returns the server endpoint.
@@ -71,13 +79,7 @@ func (c *memoryClient) Send(f Frame) error {
 		return ErrClosed
 	}
 	f.From = c.id
-	select {
-	case c.net.toServer <- f:
-		return nil
-	default:
-	}
-	// Block if the buffer is full (back-pressure).
-	c.net.toServer <- f
+	c.net.toServer <- copied(f) // blocks while the buffer is full (back-pressure)
 	return nil
 }
 
@@ -106,20 +108,27 @@ func (c *memoryClient) Close() error {
 	c.closed = true
 	close(c.done)
 	c.net.mu.Lock()
-	delete(c.net.toClient, c.id)
+	delete(c.net.clients, c.id)
 	c.net.mu.Unlock()
 	return nil
 }
 
 func (s *memoryServer) SendTo(client uint64, f Frame) error {
 	s.net.mu.Lock()
-	ch, ok := s.net.toClient[client]
+	c, ok := s.net.clients[client]
 	s.net.mu.Unlock()
 	if !ok {
 		return ErrClosed
 	}
-	ch <- f
-	return nil
+	f = copied(f)
+	select {
+	case c.in <- f:
+		return nil
+	case <-c.done:
+		// The recipient closed with its inbox full: nobody will drain it.
+		Release(f.Payload)
+		return ErrClosed
+	}
 }
 
 func (s *memoryServer) Recv(ctx context.Context) (Frame, error) {
@@ -134,8 +143,8 @@ func (s *memoryServer) Recv(ctx context.Context) (Frame, error) {
 func (s *memoryServer) Clients() []uint64 {
 	s.net.mu.Lock()
 	defer s.net.mu.Unlock()
-	out := make([]uint64, 0, len(s.net.toClient))
-	for id := range s.net.toClient {
+	out := make([]uint64, 0, len(s.net.clients))
+	for id := range s.net.clients {
 		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })

@@ -107,6 +107,14 @@ func (r *Reader) Words(max int) []uint64 {
 	return out
 }
 
+// WordsLE reads a [n:4][n×8] slab of at most max words without copying
+// it: the n little-endian words as they lie in the payload, at whatever
+// alignment. The one decoder that borrows (core's masked input) uses it;
+// what it returns dies with the payload.
+func (r *Reader) WordsLE(max int) []byte {
+	return r.Raw(8 * r.Count(8, max))
+}
+
 // Bytes reads a [len:4][bytes] field of at most max bytes into a fresh
 // slice (nil when empty).
 func (r *Reader) Bytes(max int) []byte {
@@ -158,10 +166,11 @@ type Writer struct {
 	err error
 }
 
-// NewWriter starts a payload that leads with [magic][tag]; size is the
-// expected body length, so a dim-length payload is allocated once.
+// NewWriter starts a payload that leads with [magic][tag] in a leased
+// buffer; size is the expected body length, so a dim-length payload never
+// outgrows its lease.
 func NewWriter(magic, tag byte, size int) *Writer {
-	return &Writer{b: append(make([]byte, 0, 2+size), magic, tag)}
+	return &Writer{b: append(lease(2 + size)[:0], magic, tag)}
 }
 
 // Fail poisons the writer with err (the first failure wins).

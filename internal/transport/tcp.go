@@ -152,10 +152,17 @@ func (s *TCPServer) Close() error {
 	return s.ln.Close()
 }
 
-// TCPClient is a client endpoint.
+// TCPClient is a client endpoint. One reader goroutine per connection
+// feeds frames, in order, so a Recv whose context fires abandons nothing:
+// the frame it was waiting for — half-arrived or not — goes to the next
+// Recv.
 type TCPClient struct {
 	id   uint64
 	conn net.Conn
+
+	frames  chan Frame    // the reader's output; closed after readErr is set
+	readErr error         // why the reader stopped
+	done    chan struct{} // closed by Close; stops a reader nobody drains
 
 	mu     sync.Mutex
 	closed bool
@@ -175,7 +182,28 @@ func DialTCP(addr string, id uint64) (*TCPClient, error) {
 		conn.Close()
 		return nil, fmt.Errorf("transport: hello write to %s (client %d): %w", addr, id, err)
 	}
-	return &TCPClient{id: id, conn: conn}, nil
+	c := &TCPClient{id: id, conn: conn, frames: make(chan Frame), done: make(chan struct{})}
+	go c.readLoop()
+	return c, nil
+}
+
+// readLoop runs until the connection fails or Close is called.
+func (c *TCPClient) readLoop() {
+	defer close(c.frames)
+	for {
+		f, err := readFrame(c.conn)
+		if err != nil {
+			c.readErr = err
+			return
+		}
+		select {
+		case c.frames <- f:
+		case <-c.done:
+			Release(f.Payload)
+			c.readErr = ErrClosed
+			return
+		}
+	}
 }
 
 // RetryConfig tunes DialRetry's backoff. The zero value picks the
@@ -257,18 +285,12 @@ func (c *TCPClient) Send(f Frame) error {
 
 // Recv implements ClientConn.
 func (c *TCPClient) Recv(ctx context.Context) (Frame, error) {
-	type result struct {
-		f   Frame
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		f, err := readFrame(c.conn)
-		ch <- result{f, err}
-	}()
 	select {
-	case r := <-ch:
-		return r.f, r.err
+	case f, ok := <-c.frames:
+		if !ok {
+			return Frame{}, c.readErr
+		}
+		return f, nil
 	case <-ctx.Done():
 		return Frame{}, ctx.Err()
 	}
@@ -282,6 +304,7 @@ func (c *TCPClient) Close() error {
 		return nil
 	}
 	c.closed = true
+	close(c.done)
 	return c.conn.Close()
 }
 

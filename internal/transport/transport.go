@@ -23,6 +23,10 @@ import (
 
 // Frame is one protocol message on the wire. Payload encoding is the
 // caller's concern (the binary codecs of packages core and lightsecagg).
+//
+// Ownership: a transport never retains Payload after Send/SendTo returns,
+// and every frame Recv yields is exclusively the receiver's, to hand back
+// with Release when it is done (lease.go).
 type Frame struct {
 	From    uint64
 	Stage   int
@@ -76,7 +80,8 @@ func writeFrame(w io.Writer, f Frame) error {
 	return err
 }
 
-// readFrame reads a length-prefixed frame.
+// readFrame reads a length-prefixed frame into a leased payload, which it
+// hands back itself when the payload does not arrive whole.
 func readFrame(r io.Reader) (Frame, error) {
 	var hdr [20]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -89,9 +94,10 @@ func readFrame(r io.Reader) (Frame, error) {
 	f := Frame{
 		From:    binary.LittleEndian.Uint64(hdr[0:]),
 		Stage:   int(int32(binary.LittleEndian.Uint32(hdr[8:]))),
-		Payload: make([]byte, n),
+		Payload: lease(int(n)),
 	}
 	if _, err := io.ReadFull(r, f.Payload); err != nil {
+		Release(f.Payload)
 		return Frame{}, err
 	}
 	return f, nil
@@ -99,23 +105,45 @@ func readFrame(r io.Reader) (Frame, error) {
 
 // --- bulk little-endian word codecs (shared by the binary payload codecs) ---
 
+// wordsLE returns the backing memory of xs as wire bytes when the host is
+// little-endian (the slab already is its own encoding), nil otherwise.
+func wordsLE(xs []uint64) []byte {
+	if !endian.HostLittle || len(xs) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs)*8)
+}
+
 // AppendUint64sLE appends xs to dst in little-endian wire order. On
 // little-endian hosts the word slab is copied in one memmove; the
 // big-endian fallback encodes per element.
 func AppendUint64sLE(dst []byte, xs []uint64) []byte {
-	if len(xs) == 0 {
-		return dst
+	if slab := wordsLE(xs); slab != nil {
+		return append(dst, slab...)
 	}
-	if endian.HostLittle {
-		src := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs)*8)
-		return append(dst, src...)
-	}
-	off := len(dst)
-	dst = append(dst, make([]byte, len(xs)*8)...)
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(dst[off+i*8:], x)
+	for _, x := range xs {
+		dst = binary.LittleEndian.AppendUint64(dst, x)
 	}
 	return dst
+}
+
+// WriteUint64sLE writes xs to w in little-endian wire order without
+// building the encoding: the whole slab in one Write on little-endian
+// hosts, a Write per word otherwise. w must not retain what it is given
+// (a hash.Hash does not).
+func WriteUint64sLE(w io.Writer, xs []uint64) error {
+	if slab := wordsLE(xs); slab != nil {
+		_, err := w.Write(slab)
+		return err
+	}
+	var b [8]byte
+	for _, x := range xs {
+		binary.LittleEndian.PutUint64(b[:], x)
+		if _, err := w.Write(b[:]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // AppendBlob appends a 16-bit-length-prefixed byte blob to dst — the

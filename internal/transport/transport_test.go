@@ -211,3 +211,162 @@ func TestServerRecvTimeout(t *testing.T) {
 		t.Fatal("Recv should respect the context deadline")
 	}
 }
+
+// tcpPair returns a connected client and its server.
+func tcpPair(t *testing.T, id uint64) (*TCPServer, *TCPClient) {
+	t.Helper()
+	srv, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	c, err := DialTCP(srv.Addr(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	for deadline := time.Now().Add(5 * time.Second); len(srv.Clients()) < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("client never registered")
+		}
+	}
+	return srv, c
+}
+
+// TestTCPClientRecvAfterCancelledRecv: a Recv whose context fired must
+// not cost the connection a frame. With a reader per Recv, the abandoned
+// one swallowed the next frame (the client then saw stage 2 and never
+// stage 1) and raced the following Recv for the socket.
+func TestTCPClientRecvAfterCancelledRecv(t *testing.T) {
+	srv, c := tcpPair(t, 4)
+	short, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := c.Recv(short); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Recv on an idle connection: %v", err)
+	}
+	for stage := 1; stage <= 2; stage++ {
+		if err := srv.SendTo(4, Frame{Stage: stage, Payload: []byte{byte(stage), 0xEE}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancelAll := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancelAll()
+	for stage := 1; stage <= 2; stage++ {
+		f, err := c.Recv(ctx)
+		if err != nil {
+			t.Fatalf("frame %d: %v", stage, err)
+		}
+		if f.Stage != stage || !bytes.Equal(f.Payload, []byte{byte(stage), 0xEE}) {
+			t.Fatalf("frame %d arrived as %+v", stage, f)
+		}
+	}
+}
+
+// TestTCPClientRecvCancelledMidFrame: the same for a Recv that gives up
+// while a 512 KiB frame is half on the wire — the frame arrives whole at
+// the next Recv, followed by its successor.
+func TestTCPClientRecvCancelledMidFrame(t *testing.T) {
+	srv, c := tcpPair(t, 4)
+	big := make([]byte, 512<<10)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	// The server's half of the socket, to write the frame in two parts.
+	srv.mu.Lock()
+	raw := srv.conns[4]
+	srv.mu.Unlock()
+	var wire bytes.Buffer
+	if err := writeFrame(&wire, Frame{Stage: 1, Payload: big}); err != nil {
+		t.Fatal(err)
+	}
+	half := wire.Len() / 2
+	if _, err := raw.Write(wire.Bytes()[:half]); err != nil {
+		t.Fatal(err)
+	}
+	short, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := c.Recv(short); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Recv of a half-arrived frame: %v", err)
+	}
+	if _, err := raw.Write(wire.Bytes()[half:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.SendTo(4, Frame{Stage: 2, Payload: []byte("after")}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancelAll := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancelAll()
+	f, err := c.Recv(ctx)
+	if err != nil || f.Stage != 1 || !bytes.Equal(f.Payload, big) {
+		t.Fatalf("the interrupted frame: stage %d, %d bytes, err %v", f.Stage, len(f.Payload), err)
+	}
+	f, err = c.Recv(ctx)
+	if err != nil || f.Stage != 2 || string(f.Payload) != "after" {
+		t.Fatalf("the frame after it: %+v, err %v", f, err)
+	}
+}
+
+// TestMemoryNetworkSendDoesNotAlias: the memory network copies like a
+// socket does, in both directions — what the sender does to its payload
+// after Send/SendTo returns cannot reach the receiver.
+func TestMemoryNetworkSendDoesNotAlias(t *testing.T) {
+	n := NewMemoryNetwork(4)
+	c, err := n.Connect(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := n.Server()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	up := []byte("client to server")
+	if err := c.Send(Frame{Stage: 1, Payload: up}); err != nil {
+		t.Fatal(err)
+	}
+	copy(up, "XXXXXXXXXXXXXXXX")
+	if f, err := srv.Recv(ctx); err != nil || string(f.Payload) != "client to server" {
+		t.Fatalf("server received %q, err %v", f.Payload, err)
+	}
+
+	down := []byte("server to client")
+	for i := 0; i < 2; i++ { // sent twice: two independent frames
+		if err := srv.SendTo(1, Frame{Stage: 2, Payload: down}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	copy(down, "YYYYYYYYYYYYYYYY")
+	first, err := c.Recv(ctx)
+	if err != nil || string(first.Payload) != "server to client" {
+		t.Fatalf("client received %q, err %v", first.Payload, err)
+	}
+	copy(first.Payload, "ZZZZZZZZZZZZZZZZ")
+	if second, err := c.Recv(ctx); err != nil || string(second.Payload) != "server to client" {
+		t.Fatalf("the duplicate arrived as %q, err %v", second.Payload, err)
+	}
+}
+
+// TestMemorySendToClosedClientFullInbox: a client that closed with its
+// inbox full must fail the server's send, not hang it.
+func TestMemorySendToClosedClientFullInbox(t *testing.T) {
+	n := NewMemoryNetwork(1)
+	c, err := n.Connect(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := n.Server()
+	if err := srv.SendTo(1, Frame{Stage: 1}); err != nil { // fills the inbox
+		t.Fatal(err)
+	}
+	sent := make(chan error, 1)
+	go func() { sent <- srv.SendTo(1, Frame{Stage: 2}) }() // blocks on the full inbox
+	time.Sleep(10 * time.Millisecond)                      // usually long enough to be blocked; either order must end in ErrClosed
+	c.Close()
+	select {
+	case err := <-sent:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("send to a closed client: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("SendTo hung on a closed client's full inbox")
+	}
+}
