@@ -32,45 +32,56 @@ const Overhead = NonceSize + 16
 // would weaken INT-CTXT in practice).
 var ErrDecrypt = errors.New("aead: decryption failed")
 
-func newGCM(key [KeySize]byte) (cipher.AEAD, error) {
+// Key is a constructed key: the AES key schedule and GCM table built once,
+// for a channel that seals and opens more than one message. Safe for
+// concurrent use.
+type Key struct {
+	g cipher.AEAD
+}
+
+// NewKey constructs the key.
+func NewKey(key [KeySize]byte) *Key {
 	block, err := aes.NewCipher(key[:])
 	if err != nil {
-		return nil, fmt.Errorf("aead: %w", err)
+		// aes.NewCipher only fails on invalid key length; KeySize is valid.
+		panic(fmt.Sprintf("aead: %v", err))
 	}
 	g, err := cipher.NewGCM(block)
 	if err != nil {
-		return nil, fmt.Errorf("aead: %w", err)
+		panic(fmt.Sprintf("aead: %v", err)) // only for a non-128-bit block cipher
 	}
-	return g, nil
+	return &Key{g: g}
 }
 
-// Seal encrypts plaintext under key, binding associated data ad. The nonce
-// is drawn from rand and prepended to the returned ciphertext.
-func Seal(key [KeySize]byte, rand io.Reader, plaintext, ad []byte) ([]byte, error) {
-	g, err := newGCM(key)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, NonceSize, NonceSize+len(plaintext)+g.Overhead())
+// Seal encrypts plaintext under the key, binding associated data ad. The
+// nonce is drawn from rand and prepended to the returned ciphertext.
+func (k *Key) Seal(rand io.Reader, plaintext, ad []byte) ([]byte, error) {
+	out := make([]byte, NonceSize, Overhead+len(plaintext))
 	if _, err := io.ReadFull(rand, out[:NonceSize]); err != nil {
 		return nil, fmt.Errorf("aead: reading nonce: %w", err)
 	}
-	return g.Seal(out, out[:NonceSize], plaintext, ad), nil
+	return k.g.Seal(out, out[:NonceSize], plaintext, ad), nil
 }
 
 // Open decrypts a ciphertext produced by Seal, verifying the associated
 // data. It returns ErrDecrypt on any failure.
-func Open(key [KeySize]byte, ciphertext, ad []byte) ([]byte, error) {
+func (k *Key) Open(ciphertext, ad []byte) ([]byte, error) {
 	if len(ciphertext) < Overhead {
 		return nil, ErrDecrypt
 	}
-	g, err := newGCM(key)
-	if err != nil {
-		return nil, err
-	}
-	pt, err := g.Open(nil, ciphertext[:NonceSize], ciphertext[NonceSize:], ad)
+	pt, err := k.g.Open(nil, ciphertext[:NonceSize], ciphertext[NonceSize:], ad)
 	if err != nil {
 		return nil, ErrDecrypt
 	}
 	return pt, nil
+}
+
+// Seal is NewKey(key).Seal for a key used once.
+func Seal(key [KeySize]byte, rand io.Reader, plaintext, ad []byte) ([]byte, error) {
+	return NewKey(key).Seal(rand, plaintext, ad)
+}
+
+// Open is NewKey(key).Open for a key used once.
+func Open(key [KeySize]byte, ciphertext, ad []byte) ([]byte, error) {
+	return NewKey(key).Open(ciphertext, ad)
 }

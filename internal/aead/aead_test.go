@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -98,4 +99,63 @@ func TestOverheadConstant(t *testing.T) {
 	if len(ct) != 100+Overhead {
 		t.Fatalf("ciphertext length %d, want %d", len(ct), 100+Overhead)
 	}
+}
+
+// TestKeySealOpenInterop: a constructed Key and the package-level
+// functions are one scheme — each opens what the other sealed, both name
+// every failure ErrDecrypt — and one Key serves concurrent sealers and
+// openers (a session shares it across the chunks of a round).
+func TestKeySealOpenInterop(t *testing.T) {
+	raw := key(5)
+	k := NewKey(raw)
+	pt, ad := []byte("share bundle"), []byte("round=4|u=1|v=2")
+
+	ct, err := k.Seal(rand.Reader, pt, ad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ct) != len(pt)+Overhead {
+		t.Fatalf("ciphertext of %d bytes, want %d", len(ct), len(pt)+Overhead)
+	}
+	if got, err := Open(raw, ct, ad); err != nil || !bytes.Equal(got, pt) {
+		t.Fatalf("Open(Key.Seal) = %q, %v", got, err)
+	}
+	ct2, err := Seal(raw, rand.Reader, pt, ad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := k.Open(ct2, ad); err != nil || !bytes.Equal(got, pt) {
+		t.Fatalf("Key.Open(Seal) = %q, %v", got, err)
+	}
+
+	if _, err := k.Open(ct, []byte("round=5|u=1|v=2")); !errors.Is(err, ErrDecrypt) {
+		t.Errorf("wrong associated data: %v, want ErrDecrypt", err)
+	}
+	if _, err := k.Open(ct[:Overhead-1], ad); !errors.Is(err, ErrDecrypt) {
+		t.Errorf("short ciphertext: %v, want ErrDecrypt", err)
+	}
+	if _, err := NewKey(key(6)).Open(ct, ad); !errors.Is(err, ErrDecrypt) {
+		t.Errorf("wrong key: %v, want ErrDecrypt", err)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			msg := bytes.Repeat([]byte{byte(g)}, 100+g)
+			for i := 0; i < 50; i++ {
+				ct, err := k.Seal(rand.Reader, msg, ad)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got, err := k.Open(ct, ad); err != nil || !bytes.Equal(got, msg) {
+					t.Errorf("goroutine %d: round trip failed: %v", g, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

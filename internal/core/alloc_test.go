@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/prg"
 	"repro/internal/ring"
 	"repro/internal/secagg"
 )
@@ -74,5 +75,56 @@ func TestWireRoundAllocBudget(t *testing.T) {
 		float64(got)/1e6, float64(got)/float64(vectorBytes), float64(vectorBytes)/1e6)
 	if got > budget*vectorBytes {
 		t.Fatalf("round allocated %d bytes, more than %d× its %d vector bytes", got, budget, vectorBytes)
+	}
+}
+
+// TestRunRoundAllocBudget is the same budget for the in-process round
+// (ARCHITECTURE.md, "Round scratch"): a warm first-time-cohort round — 64
+// clients, 16384 coordinates in 8 chunks on SecAgg+, XNoise tolerating 16
+// dropouts with 8 taken — allocates a small multiple of the client vectors
+// it aggregates. What is left is one slab of encodings, each client's
+// masked copy per chunk, and a PRG stream per mask and noise component;
+// with every client re-expanding the rotation, every (client, chunk)
+// copying its window and making its noise vector, and two AES-GCM key
+// schedules per share envelope, the same round ran at 21× its vector
+// bytes. It runs at ≈10× now, ≈12× under -race (a race build's sync.Pool
+// drops a quarter of what it is handed, the mask kernel's scratch included).
+func TestRunRoundAllocBudget(t *testing.T) {
+	const (
+		n, dim = 64, 16384
+		budget = 13 // × the round's client-vector bytes
+	)
+	cfg := RoundConfig{
+		Codec: testCodec(dim, n), Threshold: 48, Chunks: 8,
+		Tolerance: 16, TargetMu: 100,
+	}
+	updates := randomUpdates(n, dim, 0.9)
+	var drops []uint64
+	for id := uint64(8); id <= n; id += 8 {
+		drops = append(drops, id)
+	}
+	round := func(i uint64) {
+		t.Helper()
+		cfg.Round, cfg.Seed = i, prg.NewSeed([]byte("alloc-budget"), []byte{byte(i)})
+		cfg.Sessions = NewSessionPool(1)
+		res, err := RunRound(cfg, updates, drops, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Survivors) != n-len(drops) || res.Protocol != ProtocolSecAggPlus || res.Chunks != cfg.Chunks {
+			t.Fatalf("round %d: %d survivors on %v in %d chunks", i, len(res.Survivors), res.Protocol, res.Chunks)
+		}
+	}
+	round(1) // warm: the mask kernel's scratch, the worker pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	round(2)
+	runtime.ReadMemStats(&after)
+	vectorBytes := uint64(n * dim * 8)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("round allocated %.1f MB = %.2f× its %.1f MB of client vectors",
+		float64(got)/1e6, float64(got)/float64(vectorBytes), float64(vectorBytes)/1e6)
+	if got > budget*vectorBytes {
+		t.Fatalf("round allocated %d bytes, more than %d× its %d client-vector bytes", got, budget, vectorBytes)
 	}
 }

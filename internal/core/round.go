@@ -87,9 +87,9 @@ type RoundConfig struct {
 	Degree    int // SecAgg+ neighborhood degree; 0 = recommended
 	Codec     skellam.Params
 	Threshold int
-	// Chunks is the pipeline chunk count m (1 = plain execution). The
-	// optimal value comes from pipeline.OptimalChunks via the profiled
-	// performance model (see package cluster).
+	// Chunks is the pipeline chunk count m (1 = plain execution). Nothing
+	// sets it but the caller; pipeline.OptimalChunks can propose a value
+	// but no round path consults it yet (ROADMAP direction 2).
 	Chunks int
 	// XNoise enables add-then-remove enforcement with tolerance T and
 	// central target TargetMu (grid units); Tolerance 0 disables it
@@ -271,19 +271,23 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 	}
 
 	// Encode every client's update once (the rotation spans the whole
-	// vector) and split into chunks.
+	// vector), with one encoder, into one slab the round owns; a chunk
+	// input is a window of it (ARCHITECTURE.md, "Round scratch").
+	enc, err := skellam.NewEncoder(cfg.Codec)
+	if err != nil {
+		return nil, err
+	}
+	pd := cfg.Codec.PaddedDim()
+	slab := make([]uint64, len(ids)*pd) // client i's encoding is slab[i·pd : (i+1)·pd]
 	encStream := prg.NewStream(prg.NewSeed(cfg.Seed[:], []byte("encode")))
-	encoded := make(map[uint64]ring.Vector, len(ids))
-	for _, id := range ids {
-		u := updates[id]
-		enc, err := skellam.Encode(cfg.Codec, u, encStream.Fork(fmt.Sprintf("c%d", id)))
-		if err != nil {
+	for i, id := range ids {
+		dst := ring.Vector{Bits: cfg.Codec.Bits, Data: slab[i*pd : (i+1)*pd]}
+		if err := enc.EncodeInto(dst, updates[id], encStream.Fork(fmt.Sprintf("c%d", id))); err != nil {
 			return nil, fmt.Errorf("core: encoding client %d: %w", id, err)
 		}
-		encoded[id] = enc
 	}
 	m := cfg.Chunks
-	bounds := ring.ChunkBounds(cfg.Codec.PaddedDim(), m)
+	bounds := ring.ChunkBounds(pd, m)
 	m = len(bounds)
 
 	// Per-(client, chunk) noise seeds, derived deterministically so runs
@@ -395,19 +399,21 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 	}
 
 	stageClient := func(c int) error {
-		// c-comp: assemble chunk inputs; survivors add their XNoise. The
-		// chunk geometry is read off the precomputed bounds — no per-chunk
-		// re-splitting of every client's full vector.
+		// c-comp: assemble chunk inputs; survivors add their XNoise. A
+		// chunk input is the client's window of the slab, noised in place:
+		// chunk ranges are disjoint, each chunk passes here once, and the
+		// substrates only read their inputs.
 		lo, hi := bounds[c][0], bounds[c][1]
 		inputs := make(map[uint64]ring.Vector, len(ids))
+		var total []int64 // one client's noise at a time
+		if plan != nil {
+			total = make([]int64, hi-lo)
+		}
 		for i, id := range ids {
-			chunk := ring.Vector{
-				Bits: encoded[id].Bits,
-				Data: append([]uint64(nil), encoded[id].Data[lo:hi]...),
-			}
+			chunk := ring.Vector{Bits: cfg.Codec.Bits, Data: slab[i*pd+lo : i*pd+hi : i*pd+hi]}
 			if plan != nil && aggregated(id) {
-				total, err := noise[c][i].client.TotalNoise(*plan, sampler, chunk.Len())
-				if err != nil {
+				clear(total)
+				if err := noise[c][i].client.AddTotalNoise(*plan, sampler, total); err != nil {
 					return setErr(err)
 				}
 				if err := chunk.AddSignedInPlace(total); err != nil {
@@ -544,8 +550,9 @@ func runLightSecAggChunk(cfg RoundConfig, chunk int, ids []uint64, inputs map[ui
 		Round: cfg.Round*1000 + uint64(chunk),
 	}
 	lifted := make(map[uint64][]field.Element, len(ids))
+	slab := make([]field.Element, len(inputs)*dim) // every client's lift, one allocation a chunk
 	for id, v := range inputs {
-		xs := make([]field.Element, len(v.Data))
+		xs := slab[len(lifted)*dim:][:dim:dim]
 		for i, w := range v.Data {
 			xs[i] = field.New(w)
 		}

@@ -1,0 +1,96 @@
+package core
+
+import (
+	"crypto/rand"
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/prg"
+	"repro/internal/ring"
+	"repro/internal/secagg"
+	"repro/internal/skellam"
+	"repro/internal/xnoise"
+)
+
+// TestRunRoundSlabIsolation: chunk inputs are windows of one slab and
+// XNoise lands in them in place through one reused buffer, so nothing may
+// cross a window: not a neighbouring chunk's noise, not the previous
+// client's (a buffer not cleared), not any noise on a dropped client's
+// window or twice on a survivor's. A sampler that ignores its stream and
+// adds a constant per component makes that exact: with |D| clients dropped
+// before upload, every coordinate of the ring aggregate must be the plain
+// sum of the survivors' encodings — computed here by skellam.Encode, a
+// vector per client — plus |survivors| · Σ_{k ≤ |D|} c_k, on both
+// substrates, at 1 chunk and at 8, twice over the same updates map.
+func TestRunRoundSlabIsolation(t *testing.T) {
+	const n, dim, tolerance = 12, 200, 3
+	codec := testCodec(dim, n)
+	updates := randomUpdates(n, dim, 0.9)
+	drops := []uint64{3, 7}
+	late := secagg.DropSchedule{10: secagg.StageUnmasking}
+	constant := func(variance float64) int64 { return int64(math.Round(16*variance)) + 1 }
+	sampler := func(_ *prg.Stream, variance float64, out []int64) {
+		for i := range out {
+			out[i] += constant(variance)
+		}
+	}
+	base := RoundConfig{Round: 1, Codec: codec, Threshold: 8, Seed: prg.NewSeed([]byte("slab")),
+		TargetMu: 40, Sampler: sampler, DropSchedule: late}
+
+	// The oracle, outside the round: one Encode per client on the round's
+	// per-client rounding streams, summed over the clients that upload.
+	plain := ring.NewVector(codec.Bits, codec.PaddedDim())
+	encStream := prg.NewStream(prg.NewSeed(base.Seed[:], []byte("encode")))
+	survivors := 0
+	for id := uint64(1); id <= n; id++ {
+		v, err := skellam.Encode(codec, updates[id], encStream.Fork(fmt.Sprintf("c%d", id)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != drops[0] && id != drops[1] {
+			survivors++
+			if err := plain.AddInPlace(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	plan := xnoise.Plan{NumClients: n, DropoutTolerance: tolerance, Threshold: base.Threshold, TargetVariance: base.TargetMu}
+	var kept int64
+	for k := 0; k <= len(drops); k++ {
+		v, err := plan.ComponentVariance(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept += constant(v)
+	}
+	noised := plain.Clone()
+	for i := range noised.Data {
+		noised.Data[i] = (noised.Data[i] + uint64(survivors)*uint64(kept)) & noised.Mask()
+	}
+
+	for _, proto := range []Protocol{ProtocolSecAgg, ProtocolLightSecAgg} {
+		for _, chunks := range []int{1, 8} {
+			for _, tc := range []struct {
+				tolerance int
+				want      ring.Vector
+			}{{0, plain}, {tolerance, noised}, {tolerance, noised}} {
+				cfg := base
+				cfg.Protocol, cfg.Chunks, cfg.Tolerance = proto, chunks, tc.tolerance
+				p, err := runRoundRing(cfg, updates, drops, rand.Reader)
+				if err != nil {
+					t.Fatalf("%v, %d chunk(s), tolerance %d: %v", proto, chunks, tc.tolerance, err)
+				}
+				if p.Chunks != chunks || len(p.Survivors) != survivors || len(p.LateDropped) != 1 {
+					t.Fatalf("%v: ran %d chunk(s) with %d survivors, %d late", proto, p.Chunks, len(p.Survivors), len(p.LateDropped))
+				}
+				for i, w := range tc.want.Data {
+					if p.Sum.Data[i] != w {
+						t.Fatalf("%v, %d chunk(s), tolerance %d: coordinate %d is %d, want %d (plain sum %d)",
+							proto, chunks, tc.tolerance, i, p.Sum.Data[i], w, plain.Data[i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -11,7 +11,6 @@ package dh
 
 import (
 	"crypto/ecdh"
-	"crypto/hmac"
 	"crypto/sha256"
 	"fmt"
 	"io"
@@ -113,15 +112,29 @@ var hkdfSalt = []byte("dordis/dh/hkdf/v1")
 // labels yield computationally independent subkeys, so one X25519
 // agreement can safely serve many domain-separated PRG streams.
 func Expand(secret [SharedSize]byte, info []byte) [SharedSize]byte {
-	ext := hmac.New(sha256.New, hkdfSalt)
-	ext.Write(secret[:])
-	prk := ext.Sum(nil)
-	exp := hmac.New(sha256.New, prk)
-	exp.Write(info)
-	exp.Write([]byte{0x01})
-	var out [SharedSize]byte
-	exp.Sum(out[:0])
-	return out
+	prk := hmacSHA256(hkdfSalt, secret[:], nil)
+	return hmacSHA256(prk[:], info, []byte{0x01})
+}
+
+// hmacSHA256 is HMAC-SHA256 of m1 ‖ m2 under a key of at most one SHA-256
+// block, as two one-shot hashes over a stack buffer: Expand runs once per
+// (pair, chunk) and per ratchet step, and hmac.New costs two heap digests
+// a call. A message over 96 bytes spills the buffer to the heap and is
+// still correct.
+func hmacSHA256(key, m1, m2 []byte) [sha256.Size]byte {
+	var pad [sha256.BlockSize]byte
+	copy(pad[:], key)
+	var buf [sha256.BlockSize + 96]byte
+	msg := buf[:0]
+	for _, b := range pad {
+		msg = append(msg, b^0x36)
+	}
+	inner := sha256.Sum256(append(append(msg, m1...), m2...))
+	msg = buf[:0]
+	for _, b := range pad {
+		msg = append(msg, b^0x5c)
+	}
+	return sha256.Sum256(append(msg, inner[:]...))
 }
 
 // ratchetInfo is the Expand label that advances a cached shared secret one

@@ -3,6 +3,7 @@ package dh
 import (
 	"bytes"
 	"crypto/rand"
+	"encoding/hex"
 	"testing"
 )
 
@@ -135,3 +136,45 @@ func TestAgreeAndGenerateCounters(t *testing.T) {
 		t.Fatalf("AgreeCount advanced by %d, want ≥ 2", d)
 	}
 }
+
+// TestExpandGolden freezes the derivation: the vectors were produced by the
+// hmac.New-based Expand this package had before the stack HKDF (commit
+// 44e96a9) — every cached session secret, ratchet step and per-chunk mask
+// seed in a deployment hangs off these bytes — and the common case (an info
+// label that fits the stack buffer) allocates nothing.
+func TestExpandGolden(t *testing.T) {
+	var secret [SharedSize]byte
+	for i := range secret {
+		secret[i] = byte(3*i + 1)
+	}
+	for _, c := range []struct {
+		info []byte
+		want string
+	}{
+		{nil, "00add5f9be5f755574cf34566b87e74ddb5c38e6b5166f67b425bfe8a2bddf51"},
+		{[]byte("dordis/dh/ratchet/v1"), "23607db6ee2eb227605e41101e266e2fbdac535b9885626ce66783941109301e"},
+		{bytes.Repeat([]byte{0xA5}, 40), "9886eb323c43381f479f528e8745cf73acb706ee39c6fc872fab844174a24380"},
+		{bytes.Repeat([]byte("spill"), 40), "9f6db2f1f8be35135fd3f205140ce34c7b7900f76b1398b160f49b17523d0078"}, // past the stack buffer
+	} {
+		if got := hex.EncodeToString(sliceOf(Expand(secret, c.info))); got != c.want {
+			t.Errorf("Expand(info of %d bytes) = %s, want %s", len(c.info), got, c.want)
+		}
+	}
+	if got := hex.EncodeToString(sliceOf(Ratchet(secret))); got != "23607db6ee2eb227605e41101e266e2fbdac535b9885626ce66783941109301e" {
+		t.Errorf("Ratchet = %s", got)
+	}
+	if got := hex.EncodeToString(sliceOf(RatchetN(secret, 3))); got != "4c77cfeb1cd54c0708a88b2ee13b07293707571978056fff1bdd04b30d444744" {
+		t.Errorf("RatchetN(3) = %s", got)
+	}
+
+	info := bytes.Repeat([]byte{0xA5}, 40)
+	var sink [SharedSize]byte
+	if n := testing.AllocsPerRun(100, func() { sink = Expand(secret, info) }); n != 0 {
+		t.Errorf("Expand allocates %v times a call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sink = Ratchet(sink) }); n != 0 {
+		t.Errorf("Ratchet allocates %v times a call, want 0", n)
+	}
+}
+
+func sliceOf(a [SharedSize]byte) []byte { return a[:] }

@@ -304,8 +304,14 @@ func Run(task Task, cfg Config) (*Result, error) {
 			}
 		}
 
-		// Local training and aggregation of the survivors.
-		agg := ring.NewVector(cfg.bits(), codec.PaddedDim())
+		// Local training and aggregation of the survivors: one encoder and
+		// one encoded vector serve every client of the round in turn.
+		encoder, err := skellam.NewEncoder(codec)
+		if err != nil {
+			return nil, err
+		}
+		agg := ring.NewVector(codec.Bits, codec.PaddedDim())
+		enc := ring.NewVector(codec.Bits, codec.PaddedDim())
 		for i, clientIdx := range sampled {
 			if droppedIdx[i] {
 				continue
@@ -320,8 +326,7 @@ func Run(task Task, cfg Config) (*Result, error) {
 			delta := ml.Delta(params, after)
 			ml.ClipL2(delta, task.Clip)
 
-			enc, err := skellam.Encode(codec, delta, encodeStream)
-			if err != nil {
+			if err := encoder.EncodeInto(enc, delta, encodeStream); err != nil {
 				return nil, err
 			}
 			// Noise addition per scheme.

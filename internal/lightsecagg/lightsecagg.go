@@ -78,7 +78,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/aead"
 	"repro/internal/field"
 	"repro/internal/prg"
 	"repro/internal/session"
@@ -524,7 +523,7 @@ func (c *Client) SealShares(roster []AdvertiseMsg) ([]Envelope, error) {
 			return nil, err
 		}
 		pt := encodeShareVector(shares[to])
-		ct, err := aead.Seal(key, c.rand, pt, routeAD(c.cfg.Round, c.id, to))
+		ct, err := key.Seal(c.rand, pt, routeAD(c.cfg.Round, c.id, to))
 		if err != nil {
 			return nil, err
 		}
@@ -570,7 +569,7 @@ func (c *Client) OpenEnvelopes(envs []Envelope) error {
 		if err != nil {
 			return err
 		}
-		pt, err := aead.Open(key, env.Ciphertext, routeAD(c.cfg.Round, env.From, c.id))
+		pt, err := key.Open(env.Ciphertext, routeAD(c.cfg.Round, env.From, c.id))
 		if err != nil {
 			return fmt.Errorf("lightsecagg: envelope from %d failed authentication: %w", env.From, err)
 		}

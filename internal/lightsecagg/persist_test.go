@@ -49,7 +49,11 @@ func TestLSASessionPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
+	ct, err := want.Seal(rand.Reader, []byte("probe"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := got.Open(ct, nil); err != nil {
 		t.Fatal("cached channel secret changed in round trip")
 	}
 	if dh.AgreeCount() != agreeBefore || dh.GenerateCount() != genBefore {

@@ -81,9 +81,9 @@ func (s *Session) keyPair() *dh.KeyPair {
 // channel public key, agreeing on first use and caching the result. Safe
 // for concurrent use — the in-process driver runs clients as goroutines
 // over shared sessions.
-func (s *Session) channelKey(peerPub []byte) ([aead.KeySize]byte, error) {
+func (s *Session) channelKey(peerPub []byte) (*aead.Key, error) {
 	key := s.keyPair()
-	return s.channel.At(string(peerPub), 0,
+	return s.channel.KeyAt(string(peerPub), 0,
 		func() ([dh.SharedSize]byte, error) { return key.Agree(peerPub) })
 }
 

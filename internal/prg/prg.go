@@ -66,10 +66,10 @@ const BlockSize = aes.BlockSize
 // but At derives independent cursors over the same keystream that may be
 // driven from different goroutines.
 type Stream struct {
-	ctr      cipher.Stream
-	block    cipher.Block // AES block, kept for random-access reseeking
-	iv       [16]byte     // initial counter block (keystream offset 0)
-	produced uint64       // keystream bytes drawn from ctr so far
+	ctr      cipher.Stream // nil until the first draw or Seek (keystream)
+	block    cipher.Block  // AES block, kept for random-access reseeking
+	iv       [16]byte      // initial counter block (keystream offset 0)
+	produced uint64        // keystream bytes drawn from ctr so far
 	buf      [512]byte
 	pos      int // next unread byte in buf; len(buf) means empty
 }
@@ -81,10 +81,21 @@ func NewStream(seed Seed) *Stream {
 		// aes.NewCipher only fails on invalid key length; 16 is valid.
 		panic(fmt.Sprintf("prg: %v", err))
 	}
-	s := &Stream{ctr: cipher.NewCTR(block, seed[16:32]), block: block}
+	s := &Stream{block: block}
 	copy(s.iv[:], seed[16:32])
 	s.pos = len(s.buf)
 	return s
+}
+
+// keystream returns the CTR at the stream's position, building the
+// offset-0 one on first use: a mask stream is only ever the parent of the
+// cursors ring.MaskManyInPlace aims into it (AtInto), and the half
+// kilobyte of counter state it never draws from is a third of a Stream.
+func (s *Stream) keystream() cipher.Stream {
+	if s.ctr == nil {
+		s.ctr = cipher.NewCTR(s.block, s.iv[:])
+	}
+	return s.ctr
 }
 
 // NewStreamFromElement is shorthand for NewStream(FromFieldElement(e)).
@@ -103,7 +114,7 @@ const bulkChunk = 32768
 var zeroChunk [bulkChunk]byte
 
 func (s *Stream) refill() {
-	s.ctr.XORKeyStream(s.buf[:], zeroChunk[:len(s.buf)])
+	s.keystream().XORKeyStream(s.buf[:], zeroChunk[:len(s.buf)])
 	s.produced += uint64(len(s.buf))
 	s.pos = 0
 }
@@ -145,7 +156,7 @@ func (s *Stream) Fill(dst []byte) {
 		if n > bulkChunk {
 			n = bulkChunk
 		}
-		s.ctr.XORKeyStream(dst[:n], zeroChunk[:n])
+		s.keystream().XORKeyStream(dst[:n], zeroChunk[:n])
 		s.produced += uint64(n)
 		dst = dst[n:]
 	}

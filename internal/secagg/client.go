@@ -1,6 +1,8 @@
 package secagg
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"slices"
@@ -45,13 +47,13 @@ type Client struct {
 	maskedDigest    [32]byte
 	hasMaskedDigest bool
 
-	roster     map[uint64]AdvertiseMsg // U1 view
+	roster     []AdvertiseMsg // U1 view, ascending by id (rosterEntry)
 	u1         []uint64
 	u2         []uint64
 	u3         []uint64
-	channelKey map[uint64][aead.KeySize]byte // peer → AE key
-	received   map[uint64]ShareBundle        // decrypted bundles from peers
-	pendingCts map[uint64][]byte             // peer → ciphertext (decrypted lazily at unmask)
+	channelKey map[uint64]*aead.Key   // peer → AE key
+	received   map[uint64]ShareBundle // decrypted bundles from peers
+	pendingCts map[uint64][]byte      // peer → ciphertext (decrypted lazily at unmask)
 }
 
 // NewClient constructs a participant for the round. signer may be nil in
@@ -97,6 +99,15 @@ func NewSessionClient(cfg Config, id uint64, input ring.Vector, signer *sig.Sign
 
 // ID returns the client identity.
 func (c *Client) ID() uint64 { return c.id }
+
+// rosterEntry returns id's advertisement in the roster ShareKeys verified.
+func (c *Client) rosterEntry(id uint64) (AdvertiseMsg, bool) {
+	i, ok := slices.BinarySearchFunc(c.roster, id, func(m AdvertiseMsg, id uint64) int { return cmp.Compare(m.From, id) })
+	if !ok {
+		return AdvertiseMsg{}, false
+	}
+	return c.roster[i], true
+}
 
 // NoiseSeeds exposes the client's XNoise seeds for white-box protocol
 // tests; production code never reads them outside the state machine.
@@ -162,35 +173,44 @@ func (c *Client) AdvertiseKeys() (AdvertiseMsg, error) {
 
 // ShareKeys runs stage 1: verify the roster, Shamir-share the mask secret
 // key, the self-mask seed, and the removable noise seeds, and encrypt each
-// peer's bundle.
+// peer's bundle. A roster that arrives ascending by id is borrowed, not
+// copied: the caller must not change it while the client is in use.
 func (c *Client) ShareKeys(roster []AdvertiseMsg) ([]EncryptedShareMsg, error) {
 	if len(roster) < c.cfg.Threshold {
 		return nil, fmt.Errorf("secagg: client %d saw |U1|=%d < t=%d", c.id, len(roster), c.cfg.Threshold)
 	}
-	c.roster = make(map[uint64]AdvertiseMsg, len(roster))
-	seenKeys := make(map[string]struct{}, 2*len(roster))
-	for _, m := range roster {
-		if _, dup := c.roster[m.From]; dup {
+	// U1 is kept as the roster ascending by id and searched (rosterEntry):
+	// this runs per (client, chunk), and the server seals it in that order.
+	byFrom := func(a, b AdvertiseMsg) int { return cmp.Compare(a.From, b.From) }
+	if !slices.IsSortedFunc(roster, byFrom) {
+		roster = slices.Clone(roster)
+		slices.SortFunc(roster, byFrom)
+	}
+	keys := make([][]byte, 0, 2*len(roster))
+	c.u1 = make([]uint64, len(roster))
+	for i, m := range roster {
+		if i > 0 && roster[i-1].From == m.From {
 			return nil, fmt.Errorf("secagg: duplicate roster entry for %d", m.From)
-		}
-		// "Assert that all the public key pairs are different."
-		for _, k := range [][]byte{m.CipherPub, m.MaskPub} {
-			if _, dup := seenKeys[string(k)]; dup {
-				return nil, fmt.Errorf("secagg: repeated public key in roster (client %d)", m.From)
-			}
-			seenKeys[string(k)] = struct{}{}
 		}
 		if c.cfg.Malicious {
 			if !c.cfg.Registry.VerifyFrom(m.From, advertisePayload(m), m.Signature) {
 				return nil, fmt.Errorf("secagg: bad advertise signature from %d", m.From)
 			}
 		}
-		c.roster[m.From] = m
+		keys = append(keys, m.CipherPub, m.MaskPub)
+		c.u1[i] = m.From
 	}
-	if _, ok := c.roster[c.id]; !ok {
+	// "Assert that all the public key pairs are different."
+	slices.SortFunc(keys, bytes.Compare)
+	for i := 1; i < len(keys); i++ {
+		if bytes.Equal(keys[i-1], keys[i]) {
+			return nil, fmt.Errorf("secagg: repeated public key %x in roster", keys[i])
+		}
+	}
+	c.roster = roster
+	if _, ok := c.rosterEntry(c.id); !ok {
 		return nil, fmt.Errorf("secagg: client %d missing from roster", c.id)
 	}
-	c.u1 = sortedIDs(c.roster)
 
 	// Share recipients: the client's live neighborhood plus itself. Under
 	// the complete graph (classic SecAgg) this is all of U1; under a
@@ -234,8 +254,8 @@ func (c *Client) ShareKeys(roster []AdvertiseMsg) ([]EncryptedShareMsg, error) {
 		}
 	}
 
-	c.channelKey = make(map[uint64][aead.KeySize]byte, len(peers))
-	var out []EncryptedShareMsg
+	c.channelKey = make(map[uint64]*aead.Key, len(peers))
+	out := make([]EncryptedShareMsg, 0, len(peers)-1)
 	for i, peer := range peers {
 		if peer == c.id {
 			// Keep own shares locally so they participate in unmasking.
@@ -249,11 +269,12 @@ func (c *Client) ShareKeys(roster []AdvertiseMsg) ([]EncryptedShareMsg, error) {
 			c.received[c.id] = bundle
 			continue
 		}
-		secret, err := c.channelSecret(c.roster[peer].CipherPub)
+		entry, _ := c.rosterEntry(peer) // peers ⊆ U1
+		key, err := c.agreeChannelKey(entry.CipherPub)
 		if err != nil {
 			return nil, fmt.Errorf("secagg: channel key agreement with %d: %w", peer, err)
 		}
-		c.channelKey[peer] = secret
+		c.channelKey[peer] = key
 		bundle := ShareBundle{From: c.id, To: peer, MaskKey: maskShares[i], SelfSeed: selfShares[i]}
 		if c.noise != nil {
 			bundle.NoiseSeeds = sliceNoiseShares(noiseShares, i)
@@ -262,7 +283,7 @@ func (c *Client) ShareKeys(roster []AdvertiseMsg) ([]EncryptedShareMsg, error) {
 		if err != nil {
 			return nil, err
 		}
-		ct, err := aead.Seal(secret, c.rand, pt, shareAD(c.cfg.Round, c.id, peer))
+		ct, err := key.Seal(c.rand, pt, shareAD(c.cfg.Round, c.id, peer))
 		if err != nil {
 			return nil, err
 		}
@@ -297,7 +318,7 @@ func (c *Client) MaskedInput(ciphertexts []EncryptedShareMsg) (MaskedInputMsg, e
 		if m.To != c.id {
 			return MaskedInputMsg{}, fmt.Errorf("secagg: misrouted ciphertext for %d at %d", m.To, c.id)
 		}
-		if _, known := c.roster[m.From]; !known {
+		if _, known := c.rosterEntry(m.From); !known {
 			return MaskedInputMsg{}, fmt.Errorf("secagg: ciphertext from unknown client %d", m.From)
 		}
 		c.pendingCts[m.From] = m.Ciphertext
@@ -331,7 +352,8 @@ func (c *Client) MaskedInput(ciphertexts []EncryptedShareMsg) (MaskedInputMsg, e
 			continue
 		}
 		peer := peer
-		peerPub := c.roster[peer].MaskPub
+		entry, _ := c.rosterEntry(peer) // U2 ⊆ U1, checked above
+		peerPub := entry.MaskPub
 		tasks = append(tasks, maskTask{sign: pairMaskSign(c.id, peer), make: func() (*prg.Stream, error) {
 			secret, err := c.maskSecret(peerPub)
 			if err != nil {
@@ -374,17 +396,17 @@ func (c *Client) maskSecret(peerPub []byte) ([dh.SharedSize]byte, error) {
 	return dh.RatchetN(raw, c.cfg.KeyRatchet), nil
 }
 
-// channelSecret returns the (ratcheted) channel-encryption key with the
+// agreeChannelKey returns the (ratcheted) channel-encryption key with the
 // peer advertising peerPub, via the session cache when one is live.
-func (c *Client) channelSecret(peerPub []byte) ([aead.KeySize]byte, error) {
+func (c *Client) agreeChannelKey(peerPub []byte) (*aead.Key, error) {
 	if c.session != nil {
-		return c.session.channelSecret(peerPub, c.cfg.KeyRatchet)
+		return c.session.channelKey(peerPub, c.cfg.KeyRatchet)
 	}
 	raw, err := c.cipherKey.Agree(peerPub)
 	if err != nil {
-		return raw, err
+		return nil, err
 	}
-	return dh.RatchetN(raw, c.cfg.KeyRatchet), nil
+	return aead.NewKey(dh.RatchetN(raw, c.cfg.KeyRatchet)), nil
 }
 
 // checkU3 verifies the parts of a claimed U3 the client can vouch for: a
@@ -508,14 +530,14 @@ func (c *Client) bundleFrom(v uint64) (ShareBundle, error) {
 	}
 	key, ok := c.channelKey[v]
 	if !ok {
-		secret, err := c.channelSecret(c.roster[v].CipherPub)
-		if err != nil {
+		entry, _ := c.rosterEntry(v) // a ciphertext from outside U1 was refused on arrival
+		var err error
+		if key, err = c.agreeChannelKey(entry.CipherPub); err != nil {
 			return ShareBundle{}, err
 		}
-		key = secret
 		c.channelKey[v] = key
 	}
-	pt, err := aead.Open(key, ct, shareAD(c.cfg.Round, v, c.id))
+	pt, err := key.Open(ct, shareAD(c.cfg.Round, v, c.id))
 	if err != nil {
 		return ShareBundle{}, fmt.Errorf("secagg: client %d cannot decrypt bundle from %d: %w", c.id, v, err)
 	}

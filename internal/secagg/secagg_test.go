@@ -306,6 +306,99 @@ func TestMaliciousDetectsForgedAdvertisement(t *testing.T) {
 	}
 }
 
+// TestShareKeysRosterChecks: every roster check ShareKeys makes before it
+// shares anything is reachable and named, on the sorted view that replaced
+// the per-sub-round maps — and a roster that arrives out of order is
+// accepted without being reordered under its caller.
+func TestShareKeysRosterChecks(t *testing.T) {
+	cfg := mkConfig(5, 3, nil)
+	cfg.Malicious = true
+	cfg.Registry = sig.NewRegistry()
+	signers := make(map[uint64]*sig.Signer)
+	for _, id := range cfg.ClientIDs {
+		s, err := sig.NewSigner(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		signers[id] = s
+		if err := cfg.Registry.Register(id, s.Public()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inputs := mkInputs(cfg)
+	var honest []AdvertiseMsg
+	for _, id := range cfg.ClientIDs {
+		c, err := NewClient(cfg, id, inputs[id], signers[id], rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := c.AdvertiseKeys()
+		if err != nil {
+			t.Fatal(err)
+		}
+		honest = append(honest, m)
+	}
+	// resign makes entry i a validly signed advertisement of whatever keys
+	// it now carries, so the key checks are not shadowed by the signature.
+	resign := func(r []AdvertiseMsg, i int) {
+		r[i].Signature = signers[r[i].From].Sign(advertisePayload(r[i]))
+	}
+	cases := []struct {
+		name   string
+		tamper func(r []AdvertiseMsg) []AdvertiseMsg
+		want   string // "" = accepted
+	}{
+		{"honest", func(r []AdvertiseMsg) []AdvertiseMsg { return r }, ""},
+		{"out of order", func(r []AdvertiseMsg) []AdvertiseMsg { r[0], r[4] = r[4], r[0]; return r }, ""},
+		{"duplicate entry", func(r []AdvertiseMsg) []AdvertiseMsg { return append(r, r[1]) }, "duplicate roster entry for 2"},
+		{"duplicate entry, apart", func(r []AdvertiseMsg) []AdvertiseMsg { return append([]AdvertiseMsg{r[3]}, r...) }, "duplicate roster entry for 4"},
+		{"two clients, one cipher key", func(r []AdvertiseMsg) []AdvertiseMsg {
+			r[2].CipherPub = r[0].CipherPub
+			resign(r, 2)
+			return r
+		}, "repeated public key"},
+		{"mask key is another's cipher key", func(r []AdvertiseMsg) []AdvertiseMsg {
+			r[3].MaskPub = r[1].CipherPub
+			resign(r, 3)
+			return r
+		}, "repeated public key"},
+		{"one client, one key twice", func(r []AdvertiseMsg) []AdvertiseMsg {
+			r[4].MaskPub = r[4].CipherPub
+			resign(r, 4)
+			return r
+		}, "repeated public key"},
+		{"stale signature", func(r []AdvertiseMsg) []AdvertiseMsg { r[1].MaskPub = r[2].CipherPub; return r }, "bad advertise signature from 2"},
+		{"self missing", func(r []AdvertiseMsg) []AdvertiseMsg { return r[1:] }, "client 1 missing from roster"},
+		{"below threshold", func(r []AdvertiseMsg) []AdvertiseMsg { return r[:2] }, "|U1|=2 < t=3"},
+	}
+	for _, tc := range cases {
+		c, err := NewClient(cfg, 1, inputs[1], signers[1], rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.AdvertiseKeys(); err != nil {
+			t.Fatal(err)
+		}
+		roster := tc.tamper(append([]AdvertiseMsg(nil), honest...))
+		order := make([]uint64, len(roster))
+		for i, m := range roster {
+			order[i] = m.From
+		}
+		cts, err := c.ShareKeys(roster)
+		switch {
+		case tc.want == "" && (err != nil || len(cts) != len(roster)-1):
+			t.Errorf("%s: %d ciphertexts, err %v; want %d and none", tc.name, len(cts), err, len(roster)-1)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+		for i, m := range roster {
+			if m.From != order[i] {
+				t.Fatalf("%s: ShareKeys reordered its caller's roster", tc.name)
+			}
+		}
+	}
+}
+
 func TestMaliciousDetectsUnderstatedDropout(t *testing.T) {
 	// §3.3 headline attack: the server claims a dropped client survived
 	// (to trick survivors into removing more noise). Clients must reject

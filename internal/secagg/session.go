@@ -51,10 +51,10 @@ func pairMaskSeed(secret [dh.SharedSize]byte, epoch uint64) prg.Seed {
 	if epoch == 0 {
 		return prg.NewSeed([]byte("dordis/secagg/pairmask/v1"), secret[:])
 	}
-	info := make([]byte, 0, 40)
-	info = append(info, []byte("dordis/secagg/pairmask/chunk/v1/")...)
-	info = binary.LittleEndian.AppendUint64(info, epoch)
-	return prg.Seed(dh.Expand(secret, info))
+	var info [40]byte // on the stack: this runs once per (pair, chunk)
+	n := copy(info[:], "dordis/secagg/pairmask/chunk/v1/")
+	binary.LittleEndian.PutUint64(info[n:], epoch)
+	return prg.Seed(dh.Expand(secret, info[:]))
 }
 
 // Session is one client's amortized key-agreement state: the two X25519
@@ -103,12 +103,11 @@ func (s *Session) maskSecret(peerPub []byte, step uint64) ([dh.SharedSize]byte, 
 		func() ([dh.SharedSize]byte, error) { return maskKey.Agree(peerPub) })
 }
 
-// channelSecret returns the channel-encryption key with the peer
-// identified by its advertised cipher public key, at the given ratchet
-// step.
-func (s *Session) channelSecret(peerPub []byte, step uint64) ([aead.KeySize]byte, error) {
+// channelKey returns the channel-encryption key with the peer identified
+// by its advertised cipher public key, at the given ratchet step.
+func (s *Session) channelKey(peerPub []byte, step uint64) (*aead.Key, error) {
 	cipherKey, _ := s.keyPairs()
-	return s.channel.At(string(peerPub), step,
+	return s.channel.KeyAt(string(peerPub), step,
 		func() ([dh.SharedSize]byte, error) { return cipherKey.Agree(peerPub) })
 }
 

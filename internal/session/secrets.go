@@ -3,6 +3,7 @@ package session
 import (
 	"sync"
 
+	"repro/internal/aead"
 	"repro/internal/dh"
 )
 
@@ -10,6 +11,7 @@ import (
 type ratchetedSecret struct {
 	step uint64
 	sec  [dh.SharedSize]byte
+	key  *aead.Key // sec as a constructed AEAD key; nil until KeyAt asks at this step
 }
 
 // advanceTo returns the secret ratcheted forward to step. It never goes
@@ -17,7 +19,7 @@ type ratchetedSecret struct {
 // needed (drivers advance monotonically, so that path is cold).
 func (r ratchetedSecret) advanceTo(step uint64) ratchetedSecret {
 	for r.step < step {
-		r.sec = dh.Ratchet(r.sec)
+		r.sec, r.key = dh.Ratchet(r.sec), nil
 		r.step++
 	}
 	return r
@@ -43,26 +45,50 @@ type Secrets struct {
 func (c *Secrets) At(key string, step uint64,
 	agree func() ([dh.SharedSize]byte, error)) ([dh.SharedSize]byte, error) {
 
+	r, err := c.at(key, step, agree, false)
+	return r.sec, err
+}
+
+// KeyAt is At for a secret that is a channel's AEAD key. The constructed
+// key (AES key schedule, GCM table) is cached beside the secret until the
+// next ratchet step, so every seal and open of a round — all its chunks,
+// both directions — shares one.
+func (c *Secrets) KeyAt(key string, step uint64,
+	agree func() ([dh.SharedSize]byte, error)) (*aead.Key, error) {
+
+	r, err := c.at(key, step, agree, true)
+	return r.key, err
+}
+
+func (c *Secrets) at(key string, step uint64,
+	agree func() ([dh.SharedSize]byte, error), construct bool) (ratchetedSecret, error) {
+
 	c.mu.Lock()
 	r, ok := c.m[key]
 	c.mu.Unlock()
+	if ok && r.step == step && (r.key != nil || !construct) {
+		return r, nil // the warm path: nothing to derive, nothing to store
+	}
 	if !ok || r.step > step {
 		raw, err := agree()
 		if err != nil {
-			return raw, err
+			return ratchetedSecret{}, err
 		}
 		r = ratchetedSecret{step: 0, sec: raw}
 	}
 	r = r.advanceTo(step)
+	if construct && r.key == nil {
+		r.key = aead.NewKey(r.sec)
+	}
 	c.mu.Lock()
-	if cur, ok := c.m[key]; !ok || cur.step <= r.step {
+	if cur, ok := c.m[key]; !ok || cur.step < r.step || (cur.step == r.step && cur.key == nil) {
 		if c.m == nil {
 			c.m = make(map[string]ratchetedSecret)
 		}
 		c.m[key] = r
 	}
 	c.mu.Unlock()
-	return r.sec, nil
+	return r, nil
 }
 
 // Delete drops the secret cached under key, if any.

@@ -1,9 +1,12 @@
 package session
 
 import (
+	"crypto/rand"
 	"reflect"
+	"sync"
 	"testing"
 
+	"repro/internal/aead"
 	"repro/internal/dh"
 )
 
@@ -237,5 +240,61 @@ func TestSecretsMonotone(t *testing.T) {
 	at(0)
 	if agreed != 4 {
 		t.Fatal("Clear kept the secret")
+	}
+}
+
+// TestSecretsKeyAt: the constructed AEAD key is the cached secret's, built
+// once per ratchet step and shared by every caller at that step (the
+// chunks of a round, both directions of an edge), dropped when the secret
+// ratchets on, and a plain At in between neither loses nor rebuilds it.
+func TestSecretsKeyAt(t *testing.T) {
+	raw := [dh.SharedSize]byte{9, 8, 7}
+	agreed := 0
+	agree := func() ([dh.SharedSize]byte, error) { agreed++; return raw, nil }
+	var c Secrets
+	keyAt := func(step uint64) *aead.Key {
+		t.Helper()
+		k, err := c.KeyAt("peer", step, agree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct, err := k.Seal(rand.Reader, []byte("probe"), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := aead.Open(dh.RatchetN(raw, step), ct, nil); err != nil {
+			t.Fatalf("step %d: the key is not the raw secret ratcheted %d times", step, step)
+		}
+		return k
+	}
+	k2 := keyAt(2)
+	if _, err := c.At("peer", 2, agree); err != nil {
+		t.Fatal(err)
+	}
+	if keyAt(2) != k2 {
+		t.Fatal("a second lookup at the same step built a second key")
+	}
+	if keyAt(3) == k2 {
+		t.Fatal("the ratcheted secret kept the previous step's key")
+	}
+	if agreed != 1 {
+		t.Fatalf("agreed %d times, want 1", agreed)
+	}
+
+	pure := func() ([dh.SharedSize]byte, error) { return raw, nil }
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.KeyAt("other", 1, pure); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	k, _ := c.KeyAt("other", 1, pure)
+	if again, _ := c.KeyAt("other", 1, pure); again != k {
+		t.Fatal("racing first lookups left no stable cached key")
 	}
 }

@@ -69,16 +69,22 @@ func signDiagonal(seed prg.Seed, n int) []float64 {
 func Rotate(seed prg.Seed, x []float64) []float64 {
 	p := nextPow2(len(x))
 	buf := make([]float64, p)
-	d := signDiagonal(seed, p)
+	rotateInto(buf, signDiagonal(seed, p), x, 1)
+	return buf
+}
+
+// rotateInto overwrites buf with (1/√p)·H·D·(f·x) for the expanded diagonal
+// diag, p = len(buf) = len(diag) a power of two ≥ len(x).
+func rotateInto(buf, diag, x []float64, f float64) {
 	for i, v := range x {
-		buf[i] = v * d[i]
+		buf[i] = v * f * diag[i]
 	}
+	clear(buf[len(x):])
 	fwht(buf)
-	inv := 1 / math.Sqrt(float64(p))
+	inv := 1 / math.Sqrt(float64(len(buf)))
 	for i := range buf {
 		buf[i] *= inv
 	}
-	return buf
 }
 
 // Unrotate inverts Rotate, returning the first dim coordinates:

@@ -121,79 +121,95 @@ func ChooseScale(dim int, clip float64, bits uint, nClients int, centralSigma, k
 	return capacity / denom, nil
 }
 
-// clipL2 returns x scaled (if necessary) to have L2 norm at most c.
-func clipL2(x []float64, c float64) []float64 {
-	var norm2 float64
-	for _, v := range x {
-		norm2 += v * v
-	}
-	norm := math.Sqrt(norm2)
-	out := make([]float64, len(x))
-	if norm <= c || norm == 0 {
-		copy(out, x)
-		return out
-	}
-	f := c / norm
-	for i, v := range x {
-		out[i] = v * f
-	}
-	return out
-}
-
 // maxRoundingAttempts bounds the conditional-rounding retry loop. The
 // acceptance probability is ≥ 1−β by construction, so hitting the bound
 // has probability ≤ β^attempts (≈ 1e-9 for β=e^-0.5).
 const maxRoundingAttempts = 40
 
-// stochasticRound rounds y coordinate-wise to integers, rounding up with
-// probability equal to the fractional part, retrying until the result's L2
-// norm is within bound. It returns an error only if the retry budget is
-// exhausted, which indicates misconfigured parameters.
-func stochasticRound(s *prg.Stream, y []float64, bound float64) ([]int64, error) {
-	out := make([]int64, len(y))
-	b2 := bound * bound
-	for attempt := 0; attempt < maxRoundingAttempts; attempt++ {
-		var norm2 float64
-		for i, v := range y {
-			fl := math.Floor(v)
-			frac := v - fl
-			z := int64(fl)
-			if s.Float64() < frac {
-				z++
-			}
-			out[i] = z
-			norm2 += float64(z) * float64(z)
-		}
-		if norm2 <= b2 {
-			return out, nil
-		}
-	}
-	return nil, fmt.Errorf("skellam: conditional rounding failed after %d attempts (bound %v)", maxRoundingAttempts, bound)
+// Encoder is the client half of the codec with everything that is the same
+// for every client of a round built once: the validated Params, the
+// inflated clip c̃, the expanded ±1 rotation diagonal, and one PaddedDim
+// float scratch the transform runs in. It is not safe for concurrent use —
+// the scratch is the reason — so concurrent encoders each build their own.
+type Encoder struct {
+	p     Params
+	bound float64   // c̃, the conditional-rounding acceptance bound
+	diag  []float64 // the shared ±1 diagonal, PaddedDim long
+	buf   []float64 // scratch: clip·sign → Hadamard → normalize
 }
 
-// Encode transforms a raw model update (model units, length Dim) into the
-// masked-aggregation input space ℤ_{2^b}^p. Noise is NOT added here — the
-// XNoise layer adds its decomposed components on top, so that Orig, XNoise,
-// and the rebasing baseline can share one codec. rnd drives the stochastic
-// rounding and is private to the client.
-func Encode(p Params, x []float64, rnd *prg.Stream) (ring.Vector, error) {
+// NewEncoder validates p and builds its Encoder.
+func NewEncoder(p Params) (*Encoder, error) {
 	if err := p.Validate(); err != nil {
-		return ring.Vector{}, err
+		return nil, err
 	}
-	if len(x) != p.Dim {
-		return ring.Vector{}, fmt.Errorf("skellam: input dim %d, want %d", len(x), p.Dim)
+	pd := p.PaddedDim()
+	return &Encoder{p: p, bound: p.InflatedClip(), diag: signDiagonal(p.RotationSeed, pd), buf: make([]float64, pd)}, nil
+}
+
+// EncodeInto transforms a raw model update (model units, length Dim) into
+// the masked-aggregation input space ℤ_{2^b}^p, overwriting dst (PaddedDim
+// coordinates at the codec's bit width): clip, rotate, scale, and
+// conditional stochastic rounding — coordinate-wise up with probability
+// equal to the fractional part, redrawn until ‖z‖₂ ≤ c̃ — written straight
+// into dst as ring residues. Noise is NOT added here — the XNoise layer
+// adds its decomposed components on top, so that Orig, XNoise, and the
+// rebasing baseline can share one codec. rnd drives the rounding and is
+// private to the client. On error dst holds garbage.
+func (e *Encoder) EncodeInto(dst ring.Vector, x []float64, rnd *prg.Stream) error {
+	if len(x) != e.p.Dim {
+		return fmt.Errorf("skellam: input dim %d, want %d", len(x), e.p.Dim)
 	}
-	clipped := clipL2(x, p.Clip)
-	rot := Rotate(p.RotationSeed, clipped)
-	for i := range rot {
-		rot[i] *= p.Scale
+	if dst.Bits != e.p.Bits || dst.Len() != len(e.buf) {
+		return fmt.Errorf("skellam: destination %d×%db, want %d×%db", dst.Len(), dst.Bits, len(e.buf), e.p.Bits)
 	}
-	z, err := stochasticRound(rnd, rot, p.InflatedClip())
+	var norm2 float64
+	for _, v := range x {
+		norm2 += v * v
+	}
+	if !(norm2 <= math.MaxFloat64) { // NaN or +Inf: an input is, or the squares overflowed
+		for i, v := range x {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("skellam: non-finite input at %d", i)
+			}
+		}
+	}
+	f := 1.0 // ×1 is exact, so an update inside the clip passes through bit for bit
+	if norm := math.Sqrt(norm2); norm > e.p.Clip {
+		f = e.p.Clip / norm
+	}
+	rotateInto(e.buf, e.diag, x, f)
+
+	// Exhausting the retry budget indicates misconfigured parameters.
+	mask, b2 := dst.Mask(), e.bound*e.bound
+	for attempt := 0; attempt < maxRoundingAttempts; attempt++ {
+		var z2 float64 // ‖z‖₂² of this attempt
+		for i, y := range e.buf {
+			v := y * e.p.Scale
+			fl := math.Floor(v)
+			z := int64(fl)
+			if rnd.Float64() < v-fl {
+				z++
+			}
+			dst.Data[i] = uint64(z) & mask
+			z2 += float64(z) * float64(z)
+		}
+		if z2 <= b2 {
+			return nil
+		}
+	}
+	return fmt.Errorf("skellam: conditional rounding failed after %d attempts (bound %v)",
+		maxRoundingAttempts, e.bound)
+}
+
+// Encode is NewEncoder and EncodeInto for one vector.
+func Encode(p Params, x []float64, rnd *prg.Stream) (ring.Vector, error) {
+	e, err := NewEncoder(p)
 	if err != nil {
 		return ring.Vector{}, err
 	}
-	v := ring.NewVector(p.Bits, len(z))
-	if err := v.AddSignedInPlace(z); err != nil {
+	v := ring.NewVector(p.Bits, p.PaddedDim())
+	if err := e.EncodeInto(v, x, rnd); err != nil {
 		return ring.Vector{}, err
 	}
 	return v, nil

@@ -104,17 +104,27 @@ func NewClientNoise(p Plan, rand io.Reader) (*ClientNoise, error) {
 	return &ClientNoise{Seeds: seeds}, nil
 }
 
-// TotalNoise returns the sum of all T+1 components — what the client adds
-// to its encoded update before masking (Definition 2: Δ̃_i = Δ_i + Σ_k n_{i,k}).
-func (cn *ClientNoise) TotalNoise(p Plan, sampler Sampler, dim int) ([]int64, error) {
+// AddTotalNoise adds the sum of all T+1 components — what the client adds
+// to its encoded update before masking (Definition 2: Δ̃_i = Δ_i + Σ_k
+// n_{i,k}) — to acc, one draw per coordinate of acc and component. A caller
+// with many clients owns one acc and clears it between them.
+func (cn *ClientNoise) AddTotalNoise(p Plan, sampler Sampler, acc []int64) error {
 	if len(cn.Seeds) != p.NumComponents() {
-		return nil, fmt.Errorf("xnoise: have %d seeds, plan needs %d", len(cn.Seeds), p.NumComponents())
+		return fmt.Errorf("xnoise: have %d seeds, plan needs %d", len(cn.Seeds), p.NumComponents())
 	}
-	total := make([]int64, dim)
 	for k, seed := range cn.Seeds {
-		if err := addComponent(p, sampler, seed, k, total); err != nil {
-			return nil, err
+		if err := addComponent(p, sampler, seed, k, acc); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// TotalNoise is AddTotalNoise into a fresh vector of dim coordinates.
+func (cn *ClientNoise) TotalNoise(p Plan, sampler Sampler, dim int) ([]int64, error) {
+	total := make([]int64, dim)
+	if err := cn.AddTotalNoise(p, sampler, total); err != nil {
+		return nil, err
 	}
 	return total, nil
 }

@@ -128,6 +128,49 @@ func TestTotalNoiseIsSumOfComponents(t *testing.T) {
 	}
 }
 
+// TestAddTotalNoiseMatchesTotalNoise: the caller-buffer form adds, on top
+// of whatever the buffer holds, exactly the vector TotalNoise returns —
+// under both frozen samplers, so a round that clears one buffer between
+// clients adds the noise a buffer per client did — and refuses a seed set
+// that does not fit the plan before touching the buffer.
+func TestAddTotalNoiseMatchesTotalNoise(t *testing.T) {
+	p := Plan{NumClients: 64, DropoutTolerance: 16, Threshold: 48, TargetVariance: 100}
+	cn, err := NewClientNoise(p, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dim = 2048
+	for epoch := uint64(0); epoch <= MaxNoiseEpoch; epoch++ {
+		sampler := SamplerForEpoch(epoch)
+		want, err := cn.TotalNoise(p, sampler, dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc := make([]int64, dim)
+		for i := range acc {
+			acc[i] = int64(i) - 1000
+		}
+		if err := cn.AddTotalNoise(p, sampler, acc); err != nil {
+			t.Fatal(err)
+		}
+		for i := range acc {
+			if acc[i] != want[i]+int64(i)-1000 {
+				t.Fatalf("epoch %d: coordinate %d: added %d, TotalNoise has %d", epoch, i, acc[i]-int64(i)+1000, want[i])
+			}
+		}
+	}
+	short := &ClientNoise{Seeds: cn.Seeds[:3]}
+	acc := make([]int64, dim)
+	if err := short.AddTotalNoise(p, defaultSampler, acc); err == nil {
+		t.Fatal("seed set shorter than the plan accepted")
+	}
+	for i, v := range acc {
+		if v != 0 {
+			t.Fatalf("refused call wrote %d at %d", v, i)
+		}
+	}
+}
+
 // TestAddThenRemoveExactAcrossDropouts: at a cohort shape whose removable
 // components are sparse (variance ≈ 0.03, the splitting path) and whose
 // component 0 is dense (inversion), what survives add-then-remove is, bit
