@@ -8,6 +8,17 @@
 // each ciphertext. Associated data binds the ciphertext to its routing
 // metadata (sender u, receiver v, round), preventing the mix-and-match
 // replay the SecAgg security proof excludes.
+//
+// A Key has one implementation per direction, the append-style
+// caller-buffer forms AppendSeal and AppendOpen (dst first, as cipher.AEAD
+// has it); Seal and Open are their wrappers over a fresh buffer, never a
+// second path. Overlap contract of the in-place seal, inherited from
+// cipher.AEAD: plaintext either does not overlap dst[len(dst):cap(dst)] at
+// all, or is exactly dst[len(dst)+NonceSize:][:len(plaintext)] — where its
+// ciphertext will lie — with cap(dst) ≥ len(dst)+len(plaintext)+Overhead so
+// the append does not move it. AppendOpen only reads its ciphertext; on
+// failure the bytes of dst past len(dst) are unspecified and the prefix is
+// untouched.
 package aead
 
 import (
@@ -16,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // KeySize is the symmetric key length in bytes (AES-256).
@@ -53,27 +65,40 @@ func NewKey(key [KeySize]byte) *Key {
 	return &Key{g: g}
 }
 
-// Seal encrypts plaintext under the key, binding associated data ad. The
-// nonce is drawn from rand and prepended to the returned ciphertext.
-func (k *Key) Seal(rand io.Reader, plaintext, ad []byte) ([]byte, error) {
-	out := make([]byte, NonceSize, Overhead+len(plaintext))
-	if _, err := io.ReadFull(rand, out[:NonceSize]); err != nil {
+// AppendSeal encrypts plaintext under the key, binding associated data ad,
+// and appends nonce ‖ ciphertext ‖ tag (len(plaintext) + Overhead bytes) to
+// dst. The nonce is drawn from rand.
+func (k *Key) AppendSeal(dst []byte, rand io.Reader, plaintext, ad []byte) ([]byte, error) {
+	n := len(dst)
+	dst = slices.Grow(dst, Overhead+len(plaintext))[:n+NonceSize]
+	if _, err := io.ReadFull(rand, dst[n:]); err != nil {
 		return nil, fmt.Errorf("aead: reading nonce: %w", err)
 	}
-	return k.g.Seal(out, out[:NonceSize], plaintext, ad), nil
+	return k.g.Seal(dst, dst[n:], plaintext, ad), nil
 }
 
-// Open decrypts a ciphertext produced by Seal, verifying the associated
-// data. It returns ErrDecrypt on any failure.
-func (k *Key) Open(ciphertext, ad []byte) ([]byte, error) {
+// AppendOpen decrypts a ciphertext produced by Seal or AppendSeal,
+// verifying the associated data, and appends the plaintext to dst. It
+// returns ErrDecrypt on any failure and never writes to ciphertext.
+func (k *Key) AppendOpen(dst, ciphertext, ad []byte) ([]byte, error) {
 	if len(ciphertext) < Overhead {
 		return nil, ErrDecrypt
 	}
-	pt, err := k.g.Open(nil, ciphertext[:NonceSize], ciphertext[NonceSize:], ad)
+	pt, err := k.g.Open(dst, ciphertext[:NonceSize], ciphertext[NonceSize:], ad)
 	if err != nil {
 		return nil, ErrDecrypt
 	}
 	return pt, nil
+}
+
+// Seal is AppendSeal into a fresh buffer of exactly the ciphertext's size.
+func (k *Key) Seal(rand io.Reader, plaintext, ad []byte) ([]byte, error) {
+	return k.AppendSeal(make([]byte, 0, Overhead+len(plaintext)), rand, plaintext, ad)
+}
+
+// Open is AppendOpen into a fresh buffer.
+func (k *Key) Open(ciphertext, ad []byte) ([]byte, error) {
+	return k.AppendOpen(nil, ciphertext, ad)
 }
 
 // Seal is NewKey(key).Seal for a key used once.

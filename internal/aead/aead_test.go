@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"errors"
+	"io"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -138,6 +139,51 @@ func TestKeySealOpenInterop(t *testing.T) {
 		t.Errorf("wrong key: %v, want ErrDecrypt", err)
 	}
 
+	// The caller-buffer forms against the allocating forms as they stood
+	// before Seal and Open became wrappers (parentSeal, parentOpen): either
+	// side opens what the other sealed, the in-place seal overwrites exactly
+	// its plaintext's window, and a dst prefix is never touched.
+	prefix := []byte("prefix")
+	old, err := parentSeal(k, rand.Reader, pt, ad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := bytes.Clone(old)
+	got, err := k.AppendOpen(bytes.Clone(prefix), old, ad)
+	if err != nil || !bytes.Equal(got, append(bytes.Clone(prefix), pt...)) {
+		t.Fatalf("AppendOpen(parent Seal) = %q, %v", got, err)
+	}
+	if !bytes.Equal(old, before) {
+		t.Fatal("AppendOpen wrote to its ciphertext")
+	}
+	slab := make([]byte, len(prefix)+len(pt)+Overhead+1)
+	copy(slab, prefix)
+	slab[len(slab)-1] = 0xEE // the next window's first byte
+	window := slab[: len(prefix) : len(slab)-1]
+	copy(slab[len(prefix)+NonceSize:], pt)
+	sealed, err := k.AppendSeal(window, rand.Reader, slab[len(prefix)+NonceSize:][:len(pt)], ad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &sealed[0] != &slab[0] || len(sealed) != len(slab)-1 || !bytes.HasPrefix(sealed, prefix) || slab[len(slab)-1] != 0xEE {
+		t.Fatalf("in-place seal left its window: %d bytes of %d", len(sealed), len(slab)-1)
+	}
+	if got, err := parentOpen(k, sealed[len(prefix):], ad); err != nil || !bytes.Equal(got, pt) {
+		t.Fatalf("parent Open(in-place AppendSeal) = %q, %v", got, err)
+	}
+	tagFlipped, adFlipped := bytes.Clone(old), bytes.Clone(ad)
+	tagFlipped[len(old)-1] ^= 1
+	adFlipped[0] ^= 1
+	for name, in := range map[string][2][]byte{"tag": {tagFlipped, ad}, "associated data": {old, adFlipped}} {
+		dst := append(make([]byte, 0, 64), prefix...)
+		if _, err := k.AppendOpen(dst, in[0], in[1]); !errors.Is(err, ErrDecrypt) {
+			t.Errorf("flipped %s byte: %v, want ErrDecrypt", name, err)
+		}
+		if !bytes.Equal(dst, prefix) {
+			t.Errorf("flipped %s byte: dst prefix is now %q", name, dst)
+		}
+	}
+
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -158,4 +204,26 @@ func TestKeySealOpenInterop(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// parentSeal and parentOpen are Key.Seal and Key.Open as they were when
+// they were the only forms — the interop reference of
+// TestKeySealOpenInterop.
+func parentSeal(k *Key, rand io.Reader, plaintext, ad []byte) ([]byte, error) {
+	out := make([]byte, NonceSize, Overhead+len(plaintext))
+	if _, err := io.ReadFull(rand, out[:NonceSize]); err != nil {
+		return nil, err
+	}
+	return k.g.Seal(out, out[:NonceSize], plaintext, ad), nil
+}
+
+func parentOpen(k *Key, ciphertext, ad []byte) ([]byte, error) {
+	if len(ciphertext) < Overhead {
+		return nil, ErrDecrypt
+	}
+	pt, err := k.g.Open(nil, ciphertext[:NonceSize], ciphertext[NonceSize:], ad)
+	if err != nil {
+		return nil, ErrDecrypt
+	}
+	return pt, nil
 }

@@ -79,52 +79,71 @@ func TestWireRoundAllocBudget(t *testing.T) {
 }
 
 // TestRunRoundAllocBudget is the same budget for the in-process round
-// (ARCHITECTURE.md, "Round scratch"): a warm first-time-cohort round — 64
-// clients, 16384 coordinates in 8 chunks on SecAgg+, XNoise tolerating 16
-// dropouts with 8 taken — allocates a small multiple of the client vectors
-// it aggregates. What is left is one slab of encodings, each client's
-// masked copy per chunk, and a PRG stream per mask and noise component;
-// with every client re-expanding the rotation, every (client, chunk)
-// copying its window and making its noise vector, and two AES-GCM key
-// schedules per share envelope, the same round ran at 21× its vector
-// bytes. It runs at ≈10× now, ≈12× under -race (a race build's sync.Pool
-// drops a quarter of what it is handed, the mask kernel's scratch included).
+// (ARCHITECTURE.md, "Round scratch"): a warm first-time-cohort round
+// allocates a small multiple of the client vectors it aggregates.
+//
+// flat_cold's shape — 64 clients, 16384 coordinates in 8 chunks on SecAgg+,
+// XNoise tolerating 16 dropouts with 8 taken. What is left is one slab of
+// encodings, each client's masked copy per chunk, and a PRG stream per mask
+// and noise component; with every client re-expanding the rotation, every
+// (client, chunk) copying its window and making its noise vector, and two
+// AES-GCM key schedules per share envelope, the same round ran at 21× its
+// vector bytes. It runs at ≈10× now, ≈12× under -race (a race build's
+// sync.Pool drops a quarter of what it is handed, the mask kernel's
+// scratch included).
+//
+// lsa_dropout's shape — 32 clients, 16384 coordinates in 4 chunks on
+// LightSecAgg, U = 24 and T = D = 8, XNoise tolerating 8 dropouts with 4
+// taken. What is left per (client,
+// chunk) is 1× each of the random slab (mask ‖ noise), the coded shares,
+// their ciphertexts and the received shares — n/(U−T) = 2 chunk vectors
+// each, 1.5 for the first — plus the round's encodings and one lift slab;
+// with a read buffer per fill, three buffers and two decodes per envelope,
+// a share vector per peer, a copied mask and a lift slab per chunk, the
+// same round ran at 23×. It runs at ≈12× now.
 func TestRunRoundAllocBudget(t *testing.T) {
-	const (
-		n, dim = 64, 16384
-		budget = 13 // × the round's client-vector bytes
-	)
-	cfg := RoundConfig{
-		Codec: testCodec(dim, n), Threshold: 48, Chunks: 8,
-		Tolerance: 16, TargetMu: 100,
-	}
-	updates := randomUpdates(n, dim, 0.9)
-	var drops []uint64
-	for id := uint64(8); id <= n; id += 8 {
-		drops = append(drops, id)
-	}
-	round := func(i uint64) {
-		t.Helper()
-		cfg.Round, cfg.Seed = i, prg.NewSeed([]byte("alloc-budget"), []byte{byte(i)})
-		cfg.Sessions = NewSessionPool(1)
-		res, err := RunRound(cfg, updates, drops, rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Survivors) != n-len(drops) || res.Protocol != ProtocolSecAggPlus || res.Chunks != cfg.Chunks {
-			t.Fatalf("round %d: %d survivors on %v in %d chunks", i, len(res.Survivors), res.Protocol, res.Chunks)
-		}
-	}
-	round(1) // warm: the mask kernel's scratch, the worker pools
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	round(2)
-	runtime.ReadMemStats(&after)
-	vectorBytes := uint64(n * dim * 8)
-	got := after.TotalAlloc - before.TotalAlloc
-	t.Logf("round allocated %.1f MB = %.2f× its %.1f MB of client vectors",
-		float64(got)/1e6, float64(got)/float64(vectorBytes), float64(vectorBytes)/1e6)
-	if got > budget*vectorBytes {
-		t.Fatalf("round allocated %d bytes, more than %d× its %d client-vector bytes", got, budget, vectorBytes)
+	for _, tc := range []struct {
+		proto                             Protocol
+		n, dim, threshold, chunks, budget int // budget: × the round's client-vector bytes
+		tolerance, drops                  int
+	}{
+		{ProtocolSecAggPlus, 64, 16384, 48, 8, 13, 16, 8},
+		{ProtocolLightSecAgg, 32, 16384, 24, 4, 14, 8, 4},
+	} {
+		t.Run(tc.proto.String(), func(t *testing.T) {
+			cfg := RoundConfig{
+				Protocol: tc.proto, Codec: testCodec(tc.dim, tc.n), Threshold: tc.threshold, Chunks: tc.chunks,
+				Tolerance: tc.tolerance, TargetMu: 100,
+			}
+			updates := randomUpdates(tc.n, tc.dim, 0.9)
+			var drops []uint64
+			for id := uint64(8); id <= uint64(8*tc.drops); id += 8 {
+				drops = append(drops, id)
+			}
+			round := func(i uint64) {
+				t.Helper()
+				cfg.Round, cfg.Seed = i, prg.NewSeed([]byte("alloc-budget"), []byte{byte(i)})
+				cfg.Sessions = NewSessionPool(1)
+				res, err := RunRound(cfg, updates, drops, rand.Reader)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Survivors) != tc.n-len(drops) || res.Protocol != tc.proto || res.Chunks != cfg.Chunks {
+					t.Fatalf("round %d: %d survivors on %v in %d chunks", i, len(res.Survivors), res.Protocol, res.Chunks)
+				}
+			}
+			round(1) // warm: the mask kernel's scratch, the worker pools
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			round(2)
+			runtime.ReadMemStats(&after)
+			vectorBytes := uint64(tc.n * tc.dim * 8)
+			got := after.TotalAlloc - before.TotalAlloc
+			t.Logf("round allocated %.1f MB = %.2f× its %.1f MB of client vectors",
+				float64(got)/1e6, float64(got)/float64(vectorBytes), float64(vectorBytes)/1e6)
+			if got > uint64(tc.budget)*vectorBytes {
+				t.Fatalf("round allocated %d bytes, more than %d× its %d client-vector bytes", got, tc.budget, vectorBytes)
+			}
+		})
 	}
 }

@@ -384,7 +384,14 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 		removed = plan.RemovalComponents(numDropped)
 	}
 
-	// Chunk pipeline state.
+	// Chunk pipeline state. lift is LightSecAgg's field-element copy of one
+	// chunk's inputs, lent to every chunk in turn: the aggregation stage is
+	// the only one on pipeline.Communication, which admits one chunk at a
+	// time, and the substrate is done with its inputs when it returns.
+	var lift []field.Element
+	if proto == ProtocolLightSecAgg {
+		lift = make([]field.Element, len(ids)*(bounds[0][1]-bounds[0][0])) // chunk 0 is never the shorter one
+	}
 	chunkInputs := make([]map[uint64]ring.Vector, m)
 	chunkSums := make([]ring.Vector, m)
 	var mu sync.Mutex
@@ -429,7 +436,7 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 		// comm (+ the protocol's own compute): secure aggregation of the
 		// chunk.
 		if proto == ProtocolLightSecAgg {
-			sum, err := runLightSecAggChunk(cfg, c, ids, chunkInputs[c], schedule, rand, lsaSess)
+			sum, err := runLightSecAggChunk(cfg, c, ids, chunkInputs[c], lift, schedule, rand, lsaSess)
 			if err != nil {
 				return setErr(fmt.Errorf("core: chunk %d aggregation: %w", c, err))
 			}
@@ -535,9 +542,11 @@ func lightSecAggSchedule(s secagg.DropSchedule) lightsecagg.DropSchedule {
 // ring values lift losslessly into GF(2^61−1) (n·2^Bits < p, checked at
 // round start), the engine-backed in-process round sums them exactly, and
 // the sum reduces back mod 2^Bits — equal to the ring sum coordinate-wise
-// because reduction commutes with integer addition.
+// because reduction commutes with integer addition. lift is the caller's
+// scratch for the lifted inputs, at least len(inputs)·dim long and this
+// call's alone until it returns.
 func runLightSecAggChunk(cfg RoundConfig, chunk int, ids []uint64, inputs map[uint64]ring.Vector,
-	schedule secagg.DropSchedule, rand io.Reader, sess *lightsecagg.RoundSessions) (ring.Vector, error) {
+	lift []field.Element, schedule secagg.DropSchedule, rand io.Reader, sess *lightsecagg.RoundSessions) (ring.Vector, error) {
 
 	dim := inputs[ids[0]].Len()
 	lcfg := lightsecagg.Config{
@@ -550,9 +559,8 @@ func runLightSecAggChunk(cfg RoundConfig, chunk int, ids []uint64, inputs map[ui
 		Round: cfg.Round*1000 + uint64(chunk),
 	}
 	lifted := make(map[uint64][]field.Element, len(ids))
-	slab := make([]field.Element, len(inputs)*dim) // every client's lift, one allocation a chunk
 	for id, v := range inputs {
-		xs := slab[len(lifted)*dim:][:dim:dim]
+		xs := lift[len(lifted)*dim:][:dim:dim]
 		for i, w := range v.Data {
 			xs[i] = field.New(w)
 		}

@@ -22,7 +22,12 @@ import (
 // before upload, every coordinate of the ring aggregate must be the plain
 // sum of the survivors' encodings — computed here by skellam.Encode, a
 // vector per client — plus |survivors| · Σ_{k ≤ |D|} c_k, on both
-// substrates, at 1 chunk and at 8, twice over the same updates map.
+// substrates, at 1 chunk, at 3 (86 + 85 + 85 coordinates: the later chunks
+// do not fill the lift slab chunk 0 sized) and at 8, twice over the same
+// updates map. The LightSecAgg rows run their rounds as consecutive rounds
+// of one session pool, so the second noised round resumes the first's
+// sessions and every chunk after the first its round's: a lift slab, a
+// received slab or a mask that outlived its chunk would move the sum.
 func TestRunRoundSlabIsolation(t *testing.T) {
 	const n, dim, tolerance = 12, 200, 3
 	codec := testCodec(dim, n)
@@ -70,13 +75,17 @@ func TestRunRoundSlabIsolation(t *testing.T) {
 	}
 
 	for _, proto := range []Protocol{ProtocolSecAgg, ProtocolLightSecAgg} {
-		for _, chunks := range []int{1, 8} {
-			for _, tc := range []struct {
+		for _, chunks := range []int{1, 3, 8} {
+			pool := NewSessionPool(3)
+			for round, tc := range []struct {
 				tolerance int
 				want      ring.Vector
 			}{{0, plain}, {tolerance, noised}, {tolerance, noised}} {
 				cfg := base
 				cfg.Protocol, cfg.Chunks, cfg.Tolerance = proto, chunks, tc.tolerance
+				if proto == ProtocolLightSecAgg {
+					cfg.Round, cfg.Sessions = uint64(round+1), pool
+				}
 				p, err := runRoundRing(cfg, updates, drops, rand.Reader)
 				if err != nil {
 					t.Fatalf("%v, %d chunk(s), tolerance %d: %v", proto, chunks, tc.tolerance, err)

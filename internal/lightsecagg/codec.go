@@ -78,53 +78,48 @@ const (
 	maxEnvelopeCtBytes = 1 << 24
 )
 
+// appendElems appends the [n:4][n×8] "share vec" layout of xs, the AEAD
+// plaintext of one coded share.
 func appendElems(dst []byte, xs []field.Element) ([]byte, error) {
 	if len(xs) > maxLSAElems {
 		return nil, fmt.Errorf("lightsecagg: slab of %d elements exceeds wire cap", len(xs))
 	}
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], uint32(len(xs)))
-	dst = append(dst, b[:]...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(xs)))
 	for _, x := range xs {
 		dst = binary.LittleEndian.AppendUint64(dst, x.Uint64())
 	}
 	return dst, nil
 }
 
-func decodeElems(src []byte) ([]field.Element, []byte, error) {
-	if len(src) < 4 {
-		return nil, nil, fmt.Errorf("lightsecagg: slab header truncated")
+// elemsFromLE canonicalises len(dst) borrowed little-endian words into dst
+// — the decoders' one pass from payload bytes to the elements they return.
+func elemsFromLE(dst []field.Element, words []byte) {
+	for i := range dst {
+		dst[i] = field.New(binary.LittleEndian.Uint64(words[8*i:]))
 	}
-	n := int(binary.LittleEndian.Uint32(src))
-	if n > maxLSAElems {
-		return nil, nil, fmt.Errorf("lightsecagg: declared slab of %d elements exceeds wire cap", n)
-	}
-	words, rest, err := transport.DecodeUint64sLE(src[4:], n)
-	if err != nil {
-		return nil, nil, fmt.Errorf("lightsecagg: %w", err)
-	}
-	out := make([]field.Element, n)
-	for i, w := range words {
-		out[i] = field.New(w)
-	}
-	return out, rest, nil
 }
 
-// encodeShareVector is the AEAD plaintext layout of one coded share.
-func encodeShareVector(s []field.Element) []byte {
-	out, _ := appendElems(make([]byte, 0, 4+8*len(s)), s)
-	return out
-}
-
-func decodeShareVector(p []byte) ([]field.Element, error) {
-	s, rest, err := decodeElems(p)
-	if err != nil {
-		return nil, err
+// decodeShareInto decodes the AEAD plaintext of one coded share (the
+// "share vec" layout) into dst, whose length is the share length the round
+// expects. The declared count is checked against the cap, the bytes
+// present and dst before anything is written; trailing bytes are rejected.
+func decodeShareInto(dst []field.Element, p []byte) error {
+	if len(p) < 4 {
+		return fmt.Errorf("lightsecagg: share vector header truncated")
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("lightsecagg: share vector: %d trailing bytes", len(rest))
+	n, words := int(binary.LittleEndian.Uint32(p)), p[4:]
+	switch {
+	case n > maxLSAElems:
+		return fmt.Errorf("lightsecagg: declared share vector of %d elements exceeds wire cap", n)
+	case len(words) < 8*n:
+		return fmt.Errorf("lightsecagg: share vector declares %d elements, carries %d bytes", n, len(words))
+	case len(words) > 8*n:
+		return fmt.Errorf("lightsecagg: share vector: %d trailing bytes", len(words)-8*n)
+	case n != len(dst):
+		return fmt.Errorf("lightsecagg: share has length %d, want %d", n, len(dst))
 	}
-	return s, nil
+	elemsFromLE(dst, words)
+	return nil
 }
 
 func writeElems(w *transport.Writer, xs []field.Element) {
@@ -135,11 +130,9 @@ func writeElems(w *transport.Writer, xs []field.Element) {
 }
 
 func readElems(r *transport.Reader) []field.Element {
-	words := r.Words(maxLSAElems)
-	out := make([]field.Element, len(words))
-	for i, w := range words {
-		out[i] = field.New(w)
-	}
+	words := r.WordsLE(maxLSAElems)
+	out := make([]field.Element, len(words)/8)
+	elemsFromLE(out, words)
 	return out
 }
 

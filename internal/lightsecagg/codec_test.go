@@ -2,6 +2,8 @@ package lightsecagg
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"repro/internal/field"
@@ -117,13 +119,76 @@ func TestCodecEnvelopesRoundTrip(t *testing.T) {
 func TestCodecShareVectorRoundTrip(t *testing.T) {
 	s := rng("codec-share")
 	share := randElems(s, 17)
-	got, err := decodeShareVector(encodeShareVector(share))
+	p, err := appendElems(nil, share)
 	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]field.Element, len(share))
+	if err := decodeShareInto(got, p); err != nil {
 		t.Fatal(err)
 	}
 	for i := range share {
 		if got[i] != share[i] {
 			t.Fatalf("share[%d]: %v != %v", i, got[i], share[i])
+		}
+	}
+	// A word at or above the modulus is canonicalised, as field.New does.
+	binary.LittleEndian.PutUint64(p[4:], field.Modulus+5)
+	if err := decodeShareInto(got, p); err != nil || got[0] != field.New(5) {
+		t.Fatalf("non-canonical word decoded to %v, %v", got[0], err)
+	}
+	// Every check of the plaintext layout, each before dst is written.
+	for name, bad := range map[string][]byte{
+		"header truncated": p[:3],
+		"body truncated":   p[:len(p)-1],
+		"trailing byte":    append(bytes.Clone(p), 0),
+		"count over cap":   {0xFF, 0xFF, 0xFF, 0xFF},
+		"share too short":  shareBytes(t, share[:16]),
+		"share too long":   shareBytes(t, append(share, share[0])),
+	} {
+		dst := make([]field.Element, len(share))
+		if err := decodeShareInto(dst, bad); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		for _, e := range dst {
+			if e != 0 {
+				t.Fatalf("%s: dst written before the layout was checked", name)
+			}
+		}
+	}
+}
+
+// shareBytes is appendElems(nil, xs) for a test table.
+func shareBytes(t *testing.T, xs []field.Element) []byte {
+	t.Helper()
+	p, err := appendElems(nil, xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestRouteADGolden pins the envelope associated data to the bytes
+// fmt.Sprintf("lsa/%d/%d/%d", round, from, to) produced before it was
+// appended into a caller's array.
+func TestRouteADGolden(t *testing.T) {
+	const max = ^uint64(0)
+	var buf [routeADMax]byte
+	for _, tc := range []struct {
+		round, from, to uint64
+		want            string
+	}{
+		{0, 0, 0, "lsa/0/0/0"},
+		{7003, 12, 5, "lsa/7003/12/5"},
+		{1, 10, 100, "lsa/1/10/100"},
+		{max, max, max, "lsa/18446744073709551615/18446744073709551615/18446744073709551615"},
+	} {
+		got := appendRouteAD(buf[:0], tc.round, tc.from, tc.to)
+		if string(got) != tc.want || string(got) != fmt.Sprintf("lsa/%d/%d/%d", tc.round, tc.from, tc.to) {
+			t.Errorf("route AD %q, want %q", got, tc.want)
+		}
+		if &got[0] != &buf[0] {
+			t.Errorf("route AD %q outgrew routeADMax = %d", got, routeADMax)
 		}
 	}
 }
@@ -164,8 +229,8 @@ func TestCodecMalformed(t *testing.T) {
 			func(p []byte) error { _, err := decodeEnvelopes(p); return err }},
 		{"result-empty", []byte{lsaMagic},
 			func(p []byte) error { _, err := decodeLSAResult(p); return err }},
-		{"share-vector-truncated", encodeShareVector(randElems(s, 8))[:7],
-			func(p []byte) error { _, err := decodeShareVector(p); return err }},
+		{"share-vector-truncated", shareBytes(t, randElems(s, 8))[:7],
+			func(p []byte) error { return decodeShareInto(make([]field.Element, 8), p) }},
 	}
 	for _, tc := range cases {
 		if err := tc.dec(tc.p); err == nil {

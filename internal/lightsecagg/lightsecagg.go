@@ -29,7 +29,11 @@
 // Privacy: each f_i carries T uniform noise evaluations, so any T
 // colluding clients' shares are jointly independent of z_i (standard
 // Lagrange-coding argument); the server sees only masked inputs and
-// aggregate shares.
+// aggregate shares. A client answers a recovery request only for a strictly
+// ascending list of at least U known survivors (AggregateShare) — a shorter
+// one would isolate single masks. The residual stays: a server may still
+// name different ≥ U sets to different clients and difference the answers,
+// which is one reason the package is semi-honest only.
 //
 // All arithmetic is over GF(2^61−1) (package field); signed model updates
 // embed via Lift/Center.
@@ -76,8 +80,10 @@ import (
 	"io"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 
+	"repro/internal/aead"
 	"repro/internal/field"
 	"repro/internal/prg"
 	"repro/internal/session"
@@ -248,12 +254,18 @@ type AggShareMsg struct {
 	S    []field.Element
 }
 
-// routeAD binds an envelope's round and (sender, recipient) route into
-// the AEAD associated data, so the relaying server can neither re-route
-// an envelope nor replay one from an earlier chunk or round of the same
-// session undetected.
-func routeAD(round, from, to uint64) []byte {
-	return []byte(fmt.Sprintf("lsa/%d/%d/%d", round, from, to))
+// routeADMax is the longest route AD: "lsa/" and three 20-digit integers
+// with two separators.
+const routeADMax = 4 + 3*20 + 2
+
+// appendRouteAD appends the AEAD associated data lsa/<round>/<from>/<to>
+// of one envelope: it binds the round and the (sender, recipient) route, so
+// the relaying server can neither re-route an envelope nor replay one from
+// an earlier chunk or round of the same session undetected.
+func appendRouteAD(dst []byte, round, from, to uint64) []byte {
+	dst = strconv.AppendUint(append(dst, "lsa/"...), round, 10)
+	dst = strconv.AppendUint(append(dst, '/'), from, 10)
+	return strconv.AppendUint(append(dst, '/'), to, 10)
 }
 
 // Client is one participant's round state machine. Its stage methods are
@@ -266,11 +278,12 @@ type Client struct {
 	session *Session  // channel key + caches; private ephemeral when the caller passed nil
 	rand    io.Reader // AEAD nonce randomness
 
-	mask []field.Element // z_i, PaddedDim long
-
-	// pieces are the U coded inputs: U−T mask sub-vectors then T noise
-	// sub-vectors, each SubVectorLen long.
-	pieces [][]field.Element
+	// random is the one U·L slab NewSessionClient draws, the U coded inputs
+	// of SubVectorLen each: the mask z_i (U−T sub-vectors, PaddedDim long)
+	// then T noise sub-vectors. MaskedInput consumes the mask — the upload
+	// is built in random[:Dim] — and sets masked.
+	random []field.Element
+	masked bool
 
 	// roster maps peer id → channel public key once SealShares ran.
 	roster map[uint64][]byte
@@ -280,9 +293,11 @@ type Client struct {
 	maskedDigest    [32]byte
 	hasMaskedDigest bool
 
-	// received accumulates f_i(α_self) from every client i (including
-	// self).
-	received map[uint64][]field.Element
+	// received is the n × L slab of f_i(α_self) from every client i
+	// (including self), row rank(i), made when the first share arrives;
+	// have marks the rows written, each at most once.
+	received []field.Element
+	have     []bool
 }
 
 // NewClient draws the mask and coding noise from rand with a fresh
@@ -296,7 +311,8 @@ func NewClient(cfg Config, id uint64, rand io.Reader) (*Client, error) {
 // channel key and reuses its cached pairwise secrets and encoding matrix
 // instead of paying X25519 agreement and Lagrange weight computation per
 // round. The mask and coding noise are always drawn fresh — they are
-// one-time pads revealed in aggregate.
+// one-time pads revealed in aggregate — as one slab in one fill, the byte
+// order of the former fill per piece.
 func NewSessionClient(cfg Config, id uint64, rand io.Reader, sess *Session) (*Client, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -310,34 +326,11 @@ func NewSessionClient(cfg Config, id uint64, rand io.Reader, sess *Session) (*Cl
 			return nil, err
 		}
 	}
-	l := cfg.SubVectorLen()
-	u := cfg.RecoveryThreshold()
-	parts := u - cfg.PrivacyT
-
-	mask := make([]field.Element, cfg.PaddedDim())
-	if err := fillUniform(rand, mask); err != nil {
+	random := make([]field.Element, cfg.RecoveryThreshold()*cfg.SubVectorLen())
+	if err := fillUniform(rand, random); err != nil {
 		return nil, err
 	}
-	pieces := make([][]field.Element, u)
-	for k := 0; k < parts; k++ {
-		pieces[k] = mask[k*l : (k+1)*l]
-	}
-	for k := parts; k < u; k++ {
-		noise := make([]field.Element, l)
-		if err := fillUniform(rand, noise); err != nil {
-			return nil, err
-		}
-		pieces[k] = noise
-	}
-	return &Client{
-		cfg:      cfg,
-		id:       id,
-		session:  sess,
-		rand:     rand,
-		mask:     mask,
-		pieces:   pieces,
-		received: make(map[uint64][]field.Element, len(cfg.ClientIDs)),
-	}, nil
+	return &Client{cfg: cfg, id: id, session: sess, rand: rand, random: random}, nil
 }
 
 // uniformChunk is the element count per bulk randomness read: 16 KiB per
@@ -443,77 +436,67 @@ const encTile = 1024
 // (including self) — the plaintext of the offline-sharing message of step
 // 1. Wire and in-process drivers seal these via SealShares; the plaintext
 // form is exported for white-box tests and the cost model.
+func (c *Client) EncodeShares() (map[uint64][]field.Element, error) {
+	l := c.cfg.SubVectorLen()
+	slab := make([]field.Element, len(c.cfg.ClientIDs)*l)
+	if err := c.encodeSharesInto(slab); err != nil {
+		return nil, err
+	}
+	out := make(map[uint64][]field.Element, len(c.cfg.ClientIDs))
+	for rank, id := range c.cfg.ClientIDs {
+		out[id] = slab[rank*l : (rank+1)*l : (rank+1)*l]
+	}
+	return out, nil
+}
+
+// encodeSharesInto writes f_i(α_j) into row rank(j) of the n × L slab.
 //
 // The n×U Lagrange matrix–vector product is blocked over the sub-vector
 // (encTile) for cache reuse across ranks, and each tile runs through
 // field.WeightedSumInto's deferred-reduction kernel — one reduction per
 // output element instead of one per term.
-func (c *Client) EncodeShares() (map[uint64][]field.Element, error) {
+func (c *Client) encodeSharesInto(slab []field.Element) error {
+	if c.masked {
+		return fmt.Errorf("lightsecagg: shares encoded after MaskedInput consumed the mask")
+	}
 	enc, err := c.session.matrix(c.cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	l := c.cfg.SubVectorLen()
-	out := make(map[uint64][]field.Element, len(c.cfg.ClientIDs))
-	shares := make([][]field.Element, len(c.cfg.ClientIDs))
-	for rank, id := range c.cfg.ClientIDs {
-		shares[rank] = make([]field.Element, l)
-		out[id] = shares[rank]
-	}
-	tile := make([][]field.Element, len(c.pieces))
+	tile := make([][]field.Element, c.cfg.RecoveryThreshold())
 	for base := 0; base < l; base += encTile {
-		hi := base + encTile
-		if hi > l {
-			hi = l
+		hi := min(base+encTile, l)
+		for k := range tile {
+			tile[k] = c.random[k*l+base : k*l+hi]
 		}
-		for k, piece := range c.pieces {
-			tile[k] = piece[base:hi]
-		}
-		for rank := range shares {
-			field.WeightedSumInto(shares[rank][base:hi], enc.w[rank], tile)
+		for rank := range c.cfg.ClientIDs {
+			field.WeightedSumInto(slab[rank*l+base:rank*l+hi], enc.w[rank], tile)
 		}
 	}
-	return out, nil
-}
-
-// encodeSharesNaive is the pre-blocking reference implementation (one
-// rank at a time, Mul+Add per term), kept as the oracle of the equality
-// tests of the blocked kernel.
-func (c *Client) encodeSharesNaive() (map[uint64][]field.Element, error) {
-	enc, err := c.session.matrix(c.cfg)
-	if err != nil {
-		return nil, err
-	}
-	l := c.cfg.SubVectorLen()
-	out := make(map[uint64][]field.Element, len(c.cfg.ClientIDs))
-	for rank, id := range c.cfg.ClientIDs {
-		ws := enc.w[rank]
-		share := make([]field.Element, l)
-		for k, w := range ws {
-			piece := c.pieces[k]
-			for t := 0; t < l; t++ {
-				share[t] = field.Add(share[t], field.Mul(w, piece[t]))
-			}
-		}
-		out[id] = share
-	}
-	return out, nil
+	return nil
 }
 
 // SealShares validates the stage-0 roster, remembers the peers' channel
 // keys, and returns one AEAD envelope per peer carrying that peer's coded
 // share — the step-1 upload. The associated data binds sender and
 // recipient so the relaying server cannot re-route envelopes undetected.
+// The ciphertexts are three-index windows of one slab made here: each share
+// is serialised where its ciphertext will lie and sealed in place.
 func (c *Client) SealShares(roster []AdvertiseMsg) ([]Envelope, error) {
 	if err := c.installRoster(roster); err != nil {
 		return nil, err
 	}
-	shares, err := c.EncodeShares()
-	if err != nil {
+	n, l := len(c.cfg.ClientIDs), c.cfg.SubVectorLen()
+	shares := make([]field.Element, n*l)
+	if err := c.encodeSharesInto(shares); err != nil {
 		return nil, err
 	}
-	out := make([]Envelope, 0, len(shares))
-	for _, to := range c.cfg.ClientIDs {
+	stride := 4 + 8*l + aead.Overhead
+	sealed := make([]byte, n*stride)
+	out := make([]Envelope, 0, n)
+	var ad [routeADMax]byte
+	for rank, to := range c.cfg.ClientIDs {
 		pub, ok := c.roster[to]
 		if !ok {
 			return nil, fmt.Errorf("lightsecagg: no channel key for peer %d", to)
@@ -522,8 +505,12 @@ func (c *Client) SealShares(roster []AdvertiseMsg) ([]Envelope, error) {
 		if err != nil {
 			return nil, err
 		}
-		pt := encodeShareVector(shares[to])
-		ct, err := key.Seal(c.rand, pt, routeAD(c.cfg.Round, c.id, to))
+		window := sealed[rank*stride : rank*stride : (rank+1)*stride]
+		pt, err := appendElems(window[aead.NonceSize:aead.NonceSize], shares[rank*l:(rank+1)*l])
+		if err != nil {
+			return nil, err
+		}
+		ct, err := key.AppendSeal(window, c.rand, pt, appendRouteAD(ad[:0], c.cfg.Round, c.id, to))
 		if err != nil {
 			return nil, err
 		}
@@ -554,57 +541,93 @@ func (c *Client) installRoster(roster []AdvertiseMsg) error {
 }
 
 // OpenEnvelopes unseals the envelopes addressed to this client (origin
-// stamped by the server) and stores the carried shares. It must run after
-// SealShares (which installs the roster).
+// stamped by the server) through one plaintext buffer and decodes each
+// share once, into its sender's row of the received slab. The envelopes
+// are only read — in-process they are windows of their senders' slabs. It
+// must run after SealShares (which installs the roster).
 func (c *Client) OpenEnvelopes(envs []Envelope) error {
 	if c.roster == nil {
 		return fmt.Errorf("lightsecagg: OpenEnvelopes before SealShares")
 	}
+	if len(envs) > len(c.cfg.ClientIDs) {
+		return fmt.Errorf("lightsecagg: %d envelopes for a roster of %d", len(envs), len(c.cfg.ClientIDs))
+	}
+	pt := make([]byte, 0, 4+8*c.cfg.SubVectorLen())
+	var ad [routeADMax]byte
 	for _, env := range envs {
-		pub, ok := c.roster[env.From]
-		if !ok {
-			return fmt.Errorf("lightsecagg: envelope from unknown peer %d", env.From)
-		}
-		key, err := c.session.channelKey(pub)
+		rank, err := c.freeRow(env.From) // a known sender: the roster covers exactly the ranked ids
 		if err != nil {
 			return err
 		}
-		pt, err := key.Open(env.Ciphertext, routeAD(c.cfg.Round, env.From, c.id))
+		key, err := c.session.channelKey(c.roster[env.From])
 		if err != nil {
+			return err
+		}
+		if pt, err = key.AppendOpen(pt[:0], env.Ciphertext, appendRouteAD(ad[:0], c.cfg.Round, env.From, c.id)); err != nil {
 			return fmt.Errorf("lightsecagg: envelope from %d failed authentication: %w", env.From, err)
 		}
-		share, err := decodeShareVector(pt)
-		if err != nil {
+		if err := decodeShareInto(c.row(rank), pt); err != nil {
 			return fmt.Errorf("lightsecagg: envelope from %d: %w", env.From, err)
 		}
-		if err := c.ReceiveShare(env.From, share); err != nil {
-			return err
-		}
+		c.have[rank] = true
 	}
 	return nil
 }
 
-// ReceiveShare stores client from's coded share addressed to this client.
+// freeRow returns client from's rank if its row of the received slab is
+// still unwritten — a second share from one sender is an error, not a
+// silent overwrite. The writer marks have[rank] once the row is whole.
+func (c *Client) freeRow(from uint64) (int, error) {
+	rank, err := c.cfg.rank(from)
+	if err != nil {
+		return 0, err
+	}
+	if c.received == nil {
+		n := len(c.cfg.ClientIDs)
+		c.received, c.have = make([]field.Element, n*c.cfg.SubVectorLen()), make([]bool, n)
+	}
+	if c.have[rank] {
+		return 0, fmt.Errorf("lightsecagg: duplicate envelope from %d", from)
+	}
+	return rank, nil
+}
+
+// row is row rank of the received slab.
+func (c *Client) row(rank int) []field.Element {
+	l := c.cfg.SubVectorLen()
+	return c.received[rank*l : (rank+1)*l]
+}
+
+// ReceiveShare stores a copy of client from's coded share for this client.
 func (c *Client) ReceiveShare(from uint64, share []field.Element) error {
 	if len(share) != c.cfg.SubVectorLen() {
 		return fmt.Errorf("lightsecagg: share from %d has length %d, want %d",
 			from, len(share), c.cfg.SubVectorLen())
 	}
-	if _, err := c.cfg.rank(from); err != nil {
+	rank, err := c.freeRow(from)
+	if err != nil {
 		return err
 	}
-	c.received[from] = share
+	copy(c.row(rank), share)
+	c.have[rank] = true
 	return nil
 }
 
-// MaskedInput returns y_i = x_i + z_i[:d] — the step-2 upload.
+// MaskedInput returns y_i = x_i + z_i[:d] — the step-2 upload. It consumes
+// the mask: y_i is built in the mask's memory (the share encoding, its only
+// other reader, ran a stage earlier), so a second call is an error instead
+// of a double mask, as is encoding shares afterwards.
 func (c *Client) MaskedInput(input []field.Element) ([]field.Element, error) {
 	if len(input) != c.cfg.Dim {
 		return nil, fmt.Errorf("lightsecagg: input length %d, want %d", len(input), c.cfg.Dim)
 	}
-	out := make([]field.Element, c.cfg.Dim)
-	for i := range out {
-		out[i] = field.Add(input[i], c.mask[i])
+	if c.masked {
+		return nil, fmt.Errorf("lightsecagg: MaskedInput called twice: the mask is consumed")
+	}
+	c.masked = true
+	out := c.random[:c.cfg.Dim]
+	for i, x := range input {
+		out[i] = field.Add(x, out[i])
 	}
 	if c.cfg.TranscriptDigests {
 		c.maskedDigest = transcriptDigest(out)
@@ -621,17 +644,33 @@ func (c *Client) MaskedDigest() ([32]byte, bool) {
 }
 
 // AggregateShare returns s_j = Σ_{i∈survivors} f_i(α_j), the one-shot
-// recovery response of step 3. It fails if any survivor's share is
-// missing (the client cannot have received it if that peer never shared).
+// recovery response of step 3. Before summing anything it refuses a list
+// shorter than U (a server naming the one survivor {i} would collect
+// f_i(α_j) from U clients and interpolate z_i), not strictly ascending or
+// naming an unknown id, and fails if any survivor's share is missing (the
+// client cannot have received it if that peer never shared).
 func (c *Client) AggregateShare(survivors []uint64) ([]field.Element, error) {
-	out := make([]field.Element, c.cfg.SubVectorLen())
-	for _, id := range survivors {
-		share, ok := c.received[id]
-		if !ok {
+	if u := c.cfg.RecoveryThreshold(); len(survivors) < u {
+		return nil, fmt.Errorf("lightsecagg: survivor list of %d is below the recovery threshold %d", len(survivors), u)
+	}
+	rows := make([][]field.Element, len(survivors))
+	for i, id := range survivors {
+		if i > 0 && id <= survivors[i-1] {
+			return nil, fmt.Errorf("lightsecagg: survivor list not strictly ascending at %d", id)
+		}
+		rank, err := c.cfg.rank(id)
+		if err != nil {
+			return nil, err
+		}
+		if c.have == nil || !c.have[rank] {
 			return nil, fmt.Errorf("lightsecagg: client %d holds no share from survivor %d", c.id, id)
 		}
+		rows[i] = c.row(rank)
+	}
+	out := make([]field.Element, c.cfg.SubVectorLen())
+	for _, row := range rows {
 		for t := range out {
-			out[t] = field.Add(out[t], share[t])
+			out[t] = field.Add(out[t], row[t])
 		}
 	}
 	return out, nil

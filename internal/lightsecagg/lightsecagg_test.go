@@ -154,8 +154,8 @@ func TestShareConsistency(t *testing.T) {
 			for i := range xs {
 				got = field.Add(got, field.Mul(ws[i], ys[i][tt]))
 			}
-			if got != c.mask[k*l+tt] {
-				t.Fatalf("piece %d coord %d: interpolated %v, mask %v", k, tt, got, c.mask[k*l+tt])
+			if got != c.random[k*l+tt] {
+				t.Fatalf("piece %d coord %d: interpolated %v, mask %v", k, tt, got, c.random[k*l+tt])
 			}
 		}
 	}
@@ -344,4 +344,28 @@ func TestEncodeSharesBlockedMatchesNaive(t *testing.T) {
 			}
 		}
 	}
+}
+
+// encodeSharesNaive is the pre-blocking reference encoding (one rank at a
+// time, Mul+Add per term), the oracle of
+// TestEncodeSharesBlockedMatchesNaive.
+func (c *Client) encodeSharesNaive() (map[uint64][]field.Element, error) {
+	enc, err := c.session.matrix(c.cfg)
+	if err != nil {
+		return nil, err
+	}
+	l := c.cfg.SubVectorLen()
+	out := make(map[uint64][]field.Element, len(c.cfg.ClientIDs))
+	for rank, id := range c.cfg.ClientIDs {
+		ws := enc.w[rank]
+		share := make([]field.Element, l)
+		for k, w := range ws {
+			piece := c.random[k*l:]
+			for t := 0; t < l; t++ {
+				share[t] = field.Add(share[t], field.Mul(w, piece[t]))
+			}
+		}
+		out[id] = share
+	}
+	return out, nil
 }
