@@ -40,8 +40,8 @@
 //   - A round: a substrate's stage table (secagg.Server.Program,
 //     lightsecagg's namesake) walked by engine.RunLocal in-process or
 //     engine.ServeWire/JoinWire over a transport; every stage collected
-//     by engine.Collect, which decodes concurrently and applies in
-//     admission order to the incremental Add*/Seal* servers.
+//     by engine.Collect, one loop that decodes each message and applies
+//     it, in admission order, to the incremental Add*/Seal* servers.
 //     ARCHITECTURE.md "The engine" and "Which link runs where".
 //   - Frames: hand-rolled little-endian codecs on
 //     transport.Reader/Writer (core/codec.go, core/control.go,

@@ -208,6 +208,30 @@ func TestRunRoundValidation(t *testing.T) {
 	}
 }
 
+// TestRoundConfigRejectsSubRoundOverflow: a chunk count whose sub-round
+// ids would run into the next round's is refused, and within the bound
+// the last chunk of round r and the first of round r+1 stay apart — on a
+// pooled LightSecAgg session that id is all that separates their envelope
+// ADs.
+func TestRoundConfigRejectsSubRoundOverflow(t *testing.T) {
+	cfg := RoundConfig{
+		Round: 5, Codec: testCodec(16, 4), Threshold: 3, Chunks: maxChunks,
+		Seed: prg.NewSeed([]byte("r5")),
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("chunks = maxChunks rejected: %v", err)
+	}
+	cfg.Chunks = maxChunks + 1
+	if err := cfg.Validate(); err == nil {
+		t.Fatalf("chunks = %d accepted: chunk %d of round r would share round r+1's chunk 0 id", cfg.Chunks, maxChunks)
+	}
+	for _, r := range []uint64{0, 5, 1 << 40} {
+		if last, first := subRound(r, maxChunks-1), subRound(r+1, 0); last >= first {
+			t.Fatalf("sub-round ids of (%d, %d) and (%d, 0) are %d and %d, want ascending", r, maxChunks-1, r+1, last, first)
+		}
+	}
+}
+
 func TestWireRoundOverMemoryTransport(t *testing.T) {
 	testWireRound(t, func(tb testing.TB, n int) (transport.ServerConn, map[uint64]transport.ClientConn) {
 		net := transport.NewMemoryNetwork(256)

@@ -87,9 +87,10 @@ type RoundConfig struct {
 	Degree    int // SecAgg+ neighborhood degree; 0 = recommended
 	Codec     skellam.Params
 	Threshold int
-	// Chunks is the pipeline chunk count m (1 = plain execution). Nothing
-	// sets it but the caller; pipeline.OptimalChunks can propose a value
-	// but no round path consults it yet (ROADMAP direction 2).
+	// Chunks is the pipeline chunk count m (1 = plain execution, at most
+	// maxChunks). Nothing sets it but the caller; pipeline.OptimalChunks
+	// can propose a value but no round path consults it yet (ROADMAP
+	// direction 2).
 	Chunks int
 	// XNoise enables add-then-remove enforcement with tolerance T and
 	// central target TargetMu (grid units); Tolerance 0 disables it
@@ -120,13 +121,24 @@ type RoundConfig struct {
 	Sessions *SessionPool
 }
 
+// maxChunks bounds RoundConfig.Chunks: a chunk's sub-round id is
+// Round·maxChunks + chunk (subRound), so a larger count would give a late
+// chunk of one round the id of an early chunk of the next.
+const maxChunks = 1000
+
+// subRound is the substrate round id of one chunk of a round. It is what
+// separates the chunks' mask streams and — on a pooled LightSecAgg
+// session, whose channel keys are static — the only thing in the envelope
+// AD that keeps one chunk's sealed shares from replaying into another's.
+func subRound(round uint64, chunk int) uint64 { return round*maxChunks + uint64(chunk) }
+
 // Validate checks the configuration.
 func (c RoundConfig) Validate() error {
 	if err := c.Codec.Validate(); err != nil {
 		return err
 	}
-	if c.Chunks < 1 {
-		return fmt.Errorf("core: chunks %d < 1", c.Chunks)
+	if c.Chunks < 1 || c.Chunks > maxChunks {
+		return fmt.Errorf("core: chunks %d outside [1, %d]", c.Chunks, maxChunks)
 	}
 	if c.Tolerance < 0 {
 		return fmt.Errorf("core: tolerance %d < 0", c.Tolerance)
@@ -444,7 +456,7 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 			return nil
 		}
 		chunkCfg := baseCfg
-		chunkCfg.Round = cfg.Round*1000 + uint64(c)
+		chunkCfg.Round = subRound(cfg.Round, c)
 		chunkCfg.Dim = len(chunkInputs[c][ids[0]].Data)
 		chunkCfg.MaskEpoch = uint64(c)
 		chunkCfg.KeyRatchet = ratchet
@@ -556,7 +568,7 @@ func runLightSecAggChunk(cfg RoundConfig, chunk int, ids []uint64, inputs map[ui
 		Dim:       dim,
 		// Distinct per sub-round so sealed-share envelopes of different
 		// chunks (and rounds) are AD-separated on shared session keys.
-		Round: cfg.Round*1000 + uint64(chunk),
+		Round: subRound(cfg.Round, chunk),
 	}
 	lifted := make(map[uint64][]field.Element, len(ids))
 	for id, v := range inputs {

@@ -17,9 +17,9 @@ import (
 // Wire driver: runs one SecAgg(+XNoise) round over a transport.Transport.
 // Both sides walk the substrate's stage tables (secagg.Server.Program,
 // secagg.Client.Program) through the engine's wire walkers — frames are
-// admitted as they arrive, decoded concurrently by the binary codec
-// (codec.go, control.go), and applied to the incremental secagg.Server in
-// admission order, each stage waiting until every live client answered or
+// admitted as they arrive, decoded by the binary codec (codec.go,
+// control.go) and applied to the incremental secagg.Server where they are
+// admitted, in admission order, each stage waiting until every live client answered or
 // the stage deadline fired (the deadline-based collection of the paper's
 // §2.1). What remains here is what is not a stage: configuration, the
 // transcript tail that follows the result, and session taint.

@@ -1,18 +1,20 @@
-// Package engine is the concurrent round engine every aggregation round
-// in the repository runs on. It has two layers.
+// Package engine is the round engine every aggregation round in the
+// repository runs on. It has two layers.
 //
 // Collect is deadline-bounded, streaming collection of one stage's
 // messages. The paper's central systems claim (§4.1, Appendix C schedule)
 // is that aggregation latency hides when stage work is pipelined rather
 // than barriered; Collect realizes that on the server's collection path:
 // instead of buffering a whole stage's messages and then decoding and
-// aggregating them in one barrier, it admits messages as they arrive,
-// decodes them concurrently across a bounded worker pool, and feeds an
-// incremental per-message sink (the Add* methods of secagg.Server and
-// lightsecagg.Server) behind a pipeline.Gate, which serializes the sink in
-// admission order while the next arrivals are still being decoded. A
-// 64-client masked-input stage therefore costs collection time plus an
-// O(1) seal, not collection time plus n decodes plus n vector adds.
+// aggregating them in one barrier, it is one loop that admits a message,
+// decodes it and feeds it to an incremental per-message sink (the Add*
+// methods of secagg.Server and lightsecagg.Server) while the later
+// messages are still arriving — on the wire, into TransportSource's
+// buffered fan-in. A 64-client masked-input stage therefore costs
+// collection time plus an O(1) seal, not collection time plus n decodes
+// plus n vector adds. The loop is the only goroutine a stage has, so the
+// sink is fed in admission order and needs no locking, and a stage's
+// waiting, decode and apply time are three clock readings in one place.
 // Stages that need any-K-of-N completion rather than all-of-N
 // (LightSecAgg's one-shot recovery accepts any U aggregate shares) set
 // Stage.Quorum.
@@ -29,11 +31,8 @@ package engine
 
 import (
 	"context"
-	"runtime"
-	"sync"
 	"time"
 
-	"repro/internal/pipeline"
 	"repro/internal/transport"
 )
 
@@ -145,9 +144,9 @@ type Stage struct {
 	// means all of Expect.
 	Quorum int
 	// QuorumMet, when non-nil, is a predicate quorum: it is consulted
-	// after each successful Apply (under the same serialization as the
-	// sink, so it may read sink state without locking) and completes the
-	// stage as soon as it returns true. It expresses completion
+	// after each successful Apply (on the same goroutine, so it may read
+	// sink state without locking) and completes the stage as soon as it
+	// returns true. It expresses completion
 	// conditions a plain count cannot — SecAgg+'s unmask stage is done
 	// when every reconstruction *cohort* holds t shares, not when any t
 	// global responses arrived. Composes with Quorum and Expect: the
@@ -158,14 +157,13 @@ type Stage struct {
 	// means the stage is bounded only by ctx (in-process rounds, where
 	// every expected participant deterministically answers or errors).
 	Deadline time.Duration
-	// Decode transforms an admitted message body. Decodes run
-	// concurrently across the engine's worker pool — this is the
-	// decode→aggregate overlap. nil passes the body through and applies
-	// inline on the admission loop.
+	// Decode transforms an admitted message body on the admission loop,
+	// just before its Apply; it may borrow from a wire frame's payload,
+	// which is released after that Apply. nil passes the body through.
 	Decode func(m Msg) (any, error)
-	// Apply feeds one decoded body to the stage sink. The engine
-	// serializes Apply calls in admission order (pipeline.Gate), so the
-	// sink needs no internal locking.
+	// Apply feeds one decoded body to the stage sink. Collect calls it
+	// from its own goroutine, one message at a time in admission order,
+	// so the sink needs no internal locking.
 	Apply func(from uint64, body any) error
 	// Park, when non-nil, is asked about every frame of another tag this
 	// stage would discard: true parks it for the later Collect of that tag
@@ -181,14 +179,12 @@ type Stage struct {
 // bound to one round; Collect must be called for one stage at a time, in
 // protocol order, from a single goroutine.
 type Engine struct {
-	recv    RecvFunc
-	workers int
+	recv RecvFunc
 
 	// parked holds frames that arrived during a stage with a different
 	// tag — RoundHellos (see parkable) and what a stage's Park claimed —
 	// keyed by (tag, sender) so a retransmit replaces rather than
-	// accumulates. Only touched from Collect's admission loop
-	// (single-goroutine contract), so no locking.
+	// accumulates.
 	parked map[parkedKey]Msg
 }
 
@@ -197,146 +193,75 @@ type parkedKey struct {
 	from uint64
 }
 
-// Option configures an Engine.
-type Option func(*Engine)
-
-// WithWorkers bounds the concurrent decode pool (default GOMAXPROCS).
-func WithWorkers(n int) Option {
-	return func(e *Engine) {
-		if n >= 1 {
-			e.workers = n
-		}
-	}
-}
-
 // New builds an engine over the message source.
-func New(recv RecvFunc, opts ...Option) *Engine {
-	e := &Engine{recv: recv, workers: runtime.GOMAXPROCS(0)}
-	for _, o := range opts {
-		o(e)
-	}
-	if e.workers < 1 {
-		e.workers = 1
-	}
-	return e
-}
+func New(recv RecvFunc) *Engine { return &Engine{recv: recv} }
 
 // Collect runs one stage: it admits matching messages until every
-// expected sender answered or the deadline fired, overlapping Decode and
-// Apply as described on Stage, and returns the senders admitted in
-// admission order. A Decode or Apply error aborts the stage (remaining
-// in-flight work drains first); a deadline is not an error — the caller's
-// Seal step decides whether the partial stage clears the protocol
-// threshold.
+// expected sender answered, a quorum was met or the deadline fired, runs
+// each through Decode and Apply where it admits it, and returns the
+// senders admitted in admission order. The first Decode or Apply error
+// ends the stage: nothing admitted later is decoded or applied. A deadline
+// is not an error — the caller's Seal step decides whether the partial
+// stage clears the protocol threshold.
 func (e *Engine) Collect(ctx context.Context, s Stage) ([]uint64, error) {
-	var cancel context.CancelFunc
 	if s.Deadline > 0 {
+		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.Deadline)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
+		defer cancel()
 	}
-	defer cancel()
 
-	want := make(map[uint64]bool, len(s.Expect))
+	// pending holds the expected senders not yet admitted.
+	pending := make(map[uint64]bool, len(s.Expect))
 	for _, id := range s.Expect {
-		want[id] = true
+		pending[id] = true
 	}
-	admitted := make([]uint64, 0, len(want))
-	seen := make(map[uint64]bool, len(want))
-
-	var (
-		gate = pipeline.NewGate()
-		sem  = make(chan struct{}, e.workers)
-		wg   sync.WaitGroup
-
-		errMu    sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			cancel() // unblock recv: the stage is aborting
-		}
-		errMu.Unlock()
-	}
-	failed := func() bool {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return firstErr != nil
-	}
-
-	target := len(want)
+	target := len(pending)
 	if s.Quorum > 0 && s.Quorum < target {
 		target = s.Quorum
 	}
-	// process admits one matching message, returning false when the stage
-	// must stop (inline apply error).
-	process := func(m Msg) bool {
-		seen[m.From] = true
+	admitted := make([]uint64, 0, target)
+
+	// process admits one matching message and runs it through the stage;
+	// done reports that the stage is over: an error, or the predicate
+	// quorum met.
+	process := func(m Msg) (done bool, err error) {
+		delete(pending, m.From)
 		admitted = append(admitted, m.From)
-		if s.Decode == nil {
-			// Nothing to overlap: apply inline, no goroutine hop.
-			err := s.Apply(m.From, m.Body)
-			m.release()
-			if err != nil {
-				fail(err)
-				return false
-			}
-			if s.QuorumMet != nil && s.QuorumMet() {
-				return false // predicate quorum met: stop admitting, no error
-			}
-			return true
+		body := m.Body
+		if s.Decode != nil {
+			body, err = s.Decode(m)
 		}
-		// Reserve the apply slot now (admission order), decode on a
-		// worker, then apply behind the gate. Decoding of later arrivals
-		// overlaps the serialized applies of earlier ones.
-		ticket := gate.Reserve()
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(m Msg, ticket pipeline.Ticket) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			defer m.release() // after Apply: the decoded body may borrow from the frame
-			body, err := s.Decode(m)
-			gate.Wait(ticket)
-			defer gate.Release()
-			if err == nil && !failed() {
-				err = s.Apply(m.From, body)
-				if err == nil && s.QuorumMet != nil && s.QuorumMet() {
-					cancel() // predicate quorum met: unblock recv, drain, return
-				}
-			}
-			if err != nil {
-				fail(err)
-			}
-		}(m, ticket)
-		return true
+		if err == nil {
+			err = s.Apply(m.From, body)
+		}
+		m.release() // after Apply: the decoded body may borrow from the frame
+		return err != nil || s.QuorumMet != nil && s.QuorumMet(), err
 	}
 
 	// Replay parked frames addressed to this stage before reading live
 	// traffic (see parkable, Stage.Park); entries for this tag are consumed
 	// either way.
-	stopped := false
+	var (
+		done bool
+		err  error
+	)
 	for key, m := range e.parked {
 		if key.tag != s.Tag {
 			continue
 		}
 		delete(e.parked, key)
-		if stopped || len(seen) >= target || !want[m.From] || seen[m.From] {
+		if done || len(admitted) >= target || !pending[m.From] {
 			m.release()
 			continue
 		}
-		if !process(m) {
-			stopped = true
-		}
+		done, err = process(m)
 	}
-	for !stopped && len(seen) < target {
-		m, err := e.recv(ctx)
-		if err != nil {
+	for !done && len(admitted) < target {
+		m, rerr := e.recv(ctx)
+		if rerr != nil {
 			break // deadline or abort: proceed with what we have
 		}
-		if m.Stage != s.Tag || !want[m.From] || seen[m.From] {
+		if m.Stage != s.Tag || !pending[m.From] {
 			// Stale, out-of-order, unexpected, or duplicate — discarded,
 			// except hellos, and what the stage claims, during a
 			// *different* stage: those are parked for the Collect they
@@ -354,24 +279,17 @@ func (e *Engine) Collect(ctx context.Context, s Stage) ([]uint64, error) {
 			}
 			continue
 		}
-		if !process(m) {
-			break
-		}
+		done, err = process(m)
 	}
-	wg.Wait()
-
-	errMu.Lock()
-	err := firstErr
-	errMu.Unlock()
 	return admitted, err
 }
 
 // TransportSource adapts a transport server endpoint to the engine's
 // message source: a fan-in goroutine drains the connection into a
-// buffered channel for the round's whole lifetime, so slow stage
-// processing (decode pool full, apply in progress) never backpressures
-// the transport mid-collection. ctx must span the round; cancelling it
-// stops the fan-in.
+// buffered channel for the round's whole lifetime, so stage processing
+// (a decode or an apply in progress) overlaps the arrival of later frames
+// and never backpressures the transport mid-collection. ctx must span the
+// round; cancelling it stops the fan-in.
 func TransportSource(ctx context.Context, conn transport.ServerConn) RecvFunc {
 	frames := make(chan transport.Frame, 256)
 	go func() {

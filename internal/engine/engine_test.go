@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -24,9 +25,9 @@ func chanRecv(ch <-chan Msg) RecvFunc {
 	}
 }
 
-// TestCollectAppliesInAdmissionOrder: decodes finish wildly out of order
-// (earlier admissions sleep longer), yet applies must land in admission
-// order — the pipeline.Gate contract the incremental server relies on.
+// TestCollectAppliesInAdmissionOrder: however long each decode takes
+// (earlier admissions sleep longer), applies must land in admission
+// order — the contract the incremental server relies on.
 func TestCollectAppliesInAdmissionOrder(t *testing.T) {
 	const n = 8
 	ch := make(chan Msg, n)
@@ -39,12 +40,11 @@ func TestCollectAppliesInAdmissionOrder(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var applied []uint64
-	eng := New(chanRecv(ch), WithWorkers(4))
+	eng := New(chanRecv(ch))
 	admitted, err := eng.Collect(context.Background(), Stage{
 		Tag: 1, Expect: expect,
 		Decode: func(m Msg) (any, error) {
-			// Earlier admissions decode slower: completion order is the
-			// reverse of admission order.
+			// Earlier admissions decode slower.
 			time.Sleep(time.Duration(n-m.Body.(int)) * 3 * time.Millisecond)
 			return m.Body, nil
 		},
@@ -139,8 +139,8 @@ func TestCollectAbortsOnApplyError(t *testing.T) {
 	}
 }
 
-// TestCollectAbortsOnDecodeError: same for a Decode error raised on a
-// worker while other decodes are in flight.
+// TestCollectAbortsOnDecodeError: same for a Decode error with later
+// frames already queued.
 func TestCollectAbortsOnDecodeError(t *testing.T) {
 	const n = 6
 	ch := make(chan Msg, n)
@@ -152,7 +152,7 @@ func TestCollectAbortsOnDecodeError(t *testing.T) {
 	bad := errors.New("bad frame")
 	var applies int
 	var mu sync.Mutex
-	eng := New(chanRecv(ch), WithWorkers(3))
+	eng := New(chanRecv(ch))
 	_, err := eng.Collect(context.Background(), Stage{
 		Tag: 5, Expect: expect, Deadline: 30 * time.Second,
 		Decode: func(m Msg) (any, error) {
@@ -196,7 +196,7 @@ func TestCollectConcurrentSenders(t *testing.T) {
 	}
 	counts := make(map[uint64]int, n)
 	var mu sync.Mutex
-	eng := New(chanRecv(ch), WithWorkers(4))
+	eng := New(chanRecv(ch))
 	admitted, err := eng.Collect(context.Background(), Stage{
 		Tag: 7, Expect: expect, Deadline: 30 * time.Second,
 		Decode: func(m Msg) (any, error) { return m.Body, nil },
@@ -375,5 +375,130 @@ func TestCollectStagePark(t *testing.T) {
 	})
 	if err != nil || len(admitted) != 1 || admitted[0] != 1 || got[0] != "fresh" {
 		t.Fatalf("want exactly the claimed frame replayed: admitted=%v got=%v err=%v", admitted, got, err)
+	}
+}
+
+// TestCollectIsSequential: a stage is one loop on the caller's goroutine.
+// Decode and Apply share a counter nothing guards (under -race the
+// detector is the assertion), no goroutine is started on a frame's behalf,
+// and a 256-frame stage allocates its bookkeeping, not per frame.
+func TestCollectIsSequential(t *testing.T) {
+	const n = 256
+	frames := make([]Msg, n)
+	expect := make([]uint64, n)
+	for i := range frames {
+		frames[i] = Msg{From: uint64(i + 1), Stage: 1, Body: i}
+		expect[i] = uint64(i + 1)
+	}
+	var next, steps, spawned int
+	recv := func(context.Context) (Msg, error) {
+		next++
+		return frames[next-1], nil
+	}
+	before := runtime.NumGoroutine()
+	stage := Stage{
+		Tag: 1, Expect: expect,
+		Decode: func(m Msg) (any, error) {
+			steps++
+			if runtime.NumGoroutine() > before {
+				spawned++
+			}
+			return m.Body, nil
+		},
+		Apply: func(uint64, any) error { steps++; return nil },
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		next, steps = 0, 0
+		admitted, err := New(recv).Collect(context.Background(), stage)
+		if err != nil || len(admitted) != n || steps != 2*n {
+			t.Fatalf("admitted %d, %d decode+apply steps, err %v", len(admitted), steps, err)
+		}
+	})
+	if spawned > 0 {
+		t.Errorf("%d decodes ran with more goroutines alive than before Collect", spawned)
+	}
+	if allocs > 16 {
+		t.Errorf("a %d-frame stage allocated %.0f times, want ≤ 16", n, allocs)
+	}
+}
+
+// TestCollectStopsAtFirstError: once an Apply fails, nothing queued behind
+// it — in the source or among the parked frames — is decoded or applied,
+// the failing frame still goes back to the transport, and so does every
+// parked frame of the stage's tag.
+func TestCollectStopsAtFirstError(t *testing.T) {
+	boom := errors.New("boom")
+	var decoded, applied []string
+	stage := Stage{
+		Tag: 2, Expect: []uint64{1, 2, 3}, Deadline: 30 * time.Second,
+		Decode: func(m Msg) (any, error) {
+			decoded = append(decoded, label(m))
+			return m.Body, nil
+		},
+		Apply: func(_ uint64, body any) error {
+			applied = append(applied, label(Msg{Body: body}))
+			if len(applied) == 2 {
+				return boom
+			}
+			return nil
+		},
+	}
+
+	msgs := map[string]Msg{
+		"one":   leasedFrame(t, 1, 2, "one"),
+		"two":   leasedFrame(t, 2, 2, "two"),
+		"three": leasedFrame(t, 3, 2, "three"),
+	}
+	ch := make(chan Msg, len(msgs))
+	ch <- msgs["one"]
+	ch <- msgs["two"]
+	ch <- msgs["three"]
+	admitted, err := New(chanRecv(ch)).Collect(context.Background(), stage)
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if fmt.Sprint(admitted) != "[1 2]" || fmt.Sprint(decoded) != "[one two]" || fmt.Sprint(applied) != "[one two]" {
+		t.Fatalf("admitted %v decoded %v applied %v, want the stage to stop at two", admitted, decoded, applied)
+	}
+	if len(ch) != 1 {
+		t.Fatalf("%d frames left in the source, want three still queued", len(ch))
+	}
+	if r := releasedFrames(msgs); !r["one"] || !r["two"] || r["three"] {
+		t.Fatalf("released %v, want one and two (the failing frame) and not the unread three", r)
+	}
+
+	// The same stage fed from parked frames: the replay stops at the
+	// failure too, and consumes — releases — what it did not run.
+	msgs = map[string]Msg{
+		"one":   leasedFrame(t, 1, 2, "one"),
+		"two":   leasedFrame(t, 2, 2, "two"),
+		"three": leasedFrame(t, 3, 2, "three"),
+		"open":  leasedFrame(t, 1, 1, "open"),
+	}
+	ch = make(chan Msg, len(msgs))
+	ch <- msgs["one"]
+	ch <- msgs["two"]
+	ch <- msgs["three"]
+	ch <- msgs["open"]
+	eng := New(chanRecv(ch))
+	if _, err := eng.Collect(context.Background(), Stage{
+		Tag: 1, Expect: []uint64{1},
+		Apply: func(uint64, any) error { return nil },
+		Park:  func(m Msg) bool { return m.Stage == 2 },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	decoded, applied = nil, nil
+	admitted, err = eng.Collect(context.Background(), stage)
+	if !errors.Is(err, boom) {
+		t.Fatalf("replay: err = %v, want boom", err)
+	}
+	if len(admitted) != 2 || len(decoded) != 2 || len(applied) != 2 {
+		t.Fatalf("replay: admitted %v decoded %v applied %v, want two of each", admitted, decoded, applied)
+	}
+	for name, released := range releasedFrames(msgs) {
+		if !released {
+			t.Errorf("replay: the %s frame was not released", name)
+		}
 	}
 }

@@ -158,7 +158,7 @@ func (c Codec) decode(tag int, payload []byte) (any, error) {
 type serverLink struct {
 	eng     *Engine
 	deliver func(to []uint64, tag int, body any) error
-	// decode is nil when bodies arrive typed (applied inline, no hop).
+	// decode is nil when bodies arrive typed.
 	decode   func(Msg) (any, error)
 	deadline time.Duration
 	// live narrows a step's expected senders to those that will answer;
@@ -412,8 +412,9 @@ func (s *sharedReader) Read(p []byte) (int, error) {
 // --- the wire network: a transport carrying a Codec's encodings ---
 
 // ServeWire walks a server program over a transport: frames are admitted
-// as they arrive, decoded by the codec on the engine's worker pool, and
-// each step waits at most deadline (≤0: 2s) for its senders — the
+// as they arrive, decoded by the codec and applied on the walker's own
+// goroutine while later frames queue in the engine's fan-in, and each
+// step waits at most deadline (≤0: 2s) for its senders — the
 // deadline-based collection of the paper's §2.1. eng, when non-nil, is
 // the externally owned engine whose fan-in spans every handshake and
 // round on conn; nil builds one for this round.

@@ -14,9 +14,8 @@
 //
 // Aggregation is performed in the ℤ_{2^b} ring on DSkellam-encoded updates,
 // exactly the math the secure-aggregation layer computes (SecAgg masking
-// cancels bit-exactly; package secagg proves that separately). A
-// UseSecAgg mode routes rounds through the real protocol for end-to-end
-// validation at small scale.
+// cancels bit-exactly; packages secagg and core prove that separately,
+// end to end).
 package fl
 
 import (

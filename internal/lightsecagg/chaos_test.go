@@ -14,8 +14,7 @@ import (
 // Frame-storm chaos suite against the engine-backed wire driver: every
 // client's uplink replays stale frames, duplicates every message, and
 // interleaves unknown-stage junk — all landing mid-collection in the
-// engine's concurrent admission loop, with the binary codec decoding on
-// the worker pool. Mirrors internal/core's chaos suite so both protocol
+// engine's admission loop, with the binary codec decoding on it. Mirrors internal/core's chaos suite so both protocol
 // families face the same torture. Run under -race in CI.
 
 // frameStormClient wraps a client uplink so every Send also injects a
@@ -148,7 +147,7 @@ func TestChaosFrameStormWithDropout(t *testing.T) {
 // TestChaosFrameStormSessionResume: the storm against a resumed round —
 // the advertise stage is skipped on the cached roster, so the stale
 // replays include frames for a stage the server never collects this
-// round, landing on live session caches serving concurrent decodes.
+// round, landing on live session caches.
 func TestChaosFrameStormSessionResume(t *testing.T) {
 	cfg := testConfig(5, 1, 1, 16)
 	inputs, wantSum := makeInputs(cfg)

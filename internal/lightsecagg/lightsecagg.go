@@ -58,16 +58,15 @@
 //     plus n length-d vector adds — and the server never retains the
 //     n·d masked matrix, only the d-length running sum.
 //   - Both links collect stages through internal/engine's one server
-//     walker: streaming admission (deadline-bounded on the wire),
-//     concurrent decode on a bounded worker pool, applies serialized in
-//     admission order. The one-shot recovery
-//     stage sets engine.Stage.Quorum = U, completing as soon as any U
-//     aggregate shares arrive instead of waiting out stragglers.
+//     walker: streaming admission (deadline-bounded on the wire), each
+//     message decoded and applied where it is admitted, on one goroutine,
+//     in admission order. The one-shot recovery stage sets
+//     engine.Stage.Quorum = U, completing as soon as any U aggregate
+//     shares arrive instead of waiting out stragglers.
 //   - Session/ServerSession (session.go) amortize the fixed round costs —
-//     X25519 channel agreements, the Lagrange encoding matrix, the
-//     recovery interpolation weights, and the advertise round trip — across
-//     the chunks of one pipelined round and across consecutive rounds,
-//     plugged into core.RunRound's SessionPool.
+//     X25519 channel agreements, the Lagrange encoding matrix and the
+//     advertise round trip — across the chunks of one pipelined round and
+//     across consecutive rounds, plugged into core.RunRound's SessionPool.
 //   - The volume payloads (masked models, sealed share envelopes,
 //     aggregate shares, the result broadcast) use the binary wire codec in
 //     codec.go, following core/codec.go's magic/tag layout, and so do the
@@ -87,19 +86,7 @@ import (
 	"repro/internal/field"
 	"repro/internal/prg"
 	"repro/internal/session"
-	"repro/internal/transcript"
 )
-
-// transcriptDigest adapts a field-element vector to the transcript
-// layer's canonical masked-input digest (transcript.Digest over the
-// little-endian uint64 representation).
-func transcriptDigest(y []field.Element) [32]byte {
-	u := make([]uint64, len(y))
-	for i, v := range y {
-		u[i] = uint64(v)
-	}
-	return transcript.Digest(u)
-}
 
 // Config fixes one LightSecAgg round. All parties must agree on it.
 type Config struct {
@@ -114,14 +101,6 @@ type Config struct {
 	// share table. Drivers running several sub-rounds on one session set
 	// (core.RunRound's chunks) must give each a distinct Round.
 	Round uint64
-
-	// TranscriptDigests, when true, has both sides record SHA-256 digests
-	// of masked inputs for the verifiable-transcript layer (the
-	// LightSecAgg mirror of secagg.Config.TranscriptDigests): the server
-	// captures each arrival's digest in AddMasked, the client its own
-	// upload's in MaskedInput. Off by default; changes no wire bytes. See
-	// internal/transcript.
-	TranscriptDigests bool
 }
 
 // Validate checks the LightSecAgg feasibility constraints: n − D > T ≥ 1
@@ -181,46 +160,73 @@ func (c Config) rank(id uint64) (int, error) {
 	return i, nil
 }
 
-// lagrangeWeights returns w_k = Π_{m≠k} (x−β_m)/(β_k−β_m) for k = 1..U at
-// the evaluation point x, so f(x) = Σ_k w_k·f(β_k). Interpolation from
-// arbitrary abscissas uses lagrangeWeightsAt instead.
-func (c Config) lagrangeWeights(x field.Element) ([]field.Element, error) {
-	u := c.RecoveryThreshold()
-	xs := make([]field.Element, u)
-	for k := 0; k < u; k++ {
-		xs[k] = c.beta(k + 1)
-	}
-	return lagrangeWeightsAt(xs, x)
+// lagrangeBasis interpolates polynomials of degree < len(xs) from their
+// values at the abscissas xs. The denominators Π_{m≠k}(xs_k − xs_m) do not
+// depend on where the polynomial is evaluated, so they are multiplied out
+// and inverted (one field.BatchInv) once per abscissa set; each evaluation
+// point then costs one prefix/suffix pass — O(u² + rows·u) for a whole
+// weight matrix. The encoding matrix (abscissas β_1..β_U, one row per
+// client point) and the server's recovery (abscissas the responders'
+// α_rank, one row per data point) both use it.
+type lagrangeBasis struct {
+	xs   []field.Element
+	dinv []field.Element // 1 / Π_{m≠k}(xs_k − xs_m)
 }
 
-// lagrangeWeightsAt returns the Lagrange basis weights for interpolating a
-// polynomial of degree < len(xs) at x, given sample abscissas xs. The
-// denominators are inverted in one batch (field.BatchInv) instead of one
-// Fermat inversion per weight.
-func lagrangeWeightsAt(xs []field.Element, x field.Element) ([]field.Element, error) {
-	n := len(xs)
-	num := make([]field.Element, n)
-	den := make([]field.Element, n)
-	for k := 0; k < n; k++ {
-		nk := field.New(1)
+func newLagrangeBasis(xs []field.Element) (lagrangeBasis, error) {
+	den := make([]field.Element, len(xs))
+	for k, xk := range xs {
 		dk := field.New(1)
-		for m := 0; m < n; m++ {
-			if m == k {
-				continue
+		for m, xm := range xs {
+			if m != k {
+				dk = field.Mul(dk, field.Sub(xk, xm))
 			}
-			nk = field.Mul(nk, field.Sub(x, xs[m]))
-			dk = field.Mul(dk, field.Sub(xs[k], xs[m]))
 		}
-		num[k] = nk
 		den[k] = dk
 	}
 	dinv, err := field.BatchInv(den)
 	if err != nil {
-		return nil, fmt.Errorf("lightsecagg: coincident abscissas: %w", err)
+		return lagrangeBasis{}, fmt.Errorf("lightsecagg: coincident abscissas: %w", err)
 	}
-	ws := make([]field.Element, n)
+	return lagrangeBasis{xs: xs, dinv: dinv}, nil
+}
+
+// weightsAt returns w_k = Π_{m≠k}(x − xs_m)/(xs_k − xs_m), so that
+// f(x) = Σ_k w_k·f(xs_k).
+func (b lagrangeBasis) weightsAt(x field.Element) []field.Element {
+	ws := make([]field.Element, len(b.xs))
+	below := field.New(1) // Π_{m<k}(x − xs_m)
+	for k, xk := range b.xs {
+		ws[k] = field.Mul(b.dinv[k], below)
+		below = field.Mul(below, field.Sub(x, xk))
+	}
+	above := field.New(1) // Π_{m>k}(x − xs_m)
+	for k := len(b.xs) - 1; k >= 0; k-- {
+		ws[k] = field.Mul(ws[k], above)
+		above = field.Mul(above, field.Sub(x, b.xs[k]))
+	}
+	return ws
+}
+
+// recoveryWeights returns ws[k][i] = the Lagrange weight of responder i
+// for interpolating the aggregate polynomial at data point β_{k+1}, for
+// the given responder cohort.
+func recoveryWeights(cfg Config, responders []uint64) ([][]field.Element, error) {
+	xs := make([]field.Element, len(responders))
+	for i, id := range responders {
+		rank, err := cfg.rank(id)
+		if err != nil {
+			return nil, err
+		}
+		xs[i] = cfg.alpha(rank)
+	}
+	basis, err := newLagrangeBasis(xs)
+	if err != nil {
+		return nil, err
+	}
+	ws := make([][]field.Element, cfg.RecoveryThreshold()-cfg.PrivacyT)
 	for k := range ws {
-		ws[k] = field.Mul(num[k], dinv[k])
+		ws[k] = basis.weightsAt(cfg.beta(k + 1))
 	}
 	return ws, nil
 }
@@ -287,11 +293,6 @@ type Client struct {
 
 	// roster maps peer id → channel public key once SealShares ran.
 	roster map[uint64][]byte
-
-	// maskedDigest is the transcript digest of this client's own masked
-	// upload (only with cfg.TranscriptDigests).
-	maskedDigest    [32]byte
-	hasMaskedDigest bool
 
 	// received is the n × L slab of f_i(α_self) from every client i
 	// (including self), row rank(i), made when the first share arrives;
@@ -629,18 +630,7 @@ func (c *Client) MaskedInput(input []field.Element) ([]field.Element, error) {
 	for i, x := range input {
 		out[i] = field.Add(x, out[i])
 	}
-	if c.cfg.TranscriptDigests {
-		c.maskedDigest = transcriptDigest(out)
-		c.hasMaskedDigest = true
-	}
 	return out, nil
-}
-
-// MaskedDigest returns the transcript digest of this client's own masked
-// upload, with ok=false before MaskedInput or without
-// cfg.TranscriptDigests.
-func (c *Client) MaskedDigest() ([32]byte, bool) {
-	return c.maskedDigest, c.hasMaskedDigest
 }
 
 // AggregateShare returns s_j = Σ_{i∈survivors} f_i(α_j), the one-shot
@@ -692,8 +682,8 @@ func (c *Client) AggregateShare(survivors []uint64) ([]field.Element, error) {
 //     white-box tests and non-streaming callers.
 //
 // Methods must be called in stage order. A Server is not safe for
-// concurrent use; the round engine serializes Add* calls in admission
-// order (engine.Stage.Apply contract).
+// concurrent use; the round engine calls Add* from one goroutine, in
+// admission order (engine.Stage.Apply contract).
 type Server struct {
 	cfg     Config
 	session *ServerSession // never nil: a throwaway one when the caller passed none
@@ -707,9 +697,6 @@ type Server struct {
 	maskedSet map[uint64]struct{}
 	maskedSum []field.Element
 	survivors []uint64
-	// maskedDigests records each arrival's transcript digest (only with
-	// cfg.TranscriptDigests).
-	maskedDigests map[uint64][32]byte
 
 	// One-shot recovery state: shares in admission order.
 	aggShares map[uint64][]field.Element
@@ -722,9 +709,8 @@ func NewServer(cfg Config) (*Server, error) {
 }
 
 // NewSessionServer is NewServer with an optional server session: when sess
-// is non-nil, the recovery interpolation weights are cached across the
-// sub-rounds sharing the session, and a cached roster lets InstallRoster
-// skip the advertise stage.
+// is non-nil, a roster it cached lets InstallRoster skip the advertise
+// stage.
 func NewSessionServer(cfg Config, sess *ServerSession) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -843,31 +829,10 @@ func (s *Server) AddMasked(m MaskedMsg) error {
 		return fmt.Errorf("lightsecagg: duplicate masked input from %d", m.From)
 	}
 	s.maskedSet[m.From] = struct{}{}
-	if s.cfg.TranscriptDigests {
-		if s.maskedDigests == nil {
-			s.maskedDigests = make(map[uint64][32]byte, len(s.cfg.ClientIDs))
-		}
-		s.maskedDigests[m.From] = transcriptDigest(m.Y)
-	}
 	for i, y := range m.Y {
 		s.maskedSum[i] = field.Add(s.maskedSum[i], y)
 	}
 	return nil
-}
-
-// MaskedDigests returns the transcript digests of every masked input
-// ingested so far, as id-sorted leaves for transcript.Build. Empty unless
-// cfg.TranscriptDigests.
-func (s *Server) MaskedDigests() []transcript.InputDigest {
-	if len(s.maskedDigests) == 0 {
-		return nil
-	}
-	out := make([]transcript.InputDigest, 0, len(s.maskedDigests))
-	for id, d := range s.maskedDigests {
-		out = append(out, transcript.InputDigest{ID: id, Digest: d})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // CollectMasked stores a client's masked input (batch wrapper over
@@ -929,9 +894,8 @@ func (s *Server) AddAggShare(m AggShareMsg) error {
 }
 
 // SealAggShares performs the one-shot recovery from the first U admitted
-// responders: it interpolates Σ_{i∈survivors} z_i at the data points
-// (reusing the session's cached interpolation weights when the same
-// responder cohort recurs across chunks) and returns Σ x_i = Σ y_i − Σ z_i.
+// responders: it interpolates Σ_{i∈survivors} z_i at the data points and
+// returns Σ x_i = Σ y_i − Σ z_i.
 func (s *Server) SealAggShares() ([]field.Element, error) {
 	if s.survivors == nil {
 		if _, err := s.SealMasked(); err != nil {
@@ -942,14 +906,10 @@ func (s *Server) SealAggShares() ([]field.Element, error) {
 	if len(s.aggOrder) < u {
 		return nil, fmt.Errorf("lightsecagg: only %d share responses, need %d", len(s.aggOrder), u)
 	}
-	// The first U admitted responders form the cohort; sorting them makes
-	// it canonical (the interpolation is order-independent as long as
-	// weights and shares stay aligned), so chunks whose shares merely
-	// arrived in a different order hit the session's weight cache.
-	responders := append([]uint64(nil), s.aggOrder[:u]...)
-	sort.Slice(responders, func(i, j int) bool { return responders[i] < responders[j] })
-
-	ws, err := s.session.recoveryWeights(s.cfg, responders)
+	// The first U admitted responders form the cohort (the interpolation
+	// is order-independent as long as weights and shares stay aligned).
+	responders := s.aggOrder[:u]
+	ws, err := recoveryWeights(s.cfg, responders)
 	if err != nil {
 		return nil, err
 	}
@@ -970,43 +930,6 @@ func (s *Server) SealAggShares() ([]field.Element, error) {
 		out[i] = field.Sub(s.maskedSum[i], maskSum[i])
 	}
 	return out, nil
-}
-
-// PartialSum is the sealed output of one LightSecAgg aggregator in the
-// two-level topology: the recovered field-element sum plus the survivor
-// accounting a root combiner folds (the lightsecagg analogue of
-// secagg.PartialSum). The substrate has no XNoise removal stage, so there
-// is no removed-component accounting; the shard driver reduces Sum into
-// the ring before sealing its combine.Partial, exactly as the
-// single-aggregator path does after recovery.
-type PartialSum struct {
-	// Sum is Σ survivors' inputs in GF(2^61−1) (lossless for ring values
-	// when n·2^Bits < p, checked by the round driver).
-	Sum []field.Element
-	// Survivors and Dropped partition the configured roster by whether
-	// the client's masked input is in Sum.
-	Survivors []uint64
-	Dropped   []uint64
-}
-
-// FinalizePartial performs the one-shot recovery (SealAggShares) and
-// seals this aggregator's partial sum with its survivor accounting.
-func (s *Server) FinalizePartial() (PartialSum, error) {
-	sum, err := s.SealAggShares()
-	if err != nil {
-		return PartialSum{}, err
-	}
-	res := PartialSum{Sum: sum, Survivors: append([]uint64(nil), s.survivors...)}
-	in := make(map[uint64]bool, len(s.survivors))
-	for _, id := range s.survivors {
-		in[id] = true
-	}
-	for _, id := range s.cfg.ClientIDs {
-		if !in[id] {
-			res.Dropped = append(res.Dropped, id)
-		}
-	}
-	return res, nil
 }
 
 // Reconstruct performs the one-shot recovery from a batch of aggregate

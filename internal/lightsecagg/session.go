@@ -2,7 +2,6 @@ package lightsecagg
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sync"
@@ -25,9 +24,6 @@ import (
 //     weights at each of n points — O(n·U²) field ops per client per
 //     round, identical across rounds with the same geometry. Cached once
 //     per session.
-//   - The recovery interpolation weights: the server's one-shot recovery
-//     computes (U−T)·U weights per responder cohort; chunked rounds see
-//     the same cohort every chunk. Cached keyed by cohort.
 //   - The advertise round trip: a cached roster lets resumed rounds skip
 //     stage 0 entirely (both drivers support the skip).
 //
@@ -136,13 +132,17 @@ type encodingMatrix struct {
 func newEncodingMatrix(cfg Config) (*encodingMatrix, error) {
 	n := len(cfg.ClientIDs)
 	u := cfg.RecoveryThreshold()
+	betas := make([]field.Element, u)
+	for k := range betas {
+		betas[k] = cfg.beta(k + 1)
+	}
+	basis, err := newLagrangeBasis(betas)
+	if err != nil {
+		return nil, err
+	}
 	m := &encodingMatrix{n: n, u: u, w: make([][]field.Element, n)}
-	for rank := 0; rank < n; rank++ {
-		ws, err := cfg.lagrangeWeights(cfg.alpha(rank))
-		if err != nil {
-			return nil, err
-		}
-		m.w[rank] = ws
+	for rank := range m.w {
+		m.w[rank] = basis.weightsAt(cfg.alpha(rank))
 	}
 	return m, nil
 }
@@ -171,250 +171,24 @@ func (s *Session) matrix(cfg Config) (*encodingMatrix, error) {
 // ServerSession is the aggregator's cross-round state: the shared
 // continuity state (session.ServerState — the sealed roster for the
 // advertise skip and the rounds-served mark; the server never reconstructs
-// client key material, so its taint set stays empty) plus the recovery
-// interpolation weights keyed by responder cohort — chunked rounds see the
-// same cohort every chunk, so the O(U²·(U−T)) weight computation runs once
-// per cohort instead of once per chunk. There is no per-edge key material
-// on this substrate and the weights are key-independent, so Rekey and
-// RekeyEdges are the shared state's Reset and DropMembers. Safe for
-// concurrent use.
+// client key material, so its taint set stays empty) and nothing else.
+// There is no per-edge key material on this substrate, so Rekey and
+// RekeyEdges are the shared state's Reset and DropMembers.
 type ServerSession struct {
 	session.ServerState
-
-	mu       sync.Mutex
-	recovery map[string]recoveryEntry // cohort key → ranks + weights
-}
-
-// recoveryEntry is one cached cohort's interpolation weights together
-// with the sorted responder ranks they were computed for — the ranks let
-// a later cohort that differs by a single straggler derive its weights
-// incrementally instead of recomputing from scratch.
-type recoveryEntry struct {
-	ranks []int
-	ws    [][]field.Element // [parts][u]
 }
 
 // NewServerSession returns an empty server session.
-func NewServerSession() *ServerSession {
-	return &ServerSession{recovery: make(map[string]recoveryEntry)}
-}
+func NewServerSession() *ServerSession { return &ServerSession{} }
 
 // Rekey drops the cached roster and the rounds-served counter so the
-// next round collects a fresh advertise stage. The recovery-weight cache
-// survives: it depends only on the geometry and responder ranks, not on
-// any key material.
+// next round collects a fresh advertise stage.
 func (s *ServerSession) Rekey() { s.Reset() }
 
 // RekeyEdges drops the roster entries of the given divergent members so
 // their fresh advertisements replace them in the merged roster of a
 // partial resume.
 func (s *ServerSession) RekeyEdges(ids []uint64) { s.DropMembers(ids) }
-
-// cohortKey identifies a recovery cohort by what the weights actually
-// depend on: the geometry (U, T) and the responders' *ranks* within the
-// client set (α_rank abscissas), in the order the weight columns follow.
-// Keying by rank rather than id keeps a session reused across rounds
-// with different rosters from serving stale weights — the same ids at
-// shifted ranks produce a different key — while rosters that merely
-// relabel clients at the same positions legitimately share entries.
-func cohortKey(cfg Config, ranks []int) string {
-	b := make([]byte, 0, 16+8*len(ranks))
-	b = binary.LittleEndian.AppendUint64(b, uint64(cfg.RecoveryThreshold()))
-	b = binary.LittleEndian.AppendUint64(b, uint64(cfg.PrivacyT))
-	for _, r := range ranks {
-		b = binary.LittleEndian.AppendUint64(b, uint64(r))
-	}
-	return string(b)
-}
-
-// recoveryWeights returns ws[k][i] = the Lagrange weight of responder i
-// for interpolating the aggregate polynomial at data point β_{k+1}, for
-// the given ordered responder cohort. With a session the cohort's weights
-// are computed once and reused across the chunks that see it again;
-// callers pass responders in canonical (sorted) order so arrival-order
-// jitter between chunks still hits the cache and the map stays bounded
-// by the number of distinct cohorts. A nil receiver computes cold and
-// caches nothing — the reference the cache tests compare against.
-func (s *ServerSession) recoveryWeights(cfg Config, responders []uint64) ([][]field.Element, error) {
-	u := cfg.RecoveryThreshold()
-	ranks := make([]int, len(responders))
-	for i, id := range responders {
-		rank, err := cfg.rank(id)
-		if err != nil {
-			return nil, err
-		}
-		ranks[i] = rank
-	}
-	var key string
-	parts := u - cfg.PrivacyT
-	if s != nil {
-		key = cohortKey(cfg, ranks)
-		s.mu.Lock()
-		if e, ok := s.recovery[key]; ok {
-			s.mu.Unlock()
-			return e.ws, nil
-		}
-		// Miss: look for a cached cohort of the same geometry differing
-		// by exactly one straggler — stragglers churn one at a time far
-		// more often than cohorts reshuffle wholesale, and the one-swap
-		// update is O(parts·u) multiplications with a single batched
-		// inversion instead of the O(parts·u²) cold computation.
-		var neighbor recoveryEntry
-		for _, e := range s.recovery {
-			if len(e.ranks) == len(ranks) && len(e.ws) == parts && oneSwapApart(e.ranks, ranks) {
-				neighbor = e
-				break
-			}
-		}
-		s.mu.Unlock()
-		if neighbor.ranks != nil {
-			ws, err := swapRecoveryWeights(cfg, neighbor, ranks)
-			if err == nil {
-				s.mu.Lock()
-				s.recovery[key] = recoveryEntry{ranks: ranks, ws: ws}
-				s.mu.Unlock()
-				return ws, nil
-			}
-			// Fall through to the cold path on any error (cannot happen
-			// with valid geometries, but the full recompute is always safe).
-		}
-	}
-	xs := make([]field.Element, u)
-	for i, rank := range ranks {
-		xs[i] = cfg.alpha(rank)
-	}
-	ws := make([][]field.Element, parts)
-	for k := 0; k < parts; k++ {
-		row, err := lagrangeWeightsAt(xs, cfg.beta(k+1))
-		if err != nil {
-			return nil, err
-		}
-		ws[k] = row
-	}
-	if s != nil {
-		s.mu.Lock()
-		s.recovery[key] = recoveryEntry{ranks: ranks, ws: ws}
-		s.mu.Unlock()
-	}
-	return ws, nil
-}
-
-// oneSwapApart reports whether two equal-length sorted rank cohorts
-// differ in exactly one member (one straggler swapped for another).
-func oneSwapApart(a, b []int) bool {
-	i, j, diff := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			i, j = i+1, j+1
-		case a[i] < b[j]:
-			i++
-			diff++
-		default:
-			j++
-			diff++
-		}
-		if diff > 2 {
-			return false
-		}
-	}
-	diff += len(a) - i + len(b) - j
-	return diff == 2
-}
-
-// swapRecoveryWeights derives the interpolation weights of a cohort that
-// differs from the cached one by a single straggler: abscissa α_b (cached
-// only) swapped for α_c (new only). For every shared abscissa α_a the
-// Lagrange weight at evaluation point x updates by two linear factors,
-//
-//	w'(a) = w(a) · (x−α_c)(α_a−α_b) / ((x−α_b)(α_a−α_c)),
-//
-// and only the new member's own weight needs the full product
-// Π_{m≠c}(x−α_m) / Π_{m≠c}(α_c−α_m). The (α_a−α_c) inverses are shared
-// by every evaluation row, so one field.BatchInv covers all u−1 of them
-// plus the per-row (x_k−α_b) and the single denominator of α_c.
-func swapRecoveryWeights(cfg Config, old recoveryEntry, newRanks []int) ([][]field.Element, error) {
-	// Locate the swapped pair and map each new position to its old one.
-	oldPos := make([]int, len(newRanks)) // new position → old position (−1 for c)
-	b, c, cPos := -1, -1, -1
-	i, j := 0, 0
-	for j < len(newRanks) {
-		switch {
-		case i < len(old.ranks) && old.ranks[i] == newRanks[j]:
-			oldPos[j] = i
-			i, j = i+1, j+1
-		case i < len(old.ranks) && old.ranks[i] < newRanks[j]:
-			b = old.ranks[i]
-			i++
-		default:
-			c, cPos = newRanks[j], j
-			oldPos[j] = -1
-			j++
-		}
-	}
-	if i < len(old.ranks) {
-		b = old.ranks[i]
-	}
-	if b < 0 || c < 0 {
-		return nil, fmt.Errorf("lightsecagg: cohorts are not one swap apart")
-	}
-	alphaB, alphaC := cfg.alpha(b), cfg.alpha(c)
-	parts := len(old.ws)
-
-	// One batch inversion for everything: u−1 shared (α_a−α_c), the
-	// per-row (x_k−α_b), and α_c's own denominator Π_{m≠c}(α_c−α_m).
-	dens := make([]field.Element, 0, len(newRanks)+parts+1)
-	denC := field.New(1)
-	for p, r := range newRanks {
-		if p == cPos {
-			continue
-		}
-		alphaA := cfg.alpha(r)
-		dens = append(dens, field.Sub(alphaA, alphaC))
-		denC = field.Mul(denC, field.Sub(alphaC, alphaA))
-	}
-	for k := 0; k < parts; k++ {
-		dens = append(dens, field.Sub(cfg.beta(k+1), alphaB))
-	}
-	dens = append(dens, denC)
-	inv, err := field.BatchInv(dens)
-	if err != nil {
-		return nil, fmt.Errorf("lightsecagg: degenerate straggler swap: %w", err)
-	}
-	invXB := inv[len(newRanks)-1 : len(inv)-1] // per evaluation row k
-	invDenC := inv[len(inv)-1]
-	// Row-independent shared-abscissa factors (α_a−α_b)/(α_a−α_c),
-	// aligned with the shared new positions in order.
-	scaleA := inv[:len(newRanks)-1]
-	shared := 0
-	for p, r := range newRanks {
-		if p == cPos {
-			continue
-		}
-		scaleA[shared] = field.Mul(field.Sub(cfg.alpha(r), alphaB), scaleA[shared])
-		shared++
-	}
-
-	ws := make([][]field.Element, parts)
-	for k := 0; k < parts; k++ {
-		x := cfg.beta(k + 1)
-		rowFactor := field.Mul(field.Sub(x, alphaC), invXB[k])
-		row := make([]field.Element, len(newRanks))
-		numC := field.New(1)
-		shared = 0
-		for p, r := range newRanks {
-			if p == cPos {
-				continue
-			}
-			numC = field.Mul(numC, field.Sub(x, cfg.alpha(r)))
-			row[p] = field.Mul(old.ws[k][oldPos[p]], field.Mul(rowFactor, scaleA[shared]))
-			shared++
-		}
-		row[cPos] = field.Mul(numC, invDenC)
-		ws[k] = row
-	}
-	return ws, nil
-}
 
 // RoundSessions bundles the per-participant sessions a driver shares
 // across the chunked sub-rounds of one logical round and across

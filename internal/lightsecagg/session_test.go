@@ -3,11 +3,13 @@ package lightsecagg
 import (
 	"context"
 	"crypto/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/dh"
+	"repro/internal/field"
 	"repro/internal/transport"
 )
 
@@ -285,74 +287,74 @@ func TestEnvelopeRoundDomainSeparation(t *testing.T) {
 	}
 }
 
-func TestOneSwapApart(t *testing.T) {
-	cases := []struct {
-		a, b []int
-		want bool
-	}{
-		{[]int{0, 1, 2}, []int{0, 1, 2}, false},       // identical
-		{[]int{0, 1, 2}, []int{0, 1, 3}, true},        // tail swap
-		{[]int{1, 2, 3}, []int{0, 2, 3}, true},        // head swap
-		{[]int{0, 2, 4}, []int{0, 3, 4}, true},        // middle swap
-		{[]int{0, 1, 2}, []int{0, 3, 4}, false},       // two swaps
-		{[]int{0, 1, 2, 3}, []int{4, 5, 6, 7}, false}, // disjoint
-		{[]int{0, 5}, []int{0, 9}, true},              // minimal cohort
-	}
-	for _, tc := range cases {
-		if got := oneSwapApart(tc.a, tc.b); got != tc.want {
-			t.Errorf("oneSwapApart(%v, %v) = %v, want %v", tc.a, tc.b, got, tc.want)
+// lagrangeWeightsTextbook is the per-row reference the basis form is
+// checked against: w_k = Π_{m≠k}(x−xs_m)/(xs_k−xs_m), numerator and
+// denominator multiplied out afresh and one inversion for every weight.
+func lagrangeWeightsTextbook(t *testing.T, xs []field.Element, x field.Element) []field.Element {
+	t.Helper()
+	ws := make([]field.Element, len(xs))
+	for k := range xs {
+		num, den := field.New(1), field.New(1)
+		for m := range xs {
+			if m != k {
+				num = field.Mul(num, field.Sub(x, xs[m]))
+				den = field.Mul(den, field.Sub(xs[k], xs[m]))
+			}
 		}
-		if got := oneSwapApart(tc.b, tc.a); got != tc.want {
-			t.Errorf("oneSwapApart(%v, %v) = %v, want %v", tc.b, tc.a, got, tc.want)
+		inv, err := field.Inv(den)
+		if err != nil {
+			t.Fatal(err)
 		}
+		ws[k] = field.Mul(num, inv)
 	}
+	return ws
 }
 
-// TestRecoveryWeightsIncremental: cohorts one straggler apart take the
-// incremental swap update, and its weights are exactly the fresh
-// computation's — interpolating with either must agree element-wise.
-func TestRecoveryWeightsIncremental(t *testing.T) {
+// TestRecoveryWeightsMatchReference: the once-per-abscissa-set basis gives
+// exactly the textbook weights — for recovery cohorts with gaps, in any
+// order, and for every row of the encoding matrix — and an unknown
+// responder is still refused.
+func TestRecoveryWeightsMatchReference(t *testing.T) {
 	cfg := testConfig(10, 3, 3, 64) // U = 7, parts = 4
-	s := NewServerSession()
-	base := []uint64{1, 2, 3, 4, 5, 6, 7}
-	if _, err := s.recoveryWeights(cfg, base); err != nil {
-		t.Fatal(err)
-	}
-	cohorts := [][]uint64{
-		{1, 2, 3, 4, 5, 6, 9},  // one swap from base (7→9)
-		{2, 3, 4, 5, 6, 7, 8},  // one swap from base (1→8)
-		{1, 2, 3, 4, 5, 8, 9},  // one swap from the first derived cohort
-		{1, 2, 4, 5, 6, 8, 10}, // several swaps from everything cached: cold path
-	}
-	for _, cohort := range cohorts {
-		got, err := s.recoveryWeights(cfg, cohort)
+	for _, cohort := range [][]uint64{
+		{1, 2, 3, 4, 5, 6, 7},
+		{1, 2, 3, 4, 5, 6, 9},  // a gap at the tail
+		{2, 4, 5, 6, 8, 9, 10}, // gaps throughout
+		{9, 2, 10, 4, 6, 8, 5}, // admission order, not sorted
+	} {
+		got, err := recoveryWeights(cfg, cohort)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := (*ServerSession)(nil).recoveryWeights(cfg, cohort)
-		if err != nil {
-			t.Fatal(err)
+		if len(got) != cfg.RecoveryThreshold()-cfg.PrivacyT {
+			t.Fatalf("cohort %v: %d weight rows, want U−T = %d", cohort, len(got), cfg.RecoveryThreshold()-cfg.PrivacyT)
 		}
-		for k := range want {
-			for i := range want[k] {
-				if got[k][i] != want[k][i] {
-					t.Fatalf("cohort %v: weight [%d][%d] = %v, want %v (fresh)",
-						cohort, k, i, got[k][i], want[k][i])
-				}
+		xs := make([]field.Element, len(cohort))
+		for i, id := range cohort {
+			rank, _ := cfg.rank(id)
+			xs[i] = cfg.alpha(rank)
+		}
+		for k := range got {
+			if want := lagrangeWeightsTextbook(t, xs, cfg.beta(k+1)); !slices.Equal(got[k], want) {
+				t.Fatalf("cohort %v row %d: weights %v, want %v", cohort, k, got[k], want)
 			}
 		}
 	}
-	// The original cohort still hits its cache entry untouched.
-	again, err := s.recoveryWeights(cfg, base)
+	if _, err := recoveryWeights(cfg, []uint64{1, 2, 3, 4, 5, 6, 11}); err == nil {
+		t.Fatal("a responder outside the client set got recovery weights")
+	}
+
+	enc, err := newEncodingMatrix(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := (*ServerSession)(nil).recoveryWeights(cfg, base)
-	for k := range want {
-		for i := range want[k] {
-			if again[k][i] != want[k][i] {
-				t.Fatalf("base cohort corrupted at [%d][%d]", k, i)
-			}
+	betas := make([]field.Element, cfg.RecoveryThreshold())
+	for k := range betas {
+		betas[k] = cfg.beta(k + 1)
+	}
+	for rank := range cfg.ClientIDs {
+		if want := lagrangeWeightsTextbook(t, betas, cfg.alpha(rank)); !slices.Equal(enc.w[rank], want) {
+			t.Fatalf("encoding matrix row %d: %v, want %v", rank, enc.w[rank], want)
 		}
 	}
 }

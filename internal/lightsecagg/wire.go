@@ -4,10 +4,10 @@ package lightsecagg
 // substrate's stage tables (Program) walked by engine.ServeWire and
 // engine.JoinWire, exactly like core.RunWireServer. Frames (tags in
 // program.go, payload layouts in codec.go and PROTOCOL.md) are admitted as
-// they arrive, decoded concurrently on the engine's bounded worker pool,
-// and applied to the incremental Server in admission order, so the masked
-// stage folds uploads into the running aggregate while later uploads are
-// still in flight, and the recovery stage completes on the first U
+// they arrive and each is decoded and applied to the incremental Server
+// where it is admitted, so the masked stage folds uploads into the running
+// aggregate while later uploads are still in flight (queued in the
+// engine's fan-in), and the recovery stage completes on the first U
 // aggregate shares instead of waiting for every survivor. With sessions
 // (WireServerConfig.Session / WireClientConfig.Session and the Resume
 // flags), consecutive rounds skip the advertise round trip and reuse the
@@ -40,8 +40,8 @@ type WireServerConfig struct {
 	Config        Config
 	StageDeadline time.Duration // per-stage collection deadline
 
-	// Session, when non-nil, carries the recovery-weight and roster caches
-	// across the rounds that share it; with Resume, the advertise stage is
+	// Session, when non-nil, carries the sealed roster across the rounds
+	// that share it; with Resume, the advertise stage is
 	// skipped entirely and the round starts from the session's cached
 	// roster (the deployment must set the matching flags on every client).
 	// Whether the next round may resume is what the re-key handshake

@@ -35,14 +35,9 @@ func NewExecutor(w Workflow, fns []StageFunc) (*Executor, error) {
 	return &Executor{workflow: w, fns: fns}, nil
 }
 
-// Ticket is a position in a Gate's FIFO admission order.
-type Ticket uint64
-
-// Gate serializes access to one resource and preserves FIFO admission
-// order by ticket number. It is the schedule's resource-exclusivity
-// primitive (Appendix C): the pipeline executor uses one Gate per
-// resource, and the round engine reuses the same semantics to order the
-// aggregate-apply step behind concurrent decodes.
+// Gate serializes access to one resource in FIFO admission order. It is
+// the schedule's resource-exclusivity primitive (Appendix C): the
+// pipeline executor holds one Gate per resource.
 type Gate struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -50,37 +45,23 @@ type Gate struct {
 	serving uint64 // ticket currently allowed to run
 }
 
-// NewGate returns an open gate serving ticket 0 first.
+// NewGate returns an open gate.
 func NewGate() *Gate {
 	g := &Gate{}
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
 
-// Reserve takes the next ticket without waiting. Call it at admission
-// time (from the admitting goroutine) so concurrent workers are later
-// served in admission order, not completion order.
-func (g *Gate) Reserve() Ticket {
+// Acquire takes the next ticket and blocks until it is served. Every
+// Acquire must be followed by exactly one Release, or the gate stalls.
+func (g *Gate) Acquire() {
 	g.mu.Lock()
-	t := Ticket(g.next)
+	t := g.next
 	g.next++
-	g.mu.Unlock()
-	return t
-}
-
-// Wait blocks until the ticket is served. Every reserved ticket must be
-// waited on and released exactly once, or the gate stalls.
-func (g *Gate) Wait(t Ticket) {
-	g.mu.Lock()
-	for Ticket(g.serving) != t {
+	for g.serving != t {
 		g.cond.Wait()
 	}
 	g.mu.Unlock()
-}
-
-// Acquire reserves a ticket and blocks until it is served.
-func (g *Gate) Acquire() {
-	g.Wait(g.Reserve())
 }
 
 // Release admits the next ticket.

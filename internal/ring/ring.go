@@ -214,12 +214,6 @@ func (v Vector) MaskInPlace(s *prg.Stream, sign int) error {
 	return nil
 }
 
-// MaskRangeInPlace applies the mask expansion of MaskInPlace to elements
-// [lo, hi) only: MaskManyInPlace with a single stream.
-func (v Vector) MaskRangeInPlace(s *prg.Stream, sign int, lo, hi int) error {
-	return v.MaskManyInPlace([]Mask{{s, sign}}, lo, hi)
-}
-
 // MaskManyInPlace accumulates Σ_k Sign_k·PRG(Stream_k) into elements
 // [lo, hi), reading the keystream words a whole MaskInPlace of each stream
 // would read for that range: element i takes its bits from the word at
@@ -373,25 +367,15 @@ func foldWord(d []uint64, w uint64, bits uint, m, inc uint64) {
 	}
 }
 
+// fusedBlock is the accumulator block size of AddManyInPlace: 16 KiB of
+// accumulator stays L1-resident across all addend passes.
+const fusedBlock = 2048
+
 // AddManyInPlace sets v += Σ os (mod 2^b) in cache-friendly blocks: each
 // block of v is kept hot while every addend streams through it once, so the
 // accumulator's cache lines are touched once per block rather than once per
 // vector.
 func (v Vector) AddManyInPlace(os []Vector) error {
-	return v.fusedManyInPlace(os, 1)
-}
-
-// SubManyInPlace sets v -= Σ os (mod 2^b), the removal-side dual of
-// AddManyInPlace.
-func (v Vector) SubManyInPlace(os []Vector) error {
-	return v.fusedManyInPlace(os, -1)
-}
-
-// fusedBlock is the accumulator block size of the fused many-vector loops:
-// 16 KiB of accumulator stays L1-resident across all addend passes.
-const fusedBlock = 2048
-
-func (v Vector) fusedManyInPlace(os []Vector, sign int) error {
 	for _, o := range os {
 		if err := v.compatible(o); err != nil {
 			return err
@@ -406,14 +390,8 @@ func (v Vector) fusedManyInPlace(os []Vector, sign int) error {
 		acc := v.Data[start:end]
 		for _, o := range os {
 			src := o.Data[start:end]
-			if sign == 1 {
-				for i := range acc {
-					acc[i] = (acc[i] + src[i]) & m
-				}
-			} else {
-				for i := range acc {
-					acc[i] = (acc[i] - src[i]) & m
-				}
+			for i := range acc {
+				acc[i] = (acc[i] + src[i]) & m
 			}
 		}
 	}

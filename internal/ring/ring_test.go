@@ -395,17 +395,6 @@ func TestAddSubManyInPlace(t *testing.T) {
 	if !Equal(acc, ref) {
 		t.Fatal("AddManyInPlace differs from sequential AddInPlace")
 	}
-	if err := acc.SubManyInPlace(os); err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range os {
-		if err := ref.SubInPlace(o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !Equal(acc, ref) {
-		t.Fatal("SubManyInPlace differs from sequential SubInPlace")
-	}
 	bad := NewVector(20, dim+1)
 	if err := acc.AddManyInPlace([]Vector{bad}); err == nil {
 		t.Error("dimension mismatch should be rejected")
@@ -434,7 +423,7 @@ func TestMaskRangeInPlaceMatchesSequential(t *testing.T) {
 					for _, b := range ChunkBounds(dim, nseg) {
 						ref := v.Clone()
 						maskScalarRef(ref, prg.NewStream(seed), sign, b[0], b[1])
-						if err := v.MaskRangeInPlace(s, sign, b[0], b[1]); err != nil {
+						if err := v.MaskManyInPlace([]Mask{{s, sign}}, b[0], b[1]); err != nil {
 							t.Fatal(err)
 						}
 						if !Equal(v, ref) {
@@ -445,7 +434,7 @@ func TestMaskRangeInPlaceMatchesSequential(t *testing.T) {
 						t.Fatalf("bits=%d dim=%d sign=%d nseg=%d: ranged mask differs from sequential", bits, dim, sign, nseg)
 					}
 					if s.Offset() != 0 {
-						t.Fatalf("MaskRangeInPlace advanced the base stream to %d", s.Offset())
+						t.Fatalf("range expansion advanced the base stream to %d", s.Offset())
 					}
 				}
 			}
@@ -552,7 +541,7 @@ func TestMaskRangeInPlaceAfterOffset(t *testing.T) {
 	sg := prg.NewStream(seed)
 	sg.Fill(make([]byte, skew))
 	for _, b := range ChunkBounds(dim, 4) {
-		if err := got.MaskRangeInPlace(sg, 1, b[0], b[1]); err != nil {
+		if err := got.MaskManyInPlace([]Mask{{sg, 1}}, b[0], b[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -566,14 +555,14 @@ func TestMaskRangeInPlaceBounds(t *testing.T) {
 	v := NewVector(20, 10)
 	s := prg.NewStream(prg.NewSeed([]byte("bounds")))
 	for _, r := range [][2]int{{-1, 5}, {0, 11}, {7, 3}} {
-		if err := v.MaskRangeInPlace(s, 1, r[0], r[1]); err == nil {
+		if err := v.MaskManyInPlace([]Mask{{s, 1}}, r[0], r[1]); err == nil {
 			t.Errorf("range [%d,%d) should be rejected", r[0], r[1])
 		}
 	}
-	if err := v.MaskRangeInPlace(s, 2, 0, 5); err == nil {
+	if err := v.MaskManyInPlace([]Mask{{s, 2}}, 0, 5); err == nil {
 		t.Error("sign 2 should be rejected")
 	}
-	if err := v.MaskRangeInPlace(s, 1, 4, 4); err != nil {
+	if err := v.MaskManyInPlace([]Mask{{s, 1}}, 4, 4); err != nil {
 		t.Errorf("empty range should be a no-op, got %v", err)
 	}
 }

@@ -30,8 +30,8 @@ import (
 //     first three stages with.
 //
 // Methods must be called in stage order. A Server is not safe for
-// concurrent use; the round engine serializes Add* calls in admission
-// order (engine.Stage.Apply contract).
+// concurrent use; the round engine calls Add* from one goroutine, in
+// admission order (engine.Stage.Apply contract).
 type Server struct {
 	cfg Config
 
