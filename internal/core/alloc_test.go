@@ -30,7 +30,8 @@ func TestWireRoundAllocBudget(t *testing.T) {
 	for id := uint64(1); id <= clients; id++ {
 		cfg.ClientIDs = append(cfg.ClientIDs, id)
 	}
-	srv, conns := eqTCPNet(t, cfg.ClientIDs)
+	rig := newWireRig(t, "tcp", cfg)
+	rig.dial()
 	inputs := make(map[uint64]ring.Vector, clients)
 	for _, id := range cfg.ClientIDs {
 		v := ring.NewVector(cfg.Bits, dim)
@@ -44,7 +45,8 @@ func TestWireRoundAllocBudget(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
 		var wg sync.WaitGroup
-		for id, conn := range conns {
+		for _, id := range cfg.ClientIDs {
+			conn := rig.conn(id)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -54,7 +56,7 @@ func TestWireRoundAllocBudget(t *testing.T) {
 				}
 			}()
 		}
-		res, err := RunWireServer(ctx, WireServerConfig{SecAgg: cfg, StageDeadline: 30 * time.Second}, srv)
+		res, err := RunWireServer(ctx, WireServerConfig{SecAgg: cfg, StageDeadline: 30 * time.Second}, rig.srv)
 		wg.Wait()
 		if err != nil {
 			t.Fatal(err)

@@ -1,82 +1,40 @@
 package core
 
 import (
-	"context"
-	"crypto/rand"
 	"encoding/binary"
-	"math"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/prg"
-	"repro/internal/ring"
 	"repro/internal/secagg"
 	"repro/internal/secaggplus"
 	"repro/internal/transport"
 	"repro/internal/xnoise"
 )
 
-// chaosRound runs one wire round over a memory network with per-client
-// fault injectors, returning the server result (or error) and the set of
-// clients the server reported dropped.
-func chaosRound(t *testing.T, faults map[uint64]transport.FaultConfig,
-	serverFault *transport.FaultConfig) (*secagg.Result, error) {
-	t.Helper()
-	const n, dim = 5, 32
-	ids := []uint64{1, 2, 3, 4, 5}
-	plan := &xnoise.Plan{NumClients: n, DropoutTolerance: 2, Threshold: 3, TargetVariance: 30}
-	saCfg := secagg.Config{
-		Round: 7, ClientIDs: ids, Threshold: 3, Bits: 20, Dim: dim, XNoise: plan,
-	}
-	net := transport.NewMemoryNetwork(256)
-	clientConns := make(map[uint64]transport.ClientConn, n)
-	for _, id := range ids {
-		c, err := net.Connect(id)
-		if err != nil {
-			t.Fatal(err)
-		}
+// chaosRig is a lenient one-shot round over memory with XNoise whose
+// client uplinks pass through fault injectors (by id) and then wrap —
+// wrap's extra sends go through the injector, whose AfterSend counts
+// them. Faulty clients may legitimately fail; the server's outcome is what
+// the chaos tests assert.
+func chaosRig(t *testing.T, faults map[uint64]transport.FaultConfig,
+	wrap func(transport.ClientConn) transport.ClientConn) *wireRig {
+	rig := newWireRig(t, "memory", secagg.Config{
+		ClientIDs: []uint64{1, 2, 3, 4, 5}, Threshold: 3, Bits: 20, Dim: 32,
+		XNoise: &xnoise.Plan{NumClients: 5, DropoutTolerance: 2, Threshold: 3, TargetVariance: 30},
+	})
+	rig.lenient, rig.stageDeadline = true, 500*time.Millisecond
+	rig.wrap = func(id uint64, c transport.ClientConn) transport.ClientConn {
 		if fc, ok := faults[id]; ok {
 			c = transport.NewFaultInjector(fc).WrapClient(c)
 		}
-		clientConns[id] = c
-	}
-	serverConn := transport.ServerConn(net.Server())
-	if serverFault != nil {
-		serverConn = transport.NewFaultInjector(*serverFault).WrapServer(serverConn)
-	}
-
-	inputs := make(map[uint64]ring.Vector, n)
-	for _, id := range ids {
-		v := ring.NewVector(20, dim)
-		for j := range v.Data {
-			v.Data[j] = id
+		if wrap != nil {
+			c = wrap(c)
 		}
-		inputs[id] = v
+		return c
 	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	var wg sync.WaitGroup
-	for _, id := range ids {
-		id := id
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cfg := WireClientConfig{
-				SecAgg: saCfg, ID: id, Input: inputs[id],
-				DropBefore: NoDrop, Rand: rand.Reader,
-			}
-			// Faulty clients may legitimately error (e.g. never receive
-			// the result); the server outcome is what the test asserts.
-			_, _ = RunWireClient(ctx, cfg, clientConns[id])
-		}()
-	}
-	res, err := RunWireServer(ctx,
-		WireServerConfig{SecAgg: saCfg, StageDeadline: 500 * time.Millisecond}, serverConn)
-	cancel() // release any clients still blocked on Recv
-	wg.Wait()
-	return res, err
+	return rig
 }
 
 // TestChaosLossyClientTreatedAsDropout: a client whose uplink dies after
@@ -84,25 +42,14 @@ func chaosRound(t *testing.T, faults map[uint64]transport.FaultConfig,
 // like a §6.1 dropout; the round completes with the survivors and the
 // XNoise residual stays near the target.
 func TestChaosLossyClientTreatedAsDropout(t *testing.T) {
-	res, err := chaosRound(t, map[uint64]transport.FaultConfig{
+	rig := chaosRig(t, map[uint64]transport.FaultConfig{
 		4: {DropProb: 1, AfterSend: 2, Seed: prg.NewSeed([]byte("lossy4"))},
 	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := rig.round(7, nil)
 	if len(res.Dropped) != 1 || res.Dropped[0] != 4 {
 		t.Fatalf("dropped = %v, want [4]", res.Dropped)
 	}
-	// Signal: 1+2+3+5 = 11 per coordinate plus noise (std √30).
-	centered := (ring.Vector{Bits: 20, Data: res.Sum}).Centered()
-	var mean float64
-	for _, v := range centered {
-		mean += float64(v) - 11
-	}
-	mean /= float64(len(centered))
-	if math.Abs(mean) > 5 {
-		t.Errorf("aggregate mean offset %v under lossy client", mean)
-	}
+	rig.checkMean(res, []uint64{1, 2, 3, 5})
 }
 
 // TestChaosDuplicatedFramesHarmless: duplicating every frame in both
@@ -113,22 +60,12 @@ func TestChaosDuplicatedFramesHarmless(t *testing.T) {
 	for id := uint64(1); id <= 5; id++ {
 		faults[id] = transport.FaultConfig{DupProb: 1, Seed: prg.NewSeed([]byte{byte(id)})}
 	}
-	res, err := chaosRound(t, faults, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rig := chaosRig(t, faults, nil)
+	_, res := rig.round(7, nil)
 	if len(res.Dropped) != 0 {
 		t.Fatalf("dropped = %v, want none under duplication-only faults", res.Dropped)
 	}
-	centered := (ring.Vector{Bits: 20, Data: res.Sum}).Centered()
-	var mean float64
-	for _, v := range centered {
-		mean += float64(v) - 15 // 1+2+3+4+5
-	}
-	mean /= float64(len(centered))
-	if math.Abs(mean) > 5 {
-		t.Errorf("aggregate mean offset %v under duplication", mean)
-	}
+	rig.checkMean(res, rig.cfg.ClientIDs)
 }
 
 // TestChaosJitterTolerated: bounded per-frame delay on every link slows
@@ -138,10 +75,7 @@ func TestChaosJitterTolerated(t *testing.T) {
 	for id := uint64(1); id <= 5; id++ {
 		faults[id] = transport.FaultConfig{DelayMax: 10 * time.Millisecond, Seed: prg.NewSeed([]byte{0x40, byte(id)})}
 	}
-	res, err := chaosRound(t, faults, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := chaosRig(t, faults, nil).round(7, nil)
 	if len(res.Dropped) != 0 {
 		t.Fatalf("dropped = %v, want none under jitter below the stage deadline", res.Dropped)
 	}
@@ -185,6 +119,11 @@ func (c *frameStormClient) Send(f transport.Frame) error {
 	return c.ClientConn.Send(transport.Frame{Stage: 999, Payload: []byte{0xDE, 0xAD}})
 }
 
+// storm wraps a client uplink in a frame storm.
+func storm(inner transport.ClientConn) transport.ClientConn {
+	return &frameStormClient{ClientConn: inner}
+}
+
 // TestChaosStaleDupOutOfOrderFrames: every client's uplink replays stale
 // frames, duplicates every message, and interleaves unknown-stage junk —
 // all landing mid-collection in the engine's concurrent admission loop.
@@ -192,25 +131,12 @@ func (c *frameStormClient) Send(f transport.Frame) error {
 // expected aggregate distribution. Run under -race in CI: this is the
 // torture test for the collector's admission/decode/apply overlap.
 func TestChaosStaleDupOutOfOrderFrames(t *testing.T) {
-	storm := func(inner transport.ClientConn) transport.ClientConn {
-		return &frameStormClient{ClientConn: inner}
-	}
-	res, err := chaosRoundWrapped(t, nil, storm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rig := chaosRig(t, nil, storm)
+	_, res := rig.round(9, nil)
 	if len(res.Dropped) != 0 {
 		t.Fatalf("dropped = %v, want none under frame storm", res.Dropped)
 	}
-	centered := (ring.Vector{Bits: 20, Data: res.Sum}).Centered()
-	var mean float64
-	for _, v := range centered {
-		mean += float64(v) - 15 // 1+2+3+4+5
-	}
-	mean /= float64(len(centered))
-	if math.Abs(mean) > 5 {
-		t.Errorf("aggregate mean offset %v under frame storm", mean)
-	}
+	rig.checkMean(res, rig.cfg.ClientIDs)
 }
 
 // TestChaosFrameStormWithDropout: the same hostile frame patterns plus a
@@ -218,81 +144,14 @@ func TestChaosStaleDupOutOfOrderFrames(t *testing.T) {
 // of the dead client's early frames keep arriving while later stages
 // collect, and must not resurrect it or stall the threshold abort logic.
 func TestChaosFrameStormWithDropout(t *testing.T) {
-	storm := func(inner transport.ClientConn) transport.ClientConn {
-		return &frameStormClient{ClientConn: inner}
-	}
-	res, err := chaosRoundWrapped(t, map[uint64]transport.FaultConfig{
+	rig := chaosRig(t, map[uint64]transport.FaultConfig{
 		4: {DropProb: 1, AfterSend: 2, Seed: prg.NewSeed([]byte("storm4"))},
 	}, storm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := rig.round(9, nil)
 	if len(res.Dropped) != 1 || res.Dropped[0] != 4 {
 		t.Fatalf("dropped = %v, want [4]", res.Dropped)
 	}
-	centered := (ring.Vector{Bits: 20, Data: res.Sum}).Centered()
-	var mean float64
-	for _, v := range centered {
-		mean += float64(v) - 11 // 1+2+3+5
-	}
-	mean /= float64(len(centered))
-	if math.Abs(mean) > 5 {
-		t.Errorf("aggregate mean offset %v under storm+dropout", mean)
-	}
-}
-
-// chaosRoundWrapped is chaosRound with an extra per-client conn wrapper
-// applied outside the fault injector (wrapper sees what the injector lets
-// through; the injector's AfterSend counts the wrapper's extra sends).
-func chaosRoundWrapped(t *testing.T, faults map[uint64]transport.FaultConfig,
-	wrap func(transport.ClientConn) transport.ClientConn) (*secagg.Result, error) {
-	t.Helper()
-	const n, dim = 5, 32
-	ids := []uint64{1, 2, 3, 4, 5}
-	plan := &xnoise.Plan{NumClients: n, DropoutTolerance: 2, Threshold: 3, TargetVariance: 30}
-	saCfg := secagg.Config{
-		Round: 9, ClientIDs: ids, Threshold: 3, Bits: 20, Dim: dim, XNoise: plan,
-	}
-	net := transport.NewMemoryNetwork(256)
-	clientConns := make(map[uint64]transport.ClientConn, n)
-	for _, id := range ids {
-		c, err := net.Connect(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fc, ok := faults[id]; ok {
-			c = transport.NewFaultInjector(fc).WrapClient(c)
-		}
-		clientConns[id] = wrap(c)
-	}
-	inputs := make(map[uint64]ring.Vector, n)
-	for _, id := range ids {
-		v := ring.NewVector(20, dim)
-		for j := range v.Data {
-			v.Data[j] = id
-		}
-		inputs[id] = v
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	var wg sync.WaitGroup
-	for _, id := range ids {
-		id := id
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cfg := WireClientConfig{
-				SecAgg: saCfg, ID: id, Input: inputs[id],
-				DropBefore: NoDrop, Rand: rand.Reader,
-			}
-			_, _ = RunWireClient(ctx, cfg, clientConns[id])
-		}()
-	}
-	res, err := RunWireServer(ctx,
-		WireServerConfig{SecAgg: saCfg, StageDeadline: 500 * time.Millisecond}, net.Server())
-	cancel()
-	wg.Wait()
-	return res, err
+	rig.checkMean(res, []uint64{1, 2, 3, 5})
 }
 
 // TestChaosFrameStormSecAggPlusGraph: the frame-storm patterns against a
@@ -302,79 +161,20 @@ func chaosRoundWrapped(t *testing.T, faults map[uint64]transport.FaultConfig,
 // and a genuine dropout forces the server through reconstruction under the
 // storm. Run under -race in CI.
 func TestChaosFrameStormSecAggPlusGraph(t *testing.T) {
-	const n, dim, degree = 8, 32, 4
-	ids := make([]uint64, n)
-	for i := range ids {
-		ids[i] = uint64(i + 1)
-	}
-	base := secagg.Config{Round: 13, ClientIDs: ids, Threshold: 3, Bits: 20, Dim: dim}
-	saCfg, err := secaggplus.NewConfig(base, degree)
+	saCfg, err := secaggplus.NewConfig(secagg.Config{ClientIDs: seqIDs(8), Threshold: 3, Bits: 20, Dim: 32}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serverSess := secagg.NewServerSession()
-	clientSess := make(map[uint64]*secagg.Session, n)
-	for _, id := range ids {
-		s, err := secagg.NewSession(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clientSess[id] = s
-	}
-
-	net := transport.NewMemoryNetwork(256)
-	clientConns := make(map[uint64]transport.ClientConn, n)
-	for _, id := range ids {
-		c, err := net.Connect(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clientConns[id] = &frameStormClient{ClientConn: c}
-	}
-	inputs := make(map[uint64]ring.Vector, n)
-	for _, id := range ids {
-		v := ring.NewVector(20, dim)
-		for j := range v.Data {
-			v.Data[j] = id
-		}
-		inputs[id] = v
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	var wg sync.WaitGroup
-	for _, id := range ids {
-		id := id
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cfg := WireClientConfig{
-				SecAgg: saCfg, ID: id, Input: inputs[id],
-				DropBefore: NoDrop, Rand: rand.Reader, Session: clientSess[id],
-			}
-			if id == 6 { // dies after sharing: reconstruction under storm
-				cfg.DropBefore = secagg.StageMaskedInput
-			}
-			_, _ = RunWireClient(ctx, cfg, clientConns[id])
-		}()
-	}
-	res, err := RunWireServer(ctx, WireServerConfig{
-		SecAgg: saCfg, StageDeadline: 500 * time.Millisecond, Session: serverSess,
-	}, net.Server())
-	cancel()
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rig := newWireRig(t, "memory", saCfg)
+	rig.sessions()
+	rig.lenient, rig.stageDeadline = true, 500*time.Millisecond
+	rig.wrap = func(_ uint64, c transport.ClientConn) transport.ClientConn { return storm(c) }
+	// Client 6 dies after sharing: reconstruction under the storm.
+	_, res := rig.round(13, secagg.DropSchedule{6: secagg.StageMaskedInput})
 	if len(res.Dropped) != 1 || res.Dropped[0] != 6 {
 		t.Fatalf("dropped = %v, want [6]", res.Dropped)
 	}
-	want := float64(1 + 2 + 3 + 4 + 5 + 7 + 8)
-	centered := (ring.Vector{Bits: 20, Data: res.Sum}).Centered()
-	for i, v := range centered {
-		if float64(v) != want {
-			t.Fatalf("sum[%d] = %v, want %v (no noise in this round)", i, v, want)
-		}
-	}
+	rig.checkSum(res, []uint64{1, 2, 3, 4, 5, 7, 8}) // no noise in this round
 }
 
 // TestChaosTooManyLossyClientsAborts: when enough uplinks die that the
@@ -386,7 +186,7 @@ func TestChaosTooManyLossyClientsAborts(t *testing.T) {
 		faults[id] = transport.FaultConfig{DropProb: 1, AfterSend: 2, Seed: prg.NewSeed([]byte{0x50, byte(id)})}
 	}
 	start := time.Now()
-	_, err := chaosRound(t, faults, nil)
+	_, _, err := chaosRig(t, faults, nil).try(7, nil)
 	if err == nil {
 		t.Fatal("expected abort when survivors fall below threshold")
 	}
@@ -433,56 +233,19 @@ func (c *slowClient) Send(f transport.Frame) error {
 // round dies with a duplicate advertisement / masked input when 3's own
 // arrive.)
 func TestWireSpoofedSenderStamped(t *testing.T) {
-	const n, dim = 5, 32
-	ids := []uint64{1, 2, 3, 4, 5}
-	saCfg := secagg.Config{Round: 11, ClientIDs: ids, Threshold: 3, Bits: 20, Dim: dim}
-	net := transport.NewMemoryNetwork(256)
-	conns := make(map[uint64]transport.ClientConn, n)
-	for _, id := range ids {
-		c, err := net.Connect(id)
-		if err != nil {
-			t.Fatal(err)
-		}
+	rig := newWireRig(t, "memory", secagg.Config{ClientIDs: []uint64{1, 2, 3, 4, 5}, Threshold: 3, Bits: 20, Dim: 32})
+	rig.wrap = func(id uint64, c transport.ClientConn) transport.ClientConn {
 		switch id {
 		case 3:
-			c = &slowClient{ClientConn: c, delay: 30 * time.Millisecond}
+			return &slowClient{ClientConn: c, delay: 30 * time.Millisecond}
 		case 4:
-			c = &forgingClient{ClientConn: c, claim: 3}
+			return &forgingClient{ClientConn: c, claim: 3}
 		}
-		conns[id] = c
+		return c
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	var wg sync.WaitGroup
-	for _, id := range ids {
-		wg.Add(1)
-		go func(id uint64) {
-			defer wg.Done()
-			input := ring.NewVector(20, dim)
-			for j := range input.Data {
-				input.Data[j] = id
-			}
-			if _, err := RunWireClient(ctx, WireClientConfig{
-				SecAgg: saCfg, ID: id, Input: input, DropBefore: NoDrop, Rand: rand.Reader,
-			}, conns[id]); err != nil {
-				t.Errorf("client %d: %v", id, err)
-			}
-		}(id)
-	}
-	res, err := RunWireServer(ctx, WireServerConfig{SecAgg: saCfg, StageDeadline: 2 * time.Second}, net.Server())
-	if err != nil {
-		cancel() // release the clients waiting for a result that will not come
-	}
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Survivors) != n || len(res.Dropped) != 0 {
+	_, res := rig.round(11, nil)
+	if len(res.Survivors) != 5 || len(res.Dropped) != 0 {
 		t.Fatalf("survivors = %v, dropped = %v, want every member a survivor", res.Survivors, res.Dropped)
 	}
-	for i, v := range res.Sum {
-		if v != 1+2+3+4+5 {
-			t.Fatalf("sum[%d] = %d, want 15: the forger's input counted once, under its own id", i, v)
-		}
-	}
+	rig.checkSum(res, rig.cfg.ClientIDs) // the forger's input counted once, under its own id
 }

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"context"
-	"crypto/rand"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -12,260 +9,12 @@ import (
 	"repro/internal/dh"
 	"repro/internal/engine"
 	"repro/internal/prg"
-	"repro/internal/ring"
 	"repro/internal/secagg"
 	"repro/internal/secaggplus"
 	"repro/internal/sessionstore"
-	"repro/internal/sig"
 	"repro/internal/transport"
 )
 
-// churnRig is the chaos-harness flavor of handshakeRig: a multi-round
-// wire deployment whose clients can be killed (fresh session, re-dial),
-// dropped mid-round, wrapped in fault injectors, and — in lenient mode —
-// recover from failed rounds the way the dordis-node reconnect loop
-// does: forfeit the round, re-dial, rejoin at the next handshake.
-type churnRig struct {
-	t         *testing.T
-	ids       []uint64
-	threshold int
-	dim       int
-	net       *transport.MemoryNetwork
-	srv       transport.ServerConn
-	eng       *engine.Engine
-	ctx       context.Context
-	cancel    context.CancelFunc
-
-	handshakeDeadline time.Duration
-	stageDeadline     time.Duration
-	keyRounds         int
-	// lenient logs client errors instead of failing the test and re-dials
-	// clients whose rounds failed — churn under faults must degrade, not
-	// abort the harness.
-	lenient bool
-	// wrap, when set, wraps every client connection on (re)connect.
-	wrap func(id uint64, c transport.ClientConn) transport.ClientConn
-	// redialMidRound clients re-dial and re-hello immediately after
-	// dropping mid-round, while the server is still collecting the round —
-	// the engine must park that hello for the next handshake.
-	redialMidRound map[uint64]bool
-
-	signer     *sig.Signer
-	serverSess *secagg.ServerSession
-	clientSess map[uint64]*secagg.Session
-
-	mu    sync.Mutex
-	conns map[uint64]transport.ClientConn
-	dead  map[uint64]bool
-}
-
-func newChurnRig(t *testing.T, ids []uint64, threshold, dim int) *churnRig {
-	t.Helper()
-	signer, err := sig.NewSigner(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := transport.NewMemoryNetwork(1024)
-	srv := net.Server()
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	rig := &churnRig{
-		t: t, ids: ids, threshold: threshold, dim: dim,
-		net: net, srv: srv,
-		eng: engine.New(engine.TransportSource(ctx, srv)),
-		ctx: ctx, cancel: cancel,
-
-		handshakeDeadline: 5 * time.Second,
-		stageDeadline:     2 * time.Second,
-		keyRounds:         64,
-
-		signer:     signer,
-		serverSess: secagg.NewServerSession(),
-		clientSess: make(map[uint64]*secagg.Session),
-		conns:      make(map[uint64]transport.ClientConn),
-		dead:       make(map[uint64]bool),
-	}
-	for _, id := range ids {
-		sess, err := secagg.NewSession(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rig.clientSess[id] = sess
-		rig.connect(id)
-	}
-	return rig
-}
-
-func (r *churnRig) connect(id uint64) {
-	conn, err := r.net.Connect(id)
-	if err != nil {
-		r.t.Fatal(err)
-	}
-	c := transport.ClientConn(conn)
-	if r.wrap != nil {
-		c = r.wrap(id, c)
-	}
-	r.mu.Lock()
-	r.conns[id] = c
-	r.mu.Unlock()
-}
-
-func (r *churnRig) conn(id uint64) transport.ClientConn {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.conns[id]
-}
-
-// restart kills a client between rounds: its in-memory session is lost
-// (fresh session, as a process kill without a session store loses state)
-// and it re-dials before the next handshake.
-func (r *churnRig) restart(id uint64) {
-	r.t.Helper()
-	r.conn(id).Close()
-	sess, err := secagg.NewSession(rand.Reader)
-	if err != nil {
-		r.t.Fatal(err)
-	}
-	r.clientSess[id] = sess
-	r.connect(id)
-}
-
-func (r *churnRig) markDead(id uint64) {
-	r.mu.Lock()
-	r.dead[id] = true
-	r.mu.Unlock()
-}
-
-func (r *churnRig) config(round, ratchet uint64) secagg.Config {
-	return secagg.Config{
-		Round: round, ClientIDs: r.ids, Threshold: r.threshold,
-		Bits: 16, Dim: r.dim, KeyRatchet: ratchet,
-	}
-}
-
-// round runs one handshake-then-round. drops maps client ids to the stage
-// before which they vanish mid-round.
-func (r *churnRig) round(round uint64, drops map[uint64]secagg.Stage) (Handshake, *secagg.Result) {
-	r.t.Helper()
-	// Bound every client in lenient mode: a client starved by injected
-	// faults must time out and re-dial, not wedge the harness.
-	clientBudget := r.handshakeDeadline + 8*r.stageDeadline + time.Second
-
-	var wg sync.WaitGroup
-	for _, id := range r.ids {
-		id := id
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cctx := r.ctx
-			if r.lenient {
-				var cancel context.CancelFunc
-				cctx, cancel = context.WithTimeout(r.ctx, clientBudget)
-				defer cancel()
-			}
-			sess := r.clientSess[id]
-			conn := r.conn(id)
-			hs, err := RunHandshakeClient(cctx, ClientHandshakeConfig{
-				ID: id, Protocol: ProtocolSecAgg, ServerPub: r.signer.Public(), Rand: rand.Reader,
-			}, sess, conn)
-			if err != nil {
-				if r.lenient {
-					r.t.Logf("client %d round %d handshake: %v", id, round, err)
-					r.markDead(id)
-					return
-				}
-				r.t.Errorf("client %d handshake: %v", id, err)
-				return
-			}
-			drop, dropping := drops[id]
-			if !dropping {
-				drop = NoDrop
-			}
-			input := ring.NewVector(16, r.dim)
-			for i := range input.Data {
-				input.Data[i] = id
-			}
-			_, err = RunWireClient(cctx, WireClientConfig{
-				SecAgg: r.config(hs.Round, hs.Ratchet), ID: id, Input: input,
-				DropBefore: drop, Rand: rand.Reader,
-				Session: sess, Resume: hs.Resume, Divergent: hs.Divergent,
-			}, conn)
-			if err != nil && !dropping {
-				if r.lenient {
-					r.t.Logf("client %d round %d: %v", id, round, err)
-					r.markDead(id)
-					return
-				}
-				r.t.Errorf("client %d round: %v", id, err)
-				return
-			}
-			if dropping && r.redialMidRound[id] {
-				// The kill-and-redial path: the round is still in flight on
-				// the server, yet the bounced client is already back, saying
-				// hello for the next one. The engine parks this frame.
-				nc, err := r.net.Connect(id)
-				if err != nil {
-					r.t.Errorf("client %d mid-round re-dial: %v", id, err)
-					return
-				}
-				hello := []byte{codecMagic, tagRoundHello, handshakeVersion}
-				if err := nc.Send(transport.Frame{Stage: engine.TagRoundHello, Payload: hello}); err != nil {
-					r.t.Errorf("client %d mid-round re-hello: %v", id, err)
-				}
-				r.mu.Lock()
-				r.conns[id] = nc
-				r.mu.Unlock()
-			}
-		}()
-	}
-
-	hs, err := RunHandshakeServer(r.ctx, HandshakeConfig{
-		Round: round, Protocol: ProtocolSecAgg, ClientIDs: r.ids,
-		KeyRounds: r.keyRounds, Deadline: r.handshakeDeadline, Signer: r.signer,
-	}, r.serverSess, r.eng, r.srv)
-	if err != nil {
-		r.cancel()
-		wg.Wait()
-		r.t.Fatalf("server handshake %d: %v", round, err)
-	}
-	res, err := RunWireServer(r.ctx, WireServerConfig{
-		SecAgg: r.config(hs.Round, hs.Ratchet), StageDeadline: r.stageDeadline,
-		Session: r.serverSess, Resume: hs.Resume, Divergent: hs.Divergent, Engine: r.eng,
-	}, r.srv)
-	if err != nil {
-		r.cancel()
-		wg.Wait()
-		r.t.Fatalf("server round %d: %v", round, err)
-	}
-	wg.Wait()
-
-	// Lenient recovery: re-dial every client whose round died, exactly as
-	// the dordis-node loop would (session kept, connection fresh).
-	r.mu.Lock()
-	dead := r.dead
-	r.dead = make(map[uint64]bool)
-	r.mu.Unlock()
-	for id := range dead {
-		r.conn(id).Close()
-		r.connect(id)
-	}
-	return hs, res
-}
-
-func (r *churnRig) checkSum(res *secagg.Result, survivors []uint64) {
-	r.t.Helper()
-	var want uint64
-	for _, id := range survivors {
-		want += id
-	}
-	for i, v := range res.Sum {
-		if v != want {
-			r.t.Fatalf("sum[%d] = %d, want %d (survivors %v)", i, v, want, survivors)
-		}
-	}
-}
-
-// TestWireChurnTracePerEdgeRekey is the churn acceptance test: a
 // 64-client wire deployment runs a seeded churn trace in which one client
 // is killed (session lost) and re-dialed before every round. Every
 // churned round must downgrade to a partial resume naming exactly the
@@ -275,17 +24,13 @@ func (r *churnRig) checkSum(res *secagg.Result, survivors []uint64) {
 // full re-key's 2·n·(n−1). Run under -race in CI (churn step).
 func TestWireChurnTracePerEdgeRekey(t *testing.T) {
 	const n, rounds = 64, 4
-	ids := make([]uint64, n)
-	for i := range ids {
-		ids[i] = uint64(i + 1)
-	}
-	rig := newChurnRig(t, ids, n/2+1, 8)
+	ids := seqIDs(n)
+	rig := newServiceRig(t, ids, n/2+1, 8)
 	// 64 clients each perform ~2(n−1) agreements concurrently in round 1;
 	// under -race that far outruns the default stage budget. No client in
 	// this trace legitimately misses a stage, so the deadlines are pure
 	// laggard bounds — completion is arrival of all expected frames.
-	rig.handshakeDeadline = 30 * time.Second
-	rig.stageDeadline = 20 * time.Second
+	rig.handshakeDeadline, rig.stageDeadline = 30*time.Second, 20*time.Second
 
 	trace := churn.Generate(churn.TraceConfig{
 		Seed: 7, Clients: ids, Rounds: rounds, RestartsPerRound: 1,
@@ -306,7 +51,7 @@ func TestWireChurnTracePerEdgeRekey(t *testing.T) {
 			t.Fatalf("trace round %d = %v, want one restart", round, events)
 		}
 		churned := events[0].Client
-		rig.restart(churned)
+		rig.restartClient(churned, nil)
 
 		gen0, agree0 := dh.GenerateCount(), dh.AgreeCount()
 		hs, res := rig.round(round, nil)
@@ -342,7 +87,8 @@ func TestWireChurnTracePerEdgeRekey(t *testing.T) {
 // step).
 func TestWireReconnectMidRound(t *testing.T) {
 	ids := []uint64{1, 2, 3, 4, 5}
-	rig := newChurnRig(t, ids, 3, 16)
+	rig := newServiceRig(t, ids, 3, 16)
+	rig.handshakeDeadline = 5 * time.Second
 	rig.redialMidRound = map[uint64]bool{5: true}
 
 	hs, res := rig.round(1, nil)
@@ -353,7 +99,7 @@ func TestWireReconnectMidRound(t *testing.T) {
 
 	// Round 2: client 5 is killed before its masked upload and re-dials
 	// mid-round. The round must complete with the survivors.
-	hs, res = rig.round(2, map[uint64]secagg.Stage{5: secagg.StageMaskedInput})
+	hs, res = rig.round(2, secagg.DropSchedule{5: secagg.StageMaskedInput})
 	if !hs.Resume {
 		t.Fatal("round 2 did not resume")
 	}
@@ -384,14 +130,10 @@ func TestWireReconnectMidRound(t *testing.T) {
 // -race in CI (churn step).
 func TestWireChurnUnderFaults(t *testing.T) {
 	const n, rounds = 8, 5
-	ids := make([]uint64, n)
-	for i := range ids {
-		ids[i] = uint64(i + 1)
-	}
-	rig := newChurnRig(t, ids, 4, 8)
+	ids := seqIDs(n)
+	rig := newServiceRig(t, ids, 4, 8)
 	rig.lenient = true
-	rig.handshakeDeadline = time.Second
-	rig.stageDeadline = 700 * time.Millisecond
+	rig.handshakeDeadline, rig.stageDeadline = time.Second, 700*time.Millisecond
 	rig.wrap = func(id uint64, c transport.ClientConn) transport.ClientConn {
 		return transport.NewFaultInjector(transport.FaultConfig{
 			DropProb: 0.01, DupProb: 0.3, DelayMax: 3 * time.Millisecond,
@@ -407,7 +149,7 @@ func TestWireChurnUnderFaults(t *testing.T) {
 	for round := uint64(1); round <= rounds; round++ {
 		for _, e := range byRound[round] {
 			if e.Kind == churn.Restart {
-				rig.restart(e.Client)
+				rig.restartClient(e.Client, nil)
 			}
 		}
 		hs, res := rig.round(round, nil)
@@ -450,18 +192,14 @@ func (c *ackCorruptor) Send(f transport.Frame) error {
 // (churn step).
 func TestHandshakeDowngradeMalformedAck(t *testing.T) {
 	ids := []uint64{1, 2, 3, 4, 5}
-	var rig *churnRig
-	wrap := func(id uint64, c transport.ClientConn) transport.ClientConn {
+	rig := newServiceRig(t, ids, 3, 16)
+	rig.handshakeDeadline = 5 * time.Second
+	rig.wrap = func(id uint64, c transport.ClientConn) transport.ClientConn {
 		if id == 2 {
 			return &ackCorruptor{ClientConn: c}
 		}
 		return c
 	}
-	rig = newChurnRig(t, ids, 3, 16)
-	rig.wrap = wrap
-	// Re-wrap client 2's initial connection (wrap was set after dialing).
-	rig.conn(2).Close()
-	rig.connect(2)
 
 	hs, res := rig.round(1, nil)
 	if hs.Resume {
@@ -469,7 +207,7 @@ func TestHandshakeDowngradeMalformedAck(t *testing.T) {
 	}
 	rig.checkSum(res, ids)
 
-	rig.restart(3) // independent churn: the commit is partial regardless
+	rig.restartClient(3, nil) // independent churn: the commit is partial regardless
 	hs, res = rig.round(2, nil)
 	if !hs.Partial() {
 		t.Fatalf("round 2 = resume %v divergent %v, want partial", hs.Resume, hs.Divergent)
@@ -521,10 +259,9 @@ func (c *commitGhost) Send(f transport.Frame) error {
 // -race in CI (churn step).
 func TestHandshakeDowngradeRedialDuringCommit(t *testing.T) {
 	ids := []uint64{1, 2, 3, 4, 5}
-	rig := newChurnRig(t, ids, 3, 16)
+	rig := newServiceRig(t, ids, 3, 16)
 	rig.lenient = true
-	rig.handshakeDeadline = time.Second
-	rig.stageDeadline = 700 * time.Millisecond
+	rig.handshakeDeadline, rig.stageDeadline = time.Second, 700*time.Millisecond
 	var ghostMu sync.Mutex
 	var ghostAcks int
 	rig.wrap = func(id uint64, c transport.ClientConn) transport.ClientConn {
@@ -533,8 +270,6 @@ func TestHandshakeDowngradeRedialDuringCommit(t *testing.T) {
 		}
 		return c
 	}
-	rig.conn(2).Close()
-	rig.connect(2)
 
 	hs, res := rig.round(1, nil)
 	if hs.Resume {
@@ -575,7 +310,8 @@ func TestHandshakeDowngradeRedialDuringCommit(t *testing.T) {
 // in CI (churn step).
 func TestHandshakeDowngradeStoreDecryptFailure(t *testing.T) {
 	ids := []uint64{1, 2, 3, 4, 5}
-	rig := newChurnRig(t, ids, 3, 16)
+	rig := newServiceRig(t, ids, 3, 16)
+	rig.handshakeDeadline = 5 * time.Second
 
 	hs, res := rig.round(1, nil)
 	if hs.Resume {
@@ -605,13 +341,7 @@ func TestHandshakeDowngradeStoreDecryptFailure(t *testing.T) {
 	if _, err := rotated.Load("client-4"); err == nil {
 		t.Fatal("rotated store key decrypted the session record")
 	}
-	fresh, err := secagg.NewSession(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rig.clientSess[4] = fresh
-	rig.conn(4).Close()
-	rig.connect(4)
+	rig.restartClient(4, nil)
 
 	hs, res = rig.round(2, nil)
 	if !hs.Partial() || len(hs.Divergent) != 1 || hs.Divergent[0] != 4 {
@@ -632,67 +362,21 @@ func TestHandshakeDowngradeStoreDecryptFailure(t *testing.T) {
 // holds t shares — well before the stage deadline the old all-of-N
 // collection would have waited out. Run under -race in CI (churn step).
 func TestWireSecAggPlusUnmaskCohortQuorum(t *testing.T) {
-	const n, dim, degree, thresh = 8, 16, 4, 3
-	ids := make([]uint64, n)
-	for i := range ids {
-		ids[i] = uint64(i + 1)
-	}
-	base := secagg.Config{Round: 21, ClientIDs: ids, Threshold: thresh, Bits: 20, Dim: dim}
-	saCfg, err := secaggplus.NewConfig(base, degree)
+	saCfg, err := secaggplus.NewConfig(secagg.Config{ClientIDs: seqIDs(8), Threshold: 3, Bits: 20, Dim: 16}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	const deadline = 3 * time.Second
-	net := transport.NewMemoryNetwork(256)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	var wg sync.WaitGroup
+	rig := newWireRig(t, "memory", saCfg)
+	rig.lenient, rig.stageDeadline = true, deadline
 	start := time.Now()
-	for _, id := range ids {
-		id := id
-		conn, err := net.Connect(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			input := ring.NewVector(20, dim)
-			for i := range input.Data {
-				input.Data[i] = id
-			}
-			cfg := WireClientConfig{
-				SecAgg: saCfg, ID: id, Input: input, DropBefore: NoDrop, Rand: rand.Reader,
-			}
-			if id == 8 { // the straggler: alive through consistency, silent at unmask
-				cfg.DropBefore = secagg.StageUnmasking
-			}
-			_, _ = RunWireClient(ctx, cfg, conn)
-		}()
-	}
-	res, err := RunWireServer(ctx, WireServerConfig{
-		SecAgg: saCfg, StageDeadline: deadline,
-	}, net.Server())
+	// The straggler: alive through consistency, silent at unmask.
+	_, res := rig.round(21, secagg.DropSchedule{8: secagg.StageUnmasking})
 	elapsed := time.Since(start)
-	cancel()
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The straggler reached U3, so its input is in the sum and every
 	// self-seed cohort (including its own) filled from its neighbors.
-	var want uint64
-	for _, id := range ids {
-		want += id
-	}
-	for i, v := range res.Sum {
-		if v != want&((1<<20)-1) {
-			t.Fatalf("sum[%d] = %d, want %d", i, v, want)
-		}
-	}
+	rig.checkSum(res, saCfg.ClientIDs)
 	if elapsed >= 2*deadline/3 {
 		t.Fatalf("round took %v — the cohort quorum should seal the unmask stage well before the %v deadline", elapsed, deadline)
 	}
-	_ = fmt.Sprintf("%v", res.Survivors)
 }

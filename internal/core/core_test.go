@@ -1,19 +1,15 @@
 package core
 
 import (
-	"context"
 	"crypto/rand"
 	"math"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/prg"
-	"repro/internal/ring"
 	"repro/internal/rng"
 	"repro/internal/secagg"
 	"repro/internal/skellam"
-	"repro/internal/transport"
 	"repro/internal/xnoise"
 )
 
@@ -232,110 +228,20 @@ func TestRoundConfigRejectsSubRoundOverflow(t *testing.T) {
 	}
 }
 
-func TestWireRoundOverMemoryTransport(t *testing.T) {
-	testWireRound(t, func(tb testing.TB, n int) (transport.ServerConn, map[uint64]transport.ClientConn) {
-		net := transport.NewMemoryNetwork(256)
-		clients := make(map[uint64]transport.ClientConn, n)
-		for i := 1; i <= n; i++ {
-			c, err := net.Connect(uint64(i))
-			if err != nil {
-				tb.Fatal(err)
-			}
-			clients[uint64(i)] = c
-		}
-		return net.Server(), clients
+func TestWireRoundOverMemoryTransport(t *testing.T) { testWireRound(t, "memory") }
+
+func TestWireRoundOverTCP(t *testing.T) { testWireRound(t, "tcp") }
+
+func testWireRound(t *testing.T, link string) {
+	rig := newWireRig(t, link, secagg.Config{
+		ClientIDs: []uint64{1, 2, 3, 4, 5}, Threshold: 3, Bits: 20, Dim: 32,
+		XNoise: &xnoise.Plan{NumClients: 5, DropoutTolerance: 1, Threshold: 3, TargetVariance: 30},
 	})
-}
-
-func TestWireRoundOverTCP(t *testing.T) {
-	testWireRound(t, func(tb testing.TB, n int) (transport.ServerConn, map[uint64]transport.ClientConn) {
-		srv, err := transport.ListenTCP("127.0.0.1:0")
-		if err != nil {
-			tb.Fatal(err)
-		}
-		tb.(*testing.T).Cleanup(func() { srv.Close() })
-		clients := make(map[uint64]transport.ClientConn, n)
-		for i := 1; i <= n; i++ {
-			c, err := transport.DialTCP(srv.Addr(), uint64(i))
-			if err != nil {
-				tb.Fatal(err)
-			}
-			clients[uint64(i)] = c
-		}
-		deadline := time.Now().Add(2 * time.Second)
-		for len(srv.Clients()) < n && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		return srv, clients
-	})
-}
-
-func testWireRound(t *testing.T, mkNet func(testing.TB, int) (transport.ServerConn, map[uint64]transport.ClientConn)) {
-	t.Helper()
-	const n, dim = 5, 32
-	plan := &xnoise.Plan{NumClients: n, DropoutTolerance: 1, Threshold: 3, TargetVariance: 30}
-	saCfg := secagg.Config{
-		Round:     11,
-		ClientIDs: []uint64{1, 2, 3, 4, 5},
-		Threshold: 3,
-		Bits:      20,
-		Dim:       dim,
-		XNoise:    plan,
-	}
-	serverConn, clientConns := mkNet(t, n)
-
-	inputs := make(map[uint64]ring.Vector, n)
-	for i := 1; i <= n; i++ {
-		v := ring.NewVector(20, dim)
-		for j := range v.Data {
-			v.Data[j] = uint64(i)
-		}
-		inputs[uint64(i)] = v
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	var wg sync.WaitGroup
-	for i := 1; i <= n; i++ {
-		id := uint64(i)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cfg := WireClientConfig{
-				SecAgg: saCfg, ID: id, Input: inputs[id],
-				DropBefore: NoDrop, Rand: rand.Reader,
-			}
-			if id == 4 {
-				cfg.DropBefore = secagg.StageMaskedInput
-			}
-			_, err := RunWireClient(ctx, cfg, clientConns[id])
-			if err != nil && id != 4 {
-				t.Errorf("client %d: %v", id, err)
-			}
-		}()
-	}
-
-	res, err := RunWireServer(ctx, WireServerConfig{SecAgg: saCfg, StageDeadline: 1500 * time.Millisecond}, serverConn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-
+	rig.stageDeadline = 1500 * time.Millisecond
+	_, res := rig.round(11, secagg.DropSchedule{4: secagg.StageMaskedInput})
 	if len(res.Dropped) != 1 || res.Dropped[0] != 4 {
 		t.Fatalf("dropped = %v, want [4]", res.Dropped)
 	}
-	// Expected signal: Σ survivors' constants = 1+2+3+5 = 11, plus noise
-	// (|D| = 1 = T, so nothing removed, noise exactly at target). Check
-	// the mean of the residual is near zero and the value is near 11.
-	got := ring.Vector{Bits: 20, Data: res.Sum}
-	centered := got.Centered()
-	var mean float64
-	for _, v := range centered {
-		mean += float64(v) - 11
-	}
-	mean /= float64(dim)
-	if math.Abs(mean) > 5 { // noise std ≈ √30 ≈ 5.5, dim 32 → se ≈ 1
-		t.Errorf("wire round aggregate mean offset %v", mean)
-	}
+	// |D| = 1 = T, so nothing is removed and the noise sits at the target.
+	rig.checkMean(res, []uint64{1, 2, 3, 5})
 }

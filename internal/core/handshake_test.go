@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/rand"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -13,7 +12,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/lightsecagg"
-	"repro/internal/ring"
 	"repro/internal/secagg"
 	"repro/internal/sessionstore"
 	"repro/internal/sig"
@@ -188,143 +186,6 @@ func TestHandshakeCodecMalformed(t *testing.T) {
 
 // --- wire restart-resume lifecycle ---
 
-// handshakeRig is a multi-round wire deployment over the in-memory
-// transport: one long-lived server engine (shared by handshakes and
-// rounds, as a real deployment must), persistent client connections, and
-// per-client secagg sessions.
-type handshakeRig struct {
-	t         *testing.T
-	ids       []uint64
-	threshold int
-	dim       int
-	net       *transport.MemoryNetwork
-	srv       transport.ServerConn
-	eng       *engine.Engine
-	cancel    context.CancelFunc
-	ctx       context.Context
-
-	signer     *sig.Signer
-	serverSess *secagg.ServerSession
-	clientSess map[uint64]*secagg.Session
-	conns      map[uint64]transport.ClientConn
-}
-
-func newHandshakeRig(t *testing.T, ids []uint64, threshold, dim int) *handshakeRig {
-	t.Helper()
-	signer, err := sig.NewSigner(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := transport.NewMemoryNetwork(256)
-	srv := net.Server()
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	rig := &handshakeRig{
-		t: t, ids: ids, threshold: threshold, dim: dim,
-		net: net, srv: srv,
-		eng: engine.New(engine.TransportSource(ctx, srv)),
-		ctx: ctx, cancel: cancel,
-		signer:     signer,
-		serverSess: secagg.NewServerSession(),
-		clientSess: make(map[uint64]*secagg.Session),
-		conns:      make(map[uint64]transport.ClientConn),
-	}
-	for _, id := range ids {
-		sess, err := secagg.NewSession(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rig.clientSess[id] = sess
-		rig.connect(id)
-	}
-	return rig
-}
-
-func (r *handshakeRig) connect(id uint64) {
-	conn, err := r.net.Connect(id)
-	if err != nil {
-		r.t.Fatal(err)
-	}
-	r.conns[id] = conn
-}
-
-func (r *handshakeRig) config(round, ratchet uint64) secagg.Config {
-	return secagg.Config{
-		Round: round, ClientIDs: r.ids, Threshold: r.threshold,
-		Bits: 16, Dim: r.dim, KeyRatchet: ratchet,
-	}
-}
-
-// round runs one handshake-then-round over the rig. drops maps client ids
-// to the stage before which they vanish. It returns the server's handshake
-// outcome and result.
-func (r *handshakeRig) round(round uint64, drops map[uint64]secagg.Stage) (Handshake, *secagg.Result) {
-	r.t.Helper()
-	var wg sync.WaitGroup
-	for _, id := range r.ids {
-		id := id
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sess := r.clientSess[id]
-			conn := r.conns[id]
-			hs, err := RunHandshakeClient(r.ctx, ClientHandshakeConfig{
-				ID: id, Protocol: ProtocolSecAgg, ServerPub: r.signer.Public(), Rand: rand.Reader,
-			}, sess, conn)
-			if err != nil {
-				r.t.Errorf("client %d handshake: %v", id, err)
-				return
-			}
-			drop, ok := drops[id]
-			if !ok {
-				drop = NoDrop
-			}
-			input := ring.NewVector(16, r.dim)
-			for i := range input.Data {
-				input.Data[i] = id
-			}
-			cfg := WireClientConfig{
-				SecAgg: r.config(hs.Round, hs.Ratchet), ID: id, Input: input,
-				DropBefore: drop, Rand: rand.Reader,
-				Session: sess, Resume: hs.Resume, Divergent: hs.Divergent,
-			}
-			if _, err := RunWireClient(r.ctx, cfg, conn); err != nil && drop == NoDrop {
-				r.t.Errorf("client %d round: %v", id, err)
-			}
-		}()
-	}
-
-	hs, err := RunHandshakeServer(r.ctx, HandshakeConfig{
-		Round: round, Protocol: ProtocolSecAgg, ClientIDs: r.ids,
-		KeyRounds: 16, Deadline: 2 * time.Second, Signer: r.signer,
-	}, r.serverSess, r.eng, r.srv)
-	if err != nil {
-		r.t.Fatalf("server handshake: %v", err)
-	}
-	res, err := RunWireServer(r.ctx, WireServerConfig{
-		SecAgg: r.config(hs.Round, hs.Ratchet), StageDeadline: 500 * time.Millisecond,
-		Session: r.serverSess, Resume: hs.Resume, Divergent: hs.Divergent, Engine: r.eng,
-	}, r.srv)
-	if err != nil {
-		r.t.Fatalf("server round %d: %v", round, err)
-	}
-	wg.Wait()
-	return hs, res
-}
-
-func (r *handshakeRig) checkSum(res *secagg.Result, survivors []uint64) {
-	r.t.Helper()
-	var want uint64
-	for _, id := range survivors {
-		want += id
-	}
-	for i, v := range res.Sum {
-		if v != want {
-			r.t.Fatalf("sum[%d] = %d, want %d (survivors %v)", i, v, want, survivors)
-		}
-	}
-}
-
 // TestWireRestartResume is the acceptance path of the continuity
 // subsystem: a wire deployment runs a round, every client persists its
 // session through the AEAD store and "restarts" (all in-memory state
@@ -335,7 +196,8 @@ func (r *handshakeRig) checkSum(res *secagg.Result, survivors []uint64) {
 // handshake downgrades to a clean re-key.
 func TestWireRestartResume(t *testing.T) {
 	ids := []uint64{1, 2, 3, 4, 5}
-	rig := newHandshakeRig(t, ids, 3, 32)
+	rig := newServiceRig(t, ids, 3, 32)
+	rig.stageDeadline = 500 * time.Millisecond
 	store, err := sessionstore.Open(t.TempDir(), sessionstore.DeriveKey([]byte("restart-resume test")))
 	if err != nil {
 		t.Fatal(err)
@@ -348,27 +210,10 @@ func TestWireRestartResume(t *testing.T) {
 	}
 	rig.checkSum(res, ids)
 
-	// Persist every client session, then simulate a fleet-wide client
-	// restart: drop the live sessions and restore from the store.
+	// A fleet-wide client restart: every session goes through the store
+	// and the live ones are dropped.
 	for _, id := range ids {
-		blob, err := rig.clientSess[id].MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Save(fmt.Sprintf("client-%d", id), blob); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, id := range ids {
-		blob, err := store.Load(fmt.Sprintf("client-%d", id))
-		if err != nil {
-			t.Fatal(err)
-		}
-		restored, err := secagg.UnmarshalSession(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rig.clientSess[id] = restored
+		rig.restartClient(id, store)
 	}
 
 	// Round 2: resumed on the restored sessions with zero key work.
@@ -388,7 +233,7 @@ func TestWireRestartResume(t *testing.T) {
 	// Round 3: client 5 vanishes before its masked upload. The round still
 	// resumes (the taint is only observed mid-round) and completes without
 	// it; the server reconstructs 5's mask key and taints the generation.
-	hs, res = rig.round(3, map[uint64]secagg.Stage{5: secagg.StageMaskedInput})
+	hs, res = rig.round(3, secagg.DropSchedule{5: secagg.StageMaskedInput})
 	if !hs.Resume {
 		t.Fatal("round 3 did not resume")
 	}
@@ -406,7 +251,6 @@ func TestWireRestartResume(t *testing.T) {
 	// Round 4: the dropout downgrades the next handshake to a *partial*
 	// re-key — only the tainted client (5) is divergent, everyone else
 	// keeps cached secrets — and the round completes with everyone back.
-	rig.connect(5) // the bounced client re-dials
 	gen0, agree0 = dh.GenerateCount(), dh.AgreeCount()
 	hs, res = rig.round(4, nil)
 	if !hs.Resume || !hs.Partial() {
@@ -447,52 +291,11 @@ func TestWireRestartResume(t *testing.T) {
 // generation serves its re-key round plus exactly one resumed round, then
 // the next handshake re-keys even though nothing diverged.
 func TestHandshakeKeyRoundsBudget(t *testing.T) {
-	ids := []uint64{1, 2, 3}
-	rig := newHandshakeRig(t, ids, 2, 16)
-	run := func(round uint64) Handshake {
-		var wg sync.WaitGroup
-		for _, id := range ids {
-			id := id
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sess := rig.clientSess[id]
-				hs, err := RunHandshakeClient(rig.ctx, ClientHandshakeConfig{
-					ID: id, Protocol: ProtocolSecAgg, ServerPub: rig.signer.Public(), Rand: rand.Reader,
-				}, sess, rig.conns[id])
-				if err != nil {
-					rig.t.Errorf("client %d handshake: %v", id, err)
-					return
-				}
-				input := ring.NewVector(16, rig.dim)
-				if _, err := RunWireClient(rig.ctx, WireClientConfig{
-					SecAgg: rig.config(hs.Round, hs.Ratchet), ID: id, Input: input,
-					DropBefore: NoDrop, Rand: rand.Reader, Session: sess,
-					Resume: hs.Resume, Divergent: hs.Divergent,
-				}, rig.conns[id]); err != nil {
-					rig.t.Errorf("client %d round: %v", id, err)
-				}
-			}()
-		}
-		hs, err := RunHandshakeServer(rig.ctx, HandshakeConfig{
-			Round: round, Protocol: ProtocolSecAgg, ClientIDs: ids,
-			KeyRounds: 2, Deadline: 2 * time.Second, Signer: rig.signer,
-		}, rig.serverSess, rig.eng, rig.srv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := RunWireServer(rig.ctx, WireServerConfig{
-			SecAgg: rig.config(hs.Round, hs.Ratchet), StageDeadline: 500 * time.Millisecond,
-			Session: rig.serverSess, Resume: hs.Resume, Divergent: hs.Divergent, Engine: rig.eng,
-		}, rig.srv); err != nil {
-			t.Fatal(err)
-		}
-		wg.Wait()
-		return hs
-	}
+	rig := newServiceRig(t, []uint64{1, 2, 3}, 2, 16)
+	rig.keyRounds, rig.stageDeadline = 2, 500*time.Millisecond
 	want := []bool{false, true, false, true} // rekey, resume, budget exhausted, resume
 	for i, wantResume := range want {
-		hs := run(uint64(i + 1))
+		hs, _ := rig.round(uint64(i+1), nil)
 		if hs.Resume != wantResume {
 			t.Fatalf("round %d resume = %v, want %v", i+1, hs.Resume, wantResume)
 		}
@@ -508,80 +311,60 @@ func TestHandshakeLightSecAggResume(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	signer, err := sig.NewSigner(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := transport.NewMemoryNetwork(256)
-	srv := net.Server()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	eng := engine.New(engine.TransportSource(ctx, srv))
+	// The rig carries the link, the long-lived engine and the signer; the
+	// sessions and the round are LightSecAgg's.
+	rig := newWireRig(t, "memory", secagg.Config{ClientIDs: ids})
+	rig.eng = engine.New(engine.TransportSource(rig.ctx, rig.srv))
 	serverSess := lightsecagg.NewServerSession()
 	store, err := sessionstore.Open(t.TempDir(), sessionstore.DeriveKey([]byte("lsa")))
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	clientSess := make(map[uint64]*lightsecagg.Session)
-	conns := make(map[uint64]transport.ClientConn)
 	for _, id := range ids {
-		sess, err := lightsecagg.NewSession(rand.Reader)
-		if err != nil {
+		if clientSess[id], err = lightsecagg.NewSession(rand.Reader); err != nil {
 			t.Fatal(err)
 		}
-		clientSess[id] = sess
-		conn, err := net.Connect(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[id] = conn
 	}
 
-	run := func(round uint64) (Handshake, []field.Element) {
+	run := func(round uint64) (hs Handshake, sum []field.Element) {
 		rcfg := cfg
 		rcfg.Round = round
-		var wg sync.WaitGroup
-		for _, id := range ids {
-			id := id
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sess := clientSess[id]
-				hs, err := RunHandshakeClient(ctx, ClientHandshakeConfig{
-					ID: id, Protocol: ProtocolLightSecAgg, ServerPub: signer.Public(), Rand: rand.Reader,
-				}, sess, conns[id])
-				if err != nil {
-					t.Errorf("client %d handshake: %v", id, err)
-					return
-				}
-				input := make([]field.Element, rcfg.Dim)
-				for i := range input {
-					input[i] = lightsecagg.Lift(int64(id))
-				}
-				if _, err := lightsecagg.RunWireClient(ctx, lightsecagg.WireClientConfig{
-					Config: rcfg, ID: id, Input: input, Rand: rand.Reader,
-					Session: sess, Resume: hs.Resume, Divergent: hs.Divergent,
-				}, conns[id]); err != nil {
-					t.Errorf("client %d round: %v", id, err)
-				}
-			}()
-		}
-		hs, err := RunHandshakeServer(ctx, HandshakeConfig{
-			Round: round, Protocol: ProtocolLightSecAgg, ClientIDs: ids,
-			KeyRounds: 2, Deadline: 2 * time.Second, Signer: signer,
-		}, serverSess, eng, srv)
+		err := rig.launch(func(ctx context.Context, id uint64, conn transport.ClientConn) {
+			sess := clientSess[id]
+			hs, err := RunHandshakeClient(ctx, ClientHandshakeConfig{
+				ID: id, Protocol: ProtocolLightSecAgg, ServerPub: rig.signer.Public(), Rand: rand.Reader,
+			}, sess, conn)
+			if err != nil {
+				t.Errorf("client %d handshake: %v", id, err)
+				return
+			}
+			input := make([]field.Element, rcfg.Dim)
+			for i := range input {
+				input[i] = lightsecagg.Lift(int64(id))
+			}
+			if _, err := lightsecagg.RunWireClient(ctx, lightsecagg.WireClientConfig{
+				Config: rcfg, ID: id, Input: input, Rand: rand.Reader,
+				Session: sess, Resume: hs.Resume, Divergent: hs.Divergent,
+			}, conn); err != nil {
+				t.Errorf("client %d round: %v", id, err)
+			}
+		}, func(ctx context.Context) (err error) {
+			if hs, err = RunHandshakeServer(ctx, HandshakeConfig{
+				Round: round, Protocol: ProtocolLightSecAgg, ClientIDs: ids,
+				KeyRounds: 2, Deadline: 2 * time.Second, Signer: rig.signer,
+			}, serverSess, rig.eng, rig.srv); err != nil {
+				return err
+			}
+			sum, err = lightsecagg.RunWireServer(ctx, lightsecagg.WireServerConfig{
+				Config: rcfg, StageDeadline: 2 * time.Second,
+				Session: serverSess, Resume: hs.Resume, Divergent: hs.Divergent, Engine: rig.eng,
+			}, rig.srv)
+			return err
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, err := lightsecagg.RunWireServer(ctx, lightsecagg.WireServerConfig{
-			Config: rcfg, StageDeadline: 2 * time.Second,
-			Session: serverSess, Resume: hs.Resume, Divergent: hs.Divergent, Engine: eng,
-		}, srv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Wait()
 		return hs, sum
 	}
 
@@ -602,19 +385,7 @@ func TestHandshakeLightSecAggResume(t *testing.T) {
 	// Persist, restart, restore.
 	for _, id := range ids {
 		blob, err := clientSess[id].MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Save(fmt.Sprintf("client-%d", id), blob); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, id := range ids {
-		blob, err := store.Load(fmt.Sprintf("client-%d", id))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if clientSess[id], err = lightsecagg.UnmarshalSession(blob); err != nil {
+		if clientSess[id], err = lightsecagg.UnmarshalSession(rig.persist(store, fmt.Sprintf("client-%d", id), blob, err)); err != nil {
 			t.Fatal(err)
 		}
 	}

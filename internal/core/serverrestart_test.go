@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/dh"
 	"repro/internal/secagg"
@@ -18,28 +19,11 @@ import (
 // persistence worth shipping.
 func TestWireServerRestartResume(t *testing.T) {
 	ids := []uint64{1, 2, 3, 4, 5}
-	rig := newHandshakeRig(t, ids, 3, 32)
+	rig := newServiceRig(t, ids, 3, 32)
+	rig.stageDeadline = 500 * time.Millisecond
 	store, err := sessionstore.Open(t.TempDir(), sessionstore.DeriveKey([]byte("server-restart test")))
 	if err != nil {
 		t.Fatal(err)
-	}
-	restartServer := func() {
-		blob, err := rig.serverSess.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Save("server", blob); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := store.Load("server")
-		if err != nil {
-			t.Fatal(err)
-		}
-		restored, err := secagg.UnmarshalServerSession(loaded)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rig.serverSess = restored
 	}
 
 	// Round 1: no shared state yet — the handshake re-keys.
@@ -51,7 +35,7 @@ func TestWireServerRestartResume(t *testing.T) {
 
 	// The aggregator restarts with its session persisted. The clients keep
 	// their live sessions — only the server's memory is wiped.
-	restartServer()
+	rig.restartServer(store)
 
 	// Round 2: the restored roster answers the clients' state hash, so the
 	// fleet resumes with zero key work on either side.
@@ -70,7 +54,7 @@ func TestWireServerRestartResume(t *testing.T) {
 
 	// Round 3: client 5 vanishes mid-round; the server reconstructs its
 	// mask key and taints the generation.
-	hs, res = rig.round(3, map[uint64]secagg.Stage{5: secagg.StageMaskedInput})
+	hs, res = rig.round(3, secagg.DropSchedule{5: secagg.StageMaskedInput})
 	if !hs.Resume {
 		t.Fatal("round 3 did not resume")
 	}
@@ -83,14 +67,13 @@ func TestWireServerRestartResume(t *testing.T) {
 	// restored session must carry the taint (else the restart would
 	// silently forget a key reconstruction) while its reconstructed-key
 	// cache comes back empty.
-	restartServer()
+	rig.restartServer(store)
 	if members := rig.serverSess.TaintedMembers(); len(members) != 1 || members[0] != 5 {
 		t.Fatalf("restored taint set = %v, want [5]", members)
 	}
 
 	// Round 4: the surviving taint downgrades the handshake to a partial
 	// re-key of exactly client 5's edges — not a full fleet re-key.
-	rig.connect(5)
 	gen0, agree0 = dh.GenerateCount(), dh.AgreeCount()
 	hs, res = rig.round(4, nil)
 	if !hs.Resume || !hs.Partial() {

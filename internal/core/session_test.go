@@ -1,18 +1,13 @@
 package core
 
 import (
-	"context"
 	"crypto/rand"
 	"math"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/dh"
 	"repro/internal/prg"
-	"repro/internal/ring"
 	"repro/internal/secagg"
-	"repro/internal/transport"
 )
 
 // TestRunRoundAmortizesKeyAgreementAcrossChunks: with a session pool, an
@@ -175,84 +170,20 @@ func TestRunRoundPerStageDropSchedule(t *testing.T) {
 // performs zero X25519 agreements while still producing the right
 // aggregate.
 func TestWireRoundSessionResume(t *testing.T) {
-	const n, dim = 4, 32
-	ids := []uint64{1, 2, 3, 4}
-	baseCfg := secagg.Config{
-		Round: 41, ClientIDs: ids, Threshold: 3, Bits: 20, Dim: dim,
-	}
-	serverSess := secagg.NewServerSession()
-	clientSess := make(map[uint64]*secagg.Session, n)
-	for _, id := range ids {
-		s, err := secagg.NewSession(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clientSess[id] = s
-	}
-	inputs := make(map[uint64]ring.Vector, n)
-	for _, id := range ids {
-		v := ring.NewVector(20, dim)
-		for j := range v.Data {
-			v.Data[j] = id
-		}
-		inputs[id] = v
-	}
+	cfg := secagg.Config{ClientIDs: []uint64{1, 2, 3, 4}, Threshold: 3, Bits: 20, Dim: 32}
+	first := newWireRig(t, "memory", cfg)
+	first.sessions()
+	_, res := first.round(41, nil)
+	first.checkSum(res, cfg.ClientIDs)
 
-	runOnce := func(round uint64, ratchet uint64, resume bool) *secagg.Result {
-		t.Helper()
-		saCfg := baseCfg
-		saCfg.Round = round
-		saCfg.KeyRatchet = ratchet
-		net := transport.NewMemoryNetwork(64)
-		clientConns := make(map[uint64]transport.ClientConn, n)
-		for _, id := range ids {
-			c, err := net.Connect(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			clientConns[id] = c
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		var wg sync.WaitGroup
-		for _, id := range ids {
-			id := id
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				cfg := WireClientConfig{
-					SecAgg: saCfg, ID: id, Input: inputs[id],
-					DropBefore: NoDrop, Rand: rand.Reader,
-					Session: clientSess[id], Resume: resume,
-				}
-				if _, err := RunWireClient(ctx, cfg, clientConns[id]); err != nil {
-					t.Errorf("client %d: %v", id, err)
-				}
-			}()
-		}
-		res, err := RunWireServer(ctx, WireServerConfig{
-			SecAgg: saCfg, StageDeadline: 2 * time.Second,
-			Session: serverSess, Resume: resume,
-		}, net.Server())
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Wait()
-		return res
-	}
-
-	checkSum := func(res *secagg.Result) {
-		t.Helper()
-		for i, got := range res.Sum {
-			if got != 10 { // 1+2+3+4
-				t.Fatalf("sum[%d] = %d, want 10", i, got)
-			}
-		}
-	}
-	checkSum(runOnce(41, 0, false))
-
+	// The resumed round runs on a link of its own, so nothing of the first
+	// round's collection can reach it.
+	second := newWireRig(t, "memory", cfg)
+	second.serverSess, second.clientSess = first.serverSess, first.clientSess
+	second.hs = Handshake{Resume: true, Ratchet: 1}
 	a0 := dh.AgreeCount()
-	checkSum(runOnce(42, 1, true))
+	_, res = second.round(42, nil)
+	second.checkSum(res, cfg.ClientIDs)
 	if d := dh.AgreeCount() - a0; d != 0 {
 		t.Fatalf("resumed wire round performed %d agreements, want 0", d)
 	}

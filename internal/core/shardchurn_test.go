@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/churn"
 	"repro/internal/combine"
@@ -12,7 +13,7 @@ import (
 
 // TestShardChurnAcrossTwoShards replays a deterministic churn trace over
 // a two-shard topology: each shard is a full wire deployment with its own
-// sessions and handshake state (a handshakeRig), and every round the two
+// sessions and handshake state (a service rig), and every round the two
 // shard results fold through a combine.Combiner exactly as the combiner
 // role does. Drops land in whichever shard owns the client, taint only
 // that shard's key generation (per-edge re-key next round, invisible to
@@ -21,9 +22,9 @@ import (
 // fold. Run under -race in CI (sharded step).
 func TestShardChurnAcrossTwoShards(t *testing.T) {
 	rosters := [][]uint64{{1, 2, 3, 4}, {5, 6, 7, 8}}
-	rigs := []*handshakeRig{
-		newHandshakeRig(t, rosters[0], 3, 16),
-		newHandshakeRig(t, rosters[1], 3, 16),
+	rigs := []*wireRig{newServiceRig(t, rosters[0], 3, 16), newServiceRig(t, rosters[1], 3, 16)}
+	for _, rig := range rigs {
+		rig.stageDeadline = 500 * time.Millisecond
 	}
 	owner := func(c uint64) int {
 		if c <= 4 {
@@ -38,20 +39,13 @@ func TestShardChurnAcrossTwoShards(t *testing.T) {
 	})
 	byRound := churn.ByRound(trace)
 
-	var prevDropped []uint64
 	for round := uint64(1); round <= rounds; round++ {
-		// Clients dropped last round re-dial before this handshake.
-		for _, c := range prevDropped {
-			rigs[owner(c)].connect(c)
-		}
-		prevDropped = nil
-		drops := []map[uint64]secagg.Stage{{}, {}}
+		// A client dropped last round re-dials before this handshake.
+		drops := []secagg.DropSchedule{{}, {}}
 		for _, e := range byRound[round] {
-			if e.Kind != churn.Drop {
-				continue
+			if e.Kind == churn.Drop {
+				drops[owner(e.Client)][e.Client] = secagg.StageMaskedInput
 			}
-			drops[owner(e.Client)][e.Client] = secagg.StageMaskedInput
-			prevDropped = append(prevDropped, e.Client)
 		}
 
 		// Both shard rounds run concurrently, as they would in the wire
@@ -59,11 +53,13 @@ func TestShardChurnAcrossTwoShards(t *testing.T) {
 		results := make([]*secagg.Result, 2)
 		var wg sync.WaitGroup
 		for s := range rigs {
-			s := s
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				_, results[s] = rigs[s].round(round, drops[s])
+				var err error
+				if _, results[s], err = rigs[s].try(round, drops[s]); err != nil {
+					t.Errorf("round %d shard %d: %v", round, s, err)
+				}
 			}()
 		}
 		wg.Wait()

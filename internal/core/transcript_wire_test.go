@@ -3,13 +3,11 @@ package core
 import (
 	"context"
 	"crypto/rand"
-	"errors"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/combine"
-	"repro/internal/engine"
 	"repro/internal/ring"
 	"repro/internal/secagg"
 	"repro/internal/sig"
@@ -20,100 +18,36 @@ import (
 // TestTranscriptWireVerifyTCP is the flat-deployment acceptance test for
 // the verifiable-transcript layer: a round over real TCP in which every
 // surviving client receives the signed round commitment plus its own
-// inclusion proof and verifies both before RunWireClient returns. A
-// client that dropped mid-round gets no proof and audits nothing. Run
-// under -race in CI (transcript step).
+// inclusion proof and verifies both before its round returns. A client
+// that dropped mid-round gets no proof and audits nothing. Run under
+// -race in CI (transcript step).
 func TestTranscriptWireVerifyTCP(t *testing.T) {
-	const n, dim = 5, 16
-	signer, err := sig.NewSigner(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	saCfg := secagg.Config{
-		Round: 41, ClientIDs: []uint64{1, 2, 3, 4, 5}, Threshold: 3, Bits: 16, Dim: dim,
-	}
-
-	srv, err := transport.ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	conns := make(map[uint64]transport.ClientConn, n)
-	for i := 1; i <= n; i++ {
-		c, err := transport.DialTCP(srv.Addr(), uint64(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[uint64(i)] = c
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for len(srv.Clients()) < n && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	auditors := make(map[uint64]*transcript.Auditor, n)
-	var wg sync.WaitGroup
-	for i := 1; i <= n; i++ {
-		id := uint64(i)
-		auditors[id] = transcript.NewAuditor(signer.Public())
-		input := ring.NewVector(16, dim)
-		for j := range input.Data {
-			input.Data[j] = id
-		}
-		cfg := WireClientConfig{
-			SecAgg: saCfg, ID: id, Input: input, DropBefore: NoDrop, Rand: rand.Reader,
-			Transcript: auditors[id],
-		}
-		if id == 4 {
-			cfg.DropBefore = secagg.StageMaskedInput
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := RunWireClient(ctx, cfg, conns[id]); err != nil && id != 4 {
-				t.Errorf("client %d: %v", id, err)
-			}
-		}()
-	}
-
-	rec := transcript.NewRecorder(signer)
-	res, err := RunWireServer(ctx, WireServerConfig{
-		SecAgg: saCfg, StageDeadline: 2 * time.Second, Transcript: rec,
-	}, srv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
+	rig := newWireRig(t, "tcp", secagg.Config{ClientIDs: []uint64{1, 2, 3, 4, 5}, Threshold: 3, Bits: 16, Dim: 16})
+	rig.transcripts()
+	_, res := rig.round(41, secagg.DropSchedule{4: secagg.StageMaskedInput})
 
 	survivors := []uint64{1, 2, 3, 5}
 	if len(res.Survivors) != len(survivors) {
 		t.Fatalf("survivors = %v, want %v", res.Survivors, survivors)
 	}
-	for i, v := range res.Sum {
-		if v != 1+2+3+5 {
-			t.Fatalf("sum[%d] = %d, want %d", i, v, 1+2+3+5)
-		}
-	}
-	tip, ok := rec.Tip()
+	rig.checkSum(res, survivors)
+	tip, ok := rig.recorder.Tip()
 	if !ok {
 		t.Fatal("server recorder has no chain tip after the round")
 	}
 	for _, id := range survivors {
-		h := auditors[id].History()
+		h := rig.auditors[id].History()
 		if len(h) != 1 {
 			t.Fatalf("client %d audited %d rounds, want 1", id, len(h))
 		}
-		if h[0].Round != saCfg.Round {
-			t.Fatalf("client %d audited round %d, want %d", id, h[0].Round, saCfg.Round)
+		if h[0].Round != 41 {
+			t.Fatalf("client %d audited round %d, want 41", id, h[0].Round)
 		}
 		if h[0].Root != tip {
 			t.Fatalf("client %d verified root diverges from the server's chain tip", id)
 		}
 	}
-	if h := auditors[4].History(); len(h) != 0 {
+	if h := rig.auditors[4].History(); len(h) != 0 {
 		t.Fatalf("dropped client audited %d rounds, want 0", len(h))
 	}
 }
@@ -123,242 +57,15 @@ func TestTranscriptWireVerifyTCP(t *testing.T) {
 // round with ErrBadSignature — a round whose transcript the client cannot
 // verify is not a clean completion — while everyone else completes.
 func TestTranscriptWireWrongKeyFailsRound(t *testing.T) {
-	const n, dim = 3, 8
-	signer, err := sig.NewSigner(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
 	wrong, err := sig.NewSigner(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	saCfg := secagg.Config{
-		Round: 42, ClientIDs: []uint64{1, 2, 3}, Threshold: 2, Bits: 16, Dim: dim,
-	}
-	net := transport.NewMemoryNetwork(256)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	var wg sync.WaitGroup
-	for i := 1; i <= n; i++ {
-		id := uint64(i)
-		conn, err := net.Connect(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pub := signer.Public()
-		if id == 3 {
-			pub = wrong.Public()
-		}
-		aud := transcript.NewAuditor(pub)
-		input := ring.NewVector(16, dim)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := RunWireClient(ctx, WireClientConfig{
-				SecAgg: saCfg, ID: id, Input: input, DropBefore: NoDrop, Rand: rand.Reader,
-				Transcript: aud,
-			}, conn)
-			if id == 3 {
-				if !errors.Is(err, transcript.ErrBadSignature) {
-					t.Errorf("wrong-key client error = %v, want ErrBadSignature", err)
-				}
-				return
-			}
-			if err != nil {
-				t.Errorf("client %d: %v", id, err)
-			}
-		}()
-	}
-	if _, err := RunWireServer(ctx, WireServerConfig{
-		SecAgg: saCfg, StageDeadline: 2 * time.Second, Transcript: transcript.NewRecorder(signer),
-	}, net.Server()); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-}
-
-// transcriptRig is the multi-round transcript harness: a handshake-driven
-// wire deployment (modeled on handshakeRig) in which the server chains
-// rounds through one Recorder and every client audits through its own
-// Auditor, with restart hooks on both sides.
-type transcriptRig struct {
-	t         *testing.T
-	ids       []uint64
-	threshold int
-	dim       int
-	net       *transport.MemoryNetwork
-	srv       transport.ServerConn
-	eng       *engine.Engine
-	ctx       context.Context
-	cancel    context.CancelFunc
-
-	signer     *sig.Signer
-	serverSess *secagg.ServerSession
-	recorder   *transcript.Recorder
-	clientSess map[uint64]*secagg.Session
-	auditors   map[uint64]*transcript.Auditor
-	conns      map[uint64]transport.ClientConn
-}
-
-func newTranscriptRig(t *testing.T, ids []uint64, threshold, dim int) *transcriptRig {
-	t.Helper()
-	signer, err := sig.NewSigner(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := transport.NewMemoryNetwork(256)
-	srv := net.Server()
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	rig := &transcriptRig{
-		t: t, ids: ids, threshold: threshold, dim: dim,
-		net: net, srv: srv,
-		eng: engine.New(engine.TransportSource(ctx, srv)),
-		ctx: ctx, cancel: cancel,
-		signer:     signer,
-		serverSess: secagg.NewServerSession(),
-		recorder:   transcript.NewRecorder(signer),
-		clientSess: make(map[uint64]*secagg.Session),
-		auditors:   make(map[uint64]*transcript.Auditor),
-		conns:      make(map[uint64]transport.ClientConn),
-	}
-	for _, id := range ids {
-		sess, err := secagg.NewSession(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rig.clientSess[id] = sess
-		rig.auditors[id] = transcript.NewAuditor(signer.Public())
-		rig.connect(id)
-	}
-	return rig
-}
-
-func (r *transcriptRig) connect(id uint64) {
-	conn, err := r.net.Connect(id)
-	if err != nil {
-		r.t.Fatal(err)
-	}
-	r.conns[id] = conn
-}
-
-// restartServer simulates an aggregator process restart: the session and
-// the transcript chain go through their binary persistence round trip,
-// everything else in server memory is notionally lost. The signer is key
-// material the deployment manages separately.
-func (r *transcriptRig) restartServer() {
-	r.t.Helper()
-	sessBlob, err := r.serverSess.MarshalBinary()
-	if err != nil {
-		r.t.Fatal(err)
-	}
-	restored, err := secagg.UnmarshalServerSession(sessBlob)
-	if err != nil {
-		r.t.Fatal(err)
-	}
-	r.serverSess = restored
-	chainBlob, err := r.recorder.MarshalBinary()
-	if err != nil {
-		r.t.Fatal(err)
-	}
-	rec, err := transcript.UnmarshalRecorder(chainBlob, r.signer)
-	if err != nil {
-		r.t.Fatal(err)
-	}
-	r.recorder = rec
-}
-
-// restartClient kills a client between rounds: session AND audit history
-// are lost (a process kill without a store loses both) and it re-dials,
-// which downgrades the next handshake to a per-edge re-key of exactly
-// this client.
-func (r *transcriptRig) restartClient(id uint64) {
-	r.t.Helper()
-	r.conns[id].Close()
-	sess, err := secagg.NewSession(rand.Reader)
-	if err != nil {
-		r.t.Fatal(err)
-	}
-	r.clientSess[id] = sess
-	r.auditors[id] = transcript.NewAuditor(r.signer.Public())
-	r.connect(id)
-}
-
-func (r *transcriptRig) config(round, ratchet uint64) secagg.Config {
-	return secagg.Config{
-		Round: round, ClientIDs: r.ids, Threshold: r.threshold,
-		Bits: 16, Dim: r.dim, KeyRatchet: ratchet,
-	}
-}
-
-func (r *transcriptRig) round(round uint64) (Handshake, *secagg.Result) {
-	r.t.Helper()
-	var wg sync.WaitGroup
-	for _, id := range r.ids {
-		id := id
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sess := r.clientSess[id]
-			conn := r.conns[id]
-			hs, err := RunHandshakeClient(r.ctx, ClientHandshakeConfig{
-				ID: id, Protocol: ProtocolSecAgg, ServerPub: r.signer.Public(), Rand: rand.Reader,
-			}, sess, conn)
-			if err != nil {
-				r.t.Errorf("client %d handshake: %v", id, err)
-				return
-			}
-			input := ring.NewVector(16, r.dim)
-			for i := range input.Data {
-				input.Data[i] = id
-			}
-			_, err = RunWireClient(r.ctx, WireClientConfig{
-				SecAgg: r.config(hs.Round, hs.Ratchet), ID: id, Input: input,
-				DropBefore: NoDrop, Rand: rand.Reader,
-				Session: sess, Resume: hs.Resume, Divergent: hs.Divergent,
-				Transcript: r.auditors[id],
-			}, conn)
-			if err != nil {
-				r.t.Errorf("client %d round: %v", id, err)
-			}
-		}()
-	}
-
-	hs, err := RunHandshakeServer(r.ctx, HandshakeConfig{
-		Round: round, Protocol: ProtocolSecAgg, ClientIDs: r.ids,
-		KeyRounds: 16, Deadline: 10 * time.Second, Signer: r.signer,
-	}, r.serverSess, r.eng, r.srv)
-	if err != nil {
-		r.cancel()
-		wg.Wait()
-		r.t.Fatalf("server handshake %d: %v", round, err)
-	}
-	res, err := RunWireServer(r.ctx, WireServerConfig{
-		SecAgg: r.config(hs.Round, hs.Ratchet), StageDeadline: 5 * time.Second,
-		Session: r.serverSess, Resume: hs.Resume, Divergent: hs.Divergent, Engine: r.eng,
-		Transcript: r.recorder,
-	}, r.srv)
-	if err != nil {
-		r.cancel()
-		wg.Wait()
-		r.t.Fatalf("server round %d: %v", round, err)
-	}
-	wg.Wait()
-	return hs, res
-}
-
-func (r *transcriptRig) checkSum(res *secagg.Result, survivors []uint64) {
-	r.t.Helper()
-	var want uint64
-	for _, id := range survivors {
-		want += id
-	}
-	for i, v := range res.Sum {
-		if v != want {
-			r.t.Fatalf("sum[%d] = %d, want %d (survivors %v)", i, v, want, survivors)
-		}
-	}
+	rig := newWireRig(t, "memory", secagg.Config{ClientIDs: []uint64{1, 2, 3}, Threshold: 2, Bits: 16, Dim: 8})
+	rig.transcripts()
+	rig.auditors[3] = transcript.NewAuditor(wrong.Public())
+	rig.wantErr = map[uint64]error{3: transcript.ErrBadSignature}
+	rig.round(42, nil)
 }
 
 // TestTranscriptChainAuditRestartRekey is the multi-round acceptance
@@ -372,10 +79,12 @@ func (r *transcriptRig) checkSum(res *secagg.Result, survivors []uint64) {
 // CI (transcript step).
 func TestTranscriptChainAuditRestartRekey(t *testing.T) {
 	ids := []uint64{1, 2, 3, 4, 5}
-	rig := newTranscriptRig(t, ids, 3, 8)
+	rig := newServiceRig(t, ids, 3, 8)
+	rig.transcripts()
+	rig.handshakeDeadline, rig.stageDeadline = 10*time.Second, 5*time.Second
 
 	// Round 1: no shared state — full re-key, first chain link.
-	hs, res := rig.round(1)
+	hs, res := rig.round(1, nil)
 	if hs.Resume {
 		t.Fatal("round 1 resumed with no prior state")
 	}
@@ -387,21 +96,21 @@ func TestTranscriptChainAuditRestartRekey(t *testing.T) {
 
 	// The aggregator restarts; the persisted chain must keep the roots
 	// linking across the gap.
-	rig.restartServer()
+	rig.restartServer(nil)
 
 	// Round 2: full resume (the restored session answers the state hash),
 	// and the new root chains to round 1's.
-	hs, res = rig.round(2)
+	hs, res = rig.round(2, nil)
 	if !hs.Resume || hs.Partial() {
 		t.Fatalf("round 2 = resume %v partial %v, want a full resume", hs.Resume, hs.Partial())
 	}
 	rig.checkSum(res, ids)
 
 	// Client 5 process-restarts: session and audit history both lost.
-	rig.restartClient(5)
+	rig.restartClient(5, nil)
 
 	// Round 3: per-edge partial re-key of exactly the churned client.
-	hs, res = rig.round(3)
+	hs, res = rig.round(3, nil)
 	if !hs.Partial() || len(hs.Divergent) != 1 || hs.Divergent[0] != 5 {
 		t.Fatalf("round 3 = resume %v divergent %v, want a partial re-key of [5]", hs.Resume, hs.Divergent)
 	}
@@ -454,56 +163,29 @@ func TestTranscriptChainAuditRestartRekey(t *testing.T) {
 // the global aggregate) instead of hanging the round, which is exactly
 // what an unbounded wait did to shardtest when one shard missed quorum.
 func TestTranscriptMissingTierBoundedWait(t *testing.T) {
-	const dim = 8
-	signer, err := sig.NewSigner(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
+	rig := newWireRig(t, "memory", secagg.Config{ClientIDs: []uint64{1, 2, 3}, Threshold: 2, Bits: 16, Dim: 8})
+	rig.transcripts()
+	tiers := make(map[uint64]*transcript.CombineAuditor)
+	rig.wantErr = make(map[uint64]error)
+	for _, id := range rig.cfg.ClientIDs {
+		tiers[id] = transcript.NewCombineAuditor(rig.signer.Public())
+		rig.wantErr[id] = context.DeadlineExceeded
 	}
-	saCfg := secagg.Config{
-		Round: 43, ClientIDs: []uint64{1, 2, 3}, Threshold: 2, Bits: 16, Dim: dim,
+	// The server sends the tier-1 frames but, like a shard whose partial
+	// missed the fold, never relays a combiner tier.
+	rig.configure = func(c *WireClientConfig) {
+		c.CombineTranscript, c.TranscriptDeadline = tiers[c.ID], 500*time.Millisecond
 	}
-	net := transport.NewMemoryNetwork(256)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	var wg sync.WaitGroup
-	for i := 1; i <= 3; i++ {
-		id := uint64(i)
-		conn, err := net.Connect(id)
-		if err != nil {
-			t.Fatal(err)
+	rig.round(43, nil)
+	// Tier 1 verified before the bounded wait expired; tier 2 never did.
+	for id, aud := range rig.auditors {
+		if len(aud.History()) != 1 {
+			t.Errorf("client %d tier-1 history = %d rounds, want 1", id, len(aud.History()))
 		}
-		aud := transcript.NewAuditor(signer.Public())
-		caud := transcript.NewCombineAuditor(signer.Public())
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// The server sends the tier-1 frames but, like a shard whose
-			// partial missed the fold, never relays a combiner tier.
-			_, err := RunWireClient(ctx, WireClientConfig{
-				SecAgg: saCfg, ID: id, Input: ring.NewVector(16, dim),
-				DropBefore: NoDrop, Rand: rand.Reader,
-				Transcript: aud, CombineTranscript: caud,
-				TranscriptDeadline: 500 * time.Millisecond,
-			}, conn)
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Errorf("client %d error = %v, want context.DeadlineExceeded", id, err)
-			}
-			// Tier 1 verified before the bounded wait expired; tier 2 never did.
-			if len(aud.History()) != 1 {
-				t.Errorf("client %d tier-1 history = %d rounds, want 1", id, len(aud.History()))
-			}
-			if len(caud.History()) != 0 {
-				t.Errorf("client %d tier-2 history = %d rounds, want 0", id, len(caud.History()))
-			}
-		}()
+		if len(tiers[id].History()) != 0 {
+			t.Errorf("client %d tier-2 history = %d rounds, want 0", id, len(tiers[id].History()))
+		}
 	}
-	if _, err := RunWireServer(ctx, WireServerConfig{
-		SecAgg: saCfg, StageDeadline: 2 * time.Second, Transcript: transcript.NewRecorder(signer),
-	}, net.Server()); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
 }
 
 // TestTranscriptTwoTierShardedVerify is the sharded acceptance test: two

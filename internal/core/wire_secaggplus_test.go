@@ -1,17 +1,11 @@
 package core
 
 import (
-	"context"
-	"crypto/rand"
-	"math"
-	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/ring"
 	"repro/internal/secagg"
 	"repro/internal/secaggplus"
-	"repro/internal/transport"
 	"repro/internal/xnoise"
 )
 
@@ -20,15 +14,9 @@ import (
 // dropout, XNoise enforcement — the full deployment stack of §6.4's
 // "Orig+/XNoise+" columns over a real transport.
 func TestWireRoundSecAggPlus(t *testing.T) {
-	const n, dim = 8, 32
-	ids := make([]uint64, n)
-	for i := range ids {
-		ids[i] = uint64(i + 1)
-	}
+	const n = 8
 	plan := &xnoise.Plan{NumClients: n, DropoutTolerance: 2, Threshold: 5, TargetVariance: 30}
-	base := secagg.Config{
-		Round: 3, ClientIDs: ids, Threshold: 5, Bits: 20, Dim: dim, XNoise: plan,
-	}
+	base := secagg.Config{ClientIDs: seqIDs(n), Threshold: 5, Bits: 20, Dim: 32, XNoise: plan}
 	saCfg, err := secaggplus.NewConfig(base, 6) // k = 6 < n−1: real neighborhoods
 	if err != nil {
 		t.Fatal(err)
@@ -36,67 +24,13 @@ func TestWireRoundSecAggPlus(t *testing.T) {
 	if saCfg.Graph == nil {
 		t.Fatal("SecAgg+ config has no graph")
 	}
-
-	net := transport.NewMemoryNetwork(256)
-	conns := make(map[uint64]transport.ClientConn, n)
-	for _, id := range ids {
-		c, err := net.Connect(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[id] = c
-	}
-
-	inputs := make(map[uint64]ring.Vector, n)
-	for _, id := range ids {
-		v := ring.NewVector(20, dim)
-		for j := range v.Data {
-			v.Data[j] = id
-		}
-		inputs[id] = v
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	var wg sync.WaitGroup
-	for _, id := range ids {
-		id := id
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cfg := WireClientConfig{
-				SecAgg: saCfg, ID: id, Input: inputs[id],
-				DropBefore: NoDrop, Rand: rand.Reader,
-			}
-			if id == 6 {
-				cfg.DropBefore = secagg.StageMaskedInput
-			}
-			_, err := RunWireClient(ctx, cfg, conns[id])
-			if err != nil && id != 6 {
-				t.Errorf("client %d: %v", id, err)
-			}
-		}()
-	}
-	res, err := RunWireServer(ctx,
-		WireServerConfig{SecAgg: saCfg, StageDeadline: 1500 * time.Millisecond}, net.Server())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	wg.Wait()
-
+	rig := newWireRig(t, "memory", saCfg)
+	rig.stageDeadline = 1500 * time.Millisecond
+	_, res := rig.round(3, secagg.DropSchedule{6: secagg.StageMaskedInput})
 	if len(res.Dropped) != 1 || res.Dropped[0] != 6 {
 		t.Fatalf("dropped = %v, want [6]", res.Dropped)
 	}
-	// Survivors' constants: 1+2+3+4+5+7+8 = 30; |D| = 1 < T = 2, so one
-	// component layer is removed and the residual noise sits at σ²* = 30.
-	centered := (ring.Vector{Bits: 20, Data: res.Sum}).Centered()
-	var mean float64
-	for _, v := range centered {
-		mean += float64(v) - 30
-	}
-	mean /= float64(dim)
-	if math.Abs(mean) > 5 { // noise std ≈ 5.5, dim 32 → se ≈ 1
-		t.Errorf("SecAgg+ wire aggregate mean offset %v", mean)
-	}
+	// |D| = 1 < T = 2, so one component layer is removed and the residual
+	// noise sits at σ²* = 30.
+	rig.checkMean(res, []uint64{1, 2, 3, 4, 5, 7, 8})
 }

@@ -18,9 +18,9 @@ import (
 // reader at the byte — that a mask fill followed by one fill per noise
 // piece did. The goldens are SHA-256 over mask ‖ every piece ‖ the next 8
 // bytes of the reader, captured from NewSessionClient at commit 69aba92
-// for a plain reader (the 16 KiB bulk-read path, chunk boundaries inside
-// pieces) and a seekable PRG stream below and above uniformSegMin (the
-// segmented expansion).
+// for a plain reader (chunk boundaries inside pieces) and a PRG stream
+// under one 16 KiB read and over many; all three take the same bulk-read
+// path, since prg.Stream.Read yields the stream's keystream.
 func TestClientDrawOrderGolden(t *testing.T) {
 	sess, err := NewSession(crand.Reader)
 	if err != nil {
@@ -38,9 +38,9 @@ func TestClientDrawOrderGolden(t *testing.T) {
 	}{
 		{"bytes.Reader", testConfig(4, 1, 1, 6000), bytes.NewReader(raw),
 			"d64acaaa78ef2829ffc3a63f9d14db8a0b0e7d9176a576f7036f80320091199e"},
-		{"stream below uniformSegMin", testConfig(5, 2, 1, 10), rng("draw-small"),
+		{"stream, one read", testConfig(5, 2, 1, 10), rng("draw-small"),
 			"dadd5f251235fa9f073f760ce085278d64e34759620e993b6407b187f8fd47b7"},
-		{"stream above uniformSegMin", testConfig(4, 1, 1, 40000), rng("draw-large"),
+		{"stream, many reads", testConfig(4, 1, 1, 40000), rng("draw-large"),
 			"105d18ce7da97ed7df059095242031c378e1305e648793c255150853eb7ba586"},
 	} {
 		c, err := NewSessionClient(tc.cfg, 1, tc.rand, sess)

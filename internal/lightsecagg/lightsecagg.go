@@ -74,17 +74,13 @@
 package lightsecagg
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strconv"
-	"sync"
 
 	"repro/internal/aead"
 	"repro/internal/field"
-	"repro/internal/prg"
 	"repro/internal/session"
 )
 
@@ -338,24 +334,12 @@ func NewSessionClient(cfg Config, id uint64, rand io.Reader, sess *Session) (*Cl
 // reader call instead of one call per element.
 const uniformChunk = 2048
 
-// uniformSegMin is the smallest element count worth a dedicated expansion
-// segment on the seekable-PRG fast path (see maskFanOut).
-const uniformSegMin = 16384
-
 // fillUniform draws uniform field elements from rand. The byte-to-element
 // map is field.RandomElement's low-61-bit rule over consecutive 8-byte
 // little-endian words, and the reader is consumed in bulk uniformChunk
 // reads — byte-identical to the historical one-ReadFull-per-element loop
-// for any reader, just without the per-element call overhead. When rand is
-// a seekable prg.Stream and the fill is large, the expansion additionally
-// splits into independently seeked segments across the worker pool
-// (prg.Stream.At — AES-CTR random access), still byte-identical to the
-// sequential expansion.
+// for any reader, just without the per-element call overhead.
 func fillUniform(rand io.Reader, out []field.Element) error {
-	if s, ok := rand.(*prg.Stream); ok {
-		fillUniformSegmented(s, out)
-		return nil
-	}
 	buf := make([]byte, 8*uniformChunk)
 	for len(out) > 0 {
 		n := len(out)
@@ -372,54 +356,6 @@ func fillUniform(rand io.Reader, out []field.Element) error {
 		out = out[n:]
 	}
 	return nil
-}
-
-// fillUniformSegmented expands out from a seekable PRG stream, splitting
-// the keystream into up to GOMAXPROCS independently expanded segments when
-// the fill is large. The stream is left positioned exactly 8·len(out)
-// bytes past where it started, as if consumed sequentially.
-func fillUniformSegmented(s *prg.Stream, out []field.Element) {
-	workers := runtime.GOMAXPROCS(0)
-	if w := len(out) / uniformSegMin; workers > w {
-		workers = w
-	}
-	if workers <= 1 {
-		fillUniformSpan(s, out)
-		return
-	}
-	base := s.Offset()
-	var wg sync.WaitGroup
-	lo := 0
-	for w := 0; w < workers; w++ {
-		hi := lo + (len(out)-lo)/(workers-w)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fillUniformSpan(s.At(base+8*uint64(lo)), out[lo:hi])
-		}(lo, hi)
-		lo = hi
-	}
-	wg.Wait()
-	s.Seek(base + 8*uint64(len(out)))
-}
-
-// fillUniformSpan sequentially expands out from s via bulk word draws.
-func fillUniformSpan(s *prg.Stream, out []field.Element) {
-	var words [uniformChunk]uint64
-	for len(out) > 0 {
-		n := len(out)
-		if n > uniformChunk {
-			n = uniformChunk
-		}
-		ws := words[:n]
-		s.FillUint64(ws)
-		for i, w := range ws {
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], w)
-			out[i] = field.RandomElement(b)
-		}
-		out = out[n:]
-	}
 }
 
 // Advertise returns the stage-0 channel-key advertisement.

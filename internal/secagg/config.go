@@ -105,9 +105,9 @@ type Config struct {
 
 	// TranscriptDigests, when true, has both sides record SHA-256 digests
 	// of masked inputs for the verifiable-transcript layer: the server
-	// captures each arrival's digest in AddMasked (before the batch fold
-	// consumes the vector) and the client records its own upload's digest
-	// in MaskedInput. Off by default — the digest pass is one SHA-256 over
+	// captures each arrival's digest in AddMasked (before it folds the
+	// vector into the running sum) and the client records its own upload's
+	// digest in MaskedInput. Off by default — the digest pass is one SHA-256 over
 	// the dominant payload per client, so the classic hot path pays
 	// nothing. All parties need not agree on it (it changes no wire
 	// bytes), but a client can only verify an inclusion proof if its own

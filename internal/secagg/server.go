@@ -620,32 +620,14 @@ func (s *Server) SealNoiseShares() error {
 	return nil
 }
 
-// PartialSum is the sealed output of one aggregator in the two-level
-// topology: the cohort's fully unmasked, noise-adjusted ring sum plus the
-// survivor and noise-share accounting a root combiner folds
-// (combine.Partial carries exactly these fields across the wire).
-type PartialSum struct {
-	// Sum is the cohort aggregate in the ring: masks cancelled, dropout
-	// reconstruction applied, excess XNoise components removed.
-	Sum ring.Vector
-	// Survivors and Dropped partition the configured roster by whether
-	// the client's masked input is in Sum.
-	Survivors []uint64
-	Dropped   []uint64
-	// RemovedComponents lists the XNoise component indices subtracted for
-	// this cohort's dropout count (nil without XNoise).
-	RemovedComponents []int
-}
-
-// FinalizePartial removes the excessive XNoise components (if configured)
-// and seals this aggregator's partial sum. It is the real finalization
-// path: Finalize wraps it for the single-aggregator topology, and shard
-// aggregators ship the PartialSum to the combiner unchanged.
-func (s *Server) FinalizePartial() (PartialSum, error) {
+// Finalize removes the excessive XNoise components (if configured) and
+// seals the round: the unmasked ring sum of the survivors' inputs and the
+// partition of the roster by whether a client's masked input is in it.
+func (s *Server) Finalize() (Result, error) {
 	if s.sum.Data == nil {
-		return PartialSum{}, fmt.Errorf("secagg: Finalize before unmasking")
+		return Result{}, fmt.Errorf("secagg: Finalize before unmasking")
 	}
-	res := PartialSum{
+	res := Result{
 		Survivors: append([]uint64(nil), s.u3...),
 	}
 	for _, id := range s.cfg.ClientIDs {
@@ -662,32 +644,21 @@ func (s *Server) FinalizePartial() (PartialSum, error) {
 			for _, u := range s.u3 {
 				seeds, ok := s.noiseSeeds[u]
 				if !ok {
-					return PartialSum{}, fmt.Errorf("secagg: missing noise seeds for survivor %d", u)
+					return Result{}, fmt.Errorf("secagg: missing noise seeds for survivor %d", u)
 				}
 				seedsByClient[u] = seeds
 			}
 			removal, err := xnoise.RemovalNoise(*s.cfg.XNoise, s.cfg.sampler(), seedsByClient, numDropped, s.cfg.Dim)
 			if err != nil {
-				return PartialSum{}, err
+				return Result{}, err
 			}
 			if err := s.sum.SubSignedInPlace(removal); err != nil {
-				return PartialSum{}, err
+				return Result{}, err
 			}
 		}
 	}
-	res.Sum = ring.Vector{Bits: s.sum.Bits, Data: append([]uint64(nil), s.sum.Data...)}
+	res.Sum = append([]uint64(nil), s.sum.Data...)
 	return res, nil
-}
-
-// Finalize seals the round for the single-aggregator topology: the
-// PartialSum of the whole roster, flattened into the classic Result.
-func (s *Server) Finalize() (Result, error) {
-	p, err := s.FinalizePartial()
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Sum: p.Sum.Data, Survivors: p.Survivors, Dropped: p.Dropped,
-		RemovedComponents: p.RemovedComponents}, nil
 }
 
 func contains(ids []uint64, id uint64) bool {
