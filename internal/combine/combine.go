@@ -156,9 +156,6 @@ func (c *Combiner) Add(p Partial) error {
 	return nil
 }
 
-// Contributed reports how many shard partials have been folded in.
-func (c *Combiner) Contributed() int { return len(c.got) }
-
 // QuorumMet reports whether enough partials arrived for Seal to succeed.
 // It matches the engine's predicate-quorum signature so the wire driver
 // can end the collection stage the moment the fold is viable-and-complete.

@@ -219,8 +219,8 @@ func TestCombinerRejectsPartialAfterSeal(t *testing.T) {
 	if err := c.Add(partial(0, 4, 3)); !errors.Is(err, ErrRoundSealed) {
 		t.Fatalf("duplicate after seal: %v, want ErrRoundSealed", err)
 	}
-	if c.Contributed() != 1 {
-		t.Fatalf("post-seal adds mutated the fold: %d contributions", c.Contributed())
+	if len(c.got) != 1 {
+		t.Fatalf("post-seal adds mutated the fold: %d contributions", len(c.got))
 	}
 }
 

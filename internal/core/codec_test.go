@@ -329,6 +329,7 @@ func TestUnmaskCodecRejectsMalformed(t *testing.T) {
 // fuzz (seeded PRG) so failures replay.
 func TestUnmaskCodecFuzz(t *testing.T) {
 	s := prg.NewStream(prg.NewSeed([]byte("unmask-codec-fuzz")))
+	fe := func() field.Element { return field.New(s.Uint64() & field.Modulus) }
 	mkMsg := func() secagg.UnmaskMsg {
 		m := secagg.UnmaskMsg{From: s.Uint64()}
 		if n := int(s.Uint64() % 4); n > 0 {
@@ -336,7 +337,7 @@ func TestUnmaskCodecFuzz(t *testing.T) {
 			for i := 0; i < n; i++ {
 				var b [secagg.NumKeyChunks]shamir.Share
 				for c := range b {
-					b[c] = shamir.Share{X: s.FieldElement(), Y: s.FieldElement()}
+					b[c] = shamir.Share{X: fe(), Y: fe()}
 				}
 				m.MaskKeyShares[s.Uint64()] = b
 			}
@@ -344,13 +345,13 @@ func TestUnmaskCodecFuzz(t *testing.T) {
 		if n := int(s.Uint64() % 4); n > 0 {
 			m.SelfSeedShares = make(map[uint64]shamir.Share, n)
 			for i := 0; i < n; i++ {
-				m.SelfSeedShares[s.Uint64()] = shamir.Share{X: s.FieldElement(), Y: s.FieldElement()}
+				m.SelfSeedShares[s.Uint64()] = shamir.Share{X: fe(), Y: fe()}
 			}
 		}
 		if n := int(s.Uint64() % 3); n > 0 {
 			m.OwnNoiseSeeds = make(map[int]field.Element, n)
 			for i := 0; i < n; i++ {
-				m.OwnNoiseSeeds[int(s.Uint64()%64)] = s.FieldElement()
+				m.OwnNoiseSeeds[int(s.Uint64()%64)] = fe()
 			}
 		}
 		return m

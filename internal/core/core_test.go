@@ -228,6 +228,23 @@ func TestRoundConfigRejectsSubRoundOverflow(t *testing.T) {
 	}
 }
 
+// TestRoundConfigRejectsTargetWithoutTolerance: Tolerance 0 adds no noise,
+// so a noise target set without one is a misconfiguration, refused before
+// the round runs instead of releasing the sum un-noised.
+func TestRoundConfigRejectsTargetWithoutTolerance(t *testing.T) {
+	cfg := RoundConfig{Codec: testCodec(16, 4), Threshold: 3, Chunks: 1, TargetMu: 10}
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("TargetMu 10 with Tolerance 0 accepted")
+	}
+	if _, err := RunRound(cfg, randomUpdates(4, 16, 0.5), nil, rand.Reader); err == nil {
+		t.Fatal("RunRound ran a noise target with no tolerance")
+	}
+	cfg.TargetMu = 0
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("plain aggregation rejected: %v", err)
+	}
+}
+
 func TestWireRoundOverMemoryTransport(t *testing.T) { testWireRound(t, "memory") }
 
 func TestWireRoundOverTCP(t *testing.T) { testWireRound(t, "tcp") }

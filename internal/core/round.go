@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"sync"
 
 	"repro/internal/field"
 	"repro/internal/lightsecagg"
@@ -93,8 +92,9 @@ type RoundConfig struct {
 	// direction 2).
 	Chunks int
 	// XNoise enables add-then-remove enforcement with tolerance T and
-	// central target TargetMu (grid units); Tolerance 0 disables it
-	// (plain SecAgg aggregation — the Orig substrate).
+	// central target TargetMu (grid units). Tolerance 0 means no DP noise
+	// at all (plain secure aggregation), so Validate refuses a TargetMu
+	// without a tolerance rather than silently dropping it.
 	Tolerance int
 	TargetMu  float64
 	Sampler   xnoise.Sampler
@@ -145,6 +145,9 @@ func (c RoundConfig) Validate() error {
 	}
 	if c.Tolerance > 0 && c.TargetMu <= 0 {
 		return fmt.Errorf("core: XNoise requires TargetMu > 0")
+	}
+	if c.Tolerance == 0 && c.TargetMu != 0 {
+		return fmt.Errorf("core: TargetMu %v without a tolerance would add no noise", c.TargetMu)
 	}
 	if c.NoiseEpoch > xnoise.MaxNoiseEpoch {
 		return fmt.Errorf("core: unknown noise epoch %d (max %d)", c.NoiseEpoch, xnoise.MaxNoiseEpoch)
@@ -304,20 +307,17 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 
 	// Per-(client, chunk) noise seeds, derived deterministically so runs
 	// are reproducible.
-	type chunkNoise struct {
-		client *xnoise.ClientNoise
-	}
-	noise := make([][]chunkNoise, m) // [chunk][clientIdx]
+	noise := make([][]*xnoise.ClientNoise, m) // [chunk][clientIdx]
 	if plan != nil {
 		seedStream := prg.NewStream(prg.NewSeed(cfg.Seed[:], []byte("noise-seeds")))
 		for c := 0; c < m; c++ {
-			noise[c] = make([]chunkNoise, len(ids))
+			noise[c] = make([]*xnoise.ClientNoise, len(ids))
 			for i := range ids {
 				cn, err := xnoise.NewClientNoise(*plan, seedStream.Fork(fmt.Sprintf("k%d/%d", c, i)))
 				if err != nil {
 					return nil, err
 				}
-				noise[c][i] = chunkNoise{client: cn}
+				noise[c][i] = cn
 			}
 		}
 	}
@@ -406,17 +406,6 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 	}
 	chunkInputs := make([]map[uint64]ring.Vector, m)
 	chunkSums := make([]ring.Vector, m)
-	var mu sync.Mutex
-	var firstErr error
-	setErr := func(err error) error {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		return err
-	}
-
 	stageClient := func(c int) error {
 		// c-comp: assemble chunk inputs; survivors add their XNoise. A
 		// chunk input is the client's window of the slab, noised in place:
@@ -432,11 +421,11 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 			chunk := ring.Vector{Bits: cfg.Codec.Bits, Data: slab[i*pd+lo : i*pd+hi : i*pd+hi]}
 			if plan != nil && aggregated(id) {
 				clear(total)
-				if err := noise[c][i].client.AddTotalNoise(*plan, sampler, total); err != nil {
-					return setErr(err)
+				if err := noise[c][i].AddTotalNoise(*plan, sampler, total); err != nil {
+					return err
 				}
 				if err := chunk.AddSignedInPlace(total); err != nil {
-					return setErr(err)
+					return err
 				}
 			}
 			inputs[id] = chunk
@@ -450,7 +439,7 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 		if proto == ProtocolLightSecAgg {
 			sum, err := runLightSecAggChunk(cfg, c, ids, chunkInputs[c], lift, schedule, rand, lsaSess)
 			if err != nil {
-				return setErr(fmt.Errorf("core: chunk %d aggregation: %w", c, err))
+				return fmt.Errorf("core: chunk %d aggregation: %w", c, err)
 			}
 			chunkSums[c] = sum
 			return nil
@@ -462,7 +451,7 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 		chunkCfg.KeyRatchet = ratchet
 		rr, err := secagg.RunWithSessions(chunkCfg, chunkInputs[c], nil, schedule, rand, sess)
 		if err != nil {
-			return setErr(fmt.Errorf("core: chunk %d aggregation: %w", c, err))
+			return fmt.Errorf("core: chunk %d aggregation: %w", c, err)
 		}
 		chunkSums[c] = ring.Vector{Bits: cfg.Codec.Bits, Data: rr.Result.Sum}
 		return nil
@@ -479,16 +468,16 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 			}
 			byK := make(map[int]field.Element, len(removed))
 			for _, k := range removed {
-				byK[k] = noise[c][i].client.Seeds[k]
+				byK[k] = noise[c][i].Seeds[k]
 			}
 			seeds[id] = byK
 		}
 		removal, err := xnoise.RemovalNoise(*plan, sampler, seeds, numDropped, chunkSums[c].Len())
 		if err != nil {
-			return setErr(err)
+			return err
 		}
 		if err := chunkSums[c].SubSignedInPlace(removal); err != nil {
-			return setErr(err)
+			return err
 		}
 		return nil
 	}
@@ -504,9 +493,6 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 	}
 	if err := ex.Run(m); err != nil {
 		return nil, err
-	}
-	if firstErr != nil {
-		return nil, firstErr
 	}
 
 	agg, err := ring.Concat(chunkSums)

@@ -29,7 +29,7 @@ import (
 // sessions and every chunk after the first its round's: a lift slab, a
 // received slab or a mask that outlived its chunk would move the sum.
 func TestRunRoundSlabIsolation(t *testing.T) {
-	const n, dim, tolerance = 12, 200, 3
+	const n, dim, tolerance, targetMu = 12, 200, 3, 40
 	codec := testCodec(dim, n)
 	updates := randomUpdates(n, dim, 0.9)
 	drops := []uint64{3, 7}
@@ -41,7 +41,7 @@ func TestRunRoundSlabIsolation(t *testing.T) {
 		}
 	}
 	base := RoundConfig{Round: 1, Codec: codec, Threshold: 8, Seed: prg.NewSeed([]byte("slab")),
-		TargetMu: 40, Sampler: sampler, DropSchedule: late}
+		Sampler: sampler, DropSchedule: late}
 
 	// The oracle, outside the round: one Encode per client on the round's
 	// per-client rounding streams, summed over the clients that upload.
@@ -60,7 +60,7 @@ func TestRunRoundSlabIsolation(t *testing.T) {
 			}
 		}
 	}
-	plan := xnoise.Plan{NumClients: n, DropoutTolerance: tolerance, Threshold: base.Threshold, TargetVariance: base.TargetMu}
+	plan := xnoise.Plan{NumClients: n, DropoutTolerance: tolerance, Threshold: base.Threshold, TargetVariance: targetMu}
 	var kept int64
 	for k := 0; k <= len(drops); k++ {
 		v, err := plan.ComponentVariance(k)
@@ -79,10 +79,12 @@ func TestRunRoundSlabIsolation(t *testing.T) {
 			pool := NewSessionPool(3)
 			for round, tc := range []struct {
 				tolerance int
+				targetMu  float64
 				want      ring.Vector
-			}{{0, plain}, {tolerance, noised}, {tolerance, noised}} {
+			}{{0, 0, plain}, {tolerance, targetMu, noised}, {tolerance, targetMu, noised}} {
 				cfg := base
-				cfg.Protocol, cfg.Chunks, cfg.Tolerance = proto, chunks, tc.tolerance
+				cfg.Protocol, cfg.Chunks = proto, chunks
+				cfg.Tolerance, cfg.TargetMu = tc.tolerance, tc.targetMu
 				if proto == ProtocolLightSecAgg {
 					cfg.Round, cfg.Sessions = uint64(round+1), pool
 				}

@@ -10,7 +10,8 @@
 //     PlanSkellamMuSampled).
 //  2. Online noise enforcement: every round actually releases an aggregate
 //     perturbed with some achieved variance (exactly σ²* under XNoise;
-//     possibly less under Orig with dropout). SampledLedger replays the
+//     possibly less under Orig with dropout — every client-noised scheme
+//     reads it from xnoise.Plan.AchievedVariance). SampledLedger replays the
 //     achieved noise levels at the run's sampling rate and reports the ε
 //     actually consumed, which is how Figures 1b–1d and 8 are produced.
 //
@@ -175,16 +176,6 @@ func (a *Accountant) Epsilon(delta float64) float64 {
 		best = 0
 	}
 	return best
-}
-
-// GaussianEpsilon is a convenience: the (ε, δ) cost of R Gaussian releases
-// at fixed sensitivity and sigma.
-func GaussianEpsilon(rounds int, sensitivity, sigma, delta float64) float64 {
-	a := NewAccountant(nil)
-	for r := 0; r < rounds; r++ {
-		a.AddGaussian(sensitivity, sigma)
-	}
-	return a.Epsilon(delta)
 }
 
 // SkellamEpsilon is the (ε, δ) cost of R Skellam releases.

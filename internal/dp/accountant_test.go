@@ -5,6 +5,16 @@ import (
 	"testing"
 )
 
+// gaussianEpsilon is the (ε, δ) cost of rounds Gaussian releases at fixed
+// sensitivity and sigma.
+func gaussianEpsilon(rounds int, sensitivity, sigma, delta float64) float64 {
+	a := NewAccountant(nil)
+	for r := 0; r < rounds; r++ {
+		a.AddGaussian(sensitivity, sigma)
+	}
+	return a.Epsilon(delta)
+}
+
 func TestGaussianRDPScaling(t *testing.T) {
 	// ε(α) = αΔ²/(2σ²): doubling σ quarters the RDP.
 	a := GaussianRDP(2, 1, 1)
@@ -20,7 +30,7 @@ func TestGaussianRDPScaling(t *testing.T) {
 func TestEpsilonMonotoneInRounds(t *testing.T) {
 	prev := 0.0
 	for rounds := 1; rounds <= 64; rounds *= 2 {
-		eps := GaussianEpsilon(rounds, 1, 10, 1e-5)
+		eps := gaussianEpsilon(rounds, 1, 10, 1e-5)
 		if eps <= prev {
 			t.Fatalf("ε must grow with composition: %d rounds → %v (prev %v)", rounds, eps, prev)
 		}
@@ -31,7 +41,7 @@ func TestEpsilonMonotoneInRounds(t *testing.T) {
 func TestEpsilonMonotoneInSigma(t *testing.T) {
 	prev := math.Inf(1)
 	for _, sigma := range []float64{1, 2, 4, 8, 16} {
-		eps := GaussianEpsilon(10, 1, sigma, 1e-5)
+		eps := gaussianEpsilon(10, 1, sigma, 1e-5)
 		if eps >= prev {
 			t.Fatalf("ε must shrink with σ: σ=%v → %v (prev %v)", sigma, eps, prev)
 		}
@@ -43,12 +53,12 @@ func TestEpsilonAgainstKnownGaussianValue(t *testing.T) {
 	// Single Gaussian release with σ/Δ = 1 and δ=1e-5. The classical
 	// analytic mechanism gives ε ≈ 4.9; RDP accounting is looser but must
 	// land in a sane band (3, 10).
-	eps := GaussianEpsilon(1, 1, 1, 1e-5)
+	eps := gaussianEpsilon(1, 1, 1, 1e-5)
 	if eps < 3 || eps > 10 {
 		t.Errorf("ε = %v out of expected band for σ=Δ", eps)
 	}
 	// Large σ: ε must be small.
-	if eps := GaussianEpsilon(1, 1, 100, 1e-5); eps > 0.2 {
+	if eps := gaussianEpsilon(1, 1, 100, 1e-5); eps > 0.2 {
 		t.Errorf("σ=100Δ should cost little: ε=%v", eps)
 	}
 }

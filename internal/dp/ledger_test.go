@@ -3,6 +3,8 @@ package dp
 import (
 	"math"
 	"testing"
+
+	"repro/internal/xnoise"
 )
 
 // unsampledLedger is the ledger of a run in which every client
@@ -14,6 +16,12 @@ func unsampledLedger(t *testing.T, delta, d1, d2 float64) *SampledLedger {
 		t.Fatal(err)
 	}
 	return l
+}
+
+// origPlan is Orig's noise (Definition 1): an XNoise plan with no
+// removable components, whose achieved variance is σ²·(u−d)/u.
+func origPlan(u int, sigma2 float64) xnoise.Plan {
+	return xnoise.Plan{NumClients: u, Threshold: u, TargetVariance: sigma2}
 }
 
 func TestLedgerXNoiseVsOrig(t *testing.T) {
@@ -33,18 +41,15 @@ func TestLedgerXNoiseVsOrig(t *testing.T) {
 	}
 
 	orig := unsampledLedger(t, delta, d1, d2)
-	xnoise := unsampledLedger(t, delta, d1, d2)
+	xn := unsampledLedger(t, delta, d1, d2)
+	av := origPlan(u, sigma2).AchievedVariance(dropped)
 	for r := 0; r < rounds; r++ {
-		av, err := AchievedVariance("orig", sigma2, u, dropped, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
 		orig.RecordRound(sigma2, av)
-		xnoise.RecordRound(sigma2, sigma2) // Theorem 1: exact enforcement
+		xn.RecordRound(sigma2, sigma2) // Theorem 1: exact enforcement
 	}
 
 	epsOrig := orig.Epsilon()
-	epsX := xnoise.Epsilon()
+	epsX := xn.Epsilon()
 	if epsX > budget+1e-6 {
 		t.Errorf("XNoise consumed ε=%v, must be ≤ budget %v", epsX, budget)
 	}
@@ -58,53 +63,29 @@ func TestLedgerXNoiseVsOrig(t *testing.T) {
 
 func TestAchievedVarianceOrig(t *testing.T) {
 	// 16 clients, 4 dropped: achieved = σ²·12/16.
-	got, err := AchievedVariance("orig", 1.0, 16, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-0.75) > 1e-12 {
+	if got := origPlan(16, 1.0).AchievedVariance(4); math.Abs(got-0.75) > 1e-12 {
 		t.Errorf("got %v, want 0.75", got)
 	}
 	// No dropout: exactly target.
-	got, _ = AchievedVariance("orig", 2.5, 16, 0, 0)
-	if got != 2.5 {
+	if got := origPlan(16, 2.5).AchievedVariance(0); got != 2.5 {
 		t.Errorf("no-dropout achieved %v, want 2.5", got)
 	}
 }
 
 func TestAchievedVarianceConservative(t *testing.T) {
-	// θ=0.5, u=16: each client adds σ²/8. If nobody drops the aggregate has
-	// 2σ² (overshoot); if exactly 8 drop it is exactly σ².
-	got, err := AchievedVariance("conservative", 1.0, 16, 0, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-2.0) > 1e-12 {
+	// Con-θ is Orig planned for σ²/(1−θ). θ=0.5, u=16: each client adds
+	// σ²/8. If nobody drops the aggregate has 2σ² (overshoot); if exactly
+	// 8 drop it is exactly σ².
+	con := origPlan(16, 1.0/(1-0.5))
+	if got := con.AchievedVariance(0); math.Abs(got-2.0) > 1e-12 {
 		t.Errorf("no dropout: %v, want 2.0", got)
 	}
-	got, _ = AchievedVariance("conservative", 1.0, 16, 8, 0.5)
-	if math.Abs(got-1.0) > 1e-12 {
+	if got := con.AchievedVariance(8); math.Abs(got-1.0) > 1e-12 {
 		t.Errorf("θ-matched dropout: %v, want 1.0", got)
 	}
 	// More dropout than estimated → undershoot → privacy deficit.
-	got, _ = AchievedVariance("conservative", 1.0, 16, 12, 0.5)
-	if got >= 1.0 {
+	if got := con.AchievedVariance(12); got >= 1.0 {
 		t.Errorf("underestimated dropout should undershoot: %v", got)
-	}
-}
-
-func TestAchievedVarianceErrors(t *testing.T) {
-	if _, err := AchievedVariance("orig", 1, 0, 0, 0); err == nil {
-		t.Error("u=0 should error")
-	}
-	if _, err := AchievedVariance("orig", 1, 4, 5, 0); err == nil {
-		t.Error("d>u should error")
-	}
-	if _, err := AchievedVariance("conservative", 1, 4, 1, 1.0); err == nil {
-		t.Error("θ=1 should error")
-	}
-	if _, err := AchievedVariance("bogus", 1, 4, 1, 0); err == nil {
-		t.Error("unknown scheme should error")
 	}
 }
 
@@ -115,9 +96,8 @@ func TestHigherDropoutMoreEpsilon(t *testing.T) {
 	prev := 0.0
 	for _, dropRate := range []float64{0, 0.1, 0.2, 0.3, 0.4} {
 		l := unsampledLedger(t, 1e-2, 1000, 100)
-		d := int(dropRate * u)
+		av := origPlan(u, sigma2).AchievedVariance(int(dropRate * u))
 		for r := 0; r < rounds; r++ {
-			av, _ := AchievedVariance("orig", sigma2, u, d, 0)
 			l.RecordRound(sigma2, av)
 		}
 		eps := l.Epsilon()

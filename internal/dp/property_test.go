@@ -35,8 +35,8 @@ func TestQuickEpsilonMonotoneInNoise(t *testing.T) {
 	f := func(sigmaQ uint16, roundsQ uint8) bool {
 		sigma := 1 + float64(sigmaQ%500)/10
 		rounds := int(roundsQ%20) + 1
-		e1 := GaussianEpsilon(rounds, 1, sigma, 1e-5)
-		e2 := GaussianEpsilon(rounds, 1, sigma*1.5, 1e-5)
+		e1 := gaussianEpsilon(rounds, 1, sigma, 1e-5)
+		e2 := gaussianEpsilon(rounds, 1, sigma*1.5, 1e-5)
 		return e2 <= e1+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/fl"
 	"repro/internal/prg"
 	"repro/internal/trace"
+	"repro/internal/xnoise"
 )
 
 // Fig1Row is one bar of Figure 1b/1c: a distributed-DP variant with its
@@ -102,23 +103,36 @@ func Fig1d() ([]Fig1dRow, error) {
 		if err != nil {
 			return nil, err
 		}
+		orig := origPlan(sampled, mu)
 		for _, rate := range []float64{0, 0.1, 0.2, 0.3, 0.4} {
-			ledger, err := dp.NewSampledLedger(dp.MechanismSkellam, delta, 1, 10, q)
+			eps, err := replayEpsilon(mu, orig.AchievedVariance(int(rate*sampled)), delta, q, rounds)
 			if err != nil {
 				return nil, err
 			}
-			d := int(rate * sampled)
-			for r := 0; r < rounds; r++ {
-				achieved, err := dp.AchievedVariance("orig", mu, sampled, d, 0)
-				if err != nil {
-					return nil, err
-				}
-				ledger.RecordRound(mu, achieved)
-			}
-			rows = append(rows, Fig1dRow{Budget: budget, DropoutRate: rate, Epsilon: ledger.Epsilon()})
+			rows = append(rows, Fig1dRow{Budget: budget, DropoutRate: rate, Epsilon: eps})
 		}
 	}
 	return rows, nil
+}
+
+// origPlan is Orig's noise for u sampled clients at central target mu:
+// Definition 1, an XNoise plan with no removable components.
+func origPlan(u int, mu float64) xnoise.Plan {
+	return xnoise.Plan{NumClients: u, Threshold: u, TargetVariance: mu}
+}
+
+// replayEpsilon is the ε after rounds identical releases, each planned at
+// mu and carrying achieved, on the sampled Skellam ledger with the
+// normalized sensitivities Fig1d and Fig8 plan with (L1 10, L2 1).
+func replayEpsilon(mu, achieved, delta, q float64, rounds int) (float64, error) {
+	ledger, err := dp.NewSampledLedger(dp.MechanismSkellam, delta, 1, 10, q)
+	if err != nil {
+		return 0, err
+	}
+	for r := 0; r < rounds; r++ {
+		ledger.RecordRound(mu, achieved)
+	}
+	return ledger.Epsilon(), nil
 }
 
 func init() {

@@ -47,26 +47,19 @@ func Fig8() ([]Fig8Row, error) {
 		if err != nil {
 			return nil, err
 		}
+		orig := origPlan(task.sampled, mu)
 		for _, scheme := range []string{"Orig", "XNoise"} {
 			for _, rate := range []float64{0, 0.1, 0.2, 0.3, 0.4} {
-				ledger, err := dp.NewSampledLedger(dp.MechanismSkellam, task.delta, 1, 10, q)
+				achieved := mu // XNoise: exact (Theorem 1)
+				if scheme == "Orig" {
+					achieved = orig.AchievedVariance(int(rate * float64(task.sampled)))
+				}
+				eps, err := replayEpsilon(mu, achieved, task.delta, q, task.rounds)
 				if err != nil {
 					return nil, err
 				}
-				d := int(rate * float64(task.sampled))
-				for r := 0; r < task.rounds; r++ {
-					achieved := mu // XNoise: exact (Theorem 1)
-					if scheme == "Orig" {
-						achieved, err = dp.AchievedVariance("orig", mu, task.sampled, d, 0)
-						if err != nil {
-							return nil, err
-						}
-					}
-					ledger.RecordRound(mu, achieved)
-				}
 				rows = append(rows, Fig8Row{
-					Task: task.name, Scheme: scheme, DropoutRate: rate,
-					Epsilon: ledger.Epsilon(),
+					Task: task.name, Scheme: scheme, DropoutRate: rate, Epsilon: eps,
 				})
 			}
 		}

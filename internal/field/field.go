@@ -108,16 +108,6 @@ func Inv(a Element) (Element, error) {
 	return Pow(a, Modulus-2), nil
 }
 
-// MustInv is Inv for callers that have already excluded zero; it panics on
-// zero input.
-func MustInv(a Element) Element {
-	inv, err := Inv(a)
-	if err != nil {
-		panic("field: inverse of zero")
-	}
-	return inv
-}
-
 // Div returns a/b mod p. Dividing by zero returns ErrNotInvertible.
 func Div(a, b Element) (Element, error) {
 	bi, err := Inv(b)

@@ -254,8 +254,8 @@ func TestBatchInv(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range xs {
-		want := MustInv(xs[i])
-		if invs[i] != want {
+		want, err := Inv(xs[i])
+		if err != nil || invs[i] != want {
 			t.Fatalf("BatchInv[%d] = %v, want %v", i, invs[i], want)
 		}
 	}

@@ -11,6 +11,15 @@
 //	SchemeConservative  — Orig with noise planned for an assumed dropout
 //	                      rate θ (the Con-θ baselines of Fig. 1)
 //	SchemeXNoise        — Dordis's add-then-remove enforcement (Def. 2)
+//	SchemeCentralDP     — the trusted server adds σ²* itself (§2.2)
+//	SchemeLocalDP       — every client adds σ²* on its own (§2.2)
+//
+// Every scheme whose clients add noise is one xnoise.Plan, built once per
+// run: Definition 1 is Definition 2 with no removable components (T = 0),
+// so Orig and Early plan σ²*, Con-θ plans σ²*/(1−θ), local DP plans
+// |U|·σ²*, and XNoise plans σ²* with T = ⌊frac·|U|⌋. A round draws each
+// survivor's kept components in one Skellam draw and accounts the plan's
+// AchievedVariance(|D|).
 //
 // Aggregation is performed in the ℤ_{2^b} ring on DSkellam-encoded updates,
 // exactly the math the secure-aggregation layer computes (SecAgg masking
@@ -170,16 +179,19 @@ func (r *Result) Perplexity() float64 { return ml.Perplexity(r.FinalLoss) }
 
 // plan bundles everything derived during offline noise planning.
 type plan struct {
-	codec     skellam.Params
-	mu        float64 // per-round central target σ²* (grid units)
-	perClient float64 // per-client noise variance for Orig-style schemes
-	d1, d2    float64
-	q         float64 // sampling rate
+	codec skellam.Params
+	mu    float64 // per-round central target σ²* (grid units)
+	// noise is the clients' noise; nil when they add none (SchemeNone,
+	// SchemeCentralDP).
+	noise  *xnoise.Plan
+	d1, d2 float64
+	q      float64 // sampling rate
 }
 
 // planNoise performs offline noise planning (§2.2): fix the DSkellam codec
-// scale by a 3-step fixed point (scale ↔ noise magnitude), then plan the
-// minimum per-round μ* under subsampling amplification.
+// scale by a 3-step fixed point (scale ↔ noise magnitude), plan the
+// minimum per-round μ* under subsampling amplification, then the scheme's
+// client noise as one xnoise.Plan.
 func planNoise(task Task, cfg Config, dim int) (plan, error) {
 	q := float64(task.SampledPerRound) / float64(task.Fed.NumClients())
 	sigmaGuess := task.Clip // model-unit central noise std, refined below
@@ -205,23 +217,31 @@ func planNoise(task Task, cfg Config, dim int) (plan, error) {
 		p = plan{codec: codec, mu: mu, d1: d1, d2: d2, q: q}
 		sigmaGuess = math.Sqrt(mu) / scale
 	}
-	u := float64(task.SampledPerRound)
+	// Definition 1 schemes are plans with T = 0: no removable components,
+	// so the Threshold (which only bounds collusion inflation) is |U|.
+	u := task.SampledPerRound
+	noise := xnoise.Plan{NumClients: u, Threshold: u, TargetVariance: p.mu}
 	switch cfg.Scheme {
-	case SchemeOrig, SchemeEarly:
-		p.perClient = p.mu / u
 	case SchemeCentralDP:
-		p.perClient = 0 // the server adds the whole target itself
-	case SchemeLocalDP:
-		// A local guarantee cannot lean on aggregation: each client adds
-		// noise at the full central level, accumulating |U|·μ overall.
-		p.perClient = p.mu
+		return p, nil // the server adds the whole target itself
 	case SchemeConservative:
 		theta := cfg.ConservativeTheta
 		if theta < 0 || theta >= 1 {
 			return plan{}, fmt.Errorf("fl: conservative θ=%v out of [0,1)", theta)
 		}
-		p.perClient = p.mu / ((1 - theta) * u)
+		noise.TargetVariance = p.mu / (1 - theta)
+	case SchemeLocalDP:
+		// A local guarantee cannot lean on aggregation: each client adds
+		// noise at the full central level, accumulating |U|·μ overall.
+		noise.TargetVariance = float64(u) * p.mu
+	case SchemeXNoise:
+		noise.DropoutTolerance = min(int(cfg.toleranceFrac()*float64(u)), u-1)
+		noise.Threshold = u - noise.DropoutTolerance
 	}
+	if err := noise.Validate(); err != nil {
+		return plan{}, err
+	}
+	p.noise = &noise
 	return p, nil
 }
 
@@ -237,10 +257,6 @@ func Run(task Task, cfg Config) (*Result, error) {
 	np, err := planNoise(task, cfg, dim)
 	if err != nil {
 		return nil, err
-	}
-	tolerance := int(cfg.toleranceFrac() * float64(task.SampledPerRound))
-	if tolerance >= task.SampledPerRound {
-		tolerance = task.SampledPerRound - 1
 	}
 
 	var ledger *dp.SampledLedger
@@ -275,7 +291,7 @@ func Run(task Task, cfg Config) (*Result, error) {
 		if cfg.Dropout != nil {
 			maxDrops := -1
 			if cfg.Scheme == SchemeXNoise {
-				maxDrops = tolerance
+				maxDrops = np.noise.DropoutTolerance
 			}
 			dropList := trace.RoundDropouts(cfg.Dropout, round, sampled, maxDrops)
 			droppedIdx = make(map[int]bool, len(dropList))
@@ -289,28 +305,34 @@ func Run(task Task, cfg Config) (*Result, error) {
 			continue // round aborts; no release, no budget spent
 		}
 
-		// XNoise per-round plan.
-		var xp *xnoise.Plan
-		if cfg.Scheme == SchemeXNoise {
-			xp = &xnoise.Plan{
-				NumClients:       task.SampledPerRound,
-				DropoutTolerance: tolerance,
-				Threshold:        task.SampledPerRound - tolerance,
-				TargetVariance:   np.mu,
-			}
-			if err := xp.Validate(); err != nil {
-				return nil, err
+		// Exact-cancellation shortcut: the server regenerates the removed
+		// components k > |D| from the very seeds the client used, so
+		// addition followed by removal cancels bit-for-bit (verified end to
+		// end in packages secagg and core). What each survivor leaves in
+		// the aggregate is components k ≤ min(|D|, T) — component 0 alone
+		// for a Definition 1 plan — drawn as one Skellam draw per
+		// coordinate at their summed variance.
+		var kept float64
+		if np.noise != nil {
+			for k := 0; k <= min(numDropped, np.noise.DropoutTolerance); k++ {
+				cv, err := np.noise.ComponentVariance(k)
+				if err != nil {
+					return nil, err
+				}
+				kept += cv
 			}
 		}
 
-		// Local training and aggregation of the survivors: one encoder and
-		// one encoded vector serve every client of the round in turn.
+		// Local training and aggregation of the survivors: one encoder, one
+		// encoded vector and one noise buffer serve every client of the
+		// round in turn.
 		encoder, err := skellam.NewEncoder(codec)
 		if err != nil {
 			return nil, err
 		}
 		agg := ring.NewVector(codec.Bits, codec.PaddedDim())
 		enc := ring.NewVector(codec.Bits, codec.PaddedDim())
+		noise := make([]int64, codec.PaddedDim())
 		for i, clientIdx := range sampled {
 			if droppedIdx[i] {
 				continue
@@ -328,35 +350,7 @@ func Run(task Task, cfg Config) (*Result, error) {
 			if err := encoder.EncodeInto(enc, delta, encodeStream); err != nil {
 				return nil, err
 			}
-			// Noise addition per scheme.
-			switch cfg.Scheme {
-			case SchemeNone:
-				// no noise
-			case SchemeCentralDP:
-				// no client-side noise: the trusted server perturbs below
-			case SchemeOrig, SchemeEarly, SchemeConservative, SchemeLocalDP:
-				noise := make([]int64, enc.Len())
-				rng.SkellamVector(noiseStream, np.perClient, noise)
-				if err := enc.AddSignedInPlace(noise); err != nil {
-					return nil, err
-				}
-			case SchemeXNoise:
-				// Exact-cancellation shortcut: the server regenerates the
-				// removed components k > |D| from the very seeds the client
-				// used, so addition followed by removal cancels bit-for-bit
-				// (verified end-to-end in packages secagg and core). The
-				// surviving noise is the sum of components k ≤ |D|, whose
-				// variances telescope to σ²*/(|U|−|D|) per client — one
-				// Skellam draw per coordinate instead of T+1.
-				var kept float64
-				for k := 0; k <= numDropped; k++ {
-					cv, err := xp.ComponentVariance(k)
-					if err != nil {
-						return nil, err
-					}
-					kept += cv
-				}
-				noise := make([]int64, enc.Len())
+			if kept > 0 {
 				rng.SkellamVector(noiseStream, kept, noise)
 				if err := enc.AddSignedInPlace(noise); err != nil {
 					return nil, err
@@ -367,25 +361,18 @@ func Run(task Task, cfg Config) (*Result, error) {
 			}
 		}
 
-		// Server-side excessive-noise removal (XNoise).
 		achieved := 0.0
-		switch cfg.Scheme {
-		case SchemeNone:
-		case SchemeOrig, SchemeEarly, SchemeConservative, SchemeLocalDP:
-			achieved = np.perClient * float64(survivors)
-		case SchemeCentralDP:
+		if np.noise != nil {
+			achieved = np.noise.AchievedVariance(numDropped)
+		}
+		if cfg.Scheme == SchemeCentralDP {
 			// The trusted server adds exactly the target — dropout cannot
 			// dent it because no noise share travels with the clients.
-			noise := make([]int64, agg.Len())
 			rng.SkellamVector(noiseStream, np.mu, noise)
 			if err := agg.AddSignedInPlace(noise); err != nil {
 				return nil, err
 			}
 			achieved = np.mu
-		case SchemeXNoise:
-			// Removal already accounted for by the exact-cancellation
-			// shortcut above; the residual is at the target by Theorem 1.
-			achieved = xp.AchievedVariance(numDropped)
 		}
 
 		// Decode, average, apply.

@@ -56,8 +56,8 @@ func FromFieldElement(e field.Element) Seed {
 	return NewSeed([]byte("dordis/prg/from-field/v1"), b[:])
 }
 
-// BlockSize is the AES-CTR keystream block granularity in bytes. SeekBlock
-// repositions in units of this size; Seek/At accept arbitrary byte offsets.
+// BlockSize is the AES-CTR keystream block granularity in bytes; Seek and
+// At accept arbitrary byte offsets.
 const BlockSize = aes.BlockSize
 
 // Stream is a deterministic pseudorandom byte/word stream: AES-128-CTR over
@@ -235,13 +235,6 @@ func (s *Stream) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
 }
 
-// FieldElement returns a (near-)uniform GF(2^61-1) element.
-func (s *Stream) FieldElement() field.Element {
-	var b [8]byte
-	s.Read(b[:])
-	return field.RandomElement(b)
-}
-
 // Offset returns the logical byte position of the stream: the number of
 // keystream bytes a caller has consumed through Read/Fill/typed draws.
 // Buffered lookahead does not count — Offset is exactly the index of the
@@ -270,12 +263,6 @@ func (s *Stream) Seek(off uint64) {
 	}
 }
 
-// SeekBlock repositions the stream to the start of keystream block blk,
-// i.e. byte offset blk·BlockSize. See Seek.
-func (s *Stream) SeekBlock(blk uint64) {
-	s.Seek(blk * BlockSize)
-}
-
 // At returns a new independent cursor over the same keystream, positioned
 // at byte offset off. The receiver is not advanced or disturbed, so
 // distinct segments of one logical stream can be expanded concurrently
@@ -295,19 +282,6 @@ func (s *Stream) At(off uint64) *Stream {
 func (s *Stream) AtInto(c *Stream, off uint64) {
 	c.block, c.iv = s.block, s.iv
 	c.Seek(off)
-}
-
-// FillAt overwrites dst with len(dst) keystream bytes starting at absolute
-// offset off, without moving the receiver's position. It is byte-identical
-// to Seek(off)+Fill(dst) on a fresh cursor.
-func (s *Stream) FillAt(dst []byte, off uint64) {
-	s.At(off).Fill(dst)
-}
-
-// FillUint64At is FillUint64 reading 8·len(dst) keystream bytes from
-// absolute offset off, without moving the receiver's position.
-func (s *Stream) FillUint64At(dst []uint64, off uint64) {
-	s.At(off).FillUint64(dst)
 }
 
 // ctrAdd computes dst = iv + n interpreting the 16-byte counter block as a

@@ -165,15 +165,6 @@ func TestForkIndependence(t *testing.T) {
 	}
 }
 
-func TestFieldElementStream(t *testing.T) {
-	s := NewStream(NewSeed([]byte("fe")))
-	for i := 0; i < 1000; i++ {
-		if e := s.FieldElement(); e.Uint64() >= field.Modulus {
-			t.Fatalf("field element out of range: %v", e)
-		}
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	s := NewStream(NewSeed([]byte("bench64")))
 	for i := 0; i < b.N; i++ {
@@ -318,8 +309,8 @@ func TestSeekMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSeekBlockAndAt: SeekBlock lands on block boundaries; At-derived
-// cursors reproduce the same bytes without disturbing the parent.
+// TestSeekBlockAndAt: Seek to a block boundary and At-derived cursors
+// reproduce the sequential bytes, and At does not disturb the parent.
 func TestSeekBlockAndAt(t *testing.T) {
 	seed := NewSeed([]byte("seek-block"))
 	const total = 1 << 15
@@ -331,12 +322,12 @@ func TestSeekBlockAndAt(t *testing.T) {
 	parent.Fill(head) // advance the parent; At must not care
 	for _, blk := range []uint64{0, 1, 2, 31, 32, 33, 1000} {
 		s := NewStream(seed)
-		s.SeekBlock(blk)
+		off := blk * BlockSize
+		s.Seek(off)
 		got := make([]byte, 64)
 		s.Fill(got)
-		off := blk * BlockSize
 		if !bytes.Equal(got, want[off:off+64]) {
-			t.Errorf("SeekBlock(%d): bytes differ from sequential stream", blk)
+			t.Errorf("Seek(block %d): bytes differ from sequential stream", blk)
 		}
 
 		c := parent.At(off)
@@ -387,9 +378,10 @@ func TestAtIntoReaims(t *testing.T) {
 	}
 }
 
-// TestFillAtEveryOffset: exhaustive golden sweep — FillAt at every byte
-// offset in a window equals the corresponding sequential slice, and the
-// uint64 variant equals the scalar draw sequence after a skip.
+// TestFillAtEveryOffset: exhaustive golden sweep — a Fill from an At
+// cursor at every byte offset in a window equals the corresponding
+// sequential slice, and FillUint64 from one equals the scalar draw
+// sequence after a skip.
 func TestFillAtEveryOffset(t *testing.T) {
 	seed := NewSeed([]byte("fillat-exhaustive"))
 	const total = 2048
@@ -399,13 +391,13 @@ func TestFillAtEveryOffset(t *testing.T) {
 	s := NewStream(seed)
 	got := make([]byte, 64)
 	for off := 0; off < total; off++ {
-		s.FillAt(got, uint64(off))
+		s.At(uint64(off)).Fill(got)
 		if !bytes.Equal(got, want[off:off+64]) {
-			t.Fatalf("FillAt(%d) differs from sequential stream", off)
+			t.Fatalf("At(%d).Fill differs from sequential stream", off)
 		}
 	}
 
-	// Word form: FillUint64At(off) must equal scalar Uint64 draws made
+	// Word form: At(off).FillUint64 must equal scalar Uint64 draws made
 	// after consuming off bytes.
 	for _, off := range []uint64{0, 8, 16, 24, 4096 - 8} {
 		sc := NewStream(seed)
@@ -416,10 +408,10 @@ func TestFillAtEveryOffset(t *testing.T) {
 			wantW[i] = sc.Uint64()
 		}
 		gotW := make([]uint64, 16)
-		s.FillUint64At(gotW, off)
+		s.At(off).FillUint64(gotW)
 		for i := range wantW {
 			if gotW[i] != wantW[i] {
-				t.Fatalf("FillUint64At(%d)[%d] = %#x, want %#x", off, i, gotW[i], wantW[i])
+				t.Fatalf("At(%d).FillUint64[%d] = %#x, want %#x", off, i, gotW[i], wantW[i])
 			}
 		}
 	}
@@ -466,7 +458,7 @@ func TestSegmentedFillMatchesSequential(t *testing.T) {
 			wg.Add(1)
 			go func(lo, hi int) {
 				defer wg.Done()
-				base.FillAt(got[lo:hi], uint64(lo))
+				base.At(uint64(lo)).Fill(got[lo:hi])
 			}(lo, hi)
 		}
 		wg.Wait()

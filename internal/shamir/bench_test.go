@@ -18,12 +18,12 @@ func BenchmarkThresholdSweep(b *testing.B) {
 	for _, t := range []int{34, 51, 67, 90} {
 		b.Run(fmt.Sprintf("share/t=%d", t), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := SplitIndexed(secret, t, n, rand.Reader); err != nil {
+				if _, err := splitIndexed(secret, t, n, rand.Reader); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		shares, err := SplitIndexed(secret, t, n, rand.Reader)
+		shares, err := splitIndexed(secret, t, n, rand.Reader)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func BenchmarkReconstructMany(b *testing.B) {
 	const n, t, k = 64, 48, 16
 	sets := make([][]Share, k)
 	for i := range sets {
-		shares, err := SplitIndexed(field.New(uint64(1000+i)), t, n, rand.Reader)
+		shares, err := splitIndexed(field.New(uint64(1000+i)), t, n, rand.Reader)
 		if err != nil {
 			b.Fatal(err)
 		}

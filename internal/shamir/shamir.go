@@ -73,15 +73,6 @@ func Split(secret field.Element, t int, xs []field.Element, rand io.Reader) ([]S
 	return shares, nil
 }
 
-// SplitIndexed is a convenience wrapper that assigns abscissas 1..n.
-func SplitIndexed(secret field.Element, t, n int, rand io.Reader) ([]Share, error) {
-	xs := make([]field.Element, n)
-	for i := range xs {
-		xs[i] = field.New(uint64(i + 1))
-	}
-	return Split(secret, t, xs, rand)
-}
-
 // Reconstruct recovers the secret from at least t shares. Extra shares are
 // used (they must be consistent abscissa-wise, i.e. distinct); passing shares
 // from different sharings yields garbage, as with any Shamir scheme.

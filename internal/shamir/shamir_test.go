@@ -3,15 +3,25 @@ package shamir
 import (
 	"crypto/rand"
 	"errors"
+	"io"
 	mrand "math/rand"
 	"testing"
 
 	"repro/internal/field"
 )
 
+// splitIndexed is Split over the abscissas 1..n.
+func splitIndexed(secret field.Element, t, n int, rand io.Reader) ([]Share, error) {
+	xs := make([]field.Element, n)
+	for i := range xs {
+		xs[i] = field.New(uint64(i + 1))
+	}
+	return Split(secret, t, xs, rand)
+}
+
 func TestSplitReconstructExact(t *testing.T) {
 	secret := field.New(0xdeadbeefcafe)
-	shares, err := SplitIndexed(secret, 3, 5, rand.Reader)
+	shares, err := splitIndexed(secret, 3, 5, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +37,7 @@ func TestSplitReconstructExact(t *testing.T) {
 func TestReconstructFromAnySubset(t *testing.T) {
 	secret := field.New(42424242)
 	n, th := 7, 4
-	shares, err := SplitIndexed(secret, th, n, rand.Reader)
+	shares, err := splitIndexed(secret, th, n, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +60,7 @@ func TestReconstructFromAnySubset(t *testing.T) {
 
 func TestReconstructWithExtraShares(t *testing.T) {
 	secret := field.New(777)
-	shares, err := SplitIndexed(secret, 2, 5, rand.Reader)
+	shares, err := splitIndexed(secret, 2, 5, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +74,7 @@ func TestReconstructWithExtraShares(t *testing.T) {
 }
 
 func TestTooFewShares(t *testing.T) {
-	shares, err := SplitIndexed(field.New(1), 3, 5, rand.Reader)
+	shares, err := splitIndexed(field.New(1), 3, 5, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +84,10 @@ func TestTooFewShares(t *testing.T) {
 }
 
 func TestThresholdValidation(t *testing.T) {
-	if _, err := SplitIndexed(field.New(1), 0, 5, rand.Reader); !errors.Is(err, ErrThreshold) {
+	if _, err := splitIndexed(field.New(1), 0, 5, rand.Reader); !errors.Is(err, ErrThreshold) {
 		t.Errorf("t=0: want ErrThreshold, got %v", err)
 	}
-	if _, err := SplitIndexed(field.New(1), 6, 5, rand.Reader); !errors.Is(err, ErrThreshold) {
+	if _, err := splitIndexed(field.New(1), 6, 5, rand.Reader); !errors.Is(err, ErrThreshold) {
 		t.Errorf("t>n: want ErrThreshold, got %v", err)
 	}
 }
@@ -105,7 +115,7 @@ func TestSecrecyDegreesOfFreedom(t *testing.T) {
 	secretA := field.New(1111)
 	secretB := field.New(999999)
 	th := 3
-	sharesA, err := SplitIndexed(secretA, th, 5, rand.Reader)
+	sharesA, err := splitIndexed(secretA, th, 5, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +132,7 @@ func TestSecrecyDegreesOfFreedom(t *testing.T) {
 
 func TestWrongSharesGiveWrongSecret(t *testing.T) {
 	secret := field.New(31337)
-	shares, err := SplitIndexed(secret, 3, 5, rand.Reader)
+	shares, err := splitIndexed(secret, 3, 5, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +155,7 @@ func TestReconstructBatch(t *testing.T) {
 	want := make([]field.Element, k)
 	for i := range sets {
 		secret := field.New(uint64(31337 * (i + 1)))
-		shares, err := SplitIndexed(secret, tt, n, rand.Reader)
+		shares, err := splitIndexed(secret, tt, n, rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 )
 
@@ -111,16 +110,4 @@ func (r *Registry) VerifyFrom(id uint64, msg, signature []byte) bool {
 		return false
 	}
 	return Verify(k, msg, signature)
-}
-
-// Identities returns the sorted list of registered identities.
-func (r *Registry) Identities() []uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]uint64, 0, len(r.keys))
-	for id := range r.keys {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

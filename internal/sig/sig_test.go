@@ -105,20 +105,3 @@ func TestRegistryRejectsBadKeyLength(t *testing.T) {
 		t.Fatal("short key registration accepted")
 	}
 }
-
-func TestIdentitiesSorted(t *testing.T) {
-	r := NewRegistry()
-	s, _ := NewSigner(rand.Reader)
-	for _, id := range []uint64{5, 1, 3} {
-		if err := r.Register(id, s.Public()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ids := r.Identities()
-	want := []uint64{1, 3, 5}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("identities = %v, want %v", ids, want)
-		}
-	}
-}

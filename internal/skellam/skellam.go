@@ -89,13 +89,6 @@ func (p Params) Sensitivities() (delta1, delta2 float64) {
 	return d1, d2
 }
 
-// NoiseScale converts a central noise variance expressed in model units
-// (σ², what the DP planner works with when using continuous semantics)
-// into the integer-grid Skellam variance μ = (s·σ)² = s²·σ².
-func (p Params) NoiseScale(sigma2 float64) float64 {
-	return p.Scale * p.Scale * sigma2
-}
-
 // ChooseScale returns the largest granularity scale s such that the sum of
 // n encoded client vectors plus central noise of std centralSigma (model
 // units) fits the signed ring range [−2^(b−1), 2^(b−1)) with k-sigma slack:

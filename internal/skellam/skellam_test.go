@@ -229,7 +229,7 @@ func TestNoiseAdditionDecodesToExpectedVariance(t *testing.T) {
 	// after decoding (rotation is orthonormal, so variance is preserved).
 	p := testParams(256, 4)
 	const sigma = 0.02
-	mu := p.NoiseScale(sigma * sigma)
+	mu := p.Scale * p.Scale * sigma * sigma
 	s := prg.NewStream(prg.NewSeed([]byte("noise")))
 	zero := make([]float64, p.Dim)
 	enc, err := Encode(p, zero, s.Fork("r"))

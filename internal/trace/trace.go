@@ -99,9 +99,6 @@ func (v *Volatile) Drops(round, client int) bool {
 	return rng.Bernoulli(s, rate)
 }
 
-// Rate exposes a client's propensity (for inspection and tests).
-func (v *Volatile) Rate(client int) float64 { return v.rates[client%len(v.rates)] }
-
 // RoundDropouts applies a model to a sampled set and returns the indices
 // (into sampled) of the clients that drop this round, optionally capped at
 // maxDrops (< 0 = uncapped). The cap models the system's dropout-tolerance

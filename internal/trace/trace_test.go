@@ -65,7 +65,7 @@ func TestVolatileHeterogeneity(t *testing.T) {
 	}
 	var lo, hi int
 	for c := 0; c < 100; c++ {
-		r := v.Rate(c)
+		r := v.rates[c]
 		if r < 0 || r >= 1 {
 			t.Fatalf("client %d rate %v out of range", c, r)
 		}
@@ -82,7 +82,7 @@ func TestVolatileHeterogeneity(t *testing.T) {
 	// Mean propensity in the ballpark of the configured mean.
 	var mean float64
 	for c := 0; c < 100; c++ {
-		mean += v.Rate(c)
+		mean += v.rates[c]
 	}
 	mean /= 100
 	if math.Abs(mean-0.2) > 0.1 {

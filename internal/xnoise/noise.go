@@ -171,9 +171,3 @@ func RemovalNoise(p Plan, sampler Sampler, seedsByClient map[uint64]map[int]fiel
 	}
 	return total, nil
 }
-
-// RecoverSeed reconstructs a dropped client's component seed from at least
-// t shares collected from live clients (the extra round of §3.2).
-func RecoverSeed(p Plan, shares []shamir.Share) (field.Element, error) {
-	return shamir.Reconstruct(shares, p.Threshold)
-}

@@ -249,7 +249,7 @@ func TestShareAndRecoverSeeds(t *testing.T) {
 	}
 	for k := 1; k <= p.DropoutTolerance; k++ {
 		// Any Threshold of the shares recover the seed.
-		got, err := RecoverSeed(p, shared[k][1:4])
+		got, err := shamir.Reconstruct(shared[k][1:4], p.Threshold)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +257,7 @@ func TestShareAndRecoverSeeds(t *testing.T) {
 			t.Fatalf("component %d: recovered %v, want %v", k, got, cn.Seeds[k])
 		}
 		// Fewer than Threshold fail.
-		if _, err := RecoverSeed(p, shared[k][:2]); err == nil {
+		if _, err := shamir.Reconstruct(shared[k][:2], p.Threshold); err == nil {
 			t.Fatal("sub-threshold recovery should fail")
 		}
 	}
@@ -300,7 +300,7 @@ func TestDroppedSurvivorRecoveredViaShares(t *testing.T) {
 	recovered := map[int]field.Element{}
 	for _, k := range p.RemovalComponents(numDropped) {
 		// Shares of client 3's seed k held by clients 0 and 1.
-		got, err := RecoverSeed(p, []shamir.Share{allShares[3][k][0], allShares[3][k][1]})
+		got, err := shamir.Reconstruct([]shamir.Share{allShares[3][k][0], allShares[3][k][1]}, p.Threshold)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,6 +16,12 @@
 // component is inflated by t/(t−T_C) where t is the SecAgg threshold
 // (§3.3, "Handling Mild Collusion").
 //
+// Definition 1 — the noise of Orig, Early, Con-θ and local DP — is a Plan
+// with T = 0: one component of level σ²*/|U|, nothing removable, and an
+// AchievedVariance of σ²*·(|U|−|D|)/|U| that dropout dents. Those schemes
+// differ only in the target they plan (σ²*, σ²*/(1−θ), |U|·σ²*); their
+// Threshold is |U|, since it bounds nothing but collusion inflation.
+//
 // Components are drawn by a Sampler, which adds into its output so that
 // sums of components need no scratch vector. The Skellam samplers are a
 // versioned protocol contract (SamplerForEpoch): for k ≥ 1 the variance
@@ -115,17 +121,6 @@ func (p Plan) RemovalComponents(numDropped int) []int {
 	return ks
 }
 
-// ExcessVariance returns l_ex (Eq. 1): the total variance the server must
-// remove from the aggregate when numDropped ≤ T clients dropped,
-// ignoring the collusion inflation (which is intentionally retained).
-func (p Plan) ExcessVariance(numDropped int) (float64, error) {
-	if numDropped < 0 || numDropped > p.DropoutTolerance {
-		return 0, fmt.Errorf("xnoise: dropout %d exceeds tolerance %d", numDropped, p.DropoutTolerance)
-	}
-	u, tt, d := float64(p.NumClients), float64(p.DropoutTolerance), float64(numDropped)
-	return (tt - d) / (u - tt) * p.TargetVariance, nil
-}
-
 // AggregateVarianceBeforeRemoval returns the noise level of the aggregate
 // right after summation: σ²*·(|U|−|D|)/(|U|−T) · infl (first identity in
 // the proof of Theorem 1).
@@ -152,14 +147,4 @@ func (p Plan) AchievedVariance(numDropped int) float64 {
 	}
 	survivors := float64(p.NumClients - numDropped)
 	return p.AggregateVarianceBeforeRemoval(numDropped) - survivors*removed
-}
-
-// WorstCaseMaliciousVariance returns the minimum noise a malicious server
-// can reduce the aggregate to by understating dropout to zero when in fact
-// nobody dropped: (1 − T/|U|)·σ²* (§3.3, "Prevention from Understating
-// Dropout"). Dordis detects this attack via signatures; the value
-// quantifies what is at stake.
-func (p Plan) WorstCaseMaliciousVariance() float64 {
-	u, tt := float64(p.NumClients), float64(p.DropoutTolerance)
-	return (1 - tt/u) * p.TargetVariance * p.InflationFactor()
 }

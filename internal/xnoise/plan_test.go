@@ -132,16 +132,14 @@ func TestTheorem1WithCollusionInflation(t *testing.T) {
 }
 
 func TestExcessVarianceEquation1(t *testing.T) {
-	// l_ex = (T−|D|)/(|U|−T)·σ²*, and equals survivors × removed components.
+	// What the server removes — the aggregate's variance before removal
+	// less what is achieved, and survivors × removed components — is
+	// l_ex = (T−|D|)/(|U|−T)·σ²* (Eq. 1).
 	p := validPlan(16, 5)
 	for d := 0; d <= 5; d++ {
-		lex, err := p.ExcessVariance(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := float64(5-d) / float64(16-5) * p.TargetVariance
-		if math.Abs(lex-want) > 1e-12 {
-			t.Errorf("|D|=%d: l_ex=%v, want %v", d, lex, want)
+		lex := float64(5-d) / float64(16-5) * p.TargetVariance
+		if got := p.AggregateVarianceBeforeRemoval(d) - p.AchievedVariance(d); math.Abs(got-lex) > 1e-12 {
+			t.Errorf("|D|=%d: removed %v, want l_ex %v", d, got, lex)
 		}
 		var removedPer float64
 		for _, k := range p.RemovalComponents(d) {
@@ -151,9 +149,6 @@ func TestExcessVarianceEquation1(t *testing.T) {
 		if math.Abs(float64(16-d)*removedPer-lex) > 1e-12 {
 			t.Errorf("|D|=%d: survivors×components %v != l_ex %v", d, float64(16-d)*removedPer, lex)
 		}
-	}
-	if _, err := p.ExcessVariance(6); err == nil {
-		t.Error("dropout beyond tolerance should error")
 	}
 }
 
@@ -173,13 +168,69 @@ func TestBeyondToleranceNoRemoval(t *testing.T) {
 }
 
 func TestWorstCaseMalicious(t *testing.T) {
-	// §3.3: with T = 0.6·|U|, only 40% of the target noise remains.
+	// §3.3, "Prevention from Understating Dropout": T clients dropped, but
+	// the server claims none did, so the |U|−T survivors remove every
+	// component k ≥ 1 and keep only component 0. With T = 0.6·|U|, only
+	// (1 − T/|U|) = 40% of the target noise remains.
 	p := Plan{NumClients: 10, DropoutTolerance: 6, Threshold: 4, TargetVariance: 1}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.WorstCaseMaliciousVariance(); math.Abs(got-0.4) > 1e-12 {
+	kept := p.PerClientVariance()
+	for _, k := range p.RemovalComponents(0) {
+		cv, _ := p.ComponentVariance(k)
+		kept -= cv
+	}
+	if got := float64(p.NumClients-p.DropoutTolerance) * kept; math.Abs(got-0.4) > 1e-12 {
 		t.Errorf("worst-case malicious variance %v, want 0.4", got)
+	}
+}
+
+// TestPlanDefinitionOne: the §2.3.1 schemes are plans with T = 0 and
+// Threshold |U|. Orig's survivors carry σ²·(u−d)/u; Con-θ plans σ²/(1−θ),
+// overshooting without dropout and meeting the target when exactly θ·u
+// drop; local DP plans u·σ² and carries (u−d)·σ². At u = 16 every value
+// below is exact in binary floating point, so it is compared with ==.
+func TestPlanDefinitionOne(t *testing.T) {
+	defOne := func(target float64) Plan {
+		return Plan{NumClients: 16, Threshold: 16, TargetVariance: target}
+	}
+	for _, c := range []struct {
+		name string
+		plan Plan
+		d    int
+		want float64
+	}{
+		{"orig, 4 dropped", defOne(1), 4, 0.75},
+		{"orig, no dropout", defOne(2.5), 0, 2.5},
+		{"con-0.5, no dropout", defOne(1 / (1 - 0.5)), 0, 2},
+		{"con-0.5, θ-matched dropout", defOne(1 / (1 - 0.5)), 8, 1},
+		{"con-0.75, 4 dropped", defOne(1 / (1 - 0.75)), 4, 3},
+		{"local DP, 3 dropped", defOne(16 * 1.5), 3, 13 * 1.5},
+	} {
+		p := c.plan
+		if err := p.Validate(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if p.NumComponents() != 1 || len(p.RemovalComponents(0)) != 0 {
+			t.Fatalf("%s: %d components, removal set %v; want one, none removable",
+				c.name, p.NumComponents(), p.RemovalComponents(0))
+		}
+		cv, err := p.ComponentVariance(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cv != p.TargetVariance/float64(p.NumClients) || p.PerClientVariance() != cv {
+			t.Errorf("%s: component 0 %v, per client %v; want σ²/u = %v",
+				c.name, cv, p.PerClientVariance(), p.TargetVariance/float64(p.NumClients))
+		}
+		if got := p.AchievedVariance(c.d); got != c.want {
+			t.Errorf("%s: achieved %v, want %v", c.name, got, c.want)
+		}
+	}
+	// Con-θ underestimating its dropout undershoots: a privacy deficit.
+	if got := defOne(1 / (1 - 0.5)).AchievedVariance(12); got >= 1 {
+		t.Errorf("con-0.5 with 12 dropped: achieved %v, want < 1", got)
 	}
 }
 
