@@ -90,9 +90,12 @@ func TestWireRoundAllocBudget(t *testing.T) {
 // and noise component; with every client re-expanding the rotation, every
 // (client, chunk) copying its window and making its noise vector, and two
 // AES-GCM key schedules per share envelope, the same round ran at 21× its
-// vector bytes. It runs at ≈10× now, ≈12× under -race (a race build's
-// sync.Pool drops a quarter of what it is handed, the mask kernel's
-// scratch included).
+// vector bytes, and at ≈10× while every chunk dealt its own Shamir
+// sharings and sealed its own bundles. With one deal per round it runs at
+// ≈8.5×, ≈10.6× under -race (a race build's sync.Pool drops a quarter of
+// what it is handed, the mask kernel's scratch included); the budget of 12
+// is the race figure plus ~13 %, which also covers the 0.25 MB encoder each
+// extra core adds.
 //
 // lsa_dropout's shape — 32 clients, 16384 coordinates in 4 chunks on
 // LightSecAgg, U = 24 and T = D = 8, XNoise tolerating 8 dropouts with 4
@@ -109,7 +112,7 @@ func TestRunRoundAllocBudget(t *testing.T) {
 		n, dim, threshold, chunks, budget int // budget: × the round's client-vector bytes
 		tolerance, drops                  int
 	}{
-		{ProtocolSecAggPlus, 64, 16384, 48, 8, 13, 16, 8},
+		{ProtocolSecAggPlus, 64, 16384, 48, 8, 12, 16, 8},
 		{ProtocolLightSecAgg, 32, 16384, 24, 4, 14, 8, 4},
 	} {
 		t.Run(tc.proto.String(), func(t *testing.T) {

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/bits"
+	"runtime"
+	"sync"
 
 	"repro/internal/field"
 	"repro/internal/lightsecagg"
@@ -89,7 +92,7 @@ type RoundConfig struct {
 	// Chunks is the pipeline chunk count m (1 = plain execution, at most
 	// maxChunks). Nothing sets it but the caller; pipeline.OptimalChunks
 	// can propose a value but no round path consults it yet (ROADMAP
-	// direction 2).
+	// direction 6, "pipelining must pay").
 	Chunks int
 	// XNoise enables add-then-remove enforcement with tolerance T and
 	// central target TargetMu (grid units). Tolerance 0 means no DP noise
@@ -286,20 +289,19 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 	}
 
 	// Encode every client's update once (the rotation spans the whole
-	// vector), with one encoder, into one slab the round owns; a chunk
-	// input is a window of it (ARCHITECTURE.md, "Round scratch").
-	enc, err := skellam.NewEncoder(cfg.Codec)
-	if err != nil {
-		return nil, err
-	}
+	// vector) into one slab the round owns; a chunk input is a window of it
+	// (ARCHITECTURE.md, "Round scratch"). The rounding streams fork here in
+	// client order, since Fork reads its parent; encodeSlab then fills the
+	// rows on every core.
 	pd := cfg.Codec.PaddedDim()
 	slab := make([]uint64, len(ids)*pd) // client i's encoding is slab[i·pd : (i+1)·pd]
 	encStream := prg.NewStream(prg.NewSeed(cfg.Seed[:], []byte("encode")))
+	rounding := make([]*prg.Stream, len(ids))
 	for i, id := range ids {
-		dst := ring.Vector{Bits: cfg.Codec.Bits, Data: slab[i*pd : (i+1)*pd]}
-		if err := enc.EncodeInto(dst, updates[id], encStream.Fork(fmt.Sprintf("c%d", id))); err != nil {
-			return nil, fmt.Errorf("core: encoding client %d: %w", id, err)
-		}
+		rounding[i] = encStream.Fork(fmt.Sprintf("c%d", id))
+	}
+	if err := encodeSlab(cfg.Codec, slab, ids, updates, rounding); err != nil {
+		return nil, err
 	}
 	m := cfg.Chunks
 	bounds := ring.ChunkBounds(pd, m)
@@ -512,6 +514,33 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 		}
 	}
 	return res, nil
+}
+
+// encodeSlab encodes client ids[i]'s update into row i of slab with the
+// rounding stream rounding[i]. GOMAXPROCS workers, each with its own
+// encoder, take every workers-th row, so the slab is byte-identical
+// whatever the worker count.
+func encodeSlab(codec skellam.Params, slab []uint64, ids []uint64, updates map[uint64][]float64, rounding []*prg.Stream) error {
+	pd := codec.PaddedDim()
+	workers := min(runtime.GOMAXPROCS(0), len(ids))
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			enc, err := skellam.NewEncoder(codec)
+			for i := w; i < len(ids) && err == nil; i += workers {
+				dst := ring.Vector{Bits: codec.Bits, Data: slab[i*pd : (i+1)*pd]}
+				if err = enc.EncodeInto(dst, updates[ids[i]], rounding[i]); err != nil {
+					err = fmt.Errorf("core: encoding client %d: %w", ids[i], err)
+				}
+			}
+			errs[w] = err
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // lightSecAggSchedule maps the round's secagg-stage drop schedule onto

@@ -4,6 +4,8 @@ import (
 	"crypto/rand"
 	"fmt"
 	"math"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/prg"
@@ -12,6 +14,86 @@ import (
 	"repro/internal/skellam"
 	"repro/internal/xnoise"
 )
+
+// encodedSum is the slab tests' oracle, outside the round: one Encode per
+// client (ids 1..len(updates)) on the round's per-client rounding streams,
+// summed over the clients not in drops, and how many those are.
+func encodedSum(t *testing.T, codec skellam.Params, seed prg.Seed, updates map[uint64][]float64, drops []uint64) (ring.Vector, int) {
+	t.Helper()
+	sum := ring.NewVector(codec.Bits, codec.PaddedDim())
+	encStream := prg.NewStream(prg.NewSeed(seed[:], []byte("encode")))
+	survivors := 0
+	for id := uint64(1); id <= uint64(len(updates)); id++ {
+		v, err := skellam.Encode(codec, updates[id], encStream.Fork(fmt.Sprintf("c%d", id)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Contains(drops, id) {
+			survivors++
+			if err := sum.AddInPlace(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return sum, survivors
+}
+
+// TestChunkedRoundDealsOnce: on pooled sessions, a chunk pays for its
+// coordinates, not for a deal. Every chunk after the first reuses the
+// round's one Shamir deal — no self seed, no sharing, no sealing — so an
+// 8-chunk round draws exactly the entropy a 1-chunk round on the same
+// roster draws (the sessions' keys plus one deal per client), on SecAgg and
+// on SecAgg+, with clients dropping before the upload and one before
+// unmasking. The sums are still exact against the slab oracle.
+func TestChunkedRoundDealsOnce(t *testing.T) {
+	const dim = 256
+	for _, tc := range []struct {
+		proto        Protocol
+		n, threshold int
+	}{{ProtocolSecAgg, 12, 8}, {ProtocolSecAggPlus, 40, 24}} {
+		codec := testCodec(dim, tc.n)
+		updates := randomUpdates(tc.n, dim, 0.9)
+		drops := []uint64{3, 7}
+		cfg := RoundConfig{Round: 1, Protocol: tc.proto, Codec: codec, Threshold: tc.threshold,
+			Seed: prg.NewSeed([]byte("deals-once")), DropSchedule: secagg.DropSchedule{10: secagg.StageUnmasking}}
+		want, _ := encodedSum(t, codec, cfg.Seed, updates, drops)
+		read := make(map[int]int64)
+		for _, chunks := range []int{1, 8} {
+			cfg.Chunks, cfg.Sessions = chunks, NewSessionPool(1)
+			counter := &countingReader{}
+			p, err := runRoundRing(cfg, updates, drops, counter)
+			if err != nil {
+				t.Fatalf("%v, %d chunk(s): %v", tc.proto, chunks, err)
+			}
+			if p.Protocol != tc.proto || p.Chunks != chunks {
+				t.Fatalf("%v: ran %d chunk(s) on %v", tc.proto, p.Chunks, p.Protocol)
+			}
+			for i, w := range want.Data {
+				if p.Sum.Data[i] != w {
+					t.Fatalf("%v, %d chunk(s): coordinate %d is %d, want %d", tc.proto, chunks, i, p.Sum.Data[i], w)
+				}
+			}
+			read[chunks] = counter.n.Load()
+		}
+		if read[8] != read[1] {
+			t.Fatalf("%v: an 8-chunk round drew %d entropy bytes, a 1-chunk round %d", tc.proto, read[8], read[1])
+		}
+	}
+}
+
+// countingReader is crypto/rand counting the bytes read through it, bar
+// one-byte reads: X25519 key generation reads one byte or none at random
+// before the key (crypto/internal/randutil.MaybeReadByte), and nothing the
+// round deals is one byte long.
+type countingReader struct{ n atomic.Int64 }
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := rand.Read(p)
+	if n > 1 {
+		c.n.Add(int64(n))
+	}
+	return n, err
+}
 
 // TestRunRoundSlabIsolation: chunk inputs are windows of one slab and
 // XNoise lands in them in place through one reused buffer, so nothing may
@@ -43,23 +125,7 @@ func TestRunRoundSlabIsolation(t *testing.T) {
 	base := RoundConfig{Round: 1, Codec: codec, Threshold: 8, Seed: prg.NewSeed([]byte("slab")),
 		Sampler: sampler, DropSchedule: late}
 
-	// The oracle, outside the round: one Encode per client on the round's
-	// per-client rounding streams, summed over the clients that upload.
-	plain := ring.NewVector(codec.Bits, codec.PaddedDim())
-	encStream := prg.NewStream(prg.NewSeed(base.Seed[:], []byte("encode")))
-	survivors := 0
-	for id := uint64(1); id <= n; id++ {
-		v, err := skellam.Encode(codec, updates[id], encStream.Fork(fmt.Sprintf("c%d", id)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if id != drops[0] && id != drops[1] {
-			survivors++
-			if err := plain.AddInPlace(v); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	plain, survivors := encodedSum(t, codec, base.Seed, updates, drops)
 	plan := xnoise.Plan{NumClients: n, DropoutTolerance: tolerance, Threshold: base.Threshold, TargetVariance: targetMu}
 	var kept int64
 	for k := 0; k <= len(drops); k++ {

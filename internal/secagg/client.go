@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"maps"
 	"slices"
 	"sort"
 
@@ -38,6 +39,9 @@ type Client struct {
 	// secrets across the sub-rounds that share it (key-agreement
 	// amortization); nil means ephemeral per-round keys, the classic flow.
 	session *Session
+	// deal is the session's deal of this ratchet step when this sub-round
+	// made it (epoch 0) or reuses it.
+	deal *deal
 
 	noise *xnoise.ClientNoise // nil without XNoise
 
@@ -48,7 +52,6 @@ type Client struct {
 	hasMaskedDigest bool
 
 	roster     []AdvertiseMsg // U1 view, ascending by id (rosterEntry)
-	u1         []uint64
 	u2         []uint64
 	u3         []uint64
 	channelKey map[uint64]*aead.Key   // peer → AE key
@@ -121,32 +124,24 @@ func (c *Client) NoiseSeeds() []field.Element {
 }
 
 // installKeys sets the round's key pairs — the session's (amortized flow)
-// or freshly generated ephemeral ones — and samples a fresh self-mask
-// seed. The self seed is always fresh: it is cheap and its shares are
-// re-dealt every sub-round anyway.
+// or freshly generated ephemeral ones. The self-mask seed is drawn where it
+// is dealt, in ShareKeys.
 func (c *Client) installKeys() error {
 	if c.session != nil {
 		c.cipherKey, c.maskKey = c.session.keyPairs()
-	} else {
-		var err error
-		if c.cipherKey, err = dh.Generate(c.rand); err != nil {
-			return err
-		}
-		if c.maskKey, err = dh.Generate(c.rand); err != nil {
-			return err
-		}
+		return nil
 	}
-	var buf [8]byte
-	if _, err := io.ReadFull(c.rand, buf[:]); err != nil {
-		return fmt.Errorf("secagg: sampling self seed: %w", err)
+	var err error
+	if c.cipherKey, err = dh.Generate(c.rand); err != nil {
+		return err
 	}
-	c.selfSeed = field.RandomElement(buf)
-	return nil
+	c.maskKey, err = dh.Generate(c.rand)
+	return err
 }
 
-// SkipAdvertise installs the session's keys and a fresh self-mask seed
-// without emitting a stage-0 message, for drivers that resume a live
-// session on a cached roster (the skippable advertise stage).
+// SkipAdvertise installs the session's keys without emitting a stage-0
+// message, for drivers that resume a live session on a cached roster (the
+// skippable advertise stage).
 func (c *Client) SkipAdvertise() error {
 	if c.session == nil {
 		return fmt.Errorf("secagg: client %d cannot skip advertise without a session", c.id)
@@ -171,13 +166,25 @@ func (c *Client) AdvertiseKeys() (AdvertiseMsg, error) {
 	return msg, nil
 }
 
-// ShareKeys runs stage 1: verify the roster, Shamir-share the mask secret
-// key, the self-mask seed, and the removable noise seeds, and encrypt each
-// peer's bundle. A roster that arrives ascending by id is borrowed, not
-// copied: the caller must not change it while the client is in use.
+// ShareKeys runs stage 1: verify the roster, draw the self-mask seed,
+// Shamir-share the mask secret key, the self-mask seed, and the removable
+// noise seeds, and encrypt each peer's bundle. On a session, a sub-round
+// at MaskEpoch e > 0 whose ratchet step already dealt on this roster
+// returns that deal's ciphertexts instead (see Session). A roster that
+// arrives ascending by id is borrowed, not copied: the caller must not
+// change it while the client, or its session's deal of the step, is in
+// use; the returned list is the caller's to send, not to change.
 func (c *Client) ShareKeys(roster []AdvertiseMsg) ([]EncryptedShareMsg, error) {
 	if len(roster) < c.cfg.Threshold {
 		return nil, fmt.Errorf("secagg: client %d saw |U1|=%d < t=%d", c.id, len(roster), c.cfg.Threshold)
+	}
+	dealsPerStep := c.session != nil && c.cfg.XNoise == nil
+	if dealsPerStep && c.cfg.MaskEpoch > 0 {
+		if d := c.session.dealAt(c.cfg.KeyRatchet); d != nil && d.fits(c.cfg, c.id, roster) {
+			c.deal, c.roster, c.selfSeed = d, d.roster, d.selfSeed
+			c.channelKey, c.received = d.channelKey, d.opened
+			return d.out, nil
+		}
 	}
 	// U1 is kept as the roster ascending by id and searched (rosterEntry):
 	// this runs per (client, chunk), and the server seals it in that order.
@@ -187,7 +194,6 @@ func (c *Client) ShareKeys(roster []AdvertiseMsg) ([]EncryptedShareMsg, error) {
 		slices.SortFunc(roster, byFrom)
 	}
 	keys := make([][]byte, 0, 2*len(roster))
-	c.u1 = make([]uint64, len(roster))
 	for i, m := range roster {
 		if i > 0 && roster[i-1].From == m.From {
 			return nil, fmt.Errorf("secagg: duplicate roster entry for %d", m.From)
@@ -198,7 +204,6 @@ func (c *Client) ShareKeys(roster []AdvertiseMsg) ([]EncryptedShareMsg, error) {
 			}
 		}
 		keys = append(keys, m.CipherPub, m.MaskPub)
-		c.u1[i] = m.From
 	}
 	// "Assert that all the public key pairs are different."
 	slices.SortFunc(keys, bytes.Compare)
@@ -217,9 +222,9 @@ func (c *Client) ShareKeys(roster []AdvertiseMsg) ([]EncryptedShareMsg, error) {
 	// SecAgg+ graph it is the O(log n) neighborhood.
 	nbrSet := toSet(c.cfg.neighborhood(c.id))
 	peers := make([]uint64, 0, len(nbrSet)+1)
-	for _, id := range c.u1 {
-		if _, ok := nbrSet[id]; ok || id == c.id {
-			peers = append(peers, id)
+	for _, m := range roster {
+		if _, ok := nbrSet[m.From]; ok || m.From == c.id {
+			peers = append(peers, m.From)
 		}
 	}
 	if len(peers) < c.cfg.Threshold {
@@ -238,6 +243,11 @@ func (c *Client) ShareKeys(roster []AdvertiseMsg) ([]EncryptedShareMsg, error) {
 		xs[i] = field.New(uint64(idx))
 	}
 
+	var buf [8]byte
+	if _, err := io.ReadFull(c.rand, buf[:]); err != nil {
+		return nil, fmt.Errorf("secagg: sampling self seed: %w", err)
+	}
+	c.selfSeed = field.RandomElement(buf)
 	maskShares, err := shareKey(c.maskKey.PrivateBytes(), c.cfg.Threshold, xs, c.rand)
 	if err != nil {
 		return nil, err
@@ -289,6 +299,11 @@ func (c *Client) ShareKeys(roster []AdvertiseMsg) ([]EncryptedShareMsg, error) {
 		}
 		out = append(out, EncryptedShareMsg{From: c.id, To: peer, Ciphertext: ct})
 	}
+	if dealsPerStep && c.cfg.MaskEpoch == 0 {
+		c.deal = &deal{cfg: c.cfg, roster: roster, selfSeed: c.selfSeed, out: out,
+			channelKey: c.channelKey, opened: c.received}
+		c.session.keepDeal(c.cfg.KeyRatchet, c.deal)
+	}
 	return out, nil
 }
 
@@ -325,6 +340,15 @@ func (c *Client) MaskedInput(ciphertexts []EncryptedShareMsg) (MaskedInputMsg, e
 		u2set[m.From] = struct{}{}
 	}
 	c.u2 = setToSorted(u2set)
+	if d := c.deal; d != nil {
+		// Under the step's deal every delivery after the first must be the
+		// first: the bundles opened under the deal are what Unmask reveals.
+		if d.delivered == nil {
+			d.delivered = c.pendingCts
+		} else if !maps.EqualFunc(c.pendingCts, d.delivered, bytes.Equal) {
+			return MaskedInputMsg{}, fmt.Errorf("%w (client %d)", ErrDealMismatch, c.id)
+		}
+	}
 
 	y := c.input.Clone()
 	// XNoise: add the full excessive noise before masking (Fig. 5 setup:
@@ -345,7 +369,7 @@ func (c *Client) MaskedInput(ciphertexts []EncryptedShareMsg) (MaskedInputMsg, e
 	tasks := make([]maskTask, 0, len(c.u2))
 	selfSeed := c.selfSeed
 	tasks = append(tasks, maskTask{sign: 1, make: func() (*prg.Stream, error) {
-		return prg.NewStreamFromElement(selfSeed), nil
+		return prg.NewStream(selfMaskSeed(selfSeed, c.cfg.MaskEpoch)), nil
 	}})
 	for _, peer := range c.u2 {
 		if peer == c.id {
@@ -505,6 +529,13 @@ func (c *Client) Unmask(req UnmaskRequest) (UnmaskMsg, error) {
 			out.OwnNoiseSeeds[k] = c.noise.Seeds[k]
 		}
 	}
+	if c.session != nil {
+		// The session's mask key spans the step's sub-rounds: never hand
+		// the server both kinds of share for one peer (Session, reveal ledger).
+		if err := c.session.reveal(c.cfg.KeyRatchet, c.u2, u3set); err != nil {
+			return UnmaskMsg{}, err
+		}
+	}
 	return out, nil
 }
 
@@ -537,7 +568,11 @@ func (c *Client) bundleFrom(v uint64) (ShareBundle, error) {
 		}
 		c.channelKey[v] = key
 	}
-	pt, err := key.Open(ct, shareAD(c.cfg.Round, v, c.id))
+	round := c.cfg.Round // the sub-round whose AD sealed the bundle: the deal's, under one
+	if c.deal != nil {
+		round = c.deal.cfg.Round
+	}
+	pt, err := key.Open(ct, shareAD(round, v, c.id))
 	if err != nil {
 		return ShareBundle{}, fmt.Errorf("secagg: client %d cannot decrypt bundle from %d: %w", c.id, v, err)
 	}

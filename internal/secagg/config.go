@@ -95,12 +95,13 @@ type Config struct {
 	// Threshold members including the client itself.
 	Graph Graph
 
-	// MaskEpoch domain-separates the pairwise-mask derivation across the
-	// sub-rounds that share one key agreement — the pipeline chunks of a
-	// core.RunRound. Epoch 0 is byte-identical to the historical
-	// (session-less) derivation, so chunk 0 of an amortized pipeline and a
-	// plain round coincide; epoch e > 0 forks an independent seed from the
-	// same shared secret via dh.Expand. All parties must agree on it.
+	// MaskEpoch domain-separates the pairwise- and self-mask derivations
+	// across the sub-rounds that share one key agreement and one deal — the
+	// pipeline chunks of a core.RunRound. Epoch 0 is byte-identical to the
+	// historical (session-less) derivation, so chunk 0 of an amortized
+	// pipeline and a plain round coincide; epoch e > 0 forks independent
+	// seeds from the same shared secret and self seed via dh.Expand. All
+	// parties must agree on it.
 	MaskEpoch uint64
 
 	// TranscriptDigests, when true, has both sides record SHA-256 digests

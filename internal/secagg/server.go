@@ -469,11 +469,12 @@ func (s *Server) unmask() error {
 	}
 
 	var tasks []maskTask
-	// Remove self masks of live clients via reconstructed b_u.
+	// Remove self masks of live clients via reconstructed b_u, forked to
+	// this sub-round's epoch.
 	for _, u := range s.u3 {
 		b := selfSeeds[u]
 		tasks = append(tasks, maskTask{sign: -1, make: func() (*prg.Stream, error) {
-			return prg.NewStreamFromElement(b), nil
+			return prg.NewStream(selfMaskSeed(b, s.cfg.MaskEpoch)), nil
 		}})
 	}
 	// Remove the unpaired pairwise masks of dropped clients v ∈ U2\U3. Key

@@ -3,12 +3,15 @@ package secagg
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"repro/internal/aead"
 	"repro/internal/dh"
+	"repro/internal/field"
 	"repro/internal/prg"
 	"repro/internal/session"
 )
@@ -34,6 +37,14 @@ import (
 //     key-agreement phase from many masked aggregations that SecAgg+
 //     (Bell et al., CCS 2020) assumes.
 //
+// The Shamir deal is amortized the same way — deal once per ratchet step,
+// fork per-chunk self masks. The sub-round at MaskEpoch 0 deals and the
+// session keeps the deal; a later sub-round of the step that would deal the
+// same (deal.fits, no in-protocol XNoise) reuses it, and chunk e masks with
+// selfMaskSeed(b_u, e). The step's reveal ledger keeps a client from ever
+// revealing both kinds of share of one peer. ARCHITECTURE.md ("Sessions and
+// the key-reuse threat model", rule 1) states the rules.
+//
 // Threat-model caveats (see ARCHITECTURE.md, "Sessions and the key-reuse
 // threat model"): ratcheting separates per-round masks
 // and bounds key lifetime, but the X25519 private keys persist for
@@ -57,6 +68,59 @@ func pairMaskSeed(secret [dh.SharedSize]byte, epoch uint64) prg.Seed {
 	return prg.Seed(dh.Expand(secret, info[:]))
 }
 
+// selfMaskSeed derives the PRG seed of the self mask p_u of sub-round epoch
+// from the self seed b_u, the way pairMaskSeed forks pairwise secrets:
+// epoch 0 is the historical prg.FromFieldElement(b_u), epoch e > 0 an
+// independent seed forked with a chunk label, so the chunks of a round that
+// share one dealt b_u mask with independent streams.
+func selfMaskSeed(b field.Element, epoch uint64) prg.Seed {
+	seed := prg.FromFieldElement(b)
+	if epoch == 0 {
+		return seed
+	}
+	var info [40]byte
+	n := copy(info[:], "dordis/secagg/selfmask/chunk/v1/")
+	binary.LittleEndian.PutUint64(info[n:], epoch)
+	return prg.Seed(dh.Expand(seed, info[:]))
+}
+
+// Errors of the one-deal-per-step rule: a sub-round reusing its step's
+// deal was delivered other ciphertexts than the deal first received; an
+// unmask request asks for the other kind of share (self seed or mask key)
+// of a peer than this client revealed earlier in the step.
+var (
+	ErrDealMismatch      = errors.New("secagg: delivered shares differ from the step's deal")
+	ErrConflictingReveal = errors.New("secagg: unmask request conflicts with an earlier reveal")
+)
+
+// deal is what one client dealt at MaskEpoch 0 of a ratchet step, and what
+// it received against it, kept so the step's later sub-rounds reuse it.
+// Written by one sub-round's client at a time (the chunks of a round run
+// their protocol stage one after another).
+type deal struct {
+	cfg      Config         // the sub-round that dealt; its Round is in the bundles' AD
+	roster   []AdvertiseMsg // the verified roster, ascending by id
+	selfSeed field.Element
+	out      []EncryptedShareMsg // the sealed outgoing bundles
+
+	channelKey map[uint64]*aead.Key
+	delivered  map[uint64][]byte      // peer → ciphertext of the first delivery; nil until then
+	opened     map[uint64]ShareBundle // own bundle and the peers' opened so far
+}
+
+// fits reports whether a sub-round of cfg, sharing keys against roster,
+// would deal exactly what d dealt for client id: the same abscissas, the
+// same threshold, the same recipients and the same keys.
+func (d *deal) fits(cfg Config, id uint64, roster []AdvertiseMsg) bool {
+	return cfg.Threshold == d.cfg.Threshold && cfg.Malicious == d.cfg.Malicious &&
+		slices.Equal(cfg.ClientIDs, d.cfg.ClientIDs) &&
+		slices.Equal(cfg.neighborhood(id), d.cfg.neighborhood(id)) &&
+		slices.EqualFunc(roster, d.roster, func(a, b AdvertiseMsg) bool {
+			return a.From == b.From && bytes.Equal(a.CipherPub, b.CipherPub) &&
+				bytes.Equal(a.MaskPub, b.MaskPub) && bytes.Equal(a.Signature, b.Signature)
+		})
+}
+
 // Session is one client's amortized key-agreement state: the two X25519
 // key pairs it advertises and the pairwise secrets agreed with each peer,
 // cached across the sub-rounds (pipeline chunks) and rounds that share the
@@ -69,12 +133,67 @@ func pairMaskSeed(secret [dh.SharedSize]byte, epoch uint64) prg.Seed {
 type Session struct {
 	session.ClientState
 
-	mu        sync.Mutex  // guards the key pairs (Rekey swaps them)
+	mu        sync.Mutex  // guards the key pairs (Rekey swaps them) and the step state
 	cipherKey *dh.KeyPair // c^PK / c^SK
 	maskKey   *dh.KeyPair // s^PK / s^SK
 
 	mask    session.Secrets // peer mask pub → secret
 	channel session.Secrets // peer cipher pub → channel key
+
+	// The state of ratchet step step: its deal and its reveal ledger (peer
+	// → revealed a self-seed share, else a mask-key share). Both start
+	// empty at every other step.
+	step     uint64
+	deal     *deal
+	revealed map[uint64]bool
+}
+
+// atStepLocked moves the step state to step, emptying it if it belonged to
+// another; the caller holds mu.
+func (s *Session) atStepLocked(step uint64) {
+	if step != s.step {
+		s.step, s.deal, s.revealed = step, nil, nil
+	}
+}
+
+// dealAt returns the deal kept for ratchet step step, or nil.
+func (s *Session) dealAt(step uint64) *deal {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.atStepLocked(step)
+	return s.deal
+}
+
+// keepDeal keeps d as ratchet step step's deal.
+func (s *Session) keepDeal(step uint64, d *deal) {
+	s.mu.Lock()
+	s.atStepLocked(step)
+	s.deal = d
+	s.mu.Unlock()
+}
+
+// reveal enters into step's ledger that this client reveals, for each peer
+// in peers, a self-seed share if the peer is in live and a mask-key share
+// otherwise. It refuses, entering nothing, if any peer was revealed the
+// other way earlier in the step.
+func (s *Session) reveal(step uint64, peers []uint64, live map[uint64]struct{}) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.atStepLocked(step)
+	for _, v := range peers {
+		_, self := live[v]
+		if prev, ok := s.revealed[v]; ok && prev != self {
+			return fmt.Errorf("%w: peer %d at ratchet step %d", ErrConflictingReveal, v, step)
+		}
+	}
+	if s.revealed == nil {
+		s.revealed = make(map[uint64]bool, len(peers))
+	}
+	for _, v := range peers {
+		_, self := live[v]
+		s.revealed[v] = self
+	}
+	return nil
 }
 
 // NewSession generates the session's key pairs with randomness from rand.
@@ -112,8 +231,9 @@ func (s *Session) channelKey(peerPub []byte, step uint64) (*aead.Key, error) {
 }
 
 // Rekey replaces the session's key pairs with fresh ones and drops every
-// cached secret, the roster, the taint, and the ratchet position — the
-// clean re-key the handshake falls back to whenever resume is unsafe.
+// cached secret, the deal, the reveal ledger, the roster, the taint, and
+// the ratchet position — the clean re-key the handshake falls back to
+// whenever resume is unsafe.
 func (s *Session) Rekey(rand io.Reader) error {
 	cipherKey, err := dh.Generate(rand)
 	if err != nil {
@@ -125,6 +245,7 @@ func (s *Session) Rekey(rand io.Reader) error {
 	}
 	s.mu.Lock()
 	s.cipherKey, s.maskKey = cipherKey, maskKey
+	s.deal, s.revealed = nil, nil
 	s.mu.Unlock()
 	s.mask.Clear()
 	s.channel.Clear()
@@ -138,8 +259,16 @@ func (s *Session) Rekey(rand io.Reader) error {
 // partial resume. The divergent members advertise fresh keys in the next
 // round, so only the edges touching them re-agree (their mask streams
 // restart from the new secrets); the rest of the graph keeps its cached
-// secrets and skips advertise.
+// secrets and skips advertise. The step's deal goes too (it was dealt
+// against the old roster), and so do the divergent members' ledger
+// entries: their next secrets are new ones.
 func (s *Session) RekeyEdges(ids []uint64) {
+	s.mu.Lock()
+	s.deal = nil
+	for _, id := range ids {
+		delete(s.revealed, id)
+	}
+	s.mu.Unlock()
 	for _, m := range s.DropMembers(ids) {
 		s.mask.Delete(string(m.MaskPub))
 		s.channel.Delete(string(m.CipherPub))

@@ -1,7 +1,11 @@
 package secagg
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
+	"slices"
 	"testing"
 
 	"repro/internal/dh"
@@ -321,6 +325,172 @@ func TestSessionResumeReadmitsRecoveredClient(t *testing.T) {
 	if !sess.resumable(&again, nil) {
 		t.Fatal("full roster sealed in round 2 must be resumable")
 	}
+}
+
+// steppedSubRound walks one sub-round of cfg over the sessions, stage by
+// stage, through the masked upload: clients resume on the server's cached
+// roster when it has one, and the clients in absent do not upload. It
+// returns the server, the clients, and each client's ShareKeys output.
+func steppedSubRound(t *testing.T, cfg Config, inputs map[uint64]ring.Vector, sess *RoundSessions,
+	rand io.Reader, absent map[uint64]bool) (*Server, map[uint64]*Client, map[uint64][]EncryptedShareMsg) {
+
+	t.Helper()
+	server, err := NewSessionServer(cfg, sess.Server)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roster := sess.Server.RosterFor(cfg.ClientIDs)
+	clients := make(map[uint64]*Client, len(cfg.ClientIDs))
+	var adverts []AdvertiseMsg
+	for _, id := range cfg.ClientIDs {
+		c, err := NewSessionClient(cfg, id, inputs[id], nil, rand, sess.Client[id])
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients[id] = c
+		if roster != nil {
+			err = c.SkipAdvertise()
+		} else {
+			var adv AdvertiseMsg
+			adv, err = c.AdvertiseKeys()
+			adverts = append(adverts, adv)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if roster != nil {
+		err = server.InstallRoster(roster)
+	} else if roster, err = server.CollectAdvertise(adverts); err == nil {
+		sess.Server.StoreRoster(roster, cfg.ClientIDs)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := make(map[uint64][]EncryptedShareMsg, len(clients))
+	for _, id := range cfg.ClientIDs {
+		if shared[id], err = clients[id].ShareKeys(roster); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deliveries, err := server.CollectShares(shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range cfg.ClientIDs {
+		if absent[id] {
+			continue
+		}
+		m, err := clients[id].MaskedInput(deliveries[id])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := server.AddMasked(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return server, clients, shared
+}
+
+// TestUnmaskRefusesConflictingRevealAcrossChunks: two sub-rounds at one
+// ratchet step share every client's mask key, and — with the step's one
+// deal — its self seed. A server that names v live at epoch 0 (collecting
+// shares of v's self seed) and dropped at epoch 1 (asking for shares of v's
+// mask key) would hold both and could unmask v's inputs, so the second
+// Unmask is refused with the named error. Epoch 1 reuses epoch 0's deal:
+// the same ciphertexts, and no entropy drawn.
+func TestUnmaskRefusesConflictingRevealAcrossChunks(t *testing.T) {
+	const n, dim, v = 5, 16, 5
+	cfg, inputs, _ := sessionRoundConfig(n, dim)
+	rand := sessionRand("reveal-ledger")
+	sess, err := NewRoundSessions(cfg.ClientIDs, rand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unmaskAll := func(server *Server, clients map[uint64]*Client) map[uint64]error {
+		t.Helper()
+		u3, err := server.SealMasked()
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := UnmaskRequest{U3: u3, U4: u3}
+		errs := make(map[uint64]error, len(u3))
+		for _, id := range u3 {
+			_, errs[id] = clients[id].Unmask(req)
+		}
+		return errs
+	}
+
+	server, clients, dealt := steppedSubRound(t, cfg, inputs, sess, rand, nil)
+	for id, err := range unmaskAll(server, clients) {
+		if err != nil {
+			t.Fatalf("epoch 0: client %d: %v", id, err)
+		}
+	}
+
+	next := cfg
+	next.MaskEpoch = 1
+	counter := &countingReader{r: rand}
+	server, clients, shared := steppedSubRound(t, next, inputs, sess, counter, map[uint64]bool{v: true})
+	for id, err := range unmaskAll(server, clients) {
+		if !errors.Is(err, ErrConflictingReveal) {
+			t.Fatalf("client %d answered a request for %d's mask-key shares after revealing its self-seed shares: %v", id, v, err)
+		}
+	}
+	if counter.n != 0 {
+		t.Fatalf("epoch 1 drew %d entropy bytes; a reused deal draws none", counter.n)
+	}
+	for id, cts := range shared {
+		if !slices.EqualFunc(cts, dealt[id], func(a, b EncryptedShareMsg) bool {
+			return a.From == b.From && a.To == b.To && bytes.Equal(a.Ciphertext, b.Ciphertext)
+		}) {
+			t.Fatalf("client %d dealt afresh at epoch 1", id)
+		}
+	}
+}
+
+// TestReusedDealRefusesOtherDelivery: a sub-round reusing its step's deal
+// must be delivered exactly the ciphertexts the deal first received — the
+// bundles it opened are what it reveals from.
+func TestReusedDealRefusesOtherDelivery(t *testing.T) {
+	const n, dim = 5, 16
+	cfg, inputs, _ := sessionRoundConfig(n, dim)
+	rand := sessionRand("deal-delivery")
+	sess, err := NewRoundSessions(cfg.ClientIDs, rand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steppedSubRound(t, cfg, inputs, sess, rand, nil)
+
+	next := cfg
+	next.MaskEpoch = 1
+	server, clients, _ := steppedSubRound(t, next, inputs, sess, rand, map[uint64]bool{1: true})
+	deliveries, err := server.SealShares()
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := deliveries[1][1:]
+	if _, err := clients[1].MaskedInput(short); !errors.Is(err, ErrDealMismatch) {
+		t.Fatalf("a delivery missing one ciphertext: %v, want ErrDealMismatch", err)
+	}
+	tampered := slices.Clone(deliveries[1])
+	tampered[0].Ciphertext = append([]byte(nil), tampered[0].Ciphertext...)
+	tampered[0].Ciphertext[0] ^= 1
+	if _, err := clients[1].MaskedInput(tampered); !errors.Is(err, ErrDealMismatch) {
+		t.Fatalf("a delivery with another ciphertext: %v, want ErrDealMismatch", err)
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
 }
 
 // TestSessionsRejectDerivationPointReuse: running two aggregations over

@@ -56,14 +56,17 @@ func Split(secret field.Element, t int, xs []field.Element, rand io.Reader) ([]S
 		seen[x] = struct{}{}
 	}
 
+	// One read for all t−1 coefficients: a shared entropy source is one
+	// lock hand-off per sharing, not one per coefficient, and a
+	// deterministic reader yields the same words in the same order.
 	coeffs := make([]field.Element, t)
 	coeffs[0] = secret
-	var buf [8]byte
+	buf := make([]byte, 8*(t-1))
+	if _, err := io.ReadFull(rand, buf); err != nil {
+		return nil, fmt.Errorf("shamir: reading randomness: %w", err)
+	}
 	for i := 1; i < t; i++ {
-		if _, err := io.ReadFull(rand, buf[:]); err != nil {
-			return nil, fmt.Errorf("shamir: reading randomness: %w", err)
-		}
-		coeffs[i] = field.RandomElement(buf)
+		coeffs[i] = field.RandomElement([8]byte(buf[8*(i-1):]))
 	}
 
 	shares := make([]Share, n)

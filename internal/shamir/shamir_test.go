@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/field"
+	"repro/internal/prg"
 )
 
 // splitIndexed is Split over the abscissas 1..n.
@@ -144,6 +145,29 @@ func TestWrongSharesGiveWrongSecret(t *testing.T) {
 	}
 	if got == secret {
 		t.Error("corrupted share should not reconstruct the true secret")
+	}
+}
+
+// TestSplitGolden pins Split's draw order: the t−1 coefficients are the
+// next 8·(t−1) bytes of rand, little-endian words in coefficient order, so
+// a deterministic reader deals the same shares however the reads are
+// batched. The values were captured from the one-read-per-coefficient
+// dealer.
+func TestSplitGolden(t *testing.T) {
+	rnd := prg.NewStream(prg.NewSeed([]byte("shamir-split-golden")))
+	shares, err := splitIndexed(field.New(0x1234_5678_9abc), 5, 7, rnd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []uint64{0x129ddae1826cd57d, 0xe8a548c8414e1be, 0x114d7cf5bfd721c8, 0x1c712a1ba8f574a1,
+		0x15810a3ac18d360c, 0x60aa3cd9a973e87, 0x1b9d558cd3e7e34b}
+	for i, s := range shares {
+		if s.X != field.New(uint64(i+1)) || s.Y.Uint64() != want[i] {
+			t.Fatalf("share %d = (%v, %d), want (%d, %d)", i, s.X, s.Y.Uint64(), i+1, want[i])
+		}
+	}
+	if next := rnd.Uint64(); next != 0xa55a9b6b7619775a {
+		t.Fatalf("Split left the reader at a different offset: next word %#x", next)
 	}
 }
 
