@@ -117,10 +117,11 @@ type RoundConfig struct {
 	// paper's §6.1 model (drop before MaskedInput) and merges into this.
 	DropSchedule secagg.DropSchedule
 	// Sessions, when non-nil, amortizes X25519 key agreement across the
-	// round's chunks (agree once per pair, fork per-chunk mask streams by
-	// KDF) and, when the pool allows, across consecutive RunRound calls
-	// (ratcheted secrets, skipped advertise stage). nil runs every chunk
-	// with fresh keys — the historical behavior.
+	// round's chunks (agree once per pair, each chunk masking with its
+	// window of the pair's one stream) and, when the pool allows, across
+	// consecutive RunRound calls (ratcheted secrets, skipped advertise
+	// stage). nil runs every chunk with fresh keys — the historical
+	// behavior.
 	Sessions *SessionPool
 }
 
@@ -307,20 +308,39 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 	bounds := ring.ChunkBounds(pd, m)
 	m = len(bounds)
 
-	// Per-(client, chunk) noise seeds, derived deterministically so runs
-	// are reproducible.
-	noise := make([][]*xnoise.ClientNoise, m) // [chunk][clientIdx]
+	// Per-round XNoise: one ClientNoise per client, its seeds derived
+	// deterministically so runs are reproducible (labelled as chunk 0's
+	// were, so a one-chunk round draws what it always drew). Each chunk's
+	// stageClient reads the next chunk-length of every survivor's
+	// components, and stageServer the same windows of the removed ones
+	// through one reader — the executor runs each stage's chunks one at a
+	// time in ascending order, so both sides read identical windows.
+	sampler := cfg.sampler()
+	var noise []*xnoise.ClientNoise
+	var removed []int
+	var removal *xnoise.NoiseReader
 	if plan != nil {
+		removed = plan.RemovalComponents(numDropped)
 		seedStream := prg.NewStream(prg.NewSeed(cfg.Seed[:], []byte("noise-seeds")))
-		for c := 0; c < m; c++ {
-			noise[c] = make([]*xnoise.ClientNoise, len(ids))
-			for i := range ids {
-				cn, err := xnoise.NewClientNoise(*plan, seedStream.Fork(fmt.Sprintf("k%d/%d", c, i)))
-				if err != nil {
-					return nil, err
-				}
-				noise[c][i] = cn
+		noise = make([]*xnoise.ClientNoise, len(ids))
+		seeds := make(map[uint64]map[int]field.Element, len(ids)-numDropped)
+		for i, id := range ids {
+			cn, err := xnoise.NewClientNoise(*plan, seedStream.Fork(fmt.Sprintf("k0/%d", i)))
+			if err != nil {
+				return nil, err
 			}
+			noise[i] = cn
+			if aggregated(id) {
+				byK := make(map[int]field.Element, len(removed))
+				for _, k := range removed {
+					byK[k] = cn.Seeds[k]
+				}
+				seeds[id] = byK
+			}
+		}
+		var err error
+		if removal, err = xnoise.NewRemovalReader(*plan, sampler, seeds, numDropped); err != nil {
+			return nil, err
 		}
 	}
 
@@ -360,7 +380,7 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 	// when the pool permits, consecutive rounds), so pairwise X25519
 	// agreement happens n·k times per round instead of m·n·k. On the
 	// secagg substrates, chunk independence of the masks comes from the
-	// per-chunk MaskEpoch fork and round independence from the ratchet
+	// per-chunk MaskEpoch window and round independence from the ratchet
 	// step; on lightsecagg, masks are drawn fresh per chunk and the
 	// sessions amortize the channel agreements, coding matrices, and the
 	// advertise stage instead.
@@ -391,20 +411,19 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 		}
 	}
 
-	// Per-round XNoise constants, shared by every chunk's stages.
-	sampler := cfg.sampler()
-	var removed []int
-	if plan != nil {
-		removed = plan.RemovalComponents(numDropped)
-	}
-
 	// Chunk pipeline state. lift is LightSecAgg's field-element copy of one
 	// chunk's inputs, lent to every chunk in turn: the aggregation stage is
 	// the only one on pipeline.Communication, which admits one chunk at a
 	// time, and the substrate is done with its inputs when it returns.
+	// total and removing are the noise stages' buffers, each stage's own.
+	longest := bounds[0][1] - bounds[0][0] // chunk 0 is never the shorter one
 	var lift []field.Element
 	if proto == ProtocolLightSecAgg {
-		lift = make([]field.Element, len(ids)*(bounds[0][1]-bounds[0][0])) // chunk 0 is never the shorter one
+		lift = make([]field.Element, len(ids)*longest)
+	}
+	var total, removing []int64
+	if plan != nil {
+		total, removing = make([]int64, longest), make([]int64, longest)
 	}
 	chunkInputs := make([]map[uint64]ring.Vector, m)
 	chunkSums := make([]ring.Vector, m)
@@ -415,15 +434,12 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 		// substrates only read their inputs.
 		lo, hi := bounds[c][0], bounds[c][1]
 		inputs := make(map[uint64]ring.Vector, len(ids))
-		var total []int64 // one client's noise at a time
-		if plan != nil {
-			total = make([]int64, hi-lo)
-		}
 		for i, id := range ids {
 			chunk := ring.Vector{Bits: cfg.Codec.Bits, Data: slab[i*pd+lo : i*pd+hi : i*pd+hi]}
 			if plan != nil && aggregated(id) {
+				total := total[:hi-lo] // one client's noise at a time
 				clear(total)
-				if err := noise[c][i].AddTotalNoise(*plan, sampler, total); err != nil {
+				if err := noise[i].AddTotalNoise(*plan, sampler, total); err != nil {
 					return err
 				}
 				if err := chunk.AddSignedInPlace(total); err != nil {
@@ -463,25 +479,10 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 		if plan == nil {
 			return nil
 		}
-		seeds := make(map[uint64]map[int]field.Element)
-		for i, id := range ids {
-			if !aggregated(id) {
-				continue
-			}
-			byK := make(map[int]field.Element, len(removed))
-			for _, k := range removed {
-				byK[k] = noise[c][i].Seeds[k]
-			}
-			seeds[id] = byK
-		}
-		removal, err := xnoise.RemovalNoise(*plan, sampler, seeds, numDropped, chunkSums[c].Len())
-		if err != nil {
-			return err
-		}
-		if err := chunkSums[c].SubSignedInPlace(removal); err != nil {
-			return err
-		}
-		return nil
+		removing := removing[:chunkSums[c].Len()]
+		clear(removing)
+		removal.AddNext(removing)
+		return chunkSums[c].SubSignedInPlace(removing)
 	}
 
 	workflow := pipeline.Workflow{

@@ -171,3 +171,56 @@ func TestRunRoundSlabIsolation(t *testing.T) {
 		}
 	}
 }
+
+// TestChunkedRoundRemovesNoiseExactly: each chunk adds the next
+// chunk-length of every survivor's noise components and removes the next
+// chunk-length of the removed ones, so the two sides must read the same
+// windows of the same streams. A sampler that adds large stream-derived
+// values at the removable components' variances and nothing at component
+// 0's makes that exact: with no client dropped every removable component
+// is removed, so an XNoise round must decode to exactly the Sum of the same
+// round without XNoise — at 1 chunk, at 3 and at 8, on both substrates, on
+// session pools (so the masks of chunks after the first are later windows
+// too). A reader restarted per chunk on either side moves the sum.
+func TestChunkedRoundRemovesNoiseExactly(t *testing.T) {
+	const n, dim, tolerance, threshold, targetMu = 12, 200, 3, 8, 40
+	codec := testCodec(dim, n)
+	updates := randomUpdates(n, dim, 0.9)
+	plan := xnoise.Plan{NumClients: n, DropoutTolerance: tolerance, Threshold: threshold, TargetVariance: targetMu}
+	kept, err := plan.ComponentVariance(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= tolerance; k++ {
+		if v, err := plan.ComponentVariance(k); err != nil || v == kept {
+			t.Fatalf("component %d: variance %v (%v) is component 0's", k, v, err)
+		}
+	}
+	sampler := func(s *prg.Stream, variance float64, out []int64) {
+		if variance == kept {
+			return
+		}
+		for i := range out {
+			out[i] += int64(s.Uint64() >> 40)
+		}
+	}
+	for _, proto := range []Protocol{ProtocolSecAgg, ProtocolLightSecAgg} {
+		cfg := RoundConfig{Round: 1, Protocol: proto, Codec: codec, Threshold: threshold,
+			Seed: prg.NewSeed([]byte("exact-removal")), Sampler: sampler}
+		for _, chunks := range []int{1, 3, 8} {
+			var sums [2][]float64
+			for i, tol := range []int{0, tolerance} {
+				cfg.Chunks, cfg.Sessions = chunks, NewSessionPool(1)
+				cfg.Tolerance, cfg.TargetMu = tol, float64(tol)*targetMu/tolerance
+				res, err := RunRound(cfg, updates, nil, rand.Reader)
+				if err != nil {
+					t.Fatalf("%v, %d chunk(s), tolerance %d: %v", proto, chunks, tol, err)
+				}
+				sums[i] = res.Sum
+			}
+			if !slices.Equal(sums[0], sums[1]) {
+				t.Fatalf("%v, %d chunk(s): the XNoise round does not decode to the plain round's sum", proto, chunks)
+			}
+		}
+	}
+}

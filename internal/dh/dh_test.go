@@ -139,8 +139,8 @@ func TestAgreeAndGenerateCounters(t *testing.T) {
 
 // TestExpandGolden freezes the derivation: the vectors were produced by the
 // hmac.New-based Expand this package had before the stack HKDF (commit
-// 44e96a9) — every cached session secret, ratchet step and per-chunk mask
-// seed in a deployment hangs off these bytes — and the common case (an info
+// 44e96a9) — every cached session secret and ratchet step in a deployment
+// hangs off these bytes — and the common case (an info
 // label that fits the stack buffer) allocates nothing.
 func TestExpandGolden(t *testing.T) {
 	var secret [SharedSize]byte

@@ -3,10 +3,12 @@ package pipeline
 import (
 	"errors"
 	"math"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestWorkflowValidate(t *testing.T) {
@@ -363,6 +365,54 @@ func TestExecutorResourceExclusivity(t *testing.T) {
 	}
 	if violated.Load() {
 		t.Fatal("two chunks occupied the same resource simultaneously")
+	}
+}
+
+// TestExecutorPerStageChunkOrder is the ordering a stage that keeps state
+// across chunks relies on (core's noise readers read the next chunk-length
+// of a stream per call): whatever each call takes — random sleeps here —
+// every stage sees chunks 0..m−1 strictly ascending and never two at once.
+func TestExecutorPerStageChunkOrder(t *testing.T) {
+	w := DistributedDPWorkflow()
+	const m = 12
+	for run := range 4 {
+		rnd := rand.New(rand.NewPCG(uint64(run), 1))
+		var mu sync.Mutex // guards rnd and order
+		order := make([][]int, len(w))
+		busy := make([]atomic.Int32, len(w))
+		var overlapped atomic.Bool
+		fns := make([]StageFunc, len(w))
+		for s := range w {
+			fns[s] = func(chunk int) error {
+				if busy[s].Add(1) > 1 {
+					overlapped.Store(true)
+				}
+				mu.Lock()
+				order[s] = append(order[s], chunk)
+				nap := time.Duration(rnd.IntN(300)) * time.Microsecond
+				mu.Unlock()
+				time.Sleep(nap)
+				busy[s].Add(-1)
+				return nil
+			}
+		}
+		ex, err := NewExecutor(w, fns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ex.Run(m); err != nil {
+			t.Fatal(err)
+		}
+		if overlapped.Load() {
+			t.Fatalf("run %d: a stage ran two chunks at once", run)
+		}
+		for s, got := range order {
+			for c := range m {
+				if len(got) != m || got[c] != c {
+					t.Fatalf("run %d: stage %d saw chunks %v, want 0..%d ascending", run, s, got, m-1)
+				}
+			}
+		}
 	}
 }
 

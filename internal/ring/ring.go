@@ -185,12 +185,22 @@ func maskPer(bits uint) int { return int(64 / bits) }
 // keystream word or a block.
 func MaskBlockLen(bits uint) int { return maskBlockWords * maskPer(bits) }
 
+// MaskBytes returns the keystream bytes a mask of dim coordinates at the
+// given width reads: ⌈dim/per⌉ words of 8 bytes.
+func MaskBytes(bits uint, dim int) uint64 {
+	per := maskPer(bits)
+	return 8 * uint64((dim+per-1)/per)
+}
+
 // Mask is one signed PRG expansion Sign·PRG(Stream), Sign = ±1: the SecAgg
 // pairwise mask p_{u,v} = γ_{u,v}·PRG(s_{u,v}) or the self mask
-// p_u = PRG(b_u).
+// p_u = PRG(b_u). Its first word is keystream byte Off past the stream's
+// offset, so the masks of several vectors can be disjoint windows of one
+// keyed stream (secagg's sub-round windows).
 type Mask struct {
 	Stream *prg.Stream
 	Sign   int
+	Off    uint64
 }
 
 func checkMaskSign(sign int) error {
@@ -209,16 +219,16 @@ func (v Vector) MaskInPlace(s *prg.Stream, sign int) error {
 		return err
 	}
 	st := maskStates.Get().(*maskState)
-	st.maskBlocks(v.Data, v.Bits, []Mask{{s, sign}}, 0)
+	st.maskBlocks(v.Data, v.Bits, []Mask{{Stream: s, Sign: sign}}, 0)
 	maskStates.Put(st)
 	return nil
 }
 
 // MaskManyInPlace accumulates Σ_k Sign_k·PRG(Stream_k) into elements
 // [lo, hi), reading the keystream words a whole MaskInPlace of each stream
-// would read for that range: element i takes its bits from the word at
-// byte 8·⌊i/per⌋ past the stream's current offset, and lo and hi need not
-// be multiples of per. It runs block by block — a block of v stays in
+// would read for that range after skipping Off_k bytes: element i takes its
+// bits from the word at byte Off_k + 8·⌊i/per⌋ past the stream's current
+// offset, and lo and hi need not be multiples of per. It runs block by block — a block of v stays in
 // cache while every stream passes through it — so v is streamed through
 // memory once however many masks there are.
 //
@@ -245,8 +255,8 @@ func (v Vector) MaskManyInPlace(masks []Mask, lo, hi int) error {
 	}
 	cur := st.cur[:len(masks)]
 	for k, mk := range masks {
-		mk.Stream.AtInto(&st.cursors[k], mk.Stream.Offset()+8*uint64(lo/per))
-		cur[k] = Mask{&st.cursors[k], mk.Sign}
+		mk.Stream.AtInto(&st.cursors[k], mk.Stream.Offset()+mk.Off+8*uint64(lo/per))
+		cur[k] = Mask{Stream: &st.cursors[k], Sign: mk.Sign}
 	}
 	st.maskBlocks(v.Data[lo:hi], v.Bits, cur, lo%per)
 	maskStates.Put(st)

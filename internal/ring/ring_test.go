@@ -423,7 +423,7 @@ func TestMaskRangeInPlaceMatchesSequential(t *testing.T) {
 					for _, b := range ChunkBounds(dim, nseg) {
 						ref := v.Clone()
 						maskScalarRef(ref, prg.NewStream(seed), sign, b[0], b[1])
-						if err := v.MaskManyInPlace([]Mask{{s, sign}}, b[0], b[1]); err != nil {
+						if err := v.MaskManyInPlace([]Mask{{Stream: s, Sign: sign}}, b[0], b[1]); err != nil {
 							t.Fatal(err)
 						}
 						if !Equal(v, ref) {
@@ -524,29 +524,32 @@ func TestMaskManyInPlaceAllocs(t *testing.T) {
 }
 
 // TestMaskRangeInPlaceAfterOffset: ranges are relative to the stream's
-// current offset — here not even word-aligned, and the cuts not multiples
-// of per — so a pre-advanced stream still expands the exact bytes a
-// sequential expansion from that position would.
+// current offset plus the mask's Off — here not even word-aligned, and the
+// cuts not multiples of per — so a pre-advanced stream, a fresh stream
+// told to skip the same bytes, and a stream advanced part of the way and
+// told to skip the rest all expand the exact bytes a sequential expansion
+// from that position would.
 func TestMaskRangeInPlaceAfterOffset(t *testing.T) {
 	seed := prg.NewSeed([]byte("mask-range-skew"))
 	const dim, skew = 3001, 123
 	want := NewVector(20, dim)
-	got := want.Clone()
-
 	sw := prg.NewStream(seed)
 	sw.Fill(make([]byte, skew))
 	if err := want.MaskInPlace(sw, 1); err != nil {
 		t.Fatal(err)
 	}
-	sg := prg.NewStream(seed)
-	sg.Fill(make([]byte, skew))
-	for _, b := range ChunkBounds(dim, 4) {
-		if err := got.MaskManyInPlace([]Mask{{sg, 1}}, b[0], b[1]); err != nil {
-			t.Fatal(err)
+	for _, advanced := range []int{skew, 0, 40} {
+		got := NewVector(20, dim)
+		sg := prg.NewStream(seed)
+		sg.Fill(make([]byte, advanced))
+		for _, b := range ChunkBounds(dim, 4) {
+			if err := got.MaskManyInPlace([]Mask{{Stream: sg, Sign: 1, Off: uint64(skew - advanced)}}, b[0], b[1]); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if !Equal(got, want) {
-		t.Fatal("offset-relative range expansion differs from sequential")
+		if !Equal(got, want) {
+			t.Fatalf("stream advanced %d bytes, mask Off %d: range expansion differs from sequential", advanced, skew-advanced)
+		}
 	}
 }
 
@@ -555,14 +558,14 @@ func TestMaskRangeInPlaceBounds(t *testing.T) {
 	v := NewVector(20, 10)
 	s := prg.NewStream(prg.NewSeed([]byte("bounds")))
 	for _, r := range [][2]int{{-1, 5}, {0, 11}, {7, 3}} {
-		if err := v.MaskManyInPlace([]Mask{{s, 1}}, r[0], r[1]); err == nil {
+		if err := v.MaskManyInPlace([]Mask{{Stream: s, Sign: 1}}, r[0], r[1]); err == nil {
 			t.Errorf("range [%d,%d) should be rejected", r[0], r[1])
 		}
 	}
-	if err := v.MaskManyInPlace([]Mask{{s, 2}}, 0, 5); err == nil {
+	if err := v.MaskManyInPlace([]Mask{{Stream: s, Sign: 2}}, 0, 5); err == nil {
 		t.Error("sign 2 should be rejected")
 	}
-	if err := v.MaskManyInPlace([]Mask{{s, 1}}, 4, 4); err != nil {
+	if err := v.MaskManyInPlace([]Mask{{Stream: s, Sign: 1}}, 4, 4); err != nil {
 		t.Errorf("empty range should be a no-op, got %v", err)
 	}
 }

@@ -67,7 +67,9 @@ func Poisson(s *prg.Stream, lambda float64) int64 {
 // Float64 calls, but the stream position after a vector fill is not —
 // vector samplers therefore require a dedicated stream (which is how every
 // protocol call site uses them: one seed-derived stream per noise
-// component).
+// component). That position is still a function of the stream and the
+// fill alone, so two copies of a stream filled with the same lengths in
+// the same order stay in step (xnoise.NoiseReader's windows).
 //
 // Batches are pooled: FillUint64 hands its argument to the cipher through
 // an interface, so a batch declared in a sampler's frame would be a fresh

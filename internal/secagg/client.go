@@ -33,7 +33,7 @@ type Client struct {
 
 	cipherKey *dh.KeyPair // c^PK / c^SK
 	maskKey   *dh.KeyPair // s^PK / s^SK
-	selfSeed  field.Element
+	selfStream *prg.Stream // PRG(b_u), the self mask's stream
 
 	// session, when non-nil, supplies the key pairs and caches pairwise
 	// secrets across the sub-rounds that share it (key-agreement
@@ -181,7 +181,7 @@ func (c *Client) ShareKeys(roster []AdvertiseMsg) ([]EncryptedShareMsg, error) {
 	dealsPerStep := c.session != nil && c.cfg.XNoise == nil
 	if dealsPerStep && c.cfg.MaskEpoch > 0 {
 		if d := c.session.dealAt(c.cfg.KeyRatchet); d != nil && d.fits(c.cfg, c.id, roster) {
-			c.deal, c.roster, c.selfSeed = d, d.roster, d.selfSeed
+			c.deal, c.roster, c.selfStream = d, d.roster, d.selfStream
 			c.channelKey, c.received = d.channelKey, d.opened
 			return d.out, nil
 		}
@@ -247,12 +247,13 @@ func (c *Client) ShareKeys(roster []AdvertiseMsg) ([]EncryptedShareMsg, error) {
 	if _, err := io.ReadFull(c.rand, buf[:]); err != nil {
 		return nil, fmt.Errorf("secagg: sampling self seed: %w", err)
 	}
-	c.selfSeed = field.RandomElement(buf)
+	selfSeed := field.RandomElement(buf)
+	c.selfStream = prg.NewStreamFromElement(selfSeed)
 	maskShares, err := shareKey(c.maskKey.PrivateBytes(), c.cfg.Threshold, xs, c.rand)
 	if err != nil {
 		return nil, err
 	}
-	selfShares, err := shamir.Split(c.selfSeed, c.cfg.Threshold, xs, c.rand)
+	selfShares, err := shamir.Split(selfSeed, c.cfg.Threshold, xs, c.rand)
 	if err != nil {
 		return nil, err
 	}
@@ -300,7 +301,7 @@ func (c *Client) ShareKeys(roster []AdvertiseMsg) ([]EncryptedShareMsg, error) {
 		out = append(out, EncryptedShareMsg{From: c.id, To: peer, Ciphertext: ct})
 	}
 	if dealsPerStep && c.cfg.MaskEpoch == 0 {
-		c.deal = &deal{cfg: c.cfg, roster: roster, selfSeed: c.selfSeed, out: out,
+		c.deal = &deal{cfg: c.cfg, roster: roster, selfStream: c.selfStream, out: out,
 			channelKey: c.channelKey, opened: c.received}
 		c.session.keepDeal(c.cfg.KeyRatchet, c.deal)
 	}
@@ -363,14 +364,13 @@ func (c *Client) MaskedInput(ciphertexts []EncryptedShareMsg) (MaskedInputMsg, e
 		}
 	}
 	// Self mask p_u = PRG(b_u) plus pairwise masks p_{u,v} over u2 (the set
-	// that holds shares of our key, hence can unmask us if we die). Each
-	// mask is an independent PRG expansion — key agreement included — so
-	// they fan out across the worker pool and accumulate into y in place.
+	// that holds shares of our key, hence can unmask us if we die), each read
+	// from this sub-round's window of its stream. Each mask is an
+	// independent PRG expansion — key agreement included — so they fan out
+	// across the worker pool and accumulate into y in place.
 	tasks := make([]maskTask, 0, len(c.u2))
-	selfSeed := c.selfSeed
-	tasks = append(tasks, maskTask{sign: 1, make: func() (*prg.Stream, error) {
-		return prg.NewStream(selfMaskSeed(selfSeed, c.cfg.MaskEpoch)), nil
-	}})
+	selfStream := c.selfStream
+	tasks = append(tasks, maskTask{sign: 1, make: func() (*prg.Stream, error) { return selfStream, nil }})
 	for _, peer := range c.u2 {
 		if peer == c.id {
 			continue
@@ -379,14 +379,14 @@ func (c *Client) MaskedInput(ciphertexts []EncryptedShareMsg) (MaskedInputMsg, e
 		entry, _ := c.rosterEntry(peer) // U2 ⊆ U1, checked above
 		peerPub := entry.MaskPub
 		tasks = append(tasks, maskTask{sign: pairMaskSign(c.id, peer), make: func() (*prg.Stream, error) {
-			secret, err := c.maskSecret(peerPub)
+			s, err := c.maskStream(peerPub)
 			if err != nil {
 				return nil, fmt.Errorf("secagg: mask key agreement %d↔%d: %w", c.id, peer, err)
 			}
-			return prg.NewStream(pairMaskSeed(secret, c.cfg.MaskEpoch)), nil
+			return s, nil
 		}})
 	}
-	if err := applyMaskTasks(y, tasks); err != nil {
+	if err := applyMaskTasks(y, tasks, maskWindow(c.cfg.MaskEpoch)); err != nil {
 		return MaskedInputMsg{}, err
 	}
 	if c.cfg.TranscriptDigests {
@@ -405,19 +405,20 @@ func (c *Client) MaskedDigest() ([32]byte, bool) {
 	return c.maskedDigest, c.hasMaskedDigest
 }
 
-// maskSecret returns the (ratcheted) pairwise-mask secret with the peer
-// advertising peerPub: s_{u,v} = KA.agree(s^SK_u, s^PK_v), advanced
-// KeyRatchet steps. The session caches it across sub-rounds; without one
-// the agreement runs inline, as in classic SecAgg.
-func (c *Client) maskSecret(peerPub []byte) ([dh.SharedSize]byte, error) {
+// maskStream returns the pairwise mask stream with the peer advertising
+// peerPub, keyed by the (ratcheted) secret s_{u,v} = KA.agree(s^SK_u,
+// s^PK_v), advanced KeyRatchet steps. The session caches secret and stream
+// across sub-rounds; without one the agreement runs inline, as in classic
+// SecAgg.
+func (c *Client) maskStream(peerPub []byte) (*prg.Stream, error) {
 	if c.session != nil {
-		return c.session.maskSecret(peerPub, c.cfg.KeyRatchet)
+		return c.session.maskStream(peerPub, c.cfg.KeyRatchet)
 	}
 	raw, err := c.maskKey.Agree(peerPub)
 	if err != nil {
-		return raw, err
+		return nil, err
 	}
-	return dh.RatchetN(raw, c.cfg.KeyRatchet), nil
+	return newPairMaskStream(dh.RatchetN(raw, c.cfg.KeyRatchet)), nil
 }
 
 // agreeChannelKey returns the (ratcheted) channel-encryption key with the

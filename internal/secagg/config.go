@@ -26,6 +26,7 @@ package secagg
 import (
 	"fmt"
 
+	"repro/internal/ring"
 	"repro/internal/sig"
 	"repro/internal/xnoise"
 )
@@ -95,13 +96,14 @@ type Config struct {
 	// Threshold members including the client itself.
 	Graph Graph
 
-	// MaskEpoch domain-separates the pairwise- and self-mask derivations
-	// across the sub-rounds that share one key agreement and one deal — the
-	// pipeline chunks of a core.RunRound. Epoch 0 is byte-identical to the
-	// historical (session-less) derivation, so chunk 0 of an amortized
-	// pipeline and a plain round coincide; epoch e > 0 forks independent
-	// seeds from the same shared secret and self seed via dh.Expand. All
-	// parties must agree on it.
+	// MaskEpoch separates the pairwise and self masks of the sub-rounds
+	// that share one key agreement and one deal — the pipeline chunks of a
+	// core.RunRound: epoch e reads window e, keystream bytes
+	// [e·2^32, (e+1)·2^32), of each mask's one stream (maskWindow). Epoch 0
+	// is byte-identical to the historical (session-less) derivation, so
+	// chunk 0 of an amortized pipeline and a plain round coincide. Validate
+	// refuses an epoch of 2^32 or more and a Dim whose mask would overrun
+	// its window. All parties must agree on it.
 	MaskEpoch uint64
 
 	// TranscriptDigests, when true, has both sides record SHA-256 digests
@@ -171,6 +173,12 @@ func (c *Config) Validate() error {
 	}
 	if c.Dim <= 0 {
 		return fmt.Errorf("secagg: dim must be positive, got %d", c.Dim)
+	}
+	if c.MaskEpoch >= 1<<(64-maskWindowBits) {
+		return fmt.Errorf("secagg: mask epoch %d has no keystream window", c.MaskEpoch)
+	}
+	if ring.MaskBytes(c.Bits, c.Dim) > 1<<maskWindowBits {
+		return fmt.Errorf("secagg: a %d-coordinate mask overruns its %d-byte keystream window", c.Dim, uint64(1)<<maskWindowBits)
 	}
 	if c.NoiseEpoch > xnoise.MaxNoiseEpoch {
 		return fmt.Errorf("secagg: unknown noise epoch %d (max %d)", c.NoiseEpoch, xnoise.MaxNoiseEpoch)

@@ -13,18 +13,19 @@ import (
 	"repro/internal/shamir"
 )
 
-// maskTask is one independent mask expansion: build a PRG stream (any key
-// agreement or share reconstruction happens on the worker) and fold its
-// expansion into the destination with the given sign.
+// maskTask is one independent mask expansion: find or build a PRG stream
+// (any key agreement happens on the worker) and fold its expansion into the
+// destination with the given sign.
 type maskTask struct {
 	sign int
 	make func() (*prg.Stream, error)
 }
 
 // applyMaskTasks accumulates Σ sign_i·PRG_i straight into dst — the
-// client's y, the server's masked sum — in two fan-outs over one bounded
-// worker pool. First the streams are built, each task's make (an X25519
-// agreement, a key reconstruction) running exactly once; a failing make
+// client's y, the server's masked sum — reading every stream from keystream
+// byte window on (the sub-round's mask window), in two fan-outs over one
+// bounded worker pool. First the streams are found or built, each task's
+// make (an X25519 agreement, a cache lookup) running exactly once; a failing make
 // stops further claims and its error is returned before any stream is
 // expanded, so dst is untouched on error. Then the workers split the
 // coordinate range at multiples of ring.MaskBlockLen and each runs the
@@ -33,7 +34,7 @@ type maskTask struct {
 // a chunked round's 1–2k coordinates — is a single range on the calling
 // goroutine. Mask additions commute in ℤ_{2^b} and the ranges are
 // disjoint, so the result does not depend on the worker count.
-func applyMaskTasks(dst ring.Vector, tasks []maskTask) error {
+func applyMaskTasks(dst ring.Vector, tasks []maskTask, window uint64) error {
 	var (
 		next    atomic.Int64
 		failed  atomic.Bool
@@ -60,7 +61,7 @@ func applyMaskTasks(dst ring.Vector, tasks []maskTask) error {
 				fail(err)
 				return
 			}
-			masks[i] = ring.Mask{Stream: s, Sign: tasks[i].sign}
+			masks[i] = ring.Mask{Stream: s, Sign: tasks[i].sign, Off: window}
 		}
 	})
 	if firstEr != nil {

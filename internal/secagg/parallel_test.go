@@ -49,7 +49,7 @@ func TestApplyMaskTasksSegmentedMatchesSequential(t *testing.T) {
 				dst.Data[i] = uint64(i) & dst.Mask()
 			}
 			tasks, want, made := seededTasks(t, dst, ntasks)
-			if err := applyMaskTasks(dst, tasks); err != nil {
+			if err := applyMaskTasks(dst, tasks, 0); err != nil {
 				t.Fatal(err)
 			}
 			if !ring.Equal(dst, want) {
@@ -84,7 +84,7 @@ func TestApplyMaskTasksSegmentedError(t *testing.T) {
 			}})
 		}
 		dst := ring.NewVector(20, 3*ring.MaskBlockLen(20))
-		if err := applyMaskTasks(dst, tasks); !errors.Is(err, boom) {
+		if err := applyMaskTasks(dst, tasks, 0); !errors.Is(err, boom) {
 			t.Fatalf("procs=%d: got err %v, want %v", procs, err, boom)
 		}
 		if !ring.Equal(dst, ring.NewVector(20, dst.Len())) {
@@ -115,7 +115,7 @@ func TestApplyMaskTasksSmallDimUnchanged(t *testing.T) {
 		}
 		dst := ring.NewVector(16, dim)
 		tasks, want, _ := seededTasks(t, dst, 5)
-		if err := applyMaskTasks(dst, tasks); err != nil {
+		if err := applyMaskTasks(dst, tasks, 0); err != nil {
 			t.Fatal(err)
 		}
 		if !ring.Equal(dst, want) {

@@ -183,7 +183,7 @@ func TestServerSessionPersistCarriesNoKeys(t *testing.T) {
 	}
 	in := NewServerSession()
 	in.storeKey(dropped.PublicBytes(), dropped)
-	if _, err := in.pairSecret(dropped, peer.PublicBytes(), 0); err != nil {
+	if _, err := in.pairStream(dropped, peer.PublicBytes(), 0); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := in.MarshalBinary()
@@ -198,7 +198,7 @@ func TestServerSessionPersistCarriesNoKeys(t *testing.T) {
 		t.Fatal("restored session carries a reconstructed key")
 	}
 	before := dh.AgreeCount()
-	if _, err := out.pairSecret(dropped, peer.PublicBytes(), 0); err != nil {
+	if _, err := out.pairStream(dropped, peer.PublicBytes(), 0); err != nil {
 		t.Fatal(err)
 	}
 	if dh.AgreeCount() == before {

@@ -469,12 +469,12 @@ func (s *Server) unmask() error {
 	}
 
 	var tasks []maskTask
-	// Remove self masks of live clients via reconstructed b_u, forked to
-	// this sub-round's epoch.
+	// Remove self masks of live clients via reconstructed b_u; every mask
+	// is read from this sub-round's window of its stream.
 	for _, u := range s.u3 {
 		b := selfSeeds[u]
 		tasks = append(tasks, maskTask{sign: -1, make: func() (*prg.Stream, error) {
-			return prg.NewStream(selfMaskSeed(b, s.cfg.MaskEpoch)), nil
+			return s.session.selfStream(u, b), nil
 		}})
 	}
 	// Remove the unpaired pairwise masks of dropped clients v ∈ U2\U3. Key
@@ -519,15 +519,15 @@ func (s *Server) unmask() error {
 			uPub := s.roster[u].MaskPub
 			// Client u added γ_{u,v}·PRG; cancel it.
 			tasks = append(tasks, maskTask{sign: -pairMaskSign(u, v), make: func() (*prg.Stream, error) {
-				secret, err := s.session.pairSecret(kp, uPub, s.cfg.KeyRatchet)
+				ps, err := s.session.pairStream(kp, uPub, s.cfg.KeyRatchet)
 				if err != nil {
 					return nil, fmt.Errorf("secagg: mask key agreement %d↔%d: %w", u, v, err)
 				}
-				return prg.NewStream(pairMaskSeed(secret, s.cfg.MaskEpoch)), nil
+				return ps, nil
 			}})
 		}
 	}
-	if err := applyMaskTasks(z, tasks); err != nil {
+	if err := applyMaskTasks(z, tasks, maskWindow(s.cfg.MaskEpoch)); err != nil {
 		return err
 	}
 	s.sum = z

@@ -2,7 +2,6 @@ package secagg
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -16,7 +15,7 @@ import (
 	"repro/internal/session"
 )
 
-// Key-agreement amortization (the "agree once, fork per-chunk streams"
+// Key-agreement amortization (the "agree once, read a window per chunk"
 // layer). X25519 agreement is the dominant fixed cost of a round: a
 // 64-client complete-graph round spends ~57% of its time in ~2·n·(n−1)
 // agreements, and the per-chunk drivers multiply that by the chunk count m
@@ -27,9 +26,10 @@ import (
 // total instead of m·n·k:
 //
 //   - pairwise agreement happens once per (round, pair) on first use and is
-//     cached by peer public key;
-//   - per-chunk mask seeds fork from the cached secret by domain-separated
-//     KDF expansion (pairMaskSeed with Config.MaskEpoch = chunk index);
+//     cached by peer public key, together with the pair's mask stream
+//     (pairMaskSeed), keyed once per ratchet step;
+//   - the chunks' masks are disjoint windows of that one stream: the
+//     sub-round at Config.MaskEpoch = e reads window e (maskWindow), so
 //     epoch 0 is byte-identical to the session-less derivation;
 //   - consecutive rounds sharing a session ratchet every cached secret one
 //     dh.Ratchet step forward (Config.KeyRatchet = round offset) instead of
@@ -38,12 +38,13 @@ import (
 //     (Bell et al., CCS 2020) assumes.
 //
 // The Shamir deal is amortized the same way — deal once per ratchet step,
-// fork per-chunk self masks. The sub-round at MaskEpoch 0 deals and the
-// session keeps the deal; a later sub-round of the step that would deal the
-// same (deal.fits, no in-protocol XNoise) reuses it, and chunk e masks with
-// selfMaskSeed(b_u, e). The step's reveal ledger keeps a client from ever
-// revealing both kinds of share of one peer. ARCHITECTURE.md ("Sessions and
-// the key-reuse threat model", rule 1) states the rules.
+// read per-chunk self masks as windows. The sub-round at MaskEpoch 0 deals
+// and the session keeps the deal, with the self-mask stream of its b_u; a
+// later sub-round of the step that would deal the same (deal.fits, no
+// in-protocol XNoise) reuses it, and chunk e masks with window e of that
+// stream. The step's reveal ledger keeps a client from ever revealing both
+// kinds of share of one peer. ARCHITECTURE.md ("Sessions and the key-reuse
+// threat model", rule 1) states the rules.
 //
 // Threat-model caveats (see ARCHITECTURE.md, "Sessions and the key-reuse
 // threat model"): ratcheting separates per-round masks
@@ -54,35 +55,28 @@ import (
 // core.SessionPool regenerates dropped clients' sessions automatically.
 
 // pairMaskSeed derives the PRG seed for the pairwise mask between two
-// clients from their (possibly ratcheted) shared secret. Epoch 0 is
-// byte-identical to the historical derivation, pinned by the golden
-// seed-identity test; epoch e > 0 forks an independent seed via dh.Expand
-// with a chunk label.
-func pairMaskSeed(secret [dh.SharedSize]byte, epoch uint64) prg.Seed {
-	if epoch == 0 {
-		return prg.NewSeed([]byte("dordis/secagg/pairmask/v1"), secret[:])
-	}
-	var info [40]byte // on the stack: this runs once per (pair, chunk)
-	n := copy(info[:], "dordis/secagg/pairmask/chunk/v1/")
-	binary.LittleEndian.PutUint64(info[n:], epoch)
-	return prg.Seed(dh.Expand(secret, info[:]))
+// clients from their (possibly ratcheted) shared secret, byte-identical to
+// the historical derivation (pinned by the golden seed-identity test). The
+// self mask's seed is prg.FromFieldElement(b_u).
+func pairMaskSeed(secret [dh.SharedSize]byte) prg.Seed {
+	return prg.NewSeed([]byte("dordis/secagg/pairmask/v1"), secret[:])
 }
 
-// selfMaskSeed derives the PRG seed of the self mask p_u of sub-round epoch
-// from the self seed b_u, the way pairMaskSeed forks pairwise secrets:
-// epoch 0 is the historical prg.FromFieldElement(b_u), epoch e > 0 an
-// independent seed forked with a chunk label, so the chunks of a round that
-// share one dealt b_u mask with independent streams.
-func selfMaskSeed(b field.Element, epoch uint64) prg.Seed {
-	seed := prg.FromFieldElement(b)
-	if epoch == 0 {
-		return seed
-	}
-	var info [40]byte
-	n := copy(info[:], "dordis/secagg/selfmask/chunk/v1/")
-	binary.LittleEndian.PutUint64(info[n:], epoch)
-	return prg.Seed(dh.Expand(seed, info[:]))
+// newPairMaskStream keys the pairwise mask stream of a shared secret.
+func newPairMaskStream(secret [dh.SharedSize]byte) *prg.Stream {
+	return prg.NewStream(pairMaskSeed(secret))
 }
+
+// maskWindowBits fixes the mask windows: the sub-round at MaskEpoch e reads
+// its masks from keystream bytes [e·2^32, (e+1)·2^32) of each mask's one
+// stream, so epoch 0 reads what a session-less round reads and distinct
+// epochs never share a keystream byte (Config.Validate refuses a Dim whose
+// mask would overrun its window, and an epoch whose window would not fit
+// the offset).
+const maskWindowBits = 32
+
+// maskWindow returns the keystream byte offset of epoch's mask window.
+func maskWindow(epoch uint64) uint64 { return epoch << maskWindowBits }
 
 // Errors of the one-deal-per-step rule: a sub-round reusing its step's
 // deal was delivered other ciphertexts than the deal first received; an
@@ -98,10 +92,10 @@ var (
 // Written by one sub-round's client at a time (the chunks of a round run
 // their protocol stage one after another).
 type deal struct {
-	cfg      Config         // the sub-round that dealt; its Round is in the bundles' AD
-	roster   []AdvertiseMsg // the verified roster, ascending by id
-	selfSeed field.Element
-	out      []EncryptedShareMsg // the sealed outgoing bundles
+	cfg        Config              // the sub-round that dealt; its Round is in the bundles' AD
+	roster     []AdvertiseMsg      // the verified roster, ascending by id
+	selfStream *prg.Stream         // PRG(b_u): each sub-round reads its window
+	out        []EncryptedShareMsg // the sealed outgoing bundles
 
 	channelKey map[uint64]*aead.Key
 	delivered  map[uint64][]byte      // peer → ciphertext of the first delivery; nil until then
@@ -213,13 +207,13 @@ func (s *Session) keyPairs() (cipherKey, maskKey *dh.KeyPair) {
 	return s.cipherKey, s.maskKey
 }
 
-// maskSecret returns the pairwise-mask secret with the peer identified by
-// its advertised mask public key, at the given ratchet step, agreeing on
-// first use and caching the result.
-func (s *Session) maskSecret(peerPub []byte, step uint64) ([dh.SharedSize]byte, error) {
+// maskStream returns the pairwise mask stream with the peer identified by
+// its advertised mask public key, at the given ratchet step: the secret is
+// agreed on first use, and the stream keyed once per step beside it.
+func (s *Session) maskStream(peerPub []byte, step uint64) (*prg.Stream, error) {
 	_, maskKey := s.keyPairs()
-	return s.mask.At(string(peerPub), step,
-		func() ([dh.SharedSize]byte, error) { return maskKey.Agree(peerPub) })
+	return s.mask.StreamAt(string(peerPub), step,
+		func() ([dh.SharedSize]byte, error) { return maskKey.Agree(peerPub) }, newPairMaskStream)
 }
 
 // channelKey returns the channel-encryption key with the peer identified
@@ -276,9 +270,10 @@ func (s *Session) RekeyEdges(ids []uint64) {
 }
 
 // ServerSession is the aggregator's amortized key-agreement state: the
-// reconstructed-and-verified mask keys of dropped clients and the pairwise
-// secrets derived from them, cached across the sub-rounds and rounds that
-// share the session, on top of the shared continuity state
+// reconstructed-and-verified mask keys of dropped clients, the pairwise
+// secrets derived from them with their mask streams, and the self-mask
+// streams of reconstructed self seeds, cached across the sub-rounds and
+// rounds that share the session, on top of the shared continuity state
 // (session.ServerState: sealed roster, tainted members, ratchet high-water
 // mark). Reconstructing a key is what taints its owner. Safe for
 // concurrent use.
@@ -287,7 +282,14 @@ type ServerSession struct {
 
 	mu      sync.Mutex
 	keys    map[string]*dh.KeyPair // advertised mask pub → verified key
-	secrets session.Secrets        // canonical pub pair → secret
+	selves  map[uint64]selfMask    // client → its last reconstructed self seed's stream
+	secrets session.Secrets        // canonical pub pair → secret and mask stream
+}
+
+// selfMask is a self seed b_u and its mask stream PRG(b_u).
+type selfMask struct {
+	seed   field.Element
+	stream *prg.Stream
 }
 
 // NewServerSession returns an empty server session.
@@ -319,12 +321,29 @@ func pairKey(a, b []byte) string {
 	return string(b) + string(a)
 }
 
-// pairSecret returns the pairwise secret between the reconstructed key kp
-// and the peer public key, at the given ratchet step, agreeing on first
-// use and caching by the unordered key pair.
-func (s *ServerSession) pairSecret(kp *dh.KeyPair, peerPub []byte, step uint64) ([dh.SharedSize]byte, error) {
-	return s.secrets.At(pairKey(kp.PublicBytes(), peerPub), step,
-		func() ([dh.SharedSize]byte, error) { return kp.Agree(peerPub) })
+// pairStream returns the pairwise mask stream between the reconstructed key
+// kp and the peer public key, at the given ratchet step, agreeing on first
+// use and caching secret and stream by the unordered key pair.
+func (s *ServerSession) pairStream(kp *dh.KeyPair, peerPub []byte, step uint64) (*prg.Stream, error) {
+	return s.secrets.StreamAt(pairKey(kp.PublicBytes(), peerPub), step,
+		func() ([dh.SharedSize]byte, error) { return kp.Agree(peerPub) }, newPairMaskStream)
+}
+
+// selfStream returns the self-mask stream PRG(b) of client u's
+// reconstructed self seed b, keyed once for as long as u's seed stays b —
+// the sub-rounds of a step that reuse one deal.
+func (s *ServerSession) selfStream(u uint64, b field.Element) *prg.Stream {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if m, ok := s.selves[u]; ok && m.seed == b {
+		return m.stream
+	}
+	if s.selves == nil {
+		s.selves = make(map[uint64]selfMask)
+	}
+	m := selfMask{seed: b, stream: prg.NewStreamFromElement(b)}
+	s.selves[u] = m
+	return m.stream
 }
 
 // RekeyEdges drops the cached state touching the given divergent members —
@@ -352,11 +371,13 @@ func (s *ServerSession) RekeyEdges(ids []uint64) {
 	})
 }
 
-// Rekey drops every cached key, secret, roster, taint, and the ratchet
-// position: the next round collects a fresh advertise stage from scratch.
+// Rekey drops every cached key, secret, stream, roster, taint, and the
+// ratchet position: the next round collects a fresh advertise stage from
+// scratch.
 func (s *ServerSession) Rekey() {
 	s.mu.Lock()
 	clear(s.keys)
+	clear(s.selves)
 	s.mu.Unlock()
 	s.secrets.Clear()
 	s.Reset()

@@ -11,6 +11,7 @@ import (
 	"repro/internal/dh"
 	"repro/internal/prg"
 	"repro/internal/ring"
+	"repro/internal/shamir"
 )
 
 // sessionRand returns a deterministic entropy stream for session tests.
@@ -18,12 +19,30 @@ func sessionRand(label string) *prg.Stream {
 	return prg.NewStream(prg.NewSeed([]byte("session-test/" + label)))
 }
 
+// maskSecret is the pairwise-mask secret the session caches for the peer
+// advertising peerPub at ratchet step step: the key of its mask stream.
+func (s *Session) maskSecret(peerPub []byte, step uint64) ([dh.SharedSize]byte, error) {
+	_, maskKey := s.keyPairs()
+	return s.mask.At(string(peerPub), step,
+		func() ([dh.SharedSize]byte, error) { return maskKey.Agree(peerPub) })
+}
+
+// windowWords returns the first n keystream words of epoch's mask window of
+// stream, leaving stream where it was.
+func windowWords(stream *prg.Stream, epoch uint64, n int) []uint64 {
+	out := make([]uint64, n)
+	stream.At(stream.Offset()+maskWindow(epoch)).FillUint64(out)
+	return out
+}
+
 // TestGoldenChunkZeroSeedIdentity pins that the session cache's chunk-0
 // (epoch-0) mask seed is byte-identical to the non-amortized path: the
 // historical derivation NewSeed("dordis/secagg/pairmask/v1", secret) over
-// the raw X25519 agreement output. Any change to pairMaskSeed's epoch-0
-// branch or to the session's secret caching must fail here, because that
-// would break mask agreement between amortized and classic participants.
+// the raw X25519 agreement output. Any change to pairMaskSeed or to the
+// session's secret and stream caching must fail here, because that would
+// break mask agreement between amortized and classic participants. Later
+// epochs read later windows of that one stream: epoch e starts at
+// keystream byte e·2^32.
 func TestGoldenChunkZeroSeedIdentity(t *testing.T) {
 	sess, err := NewSession(sessionRand("keys"))
 	if err != nil {
@@ -53,7 +72,7 @@ func TestGoldenChunkZeroSeedIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := pairMaskSeed(cached, 0); got != legacy {
+	if got := pairMaskSeed(cached); got != legacy {
 		t.Fatalf("chunk-0 seed diverged from the non-amortized path:\n got %x\nwant %x", got, legacy)
 	}
 	// Cache hit returns the identical secret.
@@ -64,24 +83,121 @@ func TestGoldenChunkZeroSeedIdentity(t *testing.T) {
 	if again != cached {
 		t.Fatal("session cache returned a different secret on the second lookup")
 	}
-	// Later epochs fork independent seeds from the same agreement.
-	e1 := pairMaskSeed(cached, 1)
-	if e1 == legacy {
-		t.Fatal("epoch-1 seed must differ from the epoch-0 seed")
+	// The session's mask stream is keyed once by the legacy seed, and every
+	// epoch reads its window of it.
+	stream, err := sess.maskStream(peer.PublicBytes(), 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if pairMaskSeed(cached, 2) == e1 {
-		t.Fatal("distinct epochs must yield distinct seeds")
+	if again, err := sess.maskStream(peer.PublicBytes(), 0); err != nil || again != stream {
+		t.Fatalf("a second lookup at the same step keyed another stream (%v)", err)
 	}
-	if pairMaskSeed(dh.Expand(cached, []byte("x")), 1) == e1 {
-		t.Fatal("distinct secrets must yield distinct epoch seeds")
+	reference := prg.NewStream(legacy)
+	for _, epoch := range []uint64{0, 1, 2} {
+		want := make([]uint64, 4)
+		reference.Seek(epoch << 32)
+		reference.FillUint64(want)
+		if got := windowWords(stream, epoch, len(want)); !slices.Equal(got, want) {
+			t.Fatalf("epoch %d: window words %x, want the legacy stream's from byte %d·2^32: %x", epoch, got, epoch, want)
+		}
+	}
+	if slices.Equal(windowWords(stream, 1, 4), windowWords(stream, 2, 4)) {
+		t.Fatal("distinct epochs must read distinct windows")
+	}
+	if slices.Equal(windowWords(newPairMaskStream(dh.Expand(cached, []byte("x"))), 1, 4), windowWords(stream, 1, 4)) {
+		t.Fatal("distinct secrets must yield distinct epoch windows")
+	}
+}
+
+// TestMaskEpochReadsWindow: the sub-round at MaskEpoch e masks with window
+// e of each mask's one stream — the epoch-0 stream of the legacy
+// derivations (pairMaskSeed's literal for a pair, prg.FromFieldElement(b_u)
+// for the self mask) expanded from keystream byte e·2^32 — for e = 0 and
+// for epochs 1 and 7 that reuse epoch 0's deal, over a dimension that is
+// not a multiple of the 16-bit ring's four coordinates per word. b_u comes
+// from the Shamir shares the client dealt, as the server recovers it. A
+// config whose mask would overrun its window, or whose epoch has no
+// window, is refused; one that exactly fills it is not.
+func TestMaskEpochReadsWindow(t *testing.T) {
+	const n, dim, u = 4, 1001, 1
+	cfg, inputs, _ := sessionRoundConfig(n, dim)
+	rand := sessionRand("mask-window")
+	sess, err := NewRoundSessions(cfg.ClientIDs, rand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, epoch := range []uint64{0, 1, 7} {
+		c := cfg
+		c.MaskEpoch = epoch
+		server, clients, _ := steppedSubRound(t, c, inputs, sess, rand, map[uint64]bool{u: true})
+		deliveries, err := server.SealShares()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := clients[u].MaskedInput(deliveries[u])
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		var selfShares []shamir.Share
+		for _, p := range cfg.ClientIDs {
+			bundle, err := clients[p].bundleFrom(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			selfShares = append(selfShares, bundle.SelfSeed)
+		}
+		b, err := shamir.Reconstruct(selfShares, cfg.Threshold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := inputs[u].Clone()
+		self := prg.NewStream(prg.FromFieldElement(b))
+		self.Seek(epoch << 32)
+		if err := want.MaskInPlace(self, 1); err != nil {
+			t.Fatal(err)
+		}
+		_, maskKey := sess.Client[u].keyPairs()
+		for _, v := range cfg.ClientIDs[1:] {
+			_, peerKey := sess.Client[v].keyPairs()
+			raw, err := maskKey.Agree(peerKey.PublicBytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			pair := prg.NewStream(prg.NewSeed([]byte("dordis/secagg/pairmask/v1"), raw[:]))
+			pair.Seek(epoch << 32)
+			if err := want.MaskInPlace(pair, -1); err != nil { // γ_{1,v} = −1 for every v > 1
+				t.Fatal(err)
+			}
+		}
+		if !slices.Equal(m.Y, want.Data) {
+			t.Fatalf("epoch %d: the masked input is not the input plus window %d of the legacy streams", epoch, epoch)
+		}
+	}
+
+	per := 64 / cfg.Bits
+	for _, tc := range []struct {
+		dim   int
+		epoch uint64
+		ok    bool
+	}{
+		{int(per) << 29, 1<<32 - 1, true}, // 2^29 words: the window exactly
+		{int(per)<<29 + 1, 0, false},      // one word past it
+		{dim, 1 << 32, false},             // an epoch whose window starts past 2^64
+	} {
+		c := cfg
+		c.Dim, c.MaskEpoch = tc.dim, tc.epoch
+		if err := c.Validate(); (err == nil) != tc.ok {
+			t.Errorf("dim %d, epoch %d: Validate() = %v, want ok %v", tc.dim, tc.epoch, err, tc.ok)
+		}
 	}
 }
 
 // TestPerChunkMaskDeterminism: two session instances over the same key
 // material (a fresh-cache clone, as a restarted participant would rebuild
-// from its persisted keys) derive identical per-chunk mask seeds, the two
-// ends of each pair agree on every chunk's seed, and seeds are pairwise
-// distinct across chunks and ratchet steps.
+// from its persisted keys) read identical per-chunk mask windows, the two
+// ends of each pair agree on every chunk's window, and windows are
+// pairwise distinct across chunks and ratchet steps.
 func TestPerChunkMaskDeterminism(t *testing.T) {
 	clone := func(s *Session) *Session {
 		return &Session{
@@ -99,33 +215,33 @@ func TestPerChunkMaskDeterminism(t *testing.T) {
 	}
 	u2, v2 := clone(u1), clone(v1)
 
-	seen := make(map[prg.Seed]string)
+	seen := make(map[string]string)
 	for _, step := range []uint64{0, 1, 2} {
 		for _, epoch := range []uint64{0, 1, 2, 7} {
-			sU1, err := u1.maskSecret(v1.maskKey.PublicBytes(), step)
+			sU1, err := u1.maskStream(v1.maskKey.PublicBytes(), step)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sV1, err := v1.maskSecret(u1.maskKey.PublicBytes(), step)
+			sV1, err := v1.maskStream(u1.maskKey.PublicBytes(), step)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sU2, err := u2.maskSecret(v2.maskKey.PublicBytes(), step)
+			sU2, err := u2.maskStream(v2.maskKey.PublicBytes(), step)
 			if err != nil {
 				t.Fatal(err)
 			}
-			a, b, c := pairMaskSeed(sU1, epoch), pairMaskSeed(sV1, epoch), pairMaskSeed(sU2, epoch)
-			if a != b {
-				t.Fatalf("step %d epoch %d: the two ends derive different seeds", step, epoch)
+			a, b, c := windowWords(sU1, epoch, 4), windowWords(sV1, epoch, 4), windowWords(sU2, epoch, 4)
+			if !slices.Equal(a, b) {
+				t.Fatalf("step %d epoch %d: the two ends read different windows", step, epoch)
 			}
-			if a != c {
+			if !slices.Equal(a, c) {
 				t.Fatalf("step %d epoch %d: re-run from the same round seed diverged", step, epoch)
 			}
 			key := fmt.Sprintf("step=%d epoch=%d", step, epoch)
-			if prev, dup := seen[a]; dup {
-				t.Fatalf("seed collision between %s and %s", prev, key)
+			if prev, dup := seen[fmt.Sprint(a)]; dup {
+				t.Fatalf("window collision between %s and %s", prev, key)
 			}
-			seen[a] = key
+			seen[fmt.Sprint(a)] = key
 		}
 	}
 }

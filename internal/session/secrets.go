@@ -5,13 +5,17 @@ import (
 
 	"repro/internal/aead"
 	"repro/internal/dh"
+	"repro/internal/prg"
 )
 
 // ratchetedSecret is a cached pairwise secret at a given ratchet step.
 type ratchetedSecret struct {
 	step uint64
 	sec  [dh.SharedSize]byte
-	key  *aead.Key // sec as a constructed AEAD key; nil until KeyAt asks at this step
+	// built is what the cache's user builds from sec — an AEAD key (KeyAt)
+	// or a mask stream (StreamAt), one kind per cache; nil until asked for
+	// at this step.
+	built any
 }
 
 // advanceTo returns the secret ratcheted forward to step. It never goes
@@ -19,7 +23,7 @@ type ratchetedSecret struct {
 // needed (drivers advance monotonically, so that path is cold).
 func (r ratchetedSecret) advanceTo(step uint64) ratchetedSecret {
 	for r.step < step {
-		r.sec, r.key = dh.Ratchet(r.sec), nil
+		r.sec, r.built = dh.Ratchet(r.sec), nil
 		r.step++
 	}
 	return r
@@ -45,7 +49,7 @@ type Secrets struct {
 func (c *Secrets) At(key string, step uint64,
 	agree func() ([dh.SharedSize]byte, error)) ([dh.SharedSize]byte, error) {
 
-	r, err := c.at(key, step, agree, false)
+	r, err := c.at(key, step, agree, nil)
 	return r.sec, err
 }
 
@@ -56,17 +60,37 @@ func (c *Secrets) At(key string, step uint64,
 func (c *Secrets) KeyAt(key string, step uint64,
 	agree func() ([dh.SharedSize]byte, error)) (*aead.Key, error) {
 
-	r, err := c.at(key, step, agree, true)
-	return r.key, err
+	r, err := c.at(key, step, agree, func(sec [dh.SharedSize]byte) any { return aead.NewKey(sec) })
+	if err != nil {
+		return nil, err
+	}
+	return r.built.(*aead.Key), nil
 }
 
+// StreamAt is At for a secret that keys a mask stream: newStream(secret)
+// is built once per ratchet step and cached beside the secret, so the
+// chunks of a round read their windows of one keyed stream. Callers share
+// the stream and only aim cursors at it (prg.Stream.AtInto); none draws
+// from it.
+func (c *Secrets) StreamAt(key string, step uint64, agree func() ([dh.SharedSize]byte, error),
+	newStream func([dh.SharedSize]byte) *prg.Stream) (*prg.Stream, error) {
+
+	r, err := c.at(key, step, agree, func(sec [dh.SharedSize]byte) any { return newStream(sec) })
+	if err != nil {
+		return nil, err
+	}
+	return r.built.(*prg.Stream), nil
+}
+
+// at resolves the secret under key at step and, when build is non-nil,
+// what build makes of it.
 func (c *Secrets) at(key string, step uint64,
-	agree func() ([dh.SharedSize]byte, error), construct bool) (ratchetedSecret, error) {
+	agree func() ([dh.SharedSize]byte, error), build func([dh.SharedSize]byte) any) (ratchetedSecret, error) {
 
 	c.mu.Lock()
 	r, ok := c.m[key]
 	c.mu.Unlock()
-	if ok && r.step == step && (r.key != nil || !construct) {
+	if ok && r.step == step && (r.built != nil || build == nil) {
 		return r, nil // the warm path: nothing to derive, nothing to store
 	}
 	if !ok || r.step > step {
@@ -77,11 +101,11 @@ func (c *Secrets) at(key string, step uint64,
 		r = ratchetedSecret{step: 0, sec: raw}
 	}
 	r = r.advanceTo(step)
-	if construct && r.key == nil {
-		r.key = aead.NewKey(r.sec)
+	if build != nil && r.built == nil {
+		r.built = build(r.sec)
 	}
 	c.mu.Lock()
-	if cur, ok := c.m[key]; !ok || cur.step < r.step || (cur.step == r.step && cur.key == nil) {
+	if cur, ok := c.m[key]; !ok || cur.step < r.step || (cur.step == r.step && cur.built == nil) {
 		if c.m == nil {
 			c.m = make(map[string]ratchetedSecret)
 		}

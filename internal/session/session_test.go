@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/aead"
 	"repro/internal/dh"
+	"repro/internal/prg"
 )
 
 func testRoster(ids ...uint64) []Entry {
@@ -296,5 +297,43 @@ func TestSecretsKeyAt(t *testing.T) {
 	k, _ := c.KeyAt("other", 1, pure)
 	if again, _ := c.KeyAt("other", 1, pure); again != k {
 		t.Fatal("racing first lookups left no stable cached key")
+	}
+}
+
+// TestSecretsStreamAt: the mask stream is the cached secret's, keyed once
+// per ratchet step and shared by every caller at that step (the chunks of
+// a round), dropped when the secret ratchets on; a plain At in between
+// neither loses nor rebuilds it.
+func TestSecretsStreamAt(t *testing.T) {
+	raw := [dh.SharedSize]byte{4, 5, 6}
+	agreed, built := 0, 0
+	agree := func() ([dh.SharedSize]byte, error) { agreed++; return raw, nil }
+	newStream := func(sec [dh.SharedSize]byte) *prg.Stream { built++; return prg.NewStream(prg.NewSeed(sec[:])) }
+	var c Secrets
+	streamAt := func(step uint64) *prg.Stream {
+		t.Helper()
+		s, err := c.StreamAt("peer", step, agree, newStream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := dh.RatchetN(raw, step)
+		if s.Uint64() != prg.NewStream(prg.NewSeed(want[:])).Uint64() {
+			t.Fatalf("step %d: the stream is not keyed by the raw secret ratcheted %d times", step, step)
+		}
+		s.Seek(0) // the test drew from it; callers only aim cursors
+		return s
+	}
+	s2 := streamAt(2)
+	if _, err := c.At("peer", 2, agree); err != nil {
+		t.Fatal(err)
+	}
+	if streamAt(2) != s2 || built != 1 {
+		t.Fatalf("a second lookup at the same step built %d streams", built)
+	}
+	if streamAt(3) == s2 || built != 2 {
+		t.Fatal("the ratcheted secret kept the previous step's stream")
+	}
+	if agreed != 1 {
+		t.Fatalf("agreed %d times, want 1", agreed)
 	}
 }

@@ -64,28 +64,57 @@ func RoundedGaussianSampler(s *prg.Stream, variance float64, out []int64) {
 // server (removal) call this with the same seed and obtain bit-identical
 // vectors — the property that makes seed-transfer removal exact.
 func ComponentNoise(p Plan, sampler Sampler, seed field.Element, k, dim int) ([]int64, error) {
-	out := make([]int64, dim)
-	if err := addComponent(p, sampler, seed, k, out); err != nil {
+	r := newNoiseReader(sampler, 1)
+	if err := r.add(p, seed, k); err != nil {
 		return nil, err
 	}
+	out := make([]int64, dim)
+	r.AddNext(out)
 	return out, nil
 }
 
-// addComponent adds component k of the client holding seed to acc, from a
-// stream of its own (the samplers' dedicated-stream contract).
-func addComponent(p Plan, sampler Sampler, seed field.Element, k int, acc []int64) error {
+// NoiseReader reads noise components window by window: one stream per
+// component, keyed once from its seed (the samplers' dedicated-stream
+// contract), each AddNext continuing every stream where the last left it.
+// Two readers over the same components fed the same window lengths in the
+// same order draw bit-identical noise — what lets a client add its noise
+// one pipeline chunk at a time and the server remove it the same way.
+type NoiseReader struct {
+	sampler   Sampler
+	streams   []*prg.Stream
+	variances []float64
+}
+
+func newNoiseReader(sampler Sampler, components int) *NoiseReader {
+	return &NoiseReader{sampler: sampler,
+		streams: make([]*prg.Stream, 0, components), variances: make([]float64, 0, components)}
+}
+
+// add keys component k of the client holding seed into the reader.
+func (r *NoiseReader) add(p Plan, seed field.Element, k int) error {
 	v, err := p.ComponentVariance(k)
 	if err != nil {
 		return err
 	}
-	sampler(prg.NewStreamFromElement(seed), v, acc)
+	r.streams = append(r.streams, prg.NewStreamFromElement(seed))
+	r.variances = append(r.variances, v)
 	return nil
 }
 
+// AddNext adds the next len(acc) coordinates of every component to acc.
+func (r *NoiseReader) AddNext(acc []int64) {
+	for i, s := range r.streams {
+		r.sampler(s, r.variances[i], acc)
+	}
+}
+
 // ClientNoise holds one client's per-round noise state: the T+1 component
-// seeds g_{u,k}. Seeds are field elements so they can be Shamir-shared.
+// seeds g_{u,k}, field elements so they can be Shamir-shared, and the
+// reader AddTotalNoise draws them through.
 type ClientNoise struct {
 	Seeds []field.Element // index k in [0, T]
+
+	total *NoiseReader // every component, keyed by the first AddTotalNoise
 }
 
 // NewClientNoise draws fresh seeds for all T+1 components from rand.
@@ -104,23 +133,34 @@ func NewClientNoise(p Plan, rand io.Reader) (*ClientNoise, error) {
 	return &ClientNoise{Seeds: seeds}, nil
 }
 
-// AddTotalNoise adds the sum of all T+1 components — what the client adds
-// to its encoded update before masking (Definition 2: Δ̃_i = Δ_i + Σ_k
-// n_{i,k}) — to acc, one draw per coordinate of acc and component. A caller
-// with many clients owns one acc and clears it between them.
+// AddTotalNoise adds the next len(acc) coordinates of the sum of all T+1
+// components — what the client adds to its encoded update before masking
+// (Definition 2: Δ̃_i = Δ_i + Σ_k n_{i,k}) — to acc. The first call keys
+// one stream per component and draws from its start; later calls continue
+// them, so a client whose update is aggregated in chunks calls it once per
+// chunk, in chunk order, and the server removes the same windows through
+// NewRemovalReader, fed the same lengths. p and sampler must be the same on
+// every call. A caller with many clients owns one acc and clears it
+// between them.
 func (cn *ClientNoise) AddTotalNoise(p Plan, sampler Sampler, acc []int64) error {
 	if len(cn.Seeds) != p.NumComponents() {
 		return fmt.Errorf("xnoise: have %d seeds, plan needs %d", len(cn.Seeds), p.NumComponents())
 	}
-	for k, seed := range cn.Seeds {
-		if err := addComponent(p, sampler, seed, k, acc); err != nil {
-			return err
+	if cn.total == nil {
+		r := newNoiseReader(sampler, len(cn.Seeds))
+		for k, seed := range cn.Seeds {
+			if err := r.add(p, seed, k); err != nil {
+				return err
+			}
 		}
+		cn.total = r
 	}
+	cn.total.AddNext(acc)
 	return nil
 }
 
-// TotalNoise is AddTotalNoise into a fresh vector of dim coordinates.
+// TotalNoise is AddTotalNoise into a fresh vector: the next dim
+// coordinates of the total noise.
 func (cn *ClientNoise) TotalNoise(p Plan, sampler Sampler, dim int) ([]int64, error) {
 	total := make([]int64, dim)
 	if err := cn.AddTotalNoise(p, sampler, total); err != nil {
@@ -153,21 +193,35 @@ func (cn *ClientNoise) ShareSeeds(p Plan, xs []field.Element, rand io.Reader) ([
 // k ∈ [numDropped+1, T]. seedsByClient maps a surviving client to its
 // removable seeds indexed by k (only the needed ks must be present).
 func RemovalNoise(p Plan, sampler Sampler, seedsByClient map[uint64]map[int]field.Element, numDropped, dim int) ([]int64, error) {
+	r, err := NewRemovalReader(p, sampler, seedsByClient, numDropped)
+	if err != nil {
+		return nil, err
+	}
+	total := make([]int64, dim)
+	r.AddNext(total)
+	return total, nil
+}
+
+// NewRemovalReader is RemovalNoise window by window: a reader over every
+// surviving client's components k ∈ [numDropped+1, T], whose AddNext calls
+// regenerate the windows the clients' AddTotalNoise calls of the same
+// lengths added.
+func NewRemovalReader(p Plan, sampler Sampler, seedsByClient map[uint64]map[int]field.Element, numDropped int) (*NoiseReader, error) {
 	if numDropped > p.DropoutTolerance {
-		return make([]int64, dim), nil // beyond tolerance: nothing to remove
+		return newNoiseReader(sampler, 0), nil // beyond tolerance: nothing to remove
 	}
 	ks := p.RemovalComponents(numDropped)
-	total := make([]int64, dim)
+	r := newNoiseReader(sampler, len(seedsByClient)*len(ks))
 	for client, seeds := range seedsByClient {
 		for _, k := range ks {
 			seed, ok := seeds[k]
 			if !ok {
 				return nil, fmt.Errorf("xnoise: client %d missing seed for component %d", client, k)
 			}
-			if err := addComponent(p, sampler, seed, k, total); err != nil {
+			if err := r.add(p, seed, k); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return total, nil
+	return r, nil
 }

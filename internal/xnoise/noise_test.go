@@ -129,7 +129,8 @@ func TestTotalNoiseIsSumOfComponents(t *testing.T) {
 }
 
 // TestAddTotalNoiseMatchesTotalNoise: the caller-buffer form adds, on top
-// of whatever the buffer holds, exactly the vector TotalNoise returns —
+// of whatever the buffer holds, exactly the vector TotalNoise returns (each
+// the first call on a ClientNoise over the same seeds) —
 // under both frozen samplers, so a round that clears one buffer between
 // clients adds the noise a buffer per client did — and refuses a seed set
 // that does not fit the plan before touching the buffer.
@@ -142,7 +143,7 @@ func TestAddTotalNoiseMatchesTotalNoise(t *testing.T) {
 	const dim = 2048
 	for epoch := uint64(0); epoch <= MaxNoiseEpoch; epoch++ {
 		sampler := SamplerForEpoch(epoch)
-		want, err := cn.TotalNoise(p, sampler, dim)
+		want, err := (&ClientNoise{Seeds: cn.Seeds}).TotalNoise(p, sampler, dim)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +151,7 @@ func TestAddTotalNoiseMatchesTotalNoise(t *testing.T) {
 		for i := range acc {
 			acc[i] = int64(i) - 1000
 		}
-		if err := cn.AddTotalNoise(p, sampler, acc); err != nil {
+		if err := (&ClientNoise{Seeds: cn.Seeds}).AddTotalNoise(p, sampler, acc); err != nil {
 			t.Fatal(err)
 		}
 		for i := range acc {
@@ -174,7 +175,11 @@ func TestAddTotalNoiseMatchesTotalNoise(t *testing.T) {
 // TestAddThenRemoveExactAcrossDropouts: at a cohort shape whose removable
 // components are sparse (variance ≈ 0.03, the splitting path) and whose
 // component 0 is dense (inversion), what survives add-then-remove is, bit
-// for bit, components 0..|D| of every survivor regenerated one at a time.
+// for bit, components 0..|D| of every survivor — whether the round reads
+// its noise in one window or, as a chunked round does, in several: the
+// clients' AddTotalNoise calls and the removal reader's AddNext calls see
+// the same window lengths in the same order. Each round's noise is a fresh
+// ClientNoise over the clients' seeds.
 func TestAddThenRemoveExactAcrossDropouts(t *testing.T) {
 	p := Plan{NumClients: 64, DropoutTolerance: 16, Threshold: 48, TargetVariance: 100}
 	const dim = 700 // not a power of two: the index draw's rejection arm is live
@@ -189,41 +194,43 @@ func TestAddThenRemoveExactAcrossDropouts(t *testing.T) {
 	T := p.DropoutTolerance
 	for epoch := uint64(0); epoch <= MaxNoiseEpoch; epoch++ {
 		sampler := SamplerForEpoch(epoch)
-		for _, numDropped := range []int{0, 1, T / 2, T, T + 1} {
-			residual := make([]int64, dim)
-			want := make([]int64, dim)
-			seeds := make(map[uint64]map[int]field.Element)
-			for i := numDropped; i < p.NumClients; i++ {
-				total, err := clients[i].TotalNoise(p, sampler, dim)
+		for _, windows := range [][]int{{dim}, {300, 250, 150}} {
+			for _, numDropped := range []int{0, 1, T / 2, T, T + 1} {
+				round := make([]*ClientNoise, p.NumClients)
+				kept := newNoiseReader(sampler, 0) // components 0..|D| of every survivor
+				seeds := make(map[uint64]map[int]field.Element)
+				for i := numDropped; i < p.NumClients; i++ {
+					round[i] = &ClientNoise{Seeds: clients[i].Seeds}
+					byK := make(map[int]field.Element)
+					for _, k := range p.RemovalComponents(numDropped) {
+						byK[k] = clients[i].Seeds[k]
+					}
+					seeds[uint64(i)] = byK
+					for k := 0; k <= min(numDropped, T); k++ {
+						if err := kept.add(p, clients[i].Seeds[k], k); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				removal, err := NewRemovalReader(p, sampler, seeds, numDropped)
 				if err != nil {
 					t.Fatal(err)
 				}
-				byK := make(map[int]field.Element)
-				for _, k := range p.RemovalComponents(numDropped) {
-					byK[k] = clients[i].Seeds[k]
-				}
-				seeds[uint64(i)] = byK
-				for k := 0; k <= min(numDropped, T); k++ {
-					comp, err := ComponentNoise(p, sampler, clients[i].Seeds[k], k, dim)
-					if err != nil {
-						t.Fatal(err)
+				for w, n := range windows {
+					residual, want, removed := make([]int64, n), make([]int64, n), make([]int64, n)
+					for _, cn := range round[numDropped:] {
+						if err := cn.AddTotalNoise(p, sampler, residual); err != nil {
+							t.Fatal(err)
+						}
 					}
-					for j := range want {
-						want[j] += comp[j]
+					removal.AddNext(removed)
+					kept.AddNext(want)
+					for j := range residual {
+						if residual[j]-removed[j] != want[j] {
+							t.Fatalf("epoch %d, windows %v, |D|=%d: window %d residual[%d] = %d, want %d",
+								epoch, windows, numDropped, w, j, residual[j]-removed[j], want[j])
+						}
 					}
-				}
-				for j := range residual {
-					residual[j] += total[j]
-				}
-			}
-			removal, err := RemovalNoise(p, sampler, seeds, numDropped, dim)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j := range residual {
-				if residual[j]-removal[j] != want[j] {
-					t.Fatalf("epoch %d, |D|=%d: residual[%d] = %d, want %d",
-						epoch, numDropped, j, residual[j]-removal[j], want[j])
 				}
 			}
 		}
