@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Runs every test ci/required.txt names, under -race, and fails on any
 # name that did not report: `go test` exits 0 when a -run pattern matches
-# nothing, so a rename would otherwise pass silently. One `go test` per
-# package; run from the repository root.
+# nothing, so a rename would otherwise pass silently. A name may be a
+# subtest (Parent/row, as `go test -v` prints it): its parent runs and the
+# row must report a pass of its own. One `go test` per package; run from
+# the repository root.
 set -euo pipefail
 list=${1:-ci/required.txt}
 fail=0
@@ -14,9 +16,9 @@ if other=$(awk '!/^#/ && NF && !(NF == 3 && $2 == "test")' "$list") && [ -n "$ot
   echo "$list: not a 'package test name' line:"; echo "$other"; fail=1
 fi
 for pkg in $(awk '!/^#/ && NF == 3 { print $1 }' "$list" | sort -u); do
-  out=$(go test -race -v -run "^($(names "$pkg" | sort -u | paste -sd'|'))\$" "$pkg") || { echo "$out"; fail=1; }
+  out=$(go test -race -v -run "^($(names "$pkg" | sed 's|/.*||' | sort -u | paste -sd'|'))\$" "$pkg") || { echo "$out"; fail=1; }
   for name in $(names "$pkg"); do
-    grep -q -- "^--- PASS: $name " <<<"$out" || { echo "required test did not pass: $pkg $name"; fail=1; }
+    grep -qE -- "^ *--- PASS: $name " <<<"$out" || { echo "required test did not pass: $pkg $name"; fail=1; }
   done
 done
 [ "$fail" -eq 0 ] && echo "$list: every listed test passed"

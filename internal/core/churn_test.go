@@ -356,27 +356,37 @@ func TestHandshakeDowngradeStoreDecryptFailure(t *testing.T) {
 	rig.checkSum(res, ids)
 }
 
-// TestWireSecAggPlusUnmaskCohortQuorum pins the per-cohort unmask quorum
-// on a SecAgg+ sparse graph: with one straggler never sending its unmask
-// response, the stage must seal the moment every reconstruction cohort
-// holds t shares — well before the stage deadline the old all-of-N
-// collection would have waited out. Run under -race in CI (churn step).
+// TestWireSecAggPlusUnmaskCohortQuorum pins the per-cohort unmask quorum:
+// with one straggler never sending its unmask response, the stage must
+// seal the moment every reconstruction cohort holds t shares — well before
+// the stage deadline an all-of-N collection would have waited out. On a
+// SecAgg+ sparse graph that is when the last short cohort fills; under the
+// complete graph every responder holds a share of every cohort, so it is
+// the t-th response. Run under -race in CI (churn step).
 func TestWireSecAggPlusUnmaskCohortQuorum(t *testing.T) {
-	saCfg, err := secaggplus.NewConfig(secagg.Config{ClientIDs: seqIDs(8), Threshold: 3, Bits: 20, Dim: 16}, 4)
+	base := secagg.Config{ClientIDs: seqIDs(8), Threshold: 3, Bits: 20, Dim: 16}
+	sparse, err := secaggplus.NewConfig(base, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const deadline = 3 * time.Second
-	rig := newWireRig(t, "memory", saCfg)
-	rig.lenient, rig.stageDeadline = true, deadline
-	start := time.Now()
-	// The straggler: alive through consistency, silent at unmask.
-	_, res := rig.round(21, secagg.DropSchedule{8: secagg.StageUnmasking})
-	elapsed := time.Since(start)
-	// The straggler reached U3, so its input is in the sum and every
-	// self-seed cohort (including its own) filled from its neighbors.
-	rig.checkSum(res, saCfg.ClientIDs)
-	if elapsed >= 2*deadline/3 {
-		t.Fatalf("round took %v — the cohort quorum should seal the unmask stage well before the %v deadline", elapsed, deadline)
+	for _, c := range []struct {
+		name string
+		cfg  secagg.Config
+	}{{"sparse graph", sparse}, {"complete graph", base}} {
+		t.Run(c.name, func(t *testing.T) {
+			const deadline = 3 * time.Second
+			rig := newWireRig(t, "memory", c.cfg)
+			rig.lenient, rig.stageDeadline = true, deadline
+			start := time.Now()
+			// The straggler: alive through consistency, silent at unmask.
+			_, res := rig.round(21, secagg.DropSchedule{8: secagg.StageUnmasking})
+			elapsed := time.Since(start)
+			// The straggler reached U3, so its input is in the sum and every
+			// self-seed cohort (including its own) filled from the others.
+			rig.checkSum(res, c.cfg.ClientIDs)
+			if elapsed >= 2*deadline/3 {
+				t.Fatalf("round took %v — the cohort quorum should seal the unmask stage well before the %v deadline", elapsed, deadline)
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package transcript
 import (
 	"bytes"
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -306,6 +307,65 @@ func TestCodecRoundTrips(t *testing.T) {
 	for _, bad := range [][]byte{nil, {0xDD}, {0xD0, tagCommitment, 1}, {0xDD, tagCommitment, 99}} {
 		if _, err := DecodeCommitment(bad); err == nil {
 			t.Fatalf("malformed commitment %x decoded", bad)
+		}
+	}
+}
+
+// TestTranscriptFramesGolden pins the integrity layer's bytes: both tiers'
+// roots and the SHA-256 of each 0x60-family frame, from a signer with a
+// fixed seed (Ed25519 signing is deterministic). A refactor of the
+// builder, verifier or codec must leave every value where it is.
+func TestTranscriptFramesGolden(t *testing.T) {
+	signer, err := sig.NewSigner(bytes.NewReader(bytes.Repeat([]byte{0x5A}, 32)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	roster := testRoster(5)
+	tr, err := Build(3, [32]byte{8}, roster, testDigests(roster), signer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := tr.ProofFor(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two chained combine rounds over two shards, given out of order: the
+	// second commits a non-zero prev.
+	rec := NewRecorder(signer)
+	shards := []ShardRoot{{Shard: 1, Root: tr.Root()}, {Shard: 0, Root: [32]byte{0xCD}}}
+	if _, err := rec.BuildCombineRound(2, shards); err != nil {
+		t.Fatal(err)
+	}
+	ct, err := rec.BuildCombineRound(3, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spr, err := ct.ProofFor(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frameHash := func(p []byte, err error) string {
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.Sum256(p)
+		return hex.EncodeToString(h[:])
+	}
+	rr, cr := tr.Root(), ct.Root()
+	for _, c := range []struct{ name, got, want string }{
+		{"round root", hex.EncodeToString(rr[:]),
+			"334f9bd357b99acf8668c4e2840ce60278646641d097b3854062c545afff71b1"},
+		{"combine root", hex.EncodeToString(cr[:]),
+			"607641a1fbd49a58ae6878130879e96550b2b6134c73d5d0de8d12581ea8fe94"},
+		{"commitment frame", frameHash(EncodeCommitment(&tr.Commitment)),
+			"dab0a25b3c8e6c3de2b9856ade6555adc96aeebd92f05f4e58ed16934dc1cbd6"},
+		{"member 4 proof frame", frameHash(EncodeProof(pr)),
+			"f47e64389d297fe6d32ed077334eb1667c4a4d5b4d488d2430269a59a4f3f8e6"},
+		{"combine-tier frame", frameHash(EncodeCombineTier(&CombineTierMsg{Commitment: ct.Commitment, Proof: *spr})),
+			"00330ff628d7d984ee1d26c4bec4434a9c6dfbe6cc1897327b82370a48b8c819"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %s, want %s", c.name, c.got, c.want)
 		}
 	}
 }
