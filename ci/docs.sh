@@ -7,8 +7,12 @@
 # that is not there: an upper-case *.md name (this repository's convention
 # for its documents) must exist at the root or beside the citing file —
 # CHANGES.md and ISSUE.md excepted, a history and a task statement that may
-# name what is gone. Fails naming each missing package, pair or document;
-# run from the repository root.
+# name what is gone. Nor may one cite a ROADMAP direction by its number:
+# a re-anchor renumbers them, so a citation names the direction instead
+# (ROADMAP.md itself, CHANGES.md, ISSUE.md and bench/ excepted — only a
+# benchmark PR may edit bench/, and ROADMAP lists its drift). Fails naming
+# each missing package, pair, document or numbered citation; run from the
+# repository root.
 set -euo pipefail
 list=${1:-ci/docs.txt}
 fail=0
@@ -32,5 +36,9 @@ while IFS=: read -r file name; do
   [ -f "$name" ] || [ -f "$(dirname "$file")/$name" ] || { echo "$file cites $name, which does not exist"; fail=1; }
 done < <(git grep -oE '(^|[^/A-Za-z0-9_.-])[A-Z][A-Z_]*\.md' -- '*.go' '*.md' ':!CHANGES.md' ':!ISSUE.md' |
   sed -E 's/:[^:A-Z]?([A-Z][A-Z_]*\.md)$/:\1/' | sort -u)
-[ "$fail" -eq 0 ] && echo "$list: every package is documented, every cross-link holds and every cited document exists"
+if cites=$(git grep -nE '([Dd]irections?|ROADMAP(\.md)?) [0-9]' -- '*.go' '*.md' \
+  ':!ROADMAP.md' ':!CHANGES.md' ':!ISSUE.md' ':!bench/'); then
+  echo "cites a ROADMAP direction by number, not by name:"; echo "$cites"; fail=1
+fi
+[ "$fail" -eq 0 ] && echo "$list: every package is documented, every cross-link holds, every cited document exists and no direction is cited by number"
 exit "$fail"

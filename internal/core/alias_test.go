@@ -96,7 +96,7 @@ func TestDecodersDoNotAliasPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := transcript.BuildCombine(9, [32]byte{}, []transcript.ShardRoot{{Shard: 0, Root: [32]byte{1}}, {Shard: 1, Root: [32]byte{2}}}, signer)
+	ct, err := transcript.NewRecorder(signer).BuildCombineRound(9, []transcript.ShardRoot{{Shard: 0, Root: [32]byte{1}}, {Shard: 1, Root: [32]byte{2}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,8 @@ import (
 	"repro/internal/secagg"
 )
 
-// TestWireRoundAllocBudget is ROADMAP direction 3's budget as a test: a
-// warm round over loopback TCP allocates a small multiple of the vector
+// TestWireRoundAllocBudget is the allocation budget as a test: a warm
+// round over loopback TCP allocates a small multiple of the vector
 // bytes it aggregates. Frames are leased and the masked vectors fold
 // straight from them, so what is left is the clients' own copies (their
 // masked vector, their decoded result) and the server's accumulators;

@@ -91,8 +91,8 @@ type RoundConfig struct {
 	Threshold int
 	// Chunks is the pipeline chunk count m (1 = plain execution, at most
 	// maxChunks). Nothing sets it but the caller; pipeline.OptimalChunks
-	// can propose a value but no round path consults it yet (ROADMAP
-	// direction 6, "pipelining must pay").
+	// can propose a value but no round path consults it yet (ROADMAP's
+	// "pipelining must pay" direction).
 	Chunks int
 	// XNoise enables add-then-remove enforcement with tolerance T and
 	// central target TargetMu (grid units). Tolerance 0 means no DP noise

@@ -78,12 +78,13 @@ func RunCombiner(ctx context.Context, cfg CombinerConfig, conn transport.ServerC
 		if quorum <= 0 {
 			quorum = len(cfg.ShardIDs)
 		}
+		hellos := 0
 		_, err := eng.Collect(roundCtx, engine.Stage{
 			Name: "shard-hello", Tag: engine.TagShardHello, Expect: cfg.ShardIDs,
-			Quorum: quorum, Deadline: cfg.StageDeadline,
-			// Hellos are idempotent presence signals; a stale or
-			// misrouted one is ignored, never an abort.
-			Apply: func(uint64, any) error { return nil },
+			QuorumMet: func() bool { return hellos >= quorum }, Deadline: cfg.StageDeadline,
+			// Hellos are idempotent presence signals: every admitted one
+			// counts, and a stale or misrouted one is never an abort.
+			Apply: func(uint64, any) error { hellos++; return nil },
 			// A fast shard's partial may overtake a slow shard's hello:
 			// keep it for the partial stage below. Only this round's — a
 			// stale partial parked here would burn its sender's slot

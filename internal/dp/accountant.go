@@ -59,25 +59,6 @@ func NewAccountant(orders []float64) *Accountant {
 	return &Accountant{orders: cp, rdp: make([]float64, len(cp))}
 }
 
-// Clone returns an independent copy (used to evaluate what-if compositions
-// during planning).
-func (a *Accountant) Clone() *Accountant {
-	c := &Accountant{
-		orders: make([]float64, len(a.orders)),
-		rdp:    make([]float64, len(a.rdp)),
-	}
-	copy(c.orders, a.orders)
-	copy(c.rdp, a.rdp)
-	return c
-}
-
-// Reset clears accumulated privacy loss.
-func (a *Accountant) Reset() {
-	for i := range a.rdp {
-		a.rdp[i] = 0
-	}
-}
-
 // GaussianRDP returns the RDP of order alpha of the Gaussian mechanism with
 // the given L2 sensitivity and noise standard deviation:
 // ε(α) = α·Δ²/(2σ²).

@@ -114,25 +114,6 @@ func TestCompositionAdditivity(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	a := NewAccountant(nil)
-	a.AddGaussian(1, 2)
-	c := a.Clone()
-	c.AddGaussian(1, 2)
-	if a.Epsilon(1e-5) >= c.Epsilon(1e-5) {
-		t.Error("clone with extra round should cost more")
-	}
-}
-
-func TestReset(t *testing.T) {
-	a := NewAccountant(nil)
-	a.AddGaussian(1, 2)
-	a.Reset()
-	if a.Epsilon(1e-5) != 0 {
-		t.Errorf("reset accountant should have ε=0, got %v", a.Epsilon(1e-5))
-	}
-}
-
 func TestPlanSkellamMuMeetsBudget(t *testing.T) {
 	const (
 		eps, delta = 6.0, 1e-3

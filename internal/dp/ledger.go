@@ -9,11 +9,3 @@ const (
 	// MechanismSkellam accounts rounds with the Skellam RDP bound.
 	MechanismSkellam
 )
-
-// RoundRecord captures one composed round.
-type RoundRecord struct {
-	Round            int
-	PlannedVariance  float64
-	AchievedVariance float64
-	EpsilonSoFar     float64
-}

@@ -44,8 +44,8 @@ func TestLedgerXNoiseVsOrig(t *testing.T) {
 	xn := unsampledLedger(t, delta, d1, d2)
 	av := origPlan(u, sigma2).AchievedVariance(dropped)
 	for r := 0; r < rounds; r++ {
-		orig.RecordRound(sigma2, av)
-		xn.RecordRound(sigma2, sigma2) // Theorem 1: exact enforcement
+		orig.RecordRound(av)
+		xn.RecordRound(sigma2) // Theorem 1: exact enforcement
 	}
 
 	epsOrig := orig.Epsilon()
@@ -98,7 +98,7 @@ func TestHigherDropoutMoreEpsilon(t *testing.T) {
 		l := unsampledLedger(t, 1e-2, 1000, 100)
 		av := origPlan(u, sigma2).AchievedVariance(int(dropRate * u))
 		for r := 0; r < rounds; r++ {
-			l.RecordRound(sigma2, av)
+			l.RecordRound(av)
 		}
 		eps := l.Epsilon()
 		if eps < prev {

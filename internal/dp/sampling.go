@@ -99,7 +99,7 @@ func PlanSkellamMuSampled(epsilonBudget, delta, delta1, delta2 float64, rounds i
 // always equals the planned σ²* (Theorem 1); under Orig with dropout it is
 // lower, consuming more budget than planned — the effect Figures 1 and 8
 // quantify. The ledger composes the achieved rounds and answers "how much ε
-// has been spent so far", plus the per-round trajectory.
+// has been spent so far".
 type SampledLedger struct {
 	mech        Mechanism
 	delta       float64
@@ -107,7 +107,6 @@ type SampledLedger struct {
 	delta1      float64
 	q           float64
 	acct        *Accountant
-	history     []RoundRecord
 }
 
 // NewSampledLedger creates a ledger accounting releases at sampling rate q.
@@ -123,7 +122,7 @@ func NewSampledLedger(mech Mechanism, delta, sensitivity, delta1, q float64) (*S
 
 // RecordRound composes one release with the achieved central variance and
 // returns the cumulative ε.
-func (l *SampledLedger) RecordRound(planned, achieved float64) float64 {
+func (l *SampledLedger) RecordRound(achieved float64) float64 {
 	if achieved <= 0 {
 		// A round with no noise exposes the aggregate completely; model it
 		// as infinite cost.
@@ -136,23 +135,8 @@ func (l *SampledLedger) RecordRound(planned, achieved float64) float64 {
 			_ = l.acct.AddSkellamSampled(l.delta1, l.sensitivity, achieved, l.q)
 		}
 	}
-	eps := l.acct.Epsilon(l.delta)
-	l.history = append(l.history, RoundRecord{
-		Round: len(l.history) + 1, PlannedVariance: planned,
-		AchievedVariance: achieved, EpsilonSoFar: eps,
-	})
-	return eps
+	return l.acct.Epsilon(l.delta)
 }
 
 // Epsilon returns the cumulative ε consumed so far.
 func (l *SampledLedger) Epsilon() float64 { return l.acct.Epsilon(l.delta) }
-
-// Rounds returns the number of composed rounds.
-func (l *SampledLedger) Rounds() int { return len(l.history) }
-
-// History returns a copy of the per-round trajectory.
-func (l *SampledLedger) History() []RoundRecord {
-	out := make([]RoundRecord, len(l.history))
-	copy(out, l.history)
-	return out
-}

@@ -15,9 +15,10 @@
 // plus n vector adds. The loop is the only goroutine a stage has, so the
 // sink is fed in admission order and needs no locking, and a stage's
 // waiting, decode and apply time are three clock readings in one place.
-// Stages that need any-K-of-N completion rather than all-of-N
-// (LightSecAgg's one-shot recovery accepts any U aggregate shares) set
-// Stage.Quorum.
+// A stage that may complete before all-of-N says when in one predicate,
+// Stage.QuorumMet: LightSecAgg's one-shot recovery is done at any U
+// aggregate shares, SecAgg's unmask stage when every reconstruction cohort
+// holds t shares.
 //
 // The stage walkers (program.go) run a whole round: a substrate exports
 // its server and client rounds as ordered stage tables, and one server
@@ -136,21 +137,16 @@ type Stage struct {
 	// Messages from other senders are discarded; duplicates from an
 	// admitted sender are discarded (replay idempotence).
 	Expect []uint64
-	// Quorum, when positive, completes the stage as soon as that many
-	// expected senders were admitted instead of waiting for all of them —
-	// the any-K-of-N collection LightSecAgg's one-shot recovery needs
-	// (any U aggregate shares reconstruct the mask sum; waiting for every
-	// survivor would add a straggler tail for no protocol benefit). 0
-	// means all of Expect.
-	Quorum int
-	// QuorumMet, when non-nil, is a predicate quorum: it is consulted
-	// after each successful Apply (on the same goroutine, so it may read
-	// sink state without locking) and completes the stage as soon as it
-	// returns true. It expresses completion
-	// conditions a plain count cannot — SecAgg+'s unmask stage is done
-	// when every reconstruction *cohort* holds t shares, not when any t
-	// global responses arrived. Composes with Quorum and Expect: the
-	// stage ends at whichever trigger fires first.
+	// QuorumMet, when non-nil, is the stage's one quorum rule: it is
+	// consulted after each successful Apply (on the same goroutine, so it
+	// may read sink state without locking) and completes the stage as soon
+	// as it returns true, instead of waiting for all of Expect. A count is
+	// a predicate over the sink — LightSecAgg's recovery is done at any U
+	// aggregate shares (waiting for every survivor would add a straggler
+	// tail for no protocol benefit) — and so is what a count cannot say:
+	// SecAgg+'s unmask stage is done when every reconstruction *cohort*
+	// holds t shares, not when any t global responses arrived. The stage
+	// ends at whichever of QuorumMet and all-of-Expect comes first.
 	QuorumMet func() bool
 	// Deadline bounds the collection. The stage ends when every expected
 	// sender was admitted or the deadline fires, whichever is first; ≤0
@@ -215,11 +211,7 @@ func (e *Engine) Collect(ctx context.Context, s Stage) ([]uint64, error) {
 	for _, id := range s.Expect {
 		pending[id] = true
 	}
-	target := len(pending)
-	if s.Quorum > 0 && s.Quorum < target {
-		target = s.Quorum
-	}
-	admitted := make([]uint64, 0, target)
+	admitted := make([]uint64, 0, len(pending))
 
 	// process admits one matching message and runs it through the stage;
 	// done reports that the stage is over: an error, or the predicate
@@ -250,13 +242,13 @@ func (e *Engine) Collect(ctx context.Context, s Stage) ([]uint64, error) {
 			continue
 		}
 		delete(e.parked, key)
-		if done || len(admitted) >= target || !pending[m.From] {
+		if done || !pending[m.From] {
 			m.release()
 			continue
 		}
 		done, err = process(m)
 	}
-	for !done && len(admitted) < target {
+	for !done && len(pending) > 0 {
 		m, rerr := e.recv(ctx)
 		if rerr != nil {
 			break // deadline or abort: proceed with what we have

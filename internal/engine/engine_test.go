@@ -224,11 +224,11 @@ func TestCollectConcurrentSenders(t *testing.T) {
 	}
 }
 
-// TestCollectQuorum: a stage with Quorum = k completes as soon as k
-// expected senders were admitted, without waiting for the rest — the
-// any-K-of-N collection LightSecAgg's one-shot recovery stage uses. The
-// remaining senders never answer, so an all-of-N stage would only end at
-// the deadline; the quorum stage must end immediately.
+// TestCollectQuorum: a stage whose QuorumMet counts k applied messages
+// completes as soon as k expected senders were admitted, without waiting
+// for the rest — the any-K-of-N collection LightSecAgg's one-shot recovery
+// stage uses. The remaining senders never answer, so an all-of-N stage
+// would only end at the deadline; the quorum stage must end immediately.
 func TestCollectQuorum(t *testing.T) {
 	ch := make(chan Msg, 8)
 	for i := 1; i <= 3; i++ { // only 3 of 5 expected senders answer
@@ -237,8 +237,9 @@ func TestCollectQuorum(t *testing.T) {
 	var applied []uint64
 	start := time.Now()
 	admitted, err := New(chanRecv(ch)).Collect(context.Background(), Stage{
-		Tag: 2, Expect: []uint64{1, 2, 3, 4, 5}, Quorum: 3,
-		Deadline: 5 * time.Second,
+		Tag: 2, Expect: []uint64{1, 2, 3, 4, 5},
+		QuorumMet: func() bool { return len(applied) >= 3 },
+		Deadline:  5 * time.Second,
 		Apply: func(from uint64, body any) error {
 			applied = append(applied, from)
 			return nil
@@ -255,16 +256,18 @@ func TestCollectQuorum(t *testing.T) {
 	}
 }
 
-// TestCollectQuorumAboveExpectIsAllOfN: a quorum larger than the expected
-// set degrades to all-of-N rather than waiting forever for senders that
+// TestCollectQuorumAboveExpectIsAllOfN: a quorum the expected set cannot
+// meet degrades to all-of-N rather than waiting forever for senders that
 // do not exist.
 func TestCollectQuorumAboveExpectIsAllOfN(t *testing.T) {
 	ch := make(chan Msg, 4)
 	ch <- Msg{From: 1, Stage: 3, Body: 1}
 	ch <- Msg{From: 2, Stage: 3, Body: 2}
+	applied := 0
 	admitted, err := New(chanRecv(ch)).Collect(context.Background(), Stage{
-		Tag: 3, Expect: []uint64{1, 2}, Quorum: 10,
-		Apply: func(uint64, any) error { return nil },
+		Tag: 3, Expect: []uint64{1, 2},
+		QuorumMet: func() bool { return applied >= 10 },
+		Apply:     func(uint64, any) error { applied++; return nil },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -54,8 +54,7 @@ type ServerStep struct {
 	// Apply feeds one message to the state machine; from is the sender the
 	// link verified (see Stamped).
 	Apply func(from uint64, body any) error
-	// Quorum and QuorumMet complete the step early (engine.Stage).
-	Quorum    int
+	// QuorumMet completes the step early (engine.Stage).
 	QuorumMet func() bool
 	Seal      func() (Downlink, error)
 	// Preseed, on a program's first step, feeds the state machine that
@@ -182,8 +181,7 @@ func walkServer(ctx context.Context, l serverLink, p ServerProgram) error {
 		}
 		_, err := l.eng.Collect(ctx, Stage{
 			Name: st.Name, Tag: st.Tag, Expect: expect,
-			Quorum: st.Quorum, QuorumMet: st.QuorumMet,
-			Deadline: l.deadline, Decode: l.decode,
+			QuorumMet: st.QuorumMet, Deadline: l.deadline, Decode: l.decode,
 			Apply: func(from uint64, body any) error {
 				if err, ok := body.(error); ok {
 					return err // a local client's step failed: abort the round

@@ -105,7 +105,7 @@ func Fig1d() ([]Fig1dRow, error) {
 		}
 		orig := origPlan(sampled, mu)
 		for _, rate := range []float64{0, 0.1, 0.2, 0.3, 0.4} {
-			eps, err := replayEpsilon(mu, orig.AchievedVariance(int(rate*sampled)), delta, q, rounds)
+			eps, err := replayEpsilon(orig.AchievedVariance(int(rate*sampled)), delta, q, rounds)
 			if err != nil {
 				return nil, err
 			}
@@ -121,16 +121,16 @@ func origPlan(u int, mu float64) xnoise.Plan {
 	return xnoise.Plan{NumClients: u, Threshold: u, TargetVariance: mu}
 }
 
-// replayEpsilon is the ε after rounds identical releases, each planned at
-// mu and carrying achieved, on the sampled Skellam ledger with the
-// normalized sensitivities Fig1d and Fig8 plan with (L1 10, L2 1).
-func replayEpsilon(mu, achieved, delta, q float64, rounds int) (float64, error) {
+// replayEpsilon is the ε after rounds identical releases, each carrying
+// achieved, on the sampled Skellam ledger with the normalized
+// sensitivities Fig1d and Fig8 plan with (L1 10, L2 1).
+func replayEpsilon(achieved, delta, q float64, rounds int) (float64, error) {
 	ledger, err := dp.NewSampledLedger(dp.MechanismSkellam, delta, 1, 10, q)
 	if err != nil {
 		return 0, err
 	}
 	for r := 0; r < rounds; r++ {
-		ledger.RecordRound(mu, achieved)
+		ledger.RecordRound(achieved)
 	}
 	return ledger.Epsilon(), nil
 }

@@ -54,7 +54,7 @@ func Fig8() ([]Fig8Row, error) {
 				if scheme == "Orig" {
 					achieved = orig.AchievedVariance(int(rate * float64(task.sampled)))
 				}
-				eps, err := replayEpsilon(mu, achieved, task.delta, q, task.rounds)
+				eps, err := replayEpsilon(achieved, task.delta, q, task.rounds)
 				if err != nil {
 					return nil, err
 				}

@@ -389,7 +389,7 @@ func Run(task Task, cfg Config) (*Result, error) {
 		// Accounting.
 		eps := 0.0
 		if ledger != nil {
-			eps = ledger.RecordRound(np.mu, achieved)
+			eps = ledger.RecordRound(achieved)
 		}
 
 		stats := RoundStats{

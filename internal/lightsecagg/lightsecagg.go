@@ -60,9 +60,9 @@
 //   - Both links collect stages through internal/engine's one server
 //     walker: streaming admission (deadline-bounded on the wire), each
 //     message decoded and applied where it is admitted, on one goroutine,
-//     in admission order. The one-shot recovery stage sets
-//     engine.Stage.Quorum = U, completing as soon as any U aggregate
-//     shares arrive instead of waiting out stragglers.
+//     in admission order. The one-shot recovery stage's
+//     engine.Stage.QuorumMet counts U aggregate shares, completing as soon
+//     as any U arrive instead of waiting out stragglers.
 //   - Session/ServerSession (session.go) amortize the fixed round costs —
 //     X25519 channel agreements, the Lagrange encoding matrix and the
 //     advertise round trip — across the chunks of one pipelined round and
@@ -792,24 +792,10 @@ func (s *Server) SealMasked() ([]uint64, error) {
 	return s.survivors, nil
 }
 
-// Survivors returns the sorted ids that uploaded masked inputs; recovery
-// needs at least U of the *share responses*, checked in SealAggShares.
-func (s *Server) Survivors() []uint64 {
-	if s.survivors != nil {
-		return s.survivors
-	}
-	out := make([]uint64, 0, len(s.maskedSet))
-	for id := range s.maskedSet {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // AddAggShare ingests one one-shot recovery response on arrival,
 // preserving admission order: SealAggShares reconstructs from the first U
-// admitted responders, so with the engine's Quorum = U collection the
-// stage ends the moment enough shares arrived.
+// admitted responders, so with the recovery step's QuorumMet (U shares
+// ingested) the stage ends the moment enough shares arrived.
 func (s *Server) AddAggShare(m AggShareMsg) error {
 	if _, err := s.cfg.rank(m.From); err != nil {
 		return err
@@ -866,31 +852,6 @@ func (s *Server) SealAggShares() ([]field.Element, error) {
 		out[i] = field.Sub(s.maskedSum[i], maskSum[i])
 	}
 	return out, nil
-}
-
-// Reconstruct performs the one-shot recovery from a batch of aggregate
-// shares keyed by responder id (batch wrapper over AddAggShare and
-// SealAggShares; it feeds shares in ascending id order, so like the
-// historical implementation it reconstructs from the U lowest responders).
-func (s *Server) Reconstruct(aggShares map[uint64][]field.Element) ([]field.Element, error) {
-	u := s.cfg.RecoveryThreshold()
-	if len(s.Survivors()) < u {
-		return nil, fmt.Errorf("lightsecagg: only %d survivors, recovery threshold %d", len(s.Survivors()), u)
-	}
-	if len(aggShares) < u {
-		return nil, fmt.Errorf("lightsecagg: only %d share responses, need %d", len(aggShares), u)
-	}
-	responders := make([]uint64, 0, len(aggShares))
-	for id := range aggShares {
-		responders = append(responders, id)
-	}
-	sort.Slice(responders, func(i, j int) bool { return responders[i] < responders[j] })
-	for _, id := range responders {
-		if err := s.AddAggShare(AggShareMsg{From: id, S: aggShares[id]}); err != nil {
-			return nil, err
-		}
-	}
-	return s.SealAggShares()
 }
 
 // Lift embeds a signed integer into the field (negative values wrap to

@@ -84,8 +84,8 @@ func (s *Server) Program(sum *[]field.Element) engine.ServerProgram {
 		// stragglers need not be waited out; the seal interpolates the
 		// mask sum.
 		Name: StageAggShare.String(), Tag: wireAggShare,
-		Quorum: s.cfg.RecoveryThreshold(),
-		Apply:  engine.Stamped(s.AddAggShare, func(m *AggShareMsg) *uint64 { return &m.From }),
+		QuorumMet: func() bool { return len(s.aggOrder) >= s.cfg.RecoveryThreshold() },
+		Apply:     engine.Stamped(s.AddAggShare, func(m *AggShareMsg) *uint64 { return &m.From }),
 		Seal: func() (engine.Downlink, error) {
 			var err error
 			*sum, err = s.SealAggShares()

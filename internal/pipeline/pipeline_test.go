@@ -223,14 +223,25 @@ func pipelineModel() PerfModel {
 	}}
 }
 
+// speedup is plain time over pipelined time at the optimal chunk count.
+func speedup(t *testing.T, w Workflow, pm PerfModel, d float64) (float64, int) {
+	t.Helper()
+	plain, err := PlainTime(w, pm, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, piped, err := OptimalChunks(w, pm, d, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plain / piped, m
+}
+
 func TestOptimalChunksSpeedsUp(t *testing.T) {
 	w := DistributedDPWorkflow()
 	pm := pipelineModel()
 	const d = 11e6 // ResNet-18 scale
-	speedup, m, err := Speedup(w, pm, d, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	speedup, m := speedup(t, w, pm, d)
 	if m < 2 {
 		t.Errorf("optimal m = %d, expected pipelining to help", m)
 	}
@@ -271,14 +282,8 @@ func TestLargerModelsBenefitMore(t *testing.T) {
 	// §6.4 "Dordis Gains More Speedup with Larger Models".
 	w := DistributedDPWorkflow()
 	pm := pipelineModel()
-	sSmall, _, err := Speedup(w, pm, 1e6, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sLarge, _, err := Speedup(w, pm, 20e6, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sSmall, _ := speedup(t, w, pm, 1e6)
+	sLarge, _ := speedup(t, w, pm, 20e6)
 	if sLarge <= sSmall {
 		t.Errorf("20M model speedup %v should exceed 1M model speedup %v", sLarge, sSmall)
 	}

@@ -110,19 +110,3 @@ func OptimalChunks(w Workflow, pm PerfModel, d float64, maxM int) (bestM int, be
 	}
 	return bestM, bestTime, nil
 }
-
-// Speedup returns plain-time / pipelined-time at the optimal m.
-func Speedup(w Workflow, pm PerfModel, d float64, maxM int) (float64, int, error) {
-	plain, err := PlainTime(w, pm, d)
-	if err != nil {
-		return 0, 0, err
-	}
-	m, piped, err := OptimalChunks(w, pm, d, maxM)
-	if err != nil {
-		return 0, 0, err
-	}
-	if piped <= 0 {
-		return 1, m, nil
-	}
-	return plain / piped, m, nil
-}

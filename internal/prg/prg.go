@@ -204,13 +204,6 @@ func (s *Stream) Uint64() uint64 {
 	return binary.LittleEndian.Uint64(b[:])
 }
 
-// Uint32 returns the next 4 stream bytes as a little-endian uint32.
-func (s *Stream) Uint32() uint32 {
-	var b [4]byte
-	s.Read(b[:])
-	return binary.LittleEndian.Uint32(b[:])
-}
-
 // Uint64n returns a uniform value in [0, n) via unbiased rejection
 // sampling (Lemire-style threshold rejection on the modulus).
 func (s *Stream) Uint64n(n uint64) uint64 {

@@ -408,19 +408,6 @@ func (v Vector) AddManyInPlace(os []Vector) error {
 	return nil
 }
 
-// Sum aggregates vectors element-wise mod 2^b into a fresh vector. At least
-// one vector is required (it fixes the width and dimension).
-func Sum(vs []Vector) (Vector, error) {
-	if len(vs) == 0 {
-		return Vector{}, fmt.Errorf("ring: Sum of zero vectors")
-	}
-	acc := vs[0].Clone()
-	if err := acc.AddManyInPlace(vs[1:]); err != nil {
-		return Vector{}, err
-	}
-	return acc, nil
-}
-
 // ChunkBounds returns the element ranges [start,end) for splitting a vector
 // of dimension dim into m nearly equal chunks (the first dim%m chunks get
 // one extra element). It is the single source of truth for chunk geometry
@@ -448,18 +435,6 @@ func ChunkBounds(dim, m int) [][2]int {
 		start += size
 	}
 	return bounds
-}
-
-// Split divides v into m chunks per ChunkBounds. Chunks share the
-// underlying storage (a chunk write is visible in v), which is what the
-// pipeline wants: chunk aggregation assembles the final vector in place.
-func Split(v Vector, m int) []Vector {
-	bounds := ChunkBounds(v.Len(), m)
-	out := make([]Vector, len(bounds))
-	for i, b := range bounds {
-		out[i] = Vector{Bits: v.Bits, Data: v.Data[b[0]:b[1]]}
-	}
-	return out
 }
 
 // Concat assembles chunks back into one vector (copying).

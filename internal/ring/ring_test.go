@@ -143,20 +143,6 @@ func TestMaskSignValidation(t *testing.T) {
 	}
 }
 
-func TestSum(t *testing.T) {
-	vs := []Vector{vecOf(20, 1, 2), vecOf(20, 10, 20), vecOf(20, 100, 200)}
-	got, err := Sum(vs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Data[0] != 111 || got.Data[1] != 222 {
-		t.Fatalf("Sum = %v", got.Data)
-	}
-	if _, err := Sum(nil); err == nil {
-		t.Error("Sum of nothing should error")
-	}
-}
-
 func TestChunkBounds(t *testing.T) {
 	cases := []struct {
 		dim, m int
@@ -201,13 +187,33 @@ func TestChunkBoundsCoverProperty(t *testing.T) {
 	}
 }
 
+// split divides v into m windows per ChunkBounds.
+func split(v Vector, m int) []Vector {
+	bounds := ChunkBounds(v.Len(), m)
+	out := make([]Vector, len(bounds))
+	for i, b := range bounds {
+		out[i] = Vector{Bits: v.Bits, Data: v.Data[b[0]:b[1]]}
+	}
+	return out
+}
+
+// sum folds vs into a fresh vector.
+func sum(t *testing.T, vs []Vector) Vector {
+	t.Helper()
+	acc := vs[0].Clone()
+	if err := acc.AddManyInPlace(vs[1:]); err != nil {
+		t.Fatal(err)
+	}
+	return acc
+}
+
 func TestSplitConcatRoundTrip(t *testing.T) {
 	v := NewVector(20, 103)
 	for i := range v.Data {
 		v.Data[i] = uint64(i * 7)
 	}
 	for _, m := range []int{1, 2, 3, 7, 103, 200} {
-		chunks := Split(v, m)
+		chunks := split(v, m)
 		back, err := Concat(chunks)
 		if err != nil {
 			t.Fatal(err)
@@ -215,15 +221,6 @@ func TestSplitConcatRoundTrip(t *testing.T) {
 		if !Equal(v, back) {
 			t.Fatalf("m=%d: split/concat round trip failed", m)
 		}
-	}
-}
-
-func TestSplitSharesStorage(t *testing.T) {
-	v := NewVector(20, 10)
-	chunks := Split(v, 2)
-	chunks[1].Data[0] = 42
-	if v.Data[5] != 42 {
-		t.Fatal("chunks should alias the parent vector")
 	}
 }
 
@@ -247,20 +244,14 @@ func TestChunkwiseAggregationEqualsWhole(t *testing.T) {
 			clients[i].Data[j] = s.Uint64() & clients[i].Mask()
 		}
 	}
-	whole, err := Sum(clients)
-	if err != nil {
-		t.Fatal(err)
-	}
+	whole := sum(t, clients)
 	chunkSums := make([]Vector, m)
 	for c := 0; c < m; c++ {
 		parts := make([]Vector, nClients)
 		for i := range clients {
-			parts[i] = Split(clients[i], m)[c]
+			parts[i] = split(clients[i], m)[c]
 		}
-		chunkSums[c], err = Sum(parts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		chunkSums[c] = sum(t, parts)
 	}
 	assembled, err := Concat(chunkSums)
 	if err != nil {

@@ -31,8 +31,8 @@ type Client struct {
 
 	signer *sig.Signer // nil when semi-honest
 
-	cipherKey *dh.KeyPair // c^PK / c^SK
-	maskKey   *dh.KeyPair // s^PK / s^SK
+	cipherKey  *dh.KeyPair // c^PK / c^SK
+	maskKey    *dh.KeyPair // s^PK / s^SK
 	selfStream *prg.Stream // PRG(b_u), the self mask's stream
 
 	// session, when non-nil, supplies the key pairs and caches pairwise
@@ -99,9 +99,6 @@ func NewSessionClient(cfg Config, id uint64, input ring.Vector, signer *sig.Sign
 	}
 	return c, nil
 }
-
-// ID returns the client identity.
-func (c *Client) ID() uint64 { return c.id }
 
 // rosterEntry returns id's advertisement in the roster ShareKeys verified.
 func (c *Client) rosterEntry(id uint64) (AdvertiseMsg, bool) {

@@ -270,28 +270,25 @@ func (c Config) neighborhood(id uint64) []uint64 {
 	return append([]uint64(nil), c.Graph.Neighbors(id)...)
 }
 
-// UnmaskQuorum returns the number of stage-4 responses that suffice to
-// unmask, or 0 when the stage must wait for every survivor until the
-// deadline. Under the complete graph (classic SecAgg) every responder
-// holds a share of every reconstruction target, so the first t responses
-// carry t shares per cohort — exactly the Shamir threshold — and the
-// driver can stop collecting there instead of waiting out stragglers
-// (engine.Stage.Quorum). Two configurations keep the all-of-N deadline
-// semantics instead:
+// UnmaskQuorum is the count the unmask predicate (Server.UnmaskQuorumMet,
+// installed as engine.Stage.QuorumMet) reduces to, or 0 when no count
+// expresses it. Under the complete graph (classic SecAgg) every responder
+// holds a share of every reconstruction cohort, so the predicate fires at
+// exactly the t-th response — the Shamir threshold. Two configurations
+// have no such count:
 //
 //   - SecAgg+ graphs: responders only hold shares for their
 //     neighborhood, so t global responses do not guarantee t shares per
-//     reconstruction cohort. A count cannot express completion there —
-//     the wire driver instead seals through the per-cohort predicate
-//     Server.UnmaskQuorumMet (engine.Stage.QuorumMet), which fires the
-//     moment every cohort holds t shares.
+//     reconstruction cohort; the predicate fires the moment every cohort
+//     holds t shares, whatever the response count.
 //   - XNoise rounds: cutting U5 to exactly t would make U3\U5 non-empty
 //     every round — forcing the stage-5 noise-seed round trip even with
 //     zero real stragglers — and stage 5 then needs a response from
 //     every one of the t quorum members (|U6| ≥ t out of |U5| = t), so a
 //     single stage-5 laggard would abort a round the wait-all collection
 //     tolerates. Waiting out stage 4 also collects laggards' own noise
-//     seeds directly, which is strictly more robust.
+//     seeds directly, which is strictly more robust, so drivers install
+//     no predicate there.
 //
 // Cutting at the quorum reclassifies slow-but-alive survivors into
 // U3\U5; their self-seed shares still reconstruct from the quorum's

@@ -3,6 +3,7 @@ package secagg
 import (
 	"bytes"
 	"crypto/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/aead"
@@ -36,7 +37,7 @@ func TestSessionPersistRoundTrip(t *testing.T) {
 	bCipher, bMask := b.keyPairs()
 
 	// Populate both caches at ratchet step 1 and cache a roster.
-	wantMask, err := a.maskSecret(bMask.PublicBytes(), 1)
+	wantMask, err := a.maskWords(bMask.PublicBytes(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestSessionPersistRoundTrip(t *testing.T) {
 
 	// Cached secrets must resolve without any new agreement.
 	agreeBefore, genBefore := dh.AgreeCount(), dh.GenerateCount()
-	gotMask, err := restored.maskSecret(bMask.PublicBytes(), 1)
+	gotMask, err := restored.maskWords(bMask.PublicBytes(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestSessionPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotMask != wantMask || !sameChannelKey(wantChan, gotChan) {
+	if !slices.Equal(gotMask, wantMask) || !sameChannelKey(wantChan, gotChan) {
 		t.Fatal("cached secrets changed in round trip")
 	}
 	if dh.AgreeCount() != agreeBefore || dh.GenerateCount() != genBefore {
@@ -98,15 +99,15 @@ func TestSessionPersistRoundTrip(t *testing.T) {
 	}
 
 	// Ratcheting forward from the restored step re-derives identically.
-	wantNext, err := a.maskSecret(bMask.PublicBytes(), 3)
+	wantNext, err := a.maskWords(bMask.PublicBytes(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotNext, err := restored.maskSecret(bMask.PublicBytes(), 3)
+	gotNext, err := restored.maskWords(bMask.PublicBytes(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wantNext != gotNext {
+	if !slices.Equal(wantNext, gotNext) {
 		t.Fatal("ratcheted secret diverged after restore")
 	}
 }

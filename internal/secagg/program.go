@@ -44,7 +44,7 @@ func (s *Server) Program(round *ServerRound) engine.ServerProgram {
 	var noiseReq *NoiseShareRequest
 	unmaskQuorumMet := s.UnmaskQuorumMet
 	if cfg.XNoise != nil {
-		// XNoise rounds wait for every survivor: see Config.UnmaskQuorum.
+		// XNoise rounds wait for every survivor: see UnmaskQuorumMet.
 		unmaskQuorumMet = nil
 	}
 	steps := []engine.ServerStep{{
@@ -99,12 +99,11 @@ func (s *Server) Program(round *ServerRound) engine.ServerProgram {
 			return engine.Downlink{Tag: TagUnmaskReq, To: req.U4, Body: req}, err
 		},
 	}, {
-		// Two quorums can cut the stage before all-of-N: the count quorum
-		// (complete graph: the first t responses are t shares per cohort)
-		// and the per-cohort predicate (SecAgg+ sparse graphs: seal the
-		// moment every reconstruction cohort holds its t shares).
-		Name: StageUnmasking.String(), Tag: TagUnmask,
-		Quorum: cfg.UnmaskQuorum(), QuorumMet: unmaskQuorumMet,
+		// The per-cohort predicate cuts the stage before all-of-N the
+		// moment every reconstruction cohort holds its t shares — on a
+		// SecAgg+ graph when the last short cohort fills, under the
+		// complete graph at the t-th response.
+		Name: StageUnmasking.String(), Tag: TagUnmask, QuorumMet: unmaskQuorumMet,
 		Apply: engine.Stamped(s.AddUnmask, func(m *UnmaskMsg) *uint64 { return &m.From }),
 		Seal: func() (engine.Downlink, error) {
 			var err error

@@ -413,13 +413,12 @@ func (s *Server) cohortFill(need map[uint64]int, v uint64) {
 // UnmaskQuorumMet reports whether the stage-4 responses collected so far
 // suffice to seal: t responders overall and every reconstruction cohort —
 // each live client's self-seed, each dropped client's mask key — holds
-// its t shares. This is the predicate quorum (engine.Stage.QuorumMet)
-// that lets SecAgg+ rounds stop collecting before all-of-N: under a
-// sparse graph, t *global* responses do not imply t shares per cohort
-// (responders only hold shares for their neighborhoods), so the
-// count-based UnmaskQuorum cannot cut the stage — this predicate can, the
-// moment the last short cohort fills. XNoise rounds must keep waiting
-// all-of-N (see UnmaskQuorum); drivers do not install the predicate there.
+// its t shares. It is the unmask stage's quorum (engine.Stage.QuorumMet)
+// on every round without XNoise: under the complete graph it fires at
+// the t-th response, and under a sparse SecAgg+ graph — where t *global*
+// responses do not imply t shares per cohort — the moment the last short
+// cohort fills. XNoise rounds must keep waiting all-of-N (see
+// Config.UnmaskQuorum); drivers do not install the predicate there.
 func (s *Server) UnmaskQuorumMet() bool {
 	return s.u5set != nil && len(s.u5set) >= s.cfg.Threshold && s.cohortShort == 0
 }

@@ -42,9 +42,9 @@ func TestClientSectionsRoundTrip(t *testing.T) {
 	var secrets Secrets
 	for key, step := range map[string]uint64{"peer-b": 2, "peer-a": 0} {
 		k := key
-		if _, err := secrets.At(k, step, func() ([dh.SharedSize]byte, error) {
+		if _, err := secrets.at(k, step, func() ([dh.SharedSize]byte, error) {
 			return [dh.SharedSize]byte{k[5]}, nil
-		}); err != nil {
+		}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -76,7 +76,7 @@ func TestClientSectionsMalformed(t *testing.T) {
 	c.StoreRoster(testRoster(1, 2))
 	var secrets Secrets
 	for _, k := range []string{"a", "b"} {
-		if _, err := secrets.At(k, 1, func() (s [dh.SharedSize]byte, _ error) { return s, nil }); err != nil {
+		if _, err := secrets.at(k, 1, func() (s [dh.SharedSize]byte, _ error) { return s, nil }, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

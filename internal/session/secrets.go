@@ -40,20 +40,8 @@ type Secrets struct {
 	m  map[string]ratchetedSecret
 }
 
-// At resolves the secret cached under key at the given ratchet step: read
-// under the lock; on a miss (or a request for an earlier step than the
-// cached one, which only a non-monotonic driver produces) run agree
-// outside the lock (it is the expensive part and deterministic, so a
-// racing duplicate computes the identical value); ratchet forward to step;
-// store only monotonically.
-func (c *Secrets) At(key string, step uint64,
-	agree func() ([dh.SharedSize]byte, error)) ([dh.SharedSize]byte, error) {
-
-	r, err := c.at(key, step, agree, nil)
-	return r.sec, err
-}
-
-// KeyAt is At for a secret that is a channel's AEAD key. The constructed
+// KeyAt resolves the secret cached under key at the given ratchet step as
+// a channel's AEAD key (see at for the lookup). The constructed
 // key (AES key schedule, GCM table) is cached beside the secret until the
 // next ratchet step, so every seal and open of a round — all its chunks,
 // both directions — shares one.
@@ -67,7 +55,7 @@ func (c *Secrets) KeyAt(key string, step uint64,
 	return r.built.(*aead.Key), nil
 }
 
-// StreamAt is At for a secret that keys a mask stream: newStream(secret)
+// StreamAt is KeyAt for a secret that keys a mask stream: newStream(secret)
 // is built once per ratchet step and cached beside the secret, so the
 // chunks of a round read their windows of one keyed stream. Callers share
 // the stream and only aim cursors at it (prg.Stream.AtInto); none draws
@@ -83,7 +71,12 @@ func (c *Secrets) StreamAt(key string, step uint64, agree func() ([dh.SharedSize
 }
 
 // at resolves the secret under key at step and, when build is non-nil,
-// what build makes of it.
+// what build makes of it: read under the lock; on a miss (or a request for
+// an earlier step than the cached one, which only a non-monotonic driver
+// produces) run agree outside the lock (it is the expensive part and
+// deterministic, so a racing duplicate computes the identical value);
+// ratchet forward to step; store only monotonically. A nil build resolves
+// the secret alone — what a record reads back holds no built value.
 func (c *Secrets) at(key string, step uint64,
 	agree func() ([dh.SharedSize]byte, error), build func([dh.SharedSize]byte) any) (ratchetedSecret, error) {
 

@@ -204,10 +204,11 @@ func TestSecretsMonotone(t *testing.T) {
 	var c Secrets
 	at := func(step uint64) [dh.SharedSize]byte {
 		t.Helper()
-		sec, err := c.At("peer", step, agree)
+		r, err := c.at("peer", step, agree, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sec := r.sec
 		if want := dh.RatchetN(raw, step); sec != want {
 			t.Fatalf("step %d: not the raw secret ratcheted %d times", step, step)
 		}
@@ -247,7 +248,7 @@ func TestSecretsMonotone(t *testing.T) {
 // TestSecretsKeyAt: the constructed AEAD key is the cached secret's, built
 // once per ratchet step and shared by every caller at that step (the
 // chunks of a round, both directions of an edge), dropped when the secret
-// ratchets on, and a plain At in between neither loses nor rebuilds it.
+// ratchets on, and a plain lookup in between neither loses nor rebuilds it.
 func TestSecretsKeyAt(t *testing.T) {
 	raw := [dh.SharedSize]byte{9, 8, 7}
 	agreed := 0
@@ -269,7 +270,7 @@ func TestSecretsKeyAt(t *testing.T) {
 		return k
 	}
 	k2 := keyAt(2)
-	if _, err := c.At("peer", 2, agree); err != nil {
+	if _, err := c.at("peer", 2, agree, nil); err != nil {
 		t.Fatal(err)
 	}
 	if keyAt(2) != k2 {
@@ -302,7 +303,7 @@ func TestSecretsKeyAt(t *testing.T) {
 
 // TestSecretsStreamAt: the mask stream is the cached secret's, keyed once
 // per ratchet step and shared by every caller at that step (the chunks of
-// a round), dropped when the secret ratchets on; a plain At in between
+// a round), dropped when the secret ratchets on; a plain lookup in between
 // neither loses nor rebuilds it.
 func TestSecretsStreamAt(t *testing.T) {
 	raw := [dh.SharedSize]byte{4, 5, 6}
@@ -324,7 +325,7 @@ func TestSecretsStreamAt(t *testing.T) {
 		return s
 	}
 	s2 := streamAt(2)
-	if _, err := c.At("peer", 2, agree); err != nil {
+	if _, err := c.at("peer", 2, agree, nil); err != nil {
 		t.Fatal(err)
 	}
 	if streamAt(2) != s2 || built != 1 {

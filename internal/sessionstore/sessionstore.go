@@ -149,15 +149,3 @@ func (s *Store) Load(name string) ([]byte, error) {
 	}
 	return pt, nil
 }
-
-// Delete removes the record under name; deleting a missing record is not
-// an error.
-func (s *Store) Delete(name string) error {
-	if err := validName(name); err != nil {
-		return err
-	}
-	if err := os.Remove(s.path(name)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("sessionstore: %w", err)
-	}
-	return nil
-}

@@ -41,9 +41,6 @@ func TestSessionStoreMissing(t *testing.T) {
 	if _, err := st.Load("absent"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("want ErrNotFound, got %v", err)
 	}
-	if err := st.Delete("absent"); err != nil {
-		t.Fatalf("deleting a missing record: %v", err)
-	}
 }
 
 func TestSessionStoreAuthBinding(t *testing.T) {

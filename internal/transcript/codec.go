@@ -9,8 +9,9 @@ import (
 // Fixed binary codec for the 0x60 frame family, in the 0xDB/0xDC style:
 // a magic byte naming the family, a frame tag, a version byte, then
 // little-endian fixed-width fields, read and written through the shared
-// transport.Reader/Writer. See PROTOCOL.md ("Transcript frames (0x60
-// family)") for the byte-level layouts.
+// transport.Reader/Writer. Every frame is one tier's commitment, one
+// proof, or both, through the one pair of helpers below. See PROTOCOL.md
+// ("Transcript frames (0x60 family)") for the byte-level layouts.
 const (
 	codecMagic   = 0xDD
 	codecVersion = 1
@@ -48,124 +49,141 @@ func readHash(r *transport.Reader) (h [32]byte) {
 	return h
 }
 
-// writePath appends a [n:1][n×32] audit path.
-func writePath(w *transport.Writer, path [][32]byte) {
-	if len(path) > maxPathLen {
-		w.Fail(fmt.Errorf("transcript: audit path of %d levels", len(path)))
+// commitmentSize and proofSize are the encoded field lengths.
+func commitmentSize(c *Commitment) int { return 8 + 32 + 36*len(c.Subtrees) + 2 + len(c.Signature) }
+
+func proofSize(p *Proof) int {
+	n := 8 + 8
+	for _, path := range p.Paths {
+		n += 4 + 1 + 32*len(path.Nodes)
+	}
+	return n
+}
+
+// writeCommitment appends [round:8][prev:32], a [root:32][count:4] per
+// subtree of tier t, and the [len:2] signature.
+func writeCommitment(w *transport.Writer, t *tier, c *Commitment) {
+	if len(c.Subtrees) != len(t.subtrees) {
+		w.Fail(fmt.Errorf("transcript: commitment of %d subtrees, the tier commits %d", len(c.Subtrees), len(t.subtrees)))
 		return
 	}
-	w.Raw(byte(len(path)))
-	for i := range path {
-		w.Raw(path[i][:]...)
+	w.Uint64(c.Round)
+	w.Raw(c.Prev[:]...)
+	for _, s := range c.Subtrees {
+		w.Raw(s.Root[:]...)
+		w.Uint32(s.Count)
+	}
+	w.Blob(c.Signature, maxSigLen)
+}
+
+// readCommitment reads a writeCommitment field of tier t.
+func readCommitment(r *transport.Reader, t *tier) Commitment {
+	c := Commitment{tier: t, Round: r.Uint64(), Prev: readHash(r), Subtrees: make([]Subtree, len(t.subtrees))}
+	for i := range c.Subtrees {
+		c.Subtrees[i] = Subtree{Root: readHash(r), Count: r.Uint32()}
+	}
+	c.Signature = r.Blob(maxSigLen)
+	return c
+}
+
+// writeProof appends [round:8][id:8] and an [index:4][n:1][n×32] audit
+// path per subtree of tier t.
+func writeProof(w *transport.Writer, t *tier, p *Proof) {
+	if len(p.Paths) != len(t.subtrees) {
+		w.Fail(fmt.Errorf("transcript: proof of %d paths, the tier commits %d subtrees", len(p.Paths), len(t.subtrees)))
+		return
+	}
+	w.Uint64(p.Round)
+	w.Uint64(p.ID)
+	for _, path := range p.Paths {
+		if len(path.Nodes) > maxPathLen {
+			w.Fail(fmt.Errorf("transcript: audit path of %d levels", len(path.Nodes)))
+			return
+		}
+		w.Uint32(path.Index)
+		w.Raw(byte(len(path.Nodes)))
+		for i := range path.Nodes {
+			w.Raw(path.Nodes[i][:]...)
+		}
 	}
 }
 
-// readPath reads a writePath field (nil when empty); the levels are
-// allocated only once the payload has proved it carries them.
-func readPath(r *transport.Reader) [][32]byte {
-	n := int(r.Byte())
-	raw := r.Raw(32 * n)
-	if n == 0 || raw == nil {
-		return nil
+// readProof reads a writeProof field of tier t; a path's levels are
+// allocated only once the payload has proved it carries them (nil when
+// empty).
+func readProof(r *transport.Reader, t *tier) Proof {
+	p := Proof{Round: r.Uint64(), ID: r.Uint64(), Paths: make([]Path, len(t.subtrees))}
+	for i := range p.Paths {
+		p.Paths[i].Index = r.Uint32()
+		n := int(r.Byte())
+		raw := r.Raw(32 * n)
+		if n == 0 || raw == nil {
+			continue
+		}
+		p.Paths[i].Nodes = make([][32]byte, n)
+		for j := range p.Paths[i].Nodes {
+			copy(p.Paths[i].Nodes[j][:], raw[32*j:])
+		}
 	}
-	path := make([][32]byte, n)
-	for i := range path {
-		copy(path[i][:], raw[32*i:])
-	}
-	return path
+	return p
 }
 
 // EncodeCommitment serializes a round commitment (the TagTranscriptCommit
 // payload, broadcast to every survivor).
 func EncodeCommitment(c *Commitment) ([]byte, error) {
-	w := newFrame(tagCommitment, codecVersion, 8+32+32+4+32+4+2+len(c.Signature))
-	w.Uint64(c.Round)
-	w.Raw(c.Prev[:]...)
-	w.Raw(c.RosterRoot[:]...)
-	w.Uint32(c.RosterCount)
-	w.Raw(c.InputRoot[:]...)
-	w.Uint32(c.InputCount)
-	w.Blob(c.Signature, maxSigLen)
+	w := newFrame(tagCommitment, codecVersion, commitmentSize(c))
+	writeCommitment(w, roundTier, c)
 	return w.Done()
 }
 
 // DecodeCommitment parses an EncodeCommitment payload.
 func DecodeCommitment(p []byte) (*Commitment, error) {
 	r := openFrame(p, tagCommitment, codecVersion)
-	c := &Commitment{
-		Round: r.Uint64(), Prev: readHash(r),
-		RosterRoot: readHash(r), RosterCount: r.Uint32(),
-		InputRoot: readHash(r), InputCount: r.Uint32(),
-		Signature: r.Blob(maxSigLen),
-	}
+	c := readCommitment(r, roundTier)
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("transcript: commitment: %w", err)
 	}
-	return c, nil
+	return &c, nil
 }
 
 // EncodeProof serializes a per-client inclusion proof (the
 // TagTranscriptProof payload, sent to that survivor only).
 func EncodeProof(pr *Proof) ([]byte, error) {
-	w := newFrame(tagProof, codecVersion, 8+8+4+1+4+1+32*(len(pr.RosterPath)+len(pr.InputPath)))
-	w.Uint64(pr.Round)
-	w.Uint64(pr.ID)
-	w.Uint32(pr.RosterIndex)
-	writePath(w, pr.RosterPath)
-	w.Uint32(pr.InputIndex)
-	writePath(w, pr.InputPath)
+	w := newFrame(tagProof, codecVersion, proofSize(pr))
+	writeProof(w, roundTier, pr)
 	return w.Done()
 }
 
 // DecodeProof parses an EncodeProof payload.
 func DecodeProof(p []byte) (*Proof, error) {
 	r := openFrame(p, tagProof, codecVersion)
-	pr := &Proof{
-		Round: r.Uint64(), ID: r.Uint64(),
-		RosterIndex: r.Uint32(), RosterPath: readPath(r),
-		InputIndex: r.Uint32(), InputPath: readPath(r),
-	}
+	pr := readProof(r, roundTier)
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("transcript: proof: %w", err)
 	}
-	return pr, nil
+	return &pr, nil
 }
 
 // CombineTierMsg is the TagCombineTranscript payload: the combiner-tier
 // commitment bundled with the receiving shard's inclusion proof, so one
 // frame gives a shard's clients the whole second hop of the audit.
 type CombineTierMsg struct {
-	Commitment CombineCommitment
-	Proof      ShardProof
+	Commitment Commitment
+	Proof      Proof
 }
 
 // EncodeCombineTier serializes a combiner-tier frame.
 func EncodeCombineTier(m *CombineTierMsg) ([]byte, error) {
-	c, pr := &m.Commitment, &m.Proof
-	w := newFrame(tagCombine, codecVersion, 8+32+32+4+2+len(c.Signature)+8+8+4+1+32*len(pr.Path))
-	w.Uint64(c.Round)
-	w.Raw(c.Prev[:]...)
-	w.Raw(c.ShardRoot[:]...)
-	w.Uint32(c.ShardCount)
-	w.Blob(c.Signature, maxSigLen)
-	w.Uint64(pr.Round)
-	w.Uint64(pr.Shard)
-	w.Uint32(pr.Index)
-	writePath(w, pr.Path)
+	w := newFrame(tagCombine, codecVersion, commitmentSize(&m.Commitment)+proofSize(&m.Proof))
+	writeCommitment(w, combineTier, &m.Commitment)
+	writeProof(w, combineTier, &m.Proof)
 	return w.Done()
 }
 
 // DecodeCombineTier parses an EncodeCombineTier payload.
 func DecodeCombineTier(p []byte) (*CombineTierMsg, error) {
 	r := openFrame(p, tagCombine, codecVersion)
-	m := &CombineTierMsg{
-		Commitment: CombineCommitment{
-			Round: r.Uint64(), Prev: readHash(r),
-			ShardRoot: readHash(r), ShardCount: r.Uint32(),
-			Signature: r.Blob(maxSigLen),
-		},
-		Proof: ShardProof{Round: r.Uint64(), Shard: r.Uint64(), Index: r.Uint32(), Path: readPath(r)},
-	}
+	m := &CombineTierMsg{Commitment: readCommitment(r, combineTier), Proof: readProof(r, combineTier)}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("transcript: combine-tier frame: %w", err)
 	}

@@ -38,9 +38,9 @@ func transcriptCodecSeeds(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ct, err := BuildCombine(9, [32]byte{}, []ShardRoot{
+	ct, err := NewRecorder(signer).BuildCombineRound(9, []ShardRoot{
 		{Shard: 0, Root: [32]byte{1}}, {Shard: 1, Root: [32]byte{2}}, {Shard: 2, Root: [32]byte{3}},
-	}, signer)
+	})
 	if err != nil {
 		tb.Fatal(err)
 	}

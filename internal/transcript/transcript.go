@@ -23,13 +23,18 @@
 //     server cannot rewrite a past round without breaking every root
 //     after it.
 //
-// The sharded topology composes: each shard's round root becomes a leaf
-// of the root combiner's tree (ShardLeaf/BuildCombine), so one client
-// proof spans both tiers — masked-input digest → shard root → combiner
-// root. Everything rides the existing frame/codec machinery (the 0x60
-// frame family, codec.go) rather than a side channel, per the
-// cheap-and-uniform metadata lesson; see ARCHITECTURE.md ("Integrity
-// layer") and PROTOCOL.md for the wire layouts.
+// One tier type, two uses. A tier round is one Commitment — round, prev,
+// one (root, leaf count) per subtree, signature — built by one builder,
+// proved by one Proof (an audit path per subtree), checked by one verify
+// routine and audited on one chain. The round tier commits two subtrees,
+// roster and inputs; the sharded topology's combiner tier is the same
+// code over one subtree, the contributing shards' round roots
+// (Recorder.BuildCombineRound), so one client proof spans both tiers —
+// masked-input digest → shard root → combiner root. Everything rides the
+// existing frame/codec machinery (the 0x60 frame family, codec.go) rather
+// than a side channel, per the cheap-and-uniform metadata lesson; see
+// ARCHITECTURE.md ("Integrity layer") and PROTOCOL.md for the wire
+// layouts.
 //
 // The tree is the RFC 6962 shape: leaves are domain-separated from
 // interior nodes (0x00/0x01 prefixes), and an n-leaf tree splits at the
@@ -38,27 +43,39 @@
 package transcript
 
 import (
+	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/sig"
 	"repro/internal/transport"
 )
 
-// Domain-separation labels. Leaves hash with a 0x00 prefix and a kind
-// byte, interior nodes with 0x01, and the round/combine roots bind a
-// versioned ASCII label — the same pattern as the handshake signature
-// labels in core.
+// sigLabel domain-separates the root signature, the same pattern as the
+// handshake signature labels in core.
+var sigLabel = []byte("dordis/transcript/sig/v1|")
+
+// A tier is one level of the audit: the versioned label its root binds and
+// the subtrees it commits, by name, in commitment order. Everything else —
+// commitment, proof, builder, verifier, chain, codec — is shared.
+type tier struct {
+	label    []byte
+	subtrees []string
+}
+
 var (
-	roundRootLabel   = []byte("dordis/transcript/round/v1")
-	combineRootLabel = []byte("dordis/transcript/combine/v1")
-	sigLabel         = []byte("dordis/transcript/sig/v1|")
+	// roundTier commits a round's roster and the masked inputs it folded.
+	roundTier = &tier{[]byte("dordis/transcript/round/v1"), []string{"roster", "input"}}
+	// combineTier commits the contributing shards' round roots.
+	combineTier = &tier{[]byte("dordis/transcript/combine/v1"), []string{"shard"}}
 )
 
+// Leaf kinds: the byte after a leaf's 0x00 prefix.
 const (
 	leafKindRoster = 'R'
 	leafKindInput  = 'I'
@@ -116,49 +133,35 @@ func DigestLE(b []byte) [32]byte {
 	return out
 }
 
+// leafHash is every leaf of every tier: 0x00 ‖ kind ‖ id ‖ payload.
+func leafHash(kind byte, id uint64, payload ...[]byte) [32]byte {
+	h := sha256.New()
+	var b [10]byte
+	b[1] = kind
+	binary.LittleEndian.PutUint64(b[2:], id)
+	h.Write(b[:])
+	for _, p := range payload {
+		h.Write(p)
+	}
+	var out [32]byte
+	h.Sum(out[:0])
+	return out
+}
+
+// rosterLeaf's payload length-prefixes both keys.
 func rosterLeaf(e RosterEntry) [32]byte {
-	h := sha256.New()
-	h.Write([]byte{0x00, leafKindRoster})
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], e.ID)
-	h.Write(b[:])
-	var l [2]byte
-	binary.LittleEndian.PutUint16(l[:], uint16(len(e.CipherPub)))
-	h.Write(l[:])
-	h.Write(e.CipherPub)
-	binary.LittleEndian.PutUint16(l[:], uint16(len(e.MaskPub)))
-	h.Write(l[:])
-	h.Write(e.MaskPub)
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	var lc, lm [2]byte
+	binary.LittleEndian.PutUint16(lc[:], uint16(len(e.CipherPub)))
+	binary.LittleEndian.PutUint16(lm[:], uint16(len(e.MaskPub)))
+	return leafHash(leafKindRoster, e.ID, lc[:], e.CipherPub, lm[:], e.MaskPub)
 }
 
-func inputLeaf(d InputDigest) [32]byte {
-	h := sha256.New()
-	h.Write([]byte{0x00, leafKindInput})
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], d.ID)
-	h.Write(b[:])
-	h.Write(d.Digest[:])
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+func inputLeaf(id uint64, digest [32]byte) [32]byte {
+	return leafHash(leafKindInput, id, digest[:])
 }
 
-// ShardLeaf is the combiner-tier leaf for one shard's round root. It is
-// exported so a shard aggregator (or an auditor replaying a transcript)
-// can recompute its own leaf without the combiner's tree.
-func ShardLeaf(s ShardRoot) [32]byte {
-	h := sha256.New()
-	h.Write([]byte{0x00, leafKindShard})
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], s.Shard)
-	h.Write(b[:])
-	h.Write(s.Root[:])
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+func shardLeaf(shard uint64, root [32]byte) [32]byte {
+	return leafHash(leafKindShard, shard, root[:])
 }
 
 func nodeHash(l, r [32]byte) [32]byte {
@@ -257,228 +260,161 @@ func RosterRoot(entries []RosterEntry) [32]byte {
 	return treeRoot(leaves)
 }
 
-// Commitment is one round's signed transcript header: everything a
-// verifier needs to recompute the round root from a proof. Prev chains to
-// the previous round's Root (zero for the first recorded round).
+// Commitment is one tier round's signed header: everything a verifier
+// needs to recompute the root from a proof. Prev chains to the previous
+// round's Root (zero for the first recorded round); Subtrees holds one
+// (root, leaf count) per subtree the tier commits — roster then inputs at
+// the round tier, shard roots at the combiner tier.
 type Commitment struct {
-	Round       uint64
-	Prev        [32]byte
-	RosterRoot  [32]byte
-	RosterCount uint32
-	InputRoot   [32]byte
-	InputCount  uint32
-	// Signature is the server's Ed25519 signature over sigLabel‖Root();
+	tier     *tier
+	Round    uint64
+	Prev     [32]byte
+	Subtrees []Subtree
+	// Signature is the aggregator's Ed25519 signature over sigLabel‖Root();
 	// empty in semi-honest deployments (mirroring the handshake).
 	Signature []byte
 }
 
-// Root recomputes the round root the signature covers: a hash over the
-// label, round number, previous root, and both subtree commitments with
-// their leaf counts.
+// Subtree is one committed Merkle subtree: its root and leaf count.
+type Subtree struct {
+	Root  [32]byte
+	Count uint32
+}
+
+// Root recomputes the root the signature covers: a hash over the tier's
+// label, the round number, the previous root, and every subtree's root
+// and leaf count.
 func (c *Commitment) Root() [32]byte {
 	h := sha256.New()
-	h.Write(roundRootLabel)
+	h.Write(c.tier.label)
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], c.Round)
 	h.Write(b[:])
 	h.Write(c.Prev[:])
-	h.Write(c.RosterRoot[:])
-	binary.LittleEndian.PutUint32(b[:4], c.RosterCount)
-	h.Write(b[:4])
-	h.Write(c.InputRoot[:])
-	binary.LittleEndian.PutUint32(b[:4], c.InputCount)
-	h.Write(b[:4])
+	for _, s := range c.Subtrees {
+		h.Write(s.Root[:])
+		binary.LittleEndian.PutUint32(b[:4], s.Count)
+		h.Write(b[:4])
+	}
 	var out [32]byte
 	h.Sum(out[:0])
 	return out
 }
 
-// Proof is one client's inclusion proof against a Commitment: the audit
-// paths for its roster leaf and its masked-input leaf.
+// Proof is one member's inclusion proof against a Commitment, one audit
+// path per subtree: a client's roster and masked-input leaves at the round
+// tier, a shard's root at the combiner tier (where ID is the shard).
 type Proof struct {
-	Round       uint64
-	ID          uint64
-	RosterIndex uint32
-	RosterPath  [][32]byte
-	InputIndex  uint32
-	InputPath   [][32]byte
-}
-
-// CombineCommitment is the combiner tier's signed header: the Merkle root
-// over the contributing shards' round roots, chained to the combiner's
-// previous round root.
-type CombineCommitment struct {
-	Round      uint64
-	Prev       [32]byte
-	ShardRoot  [32]byte
-	ShardCount uint32
-	Signature  []byte
-}
-
-// Root recomputes the combiner-tier round root.
-func (c *CombineCommitment) Root() [32]byte {
-	h := sha256.New()
-	h.Write(combineRootLabel)
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], c.Round)
-	h.Write(b[:])
-	h.Write(c.Prev[:])
-	h.Write(c.ShardRoot[:])
-	binary.LittleEndian.PutUint32(b[:4], c.ShardCount)
-	h.Write(b[:4])
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
-}
-
-// ShardProof is a shard's inclusion proof in the combiner tier: the audit
-// path from ShardLeaf(shard, shard round root) to CombineCommitment's
-// ShardRoot. One proof serves every client of the shard — the second hop
-// of the two-tier client audit.
-type ShardProof struct {
 	Round uint64
-	Shard uint64
-	Index uint32
-	Path  [][32]byte
+	ID    uint64
+	Paths []Path
 }
 
-// Transcript is one built round: the signed commitment plus the leaf
-// material needed to issue proofs. Only the building side (the server)
+// Path is one leaf's index in its subtree and the audit path from it.
+type Path struct {
+	Index uint32
+	Nodes [][32]byte
+}
+
+// Transcript is one built tier round: the signed commitment plus the leaf
+// sets needed to issue proofs. Only the building side (the aggregator)
 // holds a Transcript; verifiers work from Commitment+Proof.
 type Transcript struct {
-	Commitment   Commitment
-	rosterLeaves [][32]byte
-	inputLeaves  [][32]byte
-	rosterIdx    map[uint64]int
-	inputIdx     map[uint64]int
+	Commitment Commitment
+	sets       []leafSet
 }
 
-// Build constructs one round's transcript. Roster entries and input
-// digests are committed in ascending-id order regardless of input order;
-// duplicate ids are rejected. prev is the previous round's root (zero for
-// the first round); signer, when non-nil, signs the root.
-func Build(round uint64, prev [32]byte, roster []RosterEntry, inputs []InputDigest,
-	signer *sig.Signer) (*Transcript, error) {
+// leafSet is one subtree's leaves in ascending-id order.
+type leafSet struct {
+	ids    []uint64
+	leaves [][32]byte
+}
 
-	roster = append([]RosterEntry(nil), roster...)
-	sort.Slice(roster, func(i, j int) bool { return roster[i].ID < roster[j].ID })
-	inputs = append([]InputDigest(nil), inputs...)
-	sort.Slice(inputs, func(i, j int) bool { return inputs[i].ID < inputs[j].ID })
+// leaf is one member's hashed leaf before the builder orders it.
+type leaf struct {
+	id   uint64
+	hash [32]byte
+}
 
-	t := &Transcript{
-		rosterLeaves: make([][32]byte, len(roster)),
-		inputLeaves:  make([][32]byte, len(inputs)),
-		rosterIdx:    make(map[uint64]int, len(roster)),
-		inputIdx:     make(map[uint64]int, len(inputs)),
+// build is the one builder. It commits each leaf set in ascending-id
+// order regardless of input order, refuses duplicate ids and — the first
+// set being the tier's membership — any later leaf whose id is not a
+// member (a round commits inputs only from its roster), then signs the
+// root when signer is non-nil. prev is the previous round's root.
+func (t *tier) build(round uint64, prev [32]byte, signer *sig.Signer, sets [][]leaf) (*Transcript, error) {
+	tr := &Transcript{
+		Commitment: Commitment{tier: t, Round: round, Prev: prev, Subtrees: make([]Subtree, len(sets))},
+		sets:       make([]leafSet, len(sets)),
 	}
-	for i, e := range roster {
-		if _, dup := t.rosterIdx[e.ID]; dup {
-			return nil, fmt.Errorf("transcript: duplicate roster entry %d", e.ID)
+	for i, set := range sets {
+		slices.SortFunc(set, func(a, b leaf) int { return cmp.Compare(a.id, b.id) })
+		s := leafSet{ids: make([]uint64, len(set)), leaves: make([][32]byte, len(set))}
+		for j, l := range set {
+			if j > 0 && l.id == set[j-1].id {
+				return nil, fmt.Errorf("transcript: duplicate %s leaf %d", t.subtrees[i], l.id)
+			}
+			if i > 0 {
+				if _, member := slices.BinarySearch(tr.sets[0].ids, l.id); !member {
+					return nil, fmt.Errorf("transcript: %s leaf %d outside the %s", t.subtrees[i], l.id, t.subtrees[0])
+				}
+			}
+			s.ids[j], s.leaves[j] = l.id, l.hash
 		}
-		t.rosterIdx[e.ID] = i
-		t.rosterLeaves[i] = rosterLeaf(e)
-	}
-	for i, d := range inputs {
-		if _, dup := t.inputIdx[d.ID]; dup {
-			return nil, fmt.Errorf("transcript: duplicate input digest %d", d.ID)
-		}
-		if _, inRoster := t.rosterIdx[d.ID]; !inRoster {
-			return nil, fmt.Errorf("transcript: input digest from %d outside the roster", d.ID)
-		}
-		t.inputIdx[d.ID] = i
-		t.inputLeaves[i] = inputLeaf(d)
-	}
-	t.Commitment = Commitment{
-		Round:       round,
-		Prev:        prev,
-		RosterRoot:  treeRoot(t.rosterLeaves),
-		RosterCount: uint32(len(roster)),
-		InputRoot:   treeRoot(t.inputLeaves),
-		InputCount:  uint32(len(inputs)),
+		tr.sets[i] = s
+		tr.Commitment.Subtrees[i] = Subtree{Root: treeRoot(s.leaves), Count: uint32(len(set))}
 	}
 	if signer != nil {
-		root := t.Commitment.Root()
-		t.Commitment.Signature = signer.Sign(sigPayload(root))
+		tr.Commitment.Signature = signer.Sign(sigPayload(tr.Root()))
 	}
-	return t, nil
+	return tr, nil
+}
+
+// roundSets is the round tier's leaf sets: roster, then inputs.
+func roundSets(roster []RosterEntry, inputs []InputDigest) [][]leaf {
+	rs := make([]leaf, len(roster))
+	for i, e := range roster {
+		rs[i] = leaf{e.ID, rosterLeaf(e)}
+	}
+	is := make([]leaf, len(inputs))
+	for i, d := range inputs {
+		is[i] = leaf{d.ID, inputLeaf(d.ID, d.Digest)}
+	}
+	return [][]leaf{rs, is}
+}
+
+// combineSets is the combiner tier's one leaf set: the shard roots.
+func combineSets(shards []ShardRoot) [][]leaf {
+	set := make([]leaf, len(shards))
+	for i, s := range shards {
+		set[i] = leaf{s.Shard, shardLeaf(s.Shard, s.Root)}
+	}
+	return [][]leaf{set}
+}
+
+// Build constructs one round's transcript over its roster and input
+// digests (see build for the ordering and membership rules); signer, when
+// non-nil, signs the root.
+func Build(round uint64, prev [32]byte, roster []RosterEntry, inputs []InputDigest,
+	signer *sig.Signer) (*Transcript, error) {
+	return roundTier.build(round, prev, signer, roundSets(roster, inputs))
 }
 
 // Root returns the round root (the chained, signed value).
 func (t *Transcript) Root() [32]byte { return t.Commitment.Root() }
 
-// ProofFor issues the inclusion proof for one survivor: its roster leaf
-// and its masked-input leaf. The id must have both a roster entry and an
-// input digest (dropped clients have no contribution to prove).
+// ProofFor issues id's inclusion proof: its audit path in every subtree.
+// The id must hold a leaf in each — at the round tier a roster entry and
+// an input digest (dropped clients have no contribution to prove).
 func (t *Transcript) ProofFor(id uint64) (*Proof, error) {
-	ri, ok := t.rosterIdx[id]
-	if !ok {
-		return nil, fmt.Errorf("transcript: no roster entry for %d", id)
-	}
-	ii, ok := t.inputIdx[id]
-	if !ok {
-		return nil, fmt.Errorf("transcript: no input digest for %d", id)
-	}
-	return &Proof{
-		Round:       t.Commitment.Round,
-		ID:          id,
-		RosterIndex: uint32(ri),
-		RosterPath:  proofPath(t.rosterLeaves, ri),
-		InputIndex:  uint32(ii),
-		InputPath:   proofPath(t.inputLeaves, ii),
-	}, nil
-}
-
-// CombineTranscript is one built combiner-tier round.
-type CombineTranscript struct {
-	Commitment CombineCommitment
-	leaves     [][32]byte
-	idx        map[uint64]int
-}
-
-// BuildCombine constructs the combiner tier's transcript over the
-// contributing shards' round roots (committed in ascending shard order).
-func BuildCombine(round uint64, prev [32]byte, shards []ShardRoot, signer *sig.Signer) (*CombineTranscript, error) {
-	shards = append([]ShardRoot(nil), shards...)
-	sort.Slice(shards, func(i, j int) bool { return shards[i].Shard < shards[j].Shard })
-	t := &CombineTranscript{
-		leaves: make([][32]byte, len(shards)),
-		idx:    make(map[uint64]int, len(shards)),
-	}
-	for i, s := range shards {
-		if _, dup := t.idx[s.Shard]; dup {
-			return nil, fmt.Errorf("transcript: duplicate shard root %d", s.Shard)
+	p := &Proof{Round: t.Commitment.Round, ID: id, Paths: make([]Path, len(t.sets))}
+	for i, s := range t.sets {
+		j, ok := slices.BinarySearch(s.ids, id)
+		if !ok {
+			return nil, fmt.Errorf("transcript: no %s leaf for %d", t.Commitment.tier.subtrees[i], id)
 		}
-		t.idx[s.Shard] = i
-		t.leaves[i] = ShardLeaf(s)
+		p.Paths[i] = Path{Index: uint32(j), Nodes: proofPath(s.leaves, j)}
 	}
-	t.Commitment = CombineCommitment{
-		Round:      round,
-		Prev:       prev,
-		ShardRoot:  treeRoot(t.leaves),
-		ShardCount: uint32(len(shards)),
-	}
-	if signer != nil {
-		root := t.Commitment.Root()
-		t.Commitment.Signature = signer.Sign(sigPayload(root))
-	}
-	return t, nil
-}
-
-// Root returns the combiner-tier round root.
-func (t *CombineTranscript) Root() [32]byte { return t.Commitment.Root() }
-
-// ProofFor issues shard's inclusion proof in the combiner tree.
-func (t *CombineTranscript) ProofFor(shard uint64) (*ShardProof, error) {
-	i, ok := t.idx[shard]
-	if !ok {
-		return nil, fmt.Errorf("transcript: shard %d not in the combiner tree", shard)
-	}
-	return &ShardProof{
-		Round: t.Commitment.Round,
-		Shard: shard,
-		Index: uint32(i),
-		Path:  proofPath(t.leaves, i),
-	}, nil
+	return p, nil
 }
 
 func sigPayload(root [32]byte) []byte {
@@ -499,77 +435,49 @@ var (
 	ErrWrongIdentity = errors.New("transcript: proof is not for this client")
 )
 
-// VerifySignature checks the commitment's root signature under serverPub.
-// An empty serverPub skips the check (semi-honest deployments, mirroring
-// the handshake's unsigned mode).
-func VerifySignature(root [32]byte, signature, serverPub []byte) error {
-	if len(serverPub) == 0 {
-		return nil
-	}
-	if !sig.Verify(serverPub, sigPayload(root), signature) {
+// verify is the one verify routine: the root signature under pub (an
+// empty pub skips it: semi-honest deployments, mirroring the handshake's
+// unsigned mode), then the proof's round, then leaves[i]'s inclusion in
+// subtree i for every subtree.
+func (c *Commitment) verify(p *Proof, pub []byte, leaves ...[32]byte) error {
+	if len(pub) > 0 && !sig.Verify(pub, sigPayload(c.Root()), c.Signature) {
 		return ErrBadSignature
-	}
-	return nil
-}
-
-// Verify is the client-side check for one flat (single-tier) round: the
-// commitment's signature verifies under serverPub (when pinned), the
-// client's own roster entry is included under RosterRoot, and its
-// masked-input digest is included under InputRoot. It returns nil only
-// when every check passes.
-func Verify(c *Commitment, p *Proof, self RosterEntry, digest [32]byte, serverPub []byte) error {
-	if p.ID != self.ID {
-		return fmt.Errorf("%w: proof for %d, client is %d", ErrWrongIdentity, p.ID, self.ID)
 	}
 	if p.Round != c.Round {
 		return fmt.Errorf("%w: proof round %d, commitment round %d", ErrRoundMismatch, p.Round, c.Round)
 	}
-	if err := VerifySignature(c.Root(), c.Signature, serverPub); err != nil {
-		return err
+	if len(p.Paths) != len(c.Subtrees) || len(leaves) != len(c.Subtrees) {
+		return fmt.Errorf("%w: %d paths for %d subtrees", ErrProofMismatch, len(p.Paths), len(c.Subtrees))
 	}
-	got, err := rootFromPath(rosterLeaf(self), int(p.RosterIndex), int(c.RosterCount), p.RosterPath)
-	if err != nil {
-		return fmt.Errorf("%w: roster: %v", ErrProofMismatch, err)
-	}
-	if got != c.RosterRoot {
-		return fmt.Errorf("%w: roster subtree", ErrProofMismatch)
-	}
-	got, err = rootFromPath(inputLeaf(InputDigest{ID: self.ID, Digest: digest}),
-		int(p.InputIndex), int(c.InputCount), p.InputPath)
-	if err != nil {
-		return fmt.Errorf("%w: input: %v", ErrProofMismatch, err)
-	}
-	if got != c.InputRoot {
-		return fmt.Errorf("%w: input subtree", ErrProofMismatch)
+	for i, s := range c.Subtrees {
+		name := c.tier.subtrees[i]
+		got, err := rootFromPath(leaves[i], int(p.Paths[i].Index), int(s.Count), p.Paths[i].Nodes)
+		if err != nil {
+			return fmt.Errorf("%w: %s: %v", ErrProofMismatch, name, err)
+		}
+		if got != s.Root {
+			return fmt.Errorf("%w: %s subtree", ErrProofMismatch, name)
+		}
 	}
 	return nil
 }
 
-// VerifyCombineTier is the second hop of the two-tier audit: the shard's
-// round root (which the client verified at tier one) is included in the
-// combiner's tree, and the combiner's root signature verifies under
-// combinerPub (when pinned).
-func VerifyCombineTier(c *CombineCommitment, p *ShardProof, shardRoot [32]byte, combinerPub []byte) error {
-	if p.Round != c.Round {
-		return fmt.Errorf("%w: shard proof round %d, commitment round %d", ErrRoundMismatch, p.Round, c.Round)
+// Verify is the client-side check for one round-tier commitment: the
+// proof is the client's own, the signature verifies under serverPub (when
+// pinned), and the client's roster entry and masked-input digest are
+// included under their subtree roots. It returns nil only when every
+// check passes.
+func Verify(c *Commitment, p *Proof, self RosterEntry, digest [32]byte, serverPub []byte) error {
+	if p.ID != self.ID {
+		return fmt.Errorf("%w: proof for %d, client is %d", ErrWrongIdentity, p.ID, self.ID)
 	}
-	if err := VerifySignature(c.Root(), c.Signature, combinerPub); err != nil {
-		return err
-	}
-	got, err := rootFromPath(ShardLeaf(ShardRoot{Shard: p.Shard, Root: shardRoot}),
-		int(p.Index), int(c.ShardCount), p.Path)
-	if err != nil {
-		return fmt.Errorf("%w: shard tier: %v", ErrProofMismatch, err)
-	}
-	if got != c.ShardRoot {
-		return fmt.Errorf("%w: shard tier", ErrProofMismatch)
-	}
-	return nil
+	return c.verify(p, serverPub, rosterLeaf(self), inputLeaf(self.ID, digest))
 }
 
 // Chain tracks a root chain tip — the server side uses it through
-// Recorder to chain successive rounds, the client side through Auditor to
-// audit them. The zero Chain has no tip (first round chains from zero).
+// Recorder to chain successive rounds, the client side through the
+// auditors to audit them. The zero Chain has no tip (first round chains
+// from zero).
 type Chain struct {
 	round uint64
 	tip   [32]byte
@@ -578,9 +486,6 @@ type Chain struct {
 
 // Tip returns the last recorded root and whether one exists.
 func (c *Chain) Tip() ([32]byte, bool) { return c.tip, c.have }
-
-// Round returns the last recorded round number (0 when none).
-func (c *Chain) Round() uint64 { return c.round }
 
 // Adopt unconditionally records (round, root) as the chain tip. It is
 // the trust-on-first-audit bootstrap for clients joining mid-stream: a
@@ -661,35 +566,29 @@ func (r *Recorder) Tip() ([32]byte, bool) {
 	return r.chain.Tip()
 }
 
-// BuildRound builds, signs, and chains one flat-tier round transcript.
+// BuildRound builds, signs, and chains one round-tier transcript.
 func (r *Recorder) BuildRound(round uint64, roster []RosterEntry, inputs []InputDigest) (*Transcript, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	prev, _ := r.chain.Tip()
-	t, err := Build(round, prev, roster, inputs, r.signer)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.chain.Extend(round, prev, t.Root()); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return r.build(roundTier, round, roundSets(roster, inputs))
 }
 
-// BuildCombineRound builds, signs, and chains one combiner-tier round
-// transcript.
-func (r *Recorder) BuildCombineRound(round uint64, shards []ShardRoot) (*CombineTranscript, error) {
+// BuildCombineRound builds, signs, and chains one combiner-tier
+// transcript over the contributing shards' round roots.
+func (r *Recorder) BuildCombineRound(round uint64, shards []ShardRoot) (*Transcript, error) {
+	return r.build(combineTier, round, combineSets(shards))
+}
+
+func (r *Recorder) build(t *tier, round uint64, sets [][]leaf) (*Transcript, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	prev, _ := r.chain.Tip()
-	t, err := BuildCombine(round, prev, shards, r.signer)
+	tr, err := t.build(round, prev, r.signer, sets)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.chain.Extend(round, prev, t.Root()); err != nil {
+	if err := r.chain.Extend(round, prev, tr.Root()); err != nil {
 		return nil, err
 	}
-	return t, nil
+	return tr, nil
 }
 
 // MarshalBinary persists the recorder's chain (the signer is key
@@ -717,33 +616,23 @@ type RootRecord struct {
 	Root  [32]byte
 }
 
-// Auditor is the client-side verification state across rounds: the
-// pinned server key, the root chain, and the audit history. A nil
-// serverPub accepts unsigned transcripts (semi-honest deployments).
-type Auditor struct {
-	mu        sync.Mutex
-	serverPub []byte
-	chain     Chain
-	history   []RootRecord
+// audit is the one audit chain both auditors keep: the pinned key (nil
+// accepts unsigned transcripts, semi-honest deployments; never written
+// after construction), the root chain, and the audit history.
+type audit struct {
+	pub     []byte
+	mu      sync.Mutex
+	chain   Chain
+	history []RootRecord
 }
 
-// NewAuditor builds an auditor pinning serverPub (may be nil/empty).
-func NewAuditor(serverPub []byte) *Auditor {
-	return &Auditor{serverPub: append([]byte(nil), serverPub...)}
-}
-
-// VerifyRound runs the full client check for one flat-tier round —
-// signature, roster inclusion, input inclusion, and chain continuity —
-// and appends the root to the audit history on success. The first
-// verified round is adopted as the chain anchor (trust-on-first-audit: a
-// client joining or rejoining mid-stream cannot know the prior root);
-// every later round must chain from it.
-func (a *Auditor) VerifyRound(c *Commitment, p *Proof, self RosterEntry, digest [32]byte) error {
+// extend records a verified commitment: the first is adopted as the chain
+// anchor (trust-on-first-audit: a client joining or rejoining mid-stream
+// cannot know the prior root), every later one must extend the chain. A
+// break leaves chain and history as they were.
+func (a *audit) extend(c *Commitment) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if err := Verify(c, p, self, digest, a.serverPub); err != nil {
-		return err
-	}
 	root := c.Root()
 	if _, have := a.chain.Tip(); !have {
 		a.chain.Adopt(c.Round, root)
@@ -756,58 +645,47 @@ func (a *Auditor) VerifyRound(c *Commitment, p *Proof, self RosterEntry, digest 
 
 // History returns the audited (round, root) records in verification
 // order — the client's cheap audit trail.
-func (a *Auditor) History() []RootRecord {
+func (a *audit) History() []RootRecord {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return append([]RootRecord(nil), a.history...)
+	return slices.Clone(a.history)
 }
 
-// combineAuditor state is separate from the round chain: the combiner is
-// its own signer with its own root history, so clients of a sharded
-// deployment track two chains.
-type combineState struct {
-	chain Chain
+// Auditor audits the round tier against the pinned server key.
+type Auditor struct{ audit }
+
+// NewAuditor builds an auditor pinning serverPub (may be nil/empty).
+func NewAuditor(serverPub []byte) *Auditor {
+	return &Auditor{audit{pub: bytes.Clone(serverPub)}}
 }
 
-// CombineAuditor audits the combiner tier: shard-root inclusion plus the
-// combiner's own chain. Kept separate from Auditor so a flat deployment
+// VerifyRound runs the full client check for one round — Verify, then
+// chain continuity — and records the root on success.
+func (a *Auditor) VerifyRound(c *Commitment, p *Proof, self RosterEntry, digest [32]byte) error {
+	if err := Verify(c, p, self, digest, a.pub); err != nil {
+		return err
+	}
+	return a.extend(c)
+}
+
+// CombineAuditor audits the combiner tier against the pinned combiner
+// key: the combiner is its own signer with its own root history, so
+// clients of a sharded deployment keep two chains. A flat deployment
 // pays nothing for it.
-type CombineAuditor struct {
-	mu          sync.Mutex
-	combinerPub []byte
-	state       combineState
-	history     []RootRecord
-}
+type CombineAuditor struct{ audit }
 
 // NewCombineAuditor builds a combiner-tier auditor pinning combinerPub
 // (may be nil/empty).
 func NewCombineAuditor(combinerPub []byte) *CombineAuditor {
-	return &CombineAuditor{combinerPub: append([]byte(nil), combinerPub...)}
+	return &CombineAuditor{audit{pub: bytes.Clone(combinerPub)}}
 }
 
 // VerifyTier checks one combiner-tier commitment against the shard root
-// the client verified at tier one, then extends the combiner chain (the
-// first verified tier round is adopted as the anchor, exactly as in
-// Auditor.VerifyRound).
-func (a *CombineAuditor) VerifyTier(c *CombineCommitment, p *ShardProof, shardRoot [32]byte) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := VerifyCombineTier(c, p, shardRoot, a.combinerPub); err != nil {
+// the client verified at the round tier — p proves shard p.ID's leaf —
+// then extends the combiner chain exactly as Auditor.VerifyRound does.
+func (a *CombineAuditor) VerifyTier(c *Commitment, p *Proof, shardRoot [32]byte) error {
+	if err := c.verify(p, a.pub, shardLeaf(p.ID, shardRoot)); err != nil {
 		return err
 	}
-	root := c.Root()
-	if _, have := a.state.chain.Tip(); !have {
-		a.state.chain.Adopt(c.Round, root)
-	} else if err := a.state.chain.Extend(c.Round, c.Prev, root); err != nil {
-		return err
-	}
-	a.history = append(a.history, RootRecord{Round: c.Round, Root: root})
-	return nil
-}
-
-// History returns the audited combiner-tier (round, root) records.
-func (a *CombineAuditor) History() []RootRecord {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]RootRecord(nil), a.history...)
+	return a.extend(c)
 }

@@ -37,6 +37,17 @@ func testDigests(roster []RosterEntry) []InputDigest {
 	return out
 }
 
+// buildCombine builds a combiner-tier transcript from any prev, as
+// Recorder.BuildCombineRound does from its chain tip.
+func buildCombine(t *testing.T, round uint64, prev [32]byte, shards []ShardRoot, signer *sig.Signer) *Transcript {
+	t.Helper()
+	ct, err := combineTier.build(round, prev, signer, combineSets(shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ct
+}
+
 func newTestSigner(t *testing.T) *sig.Signer {
 	t.Helper()
 	s, err := sig.NewSigner(rand.Reader)
@@ -134,8 +145,14 @@ func TestChainSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tip, ok := got.Tip(); !ok || tip != r2 || got.Round() != 2 {
-		t.Fatalf("unmarshalled chain tip=%x round=%d", tip, got.Round())
+	if tip, ok := got.Tip(); !ok || tip != r2 {
+		t.Fatalf("unmarshalled chain tip=%x", tip)
+	}
+	if err := got.Extend(2, r2, [32]byte{3}); !errors.Is(err, ErrChainNotNewer) {
+		t.Fatalf("unmarshalled chain forgot its round: got %v, want ErrChainNotNewer", err)
+	}
+	if err := got.Extend(3, r2, [32]byte{3}); err != nil {
+		t.Fatalf("unmarshalled chain does not extend: %v", err)
 	}
 }
 
@@ -233,21 +250,18 @@ func TestCombineTierRoundTrip(t *testing.T) {
 		{Shard: 1, Root: [32]byte{2}},
 		{Shard: 2, Root: [32]byte{3}},
 	}
-	ct, err := BuildCombine(7, [32]byte{}, shards, signer)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ct := buildCombine(t, 7, [32]byte{}, shards, signer)
 	for _, s := range shards {
 		pr, err := ct.ProofFor(s.Shard)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := VerifyCombineTier(&ct.Commitment, pr, s.Root, signer.Public()); err != nil {
+		if err := NewCombineAuditor(signer.Public()).VerifyTier(&ct.Commitment, pr, s.Root); err != nil {
 			t.Fatalf("shard %d: %v", s.Shard, err)
 		}
 		wrong := s.Root
 		wrong[0] ^= 1
-		if err := VerifyCombineTier(&ct.Commitment, pr, wrong, signer.Public()); err == nil {
+		if err := NewCombineAuditor(signer.Public()).VerifyTier(&ct.Commitment, pr, wrong); err == nil {
 			t.Fatalf("shard %d verified against a mutated root", s.Shard)
 		}
 	}
@@ -286,10 +300,7 @@ func TestCodecRoundTrips(t *testing.T) {
 	if !reflect.DeepEqual(gotP, pr) {
 		t.Fatalf("proof round trip: %+v != %+v", gotP, pr)
 	}
-	ct, err := BuildCombine(3, [32]byte{8}, []ShardRoot{{Shard: 1, Root: tr.Root()}}, signer)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ct := buildCombine(t, 3, [32]byte{8}, []ShardRoot{{Shard: 1, Root: tr.Root()}}, signer)
 	spr, _ := ct.ProofFor(1)
 	msg := &CombineTierMsg{Commitment: ct.Commitment, Proof: *spr}
 	mp, err := EncodeCombineTier(msg)
@@ -528,16 +539,13 @@ func TestTranscriptTamperMatrix(t *testing.T) {
 
 // TestCombineTamperMatrix applies the same byte matrix to the combiner
 // tier frame: every byte of the encoded CombineTierMsg must break either
-// decoding or VerifyCombineTier.
+// decoding or CombineAuditor.VerifyTier.
 func TestCombineTamperMatrix(t *testing.T) {
 	signer := newTestSigner(t)
 	shardRoot := [32]byte{0xAB, 1, 2, 3}
-	ct, err := BuildCombine(5, [32]byte{0x11}, []ShardRoot{
+	ct := buildCombine(t, 5, [32]byte{0x11}, []ShardRoot{
 		{Shard: 0, Root: shardRoot}, {Shard: 1, Root: [32]byte{0xCD}},
 	}, signer)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pr, err := ct.ProofFor(0)
 	if err != nil {
 		t.Fatal(err)
@@ -552,7 +560,7 @@ func TestCombineTamperMatrix(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		return VerifyCombineTier(&m.Commitment, &m.Proof, root, pub)
+		return NewCombineAuditor(pub).VerifyTier(&m.Commitment, &m.Proof, root)
 	}
 	if err := verify(frame, shardRoot); err != nil {
 		t.Fatalf("baseline: %v", err)
