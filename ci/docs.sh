@@ -9,7 +9,7 @@
 # CHANGES.md and ISSUE.md excepted, a history and a task statement that may
 # name what is gone. Nor may one cite a ROADMAP direction by its number:
 # a re-anchor renumbers them, so a citation names the direction instead
-# (ROADMAP.md itself, CHANGES.md, ISSUE.md and bench/ excepted — only a
+# (ROADMAP.md itself, CHANGES.md and bench/ excepted — only a
 # benchmark PR may edit bench/, and ROADMAP lists its drift). Fails naming
 # each missing package, pair, document or numbered citation; run from the
 # repository root.
@@ -37,7 +37,7 @@ while IFS=: read -r file name; do
 done < <(git grep -oE '(^|[^/A-Za-z0-9_.-])[A-Z][A-Z_]*\.md' -- '*.go' '*.md' ':!CHANGES.md' ':!ISSUE.md' |
   sed -E 's/:[^:A-Z]?([A-Z][A-Z_]*\.md)$/:\1/' | sort -u)
 if cites=$(git grep -nE '([Dd]irections?|ROADMAP(\.md)?) [0-9]' -- '*.go' '*.md' \
-  ':!ROADMAP.md' ':!CHANGES.md' ':!ISSUE.md' ':!bench/'); then
+  ':!ROADMAP.md' ':!CHANGES.md' ':!bench/'); then
   echo "cites a ROADMAP direction by number, not by name:"; echo "$cites"; fail=1
 fi
 [ "$fail" -eq 0 ] && echo "$list: every package is documented, every cross-link holds, every cited document exists and no direction is cited by number"
