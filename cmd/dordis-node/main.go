@@ -591,7 +591,7 @@ func describe(hs core.Handshake) string {
 func sessionDial(ctx context.Context, addr string, id uint64) (*transport.TCPClient, error) {
 	dctx, cancel := context.WithTimeout(ctx, time.Minute)
 	defer cancel()
-	return transport.DialRetry(dctx, addr, id, transport.RetryConfig{})
+	return transport.DialRetry(dctx, addr, id)
 }
 
 // join is the client loop — dial, then per round: run the re-key handshake

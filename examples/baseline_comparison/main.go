@@ -105,7 +105,8 @@ func main() {
 		}
 		inputs[id] = v
 	}
-	sum, err := lightsecagg.Run(lcfg, inputs, map[uint64]bool{2: true}, nil, rand.Reader)
+	sum, err := lightsecagg.RunWithSessions(lcfg, inputs,
+		lightsecagg.DropSchedule{2: lightsecagg.StageMaskedInput}, rand.Reader, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/prg"
 	"repro/internal/rng"
 	"repro/internal/secagg"
+	"repro/internal/secaggplus"
 	"repro/internal/skellam"
 	"repro/internal/xnoise"
 )
@@ -156,10 +157,15 @@ func TestRunRoundXNoiseVariance(t *testing.T) {
 	}
 }
 
+// TestRunRoundSecAggPlus: RunRound on the SecAgg+ substrate, at an n whose
+// recommended degree leaves the mask graph sparse.
 func TestRunRoundSecAggPlus(t *testing.T) {
-	const n, dim = 8, 40
+	const n, dim = 32, 40
+	if d := secaggplus.RecommendedDegree(n); d >= n-1 {
+		t.Fatalf("degree %d at n = %d is the complete graph", d, n)
+	}
 	cfg := RoundConfig{
-		Round: 4, Protocol: ProtocolSecAggPlus, Degree: 4,
+		Round: 4, Protocol: ProtocolSecAggPlus,
 		Codec: testCodec(dim, n), Threshold: 3, Chunks: 2,
 		Seed: prg.NewSeed([]byte("r4")),
 	}

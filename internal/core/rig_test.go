@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/combine"
 	"repro/internal/engine"
 	"repro/internal/ring"
 	"repro/internal/secagg"
@@ -25,8 +27,9 @@ import (
 // an engine (newServiceRig), a handshake-driven multi-round service —
 // one long-lived server engine shared by every handshake and round, as a
 // real deployment must. Everything a scenario varies — conn wrappers,
-// drop schedules, lenient recovery, sessions, transcripts, restarts — is a
-// field or a method here, so a scenario is its assertions.
+// drop schedules, lenient recovery, sessions, transcripts, restarts, the
+// shard role under a combiner (shardedRig) — is a field or a method here,
+// so a scenario is its assertions.
 type wireRig struct {
 	t   *testing.T
 	cfg secagg.Config // every round's configuration but Round and KeyRatchet
@@ -70,6 +73,17 @@ type wireRig struct {
 	clientSess map[uint64]*secagg.Session // nil: ephemeral keys
 	recorder   *transcript.Recorder       // nil: no transcripts
 	auditors   map[uint64]*transcript.Auditor
+	tiers      map[uint64]*transcript.CombineAuditor // nil: no combiner tier
+
+	// up makes the rig shard `shard` of a two-level round (newShardedRig):
+	// its server runs RunShardWire, whose partial goes up and whose wait
+	// for the combiner's report lasts reportDeadline. A scenario may wrap up.
+	up             transport.ClientConn
+	shard          uint64
+	reportDeadline time.Duration
+	// serverCtx, when set, also bounds the server's side of every round:
+	// cancelling it kills the server mid-round while its clients run on.
+	serverCtx context.Context
 
 	mu    sync.Mutex // guards conns: clients hang up and re-dial mid-round
 	conns map[uint64]transport.ClientConn
@@ -120,9 +134,15 @@ func newWireRig(t *testing.T, link string, cfg secagg.Config) *wireRig {
 func newServiceRig(t *testing.T, ids []uint64, threshold, dim int) *wireRig {
 	t.Helper()
 	r := newWireRig(t, "memory", secagg.Config{ClientIDs: ids, Threshold: threshold, Bits: 16, Dim: dim})
+	r.service()
+	return r
+}
+
+// service makes a memory rig a handshake-driven service with sessions on
+// both sides.
+func (r *wireRig) service() {
 	r.sessions()
 	r.eng = engine.New(engine.TransportSource(r.ctx, r.srv))
-	return r
 }
 
 // sessions gives the server and every client a session, so key agreement
@@ -322,9 +342,10 @@ func (r *wireRig) launch(client func(ctx context.Context, id uint64, conn transp
 	ctx, cancel := context.WithCancel(r.ctx)
 	defer cancel()
 	if r.eng == nil {
-		// One deadline bounds a one-shot round, server and clients alike.
+		// One deadline bounds a one-shot round, server and clients alike,
+		// and leaves room for the stages' own deadlines.
 		var stop context.CancelFunc
-		ctx, stop = context.WithTimeout(ctx, 30*time.Second)
+		ctx, stop = context.WithTimeout(ctx, max(30*time.Second, 8*r.stageDeadline))
 		defer stop()
 	}
 	var wg sync.WaitGroup
@@ -346,6 +367,12 @@ func (r *wireRig) launch(client func(ctx context.Context, id uint64, conn transp
 
 // serve runs the server's side of one round.
 func (r *wireRig) serve(ctx context.Context, round uint64) (Handshake, *secagg.Result, error) {
+	if r.serverCtx != nil {
+		var kill context.CancelFunc
+		ctx, kill = context.WithCancel(ctx)
+		defer kill()
+		defer context.AfterFunc(r.serverCtx, kill)()
+	}
 	hs := r.hs
 	if r.eng != nil {
 		var err error
@@ -356,11 +383,21 @@ func (r *wireRig) serve(ctx context.Context, round uint64) (Handshake, *secagg.R
 			return hs, nil, fmt.Errorf("server handshake %d: %w", round, err)
 		}
 	}
-	res, err := RunWireServer(ctx, WireServerConfig{
+	cfg := WireServerConfig{
 		SecAgg: r.config(round, hs.Ratchet), StageDeadline: r.stageDeadline,
 		Session: r.serverSess, Resume: hs.Resume, Divergent: hs.Divergent,
 		Engine: r.eng, Transcript: r.recorder,
-	}, r.srv)
+	}
+	var res *secagg.Result
+	var err error
+	if r.up == nil {
+		res, err = RunWireServer(ctx, cfg, r.srv)
+	} else {
+		_, res, err = RunShardWire(ctx, ShardWireConfig{
+			Shard: r.shard, Round: round, Server: cfg,
+			ReportDeadline: r.reportDeadline, RelayCombineTranscript: r.tiers != nil,
+		}, r.srv, r.up)
+	}
 	if err != nil {
 		return hs, nil, fmt.Errorf("server round %d: %w", round, err)
 	}
@@ -392,7 +429,8 @@ func (r *wireRig) client(ctx context.Context, round, id uint64, drop secagg.Stag
 	}
 	cfg := WireClientConfig{
 		SecAgg: r.config(round, hs.Ratchet), ID: id, Input: input, DropBefore: drop, Rand: rand.Reader,
-		Session: r.clientSess[id], Resume: hs.Resume, Divergent: hs.Divergent, Transcript: r.auditors[id],
+		Session: r.clientSess[id], Resume: hs.Resume, Divergent: hs.Divergent,
+		Transcript: r.auditors[id], CombineTranscript: r.tiers[id],
 	}
 	if r.configure != nil {
 		r.configure(&cfg)
@@ -467,4 +505,143 @@ func (r *wireRig) checkMean(res *secagg.Result, survivors []uint64) {
 	if math.Abs(mean) > 5 {
 		r.t.Errorf("aggregate mean offset %v (survivors %v)", mean, survivors)
 	}
+}
+
+// shardedRig is the two-level topology on the one rig: a memory-link
+// wireRig per ShardPlan sub-roster, each a shard whose uplink leads to one
+// combiner, whose engine spans the rig's rounds as the combiner role's
+// does. The combiner's quorum and deadline are fields here; anything per
+// shard — its config, server context, uplink wrapper, lenience, sessions —
+// is set on shards[s].
+type shardedRig struct {
+	t      *testing.T
+	plan   *ShardPlan
+	shards []*wireRig
+	srv    transport.ServerConn // the combiner's end of the uplinks
+	eng    *engine.Engine
+
+	// quorum is the combiner's (0: every shard); stageDeadline bounds its
+	// stages and each shard's wait for the report.
+	quorum        int
+	stageDeadline time.Duration
+	recorder      *transcript.Recorder // the combiner's transcripts; nil: none
+	// sealed is closed when the current round's RunCombiner returns.
+	sealed chan struct{}
+}
+
+// newShardedRig splits ids into shards sub-rosters and makes each a
+// one-shot memory rig of cfg over its sub-roster.
+func newShardedRig(t *testing.T, ids []uint64, shards int, cfg secagg.Config) *shardedRig {
+	t.Helper()
+	plan, err := NewShardPlan(ids, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	net := transport.NewMemoryNetwork(64)
+	r := &shardedRig{t: t, plan: plan, srv: net.Server(), stageDeadline: 10 * time.Second}
+	r.eng = engine.New(engine.TransportSource(ctx, r.srv))
+	t.Cleanup(func() {
+		cancel()
+		for _, sh := range r.shards {
+			sh.up.Close()
+		}
+		r.srv.Close()
+	})
+	for s, sub := range plan.Rosters {
+		cfg.ClientIDs = sub
+		sh := newWireRig(t, "memory", cfg)
+		if sh.up, err = net.Connect(uint64(s)); err != nil {
+			t.Fatal(err)
+		}
+		sh.shard = uint64(s)
+		r.shards = append(r.shards, sh)
+	}
+	return r
+}
+
+// transcripts turns on both tiers: every shard chains its rounds, which its
+// clients audit, and the combiner chains its own, which every client
+// audits too, relayed by its shard.
+func (r *shardedRig) transcripts() {
+	signer, err := sig.NewSigner(rand.Reader)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	r.recorder = transcript.NewRecorder(signer)
+	for _, sh := range r.shards {
+		sh.transcripts()
+		sh.tiers = make(map[uint64]*transcript.CombineAuditor)
+		for _, id := range sh.cfg.ClientIDs {
+			sh.tiers[id] = transcript.NewCombineAuditor(signer.Public())
+		}
+	}
+}
+
+// shardOutcome is one shard's side of a two-level round.
+type shardOutcome struct {
+	hs  Handshake
+	err error
+}
+
+// round runs one two-level round: every shard's round concurrently, in
+// which the clients of drops vanish before the given stage, and the
+// combiner on the caller's goroutine. It returns the combiner's report and
+// error and each shard's outcome.
+func (r *shardedRig) round(round uint64, drops secagg.DropSchedule) (*combine.RoundReport, []shardOutcome, error) {
+	r.t.Helper()
+	r.sealed = make(chan struct{})
+	out := make([]shardOutcome, len(r.shards))
+	var wg sync.WaitGroup
+	for s, sh := range r.shards {
+		own := make(secagg.DropSchedule)
+		for id, st := range drops {
+			if r.plan.ShardOf(id) == s {
+				own[id] = st
+			}
+		}
+		sh.reportDeadline = r.stageDeadline
+		sh.dial() // here, so a failed dial fails the test on its own goroutine
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[s].hs, _, out[s].err = sh.try(round, own)
+		}()
+	}
+	report, err := RunCombiner(context.Background(), CombinerConfig{
+		Round: round, ShardIDs: r.plan.ShardIDs(), Quorum: r.quorum, StageDeadline: r.stageDeadline,
+		AwaitHellos: true, Engine: r.eng, Transcript: r.recorder,
+	}, r.srv)
+	close(r.sealed)
+	wg.Wait()
+	return report, out, err
+}
+
+// clean runs a round that must complete whole: the combiner folds every
+// shard and every shard's server succeeds.
+func (r *shardedRig) clean(round uint64, drops secagg.DropSchedule) (*combine.RoundReport, []shardOutcome) {
+	r.t.Helper()
+	report, out, err := r.round(round, drops)
+	if err != nil {
+		r.t.Fatalf("combiner round %d: %v", round, err)
+	}
+	for s, o := range out {
+		if o.err != nil {
+			r.t.Fatalf("shard %d round %d: %v", s, round, o.err)
+		}
+	}
+	if report.Degraded {
+		r.t.Fatalf("round %d degraded: missing shards %v", round, report.Missing)
+	}
+	return report, out
+}
+
+// checkSum asserts a fold's accounting and an exact aggregate: the
+// report's survivors are survivors, and every coordinate is their ids' sum.
+func (r *shardedRig) checkSum(report *combine.RoundReport, survivors []uint64) {
+	r.t.Helper()
+	if !slices.Equal(report.Survivors, survivors) {
+		r.t.Fatalf("survivors = %v, want %v", report.Survivors, survivors)
+	}
+	r.shards[0].checkSum(&secagg.Result{Sum: report.Sum.Data}, survivors)
 }

@@ -86,7 +86,6 @@ func (p Protocol) String() string {
 type RoundConfig struct {
 	Round     uint64
 	Protocol  Protocol
-	Degree    int // SecAgg+ neighborhood degree; 0 = recommended
 	Codec     skellam.Params
 	Threshold int
 	// Chunks is the pipeline chunk count m (1 = plain execution, at most
@@ -197,11 +196,6 @@ type RoundResult struct {
 // updates maps sampled client ids to raw model updates (model units,
 // length Codec.Dim). drops lists clients that vanish before uploading
 // (they still complete ShareKeys, matching the §6.1 dropout model).
-//
-// RunRound is the single-aggregator special case of the sharded topology:
-// it runs runRoundRing over the whole roster and decodes. RunShardedRound
-// runs the same ring-level round once per shard and folds the partials
-// with combine.Combiner before the one decode.
 func RunRound(cfg RoundConfig, updates map[uint64][]float64, drops []uint64, rand io.Reader) (*RoundResult, error) {
 	p, err := runRoundRing(cfg, updates, drops, rand)
 	if err != nil {
@@ -215,25 +209,17 @@ func RunRound(cfg RoundConfig, updates map[uint64][]float64, drops []uint64, ran
 		LateDropped: p.LateDropped, Chunks: p.Chunks, Protocol: p.Protocol}, nil
 }
 
-// roundPartial is the ring-level outcome of one engine-backed round: the
+// roundPartial is the ring-level outcome of one in-process round: the
 // aggregate *before* Skellam decoding — masks cancelled, dropouts
-// adjusted, excess XNoise components removed — plus the accounting a root
-// combiner folds into a combine.Partial. Keeping the partial in the ring
-// is what makes cross-shard folding exact: modular vector addition
-// commutes with the central decode, while decoded float sums would not.
+// adjusted, excess XNoise components removed — plus its accounting.
 type roundPartial struct {
 	Sum                             ring.Vector
 	Survivors, Dropped, LateDropped []uint64
-	// RemovedComponents lists the XNoise component indices removed for
-	// this cohort's dropout count (nil without XNoise).
-	RemovedComponents []int
-	Chunks            int
-	Protocol          Protocol
+	Chunks                          int
+	Protocol                        Protocol
 }
 
-// runRoundRing is the shared round body: every aggregator — the classic
-// single server and each shard of the two-level topology — is an instance
-// of this, parameterized only by its (sub-)roster and config.
+// runRoundRing is RunRound's body up to the decode.
 func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64, rand io.Reader) (*roundPartial, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -317,10 +303,9 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 	// time in ascending order, so both sides read identical windows.
 	sampler := cfg.sampler()
 	var noise []*xnoise.ClientNoise
-	var removed []int
 	var removal *xnoise.NoiseReader
 	if plan != nil {
-		removed = plan.RemovalComponents(numDropped)
+		removed := plan.RemovalComponents(numDropped)
 		seedStream := prg.NewStream(prg.NewSeed(cfg.Seed[:], []byte("noise-seeds")))
 		noise = make([]*xnoise.ClientNoise, len(ids))
 		seeds := make(map[uint64]map[int]field.Element, len(ids)-numDropped)
@@ -356,7 +341,7 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 	switch proto {
 	case ProtocolSecAggPlus:
 		var err error
-		baseCfg, err = secaggplus.NewConfig(baseCfg, cfg.Degree)
+		baseCfg, err = secaggplus.NewConfig(baseCfg, secaggplus.RecommendedDegree(len(ids)))
 		if err != nil {
 			return nil, err
 		}
@@ -503,7 +488,6 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 		return nil, err
 	}
 	res := &roundPartial{Sum: agg, Chunks: m, Protocol: proto}
-	res.RemovedComponents = removed
 	for _, id := range ids {
 		if !aggregated(id) {
 			res.Dropped = append(res.Dropped, id)

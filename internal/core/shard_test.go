@@ -1,11 +1,15 @@
 package core
 
 import (
-	"crypto/rand"
+	"math"
+	"slices"
 	"testing"
+	"time"
 
-	"repro/internal/prg"
+	"repro/internal/dh"
+	"repro/internal/ring"
 	"repro/internal/secagg"
+	"repro/internal/xnoise"
 )
 
 func TestShardPlanPartition(t *testing.T) {
@@ -50,230 +54,150 @@ func TestShardPlanPartition(t *testing.T) {
 	}
 }
 
+// The TestShardedRound* scenarios run the deployed two-level path on the
+// sharded rig: RunShardWire per shard, RunCombiner at the root.
+
+// TestShardedRoundMatchesPlainSum: without noise, the fold is the plain
+// sum — each shard's partial is an exact ring sum and the combiner adds.
 func TestShardedRoundMatchesPlainSum(t *testing.T) {
-	// Without noise, the two-level fold must reproduce the plain sum: the
-	// shard partials are exact ring sums and modular addition commutes
-	// with the central decode.
-	const n, dim, shards = 12, 32, 3
-	cfg := ShardedRoundConfig{
-		RoundConfig: RoundConfig{
-			Round: 4, Protocol: ProtocolSecAgg, Codec: testCodec(dim, n),
-			Threshold: 3, Chunks: 2, Seed: prg.NewSeed([]byte("shard-r4")),
-		},
-		Shards: shards,
-	}
-	updates := randomUpdates(n, dim, 0.8)
-	res, err := RunShardedRound(cfg, updates, nil, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Report.Degraded || len(res.Report.Missing) != 0 || len(res.ShardErrs) != 0 {
-		t.Fatalf("clean round degraded: %+v errs=%v", res.Report, res.ShardErrs)
-	}
-	if len(res.Report.Contributing) != shards || len(res.Report.Survivors) != n {
-		t.Fatalf("accounting: contributing=%v survivors=%v", res.Report.Contributing, res.Report.Survivors)
-	}
-	want := sumUpdates(updates, nil, dim)
-	diff := make([]float64, dim)
-	for i := range diff {
-		diff[i] = res.Sum[i] - want[i]
-	}
-	if l2(diff) > 0.1 {
-		t.Fatalf("sharded decode error %v", l2(diff))
-	}
+	ids := seqIDs(12)
+	rig := newShardedRig(t, ids, 3, secagg.Config{Threshold: 3, Bits: 16, Dim: 32})
+	report, _ := rig.clean(4, nil)
+	rig.checkSum(report, ids)
 }
 
+// TestShardedRoundDegradedShard: every client of shard 1 drops before its
+// masked upload, so that shard's round falls below threshold. With quorum
+// S−1 the fold completes degraded: shard 1 is named missing, its clients
+// are in no accounting set, and the sum covers shards 0 and 2. With two
+// shards dead the fold falls below quorum and the combiner fails.
 func TestShardedRoundDegradedShard(t *testing.T) {
-	// Kill one shard (all of its clients drop, so its sub-round falls
-	// below threshold and aborts). With quorum S−1 the round must
-	// complete degraded: the missing shard is named, its clients are in
-	// no accounting set, and the sum covers the surviving shards.
-	const n, dim, shards = 12, 16, 3
-	cfg := ShardedRoundConfig{
-		RoundConfig: RoundConfig{
-			Round: 5, Protocol: ProtocolSecAgg, Codec: testCodec(dim, n),
-			Threshold: 3, Chunks: 1, Seed: prg.NewSeed([]byte("shard-r5")),
-		},
-		Shards: shards, ShardQuorum: shards - 1,
+	rig := newShardedRig(t, seqIDs(12), 3, secagg.Config{Threshold: 3, Bits: 16, Dim: 16})
+	rig.quorum = 2
+	for _, sh := range rig.shards {
+		sh.stageDeadline = 500 * time.Millisecond
 	}
-	updates := randomUpdates(n, dim, 0.8)
-	plan, err := NewShardPlan(sortedMapKeys(updates), shards)
+	rosters := rig.plan.Rosters
+	report, shards, err := rig.round(5, dropAll(rosters[1]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dead := plan.Rosters[1]
-	res, err := RunShardedRound(cfg, updates, dead, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
+	if shards[1].err == nil {
+		t.Fatal("the dead shard's round succeeded")
 	}
-	if !res.Report.Degraded {
-		t.Fatal("dead shard did not degrade the round")
+	if !report.Degraded || !slices.Equal(report.Missing, []uint64{1}) || len(report.Dropped) != 0 {
+		t.Fatalf("missing = %v, dropped = %v, want shard 1 missing and no client dropped", report.Missing, report.Dropped)
 	}
-	if len(res.Report.Missing) != 1 || res.Report.Missing[0] != 1 {
-		t.Fatalf("missing = %v, want [1]", res.Report.Missing)
-	}
-	if res.ShardErrs[1] == nil {
-		t.Fatal("dead shard's error not recorded")
-	}
-	skip := make(map[uint64]bool, len(dead))
-	for _, id := range dead {
-		skip[id] = true
-	}
-	for _, id := range res.Report.Survivors {
-		if skip[id] {
-			t.Fatalf("dead shard's client %d reported as survivor", id)
-		}
-	}
-	want := sumUpdates(updates, skip, dim)
-	diff := make([]float64, dim)
-	for i := range diff {
-		diff[i] = res.Sum[i] - want[i]
-	}
-	if l2(diff) > 0.1 {
-		t.Fatalf("degraded decode error %v", l2(diff))
-	}
-	// Below quorum the round aborts: kill two shards with quorum 2.
-	cfg.ShardQuorum = 2
-	if _, err := RunShardedRound(cfg, updates,
-		append(append([]uint64(nil), plan.Rosters[0]...), plan.Rosters[1]...), rand.Reader); err == nil {
-		t.Fatal("round sealed below shard quorum")
+	rig.checkSum(report, slices.Concat(rosters[0], rosters[2]))
+
+	rig.stageDeadline = time.Second // the fold cannot reach quorum: wait no longer
+	if _, _, err := rig.round(6, dropAll(slices.Concat(rosters[0], rosters[1]))); err == nil {
+		t.Fatal("combiner sealed below quorum")
 	}
 }
 
+// dropAll has every client of ids vanish before its masked upload.
+func dropAll(ids []uint64) secagg.DropSchedule {
+	drops := make(secagg.DropSchedule, len(ids))
+	for _, id := range ids {
+		drops[id] = secagg.StageMaskedInput
+	}
+	return drops
+}
+
+// TestShardedRoundXNoiseAccounting: with in-protocol XNoise at μ/S per
+// shard, an in-shard dropout stays shard-local — the round is not
+// degraded and the dropper's shard removes fewer components — and the
+// folded noise is the central μ: S independent Skellam draws at μ/S
+// compose additively (the XNoise decomposition; package combine).
 func TestShardedRoundXNoiseAccounting(t *testing.T) {
-	// With XNoise on, each shard enforces μ/S and removes its own excess
-	// components; the report's removal map must carry every contributing
-	// shard's accounting. One in-shard dropout (not a whole-shard kill)
-	// must stay shard-local: the round is *not* degraded.
-	const n, dim, shards = 12, 16, 2
-	cfg := ShardedRoundConfig{
-		RoundConfig: RoundConfig{
-			Round: 6, Protocol: ProtocolSecAgg, Codec: testCodec(dim, n),
-			Threshold: 3, Chunks: 1, Tolerance: 2, TargetMu: 4.0,
-			Seed: prg.NewSeed([]byte("shard-r6")),
-		},
-		Shards: shards,
+	const shards, dim, mu = 2, 512, 60.0
+	ids := seqIDs(12)
+	plan := func(sub []uint64, target float64) *xnoise.Plan {
+		return &xnoise.Plan{NumClients: len(sub), DropoutTolerance: 2, Threshold: 3, TargetVariance: target}
 	}
-	updates := randomUpdates(n, dim, 0.5)
-	plan, err := NewShardPlan(sortedMapKeys(updates), shards)
-	if err != nil {
-		t.Fatal(err)
+	rig := newShardedRig(t, ids, shards, secagg.Config{Threshold: 3, Bits: 20, Dim: dim})
+	for _, sh := range rig.shards {
+		sh.cfg.XNoise = plan(sh.cfg.ClientIDs, mu/shards)
 	}
-	drop := plan.Rosters[0][0]
-	res, err := RunShardedRound(cfg, updates, []uint64{drop}, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
+	drop := rig.plan.Rosters[0][0]
+	report, _ := rig.clean(6, secagg.DropSchedule{drop: secagg.StageMaskedInput})
+	if !slices.Equal(report.Dropped, []uint64{drop}) {
+		t.Fatalf("dropped = %v, want [%d]", report.Dropped, drop)
 	}
-	if res.Report.Degraded {
-		t.Fatal("an in-shard dropout must not degrade the round")
+	// |D| = 1 in shard 0 removes fewer components than |D| = 0 in shard 1.
+	if removed := report.RemovedComponents; len(removed[0]) == 0 || len(removed[0]) >= len(removed[1]) {
+		t.Fatalf("removal accounting ignores per-shard dropout: %v", removed)
 	}
-	if len(res.Report.Dropped) != 1 || res.Report.Dropped[0] != drop {
-		t.Fatalf("dropped = %v, want [%d]", res.Report.Dropped, drop)
-	}
-	for s := uint64(0); s < shards; s++ {
-		if len(res.Report.RemovedComponents[s]) == 0 {
-			t.Fatalf("shard %d removal accounting missing: %v", s, res.Report.RemovedComponents)
+
+	// The band is what the composition promises — each shard's plan at
+	// μ/S, summed over shards — stated here rather than read back from the
+	// shards' configs, so a shard planned at μ fails it.
+	var want float64
+	for s, sub := range rig.plan.Rosters {
+		dropped := 0
+		if s == 0 {
+			dropped = 1
 		}
+		want += plan(sub, mu/shards).AchievedVariance(dropped)
 	}
-	// Shard 0 dropped one of six, shard 1 none: their removal sets differ
-	// (|D|=1 removes fewer components than |D|=0).
-	if len(res.Report.RemovedComponents[0]) >= len(res.Report.RemovedComponents[1]) {
-		t.Fatalf("removal accounting ignores per-shard dropout: %v", res.Report.RemovedComponents)
+	var idSum uint64
+	for _, id := range report.Survivors {
+		idSum += id
 	}
-	want := sumUpdates(updates, map[uint64]bool{drop: true}, dim)
-	diff := make([]float64, dim)
-	for i := range diff {
-		diff[i] = res.Sum[i] - want[i]
+	var sum, sumSq float64
+	for _, v := range (ring.Vector{Bits: 20, Data: report.Sum.Data}).Centered() {
+		g := float64(v) - float64(idSum)
+		sum += g
+		sumSq += g * g
 	}
-	// Noise at central μ=4 over 16 coordinates: generous bound, just
-	// catching gross mask-cancellation failures.
-	if l2(diff) > 50 {
-		t.Fatalf("noised sharded decode error %v", l2(diff))
+	mean := sum / dim
+	variance := sumSq/dim - mean*mean
+	// Five standard errors: √(σ²/d) for the mean and σ²·√(2/d) for the
+	// sample variance of d near-Gaussian draws.
+	if lim := 5 * math.Sqrt(want/dim); math.Abs(mean) > lim {
+		t.Errorf("residual mean %.3f outside ±%.3f", mean, lim)
+	}
+	if lim := 5 * want * math.Sqrt(2.0/dim); math.Abs(variance-want) > lim {
+		t.Errorf("residual variance %.2f, want %.2f ± %.2f", variance, want, lim)
 	}
 }
 
+// TestShardedRoundPerShardSessions: sessions and handshakes are per
+// shard, as mask graphs are. The second round resumes in both shards and
+// generates and agrees no key at all.
 func TestShardedRoundPerShardSessions(t *testing.T) {
-	// Session pools are per shard: two consecutive sharded rounds on the
-	// same pools must reuse each shard's ratcheted secrets (no re-agree).
-	const n, dim, shards = 8, 8, 2
-	pools := make([]*SessionPool, shards)
-	for i := range pools {
-		pools[i] = NewSessionPool(8)
+	ids := seqIDs(8)
+	rig := newShardedRig(t, ids, 2, secagg.Config{Threshold: 3, Bits: 16, Dim: 8})
+	for _, sh := range rig.shards {
+		sh.service()
 	}
-	updates := randomUpdates(n, dim, 0.5)
-	for round := uint64(1); round <= 2; round++ {
-		cfg := ShardedRoundConfig{
-			RoundConfig: RoundConfig{
-				Round: round, Protocol: ProtocolSecAgg, Codec: testCodec(dim, n),
-				Threshold: 3, Chunks: 1, Seed: prg.NewSeed([]byte("shard-sess")),
-			},
-			Shards: shards, ShardSessions: pools,
-		}
-		res, err := RunShardedRound(cfg, updates, nil, rand.Reader)
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		if res.Report.Degraded {
-			t.Fatalf("round %d degraded", round)
+	report, _ := rig.clean(1, nil)
+	rig.checkSum(report, ids)
+
+	g0, a0 := dh.GenerateCount(), dh.AgreeCount()
+	report, shards := rig.clean(2, nil)
+	if g, a := dh.GenerateCount()-g0, dh.AgreeCount()-a0; g != 0 || a != 0 {
+		t.Fatalf("resumed round generated %d key pairs and agreed %d keys, want 0 and 0", g, a)
+	}
+	for s, o := range shards {
+		if !o.hs.Resume || o.hs.Partial() {
+			t.Fatalf("shard %d round 2 = resume %v divergent %v, want a full resume", s, o.hs.Resume, o.hs.Divergent)
 		}
 	}
-	// Misconfigurations fail fast.
-	bad := ShardedRoundConfig{
-		RoundConfig: RoundConfig{
-			Round: 3, Protocol: ProtocolSecAgg, Codec: testCodec(dim, n),
-			Threshold: 3, Chunks: 1, Seed: prg.NewSeed([]byte("shard-sess")),
-		},
-		Shards: shards, ShardSessions: pools[:1],
-	}
-	if _, err := RunShardedRound(bad, updates, nil, rand.Reader); err == nil {
-		t.Fatal("pool/shard count mismatch accepted")
-	}
-	bad.ShardSessions = pools
-	bad.Sessions = pools[0]
-	if _, err := RunShardedRound(bad, updates, nil, rand.Reader); err == nil {
-		t.Fatal("global session pool alongside shard pools accepted")
-	}
+	rig.checkSum(report, ids)
 }
 
+// TestShardedRoundLateDropSchedule: a client that vanishes before
+// unmasking has uploaded, so its shard aggregates it — a survivor, not a
+// dropout, its input in the sum.
 func TestShardedRoundLateDropSchedule(t *testing.T) {
-	// A per-stage schedule routes to the owning shard: a client dropping
-	// at unmasking is still aggregated by its shard (late drop), and the
-	// other shard never sees the schedule entry.
-	const n, dim, shards = 8, 8, 2
-	updates := randomUpdates(n, dim, 0.5)
-	plan, err := NewShardPlan(sortedMapKeys(updates), shards)
-	if err != nil {
-		t.Fatal(err)
+	ids := seqIDs(8)
+	rig := newShardedRig(t, ids, 2, secagg.Config{Threshold: 3, Bits: 16, Dim: 8})
+	late := rig.plan.Rosters[1][0]
+	report, _ := rig.clean(7, secagg.DropSchedule{late: secagg.StageUnmasking})
+	if len(report.Dropped) != 0 {
+		t.Fatalf("dropped = %v, want none", report.Dropped)
 	}
-	late := plan.Rosters[1][0]
-	cfg := ShardedRoundConfig{
-		RoundConfig: RoundConfig{
-			Round: 7, Protocol: ProtocolSecAgg, Codec: testCodec(dim, n),
-			Threshold: 3, Chunks: 1, Seed: prg.NewSeed([]byte("shard-r7")),
-			DropSchedule: secagg.DropSchedule{late: secagg.StageUnmasking},
-		},
-		Shards: shards,
-	}
-	res, err := RunShardedRound(cfg, updates, nil, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Report.Degraded || len(res.Report.Dropped) != 0 {
-		t.Fatalf("late dropper mishandled: %+v", res.Report)
-	}
-	found := false
-	for _, id := range res.Report.Survivors {
-		found = found || id == late
-	}
-	if !found {
-		t.Fatal("late dropper's update missing from the aggregate accounting")
-	}
-	want := sumUpdates(updates, nil, dim)
-	diff := make([]float64, dim)
-	for i := range diff {
-		diff[i] = res.Sum[i] - want[i]
-	}
-	if l2(diff) > 0.1 {
-		t.Fatalf("late-drop decode error %v", l2(diff))
-	}
+	rig.checkSum(report, ids)
 }

@@ -23,8 +23,9 @@ type CombinerConfig struct {
 	Round uint64
 	// ShardIDs lists the shard aggregators expected to contribute.
 	ShardIDs []uint64
-	// Quorum is the minimum number of partials Seal accepts (0 = all);
-	// missing shards above it degrade the report.
+	// Quorum is the number of partials the fold seals at (0 = all): the
+	// partial stage ends at the Quorum-th, and every shard whose partial
+	// has not arrived by then is missing from a degraded report.
 	Quorum int
 	// StageDeadline bounds each collection stage (hello, partial);
 	// 0 defaults to 2s per stage, mirroring RunWireServer.
@@ -53,11 +54,12 @@ type CombinerConfig struct {
 // here), folds them with quorum semantics, broadcasts the sealed
 // RoundReport to the shard aggregators, and returns it.
 //
-// Degradation over abort: a shard that crashed mid-round, or whose
-// partial arrives late (after a stale frame from it was admitted first),
-// contributes nothing — once Quorum partials arrived and the stage
-// deadline has passed, Seal folds what is there and names the missing
-// shards. An abort happens only below quorum.
+// Degradation over abort: the fold seals as soon as Quorum partials are
+// in, without waiting out the stage deadline. A shard that crashed
+// mid-round, whose stale frame took its slot, or whose healthy partial
+// simply lands after the Quorum-th contributes nothing: Seal folds what is
+// there and names the missing shards. An abort happens only when fewer
+// than Quorum partials arrive before the deadline.
 func RunCombiner(ctx context.Context, cfg CombinerConfig, conn transport.ServerConn) (*combine.RoundReport, error) {
 	if cfg.StageDeadline <= 0 {
 		cfg.StageDeadline = 2 * time.Second

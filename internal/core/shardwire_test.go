@@ -2,8 +2,7 @@ package core
 
 import (
 	"context"
-	"crypto/rand"
-	"sync"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,161 +14,69 @@ import (
 	"repro/internal/transport"
 )
 
-// runWireShard spins up one shard of the wire topology on its own memory
-// network: the shard aggregator (RunShardWire) plus one goroutine per
-// sub-roster client, with constant per-coordinate inputs of value `val`.
-// The returned wait group covers the clients; the report channel gets the
-// aggregator's outcome.
-func runWireShard(t *testing.T, ctx context.Context, shard uint64, round uint64,
-	saCfg secagg.Config, up transport.ClientConn, val uint64,
-	deadline time.Duration) (*sync.WaitGroup, chan *combine.RoundReport, chan error) {
-
-	t.Helper()
-	net := transport.NewMemoryNetwork(256)
-	var wg sync.WaitGroup
-	for _, id := range saCfg.ClientIDs {
-		conn, err := net.Connect(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		id := id
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v := ring.NewVector(saCfg.Bits, saCfg.Dim)
-			for j := range v.Data {
-				v.Data[j] = val
-			}
-			// Client errors are expected on killed shards; surviving
-			// shards assert via the aggregate instead.
-			_, _ = RunWireClient(ctx, WireClientConfig{
-				SecAgg: saCfg, ID: id, Input: v, DropBefore: NoDrop, Rand: rand.Reader,
-			}, conn)
-		}()
-	}
-	reports := make(chan *combine.RoundReport, 1)
-	errs := make(chan error, 1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		report, _, err := RunShardWire(ctx, ShardWireConfig{
-			Shard: shard, Round: round,
-			Server:         WireServerConfig{SecAgg: saCfg, StageDeadline: deadline},
-			ReportDeadline: 10 * time.Second,
-		}, net.Server(), up)
-		reports <- report
-		errs <- err
-	}()
-	return &wg, reports, errs
-}
-
-func shardRoster(shard, size int) []uint64 {
-	ids := make([]uint64, size)
-	for i := range ids {
-		ids[i] = uint64(shard*size + i + 1)
-	}
-	return ids
-}
-
 // TestShardWireCleanRound: two shard aggregators, each running a full
 // engine-backed round over four clients, fold through the root combiner
 // over real (memory) transports. The report must be clean and the sum
 // exact.
 func TestShardWireCleanRound(t *testing.T) {
-	const shards, perShard, dim = 2, 4, 8
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	combNet := transport.NewMemoryNetwork(64)
-	var wgs []*sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		up, err := combNet.Connect(uint64(s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		saCfg := secagg.Config{
-			Round: 77000, ClientIDs: shardRoster(s, perShard), Threshold: 3, Bits: 16, Dim: dim,
-		}
-		saCfg.Round += uint64(s) // shard-local round spacing
-		wg, _, _ := runWireShard(t, ctx, uint64(s), 77, saCfg, up, 1, 2*time.Second)
-		wgs = append(wgs, wg)
-	}
-	report, err := RunCombiner(ctx, CombinerConfig{
-		Round: 77, ShardIDs: []uint64{0, 1}, AwaitHellos: true, StageDeadline: 10 * time.Second,
-	}, combNet.Server())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Degraded || len(report.Missing) != 0 {
-		t.Fatalf("clean round degraded: %+v", report)
-	}
-	if len(report.Survivors) != shards*perShard {
-		t.Fatalf("survivors = %v", report.Survivors)
-	}
-	for i, v := range report.Sum.Data {
-		if v != shards*perShard {
-			t.Fatalf("sum[%d] = %d, want %d", i, v, shards*perShard)
-		}
-	}
-	cancel()
-	for _, wg := range wgs {
-		wg.Wait()
-	}
+	ids := seqIDs(8)
+	rig := newShardedRig(t, ids, 2, secagg.Config{Threshold: 3, Bits: 16, Dim: 8})
+	report, _ := rig.clean(77, nil)
+	rig.checkSum(report, ids)
 }
 
-// TestShardWireShardCrash: three shards, quorum two; one shard's context
-// is cancelled before its round can finish, so its partial never arrives.
-// The combiner must degrade — fold the two live partials, name the dead
-// shard — not abort.
+// TestShardWireShardCrash: three shards, quorum two; one shard's server is
+// dead before its round can start, so its partial never arrives. The
+// combiner must degrade — fold the two live partials, name the dead shard
+// — not abort.
 func TestShardWireShardCrash(t *testing.T) {
-	const shards, perShard, dim = 3, 4, 4
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	deadCtx, killShard := context.WithCancel(ctx)
-	killShard() // dead on arrival: hello goes out, the round cannot
-
-	combNet := transport.NewMemoryNetwork(64)
-	var wgs []*sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		up, err := combNet.Connect(uint64(s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		saCfg := secagg.Config{
-			Round: 88000 + uint64(s)*1000, ClientIDs: shardRoster(s, perShard),
-			Threshold: 3, Bits: 16, Dim: dim,
-		}
-		sctx := ctx
-		if s == 2 {
-			sctx = deadCtx
-		}
-		wg, _, errsC := runWireShard(t, sctx, uint64(s), 88, saCfg, up, 1, time.Second)
-		wgs = append(wgs, wg)
-		if s == 2 {
-			go func() { <-errsC }() // drain the dead shard's error
-		}
-	}
-	report, err := RunCombiner(ctx, CombinerConfig{
-		Round: 88, ShardIDs: []uint64{0, 1, 2}, Quorum: 2, StageDeadline: 8 * time.Second,
-	}, combNet.Server())
+	rig := newShardedRig(t, seqIDs(12), 3, secagg.Config{Threshold: 3, Bits: 16, Dim: 4})
+	rig.quorum = 2
+	dead, kill := context.WithCancel(context.Background())
+	kill() // dead on arrival: the hello goes out, the round cannot
+	rig.shards[2].serverCtx, rig.shards[2].lenient = dead, true
+	report, shards, err := rig.round(88, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !report.Degraded || len(report.Missing) != 1 || report.Missing[0] != 2 {
-		t.Fatalf("crash not degraded as missing=[2]: %+v", report)
+	if shards[2].err == nil || !report.Degraded || !slices.Equal(report.Missing, []uint64{2}) {
+		t.Fatalf("crash not degraded as missing=[2] (shard error %v): %+v", shards[2].err, report)
 	}
-	if len(report.Survivors) != 2*perShard {
-		t.Fatalf("survivors = %v", report.Survivors)
+	rig.checkSum(report, slices.Concat(rig.plan.Rosters[0], rig.plan.Rosters[1]))
+}
+
+// TestCombinerSealsAtQuorum pins what the quorum does: the combiner seals
+// at the Quorum-th partial, so a healthy shard whose partial lands later
+// is reported missing and its clients are in no accounting set.
+func TestCombinerSealsAtQuorum(t *testing.T) {
+	rig := newShardedRig(t, seqIDs(8), 2, secagg.Config{Threshold: 3, Bits: 16, Dim: 8})
+	rig.quorum = 1
+	rig.shards[1].up = heldPartial{rig.shards[1].up, rig}
+	report, shards, err := rig.round(9, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, v := range report.Sum.Data {
-		if v != 2*perShard {
-			t.Fatalf("sum[%d] = %d, want %d", i, v, 2*perShard)
-		}
+	if shards[1].err != nil {
+		t.Fatalf("the late shard's round failed: %v", shards[1].err)
 	}
-	cancel()
-	for _, wg := range wgs {
-		wg.Wait()
+	if !report.Degraded || !slices.Equal(report.Missing, []uint64{1}) {
+		t.Fatalf("missing = %v, want [1]", report.Missing)
 	}
+	rig.checkSum(report, rig.plan.Rosters[0])
+}
+
+// heldPartial holds its shard's partial on the uplink until the round's
+// RunCombiner has returned.
+type heldPartial struct {
+	transport.ClientConn
+	rig *shardedRig
+}
+
+func (h heldPartial) Send(f transport.Frame) error {
+	if f.Stage == engine.TagShardPartial {
+		<-h.rig.sealed
+	}
+	return h.ClientConn.Send(f)
 }
 
 // TestCombinerStaleAndDuplicateFrames drives the combiner with hostile
@@ -344,63 +251,32 @@ func TestShardWire1kKillOneShard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1k-client wire round: skipped in -short")
 	}
-	const shards, perShard, dim = 4, 250, 4
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	deadCtx, killShard := context.WithCancel(ctx)
-
-	combNet := transport.NewMemoryNetwork(64)
-	var wgs []*sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		up, err := combNet.Connect(uint64(s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		base := secagg.Config{
-			Round: 300000 + uint64(s)*1000, ClientIDs: shardRoster(s, perShard),
-			Threshold: 100, Bits: 16, Dim: dim,
-		}
+	const shards, perShard = 4, 250
+	ids := seqIDs(shards * perShard)
+	rig := newShardedRig(t, ids, shards, secagg.Config{Threshold: 100, Bits: 16, Dim: 4})
+	rig.quorum, rig.stageDeadline = 3, 90*time.Second
+	for _, sh := range rig.shards {
 		// SecAgg+ at a pinned low degree: 1k complete-graph agreements
 		// would dominate the test for no topological insight.
-		saCfg, err := secaggplus.NewConfig(base, 8)
-		if err != nil {
+		var err error
+		if sh.cfg, err = secaggplus.NewConfig(sh.cfg, 8); err != nil {
 			t.Fatal(err)
 		}
-		sctx := ctx
-		if s == 3 {
-			sctx = deadCtx
-		}
-		wg, _, errsC := runWireShard(t, sctx, uint64(s), 300, saCfg, up, 1, 15*time.Second)
-		wgs = append(wgs, wg)
-		if s == 3 {
-			go func() { <-errsC }()
-		}
+		sh.stageDeadline = 15 * time.Second
 	}
 	// Kill shard 3 while its round is in flight (a 250-client round takes
 	// well over 50ms on this transport).
-	time.AfterFunc(50*time.Millisecond, killShard)
+	dead, kill := context.WithCancel(context.Background())
+	rig.shards[3].serverCtx, rig.shards[3].lenient = dead, true
+	time.AfterFunc(50*time.Millisecond, kill)
 
-	report, err := RunCombiner(ctx, CombinerConfig{
-		Round: 300, ShardIDs: []uint64{0, 1, 2, 3}, Quorum: 3,
-		AwaitHellos: true, StageDeadline: 90 * time.Second,
-	}, combNet.Server())
+	report, _, err := rig.round(300, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !report.Degraded || len(report.Missing) != 1 || report.Missing[0] != 3 {
+	if !report.Degraded || !slices.Equal(report.Missing, []uint64{3}) {
 		t.Fatalf("killed shard not degraded as missing=[3]: degraded=%v missing=%v",
 			report.Degraded, report.Missing)
 	}
-	if len(report.Survivors) != 3*perShard {
-		t.Fatalf("%d survivors, want %d", len(report.Survivors), 3*perShard)
-	}
-	for i, v := range report.Sum.Data {
-		if v != 3*perShard {
-			t.Fatalf("sum[%d] = %d, want %d", i, v, 3*perShard)
-		}
-	}
-	cancel()
-	for _, wg := range wgs {
-		wg.Wait()
-	}
+	rig.checkSum(report, ids[:3*perShard])
 }

@@ -3,16 +3,12 @@ package core
 import (
 	"context"
 	"crypto/rand"
-	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/combine"
-	"repro/internal/ring"
 	"repro/internal/secagg"
 	"repro/internal/sig"
 	"repro/internal/transcript"
-	"repro/internal/transport"
 )
 
 // TestTranscriptWireVerifyTCP is the flat-deployment acceptance test for
@@ -165,25 +161,23 @@ func TestTranscriptChainAuditRestartRekey(t *testing.T) {
 func TestTranscriptMissingTierBoundedWait(t *testing.T) {
 	rig := newWireRig(t, "memory", secagg.Config{ClientIDs: []uint64{1, 2, 3}, Threshold: 2, Bits: 16, Dim: 8})
 	rig.transcripts()
-	tiers := make(map[uint64]*transcript.CombineAuditor)
+	rig.tiers = make(map[uint64]*transcript.CombineAuditor)
 	rig.wantErr = make(map[uint64]error)
 	for _, id := range rig.cfg.ClientIDs {
-		tiers[id] = transcript.NewCombineAuditor(rig.signer.Public())
+		rig.tiers[id] = transcript.NewCombineAuditor(rig.signer.Public())
 		rig.wantErr[id] = context.DeadlineExceeded
 	}
 	// The server sends the tier-1 frames but, like a shard whose partial
 	// missed the fold, never relays a combiner tier.
-	rig.configure = func(c *WireClientConfig) {
-		c.CombineTranscript, c.TranscriptDeadline = tiers[c.ID], 500*time.Millisecond
-	}
+	rig.configure = func(c *WireClientConfig) { c.TranscriptDeadline = 500 * time.Millisecond }
 	rig.round(43, nil)
 	// Tier 1 verified before the bounded wait expired; tier 2 never did.
 	for id, aud := range rig.auditors {
 		if len(aud.History()) != 1 {
 			t.Errorf("client %d tier-1 history = %d rounds, want 1", id, len(aud.History()))
 		}
-		if len(tiers[id].History()) != 0 {
-			t.Errorf("client %d tier-2 history = %d rounds, want 0", id, len(tiers[id].History()))
+		if len(rig.tiers[id].History()) != 0 {
+			t.Errorf("client %d tier-2 history = %d rounds, want 0", id, len(rig.tiers[id].History()))
 		}
 	}
 }
@@ -194,129 +188,24 @@ func TestTranscriptMissingTierBoundedWait(t *testing.T) {
 // — its own inclusion in the shard transcript, then the shard root's
 // inclusion in the combiner-signed tier commitment relayed back down.
 func TestTranscriptTwoTierShardedVerify(t *testing.T) {
-	const shards, perShard, dim = 2, 4, 8
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	combSigner, err := sig.NewSigner(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	combRec := transcript.NewRecorder(combSigner)
-	combNet := transport.NewMemoryNetwork(64)
-
-	type shardState struct {
-		rec      *transcript.Recorder
-		auditors map[uint64]*transcript.Auditor
-		tier2    map[uint64]*transcript.CombineAuditor
-		reports  chan *combine.RoundReport
-		errs     chan error
-		wg       *sync.WaitGroup
-	}
-	states := make([]*shardState, shards)
-	for s := 0; s < shards; s++ {
-		up, err := combNet.Connect(uint64(s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		shardSigner, err := sig.NewSigner(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		saCfg := secagg.Config{
-			Round: 7100 + uint64(s), ClientIDs: shardRoster(s, perShard),
-			Threshold: 3, Bits: 16, Dim: dim,
-		}
-		st := &shardState{
-			rec:      transcript.NewRecorder(shardSigner),
-			auditors: make(map[uint64]*transcript.Auditor),
-			tier2:    make(map[uint64]*transcript.CombineAuditor),
-			reports:  make(chan *combine.RoundReport, 1),
-			errs:     make(chan error, 1),
-			wg:       &sync.WaitGroup{},
-		}
-		states[s] = st
-		net := transport.NewMemoryNetwork(256)
-		for _, id := range saCfg.ClientIDs {
-			conn, err := net.Connect(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			id := id
-			aud := transcript.NewAuditor(shardSigner.Public())
-			tier2 := transcript.NewCombineAuditor(combSigner.Public())
-			st.auditors[id] = aud
-			st.tier2[id] = tier2
-			st.wg.Add(1)
-			go func() {
-				defer st.wg.Done()
-				input := ring.NewVector(16, dim)
-				for j := range input.Data {
-					input.Data[j] = 1
-				}
-				_, err := RunWireClient(ctx, WireClientConfig{
-					SecAgg: saCfg, ID: id, Input: input, DropBefore: NoDrop, Rand: rand.Reader,
-					Transcript: aud, CombineTranscript: tier2,
-				}, conn)
-				if err != nil {
-					t.Errorf("client %d: %v", id, err)
-				}
-			}()
-		}
-		shard := uint64(s)
-		st.wg.Add(1)
-		go func() {
-			defer st.wg.Done()
-			report, _, err := RunShardWire(ctx, ShardWireConfig{
-				Shard: shard, Round: 71,
-				Server: WireServerConfig{
-					SecAgg: saCfg, StageDeadline: 2 * time.Second, Transcript: st.rec,
-				},
-				ReportDeadline:         10 * time.Second,
-				RelayCombineTranscript: true,
-			}, net.Server(), up)
-			st.reports <- report
-			st.errs <- err
-		}()
-	}
-
-	report, err := RunCombiner(ctx, CombinerConfig{
-		Round: 71, ShardIDs: []uint64{0, 1}, AwaitHellos: true,
-		StageDeadline: 10 * time.Second, Transcript: combRec,
-	}, combNet.Server())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Degraded || len(report.Survivors) != shards*perShard {
-		t.Fatalf("clean sharded round degraded: %+v", report)
-	}
-	for _, st := range states {
-		st.wg.Wait()
-		if err := <-st.errs; err != nil {
-			t.Fatal(err)
-		}
-		if r := <-st.reports; r == nil || r.Round != 71 {
-			t.Fatalf("shard saw report %+v", r)
-		}
-	}
-
-	combTip, ok := combRec.Tip()
+	rig := newShardedRig(t, seqIDs(8), 2, secagg.Config{Threshold: 3, Bits: 16, Dim: 8})
+	rig.transcripts()
+	rig.clean(71, nil)
+	combTip, ok := rig.recorder.Tip()
 	if !ok {
 		t.Fatal("combiner recorder has no tip")
 	}
-	for s, st := range states {
-		shardTip, ok := st.rec.Tip()
+	for s, sh := range rig.shards {
+		shardTip, ok := sh.recorder.Tip()
 		if !ok {
 			t.Fatalf("shard %d recorder has no tip", s)
 		}
-		for id, aud := range st.auditors {
-			h := aud.History()
-			if len(h) != 1 || h[0].Root != shardTip {
+		for id, aud := range sh.auditors {
+			if h := aud.History(); len(h) != 1 || h[0].Root != shardTip {
 				t.Fatalf("shard %d client %d tier-1 history = %+v, want the shard tip", s, id, h)
 			}
-			h2 := st.tier2[id].History()
-			if len(h2) != 1 || h2[0].Root != combTip {
-				t.Fatalf("shard %d client %d tier-2 history = %+v, want the combiner tip", s, id, h2)
+			if h := sh.tiers[id].History(); len(h) != 1 || h[0].Root != combTip {
+				t.Fatalf("shard %d client %d tier-2 history = %+v, want the combiner tip", s, id, h)
 			}
 		}
 	}

@@ -72,7 +72,7 @@ func checkSum(t *testing.T, got []field.Element, want []int64) {
 func TestRoundNoDropout(t *testing.T) {
 	cfg := testConfig(6, 2, 2, 37) // d not divisible by U−T: padding path
 	inputs, wantSum := makeInputs(cfg)
-	got, err := Run(cfg, inputs, nil, nil, rng("nodrop"))
+	got, err := RunWithSessions(cfg, inputs, nil, rng("nodrop"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +82,12 @@ func TestRoundNoDropout(t *testing.T) {
 func TestRoundDropBeforeUpload(t *testing.T) {
 	cfg := testConfig(6, 2, 2, 16)
 	inputs, wantSum := makeInputs(cfg)
-	drops := map[uint64]bool{2: true, 5: true} // exactly D dropouts
-	got, err := Run(cfg, inputs, drops, nil, rng("drop2"))
+	drops := DropSchedule{2: StageMaskedInput, 5: StageMaskedInput} // exactly D dropouts
+	got, err := RunWithSessions(cfg, inputs, drops, rng("drop2"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSum(t, got, wantSum(drops))
+	checkSum(t, got, wantSum(map[uint64]bool{2: true, 5: true}))
 }
 
 // TestRoundDropDuringRecovery: survivors beyond the recovery threshold may
@@ -96,20 +96,22 @@ func TestRoundDropBeforeUpload(t *testing.T) {
 func TestRoundDropDuringRecovery(t *testing.T) {
 	cfg := testConfig(8, 2, 2, 16) // U = 6
 	inputs, wantSum := makeInputs(cfg)
-	uploadDrops := map[uint64]bool{3: true}   // 7 survivors ≥ U
-	recoveryDrops := map[uint64]bool{7: true} // 6 responders = U exactly
-	got, err := Run(cfg, inputs, uploadDrops, recoveryDrops, rng("recdrop"))
+	drops := DropSchedule{
+		3: StageMaskedInput, // 7 survivors ≥ U
+		7: StageAggShare,    // 6 responders = U exactly
+	}
+	got, err := RunWithSessions(cfg, inputs, drops, rng("recdrop"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSum(t, got, wantSum(uploadDrops))
+	checkSum(t, got, wantSum(map[uint64]bool{3: true}))
 }
 
 func TestRoundAbortsBeyondTolerance(t *testing.T) {
 	cfg := testConfig(6, 1, 1, 8) // U = 5
 	inputs, _ := makeInputs(cfg)
-	drops := map[uint64]bool{1: true, 4: true} // 2 > D = 1
-	if _, err := Run(cfg, inputs, drops, nil, rng("over")); err == nil {
+	drops := DropSchedule{1: StageMaskedInput, 4: StageMaskedInput} // 2 > D = 1
+	if _, err := RunWithSessions(cfg, inputs, drops, rng("over"), nil); err == nil {
 		t.Fatal("expected abort when dropouts exceed tolerance")
 	}
 }
@@ -117,8 +119,8 @@ func TestRoundAbortsBeyondTolerance(t *testing.T) {
 func TestRoundAbortsWhenRecoveryStarved(t *testing.T) {
 	cfg := testConfig(6, 1, 1, 8) // U = 5
 	inputs, _ := makeInputs(cfg)
-	recoveryDrops := map[uint64]bool{1: true, 2: true} // 4 responders < U
-	if _, err := Run(cfg, inputs, nil, recoveryDrops, rng("starve")); err == nil {
+	drops := DropSchedule{1: StageAggShare, 2: StageAggShare} // 4 responders < U
+	if _, err := RunWithSessions(cfg, inputs, drops, rng("starve"), nil); err == nil {
 		t.Fatal("expected abort when recovery responses fall below U")
 	}
 }
@@ -254,17 +256,17 @@ func TestQuickRoundRandomDropouts(t *testing.T) {
 		cfg := testConfig(n, T, D, 9)
 		inputs, wantSum := makeInputs(cfg)
 		s := prg.NewStream(prg.NewSeed([]byte{byte(seed), byte(seed >> 8), byte(nQ), byte(tQ), byte(dQ)}))
-		drops := map[uint64]bool{}
+		drops, dropped := DropSchedule{}, map[uint64]bool{}
 		for _, id := range cfg.ClientIDs {
 			if len(drops) < D && s.Uint64n(2) == 1 {
-				drops[id] = true
+				drops[id], dropped[id] = StageMaskedInput, true
 			}
 		}
-		got, err := Run(cfg, inputs, drops, nil, s)
+		got, err := RunWithSessions(cfg, inputs, drops, s, nil)
 		if err != nil {
 			return false
 		}
-		want := wantSum(drops)
+		want := wantSum(dropped)
 		for i := range want {
 			if Center(got[i]) != want[i] {
 				return false

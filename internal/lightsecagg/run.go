@@ -58,30 +58,9 @@ func (d DropSchedule) Participates(id uint64, s Stage) bool {
 	return !drops || s < dropStage
 }
 
-// Run executes one full round in-process with dropout injection. Clients
-// in dropsBeforeUpload complete offline sharing but never upload;
-// clients in dropsBeforeRecovery upload but never answer the recovery
-// request. Returns the sum over clients that uploaded. (Compatibility
-// wrapper over RunWithSessions with the historical dropout signature.)
-func Run(cfg Config, inputs map[uint64][]field.Element,
-	dropsBeforeUpload, dropsBeforeRecovery map[uint64]bool, rand io.Reader) ([]field.Element, error) {
-
-	drops := make(DropSchedule, len(dropsBeforeUpload)+len(dropsBeforeRecovery))
-	for id, d := range dropsBeforeUpload {
-		if d {
-			drops[id] = StageMaskedInput
-		}
-	}
-	for id, d := range dropsBeforeRecovery {
-		if d && !(dropsBeforeUpload[id]) {
-			drops[id] = StageAggShare
-		}
-	}
-	return RunWithSessions(cfg, inputs, drops, rand, nil)
-}
-
-// RunWithSessions is Run with a per-stage drop schedule and an optional
-// set of shared sessions. The first round on fresh sessions runs the full
+// RunWithSessions executes one full round in-process: clients in drops
+// vanish before their stage, and sess, when non-nil, is the shared set of
+// sessions the round runs on. The first round on fresh sessions runs the full
 // protocol and populates them (channel secrets, encoding matrix, the
 // sealed roster); subsequent rounds on the same sessions skip the
 // advertise stage entirely and hit the caches instead of re-running

@@ -206,47 +206,29 @@ func (c *TCPClient) readLoop() {
 	}
 }
 
-// RetryConfig tunes DialRetry's backoff. The zero value picks the
-// defaults noted on each field.
-type RetryConfig struct {
-	// BaseDelay is the first retry's backoff; doubles per attempt.
-	// ≤ 0 defaults to 50ms.
-	BaseDelay time.Duration
-	// MaxDelay caps the exponential growth. ≤ 0 defaults to 2s.
-	MaxDelay time.Duration
-	// Jitter adds a uniform random fraction of the current backoff (0.2 =
-	// up to +20%), decorrelating a thundering herd of reconnecting
-	// clients. < 0 disables; 0 defaults to 0.5.
-	Jitter float64
-}
-
-func (c RetryConfig) withDefaults() RetryConfig {
-	if c.BaseDelay <= 0 {
-		c.BaseDelay = 50 * time.Millisecond
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * time.Second
-	}
-	if c.Jitter == 0 {
-		c.Jitter = 0.5
-	}
-	return c
-}
+// DialRetry's backoff: the first retry waits dialBaseDelay, each later one
+// twice the one before up to dialMaxDelay, plus a uniform random fraction
+// of up to dialJitter of it, decorrelating a thundering herd of
+// reconnecting clients.
+const (
+	dialBaseDelay = 50 * time.Millisecond
+	dialMaxDelay  = 2 * time.Second
+	dialJitter    = 0.5
+)
 
 // DialRetry dials the server with capped exponential backoff until it
 // succeeds or ctx is done — the retrying counterpart of DialTCP that turns
 // a transient disconnect (server restart, network blip, dropped NAT
 // binding) into a delay instead of a process death. The context carries
-// the overall deadline; per-attempt errors are remembered and wrapped into
-// the final error when the budget runs out.
-func DialRetry(ctx context.Context, addr string, id uint64, cfg RetryConfig) (*TCPClient, error) {
-	cfg = cfg.withDefaults()
-	delay := cfg.BaseDelay
+// the overall deadline; when it runs out, the error names the attempt
+// count and wraps both the context's error and the last dial error.
+func DialRetry(ctx context.Context, addr string, id uint64) (*TCPClient, error) {
+	delay := dialBaseDelay
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			if lastErr != nil {
-				return nil, fmt.Errorf("transport: dial retry to %s (client %d) gave up after %d attempts: %w (last: %v)",
+				return nil, fmt.Errorf("transport: dial retry to %s (client %d) gave up after %d attempts: %w (last: %w)",
 					addr, id, attempt, err, lastErr)
 			}
 			return nil, fmt.Errorf("transport: dial retry to %s (client %d): %w", addr, id, err)
@@ -256,19 +238,13 @@ func DialRetry(ctx context.Context, addr string, id uint64, cfg RetryConfig) (*T
 			return c, nil
 		}
 		lastErr = err
-		sleep := delay
-		if cfg.Jitter > 0 {
-			sleep += time.Duration(mrand.Float64() * cfg.Jitter * float64(delay))
-		}
-		timer := time.NewTimer(sleep)
+		timer := time.NewTimer(delay + time.Duration(mrand.Float64()*dialJitter*float64(delay)))
 		select {
 		case <-ctx.Done():
 			timer.Stop()
 		case <-timer.C:
 		}
-		if delay *= 2; delay > cfg.MaxDelay {
-			delay = cfg.MaxDelay
-		}
+		delay = min(2*delay, dialMaxDelay)
 	}
 }
 

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net"
+	"regexp"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -171,6 +174,66 @@ func TestTCPClientDisappears(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatal("server never noticed the dropped client")
+}
+
+// TestDialRetry: a dial whose budget runs out says how many attempts it
+// made and wraps the last dial error, and a client dialling before its
+// server listens keeps retrying and connects once the listener opens.
+func TestDialRetry(t *testing.T) {
+	// A port that was free a moment ago, with nothing listening on it.
+	probe, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := probe.Addr()
+	probe.Close()
+
+	t.Run("budget runs out", func(t *testing.T) {
+		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+		defer cancel()
+		_, err := DialRetry(ctx, addr, 4)
+		var dialErr *net.OpError
+		if !errors.Is(err, context.DeadlineExceeded) || !errors.As(err, &dialErr) || dialErr.Op != "dial" {
+			t.Fatalf("error %v wraps neither the deadline nor the last dial error", err)
+		}
+		var n int
+		if m := regexp.MustCompile(`after (\d+) attempts`).FindStringSubmatch(err.Error()); m != nil {
+			n, _ = strconv.Atoi(m[1])
+		}
+		if n < 2 {
+			t.Fatalf("error %q does not count its attempts (at 0 and 50–75 ms at least)", err)
+		}
+	})
+
+	t.Run("late listener", func(t *testing.T) {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		type dialed struct {
+			c   *TCPClient
+			err error
+		}
+		done := make(chan dialed, 1)
+		go func() {
+			c, err := DialRetry(ctx, addr, 4)
+			done <- dialed{c, err}
+		}()
+		time.Sleep(200 * time.Millisecond) // the first attempts are refused
+		srv, err := ListenTCP(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		d := <-done
+		if d.err != nil {
+			t.Fatal(d.err)
+		}
+		defer d.c.Close()
+		for deadline := time.Now().Add(2 * time.Second); len(srv.Clients()) == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the late listener never registered the client")
+			}
+		}
+	})
 }
 
 func TestFrameRoundTrip(t *testing.T) {
