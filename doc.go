@@ -57,9 +57,10 @@
 //     the key-reuse threat model" and "Cross-round continuity"; the
 //     records: PROTOCOL.md "Session persistence at rest".
 //   - LightSecAgg's field kernels: field.WeightedSumInto (blocked
-//     matrix–vector products, one deferred Mersenne reduction per output)
-//     and field.BatchInv (Montgomery's trick); shamir.ReconstructBatch
-//     for the SecAgg seeds. Their package comments.
+//     matrix–vector products, raw 128-bit products summed four rows per
+//     pass and reduced once per output) and field.BatchInv (Montgomery's
+//     trick); shamir.ReconstructBatch for the SecAgg seeds. Their package
+//     comments.
 //   - What any of it costs: go run -C bench . (bench/README.md), the one
 //     place a round, a stage or a kernel is timed; history in CHANGES.md,
 //     open work in ROADMAP.md.

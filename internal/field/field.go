@@ -242,54 +242,88 @@ func BatchInv(xs []Element) ([]Element, error) {
 }
 
 // weightedSumTile bounds the accumulator scratch of WeightedSumInto: the
-// three per-element accumulator arrays stay within L1 while piece tiles
-// of callers blocking over rows stay within L2.
+// two per-element accumulator arrays stay within L1 while piece tiles of
+// callers blocking over rows stay within L2.
 const weightedSumTile = 1024
+
+// weightedSumFlush is the row count after which WeightedSumInto folds its
+// 128-bit accumulators back below p: 64 products of canonical operands,
+// each at most (p−1)² < 2^122, plus one folded value below p, stay below
+// 2^128. It is a multiple of the kernel's four-row pass.
+const weightedSumFlush = 64
 
 // WeightedSumInto sets dst[i] = Σ_k ws[k]·rows[k][i] — the dense
 // matrix–vector kernel of LightSecAgg share encoding and aggregate-mask
 // recovery. Each rows[k] must be at least len(dst) long.
 //
-// The inner loop defers reduction: a term w·r < 2^122 is folded to an
-// unreduced 62-bit value with the Mersenne identity 2^61 ≡ 1 and added
-// into a 128-bit per-element accumulator, so the Σ_k chain costs one
-// 64×64 multiply and one carry add per term instead of a full Mul+Add
-// (reduce, compare, subtract) — a single reduction per output element,
-// exact for any number of rows below 2^62.
+// The inner loop defers reduction: the raw 128-bit products w·r are summed
+// into a per-element 128-bit accumulator, four rows per pass over the tile
+// (one accumulator load and store per four terms), so a term costs one
+// 64×64 multiply and one add-with-carry. Every weightedSumFlush rows the
+// accumulators fold back below p, which keeps the sum exact for any row
+// count; otherwise each output is reduced once.
 func WeightedSumInto(dst []Element, ws []Element, rows [][]Element) {
 	if len(ws) != len(rows) {
 		panic(fmt.Sprintf("field: %d weights for %d rows", len(ws), len(rows)))
 	}
 	var accLo, accHi [weightedSumTile]uint64
 	for base := 0; base < len(dst); base += weightedSumTile {
-		n := len(dst) - base
-		if n > weightedSumTile {
-			n = weightedSumTile
-		}
-		for t := 0; t < n; t++ {
-			accLo[t], accHi[t] = 0, 0
-		}
-		aLo, aHi := accLo[:n], accHi[:n]
-		for k, w := range ws {
-			row := rows[k][base : base+n]
-			wv := uint64(w)
-			for t, r := range row {
-				hi, lo := bits.Mul64(wv, uint64(r))
-				// w·r = hi·2^64 + lo ≡ (hi<<3 | lo>>61) + (lo & p) < 2^62.
-				s := (hi<<3 | lo>>61) + (lo & Modulus)
-				var carry uint64
-				aLo[t], carry = bits.Add64(aLo[t], s, 0)
-				aHi[t] += carry
+		aLo := accLo[:min(len(dst)-base, weightedSumTile)]
+		aHi := accHi[:len(aLo)]
+		clear(aLo)
+		clear(aHi)
+		for k := 0; k < len(ws); {
+			if k > 0 && k%weightedSumFlush == 0 {
+				for t, lo := range aLo {
+					aLo[t], aHi[t] = fold128(aHi[t], lo), 0
+				}
 			}
+			if len(ws)-k < 4 {
+				w, r := uint64(ws[k]), rows[k][base:][:len(aLo)]
+				for t, lo := range aLo {
+					h, l := bits.Mul64(w, uint64(r[t]))
+					var c uint64
+					aLo[t], c = bits.Add64(lo, l, 0)
+					aHi[t], _ = bits.Add64(aHi[t], h, c)
+				}
+				k++
+				continue
+			}
+			w0, w1, w2, w3 := uint64(ws[k]), uint64(ws[k+1]), uint64(ws[k+2]), uint64(ws[k+3])
+			r0 := rows[k][base:][:len(aLo)]
+			r1 := rows[k+1][base:][:len(aLo)]
+			r2 := rows[k+2][base:][:len(aLo)]
+			r3 := rows[k+3][base:][:len(aLo)]
+			for t, lo := range aLo {
+				hi := aHi[t]
+				var c uint64
+				h, l := bits.Mul64(w0, uint64(r0[t]))
+				lo, c = bits.Add64(lo, l, 0)
+				hi, _ = bits.Add64(hi, h, c)
+				h, l = bits.Mul64(w1, uint64(r1[t]))
+				lo, c = bits.Add64(lo, l, 0)
+				hi, _ = bits.Add64(hi, h, c)
+				h, l = bits.Mul64(w2, uint64(r2[t]))
+				lo, c = bits.Add64(lo, l, 0)
+				hi, _ = bits.Add64(hi, h, c)
+				h, l = bits.Mul64(w3, uint64(r3[t]))
+				lo, c = bits.Add64(lo, l, 0)
+				hi, _ = bits.Add64(hi, h, c)
+				aLo[t], aHi[t] = lo, hi
+			}
+			k += 4
 		}
-		for t := 0; t < n; t++ {
-			// acc = accHi·2^64 + accLo ≡ accHi·8 + accLo (mod p); the sum
-			// of K unreduced terms keeps accHi ≤ K/4, so accHi·8 cannot
-			// overflow and the folded value fits reduce64.
-			v := accHi[t]*8 + (accLo[t] >> 61) + (accLo[t] & Modulus)
-			dst[base+t] = Element(reduce64(v))
+		out := dst[base:][:len(aLo)]
+		for t, lo := range aLo {
+			out[t] = Element(fold128(aHi[t], lo))
 		}
 	}
+}
+
+// fold128 reduces the 128-bit value hi·2^64 + lo mod p: its 61-bit limbs
+// weigh 1, 2^61 ≡ 1 and 2^122 ≡ 1, so their sum (< 3·2^61) is congruent.
+func fold128(hi, lo uint64) uint64 {
+	return reduce64((lo & Modulus) + ((lo>>61 | hi<<3) & Modulus) + hi>>58)
 }
 
 // RandomElement maps 8 uniformly random bytes to a near-uniform field

@@ -1,6 +1,7 @@
 package field
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -268,12 +269,11 @@ func TestBatchInv(t *testing.T) {
 }
 
 // TestWeightedSumInto checks the deferred-reduction kernel against the
-// naive Mul/Add loop, across sizes that straddle the internal tile and
-// with worst-case (maximal) operands that stress the accumulator bounds.
+// naive Mul/Add loop, across sizes that straddle the internal tile.
 func TestWeightedSumInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, tc := range []struct{ k, l int }{
-		{0, 5}, {1, 1}, {3, 7}, {8, 1023}, {5, 1024}, {4, 1025}, {6, 5000},
+		{0, 5}, {1, 1}, {3, 7}, {8, 1023}, {5, 1024}, {4, 1025}, {6, 5000}, {70, 40},
 	} {
 		ws := make([]Element, tc.k)
 		rows := make([][]Element, tc.k)
@@ -284,43 +284,45 @@ func TestWeightedSumInto(t *testing.T) {
 				rows[k][i] = New(rng.Uint64())
 			}
 		}
-		want := make([]Element, tc.l)
-		for k := range rows {
-			for i := range want {
-				want[i] = Add(want[i], Mul(ws[k], rows[k][i]))
-			}
-		}
-		got := make([]Element, tc.l)
-		WeightedSumInto(got, ws, rows)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("k=%d l=%d: WeightedSumInto[%d] = %v, want %v", tc.k, tc.l, i, got[i], want[i])
-			}
-		}
+		checkWeightedSum(t, fmt.Sprintf("random k=%d l=%d", tc.k, tc.l), ws, rows, tc.l)
 	}
+}
 
-	// All-maximal terms: 64 rows of (p−1)·(p−1) exercise the carry chain.
-	const k, l = 64, 33
-	ws := make([]Element, k)
-	rows := make([][]Element, k)
-	for i := range rows {
-		ws[i] = Element(Modulus - 1)
-		rows[i] = make([]Element, l)
-		for j := range rows[i] {
-			rows[i][j] = Element(Modulus - 1)
+// TestWeightedSumIntoWorstCase: every weight and every row element is
+// p−1, the largest product the 128-bit accumulators must hold, for row
+// counts around the four-row pass and the flush point and for tile-tail
+// lengths. The result must equal the per-term Mul/Add loop.
+func TestWeightedSumIntoWorstCase(t *testing.T) {
+	const f = weightedSumFlush
+	for _, k := range []int{1, 3, 4, 5, f - 1, f, f + 1, 2*f + 3} {
+		for _, l := range []int{1, 7, weightedSumTile - 1, weightedSumTile, weightedSumTile + 1} {
+			ws := make([]Element, k)
+			rows := make([][]Element, k)
+			for i := range rows {
+				ws[i] = Element(Modulus - 1)
+				rows[i] = make([]Element, l)
+				for j := range rows[i] {
+					rows[i][j] = Element(Modulus - 1)
+				}
+			}
+			checkWeightedSum(t, fmt.Sprintf("maximal k=%d l=%d", k, l), ws, rows, l)
 		}
 	}
+}
+
+func checkWeightedSum(t *testing.T, name string, ws []Element, rows [][]Element, l int) {
+	t.Helper()
 	want := make([]Element, l)
-	for i := range rows {
-		for j := range want {
-			want[j] = Add(want[j], Mul(ws[i], rows[i][j]))
+	for k := range rows {
+		for i := range want {
+			want[i] = Add(want[i], Mul(ws[k], rows[k][i]))
 		}
 	}
 	got := make([]Element, l)
 	WeightedSumInto(got, ws, rows)
-	for j := range want {
-		if got[j] != want[j] {
-			t.Fatalf("maximal operands: WeightedSumInto[%d] = %v, want %v", j, got[j], want[j])
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: WeightedSumInto[%d] = %v, want %v", name, i, got[i], want[i])
 		}
 	}
 }

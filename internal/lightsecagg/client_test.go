@@ -7,59 +7,67 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/field"
+	"repro/internal/prg"
 )
 
-// TestClientDrawOrderGolden: the mask and the T noise pieces are windows of
-// one slab filled in one call, and must be the elements — and leave the
-// reader at the byte — that a mask fill followed by one fill per noise
-// piece did. The goldens are SHA-256 over mask ‖ every piece ‖ the next 8
-// bytes of the reader, captured from NewSessionClient at commit 69aba92
-// for a plain reader (chunk boundaries inside pieces) and a PRG stream
-// under one 16 KiB read and over many; all three take the same bulk-read
-// path, since prg.Stream.Read yields the stream's keystream.
+// TestClientDrawOrderGolden: a client reads exactly one prg.Seed from its
+// reader, whatever the slab size, and its slab — the mask, then the T
+// noise pieces — is that seed's PRG stream under field.RandomElement's
+// low-61-bit rule, word for word (checked against scalar Uint64 draws).
+// The goldens are SHA-256 over the slab's little-endian words, captured
+// when the seeded pad replaced the byte-per-element fill, for a slab
+// inside the stream's refill buffer, one bulk pass plus a buffered tail,
+// and many bulk chunks.
 func TestClientDrawOrderGolden(t *testing.T) {
 	sess, err := NewSession(crand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := make([]byte, 8*9000+8)
+	raw := make([]byte, prg.SeedSize+8)
 	if _, err := io.ReadFull(rng("draw-bytes"), raw); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		name string
 		cfg  Config
-		rand io.Reader
 		want string
 	}{
-		{"bytes.Reader", testConfig(4, 1, 1, 6000), bytes.NewReader(raw),
-			"d64acaaa78ef2829ffc3a63f9d14db8a0b0e7d9176a576f7036f80320091199e"},
-		{"stream, one read", testConfig(5, 2, 1, 10), rng("draw-small"),
-			"dadd5f251235fa9f073f760ce085278d64e34759620e993b6407b187f8fd47b7"},
-		{"stream, many reads", testConfig(4, 1, 1, 40000), rng("draw-large"),
-			"105d18ce7da97ed7df059095242031c378e1305e648793c255150853eb7ba586"},
+		{"inside one refill", testConfig(5, 2, 1, 10),
+			"fbb901796e7c47163c5feb14c6cfe14e2bd549b402ba15fa51ffab38e11937ce"},
+		{"one bulk pass", testConfig(4, 1, 1, 600),
+			"bd6f0d40abb01a1238c479ea64ec84e2ed18c8a734dfd2509927bc7ce0a185b2"},
+		{"many bulk chunks", testConfig(4, 1, 1, 40000),
+			"262c44280a66c7133a1195de594bad260ca9072b77513798360be4466a52da38"},
 	} {
-		c, err := NewSessionClient(tc.cfg, 1, tc.rand, sess)
+		r := bytes.NewReader(raw)
+		c, err := NewSessionClient(tc.cfg, 1, r, sess)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if read := len(raw) - r.Len(); read != prg.SeedSize {
+			t.Errorf("%s: client read %d bytes, want one %d-byte seed", tc.name, read, prg.SeedSize)
+		}
+		if want := tc.cfg.RecoveryThreshold() * tc.cfg.SubVectorLen(); len(c.random) != want {
+			t.Fatalf("%s: slab of %d elements, want U·L = %d", tc.name, len(c.random), want)
+		}
+		stream := prg.NewStream(prg.Seed(raw[:prg.SeedSize]))
 		h := sha256.New()
 		var b [8]byte
-		pd := tc.cfg.PaddedDim() // the mask, then all U pieces: the mask's U−T again, then the noise
-		for _, e := range append(c.random[:pd:pd], c.random...) {
+		for i, e := range c.random {
+			binary.LittleEndian.PutUint64(b[:], stream.Uint64())
+			if want := field.RandomElement(b); e != want {
+				t.Fatalf("%s: slab[%d] = %v, want the seed's draw %v", tc.name, i, e, want)
+			}
 			binary.LittleEndian.PutUint64(b[:], e.Uint64())
 			h.Write(b[:])
 		}
-		if _, err := io.ReadFull(tc.rand, b[:]); err != nil {
-			t.Fatal(err)
-		}
-		h.Write(b[:])
 		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
-			t.Errorf("%s: draws hash to %s, want %s", tc.name, got, tc.want)
+			t.Errorf("%s: slab hashes to %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }
@@ -135,19 +143,40 @@ func TestOpenEnvelopesLeavesEnvelopeIntact(t *testing.T) {
 	}
 }
 
-// TestOpenEnvelopesRefusesDuplicateOrExcess: a row of the received slab is
-// written at most once — a second envelope (or plain share) from one
-// sender and a delivery longer than the roster are errors, and a client
-// that was handed each share once still answers the recovery.
+// TestOpenEnvelopesRefusesDuplicateOrExcess: a client keeps its own share
+// and every delivery carries exactly one envelope from each other client.
+// A row of the received slab is written at most once — a second envelope
+// (or plain share) from one sender, an envelope from the client itself and
+// a delivery of n envelopes are errors, refused before their row is
+// written, and a client that was handed each share once still answers the
+// recovery.
 func TestOpenEnvelopesRefusesDuplicateOrExcess(t *testing.T) {
 	cfg := testConfig(4, 1, 1, 12)
 	clients, deliveries := sharedCohort(t, cfg, "dup")
+	for _, id := range cfg.ClientIDs {
+		from := make([]uint64, 0, len(deliveries[id]))
+		for _, e := range deliveries[id] {
+			from = append(from, e.From)
+		}
+		slices.Sort(from)
+		others := slices.DeleteFunc(slices.Clone(cfg.ClientIDs), func(x uint64) bool { return x == id })
+		if !slices.Equal(from, others) {
+			t.Fatalf("client %d is delivered envelopes from %v, want one from each of %v", id, from, others)
+		}
+	}
 	envs := deliveries[1]
 	if err := clients[1].OpenEnvelopes(append(envs[:2:2], envs[1])); err == nil || !strings.Contains(err.Error(), "duplicate envelope from") {
 		t.Errorf("duplicate envelope in one delivery: %v", err)
 	}
-	if err := clients[2].OpenEnvelopes(append(deliveries[2][:4:4], deliveries[2][0])); err == nil || !strings.Contains(err.Error(), "for a roster of") {
-		t.Errorf("5 envelopes for 4 members: %v", err)
+	if err := clients[2].OpenEnvelopes(append(deliveries[2][:3:3], deliveries[2][0])); err == nil || !strings.Contains(err.Error(), "3 other members") {
+		t.Errorf("4 envelopes for 3 other members: %v", err)
+	}
+	self := Envelope{From: 4, To: 4, Ciphertext: deliveries[4][0].Ciphertext}
+	if err := clients[4].OpenEnvelopes([]Envelope{self}); err == nil || !strings.Contains(err.Error(), "to itself") {
+		t.Errorf("envelope from the client itself: %v", err)
+	}
+	if err := clients[4].OpenEnvelopes(deliveries[4]); err != nil {
+		t.Errorf("refused deliveries wrote a row: %v", err)
 	}
 	c := clients[3]
 	if err := c.OpenEnvelopes(deliveries[3]); err != nil {
@@ -156,11 +185,27 @@ func TestOpenEnvelopesRefusesDuplicateOrExcess(t *testing.T) {
 	if err := c.OpenEnvelopes(deliveries[3][:1]); err == nil || !strings.Contains(err.Error(), "duplicate envelope from") {
 		t.Errorf("duplicate envelope across deliveries: %v", err)
 	}
-	if err := c.ReceiveShare(2, make([]field.Element, cfg.SubVectorLen())); err == nil {
-		t.Error("ReceiveShare overwrote an opened share")
+	for _, from := range []uint64{2, 3} {
+		if err := c.ReceiveShare(from, make([]field.Element, cfg.SubVectorLen())); err == nil {
+			t.Errorf("ReceiveShare overwrote the share from %d", from)
+		}
 	}
-	if _, err := c.AggregateShare(cfg.ClientIDs); err != nil {
-		t.Errorf("honest recovery after refused duplicates: %v", err)
+	s, err := c.AggregateShare(cfg.ClientIDs)
+	if err != nil {
+		t.Fatalf("honest recovery after refused duplicates: %v", err)
+	}
+	want := make([]field.Element, cfg.SubVectorLen())
+	for _, id := range cfg.ClientIDs {
+		shares, err := clients[id].EncodeShares()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range shares[3] {
+			want[i] = field.Add(want[i], e)
+		}
+	}
+	if !slices.Equal(s, want) {
+		t.Errorf("aggregate share %v, want Σ_i f_i(α_3) = %v", s, want)
 	}
 }
 

@@ -16,11 +16,11 @@ import (
 // but they share the transport slab helpers and the same conventions).
 //
 // Every message of the round rides these layouts: the masked uploads and
-// the result broadcast (dim-length element vectors), the n² sealed share
-// envelopes (LightSecAgg's structurally heavy offline phase — n·d/(U−T)
-// elements per client), the aggregate shares of the one-shot recovery, and
-// the two small control messages (roster, survivor set). The stage-0
-// advertisement is the raw 32-byte channel public key, unframed.
+// the result broadcast (dim-length element vectors), the n·(n−1) sealed
+// share envelopes (LightSecAgg's structurally heavy offline phase —
+// (n−1)·d/(U−T) elements per client), the aggregate shares of the one-shot
+// recovery, and the two small control messages (roster, survivor set). The
+// stage-0 advertisement is the raw 32-byte channel public key, unframed.
 //
 // Layout (all integers little-endian):
 //

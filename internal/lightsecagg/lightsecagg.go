@@ -16,20 +16,27 @@
 // tolerance D, recovery threshold U = n − D > T):
 //
 //  1. Offline sharing. Client i draws a uniform mask z_i ∈ F^d, splits it
-//     into U−T sub-vectors of length L = ⌈d/(U−T)⌉, appends T uniform
-//     noise sub-vectors, and encodes the U pieces with a degree-(U−1)
-//     polynomial vector f_i: f_i(β_k) = piece k. It sends f_i(α_j) to each
-//     client j.
+//     into U−T sub-vectors of length L = ⌈d/(U−T)⌉ and draws T uniform
+//     noise sub-vectors. Its polynomial vector f_i of degree < U is fixed
+//     by those U pieces: f_i(β_k) = mask piece k (k = 1..U−T) and
+//     f_i(α_t) = noise piece t (t = 0..T−1). It sends f_i(α_j) to each
+//     other client j: for ranks j < T that is noise piece j itself, for the
+//     rest one Lagrange evaluation. Its own share it keeps.
 //  2. Masked upload. Client i uploads y_i = x_i + z_i[:d].
 //  3. One-shot recovery. The server announces the surviving set U₁
 //     (|U₁| ≥ U). Each live client j returns s_j = Σ_{i∈U₁} f_i(α_j). From
 //     any U responses the server interpolates Σ_{i∈U₁} f_i at β_1..β_{U−T},
 //     i.e. Σ z_i, and computes Σ x_i = Σ y_i − Σ z_i.
 //
-// Privacy: each f_i carries T uniform noise evaluations, so any T
-// colluding clients' shares are jointly independent of z_i (standard
-// Lagrange-coding argument); the server sees only masked inputs and
-// aggregate shares. A client answers a recovery request only for a strictly
+// Privacy: each f_i carries T uniform values at α_0..α_{T−1}, so any T
+// colluding clients' shares are jointly uniform and independent of z_i. A
+// polynomial of degree < U vanishing at the U−T data points and at T share
+// points is zero, so for a fixed mask the map from the T noise values to
+// any T shares is a bijection — the standard Lagrange-coding argument,
+// whether or not the colluders' ranks are below T (their shares are then
+// noise pieces unchanged). The pieces are the AES-CTR expansion of a
+// 32-byte seed, so this holds computationally, as the envelopes' secrecy
+// does. The server sees only masked inputs and aggregate shares. A client answers a recovery request only for a strictly
 // ascending list of at least U known survivors (AggregateShare) — a shorter
 // one would isolate single masks. The residual stays: a server may still
 // name different ≥ U sets to different clients and difference the answers,
@@ -78,9 +85,11 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"unsafe"
 
 	"repro/internal/aead"
 	"repro/internal/field"
+	"repro/internal/prg"
 	"repro/internal/session"
 )
 
@@ -140,8 +149,9 @@ func (c Config) PaddedDim() int {
 	return (c.RecoveryThreshold() - c.PrivacyT) * c.SubVectorLen()
 }
 
-// Evaluation points: data/noise pieces live at β_k = k (k = 1..U), client
-// shares at α_j = U + 1 + rank(j). All distinct by construction.
+// Evaluation points: mask pieces live at β_k = k (k = 1..U−T), client
+// shares at α_j = U + 1 + rank(j), the T noise pieces at α_0..α_{T−1}. All
+// distinct by construction.
 func (c Config) beta(k int) field.Element { return field.New(uint64(k)) }
 
 func (c Config) alpha(rank int) field.Element {
@@ -161,9 +171,9 @@ func (c Config) rank(id uint64) (int, error) {
 // depend on where the polynomial is evaluated, so they are multiplied out
 // and inverted (one field.BatchInv) once per abscissa set; each evaluation
 // point then costs one prefix/suffix pass — O(u² + rows·u) for a whole
-// weight matrix. The encoding matrix (abscissas β_1..β_U, one row per
-// client point) and the server's recovery (abscissas the responders'
-// α_rank, one row per data point) both use it.
+// weight matrix. The encoding matrix (abscissas β_1..β_{U−T}, α_0..α_{T−1},
+// one row per client point α_T..α_{n−1}) and the server's recovery
+// (abscissas the responders' α_rank, one row per data point) both use it.
 type lagrangeBasis struct {
 	xs   []field.Element
 	dinv []field.Element // 1 / Π_{m≠k}(xs_k − xs_m)
@@ -280,19 +290,21 @@ type Client struct {
 	session *Session  // channel key + caches; private ephemeral when the caller passed nil
 	rand    io.Reader // AEAD nonce randomness
 
-	// random is the one U·L slab NewSessionClient draws, the U coded inputs
-	// of SubVectorLen each: the mask z_i (U−T sub-vectors, PaddedDim long)
-	// then T noise sub-vectors. MaskedInput consumes the mask — the upload
-	// is built in random[:Dim] — and sets masked.
+	// random is the one U·L slab NewSessionClient expands from a seed, the
+	// U coded inputs of SubVectorLen each: the mask z_i (U−T sub-vectors,
+	// PaddedDim long) then the T noise sub-vectors, f_i(α_0..α_{T−1}).
+	// MaskedInput consumes the mask — the upload is built in random[:Dim] —
+	// and sets masked.
 	random []field.Element
 	masked bool
 
 	// roster maps peer id → channel public key once SealShares ran.
 	roster map[uint64][]byte
 
-	// received is the n × L slab of f_i(α_self) from every client i
-	// (including self), row rank(i), made when the first share arrives;
-	// have marks the rows written, each at most once.
+	// received is the n × L slab of f_i(α_self) from every client i, row
+	// rank(i), made when the first share arrives — SealShares writes the
+	// client's own row, OpenEnvelopes the others; have marks the rows
+	// written, each at most once.
 	received []field.Element
 	have     []bool
 }
@@ -308,8 +320,8 @@ func NewClient(cfg Config, id uint64, rand io.Reader) (*Client, error) {
 // channel key and reuses its cached pairwise secrets and encoding matrix
 // instead of paying X25519 agreement and Lagrange weight computation per
 // round. The mask and coding noise are always drawn fresh — they are
-// one-time pads revealed in aggregate — as one slab in one fill, the byte
-// order of the former fill per piece.
+// one-time pads revealed in aggregate: one prg.Seed read from rand (after
+// the session's key, when sess is nil) expands in place into the slab.
 func NewSessionClient(cfg Config, id uint64, rand io.Reader, sess *Session) (*Client, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -323,39 +335,26 @@ func NewSessionClient(cfg Config, id uint64, rand io.Reader, sess *Session) (*Cl
 			return nil, err
 		}
 	}
-	random := make([]field.Element, cfg.RecoveryThreshold()*cfg.SubVectorLen())
-	if err := fillUniform(rand, random); err != nil {
-		return nil, err
+	var seed prg.Seed
+	if _, err := io.ReadFull(rand, seed[:]); err != nil {
+		return nil, fmt.Errorf("lightsecagg: reading mask seed: %w", err)
 	}
+	random := make([]field.Element, cfg.RecoveryThreshold()*cfg.SubVectorLen())
+	fillUniform(seed, random)
 	return &Client{cfg: cfg, id: id, session: sess, rand: rand, random: random}, nil
 }
 
-// uniformChunk is the element count per bulk randomness read: 16 KiB per
-// reader call instead of one call per element.
-const uniformChunk = 2048
-
-// fillUniform draws uniform field elements from rand. The byte-to-element
-// map is field.RandomElement's low-61-bit rule over consecutive 8-byte
-// little-endian words, and the reader is consumed in bulk uniformChunk
-// reads — byte-identical to the historical one-ReadFull-per-element loop
-// for any reader, just without the per-element call overhead.
-func fillUniform(rand io.Reader, out []field.Element) error {
-	buf := make([]byte, 8*uniformChunk)
-	for len(out) > 0 {
-		n := len(out)
-		if n > uniformChunk {
-			n = uniformChunk
-		}
-		b := buf[:8*n]
-		if _, err := io.ReadFull(rand, b); err != nil {
-			return fmt.Errorf("lightsecagg: reading mask randomness: %w", err)
-		}
-		for i := 0; i < n; i++ {
-			out[i] = field.RandomElement([8]byte(b[8*i:]))
-		}
-		out = out[n:]
+// fillUniform expands seed's PRG stream into out in place: element i is
+// field.RandomElement's low-61-bit rule over the stream's i-th 8-byte
+// little-endian word. The pad is a one-time mask revealed only in
+// aggregate, so a 32-byte seed from the caller's reader stands in for
+// U·L·8 bytes of it.
+func fillUniform(seed prg.Seed, out []field.Element) {
+	words := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(out))), len(out))
+	prg.NewStream(seed).FillUint64(words)
+	for i, w := range words {
+		out[i] = field.New(w & field.Modulus)
 	}
-	return nil
 }
 
 // Advertise returns the stage-0 channel-key advertisement.
@@ -371,8 +370,8 @@ const encTile = 1024
 
 // EncodeShares returns the coded mask share f_i(α_j) for every client j
 // (including self) — the plaintext of the offline-sharing message of step
-// 1. Wire and in-process drivers seal these via SealShares; the plaintext
-// form is exported for white-box tests and the cost model.
+// 1. Wire and in-process drivers seal the peers' shares via SealShares;
+// the plaintext form is exported for white-box tests and the cost model.
 func (c *Client) EncodeShares() (map[uint64][]field.Element, error) {
 	l := c.cfg.SubVectorLen()
 	slab := make([]field.Element, len(c.cfg.ClientIDs)*l)
@@ -388,10 +387,11 @@ func (c *Client) EncodeShares() (map[uint64][]field.Element, error) {
 
 // encodeSharesInto writes f_i(α_j) into row rank(j) of the n × L slab.
 //
-// The n×U Lagrange matrix–vector product is blocked over the sub-vector
-// (encTile) for cache reuse across ranks, and each tile runs through
-// field.WeightedSumInto's deferred-reduction kernel — one reduction per
-// output element instead of one per term.
+// Ranks below T get their noise piece as it is — f_i(α_rank) is one of
+// the values that fix f_i. The other n−T rows are the (n−T)×U Lagrange
+// matrix–vector product, blocked over the sub-vector (encTile) for cache
+// reuse across ranks, each tile through field.WeightedSumInto's
+// deferred-reduction kernel.
 func (c *Client) encodeSharesInto(slab []field.Element) error {
 	if c.masked {
 		return fmt.Errorf("lightsecagg: shares encoded after MaskedInput consumed the mask")
@@ -400,26 +400,29 @@ func (c *Client) encodeSharesInto(slab []field.Element) error {
 	if err != nil {
 		return err
 	}
-	l := c.cfg.SubVectorLen()
-	tile := make([][]field.Element, c.cfg.RecoveryThreshold())
+	l, u, t := c.cfg.SubVectorLen(), c.cfg.RecoveryThreshold(), c.cfg.PrivacyT
+	copy(slab[:t*l], c.random[(u-t)*l:])
+	tile := make([][]field.Element, u)
 	for base := 0; base < l; base += encTile {
 		hi := min(base+encTile, l)
 		for k := range tile {
 			tile[k] = c.random[k*l+base : k*l+hi]
 		}
-		for rank := range c.cfg.ClientIDs {
-			field.WeightedSumInto(slab[rank*l+base:rank*l+hi], enc.w[rank], tile)
+		for rank := t; rank < len(c.cfg.ClientIDs); rank++ {
+			field.WeightedSumInto(slab[rank*l+base:rank*l+hi], enc.w[rank-t], tile)
 		}
 	}
 	return nil
 }
 
 // SealShares validates the stage-0 roster, remembers the peers' channel
-// keys, and returns one AEAD envelope per peer carrying that peer's coded
-// share — the step-1 upload. The associated data binds sender and
-// recipient so the relaying server cannot re-route envelopes undetected.
-// The ciphertexts are three-index windows of one slab made here: each share
-// is serialised where its ciphertext will lie and sealed in place.
+// keys, keeps the client's own coded share in its received row, and
+// returns one AEAD envelope per other client carrying that peer's share —
+// the n−1 envelopes of the step-1 upload. The associated data binds sender
+// and recipient so the relaying server cannot re-route envelopes
+// undetected. The ciphertexts are three-index windows of one slab made
+// here: each share is serialised where its ciphertext will lie and sealed
+// in place.
 func (c *Client) SealShares(roster []AdvertiseMsg) ([]Envelope, error) {
 	if err := c.installRoster(roster); err != nil {
 		return nil, err
@@ -429,11 +432,20 @@ func (c *Client) SealShares(roster []AdvertiseMsg) ([]Envelope, error) {
 	if err := c.encodeSharesInto(shares); err != nil {
 		return nil, err
 	}
+	self, err := c.freeRow(c.id)
+	if err != nil {
+		return nil, err
+	}
+	copy(c.row(self), shares[self*l:])
+	c.have[self] = true
 	stride := 4 + 8*l + aead.Overhead
-	sealed := make([]byte, n*stride)
-	out := make([]Envelope, 0, n)
+	sealed := make([]byte, (n-1)*stride)
+	out := make([]Envelope, 0, n-1)
 	var ad [routeADMax]byte
 	for rank, to := range c.cfg.ClientIDs {
+		if rank == self {
+			continue
+		}
 		pub, ok := c.roster[to]
 		if !ok {
 			return nil, fmt.Errorf("lightsecagg: no channel key for peer %d", to)
@@ -442,7 +454,8 @@ func (c *Client) SealShares(roster []AdvertiseMsg) ([]Envelope, error) {
 		if err != nil {
 			return nil, err
 		}
-		window := sealed[rank*stride : rank*stride : (rank+1)*stride]
+		i := len(out)
+		window := sealed[i*stride : i*stride : (i+1)*stride]
 		pt, err := appendElems(window[aead.NonceSize:aead.NonceSize], shares[rank*l:(rank+1)*l])
 		if err != nil {
 			return nil, err
@@ -479,19 +492,24 @@ func (c *Client) installRoster(roster []AdvertiseMsg) error {
 
 // OpenEnvelopes unseals the envelopes addressed to this client (origin
 // stamped by the server) through one plaintext buffer and decodes each
-// share once, into its sender's row of the received slab. The envelopes
-// are only read — in-process they are windows of their senders' slabs. It
-// must run after SealShares (which installs the roster).
+// share once, into its sender's row of the received slab. A delivery holds
+// at most one envelope per other client: one from this client itself is
+// refused (SealShares kept that share). The envelopes are only read —
+// in-process they are windows of their senders' slabs. It must run after
+// SealShares (which installs the roster).
 func (c *Client) OpenEnvelopes(envs []Envelope) error {
 	if c.roster == nil {
 		return fmt.Errorf("lightsecagg: OpenEnvelopes before SealShares")
 	}
-	if len(envs) > len(c.cfg.ClientIDs) {
-		return fmt.Errorf("lightsecagg: %d envelopes for a roster of %d", len(envs), len(c.cfg.ClientIDs))
+	if len(envs) >= len(c.cfg.ClientIDs) {
+		return fmt.Errorf("lightsecagg: %d envelopes for the %d other members of the roster", len(envs), len(c.cfg.ClientIDs)-1)
 	}
 	pt := make([]byte, 0, 4+8*c.cfg.SubVectorLen())
 	var ad [routeADMax]byte
 	for _, env := range envs {
+		if env.From == c.id {
+			return fmt.Errorf("lightsecagg: envelope from %d to itself", c.id)
+		}
 		rank, err := c.freeRow(env.From) // a known sender: the roster covers exactly the ranked ids
 		if err != nil {
 			return err

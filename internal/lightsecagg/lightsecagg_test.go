@@ -2,6 +2,7 @@ package lightsecagg
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -312,11 +313,14 @@ func TestClientCost(t *testing.T) {
 }
 
 // TestEncodeSharesBlockedMatchesNaive: the cache-blocked deferred-
-// reduction encoding is value-identical to the historical per-rank
-// Mul/Add loop, across sub-vector lengths that straddle the tile sizes.
+// reduction encoding is value-identical to a per-rank Mul/Add loop over
+// the encoding matrix's rows — ranks below T take their noise piece, the
+// rest one row each — across privacy thresholds and sub-vector lengths
+// that straddle the tile sizes.
 func TestEncodeSharesBlockedMatchesNaive(t *testing.T) {
 	for _, tc := range []struct{ n, T, D, dim int }{
 		{5, 1, 1, 7},      // L = 3: tiny tail tile
+		{6, 0, 2, 40},     // T = 0: no free share
 		{8, 2, 2, 1024},   // L = 256
 		{10, 3, 3, 4100},  // L straddles weightedSumTile
 		{16, 4, 4, 16384}, // L = 2048: multiple encTile blocks
@@ -349,20 +353,28 @@ func TestEncodeSharesBlockedMatchesNaive(t *testing.T) {
 	}
 }
 
-// encodeSharesNaive is the pre-blocking reference encoding (one rank at a
+// encodeSharesNaive is the unblocked reference encoding (one rank at a
 // time, Mul+Add per term), the oracle of
-// TestEncodeSharesBlockedMatchesNaive.
+// TestEncodeSharesBlockedMatchesNaive. Noise piece r is f_i(α_r), so rank
+// r < T has no matrix row.
 func (c *Client) encodeSharesNaive() (map[uint64][]field.Element, error) {
 	enc, err := c.session.matrix(c.cfg)
 	if err != nil {
 		return nil, err
 	}
-	l := c.cfg.SubVectorLen()
+	l, u, T := c.cfg.SubVectorLen(), c.cfg.RecoveryThreshold(), c.cfg.PrivacyT
+	if len(enc.w) != len(c.cfg.ClientIDs)-T {
+		return nil, fmt.Errorf("encoding matrix has %d rows, want n−T = %d", len(enc.w), len(c.cfg.ClientIDs)-T)
+	}
 	out := make(map[uint64][]field.Element, len(c.cfg.ClientIDs))
 	for rank, id := range c.cfg.ClientIDs {
-		ws := enc.w[rank]
 		share := make([]field.Element, l)
-		for k, w := range ws {
+		if rank < T {
+			copy(share, c.random[(u-T+rank)*l:])
+			out[id] = share
+			continue
+		}
+		for k, w := range enc.w[rank-T] {
 			piece := c.random[k*l:]
 			for t := 0; t < l; t++ {
 				share[t] = field.Add(share[t], field.Mul(w, piece[t]))
@@ -371,4 +383,84 @@ func (c *Client) encodeSharesNaive() (map[uint64][]field.Element, error) {
 		out[id] = share
 	}
 	return out, nil
+}
+
+// TestFreeSharesOnOnePolynomial: for T = 0, 1 and U−1, every client's
+// shares for ranks below T are its noise pieces exactly, all n shares lie
+// on one polynomial of degree < U, and every U of them interpolate to mask
+// piece k at β_k. The interpolation is field.LagrangeInterpolateAt, not
+// the package's basis.
+func TestFreeSharesOnOnePolynomial(t *testing.T) {
+	const n, d = 7, 2 // U = 5
+	u := n - d
+	for _, T := range []int{0, 1, u - 1} {
+		cfg := testConfig(n, T, d, 2*(u-T)+1) // L = 3, a padded mask
+		l := cfg.SubVectorLen()
+		alphas := make([]field.Element, n)
+		for rank := range alphas {
+			alphas[rank] = cfg.alpha(rank)
+		}
+		for _, id := range cfg.ClientIDs {
+			c, err := NewClient(cfg, id, rng(fmt.Sprintf("free-%d-%d", T, id)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			shares, err := c.EncodeShares()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rank := range T {
+				if noise := c.random[(u-T+rank)*l : (u-T+rank+1)*l]; !slices.Equal(shares[cfg.ClientIDs[rank]], noise) {
+					t.Fatalf("T=%d client %d: share of rank %d is %v, want its noise piece %v",
+						T, id, rank, shares[cfg.ClientIDs[rank]], noise)
+				}
+			}
+			for coord := range l {
+				ys := make([]field.Element, n)
+				for rank, rid := range cfg.ClientIDs {
+					ys[rank] = shares[rid][coord]
+				}
+				for rank := u; rank < n; rank++ {
+					got, err := field.LagrangeInterpolateAt(alphas[:u], ys[:u], alphas[rank])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != ys[rank] {
+						t.Fatalf("T=%d client %d coord %d: share of rank %d is off the polynomial through ranks < U",
+							T, id, coord, rank)
+					}
+				}
+				for _, sub := range subsets(n, u) {
+					xs, vs := make([]field.Element, u), make([]field.Element, u)
+					for i, rank := range sub {
+						xs[i], vs[i] = alphas[rank], ys[rank]
+					}
+					for k := range u - T {
+						got, err := field.LagrangeInterpolateAt(xs, vs, cfg.beta(k+1))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want := c.random[k*l+coord]; got != want {
+							t.Fatalf("T=%d client %d coord %d: ranks %v interpolate %v at β_%d, mask piece %v",
+								T, id, coord, sub, got, k+1, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// subsets returns every k-element subset of 0..n−1, ascending.
+func subsets(n, k int) [][]int {
+	if k == 0 {
+		return [][]int{nil}
+	}
+	var out [][]int
+	for last := k - 1; last < n; last++ {
+		for _, s := range subsets(last, k-1) {
+			out = append(out, append(s, last))
+		}
+	}
+	return out
 }

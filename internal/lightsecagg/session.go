@@ -18,12 +18,12 @@ import (
 //
 //   - X25519 channel agreements: sealing/opening coded-share envelopes
 //     needs one pairwise secret per peer; historically every round (and
-//     every chunk) re-generated the key pair and re-agreed n times per
+//     every chunk) re-generated the key pair and re-agreed n−1 times per
 //     client. The session caches one key pair and the per-peer secrets.
 //   - The Lagrange encoding matrix: EncodeShares evaluates U basis
-//     weights at each of n points — O(n·U²) field ops per client per
-//     round, identical across rounds with the same geometry. Cached once
-//     per session.
+//     weights at each of the n−T points that are not noise pieces —
+//     O(U² + (n−T)·U) field ops per client per round, identical across
+//     rounds with the same geometry. Cached once per session.
 //   - The advertise round trip: a cached roster lets resumed rounds skip
 //     stage 0 entirely (both drivers support the skip).
 //
@@ -121,28 +121,33 @@ func (s *Session) RekeyEdges(ids []uint64) {
 	}
 }
 
-// encodingMatrix holds the Lagrange basis weights w[rank][k] for
-// evaluating the share polynomial at every client point α_rank. It
-// depends only on the geometry (n, U), not on the client or the round.
+// encodingMatrix holds the Lagrange basis weights w[rank−T][k] for
+// evaluating the share polynomial at client point α_rank, rank ≥ T, from
+// its U fixing values: the mask pieces at β_1..β_{U−T}, then the noise
+// pieces at α_0..α_{T−1} (the client slab's piece order). Ranks below T
+// have no row — their share is a noise piece. It depends only on the
+// geometry (n, U, T), not on the client or the round.
 type encodingMatrix struct {
-	n, u int
-	w    [][]field.Element
+	n, u, t int
+	w       [][]field.Element
 }
 
 func newEncodingMatrix(cfg Config) (*encodingMatrix, error) {
-	n := len(cfg.ClientIDs)
-	u := cfg.RecoveryThreshold()
-	betas := make([]field.Element, u)
-	for k := range betas {
-		betas[k] = cfg.beta(k + 1)
+	n, u, t := len(cfg.ClientIDs), cfg.RecoveryThreshold(), cfg.PrivacyT
+	xs := make([]field.Element, u)
+	for k := range u - t {
+		xs[k] = cfg.beta(k + 1)
 	}
-	basis, err := newLagrangeBasis(betas)
+	for r := range t {
+		xs[u-t+r] = cfg.alpha(r)
+	}
+	basis, err := newLagrangeBasis(xs)
 	if err != nil {
 		return nil, err
 	}
-	m := &encodingMatrix{n: n, u: u, w: make([][]field.Element, n)}
-	for rank := range m.w {
-		m.w[rank] = basis.weightsAt(cfg.alpha(rank))
+	m := &encodingMatrix{n: n, u: u, t: t, w: make([][]field.Element, n-t)}
+	for i := range m.w {
+		m.w[i] = basis.weightsAt(cfg.alpha(t + i))
 	}
 	return m, nil
 }
@@ -150,12 +155,11 @@ func newEncodingMatrix(cfg Config) (*encodingMatrix, error) {
 // matrix returns the encoding matrix for cfg's geometry, computing it on
 // first use and caching it for the session's lifetime.
 func (s *Session) matrix(cfg Config) (*encodingMatrix, error) {
-	n := len(cfg.ClientIDs)
-	u := cfg.RecoveryThreshold()
+	n, u, t := len(cfg.ClientIDs), cfg.RecoveryThreshold(), cfg.PrivacyT
 	s.mu.Lock()
 	enc := s.enc
 	s.mu.Unlock()
-	if enc != nil && enc.n == n && enc.u == u {
+	if enc != nil && enc.n == n && enc.u == u && enc.t == t {
 		return enc, nil
 	}
 	enc, err := newEncodingMatrix(cfg)

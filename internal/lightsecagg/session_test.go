@@ -3,6 +3,7 @@ package lightsecagg
 import (
 	"context"
 	"crypto/rand"
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -143,16 +144,70 @@ func TestEncodingMatrixCached(t *testing.T) {
 	if m1 != m2 {
 		t.Error("matrix recomputed for identical geometry")
 	}
-	// A different geometry (different U) invalidates the cache. (The
-	// matrix depends only on (n, U): changing T alone reuses it, since the
-	// basis weights span all U pieces regardless of the data/noise split.)
-	cfg2 := testConfig(6, 1, 3, 24)
-	m3, err := sess.matrix(cfg2)
+	// A different geometry invalidates the cache: a different T alone —
+	// the noise pieces sit at α_0..α_{T−1}, so T moves the abscissas and
+	// the rows — and a different U.
+	for _, cfg2 := range []Config{testConfig(6, 1, 2, 24), testConfig(6, 1, 3, 24)} {
+		m3, err := sess.matrix(cfg2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m3 == m1 || m3.t != cfg2.PrivacyT || m3.u != cfg2.RecoveryThreshold() {
+			t.Errorf("matrix not recomputed for n=%d U=%d T=%d", len(cfg2.ClientIDs), cfg2.RecoveryThreshold(), cfg2.PrivacyT)
+		}
+	}
+}
+
+// TestSessionsAcrossPrivacyThresholds: one session set serves two configs
+// that differ only in T, and both sums are exact — the cached encoding
+// matrix of the first must not encode the second's shares.
+func TestSessionsAcrossPrivacyThresholds(t *testing.T) {
+	sess, err := NewRoundSessions(testConfig(6, 1, 2, 20).ClientIDs, rng("t-keys"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m3 == m1 {
-		t.Error("matrix not recomputed for a different geometry")
+	for _, T := range []int{1, 2} {
+		cfg := testConfig(6, T, 2, 20)
+		cfg.Round = uint64(T)
+		inputs, wantSum := makeInputs(cfg)
+		got, err := RunWithSessions(cfg, inputs, DropSchedule{4: StageAggShare}, rng(fmt.Sprintf("t-%d", T)), sess)
+		if err != nil {
+			t.Fatalf("T=%d: %v", T, err)
+		}
+		checkSum(t, got, wantSum(nil))
+	}
+}
+
+// TestSubRoundAgreesWithPeersOnly: a client keeps its own share instead of
+// sealing it to itself, so a fresh sub-round agrees exactly once per
+// ordered pair of distinct clients — n·(n−1) X25519 agreements — whether
+// its sessions are throwaway or a new session set, and a resumed one none.
+func TestSubRoundAgreesWithPeersOnly(t *testing.T) {
+	cfg := testConfig(6, 2, 2, 24)
+	n := uint64(len(cfg.ClientIDs))
+	inputs, wantSum := makeInputs(cfg)
+	sess, err := NewRoundSessions(cfg.ClientIDs, rng("peers-keys"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		sess  *RoundSessions
+		agree uint64
+	}{
+		{"throwaway sessions", nil, n * (n - 1)},
+		{"fresh session set", sess, n * (n - 1)},
+		{"resumed session set", sess, 0},
+	} {
+		a0 := dh.AgreeCount()
+		got, err := RunWithSessions(cfg, inputs, nil, rng("peers-"+tc.name), tc.sess)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		checkSum(t, got, wantSum(nil))
+		if agrees := dh.AgreeCount() - a0; agrees != tc.agree {
+			t.Errorf("%s: %d agreements, want %d", tc.name, agrees, tc.agree)
+		}
 	}
 }
 
@@ -312,8 +367,8 @@ func lagrangeWeightsTextbook(t *testing.T, xs []field.Element, x field.Element) 
 
 // TestRecoveryWeightsMatchReference: the once-per-abscissa-set basis gives
 // exactly the textbook weights — for recovery cohorts with gaps, in any
-// order, and for every row of the encoding matrix — and an unknown
-// responder is still refused.
+// order, and for every row of the encoding matrix (one per rank ≥ T) — and
+// an unknown responder is still refused.
 func TestRecoveryWeightsMatchReference(t *testing.T) {
 	cfg := testConfig(10, 3, 3, 64) // U = 7, parts = 4
 	for _, cohort := range [][]uint64{
@@ -344,17 +399,26 @@ func TestRecoveryWeightsMatchReference(t *testing.T) {
 		t.Fatal("a responder outside the client set got recovery weights")
 	}
 
+	// The encoding matrix interpolates from the mask pieces at β_1..β_{U−T}
+	// and the noise pieces at α_0..α_{T−1}; ranks below T, whose shares
+	// are noise pieces, have no row.
 	enc, err := newEncodingMatrix(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	betas := make([]field.Element, cfg.RecoveryThreshold())
-	for k := range betas {
-		betas[k] = cfg.beta(k + 1)
+	var xs []field.Element
+	for k := 1; k <= cfg.RecoveryThreshold()-cfg.PrivacyT; k++ {
+		xs = append(xs, cfg.beta(k))
 	}
-	for rank := range cfg.ClientIDs {
-		if want := lagrangeWeightsTextbook(t, betas, cfg.alpha(rank)); !slices.Equal(enc.w[rank], want) {
-			t.Fatalf("encoding matrix row %d: %v, want %v", rank, enc.w[rank], want)
+	for r := range cfg.PrivacyT {
+		xs = append(xs, cfg.alpha(r))
+	}
+	if len(enc.w) != len(cfg.ClientIDs)-cfg.PrivacyT {
+		t.Fatalf("encoding matrix has %d rows, want n−T = %d", len(enc.w), len(cfg.ClientIDs)-cfg.PrivacyT)
+	}
+	for rank := cfg.PrivacyT; rank < len(cfg.ClientIDs); rank++ {
+		if want := lagrangeWeightsTextbook(t, xs, cfg.alpha(rank)); !slices.Equal(enc.w[rank-cfg.PrivacyT], want) {
+			t.Fatalf("encoding matrix row of rank %d: %v, want %v", rank, enc.w[rank-cfg.PrivacyT], want)
 		}
 	}
 }
