@@ -34,6 +34,8 @@ func TestCodecMalformed(t *testing.T) {
 	wireFamily(t).Check(t, "refuse/lying envelope count", "refuse/lying result count",
 		"refuse/share word not canonical", "refuse/masked word not canonical", "refuse/result word not canonical")
 }
+func TestCodecSeededFuzz(t *testing.T)    { wireFamily(t).Check(t, "corpus/FuzzControlCodec") }
+func TestWriteControlCorpus(t *testing.T) { wireFamily(t).Check(t, "corpus/FuzzControlCodec") }
 
 // TestDecodersDoNotAliasPayload runs the table's kinds; each sample's rows
 // end in the alias check.
