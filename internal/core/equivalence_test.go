@@ -112,7 +112,7 @@ func eqSecAgg(cfg secagg.Config) eqRound {
 				}
 				inputs[id] = v
 			}
-			rr, err := secagg.Run(cfg, inputs, nil, drops, rand.Reader)
+			rr, err := secagg.RunWithSessions(cfg, inputs, nil, drops, rand.Reader, nil)
 			if err != nil {
 				return nil, err
 			}

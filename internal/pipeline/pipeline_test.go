@@ -1,9 +1,11 @@
 package pipeline
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -458,6 +460,139 @@ func TestExecutorValidation(t *testing.T) {
 	ex, _ := NewExecutor(w, fns)
 	if err := ex.Run(0); err == nil {
 		t.Error("m=0 should error")
+	}
+}
+
+// roundWorkflow is the three-stage workflow core.RunRound builds: one stage
+// on each resource.
+func roundWorkflow() Workflow {
+	return Workflow{
+		{Name: "client-encode-noise", Resource: ClientCompute},
+		{Name: "secure-aggregation", Resource: Communication},
+		{Name: "server-noise-removal", Resource: ServerCompute},
+	}
+}
+
+// stageEvent is the start or the end of one chunk-stage.
+type stageEvent struct {
+	stage, chunk int
+	end          bool
+}
+
+// TestExecutorFollowsSimulate checks that the executor runs the schedule
+// Simulate models: whatever each call takes, every resource starts its
+// chunk-stages in the order of Simulate's intervals on it, (s, c) starts
+// only after (s−1, c) ends, and no two chunk-stages overlap on a resource.
+func TestExecutorFollowsSimulate(t *testing.T) {
+	for name, w := range map[string]Workflow{"distributed-dp": DistributedDPWorkflow(), "run-round": roundWorkflow()} {
+		for _, m := range []int{1, 4, 12} {
+			rnd := rand.New(rand.NewPCG(uint64(m), uint64(len(w))))
+			tau := make([]float64, len(w))
+			base := make([]time.Duration, len(w))
+			for s := range w {
+				base[s] = time.Duration(50+rnd.IntN(400)) * time.Microsecond
+				tau[s] = base[s].Seconds()
+			}
+			var mu sync.Mutex // guards rnd and log
+			var log []stageEvent
+			fns := make([]StageFunc, len(w))
+			for s := range w {
+				fns[s] = func(chunk int) error {
+					mu.Lock()
+					log = append(log, stageEvent{s, chunk, false})
+					nap := base[s] + time.Duration(rnd.IntN(100))*time.Microsecond
+					mu.Unlock()
+					time.Sleep(nap)
+					mu.Lock()
+					log = append(log, stageEvent{s, chunk, true})
+					mu.Unlock()
+					return nil
+				}
+			}
+			ex, err := NewExecutor(w, fns)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ex.Run(m); err != nil {
+				t.Fatal(err)
+			}
+			sched, err := Simulate(w, tau, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[Resource][][2]int{}
+			slices.SortStableFunc(sched.Intervals, func(a, b Interval) int { return cmp.Compare(a.Start, b.Start) })
+			for _, iv := range sched.Intervals {
+				r := w[iv.Stage].Resource
+				want[r] = append(want[r], [2]int{iv.Stage, iv.Chunk})
+			}
+			got := map[Resource][][2]int{}
+			ended := map[[2]int]bool{}
+			var busy [numResources]bool
+			for _, ev := range log {
+				r := w[ev.stage].Resource
+				if ev.end {
+					busy[r] = false
+					ended[[2]int{ev.stage, ev.chunk}] = true
+					continue
+				}
+				got[r] = append(got[r], [2]int{ev.stage, ev.chunk})
+				if busy[r] {
+					t.Errorf("%s m=%d: (%d, %d) started while %v was busy", name, m, ev.stage, ev.chunk, r)
+				}
+				busy[r] = true
+				if ev.stage > 0 && !ended[[2]int{ev.stage - 1, ev.chunk}] {
+					t.Errorf("%s m=%d: (%d, %d) started before (%d, %d) ended", name, m, ev.stage, ev.chunk, ev.stage-1, ev.chunk)
+				}
+			}
+			for r, order := range want {
+				if !slices.Equal(got[r], order) {
+					t.Errorf("%s m=%d: %v ran %v, Simulate orders %v", name, m, r, got[r], order)
+				}
+			}
+		}
+	}
+}
+
+// TestExecutorStopsAtFirstError fails one chunk-stage (s, c) per run and
+// checks that neither a later chunk of stage s nor a later stage of chunk
+// c starts, and that Run returns the failure.
+func TestExecutorStopsAtFirstError(t *testing.T) {
+	const m = 4
+	for name, w := range map[string]Workflow{"distributed-dp": DistributedDPWorkflow(), "run-round": roundWorkflow()} {
+		for run := range 100 {
+			rnd := rand.New(rand.NewPCG(uint64(run), 2))
+			failS, failC := rnd.IntN(len(w)), rnd.IntN(m)
+			boom := errors.New("boom")
+			var mu sync.Mutex // guards rnd and ran
+			var ran [][2]int
+			fns := make([]StageFunc, len(w))
+			for s := range w {
+				fns[s] = func(chunk int) error {
+					mu.Lock()
+					if s == failS && chunk > failC || s > failS && chunk == failC {
+						ran = append(ran, [2]int{s, chunk})
+					}
+					nap := time.Duration(rnd.IntN(100)) * time.Microsecond
+					mu.Unlock()
+					time.Sleep(nap)
+					if s == failS && chunk == failC {
+						return boom
+					}
+					return nil
+				}
+			}
+			ex, err := NewExecutor(w, fns)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ex.Run(m); !errors.Is(err, boom) {
+				t.Fatalf("%s run %d: want boom, got %v", name, run, err)
+			}
+			if len(ran) > 0 {
+				t.Fatalf("%s run %d: (%d, %d) failed, yet %v started", name, run, failS, failC, ran)
+			}
+		}
 	}
 }
 

@@ -2,8 +2,8 @@
 // the stage abstraction of Table 1, the performance model of Eq. 3, the
 // profiling-based parameter fit, the discrete-event schedule simulator of
 // Appendix C, the optimal chunk-count solver, and a concurrent executor
-// that runs real chunk-aggregation work under the same resource
-// constraints.
+// that runs real chunk-aggregation work on the schedule the simulator
+// evaluates.
 package pipeline
 
 import "fmt"

@@ -4,9 +4,9 @@
 //
 // The protocol is expressed as two explicit state machines — Client and
 // Server — whose per-stage methods consume the previous stage's messages
-// and produce the next. A thin orchestrator (Run) drives a full round
-// in-process with configurable dropout injection; the same state machines
-// are driven over a real transport by package core.
+// and produce the next. A thin orchestrator (RunWithSessions) drives a full
+// round in-process with configurable dropout injection; the same state
+// machines are driven over a real transport by package core.
 //
 // Stages (Fig. 5):
 //

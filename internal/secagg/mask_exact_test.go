@@ -48,7 +48,7 @@ func TestMaskExpansionExactSum(t *testing.T) {
 			for graph, cfg := range map[string]secagg.Config{"classic": base, "secagg+": plus} {
 				for name, drops := range schedules {
 					t.Run(fmt.Sprintf("b%d/dim%d/%s/%s", bits, dim, graph, name), func(t *testing.T) {
-						rr, err := secagg.Run(cfg, inputs, nil, drops, rand)
+						rr, err := secagg.RunWithSessions(cfg, inputs, nil, drops, rand, nil)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -44,21 +44,18 @@ type RunResult struct {
 	Clients map[uint64]*Client
 }
 
-// Run executes one full aggregation round in-process: the server's and the
-// clients' stage tables (Program) walked by engine.RunLocal — every live
-// client its own goroutine, stage messages streaming into the shared round
-// engine as typed values, the server's incremental Add*/Seal* methods
-// consuming them on arrival. Dropouts are injected per the schedule: a
-// client that drops before stage k contributes to every stage before k and
-// none from k on. signers may be nil in the semi-honest setting.
-func Run(cfg Config, inputs map[uint64]ring.Vector, signers map[uint64]*sig.Signer,
-	drops DropSchedule, rand io.Reader) (*RunResult, error) {
-	return RunWithSessions(cfg, inputs, signers, drops, rand, nil)
-}
-
-// RunWithSessions is Run with an optional set of shared key-agreement
-// sessions. The first round on fresh sessions runs the full protocol and
-// populates them (key pairs, pairwise secrets, the sealed roster);
+// RunWithSessions executes one full aggregation round in-process: the
+// server's and the clients' stage tables (Program) walked by
+// engine.RunLocal — every live client its own goroutine, stage messages
+// streaming into the shared round engine as typed values, the server's
+// incremental Add*/Seal* methods consuming them on arrival. Dropouts are
+// injected per the schedule: a client that drops before stage k
+// contributes to every stage before k and none from k on. signers may be
+// nil in the semi-honest setting.
+//
+// sess is an optional set of shared key-agreement sessions (nil runs a
+// standalone round). The first round on fresh sessions runs the full
+// protocol and populates them (key pairs, pairwise secrets, the sealed roster);
 // subsequent rounds on the same sessions skip the advertise stage
 // entirely (the roster is cached and the keys unchanged) and hit the
 // secret caches instead of re-running X25519 — per-chunk masks stay

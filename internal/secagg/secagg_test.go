@@ -56,7 +56,7 @@ func expectedSum(cfg Config, inputs map[uint64]ring.Vector, survivors []uint64) 
 func TestPlainRoundNoDropout(t *testing.T) {
 	cfg := mkConfig(5, 3, nil)
 	inputs := mkInputs(cfg)
-	rr, err := Run(cfg, inputs, nil, nil, rand.Reader)
+	rr, err := RunWithSessions(cfg, inputs, nil, nil, rand.Reader, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestPlainRoundDropBeforeMaskedInput(t *testing.T) {
 	cfg := mkConfig(6, 3, nil)
 	inputs := mkInputs(cfg)
 	drops := DropSchedule{2: StageMaskedInput, 5: StageMaskedInput}
-	rr, err := Run(cfg, inputs, nil, drops, rand.Reader)
+	rr, err := RunWithSessions(cfg, inputs, nil, drops, rand.Reader, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestPlainRoundDropAtEveryStage(t *testing.T) {
 		cfg := mkConfig(6, 3, nil)
 		inputs := mkInputs(cfg)
 		drops := DropSchedule{4: stage}
-		rr, err := Run(cfg, inputs, nil, drops, rand.Reader)
+		rr, err := RunWithSessions(cfg, inputs, nil, drops, rand.Reader, nil)
 		if err != nil {
 			t.Fatalf("stage %v: %v", stage, err)
 		}
@@ -118,7 +118,7 @@ func TestAbortWhenBelowThreshold(t *testing.T) {
 	cfg := mkConfig(4, 3, nil)
 	inputs := mkInputs(cfg)
 	drops := DropSchedule{1: StageMaskedInput, 2: StageMaskedInput}
-	if _, err := Run(cfg, inputs, nil, drops, rand.Reader); err == nil {
+	if _, err := RunWithSessions(cfg, inputs, nil, drops, rand.Reader, nil); err == nil {
 		t.Fatal("round with |U3| < t must abort")
 	}
 }
@@ -131,7 +131,7 @@ func TestXNoiseExactRemoval(t *testing.T) {
 	cfg := mkConfig(5, 3, plan)
 	inputs := mkInputs(cfg)
 	drops := DropSchedule{2: StageMaskedInput}
-	rr, err := Run(cfg, inputs, nil, drops, rand.Reader)
+	rr, err := RunWithSessions(cfg, inputs, nil, drops, rand.Reader, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestXNoiseResidualVariance(t *testing.T) {
 		for i := 0; i < numDropped; i++ {
 			drops[uint64(i+1)] = StageMaskedInput
 		}
-		rr, err := Run(cfg, inputs, nil, drops, rand.Reader)
+		rr, err := RunWithSessions(cfg, inputs, nil, drops, rand.Reader, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +212,7 @@ func TestXNoiseMidRemovalDropout(t *testing.T) {
 	cfg := mkConfig(5, 3, plan)
 	inputs := mkInputs(cfg)
 	drops := DropSchedule{3: StageUnmasking} // in U3, not in U5
-	rr, err := Run(cfg, inputs, nil, drops, rand.Reader)
+	rr, err := RunWithSessions(cfg, inputs, nil, drops, rand.Reader, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestMaliciousModeHappyPath(t *testing.T) {
 		}
 	}
 	inputs := mkInputs(cfg)
-	rr, err := Run(cfg, inputs, signers, nil, rand.Reader)
+	rr, err := RunWithSessions(cfg, inputs, signers, nil, rand.Reader, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

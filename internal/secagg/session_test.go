@@ -329,7 +329,7 @@ func TestRunWithSessionsMatchesPlainRun(t *testing.T) {
 	const n, dim = 5, 48
 	cfg, inputs, drops := sessionRoundConfig(n, dim)
 
-	plain, err := Run(cfg, inputs, nil, drops, sessionRand("plain"))
+	plain, err := RunWithSessions(cfg, inputs, nil, drops, sessionRand("plain"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

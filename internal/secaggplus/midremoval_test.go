@@ -39,7 +39,7 @@ func TestSecAggPlusMidRemovalRecovery(t *testing.T) {
 		2: secagg.StageMaskedInput,
 		7: secagg.StageUnmasking,
 	}
-	rr, err := secagg.Run(cfg, inputs, nil, drops, rand.Reader)
+	rr, err := secagg.RunWithSessions(cfg, inputs, nil, drops, rand.Reader, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestSecAggPlusAbortsWhenNeighborhoodDies(t *testing.T) {
 		7: secagg.StageUnmasking,
 		8: secagg.StageUnmasking,
 	}
-	if _, err := secagg.Run(cfg, inputs, nil, drops, rand.Reader); err == nil {
+	if _, err := secagg.RunWithSessions(cfg, inputs, nil, drops, rand.Reader, nil); err == nil {
 		t.Fatal("round should abort when a dead client's mask cannot be reconstructed")
 	}
 }

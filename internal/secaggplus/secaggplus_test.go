@@ -145,7 +145,7 @@ func TestSecAggPlusRoundNoDropout(t *testing.T) {
 		inputs[id] = v
 		want.AddInPlace(v)
 	}
-	rr, err := secagg.Run(cfg, inputs, nil, nil, rand.Reader)
+	rr, err := secagg.RunWithSessions(cfg, inputs, nil, nil, rand.Reader, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestSecAggPlusRoundWithDropout(t *testing.T) {
 		inputs[id] = v
 	}
 	drops := secagg.DropSchedule{4: secagg.StageMaskedInput, 9: secagg.StageMaskedInput}
-	rr, err := secagg.Run(cfg, inputs, nil, drops, rand.Reader)
+	rr, err := secagg.RunWithSessions(cfg, inputs, nil, drops, rand.Reader, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestSecAggPlusWithXNoise(t *testing.T) {
 		inputs[id] = ring.NewVector(cfg.Bits, cfg.Dim)
 	}
 	drops := secagg.DropSchedule{2: secagg.StageMaskedInput}
-	rr, err := secagg.Run(cfg, inputs, nil, drops, rand.Reader)
+	rr, err := secagg.RunWithSessions(cfg, inputs, nil, drops, rand.Reader, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
