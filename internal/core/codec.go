@@ -75,10 +75,10 @@ func encodeMaskedInput(m secagg.MaskedInputMsg) ([]byte, error) {
 	return w.Done()
 }
 
-// decodeMaskedInput decodes the stage-2 masked input message. It is the
-// one decoder that borrows: YLE is the frame's own little-endian words,
-// which secagg.Server.AddMasked folds in place, and it dies with the
-// payload (ARCHITECTURE.md "Frame ownership").
+// decodeMaskedInput decodes the stage-2 masked input message. It borrows:
+// YLE is the frame's own little-endian words, which
+// secagg.Server.AddMasked folds in place, and it dies with the payload
+// (ARCHITECTURE.md "Frame ownership").
 func decodeMaskedInput(p []byte) (secagg.MaskedInputMsg, error) {
 	r := transport.NewReader(p, codecMagic, tagMaskedInput)
 	m := secagg.MaskedInputMsg{From: r.Uint64(), YLE: r.WordsLE(maxWireElems)}
@@ -255,10 +255,13 @@ func encodeResult(res secagg.Result) ([]byte, error) {
 	return w.Done()
 }
 
-// decodeResult decodes the final result broadcast.
+// decodeResult decodes the final result broadcast. It borrows the sum,
+// as decodeMaskedInput borrows the masked input: SumLE is the frame's own
+// little-endian words, which the client's Result step copies into its
+// buffer before the frame is released.
 func decodeResult(p []byte) (secagg.Result, error) {
 	r := transport.NewReader(p, codecMagic, tagResult)
-	res := secagg.Result{Sum: r.Words(maxWireElems), Survivors: r.Words(maxWireElems), Dropped: r.Words(maxWireElems)}
+	res := secagg.Result{SumLE: r.WordsLE(maxWireElems), Survivors: r.Words(maxWireElems), Dropped: r.Words(maxWireElems)}
 	if ks := r.Words(maxWireElems); len(ks) > 0 {
 		res.RemovedComponents = make([]int, len(ks))
 		for i, k := range ks {

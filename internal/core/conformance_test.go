@@ -158,7 +158,8 @@ func wireFamily(tb testing.TB) *fuzzcorpus.Family {
 	for _, k := range kinds {
 		c := wireCodec[k.tag]
 		kind := fuzzcorpus.Kind{Name: k.name, Encode: c.Encode, Decode: c.Decode, Samples: k.samples}
-		if k.tag == secagg.TagMasked {
+		switch k.tag {
+		case secagg.TagMasked:
 			// The masked input borrows: its words are the frame's own,
 			// folded in place by secagg.Server.AddMasked before the frame
 			// is released.
@@ -167,6 +168,15 @@ func wireFamily(tb testing.TB) *fuzzcorpus.Family {
 				m.Y, _, _ = transport.DecodeUint64sLE(m.YLE, len(m.YLE)/8)
 				m.YLE = nil
 				return m
+			}
+		case secagg.TagResult:
+			// So does the result's sum, copied into the client's buffer
+			// by its Result step before the frame is released.
+			kind.Own = func(v any) any {
+				res := v.(secagg.Result)
+				res.Sum, _, _ = transport.DecodeUint64sLE(res.SumLE, len(res.SumLE)/8)
+				res.SumLE = nil
+				return res
 			}
 		}
 		fam.Kinds = append(fam.Kinds, kind)

@@ -54,6 +54,12 @@ type wireRig struct {
 	wantErr map[uint64]error
 	// configure, when set, edits each client's round configuration last.
 	configure func(*WireClientConfig)
+	// input, when set, is client id's input to a round of cfg; nil: the
+	// constant vector of its id.
+	input func(id uint64, cfg secagg.Config) ring.Vector
+	// results, when non-nil, collects every client's result of the round
+	// that ran last (nil for a client that ended without one).
+	results map[uint64]*secagg.Result
 
 	// hs is the outcome one-shot rounds run under (zero: a fresh round);
 	// a service negotiates its own before every round.
@@ -85,7 +91,7 @@ type wireRig struct {
 	// cancelling it kills the server mid-round while its clients run on.
 	serverCtx context.Context
 
-	mu    sync.Mutex // guards conns: clients hang up and re-dial mid-round
+	mu    sync.Mutex // guards conns and results: clients hang up and re-dial mid-round
 	conns map[uint64]transport.ClientConn
 }
 
@@ -423,9 +429,14 @@ func (r *wireRig) client(ctx context.Context, round, id uint64, drop secagg.Stag
 			return
 		}
 	}
-	input := ring.NewVector(r.cfg.Bits, r.cfg.Dim)
-	for i := range input.Data {
-		input.Data[i] = id
+	var input ring.Vector
+	if r.input != nil {
+		input = r.input(id, r.cfg)
+	} else {
+		input = ring.NewVector(r.cfg.Bits, r.cfg.Dim)
+		for i := range input.Data {
+			input.Data[i] = id
+		}
 	}
 	cfg := WireClientConfig{
 		SecAgg: r.config(round, hs.Ratchet), ID: id, Input: input, DropBefore: drop, Rand: rand.Reader,
@@ -435,7 +446,12 @@ func (r *wireRig) client(ctx context.Context, round, id uint64, drop secagg.Stag
 	if r.configure != nil {
 		r.configure(&cfg)
 	}
-	_, err := RunWireClient(ctx, cfg, conn)
+	res, err := RunWireClient(ctx, cfg, conn)
+	if r.results != nil {
+		r.mu.Lock()
+		r.results[id] = res
+		r.mu.Unlock()
+	}
 	switch want := r.wantErr[id]; {
 	case want != nil:
 		if !errors.Is(err, want) {

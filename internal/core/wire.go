@@ -150,7 +150,10 @@ type WireClientConfig struct {
 	// Session, when non-nil, carries this client's key pairs and pairwise
 	// secrets across the rounds that share it; with Resume, the advertise
 	// round trip is skipped and the client resumes on its cached roster
-	// (the deployment must set the matching flags on the server).
+	// (the deployment must set the matching flags on the server). It also
+	// keeps the client's one buffer, which the round's result is received
+	// into: the returned Result.Sum is valid until the session's next
+	// round, so a caller that keeps a sum longer copies it.
 	Session *secagg.Session
 	Resume  bool
 	// Divergent, with Resume, makes the resume partial (Handshake.Divergent

@@ -52,7 +52,8 @@ type Msg struct {
 // every release point: Collect calls it once a frame's Apply has returned
 // or the frame is discarded, so a Decode may borrow from the payload —
 // core's masked-input decoder does — as long as Apply retains nothing of
-// it. Typed in-process bodies have no frame.
+// it. The client walker releases a downlink frame after its step's Do
+// likewise. Typed in-process bodies have no frame.
 func (m Msg) release() {
 	if p, ok := m.Body.([]byte); ok {
 		transport.Release(p)

@@ -122,8 +122,10 @@ type Codec map[int]MsgCodec
 // Both directions hand over ownership, because the wire link releases
 // the payload (ARCHITECTURE.md "Frame ownership"): Encode returns one
 // nothing else references, Decode a message with no alias into it. A
-// server uplink's decoder may borrow — Collect releases a frame only
-// after its Apply — and core's masked-input decoder is the one that does.
+// decoder may borrow where the engine releases late: Collect releases a
+// server's uplink frame only after its Apply, and the client walker a
+// downlink frame only after the step's Do. core's masked-input and
+// result decoders are the two that borrow.
 type MsgCodec struct {
 	Encode func(body any) ([]byte, error)
 	Decode func(payload []byte) (any, error)
@@ -220,7 +222,10 @@ type clientLink interface {
 	send(tag int, body any) error
 	// recv blocks for the next downlink message carrying one of tags;
 	// anything else (stale broadcasts, replays) is discarded undecoded.
-	recv(ctx context.Context, tags []int) (Msg, error)
+	// frame is the wire payload the message was decoded from (nil for a
+	// typed body), which the walker releases once the step's Do has
+	// returned: the decoded body may borrow from it.
+	recv(ctx context.Context, tags []int) (m Msg, frame []byte, err error)
 	// close makes the client vanish (dropout injection).
 	close() error
 }
@@ -234,7 +239,10 @@ func walkClient(ctx context.Context, l clientLink, p ClientProgram, dropStep int
 	holdsRoster := p.Resume && len(p.Divergent) == 0
 	steps := p.Steps
 	for i := 0; i < len(steps); i++ {
-		var body any
+		var (
+			body  any
+			frame []byte
+		)
 		cached := i == 1 && holdsRoster
 		if steps[i].Await != NoTag && !cached {
 			// The awaited downlink, or a later step's when every step in
@@ -243,10 +251,11 @@ func walkClient(ctx context.Context, l clientLink, p ClientProgram, dropStep int
 			for j := i; steps[j].Optional && j+1 < len(steps); j++ {
 				want = append(want, steps[j+1].Await)
 			}
-			m, err := l.recv(ctx, want)
+			m, f, err := l.recv(ctx, want)
 			if err != nil {
 				return NoTag, err
 			}
+			frame = f
 			for steps[i].Await != m.Stage {
 				i++
 			}
@@ -254,6 +263,7 @@ func walkClient(ctx context.Context, l clientLink, p ClientProgram, dropStep int
 		}
 		st := steps[i]
 		if st.Send != NoTag && dropStep >= 0 && i >= dropStep {
+			transport.Release(frame)
 			return NoTag, l.close()
 		}
 		if i == 0 && keepsKeys {
@@ -275,6 +285,7 @@ func walkClient(ctx context.Context, l clientLink, p ClientProgram, dropStep int
 			}
 			return st.Do(body)
 		}()
+		transport.Release(frame) // after Do: the body may borrow from the frame
 		if err != nil {
 			return st.Send, fmt.Errorf("client %d %s: %w", p.ID, st.Name, err)
 		}
@@ -304,20 +315,20 @@ func (c localClient) send(tag int, body any) error {
 	return nil
 }
 
-func (c localClient) recv(ctx context.Context, tags []int) (Msg, error) {
+func (c localClient) recv(ctx context.Context, tags []int) (Msg, []byte, error) {
 	for {
 		select {
 		case m, ok := <-c.inbox:
 			if !ok {
-				return Msg{}, errRoundOver
+				return Msg{}, nil, errRoundOver
 			}
 			for _, t := range tags {
 				if m.Stage == t {
-					return m, nil
+					return m, nil, nil
 				}
 			}
 		case <-ctx.Done():
-			return Msg{}, ctx.Err()
+			return Msg{}, nil, ctx.Err()
 		}
 	}
 }
@@ -462,19 +473,22 @@ func (c wireClient) send(tag int, body any) error {
 	return err
 }
 
-func (c wireClient) recv(ctx context.Context, tags []int) (Msg, error) {
+func (c wireClient) recv(ctx context.Context, tags []int) (Msg, []byte, error) {
 	for {
 		f, err := c.conn.Recv(ctx)
 		if err != nil {
-			return Msg{}, err
+			return Msg{}, nil, err
 		}
 		if !slices.Contains(tags, f.Stage) {
 			transport.Release(f.Payload)
 			continue
 		}
 		body, err := c.codec.decode(f.Stage, f.Payload)
-		transport.Release(f.Payload)
-		return Msg{Stage: f.Stage, Body: body}, err
+		if err != nil {
+			transport.Release(f.Payload)
+			return Msg{}, nil, err
+		}
+		return Msg{Stage: f.Stage, Body: body}, f.Payload, nil
 	}
 }
 

@@ -98,3 +98,61 @@ func TestCollectReleasesDiscardsKeepsParked(t *testing.T) {
 		t.Error("the replayed hello was not released after its Apply")
 	}
 }
+
+// frameConn is a client connection that yields its frames in order, then
+// blocks until the context ends.
+type frameConn struct{ frames []transport.Frame }
+
+func (c *frameConn) Send(transport.Frame) error { return nil }
+func (c *frameConn) Close() error               { return nil }
+func (c *frameConn) Recv(ctx context.Context) (transport.Frame, error) {
+	if len(c.frames) == 0 {
+		<-ctx.Done()
+		return transport.Frame{}, ctx.Err()
+	}
+	f := c.frames[0]
+	c.frames = c.frames[1:]
+	return f, nil
+}
+
+// TestJoinWireReleasesAfterDo: the client walker is a wire client's
+// release point. A downlink frame goes back to the transport once its
+// step's Do has returned — not before, the decoded body may borrow from
+// it — and a frame of a tag no step awaits is released as it is skipped.
+func TestJoinWireReleasesAfterDo(t *testing.T) {
+	msgs := map[string]Msg{
+		"stale":   leasedFrame(t, 0, 5, "stale"),
+		"awaited": leasedFrame(t, 0, 2, "awaited"),
+	}
+	conn := &frameConn{}
+	for _, name := range []string{"stale", "awaited"} {
+		conn.frames = append(conn.frames, transport.Frame{Stage: msgs[name].Stage, Payload: msgs[name].Body.([]byte)})
+	}
+	borrowing := MsgCodec{Decode: func(p []byte) (any, error) { return p, nil }}
+	var (
+		saw    string
+		during map[string]bool
+	)
+	program := ClientProgram{ID: 1, Steps: []ClientStep{
+		{Name: "open", Await: NoTag, Send: NoTag, Do: func(any) (any, error) { return nil, nil }},
+		{Name: "take", Await: 2, Send: NoTag, Do: func(body any) (any, error) {
+			saw, during = label(Msg{Body: body}), releasedFrames(msgs)
+			return nil, nil
+		}},
+	}}
+	if err := JoinWire(context.Background(), conn, Codec{2: borrowing, 5: borrowing}, program, NoDrop); err != nil {
+		t.Fatal(err)
+	}
+	if saw != "awaited" {
+		t.Fatalf("Do saw %q, want the awaited frame", saw)
+	}
+	if !during["stale"] {
+		t.Error("the skipped stale frame was not released")
+	}
+	if during["awaited"] {
+		t.Fatal("the awaited frame was released before its step's Do")
+	}
+	if !releasedFrames(map[string]Msg{"awaited": msgs["awaited"]})["awaited"] {
+		t.Error("the awaited frame was not released after its step's Do")
+	}
+}

@@ -3,6 +3,7 @@ package secagg
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"maps"
@@ -45,6 +46,9 @@ type Client struct {
 
 	noise *xnoise.ClientNoise // nil without XNoise
 
+	// buf is a session-less client's one vector (buffer).
+	buf []uint64
+
 	// maskedDigest is the transcript digest of this client's own masked
 	// upload (only with cfg.TranscriptDigests) — the leaf preimage it will
 	// check an inclusion proof against.
@@ -62,9 +66,13 @@ type Client struct {
 // NewClient constructs a participant for the round. signer may be nil in
 // the semi-honest setting; with cfg.Malicious it is required and its
 // public key must be registered in cfg.Registry. input is borrowed, not
-// copied: the client only reads it (MaskedInput clones it once, into the
-// masked vector it uploads), and the caller must not change it until
-// MaskedInput has returned.
+// copied: the client only reads it, and the caller must not change it
+// until MaskedInput has returned.
+//
+// A client owns one buffer: one Dim-length vector that MaskedInput copies
+// the input into and masks in place — the upload — and that the Result
+// step receives the round's sum into. A session-less client makes it once
+// per round; a session keeps it across its sub-rounds and rounds (Session).
 func NewClient(cfg Config, id uint64, input ring.Vector, signer *sig.Signer, rand io.Reader) (*Client, error) {
 	return NewSessionClient(cfg, id, input, signer, rand, nil)
 }
@@ -79,6 +87,11 @@ func NewSessionClient(cfg Config, id uint64, input ring.Vector, signer *sig.Sign
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return newClient(cfg, id, input, signer, rand, sess)
+}
+
+// newClient is NewSessionClient for a cfg the caller has validated.
+func newClient(cfg Config, id uint64, input ring.Vector, signer *sig.Signer, rand io.Reader, sess *Session) (*Client, error) {
 	if _, err := cfg.indexOf(id); err != nil {
 		return nil, err
 	}
@@ -98,6 +111,18 @@ func NewSessionClient(cfg Config, id uint64, input ring.Vector, signer *sig.Sign
 		c.noise = noise
 	}
 	return c, nil
+}
+
+// buffer returns the client's one vector (NewClient), Dim long: its
+// session's, or its own, made on first use.
+func (c *Client) buffer() []uint64 {
+	if c.session != nil {
+		return c.session.buffer(c.cfg.Dim)
+	}
+	if c.buf == nil {
+		c.buf = make([]uint64, c.cfg.Dim)
+	}
+	return c.buf
 }
 
 // rosterEntry returns id's advertisement in the roster ShareKeys verified.
@@ -319,7 +344,9 @@ func sliceNoiseShares(noiseShares [][]shamir.Share, i int) []shamir.Share {
 
 // MaskedInput runs stage 2: store the relayed ciphertexts, derive the
 // pairwise and self masks, add the XNoise components, and emit the masked
-// input y_u.
+// input y_u. y_u is the client's buffer (NewClient): the caller must be
+// done with it before the Result step or, with a session, the session's
+// next sub-round.
 func (c *Client) MaskedInput(ciphertexts []EncryptedShareMsg) (MaskedInputMsg, error) {
 	if len(ciphertexts)+1 < c.cfg.Threshold { // +1: own bundle kept locally
 		return MaskedInputMsg{}, fmt.Errorf("secagg: client %d received %d share ciphertexts < t-1=%d",
@@ -348,7 +375,8 @@ func (c *Client) MaskedInput(ciphertexts []EncryptedShareMsg) (MaskedInputMsg, e
 		}
 	}
 
-	y := c.input.Clone()
+	y := ring.Vector{Bits: c.cfg.Bits, Data: c.buffer()}
+	copy(y.Data, c.input.Data)
 	// XNoise: add the full excessive noise before masking (Fig. 5 setup:
 	// Δ̃_u = Δ_u + Σ_k n_{u,k}).
 	if c.noise != nil {
@@ -391,6 +419,25 @@ func (c *Client) MaskedInput(ciphertexts []EncryptedShareMsg) (MaskedInputMsg, e
 		c.hasMaskedDigest = true
 	}
 	return MaskedInputMsg{From: c.id, Y: y.Data}, nil
+}
+
+// receiveResult is the Result step: a sum in its wire form (Result.SumLE)
+// is copied into the client's buffer and handed on as Sum; a sum the
+// server handed over itself (in-process) stays the server's.
+func (c *Client) receiveResult(res Result) (Result, error) {
+	if res.Sum != nil {
+		return res, nil
+	}
+	sum := c.buffer()
+	if len(res.SumLE) != 8*len(sum) {
+		return Result{}, fmt.Errorf("secagg: client %d got a result of %d bytes, want %d coordinates",
+			c.id, len(res.SumLE), len(sum))
+	}
+	for i := range sum {
+		sum[i] = binary.LittleEndian.Uint64(res.SumLE[8*i:])
+	}
+	res.Sum, res.SumLE = sum, nil
+	return res, nil
 }
 
 // MaskedDigest returns the transcript digest of this client's own masked

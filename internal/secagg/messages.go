@@ -113,10 +113,19 @@ type NoiseShareMsg struct {
 }
 
 // Result is the server's output for the round.
+//
+// Like MaskedInputMsg, the sum travels in one of two forms. The server
+// produces Sum; the wire decoder leaves Sum nil and sets SumLE to the same
+// words as they lie in the frame, borrowed from the payload. A client's
+// Result step copies SumLE into the client's one buffer (NewClient) and
+// hands on Sum alone. With a Session that buffer is the session's: a
+// client's Sum is valid until that session's next sub-round.
 type Result struct {
 	// Sum is the aggregate Σ_{u∈U3} of the (noised) inputs, fully unmasked
 	// and, with XNoise, with excessive noise removed.
 	Sum []uint64
+	// SumLE is Sum's wire bytes: 8 little-endian bytes per coordinate.
+	SumLE []byte
 	// Survivors is U3: the clients whose inputs are included.
 	Survivors []uint64
 	// Dropped is U \ U3: the clients whose inputs (and noise) are missing.

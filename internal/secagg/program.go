@@ -181,9 +181,11 @@ func (c *Client) Program(round *ClientRound) engine.ClientProgram {
 	}, {
 		Name: "Result", Await: TagResult, Send: engine.NoTag,
 		Do: func(body any) (any, error) {
-			res := body.(Result)
-			round.Result = &res
-			return nil, nil
+			res, err := c.receiveResult(body.(Result))
+			if err == nil {
+				round.Result = &res
+			}
+			return nil, err
 		},
 	}}
 	return engine.ClientProgram{ID: c.id, Steps: steps}

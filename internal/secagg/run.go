@@ -75,10 +75,9 @@ func RunWithSessions(cfg Config, inputs map[uint64]ring.Vector, signers map[uint
 		}
 		srvSess = sess.Server
 	}
-	server, err := NewSessionServer(cfg, srvSess)
-	if err != nil {
-		return nil, err
-	}
+	// The parties are built on the cfg validated above, not validated
+	// again once per party.
+	server := newServer(cfg, srvSess)
 	shared := engine.SharedReader(rand)
 	clients := make(map[uint64]*Client, len(cfg.ClientIDs))
 	programs := make([]engine.ClientProgram, 0, len(cfg.ClientIDs))
@@ -95,7 +94,7 @@ func RunWithSessions(cfg Config, inputs map[uint64]ring.Vector, signers map[uint
 		if sess != nil {
 			cs = sess.Client[id]
 		}
-		c, err := NewSessionClient(cfg, id, input, signer, shared, cs)
+		c, err := newClient(cfg, id, input, signer, shared, cs)
 		if err != nil {
 			return nil, err
 		}
@@ -107,7 +106,7 @@ func RunWithSessions(cfg Config, inputs map[uint64]ring.Vector, signers map[uint
 	var round ServerRound
 	program := server.Program(&round)
 	program.Resume = resume
-	err = engine.RunLocal(program, programs, func(id uint64) int {
+	err := engine.RunLocal(program, programs, func(id uint64) int {
 		if stage, ok := drops[id]; ok {
 			return int(stage)
 		}

@@ -590,11 +590,40 @@ func TestConfigValidation(t *testing.T) {
 			c.XNoise = &xnoise.Plan{NumClients: 4, DropoutTolerance: 0, Threshold: 2, TargetVariance: 1}
 		},
 	}
+	// RunWithSessions validates once and builds its parties on the
+	// validated config; the public constructors each still validate.
+	inputs := mkInputs(good)
 	for i, mutate := range cases {
 		c := mkConfig(4, 3, nil)
 		mutate(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d should fail validation", i)
+		}
+		for name, build := range map[string]func() error{
+			"RunWithSessions": func() error {
+				_, err := RunWithSessions(c, inputs, nil, nil, rand.Reader, nil)
+				return err
+			},
+			"NewClient": func() error {
+				_, err := NewClient(c, 1, inputs[1], nil, rand.Reader)
+				return err
+			},
+			"NewSessionClient": func() error {
+				_, err := NewSessionClient(c, 1, inputs[1], nil, rand.Reader, nil)
+				return err
+			},
+			"NewServer": func() error {
+				_, err := NewServer(c)
+				return err
+			},
+			"NewSessionServer": func() error {
+				_, err := NewSessionServer(c, nil)
+				return err
+			},
+		} {
+			if err := build(); err == nil {
+				t.Errorf("case %d: %s accepts an invalid config", i, name)
+			}
 		}
 	}
 }

@@ -92,10 +92,15 @@ func NewSessionServer(cfg Config, sess *ServerSession) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return newServer(cfg, sess), nil
+}
+
+// newServer is NewSessionServer for a cfg the caller has validated.
+func newServer(cfg Config, sess *ServerSession) *Server {
 	if sess == nil {
 		sess = NewServerSession()
 	}
-	return &Server{cfg: cfg, session: sess}, nil
+	return &Server{cfg: cfg, session: sess}
 }
 
 // InstallRoster seeds the stage-0 state from a cached roster instead of

@@ -124,6 +124,11 @@ func (d *deal) fits(cfg Config, id uint64, roster []AdvertiseMsg) bool {
 // mask key reconstructed by the server — and a ratchet step derives mask
 // streams, so resuming below the mark would repeat them. Safe for
 // concurrent use — mask expansion fans agreements across a worker pool.
+//
+// The session also keeps its client's one buffer (NewClient) across the
+// sub-rounds and rounds that share it, re-sliced to each sub-round's Dim
+// and grown only when Dim grows: a sub-round's masked upload and the sum
+// it receives live there until the session's next sub-round.
 type Session struct {
 	session.ClientState
 
@@ -140,6 +145,20 @@ type Session struct {
 	step     uint64
 	deal     *deal
 	revealed map[uint64]bool
+
+	buf []uint64 // the client's one buffer, at the last sub-round's Dim
+}
+
+// buffer returns the session's buffer re-sliced to dim, grown if dim
+// outgrows it.
+func (s *Session) buffer(dim int) []uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if cap(s.buf) < dim {
+		s.buf = make([]uint64, dim)
+	}
+	s.buf = s.buf[:dim]
+	return s.buf
 }
 
 // atStepLocked moves the step state to step, emptying it if it belonged to
