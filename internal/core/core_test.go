@@ -116,6 +116,36 @@ func TestRunRoundChunkingInvariance(t *testing.T) {
 	}
 }
 
+// TestRunRoundKeptNoiseNotDerivableFromConfig: the XNoise a survivor keeps
+// in the sum — the noise the paper's add-then-remove keeps from the server
+// — comes from the round's randomness, not from its config. One
+// RoundConfig, one set of updates and drops, run with two independent
+// readers, decodes to two different sums; were the seeds derived from
+// RoundConfig.Seed, anyone holding the config could subtract the noise.
+func TestRunRoundKeptNoiseNotDerivableFromConfig(t *testing.T) {
+	const n, dim = 5, 64
+	cfg := RoundConfig{
+		Round: 4, Protocol: ProtocolSecAgg, Codec: testCodec(dim, n),
+		Threshold: 3, Chunks: 2, Tolerance: 2, TargetMu: 60,
+		Seed: prg.NewSeed([]byte("kept-noise")),
+	}
+	updates := randomUpdates(n, dim, 0.5)
+	var sums [2][]float64
+	for i := range sums {
+		res, err := RunRound(cfg, updates, []uint64{2}, prg.NewStream(prg.NewSeed([]byte("kept-noise-rand"), []byte{byte(i)})))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sums[i] = res.Sum
+	}
+	for i := range sums[0] {
+		if sums[0][i] != sums[1][i] {
+			return
+		}
+	}
+	t.Fatal("two independent readers decoded the same noisy sum: the kept noise is a function of the config")
+}
+
 func TestRunRoundXNoiseVariance(t *testing.T) {
 	// Pipelined XNoise round: residual noise ≈ TargetMu per coordinate,
 	// with and without dropout.

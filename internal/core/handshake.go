@@ -352,9 +352,6 @@ type ServerSessionState interface {
 	// cover — they must re-advertise, so a resumed round treats them as
 	// divergent.
 	MissingMembers(ids []uint64) []uint64
-	// HasTaint reports whether any client's key material was (or may have
-	// been) reconstructed on this key generation.
-	HasTaint() bool
 	// TaintedMembers lists the clients whose key material was (or may have
 	// been) reconstructed; a partial resume folds them into the divergent
 	// subset and RekeyEdges clears their marks.

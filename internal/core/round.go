@@ -99,13 +99,13 @@ type RoundConfig struct {
 	// without a tolerance rather than silently dropping it.
 	Tolerance int
 	TargetMu  float64
-	Sampler   xnoise.Sampler
-	// NoiseEpoch versions the noise draw sequence (secagg.Config.NoiseEpoch,
-	// xnoise.SamplerForEpoch). All parties of a round must agree; the wire
-	// handshake pins it per round.
-	NoiseEpoch uint64
-	// Seed drives per-round deterministic randomness (noise seeds, chunk
-	// sub-streams).
+	// Sampler draws the XNoise components; nil is noise epoch 0's
+	// (xnoise.SamplerForEpoch).
+	Sampler xnoise.Sampler
+	// Seed drives the encoding's randomness: the per-client rounding
+	// streams. The XNoise seeds are not derived from it: RunRound draws
+	// them from its rand, as a wire client does (secagg.NewClient), so
+	// the config does not give away the noise the server must not remove.
 	Seed prg.Seed
 	// DropSchedule injects per-stage dropouts: id → the protocol stage
 	// *before* which the client vanishes (secagg.DropSchedule semantics).
@@ -152,19 +152,15 @@ func (c RoundConfig) Validate() error {
 	if c.Tolerance == 0 && c.TargetMu != 0 {
 		return fmt.Errorf("core: TargetMu %v without a tolerance would add no noise", c.TargetMu)
 	}
-	if c.NoiseEpoch > xnoise.MaxNoiseEpoch {
-		return fmt.Errorf("core: unknown noise epoch %d (max %d)", c.NoiseEpoch, xnoise.MaxNoiseEpoch)
-	}
 	return nil
 }
 
-// sampler returns the explicitly configured noise sampler, or the frozen
-// sampler of the config's NoiseEpoch (Validate rejects unknown epochs).
+// sampler returns the configured noise sampler, or noise epoch 0's.
 func (c RoundConfig) sampler() xnoise.Sampler {
 	if c.Sampler != nil {
 		return c.Sampler
 	}
-	return xnoise.SamplerForEpoch(c.NoiseEpoch)
+	return xnoise.SamplerForEpoch(0)
 }
 
 // RoundResult is the outcome of one aggregation round.
@@ -294,9 +290,8 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 	bounds := ring.ChunkBounds(pd, m)
 	m = len(bounds)
 
-	// Per-round XNoise: one ClientNoise per client, its seeds derived
-	// deterministically so runs are reproducible (labelled as chunk 0's
-	// were, so a one-chunk round draws what it always drew). Each chunk's
+	// Per-round XNoise: one ClientNoise per client, its seeds drawn from
+	// rand as secagg.NewClient draws them on the wire. Each chunk's
 	// stageClient reads the next chunk-length of every survivor's
 	// components, and stageServer the same windows of the removed ones
 	// through one reader — the executor runs each stage's chunks one at a
@@ -306,11 +301,10 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 	var removal *xnoise.NoiseReader
 	if plan != nil {
 		removed := plan.RemovalComponents(numDropped)
-		seedStream := prg.NewStream(prg.NewSeed(cfg.Seed[:], []byte("noise-seeds")))
 		noise = make([]*xnoise.ClientNoise, len(ids))
 		seeds := make(map[uint64]map[int]field.Element, len(ids)-numDropped)
 		for i, id := range ids {
-			cn, err := xnoise.NewClientNoise(*plan, seedStream.Fork(fmt.Sprintf("k0/%d", i)))
+			cn, err := xnoise.NewClientNoise(*plan, rand)
 			if err != nil {
 				return nil, err
 			}
@@ -332,11 +326,10 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 	// Build the per-chunk protocol config.
 	proto := ResolveProtocol(cfg.Protocol, len(ids))
 	baseCfg := secagg.Config{
-		Round:      cfg.Round,
-		ClientIDs:  ids,
-		Threshold:  cfg.Threshold,
-		Bits:       cfg.Codec.Bits,
-		NoiseEpoch: cfg.NoiseEpoch,
+		Round:     cfg.Round,
+		ClientIDs: ids,
+		Threshold: cfg.Threshold,
+		Bits:      cfg.Codec.Bits,
 	}
 	switch proto {
 	case ProtocolSecAggPlus:

@@ -13,7 +13,8 @@ import (
 // TestRunRoundAmortizesKeyAgreementAcrossChunks: with a session pool, an
 // m-chunk round performs the X25519 work of roughly one chunk (n·k
 // agreements) instead of m·n·k, and the aggregate is bit-identical to the
-// per-chunk-keys path (same deterministic XNoise, masks cancel in both).
+// per-chunk-keys path (the same XNoise, drawn first from readers on one
+// seed; masks cancel in both).
 func TestRunRoundAmortizesKeyAgreementAcrossChunks(t *testing.T) {
 	const n, dim, chunks = 8, 256, 4
 	updates := randomUpdates(n, dim, 0.5)
@@ -26,7 +27,7 @@ func TestRunRoundAmortizesKeyAgreementAcrossChunks(t *testing.T) {
 	}
 
 	a0 := dh.AgreeCount()
-	plain, err := RunRound(mkCfg(), updates, []uint64{3}, rand.Reader)
+	plain, err := RunRound(mkCfg(), updates, []uint64{3}, prg.NewStream(prg.NewSeed([]byte("amortize-rand"))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestRunRoundAmortizesKeyAgreementAcrossChunks(t *testing.T) {
 	cfg := mkCfg()
 	cfg.Sessions = NewSessionPool(1)
 	a0 = dh.AgreeCount()
-	amortized, err := RunRound(cfg, updates, []uint64{3}, rand.Reader)
+	amortized, err := RunRound(cfg, updates, []uint64{3}, prg.NewStream(prg.NewSeed([]byte("amortize-rand"))))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,23 +111,15 @@ func Sample(s *prg.Stream, sigma2 float64) int64 {
 	}
 }
 
-// Vector fills out with iid discrete Gaussian draws of variance parameter
-// sigma2. (The true variance of N_Z(0,σ²) is slightly below σ² for small
-// σ and converges to σ² rapidly; accounting uses the σ² parameter, which
-// is the conservative direction.)
-func Vector(s *prg.Stream, sigma2 float64, out []int64) {
-	for i := range out {
-		out[i] = Sample(s, sigma2)
-	}
-}
-
 // Sampler is an xnoise.Sampler-compatible adapter: it adds an iid
 // discrete Gaussian value with variance parameter `variance` to every
 // out[i] from the stream. Plugging it into xnoise.Plan runs the full
 // add-then-remove scheme on DDGauss noise. Removal is exact
 // (seed-regenerated components cancel bit-for-bit); only the *residual*
 // distribution is approximately N_Z(0, σ²·…) — quantified by
-// SumClosenessTau.
+// SumClosenessTau. (The true variance of N_Z(0,σ²) is slightly below σ²
+// for small σ and converges to σ² rapidly; accounting uses the σ²
+// parameter, which is the conservative direction.)
 func Sampler(s *prg.Stream, variance float64, out []int64) {
 	for i := range out {
 		out[i] += Sample(s, variance)

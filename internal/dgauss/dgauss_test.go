@@ -127,8 +127,8 @@ func TestDeterministicFromSeed(t *testing.T) {
 	a, b := stream("det"), stream("det")
 	va := make([]int64, 256)
 	vb := make([]int64, 256)
-	Vector(a, 16, va)
-	Vector(b, 16, vb)
+	Sampler(a, 16, va)
+	Sampler(b, 16, vb)
 	for i := range va {
 		if va[i] != vb[i] {
 			t.Fatalf("draw %d: %d != %d", i, va[i], vb[i])
@@ -147,7 +147,8 @@ func TestVectorSumVariance(t *testing.T) {
 	sum := make([]int64, dim)
 	buf := make([]int64, dim)
 	for c := 0; c < clients; c++ {
-		Vector(s, perClient, buf)
+		clear(buf)
+		Sampler(s, perClient, buf)
 		for i := range sum {
 			sum[i] += buf[i]
 		}
@@ -320,11 +321,11 @@ func BenchmarkSampleSigma100(b *testing.B) {
 	}
 }
 
-func BenchmarkVector4096(b *testing.B) {
+func BenchmarkSampler4096(b *testing.B) {
 	s := stream("benchvec")
 	out := make([]int64, 4096)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Vector(s, 16, out)
+		Sampler(s, 16, out)
 	}
 }

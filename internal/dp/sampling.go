@@ -38,18 +38,6 @@ func (a *Accountant) AddSkellamSampled(delta1, delta2, mu, q float64) error {
 	return nil
 }
 
-// AddGaussianSampled composes one Gaussian release under sampling rate q.
-func (a *Accountant) AddGaussianSampled(sensitivity, sigma, q float64) error {
-	f, err := AmplificationFactor(q)
-	if err != nil {
-		return err
-	}
-	a.AddRDPFunc(func(alpha float64) float64 {
-		return f * GaussianRDP(alpha, sensitivity, sigma)
-	})
-	return nil
-}
-
 // SkellamEpsilonSampled is the (ε, δ) cost of R subsampled Skellam
 // releases.
 func SkellamEpsilonSampled(rounds int, delta1, delta2, mu, delta, q float64) float64 {
@@ -105,36 +93,42 @@ type SampledLedger struct {
 	delta       float64
 	sensitivity float64
 	delta1      float64
-	q           float64
+	f           float64 // AmplificationFactor(q)
 	acct        *Accountant
 }
 
-// NewSampledLedger creates a ledger accounting releases at sampling rate q.
+// NewSampledLedger creates a ledger accounting releases of mech at
+// sampling rate q. It refuses a mechanism it has no RDP bound for.
 func NewSampledLedger(mech Mechanism, delta, sensitivity, delta1, q float64) (*SampledLedger, error) {
-	if _, err := AmplificationFactor(q); err != nil {
+	if mech != MechanismGaussian && mech != MechanismSkellam {
+		return nil, fmt.Errorf("dp: unknown mechanism %d", mech)
+	}
+	f, err := AmplificationFactor(q)
+	if err != nil {
 		return nil, err
 	}
 	return &SampledLedger{
 		mech: mech, delta: delta, sensitivity: sensitivity, delta1: delta1,
-		q: q, acct: NewAccountant(nil),
+		f: f, acct: NewAccountant(nil),
 	}, nil
 }
 
 // RecordRound composes one release with the achieved central variance and
 // returns the cumulative ε.
 func (l *SampledLedger) RecordRound(achieved float64) float64 {
-	if achieved <= 0 {
+	var rdp func(alpha float64) float64
+	switch {
+	case achieved <= 0:
 		// A round with no noise exposes the aggregate completely; model it
 		// as infinite cost.
-		l.acct.AddRDPFunc(func(alpha float64) float64 { return math.Inf(1) })
-	} else {
-		switch l.mech {
-		case MechanismGaussian:
-			_ = l.acct.AddGaussianSampled(l.sensitivity, math.Sqrt(achieved), l.q)
-		case MechanismSkellam:
-			_ = l.acct.AddSkellamSampled(l.delta1, l.sensitivity, achieved, l.q)
-		}
+		rdp = func(float64) float64 { return math.Inf(1) }
+	case l.mech == MechanismGaussian:
+		sigma := math.Sqrt(achieved)
+		rdp = func(alpha float64) float64 { return l.f * GaussianRDP(alpha, l.sensitivity, sigma) }
+	default: // MechanismSkellam, the only other one NewSampledLedger admits
+		rdp = func(alpha float64) float64 { return l.f * SkellamRDP(alpha, l.delta1, l.sensitivity, achieved) }
 	}
+	l.acct.AddRDPFunc(rdp)
 	return l.acct.Epsilon(l.delta)
 }
 

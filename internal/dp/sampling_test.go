@@ -88,3 +88,12 @@ func TestNewSampledLedgerValidation(t *testing.T) {
 		t.Error("q=0 should error")
 	}
 }
+
+// TestNewSampledLedgerRefusesUnknownMechanism: a ledger is only built for
+// a mechanism it has an RDP bound for. Built for any other, RecordRound
+// would compose nothing and report ε = 0 for rounds that spent budget.
+func TestNewSampledLedgerRefusesUnknownMechanism(t *testing.T) {
+	if _, err := NewSampledLedger(Mechanism(7), 1e-5, 1, 0, 0.5); err == nil {
+		t.Fatal("NewSampledLedger accepted an unknown mechanism")
+	}
+}

@@ -124,29 +124,18 @@ func (t Task) Validate() error {
 // Config selects the scheme and environment for one run.
 type Config struct {
 	Scheme            Scheme
-	EpsilonBudget     float64 // ε_G; ignored by SchemeNone
-	ConservativeTheta float64 // assumed dropout rate for SchemeConservative
-	// DropoutToleranceFrac is T/|U| for XNoise (default 0.5, the Table 3
-	// setting).
-	DropoutToleranceFrac float64
-	Dropout              trace.DropoutModel // nil = no dropout
-	Bits                 uint               // ring width (default 20)
-	Seed                 prg.Seed
+	EpsilonBudget     float64            // ε_G; ignored by SchemeNone
+	ConservativeTheta float64            // assumed dropout rate for SchemeConservative
+	Dropout           trace.DropoutModel // nil = no dropout
+	Seed              prg.Seed
 }
 
-func (c Config) bits() uint {
-	if c.Bits == 0 {
-		return 20
-	}
-	return c.Bits
-}
+const (
+	ringBits = 20 // the DSkellam ring width b
 
-func (c Config) toleranceFrac() float64 {
-	if c.DropoutToleranceFrac == 0 {
-		return 0.5
-	}
-	return c.DropoutToleranceFrac
-}
+	// toleranceFrac is T/|U| for XNoise, the Table 3 setting.
+	toleranceFrac = 0.5
+)
 
 // RoundStats records one round's outcome.
 type RoundStats struct {
@@ -197,12 +186,12 @@ func planNoise(task Task, cfg Config, dim int) (plan, error) {
 	sigmaGuess := task.Clip // model-unit central noise std, refined below
 	var p plan
 	for iter := 0; iter < 3; iter++ {
-		scale, err := skellam.ChooseScale(dim, task.Clip, cfg.bits(), task.SampledPerRound, sigmaGuess, 3)
+		scale, err := skellam.ChooseScale(dim, task.Clip, ringBits, task.SampledPerRound, sigmaGuess, 3)
 		if err != nil {
 			return plan{}, err
 		}
 		codec := skellam.Params{
-			Dim: dim, Bits: cfg.bits(), Clip: task.Clip, Scale: scale,
+			Dim: dim, Bits: ringBits, Clip: task.Clip, Scale: scale,
 			Beta: math.Exp(-0.5), K: 3, NumClients: task.SampledPerRound,
 		}
 		d1, d2 := codec.Sensitivities()
@@ -235,7 +224,7 @@ func planNoise(task Task, cfg Config, dim int) (plan, error) {
 		// noise at the full central level, accumulating |U|·μ overall.
 		noise.TargetVariance = float64(u) * p.mu
 	case SchemeXNoise:
-		noise.DropoutTolerance = min(int(cfg.toleranceFrac()*float64(u)), u-1)
+		noise.DropoutTolerance = min(int(toleranceFrac*float64(u)), u-1)
 		noise.Threshold = u - noise.DropoutTolerance
 	}
 	if err := noise.Validate(); err != nil {

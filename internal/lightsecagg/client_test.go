@@ -186,8 +186,8 @@ func TestOpenEnvelopesRefusesDuplicateOrExcess(t *testing.T) {
 		t.Errorf("duplicate envelope across deliveries: %v", err)
 	}
 	for _, from := range []uint64{2, 3} {
-		if err := c.ReceiveShare(from, make([]field.Element, cfg.SubVectorLen())); err == nil {
-			t.Errorf("ReceiveShare overwrote the share from %d", from)
+		if _, err := c.freeRow(from); err == nil {
+			t.Errorf("the row of the share from %d is free to overwrite", from)
 		}
 	}
 	s, err := c.AggregateShare(cfg.ClientIDs)

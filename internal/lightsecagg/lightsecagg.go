@@ -144,11 +144,6 @@ func (c Config) SubVectorLen() int {
 	return (c.Dim + parts - 1) / parts
 }
 
-// PaddedDim returns (U−T)·L ≥ d, the mask length before coding.
-func (c Config) PaddedDim() int {
-	return (c.RecoveryThreshold() - c.PrivacyT) * c.SubVectorLen()
-}
-
 // Evaluation points: mask pieces live at β_k = k (k = 1..U−T), client
 // shares at α_j = U + 1 + rank(j), the T noise pieces at α_0..α_{T−1}. All
 // distinct by construction.
@@ -292,7 +287,7 @@ type Client struct {
 
 	// random is the one U·L slab NewSessionClient expands from a seed, the
 	// U coded inputs of SubVectorLen each: the mask z_i (U−T sub-vectors,
-	// PaddedDim long) then the T noise sub-vectors, f_i(α_0..α_{T−1}).
+	// (U−T)·L ≥ d long) then the T noise sub-vectors, f_i(α_0..α_{T−1}).
 	// MaskedInput consumes the mask — the upload is built in random[:Dim] —
 	// and sets masked.
 	random []field.Element
@@ -553,21 +548,6 @@ func (c *Client) row(rank int) []field.Element {
 	return c.received[rank*l : (rank+1)*l]
 }
 
-// ReceiveShare stores a copy of client from's coded share for this client.
-func (c *Client) ReceiveShare(from uint64, share []field.Element) error {
-	if len(share) != c.cfg.SubVectorLen() {
-		return fmt.Errorf("lightsecagg: share from %d has length %d, want %d",
-			from, len(share), c.cfg.SubVectorLen())
-	}
-	rank, err := c.freeRow(from)
-	if err != nil {
-		return err
-	}
-	copy(c.row(rank), share)
-	c.have[rank] = true
-	return nil
-}
-
 // MaskedInput returns y_i = x_i + z_i[:d] — the step-2 upload. It consumes
 // the mask: y_i is built in the mask's memory (the share encoding, its only
 // other reader, ran a stage earlier), so a second call is an error instead
@@ -620,20 +600,15 @@ func (c *Client) AggregateShare(survivors []uint64) ([]field.Element, error) {
 	return out, nil
 }
 
-// Server is the aggregator's round state machine. Mirroring secagg.Server,
-// it exposes two equivalent collection surfaces per stage:
-//
-//   - incremental: AddAdvertise/AddShareBundle/AddMasked/AddAggShare
-//     ingest one message on arrival (envelope routing and partial
-//     masked-input accumulation happen immediately), and the per-stage
-//     Seal* methods close the stage, enforce the threshold, and emit the
-//     next broadcast. This is what the streaming round engine drives: by
-//     the time a stage's last message arrives, the per-message work is
-//     already done and Seal is an O(1) (or O(U)) tail. The server never
-//     materializes the n×d masked matrix — arrivals fold into one
-//     d-length running sum.
-//   - batch: CollectMasked and Reconstruct are thin wrappers kept for
-//     white-box tests and non-streaming callers.
+// Server is the aggregator's round state machine. It collects each stage
+// incrementally: AddAdvertise/AddShareBundle/AddMasked/AddAggShare ingest
+// one message on arrival (envelope routing and partial masked-input
+// accumulation happen immediately), and the per-stage Seal* methods close
+// the stage, enforce the threshold, and emit the next broadcast. This is
+// what the streaming round engine drives: by the time a stage's last
+// message arrives, the per-message work is already done and Seal is an
+// O(1) (or O(U)) tail. The server never materializes the n×d masked
+// matrix — arrivals fold into one d-length running sum.
 //
 // Methods must be called in stage order. A Server is not safe for
 // concurrent use; the round engine calls Add* from one goroutine, in
@@ -787,12 +762,6 @@ func (s *Server) AddMasked(m MaskedMsg) error {
 		s.maskedSum[i] = field.Add(s.maskedSum[i], y)
 	}
 	return nil
-}
-
-// CollectMasked stores a client's masked input (batch wrapper over
-// AddMasked, kept for white-box tests and non-streaming callers).
-func (s *Server) CollectMasked(id uint64, y []field.Element) error {
-	return s.AddMasked(MaskedMsg{From: id, Y: y})
 }
 
 // SealMasked closes stage 2: it checks the recovery threshold and returns

@@ -221,7 +221,7 @@ func TestGeometry(t *testing.T) {
 	if got := cfg.SubVectorLen(); got != 34 { // ceil(100/3)
 		t.Errorf("L = %d, want 34", got)
 	}
-	if got := cfg.PaddedDim(); got != 102 {
+	if got := (cfg.RecoveryThreshold() - cfg.PrivacyT) * cfg.SubVectorLen(); got != 102 {
 		t.Errorf("padded = %d, want 102", got)
 	}
 }

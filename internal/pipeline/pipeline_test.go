@@ -66,6 +66,42 @@ func TestFitStageRecoversExactBetas(t *testing.T) {
 	}
 }
 
+// TestFitModelRecoversPerfModel: profiling samples generated from a known
+// PerfModel's StageTime, per stage of the Table 1 workflow, fit back to
+// that model's β coefficients within a relative 1e-6; a sample-set count
+// that does not match the workflow is refused.
+func TestFitModelRecoversPerfModel(t *testing.T) {
+	w := DistributedDPWorkflow()
+	truth := PerfModel{Stages: []Betas{
+		{0.002, 0.5, 3.0}, {0.01, 2.0, 40}, {0.004, 0, 1.5}, {0.001, 1.0, 20}, {0.0005, 0.25, 0},
+	}}
+	perStage := make([][]Sample, len(w))
+	for s := range w {
+		for _, d := range []float64{1e4, 1e5, 1e6} {
+			for m := 1; m <= 8; m++ {
+				perStage[s] = append(perStage[s], Sample{D: d, M: m, Tau: truth.StageTime(s, d, m)})
+			}
+		}
+	}
+	got, err := FitModel(w, perStage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Validate(w); err != nil {
+		t.Fatal(err)
+	}
+	for s, want := range truth.Stages {
+		for i := range want {
+			if math.Abs(got.Stages[s][i]-want[i]) > 1e-6*(1+want[i]) {
+				t.Errorf("stage %d (%s): β%d = %v, want %v", s, w[s].Name, i+1, got.Stages[s][i], want[i])
+			}
+		}
+	}
+	if _, err := FitModel(w, perStage[1:]); err == nil {
+		t.Error("FitModel accepted 4 sample sets for a 5-stage workflow")
+	}
+}
+
 func TestFitStageErrors(t *testing.T) {
 	if _, err := FitStage([]Sample{{D: 1, M: 1, Tau: 1}}); err == nil {
 		t.Error("too few samples should error")

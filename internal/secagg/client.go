@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"maps"
@@ -64,9 +65,9 @@ type Client struct {
 }
 
 // NewClient constructs a participant for the round. signer may be nil in
-// the semi-honest setting; with cfg.Malicious it is required and its
-// public key must be registered in cfg.Registry. input is borrowed, not
-// copied: the client only reads it, and the caller must not change it
+// the semi-honest setting; in malicious mode (a non-nil cfg.Registry) it
+// is required and its public key must be registered there. input is
+// borrowed, not copied: the client only reads it, and the caller must not change it
 // until MaskedInput has returned.
 //
 // A client owns one buffer: one Dim-length vector that MaskedInput copies
@@ -99,7 +100,7 @@ func newClient(cfg Config, id uint64, input ring.Vector, signer *sig.Signer, ran
 		return nil, fmt.Errorf("secagg: client %d input %d×%db, config wants %d×%db",
 			id, input.Len(), input.Bits, cfg.Dim, cfg.Bits)
 	}
-	if cfg.Malicious && signer == nil {
+	if cfg.Registry != nil && signer == nil {
 		return nil, fmt.Errorf("secagg: malicious mode requires a signer for client %d", id)
 	}
 	c := &Client{cfg: cfg, id: id, input: input, rand: rand, signer: signer, session: sess}
@@ -182,7 +183,7 @@ func (c *Client) AdvertiseKeys() (AdvertiseMsg, error) {
 		CipherPub: c.cipherKey.PublicBytes(),
 		MaskPub:   c.maskKey.PublicBytes(),
 	}
-	if c.cfg.Malicious {
+	if c.cfg.Registry != nil {
 		msg.Signature = c.signer.Sign(advertisePayload(msg))
 	}
 	return msg, nil
@@ -220,7 +221,7 @@ func (c *Client) ShareKeys(roster []AdvertiseMsg) ([]EncryptedShareMsg, error) {
 		if i > 0 && roster[i-1].From == m.From {
 			return nil, fmt.Errorf("secagg: duplicate roster entry for %d", m.From)
 		}
-		if c.cfg.Malicious {
+		if c.cfg.Registry != nil {
 			if !c.cfg.Registry.VerifyFrom(m.From, advertisePayload(m), m.Signature) {
 				return nil, fmt.Errorf("secagg: bad advertise signature from %d", m.From)
 			}
@@ -497,7 +498,9 @@ func (c *Client) checkU3(u3 []uint64) error {
 	return nil
 }
 
-// ConsistencyCheck runs stage 3 (malicious mode): sign (round ∥ U3).
+// ConsistencyCheck runs stage 3: adopt U3 and, in malicious mode, sign
+// (round ∥ U3). Every stage table runs it, and Unmask refuses to run
+// before it (ErrUnmaskBeforeConsistency).
 func (c *Client) ConsistencyCheck(u3 []uint64) (ConsistencyMsg, error) {
 	if len(u3) < c.cfg.Threshold {
 		return ConsistencyMsg{}, fmt.Errorf("secagg: client %d saw |U3|=%d < t", c.id, len(u3))
@@ -506,7 +509,7 @@ func (c *Client) ConsistencyCheck(u3 []uint64) (ConsistencyMsg, error) {
 		return ConsistencyMsg{}, err
 	}
 	c.u3 = append([]uint64(nil), u3...)
-	if !c.cfg.Malicious {
+	if c.cfg.Registry == nil {
 		return ConsistencyMsg{From: c.id}, nil
 	}
 	return ConsistencyMsg{
@@ -515,22 +518,19 @@ func (c *Client) ConsistencyCheck(u3 []uint64) (ConsistencyMsg, error) {
 	}, nil
 }
 
+// ErrUnmaskBeforeConsistency refuses an unmask request that reaches a
+// client before the ConsistencyCheck stage gave it U3.
+var ErrUnmaskBeforeConsistency = errors.New("secagg: unmask request before the consistency check")
+
 // Unmask runs stage 4: verify the server's survivor claims (malicious
 // mode: every signature in the request, |U4| ≥ t, U4 ⊆ U3), decrypt the
 // stored share ciphertexts, and reveal exactly the shares prescribed by
 // Fig. 5 plus this client's own removable noise seeds.
 func (c *Client) Unmask(req UnmaskRequest) (UnmaskMsg, error) {
 	if c.u3 == nil {
-		// Semi-honest flow without a distinct stage 3: adopt U3 from the
-		// request after the subset check.
-		if err := c.checkU3(req.U3); err != nil {
-			return UnmaskMsg{}, err
-		}
-		if len(req.U3) < c.cfg.Threshold {
-			return UnmaskMsg{}, fmt.Errorf("secagg: |U3|=%d < t at client %d", len(req.U3), c.id)
-		}
-		c.u3 = append([]uint64(nil), req.U3...)
-	} else if !slices.Equal(req.U3, c.u3) {
+		return UnmaskMsg{}, fmt.Errorf("%w at client %d", ErrUnmaskBeforeConsistency, c.id)
+	}
+	if !slices.Equal(req.U3, c.u3) {
 		return UnmaskMsg{}, fmt.Errorf("secagg: server changed U3 at client %d", c.id)
 	}
 	if len(req.U4) < c.cfg.Threshold {
@@ -539,7 +539,7 @@ func (c *Client) Unmask(req UnmaskRequest) (UnmaskMsg, error) {
 	if !subset(req.U4, c.u3) {
 		return UnmaskMsg{}, fmt.Errorf("secagg: U4 ⊄ U3 at client %d", c.id)
 	}
-	if c.cfg.Malicious {
+	if c.cfg.Registry != nil {
 		// The dropout-understatement defense (§3.3): every claimed
 		// survivor must present a valid signature over (round, U3).
 		payload := consistencyPayload(c.cfg.Round, req.U3)

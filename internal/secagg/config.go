@@ -15,7 +15,9 @@
 //	                         s^SK, b, and the XNoise seeds g_{u,k} (k ≥ 1)
 //	2 MaskedInputCollection  client → server: masked (and, with XNoise,
 //	                         excessively noised) input y_u
-//	3 ConsistencyCheck       [malicious only] signatures over (round, U3)
+//	3 ConsistencyCheck       signatures over (round, U3) in malicious
+//	                         mode (a non-nil Config.Registry); U3 alone
+//	                         otherwise
 //	4 Unmasking              client → server: shares unmasking the dead and
 //	                         the live, plus the client's own removable
 //	                         noise seeds
@@ -65,21 +67,15 @@ type Config struct {
 	Bits      uint     // ring bit width b
 	Dim       int      // input vector dimension (padded)
 
-	// Malicious enables the signature machinery of the malicious threat
-	// model: signed key advertisements and the ConsistencyCheck stage.
-	Malicious bool
-	// Registry is the PKI; required when Malicious.
+	// Registry is the PKI. A non-nil Registry is malicious mode: it enables
+	// the signature machinery of the malicious threat model, signed key
+	// advertisements and a signed ConsistencyCheck stage.
 	Registry *sig.Registry
 
 	// XNoise, when non-nil, enables Dordis's add-then-remove noise
 	// enforcement with the given plan. The plan's NumClients and Threshold
 	// must match this config.
 	XNoise *xnoise.Plan
-	// Sampler draws noise components; when nil the sampler is selected by
-	// NoiseEpoch. Setting it explicitly overrides the epoch (tests,
-	// alternative distributions).
-	Sampler xnoise.Sampler
-
 	// NoiseEpoch versions the noise draw sequence exactly as MaskEpoch
 	// versions mask derivation: epoch 0, the default, is the
 	// Poisson-splitting Skellam sampler, epoch 1 CDF inversion throughout
@@ -162,11 +158,8 @@ func (c *Config) Validate() error {
 	}
 	// Malicious security requires 2t > |U| (+ |C∩U|, unknowable here);
 	// enforce the base bound 2t > |U| as the paper's footnote 3 prescribes.
-	if c.Malicious && 2*c.Threshold <= n {
+	if c.Registry != nil && 2*c.Threshold <= n {
 		return fmt.Errorf("secagg: malicious mode needs 2t > |U| (t=%d, |U|=%d)", c.Threshold, n)
-	}
-	if c.Malicious && c.Registry == nil {
-		return fmt.Errorf("secagg: malicious mode requires a PKI registry")
 	}
 	if c.Bits < 2 || c.Bits > 63 {
 		return fmt.Errorf("secagg: bits %d out of [2,63]", c.Bits)
@@ -300,12 +293,9 @@ func (c Config) UnmaskQuorum() int {
 	return c.Threshold
 }
 
-// sampler returns the explicitly configured noise sampler, or the frozen
-// sampler of the config's NoiseEpoch (Validate rejects unknown epochs).
+// sampler returns the frozen sampler of the config's NoiseEpoch (Validate
+// rejects unknown epochs).
 func (c Config) sampler() xnoise.Sampler {
-	if c.Sampler != nil {
-		return c.Sampler
-	}
 	return xnoise.SamplerForEpoch(c.NoiseEpoch)
 }
 

@@ -2,12 +2,15 @@ package secagg
 
 import (
 	"crypto/rand"
+	"errors"
+	"maps"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/field"
 	"repro/internal/ring"
+	"repro/internal/shamir"
 	"repro/internal/sig"
 	"repro/internal/xnoise"
 )
@@ -238,9 +241,144 @@ func TestXNoiseMidRemovalDropout(t *testing.T) {
 	}
 }
 
+// steppedToMasked drives a semi-honest round by hand through the masked
+// stage, every client uploading, and returns the server, the clients and
+// U3.
+func steppedToMasked(t *testing.T, cfg Config) (*Server, map[uint64]*Client, []uint64) {
+	t.Helper()
+	inputs := mkInputs(cfg)
+	server, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clients := make(map[uint64]*Client)
+	var adverts []AdvertiseMsg
+	for _, id := range cfg.ClientIDs {
+		c, err := NewClient(cfg, id, inputs[id], nil, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients[id] = c
+		m, err := c.AdvertiseKeys()
+		if err != nil {
+			t.Fatal(err)
+		}
+		adverts = append(adverts, m)
+	}
+	roster, err := server.CollectAdvertise(adverts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perSender := make(map[uint64][]EncryptedShareMsg)
+	for _, id := range cfg.ClientIDs {
+		if perSender[id], err = clients[id].ShareKeys(roster); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deliveries, err := server.CollectShares(perSender)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var masked []MaskedInputMsg
+	for _, id := range cfg.ClientIDs {
+		m, err := clients[id].MaskedInput(deliveries[id])
+		if err != nil {
+			t.Fatal(err)
+		}
+		masked = append(masked, m)
+	}
+	u3, err := server.CollectMasked(masked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return server, clients, u3
+}
+
+// TestUnmaskBeforeConsistencyCheck: every stage table runs the
+// ConsistencyCheck stage, so a client asked to unmask before it has U3
+// refuses with the named error instead of adopting the request's U3.
+func TestUnmaskBeforeConsistencyCheck(t *testing.T) {
+	_, clients, u3 := steppedToMasked(t, mkConfig(4, 3, nil))
+	if _, err := clients[1].Unmask(UnmaskRequest{U3: u3, U4: u3}); !errors.Is(err, ErrUnmaskBeforeConsistency) {
+		t.Fatalf("Unmask before ConsistencyCheck: %v, want ErrUnmaskBeforeConsistency", err)
+	}
+}
+
+// TestNoiseShareComponentsRefused: client 3 uploads its masked input and
+// dies before unmasking, so stage 5 recovers its removable seeds. A
+// response whose shares for 3 miss a removable component, or name one
+// more (the kept component 0), is refused with ErrNoiseComponents and
+// leaves no trace: the same responder's honest response is then admitted,
+// stage 5 seals, and the round finalizes.
+func TestNoiseShareComponentsRefused(t *testing.T) {
+	plan := &xnoise.Plan{NumClients: 5, DropoutTolerance: 2, Threshold: 3, TargetVariance: 50}
+	cfg := mkConfig(5, 3, plan)
+	const late = 3
+	server, clients, u3 := steppedToMasked(t, cfg)
+	for _, id := range u3 {
+		m, err := clients[id].ConsistencyCheck(u3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := server.AddConsistency(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req, err := server.SealConsistency()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range u3 {
+		if id == late {
+			continue
+		}
+		m, err := clients[id].Unmask(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := server.AddUnmask(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nsReq, err := server.SealUnmask()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nsReq == nil {
+		t.Fatal("no stage-5 request for a client in U3\\U5")
+	}
+	doctor := map[string]func(byK map[int]shamir.Share){
+		"missing": func(byK map[int]shamir.Share) { delete(byK, 2) },
+		"extra":   func(byK map[int]shamir.Share) { byK[0] = byK[1] },
+	}
+	for _, id := range nsReq.U5 {
+		honest, err := clients[id].RevealNoiseShares(*nsReq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id == nsReq.U5[0] {
+			for name, f := range doctor {
+				bad := NoiseShareMsg{From: id, Shares: map[uint64]map[int]shamir.Share{late: maps.Clone(honest.Shares[late])}}
+				f(bad.Shares[late])
+				if err := server.AddNoiseShare(bad); !errors.Is(err, ErrNoiseComponents) {
+					t.Fatalf("%s component: %v, want ErrNoiseComponents", name, err)
+				}
+			}
+		}
+		if err := server.AddNoiseShare(honest); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := server.SealNoiseShares(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := server.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMaliciousModeHappyPath(t *testing.T) {
 	cfg := mkConfig(5, 4, nil) // 2t > |U|
-	cfg.Malicious = true
 	cfg.Registry = sig.NewRegistry()
 	signers := make(map[uint64]*sig.Signer)
 	for _, id := range cfg.ClientIDs {
@@ -267,7 +405,6 @@ func TestMaliciousModeHappyPath(t *testing.T) {
 
 func TestMaliciousDetectsForgedAdvertisement(t *testing.T) {
 	cfg := mkConfig(4, 3, nil)
-	cfg.Malicious = true
 	cfg.Registry = sig.NewRegistry()
 	signers := make(map[uint64]*sig.Signer)
 	for _, id := range cfg.ClientIDs {
@@ -312,7 +449,6 @@ func TestMaliciousDetectsForgedAdvertisement(t *testing.T) {
 // accepted without being reordered under its caller.
 func TestShareKeysRosterChecks(t *testing.T) {
 	cfg := mkConfig(5, 3, nil)
-	cfg.Malicious = true
 	cfg.Registry = sig.NewRegistry()
 	signers := make(map[uint64]*sig.Signer)
 	for _, id := range cfg.ClientIDs {
@@ -406,7 +542,6 @@ func TestMaliciousDetectsUnderstatedDropout(t *testing.T) {
 	// consistency signature.
 	plan := &xnoise.Plan{NumClients: 5, DropoutTolerance: 2, Threshold: 3, TargetVariance: 50}
 	cfg := mkConfig(5, 3, plan)
-	cfg.Malicious = true
 	cfg.Registry = sig.NewRegistry()
 	signers := make(map[uint64]*sig.Signer)
 	for _, id := range cfg.ClientIDs {
@@ -471,13 +606,14 @@ func TestMaliciousDetectsUnderstatedDropout(t *testing.T) {
 	var consMsgs []ConsistencyMsg
 	for _, id := range u3 {
 		m, err := clients[id].ConsistencyCheck(lyingU3)
-		if err == nil {
-			consMsgs = append(consMsgs, m)
+		if err != nil {
+			t.Fatal(err)
 		}
+		consMsgs = append(consMsgs, m)
 	}
-	// ConsistencyCheck itself rejects (5 ∉ client's U2? it IS in U2 —
-	// 5 completed ShareKeys). So the rejection happens at Unmask: the
-	// server cannot produce 5's signature over (round, lyingU3).
+	// ConsistencyCheck accepts lyingU3 (5 is in U2: it completed
+	// ShareKeys). So the rejection happens at Unmask: the server cannot
+	// produce 5's signature over (round, lyingU3).
 	sigs := make(map[uint64][]byte)
 	for _, m := range consMsgs {
 		sigs[m.From] = m.Signature
@@ -494,33 +630,7 @@ func TestClientRejectsShrunkU3(t *testing.T) {
 	// Server claiming fewer survivors than the client knows signed U3
 	// (overstated dropout → removing less noise is safe for privacy but
 	// U3 change between stages must still be caught).
-	cfg := mkConfig(4, 3, nil)
-	inputs := mkInputs(cfg)
-	clients := make(map[uint64]*Client)
-	server, _ := NewServer(cfg)
-	var adverts []AdvertiseMsg
-	for _, id := range cfg.ClientIDs {
-		c, _ := NewClient(cfg, id, inputs[id], nil, rand.Reader)
-		clients[id] = c
-		m, _ := c.AdvertiseKeys()
-		adverts = append(adverts, m)
-	}
-	roster, _ := server.CollectAdvertise(adverts)
-	perSender := make(map[uint64][]EncryptedShareMsg)
-	for _, id := range cfg.ClientIDs {
-		cts, _ := clients[id].ShareKeys(roster)
-		perSender[id] = cts
-	}
-	deliveries, _ := server.CollectShares(perSender)
-	var maskedMsgs []MaskedInputMsg
-	for id, cts := range deliveries {
-		m, err := clients[id].MaskedInput(cts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		maskedMsgs = append(maskedMsgs, m)
-	}
-	u3, _ := server.CollectMasked(maskedMsgs)
+	_, clients, u3 := steppedToMasked(t, mkConfig(4, 3, nil))
 	if _, err := clients[1].ConsistencyCheck(u3); err != nil {
 		t.Fatal(err)
 	}
@@ -581,8 +691,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Threshold = 9 },
 		func(c *Config) { c.Bits = 1 },
 		func(c *Config) { c.Dim = 0 },
-		func(c *Config) { c.Malicious = true },                                                  // no registry
-		func(c *Config) { c.Malicious = true; c.Registry = sig.NewRegistry(); c.Threshold = 2 }, // 2t <= |U|
+		func(c *Config) { c.Registry = sig.NewRegistry(); c.Threshold = 2 }, // malicious mode, 2t <= |U|
 		func(c *Config) {
 			c.XNoise = &xnoise.Plan{NumClients: 3, DropoutTolerance: 0, Threshold: 3, TargetVariance: 1}
 		},

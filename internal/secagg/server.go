@@ -2,6 +2,7 @@ package secagg
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -273,7 +274,7 @@ func (s *Server) AddMasked(m MaskedInputMsg) error {
 }
 
 // MaskedDigests returns the transcript digests of every masked input
-// ingested so far, as id-sorted leaves for transcript.Build. Empty unless
+// ingested so far, as id-sorted leaves for Recorder.BuildRound. Empty unless
 // cfg.TranscriptDigests; drivers read it after SealMasked so the digest
 // set matches U3.
 func (s *Server) MaskedDigests() []transcript.InputDigest {
@@ -335,7 +336,7 @@ func (s *Server) SealConsistency() (UnmaskRequest, error) {
 		U3: append([]uint64(nil), s.u3...),
 		U4: append([]uint64(nil), s.u4...),
 	}
-	if s.cfg.Malicious {
+	if s.cfg.Registry != nil {
 		req.Signatures = make(map[uint64][]byte, len(s.sigs))
 		for id, sg := range s.sigs {
 			req.Signatures[id] = sg
@@ -547,8 +548,16 @@ func pairMaskSign(u, v uint64) int {
 	return 1
 }
 
+// ErrNoiseComponents refuses a stage-5 response whose shares for a target
+// do not name exactly the removable components, RemovalComponents(|D|):
+// what an honest RevealNoiseShares sends, and what SealNoiseShares
+// reconstructs in one batch per target.
+var ErrNoiseComponents = errors.New("secagg: noise shares do not name the removable components")
+
 // AddNoiseShare ingests one stage-5 response on arrival, indexing the
-// shares by target client and component.
+// shares by target client and component. A response it refuses leaves no
+// trace: an unsolicited target, or a target whose components are not
+// exactly the removable ones (ErrNoiseComponents), refuses all of it.
 func (s *Server) AddNoiseShare(m NoiseShareMsg) error {
 	if s.cfg.XNoise == nil {
 		return nil
@@ -563,13 +572,24 @@ func (s *Server) AddNoiseShare(m NoiseShareMsg) error {
 	if _, dup := s.nsSenders[m.From]; dup {
 		return fmt.Errorf("secagg: duplicate noise shares from %d", m.From)
 	}
-	s.nsSenders[m.From] = struct{}{}
+	ks := s.cfg.XNoise.RemovalComponents(len(s.cfg.ClientIDs) - len(s.u3))
 	for v, byK := range m.Shares {
 		_, inU5 := s.u5set[v]
 		_, inU3 := s.u3set[v]
 		if inU5 || !inU3 {
 			return fmt.Errorf("secagg: unsolicited noise shares for %d", v)
 		}
+		if len(byK) != len(ks) {
+			return fmt.Errorf("%w: %d for %d from %d, want %v", ErrNoiseComponents, len(byK), v, m.From, ks)
+		}
+		for _, k := range ks {
+			if _, ok := byK[k]; !ok {
+				return fmt.Errorf("%w: component %d for %d missing from %d", ErrNoiseComponents, k, v, m.From)
+			}
+		}
+	}
+	s.nsSenders[m.From] = struct{}{}
+	for v, byK := range m.Shares {
 		if s.noiseShares[v] == nil {
 			s.noiseShares[v] = make(map[int][]shamir.Share)
 		}
@@ -595,26 +615,17 @@ func (s *Server) SealNoiseShares() error {
 		if contains(s.u5, v) {
 			continue
 		}
-		// All K seed sharings of one client are normally reported by the
-		// same responder cohort in the same order, so one Lagrange
-		// coefficient pass recovers every component (§3.2 recovery shape).
-		// If a partial or misbehaving responder makes the cohorts diverge
-		// across components, fall back to independent per-component
-		// reconstruction, which only needs ≥t shares per component.
+		// AddNoiseShare admitted every response with exactly the components
+		// ks for v, so all K seed sharings of v come from one responder
+		// cohort in one order, and one Lagrange coefficient pass recovers
+		// every component (§3.2 recovery shape).
 		sets := make([][]shamir.Share, len(ks))
 		for i, k := range ks {
 			sets[i] = s.noiseShares[v][k]
 		}
 		recovered, err := shamir.ReconstructBatch(sets, s.cfg.Threshold)
 		if err != nil {
-			recovered = make([]field.Element, len(ks))
-			for i, k := range ks {
-				g, err := shamir.Reconstruct(s.noiseShares[v][k], s.cfg.Threshold)
-				if err != nil {
-					return fmt.Errorf("secagg: reconstructing g_{%d,%d}: %w", v, k, err)
-				}
-				recovered[i] = g
-			}
+			return fmt.Errorf("secagg: reconstructing the noise seeds of %d: %w", v, err)
 		}
 		seeds := make(map[int]field.Element, len(ks))
 		for i, k := range ks {

@@ -106,7 +106,7 @@ type deal struct {
 // would deal exactly what d dealt for client id: the same abscissas, the
 // same threshold, the same recipients and the same keys.
 func (d *deal) fits(cfg Config, id uint64, roster []AdvertiseMsg) bool {
-	return cfg.Threshold == d.cfg.Threshold && cfg.Malicious == d.cfg.Malicious &&
+	return cfg.Threshold == d.cfg.Threshold && cfg.Registry == d.cfg.Registry &&
 		slices.Equal(cfg.ClientIDs, d.cfg.ClientIDs) &&
 		slices.Equal(cfg.neighborhood(id), d.cfg.neighborhood(id)) &&
 		slices.EqualFunc(roster, d.roster, func(a, b AdvertiseMsg) bool {

@@ -522,6 +522,9 @@ func TestUnmaskRefusesConflictingRevealAcrossChunks(t *testing.T) {
 		req := UnmaskRequest{U3: u3, U4: u3}
 		errs := make(map[uint64]error, len(u3))
 		for _, id := range u3 {
+			if _, err := clients[id].ConsistencyCheck(u3); err != nil {
+				t.Fatal(err)
+			}
 			_, errs[id] = clients[id].Unmask(req)
 		}
 		return errs

@@ -18,12 +18,6 @@ import (
 	"sync"
 )
 
-// PublicKeySize and SignatureSize mirror the Ed25519 constants.
-const (
-	PublicKeySize = ed25519.PublicKeySize
-	SignatureSize = ed25519.SignatureSize
-)
-
 // Signer holds a signing key d^SK bound to one client identity.
 type Signer struct {
 	priv ed25519.PrivateKey

@@ -40,11 +40,11 @@ func transcriptFamily(tb testing.TB) *fuzzcorpus.Family {
 	}
 	roster := testRoster(5)
 	digests := testDigests(roster)
-	tr, err := Build(9, [32]byte{7}, roster, digests, signer)
+	tr, err := buildRound(9, [32]byte{7}, roster, digests, signer)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	unsigned, err := Build(9, [32]byte{}, roster[:1], digests[:1], nil)
+	unsigned, err := buildRound(9, [32]byte{}, roster[:1], digests[:1], nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -391,14 +391,6 @@ func combineSets(shards []ShardRoot) [][]leaf {
 	return [][]leaf{set}
 }
 
-// Build constructs one round's transcript over its roster and input
-// digests (see build for the ordering and membership rules); signer, when
-// non-nil, signs the root.
-func Build(round uint64, prev [32]byte, roster []RosterEntry, inputs []InputDigest,
-	signer *sig.Signer) (*Transcript, error) {
-	return roundTier.build(round, prev, signer, roundSets(roster, inputs))
-}
-
 // Root returns the round root (the chained, signed value).
 func (t *Transcript) Root() [32]byte { return t.Commitment.Root() }
 

@@ -64,9 +64,9 @@ func TestProofRoundTripAllSizes(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 17} {
 		roster := testRoster(n)
 		digests := testDigests(roster)
-		tr, err := Build(42, [32]byte{}, roster, digests, signer)
+		tr, err := buildRound(42, [32]byte{}, roster, digests, signer)
 		if err != nil {
-			t.Fatalf("n=%d Build: %v", n, err)
+			t.Fatalf("n=%d build: %v", n, err)
 		}
 		for i, e := range roster {
 			pr, err := tr.ProofFor(e.ID)
@@ -86,7 +86,7 @@ func TestVerifyRejectsWrongKey(t *testing.T) {
 	signer, other := newTestSigner(t), newTestSigner(t)
 	roster := testRoster(4)
 	digests := testDigests(roster)
-	tr, err := Build(1, [32]byte{}, roster, digests, signer)
+	tr, err := buildRound(1, [32]byte{}, roster, digests, signer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,13 +103,13 @@ func TestVerifyRejectsWrongKey(t *testing.T) {
 // duplicate ids and digests from outside the roster.
 func TestBuildRejectsMalformedInput(t *testing.T) {
 	roster := testRoster(3)
-	if _, err := Build(1, [32]byte{}, append(roster, roster[0]), nil, nil); err == nil {
+	if _, err := buildRound(1, [32]byte{}, append(roster, roster[0]), nil, nil); err == nil {
 		t.Fatal("duplicate roster entry accepted")
 	}
-	if _, err := Build(1, [32]byte{}, roster, []InputDigest{{ID: 99}}, nil); err == nil {
+	if _, err := buildRound(1, [32]byte{}, roster, []InputDigest{{ID: 99}}, nil); err == nil {
 		t.Fatal("digest from outside the roster accepted")
 	}
-	tr, err := Build(1, [32]byte{}, roster, testDigests(roster)[:2], nil)
+	tr, err := buildRound(1, [32]byte{}, roster, testDigests(roster)[:2], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestTranscriptFramesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	roster := testRoster(5)
-	tr, err := Build(3, [32]byte{8}, roster, testDigests(roster), signer)
+	tr, err := buildRound(3, [32]byte{8}, roster, testDigests(roster), signer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestTranscriptTamperMatrix(t *testing.T) {
 	signer := newTestSigner(t)
 	roster := testRoster(6)
 	digests := testDigests(roster)
-	tr, err := Build(9, [32]byte{0xEE}, roster, digests, signer)
+	tr, err := buildRound(9, [32]byte{0xEE}, roster, digests, signer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,22 +582,30 @@ func TestDigestWordsEqualBytes(t *testing.T) {
 	}
 }
 
-// TestRosterRootOrderInsensitiveThroughBuild pins that Build commits
-// entries in ascending-id order regardless of input order, so server and
-// clients need not agree on slice order — only on set membership.
+// buildRound is the round tier's build over a roster and its input digests
+// (see build for the ordering and membership rules), outside any chain;
+// signer, when non-nil, signs the root.
+func buildRound(round uint64, prev [32]byte, roster []RosterEntry, inputs []InputDigest, signer *sig.Signer) (*Transcript, error) {
+	return roundTier.build(round, prev, signer, roundSets(roster, inputs))
+}
+
+// TestRosterRootOrderInsensitiveThroughBuild pins that the round tier's
+// build commits entries in ascending-id order regardless of input order,
+// so server and clients need not agree on slice order — only on set
+// membership.
 func TestRosterRootOrderInsensitiveThroughBuild(t *testing.T) {
 	roster := testRoster(5)
 	shuffled := []RosterEntry{roster[3], roster[0], roster[4], roster[2], roster[1]}
-	a, err := Build(1, [32]byte{}, roster, nil, nil)
+	a, err := buildRound(1, [32]byte{}, roster, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Build(1, [32]byte{}, shuffled, nil, nil)
+	b, err := buildRound(1, [32]byte{}, shuffled, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Root() != b.Root() {
-		t.Fatal("Build is input-order sensitive")
+		t.Fatal("build is input-order sensitive")
 	}
 }
 
@@ -608,7 +616,7 @@ func ExampleVerify() {
 		{ID: 2, CipherPub: []byte{3}, MaskPub: []byte{4}},
 	}
 	digest := Digest([]uint64{10, 20, 30})
-	tr, _ := Build(1, [32]byte{}, roster, []InputDigest{{ID: 1, Digest: digest}}, signer)
+	tr, _ := buildRound(1, [32]byte{}, roster, []InputDigest{{ID: 1, Digest: digest}}, signer)
 	proof, _ := tr.ProofFor(1)
 	err := Verify(&tr.Commitment, proof, roster[0], digest, signer.Public())
 	fmt.Println(err)
