@@ -346,8 +346,8 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 			return nil, fmt.Errorf("core: lightsecagg substrate needs Threshold > n/2, got t=%d n=%d",
 				cfg.Threshold, len(ids))
 		}
-		// Aggregation lifts ring values into GF(2^61−1) and sums exactly;
-		// n·(2^Bits−1) must not wrap the field for the lift to be lossless.
+		// Aggregation reads ring residues as GF(2^61−1) elements in place
+		// and sums exactly, so n·(2^Bits−1) must not wrap the field.
 		if int(cfg.Codec.Bits)+bits.Len(uint(len(ids))) > 61 {
 			return nil, fmt.Errorf("core: lightsecagg substrate: %d-bit ring with %d clients overflows GF(2^61−1)",
 				cfg.Codec.Bits, len(ids))
@@ -389,16 +389,11 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 		}
 	}
 
-	// Chunk pipeline state. lift is LightSecAgg's field-element copy of one
-	// chunk's inputs, lent to every chunk in turn: the aggregation stage is
-	// the only one on pipeline.Communication, which admits one chunk at a
-	// time, and the substrate is done with its inputs when it returns.
-	// total and removing are the noise stages' buffers, each stage's own.
+	// Chunk pipeline state. total and removing are the noise stages'
+	// buffers, each stage's own. The aggregation stage is the only one on
+	// pipeline.Communication, which admits one chunk at a time, so the
+	// chunks' substrate rounds run one after another on the sessions.
 	longest := bounds[0][1] - bounds[0][0] // chunk 0 is never the shorter one
-	var lift []field.Element
-	if proto == ProtocolLightSecAgg {
-		lift = make([]field.Element, len(ids)*longest)
-	}
 	var total, removing []int64
 	if plan != nil {
 		total, removing = make([]int64, longest), make([]int64, longest)
@@ -433,7 +428,7 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 		// comm (+ the protocol's own compute): secure aggregation of the
 		// chunk.
 		if proto == ProtocolLightSecAgg {
-			sum, err := runLightSecAggChunk(cfg, c, ids, chunkInputs[c], lift, schedule, rand, lsaSess)
+			sum, err := runLightSecAggChunk(cfg, c, ids, chunkInputs[c], schedule, rand, lsaSess)
 			if err != nil {
 				return fmt.Errorf("core: chunk %d aggregation: %w", c, err)
 			}
@@ -544,14 +539,14 @@ func lightSecAggSchedule(s secagg.DropSchedule) lightsecagg.DropSchedule {
 }
 
 // runLightSecAggChunk aggregates one chunk on the LightSecAgg substrate:
-// ring values lift losslessly into GF(2^61−1) (n·2^Bits < p, checked at
-// round start), the engine-backed in-process round sums them exactly, and
-// the sum reduces back mod 2^Bits — equal to the ring sum coordinate-wise
-// because reduction commutes with integer addition. lift is the caller's
-// scratch for the lifted inputs, at least len(inputs)·dim long and this
-// call's alone until it returns.
+// each client's window of the round slab is read as GF(2^61−1) elements in
+// place (field.View — a residue below 2^Bits is canonical, and n·2^Bits < p
+// is checked at round start), the engine-backed in-process round sums them
+// exactly without writing them, and the sum reduces back mod 2^Bits —
+// equal to the ring sum coordinate-wise because reduction commutes with
+// integer addition.
 func runLightSecAggChunk(cfg RoundConfig, chunk int, ids []uint64, inputs map[uint64]ring.Vector,
-	lift []field.Element, schedule secagg.DropSchedule, rand io.Reader, sess *lightsecagg.RoundSessions) (ring.Vector, error) {
+	schedule secagg.DropSchedule, rand io.Reader, sess *lightsecagg.RoundSessions) (ring.Vector, error) {
 
 	dim := inputs[ids[0]].Len()
 	lcfg := lightsecagg.Config{
@@ -563,15 +558,11 @@ func runLightSecAggChunk(cfg RoundConfig, chunk int, ids []uint64, inputs map[ui
 		// chunks (and rounds) are AD-separated on shared session keys.
 		Round: subRound(cfg.Round, chunk),
 	}
-	lifted := make(map[uint64][]field.Element, len(ids))
+	elems := make(map[uint64][]field.Element, len(ids))
 	for id, v := range inputs {
-		xs := lift[len(lifted)*dim:][:dim:dim]
-		for i, w := range v.Data {
-			xs[i] = field.New(w)
-		}
-		lifted[id] = xs
+		elems[id] = field.View(v.Data)
 	}
-	sum, err := lightsecagg.RunWithSessions(lcfg, lifted, lightSecAggSchedule(schedule), rand, sess)
+	sum, err := lightsecagg.RunWithSessions(lcfg, elems, lightSecAggSchedule(schedule), rand, sess)
 	if err != nil {
 		return ring.Vector{}, err
 	}

@@ -105,11 +105,11 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // sum of the survivors' encodings — computed here by skellam.Encode, a
 // vector per client — plus |survivors| · Σ_{k ≤ |D|} c_k, on both
 // substrates, at 1 chunk, at 3 (86 + 85 + 85 coordinates: the later chunks
-// do not fill the lift slab chunk 0 sized) and at 8, twice over the same
-// updates map. The LightSecAgg rows run their rounds as consecutive rounds
-// of one session pool, so the second noised round resumes the first's
-// sessions and every chunk after the first its round's: a lift slab, a
-// received slab or a mask that outlived its chunk would move the sum.
+// do not fill the session slabs chunk 0 sized) and at 8, twice over the
+// same updates map. The LightSecAgg rows run their rounds as consecutive
+// rounds of one session pool, so the second noised round resumes the
+// first's sessions and every chunk after the first its round's: a received
+// row, a ciphertext or a mask that outlived its chunk would move the sum.
 func TestRunRoundSlabIsolation(t *testing.T) {
 	const n, dim, tolerance, targetMu = 12, 200, 3, 40
 	codec := testCodec(dim, n)

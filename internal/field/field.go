@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"unsafe"
 )
 
 // Modulus is the field prime p = 2^61 - 1.
@@ -20,6 +21,13 @@ const Modulus uint64 = (1 << 61) - 1
 
 // Element is a field element in canonical form (value < Modulus).
 type Element uint64
+
+// View returns words as elements sharing their memory, neither copied nor
+// reduced: the caller makes every word canonical (below Modulus) before it
+// is read as one, as a ring residue of at most 60 bits already is.
+func View(words []uint64) []Element {
+	return unsafe.Slice((*Element)(unsafe.SliceData(words)), len(words))
+}
 
 // ErrNotInvertible is returned when attempting to invert zero.
 var ErrNotInvertible = errors.New("field: zero has no multiplicative inverse")

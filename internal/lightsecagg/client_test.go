@@ -290,3 +290,53 @@ func TestAggregateShareRefusesSmallOrMalformedSurvivorSet(t *testing.T) {
 		}
 	}
 }
+
+// TestAggregateShareIgnoresUnreceivedRow: SealShares encodes a client's
+// outgoing shares into its received slab, so until a peer's envelope
+// overwrites it, that peer's row holds the share sealed for the peer. A
+// client whose delivery lacks peer j's envelope must refuse a recovery
+// request naming j rather than sum that stale share in j's place; a
+// request that leaves j out it answers from received shares only.
+func TestAggregateShareIgnoresUnreceivedRow(t *testing.T) {
+	cfg := testConfig(6, 1, 2, 12) // U = 4
+	clients, deliveries := sharedCohort(t, cfg, "unreceived")
+	c := clients[2]
+	partial := slices.DeleteFunc(slices.Clone(deliveries[2]), func(e Envelope) bool { return e.From == 5 })
+	if len(partial) != len(deliveries[2])-1 {
+		t.Fatalf("delivery to 2 carries %d envelopes from 5, want 1", len(deliveries[2])-len(partial))
+	}
+	if err := c.OpenEnvelopes(partial); err != nil {
+		t.Fatal(err)
+	}
+	outgoing, err := c.EncodeShares()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rank, _ := cfg.rank(5)
+	if !slices.Equal(c.row(rank), outgoing[5]) {
+		t.Fatal("the row of 5 does not hold the share 2 sealed for 5: the stale-row case is not exercised")
+	}
+	for _, survivors := range [][]uint64{cfg.ClientIDs, {1, 2, 3, 5}} {
+		if s, err := c.AggregateShare(survivors); err == nil || !strings.Contains(err.Error(), "no share from survivor 5") {
+			t.Errorf("survivors %v without the share from 5: answered %v, %v", survivors, s, err)
+		}
+	}
+	survivors := []uint64{1, 2, 3, 4, 6}
+	s, err := c.AggregateShare(survivors)
+	if err != nil {
+		t.Fatalf("survivors %v: %v", survivors, err)
+	}
+	want := make([]field.Element, cfg.SubVectorLen())
+	for _, id := range survivors {
+		shares, err := clients[id].EncodeShares()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range shares[2] {
+			want[i] = field.Add(want[i], e)
+		}
+	}
+	if !slices.Equal(s, want) {
+		t.Errorf("aggregate share %v, want Σ_i f_i(α_2) = %v", s, want)
+	}
+}

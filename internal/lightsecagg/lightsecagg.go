@@ -85,7 +85,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"unsafe"
 
 	"repro/internal/aead"
 	"repro/internal/field"
@@ -285,23 +284,21 @@ type Client struct {
 	session *Session  // channel key + caches; private ephemeral when the caller passed nil
 	rand    io.Reader // AEAD nonce randomness
 
-	// random is the one U·L slab NewSessionClient expands from a seed, the
-	// U coded inputs of SubVectorLen each: the mask z_i (U−T sub-vectors,
-	// (U−T)·L ≥ d long) then the T noise sub-vectors, f_i(α_0..α_{T−1}).
-	// MaskedInput consumes the mask — the upload is built in random[:Dim] —
-	// and sets masked.
+	// The session's slabs at this sub-round's geometry. received is the
+	// n × L slab of f_i(α_self) from every client i, row rank(i):
+	// SealShares encodes its outgoing shares there, which leaves its own in
+	// place, and OpenEnvelopes overwrites the peer rows; have marks the rows
+	// holding a received share, each written once, the only rows summed.
+	slabs
+	// random views slabs.words, expanded from a seed: the U coded inputs of
+	// SubVectorLen each, the mask z_i (U−T sub-vectors, (U−T)·L ≥ d long)
+	// then the T noise sub-vectors, f_i(α_0..α_{T−1}). MaskedInput consumes
+	// the mask — the upload is built in random[:Dim] — and sets masked.
 	random []field.Element
 	masked bool
 
 	// roster maps peer id → channel public key once SealShares ran.
 	roster map[uint64][]byte
-
-	// received is the n × L slab of f_i(α_self) from every client i, row
-	// rank(i), made when the first share arrives — SealShares writes the
-	// client's own row, OpenEnvelopes the others; have marks the rows
-	// written, each at most once.
-	received []field.Element
-	have     []bool
 }
 
 // NewClient draws the mask and coding noise from rand with a fresh
@@ -316,7 +313,10 @@ func NewClient(cfg Config, id uint64, rand io.Reader) (*Client, error) {
 // instead of paying X25519 agreement and Lagrange weight computation per
 // round. The mask and coding noise are always drawn fresh — they are
 // one-time pads revealed in aggregate: one prg.Seed read from rand (after
-// the session's key, when sess is nil) expands in place into the slab.
+// the session's key, when sess is nil) expands in place into the whole
+// random slab. The client works in the session's slabs, so its envelopes,
+// masked upload and aggregate share are valid until the session's next
+// sub-round.
 func NewSessionClient(cfg Config, id uint64, rand io.Reader, sess *Session) (*Client, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -334,22 +334,22 @@ func NewSessionClient(cfg Config, id uint64, rand io.Reader, sess *Session) (*Cl
 	if _, err := io.ReadFull(rand, seed[:]); err != nil {
 		return nil, fmt.Errorf("lightsecagg: reading mask seed: %w", err)
 	}
-	random := make([]field.Element, cfg.RecoveryThreshold()*cfg.SubVectorLen())
-	fillUniform(seed, random)
-	return &Client{cfg: cfg, id: id, session: sess, rand: rand, random: random}, nil
+	sc := sess.slabs(cfg)
+	return &Client{cfg: cfg, id: id, session: sess, rand: rand, slabs: sc, random: fillUniform(seed, sc.words)}, nil
 }
 
-// fillUniform expands seed's PRG stream into out in place: element i is
-// field.RandomElement's low-61-bit rule over the stream's i-th 8-byte
-// little-endian word. The pad is a one-time mask revealed only in
-// aggregate, so a 32-byte seed from the caller's reader stands in for
-// U·L·8 bytes of it.
-func fillUniform(seed prg.Seed, out []field.Element) {
-	words := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(out))), len(out))
+// fillUniform expands seed's PRG stream into words in place and returns
+// them as elements: element i is field.RandomElement's low-61-bit rule
+// over the stream's i-th 8-byte little-endian word. The pad is a one-time
+// mask revealed only in aggregate, so a 32-byte seed from the caller's
+// reader stands in for U·L·8 bytes of it.
+func fillUniform(seed prg.Seed, words []uint64) []field.Element {
 	prg.NewStream(seed).FillUint64(words)
+	out := field.View(words)
 	for i, w := range words {
 		out[i] = field.New(w & field.Modulus)
 	}
+	return out
 }
 
 // Advertise returns the stage-0 channel-key advertisement.
@@ -410,31 +410,29 @@ func (c *Client) encodeSharesInto(slab []field.Element) error {
 	return nil
 }
 
-// SealShares validates the stage-0 roster, remembers the peers' channel
-// keys, keeps the client's own coded share in its received row, and
-// returns one AEAD envelope per other client carrying that peer's share —
-// the n−1 envelopes of the step-1 upload. The associated data binds sender
-// and recipient so the relaying server cannot re-route envelopes
-// undetected. The ciphertexts are three-index windows of one slab made
-// here: each share is serialised where its ciphertext will lie and sealed
-// in place.
+// SealShares encodes the client's n coded shares into its received slab
+// (its own row stays), then validates the stage-0 roster — installing it
+// only now, so no OpenEnvelopes precedes the encoding — remembers the
+// peers' channel keys, and returns one AEAD envelope per other client
+// carrying that peer's share: the n−1 envelopes of the step-1 upload. The
+// associated data binds sender and recipient so the relaying server cannot
+// re-route envelopes undetected. The ciphertexts are three-index windows of
+// the ciphertext slab: each share is serialised where its ciphertext will
+// lie and sealed in place.
 func (c *Client) SealShares(roster []AdvertiseMsg) ([]Envelope, error) {
-	if err := c.installRoster(roster); err != nil {
-		return nil, err
-	}
-	n, l := len(c.cfg.ClientIDs), c.cfg.SubVectorLen()
-	shares := make([]field.Element, n*l)
-	if err := c.encodeSharesInto(shares); err != nil {
-		return nil, err
-	}
 	self, err := c.freeRow(c.id)
 	if err != nil {
 		return nil, err
 	}
-	copy(c.row(self), shares[self*l:])
+	if err := c.encodeSharesInto(c.received); err != nil {
+		return nil, err
+	}
 	c.have[self] = true
+	if err := c.installRoster(roster); err != nil {
+		return nil, err
+	}
+	n, l := len(c.cfg.ClientIDs), c.cfg.SubVectorLen()
 	stride := 4 + 8*l + aead.Overhead
-	sealed := make([]byte, (n-1)*stride)
 	out := make([]Envelope, 0, n-1)
 	var ad [routeADMax]byte
 	for rank, to := range c.cfg.ClientIDs {
@@ -450,8 +448,8 @@ func (c *Client) SealShares(roster []AdvertiseMsg) ([]Envelope, error) {
 			return nil, err
 		}
 		i := len(out)
-		window := sealed[i*stride : i*stride : (i+1)*stride]
-		pt, err := appendElems(window[aead.NonceSize:aead.NonceSize], shares[rank*l:(rank+1)*l])
+		window := c.sealed[i*stride : i*stride : (i+1)*stride]
+		pt, err := appendElems(window[aead.NonceSize:aead.NonceSize], c.row(rank))
 		if err != nil {
 			return nil, err
 		}
@@ -532,10 +530,6 @@ func (c *Client) freeRow(from uint64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if c.received == nil {
-		n := len(c.cfg.ClientIDs)
-		c.received, c.have = make([]field.Element, n*c.cfg.SubVectorLen()), make([]bool, n)
-	}
 	if c.have[rank] {
 		return 0, fmt.Errorf("lightsecagg: duplicate envelope from %d", from)
 	}
@@ -572,7 +566,10 @@ func (c *Client) MaskedInput(input []field.Element) ([]field.Element, error) {
 // shorter than U (a server naming the one survivor {i} would collect
 // f_i(α_j) from U clients and interpolate z_i), not strictly ascending or
 // naming an unknown id, and fails if any survivor's share is missing (the
-// client cannot have received it if that peer never shared).
+// client cannot have received it if that peer never shared) — a peer row
+// not marked in have still holds the share this client sealed for that
+// peer, and is never summed. The response is the session's L-length slab,
+// so the next call or sub-round overwrites it.
 func (c *Client) AggregateShare(survivors []uint64) ([]field.Element, error) {
 	if u := c.cfg.RecoveryThreshold(); len(survivors) < u {
 		return nil, fmt.Errorf("lightsecagg: survivor list of %d is below the recovery threshold %d", len(survivors), u)
@@ -586,12 +583,13 @@ func (c *Client) AggregateShare(survivors []uint64) ([]field.Element, error) {
 		if err != nil {
 			return nil, err
 		}
-		if c.have == nil || !c.have[rank] {
+		if !c.have[rank] {
 			return nil, fmt.Errorf("lightsecagg: client %d holds no share from survivor %d", c.id, id)
 		}
 		rows[i] = c.row(rank)
 	}
-	out := make([]field.Element, c.cfg.SubVectorLen())
+	out := c.agg
+	clear(out)
 	for _, row := range rows {
 		for t := range out {
 			out[t] = field.Add(out[t], row[t])

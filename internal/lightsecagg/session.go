@@ -35,6 +35,10 @@ import (
 // cost of long-lived channel keys is the generic absence of forward
 // secrecy for share confidentiality against endpoint-state compromise
 // (see ARCHITECTURE.md for the comparison with the secagg ratchet rules).
+//
+// The session also keeps its client's slabs (NewSessionClient) across the
+// sub-rounds and rounds that share it — round scratch, never part of the
+// at-rest record (MarshalBinary).
 type Session struct {
 	// The shared continuity state: cached roster and the ratchet mark. On
 	// this substrate the mark counts the rounds the key generation has
@@ -50,6 +54,44 @@ type Session struct {
 	enc *encodingMatrix // cached Lagrange encoding matrix
 
 	channel session.Secrets // peer channel pub → agreed secret (always step 0)
+
+	scratch slabs // the client's slabs, at the last sub-round's geometry
+}
+
+// slabs is a client's round scratch (ARCHITECTURE.md, "Round scratch"):
+// the random slab's U·L words, the n × L received slab with its have set,
+// the ciphertext slab and the L-length aggregate share.
+type slabs struct {
+	words    []uint64
+	received []field.Element
+	have     []bool
+	sealed   []byte
+	agg      []field.Element
+}
+
+// slabs re-slices the session's slabs to cfg's geometry, growing only those
+// it outgrows, and clears have: a sub-round's envelopes, masked upload and
+// aggregate share live there until the session's next sub-round.
+func (s *Session) slabs(cfg Config) slabs {
+	n, l := len(cfg.ClientIDs), cfg.SubVectorLen()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sc := &s.scratch
+	sc.words = resize(sc.words, cfg.RecoveryThreshold()*l)
+	sc.received = resize(sc.received, n*l)
+	sc.have = resize(sc.have, n)
+	clear(sc.have)
+	sc.sealed = resize(sc.sealed, (n-1)*(4+8*l+aead.Overhead))
+	sc.agg = resize(sc.agg, l)
+	return *sc
+}
+
+// resize returns xs re-sliced to n, or a new slice if its capacity is short.
+func resize[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		return make([]T, n)
+	}
+	return xs[:n]
 }
 
 // NewSession generates the session's channel key pair with randomness

@@ -1,6 +1,7 @@
 package lightsecagg
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/aead"
 	"repro/internal/dh"
 	"repro/internal/field"
 	"repro/internal/transport"
@@ -339,6 +341,67 @@ func TestEnvelopeRoundDomainSeparation(t *testing.T) {
 	}
 	if err := b2.OpenEnvelopes([]Envelope{*toB}); err == nil {
 		t.Fatal("cross-round envelope replay authenticated — AD does not bind the round")
+	}
+}
+
+// TestSessionKeepsClientSlabs: a session keeps its client's random,
+// received and ciphertext slabs across sub-rounds, re-slices them to each
+// sub-round's geometry and grows them only when it outgrows them — four
+// sub-rounds with drops at Dim 4096, 4096, 1000 and 5000 reuse one client's
+// backing arrays three times and make them anew once, and every sum is
+// exact. The slabs are scratch, never state: the session's at-rest record
+// is the same bytes after the later sub-rounds as after the first.
+func TestSessionKeepsClientSlabs(t *testing.T) {
+	cfg := testConfig(8, 2, 2, 0) // U = 6, L = ⌈Dim/4⌉
+	sess, err := NewRoundSessions(cfg.ClientIDs, rng("slab-keys"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drops := DropSchedule{3: StageMaskedInput, 6: StageAggShare}
+	client := sess.Client[1]
+	arrays := func() [3]any {
+		sc := client.scratch
+		return [3]any{&sc.words[0], &sc.received[0], &sc.sealed[0]}
+	}
+	var first [3]any
+	var record []byte
+	for i, dim := range []int{4096, 4096, 1000, 5000} {
+		cfg.Dim, cfg.Round = dim, uint64(i)
+		inputs, wantSum := makeInputs(cfg)
+		got, err := RunWithSessions(cfg, inputs, drops, rng(fmt.Sprintf("slab-%d", i)), sess)
+		if err != nil {
+			t.Fatalf("sub-round %d (Dim %d): %v", i, dim, err)
+		}
+		checkSum(t, got, wantSum(map[uint64]bool{3: true}))
+
+		n, l := len(cfg.ClientIDs), cfg.SubVectorLen()
+		sc := client.scratch
+		if len(sc.words) != cfg.RecoveryThreshold()*l || len(sc.received) != n*l || len(sc.sealed) != (n-1)*(4+8*l+aead.Overhead) {
+			t.Fatalf("sub-round %d (Dim %d): slabs of %d, %d and %d, not this geometry's", i, dim, len(sc.words), len(sc.received), len(sc.sealed))
+		}
+		now := arrays()
+		for k, name := range []string{"random", "received", "ciphertext"} {
+			switch {
+			case i == 0:
+			case i < 3 && now[k] != first[k]:
+				t.Errorf("sub-round %d (Dim %d): the %s slab moved", i, dim, name)
+			case i == 3 && now[k] == first[k]:
+				t.Errorf("sub-round %d (Dim %d): the %s slab did not grow", i, dim, name)
+			}
+		}
+		if i == 0 {
+			first = now
+		}
+
+		blob, err := client.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			record = blob
+		} else if !bytes.Equal(blob, record) {
+			t.Errorf("sub-round %d (Dim %d): the session record changed (%d → %d bytes)", i, dim, len(record), len(blob))
+		}
 	}
 }
 
