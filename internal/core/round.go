@@ -215,6 +215,9 @@ type roundPartial struct {
 	Protocol                        Protocol
 }
 
+// newPlusConfig is secaggplus.NewConfig; a test swaps it to count graph calls.
+var newPlusConfig = secaggplus.NewConfig
+
 // runRoundRing is RunRound's body up to the decode.
 func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64, rand io.Reader) (*roundPartial, error) {
 	if err := cfg.Validate(); err != nil {
@@ -272,12 +275,18 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 	}
 
 	// Encode every client's update once (the rotation spans the whole
-	// vector) into one slab the round owns; a chunk input is a window of it
-	// (ARCHITECTURE.md, "Round scratch"). The rounding streams fork here in
-	// client order, since Fork reads its parent; encodeSlab then fills the
-	// rows on every core.
+	// vector) into one slab the round leases; a chunk input is a window of
+	// it (ARCHITECTURE.md, "Round scratch"). The rounding streams fork here
+	// in client order, since Fork reads its parent; encodeSlab then fills
+	// the rows on every core. Releasing the slab on every return path is
+	// safe: (1) ex.Run returns only after every resource loop has exited;
+	// (2) the substrates only read their windows; (3) no result aliases it —
+	// a chunk sum is the secagg server's or runLightSecAggChunk's own, and
+	// ring.Concat copies; (4) EncodeInto writes every word of its row before
+	// any chunk reads it, so a reused slab needs no zeroing.
 	pd := cfg.Codec.PaddedDim()
-	slab := make([]uint64, len(ids)*pd) // client i's encoding is slab[i·pd : (i+1)·pd]
+	slab := leaseSlab(len(ids) * pd) // client i's encoding is slab[i·pd : (i+1)·pd]
+	defer releaseSlab(slab)
 	encStream := prg.NewStream(prg.NewSeed(cfg.Seed[:], []byte("encode")))
 	rounding := make([]*prg.Stream, len(ids))
 	for i, id := range ids {
@@ -323,18 +332,20 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 		}
 	}
 
-	// Build the per-chunk protocol config.
+	// Build the per-chunk protocol config; validated once, its copies share one neighbour memo.
 	proto := ResolveProtocol(cfg.Protocol, len(ids))
+	longest := bounds[0][1] - bounds[0][0] // chunk 0 is never the shorter one
 	baseCfg := secagg.Config{
 		Round:     cfg.Round,
 		ClientIDs: ids,
 		Threshold: cfg.Threshold,
 		Bits:      cfg.Codec.Bits,
+		Dim:       longest,
 	}
 	switch proto {
 	case ProtocolSecAggPlus:
 		var err error
-		baseCfg, err = secaggplus.NewConfig(baseCfg, secaggplus.RecommendedDegree(len(ids)))
+		baseCfg, err = newPlusConfig(baseCfg, secaggplus.RecommendedDegree(len(ids)))
 		if err != nil {
 			return nil, err
 		}
@@ -351,6 +362,11 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 		if int(cfg.Codec.Bits)+bits.Len(uint(len(ids))) > 61 {
 			return nil, fmt.Errorf("core: lightsecagg substrate: %d-bit ring with %d clients overflows GF(2^61−1)",
 				cfg.Codec.Bits, len(ids))
+		}
+	}
+	if proto != ProtocolLightSecAgg {
+		if err := baseCfg.Validate(); err != nil {
+			return nil, err
 		}
 	}
 
@@ -393,7 +409,6 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 	// buffers, each stage's own. The aggregation stage is the only one on
 	// pipeline.Communication, which admits one chunk at a time, so the
 	// chunks' substrate rounds run one after another on the sessions.
-	longest := bounds[0][1] - bounds[0][0] // chunk 0 is never the shorter one
 	var total, removing []int64
 	if plan != nil {
 		total, removing = make([]int64, longest), make([]int64, longest)

@@ -3,14 +3,17 @@ package core
 import (
 	"crypto/rand"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/prg"
 	"repro/internal/ring"
 	"repro/internal/secagg"
+	"repro/internal/secaggplus"
 	"repro/internal/skellam"
 	"repro/internal/xnoise"
 )
@@ -221,6 +224,146 @@ func TestChunkedRoundRemovesNoiseExactly(t *testing.T) {
 			if !slices.Equal(sums[0], sums[1]) {
 				t.Fatalf("%v, %d chunk(s): the XNoise round does not decode to the plain round's sum", proto, chunks)
 			}
+		}
+	}
+}
+
+// TestRunRoundLeasesSlab: the round's encoding slab comes from the free
+// list and goes back to it on every return path (ARCHITECTURE.md, "Round
+// scratch"), on both substrates at 1 chunk and 8. A second round of the
+// same shape runs in the first's backing array, and since EncodeInto
+// writes every word of a row, a slab left full of garbage still gives the
+// plaintext-oracle sum; a round whose encoding fails (a NaN update) hands
+// its slab back too; and the free list never holds more than its bound.
+func TestRunRoundLeasesSlab(t *testing.T) {
+	const n, dim = 12, 160
+	codec := testCodec(dim, n)
+	updates := randomUpdates(n, dim, 0.9)
+	nan := maps.Clone(updates)
+	nan[5] = slices.Clone(nan[5])
+	nan[5][17] = math.NaN()
+	drops := []uint64{3, 7}
+	cfg := RoundConfig{Round: 1, Codec: codec, Threshold: 8, Seed: prg.NewSeed([]byte("lease"))}
+	want, _ := encodedSum(t, codec, cfg.Seed, updates, drops)
+	words := n * codec.PaddedDim()
+
+	// free returns the free list's slabs of the round's length, after
+	// checking the list against its bound.
+	free := func() [][]uint64 {
+		t.Helper()
+		slabs.mu.Lock()
+		defer slabs.mu.Unlock()
+		var held int
+		var out [][]uint64
+		for _, s := range slabs.free {
+			held += 8 * len(s)
+			if len(s) == words {
+				out = append(out, s)
+			}
+		}
+		if held != slabs.retained || held > maxSlabRetained {
+			t.Fatalf("free list holds %d bytes, counts %d, bound %d", held, slabs.retained, maxSlabRetained)
+		}
+		return out
+	}
+	slabs.mu.Lock()
+	slabs.free, slabs.retained = nil, 0 // earlier tests' rounds of this shape
+	slabs.mu.Unlock()
+
+	for _, proto := range []Protocol{ProtocolSecAgg, ProtocolLightSecAgg} {
+		for _, chunks := range []int{1, 8} {
+			cfg.Protocol, cfg.Chunks = proto, chunks
+			if _, err := runRoundRing(cfg, updates, drops, rand.Reader); err != nil {
+				t.Fatalf("%v, %d chunk(s): %v", proto, chunks, err)
+			}
+			held := free()
+			if len(held) != 1 {
+				t.Fatalf("%v, %d chunk(s): the free list holds %d slabs of the round's length, want 1", proto, chunks, len(held))
+			}
+			slab := held[0]
+			for i := range slab {
+				slab[i] = 0x5A5A5A5A5A5A5A5A ^ uint64(i)
+			}
+
+			p, err := runRoundRing(cfg, updates, drops, rand.Reader)
+			if err != nil {
+				t.Fatalf("%v, %d chunk(s), second round: %v", proto, chunks, err)
+			}
+			if held := free(); len(held) != 1 || &held[0][0] != &slab[0] {
+				t.Fatalf("%v, %d chunk(s): the second round did not run in the first round's slab", proto, chunks)
+			}
+			for i, w := range want.Data {
+				if p.Sum.Data[i] != w {
+					t.Fatalf("%v, %d chunk(s): on a garbage-filled slab coordinate %d is %d, want %d", proto, chunks, i, p.Sum.Data[i], w)
+				}
+			}
+
+			if _, err := runRoundRing(cfg, nan, drops, rand.Reader); err == nil {
+				t.Fatalf("%v, %d chunk(s): a NaN update encoded", proto, chunks)
+			}
+			if held := free(); len(held) != 1 || &held[0][0] != &slab[0] {
+				t.Fatalf("%v, %d chunk(s): the failed round did not hand its slab back", proto, chunks)
+			}
+		}
+	}
+
+	// Concurrent rounds of one shape each lease their own slab: every sum
+	// is exact, and what they hand back stays inside the bound.
+	cfg.Protocol, cfg.Chunks = ProtocolSecAgg, 2
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, err := runRoundRing(cfg, updates, drops, rand.Reader)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !slices.Equal(p.Sum.Data, want.Data) {
+				t.Error("a concurrent round's sum differs from the plaintext oracle")
+			}
+		}()
+	}
+	wg.Wait()
+	free()
+}
+
+// countingGraph counts the Neighbors calls made into the graph it wraps.
+type countingGraph struct {
+	secagg.Graph
+	calls atomic.Int64
+}
+
+func (g *countingGraph) Neighbors(id uint64) []uint64 {
+	g.calls.Add(1)
+	return g.Graph.Neighbors(id)
+}
+
+// TestChunkedRoundWalksGraphOnce: the round validates its SecAgg+ config
+// once, at the longest chunk, and every chunk's copy shares the neighbour
+// memo that built, so an 8-chunk round asks the graph for each client's
+// neighbours once — as a 1-chunk round does — not once per chunk.
+func TestChunkedRoundWalksGraphOnce(t *testing.T) {
+	const n, dim = 40, 256
+	var g *countingGraph
+	defer func(orig func(secagg.Config, int) (secagg.Config, error)) { newPlusConfig = orig }(newPlusConfig)
+	newPlusConfig = func(base secagg.Config, degree int) (secagg.Config, error) {
+		cfg, err := secaggplus.NewConfig(base, degree)
+		g = &countingGraph{Graph: cfg.Graph}
+		cfg.Graph = g
+		return cfg, err
+	}
+	codec := testCodec(dim, n)
+	updates := randomUpdates(n, dim, 0.9)
+	for _, chunks := range []int{1, 8} {
+		cfg := RoundConfig{Round: 1, Protocol: ProtocolSecAggPlus, Codec: codec, Threshold: 24, Chunks: chunks,
+			Seed: prg.NewSeed([]byte("graph-once")), Sessions: NewSessionPool(1)}
+		if _, err := runRoundRing(cfg, updates, []uint64{3}, rand.Reader); err != nil {
+			t.Fatalf("%d chunk(s): %v", chunks, err)
+		}
+		if got := g.calls.Load(); got != n {
+			t.Fatalf("%d chunk(s): the round asked the graph for neighbours %d times, want %d (once per client)", chunks, got, n)
 		}
 	}
 }

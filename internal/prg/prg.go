@@ -69,6 +69,7 @@ type Stream struct {
 	ctr      cipher.Stream // nil until the first draw or Seek (keystream)
 	block    cipher.Block  // AES block, kept for random-access reseeking
 	iv       [16]byte      // initial counter block (keystream offset 0)
+	at       [16]byte      // counter block of the last Seek; NewCTR copies it, so it need not escape
 	produced uint64        // keystream bytes drawn from ctr so far
 	buf      [512]byte
 	pos      int // next unread byte in buf; len(buf) means empty
@@ -245,9 +246,8 @@ func (s *Stream) Offset() uint64 {
 // first off bytes — golden-tested at every offset class in prg_test.go.
 func (s *Stream) Seek(off uint64) {
 	blk := off / BlockSize
-	var iv [16]byte
-	ctrAdd(&iv, s.iv, blk)
-	s.ctr = cipher.NewCTR(s.block, iv[:])
+	ctrAdd(&s.at, s.iv, blk)
+	s.ctr = cipher.NewCTR(s.block, s.at[:])
 	s.produced = blk * BlockSize
 	s.pos = len(s.buf) // drop any buffered lookahead
 	if rem := int(off % BlockSize); rem > 0 {

@@ -376,6 +376,13 @@ func TestAtIntoReaims(t *testing.T) {
 	if into >= fresh {
 		t.Errorf("AtInto allocates %v per aim, At %v: re-aiming must not allocate a Stream", into, fresh)
 	}
+	// The one allocation left is the CTR itself: the counter block lives in
+	// the cursor, aligned aim or not.
+	for _, off := range []uint64{4096, 4100} {
+		if n := testing.AllocsPerRun(100, func() { parents[0].AtInto(&c, off) }); n != 1 {
+			t.Errorf("AtInto at %d allocates %v per aim, want 1 (the CTR)", off, n)
+		}
+	}
 }
 
 // TestFillAtEveryOffset: exhaustive golden sweep — a Fill from an At

@@ -9,7 +9,6 @@ import (
 	"io"
 	"maps"
 	"slices"
-	"sort"
 
 	"repro/internal/aead"
 	"repro/internal/dh"
@@ -56,9 +55,10 @@ type Client struct {
 	maskedDigest    [32]byte
 	hasMaskedDigest bool
 
-	roster     []AdvertiseMsg // U1 view, ascending by id (rosterEntry)
-	u2         []uint64
-	u3         []uint64
+	roster     []AdvertiseMsg         // U1 view, ascending by id (rosterEntry)
+	u2         []uint64               // ascending
+	u3         []uint64               // as the server sent it
+	u3sorted   []uint64               // u3 ascending: membership is a binary search
 	channelKey map[uint64]*aead.Key   // peer → AE key
 	received   map[uint64]ShareBundle // decrypted bundles from peers
 	pendingCts map[uint64][]byte      // peer → ciphertext (decrypted lazily at unmask)
@@ -243,10 +243,10 @@ func (c *Client) ShareKeys(roster []AdvertiseMsg) ([]EncryptedShareMsg, error) {
 	// Share recipients: the client's live neighborhood plus itself. Under
 	// the complete graph (classic SecAgg) this is all of U1; under a
 	// SecAgg+ graph it is the O(log n) neighborhood.
-	nbrSet := toSet(c.cfg.neighborhood(c.id))
-	peers := make([]uint64, 0, len(nbrSet)+1)
+	nbrs := c.cfg.neighborhood(c.id)
+	peers := make([]uint64, 0, len(nbrs)+1)
 	for _, m := range roster {
-		if _, ok := nbrSet[m.From]; ok || m.From == c.id {
+		if _, ok := slices.BinarySearch(nbrs, m.From); ok || m.From == c.id {
 			peers = append(peers, m.From)
 		}
 	}
@@ -365,7 +365,7 @@ func (c *Client) MaskedInput(ciphertexts []EncryptedShareMsg) (MaskedInputMsg, e
 		c.pendingCts[m.From] = m.Ciphertext
 		u2set[m.From] = struct{}{}
 	}
-	c.u2 = setToSorted(u2set)
+	c.u2 = sortedIDs(u2set)
 	if d := c.deal; d != nil {
 		// Under the step's deal every delivery after the first must be the
 		// first: the bundles opened under the deal are what Unmask reveals.
@@ -484,14 +484,12 @@ func (c *Client) agreeChannelKey(peerPub []byte) (*aead.Key, error) {
 // client's U2). Under the complete graph this is the full U3 ⊆ U2 check of
 // Fig. 5; under a SecAgg+ graph it is the neighborhood-restricted variant.
 func (c *Client) checkU3(u3 []uint64) error {
-	nbrs := toSet(c.cfg.neighborhood(c.id))
-	nbrs[c.id] = struct{}{}
-	u2set := toSet(c.u2)
+	nbrs := c.cfg.neighborhood(c.id)
 	for _, v := range u3 {
-		if _, mine := nbrs[v]; !mine {
+		if _, mine := slices.BinarySearch(nbrs, v); !mine && v != c.id {
 			continue
 		}
-		if _, ok := u2set[v]; !ok {
+		if _, ok := slices.BinarySearch(c.u2, v); !ok {
 			return fmt.Errorf("secagg: U3 member %d not in U2 at client %d", v, c.id)
 		}
 	}
@@ -509,6 +507,7 @@ func (c *Client) ConsistencyCheck(u3 []uint64) (ConsistencyMsg, error) {
 		return ConsistencyMsg{}, err
 	}
 	c.u3 = append([]uint64(nil), u3...)
+	c.u3sorted = sortedCopy(u3)
 	if c.cfg.Registry == nil {
 		return ConsistencyMsg{From: c.id}, nil
 	}
@@ -536,7 +535,7 @@ func (c *Client) Unmask(req UnmaskRequest) (UnmaskMsg, error) {
 	if len(req.U4) < c.cfg.Threshold {
 		return UnmaskMsg{}, fmt.Errorf("secagg: |U4|=%d < t at client %d", len(req.U4), c.id)
 	}
-	if !subset(req.U4, c.u3) {
+	if !subset(req.U4, c.u3sorted) {
 		return UnmaskMsg{}, fmt.Errorf("secagg: U4 ⊄ U3 at client %d", c.id)
 	}
 	if c.cfg.Registry != nil {
@@ -555,13 +554,12 @@ func (c *Client) Unmask(req UnmaskRequest) (UnmaskMsg, error) {
 		MaskKeyShares:  make(map[uint64][numKeyChunks]shamir.Share),
 		SelfSeedShares: make(map[uint64]shamir.Share),
 	}
-	u3set := toSet(c.u3)
 	for _, v := range c.u2 {
 		bundle, err := c.bundleFrom(v)
 		if err != nil {
 			return UnmaskMsg{}, err
 		}
-		if _, live := u3set[v]; live {
+		if _, live := slices.BinarySearch(c.u3sorted, v); live {
 			out.SelfSeedShares[v] = bundle.SelfSeed
 		} else {
 			out.MaskKeyShares[v] = bundle.MaskKey
@@ -577,7 +575,7 @@ func (c *Client) Unmask(req UnmaskRequest) (UnmaskMsg, error) {
 	if c.session != nil {
 		// The session's mask key spans the step's sub-rounds: never hand
 		// the server both kinds of share for one peer (Session, reveal ledger).
-		if err := c.session.reveal(c.cfg.KeyRatchet, c.u2, u3set); err != nil {
+		if err := c.session.reveal(c.cfg.KeyRatchet, c.u2, c.u3sorted); err != nil {
 			return UnmaskMsg{}, err
 		}
 	}
@@ -643,15 +641,15 @@ func (c *Client) RevealNoiseShares(req NoiseShareRequest) (NoiseShareMsg, error)
 	if len(req.U5) < c.cfg.Threshold {
 		return NoiseShareMsg{}, fmt.Errorf("secagg: |U5|=%d < t at client %d", len(req.U5), c.id)
 	}
-	if !subset(req.U5, c.u3) {
+	if !subset(req.U5, c.u3sorted) {
 		return NoiseShareMsg{}, fmt.Errorf("secagg: U5 ⊄ U3 at client %d", c.id)
 	}
 	numDropped := len(c.cfg.ClientIDs) - len(c.u3)
 	ks := c.cfg.XNoise.RemovalComponents(numDropped)
-	u5set := toSet(req.U5)
+	u5 := sortedCopy(req.U5)
 	out := NoiseShareMsg{From: c.id, Shares: make(map[uint64]map[int]shamir.Share)}
 	for _, v := range c.u3 {
-		if _, live := u5set[v]; live {
+		if _, live := slices.BinarySearch(u5, v); live {
 			continue
 		}
 		if !c.holdsBundleFrom(v) {
@@ -682,31 +680,20 @@ func sortedIDs[V any](m map[uint64]V) []uint64 {
 	for id := range m {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
-func setToSorted(s map[uint64]struct{}) []uint64 {
-	out := make([]uint64, 0, len(s))
-	for id := range s {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+func sortedCopy(ids []uint64) []uint64 {
+	out := slices.Clone(ids)
+	slices.Sort(out)
 	return out
 }
 
-func toSet(ids []uint64) map[uint64]struct{} {
-	s := make(map[uint64]struct{}, len(ids))
-	for _, id := range ids {
-		s[id] = struct{}{}
-	}
-	return s
-}
-
+// subset reports whether every id in sub is in super, which is ascending.
 func subset(sub, super []uint64) bool {
-	s := toSet(super)
 	for _, id := range sub {
-		if _, ok := s[id]; !ok {
+		if _, ok := slices.BinarySearch(super, id); !ok {
 			return false
 		}
 	}

@@ -27,6 +27,7 @@ package secagg
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ring"
 	"repro/internal/sig"
@@ -135,9 +136,9 @@ type Graph interface {
 }
 
 // Validate checks config consistency. It also memoizes the graph's
-// per-id neighbor sets (one Neighbors call per client) so the symmetry
-// check runs in O(n·k) set lookups instead of O(n·k²) Neighbors calls, and
-// neighborhood() reuses the same sets afterwards.
+// per-id neighbor lists, ascending (one Neighbors call per client), so the
+// symmetry check runs in O(n·k·log k) instead of O(n·k²) Neighbors calls,
+// and neighborhood() reuses the same lists afterwards.
 func (c *Config) Validate() error {
 	n := len(c.ClientIDs)
 	if n < 2 {
@@ -188,18 +189,15 @@ func (c *Config) Validate() error {
 		}
 	}
 	if c.Graph != nil && !c.nbrsCover(seen) {
-		// One Neighbors call per client; membership sets make the symmetry
-		// check a hash lookup per edge instead of a linear scan over a
-		// freshly allocated neighbor list.
+		// One Neighbors call per client, kept ascending, so the symmetry
+		// check is a binary search per edge.
 		nbrs := make(map[uint64][]uint64, n)
-		sets := make(map[uint64]map[uint64]struct{}, n)
 		for _, id := range c.ClientIDs {
 			lst := c.Graph.Neighbors(id)
 			if len(lst)+1 < c.Threshold {
 				return fmt.Errorf("secagg: neighborhood of %d has %d members < t=%d",
 					id, len(lst)+1, c.Threshold)
 			}
-			set := make(map[uint64]struct{}, len(lst))
 			for _, v := range lst {
 				if v == id {
 					return fmt.Errorf("secagg: client %d lists itself as neighbor", id)
@@ -207,14 +205,15 @@ func (c *Config) Validate() error {
 				if _, ok := seen[v]; !ok {
 					return fmt.Errorf("secagg: client %d has unknown neighbor %d", id, v)
 				}
-				set[v] = struct{}{}
+			}
+			if !slices.IsSorted(lst) {
+				lst = sortedCopy(lst)
 			}
 			nbrs[id] = lst
-			sets[id] = set
 		}
 		for _, id := range c.ClientIDs {
 			for _, v := range nbrs[id] {
-				if _, ok := sets[v][id]; !ok {
+				if _, ok := slices.BinarySearch(nbrs[v], id); !ok {
 					return fmt.Errorf("secagg: graph not symmetric: %d→%d", id, v)
 				}
 			}
@@ -244,9 +243,10 @@ func (c *Config) nbrsCover(ids map[uint64]struct{}) bool {
 }
 
 // neighborhood returns the neighbor set of id under the configured graph
-// (all other clients when Graph is nil), excluding id itself. After
-// Validate the graph sets come from the memoized map; callers must treat
-// the returned slice as read-only.
+// (all other clients when Graph is nil), excluding id itself, ascending:
+// callers test membership by binary search. After Validate the graph sets
+// come from the memoized map; callers must treat the returned slice as
+// read-only.
 func (c Config) neighborhood(id uint64) []uint64 {
 	if c.Graph == nil {
 		out := make([]uint64, 0, len(c.ClientIDs)-1)
@@ -260,7 +260,7 @@ func (c Config) neighborhood(id uint64) []uint64 {
 	if lst, ok := c.nbrs[id]; ok {
 		return lst
 	}
-	return append([]uint64(nil), c.Graph.Neighbors(id)...)
+	return sortedCopy(c.Graph.Neighbors(id))
 }
 
 // UnmaskQuorum is the count the unmask predicate (Server.UnmaskQuorumMet,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/dh"
@@ -200,7 +201,7 @@ func (s *Server) SealShares() (map[uint64][]EncryptedShareMsg, error) {
 	if len(s.u2set) < s.cfg.Threshold {
 		return nil, fmt.Errorf("secagg: |U2|=%d < t=%d, aborting", len(s.u2set), s.cfg.Threshold)
 	}
-	s.u2 = setToSorted(s.u2set)
+	s.u2 = sortedIDs(s.u2set)
 	deliver := make(map[uint64][]EncryptedShareMsg, len(s.u2))
 	for _, recipient := range s.u2 {
 		var list []EncryptedShareMsg
@@ -294,7 +295,7 @@ func (s *Server) SealMasked() ([]uint64, error) {
 	if len(s.u3set) < s.cfg.Threshold {
 		return nil, fmt.Errorf("secagg: |U3|=%d < t=%d, aborting", len(s.u3set), s.cfg.Threshold)
 	}
-	s.u3 = setToSorted(s.u3set)
+	s.u3 = sortedIDs(s.u3set)
 	return append([]uint64(nil), s.u3...), nil
 }
 
@@ -331,7 +332,7 @@ func (s *Server) SealConsistency() (UnmaskRequest, error) {
 	if len(s.u4set) < s.cfg.Threshold {
 		return UnmaskRequest{}, fmt.Errorf("secagg: |U4|=%d < t=%d, aborting", len(s.u4set), s.cfg.Threshold)
 	}
-	s.u4 = setToSorted(s.u4set)
+	s.u4 = sortedIDs(s.u4set)
 	req := UnmaskRequest{
 		U3: append([]uint64(nil), s.u3...),
 		U4: append([]uint64(nil), s.u4...),
@@ -391,7 +392,7 @@ func (s *Server) initCohorts() {
 	}
 	s.keyNeed = make(map[uint64]int)
 	for _, v := range s.u2 {
-		if contains(s.u3, v) {
+		if slices.Contains(s.u3, v) {
 			continue
 		}
 		if s.session.key(s.roster[v].MaskPub) != nil {
@@ -436,7 +437,7 @@ func (s *Server) SealUnmask() (*NoiseShareRequest, error) {
 	if len(s.u5set) < s.cfg.Threshold {
 		return nil, fmt.Errorf("secagg: |U5|=%d < t=%d, aborting", len(s.u5set), s.cfg.Threshold)
 	}
-	s.u5 = setToSorted(s.u5set)
+	s.u5 = sortedIDs(s.u5set)
 
 	if err := s.unmask(); err != nil {
 		return nil, err
@@ -488,7 +489,7 @@ func (s *Server) unmask() error {
 	// the per-neighbor key agreements and mask expansions — the bulk of the
 	// work — run on the workers, hitting the session cache when one is live.
 	for _, v := range s.u2 {
-		if contains(s.u3, v) {
+		if slices.Contains(s.u3, v) {
 			continue
 		}
 		v := v
@@ -515,9 +516,9 @@ func (s *Server) unmask() error {
 			s.session.storeKey(advPub, kp)
 		}
 		// Only v's neighbors masked with v.
-		vNbrs := toSet(s.cfg.neighborhood(v))
+		vNbrs := s.cfg.neighborhood(v)
 		for _, u := range s.u3 {
-			if _, ok := vNbrs[u]; !ok {
+			if _, ok := slices.BinarySearch(vNbrs, u); !ok {
 				continue
 			}
 			u := u
@@ -612,7 +613,7 @@ func (s *Server) SealNoiseShares() error {
 	numDropped := len(s.cfg.ClientIDs) - len(s.u3)
 	ks := s.cfg.XNoise.RemovalComponents(numDropped)
 	for _, v := range s.u3 {
-		if contains(s.u5, v) {
+		if slices.Contains(s.u5, v) {
 			continue
 		}
 		// AddNoiseShare admitted every response with exactly the components
@@ -647,7 +648,7 @@ func (s *Server) Finalize() (Result, error) {
 		Survivors: append([]uint64(nil), s.u3...),
 	}
 	for _, id := range s.cfg.ClientIDs {
-		if !contains(s.u3, id) {
+		if !slices.Contains(s.u3, id) {
 			res.Dropped = append(res.Dropped, id)
 		}
 	}
@@ -675,13 +676,4 @@ func (s *Server) Finalize() (Result, error) {
 	}
 	res.Sum = append([]uint64(nil), s.sum.Data...)
 	return res, nil
-}
-
-func contains(ids []uint64, id uint64) bool {
-	for _, v := range ids {
-		if v == id {
-			return true
-		}
-	}
-	return false
 }

@@ -186,15 +186,15 @@ func (s *Session) keepDeal(step uint64, d *deal) {
 }
 
 // reveal enters into step's ledger that this client reveals, for each peer
-// in peers, a self-seed share if the peer is in live and a mask-key share
-// otherwise. It refuses, entering nothing, if any peer was revealed the
-// other way earlier in the step.
-func (s *Session) reveal(step uint64, peers []uint64, live map[uint64]struct{}) error {
+// in peers, a self-seed share if the peer is in live (ascending) and a
+// mask-key share otherwise. It refuses, entering nothing, if any peer was
+// revealed the other way earlier in the step.
+func (s *Session) reveal(step uint64, peers, live []uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.atStepLocked(step)
 	for _, v := range peers {
-		_, self := live[v]
+		_, self := slices.BinarySearch(live, v)
 		if prev, ok := s.revealed[v]; ok && prev != self {
 			return fmt.Errorf("%w: peer %d at ratchet step %d", ErrConflictingReveal, v, step)
 		}
@@ -203,7 +203,7 @@ func (s *Session) reveal(step uint64, peers []uint64, live map[uint64]struct{}) 
 		s.revealed = make(map[uint64]bool, len(peers))
 	}
 	for _, v := range peers {
-		_, self := live[v]
+		_, self := slices.BinarySearch(live, v)
 		s.revealed[v] = self
 	}
 	return nil
