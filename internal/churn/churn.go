@@ -88,10 +88,3 @@ func ByRound(trace []Event) map[uint64][]Event {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

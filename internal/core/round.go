@@ -16,6 +16,7 @@ import (
 	"repro/internal/secagg"
 	"repro/internal/secaggplus"
 	"repro/internal/skellam"
+	"repro/internal/transport"
 	"repro/internal/xnoise"
 )
 
@@ -218,6 +219,13 @@ type roundPartial struct {
 // newPlusConfig is secaggplus.NewConfig; a test swaps it to count graph calls.
 var newPlusConfig = secaggplus.NewConfig
 
+// slabs is the free list runRoundRing leases its encoding slab from
+// (ARCHITECTURE.md "Round scratch"): two flat_cold slabs (64 × 16384 words)
+// at most. As for frames, a lease rounds up to a size class and a release
+// that would pass the bound is dropped, so a process keeps its first slab
+// shapes rather than its latest.
+var slabs = transport.NewFreeList[uint64](2<<20, 2<<20)
+
 // runRoundRing is RunRound's body up to the decode.
 func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64, rand io.Reader) (*roundPartial, error) {
 	if err := cfg.Validate(); err != nil {
@@ -285,8 +293,8 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 	// ring.Concat copies; (4) EncodeInto writes every word of its row before
 	// any chunk reads it, so a reused slab needs no zeroing.
 	pd := cfg.Codec.PaddedDim()
-	slab := leaseSlab(len(ids) * pd) // client i's encoding is slab[i·pd : (i+1)·pd]
-	defer releaseSlab(slab)
+	slab := slabs.Lease(len(ids) * pd) // client i's encoding is slab[i·pd : (i+1)·pd]
+	defer slabs.Release(slab)
 	encStream := prg.NewStream(prg.NewSeed(cfg.Seed[:], []byte("encode")))
 	rounding := make([]*prg.Stream, len(ids))
 	for i, id := range ids {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/secagg"
 	"repro/internal/secaggplus"
 	"repro/internal/skellam"
+	"repro/internal/transport"
 	"repro/internal/xnoise"
 )
 
@@ -234,7 +235,7 @@ func TestChunkedRoundRemovesNoiseExactly(t *testing.T) {
 // same shape runs in the first's backing array, and since EncodeInto
 // writes every word of a row, a slab left full of garbage still gives the
 // plaintext-oracle sum; a round whose encoding fails (a NaN update) hands
-// its slab back too; and the free list never holds more than its bound.
+// its slab back too. The list's own bound is transport's to test.
 func TestRunRoundLeasesSlab(t *testing.T) {
 	const n, dim = 12, 160
 	codec := testCodec(dim, n)
@@ -247,28 +248,10 @@ func TestRunRoundLeasesSlab(t *testing.T) {
 	want, _ := encodedSum(t, codec, cfg.Seed, updates, drops)
 	words := n * codec.PaddedDim()
 
-	// free returns the free list's slabs of the round's length, after
-	// checking the list against its bound.
-	free := func() [][]uint64 {
-		t.Helper()
-		slabs.mu.Lock()
-		defer slabs.mu.Unlock()
-		var held int
-		var out [][]uint64
-		for _, s := range slabs.free {
-			held += 8 * len(s)
-			if len(s) == words {
-				out = append(out, s)
-			}
-		}
-		if held != slabs.retained || held > maxSlabRetained {
-			t.Fatalf("free list holds %d bytes, counts %d, bound %d", held, slabs.retained, maxSlabRetained)
-		}
-		return out
-	}
-	slabs.mu.Lock()
-	slabs.free, slabs.retained = nil, 0 // earlier tests' rounds of this shape
-	slabs.mu.Unlock()
+	// A list of its own: slabs earlier tests handed back could fill the
+	// shared one, which then drops what this test's rounds release.
+	defer func(orig *transport.FreeList[uint64]) { slabs = orig }(slabs)
+	slabs = transport.NewFreeList[uint64](2<<20, 2<<20)
 
 	for _, proto := range []Protocol{ProtocolSecAgg, ProtocolLightSecAgg} {
 		for _, chunks := range []int{1, 8} {
@@ -276,22 +259,26 @@ func TestRunRoundLeasesSlab(t *testing.T) {
 			if _, err := runRoundRing(cfg, updates, drops, rand.Reader); err != nil {
 				t.Fatalf("%v, %d chunk(s): %v", proto, chunks, err)
 			}
-			held := free()
-			if len(held) != 1 {
-				t.Fatalf("%v, %d chunk(s): the free list holds %d slabs of the round's length, want 1", proto, chunks, len(held))
+			// A slab the round used is not all zero words; a new one is.
+			slab := slabs.Lease(words)
+			if !slices.ContainsFunc(slab, func(w uint64) bool { return w != 0 }) {
+				t.Fatalf("%v, %d chunk(s): the round did not hand its slab back", proto, chunks)
 			}
-			slab := held[0]
 			for i := range slab {
 				slab[i] = 0x5A5A5A5A5A5A5A5A ^ uint64(i)
 			}
+			slabs.Release(slab)
 
 			p, err := runRoundRing(cfg, updates, drops, rand.Reader)
 			if err != nil {
 				t.Fatalf("%v, %d chunk(s), second round: %v", proto, chunks, err)
 			}
-			if held := free(); len(held) != 1 || &held[0][0] != &slab[0] {
+			// Last in, first out: a round that made its own slab would hand
+			// that one back on top of the first's.
+			if again := slabs.Lease(words); &again[0] != &slab[0] {
 				t.Fatalf("%v, %d chunk(s): the second round did not run in the first round's slab", proto, chunks)
 			}
+			slabs.Release(slab)
 			for i, w := range want.Data {
 				if p.Sum.Data[i] != w {
 					t.Fatalf("%v, %d chunk(s): on a garbage-filled slab coordinate %d is %d, want %d", proto, chunks, i, p.Sum.Data[i], w)
@@ -301,14 +288,15 @@ func TestRunRoundLeasesSlab(t *testing.T) {
 			if _, err := runRoundRing(cfg, nan, drops, rand.Reader); err == nil {
 				t.Fatalf("%v, %d chunk(s): a NaN update encoded", proto, chunks)
 			}
-			if held := free(); len(held) != 1 || &held[0][0] != &slab[0] {
+			if again := slabs.Lease(words); &again[0] != &slab[0] {
 				t.Fatalf("%v, %d chunk(s): the failed round did not hand its slab back", proto, chunks)
 			}
+			slabs.Release(slab)
 		}
 	}
 
 	// Concurrent rounds of one shape each lease their own slab: every sum
-	// is exact, and what they hand back stays inside the bound.
+	// is exact.
 	cfg.Protocol, cfg.Chunks = ProtocolSecAgg, 2
 	var wg sync.WaitGroup
 	for range 4 {
@@ -326,7 +314,6 @@ func TestRunRoundLeasesSlab(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	free()
 }
 
 // countingGraph counts the Neighbors calls made into the graph it wraps.

@@ -2,4 +2,4 @@
 
 package transport
 
-func poison([]byte) {}
+func poison[T any]([]T) {}

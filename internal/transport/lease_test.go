@@ -7,32 +7,45 @@ import (
 	"unsafe"
 )
 
-// drainLeases empties the free list, so a test sees only its own buffers.
+// drainLeases empties the frame list, so a test sees only its own buffers.
 func drainLeases() {
-	leases.mu.Lock()
-	leases.free, leases.retained = nil, 0
-	leases.mu.Unlock()
+	frames.mu.Lock()
+	frames.free, frames.retained = nil, 0
+	frames.mu.Unlock()
 }
 
-func retained() int {
-	leases.mu.Lock()
-	defer leases.mu.Unlock()
-	return leases.retained
+func retained() int { return held(frames) }
+
+// held returns the elements l holds.
+func held[T any](l *FreeList[T]) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.retained
 }
 
-// sameBuffer reports whether two slices start at the same backing byte.
-func sameBuffer(a, b []byte) bool {
+// sameBuffer reports whether two slices start at the same backing element.
+func sameBuffer[T any](a, b []T) bool {
 	return unsafe.SliceData(a) == unsafe.SliceData(b)
 }
 
-// TestLeaseRoundTrip: a released buffer comes back for its size class and
-// for no other; an off-class buffer, one over the free list's bound and one
-// above the largest class are dropped.
+// TestLeaseRoundTrip: a released slice comes back for its size class and
+// for no other; an off-class slice, one over the list's bound and one above
+// its largest class are dropped. It runs on the frames, through lease and
+// Release, and on a list of words, whose classes and bound count words.
 func TestLeaseRoundTrip(t *testing.T) {
 	drainLeases()
 	defer drainLeases()
+	t.Run("frames", func(t *testing.T) {
+		checkRoundTrip(t, frames, lease, Release, []int{0, 1, 64, 65, 1000, 512<<10 + 14, maxLease})
+	})
+	t.Run("words", func(t *testing.T) {
+		words := NewFreeList[uint64](1<<16, 1<<18)
+		checkRoundTrip(t, words, words.Lease, words.Release, []int{0, 1, 64, 65, 1000, 8<<10 + 3, 1 << 16})
+	})
+}
 
-	for _, n := range []int{0, 1, 64, 65, 1000, 512<<10 + 14, maxLease} {
+func checkRoundTrip[T any](t *testing.T, l *FreeList[T], lease func(int) []T, release func([]T), sizes []int) {
+	for _, n := range sizes {
 		class := leaseClass(n)
 		if class < n || class < minLease || leaseClass(class) != class || (n > minLease && class-n > n/8) {
 			t.Fatalf("leaseClass(%d) = %d", n, class)
@@ -41,51 +54,58 @@ func TestLeaseRoundTrip(t *testing.T) {
 		if len(a) != n || cap(a) != class {
 			t.Fatalf("lease(%d): len %d cap %d, want cap %d", n, len(a), cap(a), class)
 		}
-		Release(a)
-		if retained() != class {
-			t.Fatalf("released %d-byte lease not retained (%d bytes held)", n, retained())
+		release(a)
+		if held(l) != class {
+			t.Fatalf("released %d-element lease not retained (%d elements held)", n, held(l))
 		}
 		if other := lease(2 * class); sameBuffer(a, other) {
-			t.Fatalf("a class-%d buffer served a class-%d lease", class, leaseClass(2*class))
+			t.Fatalf("a class-%d slice served a class-%d lease", class, leaseClass(2*class))
 		}
 		// The same class gets it back, whatever length was asked for.
 		if b := lease(class); !sameBuffer(a, b) || len(b) != class {
-			t.Fatalf("class %d: released buffer did not come back", class)
+			t.Fatalf("class %d: released slice did not come back", class)
 		}
-		if retained() != 0 {
-			t.Fatalf("free list holds %d bytes after the lease was taken", retained())
+		if held(l) != 0 {
+			t.Fatalf("free list holds %d elements after the lease was taken", held(l))
 		}
 	}
 
 	// Off-class: a plain make, and a sub-slice that lost its head.
-	Release(make([]byte, 100))
-	Release(lease(1000)[8:])
-	Release(nil)
-	if retained() != 0 {
-		t.Fatalf("an off-class buffer was pooled (%d bytes held)", retained())
+	release(make([]T, 100))
+	release(lease(1000)[8:])
+	release(nil)
+	if held(l) != 0 {
+		t.Fatalf("an off-class slice was kept (%d elements held)", held(l))
 	}
 
-	// Above the largest class: a plain make, never pooled.
-	big := lease(maxLease + 1)
-	if len(big) != maxLease+1 || cap(big) != maxLease+1 {
+	// Above the largest class: a plain make, never kept.
+	big := lease(l.maxItem + 1)
+	if len(big) != l.maxItem+1 || cap(big) != l.maxItem+1 {
 		t.Fatalf("oversize lease: len %d cap %d", len(big), cap(big))
 	}
-	Release(big)
-	if retained() != 0 {
-		t.Fatal("a buffer above the largest class was pooled")
+	release(big)
+	if held(l) != 0 {
+		t.Fatal("a slice above the largest class was kept")
 	}
 
-	// Over the bound: the free list never holds more than maxRetained.
-	const n = 1 << 20
-	held := make([][]byte, 0, maxRetained/n+2)
-	for i := 0; i < cap(held); i++ {
-		held = append(held, lease(n))
+	// Over the bound: the list never holds more than maxRetained elements,
+	// and drops what would take it over.
+	n := l.maxItem / 4
+	kept := make([][]T, 0, l.maxRetained/n+2)
+	for i := 0; i < cap(kept); i++ {
+		kept = append(kept, lease(n))
 	}
-	for _, b := range held {
-		Release(b)
+	for _, s := range kept {
+		release(s)
 	}
-	if got := retained(); got > maxRetained || got < maxRetained-n {
-		t.Fatalf("free list holds %d bytes, bound %d", got, maxRetained)
+	if got := held(l); got > l.maxRetained || got < l.maxRetained-n {
+		t.Fatalf("free list holds %d elements, bound %d", got, l.maxRetained)
+	}
+	for range l.maxRetained / n {
+		lease(n)
+	}
+	if held(l) != 0 {
+		t.Fatalf("free list holds %d elements after every kept slice was leased", held(l))
 	}
 }
 

@@ -143,7 +143,7 @@ func (r *Reader) Bytes(max int) []byte {
 // Blob reads a [len:2][bytes] field of at most max bytes (AppendBlob's
 // inverse; nil when empty).
 func (r *Reader) Blob(max int) []byte {
-	out, rest, err := DecodeBlob(r.b, max)
+	out, rest, err := decodeBlob(r.b, max)
 	if err != nil {
 		r.Fail(err)
 		return nil
@@ -224,7 +224,7 @@ func (w *Writer) Count(n, max int) {
 // Words appends a [n:4][n×8] slab of at most max words.
 func (w *Writer) Words(xs []uint64, max int) {
 	w.Count(len(xs), max)
-	w.b = AppendUint64sLE(w.b, xs)
+	w.b = appendUint64sLE(w.b, xs)
 }
 
 // Bytes appends a [len:4][bytes] field of at most max bytes.

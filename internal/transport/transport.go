@@ -114,10 +114,10 @@ func wordsLE(xs []uint64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs)*8)
 }
 
-// AppendUint64sLE appends xs to dst in little-endian wire order. On
+// appendUint64sLE appends xs to dst in little-endian wire order. On
 // little-endian hosts the word slab is copied in one memmove; the
 // big-endian fallback encodes per element.
-func AppendUint64sLE(dst []byte, xs []uint64) []byte {
+func appendUint64sLE(dst []byte, xs []uint64) []byte {
 	if slab := wordsLE(xs); slab != nil {
 		return append(dst, slab...)
 	}
@@ -147,11 +147,10 @@ func WriteUint64sLE(w io.Writer, xs []uint64) error {
 }
 
 // AppendBlob appends a 16-bit-length-prefixed byte blob to dst — the
-// shared small-field codec of the session persistence records
-// (secagg/persist.go, lightsecagg/persist.go) and the handshake signature
-// section (core/handshake.go). The caller guarantees len(b) fits a
-// uint16 (all users carry fixed-size crypto material: 32-byte keys,
-// 64-byte signatures); larger blobs are a programmer error and panic.
+// small-field codec of Writer.Blob and the handshake signature section
+// (core/handshake.go). The caller guarantees len(b) fits a uint16 (all
+// users carry fixed-size crypto material: 32-byte keys, 64-byte
+// signatures); larger blobs are a programmer error and panic.
 func AppendBlob(dst, b []byte) []byte {
 	if len(b) > 1<<16-1 {
 		panic(fmt.Sprintf("transport: blob of %d bytes exceeds uint16 framing", len(b)))
@@ -162,11 +161,11 @@ func AppendBlob(dst, b []byte) []byte {
 	return append(dst, b...)
 }
 
-// DecodeBlob decodes a blob written by AppendBlob into a fresh slice,
+// decodeBlob decodes a blob written by AppendBlob into a fresh slice,
 // returning the remaining bytes. maxLen caps the declared length so a
 // hostile prefix cannot force a large allocation; a zero-length blob
 // decodes as nil.
-func DecodeBlob(src []byte, maxLen int) ([]byte, []byte, error) {
+func decodeBlob(src []byte, maxLen int) ([]byte, []byte, error) {
 	if len(src) < 2 {
 		return nil, nil, fmt.Errorf("transport: blob header truncated")
 	}
@@ -187,7 +186,7 @@ func DecodeBlob(src []byte, maxLen int) ([]byte, []byte, error) {
 
 // DecodeUint64sLE decodes n little-endian uint64 words from src into a
 // fresh slice, returning the remaining bytes. It is the inverse of
-// AppendUint64sLE.
+// appendUint64sLE.
 func DecodeUint64sLE(src []byte, n int) ([]uint64, []byte, error) {
 	if n < 0 || len(src) < n*8 {
 		return nil, nil, fmt.Errorf("transport: word slab truncated: need %d bytes, have %d", n*8, len(src))
