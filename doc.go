@@ -50,8 +50,9 @@
 //     straight from its frame (ring.Vector.AddBytesLE). Byte layouts:
 //     PROTOCOL.md.
 //   - Keys: secagg.Session/ServerSession and lightsecagg's, over the
-//     shared internal/session, pooled by core.SessionPool or negotiated
-//     by the re-key handshake (core.RunHandshakeServer/Client), persisted
+//     shared internal/session, shared by one round's chunks through
+//     core.SessionPool and resumed across rounds only by the re-key
+//     handshake (core.RunHandshakeServer/Client), persisted
 //     through internal/sessionstore. What reuse costs, what taint means
 //     and what a leaked store gives away: ARCHITECTURE.md "Sessions and
 //     the key-reuse threat model" and "Cross-round continuity"; the

@@ -1,11 +1,12 @@
 // Session persistence and the re-key handshake: wire-deployment session
 // continuity end to end.
 //
-// The PR 3/4 session layer made resumed rounds free of X25519 work — but
-// only for drivers that decide "resume or re-key" in process, where the
-// SessionPool can see the drop schedule. A real deployment has neither
-// that oracle nor immortal client processes. This example runs the wire
-// stack the way a deployment would:
+// The session layer makes a resumed round free of X25519 work. In process
+// a key generation never outlives its round (core.SessionPool only shares
+// one across a round's chunks), so resuming one across rounds is decided
+// in one place: the re-key handshake, which needs no view of the drop
+// schedule and survives client restarts. This example runs the wire stack
+// the way a deployment would:
 //
 //  1. Round 1 over the in-memory transport, preceded by the signed re-key
 //     handshake (hello → offer → ack → commit). No shared state exists
@@ -207,7 +208,7 @@ func main() {
 	fmt.Println("== round 3: client 5 drops mid-round; its key is reconstructed ==")
 	runRound(3, 5)
 	fmt.Printf("   server taint: %v, client-5 taint: %v\n\n",
-		serverSess.HasTaint(), clientSess[5].Tainted())
+		len(serverSess.TaintedMembers()) > 0, clientSess[5].Tainted())
 
 	fmt.Println("== round 4: the taint forces a partial re-key of the dropper's edges ==")
 	if conns[5], err = net.Connect(5); err != nil { // the bounced client re-dials

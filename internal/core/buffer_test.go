@@ -20,8 +20,9 @@ import (
 // before the next round starts: an upload masked over the last round's
 // sum instead of this round's input, a buffer left at the last Dim, or a
 // result frame released before the sum is copied out of it (which -race
-// builds poison) moves them. An in-process round whose chunks differ in
-// length, on one session set across two rounds, stays exact too.
+// builds poison) moves them. In process, two rounds on one session pool
+// whose chunks differ in length stay exact too (each round keys its own
+// session set, shared by its chunks).
 func TestClientBufferAcrossRounds(t *testing.T) {
 	ids := seqIDs(6)
 	rig := newServiceRig(t, ids, 4, 4096)
@@ -61,12 +62,12 @@ func TestClientBufferAcrossRounds(t *testing.T) {
 	}
 
 	// In-process: 16384 coordinates in 3 chunks of 5462, 5461 and 5461, two
-	// rounds on one session set, a client dropping before its upload.
+	// rounds on one session pool, a client dropping before its upload.
 	const n, dim = 8, 16384
 	codec := testCodec(dim, n)
 	updates := randomUpdates(n, dim, 0.9)
 	drops := []uint64{3}
-	cfg := RoundConfig{Protocol: ProtocolSecAgg, Codec: codec, Threshold: 5, Chunks: 3, Sessions: NewSessionPool(2)}
+	cfg := RoundConfig{Protocol: ProtocolSecAgg, Codec: codec, Threshold: 5, Chunks: 3, Sessions: NewSessionPool(1)}
 	for round := uint64(1); round <= 2; round++ {
 		cfg.Round, cfg.Seed = round, prg.NewSeed([]byte("client-buffer"), []byte{byte(round)})
 		want, _ := encodedSum(t, codec, cfg.Seed, updates, drops)

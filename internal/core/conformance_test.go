@@ -283,6 +283,7 @@ func handshakeFamily(tb testing.TB) *fuzzcorpus.Family {
 		Kinds: []fuzzcorpus.Kind{offer, ack, commit},
 		Refuse: []fuzzcorpus.Row{
 			{Name: "offer flag bits", Payload: flip(unsignedOffer, 12, 0x80, 0)},
+			{Name: "offer protocol", Payload: flip(unsignedOffer, 11, byte(ProtocolLightSecAgg+1), 0xFF)},
 			{Name: "ack flag bits", Payload: flip(encodeRoundAck(ack.Samples[0].(RoundAck)), 19, 0x08, 0)},
 			{Name: "commit flag bits", Payload: flip(unsignedCommit, 11, 0x04, 0)},
 			{Name: "unsorted divergent ids", Payload: encodeRoundCommit(RoundCommit{Round: 7, Resume: true, Divergent: []uint64{9, 3}}, nil)},

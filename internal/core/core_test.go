@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/rand"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -243,8 +244,8 @@ func TestRunRoundValidation(t *testing.T) {
 // TestRoundConfigRejectsSubRoundOverflow: a chunk count whose sub-round
 // ids would run into the next round's is refused, and within the bound
 // the last chunk of round r and the first of round r+1 stay apart — on a
-// pooled LightSecAgg session that id is all that separates their envelope
-// ADs.
+// LightSecAgg session a driver keeps across rounds that id is all that
+// separates their envelope ADs.
 func TestRoundConfigRejectsSubRoundOverflow(t *testing.T) {
 	cfg := RoundConfig{
 		Round: 5, Codec: testCodec(16, 4), Threshold: 3, Chunks: maxChunks,
@@ -278,6 +279,42 @@ func TestRoundConfigRejectsTargetWithoutTolerance(t *testing.T) {
 	cfg.TargetMu = 0
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("plain aggregation rejected: %v", err)
+	}
+}
+
+// TestRunRoundRefusesUnknownProtocol: a protocol value outside the four
+// substrates is refused before the round runs, rather than running classic
+// SecAgg and reporting auto, and prints as the number it is.
+func TestRunRoundRefusesUnknownProtocol(t *testing.T) {
+	updates := randomUpdates(4, 16, 0.5)
+	for _, p := range []Protocol{ProtocolLightSecAgg + 1, 9, -1} {
+		cfg := RoundConfig{Protocol: p, Codec: testCodec(16, 4), Threshold: 3, Chunks: 1}
+		if res, err := RunRound(cfg, updates, nil, rand.Reader); err == nil {
+			t.Fatalf("protocol %d ran, reporting %v", int(p), res.Protocol)
+		}
+	}
+	if got := Protocol(9).String(); got != "protocol(9)" {
+		t.Fatalf("Protocol(9).String() = %q, want protocol(9)", got)
+	}
+}
+
+// TestRunRoundRefusesUnknownDropStage: a drop-schedule entry must name a
+// stage. NoDrop (a WireClientConfig.DropBefore value) or a stage past
+// StageNoiseRemoval would count the client as dropped, or late-dropped,
+// while its update is in the sum; the round refuses them, naming the
+// client.
+func TestRunRoundRefusesUnknownDropStage(t *testing.T) {
+	updates := randomUpdates(6, 16, 0.5)
+	for _, st := range []secagg.Stage{NoDrop, secagg.StageNoiseRemoval + 1, 42} {
+		cfg := RoundConfig{Protocol: ProtocolSecAgg, Codec: testCodec(16, 6), Threshold: 3, Chunks: 1,
+			DropSchedule: secagg.DropSchedule{3: st}}
+		res, err := RunRound(cfg, updates, nil, rand.Reader)
+		if err == nil {
+			t.Fatalf("stage %v ran: survivors %v, dropped %v, late %v", st, res.Survivors, res.Dropped, res.LateDropped)
+		}
+		if !strings.Contains(err.Error(), "client 3") {
+			t.Fatalf("stage %v: %v does not name client 3", st, err)
+		}
 	}
 }
 

@@ -18,9 +18,10 @@ import (
 // The re-key handshake: how a wire deployment decides, before each round,
 // whether the coming round resumes the live key generation (skipped
 // advertise stage, cached pairwise secrets, ratcheted mask streams) or
-// re-keys from scratch. In-process drivers make that call inside
-// core.SessionPool, which sees the drop schedule; a real deployment has no
-// such oracle, so the decision is negotiated on the wire:
+// re-keys from scratch. It is the only place a key generation is resumed
+// across rounds: in process one never outlives its round (core.SessionPool
+// only shares it across the round's chunks). A deployment has no view of
+// the drop schedule, so the decision is negotiated on the wire:
 //
 //	clients → server  RoundHello              ready for the next offer
 //	server → clients  RoundOffer   (signed)   round, substrate, proposed
@@ -233,6 +234,9 @@ func encodeRoundOffer(o RoundOffer, signer *sig.Signer) []byte {
 func decodeRoundOffer(p []byte, serverPub []byte) (RoundOffer, error) {
 	r := transport.NewVersionedReader(p, codecMagic, tagRoundOffer, handshakeVersion)
 	o := RoundOffer{Round: r.Uint64(), Protocol: Protocol(r.Byte())}
+	if o.Protocol > ProtocolLightSecAgg {
+		r.Fail(fmt.Errorf("unknown %v", o.Protocol))
+	}
 	o.Resume = readFlags(r, 1)&1 != 0
 	o.Ratchet = r.Uint64()
 	copy(o.RosterHash[:], r.Raw(32))
@@ -382,10 +386,11 @@ type HandshakeConfig struct {
 	Protocol  Protocol
 	ClientIDs []uint64
 	// KeyRounds bounds how many consecutive rounds one key generation may
-	// serve, mirroring SessionPool.RatchetRounds: resume is proposed only
-	// while the ratchet high-water mark is below it. Values ≤ 1 disable
-	// cross-round resume — every handshake re-keys, the conservative
-	// default of the session threat model (ARCHITECTURE.md).
+	// serve (the one cross-round bound; in process a generation serves one
+	// round): resume is proposed only while the ratchet high-water mark is
+	// below it. Values ≤ 1 disable cross-round resume — every handshake
+	// re-keys, the conservative default of the session threat model
+	// (ARCHITECTURE.md).
 	KeyRounds int
 	// Deadline bounds ack collection; ≤ 0 defaults to 2s.
 	Deadline time.Duration

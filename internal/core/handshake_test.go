@@ -113,7 +113,7 @@ func TestWireRestartResume(t *testing.T) {
 	if len(res.Dropped) != 1 || res.Dropped[0] != 5 {
 		t.Fatalf("round 3 dropped = %v, want [5]", res.Dropped)
 	}
-	if !rig.serverSess.HasTaint() {
+	if len(rig.serverSess.TaintedMembers()) == 0 {
 		t.Fatal("server session not tainted after reconstructing a dropper's key")
 	}
 	if !rig.clientSess[5].Tainted() {

@@ -77,8 +77,10 @@ func (p Protocol) String() string {
 		return "secagg"
 	case ProtocolLightSecAgg:
 		return "lightsecagg"
-	default:
+	case ProtocolAuto:
 		return "auto"
+	default:
+		return fmt.Sprintf("protocol(%d)", int(p))
 	}
 }
 
@@ -117,11 +119,10 @@ type RoundConfig struct {
 	// paper's §6.1 model (drop before MaskedInput) and merges into this.
 	DropSchedule secagg.DropSchedule
 	// Sessions, when non-nil, amortizes X25519 key agreement across the
-	// round's chunks (agree once per pair, each chunk masking with its
-	// window of the pair's one stream) and, when the pool allows, across
-	// consecutive RunRound calls (ratcheted secrets, skipped advertise
-	// stage). nil runs every chunk with fresh keys — the historical
-	// behavior.
+	// round's chunks: one key generation serves them all (agree once per
+	// pair, each chunk masking with its window of the pair's one stream)
+	// and lives for this round only. nil runs every chunk with fresh keys
+	// — the historical behavior.
 	Sessions *SessionPool
 }
 
@@ -131,15 +132,28 @@ type RoundConfig struct {
 const maxChunks = 1000
 
 // subRound is the substrate round id of one chunk of a round. It is what
-// separates the chunks' mask streams and — on a pooled LightSecAgg
-// session, whose channel keys are static — the only thing in the envelope
-// AD that keeps one chunk's sealed shares from replaying into another's.
+// separates the chunks' mask streams and — on a LightSecAgg session the
+// chunks share, whose channel keys are static — the only thing in the
+// envelope AD that keeps one chunk's sealed shares from replaying into
+// another's.
 func subRound(round uint64, chunk int) uint64 { return round*maxChunks + uint64(chunk) }
 
 // Validate checks the configuration.
 func (c RoundConfig) Validate() error {
 	if err := c.Codec.Validate(); err != nil {
 		return err
+	}
+	if c.Protocol < ProtocolAuto || c.Protocol > ProtocolLightSecAgg {
+		return fmt.Errorf("core: unknown %v", c.Protocol)
+	}
+	for id, st := range c.DropSchedule {
+		if st < secagg.StageAdvertiseKeys || st > secagg.StageNoiseRemoval {
+			return fmt.Errorf("core: client %d scheduled to drop before %v, which is no stage", id, st)
+		}
+	}
+	if c.Sessions != nil && c.Sessions.keyRounds > 1 {
+		return fmt.Errorf("core: a session pool of %d key rounds: in process a key generation lives one round; "+
+			"longer lifetimes are negotiated by the re-key handshake (HandshakeConfig.KeyRounds)", c.Sessions.keyRounds)
 	}
 	if c.Chunks < 1 || c.Chunks > maxChunks {
 		return fmt.Errorf("core: chunks %d outside [1, %d]", c.Chunks, maxChunks)
@@ -378,38 +392,24 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 		}
 	}
 
-	// Key-agreement amortization: one session set serves every chunk (and,
-	// when the pool permits, consecutive rounds), so pairwise X25519
-	// agreement happens n·k times per round instead of m·n·k. On the
-	// secagg substrates, chunk independence of the masks comes from the
-	// per-chunk MaskEpoch window and round independence from the ratchet
-	// step; on lightsecagg, masks are drawn fresh per chunk and the
+	// Key-agreement amortization: one session set serves every chunk of
+	// this round and no other, so pairwise X25519 agreement happens n·k
+	// times per round instead of m·n·k. On the secagg substrates the
+	// chunks' masks are independent through the per-chunk MaskEpoch
+	// window; on lightsecagg, masks are drawn fresh per chunk and the
 	// sessions amortize the channel agreements, coding matrices, and the
 	// advertise stage instead.
 	var sess *secagg.RoundSessions
 	var lsaSess *lightsecagg.RoundSessions
-	var ratchet uint64
 	if cfg.Sessions != nil {
 		var err error
 		if proto == ProtocolLightSecAgg {
-			lsaSess, _, err = acquire(cfg.Sessions, &cfg.Sessions.lsa, ids, rand, lightsecagg.NewRoundSessions)
+			lsaSess, err = lightsecagg.NewRoundSessions(ids, rand)
 		} else {
-			sess, ratchet, err = acquire(cfg.Sessions, &cfg.Sessions.sa, ids, rand, secagg.NewRoundSessions)
+			sess, err = secagg.NewRoundSessions(ids, rand)
 		}
 		if err != nil {
 			return nil, err
-		}
-		// Taint scheduled droppers up front, before any chunk runs: the
-		// server may reconstruct a dropper's mask key mid-round, and an
-		// aborted round must not leave its session eligible for reuse.
-		// (LightSecAgg sessions need no tainting — its server never
-		// reconstructs client key material; see core.SessionPool.)
-		if proto != ProtocolLightSecAgg && len(schedule) > 0 {
-			dropped := make([]uint64, 0, len(schedule))
-			for id := range schedule {
-				dropped = append(dropped, id)
-			}
-			cfg.Sessions.invalidate(dropped)
 		}
 	}
 
@@ -462,7 +462,6 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 		chunkCfg.Round = subRound(cfg.Round, c)
 		chunkCfg.Dim = len(chunkInputs[c][ids[0]].Data)
 		chunkCfg.MaskEpoch = uint64(c)
-		chunkCfg.KeyRatchet = ratchet
 		rr, err := secagg.RunWithSessions(chunkCfg, chunkInputs[c], nil, schedule, rand, sess)
 		if err != nil {
 			return fmt.Errorf("core: chunk %d aggregation: %w", c, err)

@@ -59,7 +59,7 @@ func TestWireServerRestartResume(t *testing.T) {
 		t.Fatal("round 3 did not resume")
 	}
 	rig.checkSum(res, []uint64{1, 2, 3, 4})
-	if !rig.serverSess.HasTaint() {
+	if len(rig.serverSess.TaintedMembers()) == 0 {
 		t.Fatal("server session not tainted after reconstructing a dropper's key")
 	}
 

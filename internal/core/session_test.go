@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/rand"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dh"
@@ -60,18 +61,18 @@ func TestRunRoundAmortizesKeyAgreementAcrossChunks(t *testing.T) {
 	}
 }
 
-// TestSessionPoolAcrossRounds: consecutive rounds on one pool reuse the
-// key generation — the second round performs zero agreements and zero key
-// generations (ratcheted secrets, skipped advertise) — until a dropout
-// taints the pool, which forces fresh sessions.
+// TestSessionPoolAcrossRounds: a pool's key generation lives one RunRound
+// call. A second round on the same pool generates 2n key pairs and agrees
+// every pair afresh, as does a round after a dropout; only the re-key
+// handshake resumes a generation across rounds, so a pool asking for a
+// longer lifetime is refused and the error names the handshake.
 func TestSessionPoolAcrossRounds(t *testing.T) {
 	const n, dim = 6, 128
 	updates := randomUpdates(n, dim, 0.5)
-	pool := NewSessionPool(3)
 	cfg := RoundConfig{
 		Protocol: ProtocolSecAgg, Codec: testCodec(dim, n),
 		Threshold: 3, Chunks: 2, Seed: prg.NewSeed([]byte("pool")),
-		Sessions: pool,
+		Sessions: NewSessionPool(1),
 	}
 
 	check := func(res *RoundResult, err error) *RoundResult {
@@ -89,33 +90,34 @@ func TestSessionPoolAcrossRounds(t *testing.T) {
 		}
 		return res
 	}
-
-	cfg.Round = 1
-	res, err := RunRound(cfg, updates, nil, rand.Reader)
-	check(res, err)
-
-	a0, g0 := dh.AgreeCount(), dh.GenerateCount()
-	cfg.Round = 2
-	res, err = RunRound(cfg, updates, nil, rand.Reader)
-	check(res, err)
-	if d := dh.AgreeCount() - a0; d != 0 {
-		t.Fatalf("ratcheted round performed %d agreements, want 0", d)
+	// fresh runs round r on cfg's pool and checks it generated and agreed
+	// a whole key generation: 2n key pairs, and a channel and a mask key
+	// per ordered pair.
+	fresh := func(r uint64, drops []uint64) {
+		t.Helper()
+		cfg.Round = r
+		a0, g0 := dh.AgreeCount(), dh.GenerateCount()
+		res, err := RunRound(cfg, updates, drops, rand.Reader)
+		if drops == nil {
+			check(res, err)
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if d := dh.GenerateCount() - g0; d != uint64(2*n) {
+			t.Fatalf("round %d generated %d key pairs, want %d (fresh sessions)", r, d, 2*n)
+		}
+		if d := dh.AgreeCount() - a0; d < uint64(2*n*(n-1)) {
+			t.Fatalf("round %d performed %d agreements, want ≥ %d (agreed afresh)", r, d, 2*n*(n-1))
+		}
 	}
-	if d := dh.GenerateCount() - g0; d != 0 {
-		t.Fatalf("ratcheted round generated %d key pairs, want 0", d)
-	}
+	fresh(1, nil)
+	fresh(2, nil)
+	fresh(3, []uint64{2})
+	fresh(4, nil)
 
-	// A dropout taints the pool: the next round must re-key.
-	cfg.Round = 3
-	if _, err := RunRound(cfg, updates, []uint64{2}, rand.Reader); err != nil {
-		t.Fatal(err)
-	}
-	g0 = dh.GenerateCount()
-	cfg.Round = 4
-	res, err = RunRound(cfg, updates, nil, rand.Reader)
-	check(res, err)
-	if d := dh.GenerateCount() - g0; d != uint64(2*n) {
-		t.Fatalf("post-dropout round generated %d key pairs, want %d (fresh sessions)", d, 2*n)
+	cfg.Sessions = NewSessionPool(2)
+	if _, err := RunRound(cfg, updates, nil, rand.Reader); err == nil || !strings.Contains(err.Error(), "handshake") {
+		t.Fatalf("a two-round pool: err = %v, want a refusal naming the handshake", err)
 	}
 }
 

@@ -111,9 +111,9 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // substrates, at 1 chunk, at 3 (86 + 85 + 85 coordinates: the later chunks
 // do not fill the session slabs chunk 0 sized) and at 8, twice over the
 // same updates map. The LightSecAgg rows run their rounds as consecutive
-// rounds of one session pool, so the second noised round resumes the
-// first's sessions and every chunk after the first its round's: a received
-// row, a ciphertext or a mask that outlived its chunk would move the sum.
+// rounds of one session pool, so every chunk after the first resumes its
+// round's sessions: a received row, a ciphertext or a mask that outlived
+// its chunk would move the sum.
 func TestRunRoundSlabIsolation(t *testing.T) {
 	const n, dim, tolerance, targetMu = 12, 200, 3, 40
 	codec := testCodec(dim, n)
@@ -146,7 +146,7 @@ func TestRunRoundSlabIsolation(t *testing.T) {
 
 	for _, proto := range []Protocol{ProtocolSecAgg, ProtocolLightSecAgg} {
 		for _, chunks := range []int{1, 3, 8} {
-			pool := NewSessionPool(3)
+			pool := NewSessionPool(1)
 			for round, tc := range []struct {
 				tolerance int
 				targetMu  float64

@@ -133,7 +133,10 @@ func emitTranscript(rec *transcript.Recorder, round uint64, roster []secagg.Adve
 	return nil
 }
 
-// NoDrop marks a wire client that never drops out.
+// NoDrop is the WireClientConfig.DropBefore value of a wire client that
+// never drops out. It is not a drop-schedule entry: a schedule lists only
+// clients that drop, each before a stage, and RoundConfig.Validate refuses
+// NoDrop there.
 const NoDrop secagg.Stage = -1
 
 // WireClientConfig configures one wire client.

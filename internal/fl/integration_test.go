@@ -45,10 +45,9 @@ func TestTrainingThroughRealProtocol(t *testing.T) {
 	}
 	sgd := ml.SGDConfig{LearningRate: 0.1, Momentum: 0.9, Epochs: 1, BatchSize: 10}
 	trainStream := prg.NewStream(prg.NewSeed(seed[:], []byte("train")))
-	// One session pool across the whole run: chunks share one key
-	// agreement per pair, and dropout-free consecutive rounds ratchet the
-	// cached secrets instead of re-advertising.
-	pool := core.NewSessionPool(3)
+	// One session pool across the whole run: each round's chunks share one
+	// key agreement per pair, and every round keys afresh.
+	pool := core.NewSessionPool(1)
 
 	params := make([]float64, dim)
 	model.Params(params)

@@ -72,8 +72,9 @@
 //     as any U arrive instead of waiting out stragglers.
 //   - Session/ServerSession (session.go) amortize the fixed round costs —
 //     X25519 channel agreements, the Lagrange encoding matrix and the
-//     advertise round trip — across the chunks of one pipelined round and
-//     across consecutive rounds, plugged into core.RunRound's SessionPool.
+//     advertise round trip — across the chunks of one pipelined round
+//     (core.RunRound's SessionPool) and, on the wire, across the
+//     consecutive rounds the re-key handshake resumes.
 //   - The volume payloads (masked models, sealed share envelopes,
 //     aggregate shares, the result broadcast) use the binary wire codec in
 //     codec.go, following core/codec.go's magic/tag layout, and so do the

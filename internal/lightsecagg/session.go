@@ -237,18 +237,15 @@ func (s *ServerSession) Rekey() { s.Reset() }
 func (s *ServerSession) RekeyEdges(ids []uint64) { s.DropMembers(ids) }
 
 // RoundSessions bundles the per-participant sessions a driver shares
-// across the chunked sub-rounds of one logical round and across
-// consecutive rounds. Unlike secagg.RoundSessions there is no derivation-
-// point bookkeeping: every sub-round draws fresh uniform masks, so
-// session reuse cannot repeat a mask stream.
+// across the chunked sub-rounds of one logical round (core.RunRound builds
+// one per round; a driver may keep one across rounds). Unlike
+// secagg.RoundSessions there is no derivation-point bookkeeping: every
+// sub-round draws fresh uniform masks, so session reuse cannot repeat a
+// mask stream.
 type RoundSessions struct {
 	Client map[uint64]*Session
 	Server *ServerSession
 }
-
-// ServerState returns the server session's continuity state, the part of
-// the bundle core.SessionPool's reuse policy reads.
-func (rs *RoundSessions) ServerState() *session.ServerState { return &rs.Server.ServerState }
 
 // NewRoundSessions creates one client session per id (channel key
 // generation happens here, once per id instead of once per chunk) plus an

@@ -51,8 +51,9 @@ import (
 // and bounds key lifetime, but the X25519 private keys persist for
 // re-sharing, so session reuse does not provide forward secrecy against
 // endpoint-state compromise; and a client whose mask key was reconstructed
-// by the server (it dropped mid-round) must not reuse that session —
-// core.SessionPool regenerates dropped clients' sessions automatically.
+// by the server (it dropped mid-round) must not reuse that session — the
+// re-key handshake re-keys a tainted member's edges, and core.RunRound never
+// keeps a session past its round.
 
 // pairMaskSeed derives the PRG seed for the pairwise mask between two
 // clients from their (possibly ratcheted) shared secret, byte-identical to
@@ -403,9 +404,9 @@ func (s *ServerSession) Rekey() {
 }
 
 // RoundSessions bundles the per-participant sessions a driver shares
-// across the chunked sub-rounds of one logical round and, with ratcheting,
-// across consecutive rounds. It also enforces derivation-point uniqueness:
-// each (KeyRatchet, MaskEpoch) pair may serve at most one sub-round, since
+// across the chunked sub-rounds of one logical round (core.RunRound builds
+// one per round; a driver that keeps one longer advances Config.KeyRatchet
+// per round). It also enforces derivation-point uniqueness: each (KeyRatchet, MaskEpoch) pair may serve at most one sub-round, since
 // running two aggregations at the same point would derive byte-identical
 // pairwise masks — and the server, which legitimately reconstructs
 // self-mask seeds each round, could then difference the two uploads and
@@ -417,10 +418,6 @@ type RoundSessions struct {
 	mu     sync.Mutex
 	served map[[2]uint64]bool // (KeyRatchet, MaskEpoch) already used
 }
-
-// ServerState returns the server session's continuity state, the part of
-// the bundle core.SessionPool's reuse policy reads.
-func (rs *RoundSessions) ServerState() *session.ServerState { return &rs.Server.ServerState }
 
 // markServed records that a sub-round ran at the derivation point and
 // rejects reuse of an already-served point.

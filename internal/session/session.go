@@ -290,8 +290,8 @@ func (s *ServerState) Resumable(clientIDs, expect []uint64, live func(Entry) boo
 }
 
 // MarkTainted records clients whose sessions must not survive into another
-// round on this key generation: the server reconstructed — or, for a
-// scheduled dropper, may reconstruct — their key material.
+// round on this key generation: the server reconstructed their key
+// material.
 func (s *ServerState) MarkTainted(ids ...uint64) {
 	if len(ids) == 0 {
 		return
@@ -304,14 +304,6 @@ func (s *ServerState) MarkTainted(ids ...uint64) {
 		s.tainted[id] = true
 	}
 	s.mu.Unlock()
-}
-
-// HasTaint reports whether any client's key material was (or may have
-// been) reconstructed during this key generation.
-func (s *ServerState) HasTaint() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.tainted) > 0
 }
 
 // TaintedMembers returns the ids whose key material this server
