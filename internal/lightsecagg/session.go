@@ -125,13 +125,13 @@ func (s *Session) channelKey(peerPub []byte) (*aead.Key, error) {
 		func() ([dh.SharedSize]byte, error) { return key.Agree(peerPub) })
 }
 
-// Taint, ClearTaint and Tainted shadow the shared state's and are
-// deliberately inert: LightSecAgg's server never reconstructs client key
-// material (dropout recovery interpolates the aggregate mask, and every
-// mask is a fresh one-time pad), so a client that vanishes mid-round can
-// still safely resume its channel keys.
+// Taint and Tainted shadow the shared state's and are deliberately inert
+// (so the promoted ClearTaint clears a mark nothing reads): LightSecAgg's
+// server never reconstructs client key material (dropout recovery
+// interpolates the aggregate mask, and every mask is a fresh one-time
+// pad), so a client that vanishes mid-round can still safely resume its
+// channel keys.
 func (s *Session) Taint()        {}
-func (s *Session) ClearTaint()   {}
 func (s *Session) Tainted() bool { return false }
 
 // Rekey replaces the session's channel key pair and drops the cached

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"maps"
 	"slices"
 
 	"repro/internal/aead"
@@ -353,8 +352,6 @@ func (c *Client) MaskedInput(ciphertexts []EncryptedShareMsg) (MaskedInputMsg, e
 		return MaskedInputMsg{}, fmt.Errorf("secagg: client %d received %d share ciphertexts < t-1=%d",
 			c.id, len(ciphertexts), c.cfg.Threshold-1)
 	}
-	c.pendingCts = make(map[uint64][]byte, len(ciphertexts))
-	u2set := map[uint64]struct{}{c.id: {}}
 	for _, m := range ciphertexts {
 		if m.To != c.id {
 			return MaskedInputMsg{}, fmt.Errorf("secagg: misrouted ciphertext for %d at %d", m.To, c.id)
@@ -362,17 +359,24 @@ func (c *Client) MaskedInput(ciphertexts []EncryptedShareMsg) (MaskedInputMsg, e
 		if _, known := c.rosterEntry(m.From); !known {
 			return MaskedInputMsg{}, fmt.Errorf("secagg: ciphertext from unknown client %d", m.From)
 		}
-		c.pendingCts[m.From] = m.Ciphertext
-		u2set[m.From] = struct{}{}
 	}
-	c.u2 = sortedIDs(u2set)
-	if d := c.deal; d != nil {
+	if d := c.deal; d != nil && d.delivered != nil {
 		// Under the step's deal every delivery after the first must be the
 		// first: the bundles opened under the deal are what Unmask reveals.
-		if d.delivered == nil {
-			d.delivered = c.pendingCts
-		} else if !maps.EqualFunc(c.pendingCts, d.delivered, bytes.Equal) {
+		if !d.redelivered(ciphertexts) {
 			return MaskedInputMsg{}, fmt.Errorf("%w (client %d)", ErrDealMismatch, c.id)
+		}
+		c.pendingCts, c.u2 = d.delivered, d.u2
+	} else {
+		c.pendingCts = make(map[uint64][]byte, len(ciphertexts))
+		u2set := map[uint64]struct{}{c.id: {}}
+		for _, m := range ciphertexts {
+			c.pendingCts[m.From] = m.Ciphertext
+			u2set[m.From] = struct{}{}
+		}
+		c.u2 = sortedIDs(u2set)
+		if d != nil {
+			d.delivered, d.u2 = c.pendingCts, c.u2
 		}
 	}
 
@@ -549,6 +553,13 @@ func (c *Client) Unmask(req UnmaskRequest) (UnmaskMsg, error) {
 		}
 	}
 
+	if d := c.deal; d != nil && d.reveal != nil && slices.Equal(c.u3sorted, d.revealU3) {
+		// The deal's U2 and the same U3: the step's first reveal, again.
+		if err := c.session.reveal(c.cfg.KeyRatchet, c.u2, c.u3sorted); err != nil {
+			return UnmaskMsg{}, err
+		}
+		return *d.reveal, nil
+	}
 	out := UnmaskMsg{
 		From:           c.id,
 		MaskKeyShares:  make(map[uint64][numKeyChunks]shamir.Share),
@@ -578,6 +589,9 @@ func (c *Client) Unmask(req UnmaskRequest) (UnmaskMsg, error) {
 		if err := c.session.reveal(c.cfg.KeyRatchet, c.u2, c.u3sorted); err != nil {
 			return UnmaskMsg{}, err
 		}
+	}
+	if d := c.deal; d != nil && d.reveal == nil {
+		d.reveal, d.revealU3 = &out, c.u3sorted
 	}
 	return out, nil
 }

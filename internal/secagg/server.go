@@ -189,9 +189,32 @@ func (s *Server) AddShare(sender uint64, cts []EncryptedShareMsg) error {
 		if ct.From != sender {
 			return fmt.Errorf("secagg: ciphertext spoofing: %d claimed by %d", ct.From, sender)
 		}
-		s.outbox[ct.To] = append(s.outbox[ct.To], ct)
+		s.outbox[ct.To] = appendSized(s.outbox[ct.To], ct, s.neighbors(ct.To))
 	}
 	return nil
+}
+
+// neighbors is how many peers v shares with, which bounds the lists the
+// server keeps per target: the rest of U1 under the complete graph
+// (counted, not listed), else v's neighbourhood. An id outside U1 gets 0,
+// so a list addressed to no real party is not sized.
+func (s *Server) neighbors(v uint64) int {
+	if _, inU1 := s.roster[v]; !inU1 {
+		return 0
+	}
+	if s.cfg.Graph == nil {
+		return len(s.roster) - 1
+	}
+	return len(s.cfg.nbrs[v])
+}
+
+// appendSized appends x to list, making the list with room for n when it
+// is nil.
+func appendSized[T any](list []T, x T, n int) []T {
+	if list == nil {
+		list = make([]T, 0, n)
+	}
+	return append(list, x)
 }
 
 // SealShares closes stage 1: the senders form U2, and each U2 recipient's
@@ -204,8 +227,10 @@ func (s *Server) SealShares() (map[uint64][]EncryptedShareMsg, error) {
 	s.u2 = sortedIDs(s.u2set)
 	deliver := make(map[uint64][]EncryptedShareMsg, len(s.u2))
 	for _, recipient := range s.u2 {
-		var list []EncryptedShareMsg
-		for _, ct := range s.outbox[recipient] {
+		// Filtered in place: the outbox is read no more.
+		box := s.outbox[recipient]
+		list := box[:0]
+		for _, ct := range box {
 			if _, ok := s.u2set[ct.From]; ok {
 				list = append(list, ct)
 			}
@@ -363,12 +388,14 @@ func (s *Server) AddUnmask(m UnmaskMsg) error {
 		return fmt.Errorf("secagg: duplicate unmask response from %d", m.From)
 	}
 	s.u5set[m.From] = struct{}{}
+	// A target's shares come from its neighbours, and a live target's
+	// also from itself.
 	for v, sh := range m.MaskKeyShares {
-		s.maskKeyShares[v] = append(s.maskKeyShares[v], sh)
+		s.maskKeyShares[v] = appendSized(s.maskKeyShares[v], sh, s.neighbors(v))
 		s.cohortFill(s.keyNeed, v)
 	}
 	for v, sh := range m.SelfSeedShares {
-		s.selfSeedShares[v] = append(s.selfSeedShares[v], sh)
+		s.selfSeedShares[v] = appendSized(s.selfSeedShares[v], sh, s.neighbors(v)+1)
 		s.cohortFill(s.selfNeed, v)
 	}
 	if m.OwnNoiseSeeds != nil {

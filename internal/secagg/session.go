@@ -89,9 +89,9 @@ var (
 )
 
 // deal is what one client dealt at MaskEpoch 0 of a ratchet step, and what
-// it received against it, kept so the step's later sub-rounds reuse it.
-// Written by one sub-round's client at a time (the chunks of a round run
-// their protocol stage one after another).
+// it received and revealed against it, kept so the step's later sub-rounds
+// reuse it. Written by one sub-round's client at a time (the chunks of a
+// round run their protocol stage one after another).
 type deal struct {
 	cfg        Config              // the sub-round that dealt; its Round is in the bundles' AD
 	roster     []AdvertiseMsg      // the verified roster, ascending by id
@@ -100,7 +100,32 @@ type deal struct {
 
 	channelKey map[uint64]*aead.Key
 	delivered  map[uint64][]byte      // peer → ciphertext of the first delivery; nil until then
+	u2         []uint64               // the first delivery's senders and the client, ascending
 	opened     map[uint64]ShareBundle // own bundle and the peers' opened so far
+
+	// The step's first reveal and the U3 (ascending) it answered: a later
+	// sub-round naming the same U3 reveals exactly it.
+	reveal   *UnmaskMsg
+	revealU3 []uint64
+}
+
+// redelivered reports whether cts is the deal's first delivery again:
+// as many ciphertexts, each from a distinct peer of that delivery and
+// equal to what that peer sent then.
+func (d *deal) redelivered(cts []EncryptedShareMsg) bool {
+	if len(cts) != len(d.delivered) {
+		return false
+	}
+	seen := make([]bool, len(d.u2))
+	for _, m := range cts {
+		i, _ := slices.BinarySearch(d.u2, m.From)
+		first, ok := d.delivered[m.From]
+		if !ok || seen[i] || !bytes.Equal(m.Ciphertext, first) {
+			return false
+		}
+		seen[i] = true
+	}
+	return true
 }
 
 // fits reports whether a sub-round of cfg, sharing keys against roster,

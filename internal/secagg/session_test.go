@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -560,7 +561,8 @@ func TestUnmaskRefusesConflictingRevealAcrossChunks(t *testing.T) {
 
 // TestReusedDealRefusesOtherDelivery: a sub-round reusing its step's deal
 // must be delivered exactly the ciphertexts the deal first received — the
-// bundles it opened are what it reveals from.
+// bundles it opened are what it reveals from — whether the re-delivery
+// drops one, alters one, or repeats one peer's in place of another's.
 func TestReusedDealRefusesOtherDelivery(t *testing.T) {
 	const n, dim = 5, 16
 	cfg, inputs, _ := sessionRoundConfig(n, dim)
@@ -587,6 +589,79 @@ func TestReusedDealRefusesOtherDelivery(t *testing.T) {
 	tampered[0].Ciphertext[0] ^= 1
 	if _, err := clients[1].MaskedInput(tampered); !errors.Is(err, ErrDealMismatch) {
 		t.Fatalf("a delivery with another ciphertext: %v, want ErrDealMismatch", err)
+	}
+	repeated := slices.Clone(deliveries[1])
+	repeated[1] = repeated[0]
+	if _, err := clients[1].MaskedInput(repeated); !errors.Is(err, ErrDealMismatch) {
+		t.Fatalf("a delivery repeating %d's ciphertext in place of %d's: %v, want ErrDealMismatch",
+			repeated[0].From, deliveries[1][1].From, err)
+	}
+}
+
+// TestReusedDealRepeatsReveal: a sub-round on the step's deal whose U3 is
+// the first reveal's answers with exactly that reveal — both kinds of
+// share, peer for peer — and the server unmasks the sum from it.
+func TestReusedDealRepeatsReveal(t *testing.T) {
+	const n, dim, v = 5, 16, 5
+	cfg, inputs, _ := sessionRoundConfig(n, dim)
+	rand := sessionRand("repeat-reveal")
+	sess, err := NewRoundSessions(cfg.ClientIDs, rand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reveal := func(cfg Config) map[uint64]UnmaskMsg {
+		t.Helper()
+		server, clients, _ := steppedSubRound(t, cfg, inputs, sess, rand, map[uint64]bool{v: true})
+		u3, err := server.SealMasked()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range u3 {
+			m, err := clients[id].ConsistencyCheck(u3)
+			if err == nil {
+				err = server.AddConsistency(m)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		req, err := server.SealConsistency()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[uint64]UnmaskMsg, len(u3))
+		for _, id := range req.U4 {
+			m, err := clients[id].Unmask(req)
+			if err == nil {
+				err = server.AddUnmask(m)
+			}
+			if err != nil {
+				t.Fatalf("epoch %d: client %d: %v", cfg.MaskEpoch, id, err)
+			}
+			out[id] = m
+		}
+		if _, err := server.SealUnmask(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := server.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSessionSum(t, res, n)
+		return out
+	}
+	first := reveal(cfg)
+	next := cfg
+	next.MaskEpoch = 1
+	again := reveal(next)
+	for id, m := range first {
+		if len(m.MaskKeyShares) != 1 || len(m.SelfSeedShares) != n-1 {
+			t.Fatalf("client %d revealed %d mask-key and %d self-seed shares, want 1 and %d",
+				id, len(m.MaskKeyShares), len(m.SelfSeedShares), n-1)
+		}
+		if !reflect.DeepEqual(again[id], m) {
+			t.Fatalf("client %d revealed at epoch 1 %+v, not epoch 0's %+v", id, again[id], m)
+		}
 	}
 }
 

@@ -84,12 +84,31 @@ func TestTooFewShares(t *testing.T) {
 	}
 }
 
+// TestThresholdValidation: Split refuses t outside [1, n] and accepts both
+// ends — at t = 1 every share's Y is the secret, and at t = n the n shares
+// reconstruct it.
 func TestThresholdValidation(t *testing.T) {
 	if _, err := splitIndexed(field.New(1), 0, 5, rand.Reader); !errors.Is(err, ErrThreshold) {
 		t.Errorf("t=0: want ErrThreshold, got %v", err)
 	}
 	if _, err := splitIndexed(field.New(1), 6, 5, rand.Reader); !errors.Is(err, ErrThreshold) {
 		t.Errorf("t>n: want ErrThreshold, got %v", err)
+	}
+	secret := field.New(0x5eed)
+	shares, err := splitIndexed(secret, 1, 5, rand.Reader)
+	if err != nil {
+		t.Fatalf("t=1: %v", err)
+	}
+	for _, sh := range shares {
+		if sh.Y != secret {
+			t.Errorf("t=1: share at x=%v has Y=%v, want the secret %v", sh.X, sh.Y, secret)
+		}
+	}
+	if shares, err = splitIndexed(secret, 5, 5, rand.Reader); err != nil {
+		t.Fatalf("t=n: %v", err)
+	}
+	if got, err := Reconstruct(shares, 5); err != nil || got != secret {
+		t.Errorf("t=n: reconstructed %v (%v), want %v", got, err, secret)
 	}
 }
 

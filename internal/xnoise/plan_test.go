@@ -16,9 +16,16 @@ func validPlan(u, T int) Plan {
 }
 
 func TestValidate(t *testing.T) {
-	good := validPlan(16, 5)
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
+	good := []Plan{
+		validPlan(16, 5), // t = |U| − T
+		{NumClients: 4, DropoutTolerance: 3, Threshold: 1, TargetVariance: 1},                        // T = |U| − 1, t = 1
+		{NumClients: 4, DropoutTolerance: 0, Threshold: 4, TargetVariance: 1},                        // t = |U|, T = 0
+		{NumClients: 4, DropoutTolerance: 1, Threshold: 3, CollusionTolerance: 2, TargetVariance: 1}, // T_C = t − 1
+	}
+	for i, p := range good {
+		if err := p.Validate(); err != nil {
+			t.Errorf("case %d (%+v): %v", i, p, err)
+		}
 	}
 	bad := []Plan{
 		{NumClients: 0, DropoutTolerance: 0, Threshold: 1, TargetVariance: 1},
@@ -30,6 +37,7 @@ func TestValidate(t *testing.T) {
 		{NumClients: 4, DropoutTolerance: 1, Threshold: 3, CollusionTolerance: 3, TargetVariance: 1},
 		{NumClients: 4, DropoutTolerance: 1, Threshold: 3, TargetVariance: 0},
 		{NumClients: 4, DropoutTolerance: 1, Threshold: 3, TargetVariance: math.NaN()},
+		{NumClients: 4, DropoutTolerance: 1, Threshold: 3, TargetVariance: math.Inf(1)},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

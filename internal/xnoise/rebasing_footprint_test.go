@@ -191,6 +191,28 @@ func TestFootprintMidRemovalDropoutCost(t *testing.T) {
 	}
 }
 
+// TestXNoiseExtraBytesToleranceBoundary: a scenario may tolerate from no
+// dropout to every sampled client but one dropping, and no more.
+func TestXNoiseExtraBytesToleranceBoundary(t *testing.T) {
+	cfg := DefaultFootprintConfig()
+	sc := FootprintScenario{ModelParams: 5_000_000, NumSampled: 100}
+	if got, err := XNoiseExtraBytes(cfg, sc); err != nil || got != 0 {
+		t.Errorf("T = 0: %v bytes (%v), want 0", got, err)
+	}
+	sc.DropoutTolerance = 99
+	got, err := XNoiseExtraBytes(cfg, sc)
+	if err != nil {
+		t.Fatalf("T = NumSampled − 1: %v", err)
+	}
+	if want := 100*99*cfg.CiphertextBytes + 99*cfg.SeedBytes; got != want {
+		t.Errorf("T = NumSampled − 1: %v bytes, want %v", got, want)
+	}
+	sc.DropoutTolerance = 100
+	if _, err := XNoiseExtraBytes(cfg, sc); err == nil {
+		t.Error("T = NumSampled should be refused")
+	}
+}
+
 func TestFootprintErrors(t *testing.T) {
 	cfg := DefaultFootprintConfig()
 	if _, err := XNoiseExtraBytes(cfg, FootprintScenario{NumSampled: 0}); err == nil {
