@@ -18,12 +18,9 @@
 //
 // Every client contributes a constant vector of its -value; the server
 // prints the unmasked aggregate. With -tolerance > 0 the round runs
-// XNoise with the given dropout tolerance and target noise level.
-// -protocol lightsecagg runs the LightSecAgg baseline instead (one-shot
-// mask recovery, no DP noise; -tolerance is then the dropout tolerance D
-// and -threshold the privacy threshold T) through the same loops —
-// substrate.go holds the whole difference; transcripts and the sharded
-// roles are SecAgg-only.
+// XNoise with the given dropout tolerance and target noise level. The
+// node speaks SecAgg only (round.go); the LightSecAgg baseline the paper
+// compares against runs in process (examples/baseline_comparison).
 //
 // # Sessions, resume, and the re-key handshake
 //
@@ -99,7 +96,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/lightsecagg"
+	"repro/internal/secagg"
 	"repro/internal/sessionstore"
 	"repro/internal/sig"
 	"repro/internal/transcript"
@@ -131,7 +128,7 @@ func (n node) warnf(format string, args ...any) {
 // what resolve and open derive from them. Every role runs from one value;
 // the self-tests hand each party they start a copy.
 type config struct {
-	role, protocol, clients       string
+	role, clients                 string
 	listen, connect, combinerAddr string
 	id, value, shardID            uint64
 	noiseEpoch                    uint64
@@ -146,11 +143,11 @@ type config struct {
 	shards, shardQuorum           int
 	killShard                     int
 
-	// resolve: the parsed -clients, the substrate over this party's roster
-	// (server, shard and client roles) and the client's transcript auditors
-	// (nil without -verify-transcript).
+	// resolve: the parsed -clients, the round config over this party's
+	// roster (server, shard and client roles) and the client's transcript
+	// auditors (nil without -verify-transcript).
 	ids       []uint64
-	sub       substrate
+	scfg      secagg.Config
 	serverPub []byte // the client's -server-pub pin, decoded
 	aud       *transcript.Auditor
 	caud      *transcript.CombineAuditor
@@ -167,13 +164,12 @@ func (c *config) flags(fs *flag.FlagSet) {
 	fs.StringVar(&c.connect, "connect", "127.0.0.1:7700", "client: server address")
 	fs.Uint64Var(&c.id, "id", 0, "client id (must appear in -clients)")
 	fs.StringVar(&c.clients, "clients", "1,2,3,4,5", "comma-separated sampled client ids")
-	fs.IntVar(&c.threshold, "threshold", 3, "SecAgg threshold t (lightsecagg: privacy threshold T)")
+	fs.IntVar(&c.threshold, "threshold", 3, "SecAgg threshold t")
 	fs.IntVar(&c.dim, "dim", 64, "vector dimension")
 	fs.Uint64Var(&c.value, "value", 1, "client: constant vector value")
-	fs.IntVar(&c.tolerance, "tolerance", 1, "XNoise dropout tolerance T (0 = plain SecAgg; lightsecagg: dropout tolerance D)")
+	fs.IntVar(&c.tolerance, "tolerance", 1, "XNoise dropout tolerance T (0 = plain SecAgg)")
 	fs.Float64Var(&c.mu, "mu", 25, "XNoise central noise variance target")
 	fs.DurationVar(&c.deadline, "deadline", 3*time.Second, "per-stage collection deadline")
-	fs.StringVar(&c.protocol, "protocol", "secagg", "secagg | lightsecagg")
 	fs.Uint64Var(&c.noiseEpoch, "noise-epoch", 0,
 		"XNoise draw-sequence version: 0 = Poisson-splitting sampler, 1 = CDF inversion throughout; in session mode the server announces it via the handshake and clients adopt the committed value")
 
@@ -222,19 +218,6 @@ func (c *config) resolve() error {
 		return err
 	}
 	c.rounds = max(c.rounds, 1)
-	sharded := c.role == "combiner" || c.role == "shard" || c.role == "shardtest"
-	switch c.protocol {
-	case "secagg":
-	case "lightsecagg":
-		if sharded {
-			return fmt.Errorf("the sharded topology supports -protocol secagg only")
-		}
-		if c.transcript || c.verifyTranscript {
-			return fmt.Errorf("-transcript/-verify-transcript require -protocol secagg")
-		}
-	default:
-		return fmt.Errorf("unknown protocol %q", c.protocol)
-	}
 
 	// split is how many aggregators share the round: a shard, and a sharded
 	// client, aggregate inside one sub-roster and draw the noise share mu/S.
@@ -249,7 +232,7 @@ func (c *config) resolve() error {
 		if c.id == 0 {
 			return fmt.Errorf("client needs -id")
 		}
-		if c.shards > 1 && c.protocol == "secagg" {
+		if c.shards > 1 {
 			split = c.shards
 		}
 		if c.serverPub, err = parsePub("-server-pub", c.serverPubHex); err != nil {
@@ -275,20 +258,8 @@ func (c *config) resolve() error {
 			return err
 		}
 	}
-	if c.protocol == "lightsecagg" {
-		lcfg := lightsecagg.Config{ClientIDs: roster, PrivacyT: c.threshold, Dropout: c.tolerance, Dim: c.dim}
-		if err := lcfg.Validate(); err != nil {
-			return err
-		}
-		c.sub = lightSecAggSubstrate(lcfg)
-		return nil
-	}
-	scfg, err := c.secAggConfig(roster, split)
-	if err != nil {
-		return err
-	}
-	c.sub = secAggSubstrate(scfg)
-	return nil
+	c.scfg, err = c.secAggConfig(roster, split)
+	return err
 }
 
 // open loads what the role keeps on disk: the aggregator's signing key
@@ -500,11 +471,11 @@ func waitForClients(srv transport.ServerConn, n int, deadline time.Duration) {
 // run the re-key handshake (session mode only), run the round, report.
 // The flat single-round server is one iteration without a handshake; a
 // shard aggregator (-role shard) is the same loop with an upward
-// connection, over which the substrate folds each round's result into the
-// combiner instead of keeping it. srv, when non-nil, is an already open
-// listener to serve on.
+// connection, over which each round's result is folded into the combiner
+// instead of kept. srv, when non-nil, is an already open listener to serve
+// on.
 func (n node) serve(cfg config, srv *transport.TCPServer) error {
-	sub := cfg.sub
+	ids := cfg.scfg.ClientIDs
 	srv, err := cfg.listener(srv)
 	if err != nil {
 		return err
@@ -513,7 +484,7 @@ func (n node) serve(cfg config, srv *transport.TCPServer) error {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	conn, rd := transport.ServerConn(srv), round{deadline: cfg.deadline, rec: cfg.recorder()}
-	who, where := fmt.Sprintf("%s server", sub.protocol), ""
+	who, where := "secagg server", ""
 	if cfg.role == "shard" {
 		up, err := sessionDial(ctx, cfg.combinerAddr, cfg.shardID)
 		if err != nil {
@@ -528,12 +499,12 @@ func (n node) serve(cfg config, srv *transport.TCPServer) error {
 	}
 	// Only session mode has a key generation to reuse and a handshake to
 	// decide it in.
-	var sess core.ServerSessionState
+	var sess *secagg.ServerSession
 	if cfg.sessions() {
-		sess = sub.newServerSession()
+		sess = secagg.NewServerSession()
 		where = fmt.Sprintf(", key generations serve up to %d round(s)", max(cfg.keyRounds, 1)) + where
 	}
-	n.printf("%s listening on %s, %d clients, %d round(s)%s\n", who, srv.Addr(), len(sub.ids), cfg.rounds, where)
+	n.printf("%s listening on %s, %d clients, %d round(s)%s\n", who, srv.Addr(), len(ids), cfg.rounds, where)
 	// One engine (one transport fan-in) spans every handshake and round on
 	// this connection; a per-round fan-in would steal frames across the
 	// handshake/round boundary.
@@ -546,16 +517,16 @@ func (n node) serve(cfg config, srv *transport.TCPServer) error {
 		if r == 1 {
 			bound = 0
 		}
-		waitForClients(conn, len(sub.ids), bound)
+		waitForClients(conn, len(ids), bound)
 		label := fmt.Sprintf("round %d", r)
 		if rd.up != nil {
 			label = who + " " + label
 		}
 		if sess != nil {
 			hs, err := core.RunHandshakeServer(ctx, core.HandshakeConfig{
-				Round: uint64(r), Protocol: sub.protocol, ClientIDs: sub.ids,
+				Round: uint64(r), Protocol: core.ProtocolSecAgg, ClientIDs: ids,
 				KeyRounds: cfg.keyRounds, Deadline: cfg.deadline, Signer: cfg.signer,
-				NoiseEpoch: sub.noiseEpoch,
+				NoiseEpoch: cfg.scfg.NoiseEpoch,
 			}, sess, rd.eng, conn)
 			if err != nil {
 				return err
@@ -563,7 +534,7 @@ func (n node) serve(cfg config, srv *transport.TCPServer) error {
 			rd.hs = &hs
 			label += " (" + describe(hs) + ")"
 		}
-		report, err := sub.serverRound(ctx, conn, sess, rd)
+		report, err := serverRound(ctx, conn, cfg.scfg, sess, rd)
 		if err != nil {
 			return err
 		}
@@ -599,17 +570,17 @@ func sessionDial(ctx context.Context, addr string, id uint64) (*transport.TCPCli
 // one iteration with no handshake, no store and a plain dial: any failure
 // is final. A session-mode client outlives failures instead.
 func (n node) join(cfg config) error {
-	sub, id, sessions := cfg.sub, cfg.id, cfg.sessions()
+	id, sessions := cfg.id, cfg.sessions()
 	ctx := context.Background()
 	var (
-		sess   clientSession
+		sess   *secagg.Session
 		record string
 		conn   *transport.TCPClient
 		err    error
 	)
 	if sessions {
-		record = fmt.Sprintf("%s-%d", sub.record, id)
-		if sess, err = n.loadSession(sub, cfg.store, record); err != nil {
+		record = fmt.Sprintf("client-%d", id)
+		if sess, err = n.loadSession(cfg.store, record); err != nil {
 			return err
 		}
 		conn, err = sessionDial(ctx, cfg.connect, id)
@@ -640,7 +611,7 @@ func (n node) join(cfg config) error {
 	for i := 1; i <= cfg.rounds; i++ {
 		if sessions {
 			hs, err := core.RunHandshakeClient(ctx, core.ClientHandshakeConfig{
-				ID: id, Protocol: sub.protocol, ServerPub: cfg.serverPub, Rand: rand.Reader,
+				ID: id, Protocol: core.ProtocolSecAgg, ServerPub: cfg.serverPub, Rand: rand.Reader,
 			}, sess, conn)
 			if err != nil {
 				if err := redial(i, err); err != nil {
@@ -658,7 +629,7 @@ func (n node) join(cfg config) error {
 			}
 			rd.hs = &hs
 		}
-		outcome, err := sub.clientRound(ctx, conn, id, cfg.value, sess, rd)
+		outcome, err := clientRound(ctx, conn, cfg.scfg, id, cfg.value, sess, rd)
 		if err != nil {
 			if err := redial(i, err); err != nil {
 				return err
@@ -686,12 +657,12 @@ func (n node) join(cfg config) error {
 // session when there is no store, no record, or an unreadable one. A store
 // auth failure (wrong -session-key-file, tampered record) warns loudly: a
 // silently fresh session would re-key every round.
-func (n node) loadSession(sub substrate, store *sessionstore.Store, record string) (clientSession, error) {
+func (n node) loadSession(store *sessionstore.Store, record string) (*secagg.Session, error) {
 	if store != nil {
 		blob, err := store.Load(record)
 		switch {
 		case err == nil:
-			if sess, err := sub.unmarshalSession(blob); err == nil {
+			if sess, err := secagg.UnmarshalSession(blob); err == nil {
 				n.printf("restored session %s from store\n", record)
 				return sess, nil
 			}
@@ -700,11 +671,11 @@ func (n node) loadSession(sub substrate, store *sessionstore.Store, record strin
 			n.warnf("session store: %v — starting fresh", err)
 		}
 	}
-	return sub.newSession()
+	return secagg.NewSession(rand.Reader)
 }
 
 // saveSession persists one session record (no-op without a store).
-func saveSession(store *sessionstore.Store, record string, sess clientSession) error {
+func saveSession(store *sessionstore.Store, record string, sess *secagg.Session) error {
 	if store == nil {
 		return nil
 	}

@@ -12,7 +12,7 @@ import (
 
 // The multi-process recipe of the deployment notes as assertions: every
 // party is one run() call — the same function main wraps — talking over
-// loopback TCP, so the flag plumbing, the roles and the substrate glue are
+// loopback TCP, so the flag plumbing, the roles and the round glue are
 // all on the tested path.
 
 // output is a party's stdout, safe to read while the party still writes.
@@ -68,46 +68,42 @@ func party(t *testing.T, args ...string) (*output, func()) {
 	}
 }
 
-// substrates are the shared round flags per -protocol: plain SecAgg (no
-// XNoise, so the aggregate is exact) and LightSecAgg.
-var substrates = map[string][]string{
-	"secagg":      {"-protocol", "secagg", "-clients", "1,2,3,4", "-threshold", "3", "-tolerance", "0", "-dim", "16"},
-	"lightsecagg": {"-protocol", "lightsecagg", "-clients", "1,2,3,4", "-threshold", "1", "-tolerance", "1", "-dim", "16"},
-}
+// shared are the round flags every party of a flat round gets: plain
+// SecAgg (no XNoise, so the aggregate is exact). The round tests run it as
+// a subtest named after the protocol the node speaks.
+var shared = []string{"-clients", "1,2,3,4", "-threshold", "3", "-tolerance", "0", "-dim", "16"}
 
 // Client i contributes the constant 3i, so every coordinate sums to 30.
-const wantMean = "mean:? 30.00 "
+const wantMean = "mean: 30.00 "
 
-func clientArgs(shared []string, addr string, id int, extra ...string) []string {
+func clientArgs(addr string, id int, extra ...string) []string {
 	args := append([]string{"-role", "client", "-connect", addr,
 		"-id", fmt.Sprint(id), "-value", fmt.Sprint(3 * id)}, shared...)
 	return append(args, extra...)
 }
 
 func TestNodeSingleRound(t *testing.T) {
-	for name, shared := range substrates {
-		t.Run(name, func(t *testing.T) {
-			server, waitServer := party(t, append([]string{"-role", "server", "-listen", "127.0.0.1:0"}, shared...)...)
-			addr := server.await(t, listeningOn)
-			var waits []func()
-			for id := 1; id <= 4; id++ {
-				out, wait := party(t, clientArgs(shared, addr, id)...)
-				waits = append(waits, func() {
-					wait()
-					if !strings.Contains(out.String(), "round complete") {
-						t.Errorf("client %d did not report completion:\n%s", id, out.String())
-					}
-				})
-			}
-			waitServer()
-			for _, wait := range waits {
+	t.Run("secagg", func(t *testing.T) {
+		server, waitServer := party(t, append([]string{"-role", "server", "-listen", "127.0.0.1:0"}, shared...)...)
+		addr := server.await(t, listeningOn)
+		var waits []func()
+		for id := 1; id <= 4; id++ {
+			out, wait := party(t, clientArgs(addr, id)...)
+			waits = append(waits, func() {
 				wait()
-			}
-			if ok, _ := regexp.MatchString(wantMean, server.String()); !ok {
-				t.Errorf("server aggregate is not the sum of -value:\n%s", server.String())
-			}
-		})
-	}
+				if !strings.Contains(out.String(), "round complete") {
+					t.Errorf("client %d did not report completion:\n%s", id, out.String())
+				}
+			})
+		}
+		waitServer()
+		for _, wait := range waits {
+			wait()
+		}
+		if ok, _ := regexp.MatchString(wantMean, server.String()); !ok {
+			t.Errorf("server aggregate is not the sum of -value:\n%s", server.String())
+		}
+	})
 }
 
 // TestNodeSessionRounds: three rounds on one key generation. Clients 1–3
@@ -115,39 +111,37 @@ func TestNodeSingleRound(t *testing.T) {
 // times) that reloads its session from its -session-dir, and must not
 // cost the service a re-key.
 func TestNodeSessionRounds(t *testing.T) {
-	for name, shared := range substrates {
-		t.Run(name, func(t *testing.T) {
-			server, waitServer := party(t, append([]string{"-role", "server", "-listen", "127.0.0.1:0",
-				"-rounds", "3", "-key-rounds", "3"}, shared...)...)
-			addr := server.await(t, listeningOn)
-			var waits []func()
-			for id := 1; id <= 3; id++ {
-				_, wait := party(t, clientArgs(shared, addr, id, "-rounds", "3")...)
-				waits = append(waits, wait)
+	t.Run("secagg", func(t *testing.T) {
+		server, waitServer := party(t, append([]string{"-role", "server", "-listen", "127.0.0.1:0",
+			"-rounds", "3", "-key-rounds", "3"}, shared...)...)
+		addr := server.await(t, listeningOn)
+		var waits []func()
+		for id := 1; id <= 3; id++ {
+			_, wait := party(t, clientArgs(addr, id, "-rounds", "3")...)
+			waits = append(waits, wait)
+		}
+		dir := t.TempDir()
+		for r := 1; r <= 3; r++ {
+			out, wait := party(t, clientArgs(addr, 4, "-rounds", "1", "-session-dir", dir)...)
+			wait()
+			if restored := strings.Contains(out.String(), "restored session"); restored != (r > 1) {
+				t.Errorf("round %d: restored from store = %v:\n%s", r, restored, out.String())
 			}
-			dir := t.TempDir()
-			for r := 1; r <= 3; r++ {
-				out, wait := party(t, clientArgs(shared, addr, 4, "-rounds", "1", "-session-dir", dir)...)
-				wait()
-				if restored := strings.Contains(out.String(), "restored session"); restored != (r > 1) {
-					t.Errorf("round %d: restored from store = %v:\n%s", r, restored, out.String())
-				}
-				if !strings.Contains(out.String(), "complete") {
-					t.Errorf("round %d: client 4 did not complete:\n%s", r, out.String())
-				}
+			if !strings.Contains(out.String(), "complete") {
+				t.Errorf("round %d: client 4 did not complete:\n%s", r, out.String())
 			}
-			waitServer()
-			for _, wait := range waits {
-				wait()
+		}
+		waitServer()
+		for _, wait := range waits {
+			wait()
+		}
+		for r, how := range []string{`re-keyed`, `resumed, ratchet 1`, `resumed, ratchet 2`} {
+			re := fmt.Sprintf(`round %d \(%s\): [^\n]*\n?[^\n]*%s`, r+1, how, wantMean)
+			if ok, _ := regexp.MatchString(re, server.String()); !ok {
+				t.Errorf("round %d: want %q with the sum of -value in:\n%s", r+1, how, server.String())
 			}
-			for r, how := range []string{`re-keyed`, `resumed, ratchet 1`, `resumed, ratchet 2`} {
-				re := fmt.Sprintf(`round %d \(%s\): [^\n]*\n?[^\n]*%s`, r+1, how, wantMean)
-				if ok, _ := regexp.MatchString(re, server.String()); !ok {
-					t.Errorf("round %d: want %q with the sum of -value in:\n%s", r+1, how, server.String())
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // shardTest runs -role shardtest — the combiner, shard and client roles
@@ -202,18 +196,16 @@ func TestNodeShardedTranscript(t *testing.T) {
 
 // TestNodeSelfTest: -role selftest starts the server and client roles in
 // one run(); client i of four contributes i+1, so every coordinate sums to
-// 10 under either substrate.
+// 10.
 func TestNodeSelfTest(t *testing.T) {
-	for name, shared := range substrates {
-		t.Run(name, func(t *testing.T) {
-			out, wait := party(t, append([]string{"-role", "selftest"}, shared...)...)
-			wait()
-			if ok, _ := regexp.MatchString(`mean:? 10.00 `, out.String()); !ok ||
-				!strings.Contains(out.String(), "expected per-coordinate mean ~10 over 1 contributing server(s)\n") {
-				t.Errorf("aggregate is not 1+2+3+4:\n%s", out.String())
-			}
-		})
-	}
+	t.Run("secagg", func(t *testing.T) {
+		out, wait := party(t, append([]string{"-role", "selftest"}, shared...)...)
+		wait()
+		if ok, _ := regexp.MatchString(`mean: 10.00 `, out.String()); !ok ||
+			!strings.Contains(out.String(), "expected per-coordinate mean ~10 over 1 contributing server(s)\n") {
+			t.Errorf("aggregate is not 1+2+3+4:\n%s", out.String())
+		}
+	})
 }
 
 // TestNodeShardedRoles is the recipe of sharded.go's header with one run()
@@ -267,15 +259,11 @@ func TestNodeRejectedFlags(t *testing.T) {
 	}{
 		{"client without id", "client needs -id", []string{"-role", "client"}},
 		{"sharded client without id", "client needs -id", []string{"-role", "client", "-shards", "2"}},
-		{"lightsecagg transcript", "require -protocol secagg", []string{"-role", "server", "-protocol", "lightsecagg", "-transcript"}},
-		{"lightsecagg verify", "require -protocol secagg", []string{"-role", "selftest", "-protocol", "lightsecagg", "-verify-transcript"}},
-		{"lightsecagg shard", "secagg only", []string{"-role", "shard", "-protocol", "lightsecagg"}},
-		{"lightsecagg combiner", "secagg only", []string{"-role", "combiner", "-protocol", "lightsecagg"}},
-		{"lightsecagg shardtest", "secagg only", []string{"-role", "shardtest", "-protocol", "lightsecagg"}},
 		{"shard id out of range", "shard id 2 out of range [0, 2)", []string{"-role", "shard", "-shards", "2", "-shard-id", "2", "-clients", "1,2,3,4"}},
 		{"per-shard threshold", "apply per shard", []string{"-role", "shard", "-shards", "2", "-clients", "1,2,3,4", "-threshold", "3"}},
 		{"unknown role", `unknown role "leader"`, []string{"-role", "leader"}},
-		{"unknown protocol", `unknown protocol "bgw"`, []string{"-protocol", "bgw"}},
+		// The node speaks SecAgg only; there is no substrate to choose.
+		{"unknown protocol", "flag provided but not defined: -protocol", []string{"-protocol", "lightsecagg"}},
 		{"bad client id", `bad client id "x"`, []string{"-role", "server", "-clients", "1,x"}},
 		{"bad pin", "bad -server-pub", []string{"-role", "client", "-id", "1", "-server-pub", "zz"}},
 	} {

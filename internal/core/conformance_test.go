@@ -256,7 +256,7 @@ func handshakeFamily(tb testing.TB) *fuzzcorpus.Family {
 		Decode: func(p []byte) (any, error) { return decodeRoundCommit(p, nil) },
 	}
 	hash := [32]byte{1, 2, 3}
-	o := RoundOffer{Round: 7, Protocol: ProtocolLightSecAgg, Resume: true, Ratchet: 2, RosterHash: hash, NoiseEpoch: 1}
+	o := RoundOffer{Round: 7, Protocol: ProtocolSecAggPlus, Resume: true, Ratchet: 2, RosterHash: hash, NoiseEpoch: 1}
 	c := RoundCommit{Round: 7, Resume: true, Ratchet: 2, NoiseEpoch: 1, Divergent: []uint64{3, 9, 12}}
 	offer.Samples = []any{o, signed(encodeRoundOffer(o, signer), offer.Decode), RoundOffer{Round: 1}}
 	ack.Samples = []any{
@@ -284,6 +284,8 @@ func handshakeFamily(tb testing.TB) *fuzzcorpus.Family {
 		Refuse: []fuzzcorpus.Row{
 			{Name: "offer flag bits", Payload: flip(unsignedOffer, 12, 0x80, 0)},
 			{Name: "offer protocol", Payload: flip(unsignedOffer, 11, byte(ProtocolLightSecAgg+1), 0xFF)},
+			// LightSecAgg runs in process only (ErrProtocolNotOnWire).
+			{Name: "offer lightsecagg protocol", Payload: flip(unsignedOffer, 11, byte(ProtocolLightSecAgg), 0xFF)},
 			{Name: "ack flag bits", Payload: flip(encodeRoundAck(ack.Samples[0].(RoundAck)), 19, 0x08, 0)},
 			{Name: "commit flag bits", Payload: flip(unsignedCommit, 11, 0x04, 0)},
 			{Name: "unsorted divergent ids", Payload: encodeRoundCommit(RoundCommit{Round: 7, Resume: true, Divergent: []uint64{9, 3}}, nil)},

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"crypto/rand"
 	"fmt"
 	"testing"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/ring"
 	"repro/internal/secagg"
 	"repro/internal/secaggplus"
-	"repro/internal/transport"
 )
 
 // TestDriverEquivalence is the one table every way of running a round
@@ -22,7 +20,8 @@ import (
 // the schedule lets through. The in-process cell and the two wire cells
 // of a row walk the same stage tables through the same two walkers, so a
 // row that disagrees with itself is a link bug, and a column that fails
-// is a substrate bug.
+// is a substrate bug. LightSecAgg runs in process only, so its row has
+// the in-process cells alone.
 
 const (
 	eqClients = 8
@@ -55,16 +54,18 @@ func TestDriverEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	links := []string{"in-process", "memory", "tcp"}
 	substrates := []struct {
-		name string
-		run  eqRound
+		name  string
+		run   eqRound
+		links []string
 	}{
-		{"secagg", eqSecAgg(complete)},
-		{"secagg+deg4", eqSecAgg(sparse)},
-		{"lightsecagg", eqLightSecAgg(lightsecagg.Config{ClientIDs: ids, PrivacyT: 2, Dropout: 2, Dim: eqDim, Round: 5})},
+		{"secagg", eqSecAgg(complete), links},
+		{"secagg+deg4", eqSecAgg(sparse), links},
+		{"lightsecagg", eqLightSecAgg(lightsecagg.Config{ClientIDs: ids, PrivacyT: 2, Dropout: 2, Dim: eqDim, Round: 5}), links[:1]},
 	}
 	for _, sub := range substrates {
-		for _, link := range []string{"in-process", "memory", "tcp"} {
+		for _, link := range sub.links {
 			for _, drop := range []eqDrop{eqNoDrop, eqDropBeforeMasked, eqDropBeforeRecovery} {
 				t.Run(fmt.Sprintf("%s/%s/%s", sub.name, link, drop), func(t *testing.T) {
 					t.Parallel()
@@ -131,6 +132,8 @@ func eqSecAgg(cfg secagg.Config) eqRound {
 	}
 }
 
+// eqLightSecAgg runs the in-process LightSecAgg round; link is always
+// "in-process".
 func eqLightSecAgg(cfg lightsecagg.Config) eqRound {
 	return func(t *testing.T, drop eqDrop, link string) ([]int64, error) {
 		inputs := make(map[uint64][]field.Element, len(cfg.ClientIDs))
@@ -141,36 +144,14 @@ func eqLightSecAgg(cfg lightsecagg.Config) eqRound {
 			}
 			inputs[id] = v
 		}
-		var sum []field.Element
-		var err error
-		if link == "in-process" {
-			drops := lightsecagg.DropSchedule{}
-			switch drop {
-			case eqDropBeforeMasked:
-				drops[eqDropper] = lightsecagg.StageMaskedInput
-			case eqDropBeforeRecovery:
-				drops[eqDropper] = lightsecagg.StageAggShare
-			}
-			sum, err = lightsecagg.RunWithSessions(cfg, inputs, drops, rand.Reader, nil)
-		} else {
-			dropStage := map[eqDrop]lightsecagg.WireStage{
-				eqNoDrop: lightsecagg.WireNoDrop, eqDropBeforeMasked: lightsecagg.WireDropBeforeMasked,
-				eqDropBeforeRecovery: lightsecagg.WireDropBeforeAggShare,
-			}[drop]
-			// The rig carries the link; the round is LightSecAgg's.
-			rig := newWireRig(t, link, secagg.Config{ClientIDs: cfg.ClientIDs})
-			rig.lenient = true
-			err = rig.launch(func(ctx context.Context, id uint64, conn transport.ClientConn) {
-				wc := lightsecagg.WireClientConfig{Config: cfg, ID: id, Input: inputs[id], Rand: rand.Reader}
-				if id == eqDropper {
-					wc.DropBefore = dropStage
-				}
-				_, _ = lightsecagg.RunWireClient(ctx, wc, conn)
-			}, func(ctx context.Context) (err error) {
-				sum, err = lightsecagg.RunWireServer(ctx, lightsecagg.WireServerConfig{Config: cfg, StageDeadline: eqDeadline}, rig.srv)
-				return err
-			})
+		drops := lightsecagg.DropSchedule{}
+		switch drop {
+		case eqDropBeforeMasked:
+			drops[eqDropper] = lightsecagg.StageMaskedInput
+		case eqDropBeforeRecovery:
+			drops[eqDropper] = lightsecagg.StageAggShare
 		}
+		sum, err := lightsecagg.RunWithSessions(cfg, inputs, drops, rand.Reader, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -3,12 +3,12 @@ package core
 import (
 	"context"
 	crand "crypto/rand"
+	"errors"
 	"fmt"
 	"io"
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/lightsecagg"
 	"repro/internal/secagg"
 	"repro/internal/sig"
 	"repro/internal/transport"
@@ -89,6 +89,21 @@ const (
 	// maxHandshakeSig caps a declared signature length (Ed25519 needs 64).
 	maxHandshakeSig = 1 << 10
 )
+
+// ErrProtocolNotOnWire refuses a handshake for a substrate the wire does
+// not run: the wire speaks the SecAgg family only (ProtocolAuto through
+// ProtocolSecAggPlus). ProtocolLightSecAgg, the paper's reduced-round
+// baseline, runs in process only, so a config naming it is refused before
+// any frame is sent and an offer carrying its protocol byte at decode.
+var ErrProtocolNotOnWire = errors.New("core: protocol does not run on the wire")
+
+// wireProtocol refuses p unless the wire runs it.
+func wireProtocol(p Protocol) error {
+	if p < ProtocolAuto || p > ProtocolSecAggPlus {
+		return fmt.Errorf("%w: %v", ErrProtocolNotOnWire, p)
+	}
+	return nil
+}
 
 // RoundOffer is the server's pre-round announcement: the round number, the
 // substrate, and the resume-or-rekey proposal with the state it presumes.
@@ -234,8 +249,8 @@ func encodeRoundOffer(o RoundOffer, signer *sig.Signer) []byte {
 func decodeRoundOffer(p []byte, serverPub []byte) (RoundOffer, error) {
 	r := transport.NewVersionedReader(p, codecMagic, tagRoundOffer, handshakeVersion)
 	o := RoundOffer{Round: r.Uint64(), Protocol: Protocol(r.Byte())}
-	if o.Protocol > ProtocolLightSecAgg {
-		r.Fail(fmt.Errorf("unknown %v", o.Protocol))
+	if err := wireProtocol(o.Protocol); err != nil {
+		r.Fail(err)
 	}
 	o.Resume = readFlags(r, 1)&1 != 0
 	o.Ratchet = r.Uint64()
@@ -323,66 +338,11 @@ func decodeRoundCommit(p []byte, serverPub []byte) (RoundCommit, error) {
 	return c, nil
 }
 
-// ClientSessionState is the handshake's view of a client's session layer.
-// *secagg.Session and *lightsecagg.Session implement it.
-type ClientSessionState interface {
-	// StateHash digests the cached roster the session could resume on
-	// (ok=false: none).
-	StateHash() ([32]byte, bool)
-	// Tainted reports dropout taint: a round in flight or abandoned.
-	Tainted() bool
-	// Taint marks a round in flight; the driver clears it on clean
-	// completion.
-	Taint()
-	// NextRatchet is the derivation-point high-water mark.
-	NextRatchet() uint64
-	// MarkRatchetUsed burns the derivation point at the given step.
-	MarkRatchetUsed(uint64)
-	// Rekey replaces the key generation and clears every cache.
-	Rekey(rand io.Reader) error
-	// RekeyEdges drops the cached secrets and roster entries for the given
-	// divergent peers (the commit's subset), keeping every other edge.
-	RekeyEdges(ids []uint64)
-}
-
-// ServerSessionState is the handshake's view of the server's session
-// layer. *secagg.ServerSession and *lightsecagg.ServerSession implement it.
-type ServerSessionState interface {
-	// StateHashFor digests the roster the session could resume a round
-	// over ids on (ok=false: none cached for that client set). The roster
-	// may cover only a subset of ids; MissingMembers names the rest.
-	StateHashFor(ids []uint64) ([32]byte, bool)
-	// MissingMembers lists the subset of ids the cached roster does not
-	// cover — they must re-advertise, so a resumed round treats them as
-	// divergent.
-	MissingMembers(ids []uint64) []uint64
-	// TaintedMembers lists the clients whose key material was (or may have
-	// been) reconstructed; a partial resume folds them into the divergent
-	// subset and RekeyEdges clears their marks.
-	TaintedMembers() []uint64
-	// NextRatchet is the derivation-point high-water mark.
-	NextRatchet() uint64
-	// MarkRatchetUsed burns the derivation point at the given step.
-	MarkRatchetUsed(uint64)
-	// Rekey clears the session for a fresh key generation.
-	Rekey()
-	// RekeyEdges drops the cached state touching the given divergent
-	// members (roster entries, reconstructed keys, pair secrets, taint
-	// marks), keeping every other edge.
-	RekeyEdges(ids []uint64)
-}
-
-// Both substrates' session layers satisfy the handshake interfaces.
-var (
-	_ ClientSessionState = (*secagg.Session)(nil)
-	_ ClientSessionState = (*lightsecagg.Session)(nil)
-	_ ServerSessionState = (*secagg.ServerSession)(nil)
-	_ ServerSessionState = (*lightsecagg.ServerSession)(nil)
-)
-
 // HandshakeConfig configures the server side of one pre-round handshake.
 type HandshakeConfig struct {
-	Round     uint64
+	Round uint64
+	// Protocol is the substrate the round runs; it must be one the wire
+	// runs (ErrProtocolNotOnWire).
 	Protocol  Protocol
 	ClientIDs []uint64
 	// KeyRounds bounds how many consecutive rounds one key generation may
@@ -443,11 +403,14 @@ func (h Handshake) DivergentContains(id uint64) bool {
 // steal each other's frames — and its source context must span both the
 // handshake and the round. On a re-key outcome the server session has
 // already been Rekey()ed when this returns.
-func RunHandshakeServer(ctx context.Context, cfg HandshakeConfig, sess ServerSessionState,
+func RunHandshakeServer(ctx context.Context, cfg HandshakeConfig, sess *secagg.ServerSession,
 	eng *engine.Engine, conn transport.ServerConn) (Handshake, error) {
 
 	if sess == nil {
 		return Handshake{}, fmt.Errorf("core: handshake requires a server session")
+	}
+	if err := wireProtocol(cfg.Protocol); err != nil {
+		return Handshake{}, err
 	}
 	if cfg.NoiseEpoch > xnoise.MaxNoiseEpoch {
 		return Handshake{}, fmt.Errorf("core: handshake noise epoch %d beyond max %d",
@@ -580,7 +543,8 @@ func RunHandshakeServer(ctx context.Context, cfg HandshakeConfig, sess ServerSes
 type ClientHandshakeConfig struct {
 	ID uint64
 	// Protocol is the substrate this client is configured for; an offer
-	// for a different substrate aborts (config desynchronization).
+	// for a different substrate aborts (config desynchronization). It must
+	// be one the wire runs (ErrProtocolNotOnWire).
 	Protocol Protocol
 	// ServerPub, when non-empty, is the server's Ed25519 verification key:
 	// unsigned or mis-signed offers and commits are rejected.
@@ -596,11 +560,14 @@ type ClientHandshakeConfig struct {
 // session is left tainted — the round is now in flight — and the round
 // driver clears the taint on clean completion, so a crash between
 // handshake and completion surfaces as taint at the next handshake.
-func RunHandshakeClient(ctx context.Context, cfg ClientHandshakeConfig, sess ClientSessionState,
+func RunHandshakeClient(ctx context.Context, cfg ClientHandshakeConfig, sess *secagg.Session,
 	conn transport.ClientConn) (Handshake, error) {
 
 	if sess == nil {
 		return Handshake{}, fmt.Errorf("core: handshake requires a client session")
+	}
+	if err := wireProtocol(cfg.Protocol); err != nil {
+		return Handshake{}, err
 	}
 	rand := cfg.Rand
 	if rand == nil {

@@ -3,14 +3,12 @@ package core
 import (
 	"context"
 	"crypto/rand"
-	"fmt"
+	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/dh"
 	"repro/internal/engine"
-	"repro/internal/field"
-	"repro/internal/lightsecagg"
 	"repro/internal/secagg"
 	"repro/internal/sessionstore"
 	"repro/internal/sig"
@@ -174,108 +172,55 @@ func TestHandshakeKeyRoundsBudget(t *testing.T) {
 	}
 }
 
-// TestHandshakeLightSecAggResume drives the handshake over the
-// LightSecAgg wire driver: round 2 resumes on persisted-and-restored
-// sessions with zero key generations and zero agreements.
-func TestHandshakeLightSecAggResume(t *testing.T) {
-	ids := []uint64{1, 2, 3, 4, 5}
-	cfg := lightsecagg.Config{ClientIDs: ids, PrivacyT: 1, Dropout: 1, Dim: 8}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// The rig carries the link, the long-lived engine and the signer; the
-	// sessions and the round are LightSecAgg's.
-	rig := newWireRig(t, "memory", secagg.Config{ClientIDs: ids})
-	rig.eng = engine.New(engine.TransportSource(rig.ctx, rig.srv))
-	serverSess := lightsecagg.NewServerSession()
-	store, err := sessionstore.Open(t.TempDir(), sessionstore.DeriveKey([]byte("lsa")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	clientSess := make(map[uint64]*lightsecagg.Session)
-	for _, id := range ids {
-		if clientSess[id], err = lightsecagg.NewSession(rand.Reader); err != nil {
-			t.Fatal(err)
-		}
+// TestHandshakeRefusesLightSecAgg: the wire speaks the SecAgg family
+// only. An offer carrying LightSecAgg's protocol byte fails to decode,
+// and either side refuses a config naming it before it sends a frame —
+// each with ErrProtocolNotOnWire.
+func TestHandshakeRefusesLightSecAgg(t *testing.T) {
+	p := encodeRoundOffer(RoundOffer{Round: 1, Protocol: ProtocolLightSecAgg}, nil)
+	if _, err := decodeRoundOffer(p, nil); !errors.Is(err, ErrProtocolNotOnWire) {
+		t.Errorf("offer for lightsecagg: got %v, want ErrProtocolNotOnWire", err)
 	}
 
-	run := func(round uint64) (hs Handshake, sum []field.Element) {
-		rcfg := cfg
-		rcfg.Round = round
-		err := rig.launch(func(ctx context.Context, id uint64, conn transport.ClientConn) {
-			sess := clientSess[id]
-			hs, err := RunHandshakeClient(ctx, ClientHandshakeConfig{
-				ID: id, Protocol: ProtocolLightSecAgg, ServerPub: rig.signer.Public(), Rand: rand.Reader,
-			}, sess, conn)
-			if err != nil {
-				t.Errorf("client %d handshake: %v", id, err)
-				return
-			}
-			input := make([]field.Element, rcfg.Dim)
-			for i := range input {
-				input[i] = lightsecagg.Lift(int64(id))
-			}
-			if _, err := lightsecagg.RunWireClient(ctx, lightsecagg.WireClientConfig{
-				Config: rcfg, ID: id, Input: input, Rand: rand.Reader,
-				Session: sess, Resume: hs.Resume, Divergent: hs.Divergent,
-			}, conn); err != nil {
-				t.Errorf("client %d round: %v", id, err)
-			}
-		}, func(ctx context.Context) (err error) {
-			if hs, err = RunHandshakeServer(ctx, HandshakeConfig{
-				Round: round, Protocol: ProtocolLightSecAgg, ClientIDs: ids,
-				KeyRounds: 2, Deadline: 2 * time.Second, Signer: rig.signer,
-			}, serverSess, rig.eng, rig.srv); err != nil {
-				return err
-			}
-			sum, err = lightsecagg.RunWireServer(ctx, lightsecagg.WireServerConfig{
-				Config: rcfg, StageDeadline: 2 * time.Second,
-				Session: serverSess, Resume: hs.Resume, Divergent: hs.Divergent, Engine: rig.eng,
-			}, rig.srv)
-			return err
-		})
+	// One link per side, so each side's silence is observed on its own.
+	link := func() (*transport.MemoryNetwork, transport.ClientConn) {
+		net := transport.NewMemoryNetwork(8)
+		conn, err := net.Connect(1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return hs, sum
+		return net, conn
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	quiet := func(recv func(context.Context) (transport.Frame, error)) bool {
+		qctx, stop := context.WithTimeout(ctx, 50*time.Millisecond)
+		defer stop()
+		_, err := recv(qctx)
+		return err != nil
 	}
 
-	hs, sum := run(1)
-	if hs.Resume {
-		t.Fatal("round 1 resumed with no prior state")
+	clientNet, conn := link()
+	sess, err := secagg.NewSession(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var want int64
-	for _, id := range ids {
-		want += int64(id)
+	_, err = RunHandshakeClient(ctx, ClientHandshakeConfig{ID: 1, Protocol: ProtocolLightSecAgg}, sess, conn)
+	if !errors.Is(err, ErrProtocolNotOnWire) {
+		t.Errorf("client: got %v, want ErrProtocolNotOnWire", err)
 	}
-	for i, e := range sum {
-		if lightsecagg.Center(e) != want {
-			t.Fatalf("sum[%d] = %d, want %d", i, lightsecagg.Center(e), want)
-		}
-	}
-
-	// Persist, restart, restore.
-	for _, id := range ids {
-		blob, err := clientSess[id].MarshalBinary()
-		if clientSess[id], err = lightsecagg.UnmarshalSession(rig.persist(store, fmt.Sprintf("client-%d", id), blob, err)); err != nil {
-			t.Fatal(err)
-		}
+	if !quiet(clientNet.Server().Recv) {
+		t.Error("the client sent a frame before refusing")
 	}
 
-	gen0, agree0 := dh.GenerateCount(), dh.AgreeCount()
-	hs, _ = run(2)
-	if !hs.Resume {
-		t.Fatal("round 2 did not resume on restored sessions")
+	serverNet, conn := link()
+	eng := engine.New(engine.TransportSource(ctx, serverNet.Server()))
+	_, err = RunHandshakeServer(ctx, HandshakeConfig{Round: 1, Protocol: ProtocolLightSecAgg, ClientIDs: []uint64{1}},
+		secagg.NewServerSession(), eng, serverNet.Server())
+	if !errors.Is(err, ErrProtocolNotOnWire) {
+		t.Errorf("server: got %v, want ErrProtocolNotOnWire", err)
 	}
-	if g, a := dh.GenerateCount()-gen0, dh.AgreeCount()-agree0; g != 0 || a != 0 {
-		t.Fatalf("restart-resumed LSA round performed key work: %d generations, %d agreements", g, a)
-	}
-
-	// The KeyRounds budget applies to LightSecAgg key generations too:
-	// the generation served its re-key round plus one resumed round
-	// (KeyRounds=2), so round 3 must re-key even though nothing diverged.
-	hs, _ = run(3)
-	if hs.Resume {
-		t.Fatal("round 3 resumed past the KeyRounds budget")
+	if !quiet(conn.Recv) {
+		t.Error("the server sent a frame before refusing")
 	}
 }

@@ -44,7 +44,9 @@ type Protocol int
 // Threshold, the standard LightSecAgg instantiation — which is weaker
 // than SecAgg's Threshold−1, so pinning this substrate is an explicit
 // opt-in to that trade. ProtocolAuto never resolves here on its own: the
-// choice needs a dropout forecast only the deployment has.
+// choice needs a dropout forecast only the deployment has. It is the
+// paper's baseline and runs in process only; the wire handshake refuses it
+// (ErrProtocolNotOnWire).
 const (
 	ProtocolAuto Protocol = iota
 	ProtocolSecAgg

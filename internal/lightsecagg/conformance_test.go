@@ -10,37 +10,25 @@ import (
 	"repro/internal/fuzzcorpus"
 )
 
-// The conformance table of the LightSecAgg wire codec (codec.go), run by
-// fuzzcorpus. CI runs a -fuzztime smoke over FuzzControlCodec; after a
-// deliberate frame change, update its corpus with
-// WRITE_FUZZ_CORPUS=1 go test -run TestCodecConformance.
+// The conformance table of the share vector (codec.go), the one layout of
+// this substrate a peer supplies, run by fuzzcorpus. CI runs a -fuzztime
+// smoke over FuzzShareVector; after a deliberate layout change, update its
+// corpus with WRITE_FUZZ_CORPUS=1 go test -run TestCodecConformance.
 
 func TestCodecConformance(t *testing.T) {
-	t.Run("lightsecagg", func(t *testing.T) { wireFamily(t).Check(t) })
+	t.Run("lightsecagg", func(t *testing.T) { shareFamily(t).Check(t) })
 }
 
-func FuzzControlCodec(f *testing.F) { wireFamily(f).Fuzz(f, "FuzzControlCodec") }
+func FuzzShareVector(f *testing.F) { shareFamily(f).Fuzz(f, "FuzzShareVector") }
 
-// The earlier per-codec test names, each running only its own parts of
-// the table.
-func TestCodecMaskedRoundTrip(t *testing.T)    { wireFamily(t).Check(t, "masked") }
-func TestCodecAggShareRoundTrip(t *testing.T)  { wireFamily(t).Check(t, "aggshare") }
-func TestCodecResultRoundTrip(t *testing.T)    { wireFamily(t).Check(t, "result") }
-func TestCodecEnvelopesRoundTrip(t *testing.T) { wireFamily(t).Check(t, "envelopes", "deliver") }
-func TestControlCodecRejectsMalformed(t *testing.T) {
-	wireFamily(t).Check(t, "refuse/lying roster count", "refuse/lying survivor count", "refuse/foreign magic")
-}
-func TestCodecMalformed(t *testing.T) {
-	wireFamily(t).Check(t, "refuse/lying envelope count", "refuse/lying result count",
-		"refuse/share word not canonical", "refuse/masked word not canonical", "refuse/result word not canonical")
-}
-func TestCodecSeededFuzz(t *testing.T)    { wireFamily(t).Check(t, "corpus/FuzzControlCodec") }
-func TestWriteControlCorpus(t *testing.T) { wireFamily(t).Check(t, "corpus/FuzzControlCodec") }
+// TestCodecMalformed: the malformed share vector, a word that is no field
+// element.
+func TestCodecMalformed(t *testing.T) { shareFamily(t).Check(t, "refuse/share word not canonical") }
 
 // TestDecodersDoNotAliasPayload runs the table's kinds; each sample's rows
 // end in the alias check.
 func TestDecodersDoNotAliasPayload(t *testing.T) {
-	fam := wireFamily(t)
+	fam := shareFamily(t)
 	for _, k := range fam.Kinds {
 		fam.Check(t, k.Name)
 	}
@@ -50,7 +38,7 @@ func TestDecodersDoNotAliasPayload(t *testing.T) {
 // layout checks refuse leaves dst unwritten — OpenEnvelopes decodes
 // straight into the round's share row.
 func TestCodecShareVectorRoundTrip(t *testing.T) {
-	wireFamily(t).Check(t, "share-vector", "refuse/share vector too short", "refuse/share vector too long")
+	shareFamily(t).Check(t, "share-vector", "refuse/share vector too short", "refuse/share vector too long")
 	share := func(n int) []byte { // n elements, none zero
 		xs := make([]field.Element, n)
 		for i := range xs {
@@ -81,77 +69,15 @@ func TestCodecShareVectorRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAdvertiseOwnsKey: the stage-0 advertisement is the raw channel key,
-// which the table cannot check as a layout; the link releases a payload
-// once it is sent or decoded, so both directions must copy the key.
-func TestAdvertiseOwnsKey(t *testing.T) {
-	c, key := wireCodec[wireAdvertise], bytes.Repeat([]byte{0x42}, 32)
-	p, err := c.Encode(AdvertiseMsg{CipherPub: key})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := c.Decode(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p[0] ^= 0xFF
-	if key[0] != 0x42 || m.(AdvertiseMsg).CipherPub[0] != 0x42 {
-		t.Fatal("the advertisement aliases its payload")
-	}
-}
-
 // shareVectorLen is the share length the share-vector kind decodes into;
 // a round fixes it (Config.SubVectorLen) before any envelope is opened.
 const shareVectorLen = 3
 
-// wireFamily is the LightSecAgg wire codec's table: one kind per framed
-// tag of wireCodec, plus the share vector sealed inside an envelope. The
-// stage-0 advertisement is the raw channel key, unframed, so it has no
-// layout to check.
-func wireFamily(tb testing.TB) *fuzzcorpus.Family {
+// shareFamily is the share vector's table: the plaintext sealed inside an
+// envelope, decoded into a share row of the round's length.
+func shareFamily(tb testing.TB) *fuzzcorpus.Family {
 	tb.Helper()
 	elems := []field.Element{field.New(1), field.New(2), field.New(field.Modulus - 1)}
-	envs := []Envelope{
-		{From: 1, To: 2, Ciphertext: []byte{0xAA, 0xBB, 0xCC}},
-		{From: 3, To: 1},
-		{From: 2, To: 3, Ciphertext: bytes.Repeat([]byte{0x55}, 30)},
-	}
-	kinds := []struct {
-		name    string
-		tag     int
-		samples []any
-	}{
-		{"roster", wireRoster, []any{
-			[]AdvertiseMsg{{From: 1, CipherPub: bytes.Repeat([]byte{0x11}, 32)}, {From: 2}, {From: 9, CipherPub: bytes.Repeat([]byte{0x99}, 32)}},
-			[]AdvertiseMsg(nil),
-		}},
-		{"survivors", wireSurvivors, []any{[]uint64{1, 2, 9}}},
-		{"envelopes", wireShares, []any{envs}},
-		{"deliver", wireDeliver, []any{envs[:1]}},
-		{"masked", wireMasked, []any{MaskedMsg{From: 42, Y: elems}}},
-		{"aggshare", wireAggShare, []any{AggShareMsg{From: 7, S: elems[1:]}}},
-		{"result", wireResult, []any{elems}},
-	}
-	if len(kinds) != len(wireCodec)-1 {
-		tb.Fatalf("%d framed wire kinds for %d frame tags and the raw advertisement", len(kinds), len(wireCodec))
-	}
-	fam := &fuzzcorpus.Family{
-		SameLayout: [][]string{{"envelopes", "deliver"}},
-		Targets:    []fuzzcorpus.Target{{Name: "FuzzControlCodec"}},
-	}
-	for _, k := range kinds {
-		c := wireCodec[k.tag]
-		fam.Kinds = append(fam.Kinds, fuzzcorpus.Kind{Name: k.name, Encode: c.Encode, Decode: c.Decode, Samples: k.samples})
-	}
-	fam.Kinds = append(fam.Kinds, fuzzcorpus.Kind{Name: "share-vector",
-		Encode: func(v any) ([]byte, error) { return appendElems(nil, v.([]field.Element)) },
-		Decode: func(p []byte) (any, error) {
-			dst := make([]field.Element, shareVectorLen)
-			return dst, decodeShareInto(dst, p)
-		},
-		Samples: []any{elems},
-	})
-
 	must := func(p []byte, err error) []byte {
 		tb.Helper()
 		if err != nil {
@@ -159,24 +85,25 @@ func wireFamily(tb testing.TB) *fuzzcorpus.Family {
 		}
 		return p
 	}
-	notCanonical := func(p []byte, at int, word uint64) []byte {
-		binary.LittleEndian.PutUint64(p[at:], word)
-		return p
+	notCanonical := must(appendElems(nil, elems))
+	// A word ≥ p is not an element: reducing it would give one element two
+	// encodings (2^64−1 would decode as 7).
+	binary.LittleEndian.PutUint64(notCanonical[4:], ^uint64(0))
+	return &fuzzcorpus.Family{
+		Kinds: []fuzzcorpus.Kind{{Name: "share-vector",
+			Encode: func(v any) ([]byte, error) { return appendElems(nil, v.([]field.Element)) },
+			Decode: func(p []byte) (any, error) {
+				dst := make([]field.Element, shareVectorLen)
+				return dst, decodeShareInto(dst, p)
+			},
+			Samples: []any{elems},
+		}},
+		Refuse: []fuzzcorpus.Row{
+			// A well-formed share vector of another length than the round's.
+			{Name: "share vector too short", Payload: must(appendElems(nil, elems[:2]))},
+			{Name: "share vector too long", Payload: must(appendElems(nil, append(slices.Clone(elems), elems[0])))},
+			{Name: "share word not canonical", Payload: notCanonical},
+		},
+		Targets: []fuzzcorpus.Target{{Name: "FuzzShareVector"}},
 	}
-	fam.Refuse = []fuzzcorpus.Row{
-		{Name: "lying roster count", Payload: []byte{lsaMagic, tagRoster, 0xFF, 0xFF, 0xFF, 0xFF}},
-		{Name: "lying survivor count", Payload: []byte{lsaMagic, tagSurvivors, 0xFF, 0xFF, 0xFF, 0xFF}},
-		{Name: "foreign magic", Payload: []byte{0xD0, tagRoster, 0, 0, 0, 0}},
-		{Name: "lying envelope count", Payload: []byte{lsaMagic, tagEnvelopes, 0x00, 0x00, 0x10, 0x00}},
-		{Name: "lying result count", Payload: []byte{lsaMagic, tagLSAResult, 0xFF, 0xFF, 0xFF, 0x00}},
-		// A well-formed share vector of another length than the round's.
-		{Name: "share vector too short", Payload: must(appendElems(nil, elems[:2]))},
-		{Name: "share vector too long", Payload: must(appendElems(nil, append(slices.Clone(elems), elems[0])))},
-		// A word ≥ p is not an element: reducing it would give one element
-		// two encodings (2^64−1 would decode as 7).
-		{Name: "share word not canonical", Payload: notCanonical(must(appendElems(nil, elems)), 4, ^uint64(0))},
-		{Name: "masked word not canonical", Payload: notCanonical(must(encodeMasked(MaskedMsg{From: 3, Y: elems})), 2+8+4, field.Modulus)},
-		{Name: "result word not canonical", Payload: notCanonical(must(encodeLSAResult(elems)), 2+4, field.Modulus+7)},
-	}
-	return fam
 }

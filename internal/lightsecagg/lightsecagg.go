@@ -47,16 +47,17 @@
 //
 // # Runtime architecture
 //
-// Since the round-engine unification (see ARCHITECTURE.md) this package is
-// structured exactly like its SecAgg sibling:
+// The substrate is the paper's baseline, so it runs in process only: the
+// comparison (core.RunRound's ProtocolLightSecAgg, ClientCost, the
+// ablation) needs no deployment, and the re-key handshake refuses the
+// protocol. Within that, it is structured like its SecAgg sibling:
 //
 //   - Client is a per-round state machine (Advertise → SealShares →
 //     OpenEnvelopes → MaskedInput → AggregateShare). Its stage table
-//     (Program, program.go) is walked identically in-process
-//     (Run/RunWithSessions, clients as goroutines) and on the wire
-//     (RunWireClient). Coded shares always travel inside pairwise AEAD
-//     envelopes, in-process too, so both links exercise the same crypto
-//     path.
+//     (Program, program.go) is walked by engine.RunLocal
+//     (Run/RunWithSessions, clients as goroutines). Coded shares travel
+//     inside pairwise AEAD envelopes as they would between machines, so
+//     an opened share is decoded like a peer's frame (codec.go).
 //   - Server exposes incremental per-message Add*/Seal* collection
 //     surfaces (AddAdvertise, AddShareBundle, AddMasked, AddAggShare, and
 //     the matching Seal* closers) mirroring secagg.Server. Masked inputs
@@ -64,21 +65,15 @@
 //     masked stage is an O(1) threshold check plus sort — not n decodes
 //     plus n length-d vector adds — and the server never retains the
 //     n·d masked matrix, only the d-length running sum.
-//   - Both links collect stages through internal/engine's one server
-//     walker: streaming admission (deadline-bounded on the wire), each
-//     message decoded and applied where it is admitted, on one goroutine,
-//     in admission order. The one-shot recovery stage's
+//   - Stages are collected through internal/engine's one server walker:
+//     each message applied where it is admitted, on one goroutine, in
+//     admission order. The one-shot recovery stage's
 //     engine.Stage.QuorumMet counts U aggregate shares, completing as soon
 //     as any U arrive instead of waiting out stragglers.
 //   - Session/ServerSession (session.go) amortize the fixed round costs —
 //     X25519 channel agreements, the Lagrange encoding matrix and the
 //     advertise round trip — across the chunks of one pipelined round
-//     (core.RunRound's SessionPool) and, on the wire, across the
-//     consecutive rounds the re-key handshake resumes.
-//   - The volume payloads (masked models, sealed share envelopes,
-//     aggregate shares, the result broadcast) use the binary wire codec in
-//     codec.go, following core/codec.go's magic/tag layout, and so do the
-//     two control messages (roster, survivor set).
+//     (core.RunRound builds one RoundSessions per round).
 package lightsecagg
 
 import (
@@ -232,8 +227,7 @@ func recoveryWeights(cfg Config, responders []uint64) ([][]field.Element, error)
 	return ws, nil
 }
 
-// Protocol messages. Drivers carry these typed in-process and through the
-// binary codec (codec.go) on the wire.
+// Protocol messages, carried typed by the in-process walker.
 
 // AdvertiseMsg is the stage-0 channel-key advertisement: the roster entry
 // the session layer caches, hashes and persists, with the X25519 channel
@@ -276,9 +270,8 @@ func appendRouteAD(dst []byte, round, from, to uint64) []byte {
 }
 
 // Client is one participant's round state machine. Its stage methods are
-// driven identically in-process (run.go) and on the wire (wire.go)
-// through its stage table (program.go); see the package comment for the
-// stage order.
+// driven by run.go through its stage table (program.go); see the package
+// comment for the stage order.
 type Client struct {
 	cfg     Config
 	id      uint64
@@ -366,7 +359,7 @@ const encTile = 1024
 
 // EncodeShares returns the coded mask share f_i(α_j) for every client j
 // (including self) — the plaintext of the offline-sharing message of step
-// 1. Wire and in-process drivers seal the peers' shares via SealShares;
+// 1. The driver seals the peers' shares via SealShares;
 // the plaintext form is exported for white-box tests and the cost model.
 func (c *Client) EncodeShares() (map[uint64][]field.Element, error) {
 	l := c.cfg.SubVectorLen()

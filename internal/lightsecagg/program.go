@@ -8,25 +8,23 @@ import (
 )
 
 // The round as data: the server's and the client's stage tables, which
-// the engine's walkers (engine.RunLocal in-process, engine.ServeWire /
-// engine.JoinWire over a transport) run. Step k of either table is
-// lifecycle stage k (the Stage constants), so a DropSchedule entry is a
-// step index. Coded mask shares relay through the untrusted server (the
-// star topology of §3.3) inside pairwise AEAD envelopes keyed by X25519
-// agreement — otherwise the server could collect U of them and unmask
-// every client.
+// engine.RunLocal walks. Step k of either table is lifecycle stage k (the
+// Stage constants), so a DropSchedule entry is a step index. Coded mask
+// shares relay through the untrusted server (the star topology of §3.3)
+// inside pairwise AEAD envelopes keyed by X25519 agreement — otherwise the
+// server could collect U of them and unmask every client.
 
-// Frame tags of the round's messages, in protocol order: even tags travel
-// client → server, odd tags server → client (PROTOCOL.md pins the numbers).
+// Tags of the round's messages, in protocol order: even tags travel
+// client → server, odd tags server → client.
 const (
-	wireAdvertise = iota // AdvertiseMsg: X25519 channel public key
-	wireRoster           // []AdvertiseMsg: all public keys
-	wireShares           // []Envelope: one sender's sealed coded shares
-	wireDeliver          // []Envelope: the envelopes addressed to one client
-	wireMasked           // MaskedMsg: y_i = x_i + z_i
-	wireSurvivors        // []uint64: ids that uploaded
-	wireAggShare         // AggShareMsg: Σ_{i∈survivors} f_i(α_me)
-	wireResult           // []field.Element: the aggregate
+	tagAdvertise = iota // AdvertiseMsg: X25519 channel public key
+	tagRoster           // []AdvertiseMsg: all public keys
+	tagShares           // []Envelope: one sender's sealed coded shares
+	tagDeliver          // []Envelope: the envelopes addressed to one client
+	tagMasked           // MaskedMsg: y_i = x_i + z_i
+	tagSurvivors        // []uint64: ids that uploaded
+	tagAggShare         // AggShareMsg: Σ_{i∈survivors} f_i(α_me)
+	tagResult           // []field.Element: the aggregate
 )
 
 // Program lays the server's round out as a stage table over its Add*/Seal*
@@ -38,7 +36,7 @@ func (s *Server) Program(sum *[]field.Element) engine.ServerProgram {
 	ids := s.cfg.ClientIDs
 	var survivors []uint64
 	steps := []engine.ServerStep{{
-		Name: StageAdvertise.String(), Tag: wireAdvertise,
+		Name: StageAdvertise.String(), Tag: tagAdvertise,
 		Apply: engine.Stamped(s.AddAdvertise, func(m *AdvertiseMsg) *uint64 { return &m.From }),
 		Preseed: func() error {
 			roster := s.session.RosterFor(ids)
@@ -57,39 +55,39 @@ func (s *Server) Program(sum *[]field.Element) engine.ServerProgram {
 			if err == nil {
 				s.session.StoreRoster(roster, ids)
 			}
-			return engine.Downlink{Tag: wireRoster, To: ids, Body: roster}, err
+			return engine.Downlink{Tag: tagRoster, To: ids, Body: roster}, err
 		},
 	}, {
 		// Sealed envelopes route into recipient outboxes on arrival.
-		Name: StageShares.String(), Tag: wireShares,
+		Name: StageShares.String(), Tag: tagShares,
 		Apply: func(from uint64, body any) error {
 			return s.AddShareBundle(from, body.([]Envelope))
 		},
 		Seal: func() (engine.Downlink, error) {
 			deliveries, err := s.SealShareBundles()
-			return engine.Downlink{Tag: wireDeliver, To: ids, Each: func(id uint64) any { return deliveries[id] }}, err
+			return engine.Downlink{Tag: tagDeliver, To: ids, Each: func(id uint64) any { return deliveries[id] }}, err
 		},
 	}, {
 		// Masked inputs fold into the running partial aggregate as they
 		// arrive; the stage close is a threshold check plus sort.
-		Name: StageMaskedInput.String(), Tag: wireMasked,
+		Name: StageMaskedInput.String(), Tag: tagMasked,
 		Apply: engine.Stamped(s.AddMasked, func(m *MaskedMsg) *uint64 { return &m.From }),
 		Seal: func() (engine.Downlink, error) {
 			var err error
 			survivors, err = s.SealMasked()
-			return engine.Downlink{Tag: wireSurvivors, To: survivors, Body: survivors}, err
+			return engine.Downlink{Tag: tagSurvivors, To: survivors, Body: survivors}, err
 		},
 	}, {
 		// One-shot recovery: any U aggregate shares complete the stage,
 		// stragglers need not be waited out; the seal interpolates the
 		// mask sum.
-		Name: StageAggShare.String(), Tag: wireAggShare,
+		Name: StageAggShare.String(), Tag: tagAggShare,
 		QuorumMet: func() bool { return len(s.aggOrder) >= s.cfg.RecoveryThreshold() },
 		Apply:     engine.Stamped(s.AddAggShare, func(m *AggShareMsg) *uint64 { return &m.From }),
 		Seal: func() (engine.Downlink, error) {
 			var err error
 			*sum, err = s.SealAggShares()
-			return engine.Downlink{Tag: wireResult, To: survivors, Body: *sum}, err
+			return engine.Downlink{Tag: tagResult, To: survivors, Body: *sum}, err
 		},
 	}}
 	return engine.ServerProgram{Roster: ids, Steps: steps}
@@ -101,10 +99,10 @@ func (s *Server) Program(sum *[]field.Element) engine.ServerProgram {
 func (c *Client) Program(input []field.Element, sum *[]field.Element) engine.ClientProgram {
 	resumed := false
 	steps := []engine.ClientStep{{
-		Name: StageAdvertise.String(), Await: engine.NoTag, Send: wireAdvertise,
+		Name: StageAdvertise.String(), Await: engine.NoTag, Send: tagAdvertise,
 		Do: func(any) (any, error) { return c.Advertise(), nil },
 	}, {
-		Name: StageShares.String(), Await: wireRoster, Send: wireShares,
+		Name: StageShares.String(), Await: tagRoster, Send: tagShares,
 		Cached: func() (any, error) {
 			if roster := c.session.Roster(); roster != nil {
 				resumed = true
@@ -120,7 +118,7 @@ func (c *Client) Program(input []field.Element, sum *[]field.Element) engine.Cli
 			return c.SealShares(roster)
 		},
 	}, {
-		Name: StageMaskedInput.String(), Await: wireDeliver, Send: wireMasked,
+		Name: StageMaskedInput.String(), Await: tagDeliver, Send: tagMasked,
 		Do: func(body any) (any, error) {
 			if err := c.OpenEnvelopes(body.([]Envelope)); err != nil {
 				return nil, err
@@ -129,13 +127,13 @@ func (c *Client) Program(input []field.Element, sum *[]field.Element) engine.Cli
 			return MaskedMsg{From: c.id, Y: y}, err
 		},
 	}, {
-		Name: StageAggShare.String(), Await: wireSurvivors, Send: wireAggShare,
+		Name: StageAggShare.String(), Await: tagSurvivors, Send: tagAggShare,
 		Do: func(body any) (any, error) {
 			s, err := c.AggregateShare(body.([]uint64))
 			return AggShareMsg{From: c.id, S: s}, err
 		},
 	}, {
-		Name: "result", Await: wireResult, Send: engine.NoTag,
+		Name: "result", Await: tagResult, Send: engine.NoTag,
 		Do: func(body any) (any, error) {
 			*sum = body.([]field.Element)
 			return nil, nil

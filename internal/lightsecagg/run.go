@@ -10,9 +10,8 @@ import (
 
 // In-process driver: one full LightSecAgg round with the substrate's stage
 // tables (Program) walked by engine.RunLocal, the same walkers the SecAgg
-// rounds run on. Coded shares travel inside pairwise AEAD envelopes
-// in-process too, so both links exercise identical crypto and the session
-// layer's channel-secret cache is observable in both.
+// rounds run on. Coded shares travel inside pairwise AEAD envelopes, so
+// the session layer's channel-secret cache is observable.
 
 // Stage identifies a point in the client lifecycle, for dropout
 // injection and in-process uplink tags.

@@ -24,33 +24,30 @@ import (
 //     weights at each of the n−T points that are not noise pieces —
 //     O(U² + (n−T)·U) field ops per client per round, identical across
 //     rounds with the same geometry. Cached once per session.
-//   - The advertise round trip: a cached roster lets resumed rounds skip
-//     stage 0 entirely (both drivers support the skip).
+//   - The advertise round trip: a cached roster lets the later sub-rounds
+//     skip stage 0 entirely.
 //
 // Threat model: unlike SecAgg, LightSecAgg's server never reconstructs any
 // client key material — dropout handling interpolates the *aggregate*
 // mask, and the per-round masks are fresh uniform one-time pads drawn
-// outside the session. Reusing the channel key generation across rounds
-// therefore leaks nothing new to the honest-but-curious server; the only
-// cost of long-lived channel keys is the generic absence of forward
-// secrecy for share confidentiality against endpoint-state compromise
-// (see ARCHITECTURE.md for the comparison with the secagg ratchet rules).
+// outside the session. Reusing the channel key across sub-rounds therefore
+// leaks nothing new to the honest-but-curious server; replay of a sealed
+// envelope into another sub-round is refused by the (Round, from, to)
+// AEAD associated data (see ARCHITECTURE.md for the comparison with the
+// secagg ratchet rules).
 //
 // The session also keeps its client's slabs (NewSessionClient) across the
-// sub-rounds and rounds that share it — round scratch, never part of the
-// at-rest record (MarshalBinary).
+// sub-rounds that share it — round scratch, never session state.
 type Session struct {
-	// The shared continuity state: cached roster and the ratchet mark. On
-	// this substrate the mark counts the rounds the key generation has
-	// served and derives nothing (every mask is a fresh one-time pad;
-	// cross-round replay of sealed envelopes is prevented by the (Round,
-	// from, to) AEAD associated data instead) — it exists so the
-	// handshake's KeyRounds lifetime budget expires LightSecAgg key
-	// generations exactly as it does secagg's.
+	// The shared continuity state: the cached roster. Its ratchet mark and
+	// taint are unused on this substrate: every mask is a fresh one-time
+	// pad, so a sub-round derives nothing from the session's position, and
+	// nothing reads the taint because no handshake resumes this substrate.
 	session.ClientState
 
+	key *dh.KeyPair // X25519 channel key advertised in stage 0, fixed for the session's life
+
 	mu  sync.Mutex
-	key *dh.KeyPair     // X25519 channel key advertised in stage 0
 	enc *encodingMatrix // cached Lagrange encoding matrix
 
 	channel session.Secrets // peer channel pub → agreed secret (always step 0)
@@ -97,70 +94,23 @@ func resize[T any](xs []T, n int) []T {
 // NewSession generates the session's channel key pair with randomness
 // from rand.
 func NewSession(rand io.Reader) (*Session, error) {
-	s := &Session{}
-	if err := s.Rekey(rand); err != nil {
+	key, err := dh.Generate(rand)
+	if err != nil {
 		return nil, err
 	}
-	return s, nil
+	return &Session{key: key}, nil
 }
 
 // PublicBytes returns the session's advertised channel public key.
-func (s *Session) PublicBytes() []byte { return s.keyPair().PublicBytes() }
-
-// keyPair returns the current channel key pair under the lock (Rekey swaps
-// it, so concurrent readers must not touch the field directly).
-func (s *Session) keyPair() *dh.KeyPair {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.key
-}
+func (s *Session) PublicBytes() []byte { return s.key.PublicBytes() }
 
 // channelKey returns the AEAD key shared with the peer identified by its
 // channel public key, agreeing on first use and caching the result. Safe
 // for concurrent use — the in-process driver runs clients as goroutines
 // over shared sessions.
 func (s *Session) channelKey(peerPub []byte) (*aead.Key, error) {
-	key := s.keyPair()
 	return s.channel.KeyAt(string(peerPub), 0,
-		func() ([dh.SharedSize]byte, error) { return key.Agree(peerPub) })
-}
-
-// Taint and Tainted shadow the shared state's and are deliberately inert
-// (so the promoted ClearTaint clears a mark nothing reads): LightSecAgg's
-// server never reconstructs client key material (dropout recovery
-// interpolates the aggregate mask, and every mask is a fresh one-time
-// pad), so a client that vanishes mid-round can still safely resume its
-// channel keys.
-func (s *Session) Taint()        {}
-func (s *Session) Tainted() bool { return false }
-
-// Rekey replaces the session's channel key pair and drops the cached
-// secrets, the roster, and the rounds-served counter. The geometry-only
-// caches (the Lagrange encoding matrix) survive: they are
-// key-independent.
-func (s *Session) Rekey(rand io.Reader) error {
-	key, err := dh.Generate(rand)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.key = key
-	s.mu.Unlock()
-	s.channel.Clear()
-	s.Reset()
-	return nil
-}
-
-// RekeyEdges drops the cached channel secrets and roster entries for the
-// given divergent peers while keeping this session's own key pair and
-// every other edge — the LightSecAgg face of the handshake's partial
-// resume. The divergent members re-advertise fresh channel keys in the
-// coming round (delivered with the merged roster broadcast) and the
-// dropped edges re-agree on first use.
-func (s *Session) RekeyEdges(ids []uint64) {
-	for _, m := range s.DropMembers(ids) {
-		s.channel.Delete(string(m.CipherPub))
-	}
+		func() ([dh.SharedSize]byte, error) { return s.key.Agree(peerPub) })
 }
 
 // encodingMatrix holds the Lagrange basis weights w[rank−T][k] for
@@ -214,12 +164,10 @@ func (s *Session) matrix(cfg Config) (*encodingMatrix, error) {
 	return enc, nil
 }
 
-// ServerSession is the aggregator's cross-round state: the shared
-// continuity state (session.ServerState — the sealed roster for the
-// advertise skip and the rounds-served mark; the server never reconstructs
-// client key material, so its taint set stays empty) and nothing else.
-// There is no per-edge key material on this substrate, so Rekey and
-// RekeyEdges are the shared state's Reset and DropMembers.
+// ServerSession is the aggregator's state across the sub-rounds of one
+// round: the shared continuity state (session.ServerState — the sealed
+// roster for the advertise skip; the server never reconstructs client key
+// material, so its taint set stays empty) and nothing else.
 type ServerSession struct {
 	session.ServerState
 }
@@ -227,18 +175,9 @@ type ServerSession struct {
 // NewServerSession returns an empty server session.
 func NewServerSession() *ServerSession { return &ServerSession{} }
 
-// Rekey drops the cached roster and the rounds-served counter so the
-// next round collects a fresh advertise stage.
-func (s *ServerSession) Rekey() { s.Reset() }
-
-// RekeyEdges drops the roster entries of the given divergent members so
-// their fresh advertisements replace them in the merged roster of a
-// partial resume.
-func (s *ServerSession) RekeyEdges(ids []uint64) { s.DropMembers(ids) }
-
 // RoundSessions bundles the per-participant sessions a driver shares
 // across the chunked sub-rounds of one logical round (core.RunRound builds
-// one per round; a driver may keep one across rounds). Unlike
+// one per round). Unlike
 // secagg.RoundSessions there is no derivation-point bookkeeping: every
 // sub-round draws fresh uniform masks, so session reuse cannot repeat a
 // mask stream.

@@ -225,16 +225,41 @@ func TestSecAggPlusWithXNoise(t *testing.T) {
 	}
 }
 
+// TestNewConfigLowersThresholdToNeighborhood pins SecAgg+'s threshold
+// rewrite at exact values: a base threshold above the neighbourhood size
+// k+1 becomes ⌈2(k+1)/3⌉, one within it stays (at k+1 and below
+// ⌈2(k+1)/3⌉ alike), and the XNoise plan's
+// threshold follows the config's without the caller's plan moving. Degree
+// 0 takes RecommendedDegree (16 at n = 32, 18 at n = 64).
 func TestNewConfigLowersThresholdToNeighborhood(t *testing.T) {
-	base := secagg.Config{Round: 1, ClientIDs: ids(100), Threshold: 51, Bits: 20, Dim: 8}
-	cfg, err := NewConfig(base, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Threshold > 11 {
-		t.Errorf("threshold %d should fit neighborhood size 11", cfg.Threshold)
-	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		n, degree, base, want int
+	}{
+		{8, 4, 6, 4},
+		{8, 4, 5, 5},
+		{32, 0, 20, 12},
+		{32, 0, 17, 17},
+		{64, 0, 48, 13},
+		{64, 0, 19, 19},
+		{64, 0, 10, 10},
+		{100, 10, 51, 8},
+		{100, 20, 21, 21},
+	} {
+		plan := &xnoise.Plan{NumClients: tc.n, DropoutTolerance: 1, Threshold: tc.base, TargetVariance: 10}
+		base := secagg.Config{Round: 1, ClientIDs: ids(tc.n), Threshold: tc.base, Bits: 20, Dim: 8, XNoise: plan}
+		cfg, err := NewConfig(base, tc.degree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Threshold != tc.want || cfg.XNoise.Threshold != tc.want {
+			t.Errorf("n=%d degree=%d threshold %d: rewritten to %d (plan %d), want %d",
+				tc.n, tc.degree, tc.base, cfg.Threshold, cfg.XNoise.Threshold, tc.want)
+		}
+		if plan.Threshold != tc.base {
+			t.Errorf("n=%d threshold %d: the caller's plan moved to %d", tc.n, tc.base, plan.Threshold)
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("n=%d threshold %d: %v", tc.n, tc.base, err)
+		}
 	}
 }

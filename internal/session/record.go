@@ -12,10 +12,10 @@ import (
 // record is [Magic][tag][version] followed by fixed little-endian fields
 // and the count-prefixed sections below, in the transport.Reader/Writer
 // idiom: allocation caps against hostile prefixes, no count accepted that
-// the remaining payload cannot carry. The substrates own their client
-// records' tags and the key material in them; the sections that hold
-// shared state — and the server record, which holds nothing else — are
-// encoded and decoded here, once.
+// the remaining payload cannot carry. SecAgg owns its client record's tag
+// and the key material in it; the sections that hold shared state — and
+// the server record, which holds nothing else — are encoded and decoded
+// here, once.
 const (
 	// Magic leads every at-rest session record.
 	Magic = 0xDA

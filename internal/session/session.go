@@ -6,11 +6,12 @@
 //
 // secagg.Session / ServerSession and lightsecagg.Session / ServerSession
 // embed ClientState / ServerState and add only what is theirs — key pairs,
-// reconstructed keys, coding matrices. The package imports neither
-// substrate and never asks which one it serves: what a ratchet step
-// derives, and whether taint is ever set, is the embedding type's
-// business (see ARCHITECTURE.md, "Sessions and the key-reuse threat
-// model").
+// reconstructed keys, coding matrices. Only SecAgg's sessions are resumed
+// by the handshake and persisted; LightSecAgg's live one in-process round.
+// The package imports neither substrate and never asks which one it
+// serves: what a ratchet step derives, and whether taint is ever set, is
+// the embedding type's business (see ARCHITECTURE.md, "Sessions and the
+// key-reuse threat model").
 package session
 
 import (

@@ -2,9 +2,9 @@
 // protocol sessions — the persistence half of cross-round session
 // continuity (the other half is the re-key handshake in package core).
 //
-// A client session's serialized form (secagg/persist.go,
-// lightsecagg/persist.go) contains raw X25519 private scalars and cached
-// pairwise secrets, so it never touches disk in the clear: Save wraps the
+// A client session's serialized form (secagg/persist.go) contains raw
+// X25519 private scalars and cached pairwise secrets, so it never touches
+// disk in the clear: Save wraps the
 // record in AES-256-GCM under a store key the deployment supplies out of
 // band, with associated data binding the record to its name and the
 // envelope version. A record copied to another name, truncated, or

@@ -6,8 +6,8 @@ import (
 )
 
 // Reader and Writer are the shared idiom of the binary payload codecs
-// (core's 0xD0 family, lightsecagg's 0xD1, the at-rest session records'
-// 0xDA, the combiner's 0xDC, the transcript's 0xDD): little-endian
+// (core's 0xD0 family, the at-rest session records' 0xDA, the combiner's
+// 0xDC, the transcript's 0xDD): little-endian
 // integers, count-prefixed sections, and — on the decode side — no
 // allocation a length prefix asks for that the remaining bytes cannot
 // back. A family whose layouts evolve leads with [magic][tag][version]

@@ -22,7 +22,8 @@ import (
 )
 
 // Frame is one protocol message on the wire. Payload encoding is the
-// caller's concern (the binary codecs of packages core and lightsecagg).
+// caller's concern (the binary codecs of packages core, combine and
+// transcript).
 //
 // Ownership: a transport never retains Payload after Send/SendTo returns,
 // and every frame Recv yields is exclusively the receiver's, to hand back
