@@ -59,8 +59,10 @@
 //     records: PROTOCOL.md "Session persistence at rest".
 //   - LightSecAgg's field kernels: field.WeightedSumInto (blocked
 //     matrix–vector products, raw 128-bit products summed four rows per
-//     pass and reduced once per output) and field.BatchInv (Montgomery's
-//     trick); shamir.ReconstructBatch for the SecAgg seeds. Their package
+//     pass and reduced once per output), field.BatchInv (Montgomery's
+//     trick) and field.LagrangeBasis (denominators inverted once per
+//     abscissa set, O(t) weights per point), which also serves
+//     shamir.ReconstructBatch for the SecAgg seeds. Their package
 //     comments.
 //   - What any of it costs: go run -C bench . (bench/README.md), the one
 //     place a round, a stage or a kernel is timed; history in CHANGES.md,

@@ -86,7 +86,7 @@ func main() {
 
 	// 3. The comparison that motivates SecAgg-based distributed DP: the
 	//    central noise a Skellam release needs for the same (ε, δ).
-	mu, err := dp.PlanSkellamMu(eps, delta, float64(sens)*float64(sens), float64(sens), 1)
+	mu, err := dp.PlanSkellamMuSampled(eps, delta, float64(sens)*float64(sens), float64(sens), 1, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

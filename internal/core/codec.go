@@ -43,13 +43,26 @@ import (
 //	              (each section sorted by key; a zero count decodes as nil)
 //
 // The magic byte keeps the family disjoint from the repo's other framed
-// encodings, so a misrouted payload fails loudly rather than mis-decoding.
+// encodings, and every payload kind of the family — these four, the
+// control messages (control.go) and the re-key handshake (handshake.go) —
+// has its own tag here, so a misrouted payload fails loudly rather than
+// mis-decoding.
 const (
 	codecMagic     = 0xD0
 	tagMaskedInput = 0x01
 	tagResult      = 0x02
 	tagShareMsgs   = 0x03
 	tagUnmask      = 0x04
+	tagAdvertise   = 0x05
+	tagRoster      = 0x06
+	tagIDSet       = 0x07
+	tagConsistency = 0x08
+	tagUnmaskReq   = 0x09
+	tagNoiseShares = 0x0A
+	tagRoundOffer  = 0x0B
+	tagRoundAck    = 0x0C
+	tagRoundCommit = 0x0D
+	tagRoundHello  = 0x0E
 )
 
 // maxWireElems caps decoded slice lengths so a hostile length prefix

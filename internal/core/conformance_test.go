@@ -74,6 +74,39 @@ func TestHandshakeCommitDivergentConsistency(t *testing.T) {
 }
 func TestWriteHandshakeCorpus(t *testing.T) { handshakeFamily(t).Check(t, "corpus/FuzzHandshakeCodec") }
 
+// TestCodecTagsDistinct: every payload kind of the 0xD0 family — the wire
+// codec's, the handshake's and the bare hello — starts with a [magic][tag]
+// prefix of its own, so a payload handed to the wrong decoder fails on its
+// tag. Kinds that decode one layout by design (SameLayout) share one.
+func TestCodecTagsDistinct(t *testing.T) {
+	owner := map[[2]byte]string{{codecMagic, tagRoundHello}: "hello"}
+	for _, fam := range []*fuzzcorpus.Family{wireFamily(t), handshakeFamily(t)} {
+		layout := map[string]string{} // kind → the first kind of its SameLayout group
+		for _, g := range fam.SameLayout {
+			for _, k := range g {
+				layout[k] = g[0]
+			}
+		}
+		for _, k := range fam.Kinds {
+			name := k.Name
+			if first, ok := layout[name]; ok {
+				name = first
+			}
+			for _, s := range k.Samples {
+				p, err := k.Encode(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				prefix := [2]byte{p[0], p[1]}
+				if prev, ok := owner[prefix]; ok && prev != name {
+					t.Errorf("%s and %s both start with [% x]", prev, name, prefix)
+				}
+				owner[prefix] = name
+			}
+		}
+	}
+}
+
 // wireFamily is the SecAgg wire codec's table: one kind per frame tag of
 // wireCodec.
 func wireFamily(tb testing.TB) *fuzzcorpus.Family {

@@ -27,14 +27,8 @@ import (
 //	consistency:  [magic][tagConsistency][From:8][blob Signature]
 //	unmask req:   [magic][tagUnmaskReq][slab U3][slab U4][n:4] n × ([id:8][blob Signature])
 //	noise shares: [magic][tagNoiseShares][From:8][n:4] n × ([v:8][m:4] m × ([k:8][X:8][Y:8]))
-const (
-	tagAdvertise   = 0x05
-	tagRoster      = 0x06
-	tagIDSet       = 0x07
-	tagConsistency = 0x08
-	tagUnmaskReq   = 0x09
-	tagNoiseShares = 0x0A
-)
+//
+// The tags are in codec.go's block with the family's others.
 
 // maxControlBlob caps one key or signature field (32 and 64 bytes today).
 const maxControlBlob = 1 << 10

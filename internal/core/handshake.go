@@ -67,14 +67,9 @@ import (
 // key-reuse threat model") covers the threat model of resumed key
 // generations.
 
-// Handshake message codec tags, continuing the core binary codec tag
-// namespace (codec.go: 0x01–0x04).
+// The handshake's codec tags (tagRoundOffer … tagRoundHello) are in
+// codec.go's block with the rest of the 0xD0 family.
 const (
-	tagRoundOffer  = 0x05
-	tagRoundAck    = 0x06
-	tagRoundCommit = 0x07
-	tagRoundHello  = 0x08
-
 	// handshakeVersion versions the message layouts together; a
 	// mixed-version peer fails loudly at decode. Version 2 added the
 	// divergent-member section to the commit (partial resume); version 3
@@ -83,8 +78,10 @@ const (
 	// gates the mask expansion layout (ring.MaskManyInPlace: ⌊64/Bits⌋
 	// coordinates per keystream word), which both ends of every pairwise
 	// mask must share, so builds on either side of it refuse each other
-	// here instead of aggregating garbage.
-	handshakeVersion = 4
+	// here instead of aggregating garbage. Version 5 changed no field
+	// either: it moved the four handshake tags from 0x05–0x08, which the
+	// control messages also used, to 0x0B–0x0E.
+	handshakeVersion = 5
 
 	// maxHandshakeSig caps a declared signature length (Ed25519 needs 64).
 	maxHandshakeSig = 1 << 10

@@ -145,49 +145,22 @@ func SumClosenessTau(sigma2PerClient float64, n int) float64 {
 	return 10 * tau
 }
 
-// RDP returns the Rényi-DP ε at order alpha for one release of a query
-// with L2 sensitivity delta2 perturbed by (approximately) N_Z(0, σ²_total)
-// noise. The discrete Gaussian satisfies the same concentrated-DP bound as
-// the continuous one (CKS Theorem 4): ε(α) = α·Δ₂²/(2σ²).
-func RDP(alpha, delta2, sigma2Total float64) float64 {
-	if sigma2Total <= 0 {
-		return math.Inf(1)
-	}
-	return alpha * delta2 * delta2 / (2 * sigma2Total)
-}
-
 // PlanSigma2 returns the minimum per-round total variance σ²_total such
 // that `rounds` releases of a Δ₂-sensitive query stay within (ε, δ),
 // accounting for the per-client closeness slack (clients each contribute
-// σ²_total/n). Mirrors dp.PlanSkellamMu for the DDGauss mechanism.
+// σ²_total/n), with the search dp.PlanSkellamMuSampled uses
+// (dp.PlanVariance).
 func PlanSigma2(epsilonBudget, delta, delta2 float64, rounds, n int) (float64, error) {
 	if epsilonBudget <= 0 || delta <= 0 || delta2 <= 0 || rounds <= 0 || n <= 0 {
 		return 0, fmt.Errorf("dgauss: invalid planning arguments")
 	}
-	// ε is monotone decreasing in σ²: bisect on σ²_total.
-	lo, hi := 1e-9, 1.0
-	compose := func(s2 float64) float64 {
+	return dp.PlanVariance(epsilonBudget, func(s2 float64) float64 {
 		eps, err := ComposedEpsilon(rounds, delta2, s2, s2/float64(n), n, delta)
 		if err != nil {
 			return math.Inf(1)
 		}
 		return eps
-	}
-	for compose(hi) > epsilonBudget {
-		hi *= 2
-		if hi > 1e30 {
-			return 0, fmt.Errorf("dgauss: cannot meet ε=%v δ=%v in %d rounds", epsilonBudget, delta, rounds)
-		}
-	}
-	for i := 0; i < 80; i++ {
-		mid := (lo + hi) / 2
-		if compose(mid) > epsilonBudget {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi, nil
+	})
 }
 
 // ComposedEpsilon returns the ε consumed by `rounds` releases at fixed
@@ -195,7 +168,10 @@ func PlanSigma2(epsilonBudget, delta, delta2 float64, rounds, n int) (float64, e
 // DDGauss). Composition runs through dp.Accountant so the RDP→(ε, δ)
 // conversion (improved Balle et al. bound) is identical to the DSkellam
 // path — the two mechanisms differ only in their per-release RDP and in
-// DDGauss's τ slack, which is folded into δ.
+// DDGauss's τ slack, which is folded into δ. The discrete Gaussian
+// satisfies the continuous Gaussian's concentrated-DP bound (CKS
+// Theorem 4), so each release is accounted as dp.GaussianRDP at
+// σ = √σ²_total.
 func ComposedEpsilon(rounds int, delta2, sigma2Total, sigma2PerClient float64, n int, delta float64) (float64, error) {
 	tau := SumClosenessTau(sigma2PerClient, n)
 	dEff := delta - float64(rounds)*tau
@@ -204,9 +180,7 @@ func ComposedEpsilon(rounds int, delta2, sigma2Total, sigma2PerClient float64, n
 	}
 	a := dp.NewAccountant(nil)
 	for r := 0; r < rounds; r++ {
-		a.AddRDPFunc(func(alpha float64) float64 {
-			return RDP(alpha, delta2, sigma2Total)
-		})
+		a.AddGaussian(delta2, math.Sqrt(sigma2Total))
 	}
 	return a.Epsilon(dEff), nil
 }

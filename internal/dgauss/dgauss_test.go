@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dp"
 	"repro/internal/prg"
 )
 
@@ -190,16 +191,22 @@ func TestSumClosenessTau(t *testing.T) {
 	}
 }
 
-// TestRDPGaussianEquivalence: the discrete Gaussian RDP bound equals the
-// continuous Gaussian's αΔ²/2σ².
+// TestRDPGaussianEquivalence: one DDGauss release is accounted exactly as
+// dp's continuous Gaussian at σ = √σ², with the closeness slack τ taken
+// out of δ.
 func TestRDPGaussianEquivalence(t *testing.T) {
-	got := RDP(8, 3, 50)
-	want := 8.0 * 9 / 100
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("RDP = %v, want %v", got, want)
+	const s2, n, delta = 50.0, 10, 1e-3
+	got, err := ComposedEpsilon(1, 3, s2, s2/n, n, delta)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !math.IsInf(RDP(2, 1, 0), 1) {
-		t.Error("RDP with zero variance should be +Inf")
+	a := dp.NewAccountant(nil)
+	a.AddGaussian(3, math.Sqrt(s2))
+	if want := a.Epsilon(delta - SumClosenessTau(s2/n, n)); got != want {
+		t.Errorf("ComposedEpsilon = %v, want dp's Gaussian ε %v", got, want)
+	}
+	if got, _ := ComposedEpsilon(1, 1, 0, 0, n, delta); !math.IsInf(got, 1) {
+		t.Errorf("ε with zero variance = %v, want +Inf", got)
 	}
 }
 

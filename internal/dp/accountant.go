@@ -6,8 +6,10 @@
 //
 //  1. Offline noise planning: given a global budget (ε_G, δ_G) and a round
 //     count R, compute the minimum per-round central noise variance σ²*
-//     such that composing R releases stays within budget (PlanSkellamMu,
-//     PlanSkellamMuSampled).
+//     such that composing R releases stays within budget
+//     (PlanSkellamMuSampled, with q = 1 when every client takes part in
+//     every round; PlanVariance is the search it shares with
+//     dgauss.PlanSigma2).
 //  2. Online noise enforcement: every round actually releases an aggregate
 //     perturbed with some achieved variance (exactly σ²* under XNoise;
 //     possibly less under Orig with dropout — every client-noised scheme
@@ -100,13 +102,6 @@ func (a *Accountant) AddGaussian(sensitivity, sigma float64) {
 	}
 }
 
-// AddSkellam composes one Skellam release.
-func (a *Accountant) AddSkellam(delta1, delta2, mu float64) {
-	for i, alpha := range a.orders {
-		a.rdp[i] += SkellamRDP(alpha, delta1, delta2, mu)
-	}
-}
-
 // AddRDPFunc composes one release described by an arbitrary order→RDP
 // function (the hook for custom mechanisms; examples/custom_mechanism
 // uses it).
@@ -159,24 +154,15 @@ func (a *Accountant) Epsilon(delta float64) float64 {
 	return best
 }
 
-// SkellamEpsilon is the (ε, δ) cost of R Skellam releases.
-func SkellamEpsilon(rounds int, delta1, delta2, mu, delta float64) float64 {
-	a := NewAccountant(nil)
-	for r := 0; r < rounds; r++ {
-		a.AddSkellam(delta1, delta2, mu)
-	}
-	return a.Epsilon(delta)
-}
-
-// PlanSkellamMu returns the smallest per-round central Skellam variance μ
-// meeting the budget over R rounds at the given integer sensitivities.
-func PlanSkellamMu(epsilonBudget, delta, delta1, delta2 float64, rounds int) (float64, error) {
-	if epsilonBudget <= 0 || rounds <= 0 || delta2 <= 0 {
-		return 0, fmt.Errorf("dp: invalid plan parameters eps=%v rounds=%d Δ2=%v",
-			epsilonBudget, rounds, delta2)
-	}
+// PlanVariance returns the smallest noise variance whose ε, as epsilonAt
+// reports it, stays within the budget; epsilonAt must fall as the variance
+// grows. It doubles an upper end from 1 until it meets the budget, then
+// bisects [10⁻⁹, hi] geometrically until hi/lo ≤ 1+10⁻⁴ and returns hi,
+// the end that meets it. Skellam (PlanSkellamMuSampled) and DDGauss
+// (dgauss.PlanSigma2) planning both run through it.
+func PlanVariance(epsilonBudget float64, epsilonAt func(variance float64) float64) (float64, error) {
 	lo, hi := 1e-9, 1.0
-	for SkellamEpsilon(rounds, delta1, delta2, hi, delta) > epsilonBudget {
+	for epsilonAt(hi) > epsilonBudget {
 		hi *= 2
 		if hi > 1e30 {
 			return 0, fmt.Errorf("dp: cannot satisfy budget ε=%v", epsilonBudget)
@@ -184,7 +170,7 @@ func PlanSkellamMu(epsilonBudget, delta, delta1, delta2 float64, rounds int) (fl
 	}
 	for i := 0; i < 120 && hi/lo > 1+1e-4; i++ {
 		mid := math.Sqrt(lo * hi)
-		if SkellamEpsilon(rounds, delta1, delta2, mid, delta) > epsilonBudget {
+		if epsilonAt(mid) > epsilonBudget {
 			lo = mid
 		} else {
 			hi = mid

@@ -121,21 +121,21 @@ func TestPlanSkellamMuMeetsBudget(t *testing.T) {
 		rounds     = 50
 	)
 	d1 := d2 * 10 // loose L1 bound
-	mu, err := PlanSkellamMu(eps, delta, d1, d2, rounds)
+	mu, err := PlanSkellamMuSampled(eps, delta, d1, d2, rounds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := SkellamEpsilon(rounds, d1, d2, mu, delta); got > eps {
+	if got := SkellamEpsilonSampled(rounds, d1, d2, mu, delta, 1); got > eps {
 		t.Errorf("planned μ=%v exceeds budget: ε=%v", mu, got)
 	}
-	if under := SkellamEpsilon(rounds, d1, d2, mu*0.98, delta); under <= eps {
+	if under := SkellamEpsilonSampled(rounds, d1, d2, mu*0.98, delta, 1); under <= eps {
 		t.Errorf("μ not minimal")
 	}
 }
 
 func TestMoreRoundsNeedMoreNoise(t *testing.T) {
-	mu150, _ := PlanSkellamMu(6, 1e-3, 1000, 100, 150)
-	mu300, _ := PlanSkellamMu(6, 1e-3, 1000, 100, 300)
+	mu150, _ := PlanSkellamMuSampled(6, 1e-3, 1000, 100, 150, 1)
+	mu300, _ := PlanSkellamMuSampled(6, 1e-3, 1000, 100, 300, 1)
 	if mu300 <= mu150 {
 		t.Errorf("300 rounds should need more noise than 150: %v vs %v", mu300, mu150)
 	}

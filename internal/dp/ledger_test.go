@@ -35,7 +35,7 @@ func TestLedgerXNoiseVsOrig(t *testing.T) {
 		u       = 16
 		dropped = 5 // ~30% dropout each round
 	)
-	sigma2, err := PlanSkellamMu(budget, delta, d1, d2, rounds)
+	sigma2, err := PlanSkellamMuSampled(budget, delta, d1, d2, rounds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestAchievedVarianceConservative(t *testing.T) {
 func TestHigherDropoutMoreEpsilon(t *testing.T) {
 	// Figure 1d shape: ε consumed grows with dropout rate for Orig.
 	const rounds, u = 150, 16
-	sigma2, _ := PlanSkellamMu(6, 1e-2, 1000, 100, rounds)
+	sigma2, _ := PlanSkellamMuSampled(6, 1e-2, 1000, 100, rounds, 1)
 	prev := 0.0
 	for _, dropRate := range []float64{0, 0.1, 0.2, 0.3, 0.4} {
 		l := unsampledLedger(t, 1e-2, 1000, 100)

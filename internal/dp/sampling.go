@@ -60,22 +60,9 @@ func PlanSkellamMuSampled(epsilonBudget, delta, delta1, delta2 float64, rounds i
 		return 0, fmt.Errorf("dp: invalid plan parameters eps=%v rounds=%d Δ2=%v",
 			epsilonBudget, rounds, delta2)
 	}
-	lo, hi := 1e-9, 1.0
-	for SkellamEpsilonSampled(rounds, delta1, delta2, hi, delta, q) > epsilonBudget {
-		hi *= 2
-		if hi > 1e30 {
-			return 0, fmt.Errorf("dp: cannot satisfy budget ε=%v", epsilonBudget)
-		}
-	}
-	for i := 0; i < 120 && hi/lo > 1+1e-4; i++ {
-		mid := math.Sqrt(lo * hi)
-		if SkellamEpsilonSampled(rounds, delta1, delta2, mid, delta, q) > epsilonBudget {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi, nil
+	return PlanVariance(epsilonBudget, func(mu float64) float64 {
+		return SkellamEpsilonSampled(rounds, delta1, delta2, mu, delta, q)
+	})
 }
 
 // SampledLedger tracks the privacy budget actually consumed over a

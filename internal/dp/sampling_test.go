@@ -55,8 +55,13 @@ func TestSampledLedgerMatchesFullAtQ1(t *testing.T) {
 	for r := 0; r < 10; r++ {
 		sampled.RecordRound(1e7)
 	}
-	full := SkellamEpsilon(10, 1000, 100, 1e7, 1e-3)
-	if math.Abs(full-sampled.Epsilon()) > 1e-9 {
+	// At q = 1 the amplification factor is exactly 1.0, so the ledger
+	// composes the same RDP as an accountant fed SkellamRDP directly.
+	a := NewAccountant(nil)
+	for r := 0; r < 10; r++ {
+		a.AddRDPFunc(func(alpha float64) float64 { return SkellamRDP(alpha, 1000, 100, 1e7) })
+	}
+	if full := a.Epsilon(1e-3); sampled.Epsilon() != full {
 		t.Errorf("q=1 sampled ledger %v != unsampled accounting %v", sampled.Epsilon(), full)
 	}
 }

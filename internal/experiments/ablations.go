@@ -264,7 +264,7 @@ func AblationMechanisms() ([]AblSRow, error) {
 			return nil, err
 		}
 		d1, d2 := p.Sensitivities()
-		mu, err := dp.PlanSkellamMu(6, task.delta, d1, d2, task.rounds)
+		mu, err := dp.PlanSkellamMuSampled(6, task.delta, d1, d2, task.rounds, 1)
 		if err != nil {
 			return nil, err
 		}

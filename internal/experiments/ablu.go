@@ -35,7 +35,7 @@ func AblationShuffle() ([]AblURow, error) {
 		delta := 1.0 / float64(n)
 		// SecAgg path: one Skellam release at central target; the noise in
 		// the aggregate is exactly the planned μ.
-		mu, err := dp.PlanSkellamMu(6, delta, sens, sens, 1)
+		mu, err := dp.PlanSkellamMuSampled(6, delta, sens, sens, 1, 1)
 		if err != nil {
 			return nil, err
 		}

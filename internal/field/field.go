@@ -176,53 +176,63 @@ func LagrangeInterpolateAt(xs, ys []Element, x Element) (Element, error) {
 	return acc, nil
 }
 
-// LagrangeCoefficientsAt returns the Lagrange basis coefficients
-// l_i = Π_{j≠i} (x - xs[j]) / (xs[i] - xs[j]) for evaluation at x, so that
-// the interpolated value is Σ ys[i]·l_i. Computing the coefficients once
-// and reusing them across many secrets shared over the same abscissa set
-// turns K reconstructions from K·O(t²) multiplications into one O(t²)
-// coefficient pass plus K·O(t) dot products — the shape of XNoise seed
-// recovery, where the survivor set is identical for all K noise seeds.
-//
-// The denominators are inverted in a single batch (Montgomery's trick):
-// one modular inversion total instead of t.
-func LagrangeCoefficientsAt(xs []Element, x Element) ([]Element, error) {
-	n := len(xs)
-	if n == 0 {
-		return nil, errors.New("field: interpolation requires at least one point")
+// LagrangeBasis interpolates polynomials of degree < len(xs) from their
+// values at the abscissas xs. The denominators Π_{m≠k}(xs_k − xs_m) do not
+// depend on where the polynomial is evaluated, so they are multiplied out
+// and inverted (one BatchInv) once per abscissa set; each evaluation point
+// then costs one prefix/suffix pass, O(t). K reconstructions over the same
+// abscissas — XNoise seed recovery, where the survivor set is identical
+// for all K noise seeds, and LightSecAgg's encoding and recovery matrices —
+// cost O(t²) + K·O(t) instead of K·O(t²). LagrangeInterpolateAt is its
+// scalar oracle.
+type LagrangeBasis struct {
+	xs   []Element
+	dinv []Element // 1 / Π_{m≠k}(xs_k − xs_m)
+}
+
+// NewLagrangeBasis builds the basis over xs, which must be non-empty and
+// pairwise distinct. The basis keeps xs, so the caller must not change it
+// afterwards.
+func NewLagrangeBasis(xs []Element) (LagrangeBasis, error) {
+	if len(xs) == 0 {
+		return LagrangeBasis{}, errors.New("field: interpolation requires at least one point")
 	}
-	for i := range xs {
-		for j := i + 1; j < n; j++ {
-			if xs[i] == xs[j] {
-				return nil, fmt.Errorf("field: duplicate interpolation abscissa %d", xs[i])
-			}
-		}
-	}
-	num := make([]Element, n) // num[i] = Π_{j≠i} (x - xs[j])
-	den := make([]Element, n) // den[i] = Π_{j≠i} (xs[i] - xs[j])
-	for i := range xs {
-		ni := Element(1)
-		di := Element(1)
-		for j := range xs {
-			if j == i {
+	den := make([]Element, len(xs))
+	for k, xk := range xs {
+		dk := Element(1)
+		for m, xm := range xs {
+			if m == k {
 				continue
 			}
-			ni = Mul(ni, Sub(x, xs[j]))
-			di = Mul(di, Sub(xs[i], xs[j]))
+			if xk == xm {
+				return LagrangeBasis{}, fmt.Errorf("field: duplicate interpolation abscissa %d", xk)
+			}
+			dk = Mul(dk, Sub(xk, xm))
 		}
-		num[i] = ni
-		den[i] = di
+		den[k] = dk
 	}
-	// Batch-invert the denominators: one Inv total (Montgomery's trick).
-	dinv, err := BatchInv(den)
+	dinv, err := BatchInv(den) // every factor is non-zero, so this cannot fail
 	if err != nil {
-		return nil, err // a zero denominator implies duplicate abscissas
+		return LagrangeBasis{}, err
 	}
-	coeffs := make([]Element, n)
-	for i := range coeffs {
-		coeffs[i] = Mul(num[i], dinv[i])
+	return LagrangeBasis{xs: xs, dinv: dinv}, nil
+}
+
+// WeightsAt returns w_k = Π_{m≠k}(x − xs_m)/(xs_k − xs_m), so that
+// f(x) = Σ_k w_k·f(xs_k).
+func (b LagrangeBasis) WeightsAt(x Element) []Element {
+	ws := make([]Element, len(b.xs))
+	below := Element(1) // Π_{m<k}(x − xs_m)
+	for k, xk := range b.xs {
+		ws[k] = Mul(b.dinv[k], below)
+		below = Mul(below, Sub(x, xk))
 	}
-	return coeffs, nil
+	above := Element(1) // Π_{m>k}(x − xs_m)
+	for k := len(b.xs) - 1; k >= 0; k-- {
+		ws[k] = Mul(ws[k], above)
+		above = Mul(above, Sub(x, b.xs[k]))
+	}
+	return ws
 }
 
 // BatchInv returns the multiplicative inverse of every element using a

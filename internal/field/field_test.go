@@ -217,27 +217,39 @@ func TestLagrangeCoefficientsMatchInterpolation(t *testing.T) {
 			}
 			ys[i] = New(rng.Uint64())
 		}
+		basis, err := NewLagrangeBasis(xs)
+		if err != nil {
+			t.Fatal(err)
+		}
 		at := New(rng.Uint64())
 		want, err := LagrangeInterpolateAt(xs, ys, at)
 		if err != nil {
 			t.Fatal(err)
 		}
-		coeffs, err := LagrangeCoefficientsAt(xs, at)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ws := basis.WeightsAt(at)
 		var got Element
-		for i := range coeffs {
-			got = Add(got, Mul(ys[i], coeffs[i]))
+		for i := range ws {
+			got = Add(got, Mul(ys[i], ws[i]))
 		}
 		if got != want {
-			t.Fatalf("trial %d: coefficient dot product %v != interpolation %v", trial, got, want)
+			t.Fatalf("trial %d: weight dot product %v != interpolation %v", trial, got, want)
+		}
+		// At an abscissa the weights select that point: a unit vector.
+		k := int(rng.Uint64() % uint64(n))
+		for i, w := range basis.WeightsAt(xs[k]) {
+			var unit Element
+			if i == k {
+				unit = 1
+			}
+			if w != unit {
+				t.Fatalf("trial %d: weights at xs[%d] are not the unit vector e_%d: w[%d] = %v", trial, k, k, i, w)
+			}
 		}
 	}
-	if _, err := LagrangeCoefficientsAt(nil, 0); err == nil {
+	if _, err := NewLagrangeBasis(nil); err == nil {
 		t.Error("empty abscissas should error")
 	}
-	if _, err := LagrangeCoefficientsAt([]Element{1, 1}, 0); err == nil {
+	if _, err := NewLagrangeBasis([]Element{1, 1}); err == nil {
 		t.Error("duplicate abscissas should error")
 	}
 }

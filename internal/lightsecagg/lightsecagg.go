@@ -156,54 +156,6 @@ func (c Config) rank(id uint64) (int, error) {
 	return i, nil
 }
 
-// lagrangeBasis interpolates polynomials of degree < len(xs) from their
-// values at the abscissas xs. The denominators Π_{m≠k}(xs_k − xs_m) do not
-// depend on where the polynomial is evaluated, so they are multiplied out
-// and inverted (one field.BatchInv) once per abscissa set; each evaluation
-// point then costs one prefix/suffix pass — O(u² + rows·u) for a whole
-// weight matrix. The encoding matrix (abscissas β_1..β_{U−T}, α_0..α_{T−1},
-// one row per client point α_T..α_{n−1}) and the server's recovery
-// (abscissas the responders' α_rank, one row per data point) both use it.
-type lagrangeBasis struct {
-	xs   []field.Element
-	dinv []field.Element // 1 / Π_{m≠k}(xs_k − xs_m)
-}
-
-func newLagrangeBasis(xs []field.Element) (lagrangeBasis, error) {
-	den := make([]field.Element, len(xs))
-	for k, xk := range xs {
-		dk := field.New(1)
-		for m, xm := range xs {
-			if m != k {
-				dk = field.Mul(dk, field.Sub(xk, xm))
-			}
-		}
-		den[k] = dk
-	}
-	dinv, err := field.BatchInv(den)
-	if err != nil {
-		return lagrangeBasis{}, fmt.Errorf("lightsecagg: coincident abscissas: %w", err)
-	}
-	return lagrangeBasis{xs: xs, dinv: dinv}, nil
-}
-
-// weightsAt returns w_k = Π_{m≠k}(x − xs_m)/(xs_k − xs_m), so that
-// f(x) = Σ_k w_k·f(xs_k).
-func (b lagrangeBasis) weightsAt(x field.Element) []field.Element {
-	ws := make([]field.Element, len(b.xs))
-	below := field.New(1) // Π_{m<k}(x − xs_m)
-	for k, xk := range b.xs {
-		ws[k] = field.Mul(b.dinv[k], below)
-		below = field.Mul(below, field.Sub(x, xk))
-	}
-	above := field.New(1) // Π_{m>k}(x − xs_m)
-	for k := len(b.xs) - 1; k >= 0; k-- {
-		ws[k] = field.Mul(ws[k], above)
-		above = field.Mul(above, field.Sub(x, b.xs[k]))
-	}
-	return ws
-}
-
 // recoveryWeights returns ws[k][i] = the Lagrange weight of responder i
 // for interpolating the aggregate polynomial at data point β_{k+1}, for
 // the given responder cohort.
@@ -216,13 +168,13 @@ func recoveryWeights(cfg Config, responders []uint64) ([][]field.Element, error)
 		}
 		xs[i] = cfg.alpha(rank)
 	}
-	basis, err := newLagrangeBasis(xs)
+	basis, err := field.NewLagrangeBasis(xs)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("lightsecagg: %w", err)
 	}
 	ws := make([][]field.Element, cfg.RecoveryThreshold()-cfg.PrivacyT)
 	for k := range ws {
-		ws[k] = basis.weightsAt(cfg.beta(k + 1))
+		ws[k] = basis.WeightsAt(cfg.beta(k + 1))
 	}
 	return ws, nil
 }

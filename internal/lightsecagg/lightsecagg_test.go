@@ -145,14 +145,14 @@ func TestShareConsistency(t *testing.T) {
 		xs[i] = cfg.alpha(i)
 		ys[i] = shares[cfg.ClientIDs[i]]
 	}
-	basis, err := newLagrangeBasis(xs)
+	basis, err := field.NewLagrangeBasis(xs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	l := cfg.SubVectorLen()
 	parts := u - cfg.PrivacyT
 	for k := 0; k < parts; k++ {
-		ws := basis.weightsAt(cfg.beta(k + 1))
+		ws := basis.WeightsAt(cfg.beta(k + 1))
 		for tt := 0; tt < l; tt++ {
 			var got field.Element
 			for i := range xs {

@@ -133,13 +133,13 @@ func newEncodingMatrix(cfg Config) (*encodingMatrix, error) {
 	for r := range t {
 		xs[u-t+r] = cfg.alpha(r)
 	}
-	basis, err := newLagrangeBasis(xs)
+	basis, err := field.NewLagrangeBasis(xs)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("lightsecagg: %w", err)
 	}
 	m := &encodingMatrix{n: n, u: u, t: t, w: make([][]field.Element, n-t)}
 	for i := range m.w {
-		m.w[i] = basis.weightsAt(cfg.alpha(t + i))
+		m.w[i] = basis.WeightsAt(cfg.alpha(t + i))
 	}
 	return m, nil
 }

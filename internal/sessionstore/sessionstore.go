@@ -21,13 +21,13 @@ package sessionstore
 
 import (
 	"crypto/rand"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"repro/internal/aead"
+	"repro/internal/prg"
 )
 
 // envelopeMagic prefixes every stored record (4 bytes, versioned).
@@ -43,14 +43,10 @@ type Store struct {
 }
 
 // DeriveKey maps arbitrary key material (a passphrase, the contents of a
-// key file) to the store's AEAD key via a domain-separated SHA-256.
+// key file) to the store's AEAD key: prg.NewSeed's SHA-256 over a domain
+// label and the secret.
 func DeriveKey(secret []byte) [aead.KeySize]byte {
-	h := sha256.New()
-	h.Write([]byte("dordis/sessionstore/key/v1"))
-	h.Write(secret)
-	var out [aead.KeySize]byte
-	h.Sum(out[:0])
-	return out
+	return prg.NewSeed([]byte("dordis/sessionstore/key/v1"), secret)
 }
 
 // Open creates (0700) or reuses the directory and returns a store sealing

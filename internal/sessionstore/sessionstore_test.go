@@ -2,6 +2,7 @@ package sessionstore
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -93,5 +94,15 @@ func TestSessionStoreNameValidation(t *testing.T) {
 		if _, err := st.Load(bad); err == nil {
 			t.Fatalf("loaded under bad name %q", bad)
 		}
+	}
+}
+
+// TestDeriveKeyGolden pins the store key derivation: a store written under
+// a key from an earlier build must still open, so the bytes may not move.
+func TestDeriveKeyGolden(t *testing.T) {
+	k := DeriveKey([]byte("test key material"))
+	const want = "304c871402e5603eb96ebd7c9f6b05446305107d6593f7d2d86fda618ebc9b55"
+	if got := hex.EncodeToString(k[:]); got != want {
+		t.Fatalf("DeriveKey = %s, want %s", got, want)
 	}
 }

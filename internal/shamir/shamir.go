@@ -122,10 +122,11 @@ func ReconstructBatch(shareSets [][]Share, t int) ([]field.Element, error) {
 		}
 		xs[i] = s.X
 	}
-	coeffs, err := field.LagrangeCoefficientsAt(xs, 0)
+	basis, err := field.NewLagrangeBasis(xs)
 	if err != nil {
 		return nil, fmt.Errorf("shamir: %w", err)
 	}
+	coeffs := basis.WeightsAt(0)
 	out := make([]field.Element, len(shareSets))
 	for k, shares := range shareSets {
 		if len(shares) < t {

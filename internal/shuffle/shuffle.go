@@ -31,6 +31,7 @@ import (
 	"io"
 	"math"
 
+	"repro/internal/dgauss"
 	"repro/internal/prg"
 	"repro/internal/rng"
 )
@@ -88,8 +89,9 @@ type Report struct {
 
 // Randomize applies the ε₀-LDP local randomizer to an integer vector with
 // per-coordinate L1 sensitivity `sens` (after clipping/discretization):
-// discrete Laplace noise of scale t = ⌈sens/ε₀⌉ per coordinate, which is
-// ε₀-DP for one changed report by the standard Laplace argument on ℤ.
+// discrete Laplace noise of scale t = ⌈sens/ε₀⌉ per coordinate (dgauss's
+// exact sampler), which is ε₀-DP for one changed report by the standard
+// Laplace argument on ℤ.
 func Randomize(update []int64, sens int64, epsilon0 float64, s *prg.Stream) (Report, error) {
 	if sens <= 0 || epsilon0 <= 0 {
 		return Report{}, fmt.Errorf("shuffle: invalid sens=%d ε₀=%v", sens, epsilon0)
@@ -97,26 +99,9 @@ func Randomize(update []int64, sens int64, epsilon0 float64, s *prg.Stream) (Rep
 	t := int(math.Ceil(float64(sens) / epsilon0))
 	out := make([]int64, len(update))
 	for i, v := range update {
-		out[i] = v + discreteLaplace(s, t)
+		out[i] = v + dgauss.DiscreteLaplace(s, t)
 	}
 	return Report{Values: out}, nil
-}
-
-// discreteLaplace draws from P(x) ∝ exp(−|x|/t) on ℤ via two geometrics.
-func discreteLaplace(s *prg.Stream, t int) int64 {
-	if t < 1 {
-		t = 1
-	}
-	p := 1 - math.Exp(-1/float64(t))
-	g := func() int64 {
-		// Geometric(p) on {0, 1, …} by inversion.
-		u := s.Float64()
-		if u >= 1 {
-			u = math.Nextafter(1, 0)
-		}
-		return int64(math.Floor(math.Log1p(-u) / math.Log1p(-p)))
-	}
-	return g() - g()
 }
 
 // Shuffler forwards reports in a uniformly random order with origin
