@@ -12,6 +12,7 @@ import (
 	"repro/internal/prg"
 	"repro/internal/ring"
 	"repro/internal/secagg"
+	"repro/internal/xnoise"
 )
 
 // TestWireRoundAllocBudget is the allocation budget as a test: a warm
@@ -23,34 +24,45 @@ import (
 //   - session-less, each client's buffer, made once per round, and the
 //     server's accumulators;
 //   - on a warm session (the continuing service), only the server's
-//     accumulators, since every client's session keeps its buffer.
+//     accumulators, since every client's session keeps its buffer;
+//   - with in-protocol XNoise, also each client's noise streams and seed
+//     shares and the server's removal noise: a client's Dim-long noise
+//     total is leased and handed back before masking (secagg's totals,
+//     which holds all eight of this row's 16384-coordinate totals).
 //
 // With every frame made, decoded into a second slice and encoded into a
 // third, the session-less round ran at about seven times its vector
 // bytes, and at 2.4× while a client cloned its input into the upload and
 // decoded the result into a fresh slice. On two cores it runs at ≈1.35×
 // (≈1.38× under -race) and a session round at ≈0.35× (≈0.37×); the
-// budgets are those figures plus ~30 %. Each further core adds up to
+// XNoise round ran at ≈2.9× (≈3.0×) while every client made its noise
+// total and runs at ≈1.9× (≈2.1×) now. The budgets are those figures plus
+// ~30 %. Each further core adds up to
 // perCore: the mask kernel seeks every stream once per worker (≈0.01× a
 // core, ≈0.02× under -race, whose sync.Pool drops a quarter of them).
 func TestWireRoundAllocBudget(t *testing.T) {
 	const (
 		clients = 8
-		dim     = 65536
 		perCore = 0.025
 	)
 	for _, tc := range []struct {
 		name               string
-		sessions           bool
+		sessions, xnoise   bool
+		dim                int
 		budget, raceBudget float64 // × the round's vector bytes, on two cores
 	}{
-		{"session-less", false, 1.75, 1.8},
-		{"session", true, 0.46, 0.48},
+		{"session-less", false, false, 65536, 1.75, 1.8},
+		{"session", true, false, 65536, 0.46, 0.48},
+		{"session-less xnoise", false, true, 16384, 2.45, 2.7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			dim := tc.dim
 			cfg := secagg.Config{Threshold: 5, Bits: 20, Dim: dim}
 			for id := uint64(1); id <= clients; id++ {
 				cfg.ClientIDs = append(cfg.ClientIDs, id)
+			}
+			if tc.xnoise {
+				cfg.XNoise = &xnoise.Plan{NumClients: clients, DropoutTolerance: 2, Threshold: 5, TargetVariance: 16}
 			}
 			rig := newWireRig(t, "tcp", cfg)
 			if tc.sessions {
@@ -95,8 +107,19 @@ func TestWireRoundAllocBudget(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := uint64(clients * (clients + 1) / 2); len(res.Sum) != dim || res.Sum[0] != want || res.Sum[dim-1] != want {
-					t.Fatalf("sum[0] = %d, want %d", res.Sum[0], want)
+				// XNoise leaves noise of variance ≈16 in the sum: 64 is
+				// sixteen of its deviations.
+				want, slack := uint64(clients*(clients+1)/2), uint64(0)
+				if tc.xnoise {
+					slack = 64
+				}
+				if len(res.Sum) != dim {
+					t.Fatalf("sum of %d coordinates, want %d", len(res.Sum), dim)
+				}
+				for _, got := range []uint64{res.Sum[0], res.Sum[dim-1]} {
+					if (got-want+slack)&(1<<cfg.Bits-1) > 2*slack {
+						t.Fatalf("sum coordinate %d, want %d ± %d", got, want, slack)
+					}
 				}
 			}
 			// Warm: the free list, the mask kernel's scratch, the TCP
@@ -134,13 +157,13 @@ func TestWireRoundAllocBudget(t *testing.T) {
 // (ARCHITECTURE.md, "Round scratch"): a warm first-time-cohort round
 // allocates a small multiple of the client vectors it aggregates. Each
 // round opens a fresh session pool, as a new cohort does, so nothing a
-// session keeps carries over; the encoding slab does, leased from the free
-// list the warm round filled.
+// session keeps carries over; its scratch does, handed back to the free
+// lists the warm round filled, as does the encoding slab.
 //
 // flat_cold's shape — 64 clients, 16384 coordinates in 8 chunks on SecAgg+,
 // XNoise tolerating 16 dropouts with 8 taken. What is left:
-//   - each client's one buffer (its session's, kept across the chunks) and
-//     the server's accumulators;
+//   - the server's accumulators (each client's one buffer is its
+//     session's, leased, kept across the chunks and handed back);
 //   - a PRG stream per mask and noise component for the round, and on
 //     every seek into one a CTR, whose copy of the AES schedule is half a
 //     kilobyte (prg.Stream.Seek);
@@ -160,26 +183,31 @@ func TestWireRoundAllocBudget(t *testing.T) {
 // of per chunk and tests membership on sorted lists instead of maps, it
 // ran at ≈3.1× (≈5.3× under -race) while the server grew its share relay
 // and its share lists by appending and every sub-round on the deal rebuilt
-// its delivery map and its reveal. It runs at ≈2.5× now, ≈4.7× under
-// -race.
+// its delivery map and its reveal, and at ≈2.5× (≈4.7× under -race) while
+// every client made its buffer. It runs at ≈2.4× now, ≈4.6× under -race.
 //
 // lsa_dropout's shape — 32 clients, 16384 coordinates in 4 chunks on
 // LightSecAgg, U = 24 and T = D = 8, XNoise tolerating 8 dropouts with 4
-// taken. What is left is, per client, its session's three slabs
-// (lightsecagg.Session), made at chunk 0 — the longest — and re-sliced for
-// the others: the random slab (mask ‖ noise, 1.5 chunk vectors), the
-// received slab and the ciphertext slab (n/(U−T) = 2 chunk vectors each).
-// With a read buffer per fill, three buffers and two decodes per envelope,
-// a share vector per peer, a copied mask and a lift slab per chunk, the
-// same round ran at 23×, at ≈11.4× with noise streams keyed per chunk, at
+// taken. What is left is the cohort's channel keys (an AES-GCM key per
+// directed pair), the server's relay and sums and each chunk's field and
+// ring sum vectors. Each client's session leases its slabs
+// (lightsecagg.Session) at chunk 0 — the longest —, re-slices them for the
+// others and hands them back when the round returns, so a warm round makes
+// none: the random slab (mask ‖ noise, 1.5 chunk vectors), the received
+// slab and the ciphertext slab (n/(U−T) = 2 chunk vectors each). With a
+// read buffer per fill, three buffers and two decodes per envelope, a
+// share vector per peer, a copied mask and a lift slab per chunk, the same
+// round ran at 23×, at ≈11.4× with noise streams keyed per chunk, at
 // ≈10.9× (≈11.3× under -race) while every (client, chunk) made four slabs
-// and the round a lift slab, and at ≈4.0× (≈4.4×) while the round made its
-// encoding slab. It runs at ≈3.0× now, ≈3.4× under -race.
+// and the round a lift slab, at ≈4.0× (≈4.4×) while the round made its
+// encoding slab, and at ≈3.0× (≈3.4×) while every session made its slabs.
+// It runs at ≈1.6× now, ≈2.0× under -race.
 //
-// Each budget is its figure plus ~30 %, which also covers the 0.25 MB
-// encoder each extra core adds; SecAgg+'s is its figure plus ~10 % and
-// 0.05× for each core past two (it reads ≈2.6× at GOMAXPROCS 4 and ≈2.8×
-// at 8).
+// LightSecAgg's budget is its figure plus ~30 % and 0.06× — the 0.25 MB
+// encoder — for each core past two (it reads ≈1.7× at GOMAXPROCS 4 and
+// ≈2.0× at 8); SecAgg+'s is its figure plus ~10 % and 0.05× for each core
+// past two (it reads ≈2.5× at GOMAXPROCS 4 and ≈2.7× at 8). The -race
+// budgets are their figures plus ~30 %.
 func TestRunRoundAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		proto                     Protocol
@@ -188,8 +216,8 @@ func TestRunRoundAllocBudget(t *testing.T) {
 		perCore                   float64 // added to budget per core past two
 		tolerance, drops          int
 	}{
-		{ProtocolSecAggPlus, 64, 16384, 48, 8, 2.8, 7.0, 0.05, 16, 8},
-		{ProtocolLightSecAgg, 32, 16384, 24, 4, 3.9, 4.5, 0, 8, 4},
+		{ProtocolSecAggPlus, 64, 16384, 48, 8, 2.65, 6.0, 0.05, 16, 8},
+		{ProtocolLightSecAgg, 32, 16384, 24, 4, 2.1, 2.6, 0.06, 8, 4},
 	} {
 		t.Run(tc.proto.String(), func(t *testing.T) {
 			cfg := RoundConfig{

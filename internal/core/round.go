@@ -235,6 +235,13 @@ type roundPartial struct {
 // newPlusConfig is secaggplus.NewConfig; a test swaps it to count graph calls.
 var newPlusConfig = secaggplus.NewConfig
 
+// newSecAggSessions and newLightSecAggSessions are the substrates'
+// NewRoundSessions; a test swaps them to keep a round's sessions.
+var (
+	newSecAggSessions      = secagg.NewRoundSessions
+	newLightSecAggSessions = lightsecagg.NewRoundSessions
+)
+
 // slabs is the free list runRoundRing leases its encoding slab from
 // (ARCHITECTURE.md "Round scratch"): two flat_cold slabs (64 × 16384 words)
 // at most. As for frames, a lease rounds up to a size class and a release
@@ -400,15 +407,19 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 	// chunks' masks are independent through the per-chunk MaskEpoch
 	// window; on lightsecagg, masks are drawn fresh per chunk and the
 	// sessions amortize the channel agreements, coding matrices, and the
-	// advertise stage instead.
+	// advertise stage instead. The sessions' client scratch goes back to
+	// the substrates' free lists on every return path (ARCHITECTURE.md,
+	// "Round scratch"): nothing the round returns aliases it.
 	var sess *secagg.RoundSessions
 	var lsaSess *lightsecagg.RoundSessions
 	if cfg.Sessions != nil {
 		var err error
 		if proto == ProtocolLightSecAgg {
-			lsaSess, err = lightsecagg.NewRoundSessions(ids, rand)
+			lsaSess, err = newLightSecAggSessions(ids, rand)
+			defer lsaSess.Release()
 		} else {
-			sess, err = secagg.NewRoundSessions(ids, rand)
+			sess, err = newSecAggSessions(ids, rand)
+			defer sess.Release()
 		}
 		if err != nil {
 			return nil, err

@@ -3,13 +3,16 @@ package core
 import (
 	"crypto/rand"
 	"fmt"
+	"io"
 	"maps"
 	"math"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/lightsecagg"
 	"repro/internal/prg"
 	"repro/internal/ring"
 	"repro/internal/secagg"
@@ -353,4 +356,125 @@ func TestChunkedRoundWalksGraphOnce(t *testing.T) {
 			t.Fatalf("%d chunk(s): the round asked the graph for neighbours %d times, want %d (once per client)", chunks, got, n)
 		}
 	}
+}
+
+// heldScratch counts the client sessions of rs — a *secagg.RoundSessions or
+// a *lightsecagg.RoundSessions — that hold scratch: a SecAgg buffer or a
+// LightSecAgg random slab. The fields are the substrates' own, read by
+// reflection rather than exported for a test.
+func heldScratch(rs any) int {
+	held := 0
+	for it := reflect.ValueOf(rs).Elem().FieldByName("Client").MapRange(); it.Next(); {
+		s := it.Value().Elem()
+		f := s.FieldByName("buf")
+		if !f.IsValid() {
+			f = s.FieldByName("scratch").FieldByName("words")
+		}
+		if f.Cap() > 0 {
+			held++
+		}
+	}
+	return held
+}
+
+// TestRunRoundReleasesSessionScratch: a round hands its sessions' client
+// scratch back to the substrates' free lists on every return path
+// (ARCHITECTURE.md, "Round scratch"), on both substrates at 1 chunk and 8
+// with Sessions: NewSessionPool(1). Once the round returns no client
+// session of it holds scratch — after a round that succeeded and after one
+// that failed once its sessions existed (three clients gone at unmasking
+// leave 7 responses at threshold 8). A second round of the same shape runs
+// in what the first handed back — stale, and poisoned under -race — and
+// still gives the plaintext-oracle sum, and the first round's sum, read
+// after the second ran, is unchanged. The substrates' own
+// TestRoundSessionsReleaseScratch pins that Release puts the scratch on
+// their lists, last in, first out. Concurrent rounds on both substrates
+// share those lists and every sum stays exact.
+func TestRunRoundReleasesSessionScratch(t *testing.T) {
+	const n, dim = 12, 160
+	codec := testCodec(dim, n)
+	updates := randomUpdates(n, dim, 0.9)
+	drops := []uint64{3, 7}
+	cfg := RoundConfig{Round: 1, Codec: codec, Threshold: 8, Seed: prg.NewSeed([]byte("release"))}
+	want, _ := encodedSum(t, codec, cfg.Seed, updates, drops)
+
+	var mu sync.Mutex
+	var built []any // the round's sessions, read by run after the round
+	keep := func(rs any) {
+		mu.Lock()
+		built = append(built, rs)
+		mu.Unlock()
+	}
+	defer func(sa func([]uint64, io.Reader) (*secagg.RoundSessions, error),
+		lsa func([]uint64, io.Reader) (*lightsecagg.RoundSessions, error)) {
+		newSecAggSessions, newLightSecAggSessions = sa, lsa
+	}(newSecAggSessions, newLightSecAggSessions)
+	newSecAggSessions = func(ids []uint64, rand io.Reader) (*secagg.RoundSessions, error) {
+		rs, err := secagg.NewRoundSessions(ids, rand)
+		keep(rs)
+		return rs, err
+	}
+	newLightSecAggSessions = func(ids []uint64, rand io.Reader) (*lightsecagg.RoundSessions, error) {
+		rs, err := lightsecagg.NewRoundSessions(ids, rand)
+		keep(rs)
+		return rs, err
+	}
+	run := func(cfg RoundConfig) (*roundPartial, error) {
+		t.Helper()
+		built = built[:0]
+		cfg.Sessions = NewSessionPool(1)
+		p, err := runRoundRing(cfg, updates, drops, rand.Reader)
+		if len(built) != 1 {
+			t.Fatalf("%v, %d chunk(s): the round built %d session sets, want 1", cfg.Protocol, cfg.Chunks, len(built))
+		}
+		if held := heldScratch(built[0]); held != 0 {
+			t.Fatalf("%v, %d chunk(s): %d client sessions kept their scratch after the round", cfg.Protocol, cfg.Chunks, held)
+		}
+		return p, err
+	}
+	for _, proto := range []Protocol{ProtocolSecAgg, ProtocolLightSecAgg} {
+		for _, chunks := range []int{1, 8} {
+			cfg.Protocol, cfg.Chunks, cfg.DropSchedule = proto, chunks, nil
+			first, err := run(cfg)
+			if err != nil {
+				t.Fatalf("%v, %d chunk(s): %v", proto, chunks, err)
+			}
+			second, err := run(cfg)
+			if err != nil {
+				t.Fatalf("%v, %d chunk(s), second round: %v", proto, chunks, err)
+			}
+			// The first round's sum is read after the second round ran.
+			for i, p := range []*roundPartial{second, first} {
+				if !slices.Equal(p.Sum.Data, want.Data) {
+					t.Fatalf("%v, %d chunk(s): round %d's sum differs from the plaintext oracle", proto, chunks, 2-i)
+				}
+			}
+
+			cfg.DropSchedule = secagg.DropSchedule{10: secagg.StageUnmasking, 11: secagg.StageUnmasking, 12: secagg.StageUnmasking}
+			if _, err := run(cfg); err == nil {
+				t.Fatalf("%v, %d chunk(s): a round with 7 responses at threshold 8 succeeded", proto, chunks)
+			}
+		}
+	}
+
+	// Concurrent rounds on both substrates lease and hand back through the
+	// shared lists at once: every sum is exact.
+	var wg sync.WaitGroup
+	for i := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := cfg
+			c.Protocol, c.Chunks, c.DropSchedule, c.Sessions = []Protocol{ProtocolSecAgg, ProtocolLightSecAgg}[i%2], 2, nil, NewSessionPool(1)
+			p, err := runRoundRing(c, updates, drops, rand.Reader)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !slices.Equal(p.Sum.Data, want.Data) {
+				t.Errorf("a concurrent %v round's sum differs from the plaintext oracle", c.Protocol)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -29,6 +29,11 @@ func View(words []uint64) []Element {
 	return unsafe.Slice((*Element)(unsafe.SliceData(words)), len(words))
 }
 
+// Words is View's inverse: elems as their words, sharing their memory.
+func Words(elems []Element) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.SliceData(elems)), len(elems))
+}
+
 // ErrNotInvertible is returned when attempting to invert zero.
 var ErrNotInvertible = errors.New("field: zero has no multiplicative inverse")
 

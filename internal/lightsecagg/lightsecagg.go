@@ -236,7 +236,7 @@ type Client struct {
 	// place, and OpenEnvelopes overwrites the peer rows; have marks the rows
 	// holding a received share, each written once, the only rows summed.
 	slabs
-	// random views slabs.words, expanded from a seed: the U coded inputs of
+	// random is slabs.words, expanded from a seed: the U coded inputs of
 	// SubVectorLen each, the mask z_i (U−T sub-vectors, (U−T)·L ≥ d long)
 	// then the T noise sub-vectors, f_i(α_0..α_{T−1}). MaskedInput consumes
 	// the mask — the upload is built in random[:Dim] — and sets masked.
@@ -262,7 +262,7 @@ func NewClient(cfg Config, id uint64, rand io.Reader) (*Client, error) {
 // the session's key, when sess is nil) expands in place into the whole
 // random slab. The client works in the session's slabs, so its envelopes,
 // masked upload and aggregate share are valid until the session's next
-// sub-round.
+// sub-round or its release (RoundSessions.Release).
 func NewSessionClient(cfg Config, id uint64, rand io.Reader, sess *Session) (*Client, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -284,14 +284,14 @@ func NewSessionClient(cfg Config, id uint64, rand io.Reader, sess *Session) (*Cl
 	return &Client{cfg: cfg, id: id, session: sess, rand: rand, slabs: sc, random: fillUniform(seed, sc.words)}, nil
 }
 
-// fillUniform expands seed's PRG stream into words in place and returns
-// them as elements: element i is field.RandomElement's low-61-bit rule
-// over the stream's i-th 8-byte little-endian word. The pad is a one-time
-// mask revealed only in aggregate, so a 32-byte seed from the caller's
-// reader stands in for U·L·8 bytes of it.
-func fillUniform(seed prg.Seed, words []uint64) []field.Element {
+// fillUniform expands seed's PRG stream into out in place and returns it:
+// element i is field.RandomElement's low-61-bit rule over the stream's
+// i-th 8-byte little-endian word. The pad is a one-time mask revealed only
+// in aggregate, so a 32-byte seed from the caller's reader stands in for
+// U·L·8 bytes of it.
+func fillUniform(seed prg.Seed, out []field.Element) []field.Element {
+	words := field.Words(out)
 	prg.NewStream(seed).FillUint64(words)
-	out := field.View(words)
 	for i, w := range words {
 		out[i] = field.New(w & field.Modulus)
 	}

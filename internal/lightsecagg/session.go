@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"repro/internal/aead"
 	"repro/internal/dh"
 	"repro/internal/field"
 	"repro/internal/session"
+	"repro/internal/transport"
 )
 
 // Session amortization for LightSecAgg, mirroring secagg.Session. The
@@ -37,7 +39,8 @@ import (
 // secagg ratchet rules).
 //
 // The session also keeps its client's slabs (NewSessionClient) across the
-// sub-rounds that share it — round scratch, never session state.
+// sub-rounds that share it — round scratch, never session state — until
+// RoundSessions.Release hands them back.
 type Session struct {
 	// The shared continuity state: the cached roster. Its ratchet mark and
 	// taint are unused on this substrate: every mask is a fresh one-time
@@ -57,38 +60,65 @@ type Session struct {
 
 // slabs is a client's round scratch (ARCHITECTURE.md, "Round scratch"):
 // the random slab's U·L words, the n × L received slab with its have set,
-// the ciphertext slab and the L-length aggregate share.
+// the ciphertext slab and the L-length aggregate share. All but have are
+// leased, one lease each, from elems and ciphertexts.
 type slabs struct {
-	words    []uint64
+	words    []field.Element
 	received []field.Element
 	have     []bool
 	sealed   []byte
 	agg      []field.Element
 }
 
+// The free lists a session leases its slabs from, each bounded by two
+// lsa_dropout cohorts (32 clients; U = 24, L = 256): a client's random,
+// received and aggregate slabs are (24 + 32 + 1)·256 words, and its 31
+// envelopes of 2068 bytes fill a 64 KiB class. A session nobody releases
+// (a session-less client's) keeps what it leased.
+var (
+	elems       = transport.NewFreeList[field.Element](2*32*(24+32+1)*256, 2*32*(24+32+1)*256)
+	ciphertexts = transport.NewFreeList[byte](2*32<<16, 2*32<<16)
+)
+
 // slabs re-slices the session's slabs to cfg's geometry, growing only those
 // it outgrows, and clears have: a sub-round's envelopes, masked upload and
-// aggregate share live there until the session's next sub-round.
+// aggregate share live there until the session's next sub-round or its
+// release.
 func (s *Session) slabs(cfg Config) slabs {
 	n, l := len(cfg.ClientIDs), cfg.SubVectorLen()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sc := &s.scratch
-	sc.words = resize(sc.words, cfg.RecoveryThreshold()*l)
-	sc.received = resize(sc.received, n*l)
-	sc.have = resize(sc.have, n)
+	sc.words = regrow(elems, sc.words, cfg.RecoveryThreshold()*l)
+	sc.received = regrow(elems, sc.received, n*l)
+	sc.have = slices.Grow(sc.have[:0], n)[:n]
 	clear(sc.have)
-	sc.sealed = resize(sc.sealed, (n-1)*(4+8*l+aead.Overhead))
-	sc.agg = resize(sc.agg, l)
+	sc.sealed = regrow(ciphertexts, sc.sealed, (n-1)*(4+8*l+aead.Overhead))
+	sc.agg = regrow(elems, sc.agg, l)
 	return *sc
 }
 
-// resize returns xs re-sliced to n, or a new slice if its capacity is short.
-func resize[T any](xs []T, n int) []T {
-	if cap(xs) < n {
-		return make([]T, n)
+// regrow returns xs re-sliced to n or, if its capacity is short, hands it
+// back to list and leases an n-long slice in its place.
+func regrow[T any](list *transport.FreeList[T], xs []T, n int) []T {
+	if cap(xs) >= n {
+		return xs[:n]
 	}
-	return xs[:n]
+	list.Release(xs)
+	return list.Lease(n)
+}
+
+// release hands the session's slabs back to their lists; a later sub-round
+// on the session leases anew.
+func (s *Session) release() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sc := &s.scratch
+	elems.Release(sc.words)
+	elems.Release(sc.received)
+	elems.Release(sc.agg)
+	ciphertexts.Release(sc.sealed)
+	*sc = slabs{have: sc.have}
 }
 
 // NewSession generates the session's channel key pair with randomness
@@ -202,6 +232,21 @@ func NewRoundSessions(ids []uint64, rand io.Reader) (*RoundSessions, error) {
 		rs.Client[id] = s
 	}
 	return rs, nil
+}
+
+// Release hands every client session's slabs back to the package's free
+// lists (Session). Nothing a round returns aliases them — the server's sum
+// is its own — so the driver that built the sessions releases them once
+// the round is over, on every return path; the envelopes, masked uploads
+// and aggregate shares of its clients are then invalid. A nil rs is a
+// no-op.
+func (rs *RoundSessions) Release() {
+	if rs == nil {
+		return
+	}
+	for _, s := range rs.Client {
+		s.release()
+	}
 }
 
 // resumable reports whether the sessions can skip the advertise stage for

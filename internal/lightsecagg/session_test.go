@@ -8,6 +8,7 @@ import (
 	"repro/internal/aead"
 	"repro/internal/dh"
 	"repro/internal/field"
+	"repro/internal/transport"
 )
 
 // TestSessionsAmortizeAgreements: m sub-rounds on one session set perform
@@ -389,5 +390,115 @@ func TestRecoveryWeightsMatchReference(t *testing.T) {
 		if want := lagrangeWeightsTextbook(t, xs, cfg.alpha(rank)); !slices.Equal(enc.w[rank-cfg.PrivacyT], want) {
 			t.Fatalf("encoding matrix row of rank %d: %v, want %v", rank, enc.w[rank-cfg.PrivacyT], want)
 		}
+	}
+}
+
+// TestRoundSessionsReleaseScratch: Release hands every client session's
+// random, received, aggregate and ciphertext slabs back to elems and
+// ciphertexts (ARCHITECTURE.md, "Round scratch"). On lists of the test's
+// own: after a round on one session set and its Release, no session holds
+// a slab, and a second set's round of the same geometry runs in the first
+// set's slabs (the lists are last in, first out) though they were filled
+// with garbage in between, with an exact sum; the first round's sum, read
+// after the second ran, is unchanged (a -race build poisons what Release
+// takes back); and a round that fails after its clients leased (too few
+// recovery responses) hands its slabs back too.
+func TestRoundSessionsReleaseScratch(t *testing.T) {
+	// Lists of their own: what earlier tests handed back could fill the
+	// shared ones, which then drop what this test's rounds release.
+	defer func(e *transport.FreeList[field.Element], c *transport.FreeList[byte]) { elems, ciphertexts = e, c }(elems, ciphertexts)
+	elems = transport.NewFreeList[field.Element](1<<20, 1<<20)
+	ciphertexts = transport.NewFreeList[byte](1<<22, 1<<22)
+
+	cfg := testConfig(8, 2, 2, 1000) // U = 6, L = 250
+	inputs, wantSum := makeInputs(cfg)
+	drops := DropSchedule{3: StageMaskedInput}
+	want := wantSum(map[uint64]bool{3: true})
+	// round runs round i on a fresh session set, releases it and returns
+	// the slabs its clients held, by first word.
+	type held struct {
+		elems map[*field.Element][]field.Element
+		bytes map[*byte][]byte
+	}
+	round := func(i int, drops DropSchedule) ([]field.Element, held, error) {
+		t.Helper()
+		rs, err := NewRoundSessions(cfg.ClientIDs, rng(fmt.Sprintf("release-keys-%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Round = uint64(i)
+		sum, err := RunWithSessions(cfg, inputs, drops, rng(fmt.Sprintf("release-%d", i)), rs)
+		h := held{make(map[*field.Element][]field.Element), make(map[*byte][]byte)}
+		for _, s := range rs.Client {
+			for _, xs := range [][]field.Element{s.scratch.words, s.scratch.received, s.scratch.agg} {
+				h.elems[&xs[0]] = xs
+			}
+			h.bytes[&s.scratch.sealed[0]] = s.scratch.sealed
+		}
+		rs.Release()
+		for id, s := range rs.Client {
+			if sc := s.scratch; sc.words != nil || sc.received != nil || sc.agg != nil || sc.sealed != nil {
+				t.Fatalf("round %d: client %d's session kept a slab after Release", i, id)
+			}
+		}
+		return sum, h, err
+	}
+	same := func(a, b held) bool {
+		if len(a.elems) != len(b.elems) || len(a.bytes) != len(b.bytes) {
+			return false
+		}
+		for p := range a.elems {
+			if b.elems[p] == nil {
+				return false
+			}
+		}
+		for p := range a.bytes {
+			if b.bytes[p] == nil {
+				return false
+			}
+		}
+		return true
+	}
+
+	first, h, err := round(1, drops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSum(t, first, want)
+	if n := len(cfg.ClientIDs); len(h.elems) != 3*n || len(h.bytes) != n {
+		t.Fatalf("%d word and %d byte slabs for %d clients", len(h.elems), len(h.bytes), n)
+	}
+	for _, xs := range h.elems {
+		for i := range xs {
+			xs[i] = field.Element(0x5A5A5A5A5A5A5A5A ^ uint64(i))
+		}
+	}
+	for _, b := range h.bytes {
+		for i := range b {
+			b[i] = byte(0x5A ^ i)
+		}
+	}
+	second, again, err := round(2, drops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !same(h, again) {
+		t.Fatal("the second round did not run in the first round's slabs")
+	}
+	checkSum(t, second, want)
+	checkSum(t, first, want)
+
+	late := DropSchedule{4: StageAggShare, 5: StageAggShare, 6: StageAggShare}
+	if _, failed, err := round(3, late); err == nil {
+		t.Fatal("a round with 5 recovery responses at U = 6 succeeded")
+	} else if !same(h, failed) {
+		t.Fatal("the failed round did not run in the list's slabs")
+	}
+	if sum, after, err := round(4, drops); err != nil {
+		t.Fatal(err)
+	} else if !same(h, after) {
+		t.Fatal("the failed round did not hand its slabs back")
+	} else {
+		checkSum(t, sum, want)
 	}
 }

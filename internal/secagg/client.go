@@ -17,6 +17,7 @@ import (
 	"repro/internal/shamir"
 	"repro/internal/sig"
 	"repro/internal/transcript"
+	"repro/internal/transport"
 	"repro/internal/xnoise"
 )
 
@@ -72,7 +73,8 @@ type Client struct {
 // A client owns one buffer: one Dim-length vector that MaskedInput copies
 // the input into and masks in place — the upload — and that the Result
 // step receives the round's sum into. A session-less client makes it once
-// per round; a session keeps it across its sub-rounds and rounds (Session).
+// per round; a session leases it and keeps it across its sub-rounds and
+// rounds until RoundSessions.Release hands it back (Session).
 func NewClient(cfg Config, id uint64, input ring.Vector, signer *sig.Signer, rand io.Reader) (*Client, error) {
 	return NewSessionClient(cfg, id, input, signer, rand, nil)
 }
@@ -112,6 +114,10 @@ func newClient(cfg Config, id uint64, input ring.Vector, signer *sig.Signer, ran
 	}
 	return c, nil
 }
+
+// totals is the free list MaskedInput leases its Dim-long XNoise total
+// from, bounded by two sharded_mem cohorts (64 clients, 1024 coordinates).
+var totals = transport.NewFreeList[int64](2*64*1024, 2*64*1024)
 
 // buffer returns the client's one vector (NewClient), Dim long: its
 // session's, or its own, made on first use.
@@ -383,13 +389,17 @@ func (c *Client) MaskedInput(ciphertexts []EncryptedShareMsg) (MaskedInputMsg, e
 	y := ring.Vector{Bits: c.cfg.Bits, Data: c.buffer()}
 	copy(y.Data, c.input.Data)
 	// XNoise: add the full excessive noise before masking (Fig. 5 setup:
-	// Δ̃_u = Δ_u + Σ_k n_{u,k}).
+	// Δ̃_u = Δ_u + Σ_k n_{u,k}), through a total leased from totals and
+	// handed back before masking.
 	if c.noise != nil {
-		total, err := c.noise.TotalNoise(*c.cfg.XNoise, c.cfg.sampler(), c.cfg.Dim)
-		if err != nil {
-			return MaskedInputMsg{}, err
+		total := totals.Lease(c.cfg.Dim)
+		clear(total)
+		err := c.noise.AddTotalNoise(*c.cfg.XNoise, c.cfg.sampler(), total)
+		if err == nil {
+			err = y.AddSignedInPlace(total)
 		}
-		if err := y.AddSignedInPlace(total); err != nil {
+		totals.Release(total)
+		if err != nil {
 			return MaskedInputMsg{}, err
 		}
 	}

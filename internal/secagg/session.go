@@ -13,6 +13,7 @@ import (
 	"repro/internal/field"
 	"repro/internal/prg"
 	"repro/internal/session"
+	"repro/internal/transport"
 )
 
 // Key-agreement amortization (the "agree once, read a window per chunk"
@@ -151,10 +152,11 @@ func (d *deal) fits(cfg Config, id uint64, roster []AdvertiseMsg) bool {
 // streams, so resuming below the mark would repeat them. Safe for
 // concurrent use — mask expansion fans agreements across a worker pool.
 //
-// The session also keeps its client's one buffer (NewClient) across the
-// sub-rounds and rounds that share it, re-sliced to each sub-round's Dim
-// and grown only when Dim grows: a sub-round's masked upload and the sum
-// it receives live there until the session's next sub-round.
+// The session also keeps its client's one buffer (NewClient), leased from
+// buffers, across the sub-rounds and rounds that share it, re-sliced to
+// each sub-round's Dim and grown only when Dim grows: a sub-round's masked
+// upload and the sum it receives live there until the session's next
+// sub-round or RoundSessions.Release.
 type Session struct {
 	session.ClientState
 
@@ -175,16 +177,32 @@ type Session struct {
 	buf []uint64 // the client's one buffer, at the last sub-round's Dim
 }
 
-// buffer returns the session's buffer re-sliced to dim, grown if dim
-// outgrows it.
+// buffers is the free list client buffers are leased from, bounded by two
+// flat_cold cohorts (64 clients, 2048-coordinate chunks). A session nobody
+// releases (a wire client's) keeps its lease; on a list in-process rounds
+// never fill, that lease is a make.
+var buffers = transport.NewFreeList[uint64](2*64*2048, 2*64*2048)
+
+// buffer returns the session's buffer re-sliced to dim; if dim outgrows
+// it, the buffer goes back to buffers and a longer one is leased.
 func (s *Session) buffer(dim int) []uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if cap(s.buf) < dim {
-		s.buf = make([]uint64, dim)
+		buffers.Release(s.buf)
+		s.buf = buffers.Lease(dim)
 	}
 	s.buf = s.buf[:dim]
 	return s.buf
+}
+
+// release hands the session's buffer back to buffers; a later sub-round
+// on the session leases anew.
+func (s *Session) release() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	buffers.Release(s.buf)
+	s.buf = nil
 }
 
 // atStepLocked moves the step state to step, emptying it if it belonged to
@@ -478,6 +496,20 @@ func NewRoundSessions(ids []uint64, rand io.Reader) (*RoundSessions, error) {
 		rs.Client[id] = s
 	}
 	return rs, nil
+}
+
+// Release hands every client session's buffer back to buffers (Session).
+// Nothing a round returns aliases them — the server's sum is its own — so
+// the driver that built the sessions releases them once the round is over,
+// on every return path; its clients' uploads and received sums are then
+// invalid. A nil rs is a no-op.
+func (rs *RoundSessions) Release() {
+	if rs == nil {
+		return
+	}
+	for _, s := range rs.Client {
+		s.release()
+	}
 }
 
 // resumable reports whether the sessions can skip the advertise stage for

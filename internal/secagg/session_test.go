@@ -2,6 +2,7 @@ package secagg
 
 import (
 	"bytes"
+	"crypto/rand"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +14,8 @@ import (
 	"repro/internal/prg"
 	"repro/internal/ring"
 	"repro/internal/shamir"
+	"repro/internal/transport"
+	"repro/internal/xnoise"
 )
 
 // sessionRand returns a deterministic entropy stream for session tests.
@@ -699,5 +702,106 @@ func TestSessionsRejectDerivationPointReuse(t *testing.T) {
 	next.MaskEpoch = 1
 	if _, err := RunWithSessions(next, inputs, nil, drops, rand, sess); err != nil {
 		t.Fatalf("advanced epoch must be accepted: %v", err)
+	}
+}
+
+// TestRoundSessionsReleaseScratch: Release hands every client session's
+// buffer back to buffers, and MaskedInput hands its XNoise total back to
+// totals before masking (ARCHITECTURE.md, "Round scratch"). On lists of
+// the test's own: after a round on one session set and its Release, no
+// session holds a buffer, and a second set's round of the same shape runs
+// in the first set's buffers (the list is last in, first out) though they
+// were filled with garbage in between, with an exact sum; the first
+// round's sum, read after the second ran, is unchanged (a -race build
+// poisons what Release takes back); a round that fails after its clients
+// masked (too few unmask responses) hands its buffers back too; and an
+// XNoise round leaves its used totals on totals.
+func TestRoundSessionsReleaseScratch(t *testing.T) {
+	const n, dim = 6, 64
+	// Lists of their own: what earlier tests handed back could fill the
+	// shared ones, which then drop what this test's rounds release.
+	defer func(b *transport.FreeList[uint64], tl *transport.FreeList[int64]) { buffers, totals = b, tl }(buffers, totals)
+	buffers = transport.NewFreeList[uint64](1<<16, 1<<16)
+	totals = transport.NewFreeList[int64](1<<16, 1<<16)
+
+	cfg, inputs, drops := sessionRoundConfig(n, dim)
+	// round runs round i on a fresh session set, releases it and returns
+	// the buffers its clients held, by first word.
+	round := func(i int, drops DropSchedule) (*RunResult, map[*uint64][]uint64, error) {
+		t.Helper()
+		rs, err := NewRoundSessions(cfg.ClientIDs, sessionRand(fmt.Sprintf("release-keys-%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Round = uint64(50 + i)
+		rr, err := RunWithSessions(cfg, inputs, nil, drops, sessionRand(fmt.Sprintf("release-%d", i)), rs)
+		held := make(map[*uint64][]uint64)
+		for _, s := range rs.Client {
+			if s.buf != nil {
+				held[&s.buf[0]] = s.buf
+			}
+		}
+		rs.Release()
+		for id, s := range rs.Client {
+			if s.buf != nil {
+				t.Fatalf("round %d: client %d's session kept its buffer after Release", i, id)
+			}
+		}
+		return rr, held, err
+	}
+	within := func(a, b map[*uint64][]uint64) bool { // every buffer of a is one of b's
+		for p := range a {
+			if b[p] == nil {
+				return false
+			}
+		}
+		return true
+	}
+
+	first, held, err := round(1, drops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSessionSum(t, first.Result, n)
+	if len(held) != n-1 {
+		t.Fatalf("%d buffers for the %d masking clients", len(held), n-1)
+	}
+	for _, buf := range held {
+		for i := range buf {
+			buf[i] = 0x5A5A5A5A5A5A5A5A ^ uint64(i)
+		}
+	}
+	second, again, err := round(2, drops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(again) != len(held) || !within(again, held) {
+		t.Fatal("the second round did not run in the first round's buffers")
+	}
+	checkSessionSum(t, second.Result, n)
+	checkSessionSum(t, first.Result, n)
+
+	late := DropSchedule{3: StageUnmasking, 4: StageUnmasking, 5: StageUnmasking, 6: StageUnmasking}
+	_, failed, err := round(3, late)
+	if err == nil {
+		t.Fatal("a round with 2 unmask responses at threshold 3 succeeded")
+	}
+	if len(failed) != n || !within(held, failed) {
+		t.Fatalf("the failed round's %d masking clients did not run in the list's buffers", n)
+	}
+	if _, after, err := round(4, drops); err != nil {
+		t.Fatal(err)
+	} else if !within(after, failed) {
+		t.Fatal("the failed round did not hand its buffers back")
+	}
+
+	plan := &xnoise.Plan{NumClients: n, DropoutTolerance: 2, Threshold: 3, TargetVariance: 50}
+	noisy := mkConfig(n, 3, plan)
+	if _, err := RunWithSessions(noisy, mkInputs(noisy), nil, nil, rand.Reader, nil); err != nil {
+		t.Fatal(err)
+	}
+	// A total MaskedInput used holds noise; one the list makes is zero.
+	if total := totals.Lease(noisy.Dim); !slices.ContainsFunc(total, func(v int64) bool { return v != 0 }) {
+		t.Fatal("the XNoise round did not hand its totals back")
 	}
 }

@@ -13,9 +13,10 @@ import (
 // is the bug, and a -race build makes it loud (lease_race.go).
 //
 // FreeList is the tree's one free list: frames here, and the in-process
-// round's encoding slab in core (ARCHITECTURE.md "Round scratch"). It is
-// explicit and bounded rather than a sync.Pool, so what a round allocates
-// does not depend on when the collector last ran.
+// round's scratch (ARCHITECTURE.md "Round scratch") — core's encoding
+// slab, secagg's client buffers and XNoise totals, and lightsecagg's
+// client slabs. It is explicit and bounded rather than a sync.Pool, so
+// what a round allocates does not depend on when the collector last ran.
 
 const (
 	// minLease is the smallest size class; shorter requests round up to it.
