@@ -2,7 +2,6 @@ package combine
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/ring"
 	"repro/internal/transport"
@@ -145,15 +144,6 @@ func DecodePartial(p []byte) (Partial, error) {
 	return out, nil
 }
 
-func sortedShards[V any](m map[uint64]V) []uint64 {
-	shards := make([]uint64, 0, len(m))
-	for shard := range m {
-		shards = append(shards, shard)
-	}
-	sort.Slice(shards, func(i, j int) bool { return shards[i] < shards[j] })
-	return shards
-}
-
 // EncodeReport encodes the combiner's round report. Map sections are
 // emitted in ascending shard order, the one order the decoder accepts.
 func EncodeReport(rep *RoundReport) ([]byte, error) {
@@ -168,12 +158,12 @@ func EncodeReport(rep *RoundReport) ([]byte, error) {
 		w.Words(xs, maxCombineElems)
 	}
 	w.Count(len(rep.RemovedComponents), maxCombineElems)
-	for _, shard := range sortedShards(rep.RemovedComponents) {
+	for _, shard := range transport.SortedKeys(rep.RemovedComponents) {
 		w.Uint64(shard)
 		writeInts(w, rep.RemovedComponents[shard])
 	}
 	w.Count(len(rep.StaleRounds), maxCombineElems)
-	for _, shard := range sortedShards(rep.StaleRounds) {
+	for _, shard := range transport.SortedKeys(rep.StaleRounds) {
 		w.Uint64(shard)
 		w.Uint64(rep.StaleRounds[shard])
 	}

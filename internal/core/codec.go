@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/field"
 	"repro/internal/secagg"
@@ -28,7 +27,8 @@ import (
 // The low-rate control messages (key advertisements, survivor sets,
 // signatures, noise shares) share the family and the idiom in control.go.
 //
-// Layout (all integers little-endian):
+// Layout (all integers little-endian; share as in PROTOCOL.md "Shared
+// layouts"):
 //
 //	masked input: [magic][tagMaskedInput][From:8][n:4][Y: n×8]
 //	result:       [magic][tagResult]
@@ -37,8 +37,8 @@ import (
 //	share msgs:   [magic][tagShareMsgs][n:4]
 //	              n × ([From:8][To:8][ctLen:4][Ciphertext: ctLen bytes])
 //	unmask:       [magic][tagUnmask][From:8]
-//	              [n:4] n × ([v:8][NumKeyChunks × (X:8)(Y:8)])   mask-key shares
-//	              [n:4] n × ([v:8][X:8][Y:8])                    self-seed shares
+//	              [n:4] n × ([v:8][NumKeyChunks × share])   mask-key shares
+//	              [n:4] n × ([v:8][share])                  self-seed shares
 //	              [n:4] n × ([k:8][g:8])                         own noise seeds
 //	              (each section sorted by key; a zero count decodes as nil)
 //
@@ -70,15 +70,6 @@ const (
 // frame cap (a maximal slab plus codec headers slightly exceeds the frame
 // cap, so framing, not this cap, is the binding limit near the boundary).
 const maxWireElems = 1 << 25
-
-func element(r *transport.Reader) field.Element {
-	v := r.Uint64()
-	if v >= field.Modulus {
-		r.Fail(fmt.Errorf("core: field element %d not canonical", v))
-		return 0
-	}
-	return field.New(v)
-}
 
 // encodeMaskedInput encodes the stage-2 masked input message.
 func encodeMaskedInput(m secagg.MaskedInputMsg) ([]byte, error) {
@@ -153,15 +144,6 @@ const maxUnmaskEntries = 1 << 20
 // the wire: NumKeyChunks (X, Y) pairs.
 const elementsPerMaskBundle = 2 * secagg.NumKeyChunks
 
-func writeShare(w *transport.Writer, sh shamir.Share) {
-	w.Uint64(sh.X.Uint64())
-	w.Uint64(sh.Y.Uint64())
-}
-
-func readShare(r *transport.Reader) shamir.Share {
-	return shamir.Share{X: element(r), Y: element(r)}
-}
-
 // encodeUnmask encodes the stage-4 unmask response — the per-survivor
 // share maps. Map sections are emitted in ascending key order, the one
 // order the decoder accepts.
@@ -172,31 +154,32 @@ func encodeUnmask(m secagg.UnmaskMsg) ([]byte, error) {
 		4+len(m.OwnNoiseSeeds)*16)
 	w.Uint64(m.From)
 	w.Count(len(m.MaskKeyShares), maxUnmaskEntries)
-	for _, v := range sortedMapKeys(m.MaskKeyShares) {
+	for _, v := range transport.SortedKeys(m.MaskKeyShares) {
 		w.Uint64(v)
 		for _, sh := range m.MaskKeyShares[v] {
-			writeShare(w, sh)
+			secagg.WriteShare(w, sh)
 		}
 	}
 	w.Count(len(m.SelfSeedShares), maxUnmaskEntries)
-	for _, v := range sortedMapKeys(m.SelfSeedShares) {
+	for _, v := range transport.SortedKeys(m.SelfSeedShares) {
 		w.Uint64(v)
-		writeShare(w, m.SelfSeedShares[v])
+		secagg.WriteShare(w, m.SelfSeedShares[v])
 	}
 	w.Count(len(m.OwnNoiseSeeds), maxUnmaskEntries)
-	ks := make([]int, 0, len(m.OwnNoiseSeeds))
-	for k := range m.OwnNoiseSeeds {
-		if k < 0 {
-			return nil, fmt.Errorf("core: negative noise component %d", k)
-		}
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	for _, k := range ks {
-		w.Uint64(uint64(k))
+	for _, k := range transport.SortedKeys(m.OwnNoiseSeeds) {
+		writeNoiseComponent(w, k)
 		w.Uint64(m.OwnNoiseSeeds[k].Uint64())
 	}
 	return w.Done()
+}
+
+// writeNoiseComponent writes a noise-component key of a map section; a
+// negative one has no encoding.
+func writeNoiseComponent(w *transport.Writer, k int) {
+	if k < 0 {
+		w.Fail(fmt.Errorf("core: negative noise component %d", k))
+	}
+	w.Uint64(uint64(k))
 }
 
 // noiseComponent reads a noise-component key of a map section.
@@ -220,7 +203,7 @@ func decodeUnmask(p []byte) (secagg.UnmaskMsg, error) {
 			v := r.Key(i, &prev)
 			var bundle [secagg.NumKeyChunks]shamir.Share
 			for c := range bundle {
-				bundle[c] = readShare(r)
+				bundle[c] = secagg.ReadShare(r)
 			}
 			m.MaskKeyShares[v] = bundle
 		}
@@ -229,29 +212,20 @@ func decodeUnmask(p []byte) (secagg.UnmaskMsg, error) {
 		m.SelfSeedShares = make(map[uint64]shamir.Share, n)
 		for i := 0; i < n; i++ {
 			v := r.Key(i, &prev)
-			m.SelfSeedShares[v] = readShare(r)
+			m.SelfSeedShares[v] = secagg.ReadShare(r)
 		}
 	}
 	if n := r.Count(16, maxUnmaskEntries); n > 0 {
 		m.OwnNoiseSeeds = make(map[int]field.Element, n)
 		for i := 0; i < n; i++ {
 			k := noiseComponent(r, i, &prev)
-			m.OwnNoiseSeeds[k] = element(r)
+			m.OwnNoiseSeeds[k] = secagg.ReadElement(r)
 		}
 	}
 	if err := r.Done(); err != nil {
 		return secagg.UnmaskMsg{}, err
 	}
 	return m, nil
-}
-
-func sortedMapKeys[V any](m map[uint64]V) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // encodeResult encodes the final result broadcast.

@@ -24,6 +24,15 @@ func TestCodecConformance(t *testing.T) {
 	t.Run("handshake", func(t *testing.T) { handshakeFamily(t).Check(t) })
 }
 
+// TestCodecAllocBound bounds what each decoder allocates on every refusal
+// row, sample and checked-in corpus seed (fuzzcorpus.Family.CheckAlloc);
+// the fuzz target enforces the same bound on every input it tries. It
+// reads a process-wide counter, so it does not run in parallel.
+func TestCodecAllocBound(t *testing.T) {
+	t.Run("wire", func(t *testing.T) { wireFamily(t).CheckAlloc(t) })
+	t.Run("handshake", func(t *testing.T) { handshakeFamily(t).CheckAlloc(t) })
+}
+
 func FuzzControlCodec(f *testing.F)     { wireFamily(f).Fuzz(f, "FuzzControlCodec") }
 func FuzzShareBundleCodec(f *testing.F) { wireFamily(f).Fuzz(f, "FuzzShareBundleCodec") }
 func FuzzHandshakeCodec(f *testing.F)   { handshakeFamily(f).Fuzz(f, "FuzzHandshakeCodec") }

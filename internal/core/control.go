@@ -1,11 +1,9 @@
 package core
 
 import (
-	"fmt"
-	"sort"
-
 	"repro/internal/engine"
 	"repro/internal/secagg"
+	"repro/internal/session"
 	"repro/internal/shamir"
 	"repro/internal/transport"
 )
@@ -19,18 +17,19 @@ import (
 // encoding (map sections strictly ascending by key, field elements
 // canonical), so decode∘encode is the identity on accepted input.
 //
-// Layout (integers little-endian; blob = [len:2][bytes]; slab = [n:4][n×8]):
+// Layout (integers little-endian; blob = [len:2][bytes]; slab = [n:4][n×8];
+// entry, roster and share as in PROTOCOL.md "Shared layouts"):
 //
-//	advertise:    [magic][tagAdvertise][From:8][blob CipherPub][blob MaskPub][blob Signature]
-//	roster:       [magic][tagRoster][n:4] n × ([From:8][blob][blob][blob])
+//	advertise:    [magic][tagAdvertise][entry]
+//	roster:       [magic][tagRoster][roster]
 //	id set:       [magic][tagIDSet][slab ids]            (U3 of tag 5, U5 of tag 9)
 //	consistency:  [magic][tagConsistency][From:8][blob Signature]
 //	unmask req:   [magic][tagUnmaskReq][slab U3][slab U4][n:4] n × ([id:8][blob Signature])
-//	noise shares: [magic][tagNoiseShares][From:8][n:4] n × ([v:8][m:4] m × ([k:8][X:8][Y:8]))
+//	noise shares: [magic][tagNoiseShares][From:8][n:4] n × ([v:8][m:4] m × ([k:8][share]))
 //
 // The tags are in codec.go's block with the family's others.
 
-// maxControlBlob caps one key or signature field (32 and 64 bytes today).
+// maxControlBlob caps a signature field (64 bytes today).
 const maxControlBlob = 1 << 10
 
 // wireCodec is the SecAgg substrate's wire format: secagg's typed stage
@@ -55,48 +54,27 @@ var wireCodec = engine.Codec{
 	secagg.TagResult: engine.MsgOf(encodeResult, decodeResult),
 }
 
-func writeAdvertise(w *transport.Writer, m secagg.AdvertiseMsg) {
-	w.Uint64(m.From)
-	w.Blob(m.CipherPub, maxControlBlob)
-	w.Blob(m.MaskPub, maxControlBlob)
-	w.Blob(m.Signature, maxControlBlob)
-}
-
-func readAdvertise(r *transport.Reader) secagg.AdvertiseMsg {
-	return secagg.AdvertiseMsg{From: r.Uint64(), CipherPub: r.Blob(maxControlBlob),
-		MaskPub: r.Blob(maxControlBlob), Signature: r.Blob(maxControlBlob)}
-}
-
 func encodeAdvertise(m secagg.AdvertiseMsg) ([]byte, error) {
 	w := transport.NewWriter(codecMagic, tagAdvertise, 8+3*(2+64))
-	writeAdvertise(w, m)
+	session.WriteEntry(w, m)
 	return w.Done()
 }
 
 func decodeAdvertise(p []byte) (secagg.AdvertiseMsg, error) {
 	r := transport.NewReader(p, codecMagic, tagAdvertise)
-	m := readAdvertise(r)
+	m := session.ReadEntry(r)
 	return m, r.Done()
 }
 
 func encodeRoster(roster []secagg.AdvertiseMsg) ([]byte, error) {
 	w := transport.NewWriter(codecMagic, tagRoster, 4+len(roster)*(8+3*(2+32)))
-	w.Count(len(roster), maxWireElems)
-	for _, m := range roster {
-		writeAdvertise(w, m)
-	}
+	session.WriteRoster(w, roster)
 	return w.Done()
 }
 
 func decodeRoster(p []byte) ([]secagg.AdvertiseMsg, error) {
 	r := transport.NewReader(p, codecMagic, tagRoster)
-	var roster []secagg.AdvertiseMsg
-	if n := r.Count(8+3*2, maxWireElems); n > 0 {
-		roster = make([]secagg.AdvertiseMsg, n)
-		for i := range roster {
-			roster[i] = readAdvertise(r)
-		}
-	}
+	roster := session.ReadRoster(r)
 	return roster, r.Done()
 }
 
@@ -130,7 +108,7 @@ func encodeUnmaskRequest(req secagg.UnmaskRequest) ([]byte, error) {
 	w.Words(req.U3, maxWireElems)
 	w.Words(req.U4, maxWireElems)
 	w.Count(len(req.Signatures), maxWireElems)
-	for _, id := range sortedMapKeys(req.Signatures) {
+	for _, id := range transport.SortedKeys(req.Signatures) {
 		w.Uint64(id)
 		w.Blob(req.Signatures[id], maxControlBlob)
 	}
@@ -155,21 +133,13 @@ func encodeNoiseShares(m secagg.NoiseShareMsg) ([]byte, error) {
 	w := transport.NewWriter(codecMagic, tagNoiseShares, 12)
 	w.Uint64(m.From)
 	w.Count(len(m.Shares), maxUnmaskEntries)
-	for _, v := range sortedMapKeys(m.Shares) {
+	for _, v := range transport.SortedKeys(m.Shares) {
 		byK := m.Shares[v]
 		w.Uint64(v)
 		w.Count(len(byK), maxUnmaskEntries)
-		ks := make([]int, 0, len(byK))
-		for k := range byK {
-			if k < 0 {
-				return nil, fmt.Errorf("core: negative noise component %d", k)
-			}
-			ks = append(ks, k)
-		}
-		sort.Ints(ks)
-		for _, k := range ks {
-			w.Uint64(uint64(k))
-			writeShare(w, byK[k])
+		for _, k := range transport.SortedKeys(byK) {
+			writeNoiseComponent(w, k)
+			secagg.WriteShare(w, byK[k])
 		}
 	}
 	return w.Done()
@@ -187,7 +157,7 @@ func decodeNoiseShares(p []byte) (secagg.NoiseShareMsg, error) {
 			byK := make(map[int]shamir.Share, nk)
 			for j := 0; j < nk; j++ {
 				k := noiseComponent(r, j, &prevK)
-				byK[k] = readShare(r)
+				byK[k] = secagg.ReadShare(r)
 			}
 			m.Shares[v] = byK
 		}

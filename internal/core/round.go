@@ -254,7 +254,7 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ids := sortedMapKeys(updates)
+	ids := transport.SortedKeys(updates)
 	if len(ids) < 2 {
 		return nil, fmt.Errorf("core: need at least 2 clients, got %d", len(ids))
 	}

@@ -7,7 +7,8 @@
 // native fuzz targets; the seed corpus checked in under
 // testdata/fuzz/<target> (the "go test fuzz v1" format) is the table's
 // encoder output, so it doubles as the golden for "the encoders still
-// emit these bytes".
+// emit these bytes". CheckAlloc and the fuzz body also bound what a
+// decoder allocates against the payload it is handed.
 package fuzzcorpus
 
 import (
@@ -16,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/metrics"
 	"slices"
 	"strconv"
 	"testing"
@@ -192,10 +194,11 @@ func (f *Family) sameLayout(a, b string) bool {
 }
 
 // Fuzz seeds fz with the named target's seeds and runs the family's fuzz
-// body: no decoder panics, and every payload one of them accepts
-// re-encodes to exactly its bytes — no accepted payload carries slack a
-// peer could hide a second meaning in, and no length prefix outruns the
-// payload it came with.
+// body: no decoder panics, every payload one of them accepts re-encodes
+// to exactly its bytes — no accepted payload carries slack a peer could
+// hide a second meaning in, and no length prefix outruns the payload it
+// came with — and no decoder allocates past the bound (checkAlloc) on any
+// payload, accepted or not.
 func (f *Family) Fuzz(fz *testing.F, target string) {
 	i := slices.IndexFunc(f.Targets, func(t Target) bool { return t.Name == target })
 	if i < 0 {
@@ -205,6 +208,7 @@ func (f *Family) Fuzz(fz *testing.F, target string) {
 		fz.Add(s)
 	}
 	fz.Fuzz(func(t *testing.T, p []byte) {
+		f.checkAlloc(t, "fuzz input", p, true)
 		for _, k := range f.Kinds {
 			v, err := k.decode(bytes.Clone(p))
 			if err != nil {
@@ -297,6 +301,91 @@ func checkCorpus(t *testing.T, target string, seeds [][]byte) {
 	for body, name := range have {
 		if !want[body] {
 			t.Errorf("%s: no generated seed accounts for it", name)
+		}
+	}
+}
+
+// The allocation bound of every decoder of every family: decoding a
+// payload of n bytes — one it accepts or one it refuses — allocates at most
+// allocPerByte·n + allocSlack bytes of heap. A message costs a small
+// multiple of its encoding (the densest, a roster entry of three empty
+// blobs, is 14 bytes on the wire and an 80-byte Entry in memory), and the
+// slack covers what does not scale with the payload: the boxed message, a
+// map's first group, a refusal's error. A length prefix the payload cannot
+// back must be refused before anything is allocated for it.
+const (
+	allocPerByte = 16
+	allocSlack   = 4 << 10
+
+	// A reading over the bound is retaken allocReadings times, each the
+	// average of allocReps decodes, and the least stands: the runtime
+	// counts a small allocation when its span is refilled, not when it is
+	// made, so one decode's reading is off by up to a span per size class,
+	// and a collection inside a reading counts what every P had cached.
+	allocReps     = 32
+	allocReadings = 3
+)
+
+var allocCounter = []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+
+// decodeAlloc reports the heap bytes one k.Decode of p allocates, as the
+// least of the readings taken (see allocReps) until one is within bound.
+// A first decode pays a decoder's one-time initialisation; its reading
+// counts only when quick — the fuzz body's fast path, which takes no
+// other reading unless that one is over the bound.
+func decodeAlloc(k Kind, p []byte, bound uint64, quick bool) uint64 {
+	least := ^uint64(0)
+	for i := 0; i <= allocReadings && least > bound; i++ {
+		reps := uint64(allocReps)
+		if i == 0 {
+			reps = 1
+		}
+		metrics.Read(allocCounter)
+		before := allocCounter[0].Value.Uint64()
+		for range reps {
+			k.Decode(p)
+		}
+		metrics.Read(allocCounter)
+		if i > 0 || quick {
+			least = min(least, (allocCounter[0].Value.Uint64()-before)/reps)
+		}
+	}
+	return least
+}
+
+// checkAlloc fails t if any decoder of the family allocates past the bound
+// on p. The counter is process-wide, so it is read only from tests that do
+// not run in parallel, and a -race build, whose instrumentation allocates
+// on its own schedule, skips it.
+func (f *Family) checkAlloc(t *testing.T, what string, p []byte, quick bool) {
+	t.Helper()
+	if raceBuild {
+		return
+	}
+	p = bytes.Clone(p)
+	bound := uint64(allocPerByte*len(p) + allocSlack)
+	for _, k := range f.Kinds {
+		if got := decodeAlloc(k, p, bound, quick); got > bound {
+			t.Errorf("%s decoder allocates %d bytes on a %d-byte %s, bound %d·%d + %d = %d",
+				k.Name, got, len(p), what, allocPerByte, len(p), allocSlack, bound)
+		}
+	}
+}
+
+// CheckAlloc asserts the allocation bound (checkAlloc) for every decoder
+// of the family on every seed of every target: the refusal rows and each
+// sample's payload, also cut by a byte and extended by one — the corpus
+// checked in under testdata/fuzz/<target>, which corpus/<target> holds
+// equal to them. Call it from a test that does not run in parallel; a
+// -race build skips it.
+func (f *Family) CheckAlloc(t *testing.T) {
+	t.Helper()
+	if raceBuild {
+		t.Skip("a -race build allocates on its own schedule")
+	}
+	for _, target := range f.Targets {
+		for i, p := range f.seeds(t, target) {
+			f.checkAlloc(t, fmt.Sprintf("%s seed %d", target.Name, i), p, false)
 		}
 	}
 }

@@ -38,8 +38,8 @@ func appendElems(dst []byte, xs []field.Element) ([]byte, error) {
 }
 
 // elemsFromLE reads len(dst) little-endian words into dst and refuses a
-// word that is not a canonical element (≥ p), as core's element does: an
-// accepted payload has exactly one encoding.
+// word that is not a canonical element (≥ p), as secagg.ReadElement does:
+// an accepted payload has exactly one encoding.
 func elemsFromLE(dst []field.Element, words []byte) error {
 	for i := range dst {
 		v := binary.LittleEndian.Uint64(words[8*i:])

@@ -1,31 +1,33 @@
 package lightsecagg
 
 import (
-	"fmt"
+	"encoding/hex"
 	"testing"
+
+	"repro/internal/session"
 )
 
-// TestRouteADGolden pins the envelope associated data to the bytes
-// fmt.Sprintf("lsa/%d/%d/%d", round, from, to) produced before it was
-// appended into a caller's array.
+// TestRouteADGolden pins the envelope associated data to SecAgg's route
+// AD, [round:8][from:8][to:8] little-endian, appended into the caller's
+// array.
 func TestRouteADGolden(t *testing.T) {
 	const max = ^uint64(0)
-	var buf [routeADMax]byte
+	var buf [session.RouteADSize]byte
 	for _, tc := range []struct {
 		round, from, to uint64
 		want            string
 	}{
-		{0, 0, 0, "lsa/0/0/0"},
-		{7003, 12, 5, "lsa/7003/12/5"},
-		{1, 10, 100, "lsa/1/10/100"},
-		{max, max, max, "lsa/18446744073709551615/18446744073709551615/18446744073709551615"},
+		{0, 0, 0, "000000000000000000000000000000000000000000000000"},
+		{7003, 12, 5, "5b1b0000000000000c000000000000000500000000000000"},
+		{1, 10, 100, "01000000000000000a000000000000006400000000000000"},
+		{max, max, max, "ffffffffffffffffffffffffffffffffffffffffffffffff"},
 	} {
-		got := appendRouteAD(buf[:0], tc.round, tc.from, tc.to)
-		if string(got) != tc.want || string(got) != fmt.Sprintf("lsa/%d/%d/%d", tc.round, tc.from, tc.to) {
-			t.Errorf("route AD %q, want %q", got, tc.want)
+		got := session.AppendRouteAD(buf[:0], tc.round, tc.from, tc.to)
+		if hex.EncodeToString(got) != tc.want {
+			t.Errorf("route AD %x, want %s", got, tc.want)
 		}
 		if &got[0] != &buf[0] {
-			t.Errorf("route AD %q outgrew routeADMax = %d", got, routeADMax)
+			t.Errorf("route AD %x outgrew RouteADSize = %d", got, session.RouteADSize)
 		}
 	}
 }

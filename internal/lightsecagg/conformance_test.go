@@ -19,6 +19,14 @@ func TestCodecConformance(t *testing.T) {
 	t.Run("lightsecagg", func(t *testing.T) { shareFamily(t).Check(t) })
 }
 
+// TestCodecAllocBound bounds what each decoder allocates on every refusal
+// row, sample and checked-in corpus seed (fuzzcorpus.Family.CheckAlloc);
+// the fuzz target enforces the same bound on every input it tries. It
+// reads a process-wide counter, so it does not run in parallel.
+func TestCodecAllocBound(t *testing.T) {
+	t.Run("lightsecagg", func(t *testing.T) { shareFamily(t).CheckAlloc(t) })
+}
+
 func FuzzShareVector(f *testing.F) { shareFamily(f).Fuzz(f, "FuzzShareVector") }
 
 // TestCodecMalformed: the malformed share vector, a word that is no field

@@ -80,12 +80,12 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 
 	"repro/internal/aead"
 	"repro/internal/field"
 	"repro/internal/prg"
 	"repro/internal/session"
+	"repro/internal/transport"
 )
 
 // Config fixes one LightSecAgg round. All parties must agree on it.
@@ -207,20 +207,6 @@ type AggShareMsg struct {
 	S    []field.Element
 }
 
-// routeADMax is the longest route AD: "lsa/" and three 20-digit integers
-// with two separators.
-const routeADMax = 4 + 3*20 + 2
-
-// appendRouteAD appends the AEAD associated data lsa/<round>/<from>/<to>
-// of one envelope: it binds the round and the (sender, recipient) route, so
-// the relaying server can neither re-route an envelope nor replay one from
-// an earlier chunk or round of the same session undetected.
-func appendRouteAD(dst []byte, round, from, to uint64) []byte {
-	dst = strconv.AppendUint(append(dst, "lsa/"...), round, 10)
-	dst = strconv.AppendUint(append(dst, '/'), from, 10)
-	return strconv.AppendUint(append(dst, '/'), to, 10)
-}
-
 // Client is one participant's round state machine. Its stage methods are
 // driven by run.go through its stage table (program.go); see the package
 // comment for the stage order.
@@ -243,8 +229,9 @@ type Client struct {
 	random []field.Element
 	masked bool
 
-	// roster maps peer id → channel public key once SealShares ran.
-	roster map[uint64][]byte
+	// roster is slabs.pubs, each rank's channel public key, once
+	// SealShares installed it (nil before).
+	roster [][]byte
 }
 
 // NewClient draws the mask and coding noise from rand with a fresh
@@ -380,16 +367,12 @@ func (c *Client) SealShares(roster []AdvertiseMsg) ([]Envelope, error) {
 	n, l := len(c.cfg.ClientIDs), c.cfg.SubVectorLen()
 	stride := 4 + 8*l + aead.Overhead
 	out := make([]Envelope, 0, n-1)
-	var ad [routeADMax]byte
+	var ad [session.RouteADSize]byte
 	for rank, to := range c.cfg.ClientIDs {
 		if rank == self {
 			continue
 		}
-		pub, ok := c.roster[to]
-		if !ok {
-			return nil, fmt.Errorf("lightsecagg: no channel key for peer %d", to)
-		}
-		key, err := c.session.channelKey(pub)
+		key, err := c.session.channelKey(c.roster[rank])
 		if err != nil {
 			return nil, err
 		}
@@ -399,7 +382,7 @@ func (c *Client) SealShares(roster []AdvertiseMsg) ([]Envelope, error) {
 		if err != nil {
 			return nil, err
 		}
-		ct, err := key.AppendSeal(window, c.rand, pt, appendRouteAD(ad[:0], c.cfg.Round, c.id, to))
+		ct, err := key.AppendSeal(window, c.rand, pt, session.AppendRouteAD(ad[:0], c.cfg.Round, c.id, to))
 		if err != nil {
 			return nil, err
 		}
@@ -412,18 +395,23 @@ func (c *Client) SealShares(roster []AdvertiseMsg) ([]Envelope, error) {
 // client must be present: the offline sharing phase needs the full set
 // (the §6.1 dropout model has clients vanish later).
 func (c *Client) installRoster(roster []AdvertiseMsg) error {
-	pubs := make(map[uint64][]byte, len(roster))
+	pubs := c.slabs.pubs
+	clear(pubs)
 	for _, m := range roster {
-		if _, err := c.cfg.rank(m.From); err != nil {
+		rank, err := c.cfg.rank(m.From)
+		if err != nil {
 			return err
 		}
-		if _, dup := pubs[m.From]; dup {
+		if len(m.CipherPub) == 0 {
+			return fmt.Errorf("lightsecagg: roster entry for %d has no channel key", m.From)
+		}
+		if pubs[rank] != nil {
 			return fmt.Errorf("lightsecagg: duplicate roster entry for %d", m.From)
 		}
-		pubs[m.From] = m.CipherPub
+		pubs[rank] = m.CipherPub
 	}
-	if len(pubs) != len(c.cfg.ClientIDs) {
-		return fmt.Errorf("lightsecagg: roster covers %d/%d clients", len(pubs), len(c.cfg.ClientIDs))
+	if len(roster) != len(pubs) {
+		return fmt.Errorf("lightsecagg: roster covers %d/%d clients", len(roster), len(pubs))
 	}
 	c.roster = pubs
 	return nil
@@ -444,7 +432,7 @@ func (c *Client) OpenEnvelopes(envs []Envelope) error {
 		return fmt.Errorf("lightsecagg: %d envelopes for the %d other members of the roster", len(envs), len(c.cfg.ClientIDs)-1)
 	}
 	pt := make([]byte, 0, 4+8*c.cfg.SubVectorLen())
-	var ad [routeADMax]byte
+	var ad [session.RouteADSize]byte
 	for _, env := range envs {
 		if env.From == c.id {
 			return fmt.Errorf("lightsecagg: envelope from %d to itself", c.id)
@@ -453,11 +441,11 @@ func (c *Client) OpenEnvelopes(envs []Envelope) error {
 		if err != nil {
 			return err
 		}
-		key, err := c.session.channelKey(c.roster[env.From])
+		key, err := c.session.channelKey(c.roster[rank])
 		if err != nil {
 			return err
 		}
-		if pt, err = key.AppendOpen(pt[:0], env.Ciphertext, appendRouteAD(ad[:0], c.cfg.Round, env.From, c.id)); err != nil {
+		if pt, err = key.AppendOpen(pt[:0], env.Ciphertext, session.AppendRouteAD(ad[:0], c.cfg.Round, env.From, c.id)); err != nil {
 			return fmt.Errorf("lightsecagg: envelope from %d failed authentication: %w", env.From, err)
 		}
 		if err := decodeShareInto(c.row(rank), pt); err != nil {
@@ -667,7 +655,11 @@ func (s *Server) AddShareBundle(from uint64, envs []Envelope) error {
 		if _, err := s.cfg.rank(env.To); err != nil {
 			return err
 		}
-		s.outbox[env.To] = append(s.outbox[env.To], Envelope{From: from, To: env.To, Ciphertext: env.Ciphertext})
+		out := s.outbox[env.To]
+		if out == nil {
+			out = make([]Envelope, 0, len(s.cfg.ClientIDs)-1)
+		}
+		s.outbox[env.To] = append(out, Envelope{From: from, To: env.To, Ciphertext: env.Ciphertext})
 	}
 	return nil
 }
@@ -715,11 +707,7 @@ func (s *Server) SealMasked() ([]uint64, error) {
 	if len(s.maskedSet) < u {
 		return nil, fmt.Errorf("lightsecagg: only %d survivors, recovery threshold %d", len(s.maskedSet), u)
 	}
-	s.survivors = make([]uint64, 0, len(s.maskedSet))
-	for id := range s.maskedSet {
-		s.survivors = append(s.survivors, id)
-	}
-	sort.Slice(s.survivors, func(i, j int) bool { return s.survivors[i] < s.survivors[j] })
+	s.survivors = transport.SortedKeys(s.maskedSet)
 	return s.survivors, nil
 }
 

@@ -60,14 +60,16 @@ type Session struct {
 
 // slabs is a client's round scratch (ARCHITECTURE.md, "Round scratch"):
 // the random slab's U·L words, the n × L received slab with its have set,
-// the ciphertext slab and the L-length aggregate share. All but have are
-// leased, one lease each, from elems and ciphertexts.
+// the ciphertext slab, the L-length aggregate share and the peers'
+// channel keys by rank. All but have and pubs are leased, one lease each,
+// from elems and ciphertexts.
 type slabs struct {
 	words    []field.Element
 	received []field.Element
 	have     []bool
 	sealed   []byte
 	agg      []field.Element
+	pubs     [][]byte
 }
 
 // The free lists a session leases its slabs from, each bounded by two
@@ -93,6 +95,8 @@ func (s *Session) slabs(cfg Config) slabs {
 	sc.received = regrow(elems, sc.received, n*l)
 	sc.have = slices.Grow(sc.have[:0], n)[:n]
 	clear(sc.have)
+	sc.pubs = slices.Grow(sc.pubs[:0], n)[:n]
+	clear(sc.pubs)
 	sc.sealed = regrow(ciphertexts, sc.sealed, (n-1)*(4+8*l+aead.Overhead))
 	sc.agg = regrow(elems, sc.agg, l)
 	return *sc
@@ -118,7 +122,8 @@ func (s *Session) release() {
 	elems.Release(sc.received)
 	elems.Release(sc.agg)
 	ciphertexts.Release(sc.sealed)
-	*sc = slabs{have: sc.have}
+	clear(sc.pubs)
+	*sc = slabs{have: sc.have, pubs: sc.pubs}
 }
 
 // NewSession generates the session's channel key pair with randomness

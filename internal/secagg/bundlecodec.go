@@ -1,31 +1,29 @@
 package secagg
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/field"
 	"repro/internal/shamir"
+	"repro/internal/transport"
 )
 
 // Binary codec for the stage-1 ShareBundle — the plaintext sealed inside
-// the share-distribution AEAD. A reflective encoding costs ~32µs and ~230
-// allocations per edge (type dictionary, varint framing) — ≈130ms of pure
-// encoding per round at 64 clients; the fixed layout below is a single
-// allocation each way.
+// the share-distribution AEAD — in the transport.Reader/Writer idiom, with
+// the version byte in the place of the family's tag.
 //
-// Layout (integers little-endian, field elements as canonical uint64 — a
-// word ≥ p is refused, so an accepted bundle has exactly one encoding):
+// Layout (integers little-endian; share as in PROTOCOL.md "Shared layouts"):
 //
 //	[magic 0xDB][version][From:8][To:8]
-//	[MaskKey: numKeyChunks × (X:8, Y:8)]
-//	[SelfSeed: X:8, Y:8]
-//	[n:4][NoiseSeeds: n × (X:8, Y:8)]
+//	[MaskKey: numKeyChunks × share]
+//	[SelfSeed: share]
+//	[n:4][NoiseSeeds: n × share]
 //
 // The magic byte keeps the family disjoint from the repo's other framed
 // encodings (0xD0 core codec, 0xDA persisted sessions, 0xDC combiner
-// frames); anything that does not lead with it is rejected. The version
-// byte gates structural evolution: a peer on another version fails loudly.
+// frames, 0xDD transcript frames); anything that does not lead with it is
+// rejected. The version byte gates structural evolution: a peer on
+// another version fails loudly.
 const (
 	bundleMagic   = 0xDB
 	bundleVersion = 1
@@ -38,86 +36,62 @@ const (
 	bundleFixedLen = 2 + 8 + 8 + numKeyChunks*16 + 16 + 4
 )
 
-func appendShare(dst []byte, s shamir.Share) []byte {
-	var b [16]byte
-	binary.LittleEndian.PutUint64(b[0:], uint64(s.X))
-	binary.LittleEndian.PutUint64(b[8:], uint64(s.Y))
-	return append(dst, b[:]...)
+// WriteShare appends one Shamir share, [X:8][Y:8] as canonical field
+// elements: the share layout of the bundle here and of the unmask and
+// noise-share messages on the wire.
+func WriteShare(w *transport.Writer, s shamir.Share) {
+	w.Uint64(s.X.Uint64())
+	w.Uint64(s.Y.Uint64())
 }
 
-// decodeShare reads one (X, Y) pair. A coordinate that is not a canonical
-// element (≥ p) sets *bad: reducing it would give the bundle a second
-// encoding.
-func decodeShare(src []byte, bad *bool) shamir.Share {
-	x, y := binary.LittleEndian.Uint64(src[0:]), binary.LittleEndian.Uint64(src[8:])
-	*bad = *bad || x >= field.Modulus || y >= field.Modulus
-	return shamir.Share{X: field.Element(x), Y: field.Element(y)}
+// ReadShare decodes one WriteShare share.
+func ReadShare(r *transport.Reader) shamir.Share {
+	return shamir.Share{X: ReadElement(r), Y: ReadElement(r)}
 }
 
+// ReadElement decodes one field element. A word that is not canonical
+// (≥ p) is refused: reducing it would give the payload a second encoding.
+func ReadElement(r *transport.Reader) field.Element {
+	v := r.Uint64()
+	if v >= field.Modulus {
+		r.Fail(fmt.Errorf("field element %d not canonical", v))
+		return 0
+	}
+	return field.Element(v)
+}
+
+// encodeBundle leases its payload from the frame list: the caller
+// releases it once sealed.
 func encodeBundle(b ShareBundle) ([]byte, error) {
-	if len(b.NoiseSeeds) > maxBundleNoiseSeeds {
-		return nil, fmt.Errorf("secagg: bundle carries %d noise seeds, cap %d", len(b.NoiseSeeds), maxBundleNoiseSeeds)
-	}
-	out := make([]byte, 0, bundleFixedLen+16*len(b.NoiseSeeds))
-	out = append(out, bundleMagic, bundleVersion)
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], b.From)
-	binary.LittleEndian.PutUint64(hdr[8:], b.To)
-	out = append(out, hdr[:]...)
+	w := transport.NewWriter(bundleMagic, bundleVersion, bundleFixedLen-2+16*len(b.NoiseSeeds))
+	w.Uint64(b.From)
+	w.Uint64(b.To)
 	for _, s := range b.MaskKey {
-		out = appendShare(out, s)
+		WriteShare(w, s)
 	}
-	out = appendShare(out, b.SelfSeed)
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(b.NoiseSeeds)))
-	out = append(out, cnt[:]...)
+	WriteShare(w, b.SelfSeed)
+	w.Count(len(b.NoiseSeeds), maxBundleNoiseSeeds)
 	for _, s := range b.NoiseSeeds {
-		out = appendShare(out, s)
+		WriteShare(w, s)
 	}
-	return out, nil
+	return w.Done()
 }
 
 func decodeBundle(p []byte) (ShareBundle, error) {
-	if len(p) == 0 {
-		return ShareBundle{}, fmt.Errorf("secagg: empty bundle")
-	}
-	if p[0] != bundleMagic {
-		return ShareBundle{}, fmt.Errorf("secagg: not a binary bundle")
-	}
-	if len(p) < bundleFixedLen {
-		return ShareBundle{}, fmt.Errorf("secagg: bundle truncated: %d bytes", len(p))
-	}
-	if v := p[1]; v != bundleVersion {
-		return ShareBundle{}, fmt.Errorf("secagg: bundle version %d, want %d", v, bundleVersion)
-	}
-	var b ShareBundle
-	var bad bool
-	b.From = binary.LittleEndian.Uint64(p[2:])
-	b.To = binary.LittleEndian.Uint64(p[10:])
-	off := 18
+	r := transport.NewReader(p, bundleMagic, bundleVersion)
+	b := ShareBundle{From: r.Uint64(), To: r.Uint64()}
 	for i := range b.MaskKey {
-		b.MaskKey[i] = decodeShare(p[off:], &bad)
-		off += 16
+		b.MaskKey[i] = ReadShare(r)
 	}
-	b.SelfSeed = decodeShare(p[off:], &bad)
-	off += 16
-	n := int(binary.LittleEndian.Uint32(p[off:]))
-	off += 4
-	if n > maxBundleNoiseSeeds {
-		return ShareBundle{}, fmt.Errorf("secagg: bundle declares %d noise seeds, cap %d", n, maxBundleNoiseSeeds)
-	}
-	if len(p)-off != 16*n {
-		return ShareBundle{}, fmt.Errorf("secagg: bundle declares %d noise seeds over %d trailing bytes", n, len(p)-off)
-	}
-	if n > 0 {
+	b.SelfSeed = ReadShare(r)
+	if n := r.Count(16, maxBundleNoiseSeeds); n > 0 {
 		b.NoiseSeeds = make([]shamir.Share, n)
 		for i := range b.NoiseSeeds {
-			b.NoiseSeeds[i] = decodeShare(p[off:], &bad)
-			off += 16
+			b.NoiseSeeds[i] = ReadShare(r)
 		}
 	}
-	if bad {
-		return ShareBundle{}, fmt.Errorf("secagg: bundle share not a canonical field element")
+	if err := r.Done(); err != nil {
+		return ShareBundle{}, fmt.Errorf("secagg: share bundle: %w", err)
 	}
 	return b, nil
 }

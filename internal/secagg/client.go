@@ -14,6 +14,7 @@ import (
 	"repro/internal/field"
 	"repro/internal/prg"
 	"repro/internal/ring"
+	"repro/internal/session"
 	"repro/internal/shamir"
 	"repro/internal/sig"
 	"repro/internal/transcript"
@@ -295,6 +296,7 @@ func (c *Client) ShareKeys(roster []AdvertiseMsg) ([]EncryptedShareMsg, error) {
 
 	c.channelKey = make(map[uint64]*aead.Key, len(peers))
 	out := make([]EncryptedShareMsg, 0, len(peers)-1)
+	var ad [session.RouteADSize]byte
 	for i, peer := range peers {
 		if peer == c.id {
 			// Keep own shares locally so they participate in unmasking.
@@ -322,7 +324,8 @@ func (c *Client) ShareKeys(roster []AdvertiseMsg) ([]EncryptedShareMsg, error) {
 		if err != nil {
 			return nil, err
 		}
-		ct, err := key.Seal(c.rand, pt, shareAD(c.cfg.Round, c.id, peer))
+		ct, err := key.Seal(c.rand, pt, session.AppendRouteAD(ad[:0], c.cfg.Round, c.id, peer))
+		transport.Release(pt)
 		if err != nil {
 			return nil, err
 		}
@@ -380,7 +383,7 @@ func (c *Client) MaskedInput(ciphertexts []EncryptedShareMsg) (MaskedInputMsg, e
 			c.pendingCts[m.From] = m.Ciphertext
 			u2set[m.From] = struct{}{}
 		}
-		c.u2 = sortedIDs(u2set)
+		c.u2 = transport.SortedKeys(u2set)
 		if d != nil {
 			d.delivered, d.u2 = c.pendingCts, c.u2
 		}
@@ -639,7 +642,8 @@ func (c *Client) bundleFrom(v uint64) (ShareBundle, error) {
 	if c.deal != nil {
 		round = c.deal.cfg.Round
 	}
-	pt, err := key.Open(ct, shareAD(round, v, c.id))
+	var ad [session.RouteADSize]byte
+	pt, err := key.Open(ct, session.AppendRouteAD(ad[:0], round, v, c.id))
 	if err != nil {
 		return ShareBundle{}, fmt.Errorf("secagg: client %d cannot decrypt bundle from %d: %w", c.id, v, err)
 	}
@@ -698,15 +702,6 @@ func (c *Client) RevealNoiseShares(req NoiseShareRequest) (NoiseShareMsg, error)
 }
 
 // --- small helpers ---
-
-func sortedIDs[V any](m map[uint64]V) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
-}
 
 func sortedCopy(ids []uint64) []uint64 {
 	out := slices.Clone(ids)

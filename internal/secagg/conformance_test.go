@@ -18,6 +18,14 @@ func TestCodecConformance(t *testing.T) {
 	t.Run("bundle", func(t *testing.T) { bundleFamily(t).Check(t) })
 }
 
+// TestCodecAllocBound bounds what each decoder allocates on every refusal
+// row, sample and checked-in corpus seed (fuzzcorpus.Family.CheckAlloc);
+// the fuzz target enforces the same bound on every input it tries. It
+// reads a process-wide counter, so it does not run in parallel.
+func TestCodecAllocBound(t *testing.T) {
+	t.Run("bundle", func(t *testing.T) { bundleFamily(t).CheckAlloc(t) })
+}
+
 func FuzzBundleCodec(f *testing.F) { bundleFamily(f).Fuzz(f, "FuzzBundleCodec") }
 
 // The earlier per-codec test names, each running only its own parts of

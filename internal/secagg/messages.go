@@ -39,16 +39,6 @@ type EncryptedShareMsg struct {
 	Ciphertext []byte
 }
 
-// shareAD returns the associated data binding a share ciphertext to its
-// route and round.
-func shareAD(round, from, to uint64) []byte {
-	var b [24]byte
-	binary.LittleEndian.PutUint64(b[0:], round)
-	binary.LittleEndian.PutUint64(b[8:], from)
-	binary.LittleEndian.PutUint64(b[16:], to)
-	return b[:]
-}
-
 // MaskedInputMsg is the stage-2 client message: the masked (and noised)
 // input vector, plus (malicious mode) the round signature ω'_u that lets
 // peers verify the server's claimed survivor set.

@@ -13,6 +13,7 @@ import (
 	"repro/internal/ring"
 	"repro/internal/shamir"
 	"repro/internal/transcript"
+	"repro/internal/transport"
 	"repro/internal/xnoise"
 )
 
@@ -126,7 +127,7 @@ func (s *Server) InstallRoster(roster []AdvertiseMsg) error {
 	if len(s.roster) < s.cfg.Threshold {
 		return fmt.Errorf("secagg: |U1|=%d < t=%d, aborting", len(s.roster), s.cfg.Threshold)
 	}
-	s.u1 = sortedIDs(s.roster)
+	s.u1 = transport.SortedKeys(s.roster)
 	return nil
 }
 
@@ -151,7 +152,7 @@ func (s *Server) SealAdvertise() ([]AdvertiseMsg, error) {
 	if len(s.roster) < s.cfg.Threshold {
 		return nil, fmt.Errorf("secagg: |U1|=%d < t=%d, aborting", len(s.roster), s.cfg.Threshold)
 	}
-	s.u1 = sortedIDs(s.roster)
+	s.u1 = transport.SortedKeys(s.roster)
 	out := make([]AdvertiseMsg, 0, len(s.u1))
 	for _, id := range s.u1 {
 		out = append(out, s.roster[id])
@@ -224,7 +225,7 @@ func (s *Server) SealShares() (map[uint64][]EncryptedShareMsg, error) {
 	if len(s.u2set) < s.cfg.Threshold {
 		return nil, fmt.Errorf("secagg: |U2|=%d < t=%d, aborting", len(s.u2set), s.cfg.Threshold)
 	}
-	s.u2 = sortedIDs(s.u2set)
+	s.u2 = transport.SortedKeys(s.u2set)
 	deliver := make(map[uint64][]EncryptedShareMsg, len(s.u2))
 	for _, recipient := range s.u2 {
 		// Filtered in place: the outbox is read no more.
@@ -320,7 +321,7 @@ func (s *Server) SealMasked() ([]uint64, error) {
 	if len(s.u3set) < s.cfg.Threshold {
 		return nil, fmt.Errorf("secagg: |U3|=%d < t=%d, aborting", len(s.u3set), s.cfg.Threshold)
 	}
-	s.u3 = sortedIDs(s.u3set)
+	s.u3 = transport.SortedKeys(s.u3set)
 	return append([]uint64(nil), s.u3...), nil
 }
 
@@ -357,7 +358,7 @@ func (s *Server) SealConsistency() (UnmaskRequest, error) {
 	if len(s.u4set) < s.cfg.Threshold {
 		return UnmaskRequest{}, fmt.Errorf("secagg: |U4|=%d < t=%d, aborting", len(s.u4set), s.cfg.Threshold)
 	}
-	s.u4 = sortedIDs(s.u4set)
+	s.u4 = transport.SortedKeys(s.u4set)
 	req := UnmaskRequest{
 		U3: append([]uint64(nil), s.u3...),
 		U4: append([]uint64(nil), s.u4...),
@@ -464,7 +465,7 @@ func (s *Server) SealUnmask() (*NoiseShareRequest, error) {
 	if len(s.u5set) < s.cfg.Threshold {
 		return nil, fmt.Errorf("secagg: |U5|=%d < t=%d, aborting", len(s.u5set), s.cfg.Threshold)
 	}
-	s.u5 = sortedIDs(s.u5set)
+	s.u5 = transport.SortedKeys(s.u5set)
 
 	if err := s.unmask(); err != nil {
 		return nil, err

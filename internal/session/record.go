@@ -2,7 +2,6 @@ package session
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dh"
 	"repro/internal/transport"
@@ -26,34 +25,47 @@ const (
 	// maxEntries caps decoded section counts (roster members, cached
 	// secrets): protocol reality is one entry per sampled client.
 	maxEntries = 1 << 20
-	// maxBlob caps one variable-length byte field (public keys are 32
-	// bytes, signatures 64).
+	// maxBlob caps a cached secret's key.
 	maxBlob = 1 << 16
+	// maxEntryBlob caps one key or signature of a roster entry (public
+	// keys are 32 bytes, signatures 64).
+	maxEntryBlob = 1 << 10
 )
 
-// writeRoster appends the roster section: [n:4] then per member
-// [From:8][blob CipherPub][blob MaskPub][blob Signature].
-func writeRoster(w *transport.Writer, roster []Entry) {
+// WriteEntry appends one roster entry (PROTOCOL.md, "Shared layouts"):
+// [From:8][blob CipherPub][blob MaskPub][blob Signature]. It is the
+// stage-0 advertisement on the wire and a roster member at rest alike.
+func WriteEntry(w *transport.Writer, e Entry) {
+	w.Uint64(e.From)
+	w.Blob(e.CipherPub, maxEntryBlob)
+	w.Blob(e.MaskPub, maxEntryBlob)
+	w.Blob(e.Signature, maxEntryBlob)
+}
+
+// ReadEntry decodes one WriteEntry entry.
+func ReadEntry(r *transport.Reader) Entry {
+	return Entry{From: r.Uint64(), CipherPub: r.Blob(maxEntryBlob),
+		MaskPub: r.Blob(maxEntryBlob), Signature: r.Blob(maxEntryBlob)}
+}
+
+// WriteRoster appends a roster section: [n:4] then n WriteEntry entries.
+func WriteRoster(w *transport.Writer, roster []Entry) {
 	w.Count(len(roster), maxEntries)
-	for _, m := range roster {
-		w.Uint64(m.From)
-		w.Blob(m.CipherPub, maxBlob)
-		w.Blob(m.MaskPub, maxBlob)
-		w.Blob(m.Signature, maxBlob)
+	for _, e := range roster {
+		WriteEntry(w, e)
 	}
 }
 
-// readRoster decodes a roster section (nil when empty); the minimum entry
+// ReadRoster decodes a roster section (nil when empty); the minimum entry
 // is an id plus three empty blobs.
-func readRoster(r *transport.Reader) []Entry {
+func ReadRoster(r *transport.Reader) []Entry {
 	n := r.Count(8+3*2, maxEntries)
 	if n == 0 {
 		return nil
 	}
 	roster := make([]Entry, n)
 	for i := range roster {
-		roster[i] = Entry{From: r.Uint64(), CipherPub: r.Blob(maxBlob),
-			MaskPub: r.Blob(maxBlob), Signature: r.Blob(maxBlob)}
+		roster[i] = ReadEntry(r)
 	}
 	return roster
 }
@@ -69,7 +81,7 @@ func (c *ClientState) WriteRecord(w *transport.Writer) {
 	}
 	w.Uint64(c.nextRatchet)
 	w.Raw(flags)
-	writeRoster(w, c.roster)
+	WriteRoster(w, c.roster)
 }
 
 // ReadRecord decodes a client continuity section into c.
@@ -82,7 +94,7 @@ func (c *ClientState) ReadRecord(r *transport.Reader) {
 		r.Fail(fmt.Errorf("session: unknown continuity flag bits %#x", flags))
 	}
 	c.taint = flags&1 != 0
-	c.roster = readRoster(r)
+	c.roster = ReadRoster(r)
 }
 
 // WriteRecord appends the secret section: [n:4] then per secret, in
@@ -92,12 +104,7 @@ func (c *Secrets) WriteRecord(w *transport.Writer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w.Count(len(c.m), maxEntries)
-	keys := make([]string, 0, len(c.m))
-	for k := range c.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range transport.SortedKeys(c.m) {
 		s := c.m[k]
 		w.Blob([]byte(k), maxBlob)
 		w.Uint64(s.step)
@@ -154,7 +161,7 @@ func (s *ServerState) MarshalBinary() ([]byte, error) {
 	defer s.mu.Unlock()
 	w := transport.NewVersionedWriter(Magic, serverTag, serverVersion, 0)
 	w.Uint64(s.nextRatchet)
-	writeRoster(w, s.roster)
+	WriteRoster(w, s.roster)
 	w.Words(s.rosterIDs, maxEntries)
 	w.Words(s.taintedLocked(), maxEntries)
 	return w.Done()
@@ -163,7 +170,7 @@ func (s *ServerState) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary replaces the state with a MarshalBinary record's.
 func (s *ServerState) UnmarshalBinary(p []byte) error {
 	r := transport.NewVersionedReader(p, Magic, serverTag, serverVersion)
-	nextRatchet, roster := r.Uint64(), readRoster(r)
+	nextRatchet, roster := r.Uint64(), ReadRoster(r)
 	rosterIDs, tainted := r.Words(maxEntries), r.Words(maxEntries)
 	for i := 1; i < len(tainted); i++ {
 		if tainted[i] <= tainted[i-1] {

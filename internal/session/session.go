@@ -15,11 +15,27 @@
 package session
 
 import (
+	"encoding/binary"
 	"slices"
 	"sync"
 
 	"repro/internal/transcript"
+	"repro/internal/transport"
 )
+
+// RouteADSize is the length of a route AD.
+const RouteADSize = 24
+
+// AppendRouteAD appends the associated data every share ciphertext is
+// sealed under (PROTOCOL.md, "Route AD"): [round:8][from:8][to:8],
+// little-endian. It binds the sub-round and the (sender, recipient) route,
+// so the relaying server can neither re-route a share nor replay one from
+// another sub-round of the same session undetected.
+func AppendRouteAD(dst []byte, round, from, to uint64) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, round)
+	dst = binary.LittleEndian.AppendUint64(dst, from)
+	return binary.LittleEndian.AppendUint64(dst, to)
+}
 
 // Entry is one member's stage-0 advertisement as rosters cache, hash and
 // persist it. SecAgg fills both keys; LightSecAgg advertises one channel
@@ -321,12 +337,7 @@ func (s *ServerState) TaintedMembers() []uint64 {
 // taintedLocked lists the taint set ascending (a deterministic order for
 // the handshake and the server record alike); the caller holds mu.
 func (s *ServerState) taintedLocked() []uint64 {
-	out := make([]uint64, 0, len(s.tainted))
-	for id := range s.tainted {
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
+	return transport.SortedKeys(s.tainted)
 }
 
 // Reset drops the roster, the taint set and the ratchet position: the next

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"sort"
 	"sync"
 )
 
@@ -143,12 +142,7 @@ func (s *memoryServer) Recv(ctx context.Context) (Frame, error) {
 func (s *memoryServer) Clients() []uint64 {
 	s.net.mu.Lock()
 	defer s.net.mu.Unlock()
-	out := make([]uint64, 0, len(s.net.clients))
-	for id := range s.net.clients {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return SortedKeys(s.net.clients)
 }
 
 func (s *memoryServer) Close() error {

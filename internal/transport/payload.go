@@ -1,13 +1,15 @@
 package transport
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Reader and Writer are the shared idiom of the binary payload codecs
-// (core's 0xD0 family, the at-rest session records' 0xDA, the combiner's
-// 0xDC, the transcript's 0xDD): little-endian
+// (core's 0xD0 family, the at-rest session records' 0xDA, secagg's 0xDB
+// share bundle, the combiner's 0xDC, the transcript's 0xDD): little-endian
 // integers, count-prefixed sections, and — on the decode side — no
 // allocation a length prefix asks for that the remaining bytes cannot
 // back. A family whose layouts evolve leads with [magic][tag][version]
@@ -162,6 +164,18 @@ func (r *Reader) Key(i int, prev *uint64) uint64 {
 	}
 	*prev = k
 	return k
+}
+
+// SortedKeys returns m's keys ascending: the one order Key accepts, so an
+// encoder emits each map section in it, and the order anything else that
+// lists a map's keys deterministically uses.
+func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // Done ends the decode: trailing bytes are an error like any other.

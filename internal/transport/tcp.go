@@ -6,7 +6,6 @@ import (
 	"fmt"
 	mrand "math/rand"
 	"net"
-	"sort"
 	"sync"
 	"time"
 )
@@ -128,12 +127,7 @@ func (s *TCPServer) Recv(ctx context.Context) (Frame, error) {
 func (s *TCPServer) Clients() []uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]uint64, 0, len(s.conns))
-	for id := range s.conns {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return SortedKeys(s.conns)
 }
 
 // Close implements ServerConn.
