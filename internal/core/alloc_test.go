@@ -26,20 +26,23 @@ import (
 //   - on a warm session (the continuing service), only the server's
 //     accumulators, since every client's session keeps its buffer;
 //   - with in-protocol XNoise, also each client's noise streams and seed
-//     shares and the server's removal noise: a client's Dim-long noise
-//     total is leased and handed back before masking (secagg's totals,
-//     which holds all eight of this row's 16384-coordinate totals).
+//     shares and the server's removal noise: a client adds its noise
+//     components straight into its upload, with no Dim-long total.
 //
 // With every frame made, decoded into a second slice and encoded into a
 // third, the session-less round ran at about seven times its vector
-// bytes, and at 2.4× while a client cloned its input into the upload and
-// decoded the result into a fresh slice. On two cores it runs at ≈1.35×
-// (≈1.38× under -race) and a session round at ≈0.35× (≈0.37×); the
-// XNoise round ran at ≈2.9× (≈3.0×) while every client made its noise
-// total and runs at ≈1.9× (≈2.1×) now. The budgets are those figures plus
-// ~30 %. Each further core adds up to
-// perCore: the mask kernel seeks every stream once per worker (≈0.01× a
-// core, ≈0.02× under -race, whose sync.Pool drops a quarter of them).
+// bytes, at 2.4× while a client cloned its input into the upload and
+// decoded the result into a fresh slice, and at ≈1.35× (≈1.38× under
+// -race) while the server copied its sum out of Finalize; a session round
+// ran at ≈0.35× (≈0.37×) then. On two cores they run at ≈1.23× (≈1.25×)
+// and ≈0.22× (≈0.23×). The XNoise round ran at ≈2.9× (≈3.0×) while every
+// client made its noise total and at ≈1.5× while every client leased it
+// (at 16384 coordinates, where the free list held every total, ≈1.9×); it
+// runs at ≈1.37× (≈1.40×) now. The
+// budgets are those figures plus ~30 %. Each further core adds up to
+// perCore: the mask kernel aims a cursor at every stream once per worker
+// past the first (≈0.01× a core, ≈0.02× under -race, whose sync.Pool
+// drops a quarter of them).
 func TestWireRoundAllocBudget(t *testing.T) {
 	const (
 		clients = 8
@@ -51,9 +54,9 @@ func TestWireRoundAllocBudget(t *testing.T) {
 		dim                int
 		budget, raceBudget float64 // × the round's vector bytes, on two cores
 	}{
-		{"session-less", false, false, 65536, 1.75, 1.8},
-		{"session", true, false, 65536, 0.46, 0.48},
-		{"session-less xnoise", false, true, 16384, 2.45, 2.7},
+		{"session-less", false, false, 65536, 1.6, 1.65},
+		{"session", true, false, 65536, 0.29, 0.3},
+		{"session-less xnoise", false, true, 65536, 1.8, 1.82},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dim := tc.dim
@@ -164,9 +167,10 @@ func TestWireRoundAllocBudget(t *testing.T) {
 // XNoise tolerating 16 dropouts with 8 taken. What is left:
 //   - the server's accumulators (each client's one buffer is its
 //     session's, leased, kept across the chunks and handed back);
-//   - a PRG stream per mask and noise component for the round, and on
-//     every seek into one a CTR, whose copy of the AES schedule is half a
-//     kilobyte (prg.Stream.Seek);
+//   - a PRG stream per mask and noise component for the round, each
+//     with one CTR, whose copy of the AES schedule is half a kilobyte:
+//     every chunk draws its masks from where the previous chunk left the
+//     stream (the windows lie end to end), so nothing is re-aimed;
 //   - the share stage's lists, which every sub-round after the first still
 //     routes although it reuses the first one's deal.
 //
@@ -184,15 +188,17 @@ func TestWireRoundAllocBudget(t *testing.T) {
 // ran at ≈3.1× (≈5.3× under -race) while the server grew its share relay
 // and its share lists by appending and every sub-round on the deal rebuilt
 // its delivery map and its reveal, and at ≈2.5× (≈4.7× under -race) while
-// every client made its buffer. It runs at ≈2.4× now, ≈4.6× under -race.
+// every client made its buffer, and at ≈2.4× (≈4.6× under -race) while
+// every chunk re-aimed a cursor, a CTR each, into every mask stream. It
+// runs at ≈1.75× now, ≈3.65× under -race.
 //
 // lsa_dropout's shape — 32 clients, 16384 coordinates in 4 chunks on
 // LightSecAgg, U = 24 and T = D = 8, XNoise tolerating 8 dropouts with 4
 // taken. What is left is the cohort's channel keys (an AES-GCM key per
 // directed pair), the server's relay and sums and each chunk's field and
 // ring sum vectors. Each client's session leases its slabs
-// (lightsecagg.Session) at chunk 0 — the longest —, re-slices them for the
-// others and hands them back when the round returns, so a warm round makes
+// (lightsecagg.Session) at chunk 0, re-slices them for the others (all
+// four chunks are equal here) and hands them back when the round returns, so a warm round makes
 // none: the random slab (mask ‖ noise, 1.5 chunk vectors), the received
 // slab and the ciphertext slab (n/(U−T) = 2 chunk vectors each). With a
 // read buffer per fill, three buffers and two decodes per envelope, a
@@ -200,13 +206,14 @@ func TestWireRoundAllocBudget(t *testing.T) {
 // round ran at 23×, at ≈11.4× with noise streams keyed per chunk, at
 // ≈10.9× (≈11.3× under -race) while every (client, chunk) made four slabs
 // and the round a lift slab, at ≈4.0× (≈4.4×) while the round made its
-// encoding slab, and at ≈3.0× (≈3.4×) while every session made its slabs.
-// It runs at ≈1.6× now, ≈2.0× under -race.
+// encoding slab, at ≈3.0× (≈3.4×) while every session made its slabs, and
+// at ≈1.5× while the decoder built five dim-long vectors. It runs at
+// ≈1.28× now, ≈1.7× under -race.
 //
 // LightSecAgg's budget is its figure plus ~30 % and 0.06× — the 0.25 MB
-// encoder — for each core past two (it reads ≈1.7× at GOMAXPROCS 4 and
-// ≈2.0× at 8); SecAgg+'s is its figure plus ~10 % and 0.05× for each core
-// past two (it reads ≈2.5× at GOMAXPROCS 4 and ≈2.7× at 8). The -race
+// encoder — for each core past two (it reads ≈1.35× at GOMAXPROCS 4 and
+// ≈1.5× at 8); SecAgg+'s is its figure plus ~10 % and 0.05× for each core
+// past two (it reads ≈1.8× at GOMAXPROCS 4 and ≈1.9× at 8). The -race
 // budgets are their figures plus ~30 %.
 func TestRunRoundAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
@@ -216,8 +223,8 @@ func TestRunRoundAllocBudget(t *testing.T) {
 		perCore                   float64 // added to budget per core past two
 		tolerance, drops          int
 	}{
-		{ProtocolSecAggPlus, 64, 16384, 48, 8, 2.65, 6.0, 0.05, 16, 8},
-		{ProtocolLightSecAgg, 32, 16384, 24, 4, 2.1, 2.6, 0.06, 8, 4},
+		{ProtocolSecAggPlus, 64, 16384, 48, 8, 1.95, 4.8, 0.05, 16, 8},
+		{ProtocolLightSecAgg, 32, 16384, 24, 4, 1.7, 2.25, 0.06, 8, 4},
 	} {
 		t.Run(tc.proto.String(), func(t *testing.T) {
 			cfg := RoundConfig{

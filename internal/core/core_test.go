@@ -93,7 +93,7 @@ func TestRunRoundChunkingInvariance(t *testing.T) {
 	const n, dim = 4, 64
 	updates := randomUpdates(n, dim, 0.7)
 	var ref []float64
-	for _, m := range []int{1, 2, 5} {
+	for _, m := range []int{1, 2, 3, 5, 8} {
 		cfg := RoundConfig{
 			Round: 2, Protocol: ProtocolSecAgg, Codec: testCodec(dim, n),
 			Threshold: 3, Chunks: m, Seed: prg.NewSeed([]byte("r2")),

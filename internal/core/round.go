@@ -365,7 +365,7 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 
 	// Build the per-chunk protocol config; validated once, its copies share one neighbour memo.
 	proto := ResolveProtocol(cfg.Protocol, len(ids))
-	longest := bounds[0][1] - bounds[0][0] // chunk 0 is never the shorter one
+	longest := bounds[m-1][1] - bounds[m-1][0] // ChunkBounds gives the extra coordinates to the last chunks
 	baseCfg := secagg.Config{
 		Round:     cfg.Round,
 		ClientIDs: ids,
@@ -426,13 +426,15 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 		}
 	}
 
-	// Chunk pipeline state. total and removing are the noise stages'
-	// buffers, each stage's own. The aggregation stage is the only one on
-	// pipeline.Communication, which admits one chunk at a time, so the
-	// chunks' substrate rounds run one after another on the sessions.
-	var total, removing []int64
+	// Chunk pipeline state. removing is the removal stage's noise buffer;
+	// a client's noise is added straight into its chunk input. The
+	// aggregation stage is the only one on pipeline.Communication, which
+	// admits one chunk at a time, so the chunks' substrate rounds run one
+	// after another on the sessions — in epoch order, so each party draws
+	// a chunk's masks from where the previous chunk left its streams.
+	var removing []int64
 	if plan != nil {
-		total, removing = make([]int64, longest), make([]int64, longest)
+		removing = make([]int64, longest)
 	}
 	chunkInputs := make([]map[uint64]ring.Vector, m)
 	chunkSums := make([]ring.Vector, m)
@@ -446,12 +448,10 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 		for i, id := range ids {
 			chunk := ring.Vector{Bits: cfg.Codec.Bits, Data: slab[i*pd+lo : i*pd+hi : i*pd+hi]}
 			if plan != nil && aggregated(id) {
-				total := total[:hi-lo] // one client's noise at a time
-				clear(total)
-				if err := noise[i].AddTotalNoise(*plan, sampler, total); err != nil {
-					return err
-				}
-				if err := chunk.AddSignedInPlace(total); err != nil {
+				err := chunk.AddSignedVia(func(acc []int64) error {
+					return noise[i].AddTotalNoise(*plan, sampler, acc)
+				})
+				if err != nil {
 					return err
 				}
 			}

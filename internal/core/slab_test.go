@@ -103,17 +103,17 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // TestRunRoundSlabIsolation: chunk inputs are windows of one slab and
-// XNoise lands in them in place through one reused buffer, so nothing may
-// cross a window: not a neighbouring chunk's noise, not the previous
-// client's (a buffer not cleared), not any noise on a dropped client's
-// window or twice on a survivor's. A sampler that ignores its stream and
+// XNoise is added straight into them, so nothing may cross a window: not
+// a neighbouring chunk's noise, not the previous client's, not any noise
+// on a dropped client's window or twice on a survivor's. A sampler that ignores its stream and
 // adds a constant per component makes that exact: with |D| clients dropped
 // before upload, every coordinate of the ring aggregate must be the plain
 // sum of the survivors' encodings — computed here by skellam.Encode, a
 // vector per client — plus |survivors| · Σ_{k ≤ |D|} c_k, on both
-// substrates, at 1 chunk, at 3 (86 + 85 + 85 coordinates: the later chunks
-// do not fill the session slabs chunk 0 sized) and at 8, twice over the
-// same updates map. The LightSecAgg rows run their rounds as consecutive
+// substrates, at 1 chunk, at 2, at 3 (85 + 85 + 86 coordinates: the last
+// chunk outgrows the session slabs chunk 0 sized, and its mask window lies
+// past the shorter chunks') and at 8, twice over the same
+// updates map. The LightSecAgg rows run their rounds as consecutive
 // rounds of one session pool, so every chunk after the first resumes its
 // round's sessions: a received row, a ciphertext or a mask that outlived
 // its chunk would move the sum.
@@ -148,7 +148,7 @@ func TestRunRoundSlabIsolation(t *testing.T) {
 	}
 
 	for _, proto := range []Protocol{ProtocolSecAgg, ProtocolLightSecAgg} {
-		for _, chunks := range []int{1, 3, 8} {
+		for _, chunks := range []int{1, 2, 3, 8} {
 			pool := NewSessionPool(1)
 			for round, tc := range []struct {
 				tolerance int
@@ -186,7 +186,7 @@ func TestRunRoundSlabIsolation(t *testing.T) {
 // values at the removable components' variances and nothing at component
 // 0's makes that exact: with no client dropped every removable component
 // is removed, so an XNoise round must decode to exactly the Sum of the same
-// round without XNoise — at 1 chunk, at 3 and at 8, on both substrates, on
+// round without XNoise — at 1 chunk, at 2, at 3 and at 8, on both substrates, on
 // session pools (so the masks of chunks after the first are later windows
 // too). A reader restarted per chunk on either side moves the sum.
 func TestChunkedRoundRemovesNoiseExactly(t *testing.T) {
@@ -214,7 +214,7 @@ func TestChunkedRoundRemovesNoiseExactly(t *testing.T) {
 	for _, proto := range []Protocol{ProtocolSecAgg, ProtocolLightSecAgg} {
 		cfg := RoundConfig{Round: 1, Protocol: proto, Codec: codec, Threshold: threshold,
 			Seed: prg.NewSeed([]byte("exact-removal")), Sampler: sampler}
-		for _, chunks := range []int{1, 3, 8} {
+		for _, chunks := range []int{1, 2, 3, 8} {
 			var sums [2][]float64
 			for i, tol := range []int{0, tolerance} {
 				cfg.Chunks, cfg.Sessions = chunks, NewSessionPool(1)

@@ -89,9 +89,9 @@ func NewStream(seed Seed) *Stream {
 }
 
 // keystream returns the CTR at the stream's position, building the
-// offset-0 one on first use: a mask stream is only ever the parent of the
-// cursors ring.MaskManyInPlace aims into it (AtInto), and the half
-// kilobyte of counter state it never draws from is a third of a Stream.
+// offset-0 one on first use: a stream that is only ever a parent of
+// cursors (AtInto) or sought before its first draw never pays for the half
+// kilobyte of counter state, a third of a Stream, it would not draw from.
 func (s *Stream) keystream() cipher.Stream {
 	if s.ctr == nil {
 		s.ctr = cipher.NewCTR(s.block, s.iv[:])
@@ -257,10 +257,11 @@ func (s *Stream) Seek(off uint64) {
 }
 
 // At returns a new independent cursor over the same keystream, positioned
-// at byte offset off. The receiver is not advanced or disturbed, so
-// distinct segments of one logical stream can be expanded concurrently
-// from different goroutines — the basis of range-partitioned mask
-// expansion in packages ring and secagg.
+// at byte offset off. It reads only the receiver's key, never its
+// position, so distinct segments of one logical stream can be expanded
+// concurrently from different goroutines, one of them the receiver itself
+// — the basis of range-partitioned mask expansion in packages ring and
+// secagg.
 func (s *Stream) At(off uint64) *Stream {
 	c := new(Stream)
 	s.AtInto(c, off)
@@ -270,8 +271,10 @@ func (s *Stream) At(off uint64) *Stream {
 // AtInto is At re-aiming an existing cursor: c — a zero Stream or one
 // aimed at any keystream before — becomes an independent cursor over the
 // receiver's keystream at byte offset off. A caller that needs many
-// cursors (ring's many-stream mask kernel: one per stream per range) owns
-// their storage and pays only the seek, not a Stream per cursor.
+// cursors (ring's many-stream mask kernel: one per stream per range past
+// the first) owns their storage and pays only the seek, not a Stream per
+// cursor. The seek always keys a new CTR, so a cursor re-aimed at another
+// parent reads that parent even at the offset where it already stands.
 func (s *Stream) AtInto(c *Stream, off uint64) {
 	c.block, c.iv = s.block, s.iv
 	c.Seek(off)

@@ -385,6 +385,27 @@ func TestAtIntoReaims(t *testing.T) {
 	}
 }
 
+// TestAtIntoNewParentSameOffset: a cursor re-aimed from parent A to
+// parent B at the very offset where it already stands — nothing about its
+// position changes — reads B's keystream, not the rest of A's: the aim
+// keys a new CTR whatever the offset.
+func TestAtIntoNewParentSameOffset(t *testing.T) {
+	a, b := NewStream(NewSeed([]byte("parent-a"))), NewStream(NewSeed([]byte("parent-b")))
+	for _, off := range []uint64{0, 16, 100} {
+		var c Stream
+		a.AtInto(&c, off)
+		c.Fill(make([]byte, 32))
+		at := c.Offset()
+		b.AtInto(&c, at)
+		got, want := make([]byte, 64), make([]byte, 64)
+		c.Fill(got)
+		b.At(at).Fill(want)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("cursor re-aimed from A to B at %d reads %x, want B's %x", at, got[:8], want[:8])
+		}
+	}
+}
+
 // TestFillAtEveryOffset: exhaustive golden sweep — a Fill from an At
 // cursor at every byte offset in a window equals the corresponding
 // sequential slice, and FillUint64 from one equals the scalar draw

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"repro/internal/prg"
 )
@@ -125,6 +126,24 @@ func (v Vector) AddSignedInPlace(noise []int64) error {
 	return nil
 }
 
+// AddSignedVia adds a signed integer vector that add accumulates straight
+// into v's own memory, read as int64 words, then reduces v mod 2^b once —
+// the residues AddSignedInPlace of the accumulated total would give,
+// without a buffer for the total (two's-complement addition wraps mod
+// 2^64, a multiple of 2^b). add must only add into its argument, as
+// xnoise's AddTotalNoise does. On error v holds garbage.
+func (v Vector) AddSignedVia(add func(acc []int64) error) error {
+	acc := unsafe.Slice((*int64)(unsafe.Pointer(unsafe.SliceData(v.Data))), len(v.Data))
+	if err := add(acc); err != nil {
+		return err
+	}
+	m := v.Mask()
+	for i := range v.Data {
+		v.Data[i] &= m
+	}
+	return nil
+}
+
 // SubSignedInPlace subtracts a signed integer vector element-wise mod 2^b.
 // This is the server-side XNoise removal primitive.
 func (v Vector) SubSignedInPlace(noise []int64) error {
@@ -141,17 +160,20 @@ func (v Vector) SubSignedInPlace(noise []int64) error {
 // Centered returns the elements reinterpreted as signed residues in
 // [-2^(b-1), 2^(b-1)): the DSkellam decoder's centering step.
 func (v Vector) Centered() []int64 {
-	half := uint64(1) << (v.Bits - 1)
-	mod := v.Modulus()
 	out := make([]int64, len(v.Data))
-	for i, x := range v.Data {
-		if x >= half {
-			out[i] = int64(x) - int64(mod)
-		} else {
-			out[i] = int64(x)
-		}
+	for i := range v.Data {
+		out[i] = v.CenteredAt(i)
 	}
 	return out
+}
+
+// CenteredAt is element i of Centered.
+func (v Vector) CenteredAt(i int) int64 {
+	x := v.Data[i]
+	if x >= 1<<(v.Bits-1) {
+		return int64(x) - int64(v.Modulus())
+	}
+	return int64(x)
 }
 
 // maskBlockWords is the keystream quantum of the mask kernel: 8 KiB of
@@ -162,11 +184,11 @@ const maskBlockWords = 1024
 
 // maskState is the kernel's working memory, pooled so concurrent maskers
 // (secagg's range workers, one client per goroutine) allocate per call
-// only what re-aiming a cursor costs (prg.Stream.AtInto).
+// only what aiming a stream or a cursor costs (prg.Stream.Seek).
 type maskState struct {
 	sum, ks [maskBlockWords]uint64 // the block in hand: packed sum, one stream's words
-	cursors []prg.Stream           // MaskManyInPlace's cursors, re-aimed per call
-	cur     []Mask                 // the same as the kernel takes them
+	cursors []prg.Stream           // MaskManyInPlace's cursors for a range past 0, re-aimed per call
+	cur     []Mask                 // the streams as the kernel takes them
 }
 
 var maskStates = sync.Pool{New: func() any { return new(maskState) }}
@@ -194,9 +216,10 @@ func MaskBytes(bits uint, dim int) uint64 {
 
 // Mask is one signed PRG expansion Sign·PRG(Stream), Sign = ±1: the SecAgg
 // pairwise mask p_{u,v} = γ_{u,v}·PRG(s_{u,v}) or the self mask
-// p_u = PRG(b_u). Its first word is keystream byte Off past the stream's
-// offset, so the masks of several vectors can be disjoint windows of one
-// keyed stream (secagg's sub-round windows).
+// p_u = PRG(b_u). Its first word is keystream byte Off of the stream — an
+// absolute offset, wherever the stream stands — so the masks of several
+// vectors can be windows of one keyed stream (secagg's sub-round windows,
+// laid end to end).
 type Mask struct {
 	Stream *prg.Stream
 	Sign   int
@@ -226,16 +249,21 @@ func (v Vector) MaskInPlace(s *prg.Stream, sign int) error {
 
 // MaskManyInPlace accumulates Σ_k Sign_k·PRG(Stream_k) into elements
 // [lo, hi), reading the keystream words a whole MaskInPlace of each stream
-// would read for that range after skipping Off_k bytes: element i takes its
-// bits from the word at byte Off_k + 8·⌊i/per⌋ past the stream's current
-// offset, and lo and hi need not be multiples of per. It runs block by block — a block of v stays in
+// would read for that range from keystream byte Off_k on: element i takes
+// its bits from the word at byte Off_k + 8·⌊i/per⌋, and lo and hi need not
+// be multiples of per. It runs block by block — a block of v stays in
 // cache while every stream passes through it — so v is streamed through
 // memory once however many masks there are.
 //
-// The streams are NOT advanced: the range expands through cursors of its
-// own (prg.Stream.AtInto), so disjoint ranges of one set of masks may run
-// concurrently and their concatenation equals applying the masks whole,
-// one by one — the primitive under secagg's range-partitioned fan-out.
+// The range that starts at 0 draws from the streams themselves, seeking
+// one only when its Offset is not Off_k, and leaves each just past the
+// last word it read: a caller whose next call reads the next window of the
+// same streams (secagg's chunks) keys each stream once, not once per call.
+// Every other range expands through cursors of its own (prg.Stream.AtInto),
+// which read only a stream's key, so disjoint ranges of one set of masks
+// may run concurrently and their concatenation equals applying the masks
+// whole, one by one — the primitive under secagg's range-partitioned
+// fan-out. No stream may appear twice in masks.
 func (v Vector) MaskManyInPlace(masks []Mask, lo, hi int) error {
 	for _, mk := range masks {
 		if err := checkMaskSign(mk.Sign); err != nil {
@@ -250,15 +278,28 @@ func (v Vector) MaskManyInPlace(masks []Mask, lo, hi int) error {
 	}
 	per := maskPer(v.Bits)
 	st := maskStates.Get().(*maskState)
-	if len(st.cursors) < len(masks) {
-		st.cursors, st.cur = make([]prg.Stream, len(masks)), make([]Mask, len(masks))
+	if len(st.cur) < len(masks) {
+		st.cur = make([]Mask, len(masks))
 	}
 	cur := st.cur[:len(masks)]
-	for k, mk := range masks {
-		mk.Stream.AtInto(&st.cursors[k], mk.Stream.Offset()+mk.Off+8*uint64(lo/per))
-		cur[k] = Mask{Stream: &st.cursors[k], Sign: mk.Sign}
+	if lo == 0 {
+		for k, mk := range masks {
+			if mk.Stream.Offset() != mk.Off {
+				mk.Stream.Seek(mk.Off)
+			}
+			cur[k] = Mask{Stream: mk.Stream, Sign: mk.Sign}
+		}
+	} else {
+		if len(st.cursors) < len(masks) {
+			st.cursors = make([]prg.Stream, len(masks))
+		}
+		for k, mk := range masks {
+			mk.Stream.AtInto(&st.cursors[k], mk.Off+8*uint64(lo/per))
+			cur[k] = Mask{Stream: &st.cursors[k], Sign: mk.Sign}
+		}
 	}
 	st.maskBlocks(v.Data[lo:hi], v.Bits, cur, lo%per)
+	clear(cur) // the pool must not keep the caller's streams alive
 	maskStates.Put(st)
 	return nil
 }
@@ -409,9 +450,11 @@ func (v Vector) AddManyInPlace(os []Vector) error {
 }
 
 // ChunkBounds returns the element ranges [start,end) for splitting a vector
-// of dimension dim into m nearly equal chunks (the first dim%m chunks get
-// one extra element). It is the single source of truth for chunk geometry
-// so that clients and server partition identically.
+// of dimension dim into m nearly equal chunks (the last dim%m chunks get
+// one extra element, so no chunk is shorter than the one before it — the
+// order secagg's end-to-end mask windows need). It is the single source of
+// truth for chunk geometry so that clients and server partition
+// identically.
 func ChunkBounds(dim, m int) [][2]int {
 	if m < 1 {
 		m = 1
@@ -423,12 +466,12 @@ func ChunkBounds(dim, m int) [][2]int {
 		return [][2]int{{0, 0}}
 	}
 	base := dim / m
-	extra := dim % m
+	short := m - dim%m // chunks of base elements; the rest get base+1
 	bounds := make([][2]int, m)
 	start := 0
 	for i := 0; i < m; i++ {
 		size := base
-		if i < extra {
+		if i >= short {
 			size++
 		}
 		bounds[i] = [2]int{start, start + size}

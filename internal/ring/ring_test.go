@@ -2,6 +2,8 @@ package ring
 
 import (
 	"encoding/binary"
+	"errors"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -83,6 +85,47 @@ func TestSignedAddSubRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAddSignedViaMatchesTotal: components added one after another into
+// the vector's own words, then reduced once, leave the residues
+// AddSignedInPlace of their total leaves — also where the running int64
+// sum wraps — and an error from add is returned.
+func TestAddSignedViaMatchesTotal(t *testing.T) {
+	comps := [][]int64{
+		{-7, 3, -(1 << 18), math.MaxInt64, math.MinInt64 + 5},
+		{1 << 40, -(1 << 62), 12, math.MaxInt64, -9},
+		{-1, -1, -1, -1, -1},
+	}
+	v := vecOf(20, 5, 100, 1<<19, 1<<20-1, 0)
+	want := v.Clone()
+	total := make([]int64, v.Len())
+	for _, c := range comps {
+		for i, x := range c {
+			total[i] += x
+		}
+	}
+	if err := want.AddSignedInPlace(total); err != nil {
+		t.Fatal(err)
+	}
+	err := v.AddSignedVia(func(acc []int64) error {
+		for _, c := range comps {
+			for i, x := range c {
+				acc[i] += x
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Equal(v, want) {
+		t.Fatalf("AddSignedVia = %v, want %v", v.Data, want.Data)
+	}
+	boom := errors.New("boom")
+	if err := v.AddSignedVia(func([]int64) error { return boom }); err != boom {
+		t.Fatalf("add's error: got %v", err)
+	}
+}
+
 func TestSignedDimensionCheck(t *testing.T) {
 	v := NewVector(20, 3)
 	if err := v.AddSignedInPlace([]int64{1}); err == nil {
@@ -148,7 +191,8 @@ func TestChunkBounds(t *testing.T) {
 		dim, m int
 		want   [][2]int
 	}{
-		{10, 3, [][2]int{{0, 4}, {4, 7}, {7, 10}}},
+		{10, 3, [][2]int{{0, 3}, {3, 6}, {6, 10}}}, // the extra element goes last
+		{11, 4, [][2]int{{0, 2}, {2, 5}, {5, 8}, {8, 11}}},
 		{10, 1, [][2]int{{0, 10}}},
 		{3, 5, [][2]int{{0, 1}, {1, 2}, {2, 3}}}, // m clamped to dim
 		{6, 3, [][2]int{{0, 2}, {2, 4}, {4, 6}}},
@@ -172,10 +216,14 @@ func TestChunkBoundsCoverProperty(t *testing.T) {
 	f := func(dim, m uint8) bool {
 		d := int(dim)
 		bounds := ChunkBounds(d, int(m))
-		// Contiguous cover of [0, d).
+		// Contiguous cover of [0, d), no chunk shorter than the one before
+		// it and none longer than the first by more than one.
 		pos := 0
-		for _, b := range bounds {
+		for i, b := range bounds {
 			if b[0] != pos || b[1] < b[0] {
+				return false
+			}
+			if n := b[1] - b[0]; i > 0 && (n < bounds[i-1][1]-bounds[i-1][0] || n > bounds[0][1]-bounds[0][0]+1) {
 				return false
 			}
 			pos = b[1]
@@ -395,8 +443,8 @@ func TestAddSubManyInPlace(t *testing.T) {
 // TestMaskRangeInPlaceMatchesSequential: expanding a mask as disjoint
 // ranges — cut where ChunkBounds falls, which at these dimensions is not
 // on multiples of per — equals the scalar reference range by range and
-// one sequential MaskInPlace in total, and the base stream is never
-// advanced by range expansion.
+// one sequential MaskInPlace in total, and only the range at 0 advances
+// the base stream: to just past the last word it read.
 func TestMaskRangeInPlaceMatchesSequential(t *testing.T) {
 	seed := prg.NewSeed([]byte("mask-range"))
 	for _, bits := range []uint{16, 20, 32, 40} {
@@ -411,7 +459,8 @@ func TestMaskRangeInPlaceMatchesSequential(t *testing.T) {
 				for _, nseg := range []int{1, 2, 3, 5, 7} {
 					v := orig.Clone()
 					s := prg.NewStream(seed)
-					for _, b := range ChunkBounds(dim, nseg) {
+					bounds := ChunkBounds(dim, nseg)
+					for _, b := range bounds {
 						ref := v.Clone()
 						maskScalarRef(ref, prg.NewStream(seed), sign, b[0], b[1])
 						if err := v.MaskManyInPlace([]Mask{{Stream: s, Sign: sign}}, b[0], b[1]); err != nil {
@@ -424,8 +473,8 @@ func TestMaskRangeInPlaceMatchesSequential(t *testing.T) {
 					if !Equal(v, want) {
 						t.Fatalf("bits=%d dim=%d sign=%d nseg=%d: ranged mask differs from sequential", bits, dim, sign, nseg)
 					}
-					if s.Offset() != 0 {
-						t.Fatalf("range expansion advanced the base stream to %d", s.Offset())
+					if got, want := s.Offset(), MaskBytes(bits, bounds[0][1]); got != want {
+						t.Fatalf("range expansion left the base stream at %d, want %d", got, want)
 					}
 				}
 			}
@@ -514,12 +563,10 @@ func TestMaskManyInPlaceAllocs(t *testing.T) {
 	}
 }
 
-// TestMaskRangeInPlaceAfterOffset: ranges are relative to the stream's
-// current offset plus the mask's Off — here not even word-aligned, and the
-// cuts not multiples of per — so a pre-advanced stream, a fresh stream
-// told to skip the same bytes, and a stream advanced part of the way and
-// told to skip the rest all expand the exact bytes a sequential expansion
-// from that position would.
+// TestMaskRangeInPlaceAfterOffset: a mask's Off is an absolute keystream
+// offset — here not even word-aligned, and the cuts not multiples of per —
+// so a stream already standing there, a fresh one, one short of it and one
+// past it all expand the exact bytes a sequential expansion from Off would.
 func TestMaskRangeInPlaceAfterOffset(t *testing.T) {
 	seed := prg.NewSeed([]byte("mask-range-skew"))
 	const dim, skew = 3001, 123
@@ -529,17 +576,52 @@ func TestMaskRangeInPlaceAfterOffset(t *testing.T) {
 	if err := want.MaskInPlace(sw, 1); err != nil {
 		t.Fatal(err)
 	}
-	for _, advanced := range []int{skew, 0, 40} {
+	for _, advanced := range []int{skew, 0, 40, 5000} {
 		got := NewVector(20, dim)
 		sg := prg.NewStream(seed)
 		sg.Fill(make([]byte, advanced))
 		for _, b := range ChunkBounds(dim, 4) {
-			if err := got.MaskManyInPlace([]Mask{{Stream: sg, Sign: 1, Off: uint64(skew - advanced)}}, b[0], b[1]); err != nil {
+			if err := got.MaskManyInPlace([]Mask{{Stream: sg, Sign: 1, Off: skew}}, b[0], b[1]); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if !Equal(got, want) {
-			t.Fatalf("stream advanced %d bytes, mask Off %d: range expansion differs from sequential", advanced, skew-advanced)
+			t.Fatalf("stream advanced %d bytes, mask Off %d: range expansion differs from sequential", advanced, skew)
+		}
+	}
+}
+
+// TestMaskNextWindowAllocatesNothing: once the streams have expanded one
+// window from 0, expanding the next window of the same streams — Off where
+// the last call left them, as secagg's chunks of one ratchet step do —
+// draws from where they stand and allocates nothing: no seek, no cursor,
+// no CTR.
+func TestMaskNextWindowAllocatesNothing(t *testing.T) {
+	if raceBuild {
+		t.Skip("-race's sync.Pool drops the kernel's scratch at random")
+	}
+	const bits, dim, nstreams = 20, 2048, 8
+	masks := make([]Mask, nstreams)
+	for k := range masks {
+		masks[k] = Mask{Stream: prg.NewStream(prg.NewSeed([]byte("next-window"), []byte{byte(k)})), Sign: 1 - 2*(k%2)}
+	}
+	v := NewVector(bits, dim)
+	window := MaskBytes(bits, dim)
+	next := func() {
+		if err := v.MaskManyInPlace(masks, 0, dim); err != nil {
+			t.Fatal(err)
+		}
+		for k := range masks {
+			masks[k].Off += window
+		}
+	}
+	next() // the first window keys each stream's CTR
+	if n := testing.AllocsPerRun(20, next); n != 0 {
+		t.Errorf("expanding the next window allocates %v times, want 0", n)
+	}
+	for k, mk := range masks {
+		if mk.Stream.Offset() != mk.Off {
+			t.Fatalf("stream %d stands at %d after its window, want %d", k, mk.Stream.Offset(), mk.Off)
 		}
 	}
 }

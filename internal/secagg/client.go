@@ -116,10 +116,6 @@ func newClient(cfg Config, id uint64, input ring.Vector, signer *sig.Signer, ran
 	return c, nil
 }
 
-// totals is the free list MaskedInput leases its Dim-long XNoise total
-// from, bounded by two sharded_mem cohorts (64 clients, 1024 coordinates).
-var totals = transport.NewFreeList[int64](2*64*1024, 2*64*1024)
-
 // buffer returns the client's one vector (NewClient), Dim long: its
 // session's, or its own, made on first use.
 func (c *Client) buffer() []uint64 {
@@ -392,16 +388,11 @@ func (c *Client) MaskedInput(ciphertexts []EncryptedShareMsg) (MaskedInputMsg, e
 	y := ring.Vector{Bits: c.cfg.Bits, Data: c.buffer()}
 	copy(y.Data, c.input.Data)
 	// XNoise: add the full excessive noise before masking (Fig. 5 setup:
-	// Δ̃_u = Δ_u + Σ_k n_{u,k}), through a total leased from totals and
-	// handed back before masking.
+	// Δ̃_u = Δ_u + Σ_k n_{u,k}), each component straight into the upload.
 	if c.noise != nil {
-		total := totals.Lease(c.cfg.Dim)
-		clear(total)
-		err := c.noise.AddTotalNoise(*c.cfg.XNoise, c.cfg.sampler(), total)
-		if err == nil {
-			err = y.AddSignedInPlace(total)
-		}
-		totals.Release(total)
+		err := y.AddSignedVia(func(acc []int64) error {
+			return c.noise.AddTotalNoise(*c.cfg.XNoise, c.cfg.sampler(), acc)
+		})
 		if err != nil {
 			return MaskedInputMsg{}, err
 		}
@@ -429,7 +420,7 @@ func (c *Client) MaskedInput(ciphertexts []EncryptedShareMsg) (MaskedInputMsg, e
 			return s, nil
 		}})
 	}
-	if err := applyMaskTasks(y, tasks, maskWindow(c.cfg.MaskEpoch)); err != nil {
+	if err := applyMaskTasks(y, tasks, c.cfg.maskWindow()); err != nil {
 		return MaskedInputMsg{}, err
 	}
 	if c.cfg.TranscriptDigests {

@@ -95,12 +95,14 @@ type Config struct {
 
 	// MaskEpoch separates the pairwise and self masks of the sub-rounds
 	// that share one key agreement and one deal — the pipeline chunks of a
-	// core.RunRound: epoch e reads window e, keystream bytes
-	// [e·2^32, (e+1)·2^32), of each mask's one stream (maskWindow). Epoch 0
+	// core.RunRound: epoch e reads window e, keystream bytes [e·W, (e+1)·W)
+	// of each mask's one stream with W = ring.MaskBytes(Bits, Dim)
+	// (maskWindow), so the windows of equal chunks lie end to end. Epoch 0
 	// is byte-identical to the historical (session-less) derivation, so
 	// chunk 0 of an amortized pipeline and a plain round coincide. Validate
-	// refuses an epoch of 2^32 or more and a Dim whose mask would overrun
-	// its window. All parties must agree on it.
+	// refuses an epoch of 2^32 or more and a Dim whose mask reads more than
+	// 2^32 bytes, so every window fits a 64-bit offset. All parties must
+	// agree on it.
 	MaskEpoch uint64
 
 	// TranscriptDigests, when true, has both sides record SHA-256 digests
@@ -172,7 +174,7 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("secagg: mask epoch %d has no keystream window", c.MaskEpoch)
 	}
 	if ring.MaskBytes(c.Bits, c.Dim) > 1<<maskWindowBits {
-		return fmt.Errorf("secagg: a %d-coordinate mask overruns its %d-byte keystream window", c.Dim, uint64(1)<<maskWindowBits)
+		return fmt.Errorf("secagg: a %d-coordinate mask overruns the %d-byte keystream window bound", c.Dim, uint64(1)<<maskWindowBits)
 	}
 	if c.NoiseEpoch > xnoise.MaxNoiseEpoch {
 		return fmt.Errorf("secagg: unknown noise epoch %d (max %d)", c.NoiseEpoch, xnoise.MaxNoiseEpoch)

@@ -23,16 +23,18 @@ type maskTask struct {
 
 // applyMaskTasks accumulates Σ sign_i·PRG_i straight into dst — the
 // client's y, the server's masked sum — reading every stream from keystream
-// byte window on (the sub-round's mask window), in two fan-outs over one
-// bounded worker pool. First the streams are found or built, each task's
+// byte window on (the sub-round's mask window, Config.maskWindow), in two
+// fan-outs over one bounded worker pool. First the streams are found or built, each task's
 // make (an X25519 agreement, a cache lookup) running exactly once; a failing make
 // stops further claims and its error is returned before any stream is
 // expanded, so dst is untouched on error. Then the workers split the
 // coordinate range at multiples of ring.MaskBlockLen and each runs the
 // many-stream kernel over its range: dst is read and written once however
-// many masks there are, and nothing dim-sized is allocated. One block —
-// a chunked round's 1–2k coordinates — is a single range on the calling
-// goroutine. Mask additions commute in ℤ_{2^b} and the ranges are
+// many masks there are, and nothing dim-sized is allocated. The range at
+// 0 draws from the streams themselves (ring.MaskManyInPlace), so one
+// block — a chunked round's 1–2k coordinates — is a single range on the
+// calling goroutine that leaves every stream where the next chunk's
+// window starts. Mask additions commute in ℤ_{2^b} and the ranges are
 // disjoint, so the result does not depend on the worker count.
 func applyMaskTasks(dst ring.Vector, tasks []maskTask, window uint64) error {
 	var (

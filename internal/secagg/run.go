@@ -70,7 +70,7 @@ func RunWithSessions(cfg Config, inputs map[uint64]ring.Vector, signers map[uint
 	resume := sess.resumable(&cfg, drops)
 	var srvSess *ServerSession
 	if sess != nil {
-		if err := sess.markServed(cfg.KeyRatchet, cfg.MaskEpoch); err != nil {
+		if err := sess.markServed(&cfg); err != nil {
 			return nil, err
 		}
 		srvSess = sess.Server

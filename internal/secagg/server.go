@@ -561,7 +561,7 @@ func (s *Server) unmask() error {
 			}})
 		}
 	}
-	if err := applyMaskTasks(z, tasks, maskWindow(s.cfg.MaskEpoch)); err != nil {
+	if err := applyMaskTasks(z, tasks, s.cfg.maskWindow()); err != nil {
 		return err
 	}
 	s.sum = z
@@ -668,6 +668,8 @@ func (s *Server) SealNoiseShares() error {
 // Finalize removes the excessive XNoise components (if configured) and
 // seals the round: the unmasked ring sum of the survivors' inputs and the
 // partition of the roster by whether a client's masked input is in it.
+// The sum is the server's own per-round accumulator, handed over, not
+// copied: the server writes it no more, and Finalize runs once a round.
 func (s *Server) Finalize() (Result, error) {
 	if s.sum.Data == nil {
 		return Result{}, fmt.Errorf("secagg: Finalize before unmasking")
@@ -702,6 +704,6 @@ func (s *Server) Finalize() (Result, error) {
 			}
 		}
 	}
-	res.Sum = append([]uint64(nil), s.sum.Data...)
+	res.Sum = s.sum.Data
 	return res, nil
 }

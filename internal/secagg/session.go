@@ -12,6 +12,7 @@ import (
 	"repro/internal/dh"
 	"repro/internal/field"
 	"repro/internal/prg"
+	"repro/internal/ring"
 	"repro/internal/session"
 	"repro/internal/transport"
 )
@@ -29,9 +30,11 @@ import (
 //   - pairwise agreement happens once per (round, pair) on first use and is
 //     cached by peer public key, together with the pair's mask stream
 //     (pairMaskSeed), keyed once per ratchet step;
-//   - the chunks' masks are disjoint windows of that one stream: the
-//     sub-round at Config.MaskEpoch = e reads window e (maskWindow), so
-//     epoch 0 is byte-identical to the session-less derivation;
+//   - the chunks' masks are disjoint windows of that one stream, laid end
+//     to end: the sub-round at Config.MaskEpoch = e reads window e
+//     (maskWindow), so epoch 0 is byte-identical to the session-less
+//     derivation and each party draws a chunk's masks from where the
+//     previous chunk left the stream;
 //   - consecutive rounds sharing a session ratchet every cached secret one
 //     dh.Ratchet step forward (Config.KeyRatchet = round offset) instead of
 //     re-advertising fresh keys, which is exactly the separation of one
@@ -69,16 +72,21 @@ func newPairMaskStream(secret [dh.SharedSize]byte) *prg.Stream {
 	return prg.NewStream(pairMaskSeed(secret))
 }
 
-// maskWindowBits fixes the mask windows: the sub-round at MaskEpoch e reads
-// its masks from keystream bytes [e·2^32, (e+1)·2^32) of each mask's one
-// stream, so epoch 0 reads what a session-less round reads and distinct
-// epochs never share a keystream byte (Config.Validate refuses a Dim whose
-// mask would overrun its window, and an epoch whose window would not fit
-// the offset).
+// maskWindowBits bounds the mask windows: Config.Validate refuses an epoch
+// of 2^maskWindowBits or more and a mask of more than 2^maskWindowBits
+// keystream bytes, so every window (maskWindow) lies inside the 2^64-byte
+// offset range.
 const maskWindowBits = 32
 
-// maskWindow returns the keystream byte offset of epoch's mask window.
-func maskWindow(epoch uint64) uint64 { return epoch << maskWindowBits }
+// maskWindow returns the keystream byte offset of the sub-round's mask
+// window. The windows of one ratchet step lie end to end: the sub-round at
+// MaskEpoch e reads bytes [e·W, (e+1)·W) of each mask's one stream, W =
+// ring.MaskBytes(Bits, Dim) the bytes its mask reads, so epoch 0 reads
+// what a session-less round reads and chunk e+1 starts where an equal
+// chunk e stopped. Windows of unequal sub-rounds stay disjoint while W
+// never shrinks as e grows (ring.ChunkBounds); RoundSessions refuses a
+// sub-round whose window overlaps one already served (ErrWindowServed).
+func (c *Config) maskWindow() uint64 { return c.MaskEpoch * ring.MaskBytes(c.Bits, c.Dim) }
 
 // Errors of the one-deal-per-step rule: a sub-round reusing its step's
 // deal was delivered other ciphertexts than the deal first received; an
@@ -446,37 +454,44 @@ func (s *ServerSession) Rekey() {
 	s.Reset()
 }
 
+// ErrWindowServed refuses a sub-round whose mask window overlaps one the
+// round's sessions already served at the same ratchet step.
+var ErrWindowServed = errors.New("secagg: mask window already served")
+
 // RoundSessions bundles the per-participant sessions a driver shares
 // across the chunked sub-rounds of one logical round (core.RunRound builds
 // one per round; a driver that keeps one longer advances Config.KeyRatchet
-// per round). It also enforces derivation-point uniqueness: each (KeyRatchet, MaskEpoch) pair may serve at most one sub-round, since
-// running two aggregations at the same point would derive byte-identical
-// pairwise masks — and the server, which legitimately reconstructs
-// self-mask seeds each round, could then difference the two uploads and
-// recover individual update deltas.
+// per round). It also enforces derivation-point uniqueness: the mask
+// windows served at one KeyRatchet must be disjoint (ErrWindowServed),
+// since two aggregations reading one keystream byte would share pairwise
+// masks — and the server, which legitimately reconstructs self-mask seeds
+// each round, could then difference the two uploads and recover individual
+// update deltas.
 type RoundSessions struct {
 	Client map[uint64]*Session
 	Server *ServerSession
 
 	mu     sync.Mutex
-	served map[[2]uint64]bool // (KeyRatchet, MaskEpoch) already used
+	served map[uint64][][2]uint64 // KeyRatchet → windows served, [first, last] keystream bytes
 }
 
-// markServed records that a sub-round ran at the derivation point and
-// rejects reuse of an already-served point.
-func (rs *RoundSessions) markServed(ratchet, epoch uint64) error {
+// markServed records the mask window cfg's sub-round reads and refuses
+// one that overlaps a window already served at its ratchet step.
+func (rs *RoundSessions) markServed(cfg *Config) error {
+	first := cfg.maskWindow()
+	last := first + ring.MaskBytes(cfg.Bits, cfg.Dim) - 1 // ≤ 2^64−1 under Validate
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	p := [2]uint64{ratchet, epoch}
-	if rs.served[p] {
-		return fmt.Errorf("secagg: sessions already served ratchet %d, epoch %d — "+
-			"advance MaskEpoch or KeyRatchet (identical derivation points repeat pairwise masks)",
-			ratchet, epoch)
+	for _, w := range rs.served[cfg.KeyRatchet] {
+		if first <= w[1] && w[0] <= last {
+			return fmt.Errorf("%w: ratchet %d, epoch %d reads bytes [%d, %d], which overlap [%d, %d] — "+
+				"advance MaskEpoch or KeyRatchet", ErrWindowServed, cfg.KeyRatchet, cfg.MaskEpoch, first, last, w[0], w[1])
+		}
 	}
 	if rs.served == nil {
-		rs.served = make(map[[2]uint64]bool)
+		rs.served = make(map[uint64][][2]uint64)
 	}
-	rs.served[p] = true
+	rs.served[cfg.KeyRatchet] = append(rs.served[cfg.KeyRatchet], [2]uint64{first, last})
 	return nil
 }
 

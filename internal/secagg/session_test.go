@@ -2,7 +2,6 @@ package secagg
 
 import (
 	"bytes"
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"io"
@@ -15,7 +14,6 @@ import (
 	"repro/internal/ring"
 	"repro/internal/shamir"
 	"repro/internal/transport"
-	"repro/internal/xnoise"
 )
 
 // sessionRand returns a deterministic entropy stream for session tests.
@@ -31,14 +29,15 @@ func (s *Session) maskWords(peerPub []byte, step uint64) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return windowWords(stream, 0, 4), nil
+	return windowWords(stream, Config{Bits: 16, Dim: 1001}, 4), nil
 }
 
-// windowWords returns the first n keystream words of epoch's mask window of
-// stream, leaving stream where it was.
-func windowWords(stream *prg.Stream, epoch uint64, n int) []uint64 {
+// windowWords returns the first n keystream words of the mask window cfg's
+// sub-round reads (its MaskEpoch at its Bits and Dim) of stream, leaving
+// stream where it was.
+func windowWords(stream *prg.Stream, cfg Config, n int) []uint64 {
 	out := make([]uint64, n)
-	stream.At(stream.Offset() + maskWindow(epoch)).FillUint64(out)
+	stream.At(cfg.maskWindow()).FillUint64(out)
 	return out
 }
 
@@ -48,8 +47,9 @@ func windowWords(stream *prg.Stream, epoch uint64, n int) []uint64 {
 // the raw X25519 agreement output. Any change to pairMaskSeed or to the
 // session's secret and stream caching must fail here, because that would
 // break mask agreement between amortized and classic participants. Later
-// epochs read later windows of that one stream: epoch e starts at
-// keystream byte e·2^32.
+// epochs read later windows of that one stream, laid end to end: epoch e
+// starts at keystream byte e·ring.MaskBytes(Bits, Dim) — here the 16-bit
+// ring's 1001 coordinates, 251 words — and epoch 0 at byte 0 as before.
 func TestGoldenChunkZeroSeedIdentity(t *testing.T) {
 	sess, err := NewSession(sessionRand("keys"))
 	if err != nil {
@@ -86,19 +86,32 @@ func TestGoldenChunkZeroSeedIdentity(t *testing.T) {
 	if again, err := sess.maskStream(peer.PublicBytes(), 0); err != nil || again != stream {
 		t.Fatalf("a second lookup at the same step keyed another stream (%v)", err)
 	}
+	const windowBytes = 8 * 251
+	at := func(epoch uint64) Config { return Config{Bits: 16, Dim: 1001, MaskEpoch: epoch} }
 	reference := prg.NewStream(legacy)
 	for _, epoch := range []uint64{0, 1, 2} {
 		want := make([]uint64, 4)
-		reference.Seek(epoch << 32)
+		reference.Seek(epoch * windowBytes)
 		reference.FillUint64(want)
-		if got := windowWords(stream, epoch, len(want)); !slices.Equal(got, want) {
-			t.Fatalf("epoch %d: window words %x, want the legacy stream's from byte %d·2^32: %x", epoch, got, epoch, want)
+		if got := windowWords(stream, at(epoch), len(want)); !slices.Equal(got, want) {
+			t.Fatalf("epoch %d: window words %x, want the legacy stream's from byte %d·%d: %x", epoch, got, epoch, windowBytes, want)
 		}
 	}
-	if slices.Equal(windowWords(stream, 1, 4), windowWords(stream, 2, 4)) {
+	// Epoch 1 starts where a whole epoch-0 mask leaves the stream.
+	whole := ring.NewVector(16, 1001)
+	next := prg.NewStream(legacy)
+	if err := whole.MaskInPlace(next, 1); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]uint64, 4)
+	next.FillUint64(want)
+	if got := windowWords(stream, at(1), 4); !slices.Equal(got, want) {
+		t.Fatalf("epoch 1 does not start where epoch 0's mask stops: %x, want %x", got, want)
+	}
+	if slices.Equal(windowWords(stream, at(1), 4), windowWords(stream, at(2), 4)) {
 		t.Fatal("distinct epochs must read distinct windows")
 	}
-	if slices.Equal(windowWords(newPairMaskStream(dh.Expand(secret, []byte("x"))), 1, 4), windowWords(stream, 1, 4)) {
+	if slices.Equal(windowWords(newPairMaskStream(dh.Expand(secret, []byte("x"))), at(1), 4), windowWords(stream, at(1), 4)) {
 		t.Fatal("distinct secrets must yield distinct epoch windows")
 	}
 }
@@ -106,12 +119,13 @@ func TestGoldenChunkZeroSeedIdentity(t *testing.T) {
 // TestMaskEpochReadsWindow: the sub-round at MaskEpoch e masks with window
 // e of each mask's one stream — the epoch-0 stream of the legacy
 // derivations (pairMaskSeed's literal for a pair, prg.FromFieldElement(b_u)
-// for the self mask) expanded from keystream byte e·2^32 — for e = 0 and
-// for epochs 1 and 7 that reuse epoch 0's deal, over a dimension that is
-// not a multiple of the 16-bit ring's four coordinates per word. b_u comes
-// from the Shamir shares the client dealt, as the server recovers it. A
-// config whose mask would overrun its window, or whose epoch has no
-// window, is refused; one that exactly fills it is not.
+// for the self mask) expanded from keystream byte e·ring.MaskBytes(Bits,
+// Dim), the windows laid end to end — for e = 0 and for epochs 1 and 7
+// that reuse epoch 0's deal, over a dimension that is not a multiple of
+// the 16-bit ring's four coordinates per word. b_u comes from the Shamir
+// shares the client dealt, as the server recovers it. A config whose mask
+// would read more than the window bound, or whose epoch has no window, is
+// refused; one that exactly fills the bound at the last epoch is not.
 func TestMaskEpochReadsWindow(t *testing.T) {
 	const n, dim, u = 4, 1001, 1
 	cfg, inputs, _ := sessionRoundConfig(n, dim)
@@ -146,8 +160,9 @@ func TestMaskEpochReadsWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := inputs[u].Clone()
+		window := epoch * ring.MaskBytes(cfg.Bits, dim) // 251 words of 8 bytes
 		self := prg.NewStream(prg.FromFieldElement(b))
-		self.Seek(epoch << 32)
+		self.Seek(window)
 		if err := want.MaskInPlace(self, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +174,7 @@ func TestMaskEpochReadsWindow(t *testing.T) {
 				t.Fatal(err)
 			}
 			pair := prg.NewStream(prg.NewSeed([]byte("dordis/secagg/pairmask/v1"), raw[:]))
-			pair.Seek(epoch << 32)
+			pair.Seek(window)
 			if err := want.MaskInPlace(pair, -1); err != nil { // γ_{1,v} = −1 for every v > 1
 				t.Fatal(err)
 			}
@@ -175,9 +190,9 @@ func TestMaskEpochReadsWindow(t *testing.T) {
 		epoch uint64
 		ok    bool
 	}{
-		{int(per) << 29, 1<<32 - 1, true}, // 2^29 words: the window exactly
+		{int(per) << 29, 1<<32 - 1, true}, // 2^29 words: the bound exactly, ending at byte 2^64
 		{int(per)<<29 + 1, 0, false},      // one word past it
-		{dim, 1 << 32, false},             // an epoch whose window starts past 2^64
+		{dim, 1 << 32, false},             // an epoch past the bound
 	} {
 		c := cfg
 		c.Dim, c.MaskEpoch = tc.dim, tc.epoch
@@ -224,7 +239,8 @@ func TestPerChunkMaskDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a, b, c := windowWords(sU1, epoch, 4), windowWords(sV1, epoch, 4), windowWords(sU2, epoch, 4)
+			w := Config{Bits: 16, Dim: 1001, MaskEpoch: epoch}
+			a, b, c := windowWords(sU1, w, 4), windowWords(sV1, w, 4), windowWords(sU2, w, 4)
 			if !slices.Equal(a, b) {
 				t.Fatalf("step %d epoch %d: the two ends read different windows", step, epoch)
 			}
@@ -695,8 +711,8 @@ func TestSessionsRejectDerivationPointReuse(t *testing.T) {
 	if _, err := RunWithSessions(cfg, inputs, nil, drops, rand, sess); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunWithSessions(cfg, inputs, nil, drops, rand, sess); err == nil {
-		t.Fatal("identical (ratchet, epoch) on shared sessions must be rejected")
+	if _, err := RunWithSessions(cfg, inputs, nil, drops, rand, sess); !errors.Is(err, ErrWindowServed) {
+		t.Fatalf("identical (ratchet, epoch) on shared sessions: err %v, want ErrWindowServed", err)
 	}
 	next := cfg
 	next.MaskEpoch = 1
@@ -705,24 +721,64 @@ func TestSessionsRejectDerivationPointReuse(t *testing.T) {
 	}
 }
 
+// TestSessionsRejectOverlappingWindows: the mask windows served at one
+// ratchet step must be disjoint, whatever their lengths. A repeated epoch
+// is refused; so is a longer sub-round after a shorter one whose window
+// reaches into the shorter one's (epoch 0 over twice the coordinates reads
+// bytes [0, 2W), which hold epoch 1's [W, 2W)); windows that only touch
+// end to end, and any window at another step, are served.
+func TestSessionsRejectOverlappingWindows(t *testing.T) {
+	const n, dim = 5, 32 // W = 64 bytes: 8 words of four 16-bit coordinates
+	cfg, inputs, drops := sessionRoundConfig(n, dim)
+	_, long, _ := sessionRoundConfig(n, 2*dim)
+	rand := sessionRand("window-overlap")
+	sess, err := NewRoundSessions(cfg.ClientIDs, rand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := func(epoch uint64, inputs map[uint64]ring.Vector) error {
+		c := cfg
+		c.MaskEpoch, c.Dim = epoch, inputs[1].Len()
+		_, err := RunWithSessions(c, inputs, nil, drops, rand, sess)
+		return err
+	}
+	if err := at(1, inputs); err != nil {
+		t.Fatal(err)
+	}
+	if err := at(1, inputs); !errors.Is(err, ErrWindowServed) {
+		t.Fatalf("epoch 1 again: err %v, want ErrWindowServed", err)
+	}
+	if err := at(0, long); !errors.Is(err, ErrWindowServed) {
+		t.Fatalf("epoch 0 at %d coordinates after epoch 1 at %d: err %v, want ErrWindowServed", 2*dim, dim, err)
+	}
+	if err := at(0, inputs); err != nil {
+		t.Fatalf("epoch 0 ending where epoch 1 starts: %v", err)
+	}
+	if err := at(2, long); err != nil { // bytes [256, 384)
+		t.Fatalf("epoch 2 at %d coordinates: %v", 2*dim, err)
+	}
+	next := cfg
+	next.KeyRatchet, next.MaskEpoch = 1, 1
+	if err := sess.markServed(&next); err != nil {
+		t.Fatalf("epoch 1 at the next ratchet step: %v", err)
+	}
+}
+
 // TestRoundSessionsReleaseScratch: Release hands every client session's
-// buffer back to buffers, and MaskedInput hands its XNoise total back to
-// totals before masking (ARCHITECTURE.md, "Round scratch"). On lists of
+// buffer back to buffers (ARCHITECTURE.md, "Round scratch"). On a list of
 // the test's own: after a round on one session set and its Release, no
 // session holds a buffer, and a second set's round of the same shape runs
 // in the first set's buffers (the list is last in, first out) though they
 // were filled with garbage in between, with an exact sum; the first
 // round's sum, read after the second ran, is unchanged (a -race build
 // poisons what Release takes back); a round that fails after its clients
-// masked (too few unmask responses) hands its buffers back too; and an
-// XNoise round leaves its used totals on totals.
+// masked (too few unmask responses) hands its buffers back too.
 func TestRoundSessionsReleaseScratch(t *testing.T) {
 	const n, dim = 6, 64
-	// Lists of their own: what earlier tests handed back could fill the
-	// shared ones, which then drop what this test's rounds release.
-	defer func(b *transport.FreeList[uint64], tl *transport.FreeList[int64]) { buffers, totals = b, tl }(buffers, totals)
+	// A list of its own: what earlier tests handed back could fill the
+	// shared one, which then drops what this test's rounds release.
+	defer func(b *transport.FreeList[uint64]) { buffers = b }(buffers)
 	buffers = transport.NewFreeList[uint64](1<<16, 1<<16)
-	totals = transport.NewFreeList[int64](1<<16, 1<<16)
 
 	cfg, inputs, drops := sessionRoundConfig(n, dim)
 	// round runs round i on a fresh session set, releases it and returns
@@ -793,15 +849,5 @@ func TestRoundSessionsReleaseScratch(t *testing.T) {
 		t.Fatal(err)
 	} else if !within(after, failed) {
 		t.Fatal("the failed round did not hand its buffers back")
-	}
-
-	plan := &xnoise.Plan{NumClients: n, DropoutTolerance: 2, Threshold: 3, TargetVariance: 50}
-	noisy := mkConfig(n, 3, plan)
-	if _, err := RunWithSessions(noisy, mkInputs(noisy), nil, nil, rand.Reader, nil); err != nil {
-		t.Fatal(err)
-	}
-	// A total MaskedInput used holds noise; one the list makes is zero.
-	if total := totals.Lease(noisy.Dim); !slices.ContainsFunc(total, func(v int64) bool { return v != 0 }) {
-		t.Fatal("the XNoise round did not hand its totals back")
 	}
 }

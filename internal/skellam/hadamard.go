@@ -34,28 +34,35 @@ func fwht(x []float64) {
 	}
 }
 
-// signDiagonal expands a ±1 diagonal of the given length from the seed.
-// All clients of a round share the seed, so they apply the same rotation —
-// a requirement for the rotated coordinates to aggregate meaningfully.
-func signDiagonal(seed prg.Seed, n int) []float64 {
+// signDiagonal expands a ±1 diagonal of the given length from the seed,
+// as sign bits: entry i is +1 when bit i%64 of word i/64 is set, −1
+// otherwise, the words being the seed's stream's first ⌈n/64⌉ Uint64
+// draws. All clients of a round share the seed, so they apply the same
+// rotation — a requirement for the rotated coordinates to aggregate
+// meaningfully.
+func signDiagonal(seed prg.Seed, n int) []uint64 {
 	s := prg.NewStream(seed)
-	d := make([]float64, n)
-	var word uint64
-	bits := 0
+	d := make([]uint64, (n+63)/64)
 	for i := range d {
-		if bits == 0 {
-			word = s.Uint64()
-			bits = 64
-		}
-		if word&1 == 1 {
-			d[i] = 1
-		} else {
-			d[i] = -1
-		}
-		word >>= 1
-		bits--
+		d[i] = s.Uint64()
 	}
 	return d
+}
+
+// scaleSigned sets dst[i] = D_i·(src[i]·f), D_i the diagonal's ±1 entry
+// i, for i < len(src) ≤ len(dst). A −1 entry flips the product's sign bit:
+// exactly what multiplying by −1.0 gives, with no branch on the random
+// bits and a shift per entry.
+func scaleSigned(dst, src []float64, f float64, diag []uint64) {
+	for w := 0; w < len(src); w += 64 {
+		neg := ^diag[w/64]
+		s := src[w:min(w+64, len(src))]
+		d := dst[w : w+len(s)]
+		for j, v := range s {
+			d[j] = math.Float64frombits(math.Float64bits(v*f) ^ neg<<63)
+			neg >>= 1
+		}
+	}
 }
 
 // Rotate applies the seeded randomized Hadamard transform (1/√p)·H·D to x,
@@ -73,12 +80,10 @@ func Rotate(seed prg.Seed, x []float64) []float64 {
 	return buf
 }
 
-// rotateInto overwrites buf with (1/√p)·H·D·(f·x) for the expanded diagonal
-// diag, p = len(buf) = len(diag) a power of two ≥ len(x).
-func rotateInto(buf, diag, x []float64, f float64) {
-	for i, v := range x {
-		buf[i] = v * f * diag[i]
-	}
+// rotateInto overwrites buf with (1/√p)·H·D·(f·x) for the diagonal's sign
+// bits diag, p = len(buf) a power of two ≥ len(x).
+func rotateInto(buf []float64, diag []uint64, x []float64, f float64) {
+	scaleSigned(buf, x, f, diag)
 	clear(buf[len(x):])
 	fwht(buf)
 	inv := 1 / math.Sqrt(float64(len(buf)))
@@ -88,7 +93,7 @@ func rotateInto(buf, diag, x []float64, f float64) {
 }
 
 // Unrotate inverts Rotate, returning the first dim coordinates:
-// x = D·H·(1/√p)·y.
+// x = D·H·(1/√p)·y. y is not written.
 func Unrotate(seed prg.Seed, y []float64, dim int) []float64 {
 	p := len(y)
 	if p&(p-1) != 0 {
@@ -96,12 +101,13 @@ func Unrotate(seed prg.Seed, y []float64, dim int) []float64 {
 	}
 	buf := make([]float64, p)
 	copy(buf, y)
+	return unrotateInPlace(buf, signDiagonal(seed, p), dim)
+}
+
+// unrotateInPlace overwrites buf (a power-of-two length p) with
+// D·H·(1/√p)·buf and returns its first dim coordinates.
+func unrotateInPlace(buf []float64, diag []uint64, dim int) []float64 {
 	fwht(buf)
-	inv := 1 / math.Sqrt(float64(p))
-	d := signDiagonal(seed, p)
-	out := make([]float64, dim)
-	for i := 0; i < dim; i++ {
-		out[i] = buf[i] * inv * d[i]
-	}
-	return out
+	scaleSigned(buf, buf[:dim], 1/math.Sqrt(float64(len(buf))), diag)
+	return buf[:dim:dim]
 }

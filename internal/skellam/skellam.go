@@ -121,13 +121,14 @@ const maxRoundingAttempts = 40
 
 // Encoder is the client half of the codec with everything that is the same
 // for every client of a round built once: the validated Params, the
-// inflated clip c̃, the expanded ±1 rotation diagonal, and one PaddedDim
-// float scratch the transform runs in. It is not safe for concurrent use —
-// the scratch is the reason — so concurrent encoders each build their own.
+// inflated clip c̃, the ±1 rotation diagonal as sign bits, and one
+// PaddedDim float scratch the transform runs in. It is not safe for
+// concurrent use — the scratch is the reason — so concurrent encoders each
+// build their own.
 type Encoder struct {
 	p     Params
 	bound float64   // c̃, the conditional-rounding acceptance bound
-	diag  []float64 // the shared ±1 diagonal, PaddedDim long
+	diag  []uint64  // the shared ±1 diagonal's sign bits, PaddedDim of them
 	buf   []float64 // scratch: clip·sign → Hadamard → normalize
 }
 
@@ -209,8 +210,9 @@ func Encode(p Params, x []float64, rnd *prg.Stream) (ring.Vector, error) {
 }
 
 // Decode maps an aggregated ring vector back to model units: center the
-// residues, unscale, inverse-rotate, truncate padding. The result is the
-// SUM of the client updates (plus noise); the caller averages.
+// residues, unscale, inverse-rotate, truncate padding — all in one
+// PaddedDim buffer, whose first Dim coordinates it returns. The result is
+// the SUM of the client updates (plus noise); the caller averages.
 func Decode(p Params, agg ring.Vector) ([]float64, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -221,11 +223,10 @@ func Decode(p Params, agg ring.Vector) ([]float64, error) {
 	if agg.Bits != p.Bits {
 		return nil, fmt.Errorf("skellam: aggregate bits %d, want %d", agg.Bits, p.Bits)
 	}
-	centered := agg.Centered()
-	y := make([]float64, len(centered))
+	y := make([]float64, agg.Len())
 	inv := 1 / p.Scale
-	for i, v := range centered {
-		y[i] = float64(v) * inv
+	for i := range y {
+		y[i] = float64(agg.CenteredAt(i)) * inv
 	}
-	return Unrotate(p.RotationSeed, y, p.Dim), nil
+	return unrotateInPlace(y, signDiagonal(p.RotationSeed, len(y)), p.Dim), nil
 }

@@ -14,8 +14,7 @@ import (
 //
 // FreeList is the tree's one free list: frames here, and the in-process
 // round's scratch (ARCHITECTURE.md "Round scratch") — core's encoding
-// slab, secagg's client buffers and XNoise totals, and lightsecagg's
-// client slabs. It is explicit and bounded rather than a sync.Pool, so
+// slab, secagg's client buffers and lightsecagg's client slabs. It is explicit and bounded rather than a sync.Pool, so
 // what a round allocates does not depend on when the collector last ran.
 
 const (
