@@ -37,11 +37,12 @@
 //   - Noise: xnoise.SamplerForEpoch (rng.AddSkellamSplit, AddSkellamInv),
 //     versioned per round by Config.NoiseEpoch and the handshake.
 //     ARCHITECTURE.md "Versioned compute contracts", PROTOCOL.md.
-//   - A round: a substrate's stage table (secagg.Server.Program,
-//     lightsecagg's namesake) walked by engine.RunLocal in-process or
-//     engine.ServeWire/JoinWire over a transport; every stage collected
-//     by engine.Collect, one loop that decodes each message and applies
-//     it, in admission order, to the incremental Add*/Seal* servers.
+//   - A round: SecAgg's stage table (secagg.Server.Program) walked by
+//     engine.RunLocal in-process or engine.ServeWire/JoinWire over a
+//     transport; every stage collected by engine.Collect, one loop that
+//     decodes each message and applies it, in admission order, to the
+//     incremental Add*/Seal* servers. LightSecAgg runs in process only,
+//     as one loop over its four stages (lightsecagg.RunWithSessions).
 //     ARCHITECTURE.md "The engine" and "Which link runs where".
 //   - Frames: hand-rolled little-endian codecs on
 //     transport.Reader/Writer (core/codec.go, core/control.go,

@@ -69,7 +69,7 @@ func TestDropoutResilienceAcrossStages(t *testing.T) {
 		},
 	}
 	// Every schedule runs on both protocol backends — classic SecAgg and
-	// the engine-unified LightSecAgg substrate (which needs Threshold >
+	// the LightSecAgg substrate (which needs Threshold >
 	// n/2; a share-stage drop maps to its §6.1 model: offline sharing
 	// completes, the upload never happens, the client is excluded).
 	substrates := []struct {

@@ -18,10 +18,11 @@ import (
 // aggregate is exact. Client id contributes the constant vector id; the
 // decoded sum must equal the plaintext sum over the clients whose upload
 // the schedule lets through. The in-process cell and the two wire cells
-// of a row walk the same stage tables through the same two walkers, so a
-// row that disagrees with itself is a link bug, and a column that fails
-// is a substrate bug. LightSecAgg runs in process only, so its row has
-// the in-process cells alone.
+// of a SecAgg row walk the same stage tables through the same two
+// walkers, so a row that disagrees with itself is a link bug, and a
+// column that fails is a substrate bug. LightSecAgg runs in process only,
+// on its own stage loop rather than a link, so its row keeps the
+// "in-process" cell names alone.
 
 const (
 	eqClients = 8

@@ -576,7 +576,7 @@ func lightSecAggSchedule(s secagg.DropSchedule) lightsecagg.DropSchedule {
 // runLightSecAggChunk aggregates one chunk on the LightSecAgg substrate:
 // each client's window of the round slab is read as GF(2^61−1) elements in
 // place (field.View — a residue below 2^Bits is canonical, and n·2^Bits < p
-// is checked at round start), the engine-backed in-process round sums them
+// is checked at round start), LightSecAgg's in-process round sums them
 // exactly without writing them, and the sum reduces back mod 2^Bits —
 // equal to the ring sum coordinate-wise because reduction commutes with
 // integer addition.

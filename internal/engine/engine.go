@@ -8,7 +8,7 @@
 // instead of buffering a whole stage's messages and then decoding and
 // aggregating them in one barrier, it is one loop that admits a message,
 // decodes it and feeds it to an incremental per-message sink (the Add*
-// methods of secagg.Server and lightsecagg.Server) while the later
+// methods of secagg.Server) while the later
 // messages are still arriving — on the wire, into TransportSource's
 // buffered fan-in. A 64-client masked-input stage therefore costs
 // collection time plus an O(1) seal, not collection time plus n decodes
@@ -16,13 +16,13 @@
 // sink is fed in admission order and needs no locking, and a stage's
 // waiting, decode and apply time are three clock readings in one place.
 // A stage that may complete before all-of-N says when in one predicate,
-// Stage.QuorumMet: LightSecAgg's one-shot recovery is done at any U
-// aggregate shares, SecAgg's unmask stage when every reconstruction cohort
+// Stage.QuorumMet: the combiner's presence stage is done at its quorum of
+// shard hellos, SecAgg's unmask stage when every reconstruction cohort
 // holds t shares.
 //
-// The stage walkers (program.go) run a whole round: a substrate exports
-// its server and client rounds as ordered stage tables, and one server
-// walker and one client walker run any table over either network — typed
+// The stage walkers (program.go) run a whole round: SecAgg exports its
+// server and client rounds as ordered stage tables, and one server
+// walker and one client walker run them over either network — typed
 // values over channels in-process (RunLocal), a Codec's encodings over a
 // transport with a per-stage deadline on the wire (ServeWire, JoinWire).
 // The engine stays protocol-agnostic throughout: message bodies are
@@ -61,8 +61,8 @@ func (m Msg) release() {
 }
 
 // Re-key handshake frame tags, shared by every substrate. The round
-// stages start at tag 0 (secagg: 0–11, lightsecagg: 0–7), so the
-// handshake tags are reserved well above both spaces: one connection — and
+// stages start at tag 0 (secagg: 0–11), so the handshake tags are
+// reserved well above that space: one connection — and
 // one engine fan-in — carries a handshake followed by round traffic
 // without a handshake frame ever aliasing a round stage, and vice versa.
 // The handshake message codecs live in package core (core/handshake.go);
@@ -142,8 +142,8 @@ type Stage struct {
 	// consulted after each successful Apply (on the same goroutine, so it
 	// may read sink state without locking) and completes the stage as soon
 	// as it returns true, instead of waiting for all of Expect. A count is
-	// a predicate over the sink — LightSecAgg's recovery is done at any U
-	// aggregate shares (waiting for every survivor would add a straggler
+	// a predicate over the sink — the combiner's presence stage is done at
+	// its quorum of shards (waiting for every shard would add a straggler
 	// tail for no protocol benefit) — and so is what a count cannot say:
 	// SecAgg+'s unmask stage is done when every reconstruction *cohort*
 	// holds t shares, not when any t global responses arrived. The stage

@@ -226,8 +226,8 @@ func TestCollectConcurrentSenders(t *testing.T) {
 
 // TestCollectQuorum: a stage whose QuorumMet counts k applied messages
 // completes as soon as k expected senders were admitted, without waiting
-// for the rest — the any-K-of-N collection LightSecAgg's one-shot recovery
-// stage uses. The remaining senders never answer, so an all-of-N stage
+// for the rest — the any-K-of-N collection the combiner's presence stage
+// uses. The remaining senders never answer, so an all-of-N stage
 // would only end at the deadline; the quorum stage must end immediately.
 func TestCollectQuorum(t *testing.T) {
 	ch := make(chan Msg, 8)

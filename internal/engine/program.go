@@ -12,12 +12,12 @@ import (
 	"repro/internal/transport"
 )
 
-// Stage programs: a substrate (secagg, lightsecagg) describes its round as
-// data — an ordered table of server steps and one of client steps — and
-// the two walkers below run any such table over either kind of star
-// network. That is the paper's "communication and computation operations
-// encapsulated into stages" (§4.1) taken literally: the substrate says
-// what each stage collects, applies and emits; the walkers own collection
+// Stage programs: a substrate (secagg) describes its round as data — an
+// ordered table of server steps and one of client steps — and the two
+// walkers below run such a table over either kind of star network. That
+// is the paper's "communication and computation operations encapsulated
+// into stages" (§4.1) taken literally: the substrate says what each stage
+// collects, applies and emits; the walkers own collection
 // (the only Collect call outside the handshake and combiner legs), the
 // resume / partial-resume / fresh-advertise choice, dropout injection,
 // and handing every Apply the sender the network verified rather than the

@@ -10,7 +10,7 @@ import (
 // The one binary layout of the substrate: the AEAD plaintext of a coded
 // share, which a client opens from an envelope a peer sealed, so it is
 // decoded like a frame from the network. Every other message of the round
-// travels typed through the in-process walker.
+// travels typed through the in-process loop (run.go).
 //
 //	share vec: [n:4][S: n×8]   (little-endian; every word canonical, < p)
 //

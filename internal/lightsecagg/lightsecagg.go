@@ -53,11 +53,12 @@
 // protocol. Within that, it is structured like its SecAgg sibling:
 //
 //   - Client is a per-round state machine (Advertise → SealShares →
-//     OpenEnvelopes → MaskedInput → AggregateShare). Its stage table
-//     (Program, program.go) is walked by engine.RunLocal
-//     (Run/RunWithSessions, clients as goroutines). Coded shares travel
-//     inside pairwise AEAD envelopes as they would between machines, so
-//     an opened share is decoded like a peer's frame (codec.go).
+//     OpenEnvelopes → MaskedInput → AggregateShare). RunWithSessions
+//     (run.go) drives a round as one loop over the four stages, each
+//     stage's live clients on at most GOMAXPROCS workers. Coded shares
+//     travel inside pairwise AEAD envelopes as they would between
+//     machines, so an opened share is decoded like a peer's frame
+//     (codec.go).
 //   - Server exposes incremental per-message Add*/Seal* collection
 //     surfaces (AddAdvertise, AddShareBundle, AddMasked, AddAggShare, and
 //     the matching Seal* closers) mirroring secagg.Server. Masked inputs
@@ -65,11 +66,9 @@
 //     masked stage is an O(1) threshold check plus sort — not n decodes
 //     plus n length-d vector adds — and the server never retains the
 //     n·d masked matrix, only the d-length running sum.
-//   - Stages are collected through internal/engine's one server walker:
-//     each message applied where it is admitted, on one goroutine, in
-//     admission order. The one-shot recovery stage's
-//     engine.Stage.QuorumMet counts U aggregate shares, completing as soon
-//     as any U arrive instead of waiting out stragglers.
+//   - The loop makes the server's Add* calls on its own goroutine, in id
+//     order, once a stage's client steps are done. The one-shot recovery
+//     asks only the first U live survivors: any U responses complete it.
 //   - Session/ServerSession (session.go) amortize the fixed round costs —
 //     X25519 channel agreements, the Lagrange encoding matrix and the
 //     advertise round trip — across the chunks of one pipelined round
@@ -179,7 +178,7 @@ func recoveryWeights(cfg Config, responders []uint64) ([][]field.Element, error)
 	return ws, nil
 }
 
-// Protocol messages, carried typed by the in-process walker.
+// Protocol messages, carried typed by the in-process loop.
 
 // AdvertiseMsg is the stage-0 channel-key advertisement: the roster entry
 // the session layer caches, hashes and persists, with the X25519 channel
@@ -208,8 +207,8 @@ type AggShareMsg struct {
 }
 
 // Client is one participant's round state machine. Its stage methods are
-// driven by run.go through its stage table (program.go); see the package
-// comment for the stage order.
+// driven by run.go's stage loop; see the package comment for the stage
+// order.
 type Client struct {
 	cfg     Config
 	id      uint64
@@ -536,15 +535,14 @@ func (c *Client) AggregateShare(survivors []uint64) ([]field.Element, error) {
 // incrementally: AddAdvertise/AddShareBundle/AddMasked/AddAggShare ingest
 // one message on arrival (envelope routing and partial masked-input
 // accumulation happen immediately), and the per-stage Seal* methods close
-// the stage, enforce the threshold, and emit the next broadcast. This is
-// what the streaming round engine drives: by the time a stage's last
-// message arrives, the per-message work is already done and Seal is an
-// O(1) (or O(U)) tail. The server never materializes the n×d masked
+// the stage, enforce the threshold, and emit the next broadcast: by the
+// time a stage's last message is added, the per-message work is already
+// done and Seal is an O(1) (or O(U)) tail. The server never materializes the n×d masked
 // matrix — arrivals fold into one d-length running sum.
 //
 // Methods must be called in stage order. A Server is not safe for
-// concurrent use; the round engine calls Add* from one goroutine, in
-// admission order (engine.Stage.Apply contract).
+// concurrent use; the round loop (run.go) calls Add* from one goroutine,
+// in id order.
 type Server struct {
 	cfg     Config
 	session *ServerSession // never nil: a throwaway one when the caller passed none
@@ -713,8 +711,7 @@ func (s *Server) SealMasked() ([]uint64, error) {
 
 // AddAggShare ingests one one-shot recovery response on arrival,
 // preserving admission order: SealAggShares reconstructs from the first U
-// admitted responders, so with the recovery step's QuorumMet (U shares
-// ingested) the stage ends the moment enough shares arrived.
+// admitted responders, so a driver need collect no more than U.
 func (s *Server) AddAggShare(m AggShareMsg) error {
 	if _, err := s.cfg.rank(m.From); err != nil {
 		return err

@@ -2,7 +2,9 @@ package lightsecagg
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -124,6 +126,95 @@ func TestRoundAbortsWhenRecoveryStarved(t *testing.T) {
 	if _, err := RunWithSessions(cfg, inputs, drops, rng("starve"), nil); err == nil {
 		t.Fatal("expected abort when recovery responses fall below U")
 	}
+}
+
+// TestRoundAbortsOnOfflineDrop: the offline phase needs every sampled
+// client (DropSchedule), so a drop before StageAdvertise or StageShares
+// aborts the round — on fresh sessions, and on the second sub-round of one
+// RoundSessions, which resumes from the cached roster and skips advertise.
+func TestRoundAbortsOnOfflineDrop(t *testing.T) {
+	cfg := testConfig(6, 1, 2, 8)
+	inputs, _ := makeInputs(cfg)
+	for _, stage := range []Stage{StageAdvertise, StageShares} {
+		drops := DropSchedule{4: stage}
+		t.Run(stage.String()+"/fresh", func(t *testing.T) {
+			sess, err := NewRoundSessions(cfg.ClientIDs, rng("offline-keys"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Release()
+			if sum, err := RunWithSessions(cfg, inputs, drops, rng("offline-fresh"), sess); err == nil {
+				t.Fatalf("a drop before %s completed the round with sum %v", stage, sum)
+			}
+		})
+		t.Run(stage.String()+"/resumed", func(t *testing.T) {
+			sess, err := NewRoundSessions(cfg.ClientIDs, rng("offline-keys"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Release()
+			if _, err := RunWithSessions(cfg, inputs, nil, rng("offline-r1"), sess); err != nil {
+				t.Fatal(err)
+			}
+			if !sess.resumable(cfg) {
+				t.Fatal("the second sub-round would not resume")
+			}
+			if sum, err := RunWithSessions(cfg, inputs, drops, rng("offline-r2"), sess); err == nil {
+				t.Fatalf("a drop before %s completed the resumed round with sum %v", stage, sum)
+			}
+		})
+	}
+}
+
+// TestRoundIndependentOfWorkers: the round's stages fan their clients out
+// over GOMAXPROCS workers, so the exact sum must not depend on how many
+// there are, with drops before the masked upload and before the recovery.
+func TestRoundIndependentOfWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cfg := testConfig(9, 2, 3, 21) // U = 6
+	inputs, wantSum := makeInputs(cfg)
+	drops := DropSchedule{2: StageMaskedInput, 7: StageMaskedInput, 3: StageAggShare}
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, sess := range []*RoundSessions{nil, mustRoundSessions(t, cfg)} {
+			for sub := range 2 {
+				got, err := RunWithSessions(cfg, inputs, drops, rng(fmt.Sprintf("workers-%d-%d", procs, sub)), sess)
+				if err != nil {
+					t.Fatalf("GOMAXPROCS %d, sub-round %d: %v", procs, sub, err)
+				}
+				checkSum(t, got, wantSum(map[uint64]bool{2: true, 7: true}))
+			}
+			sess.Release()
+		}
+	}
+}
+
+// TestRoundNamesFailingClient: a client whose step fails aborts the round
+// with an error that names the client and the stage it failed in.
+func TestRoundNamesFailingClient(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cfg := testConfig(6, 1, 1, 8)
+	inputs, _ := makeInputs(cfg)
+	inputs[4] = inputs[4][:cfg.Dim-1]
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		sum, err := RunWithSessions(cfg, inputs, nil, rng("failing"), nil)
+		if err == nil {
+			t.Fatalf("GOMAXPROCS %d: a short input completed the round with sum %v", procs, sum)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "client 4 ") || !strings.Contains(msg, StageMaskedInput.String()) {
+			t.Errorf("GOMAXPROCS %d: error %q does not name client 4 and stage %s", procs, msg, StageMaskedInput)
+		}
+	}
+}
+
+func mustRoundSessions(t *testing.T, cfg Config) *RoundSessions {
+	t.Helper()
+	sess, err := NewRoundSessions(cfg.ClientIDs, rng("round-sessions"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess
 }
 
 // TestShareConsistency: interpolating a client's own shares at the data

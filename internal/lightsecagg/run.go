@@ -3,18 +3,25 @@ package lightsecagg
 import (
 	"fmt"
 	"io"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/engine"
 	"repro/internal/field"
 )
 
-// In-process driver: one full LightSecAgg round with the substrate's stage
-// tables (Program) walked by engine.RunLocal, the same walkers the SecAgg
-// rounds run on. Coded shares travel inside pairwise AEAD envelopes, so
-// the session layer's channel-secret cache is observable.
+// In-process driver: one full LightSecAgg round as a plain loop over its
+// four stages. Each stage runs its live clients' steps concurrently, then
+// feeds the server their messages in id order and seals. Coded mask shares
+// relay through the untrusted server (the star topology of §3.3) inside
+// pairwise AEAD envelopes keyed by X25519 agreement — otherwise the server
+// could collect U of them and unmask every client — so the session layer's
+// channel-secret cache is observable.
 
 // Stage identifies a point in the client lifecycle, for dropout
-// injection and in-process uplink tags.
+// injection and in errors.
 type Stage int
 
 // The client lifecycle points. A client that drops "before" a stage
@@ -57,6 +64,11 @@ func (d DropSchedule) Participates(id uint64, s Stage) bool {
 	return !drops || s < dropStage
 }
 
+// live returns the clients still alive at the stage, in id order.
+func (d DropSchedule) live(s Stage, clients []*Client) []*Client {
+	return slices.DeleteFunc(slices.Clone(clients), func(c *Client) bool { return !d.Participates(c.id, s) })
+}
+
 // RunWithSessions executes one full round in-process: clients in drops
 // vanish before their stage, and sess, when non-nil, is the shared set of
 // sessions the round runs on. The first round on fresh sessions runs the full
@@ -71,42 +83,110 @@ func RunWithSessions(cfg Config, inputs map[uint64][]field.Element,
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	resume := sess.resumable(cfg)
-	var srvSess *ServerSession
-	if sess != nil {
-		srvSess = sess.Server
+	if sess == nil { // a standalone round: every party gets a throwaway session
+		sess = &RoundSessions{Server: NewServerSession()}
 	}
-	server, err := NewSessionServer(cfg, srvSess)
+	server, err := NewSessionServer(cfg, sess.Server)
 	if err != nil {
 		return nil, err
 	}
+	ids := cfg.ClientIDs
 	shared := engine.SharedReader(rand)
-	programs := make([]engine.ClientProgram, 0, len(cfg.ClientIDs))
-	for _, id := range cfg.ClientIDs {
-		input, ok := inputs[id]
-		if !ok {
+	clients := make([]*Client, len(ids))
+	for rank, id := range ids {
+		if _, ok := inputs[id]; !ok {
 			return nil, fmt.Errorf("lightsecagg: no input for client %d", id)
 		}
-		var cs *Session
-		if sess != nil {
-			cs = sess.Client[id]
-		}
-		c, err := NewSessionClient(cfg, id, shared, cs)
-		if err != nil {
+		if clients[rank], err = NewSessionClient(cfg, id, shared, sess.Client[id]); err != nil {
 			return nil, err
 		}
-		p := c.Program(input, new([]field.Element))
-		p.Resume = resume
-		programs = append(programs, p)
 	}
-	var sum []field.Element
-	program := server.Program(&sum)
-	program.Resume = resume
-	err = engine.RunLocal(program, programs, func(id uint64) int {
-		if stage, ok := drops[id]; ok {
-			return int(stage)
+
+	// Advertise, or install the roster the last sealed advertise stage
+	// cached: every client still holds the keys it lists.
+	var roster []AdvertiseMsg
+	if sess.resumable(cfg) {
+		roster = sess.Server.RosterFor(ids)
+		err = server.InstallRoster(roster)
+	} else {
+		roster, err = stage(StageAdvertise, drops.live(StageAdvertise, clients),
+			func(c *Client) (AdvertiseMsg, error) { return c.Advertise(), nil },
+			func(_ uint64, m AdvertiseMsg) error { return server.AddAdvertise(m) },
+			server.SealAdvertise)
+	}
+	if err != nil {
+		return nil, err
+	}
+	sess.Server.StoreRoster(roster, ids)
+
+	deliveries, err := stage(StageShares, drops.live(StageShares, clients),
+		func(c *Client) ([]Envelope, error) { return c.SealShares(roster) },
+		server.AddShareBundle, server.SealShareBundles)
+	if err != nil {
+		return nil, err
+	}
+
+	survivors, err := stage(StageMaskedInput, drops.live(StageMaskedInput, clients),
+		func(c *Client) ([]field.Element, error) {
+			if err := c.OpenEnvelopes(deliveries[c.id]); err != nil {
+				return nil, err
+			}
+			return c.MaskedInput(inputs[c.id])
+		},
+		func(id uint64, y []field.Element) error { return server.AddMasked(MaskedMsg{From: id, Y: y}) },
+		server.SealMasked)
+	if err != nil {
+		return nil, err
+	}
+
+	// One-shot recovery needs any U responses: the first U live survivors
+	// in id order answer, and the rest are not asked.
+	responders := make([]*Client, 0, cfg.RecoveryThreshold())
+	for _, c := range drops.live(StageAggShare, clients) {
+		if _, ok := slices.BinarySearch(survivors, c.id); ok && len(responders) < cap(responders) {
+			responders = append(responders, c)
 		}
-		return engine.NoDrop
-	})
-	return sum, err
+	}
+	return stage(StageAggShare, responders,
+		func(c *Client) ([]field.Element, error) { return c.AggregateShare(survivors) },
+		func(id uint64, s []field.Element) error { return server.AddAggShare(AggShareMsg{From: id, S: s}) },
+		server.SealAggShares)
+}
+
+// stage runs step for every client in live on at most GOMAXPROCS workers,
+// which claim clients from one counter so a slow client holds up only its
+// own worker, then hands the outputs to add in live's order on the calling
+// goroutine and returns seal's result. A failed step aborts the stage
+// before any add, as the first failure in live's order, naming its client
+// and the stage.
+func stage[T, S any](s Stage, live []*Client, step func(*Client) (T, error),
+	add func(id uint64, out T) error, seal func() (S, error)) (S, error) {
+
+	outs := make([]T, len(live))
+	errs := make([]error, len(live))
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for range min(runtime.GOMAXPROCS(0), len(live)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(live); i = int(next.Add(1) - 1) {
+				outs[i], errs[i] = step(live[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return *new(S), fmt.Errorf("client %d %s: %w", live[i].id, s, err)
+		}
+	}
+	for i, c := range live {
+		if err := add(c.id, outs[i]); err != nil {
+			return *new(S), err
+		}
+	}
+	return seal()
 }

@@ -42,12 +42,6 @@ import (
 // sub-rounds that share it — round scratch, never session state — until
 // RoundSessions.Release hands them back.
 type Session struct {
-	// The shared continuity state: the cached roster. Its ratchet mark and
-	// taint are unused on this substrate: every mask is a fresh one-time
-	// pad, so a sub-round derives nothing from the session's position, and
-	// nothing reads the taint because no handshake resumes this substrate.
-	session.ClientState
-
 	key *dh.KeyPair // X25519 channel key advertised in stage 0, fixed for the session's life
 
 	mu  sync.Mutex
@@ -141,8 +135,7 @@ func (s *Session) PublicBytes() []byte { return s.key.PublicBytes() }
 
 // channelKey returns the AEAD key shared with the peer identified by its
 // channel public key, agreeing on first use and caching the result. Safe
-// for concurrent use — the in-process driver runs clients as goroutines
-// over shared sessions.
+// for concurrent use.
 func (s *Session) channelKey(peerPub []byte) (*aead.Key, error) {
 	return s.channel.KeyAt(string(peerPub), 0,
 		func() ([dh.SharedSize]byte, error) { return s.key.Agree(peerPub) })

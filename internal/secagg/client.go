@@ -403,24 +403,24 @@ func (c *Client) MaskedInput(ciphertexts []EncryptedShareMsg) (MaskedInputMsg, e
 	// independent PRG expansion — key agreement included — so they fan out
 	// across the worker pool and accumulate into y in place.
 	tasks := make([]maskTask, 0, len(c.u2))
-	selfStream := c.selfStream
-	tasks = append(tasks, maskTask{sign: 1, make: func() (*prg.Stream, error) { return selfStream, nil }})
+	tasks = append(tasks, maskTask{sign: 1, id: c.id, self: true})
 	for _, peer := range c.u2 {
-		if peer == c.id {
-			continue
+		if peer != c.id {
+			tasks = append(tasks, maskTask{sign: pairMaskSign(c.id, peer), id: c.id, peer: peer})
 		}
-		peer := peer
-		entry, _ := c.rosterEntry(peer) // U2 ⊆ U1, checked above
-		peerPub := entry.MaskPub
-		tasks = append(tasks, maskTask{sign: pairMaskSign(c.id, peer), make: func() (*prg.Stream, error) {
-			s, err := c.maskStream(peerPub)
-			if err != nil {
-				return nil, fmt.Errorf("secagg: mask key agreement %d↔%d: %w", c.id, peer, err)
-			}
-			return s, nil
-		}})
 	}
-	if err := applyMaskTasks(y, tasks, c.cfg.maskWindow()); err != nil {
+	err := applyMaskTasks(y, tasks, c.cfg.maskWindow(), func(t maskTask) (*prg.Stream, error) {
+		if t.self {
+			return c.selfStream, nil
+		}
+		entry, _ := c.rosterEntry(t.peer) // U2 ⊆ U1, checked above
+		s, err := c.maskStream(entry.MaskPub)
+		if err != nil {
+			return nil, fmt.Errorf("secagg: mask key agreement %d↔%d: %w", t.id, t.peer, err)
+		}
+		return s, nil
+	})
+	if err != nil {
 		return MaskedInputMsg{}, err
 	}
 	if c.cfg.TranscriptDigests {

@@ -13,19 +13,21 @@ import (
 	"repro/internal/shamir"
 )
 
-// maskTask is one independent mask expansion: find or build a PRG stream
-// (any key agreement happens on the worker) and fold its expansion into the
-// destination with the given sign.
+// maskTask is one independent mask expansion, as data: the stream is keyed
+// from client id's self-mask seed (self) or from the pair (id, peer), and
+// its expansion folds into the destination with sign (±1).
 type maskTask struct {
-	sign int
-	make func() (*prg.Stream, error)
+	id, peer uint64
+	sign     int8
+	self     bool
 }
 
 // applyMaskTasks accumulates Σ sign_i·PRG_i straight into dst — the
 // client's y, the server's masked sum — reading every stream from keystream
 // byte window on (the sub-round's mask window, Config.maskWindow), in two
-// fan-outs over one bounded worker pool. First the streams are found or built, each task's
-// make (an X25519 agreement, a cache lookup) running exactly once; a failing make
+// fan-outs over one bounded worker pool. First the streams are found or
+// built, stream (the caller's one resolver: an X25519 agreement, a cache
+// lookup) running exactly once per task on the workers; a failing stream
 // stops further claims and its error is returned before any stream is
 // expanded, so dst is untouched on error. Then the workers split the
 // coordinate range at multiples of ring.MaskBlockLen and each runs the
@@ -36,7 +38,7 @@ type maskTask struct {
 // calling goroutine that leaves every stream where the next chunk's
 // window starts. Mask additions commute in ℤ_{2^b} and the ranges are
 // disjoint, so the result does not depend on the worker count.
-func applyMaskTasks(dst ring.Vector, tasks []maskTask, window uint64) error {
+func applyMaskTasks(dst ring.Vector, tasks []maskTask, window uint64, stream func(maskTask) (*prg.Stream, error)) error {
 	var (
 		next    atomic.Int64
 		failed  atomic.Bool
@@ -58,12 +60,12 @@ func applyMaskTasks(dst ring.Vector, tasks []maskTask, window uint64) error {
 			if i >= len(tasks) {
 				return
 			}
-			s, err := tasks[i].make()
+			s, err := stream(tasks[i])
 			if err != nil {
 				fail(err)
 				return
 			}
-			masks[i] = ring.Mask{Stream: s, Sign: tasks[i].sign, Off: window}
+			masks[i] = ring.Mask{Stream: s, Sign: int(tasks[i].sign), Off: window}
 		}
 	})
 	if firstEr != nil {

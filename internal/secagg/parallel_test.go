@@ -12,25 +12,26 @@ import (
 	"repro/internal/ring"
 )
 
-// seededTasks returns n mask tasks over distinct seeds with mixed signs,
-// the reference Σ sign_i·PRG_i applied to a copy of dst one stream at a
-// time, and a per-task count of make calls.
-func seededTasks(t *testing.T, dst ring.Vector, n int) (tasks []maskTask, want ring.Vector, made []atomic.Int32) {
+// seededTasks returns n self-mask tasks over distinct seeds with mixed
+// signs, their resolver, the reference Σ sign_i·PRG_i applied to a copy of
+// dst one stream at a time, and a per-task count of resolver calls.
+func seededTasks(t *testing.T, dst ring.Vector, n int) (tasks []maskTask, stream func(maskTask) (*prg.Stream, error), want ring.Vector, made []atomic.Int32) {
 	t.Helper()
 	want = dst.Clone()
 	made = make([]atomic.Int32, n)
+	seed := func(id uint64) prg.Seed { return prg.NewSeed([]byte(fmt.Sprintf("task-%d", id))) }
 	for i := 0; i < n; i++ {
-		seed := prg.NewSeed([]byte(fmt.Sprintf("task-%d", i)))
 		sign := 1 - 2*(i%2)
-		tasks = append(tasks, maskTask{sign: sign, make: func() (*prg.Stream, error) {
-			made[i].Add(1)
-			return prg.NewStream(seed), nil
-		}})
-		if err := want.MaskInPlace(prg.NewStream(seed), sign); err != nil {
+		tasks = append(tasks, maskTask{sign: int8(sign), id: uint64(i), self: true})
+		if err := want.MaskInPlace(prg.NewStream(seed(uint64(i))), sign); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return tasks, want, made
+	stream = func(task maskTask) (*prg.Stream, error) {
+		made[task.id].Add(1)
+		return prg.NewStream(seed(task.id)), nil
+	}
+	return tasks, stream, want, made
 }
 
 // TestApplyMaskTasksSegmentedMatchesSequential: at many blocks the range
@@ -48,8 +49,8 @@ func TestApplyMaskTasksSegmentedMatchesSequential(t *testing.T) {
 			for i := range dst.Data {
 				dst.Data[i] = uint64(i) & dst.Mask()
 			}
-			tasks, want, made := seededTasks(t, dst, ntasks)
-			if err := applyMaskTasks(dst, tasks, 0); err != nil {
+			tasks, stream, want, made := seededTasks(t, dst, ntasks)
+			if err := applyMaskTasks(dst, tasks, 0, stream); err != nil {
 				t.Fatal(err)
 			}
 			if !ring.Equal(dst, want) {
@@ -65,9 +66,9 @@ func TestApplyMaskTasksSegmentedMatchesSequential(t *testing.T) {
 }
 
 // TestApplyMaskTasksSegmentedError is the abort path: a failing stream
-// constructor (a bad peer key) returns that first error, no stream is
-// expanded — the destination is untouched and no task is made after the
-// failure was seen — and every worker goroutine has exited on return.
+// resolver (a bad peer key) returns that first error, no stream is
+// expanded — the destination is untouched and no task is resolved after
+// the failure was seen — and every worker goroutine has exited on return.
 func TestApplyMaskTasksSegmentedError(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	boom := errors.New("agreement failed")
@@ -75,16 +76,20 @@ func TestApplyMaskTasksSegmentedError(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		before := runtime.NumGoroutine()
 		var madeAfter atomic.Int32
-		tasks := []maskTask{{sign: 1, make: func() (*prg.Stream, error) { return nil, boom }}}
-		for i := 0; i < 64; i++ {
-			tasks = append(tasks, maskTask{sign: 1, make: func() (*prg.Stream, error) {
-				madeAfter.Add(1)
-				time.Sleep(time.Millisecond) // an agreement's worth of work
-				return prg.NewStream(prg.NewSeed([]byte("ok"))), nil
-			}})
+		tasks := make([]maskTask, 65)
+		for i := range tasks {
+			tasks[i] = maskTask{sign: 1, id: uint64(i), self: true}
+		}
+		stream := func(task maskTask) (*prg.Stream, error) {
+			if task.id == 0 {
+				return nil, boom
+			}
+			madeAfter.Add(1)
+			time.Sleep(time.Millisecond) // an agreement's worth of work
+			return prg.NewStream(prg.NewSeed([]byte("ok"))), nil
 		}
 		dst := ring.NewVector(20, 3*ring.MaskBlockLen(20))
-		if err := applyMaskTasks(dst, tasks, 0); !errors.Is(err, boom) {
+		if err := applyMaskTasks(dst, tasks, 0, stream); !errors.Is(err, boom) {
 			t.Fatalf("procs=%d: got err %v, want %v", procs, err, boom)
 		}
 		if !ring.Equal(dst, ring.NewVector(20, dst.Len())) {
@@ -114,8 +119,8 @@ func TestApplyMaskTasksSmallDimUnchanged(t *testing.T) {
 			t.Fatalf("dim %d is more than one block", dim)
 		}
 		dst := ring.NewVector(16, dim)
-		tasks, want, _ := seededTasks(t, dst, 5)
-		if err := applyMaskTasks(dst, tasks, 0); err != nil {
+		tasks, stream, want, _ := seededTasks(t, dst, 5)
+		if err := applyMaskTasks(dst, tasks, 0, stream); err != nil {
 			t.Fatal(err)
 		}
 		if !ring.Equal(dst, want) {

@@ -502,25 +502,22 @@ func (s *Server) unmask() error {
 		return fmt.Errorf("secagg: reconstructing self seeds: %w", err)
 	}
 
-	var tasks []maskTask
 	// Remove self masks of live clients via reconstructed b_u; every mask
 	// is read from this sub-round's window of its stream.
+	tasks := make([]maskTask, 0, len(s.u3))
 	for _, u := range s.u3 {
-		b := selfSeeds[u]
-		tasks = append(tasks, maskTask{sign: -1, make: func() (*prg.Stream, error) {
-			return s.session.selfStream(u, b), nil
-		}})
+		tasks = append(tasks, maskTask{sign: -1, id: u, self: true})
 	}
 	// Remove the unpaired pairwise masks of dropped clients v ∈ U2\U3. Key
 	// reconstruction and verification run inline (one per dropped client,
 	// skipped entirely when the session already holds the verified key);
 	// the per-neighbor key agreements and mask expansions — the bulk of the
 	// work — run on the workers, hitting the session cache when one is live.
+	keys := make(map[uint64]*dh.KeyPair) // dropped v → its mask key
 	for _, v := range s.u2 {
 		if slices.Contains(s.u3, v) {
 			continue
 		}
-		v := v
 		advPub := s.roster[v].MaskPub
 		// The server is about to hold v's raw mask key: taint v in the
 		// session so no later round resumes on a key generation whose
@@ -543,25 +540,27 @@ func (s *Server) unmask() error {
 			}
 			s.session.storeKey(advPub, kp)
 		}
-		// Only v's neighbors masked with v.
+		keys[v] = kp
+		// Only v's neighbors masked with v: client u added γ_{u,v}·PRG;
+		// cancel it.
 		vNbrs := s.cfg.neighborhood(v)
 		for _, u := range s.u3 {
-			if _, ok := slices.BinarySearch(vNbrs, u); !ok {
-				continue
+			if _, ok := slices.BinarySearch(vNbrs, u); ok {
+				tasks = append(tasks, maskTask{sign: -pairMaskSign(u, v), id: u, peer: v})
 			}
-			u := u
-			uPub := s.roster[u].MaskPub
-			// Client u added γ_{u,v}·PRG; cancel it.
-			tasks = append(tasks, maskTask{sign: -pairMaskSign(u, v), make: func() (*prg.Stream, error) {
-				ps, err := s.session.pairStream(kp, uPub, s.cfg.KeyRatchet)
-				if err != nil {
-					return nil, fmt.Errorf("secagg: mask key agreement %d↔%d: %w", u, v, err)
-				}
-				return ps, nil
-			}})
 		}
 	}
-	if err := applyMaskTasks(z, tasks, s.cfg.maskWindow()); err != nil {
+	err = applyMaskTasks(z, tasks, s.cfg.maskWindow(), func(t maskTask) (*prg.Stream, error) {
+		if t.self {
+			return s.session.selfStream(t.id, selfSeeds[t.id]), nil
+		}
+		ps, err := s.session.pairStream(keys[t.peer], s.roster[t.id].MaskPub, s.cfg.KeyRatchet)
+		if err != nil {
+			return nil, fmt.Errorf("secagg: mask key agreement %d↔%d: %w", t.id, t.peer, err)
+		}
+		return ps, nil
+	})
+	if err != nil {
 		return err
 	}
 	s.sum = z
@@ -570,7 +569,7 @@ func (s *Server) unmask() error {
 
 // pairMaskSign returns γ_{u,v} (+1 iff u > v), mirroring the client's mask
 // sign without performing the key agreement.
-func pairMaskSign(u, v uint64) int {
+func pairMaskSign(u, v uint64) int8 {
 	if u < v {
 		return -1
 	}

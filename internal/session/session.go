@@ -4,10 +4,13 @@
 // the derivation-point high-water mark), the cache of pairwise secrets,
 // and the at-rest record sections for all of it.
 //
-// secagg.Session / ServerSession and lightsecagg.Session / ServerSession
-// embed ClientState / ServerState and add only what is theirs — key pairs,
-// reconstructed keys, coding matrices. Only SecAgg's sessions are resumed
-// by the handshake and persisted; LightSecAgg's live one in-process round.
+// secagg.Session / ServerSession embed ClientState / ServerState, and
+// lightsecagg.ServerSession embeds ServerState; each adds only what is
+// theirs — key pairs, reconstructed keys, coding matrices.
+// lightsecagg.Session embeds neither: it keeps a channel key, its pairwise
+// Secrets and an encoding matrix, and its sub-rounds resume from the
+// server session's cached roster. Only SecAgg's sessions are resumed by the
+// handshake and persisted; LightSecAgg's live one in-process round.
 // The package imports neither substrate and never asks which one it
 // serves: what a ratchet step derives, and whether taint is ever set, is
 // the embedding type's business (see ARCHITECTURE.md, "Sessions and the
