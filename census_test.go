@@ -4,7 +4,7 @@ package repro
 
 // The census type-checks every package under internal/, cmd/ and
 // examples/ with its tests, and bench/ as a consumer, then holds the
-// exported, non-test declarations under internal/ and cmd/ to three rules:
+// exported, non-test declarations under internal/ and cmd/ to four rules:
 //
 //   - R1: every struct field is written somewhere — a keyed or positional
 //     composite literal, an assignment, an increment or a taken address.
@@ -13,12 +13,17 @@ package repro
 //   - R3: every package-level name that only _test.go files reference is
 //     named, qualified (`pkg.Name`), in ARCHITECTURE.md's "Kept on purpose"
 //     list, which is the one allowlist.
+//   - R4: every exported method of a named non-interface type, whose name
+//     no interface in the type-checked program declares (interface
+//     dispatch would hide its callers), is referenced by a non-test file —
+//     a promoted call counts — or it, `pkg.Type.Method`, or its type,
+//     `pkg.Type`, is named in that list.
 //
-// Methods and embedded fields are out of scope: interface dispatch hides
-// their callers. This module's packages are type-checked from source here,
-// each once without its tests and once with its in-package tests, and
-// keyed by file offset so the variants agree; the standard library comes
-// from go/importer's "source" importer. Run it with
+// Embedded fields are out of scope. This module's packages are
+// type-checked from source here, each once without its tests and once
+// with its in-package tests, and keyed by file offset so the variants
+// agree; the standard library comes from go/importer's "source" importer.
+// Run it with
 //
 //	go test -tags census -run '^TestCensus$' .
 
@@ -64,6 +69,9 @@ type census struct {
 
 	decls   []censusDecl // package-level names (R2, R3)
 	fields  []censusDecl // struct fields (R1)
+	methods []censusDecl // methods of non-interface types (R4)
+	pkgs    []*types.Package
+	iface   map[string]bool // method names some interface declares
 	uses    map[censusKey]map[censusKey]bool
 	written map[censusKey]bool
 	recv    map[censusKey]bool   // identifiers inside a method receiver
@@ -85,6 +93,7 @@ func newCensus(t *testing.T) *census {
 		written: map[censusKey]bool{},
 		recv:    map[censusKey]bool{},
 		spans:   map[censusKey][2]int{},
+		iface:   map[string]bool{},
 	}
 }
 
@@ -141,13 +150,18 @@ func (c *census) check(path, dir string, names []string) (*types.Package, error)
 		return nil, fmt.Errorf("type-check %s: %w", path, errors.Join(errs...))
 	}
 	c.record(files, info)
+	c.pkgs = append(c.pkgs, pkg)
 	return pkg, nil
 }
 
 // record notes, from one type-checked package, every use of this module's
 // objects, every struct field written, every identifier inside a method
-// receiver and every package-level declaration's span.
+// receiver, every function's and package-level declaration's span, and
+// the methods of every interface type it spells.
 func (c *census) record(files []*ast.File, info *types.Info) {
+	for _, tv := range info.Types {
+		c.interfaceMethods(tv.Type)
+	}
 	for id, obj := range info.Uses {
 		if obj.Pkg() == nil || !strings.HasPrefix(obj.Pkg().Path(), censusModule+"/") {
 			continue
@@ -207,9 +221,8 @@ func (c *census) record(files []*ast.File, info *types.Info) {
 					span(id, n)
 				}
 			case *ast.FuncDecl:
-				if n.Recv == nil {
-					span(n.Name, n)
-				} else {
+				span(n.Name, n)
+				if n.Recv != nil {
 					ast.Inspect(n.Recv, func(r ast.Node) bool {
 						if id, ok := r.(*ast.Ident); ok {
 							c.recv[c.key(id.Pos())] = true
@@ -223,19 +236,38 @@ func (c *census) record(files []*ast.File, info *types.Info) {
 	}
 }
 
+// interfaceMethods notes the method names of t's interface, if it is one.
+func (c *census) interfaceMethods(t types.Type) {
+	if it, ok := t.Underlying().(*types.Interface); ok {
+		for i := 0; i < it.NumMethods(); i++ {
+			c.iface[it.Method(i).Name()] = true
+		}
+	}
+}
+
 // declare records the exported package-level names of one package's
-// non-test files, and the exported fields of its exported struct types.
+// non-test files, the exported fields of its exported struct types and
+// the exported methods of its named non-interface types.
 func (c *census) declare(pkg *types.Package, qual string) {
 	scope := pkg.Scope()
 	for _, name := range scope.Names() {
 		obj := scope.Lookup(name)
+		tn, isType := obj.(*types.TypeName)
+		if isType && !tn.IsAlias() && !types.IsInterface(tn.Type()) {
+			named := tn.Type().(*types.Named)
+			for i := 0; i < named.NumMethods(); i++ {
+				if m := named.Method(i); m.Exported() {
+					k := c.key(m.Pos())
+					c.methods = append(c.methods, censusDecl{name: qual + "." + name + "." + m.Name(), obj: k, span: c.spans[k]})
+				}
+			}
+		}
 		if !obj.Exported() {
 			continue
 		}
 		k := c.key(obj.Pos())
 		c.decls = append(c.decls, censusDecl{name: qual + "." + name, obj: k, span: c.spans[k]})
-		tn, ok := obj.(*types.TypeName)
-		if !ok || tn.IsAlias() {
+		if !isType || tn.IsAlias() {
 			continue
 		}
 		st, ok := tn.Type().Underlying().(*types.Struct)
@@ -330,15 +362,30 @@ func TestCensus(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	kept := keptOnPurpose(t, c.root)
-	var bad []string
-	for _, f := range c.fields {
-		if !c.written[f.obj] {
-			bad = append(bad, "R1: field "+f.name+" is never written")
+	// Every interface the program can see, the standard library's too.
+	seen := map[*types.Package]bool{}
+	for len(c.pkgs) > 0 {
+		p := c.pkgs[len(c.pkgs)-1]
+		c.pkgs = c.pkgs[:len(c.pkgs)-1]
+		if seen[p] {
+			continue
 		}
+		seen[p] = true
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+				c.interfaceMethods(tn.Type())
+			}
+		}
+		c.pkgs = append(c.pkgs, p.Imports()...)
 	}
-	for _, d := range c.decls {
-		var other, nonTest int
+
+	kept := keptOnPurpose(t, c.root)
+	named := func(name string) bool {
+		return regexp.MustCompile(`(^|[^\w.])` + regexp.QuoteMeta(name) + `($|[^\w.])`).MatchString(kept)
+	}
+	// uses counts d's references outside its own declaration and receivers,
+	// and those from non-test files.
+	uses := func(d censusDecl) (other, nonTest int) {
 		for u := range c.uses[d.obj] {
 			if c.recv[u] || (u.file == d.obj.file && u.off >= d.span[0] && u.off < d.span[1]) {
 				continue
@@ -348,11 +395,27 @@ func TestCensus(t *testing.T) {
 				nonTest++
 			}
 		}
+		return other, nonTest
+	}
+	var bad []string
+	for _, f := range c.fields {
+		if !c.written[f.obj] {
+			bad = append(bad, "R1: field "+f.name+" is never written")
+		}
+	}
+	for _, d := range c.decls {
+		other, nonTest := uses(d)
 		switch {
 		case other == 0:
 			bad = append(bad, "R2: "+d.name+" is never referenced")
 		case nonTest == 0 && !regexp.MustCompile(`\b`+regexp.QuoteMeta(d.name)+`\b`).MatchString(kept):
 			bad = append(bad, "R3: "+d.name+` is referenced only by tests and is not in ARCHITECTURE.md "Kept on purpose"`)
+		}
+	}
+	for _, m := range c.methods {
+		typ := m.name[:strings.LastIndexByte(m.name, '.')]
+		if _, nonTest := uses(m); nonTest == 0 && !c.iface[m.name[len(typ)+1:]] && !named(m.name) && !named(typ) {
+			bad = append(bad, "R4: method "+m.name+` has no non-test caller and is not in ARCHITECTURE.md "Kept on purpose"`)
 		}
 	}
 	sort.Strings(bad)

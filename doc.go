@@ -37,7 +37,8 @@
 //   - Noise: xnoise.SamplerForEpoch (rng.AddSkellamSplit, AddSkellamInv),
 //     versioned per round by Config.NoiseEpoch and the handshake.
 //     ARCHITECTURE.md "Versioned compute contracts", PROTOCOL.md.
-//   - A round: SecAgg's stage table (secagg.Server.Program) walked by
+//   - A round: SecAgg's stage table (secagg.Server.Program, given the
+//     caller's resume decision, which only its rows express) walked by
 //     engine.RunLocal in-process or engine.ServeWire/JoinWire over a
 //     transport; every stage collected by engine.Collect, one loop that
 //     decodes each message and applies it, in admission order, to the

@@ -86,8 +86,7 @@ func RunWireServer(ctx context.Context, cfg WireServerConfig, conn transport.Ser
 		return nil, err
 	}
 	var round secagg.ServerRound
-	program := server.Program(&round)
-	program.Resume, program.Divergent = cfg.Resume, cfg.Divergent
+	program := server.Program(&round, cfg.Resume, cfg.Divergent)
 	if err := engine.ServeWire(ctx, conn, cfg.Engine, wireCodec, cfg.StageDeadline, program); err != nil {
 		return nil, err
 	}
@@ -204,8 +203,7 @@ func RunWireClient(ctx context.Context, cfg WireClientConfig, conn transport.Cli
 		return nil, err
 	}
 	var round secagg.ClientRound
-	program := client.Program(&round)
-	program.Resume, program.Divergent = cfg.Resume, cfg.Divergent
+	program := client.Program(&round, cfg.Resume, cfg.Divergent)
 	if err := engine.JoinWire(ctx, conn, wireCodec, program, int(cfg.DropBefore)); err != nil {
 		return nil, err
 	}

@@ -26,7 +26,8 @@
 // values over channels in-process (RunLocal), a Codec's encodings over a
 // transport with a per-stage deadline on the wire (ServeWire, JoinWire).
 // The engine stays protocol-agnostic throughout: message bodies are
-// opaque, and everything substrate-specific is a table row. See
+// opaque, and everything substrate-specific is a table row — how a round
+// resumes included, so neither walker special-cases a step index. See
 // ARCHITECTURE.md for how this maps onto the paper's pipeline stages.
 package engine
 

@@ -17,19 +17,19 @@ import (
 // walkers below run such a table over either kind of star network. That
 // is the paper's "communication and computation operations encapsulated
 // into stages" (§4.1) taken literally: the substrate says what each stage
-// collects, applies and emits; the walkers own collection
-// (the only Collect call outside the handshake and combiner legs), the
-// resume / partial-resume / fresh-advertise choice, dropout injection,
-// and handing every Apply the sender the network verified rather than the
-// one a payload claims.
+// collects, applies and emits, and how a resumed round differs is rows
+// too; the walkers own collection (the only Collect call outside the
+// handshake and combiner legs), dropout injection, optional steps, and
+// handing every Apply the sender the network verified rather than the
+// one a payload claims. They never special-case a step index.
 //
 // Two networks exist. RunLocal carries typed values over channels — no
 // codec, no deadline, and the drop schedule stands in for the deadline.
 // ServeWire / JoinWire carry a Codec's encodings over a transport, each
 // stage bounded by a deadline.
 
-// NoTag marks the side a client step does not have: the opening step
-// awaits nothing, the closing step sends nothing.
+// NoTag marks the side a step does not have: a client step that awaits
+// or sends nothing, or a silent downlink.
 const NoTag = -1
 
 // NoDrop (or any negative drop step) marks a client that completes the
@@ -38,7 +38,8 @@ const NoDrop = -1
 
 // Downlink is the server→clients message a sealed step emits. Its
 // recipients are also the senders the next step expects. Each, when set,
-// gives every recipient its own body in place of Body.
+// gives every recipient its own body in place of Body. A Tag of NoTag is
+// a silent downlink: it sets the next step's senders and delivers nothing.
 type Downlink struct {
 	Tag  int
 	To   []uint64
@@ -57,10 +58,6 @@ type ServerStep struct {
 	// QuorumMet completes the step early (engine.Stage).
 	QuorumMet func() bool
 	Seal      func() (Downlink, error)
-	// Preseed, on a program's first step, feeds the state machine that
-	// step's messages as a previous round's seal cached them; a resumed
-	// program runs it in place of collecting them.
-	Preseed func() error
 }
 
 // Stamped adapts a state machine's typed Add method to ServerStep.Apply
@@ -75,16 +72,10 @@ func Stamped[T any](add func(T) error, from func(*T) *uint64) func(uint64, any) 
 	}
 }
 
-// ServerProgram is a substrate's server side of one round. Steps[0] is
-// the key advertisement, the step a resumed round does not repeat: with
-// Resume the cached advertisements pre-seed it and only Divergent members
-// are collected afresh; when Divergent is empty nothing is collected and
-// the sealed roster is not re-broadcast, because every client holds it.
+// ServerProgram is a substrate's server side of one round.
 type ServerProgram struct {
-	Roster    []uint64 // the senders the first step expects
-	Steps     []ServerStep
-	Resume    bool
-	Divergent []uint64
+	Roster []uint64 // the senders the first step expects
+	Steps  []ServerStep
 }
 
 // ClientStep is one row of a substrate's client table: wait for the
@@ -95,24 +86,15 @@ type ClientStep struct {
 	// Optional marks a step the server may skip (its Await never arrives
 	// and the next step's does instead).
 	Optional bool
-	Do       func(body any) (any, error)
-	Send     int
-	// Skip, on the opening step, stands in for Do when a resumed client
-	// keeps its advertised keys (nil: nothing to do).
-	Skip func() error
-	// Cached, on the second step, returns the downlink body a previous
-	// round cached; a fully resumed client uses it instead of waiting.
-	Cached func() (any, error)
+	// Do runs the step on the awaited body (nil when Await is NoTag).
+	Do   func(body any) (any, error)
+	Send int
 }
 
-// ClientProgram is a substrate's client side of one round. Steps[0] is
-// the key advertisement (Await NoTag) and Steps[1] consumes the roster
-// its seal broadcasts; Resume and Divergent mirror ServerProgram.
+// ClientProgram is a substrate's client side of one round.
 type ClientProgram struct {
-	ID        uint64
-	Steps     []ClientStep
-	Resume    bool
-	Divergent []uint64
+	ID    uint64
+	Steps []ClientStep
 }
 
 // Codec is a substrate's wire format: one message codec per frame tag.
@@ -171,13 +153,6 @@ type serverLink struct {
 func walkServer(ctx context.Context, l serverLink, p ServerProgram) error {
 	expect := p.Roster
 	for i, st := range p.Steps {
-		resumed := i == 0 && p.Resume
-		if resumed {
-			if err := st.Preseed(); err != nil {
-				return fmt.Errorf("engine: resuming %s: %w", st.Name, err)
-			}
-			expect = p.Divergent
-		}
 		if l.live != nil {
 			expect = l.live(i, expect)
 		}
@@ -200,8 +175,7 @@ func walkServer(ctx context.Context, l serverLink, p ServerProgram) error {
 		}
 		expect = out.To
 		switch {
-		case resumed && len(p.Divergent) == 0:
-			// Every client holds the roster it would be sent.
+		case out.Tag == NoTag: // silent: it only names the next senders
 		case out.Each != nil:
 			for _, id := range out.To {
 				if err := l.deliver([]uint64{id}, out.Tag, out.Each(id)); err != nil {
@@ -235,16 +209,13 @@ type clientLink interface {
 // uplink tag with the error, so a local round can tell the server which
 // collection to abort.
 func walkClient(ctx context.Context, l clientLink, p ClientProgram, dropStep int) (int, error) {
-	keepsKeys := p.Resume && !slices.Contains(p.Divergent, p.ID)
-	holdsRoster := p.Resume && len(p.Divergent) == 0
 	steps := p.Steps
 	for i := 0; i < len(steps); i++ {
 		var (
 			body  any
 			frame []byte
 		)
-		cached := i == 1 && holdsRoster
-		if steps[i].Await != NoTag && !cached {
+		if steps[i].Await != NoTag {
 			// The awaited downlink, or a later step's when every step in
 			// between is optional.
 			want := []int{steps[i].Await}
@@ -266,25 +237,7 @@ func walkClient(ctx context.Context, l clientLink, p ClientProgram, dropStep int
 			transport.Release(frame)
 			return NoTag, l.close()
 		}
-		if i == 0 && keepsKeys {
-			continue
-		}
-		out, err := func() (any, error) {
-			if i == 1 && keepsKeys && steps[0].Skip != nil {
-				// Run here, not at step 0, so a failure is reported under
-				// a tag the server is collecting from this client.
-				if err := steps[0].Skip(); err != nil {
-					return nil, err
-				}
-			}
-			if cached {
-				var err error
-				if body, err = st.Cached(); err != nil {
-					return nil, err
-				}
-			}
-			return st.Do(body)
-		}()
+		out, err := st.Do(body)
 		transport.Release(frame) // after Do: the body may borrow from the frame
 		if err != nil {
 			return st.Send, fmt.Errorf("client %d %s: %w", p.ID, st.Name, err)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -17,7 +18,11 @@ import (
 // A toy substrate for the walkers: clients advertise a key (step 0),
 // upload a number once they hold the roster (step 1), optionally confirm
 // (step 2, solicited only when the server is told to), and get the sum.
-// Every message body is a uint64, so the toy codec is eight bytes.
+// A resumed round is rows, as in secagg: the server seals its cache with
+// the divergent members' fresh keys and, on a full resume, silently; a
+// client that keeps its key sends nothing at step 0, and one that holds
+// the roster awaits nothing at step 1. Every message body is a uint64, so
+// the toy codec is eight bytes.
 const (
 	toyAdvertise = iota
 	toyRoster
@@ -38,7 +43,7 @@ type toyServer struct {
 	sum        uint64
 }
 
-func (s *toyServer) program() ServerProgram {
+func (s *toyServer) program(resume bool, divergent []uint64) ServerProgram {
 	s.advertised, s.values = map[uint64]uint64{}, map[uint64]uint64{}
 	sorted := func(m map[uint64]uint64) []uint64 {
 		out := make([]uint64, 0, len(m))
@@ -48,21 +53,27 @@ func (s *toyServer) program() ServerProgram {
 		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 		return out
 	}
-	return ServerProgram{Roster: s.ids, Steps: []ServerStep{{
+	roster, rosterTag := s.ids, toyRoster
+	if resume {
+		roster = divergent
+		if len(divergent) == 0 {
+			rosterTag = NoTag
+		}
+	}
+	return ServerProgram{Roster: roster, Steps: []ServerStep{{
 		Name: "advertise", Tag: toyAdvertise,
 		Apply: func(from uint64, body any) error { s.advertised[from] = body.(uint64); return nil },
-		Preseed: func() error {
-			if s.cache == nil {
-				return errors.New("toy: nothing cached")
-			}
-			for _, m := range s.cache {
-				s.advertised[m.From] = m.Body.(uint64)
-			}
-			return nil
-		},
 		Seal: func() (Downlink, error) {
+			if resume {
+				if s.cache == nil {
+					return Downlink{}, errors.New("toy: nothing cached")
+				}
+				for _, m := range s.cache {
+					s.advertised[m.From] = m.Body.(uint64)
+				}
+			}
 			u := sorted(s.advertised)
-			return Downlink{To: u, Tag: toyRoster, Body: uint64(len(u))}, nil
+			return Downlink{To: u, Tag: rosterTag, Body: uint64(len(u))}, nil
 		},
 	}, {
 		Name: "value", Tag: toyValue,
@@ -94,7 +105,7 @@ type toyClient struct {
 	result uint64
 }
 
-func (c *toyClient) program() ClientProgram {
+func (c *toyClient) program(resume bool, divergent []uint64) ClientProgram {
 	step := func(name string, out func(body any) uint64) func(any) (any, error) {
 		return func(body any) (any, error) {
 			c.ran = append(c.ran, name)
@@ -104,21 +115,35 @@ func (c *toyClient) program() ClientProgram {
 			return out(body), nil
 		}
 	}
-	return ClientProgram{ID: c.id, Steps: []ClientStep{{
+	keeps := resume && !slices.Contains(divergent, c.id)
+	holds := resume && len(divergent) == 0
+	advertise := ClientStep{
 		Name: "advertise", Await: NoTag, Send: toyAdvertise,
-		Do:   step("advertise", func(any) uint64 { return c.id * 100 }),
-		Skip: func() error { c.ran = append(c.ran, "skip"); return nil },
-	}, {
-		Name: "value", Await: toyRoster, Send: toyValue,
-		Do: step("value", func(any) uint64 { return c.id }),
-		Cached: func() (any, error) {
-			if !c.cached {
-				return nil, errors.New("toy: nothing cached")
+		Do: step("advertise", func(any) uint64 { return c.id * 100 }),
+	}
+	if keeps {
+		advertise = ClientStep{Name: "advertise", Await: NoTag, Send: NoTag,
+			Do: func(any) (any, error) { return nil, nil }}
+	}
+	value := ClientStep{Name: "value", Await: toyRoster, Send: toyValue,
+		Do: step("value", func(any) uint64 { return c.id })}
+	if keeps {
+		do := value.Do
+		value.Do = func(body any) (any, error) {
+			c.ran = append(c.ran, "skip")
+			if holds {
+				if !c.cached {
+					return nil, errors.New("toy: nothing cached")
+				}
+				c.ran = append(c.ran, "cached")
 			}
-			c.ran = append(c.ran, "cached")
-			return uint64(0), nil
-		},
-	}, {
+			return do(body)
+		}
+	}
+	if holds {
+		value.Await = NoTag
+	}
+	return ClientProgram{ID: c.id, Steps: []ClientStep{advertise, value, {
 		Name: "confirm", Await: toyConfirmReq, Send: toyConfirm, Optional: true,
 		Do: step("confirm", func(body any) uint64 { return body.(uint64) }),
 	}, {
@@ -150,15 +175,11 @@ func toyRound(n int) (*toyServer, []*toyClient) {
 }
 
 func runToyLocal(s *toyServer, clients []*toyClient, resume bool, divergent []uint64, drops map[uint64]int) error {
-	sp := s.program()
-	sp.Resume, sp.Divergent = resume, divergent
 	var cps []ClientProgram
 	for _, c := range clients {
-		p := c.program()
-		p.Resume, p.Divergent = resume, divergent
-		cps = append(cps, p)
+		cps = append(cps, c.program(resume, divergent))
 	}
-	return RunLocal(sp, cps, func(id uint64) int {
+	return RunLocal(s.program(resume, divergent), cps, func(id uint64) int {
 		if d, ok := drops[id]; ok {
 			return d
 		}
@@ -206,7 +227,10 @@ func TestRunLocalOptionalStep(t *testing.T) {
 // TestWalkersResume: on a full resume nothing is advertised, collected or
 // re-broadcast — the server seals its cache, every client takes its own —
 // and on a partial resume exactly the divergent member re-advertises
-// while everyone waits for the merged roster.
+// while everyone waits for the merged roster. The toy's resume is rows, so
+// this pins what secagg's resume rows rely on: a silent seal delivers
+// nothing yet names the next step's senders, a NoTag await waits for
+// nothing, and a NoTag send sends nothing.
 func TestWalkersResume(t *testing.T) {
 	cache := func(ids ...uint64) (out []Msg) {
 		for _, id := range ids {
@@ -299,12 +323,12 @@ func TestWireRound(t *testing.T) {
 		wg.Add(1)
 		go func(c *toyClient) {
 			defer wg.Done()
-			if err := JoinWire(ctx, dupConn{conn}, toyCodec, c.program(), drop); err != nil {
+			if err := JoinWire(ctx, dupConn{conn}, toyCodec, c.program(false, nil), drop); err != nil {
 				t.Errorf("client %d: %v", c.id, err)
 			}
 		}(c)
 	}
-	if err := ServeWire(ctx, net.Server(), nil, toyCodec, 300*time.Millisecond, s.program()); err != nil {
+	if err := ServeWire(ctx, net.Server(), nil, toyCodec, 300*time.Millisecond, s.program(false, nil)); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()

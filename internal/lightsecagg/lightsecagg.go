@@ -417,7 +417,7 @@ func (c *Client) installRoster(roster []AdvertiseMsg) error {
 }
 
 // OpenEnvelopes unseals the envelopes addressed to this client (origin
-// stamped by the server) through one plaintext buffer and decodes each
+// stamped by the server) into the session's plaintext slab and decodes each
 // share once, into its sender's row of the received slab. A delivery holds
 // at most one envelope per other client: one from this client itself is
 // refused (SealShares kept that share). The envelopes are only read —
@@ -430,7 +430,7 @@ func (c *Client) OpenEnvelopes(envs []Envelope) error {
 	if len(envs) >= len(c.cfg.ClientIDs) {
 		return fmt.Errorf("lightsecagg: %d envelopes for the %d other members of the roster", len(envs), len(c.cfg.ClientIDs)-1)
 	}
-	pt := make([]byte, 0, 4+8*c.cfg.SubVectorLen())
+	pt := c.plain
 	var ad [session.RouteADSize]byte
 	for _, env := range envs {
 		if env.From == c.id {
@@ -557,9 +557,11 @@ type Server struct {
 	maskedSum []field.Element
 	survivors []uint64
 
-	// One-shot recovery state: shares in admission order.
+	// One-shot recovery state: shares in admission order; recovered once
+	// SealAggShares took the mask sum out of maskedSum.
 	aggShares map[uint64][]field.Element
 	aggOrder  []uint64
+	recovered bool
 }
 
 // NewServer validates the config (no cross-round session).
@@ -732,9 +734,14 @@ func (s *Server) AddAggShare(m AggShareMsg) error {
 }
 
 // SealAggShares performs the one-shot recovery from the first U admitted
-// responders: it interpolates Σ_{i∈survivors} z_i at the data points and
-// returns Σ x_i = Σ y_i − Σ z_i.
+// responders: it interpolates Σ_{i∈survivors} z_i at the data points, one
+// L-word part at a time, and subtracts each part from the server's
+// masked sum, which it returns: Σ x_i = Σ y_i − Σ z_i. A second call is
+// an error instead of a second subtraction.
 func (s *Server) SealAggShares() ([]field.Element, error) {
+	if s.recovered {
+		return nil, fmt.Errorf("lightsecagg: SealAggShares called twice: the mask is removed")
+	}
 	if s.survivors == nil {
 		if _, err := s.SealMasked(); err != nil {
 			return nil, err
@@ -751,23 +758,23 @@ func (s *Server) SealAggShares() ([]field.Element, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := s.cfg.SubVectorLen()
-	parts := u - s.cfg.PrivacyT
-	maskSum := make([]field.Element, parts*l)
 	rows := make([][]field.Element, len(responders))
 	for i, id := range responders {
 		rows[i] = s.aggShares[id]
 	}
-	for k := 0; k < parts; k++ {
-		field.WeightedSumInto(maskSum[k*l:(k+1)*l], ws[k], rows)
+	// Σ x = Σ y − Σ z. The masked inputs were already folded on arrival;
+	// part k covers coordinates [k·L, (k+1)·L), and a part wholly in the
+	// padding past Dim is not interpolated.
+	s.recovered = true
+	l, sum := s.cfg.SubVectorLen(), s.maskedSum
+	z := make([]field.Element, l)
+	for k := 0; k*l < len(sum); k++ {
+		field.WeightedSumInto(z, ws[k], rows)
+		for i, y := range sum[k*l : min((k+1)*l, len(sum))] {
+			sum[k*l+i] = field.Sub(y, z[i])
+		}
 	}
-
-	// Σ x = Σ y − Σ z. The masked inputs were already folded on arrival.
-	out := make([]field.Element, s.cfg.Dim)
-	for i := range out {
-		out[i] = field.Sub(s.maskedSum[i], maskSum[i])
-	}
-	return out, nil
+	return sum, nil
 }
 
 // Lift embeds a signed integer into the field (negative values wrap to

@@ -93,6 +93,54 @@ func TestRoundDropBeforeUpload(t *testing.T) {
 	checkSum(t, got, wantSum(map[uint64]bool{2: true, 5: true}))
 }
 
+// TestSealAggSharesTwiceIsAnError: recovery takes the mask sum out of the
+// server's masked sum in place, part by part — here eight parts of L = 2
+// over nine coordinates, so the last three lie wholly in the padding — and
+// a second seal is refused, leaving the first result as it was.
+func TestSealAggSharesTwiceIsAnError(t *testing.T) {
+	cfg := testConfig(10, 1, 1, 9) // U = 9, parts = 8
+	clients, deliveries := sharedCohort(t, cfg, "seal-twice")
+	inputs, wantSum := makeInputs(cfg)
+	server, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range cfg.ClientIDs {
+		if err := clients[id].OpenEnvelopes(deliveries[id]); err != nil {
+			t.Fatal(err)
+		}
+		y, err := clients[id].MaskedInput(inputs[id])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := server.AddMasked(MaskedMsg{From: id, Y: y}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	survivors, err := server.SealMasked()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range survivors[:cfg.RecoveryThreshold()] {
+		share, err := clients[id].AggregateShare(survivors)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := server.AddAggShare(AggShareMsg{From: id, S: share}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sum, err := server.SealAggShares()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSum(t, sum, wantSum(nil))
+	if _, err := server.SealAggShares(); err == nil {
+		t.Fatal("second SealAggShares accepted")
+	}
+	checkSum(t, sum, wantSum(nil))
+}
+
 // TestRoundDropDuringRecovery: survivors beyond the recovery threshold may
 // also vanish before answering the one-shot recovery; the round still
 // completes from any U responses.

@@ -54,26 +54,28 @@ type Session struct {
 
 // slabs is a client's round scratch (ARCHITECTURE.md, "Round scratch"):
 // the random slab's U·L words, the n × L received slab with its have set,
-// the ciphertext slab, the L-length aggregate share and the peers'
-// channel keys by rank. All but have and pubs are leased, one lease each,
-// from elems and ciphertexts.
+// the ciphertext slab, the plaintext one envelope opens into, the
+// L-length aggregate share and the peers' channel keys by rank. All but
+// have and pubs are leased, one lease each, from elems and ciphertexts.
 type slabs struct {
 	words    []field.Element
 	received []field.Element
 	have     []bool
 	sealed   []byte
+	plain    []byte
 	agg      []field.Element
 	pubs     [][]byte
 }
 
 // The free lists a session leases its slabs from, each bounded by two
 // lsa_dropout cohorts (32 clients; U = 24, L = 256): a client's random,
-// received and aggregate slabs are (24 + 32 + 1)·256 words, and its 31
-// envelopes of 2068 bytes fill a 64 KiB class. A session nobody releases
-// (a session-less client's) keeps what it leased.
+// received and aggregate slabs are (24 + 32 + 1)·256 words, its 31
+// envelopes of 2068 bytes fill a 64 KiB class and its 2052-byte plaintext
+// a 2304-byte one. A session nobody releases (a session-less client's)
+// keeps what it leased.
 var (
 	elems       = transport.NewFreeList[field.Element](2*32*(24+32+1)*256, 2*32*(24+32+1)*256)
-	ciphertexts = transport.NewFreeList[byte](2*32<<16, 2*32<<16)
+	ciphertexts = transport.NewFreeList[byte](2*32<<16, 2*32*(1<<16+2304))
 )
 
 // slabs re-slices the session's slabs to cfg's geometry, growing only those
@@ -92,6 +94,7 @@ func (s *Session) slabs(cfg Config) slabs {
 	sc.pubs = slices.Grow(sc.pubs[:0], n)[:n]
 	clear(sc.pubs)
 	sc.sealed = regrow(ciphertexts, sc.sealed, (n-1)*(4+8*l+aead.Overhead))
+	sc.plain = regrow(ciphertexts, sc.plain, 4+8*l)
 	sc.agg = regrow(elems, sc.agg, l)
 	return *sc
 }
@@ -116,6 +119,7 @@ func (s *Session) release() {
 	elems.Release(sc.received)
 	elems.Release(sc.agg)
 	ciphertexts.Release(sc.sealed)
+	ciphertexts.Release(sc.plain)
 	clear(sc.pubs)
 	*sc = slabs{have: sc.have, pubs: sc.pubs}
 }

@@ -57,13 +57,13 @@ func FromFieldElement(e field.Element) Seed {
 }
 
 // BlockSize is the AES-CTR keystream block granularity in bytes; Seek and
-// At accept arbitrary byte offsets.
+// AtInto accept arbitrary byte offsets.
 const BlockSize = aes.BlockSize
 
 // Stream is a deterministic pseudorandom byte/word stream: AES-128-CTR over
 // a zero plaintext, keyed by the first 16 bytes of the seed with the next
 // 16 bytes as the initial counter block. It is NOT safe for concurrent use,
-// but At derives independent cursors over the same keystream that may be
+// but AtInto aims independent cursors over the same keystream that may be
 // driven from different goroutines.
 type Stream struct {
 	ctr      cipher.Stream // nil until the first draw or Seek (keystream)
@@ -256,25 +256,17 @@ func (s *Stream) Seek(off uint64) {
 	}
 }
 
-// At returns a new independent cursor over the same keystream, positioned
-// at byte offset off. It reads only the receiver's key, never its
+// AtInto aims the cursor c — a zero Stream or one aimed at any keystream
+// before — at byte offset off of the receiver's keystream, as a new
+// independent cursor. It reads only the receiver's key, never its
 // position, so distinct segments of one logical stream can be expanded
 // concurrently from different goroutines, one of them the receiver itself
 // — the basis of range-partitioned mask expansion in packages ring and
-// secagg.
-func (s *Stream) At(off uint64) *Stream {
-	c := new(Stream)
-	s.AtInto(c, off)
-	return c
-}
-
-// AtInto is At re-aiming an existing cursor: c — a zero Stream or one
-// aimed at any keystream before — becomes an independent cursor over the
-// receiver's keystream at byte offset off. A caller that needs many
-// cursors (ring's many-stream mask kernel: one per stream per range past
-// the first) owns their storage and pays only the seek, not a Stream per
-// cursor. The seek always keys a new CTR, so a cursor re-aimed at another
-// parent reads that parent even at the offset where it already stands.
+// secagg. A caller that needs many cursors (ring's many-stream mask
+// kernel: one per stream per range past the first) owns their storage and
+// pays only the seek. The seek always keys a new CTR, so a cursor
+// re-aimed at another parent reads that parent even at the offset where
+// it already stands.
 func (s *Stream) AtInto(c *Stream, off uint64) {
 	c.block, c.iv = s.block, s.iv
 	c.Seek(off)

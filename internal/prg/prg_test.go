@@ -309,8 +309,15 @@ func TestSeekMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSeekBlockAndAt: Seek to a block boundary and At-derived cursors
-// reproduce the sequential bytes, and At does not disturb the parent.
+// at returns a fresh cursor at byte offset off of s's keystream.
+func at(s *Stream, off uint64) *Stream {
+	c := new(Stream)
+	s.AtInto(c, off)
+	return c
+}
+
+// TestSeekBlockAndAt: Seek to a block boundary and fresh AtInto cursors
+// reproduce the sequential bytes, and AtInto does not disturb the parent.
 func TestSeekBlockAndAt(t *testing.T) {
 	seed := NewSeed([]byte("seek-block"))
 	const total = 1 << 15
@@ -330,7 +337,7 @@ func TestSeekBlockAndAt(t *testing.T) {
 			t.Errorf("Seek(block %d): bytes differ from sequential stream", blk)
 		}
 
-		c := parent.At(off)
+		c := at(parent, off)
 		cGot := make([]byte, 64)
 		c.Fill(cGot)
 		if !bytes.Equal(cGot, want[off:off+64]) {
@@ -349,8 +356,8 @@ func TestSeekBlockAndAt(t *testing.T) {
 
 // TestAtIntoReaims: one cursor re-aimed in place — across offsets, across
 // buffered lookahead left by the previous aim, and across parents with
-// different keys — reads exactly what a fresh At cursor would, and costs
-// fewer allocations than At (no Stream per cursor).
+// different keys — reads exactly what a fresh cursor would, and costs
+// fewer allocations than aiming a fresh one (no Stream per cursor).
 func TestAtIntoReaims(t *testing.T) {
 	parents := []*Stream{NewStream(NewSeed([]byte("reaim-a"))), NewStream(NewSeed([]byte("reaim-b")))}
 	var c Stream
@@ -360,9 +367,9 @@ func TestAtIntoReaims(t *testing.T) {
 		got, want := make([]byte, 600), make([]byte, 600)
 		c.Fill(got[:5]) // leaves lookahead buffered for the next aim to drop
 		c.Fill(got[5:])
-		p.At(off).Fill(want)
+		at(p, off).Fill(want)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("re-aimed cursor at %d of parent %d differs from a fresh At cursor", off, i%2)
+			t.Fatalf("re-aimed cursor at %d of parent %d differs from a fresh cursor", off, i%2)
 		}
 		if c.Offset() != off+600 {
 			t.Fatalf("re-aimed cursor at %d: Offset = %d after 600 bytes", off, c.Offset())
@@ -372,9 +379,9 @@ func TestAtIntoReaims(t *testing.T) {
 		}
 	}
 	into := testing.AllocsPerRun(100, func() { parents[0].AtInto(&c, 4096) })
-	fresh := testing.AllocsPerRun(100, func() { _ = parents[0].At(4096) })
+	fresh := testing.AllocsPerRun(100, func() { _ = at(parents[0], 4096) })
 	if into >= fresh {
-		t.Errorf("AtInto allocates %v per aim, At %v: re-aiming must not allocate a Stream", into, fresh)
+		t.Errorf("AtInto allocates %v per aim, a fresh cursor %v: re-aiming must not allocate a Stream", into, fresh)
 	}
 	// The one allocation left is the CTR itself: the counter block lives in
 	// the cursor, aligned aim or not.
@@ -395,13 +402,13 @@ func TestAtIntoNewParentSameOffset(t *testing.T) {
 		var c Stream
 		a.AtInto(&c, off)
 		c.Fill(make([]byte, 32))
-		at := c.Offset()
-		b.AtInto(&c, at)
+		pos := c.Offset()
+		b.AtInto(&c, pos)
 		got, want := make([]byte, 64), make([]byte, 64)
 		c.Fill(got)
-		b.At(at).Fill(want)
+		at(b, pos).Fill(want)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("cursor re-aimed from A to B at %d reads %x, want B's %x", at, got[:8], want[:8])
+			t.Fatalf("cursor re-aimed from A to B at %d reads %x, want B's %x", pos, got[:8], want[:8])
 		}
 	}
 }
@@ -419,7 +426,7 @@ func TestFillAtEveryOffset(t *testing.T) {
 	s := NewStream(seed)
 	got := make([]byte, 64)
 	for off := 0; off < total; off++ {
-		s.At(uint64(off)).Fill(got)
+		at(s, uint64(off)).Fill(got)
 		if !bytes.Equal(got, want[off:off+64]) {
 			t.Fatalf("At(%d).Fill differs from sequential stream", off)
 		}
@@ -436,7 +443,7 @@ func TestFillAtEveryOffset(t *testing.T) {
 			wantW[i] = sc.Uint64()
 		}
 		gotW := make([]uint64, 16)
-		s.At(off).FillUint64(gotW)
+		at(s, off).FillUint64(gotW)
 		for i := range wantW {
 			if gotW[i] != wantW[i] {
 				t.Fatalf("At(%d).FillUint64[%d] = %#x, want %#x", off, i, gotW[i], wantW[i])
@@ -486,7 +493,7 @@ func TestSegmentedFillMatchesSequential(t *testing.T) {
 			wg.Add(1)
 			go func(lo, hi int) {
 				defer wg.Done()
-				base.At(uint64(lo)).Fill(got[lo:hi])
+				at(base, uint64(lo)).Fill(got[lo:hi])
 			}(lo, hi)
 		}
 		wg.Wait()

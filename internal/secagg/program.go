@@ -2,6 +2,7 @@ package secagg
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/engine"
 )
@@ -12,6 +13,12 @@ import (
 // protocol stage k (the Stage constants), so a DropSchedule entry is a
 // step index. Message bodies are the typed messages of messages.go; the
 // wire codec for them lives in package core.
+//
+// A resumed round is rows too: the caller (the wire handshake's commit,
+// or RoundSessions.resumable in process) passes both Program methods
+// resume and the divergent members, who alone re-advertise; on a full
+// resume (none) the server seals its cached roster silently and every
+// client reads its own.
 
 // Frame tags of the round's messages, in protocol order: even tags travel
 // client → server, odd tags server → client (PROTOCOL.md pins the numbers).
@@ -39,7 +46,7 @@ type ServerRound struct {
 // Program lays the server's round out as a stage table over its Add*/Seal*
 // methods. Every message that names its sender gets the link-verified one
 // stamped over it (engine.Stamped).
-func (s *Server) Program(round *ServerRound) engine.ServerProgram {
+func (s *Server) Program(round *ServerRound, resume bool, divergent []uint64) engine.ServerProgram {
 	cfg := s.cfg
 	var noiseReq *NoiseShareRequest
 	unmaskQuorumMet := s.UnmaskQuorumMet
@@ -47,28 +54,34 @@ func (s *Server) Program(round *ServerRound) engine.ServerProgram {
 		// XNoise rounds wait for every survivor: see UnmaskQuorumMet.
 		unmaskQuorumMet = nil
 	}
+	advertisers, rosterTag := cfg.ClientIDs, TagRoster
+	if resume {
+		advertisers = divergent
+		if len(divergent) == 0 {
+			rosterTag = engine.NoTag
+		}
+	}
 	steps := []engine.ServerStep{{
 		Name: StageAdvertiseKeys.String(), Tag: TagAdvertise,
 		Apply: engine.Stamped(s.AddAdvertise, func(m *AdvertiseMsg) *uint64 { return &m.From }),
-		Preseed: func() error {
-			roster := s.session.RosterFor(cfg.ClientIDs)
-			if roster == nil {
-				return fmt.Errorf("secagg: no cached roster for this client set")
-			}
-			for _, m := range roster {
-				if err := s.AddAdvertise(m); err != nil {
-					return err
+		Seal: func() (engine.Downlink, error) {
+			if resume {
+				cached := s.session.RosterFor(cfg.ClientIDs)
+				if cached == nil {
+					return engine.Downlink{}, fmt.Errorf("secagg: no cached roster for this client set")
+				}
+				for _, m := range cached {
+					if err := s.AddAdvertise(m); err != nil {
+						return engine.Downlink{}, err
+					}
 				}
 			}
-			return nil
-		},
-		Seal: func() (engine.Downlink, error) {
 			roster, err := s.SealAdvertise()
 			if err == nil {
 				s.session.StoreRoster(roster, cfg.ClientIDs)
 			}
 			round.Roster = roster
-			return engine.Downlink{Tag: TagRoster, To: s.u1, Body: roster}, err
+			return engine.Downlink{Tag: rosterTag, To: s.u1, Body: roster}, err
 		},
 	}, {
 		// Each sender's ciphertext list routes into recipient outboxes on
@@ -128,7 +141,7 @@ func (s *Server) Program(round *ServerRound) engine.ServerProgram {
 			return engine.Downlink{Tag: TagResult, To: round.Result.Survivors, Body: round.Result}, err
 		},
 	}}
-	return engine.ServerProgram{Roster: cfg.ClientIDs, Steps: steps}
+	return engine.ServerProgram{Roster: advertisers, Steps: steps}
 }
 
 // ClientRound is what walking a client's Program leaves behind.
@@ -139,30 +152,44 @@ type ClientRound struct {
 
 // Program lays the client's round out as a stage table over its stage
 // methods.
-func (c *Client) Program(round *ClientRound) engine.ClientProgram {
-	resumed := false
+func (c *Client) Program(round *ClientRound, resume bool, divergent []uint64) engine.ClientProgram {
+	keepsKeys := resume && !slices.Contains(divergent, c.id)
+	holdsRoster := resume && len(divergent) == 0
+	advertiseTag, rosterTag := TagAdvertise, TagRoster
+	if keepsKeys {
+		advertiseTag = engine.NoTag
+	}
+	if holdsRoster {
+		rosterTag = engine.NoTag
+	}
 	steps := []engine.ClientStep{{
-		Name: StageAdvertiseKeys.String(), Await: engine.NoTag, Send: TagAdvertise,
-		Do:   func(any) (any, error) { return c.AdvertiseKeys() },
-		Skip: c.SkipAdvertise,
+		Name: StageAdvertiseKeys.String(), Await: engine.NoTag, Send: advertiseTag,
+		Do: func(any) (any, error) {
+			if keepsKeys {
+				return nil, nil
+			}
+			return c.AdvertiseKeys()
+		},
 	}, {
 		// ShareKeys verifies this client's own entry in whatever roster it
 		// ends up with, so a merge that lost or replaced it fails loudly
 		// here rather than desynchronize the round.
-		Name: StageShareKeys.String(), Await: TagRoster, Send: TagShares,
-		Cached: func() (any, error) {
-			if c.session != nil {
-				if roster := c.session.Roster(); roster != nil {
-					resumed = true
-					return roster, nil
+		Name: StageShareKeys.String(), Await: rosterTag, Send: TagShares,
+		Do: func(body any) (any, error) {
+			if keepsKeys {
+				// Here, not at stage 0, so a failure is reported under a
+				// tag the server collects from this client.
+				if err := c.SkipAdvertise(); err != nil {
+					return nil, err
 				}
 			}
-			return nil, fmt.Errorf("secagg: no cached roster")
-		},
-		Do: func(body any) (any, error) {
-			round.Roster = body.([]AdvertiseMsg)
-			if c.session != nil && !resumed {
-				c.session.StoreRoster(round.Roster)
+			if !holdsRoster {
+				round.Roster = body.([]AdvertiseMsg)
+				if c.session != nil {
+					c.session.StoreRoster(round.Roster)
+				}
+			} else if round.Roster = c.session.Roster(); round.Roster == nil { // a session: SkipAdvertise passed
+				return nil, fmt.Errorf("secagg: no cached roster")
 			}
 			return c.ShareKeys(round.Roster)
 		},

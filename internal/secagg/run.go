@@ -99,14 +99,10 @@ func RunWithSessions(cfg Config, inputs map[uint64]ring.Vector, signers map[uint
 			return nil, err
 		}
 		clients[id] = c
-		p := c.Program(new(ClientRound))
-		p.Resume = resume
-		programs = append(programs, p)
+		programs = append(programs, c.Program(new(ClientRound), resume, nil))
 	}
 	var round ServerRound
-	program := server.Program(&round)
-	program.Resume = resume
-	err := engine.RunLocal(program, programs, func(id uint64) int {
+	err := engine.RunLocal(server.Program(&round, resume, nil), programs, func(id uint64) int {
 		if stage, ok := drops[id]; ok {
 			return int(stage)
 		}

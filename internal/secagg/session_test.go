@@ -37,7 +37,9 @@ func (s *Session) maskWords(peerPub []byte, step uint64) ([]uint64, error) {
 // stream where it was.
 func windowWords(stream *prg.Stream, cfg Config, n int) []uint64 {
 	out := make([]uint64, n)
-	stream.At(cfg.maskWindow()).FillUint64(out)
+	var c prg.Stream
+	stream.AtInto(&c, cfg.maskWindow())
+	c.FillUint64(out)
 	return out
 }
 
