@@ -39,11 +39,14 @@
 //     ARCHITECTURE.md "Versioned compute contracts", PROTOCOL.md.
 //   - A round: SecAgg's stage table (secagg.Server.Program, given the
 //     caller's resume decision, which only its rows express) walked by
-//     engine.RunLocal in-process or engine.ServeWire/JoinWire over a
-//     transport; every stage collected by engine.Collect, one loop that
-//     decodes each message and applies it, in admission order, to the
-//     incremental Add*/Seal* servers. LightSecAgg runs in process only,
-//     as one loop over its four stages (lightsecagg.RunWithSessions).
+//     engine.RunLocal in-process, in lockstep, or engine.ServeWire/JoinWire
+//     over a transport; every stage collected by engine.Collect, one loop
+//     that decodes each message and applies it, in admission order, to
+//     the incremental Add*/Seal* servers. LightSecAgg runs in process
+//     only, as one loop over its four stages (lightsecagg.RunWithSessions).
+//     Both in-process rounds run their clients on engine.ForEach, the
+//     round path's one fan-out: at most GOMAXPROCS workers claiming
+//     indices from one counter.
 //     ARCHITECTURE.md "The engine" and "Which link runs where".
 //   - Frames: hand-rolled little-endian codecs on
 //     transport.Reader/Writer (core/codec.go, core/control.go,

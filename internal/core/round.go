@@ -1,13 +1,12 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math/bits"
 	"runtime"
-	"sync"
 
+	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/lightsecagg"
 	"repro/internal/pipeline"
@@ -109,8 +108,9 @@ type RoundConfig struct {
 	Sampler xnoise.Sampler
 	// Seed drives the encoding's randomness: the per-client rounding
 	// streams. The XNoise seeds are not derived from it: RunRound draws
-	// them from its rand, as a wire client does (secagg.NewClient), so
-	// the config does not give away the noise the server must not remove.
+	// them from its rand, as a wire client does
+	// (secagg.NewSessionClient), so the config does not give away the
+	// noise the server must not remove.
 	Seed prg.Seed
 	// DropSchedule injects per-stage dropouts: id → the protocol stage
 	// *before* which the client vanishes (secagg.DropSchedule semantics).
@@ -331,7 +331,7 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 	m = len(bounds)
 
 	// Per-round XNoise: one ClientNoise per client, its seeds drawn from
-	// rand as secagg.NewClient draws them on the wire. Each chunk's
+	// rand as secagg.NewSessionClient draws them on the wire. Each chunk's
 	// stageClient reads the next chunk-length of every survivor's
 	// components, and stageServer the same windows of the removed ones
 	// through one reader — the executor runs each stage's chunks one at a
@@ -373,32 +373,37 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 		Bits:      cfg.Codec.Bits,
 		Dim:       longest,
 	}
+	var lsaCfg lightsecagg.Config
+	var err error
 	switch proto {
 	case ProtocolSecAggPlus:
-		var err error
-		baseCfg, err = newPlusConfig(baseCfg, secaggplus.RecommendedDegree(len(ids)))
-		if err != nil {
-			return nil, err
+		if baseCfg, err = newPlusConfig(baseCfg, secaggplus.RecommendedDegree(len(ids))); err == nil {
+			err = baseCfg.Validate()
 		}
 	case ProtocolLightSecAgg:
 		// U = Threshold responses complete the one-shot recovery;
 		// T = D = n − Threshold (the symmetric LightSecAgg instantiation),
-		// so the coded pieces have length d/(2·Threshold − n).
-		if 2*cfg.Threshold <= len(ids) {
-			return nil, fmt.Errorf("core: lightsecagg substrate needs Threshold > n/2, got t=%d n=%d",
-				cfg.Threshold, len(ids))
+		// so the coded pieces have length d/(2·Threshold − n), and
+		// Validate's U > T refuses Threshold ≤ n/2.
+		lsaCfg = lightsecagg.Config{
+			ClientIDs: ids,
+			PrivacyT:  len(ids) - cfg.Threshold,
+			Dropout:   len(ids) - cfg.Threshold,
+			Dim:       longest,
+			Round:     cfg.Round,
 		}
+		err = lsaCfg.Validate()
 		// Aggregation reads ring residues as GF(2^61−1) elements in place
 		// and sums exactly, so n·(2^Bits−1) must not wrap the field.
-		if int(cfg.Codec.Bits)+bits.Len(uint(len(ids))) > 61 {
-			return nil, fmt.Errorf("core: lightsecagg substrate: %d-bit ring with %d clients overflows GF(2^61−1)",
+		if err == nil && int(cfg.Codec.Bits)+bits.Len(uint(len(ids))) > 61 {
+			err = fmt.Errorf("core: lightsecagg substrate: %d-bit ring with %d clients overflows GF(2^61−1)",
 				cfg.Codec.Bits, len(ids))
 		}
+	default:
+		err = baseCfg.Validate()
 	}
-	if proto != ProtocolLightSecAgg {
-		if err := baseCfg.Validate(); err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 
 	// Key-agreement amortization: one session set serves every chunk of
@@ -413,7 +418,6 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 	var sess *secagg.RoundSessions
 	var lsaSess *lightsecagg.RoundSessions
 	if cfg.Sessions != nil {
-		var err error
 		if proto == ProtocolLightSecAgg {
 			lsaSess, err = newLightSecAggSessions(ids, rand)
 			defer lsaSess.Release()
@@ -464,7 +468,7 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 		// comm (+ the protocol's own compute): secure aggregation of the
 		// chunk.
 		if proto == ProtocolLightSecAgg {
-			sum, err := runLightSecAggChunk(cfg, c, ids, chunkInputs[c], schedule, rand, lsaSess)
+			sum, err := runLightSecAggChunk(lsaCfg, c, chunkInputs[c], schedule, rand, lsaSess)
 			if err != nil {
 				return fmt.Errorf("core: chunk %d aggregation: %w", c, err)
 			}
@@ -525,30 +529,25 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 }
 
 // encodeSlab encodes client ids[i]'s update into row i of slab with the
-// rounding stream rounding[i]. GOMAXPROCS workers, each with its own
-// encoder, take every workers-th row, so the slab is byte-identical
-// whatever the worker count.
+// rounding stream rounding[i]. Each of at most GOMAXPROCS workers, with
+// its own encoder, takes every workers-th row, so the slab is
+// byte-identical whatever the worker count.
 func encodeSlab(codec skellam.Params, slab []uint64, ids []uint64, updates map[uint64][]float64, rounding []*prg.Stream) error {
 	pd := codec.PaddedDim()
 	workers := min(runtime.GOMAXPROCS(0), len(ids))
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			enc, err := skellam.NewEncoder(codec)
-			for i := w; i < len(ids) && err == nil; i += workers {
-				dst := ring.Vector{Bits: codec.Bits, Data: slab[i*pd : (i+1)*pd]}
-				if err = enc.EncodeInto(dst, updates[ids[i]], rounding[i]); err != nil {
-					err = fmt.Errorf("core: encoding client %d: %w", ids[i], err)
-				}
+	return engine.ForEach(workers, func(w int) error {
+		enc, err := skellam.NewEncoder(codec)
+		if err != nil {
+			return err
+		}
+		for i := w; i < len(ids); i += workers {
+			dst := ring.Vector{Bits: codec.Bits, Data: slab[i*pd : (i+1)*pd]}
+			if err := enc.EncodeInto(dst, updates[ids[i]], rounding[i]); err != nil {
+				return fmt.Errorf("core: encoding client %d: %w", ids[i], err)
 			}
-			errs[w] = err
-		}()
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+		}
+		return nil
+	})
 }
 
 // lightSecAggSchedule maps the round's secagg-stage drop schedule onto
@@ -573,27 +572,24 @@ func lightSecAggSchedule(s secagg.DropSchedule) lightsecagg.DropSchedule {
 	return out
 }
 
-// runLightSecAggChunk aggregates one chunk on the LightSecAgg substrate:
-// each client's window of the round slab is read as GF(2^61−1) elements in
-// place (field.View — a residue below 2^Bits is canonical, and n·2^Bits < p
-// is checked at round start), LightSecAgg's in-process round sums them
-// exactly without writing them, and the sum reduces back mod 2^Bits —
-// equal to the ring sum coordinate-wise because reduction commutes with
-// integer addition.
-func runLightSecAggChunk(cfg RoundConfig, chunk int, ids []uint64, inputs map[uint64]ring.Vector,
+// runLightSecAggChunk aggregates one chunk on the LightSecAgg substrate,
+// on a copy of the round's validated config with the chunk's Dim and
+// sub-round: each client's window of the round slab is read as
+// GF(2^61−1) elements in place (field.View — a residue below 2^Bits is
+// canonical, and n·2^Bits < p is checked at round start), LightSecAgg's
+// in-process round sums them exactly without writing them, and the sum
+// reduces back mod 2^Bits — equal to the ring sum coordinate-wise because
+// reduction commutes with integer addition.
+func runLightSecAggChunk(base lightsecagg.Config, chunk int, inputs map[uint64]ring.Vector,
 	schedule secagg.DropSchedule, rand io.Reader, sess *lightsecagg.RoundSessions) (ring.Vector, error) {
 
-	dim := inputs[ids[0]].Len()
-	lcfg := lightsecagg.Config{
-		ClientIDs: ids,
-		PrivacyT:  len(ids) - cfg.Threshold,
-		Dropout:   len(ids) - cfg.Threshold,
-		Dim:       dim,
-		// Distinct per sub-round so sealed-share envelopes of different
-		// chunks (and rounds) are AD-separated on shared session keys.
-		Round: subRound(cfg.Round, chunk),
-	}
-	elems := make(map[uint64][]field.Element, len(ids))
+	first := inputs[base.ClientIDs[0]]
+	lcfg := base
+	lcfg.Dim = first.Len()
+	// Distinct per sub-round so sealed-share envelopes of different
+	// chunks (and rounds) are AD-separated on shared session keys.
+	lcfg.Round = subRound(base.Round, chunk)
+	elems := make(map[uint64][]field.Element, len(inputs))
 	for id, v := range inputs {
 		elems[id] = field.View(v.Data)
 	}
@@ -601,7 +597,7 @@ func runLightSecAggChunk(cfg RoundConfig, chunk int, ids []uint64, inputs map[ui
 	if err != nil {
 		return ring.Vector{}, err
 	}
-	out := ring.NewVector(cfg.Codec.Bits, dim)
+	out := ring.NewVector(first.Bits, lcfg.Dim)
 	mask := out.Mask()
 	for i, e := range sum {
 		out.Data[i] = e.Uint64() & mask

@@ -22,9 +22,11 @@
 //
 // The stage walkers (program.go) run a whole round: SecAgg exports its
 // server and client rounds as ordered stage tables, and one server
-// walker and one client walker run them over either network — typed
-// values over channels in-process (RunLocal), a Codec's encodings over a
-// transport with a per-stage deadline on the wire (ServeWire, JoinWire).
+// walker and one client cursor run them over either network — typed
+// values in lockstep in-process (RunLocal), each downlink's recipients
+// stepping on ForEach's bounded claiming workers, or a Codec's encodings
+// over a transport with a per-stage deadline on the wire (ServeWire,
+// JoinWire).
 // The engine stays protocol-agnostic throughout: message bodies are
 // opaque, and everything substrate-specific is a table row — how a round
 // resumes included, so neither walker special-cases a step index. See
@@ -40,8 +42,7 @@ import (
 
 // Msg is one protocol message offered to the engine. Body is opaque: the
 // wire passes the raw frame payload ([]byte), an in-process round passes
-// typed protocol messages (or an error, which the walker's Apply surfaces
-// to abort the round).
+// typed protocol messages.
 type Msg struct {
 	From  uint64
 	Stage int

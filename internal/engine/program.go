@@ -2,10 +2,8 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"sync"
 	"time"
 
@@ -23,10 +21,12 @@ import (
 // handing every Apply the sender the network verified rather than the
 // one a payload claims. They never special-case a step index.
 //
-// Two networks exist. RunLocal carries typed values over channels — no
-// codec, no deadline, and the drop schedule stands in for the deadline.
-// ServeWire / JoinWire carry a Codec's encodings over a transport, each
-// stage bounded by a deadline.
+// Two networks exist, and both drive one client cursor (clientWalk).
+// RunLocal runs the server and its clients in lockstep in one process —
+// typed values, no codec, no deadline: each downlink's recipients step on
+// ForEach's bounded workers, and a stage ends when their uplinks are
+// collected. ServeWire / JoinWire carry a Codec's encodings over a
+// transport, each stage bounded by a deadline.
 
 // NoTag marks the side a step does not have: a client step that awaits
 // or sends nothing, or a silent downlink.
@@ -38,8 +38,10 @@ const NoDrop = -1
 
 // Downlink is the server→clients message a sealed step emits. Its
 // recipients are also the senders the next step expects. Each, when set,
-// gives every recipient its own body in place of Body. A Tag of NoTag is
-// a silent downlink: it sets the next step's senders and delivers nothing.
+// gives every recipient its own body in place of Body; RunLocal calls it
+// from its workers, so it must be safe for concurrent use. A Tag of NoTag
+// is a silent downlink: it sets the next step's senders and delivers
+// nothing.
 type Downlink struct {
 	Tag  int
 	To   []uint64
@@ -136,35 +138,23 @@ func (c Codec) decode(tag int, payload []byte) (any, error) {
 }
 
 // serverLink is the server's end of a star network: eng yields the next
-// uplink message, deliver hands out a downlink one; the rest is how this
-// kind of network bounds a stage.
+// uplink message, deliver hands a sealed step's downlink to its
+// recipients; the rest is how this kind of network bounds a stage.
 type serverLink struct {
 	eng     *Engine
-	deliver func(to []uint64, tag int, body any) error
+	deliver func(Downlink) error
 	// decode is nil when bodies arrive typed.
 	decode   func(Msg) (any, error)
 	deadline time.Duration
-	// live narrows a step's expected senders to those that will answer;
-	// nil when a deadline decides that instead.
-	live func(step int, ids []uint64) []uint64
 }
 
 // walkServer runs a server program to completion over one link.
 func walkServer(ctx context.Context, l serverLink, p ServerProgram) error {
 	expect := p.Roster
-	for i, st := range p.Steps {
-		if l.live != nil {
-			expect = l.live(i, expect)
-		}
+	for _, st := range p.Steps {
 		_, err := l.eng.Collect(ctx, Stage{
 			Name: st.Name, Tag: st.Tag, Expect: expect,
-			QuorumMet: st.QuorumMet, Deadline: l.deadline, Decode: l.decode,
-			Apply: func(from uint64, body any) error {
-				if err, ok := body.(error); ok {
-					return err // a local client's step failed: abort the round
-				}
-				return st.Apply(from, body)
-			},
+			QuorumMet: st.QuorumMet, Deadline: l.deadline, Decode: l.decode, Apply: st.Apply,
 		})
 		if err != nil {
 			return err
@@ -174,16 +164,8 @@ func walkServer(ctx context.Context, l serverLink, p ServerProgram) error {
 			return err
 		}
 		expect = out.To
-		switch {
-		case out.Tag == NoTag: // silent: it only names the next senders
-		case out.Each != nil:
-			for _, id := range out.To {
-				if err := l.deliver([]uint64{id}, out.Tag, out.Each(id)); err != nil {
-					return err
-				}
-			}
-		case len(out.To) > 0:
-			if err := l.deliver(out.To, out.Tag, out.Body); err != nil {
+		if out.Tag != NoTag && len(out.To) > 0 { // a silent downlink only names the next senders
+			if err := l.deliver(out); err != nil {
 				return err
 			}
 		}
@@ -191,172 +173,143 @@ func walkServer(ctx context.Context, l serverLink, p ServerProgram) error {
 	return nil
 }
 
-// clientLink is a client's end of a star network.
-type clientLink interface {
-	send(tag int, body any) error
-	// recv blocks for the next downlink message carrying one of tags;
-	// anything else (stale broadcasts, replays) is discarded undecoded.
-	// frame is the wire payload the message was decoded from (nil for a
-	// typed body), which the walker releases once the step's Do has
-	// returned: the decoded body may borrow from it.
-	recv(ctx context.Context, tags []int) (m Msg, frame []byte, err error)
-	// close makes the client vanish (dropout injection).
-	close() error
+// clientWalk is one client's cursor through its program. Both links
+// drive it: JoinWire with the downlinks its connection receives, RunLocal
+// with the ones the server walker delivers.
+type clientWalk struct {
+	p    ClientProgram
+	drop int  // vanish before the first sending step at or after it (NoDrop: never)
+	at   int  // the step that runs next
+	gone bool // the client vanished
 }
 
-// walkClient runs a client program over one link, vanishing before the
-// first sending step at or after dropStep. A failing step returns its
-// uplink tag with the error, so a local round can tell the server which
-// collection to abort.
-func walkClient(ctx context.Context, l clientLink, p ClientProgram, dropStep int) (int, error) {
-	steps := p.Steps
-	for i := 0; i < len(steps); i++ {
-		var (
-			body  any
-			frame []byte
-		)
-		if steps[i].Await != NoTag {
-			// The awaited downlink, or a later step's when every step in
-			// between is optional.
-			want := []int{steps[i].Await}
-			for j := i; steps[j].Optional && j+1 < len(steps); j++ {
-				want = append(want, steps[j+1].Await)
-			}
-			m, f, err := l.recv(ctx, want)
-			if err != nil {
-				return NoTag, err
-			}
-			frame = f
-			for steps[i].Await != m.Stage {
-				i++
-			}
-			body = m.Body
+// waiting reports whether the walk still waits for a downlink: it has
+// neither finished nor vanished.
+func (w *clientWalk) waiting() bool { return !w.gone && w.at < len(w.p.Steps) }
+
+// awaits reports whether a downlink tagged tag moves the walk on: it is
+// the next step's Await, or a later step's when every step in between is
+// optional. Anything else (stale broadcasts, replays) is discarded.
+func (w *clientWalk) awaits(tag int) bool {
+	for j := w.at; !w.gone && tag != NoTag && j < len(w.p.Steps); j++ {
+		if w.p.Steps[j].Await == tag {
+			return true
 		}
-		st := steps[i]
-		if st.Send != NoTag && dropStep >= 0 && i >= dropStep {
-			transport.Release(frame)
-			return NoTag, l.close()
+		if !w.p.Steps[j].Optional {
+			return false
+		}
+	}
+	return false
+}
+
+// advance runs the walk on: first the step awaiting m's tag on m's body,
+// skipping the optional steps before it (a NoTag m is the round's start
+// and feeds no step), then every following step that awaits NoTag,
+// handing each uplink to send. It stops before the next step that awaits
+// a downlink, at the end of the program, or where the client vanishes:
+// before its first sending step at or after its drop step. A step's
+// failure is returned naming the client and the step. The caller checks
+// awaits(m.Stage) first.
+func (w *clientWalk) advance(m Msg, send func(tag int, body any) error) error {
+	spent := m.Stage == NoTag
+	if !spent {
+		for w.p.Steps[w.at].Await != m.Stage {
+			w.at++
+		}
+	}
+	for ; w.at < len(w.p.Steps); w.at++ {
+		st := w.p.Steps[w.at]
+		var body any
+		if st.Await != NoTag {
+			if spent {
+				return nil
+			}
+			body, spent = m.Body, true
+		}
+		if st.Send != NoTag && w.drop >= 0 && w.at >= w.drop {
+			w.gone = true
+			return nil
 		}
 		out, err := st.Do(body)
-		transport.Release(frame) // after Do: the body may borrow from the frame
 		if err != nil {
-			return st.Send, fmt.Errorf("client %d %s: %w", p.ID, st.Name, err)
+			return fmt.Errorf("client %d %s: %w", w.p.ID, st.Name, err)
 		}
 		if st.Send != NoTag {
-			if err := l.send(st.Send, out); err != nil {
-				return NoTag, err
+			if err := send(st.Send, out); err != nil {
+				return err
 			}
 		}
 	}
-	return NoTag, nil
-}
-
-// --- the in-process network: channels carrying typed values ---
-
-// errRoundOver is what a local client sees when the round ended without
-// it (abort, threshold exclusion, or it had already vanished).
-var errRoundOver = errors.New("engine: round over")
-
-type localClient struct {
-	id     uint64
-	inbox  <-chan Msg
-	uplink chan<- Msg
-}
-
-func (c localClient) send(tag int, body any) error {
-	c.uplink <- Msg{From: c.id, Stage: tag, Body: body}
 	return nil
 }
 
-func (c localClient) recv(ctx context.Context, tags []int) (Msg, []byte, error) {
-	for {
-		select {
-		case m, ok := <-c.inbox:
-			if !ok {
-				return Msg{}, nil, errRoundOver
-			}
-			for _, t := range tags {
-				if m.Stage == t {
-					return m, nil, nil
-				}
-			}
-		case <-ctx.Done():
-			return Msg{}, nil, ctx.Err()
-		}
-	}
-}
-
-func (c localClient) close() error { return nil }
+// --- the in-process network: lockstep, typed values ---
 
 // RunLocal walks a server program and its clients' programs in one
-// process: every client is a goroutine, stage messages travel as typed
-// values over channels, and the server applies them inline as they
-// arrive — client compute overlaps server-side collection (§4.1) with no
-// codec work at all. dropStep maps a client to the step before which it
-// vanishes (NoDrop for none); since nothing times out in-process, the
-// server expects exactly the clients the schedule leaves alive. A client
-// whose step fails aborts the round with that error.
+// process, in lockstep: the clients start together, then every downlink
+// a step seals runs its recipients' walks on ForEach's workers, and the
+// server walker collects the uplinks they produced — typed values, no
+// codec — in downlink order, applying each on its own goroutine. A stage
+// ends once every uplink its downlink produced is collected, so nothing
+// waits on a deadline: dropStep maps a client to the step before which it
+// vanishes (NoDrop for none), and a vanished client simply sends nothing.
+// A client whose step fails aborts the round with that error, the first
+// failing recipient's in downlink order.
 func RunLocal(server ServerProgram, clients []ClientProgram, dropStep func(id uint64) int) error {
-	// Buffers are sized so no send ever blocks — at most one uplink
-	// message per client per step plus one failure, at most one downlink
-	// message per client per step — which lets the round abort at any
-	// step without stranding goroutines.
-	depth := len(server.Steps) + 1
-	uplink := make(chan Msg, len(clients)*depth)
-	inboxes := make(map[uint64]chan Msg, len(clients))
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	for _, p := range clients {
-		inbox := make(chan Msg, depth)
-		inboxes[p.ID] = inbox
-		wg.Add(1)
-		go func(p ClientProgram) {
-			defer wg.Done()
-			l := localClient{id: p.ID, inbox: inbox, uplink: uplink}
-			if tag, err := walkClient(ctx, l, p, dropStep(p.ID)); err != nil && tag != NoTag {
-				uplink <- Msg{From: p.ID, Stage: tag, Body: err}
-			}
-		}(p)
+	walks := make(map[uint64]*clientWalk, len(clients))
+	everyone := make([]uint64, len(clients))
+	for i, p := range clients {
+		walks[p.ID] = &clientWalk{p: p, drop: dropStep(p.ID)}
+		everyone[i] = p.ID
 	}
-	defer func() {
-		for _, inbox := range inboxes {
-			close(inbox) // release clients parked on a downlink that never came
+	// Each recipient queues its uplinks in its own slot, so the workers
+	// share nothing and the queue keeps downlink order.
+	outs := make([][]Msg, len(clients))
+	var (
+		queue []Msg // uplinks not yet collected, in downlink order
+		head  int
+	)
+	deliver := func(d Downlink) error {
+		if len(d.To) > len(outs) {
+			outs = make([][]Msg, len(d.To))
 		}
-		wg.Wait()
-	}()
-
-	eng := New(func(ctx context.Context) (Msg, error) {
-		select {
-		case m := <-uplink:
-			return m, nil
-		case <-ctx.Done():
-			return Msg{}, ctx.Err()
+		err := ForEach(len(d.To), func(i int) error {
+			id := d.To[i]
+			outs[i] = outs[i][:0]
+			w := walks[id]
+			if w == nil || d.Tag != NoTag && !w.awaits(d.Tag) {
+				return nil
+			}
+			body := d.Body
+			if d.Each != nil {
+				body = d.Each(id)
+			}
+			return w.advance(Msg{Stage: d.Tag, Body: body}, func(tag int, body any) error {
+				outs[i] = append(outs[i], Msg{From: id, Stage: tag, Body: body})
+				return nil
+			})
+		})
+		for _, out := range outs[:len(d.To)] {
+			queue = append(queue, out...)
 		}
+		return err
+	}
+	eng := New(func(context.Context) (Msg, error) {
+		if head == len(queue) {
+			queue, head = queue[:0], 0
+			return Msg{}, io.EOF // drained: the stage is over
+		}
+		head++
+		return queue[head-1], nil
 	})
-	return walkServer(ctx, serverLink{
-		eng: eng,
-		deliver: func(to []uint64, tag int, body any) error {
-			for _, id := range to {
-				if inbox, ok := inboxes[id]; ok {
-					inbox <- Msg{Stage: tag, Body: body}
-				}
-			}
-			return nil
-		},
-		live: func(step int, ids []uint64) []uint64 {
-			out := make([]uint64, 0, len(ids))
-			for _, id := range ids {
-				if d := dropStep(id); d < 0 || step < d {
-					out = append(out, id)
-				}
-			}
-			return out
-		},
-	}, server)
+	if err := deliver(Downlink{Tag: NoTag, To: everyone}); err != nil { // the round's start
+		return err
+	}
+	return walkServer(context.Background(), serverLink{eng: eng, deliver: deliver}, server)
 }
 
-// SharedReader serializes reads so the client goroutines of a local round
-// can share one entropy source (callers commonly pass deterministic
+// SharedReader serializes reads so the clients of a local round, stepping
+// on ForEach's workers, can share one entropy source (callers commonly pass deterministic
 // readers in tests; crypto/rand.Reader is safe either way).
 func SharedReader(r io.Reader) io.Reader { return &sharedReader{r: r} }
 
@@ -395,64 +348,71 @@ func ServeWire(ctx context.Context, conn transport.ServerConn, eng *Engine, code
 		eng:      eng,
 		deadline: deadline,
 		decode:   func(m Msg) (any, error) { return codec.decode(m.Stage, m.Body.([]byte)) },
-		deliver: func(to []uint64, tag int, body any) error {
-			payload, err := codec.encode(tag, body)
-			if err != nil {
-				return err
+		deliver: func(d Downlink) error {
+			if d.Each == nil {
+				return sendTo(conn, codec, d.Tag, d.Body, d.To...)
 			}
-			for _, id := range to {
-				// A send error means the client vanished; the protocol's
-				// thresholds handle that downstream.
-				_ = conn.SendTo(id, transport.Frame{Stage: tag, Payload: payload})
+			for _, id := range d.To {
+				if err := sendTo(conn, codec, d.Tag, d.Each(id), id); err != nil {
+					return err
+				}
 			}
-			transport.Release(payload)
 			return nil
 		},
 	}, p)
 }
 
-type wireClient struct {
-	conn  transport.ClientConn
-	codec Codec
-}
-
-func (c wireClient) send(tag int, body any) error {
-	payload, err := c.codec.encode(tag, body)
+// sendTo encodes one downlink body once and sends it to every id in to.
+func sendTo(conn transport.ServerConn, codec Codec, tag int, body any, to ...uint64) error {
+	payload, err := codec.encode(tag, body)
 	if err != nil {
 		return err
 	}
-	err = c.conn.Send(transport.Frame{Stage: tag, Payload: payload})
-	transport.Release(payload)
-	return err
-}
-
-func (c wireClient) recv(ctx context.Context, tags []int) (Msg, []byte, error) {
-	for {
-		f, err := c.conn.Recv(ctx)
-		if err != nil {
-			return Msg{}, nil, err
-		}
-		if !slices.Contains(tags, f.Stage) {
-			transport.Release(f.Payload)
-			continue
-		}
-		body, err := c.codec.decode(f.Stage, f.Payload)
-		if err != nil {
-			transport.Release(f.Payload)
-			return Msg{}, nil, err
-		}
-		return Msg{Stage: f.Stage, Body: body}, f.Payload, nil
+	for _, id := range to {
+		// A send error means the client vanished; the protocol's
+		// thresholds handle that downstream.
+		_ = conn.SendTo(id, transport.Frame{Stage: tag, Payload: payload})
 	}
+	transport.Release(payload)
+	return nil
 }
 
-func (c wireClient) close() error { return c.conn.Close() }
-
-// JoinWire walks a client program over a transport connection. The
-// client closes the connection before the first sending step at or after
-// dropStep (NoDrop: it completes the round).
+// JoinWire walks a client program over a transport connection: a frame
+// no step awaits is released undecoded, an awaited one after its step's
+// Do (the decoded body may borrow from it). The client closes the
+// connection before the first sending step at or after dropStep (NoDrop:
+// it completes the round).
 func JoinWire(ctx context.Context, conn transport.ClientConn, codec Codec,
 	p ClientProgram, dropStep int) error {
 
-	_, err := walkClient(ctx, wireClient{conn: conn, codec: codec}, p, dropStep)
+	send := func(tag int, body any) error {
+		payload, err := codec.encode(tag, body)
+		if err != nil {
+			return err
+		}
+		err = conn.Send(transport.Frame{Stage: tag, Payload: payload})
+		transport.Release(payload)
+		return err
+	}
+	w := clientWalk{p: p, drop: dropStep}
+	err := w.advance(Msg{Stage: NoTag}, send)
+	for err == nil && w.waiting() {
+		var f transport.Frame
+		if f, err = conn.Recv(ctx); err != nil {
+			break
+		}
+		if !w.awaits(f.Stage) {
+			transport.Release(f.Payload)
+			continue
+		}
+		var body any
+		if body, err = codec.decode(f.Stage, f.Payload); err == nil {
+			err = w.advance(Msg{Stage: f.Stage, Body: body}, send)
+		}
+		transport.Release(f.Payload)
+	}
+	if err == nil && w.gone {
+		return conn.Close()
+	}
 	return err
 }

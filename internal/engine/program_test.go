@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -340,5 +342,80 @@ func TestWireRound(t *testing.T) {
 	}
 	if got := ran(clients[3]); got != "advertise,value" {
 		t.Errorf("dropper ran %q", got)
+	}
+}
+
+// instrument wraps every step of every client program: before runs
+// before the step's Do and after once it returned.
+func instrument(cps []ClientProgram, before func(id uint64, step string), after func(id uint64, step string)) {
+	for _, p := range cps {
+		for i := range p.Steps {
+			do, id, name := p.Steps[i].Do, p.ID, p.Steps[i].Name
+			p.Steps[i].Do = func(body any) (any, error) {
+				before(id, name)
+				defer after(id, name)
+				return do(body)
+			}
+		}
+	}
+}
+
+// TestRunLocalBoundsWorkers: a 64-client round never has more than
+// GOMAXPROCS client steps in flight — the in-process link runs each
+// downlink's recipients on ForEach's workers, not one goroutine each.
+func TestRunLocalBoundsWorkers(t *testing.T) {
+	const procs = 2
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	s, clients := toyRound(64)
+	var cps []ClientProgram
+	for _, c := range clients {
+		cps = append(cps, c.program(false, nil))
+	}
+	var inFlight, widest atomic.Int32
+	instrument(cps, func(uint64, string) {
+		now := inFlight.Add(1)
+		for w := widest.Load(); now > w && !widest.CompareAndSwap(w, now); w = widest.Load() {
+		}
+		time.Sleep(100 * time.Microsecond)
+	}, func(uint64, string) { inFlight.Add(-1) })
+	if err := RunLocal(s.program(false, nil), cps, func(uint64) int { return NoDrop }); err != nil {
+		t.Fatal(err)
+	}
+	if s.sum != 64*65/2 {
+		t.Fatalf("sum %d", s.sum)
+	}
+	if w := widest.Load(); w > procs {
+		t.Errorf("%d client steps in flight at once, GOMAXPROCS is %d", w, procs)
+	}
+}
+
+// TestRunLocalAppliesInIDOrder: the server applies a stage's uplinks in
+// the order of the downlink that produced them, however the clients'
+// steps finish — here the highest id finishes first.
+func TestRunLocalAppliesInIDOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const n = 8
+	s, clients := toyRound(n)
+	var cps []ClientProgram
+	for _, c := range clients {
+		cps = append(cps, c.program(false, nil))
+	}
+	instrument(cps, func(id uint64, step string) {
+		if step == "value" {
+			time.Sleep(time.Duration(n-id) * time.Millisecond)
+		}
+	}, func(uint64, string) {})
+	sp := s.program(false, nil)
+	var order []uint64
+	apply := sp.Steps[1].Apply
+	sp.Steps[1].Apply = func(from uint64, body any) error {
+		order = append(order, from)
+		return apply(from, body)
+	}
+	if err := RunLocal(sp, cps, func(uint64) int { return NoDrop }); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.IsSorted(order) || len(order) != n {
+		t.Errorf("value stage applied in order %v, want ids ascending", order)
 	}
 }

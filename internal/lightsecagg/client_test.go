@@ -77,13 +77,13 @@ func TestClientDrawOrderGolden(t *testing.T) {
 // delivery, unopened.
 func sharedCohort(t *testing.T, cfg Config, label string) (map[uint64]*Client, map[uint64][]Envelope) {
 	t.Helper()
-	server, err := NewServer(cfg)
+	server, err := NewSessionServer(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clients := make(map[uint64]*Client, len(cfg.ClientIDs))
 	for _, id := range cfg.ClientIDs {
-		if clients[id], err = NewClient(cfg, id, rng(label)); err != nil {
+		if clients[id], err = NewSessionClient(cfg, id, rng(label), nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := server.AddAdvertise(clients[id].Advertise()); err != nil {
@@ -204,7 +204,7 @@ func TestOpenEnvelopesRefusesDuplicateOrExcess(t *testing.T) {
 // refused, and so is encoding shares from the consumed mask.
 func TestMaskedInputTwiceIsAnError(t *testing.T) {
 	cfg := testConfig(4, 1, 1, 10)
-	c, err := NewClient(cfg, 2, rng("twice"))
+	c, err := NewSessionClient(cfg, 2, rng("twice"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

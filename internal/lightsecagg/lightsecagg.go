@@ -233,22 +233,17 @@ type Client struct {
 	roster [][]byte
 }
 
-// NewClient draws the mask and coding noise from rand with a fresh
-// ephemeral channel key (no cross-round session).
-func NewClient(cfg Config, id uint64, rand io.Reader) (*Client, error) {
-	return NewSessionClient(cfg, id, rand, nil)
-}
-
-// NewSessionClient is NewClient with an optional key-agreement session:
-// when sess is non-nil, the client advertises the session's long-lived
-// channel key and reuses its cached pairwise secrets and encoding matrix
-// instead of paying X25519 agreement and Lagrange weight computation per
-// round. The mask and coding noise are always drawn fresh — they are
-// one-time pads revealed in aggregate: one prg.Seed read from rand (after
-// the session's key, when sess is nil) expands in place into the whole
-// random slab. The client works in the session's slabs, so its envelopes,
-// masked upload and aggregate share are valid until the session's next
-// sub-round or its release (RoundSessions.Release).
+// NewSessionClient validates the config and builds a client. sess is an
+// optional key-agreement session: when non-nil, the client advertises the
+// session's long-lived channel key and reuses its cached pairwise secrets
+// and encoding matrix instead of paying X25519 agreement and Lagrange
+// weight computation per round; when nil, the client gets a fresh
+// ephemeral channel key. The mask and coding noise are always drawn fresh
+// — they are one-time pads revealed in aggregate: one prg.Seed read from
+// rand (after the session's key, when sess is nil) expands in place into
+// the whole random slab. The client works in the session's slabs, so its
+// envelopes, masked upload and aggregate share are valid until the
+// session's next sub-round or its release (RoundSessions.Release).
 func NewSessionClient(cfg Config, id uint64, rand io.Reader, sess *Session) (*Client, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -564,14 +559,9 @@ type Server struct {
 	recovered bool
 }
 
-// NewServer validates the config (no cross-round session).
-func NewServer(cfg Config) (*Server, error) {
-	return NewSessionServer(cfg, nil)
-}
-
-// NewSessionServer is NewServer with an optional server session: when sess
-// is non-nil, a roster it cached lets InstallRoster skip the advertise
-// stage.
+// NewSessionServer validates the config and builds the aggregator. sess
+// is an optional server session: when non-nil, a roster it cached lets
+// InstallRoster skip the advertise stage.
 func NewSessionServer(cfg Config, sess *ServerSession) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

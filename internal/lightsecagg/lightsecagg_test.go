@@ -101,7 +101,7 @@ func TestSealAggSharesTwiceIsAnError(t *testing.T) {
 	cfg := testConfig(10, 1, 1, 9) // U = 9, parts = 8
 	clients, deliveries := sharedCohort(t, cfg, "seal-twice")
 	inputs, wantSum := makeInputs(cfg)
-	server, err := NewServer(cfg)
+	server, err := NewSessionServer(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func mustRoundSessions(t *testing.T, cfg Config) *RoundSessions {
 // points recovers its mask — the MDS property the recovery step relies on.
 func TestShareConsistency(t *testing.T) {
 	cfg := testConfig(5, 1, 1, 12) // U = 4, parts = 3
-	c, err := NewClient(cfg, 3, rng("consist"))
+	c, err := NewSessionClient(cfg, 3, rng("consist"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestPrivacyTSharesUniform(t *testing.T) {
 	const trials = 2000
 	var lowBitOnes int
 	for i := 0; i < trials; i++ {
-		c, err := NewClient(cfg, 1, rng(fmt.Sprintf("priv%d", i)))
+		c, err := NewSessionClient(cfg, 1, rng(fmt.Sprintf("priv%d", i)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,9 +342,31 @@ func TestConfigValidation(t *testing.T) {
 		{ClientIDs: []uint64{3, 3, 4}, Dim: 4}, // duplicate ids
 		{ClientIDs: []uint64{4, 3, 5}, Dim: 4}, // unsorted ids
 	}
+	// RunWithSessions validates once and builds its parties through the
+	// validating constructors, which each refuse on their own too.
 	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("case %d: Validate accepted %+v", i, cfg)
+		inputs := make(map[uint64][]field.Element, len(cfg.ClientIDs))
+		for _, id := range cfg.ClientIDs {
+			inputs[id] = make([]field.Element, cfg.Dim)
+		}
+		for name, build := range map[string]func() error{
+			"Validate": cfg.Validate,
+			"NewSessionClient": func() error {
+				_, err := NewSessionClient(cfg, cfg.ClientIDs[0], rng("bad"), nil)
+				return err
+			},
+			"NewSessionServer": func() error {
+				_, err := NewSessionServer(cfg, nil)
+				return err
+			},
+			"RunWithSessions": func() error {
+				_, err := RunWithSessions(cfg, inputs, nil, rng("bad"), nil)
+				return err
+			},
+		} {
+			if err := build(); err == nil {
+				t.Errorf("case %d: %s accepted %+v", i, name, cfg)
+			}
 		}
 	}
 	if err := testConfig(6, 2, 2, 10).Validate(); err != nil {
@@ -465,7 +487,7 @@ func TestEncodeSharesBlockedMatchesNaive(t *testing.T) {
 		{16, 4, 4, 16384}, // L = 2048: multiple encTile blocks
 	} {
 		cfg := testConfig(tc.n, tc.T, tc.D, tc.dim)
-		c, err := NewClient(cfg, 1, rng(fmt.Sprintf("enc-eq-%d-%d", tc.n, tc.dim)))
+		c, err := NewSessionClient(cfg, 1, rng(fmt.Sprintf("enc-eq-%d-%d", tc.n, tc.dim)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -540,7 +562,7 @@ func TestFreeSharesOnOnePolynomial(t *testing.T) {
 			alphas[rank] = cfg.alpha(rank)
 		}
 		for _, id := range cfg.ClientIDs {
-			c, err := NewClient(cfg, id, rng(fmt.Sprintf("free-%d-%d", T, id)))
+			c, err := NewSessionClient(cfg, id, rng(fmt.Sprintf("free-%d-%d", T, id)), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

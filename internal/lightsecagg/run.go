@@ -3,17 +3,14 @@ package lightsecagg
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/engine"
 	"repro/internal/field"
 )
 
 // In-process driver: one full LightSecAgg round as a plain loop over its
-// four stages. Each stage runs its live clients' steps concurrently, then
+// four stages. Each stage runs its live clients' steps on engine.ForEach, then
 // feeds the server their messages in id order and seals. Coded mask shares
 // relay through the untrusted server (the star topology of §3.3) inside
 // pairwise AEAD envelopes keyed by X25519 agreement — otherwise the server
@@ -153,7 +150,7 @@ func RunWithSessions(cfg Config, inputs map[uint64][]field.Element,
 		server.SealAggShares)
 }
 
-// stage runs step for every client in live on at most GOMAXPROCS workers,
+// stage runs step for every client in live on engine.ForEach's workers,
 // which claim clients from one counter so a slow client holds up only its
 // own worker, then hands the outputs to add in live's order on the calling
 // goroutine and returns seal's result. A failed step aborts the stage
@@ -163,25 +160,14 @@ func stage[T, S any](s Stage, live []*Client, step func(*Client) (T, error),
 	add func(id uint64, out T) error, seal func() (S, error)) (S, error) {
 
 	outs := make([]T, len(live))
-	errs := make([]error, len(live))
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for range min(runtime.GOMAXPROCS(0), len(live)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < len(live); i = int(next.Add(1) - 1) {
-				outs[i], errs[i] = step(live[i])
-			}
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return *new(S), fmt.Errorf("client %d %s: %w", live[i].id, s, err)
+	err := engine.ForEach(len(live), func(i int) (err error) {
+		if outs[i], err = step(live[i]); err != nil {
+			err = fmt.Errorf("client %d %s: %w", live[i].id, s, err)
 		}
+		return err
+	})
+	if err != nil {
+		return *new(S), err
 	}
 	for i, c := range live {
 		if err := add(c.id, outs[i]); err != nil {

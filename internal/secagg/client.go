@@ -65,27 +65,23 @@ type Client struct {
 	pendingCts map[uint64][]byte      // peer → ciphertext (decrypted lazily at unmask)
 }
 
-// NewClient constructs a participant for the round. signer may be nil in
-// the semi-honest setting; in malicious mode (a non-nil cfg.Registry) it
-// is required and its public key must be registered there. input is
-// borrowed, not copied: the client only reads it, and the caller must not change it
-// until MaskedInput has returned.
+// NewSessionClient constructs a participant for the round. signer may be
+// nil in the semi-honest setting; in malicious mode (a non-nil
+// cfg.Registry) it is required and its public key must be registered
+// there. input is borrowed, not copied: the client only reads it, and the
+// caller must not change it until MaskedInput has returned.
+//
+// sess is an optional key-agreement session: when non-nil the client
+// advertises the session's key pairs instead of generating fresh ones and
+// reuses its cached pairwise secrets, so the X25519 work of this round is
+// only paid on cache misses. The session must be the same object across
+// every sub-round that shares it and must belong to this client.
 //
 // A client owns one buffer: one Dim-length vector that MaskedInput copies
 // the input into and masks in place — the upload — and that the Result
 // step receives the round's sum into. A session-less client makes it once
 // per round; a session leases it and keeps it across its sub-rounds and
 // rounds until RoundSessions.Release hands it back (Session).
-func NewClient(cfg Config, id uint64, input ring.Vector, signer *sig.Signer, rand io.Reader) (*Client, error) {
-	return NewSessionClient(cfg, id, input, signer, rand, nil)
-}
-
-// NewSessionClient is NewClient with an optional key-agreement session:
-// when sess is non-nil the client advertises the session's key pairs
-// instead of generating fresh ones and reuses its cached pairwise secrets,
-// so the X25519 work of this round is only paid on cache misses. The
-// session must be the same object across every sub-round that shares it
-// and must belong to this client.
 func NewSessionClient(cfg Config, id uint64, input ring.Vector, signer *sig.Signer, rand io.Reader, sess *Session) (*Client, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -25,7 +25,7 @@ func TestAddMaskedRetainsNothing(t *testing.T) {
 				want := ring.NewVector(bits, dim)
 				servers := map[string]*Server{}
 				for _, form := range []string{"words", "bytes"} {
-					srv, err := NewServer(cfg)
+					srv, err := NewSessionServer(cfg, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -76,7 +76,7 @@ func TestAddMaskedRetainsNothing(t *testing.T) {
 
 	// Neither form gets past validation malformed.
 	cfg := mkConfig(3, 2, nil)
-	srv, err := NewServer(cfg)
+	srv, err := NewSessionServer(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/prg"
 	"repro/internal/ring"
 )
@@ -110,7 +111,7 @@ func TestApplyMaskTasksSegmentedError(t *testing.T) {
 }
 
 // TestApplyMaskTasksSmallDimUnchanged: a destination of at most one block
-// — the chunked rounds' shape — is a single range, which fanOut runs on
+// — the chunked rounds' shape — is a single range, which engine.ForEach runs on
 // the calling goroutine, and still matches sequential expansion.
 func TestApplyMaskTasksSmallDimUnchanged(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
@@ -128,9 +129,10 @@ func TestApplyMaskTasksSmallDimUnchanged(t *testing.T) {
 		}
 	}
 	before := runtime.NumGoroutine()
-	fanOut(1, func(int) {
+	engine.ForEach(1, func(int) error {
 		if n := runtime.NumGoroutine(); n != before {
-			t.Errorf("fanOut(1) ran with %d goroutines, %d before: a single range must not spawn", n, before)
+			t.Errorf("ForEach(1) ran with %d goroutines, %d before: a single range must not spawn", n, before)
 		}
+		return nil
 	})
 }

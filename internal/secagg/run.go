@@ -46,9 +46,10 @@ type RunResult struct {
 
 // RunWithSessions executes one full aggregation round in-process: the
 // server's and the clients' stage tables (Program) walked by
-// engine.RunLocal — every live client its own goroutine, stage messages
-// streaming into the shared round engine as typed values, the server's
-// incremental Add*/Seal* methods consuming them on arrival. Dropouts are
+// engine.RunLocal in lockstep — each stage's recipients stepping on
+// engine.ForEach's bounded workers, their messages handed to the round
+// engine as typed values in id order, the server's incremental Add*/Seal*
+// methods consuming them one by one. Dropouts are
 // injected per the schedule: a client that drops before stage k
 // contributes to every stage before k and none from k on. signers may be
 // nil in the semi-honest setting.

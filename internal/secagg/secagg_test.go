@@ -241,20 +241,49 @@ func TestXNoiseMidRemovalDropout(t *testing.T) {
 	}
 }
 
+// collectAdvertise, collectShares and collectMasked drive the server's
+// first three stages by hand: Add* over a batch, then Seal*.
+func collectAdvertise(s *Server, msgs []AdvertiseMsg) ([]AdvertiseMsg, error) {
+	for _, m := range msgs {
+		if err := s.AddAdvertise(m); err != nil {
+			return nil, err
+		}
+	}
+	return s.SealAdvertise()
+}
+
+func collectShares(s *Server, perSender map[uint64][]EncryptedShareMsg) (map[uint64][]EncryptedShareMsg, error) {
+	for sender, cts := range perSender {
+		if err := s.AddShare(sender, cts); err != nil {
+			return nil, err
+		}
+	}
+	return s.SealShares()
+}
+
+func collectMasked(s *Server, msgs []MaskedInputMsg) ([]uint64, error) {
+	for _, m := range msgs {
+		if err := s.AddMasked(m); err != nil {
+			return nil, err
+		}
+	}
+	return s.SealMasked()
+}
+
 // steppedToMasked drives a semi-honest round by hand through the masked
 // stage, every client uploading, and returns the server, the clients and
 // U3.
 func steppedToMasked(t *testing.T, cfg Config) (*Server, map[uint64]*Client, []uint64) {
 	t.Helper()
 	inputs := mkInputs(cfg)
-	server, err := NewServer(cfg)
+	server, err := NewSessionServer(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clients := make(map[uint64]*Client)
 	var adverts []AdvertiseMsg
 	for _, id := range cfg.ClientIDs {
-		c, err := NewClient(cfg, id, inputs[id], nil, rand.Reader)
+		c, err := NewSessionClient(cfg, id, inputs[id], nil, rand.Reader, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +294,7 @@ func steppedToMasked(t *testing.T, cfg Config) (*Server, map[uint64]*Client, []u
 		}
 		adverts = append(adverts, m)
 	}
-	roster, err := server.CollectAdvertise(adverts)
+	roster, err := collectAdvertise(server, adverts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +304,7 @@ func steppedToMasked(t *testing.T, cfg Config) (*Server, map[uint64]*Client, []u
 			t.Fatal(err)
 		}
 	}
-	deliveries, err := server.CollectShares(perSender)
+	deliveries, err := collectShares(server, perSender)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +316,7 @@ func steppedToMasked(t *testing.T, cfg Config) (*Server, map[uint64]*Client, []u
 		}
 		masked = append(masked, m)
 	}
-	u3, err := server.CollectMasked(masked)
+	u3, err := collectMasked(server, masked)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,13 +445,13 @@ func TestMaliciousDetectsForgedAdvertisement(t *testing.T) {
 
 	// Build clients manually; tamper with client 2's advertisement as a
 	// malicious server would when impersonating.
-	c1, err := NewClient(cfg, 1, inputs[1], signers[1], rand.Reader)
+	c1, err := NewSessionClient(cfg, 1, inputs[1], signers[1], rand.Reader, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var roster []AdvertiseMsg
 	for _, id := range cfg.ClientIDs {
-		c, err := NewClient(cfg, id, inputs[id], signers[id], rand.Reader)
+		c, err := NewSessionClient(cfg, id, inputs[id], signers[id], rand.Reader, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -434,7 +463,7 @@ func TestMaliciousDetectsForgedAdvertisement(t *testing.T) {
 	}
 	// Swap client 2's mask key for an attacker-chosen one, keeping the
 	// stale signature.
-	evil, _ := NewClient(cfg, 2, inputs[2], signers[2], rand.Reader)
+	evil, _ := NewSessionClient(cfg, 2, inputs[2], signers[2], rand.Reader, nil)
 	em, _ := evil.AdvertiseKeys()
 	roster[1].MaskPub = em.MaskPub
 
@@ -464,7 +493,7 @@ func TestShareKeysRosterChecks(t *testing.T) {
 	inputs := mkInputs(cfg)
 	var honest []AdvertiseMsg
 	for _, id := range cfg.ClientIDs {
-		c, err := NewClient(cfg, id, inputs[id], signers[id], rand.Reader)
+		c, err := NewSessionClient(cfg, id, inputs[id], signers[id], rand.Reader, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -508,7 +537,7 @@ func TestShareKeysRosterChecks(t *testing.T) {
 		{"below threshold", func(r []AdvertiseMsg) []AdvertiseMsg { return r[:2] }, "|U1|=2 < t=3"},
 	}
 	for _, tc := range cases {
-		c, err := NewClient(cfg, 1, inputs[1], signers[1], rand.Reader)
+		c, err := NewSessionClient(cfg, 1, inputs[1], signers[1], rand.Reader, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -552,13 +581,13 @@ func TestMaliciousDetectsUnderstatedDropout(t *testing.T) {
 	inputs := mkInputs(cfg)
 
 	clients := make(map[uint64]*Client)
-	server, err := NewServer(cfg)
+	server, err := NewSessionServer(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var adverts []AdvertiseMsg
 	for _, id := range cfg.ClientIDs {
-		c, err := NewClient(cfg, id, inputs[id], signers[id], rand.Reader)
+		c, err := NewSessionClient(cfg, id, inputs[id], signers[id], rand.Reader, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -569,7 +598,7 @@ func TestMaliciousDetectsUnderstatedDropout(t *testing.T) {
 		}
 		adverts = append(adverts, m)
 	}
-	roster, err := server.CollectAdvertise(adverts)
+	roster, err := collectAdvertise(server, adverts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +610,7 @@ func TestMaliciousDetectsUnderstatedDropout(t *testing.T) {
 		}
 		perSender[id] = cts
 	}
-	deliveries, err := server.CollectShares(perSender)
+	deliveries, err := collectShares(server, perSender)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,7 +626,7 @@ func TestMaliciousDetectsUnderstatedDropout(t *testing.T) {
 		}
 		maskedMsgs = append(maskedMsgs, m)
 	}
-	u3, err := server.CollectMasked(maskedMsgs)
+	u3, err := collectMasked(server, maskedMsgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -649,15 +678,15 @@ func TestMaskedInputBadPeerKey(t *testing.T) {
 	cfg := mkConfig(4, 3, nil)
 	inputs := mkInputs(cfg)
 	clients := make(map[uint64]*Client)
-	server, _ := NewServer(cfg)
+	server, _ := NewSessionServer(cfg, nil)
 	var adverts []AdvertiseMsg
 	for _, id := range cfg.ClientIDs {
-		c, _ := NewClient(cfg, id, inputs[id], nil, rand.Reader)
+		c, _ := NewSessionClient(cfg, id, inputs[id], nil, rand.Reader, nil)
 		clients[id] = c
 		m, _ := c.AdvertiseKeys()
 		adverts = append(adverts, m)
 	}
-	roster, _ := server.CollectAdvertise(adverts)
+	roster, _ := collectAdvertise(server, adverts)
 	for i := range roster {
 		if roster[i].From == 3 {
 			roster[i].MaskPub = make([]byte, len(roster[i].MaskPub))
@@ -671,7 +700,7 @@ func TestMaskedInputBadPeerKey(t *testing.T) {
 		}
 		perSender[id] = cts
 	}
-	deliveries, _ := server.CollectShares(perSender)
+	deliveries, _ := collectShares(server, perSender)
 	_, err := clients[1].MaskedInput(deliveries[1])
 	if err == nil || !strings.Contains(err.Error(), "mask key agreement 1↔3") {
 		t.Fatalf("MaskedInput with an unusable peer key: err = %v, want the 1↔3 agreement failure", err)
@@ -713,16 +742,8 @@ func TestConfigValidation(t *testing.T) {
 				_, err := RunWithSessions(c, inputs, nil, nil, rand.Reader, nil)
 				return err
 			},
-			"NewClient": func() error {
-				_, err := NewClient(c, 1, inputs[1], nil, rand.Reader)
-				return err
-			},
 			"NewSessionClient": func() error {
 				_, err := NewSessionClient(c, 1, inputs[1], nil, rand.Reader, nil)
-				return err
-			},
-			"NewServer": func() error {
-				_, err := NewServer(c)
 				return err
 			},
 			"NewSessionServer": func() error {

@@ -17,20 +17,14 @@ import (
 	"repro/internal/xnoise"
 )
 
-// Server is the aggregator's state machine for one round. It exposes two
-// equivalent collection surfaces per stage:
-//
-//   - incremental: AddAdvertise/AddShare/AddMasked/AddConsistency/
-//     AddUnmask/AddNoiseShare ingest one message on arrival (decoding,
-//     share indexing, and partial masked-input accumulation happen
-//     immediately), and the per-stage Seal* methods close the stage,
-//     enforce the threshold, and emit the next broadcast. This is what
-//     the streaming round engine drives: by the time the last message of
-//     a stage arrives, the per-message work is already done and Seal is
-//     an O(1) (or O(t)) tail.
-//   - batch: CollectAdvertise/CollectShares/CollectMasked are thin
-//     wrappers (Add* in a loop, then Seal*) the white-box tests drive the
-//     first three stages with.
+// Server is the aggregator's state machine for one round. Its collection
+// surface is incremental: AddAdvertise/AddShare/AddMasked/AddConsistency/
+// AddUnmask/AddNoiseShare ingest one message on arrival (decoding, share
+// indexing, and partial masked-input accumulation happen immediately),
+// and the per-stage Seal* methods close the stage, enforce the threshold,
+// and emit the next broadcast. This is what the streaming round engine
+// drives: by the time the last message of a stage arrives, the
+// per-message work is already done and Seal is an O(1) (or O(t)) tail.
 //
 // Methods must be called in stage order. A Server is not safe for
 // concurrent use; the round engine calls Add* from one goroutine, in
@@ -82,15 +76,11 @@ type Server struct {
 	sum ring.Vector
 }
 
-// NewServer constructs the aggregator for a round.
-func NewServer(cfg Config) (*Server, error) {
-	return NewSessionServer(cfg, nil)
-}
-
-// NewSessionServer is NewServer with an optional key-agreement session:
-// when sess is non-nil, reconstructed mask keys and the pairwise secrets
-// they produce are cached across the sub-rounds sharing the session, and a
-// cached roster lets InstallRoster skip the advertise stage.
+// NewSessionServer constructs the aggregator for a round. sess is an
+// optional key-agreement session: when non-nil, reconstructed mask keys
+// and the pairwise secrets they produce are cached across the sub-rounds
+// sharing the session, and a cached roster lets InstallRoster skip the
+// advertise stage.
 func NewSessionServer(cfg Config, sess *ServerSession) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -158,18 +148,6 @@ func (s *Server) SealAdvertise() ([]AdvertiseMsg, error) {
 		out = append(out, s.roster[id])
 	}
 	return out, nil
-}
-
-// CollectAdvertise ingests stage-0 messages and returns the roster
-// broadcast for stage 1 (batch wrapper over AddAdvertise/SealAdvertise).
-func (s *Server) CollectAdvertise(msgs []AdvertiseMsg) ([]AdvertiseMsg, error) {
-	s.roster = make(map[uint64]AdvertiseMsg, len(msgs))
-	for _, m := range msgs {
-		if err := s.AddAdvertise(m); err != nil {
-			return nil, err
-		}
-	}
-	return s.SealAdvertise()
 }
 
 // AddShare ingests one sender's stage-1 ciphertext list on arrival,
@@ -241,20 +219,6 @@ func (s *Server) SealShares() (map[uint64][]EncryptedShareMsg, error) {
 	return deliver, nil
 }
 
-// CollectShares ingests stage-1 ciphertext lists (one list per sender) and
-// routes each ciphertext to its recipient's outbox. The senders form U2.
-func (s *Server) CollectShares(perSender map[uint64][]EncryptedShareMsg) (map[uint64][]EncryptedShareMsg, error) {
-	if len(perSender) < s.cfg.Threshold {
-		return nil, fmt.Errorf("secagg: |U2|=%d < t=%d, aborting", len(perSender), s.cfg.Threshold)
-	}
-	for sender, cts := range perSender {
-		if err := s.AddShare(sender, cts); err != nil {
-			return nil, err
-		}
-	}
-	return s.SealShares()
-}
-
 // AddMasked ingests one stage-2 masked input on arrival: it validates the
 // message, digests it and folds it into the running partial aggregate
 // before it returns, so sealing the stage is a threshold check and the
@@ -323,17 +287,6 @@ func (s *Server) SealMasked() ([]uint64, error) {
 	}
 	s.u3 = transport.SortedKeys(s.u3set)
 	return append([]uint64(nil), s.u3...), nil
-}
-
-// CollectMasked ingests stage-2 masked inputs; the senders form U3 (batch
-// wrapper over AddMasked/SealMasked).
-func (s *Server) CollectMasked(msgs []MaskedInputMsg) ([]uint64, error) {
-	for _, m := range msgs {
-		if err := s.AddMasked(m); err != nil {
-			return nil, err
-		}
-	}
-	return s.SealMasked()
 }
 
 // AddConsistency ingests one stage-3 signature on arrival.

@@ -489,7 +489,7 @@ func steppedSubRound(t *testing.T, cfg Config, inputs map[uint64]ring.Vector, se
 	}
 	if roster != nil {
 		err = server.InstallRoster(roster)
-	} else if roster, err = server.CollectAdvertise(adverts); err == nil {
+	} else if roster, err = collectAdvertise(server, adverts); err == nil {
 		sess.Server.StoreRoster(roster, cfg.ClientIDs)
 	}
 	if err != nil {
@@ -501,7 +501,7 @@ func steppedSubRound(t *testing.T, cfg Config, inputs map[uint64]ring.Vector, se
 			t.Fatal(err)
 		}
 	}
-	deliveries, err := server.CollectShares(shared)
+	deliveries, err := collectShares(server, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
