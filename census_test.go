@@ -18,6 +18,9 @@ package repro
 //     dispatch would hide its callers), is referenced by a non-test file —
 //     a promoted call counts — or it, `pkg.Type.Method`, or its type,
 //     `pkg.Type`, is named in that list.
+//   - R5: every qualified name the list gives (`pkg.Name`, `pkg.Type.Method`
+//     or `pkg.Type.Field`) names a declaration the census saw, so an entry
+//     does not outlive what it kept.
 //
 // Embedded fields are out of scope. This module's packages are
 // type-checked from source here, each once without its tests and once
@@ -416,6 +419,20 @@ func TestCensus(t *testing.T) {
 		typ := m.name[:strings.LastIndexByte(m.name, '.')]
 		if _, nonTest := uses(m); nonTest == 0 && !c.iface[m.name[len(typ)+1:]] && !named(m.name) && !named(typ) {
 			bad = append(bad, "R4: method "+m.name+` has no non-test caller and is not in ARCHITECTURE.md "Kept on purpose"`)
+		}
+	}
+	// R5 reads the entries, the bullets: the prose above them spells the
+	// rules with placeholders (`pkg.Type`).
+	declared := map[string]bool{}
+	for _, ds := range [][]censusDecl{c.decls, c.fields, c.methods} {
+		for _, d := range ds {
+			declared[d.name] = true
+		}
+	}
+	_, entries, _ := strings.Cut(kept, "\n- ")
+	for _, m := range regexp.MustCompile(`(?:^|[^\w./])([a-z]\w*(?:\.[A-Z]\w*)+)`).FindAllStringSubmatch(entries, -1) {
+		if !declared[m[1]] {
+			bad = append(bad, "R5: "+m[1]+` is in ARCHITECTURE.md "Kept on purpose" but declares nothing the census saw`)
 		}
 	}
 	sort.Strings(bad)

@@ -167,10 +167,11 @@ func TestWireRoundAllocBudget(t *testing.T) {
 // XNoise tolerating 16 dropouts with 8 taken. What is left:
 //   - the server's accumulators (each client's one buffer is its
 //     session's, leased, kept across the chunks and handed back);
-//   - a PRG stream per mask and noise component for the round, each
-//     with one CTR, whose copy of the AES schedule is half a kilobyte:
-//     every chunk draws its masks from where the previous chunk left the
-//     stream (the windows lie end to end), so nothing is re-aimed;
+//   - a PRG stream per mask and noise component for the round: each
+//     stream drawn from costs an AES block and a CTR, half a kilobyte each
+//     (the CTR copies the key schedule), and no lookahead unless a draw
+//     needs one. Every chunk draws its masks from where the previous chunk
+//     left the stream (the windows lie end to end), so nothing is re-aimed;
 //   - the share stage's lists, which every sub-round after the first still
 //     routes although it reuses the first one's deal.
 //
@@ -187,10 +188,12 @@ func TestWireRoundAllocBudget(t *testing.T) {
 // of per chunk and tests membership on sorted lists instead of maps, it
 // ran at ≈3.1× (≈5.3× under -race) while the server grew its share relay
 // and its share lists by appending and every sub-round on the deal rebuilt
-// its delivery map and its reveal, and at ≈2.5× (≈4.7× under -race) while
-// every client made its buffer, and at ≈2.4× (≈4.6× under -race) while
-// every chunk re-aimed a cursor, a CTR each, into every mask stream. It
-// runs at ≈1.75× now, ≈3.65× under -race.
+// its delivery map and its reveal, at ≈2.5× (≈4.7× under -race) while
+// every client made its buffer, at ≈2.4× (≈4.6× under -race) while
+// every chunk re-aimed a cursor, a CTR each, into every mask stream, and at
+// ≈1.66× (≈3.5× under -race) while every stream carried a 512-byte
+// lookahead inline and every (pair, chunk) lookup copied its peer's key
+// into a string. It runs at ≈1.46× now, ≈3.35× under -race.
 //
 // lsa_dropout's shape — 32 clients, 16384 coordinates in 4 chunks on
 // LightSecAgg, U = 24 and T = D = 8, XNoise tolerating 8 dropouts with 4
@@ -206,15 +209,17 @@ func TestWireRoundAllocBudget(t *testing.T) {
 // round ran at 23×, at ≈11.4× with noise streams keyed per chunk, at
 // ≈10.9× (≈11.3× under -race) while every (client, chunk) made four slabs
 // and the round a lift slab, at ≈4.0× (≈4.4×) while the round made its
-// encoding slab, at ≈3.0× (≈3.4×) while every session made its slabs, and
-// at ≈1.5× while the decoder built five dim-long vectors. It runs at
-// ≈1.28× now, ≈1.7× under -race.
+// encoding slab, at ≈3.0× (≈3.4×) while every session made its slabs, at
+// ≈1.5× while the decoder built five dim-long vectors, and at ≈1.09×
+// (≈1.5× under -race) while every noise stream carried its lookahead
+// inline and every channel-key lookup copied its peer's key into a
+// string. It runs at ≈1.00× now, ≈1.45× under -race.
 //
-// LightSecAgg's budget is its figure plus ~30 % and 0.06× — the 0.25 MB
-// encoder — for each core past two (it reads ≈1.35× at GOMAXPROCS 4 and
-// ≈1.5× at 8); SecAgg+'s is its figure plus ~10 % and 0.05× for each core
-// past two (it reads ≈1.8× at GOMAXPROCS 4 and ≈1.9× at 8). The -race
-// budgets are their figures plus ~30 %.
+// LightSecAgg's budget is its figure plus ~15 % and 0.06× — the 0.25 MB
+// encoder — for each core past two (it reads ≈1.06× at GOMAXPROCS 4 and
+// ≈1.19× at 8); SecAgg+'s is its figure plus ~10 % and 0.05× for each core
+// past two (it reads ≈1.49× at GOMAXPROCS 4 and ≈1.57× at 8). The -race
+// budgets are their figures plus ~15 %.
 func TestRunRoundAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		proto                     Protocol
@@ -223,8 +228,8 @@ func TestRunRoundAllocBudget(t *testing.T) {
 		perCore                   float64 // added to budget per core past two
 		tolerance, drops          int
 	}{
-		{ProtocolSecAggPlus, 64, 16384, 48, 8, 1.95, 4.8, 0.05, 16, 8},
-		{ProtocolLightSecAgg, 32, 16384, 24, 4, 1.7, 2.25, 0.06, 8, 4},
+		{ProtocolSecAggPlus, 64, 16384, 48, 8, 1.6, 3.9, 0.05, 16, 8},
+		{ProtocolLightSecAgg, 32, 16384, 24, 4, 1.15, 1.7, 0.06, 8, 4},
 	} {
 		t.Run(tc.proto.String(), func(t *testing.T) {
 			cfg := RoundConfig{

@@ -248,6 +248,11 @@ func NewSessionClient(cfg Config, id uint64, rand io.Reader, sess *Session) (*Cl
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return newClient(cfg, id, rand, sess)
+}
+
+// newClient is NewSessionClient for a cfg the caller has validated.
+func newClient(cfg Config, id uint64, rand io.Reader, sess *Session) (*Client, error) {
 	if _, err := cfg.rank(id); err != nil {
 		return nil, err
 	}
@@ -566,10 +571,15 @@ func NewSessionServer(cfg Config, sess *ServerSession) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return newServer(cfg, sess), nil
+}
+
+// newServer is NewSessionServer for a cfg the caller has validated.
+func newServer(cfg Config, sess *ServerSession) *Server {
 	if sess == nil {
 		sess = NewServerSession()
 	}
-	return &Server{cfg: cfg, session: sess}, nil
+	return &Server{cfg: cfg, session: sess}
 }
 
 // AddAdvertise ingests one stage-0 channel-key advertisement on arrival.

@@ -342,8 +342,8 @@ func TestConfigValidation(t *testing.T) {
 		{ClientIDs: []uint64{3, 3, 4}, Dim: 4}, // duplicate ids
 		{ClientIDs: []uint64{4, 3, 5}, Dim: 4}, // unsorted ids
 	}
-	// RunWithSessions validates once and builds its parties through the
-	// validating constructors, which each refuse on their own too.
+	// RunWithSessions validates once and builds its parties on the config
+	// it validated; each public constructor refuses on its own.
 	for i, cfg := range bad {
 		inputs := make(map[uint64][]field.Element, len(cfg.ClientIDs))
 		for _, id := range cfg.ClientIDs {

@@ -83,10 +83,10 @@ func RunWithSessions(cfg Config, inputs map[uint64][]field.Element,
 	if sess == nil { // a standalone round: every party gets a throwaway session
 		sess = &RoundSessions{Server: NewServerSession()}
 	}
-	server, err := NewSessionServer(cfg, sess.Server)
-	if err != nil {
-		return nil, err
-	}
+	// The parties are built on the cfg validated above, not validated
+	// again once per party.
+	server := newServer(cfg, sess.Server)
+	var err error
 	ids := cfg.ClientIDs
 	shared := engine.SharedReader(rand)
 	clients := make([]*Client, len(ids))
@@ -94,7 +94,7 @@ func RunWithSessions(cfg Config, inputs map[uint64][]field.Element,
 		if _, ok := inputs[id]; !ok {
 			return nil, fmt.Errorf("lightsecagg: no input for client %d", id)
 		}
-		if clients[rank], err = NewSessionClient(cfg, id, shared, sess.Client[id]); err != nil {
+		if clients[rank], err = newClient(cfg, id, shared, sess.Client[id]); err != nil {
 			return nil, err
 		}
 	}

@@ -141,7 +141,7 @@ func (s *Session) PublicBytes() []byte { return s.key.PublicBytes() }
 // channel public key, agreeing on first use and caching the result. Safe
 // for concurrent use.
 func (s *Session) channelKey(peerPub []byte) (*aead.Key, error) {
-	return s.channel.KeyAt(string(peerPub), 0,
+	return s.channel.KeyAt(peerPub, 0,
 		func() ([dh.SharedSize]byte, error) { return s.key.Agree(peerPub) })
 }
 

@@ -71,8 +71,8 @@ type Stream struct {
 	iv       [16]byte      // initial counter block (keystream offset 0)
 	at       [16]byte      // counter block of the last Seek; NewCTR copies it, so it need not escape
 	produced uint64        // keystream bytes drawn from ctr so far
-	buf      [512]byte
-	pos      int // next unread byte in buf; len(buf) means empty
+	buf      *[512]byte    // lookahead; nil until the first refill
+	pos      int           // next unread byte in buf; len(buf) means empty
 }
 
 // NewStream constructs a Stream from a seed.
@@ -91,7 +91,7 @@ func NewStream(seed Seed) *Stream {
 // keystream returns the CTR at the stream's position, building the
 // offset-0 one on first use: a stream that is only ever a parent of
 // cursors (AtInto) or sought before its first draw never pays for the half
-// kilobyte of counter state, a third of a Stream, it would not draw from.
+// kilobyte of counter state, five times a Stream, it would not draw from.
 func (s *Stream) keystream() cipher.Stream {
 	if s.ctr == nil {
 		s.ctr = cipher.NewCTR(s.block, s.iv[:])
@@ -114,15 +114,24 @@ const bulkChunk = 32768
 // replacing the seed's zero-then-XOR double pass over the refill buffer.
 var zeroChunk [bulkChunk]byte
 
+// refill draws the next len(buf) keystream bytes into the lookahead,
+// allocating it on first use: a stream only ever Filled in multiples of
+// len(buf), or only a parent of cursors, never carries one. len(s.buf) is
+// the array's constant length even while buf is nil, and pos stays
+// len(buf) until a refill, so no path slices a nil buffer.
 func (s *Stream) refill() {
+	if s.buf == nil {
+		s.buf = new([512]byte)
+	}
 	s.keystream().XORKeyStream(s.buf[:], zeroChunk[:len(s.buf)])
 	s.produced += uint64(len(s.buf))
 	s.pos = 0
 }
 
 // Read fills p with pseudorandom bytes. It never fails. It serves entirely
-// from the lookahead buffer: typed 8-byte draws stay allocation-free (p is
-// never passed to the cipher, so callers' stack buffers do not escape).
+// from the lookahead buffer: past the stream's first refill, which makes
+// the buffer, typed 8-byte draws allocate nothing (p is never passed to
+// the cipher, so callers' stack buffers do not escape).
 // Bulk consumers should use Fill, which streams into large buffers
 // directly.
 func (s *Stream) Read(p []byte) (int, error) {

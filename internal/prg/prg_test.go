@@ -2,12 +2,17 @@ package prg
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/field"
 )
@@ -500,5 +505,104 @@ func TestSegmentedFillMatchesSequential(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%d-way segmented expansion differs from sequential", nseg)
 		}
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call of
+// f allocates, averaged over runs calls, the least of three batches (the
+// counter is process-wide, so a batch another goroutine allocated in reads
+// high, never low).
+func bytesPerRun(runs int, f func()) uint64 {
+	f() // warm
+	least := ^uint64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/uint64(runs))
+	}
+	return least
+}
+
+// TestFillOnlyStreamCarriesNoLookahead: a stream only ever Filled in
+// multiples of the lookahead's length — a mask stream whose windows are
+// whole kernel blocks — allocates its AES key schedule, its CTR and the
+// Stream itself, which holds no lookahead inline: it makes the buffer on
+// its first draw that needs one.
+func TestFillOnlyStreamCarriesNoLookahead(t *testing.T) {
+	if size := unsafe.Sizeof(Stream{}); size > 128 {
+		t.Errorf("a Stream is %d bytes, want at most 128 (no lookahead inline)", size)
+	}
+	seed := NewSeed([]byte("fill-only"))
+	dst := make([]byte, 8*512)
+	var sink cipher.Stream // keeps the bare CTR on the heap, where a Stream's lives
+	schedule := func() {
+		b, _ := aes.NewCipher(seed[:16])
+		sink = cipher.NewCTR(b, seed[16:])
+	}
+	stream := func() {
+		s := NewStream(seed)
+		s.Fill(dst[:512])
+		s.Fill(dst[512:])
+	}
+	if got, want := testing.AllocsPerRun(100, stream), testing.AllocsPerRun(100, schedule)+1; got != want {
+		t.Errorf("a Fill-only stream allocates %v objects, want %v (key schedule, CTR, Stream)", got, want)
+	}
+	if got, want := bytesPerRun(100, stream), bytesPerRun(100, schedule)+128; got > want {
+		t.Errorf("a Fill-only stream allocates %d bytes, want at most %d (key schedule, CTR, a 128-byte Stream)", got, want)
+	}
+	_ = sink
+}
+
+// TestNeverBufferedStreamMatchesKeystream: one draw sequence — a Fill with
+// no residue, a Seek to an unaligned offset, scalar draws, a Fill with a
+// residue — run on a stream that has never refilled and on a zero Stream
+// aimed by AtInto reads exactly the AES-CTR keystream, computed here
+// straight from crypto/cipher.
+func TestNeverBufferedStreamMatchesKeystream(t *testing.T) {
+	seed := NewSeed([]byte("never-buffered"))
+	want := make([]byte, 1<<13)
+	b, err := aes.NewCipher(seed[:16])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cipher.NewCTR(b, seed[16:]).XORKeyStream(want, want)
+
+	var cursor Stream
+	parent := NewStream(seed)
+	parent.AtInto(&cursor, 0)
+	for name, s := range map[string]*Stream{"NewStream": NewStream(seed), "AtInto cursor": &cursor} {
+		got := make([]byte, 1024)
+		s.Fill(got)
+		if s.buf != nil {
+			t.Errorf("%s: a Fill of whole lookaheads made the lookahead", name)
+		}
+		if !bytes.Equal(got, want[:1024]) {
+			t.Errorf("%s: Fill(1024) differs from the keystream", name)
+		}
+		const off = 3000 + 5 // unaligned: Seek refills and skips 5 bytes
+		s.Seek(off)
+		var p [3]byte
+		s.Read(p[:])
+		if !bytes.Equal(p[:], want[off:off+3]) {
+			t.Errorf("%s: Read after Seek(%d) differs from the keystream", name, off)
+		}
+		if v, w := s.Uint64(), binary.LittleEndian.Uint64(want[off+3:]); v != w {
+			t.Errorf("%s: Uint64 after Seek(%d) = %#x, want %#x", name, off, v, w)
+		}
+		rest := make([]byte, 1500)
+		s.Fill(rest)
+		if !bytes.Equal(rest, want[off+11:off+11+1500]) {
+			t.Errorf("%s: Fill after the scalar draws differs from the keystream", name)
+		}
+		if s.Offset() != off+11+1500 {
+			t.Errorf("%s: Offset = %d, want %d", name, s.Offset(), off+11+1500)
+		}
+	}
+	if parent.buf != nil || parent.Offset() != 0 {
+		t.Error("AtInto drew from its parent")
 	}
 }

@@ -283,7 +283,7 @@ func (s *Session) keyPairs() (cipherKey, maskKey *dh.KeyPair) {
 // agreed on first use, and the stream keyed once per step beside it.
 func (s *Session) maskStream(peerPub []byte, step uint64) (*prg.Stream, error) {
 	_, maskKey := s.keyPairs()
-	return s.mask.StreamAt(string(peerPub), step,
+	return s.mask.StreamAt(peerPub, step,
 		func() ([dh.SharedSize]byte, error) { return maskKey.Agree(peerPub) }, newPairMaskStream)
 }
 
@@ -291,7 +291,7 @@ func (s *Session) maskStream(peerPub []byte, step uint64) (*prg.Stream, error) {
 // by its advertised cipher public key, at the given ratchet step.
 func (s *Session) channelKey(peerPub []byte, step uint64) (*aead.Key, error) {
 	cipherKey, _ := s.keyPairs()
-	return s.channel.KeyAt(string(peerPub), step,
+	return s.channel.KeyAt(peerPub, step,
 		func() ([dh.SharedSize]byte, error) { return cipherKey.Agree(peerPub) })
 }
 
@@ -383,20 +383,23 @@ func (s *ServerSession) storeKey(pub []byte, kp *dh.KeyPair) {
 	s.mu.Unlock()
 }
 
-// pairKey is the canonical cache key for an unordered public-key pair (the
-// derived secret is symmetric in the two ends).
-func pairKey(a, b []byte) string {
-	if string(a) < string(b) {
-		return string(a) + string(b)
+// pairKey appends to dst the canonical cache key for an unordered
+// public-key pair (the derived secret is symmetric in the two ends): the
+// lesser key, then the greater.
+func pairKey(dst, a, b []byte) []byte {
+	if bytes.Compare(a, b) > 0 {
+		a, b = b, a
 	}
-	return string(b) + string(a)
+	return append(append(dst, a...), b...)
 }
 
 // pairStream returns the pairwise mask stream between the reconstructed key
 // kp and the peer public key, at the given ratchet step, agreeing on first
-// use and caching secret and stream by the unordered key pair.
+// use and caching secret and stream by the unordered key pair, which it
+// builds on the stack.
 func (s *ServerSession) pairStream(kp *dh.KeyPair, peerPub []byte, step uint64) (*prg.Stream, error) {
-	return s.secrets.StreamAt(pairKey(kp.PublicBytes(), peerPub), step,
+	var key [2 * dh.PublicKeySize]byte
+	return s.secrets.StreamAt(pairKey(key[:0], kp.PublicBytes(), peerPub), step,
 		func() ([dh.SharedSize]byte, error) { return kp.Agree(peerPub) }, newPairMaskStream)
 }
 

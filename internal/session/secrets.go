@@ -45,7 +45,7 @@ type Secrets struct {
 // key (AES key schedule, GCM table) is cached beside the secret until the
 // next ratchet step, so every seal and open of a round — all its chunks,
 // both directions — shares one.
-func (c *Secrets) KeyAt(key string, step uint64,
+func (c *Secrets) KeyAt(key []byte, step uint64,
 	agree func() ([dh.SharedSize]byte, error)) (*aead.Key, error) {
 
 	r, err := c.at(key, step, agree, func(sec [dh.SharedSize]byte) any { return aead.NewKey(sec) })
@@ -58,9 +58,10 @@ func (c *Secrets) KeyAt(key string, step uint64,
 // StreamAt is KeyAt for a secret that keys a mask stream: newStream(secret)
 // is built once per ratchet step and cached beside the secret, so the
 // chunks of a round read their windows of one keyed stream. Callers share
-// the stream and only aim cursors at it (prg.Stream.AtInto); none draws
-// from it.
-func (c *Secrets) StreamAt(key string, step uint64, agree func() ([dh.SharedSize]byte, error),
+// the stream: the mask range that starts at 0 draws from it, and every
+// other range aims cursors of its own at it (ring.Vector.MaskManyInPlace),
+// so one caller at a time may draw from it.
+func (c *Secrets) StreamAt(key []byte, step uint64, agree func() ([dh.SharedSize]byte, error),
 	newStream func([dh.SharedSize]byte) *prg.Stream) (*prg.Stream, error) {
 
 	r, err := c.at(key, step, agree, func(sec [dh.SharedSize]byte) any { return newStream(sec) })
@@ -76,12 +77,14 @@ func (c *Secrets) StreamAt(key string, step uint64, agree func() ([dh.SharedSize
 // produces) run agree outside the lock (it is the expensive part and
 // deterministic, so a racing duplicate computes the identical value);
 // ratchet forward to step; store only monotonically. A nil build resolves
-// the secret alone — what a record reads back holds no built value.
-func (c *Secrets) at(key string, step uint64,
+// the secret alone — what a record reads back holds no built value. The
+// lookups index by key's bytes in place; only a store copies them into a
+// string, so a warm lookup allocates nothing.
+func (c *Secrets) at(key []byte, step uint64,
 	agree func() ([dh.SharedSize]byte, error), build func([dh.SharedSize]byte) any) (ratchetedSecret, error) {
 
 	c.mu.Lock()
-	r, ok := c.m[key]
+	r, ok := c.m[string(key)]
 	c.mu.Unlock()
 	if ok && r.step == step && (r.built != nil || build == nil) {
 		return r, nil // the warm path: nothing to derive, nothing to store
@@ -98,11 +101,11 @@ func (c *Secrets) at(key string, step uint64,
 		r.built = build(r.sec)
 	}
 	c.mu.Lock()
-	if cur, ok := c.m[key]; !ok || cur.step < r.step || (cur.step == r.step && cur.built == nil) {
+	if cur, ok := c.m[string(key)]; !ok || cur.step < r.step || (cur.step == r.step && cur.built == nil) {
 		if c.m == nil {
 			c.m = make(map[string]ratchetedSecret)
 		}
-		c.m[key] = r
+		c.m[string(key)] = r
 	}
 	c.mu.Unlock()
 	return r, nil

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"bytes"
 	"crypto/rand"
 	"reflect"
 	"sync"
@@ -204,7 +205,7 @@ func TestSecretsMonotone(t *testing.T) {
 	var c Secrets
 	at := func(step uint64) [dh.SharedSize]byte {
 		t.Helper()
-		r, err := c.at("peer", step, agree, nil)
+		r, err := c.at([]byte("peer"), step, agree, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +257,7 @@ func TestSecretsKeyAt(t *testing.T) {
 	var c Secrets
 	keyAt := func(step uint64) *aead.Key {
 		t.Helper()
-		k, err := c.KeyAt("peer", step, agree)
+		k, err := c.KeyAt([]byte("peer"), step, agree)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +271,7 @@ func TestSecretsKeyAt(t *testing.T) {
 		return k
 	}
 	k2 := keyAt(2)
-	if _, err := c.at("peer", 2, agree, nil); err != nil {
+	if _, err := c.at([]byte("peer"), 2, agree, nil); err != nil {
 		t.Fatal(err)
 	}
 	if keyAt(2) != k2 {
@@ -289,14 +290,14 @@ func TestSecretsKeyAt(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := c.KeyAt("other", 1, pure); err != nil {
+			if _, err := c.KeyAt([]byte("other"), 1, pure); err != nil {
 				t.Error(err)
 			}
 		}()
 	}
 	wg.Wait()
-	k, _ := c.KeyAt("other", 1, pure)
-	if again, _ := c.KeyAt("other", 1, pure); again != k {
+	k, _ := c.KeyAt([]byte("other"), 1, pure)
+	if again, _ := c.KeyAt([]byte("other"), 1, pure); again != k {
 		t.Fatal("racing first lookups left no stable cached key")
 	}
 }
@@ -313,7 +314,7 @@ func TestSecretsStreamAt(t *testing.T) {
 	var c Secrets
 	streamAt := func(step uint64) *prg.Stream {
 		t.Helper()
-		s, err := c.StreamAt("peer", step, agree, newStream)
+		s, err := c.StreamAt([]byte("peer"), step, agree, newStream)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,11 +322,11 @@ func TestSecretsStreamAt(t *testing.T) {
 		if s.Uint64() != prg.NewStream(prg.NewSeed(want[:])).Uint64() {
 			t.Fatalf("step %d: the stream is not keyed by the raw secret ratcheted %d times", step, step)
 		}
-		s.Seek(0) // the test drew from it; callers only aim cursors
+		s.Seek(0) // the next lookup checks the stream from its start
 		return s
 	}
 	s2 := streamAt(2)
-	if _, err := c.at("peer", 2, agree, nil); err != nil {
+	if _, err := c.at([]byte("peer"), 2, agree, nil); err != nil {
 		t.Fatal(err)
 	}
 	if streamAt(2) != s2 || built != 1 {
@@ -336,5 +337,29 @@ func TestSecretsStreamAt(t *testing.T) {
 	}
 	if agreed != 1 {
 		t.Fatalf("agreed %d times, want 1", agreed)
+	}
+}
+
+// TestSecretsWarmLookupAllocatesNothing: a lookup the cache already holds
+// at its step — every (pair, chunk) of a round after the pair's first —
+// indexes the map by the caller's key bytes in place; only a store copies
+// them into a string.
+func TestSecretsWarmLookupAllocatesNothing(t *testing.T) {
+	raw := [dh.SharedSize]byte{7, 7, 7}
+	agree := func() ([dh.SharedSize]byte, error) { return raw, nil }
+	newStream := func(sec [dh.SharedSize]byte) *prg.Stream { return prg.NewStream(prg.NewSeed(sec[:])) }
+	var streams, keys Secrets
+	peer := bytes.Repeat([]byte{0xA5}, dh.PublicKeySize)
+	if _, err := streams.StreamAt(peer, 1, agree, newStream); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := keys.KeyAt(peer, 1, agree); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { streams.StreamAt(peer, 1, agree, newStream) }); n != 0 {
+		t.Errorf("a warm StreamAt allocates %v per lookup, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { keys.KeyAt(peer, 1, agree) }); n != 0 {
+		t.Errorf("a warm KeyAt allocates %v per lookup, want 0", n)
 	}
 }
