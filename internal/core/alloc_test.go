@@ -173,7 +173,9 @@ func TestWireRoundAllocBudget(t *testing.T) {
 //     needs one. Every chunk draws its masks from where the previous chunk
 //     left the stream (the windows lie end to end), so nothing is re-aimed;
 //   - the share stage's lists, which every sub-round after the first still
-//     routes although it reuses the first one's deal.
+//     routes although it reuses the first one's deal;
+//   - each client's stage table, built per sub-round, and its session's
+//     copy of the roster (the session layer copies what it stores).
 //
 // With every client re-expanding the rotation, every (client, chunk)
 // copying its window and making its noise vector, and two AES-GCM key
@@ -193,7 +195,10 @@ func TestWireRoundAllocBudget(t *testing.T) {
 // every chunk re-aimed a cursor, a CTR each, into every mask stream, and at
 // ≈1.66× (≈3.5× under -race) while every stream carried a 512-byte
 // lookahead inline and every (pair, chunk) lookup copied its peer's key
-// into a string. It runs at ≈1.46× now, ≈3.35× under -race.
+// into a string, and at ≈1.46× (≈3.35× under -race) while every (client,
+// sub-round) on the deal rebuilt its mask list, copied U3 twice and grew
+// its secret caches from empty. It runs at ≈1.33× now, ≈3.16× under
+// -race.
 //
 // lsa_dropout's shape — 32 clients, 16384 coordinates in 4 chunks on
 // LightSecAgg, U = 24 and T = D = 8, XNoise tolerating 8 dropouts with 4
@@ -213,12 +218,14 @@ func TestWireRoundAllocBudget(t *testing.T) {
 // ≈1.5× while the decoder built five dim-long vectors, and at ≈1.09×
 // (≈1.5× under -race) while every noise stream carried its lookahead
 // inline and every channel-key lookup copied its peer's key into a
-// string. It runs at ≈1.00× now, ≈1.45× under -race.
+// string, and at ≈1.00× (≈1.45× under -race) while every client grew its
+// channel-key cache from empty. It runs at ≈0.96× now, ≈1.40× under
+// -race.
 //
 // LightSecAgg's budget is its figure plus ~15 % and 0.06× — the 0.25 MB
-// encoder — for each core past two (it reads ≈1.06× at GOMAXPROCS 4 and
-// ≈1.19× at 8); SecAgg+'s is its figure plus ~10 % and 0.05× for each core
-// past two (it reads ≈1.49× at GOMAXPROCS 4 and ≈1.57× at 8). The -race
+// encoder — for each core past two (it reads ≈1.03× at GOMAXPROCS 4 and
+// ≈1.16× at 8); SecAgg+'s is its figure plus ~10 % and 0.05× for each core
+// past two (it reads ≈1.36× at GOMAXPROCS 4 and ≈1.43× at 8). The -race
 // budgets are their figures plus ~15 %.
 func TestRunRoundAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
@@ -228,8 +235,8 @@ func TestRunRoundAllocBudget(t *testing.T) {
 		perCore                   float64 // added to budget per core past two
 		tolerance, drops          int
 	}{
-		{ProtocolSecAggPlus, 64, 16384, 48, 8, 1.6, 3.9, 0.05, 16, 8},
-		{ProtocolLightSecAgg, 32, 16384, 24, 4, 1.15, 1.7, 0.06, 8, 4},
+		{ProtocolSecAggPlus, 64, 16384, 48, 8, 1.45, 3.65, 0.05, 16, 8},
+		{ProtocolLightSecAgg, 32, 16384, 24, 4, 1.1, 1.65, 0.06, 8, 4},
 	} {
 		t.Run(tc.proto.String(), func(t *testing.T) {
 			cfg := RoundConfig{

@@ -364,6 +364,7 @@ func (c *Client) SealShares(roster []AdvertiseMsg) ([]Envelope, error) {
 		return nil, err
 	}
 	n, l := len(c.cfg.ClientIDs), c.cfg.SubVectorLen()
+	c.session.channel.Reserve(n - 1) // a channel key per peer, the cache sized once
 	stride := 4 + 8*l + aead.Overhead
 	out := make([]Envelope, 0, n-1)
 	var ad [session.RouteADSize]byte

@@ -252,6 +252,12 @@ func (c *Client) ShareKeys(roster []AdvertiseMsg) ([]EncryptedShareMsg, error) {
 		return nil, fmt.Errorf("secagg: client %d has %d live neighbors < t=%d",
 			c.id, len(peers), c.cfg.Threshold)
 	}
+	if c.session != nil {
+		// One mask stream and one channel key per live neighbor: size the
+		// caches once instead of growing them pair by pair.
+		c.session.mask.Reserve(len(peers) - 1)
+		c.session.channel.Reserve(len(peers) - 1)
+	}
 
 	// Shamir abscissas: the global 1-based index of each peer within the
 	// sampled set, so all parties agree on share coordinates.
@@ -395,28 +401,12 @@ func (c *Client) MaskedInput(ciphertexts []EncryptedShareMsg) (MaskedInputMsg, e
 	}
 	// Self mask p_u = PRG(b_u) plus pairwise masks p_{u,v} over u2 (the set
 	// that holds shares of our key, hence can unmask us if we die), each read
-	// from this sub-round's window of its stream. Each mask is an
-	// independent PRG expansion — key agreement included — so they fan out
-	// across the worker pool and accumulate into y in place.
-	tasks := make([]maskTask, 0, len(c.u2))
-	tasks = append(tasks, maskTask{sign: 1, id: c.id, self: true})
-	for _, peer := range c.u2 {
-		if peer != c.id {
-			tasks = append(tasks, maskTask{sign: pairMaskSign(c.id, peer), id: c.id, peer: peer})
-		}
-	}
-	err := applyMaskTasks(y, tasks, c.cfg.maskWindow(), func(t maskTask) (*prg.Stream, error) {
-		if t.self {
-			return c.selfStream, nil
-		}
-		entry, _ := c.rosterEntry(t.peer) // U2 ⊆ U1, checked above
-		s, err := c.maskStream(entry.MaskPub)
-		if err != nil {
-			return nil, fmt.Errorf("secagg: mask key agreement %d↔%d: %w", t.id, t.peer, err)
-		}
-		return s, nil
-	})
+	// from this sub-round's window of its stream.
+	masks, err := c.masks()
 	if err != nil {
+		return MaskedInputMsg{}, err
+	}
+	if err := expandMasks(y, masks); err != nil {
 		return MaskedInputMsg{}, err
 	}
 	if c.cfg.TranscriptDigests {
@@ -424,6 +414,49 @@ func (c *Client) MaskedInput(ciphertexts []EncryptedShareMsg) (MaskedInputMsg, e
 		c.hasMaskedDigest = true
 	}
 	return MaskedInputMsg{From: c.id, Y: y.Data}, nil
+}
+
+// masks returns the client's self and pairwise masks over c.u2, aimed at
+// this sub-round's window. On a deal the list is resolved once, at the
+// step's first delivery, and kept beside the deal's self stream: every
+// later sub-round of the step was delivered the same ciphertexts (so the
+// same U2) and keys against the same roster at the same ratchet step, so
+// it would resolve the same streams. Each mask independently resolves its
+// stream — a key agreement or a cache lookup — across the worker pool
+// (resolveMasks).
+func (c *Client) masks() ([]ring.Mask, error) {
+	window := c.cfg.maskWindow()
+	if d := c.deal; d != nil && d.masks != nil {
+		for i := range d.masks {
+			d.masks[i].Off = window
+		}
+		return d.masks, nil
+	}
+	tasks := make([]maskTask, 0, len(c.u2))
+	tasks = append(tasks, maskTask{sign: 1, id: c.id, self: true})
+	for _, peer := range c.u2 {
+		if peer != c.id {
+			tasks = append(tasks, maskTask{sign: pairMaskSign(c.id, peer), id: c.id, peer: peer})
+		}
+	}
+	masks, err := resolveMasks(tasks, window, func(t maskTask) (*prg.Stream, error) {
+		if t.self {
+			return c.selfStream, nil
+		}
+		entry, _ := c.rosterEntry(t.peer) // U2 ⊆ U1, checked on delivery
+		s, err := c.maskStream(entry.MaskPub)
+		if err != nil {
+			return nil, fmt.Errorf("secagg: mask key agreement %d↔%d: %w", t.id, t.peer, err)
+		}
+		return s, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if c.deal != nil {
+		c.deal.masks = masks
+	}
+	return masks, nil
 }
 
 // receiveResult is the Result step: a sum in its wire form (Result.SumLE)
@@ -487,11 +520,21 @@ func (c *Client) agreeChannelKey(peerPub []byte) (*aead.Key, error) {
 // neighbor can only appear in U3 if it reached ShareKeys (is in the
 // client's U2). Under the complete graph this is the full U3 ⊆ U2 check of
 // Fig. 5; under a SecAgg+ graph it is the neighborhood-restricted variant.
+// Every member must be of the cohort: the client counts dropouts as
+// |cohort| − |U3|, so an outsider would understate them.
 func (c *Client) checkU3(u3 []uint64) error {
-	nbrs := c.cfg.neighborhood(c.id)
+	var nbrs []uint64 // under the complete graph every other member
+	if c.cfg.Graph != nil {
+		nbrs = c.cfg.neighborhood(c.id)
+	}
 	for _, v := range u3 {
-		if _, mine := slices.BinarySearch(nbrs, v); !mine && v != c.id {
-			continue
+		if _, ok := slices.BinarySearch(c.cfg.ClientIDs, v); !ok {
+			return fmt.Errorf("%w: U3 names %d at client %d", ErrIDOutsideCohort, v, c.id)
+		}
+		if c.cfg.Graph != nil && v != c.id {
+			if _, mine := slices.BinarySearch(nbrs, v); !mine {
+				continue
+			}
 		}
 		if _, ok := slices.BinarySearch(c.u2, v); !ok {
 			return fmt.Errorf("secagg: U3 member %d not in U2 at client %d", v, c.id)
@@ -500,18 +543,50 @@ func (c *Client) checkU3(u3 []uint64) error {
 	return nil
 }
 
+// Errors of a malformed id set: the server's U3 names a client outside the
+// cohort, or U3, U4 or U5 names one client twice. Either would let a
+// server pad a set — U3 to understate the dropouts a client's noise
+// reveal is sized by (§3.3), U4 or U5 to meet the threshold t with fewer
+// clients.
+var (
+	ErrIDOutsideCohort = errors.New("secagg: id set names a client outside the cohort")
+	ErrRepeatedID      = errors.New("secagg: id set names a client twice")
+)
+
+// ascending returns ids ascending — ids itself when it already is, else a
+// sorted copy — and refuses a set that names an id twice (ErrRepeatedID).
+func ascending(ids []uint64) ([]uint64, error) {
+	if !slices.IsSorted(ids) {
+		ids = sortedCopy(ids)
+	}
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] {
+			return nil, fmt.Errorf("%w: %d", ErrRepeatedID, ids[i])
+		}
+	}
+	return ids, nil
+}
+
 // ConsistencyCheck runs stage 3: adopt U3 and, in malicious mode, sign
 // (round ∥ U3). Every stage table runs it, and Unmask refuses to run
-// before it (ErrUnmaskBeforeConsistency).
+// before it (ErrUnmaskBeforeConsistency). U3 must name distinct members
+// of the cohort (ErrIDOutsideCohort, ErrRepeatedID). u3 is borrowed, not
+// copied — and, when it arrives ascending, searched in place: the caller
+// must not change it while the client, or its session's deal of the step,
+// is in use. Both links hand over a slice of the request's own
+// (Server.SealMasked returns a copy, a decoded frame a fresh slice).
 func (c *Client) ConsistencyCheck(u3 []uint64) (ConsistencyMsg, error) {
 	if len(u3) < c.cfg.Threshold {
 		return ConsistencyMsg{}, fmt.Errorf("secagg: client %d saw |U3|=%d < t", c.id, len(u3))
 	}
-	if err := c.checkU3(u3); err != nil {
+	u3sorted, err := ascending(u3)
+	if err != nil {
+		return ConsistencyMsg{}, fmt.Errorf("secagg: U3 at client %d: %w", c.id, err)
+	}
+	if err := c.checkU3(u3sorted); err != nil {
 		return ConsistencyMsg{}, err
 	}
-	c.u3 = append([]uint64(nil), u3...)
-	c.u3sorted = sortedCopy(u3)
+	c.u3, c.u3sorted = u3, u3sorted
 	if c.cfg.Registry == nil {
 		return ConsistencyMsg{From: c.id}, nil
 	}
@@ -525,10 +600,11 @@ func (c *Client) ConsistencyCheck(u3 []uint64) (ConsistencyMsg, error) {
 // client before the ConsistencyCheck stage gave it U3.
 var ErrUnmaskBeforeConsistency = errors.New("secagg: unmask request before the consistency check")
 
-// Unmask runs stage 4: verify the server's survivor claims (malicious
-// mode: every signature in the request, |U4| ≥ t, U4 ⊆ U3), decrypt the
-// stored share ciphertexts, and reveal exactly the shares prescribed by
-// Fig. 5 plus this client's own removable noise seeds.
+// Unmask runs stage 4: verify the server's survivor claims (U3 as
+// adopted, |U4| ≥ t distinct clients, U4 ⊆ U3; malicious mode: every
+// signature in the request), decrypt the stored share ciphertexts, and
+// reveal exactly the shares prescribed by Fig. 5 plus this client's own
+// removable noise seeds.
 func (c *Client) Unmask(req UnmaskRequest) (UnmaskMsg, error) {
 	if c.u3 == nil {
 		return UnmaskMsg{}, fmt.Errorf("%w at client %d", ErrUnmaskBeforeConsistency, c.id)
@@ -538,6 +614,9 @@ func (c *Client) Unmask(req UnmaskRequest) (UnmaskMsg, error) {
 	}
 	if len(req.U4) < c.cfg.Threshold {
 		return UnmaskMsg{}, fmt.Errorf("secagg: |U4|=%d < t at client %d", len(req.U4), c.id)
+	}
+	if _, err := ascending(req.U4); err != nil {
+		return UnmaskMsg{}, fmt.Errorf("secagg: U4 at client %d: %w", c.id, err)
 	}
 	if !subset(req.U4, c.u3sorted) {
 		return UnmaskMsg{}, fmt.Errorf("secagg: U4 ⊄ U3 at client %d", c.id)
@@ -648,7 +727,7 @@ func (c *Client) bundleFrom(v uint64) (ShareBundle, error) {
 
 // RevealNoiseShares runs stage 5: surrender shares of the removable noise
 // seeds of clients in U3\U5 (included in the aggregate but dead before
-// reporting their seeds).
+// reporting their seeds). U5 must name at least t distinct members of U3.
 func (c *Client) RevealNoiseShares(req NoiseShareRequest) (NoiseShareMsg, error) {
 	if c.noise == nil {
 		return NoiseShareMsg{From: c.id}, nil
@@ -656,12 +735,15 @@ func (c *Client) RevealNoiseShares(req NoiseShareRequest) (NoiseShareMsg, error)
 	if len(req.U5) < c.cfg.Threshold {
 		return NoiseShareMsg{}, fmt.Errorf("secagg: |U5|=%d < t at client %d", len(req.U5), c.id)
 	}
-	if !subset(req.U5, c.u3sorted) {
+	u5, err := ascending(req.U5)
+	if err != nil {
+		return NoiseShareMsg{}, fmt.Errorf("secagg: U5 at client %d: %w", c.id, err)
+	}
+	if !subset(u5, c.u3sorted) {
 		return NoiseShareMsg{}, fmt.Errorf("secagg: U5 ⊄ U3 at client %d", c.id)
 	}
 	numDropped := len(c.cfg.ClientIDs) - len(c.u3)
 	ks := c.cfg.XNoise.RemovalComponents(numDropped)
-	u5 := sortedCopy(req.U5)
 	out := NoiseShareMsg{From: c.id, Shares: make(map[uint64]map[int]shamir.Share)}
 	for _, v := range c.u3 {
 		if _, live := slices.BinarySearch(u5, v); live {

@@ -22,23 +22,24 @@ type maskTask struct {
 }
 
 // applyMaskTasks accumulates Σ sign_i·PRG_i straight into dst — the
-// client's y, the server's masked sum — reading every stream from keystream
-// byte window on (the sub-round's mask window, Config.maskWindow), in two
-// passes of engine.ForEach. First the streams are found or built, stream
-// (the caller's one resolver: an X25519 agreement, a cache lookup) running
-// exactly once per task; a failing stream stops further claims — the
-// round is aborting, no point burning key agreements — and its error is
-// returned before any stream is expanded, so dst is untouched on error.
-// Then the coordinate range splits at multiples of ring.MaskBlockLen into
-// at most GOMAXPROCS ranges, each running the many-stream kernel: dst is
-// read and written once however many masks there are, and nothing
-// dim-sized is allocated. The range at 0 draws from the streams themselves
-// (ring.MaskManyInPlace), so one block — a chunked round's 1–2k
-// coordinates — is a single range on the calling goroutine that leaves
-// every stream where the next chunk's window starts. Mask additions
-// commute in ℤ_{2^b} and the ranges are disjoint, so the result does not
-// depend on the worker count.
+// server's masked sum — reading every stream from keystream byte window on
+// (the sub-round's mask window, Config.maskWindow): resolveMasks, then
+// expandMasks, so dst is untouched on error. A client runs the two halves
+// itself, to keep the resolved list on its deal (Client.masks).
 func applyMaskTasks(dst ring.Vector, tasks []maskTask, window uint64, stream func(maskTask) (*prg.Stream, error)) error {
+	masks, err := resolveMasks(tasks, window, stream)
+	if err != nil {
+		return err
+	}
+	return expandMasks(dst, masks)
+}
+
+// resolveMasks finds or builds every task's stream on engine.ForEach,
+// stream (the caller's one resolver: an X25519 agreement, a cache lookup)
+// running exactly once per task, and returns the masks aimed at window. A
+// failing stream stops further claims — the round is aborting, no point
+// burning key agreements — and its error is returned.
+func resolveMasks(tasks []maskTask, window uint64, stream func(maskTask) (*prg.Stream, error)) ([]ring.Mask, error) {
 	masks := make([]ring.Mask, len(tasks))
 	err := engine.ForEach(len(tasks), func(i int) error {
 		s, err := stream(tasks[i])
@@ -46,8 +47,22 @@ func applyMaskTasks(dst ring.Vector, tasks []maskTask, window uint64, stream fun
 		return err
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
+	return masks, nil
+}
+
+// expandMasks accumulates Σ sign_i·PRG_i of masks into dst. The coordinate
+// range splits at multiples of ring.MaskBlockLen into at most GOMAXPROCS
+// ranges on engine.ForEach, each running the many-stream kernel: dst is
+// read and written once however many masks there are, and nothing
+// dim-sized is allocated. The range at 0 draws from the streams themselves
+// (ring.MaskManyInPlace), so one block — a chunked round's 1–2k
+// coordinates — is a single range on the calling goroutine that leaves
+// every stream where the next chunk's window starts. Mask additions
+// commute in ℤ_{2^b} and the ranges are disjoint, so the result does not
+// depend on the worker count.
+func expandMasks(dst ring.Vector, masks []ring.Mask) error {
 	block := ring.MaskBlockLen(dst.Bits)
 	blocks := (dst.Len() + block - 1) / block
 	ranges := min(runtime.GOMAXPROCS(0), blocks)

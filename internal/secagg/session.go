@@ -107,6 +107,10 @@ type deal struct {
 	selfStream *prg.Stream         // PRG(b_u): each sub-round reads its window
 	out        []EncryptedShareMsg // the sealed outgoing bundles
 
+	// masks is the self and pairwise masks over u2, resolved at the first
+	// delivery; each sub-round re-aims them at its window (Client.masks).
+	masks []ring.Mask
+
 	channelKey map[uint64]*aead.Key
 	delivered  map[uint64][]byte      // peer → ciphertext of the first delivery; nil until then
 	u2         []uint64               // the first delivery's senders and the client, ascending

@@ -686,6 +686,110 @@ func TestReusedDealRepeatsReveal(t *testing.T) {
 	}
 }
 
+// TestReusedDealKeepsMaskList: the first delivery on a step's deal
+// resolves the client's masks once and the deal keeps the list; a later
+// sub-round on the deal re-aims that list at its window, so it resolves no
+// stream and allocates no list, and its sum is still exact. A doctored
+// delivery is refused before any mask is expanded: the upload buffer is
+// as the previous sub-round left it.
+func TestReusedDealKeepsMaskList(t *testing.T) {
+	const n, dim = 5, 16
+	cfg, inputs, _ := sessionRoundConfig(n, dim)
+	rand := sessionRand("deal-masks")
+	sess, err := NewRoundSessions(cfg.ClientIDs, rand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finish := func(server *Server, clients map[uint64]*Client) {
+		t.Helper()
+		u3, err := server.SealMasked()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range u3 {
+			m, err := clients[id].ConsistencyCheck(u3)
+			if err == nil {
+				err = server.AddConsistency(m)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		req, err := server.SealConsistency()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range req.U4 {
+			m, err := clients[id].Unmask(req)
+			if err == nil {
+				err = server.AddUnmask(m)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := server.SealUnmask(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := server.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSessionSum(t, res, n)
+	}
+
+	server, clients, _ := steppedSubRound(t, cfg, inputs, sess, rand, map[uint64]bool{n: true})
+	dealt := clients[1].deal.masks
+	if len(dealt) != n { // the self mask and a pairwise mask per peer in U2
+		t.Fatalf("the deal kept %d masks, want %d", len(dealt), n)
+	}
+	finish(server, clients)
+
+	for epoch := uint64(1); epoch <= 2; epoch++ {
+		next := cfg
+		next.MaskEpoch = epoch
+		server, clients, _ := steppedSubRound(t, next, inputs, sess, rand, map[uint64]bool{1: true, n: true})
+		deliveries, err := server.SealShares()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := clients[1]
+		upload := slices.Clone(c.buffer())
+		tampered := slices.Clone(deliveries[1])
+		tampered[0].Ciphertext = append([]byte(nil), tampered[0].Ciphertext...)
+		tampered[0].Ciphertext[0] ^= 1
+		if _, err := c.MaskedInput(tampered); !errors.Is(err, ErrDealMismatch) {
+			t.Fatalf("epoch %d: a doctored delivery: %v, want ErrDealMismatch", epoch, err)
+		}
+		if !slices.Equal(c.buffer(), upload) {
+			t.Fatalf("epoch %d: a refused delivery changed the upload", epoch)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { c.masks() }); allocs != 0 {
+			t.Fatalf("epoch %d: masks on the deal allocate %v, want 0", epoch, allocs)
+		}
+		masks, err := c.masks()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &masks[0] != &dealt[0] || len(masks) != len(dealt) {
+			t.Fatalf("epoch %d: masks on the deal are not the list the first delivery resolved", epoch)
+		}
+		for i, mk := range masks {
+			if mk.Off != next.maskWindow() {
+				t.Fatalf("epoch %d: mask %d aimed at byte %d, want the window at %d", epoch, i, mk.Off, next.maskWindow())
+			}
+		}
+		m, err := c.MaskedInput(deliveries[1])
+		if err == nil {
+			err = server.AddMasked(m)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		finish(server, clients)
+	}
+}
+
 // countingReader counts the bytes read through it.
 type countingReader struct {
 	r io.Reader

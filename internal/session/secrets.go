@@ -40,6 +40,18 @@ type Secrets struct {
 	m  map[string]ratchetedSecret
 }
 
+// Reserve makes the cache's map with room for n secrets if it has none
+// yet, so the first n stores do not grow it. Its users call it once they
+// know how many peers a key generation meets (the verified roster's
+// neighbours); a cache that already has a map keeps it, as Clear keeps it.
+func (c *Secrets) Reserve(n int) {
+	c.mu.Lock()
+	if c.m == nil {
+		c.m = make(map[string]ratchetedSecret, n)
+	}
+	c.mu.Unlock()
+}
+
 // KeyAt resolves the secret cached under key at the given ratchet step as
 // a channel's AEAD key (see at for the lookup). The constructed
 // key (AES key schedule, GCM table) is cached beside the secret until the

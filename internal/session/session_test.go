@@ -363,3 +363,44 @@ func TestSecretsWarmLookupAllocatesNothing(t *testing.T) {
 		t.Errorf("a warm KeyAt allocates %v per lookup, want 0", n)
 	}
 }
+
+// TestSecretsReserveTakesCohortWithoutGrowth: a cache reserved for n
+// secrets — a client's neighbors — stores n of them without growing its
+// map, so the n inserts allocate only their key copies and what build
+// makes (here nothing: every secret's stream is one made beforehand).
+// Unreserved, the same inserts also grow the map.
+func TestSecretsReserveTakesCohortWithoutGrowth(t *testing.T) {
+	const n = 63 // a 64-client cohort's neighbors under the complete graph
+	raw := [dh.SharedSize]byte{9}
+	agree := func() ([dh.SharedSize]byte, error) { return raw, nil }
+	made := prg.NewStream(prg.NewSeed(raw[:]))
+	newStream := func([dh.SharedSize]byte) *prg.Stream { return made }
+	peers := make([][]byte, n)
+	for i := range peers {
+		peers[i] = bytes.Repeat([]byte{byte(i)}, dh.PublicKeySize)
+	}
+	inserts := func(reserve bool) float64 {
+		caches := make([]Secrets, 2) // AllocsPerRun runs once to warm up, then once measured
+		if reserve {
+			for i := range caches {
+				caches[i].Reserve(n)
+			}
+		}
+		next := 0
+		return testing.AllocsPerRun(1, func() {
+			c := &caches[next]
+			next++
+			for _, p := range peers {
+				if _, err := c.StreamAt(p, 0, agree, newStream); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	if got := inserts(true); got != n {
+		t.Errorf("%d inserts into a cache reserved for them allocate %v, want %d key copies", n, got, n)
+	}
+	if got := inserts(false); got <= n {
+		t.Errorf("%d inserts into an unreserved cache allocate %v: the test no longer sees the map grow", n, got)
+	}
+}
