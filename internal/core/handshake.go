@@ -349,7 +349,7 @@ type HandshakeConfig struct {
 	// re-keys, the conservative default of the session threat model
 	// (ARCHITECTURE.md).
 	KeyRounds int
-	// Deadline bounds ack collection; ≤ 0 defaults to 2s.
+	// Deadline bounds ack collection; ≤ 0 defaults to engine.DefaultDeadline.
 	Deadline time.Duration
 	// Signer, when non-nil, signs offers and commits (the deployment
 	// distributes the verification key to clients out of band).
@@ -415,7 +415,7 @@ func RunHandshakeServer(ctx context.Context, cfg HandshakeConfig, sess *secagg.S
 	}
 	deadline := cfg.Deadline
 	if deadline <= 0 {
-		deadline = 2 * time.Second
+		deadline = engine.DefaultDeadline
 	}
 	ids := cfg.ClientIDs
 
@@ -445,7 +445,7 @@ func RunHandshakeServer(ctx context.Context, cfg HandshakeConfig, sess *secagg.S
 		offer.Ratchet = ratchet
 		offer.RosterHash = hash
 	}
-	broadcast(conn, ids, engine.TagRoundOffer, encodeRoundOffer(offer, cfg.Signer))
+	engine.Broadcast(conn, engine.TagRoundOffer, encodeRoundOffer(offer, cfg.Signer), ids...)
 
 	// Collect acks. Malformed or stale-round acks become re-key votes
 	// rather than aborts: the handshake's failure mode is always "re-key",
@@ -530,7 +530,7 @@ func RunHandshakeServer(ctx context.Context, cfg HandshakeConfig, sess *secagg.S
 	}
 	commit := RoundCommit{Round: cfg.Round, Resume: resume, Ratchet: ratchet,
 		NoiseEpoch: cfg.NoiseEpoch, Divergent: div}
-	broadcast(conn, ids, engine.TagRoundCommit, encodeRoundCommit(commit, cfg.Signer))
+	engine.Broadcast(conn, engine.TagRoundCommit, encodeRoundCommit(commit, cfg.Signer), ids...)
 	return Handshake{Round: cfg.Round, Protocol: cfg.Protocol, Resume: resume, Ratchet: ratchet,
 		Divergent: div, NoiseEpoch: cfg.NoiseEpoch}, nil
 }
@@ -571,30 +571,16 @@ func RunHandshakeClient(ctx context.Context, cfg ClientHandshakeConfig, sess *se
 		rand = crand.Reader
 	}
 
-	recv := func(stage int) ([]byte, error) {
-		for {
-			f, err := conn.Recv(ctx)
-			if err != nil {
-				return nil, err
-			}
-			if f.Stage == stage {
-				return f.Payload, nil
-			}
-		}
-	}
-
 	// Announce readiness on this connection; the server offers only after
 	// every expected client checked in (or its deadline expired).
 	hello := []byte{codecMagic, tagRoundHello, handshakeVersion}
-	if err := conn.Send(transport.Frame{Stage: engine.TagRoundHello, Payload: hello}); err != nil {
+	if err := engine.Uplink(conn, engine.TagRoundHello, hello); err != nil {
 		return Handshake{}, err
 	}
 
-	offerPayload, err := recv(engine.TagRoundOffer)
-	if err != nil {
-		return Handshake{}, err
-	}
-	offer, err := decodeRoundOffer(offerPayload, cfg.ServerPub)
+	offer, err := engine.Await(ctx, conn, engine.TagRoundOffer, func(p []byte) (RoundOffer, error) {
+		return decodeRoundOffer(p, cfg.ServerPub)
+	})
 	if err != nil {
 		return Handshake{}, err
 	}
@@ -621,15 +607,13 @@ func RunHandshakeClient(ctx context.Context, cfg ClientHandshakeConfig, sess *se
 		StateHash:   hash,
 		NextRatchet: sess.NextRatchet(),
 	}
-	if err := conn.Send(transport.Frame{Stage: engine.TagRoundAck, Payload: encodeRoundAck(ack)}); err != nil {
+	if err := engine.Uplink(conn, engine.TagRoundAck, encodeRoundAck(ack)); err != nil {
 		return Handshake{}, err
 	}
 
-	commitPayload, err := recv(engine.TagRoundCommit)
-	if err != nil {
-		return Handshake{}, err
-	}
-	commit, err := decodeRoundCommit(commitPayload, cfg.ServerPub)
+	commit, err := engine.Await(ctx, conn, engine.TagRoundCommit, func(p []byte) (RoundCommit, error) {
+		return decodeRoundCommit(p, cfg.ServerPub)
+	})
 	if err != nil {
 		return Handshake{}, err
 	}

@@ -531,10 +531,13 @@ func (r *wireRig) checkMean(res *secagg.Result, survivors []uint64) {
 // is set on shards[s].
 type shardedRig struct {
 	t      *testing.T
+	ctx    context.Context
 	plan   *ShardPlan
 	shards []*wireRig
-	srv    transport.ServerConn // the combiner's end of the uplinks
-	eng    *engine.Engine
+	// srv is the combiner's end of the uplinks, which a scenario may wrap
+	// until the first round builds eng over it.
+	srv transport.ServerConn
+	eng *engine.Engine
 
 	// quorum is the combiner's (0: every shard); stageDeadline bounds its
 	// stages and each shard's wait for the report.
@@ -555,8 +558,7 @@ func newShardedRig(t *testing.T, ids []uint64, shards int, cfg secagg.Config) *s
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	net := transport.NewMemoryNetwork(64)
-	r := &shardedRig{t: t, plan: plan, srv: net.Server(), stageDeadline: 10 * time.Second}
-	r.eng = engine.New(engine.TransportSource(ctx, r.srv))
+	r := &shardedRig{t: t, ctx: ctx, plan: plan, srv: net.Server(), stageDeadline: 10 * time.Second}
 	t.Cleanup(func() {
 		cancel()
 		for _, sh := range r.shards {
@@ -606,6 +608,9 @@ type shardOutcome struct {
 // error and each shard's outcome.
 func (r *shardedRig) round(round uint64, drops secagg.DropSchedule) (*combine.RoundReport, []shardOutcome, error) {
 	r.t.Helper()
+	if r.eng == nil {
+		r.eng = engine.New(engine.TransportSource(r.ctx, r.srv))
+	}
 	r.sealed = make(chan struct{})
 	out := make([]shardOutcome, len(r.shards))
 	var wg sync.WaitGroup

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -28,7 +29,7 @@ type CombinerConfig struct {
 	// has not arrived by then is missing from a degraded report.
 	Quorum int
 	// StageDeadline bounds each collection stage (hello, partial);
-	// 0 defaults to 2s per stage, mirroring RunWireServer.
+	// 0 defaults to engine.DefaultDeadline, mirroring RunWireServer.
 	StageDeadline time.Duration
 	// AwaitHellos, when set, runs a quorum-bounded presence stage before
 	// the partial collection, so operators see dead shards before paying
@@ -62,7 +63,7 @@ type CombinerConfig struct {
 // than Quorum partials arrive before the deadline.
 func RunCombiner(ctx context.Context, cfg CombinerConfig, conn transport.ServerConn) (*combine.RoundReport, error) {
 	if cfg.StageDeadline <= 0 {
-		cfg.StageDeadline = 2 * time.Second
+		cfg.StageDeadline = engine.DefaultDeadline
 	}
 	comb, err := combine.New(cfg.Round, cfg.ShardIDs, cfg.Quorum)
 	if err != nil {
@@ -155,7 +156,7 @@ func RunCombiner(ctx context.Context, cfg CombinerConfig, conn transport.ServerC
 	if err != nil {
 		return nil, err
 	}
-	broadcast(conn, cfg.ShardIDs, engine.TagCombineReport, payload)
+	engine.Broadcast(conn, engine.TagCombineReport, payload, cfg.ShardIDs...)
 	if cfg.Transcript != nil {
 		if err := emitCombineTranscript(cfg.Transcript, cfg.Round, comb, conn); err != nil {
 			return nil, fmt.Errorf("core: combiner transcript: %w", err)
@@ -189,7 +190,7 @@ func emitCombineTranscript(rec *transcript.Recorder, round uint64, comb *combine
 		if err != nil {
 			return err
 		}
-		_ = conn.SendTo(id, transport.Frame{Stage: engine.TagCombineTranscript, Payload: payload})
+		engine.Broadcast(conn, engine.TagCombineTranscript, payload, id)
 	}
 	return nil
 }
@@ -211,7 +212,7 @@ type ShardWireConfig struct {
 	// handshake state exactly as in the flat deployment.
 	Server WireServerConfig
 	// ReportDeadline bounds the wait for the combiner's folded report
-	// after the partial is sent (0 = 2s).
+	// after the partial is sent (0 = engine.DefaultDeadline).
 	ReportDeadline time.Duration
 	// RelayCombineTranscript, with Server.Transcript set, makes the shard
 	// block (within ReportDeadline) for the combiner-tier transcript
@@ -231,10 +232,9 @@ type ShardWireConfig struct {
 // the caller keeps its local accounting even if the report never arrives.
 func RunShardWire(ctx context.Context, cfg ShardWireConfig, clients transport.ServerConn, up transport.ClientConn) (*combine.RoundReport, *secagg.Result, error) {
 	if cfg.ReportDeadline <= 0 {
-		cfg.ReportDeadline = 2 * time.Second
+		cfg.ReportDeadline = engine.DefaultDeadline
 	}
-	if err := up.Send(transport.Frame{Stage: engine.TagShardHello,
-		Payload: combine.EncodeHello(cfg.Round, cfg.Shard)}); err != nil {
+	if err := engine.Uplink(up, engine.TagShardHello, combine.EncodeHello(cfg.Round, cfg.Shard)); err != nil {
 		return nil, nil, fmt.Errorf("core: shard %d hello: %w", cfg.Shard, err)
 	}
 	res, err := RunWireServer(ctx, cfg.Server, clients)
@@ -259,44 +259,30 @@ func RunShardWire(ctx context.Context, cfg ShardWireConfig, clients transport.Se
 	if err != nil {
 		return nil, res, err
 	}
-	if err := up.Send(transport.Frame{Stage: engine.TagShardPartial, Payload: payload}); err != nil {
+	if err := engine.Uplink(up, engine.TagShardPartial, payload); err != nil {
 		return nil, res, fmt.Errorf("core: shard %d partial upload: %w", cfg.Shard, err)
 	}
 	waitCtx, cancel := context.WithTimeout(ctx, cfg.ReportDeadline)
 	defer cancel()
 	var report *combine.RoundReport
-	for report == nil {
-		f, err := up.Recv(waitCtx)
+	for report == nil || report.Round != cfg.Round { // a stale round's report is skipped
+		report, err = engine.Await(waitCtx, up, engine.TagCombineReport, combine.DecodeReport)
 		if err != nil {
 			return nil, res, fmt.Errorf("core: shard %d awaiting report: %w", cfg.Shard, err)
 		}
-		if f.Stage != engine.TagCombineReport {
-			continue // stale combiner traffic
-		}
-		r, err := combine.DecodeReport(f.Payload)
-		if err != nil {
-			return nil, res, err
-		}
-		if r.Round != cfg.Round {
-			continue
-		}
-		report = r
 	}
 	if cfg.RelayCombineTranscript && cfg.Server.Transcript != nil {
 		// The combiner-tier frame follows the report on the same ordered
 		// connection; relay it verbatim to every surviving client so each
-		// can verify its shard's place in the combiner's tree.
-		for {
-			f, err := up.Recv(waitCtx)
-			if err != nil {
-				return report, res, fmt.Errorf("core: shard %d awaiting combiner transcript: %w", cfg.Shard, err)
-			}
-			if f.Stage != engine.TagCombineTranscript {
-				continue
-			}
-			broadcast(clients, res.Survivors, engine.TagCombineTranscript, f.Payload)
-			break
+		// can verify its shard's place in the combiner's tree. The copy
+		// outlives the received frame, which Await releases.
+		tier, err := engine.Await(waitCtx, up, engine.TagCombineTranscript, func(p []byte) ([]byte, error) {
+			return bytes.Clone(p), nil
+		})
+		if err != nil {
+			return report, res, fmt.Errorf("core: shard %d awaiting combiner transcript: %w", cfg.Shard, err)
 		}
+		engine.Broadcast(clients, engine.TagCombineTranscript, tier, res.Survivors...)
 	}
 	return report, res, nil
 }

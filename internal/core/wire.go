@@ -62,18 +62,10 @@ type WireServerConfig struct {
 	Transcript *transcript.Recorder
 }
 
-// broadcast sends the same payload to every id.
-func broadcast(conn transport.ServerConn, ids []uint64, stage int, payload []byte) {
-	for _, id := range ids {
-		// Errors mean the client vanished; the protocol's thresholds
-		// handle that downstream.
-		_ = conn.SendTo(id, transport.Frame{Stage: stage, Payload: payload})
-	}
-}
-
 // RunWireServer drives the server side of one round through the shared
 // round engine and returns the aggregation result. ctx bounds the whole
-// round; cfg.StageDeadline bounds each stage's collection (≤0: 2s).
+// round; cfg.StageDeadline bounds each stage's collection (≤0:
+// engine.DefaultDeadline).
 func RunWireServer(ctx context.Context, cfg WireServerConfig, conn transport.ServerConn) (*secagg.Result, error) {
 	if cfg.Resume && cfg.Session == nil {
 		return nil, fmt.Errorf("core: resume requires a server session")
@@ -114,7 +106,7 @@ func emitTranscript(rec *transcript.Recorder, round uint64, roster []secagg.Adve
 	if err != nil {
 		return err
 	}
-	broadcast(conn, res.Survivors, engine.TagTranscriptCommit, commit)
+	engine.Broadcast(conn, engine.TagTranscriptCommit, commit, res.Survivors...)
 	for _, id := range res.Survivors {
 		pr, err := t.ProofFor(id)
 		if err != nil {
@@ -127,7 +119,7 @@ func emitTranscript(rec *transcript.Recorder, round uint64, roster []secagg.Adve
 		if err != nil {
 			return err
 		}
-		_ = conn.SendTo(id, transport.Frame{Stage: engine.TagTranscriptProof, Payload: payload})
+		engine.Broadcast(conn, engine.TagTranscriptProof, payload, id)
 	}
 	return nil
 }
@@ -222,18 +214,7 @@ func RunWireClient(ctx context.Context, cfg WireClientConfig, conn transport.Cli
 			td = 10 * time.Second
 		}
 		tctx, tcancel := context.WithTimeout(ctx, td)
-		recvTranscript := func(stage int) ([]byte, error) {
-			for {
-				f, err := conn.Recv(tctx)
-				if err != nil {
-					return nil, err
-				}
-				if f.Stage == stage {
-					return f.Payload, nil
-				}
-			}
-		}
-		err := verifyClientTranscript(cfg, client, round.Roster, recvTranscript)
+		err := verifyClientTranscript(tctx, cfg, client, round.Roster, conn)
 		tcancel()
 		if err != nil {
 			return nil, err
@@ -248,27 +229,19 @@ func RunWireClient(ctx context.Context, cfg WireClientConfig, conn transport.Cli
 	return round.Result, nil
 }
 
-// verifyClientTranscript runs the client's post-result audit: receive the
-// round Commitment and this client's Proof, check signature + inclusion +
-// chain through the auditor, and (for sharded deployments) the
+// verifyClientTranscript runs the client's post-result audit: await the
+// round Commitment and this client's Proof on conn, check signature +
+// inclusion + chain through the auditor, and (for sharded deployments) the
 // combiner-tier frame through the combine auditor.
-func verifyClientTranscript(cfg WireClientConfig, client *secagg.Client,
-	roster []secagg.AdvertiseMsg, recvFrame func(int) ([]byte, error)) error {
-	commitPayload, err := recvFrame(engine.TagTranscriptCommit)
+func verifyClientTranscript(ctx context.Context, cfg WireClientConfig, client *secagg.Client,
+	roster []secagg.AdvertiseMsg, conn transport.ClientConn) error {
+	commit, err := engine.Await(ctx, conn, engine.TagTranscriptCommit, transcript.DecodeCommitment)
 	if err != nil {
 		return fmt.Errorf("core: client %d awaiting transcript commitment: %w", cfg.ID, err)
 	}
-	commit, err := transcript.DecodeCommitment(commitPayload)
-	if err != nil {
-		return fmt.Errorf("core: client %d transcript commitment: %w", cfg.ID, err)
-	}
-	proofPayload, err := recvFrame(engine.TagTranscriptProof)
+	proof, err := engine.Await(ctx, conn, engine.TagTranscriptProof, transcript.DecodeProof)
 	if err != nil {
 		return fmt.Errorf("core: client %d awaiting inclusion proof: %w", cfg.ID, err)
-	}
-	proof, err := transcript.DecodeProof(proofPayload)
-	if err != nil {
-		return fmt.Errorf("core: client %d inclusion proof: %w", cfg.ID, err)
 	}
 	var self transcript.RosterEntry
 	found := false
@@ -290,13 +263,9 @@ func verifyClientTranscript(cfg WireClientConfig, client *secagg.Client,
 		return fmt.Errorf("core: client %d transcript audit: %w", cfg.ID, err)
 	}
 	if cfg.CombineTranscript != nil {
-		tierPayload, err := recvFrame(engine.TagCombineTranscript)
+		tier, err := engine.Await(ctx, conn, engine.TagCombineTranscript, transcript.DecodeCombineTier)
 		if err != nil {
 			return fmt.Errorf("core: client %d awaiting combiner-tier transcript: %w", cfg.ID, err)
-		}
-		tier, err := transcript.DecodeCombineTier(tierPayload)
-		if err != nil {
-			return fmt.Errorf("core: client %d combiner-tier transcript: %w", cfg.ID, err)
 		}
 		if err := cfg.CombineTranscript.VerifyTier(&tier.Commitment, &tier.Proof, commit.Root()); err != nil {
 			return fmt.Errorf("core: client %d combiner-tier audit: %w", cfg.ID, err)

@@ -26,7 +26,10 @@
 // values in lockstep in-process (RunLocal), each downlink's recipients
 // stepping on ForEach's bounded claiming workers, or a Codec's encodings
 // over a transport with a per-stage deadline on the wire (ServeWire,
-// JoinWire).
+// JoinWire). Every frame outside the stage tables — the handshake, the
+// transcript tail, the combiner leg — goes through two primitives,
+// Broadcast (and its one-recipient twin Uplink) and Await; with the walkers
+// they are every point at which a frame goes back to the transport.
 // The engine stays protocol-agnostic throughout: message bodies are
 // opaque, and everything substrate-specific is a table row — how a round
 // resumes included, so neither walker special-cases a step index. See
@@ -51,11 +54,13 @@ type Msg struct {
 
 // release hands a wire message's frame payload back to the transport
 // (transport.Release; ARCHITECTURE.md "Frame ownership"). The engine owns
-// every release point: Collect calls it once a frame's Apply has returned
-// or the frame is discarded, so a Decode may borrow from the payload —
-// core's masked-input decoder does — as long as Apply retains nothing of
-// it. The client walker releases a downlink frame after its step's Do
-// likewise. Typed in-process bodies have no frame.
+// every release point — the two walkers and the two primitives, Broadcast
+// (with Uplink) and Await: Collect calls it once a frame's Apply has
+// returned or the frame is discarded, so a Decode may borrow from the
+// payload — core's masked-input decoder does — as long as Apply retains
+// nothing of it. The client walker releases a downlink frame after its
+// step's Do likewise, Broadcast and Uplink a payload after its last write,
+// Await a frame after its decode. Typed in-process bodies have no frame.
 func (m Msg) release() {
 	if p, ok := m.Body.([]byte); ok {
 		transport.Release(p)

@@ -329,7 +329,7 @@ func (s *sharedReader) Read(p []byte) (int, error) {
 // ServeWire walks a server program over a transport: frames are admitted
 // as they arrive, decoded by the codec and applied on the walker's own
 // goroutine while later frames queue in the engine's fan-in, and each
-// step waits at most deadline (≤0: 2s) for its senders — the
+// step waits at most deadline (≤0: DefaultDeadline) for its senders — the
 // deadline-based collection of the paper's §2.1. eng, when non-nil, is
 // the externally owned engine whose fan-in spans every handshake and
 // round on conn; nil builds one for this round.
@@ -337,7 +337,7 @@ func ServeWire(ctx context.Context, conn transport.ServerConn, eng *Engine, code
 	deadline time.Duration, p ServerProgram) error {
 
 	if deadline <= 0 {
-		deadline = 2 * time.Second
+		deadline = DefaultDeadline
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -362,19 +362,58 @@ func ServeWire(ctx context.Context, conn transport.ServerConn, eng *Engine, code
 	}, p)
 }
 
-// sendTo encodes one downlink body once and sends it to every id in to.
+// sendTo encodes one downlink body once and broadcasts it to every id in to.
 func sendTo(conn transport.ServerConn, codec Codec, tag int, body any, to ...uint64) error {
 	payload, err := codec.encode(tag, body)
 	if err != nil {
 		return err
 	}
+	Broadcast(conn, tag, payload, to...)
+	return nil
+}
+
+// DefaultDeadline is how long a wire stage waits for its senders when its
+// caller sets no wait of its own (zero or negative).
+const DefaultDeadline = 2 * time.Second
+
+// Broadcast sends payload under tag to every id in to, then releases it:
+// the caller hands it over. A send error means the recipient vanished,
+// which the protocol's thresholds handle downstream, so it is no error
+// here.
+func Broadcast(conn transport.ServerConn, tag int, payload []byte, to ...uint64) {
 	for _, id := range to {
-		// A send error means the client vanished; the protocol's
-		// thresholds handle that downstream.
 		_ = conn.SendTo(id, transport.Frame{Stage: tag, Payload: payload})
 	}
 	transport.Release(payload)
-	return nil
+}
+
+// Uplink is Broadcast's one-recipient twin on a client's connection: it
+// sends payload under tag to the server, then releases it. A lost server
+// is the caller's error.
+func Uplink(conn transport.ClientConn, tag int, payload []byte) error {
+	err := conn.Send(transport.Frame{Stage: tag, Payload: payload})
+	transport.Release(payload)
+	return err
+}
+
+// Await receives from conn until a frame tagged tag arrives, releasing
+// every other frame it reads, and returns decode's reading of that frame,
+// whose payload it releases once decode has returned: decode keeps no
+// alias into it. The context's error ends the wait.
+func Await[T any](ctx context.Context, conn transport.ClientConn, tag int, decode func([]byte) (T, error)) (T, error) {
+	for {
+		f, err := conn.Recv(ctx)
+		if err != nil {
+			var zero T
+			return zero, err
+		}
+		if f.Stage == tag {
+			v, err := decode(f.Payload)
+			transport.Release(f.Payload)
+			return v, err
+		}
+		transport.Release(f.Payload)
+	}
 }
 
 // JoinWire walks a client program over a transport connection: a frame
@@ -390,9 +429,7 @@ func JoinWire(ctx context.Context, conn transport.ClientConn, codec Codec,
 		if err != nil {
 			return err
 		}
-		err = conn.Send(transport.Frame{Stage: tag, Payload: payload})
-		transport.Release(payload)
-		return err
+		return Uplink(conn, tag, payload)
 	}
 	w := clientWalk{p: p, drop: dropStep}
 	err := w.advance(Msg{Stage: NoTag}, send)

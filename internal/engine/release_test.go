@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 	"unsafe"
@@ -154,5 +155,105 @@ func TestJoinWireReleasesAfterDo(t *testing.T) {
 	}
 	if !releasedFrames(map[string]Msg{"awaited": msgs["awaited"]})["awaited"] {
 		t.Error("the awaited frame was not released after its step's Do")
+	}
+}
+
+// sendProbe is a server connection that asks, at every send, whether the
+// payload is already back in the transport's free list.
+type sendProbe struct {
+	transport.ServerConn
+	frame Msg
+	early bool // a send saw the payload released
+}
+
+func (c *sendProbe) SendTo(id uint64, f transport.Frame) error {
+	c.early = c.early || releasedFrames(map[string]Msg{"p": c.frame})["p"]
+	return c.ServerConn.SendTo(id, f)
+}
+
+// TestBroadcastReleasesOnceAfterLastSend: Broadcast delivers the same
+// bytes to every recipient, skips a vanished one without an error, and
+// hands the payload back exactly once, after its last send.
+func TestBroadcastReleasesOnceAfterLastSend(t *testing.T) {
+	net := transport.NewMemoryNetwork(4)
+	conns := map[uint64]transport.ClientConn{}
+	for _, id := range []uint64{1, 2, 3} {
+		c, err := net.Connect(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns[id] = c
+	}
+	conns[2].Close()
+	m := leasedFrame(t, 0, 7, "broadcast")
+	payload := m.Body.([]byte)
+	want := string(payload)
+	probe := &sendProbe{ServerConn: net.Server(), frame: m}
+	Broadcast(probe, 7, payload, 1, 2, 3)
+	if probe.early {
+		t.Fatal("the payload was released before the last send")
+	}
+	released := 0
+	for range 3 {
+		p, _ := transport.NewWriter(0, 0, 3000).Done()
+		if unsafe.SliceData(p) == unsafe.SliceData(payload) {
+			released++
+		}
+	}
+	if released != 1 {
+		t.Fatalf("the payload was released %d times, want once", released)
+	}
+	for _, id := range []uint64{1, 3} {
+		f, err := conns[id].Recv(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Stage != 7 || string(f.Payload) != want {
+			t.Fatalf("client %d received tag %d %q, want tag 7 %q", id, f.Stage, f.Payload, want)
+		}
+	}
+}
+
+// TestAwaitReleasesWhatItReads: Await returns the decoding of the first
+// frame of its tag, releases that frame once the decode has returned and
+// every other frame it read as it skips it, leaves the frames after it
+// unread, and ends with the context's error at the deadline.
+func TestAwaitReleasesWhatItReads(t *testing.T) {
+	msgs := map[string]Msg{
+		"other":  leasedFrame(t, 0, 5, "other"),
+		"stale":  leasedFrame(t, 0, 6, "stale"),
+		"first":  leasedFrame(t, 0, 7, "first"),
+		"second": leasedFrame(t, 0, 7, "second"),
+	}
+	conn := &frameConn{}
+	for _, name := range []string{"other", "stale", "first", "second"} {
+		conn.frames = append(conn.frames, transport.Frame{Stage: msgs[name].Stage, Payload: msgs[name].Body.([]byte)})
+	}
+	var during map[string]bool
+	got, err := Await(context.Background(), conn, 7, func(p []byte) (string, error) {
+		during = releasedFrames(msgs)
+		return label(Msg{Body: p}), nil
+	})
+	if err != nil || got != "first" {
+		t.Fatalf("Await = %q, %v; want the first frame of its tag", got, err)
+	}
+	if !during["other"] || !during["stale"] {
+		t.Errorf("the skipped frames were not released as they were read: %v", during)
+	}
+	if during["first"] {
+		t.Fatal("the awaited frame was released before its decode returned")
+	}
+	after := releasedFrames(msgs)
+	if !after["first"] {
+		t.Error("the awaited frame was not released after its decode")
+	}
+	if after["second"] || len(conn.frames) != 1 {
+		t.Error("Await read past the frame it awaited")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := Await(ctx, &frameConn{}, 7, func(p []byte) ([]byte, error) { return p, nil }); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Await at the deadline: %v, want the context's error", err)
 	}
 }

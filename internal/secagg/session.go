@@ -143,11 +143,14 @@ func (d *deal) redelivered(cts []EncryptedShareMsg) bool {
 
 // fits reports whether a sub-round of cfg, sharing keys against roster,
 // would deal exactly what d dealt for client id: the same abscissas, the
-// same threshold, the same recipients and the same keys.
+// same threshold, the same recipients and the same keys. Under the
+// complete graph on both sides the recipients are the other ClientIDs, so
+// only a graph's neighbourhoods are compared (from the validated memo).
 func (d *deal) fits(cfg Config, id uint64, roster []AdvertiseMsg) bool {
 	return cfg.Threshold == d.cfg.Threshold && cfg.Registry == d.cfg.Registry &&
 		slices.Equal(cfg.ClientIDs, d.cfg.ClientIDs) &&
-		slices.Equal(cfg.neighborhood(id), d.cfg.neighborhood(id)) &&
+		(cfg.Graph == nil && d.cfg.Graph == nil ||
+			slices.Equal(cfg.neighborhood(id), d.cfg.neighborhood(id))) &&
 		slices.EqualFunc(roster, d.roster, func(a, b AdvertiseMsg) bool {
 			return a.From == b.From && bytes.Equal(a.CipherPub, b.CipherPub) &&
 				bytes.Equal(a.MaskPub, b.MaskPub) && bytes.Equal(a.Signature, b.Signature)

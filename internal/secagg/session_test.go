@@ -802,6 +802,57 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// ringGraph links each id to the next and the previous one, cyclically.
+type ringGraph []uint64
+
+func (g ringGraph) Neighbors(id uint64) []uint64 {
+	i := slices.Index(g, id)
+	return []uint64{g[(i+len(g)-1)%len(g)], g[(i+1)%len(g)]}
+}
+
+// TestDealFitsAllocatesNothing: a sub-round that reuses its step's deal
+// checks the deal without building a neighbourhood. Under the complete
+// graph on both sides the recipients are the other ClientIDs, which fits
+// compares already; a graph's neighbourhoods still decide, read from the
+// validated memo.
+func TestDealFitsAllocatesNothing(t *testing.T) {
+	const n = 64
+	ids := make([]uint64, n)
+	roster := make([]AdvertiseMsg, n)
+	for i := range ids {
+		ids[i] = uint64(i + 1)
+		roster[i] = AdvertiseMsg{From: ids[i], CipherPub: []byte{byte(i), 1}, MaskPub: []byte{byte(i), 2}}
+	}
+	cfg := Config{ClientIDs: ids, Threshold: 3, Bits: 16, Dim: 8} // a ring neighbourhood holds 3
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	d := &deal{cfg: cfg, roster: roster}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if !d.fits(cfg, 1, roster) {
+			t.Fatal("the deal does not fit the sub-round that dealt it")
+		}
+	}); allocs != 0 {
+		t.Fatalf("fits on a %d-client complete-graph deal allocates %v, want 0", n, allocs)
+	}
+
+	graphed := cfg
+	graphed.Graph = ringGraph(ids)
+	if err := graphed.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if d.fits(graphed, 1, roster) {
+		t.Fatal("a complete-graph deal fits a ring-graph sub-round")
+	}
+	d.cfg = graphed
+	if !d.fits(graphed, 1, roster) {
+		t.Fatal("a ring-graph deal does not fit its own sub-round")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { d.fits(graphed, 1, roster) }); allocs != 0 {
+		t.Fatalf("fits on a validated ring-graph deal allocates %v, want 0", allocs)
+	}
+}
+
 // TestSessionsRejectDerivationPointReuse: running two aggregations over
 // the same sessions at an identical (KeyRatchet, MaskEpoch) point must be
 // refused — it would repeat every pairwise mask stream, letting the server
