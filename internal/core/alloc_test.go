@@ -174,8 +174,7 @@ func TestWireRoundAllocBudget(t *testing.T) {
 //     left the stream (the windows lie end to end), so nothing is re-aimed;
 //   - the share stage's lists, which every sub-round after the first still
 //     routes although it reuses the first one's deal;
-//   - each client's stage table, built per sub-round, and its session's
-//     copy of the roster (the session layer copies what it stores).
+//   - each client's stage table, built per sub-round.
 //
 // With every client re-expanding the rotation, every (client, chunk)
 // copying its window and making its noise vector, and two AES-GCM key
@@ -197,8 +196,10 @@ func TestWireRoundAllocBudget(t *testing.T) {
 // lookahead inline and every (pair, chunk) lookup copied its peer's key
 // into a string, and at ≈1.46× (≈3.35× under -race) while every (client,
 // sub-round) on the deal rebuilt its mask list, copied U3 twice and grew
-// its secret caches from empty. It runs at ≈1.33× now, ≈3.16× under
-// -race.
+// its secret caches from empty, and at ≈1.33× (≈3.16× under -race) while
+// every client session copied the roster it stored and every (client,
+// sub-round) moved its result, and every stamped uplink, to the heap. It
+// runs at ≈1.29× now, ≈3.10× under -race.
 //
 // lsa_dropout's shape — 32 clients, 16384 coordinates in 4 chunks on
 // LightSecAgg, U = 24 and T = D = 8, XNoise tolerating 8 dropouts with 4

@@ -199,7 +199,7 @@ func RunWireClient(ctx context.Context, cfg WireClientConfig, conn transport.Cli
 	if err := engine.JoinWire(ctx, conn, wireCodec, program, int(cfg.DropBefore)); err != nil {
 		return nil, err
 	}
-	if round.Result == nil {
+	if !round.Received {
 		return nil, nil
 	}
 	// The transcript frames follow the result on the same ordered
@@ -226,7 +226,7 @@ func RunWireClient(ctx context.Context, cfg WireClientConfig, conn transport.Cli
 	if cfg.Session != nil {
 		cfg.Session.ClearTaint()
 	}
-	return round.Result, nil
+	return &round.Result, nil
 }
 
 // verifyClientTranscript runs the client's post-result audit: await the

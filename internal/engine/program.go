@@ -55,23 +55,11 @@ type ServerStep struct {
 	Name string
 	Tag  int // the uplink tag the step collects
 	// Apply feeds one message to the state machine; from is the sender the
-	// link verified (see Stamped).
+	// link verified, which a row writes over any sender its message names.
 	Apply func(from uint64, body any) error
 	// QuorumMet completes the step early (engine.Stage).
 	QuorumMet func() bool
 	Seal      func() (Downlink, error)
-}
-
-// Stamped adapts a state machine's typed Add method to ServerStep.Apply
-// for a message type that names its own sender: the field from points at
-// is overwritten with the link-verified sender, so no client can upload
-// under another's id.
-func Stamped[T any](add func(T) error, from func(*T) *uint64) func(uint64, any) error {
-	return func(sender uint64, body any) error {
-		m := body.(T)
-		*from(&m) = sender
-		return add(m)
-	}
 }
 
 // ServerProgram is a substrate's server side of one round.

@@ -110,11 +110,13 @@ func RunWithSessions(cfg Config, inputs map[uint64][]field.Element,
 			func(c *Client) (AdvertiseMsg, error) { return c.Advertise(), nil },
 			func(_ uint64, m AdvertiseMsg) error { return server.AddAdvertise(m) },
 			server.SealAdvertise)
+		if err == nil {
+			sess.Server.StoreRoster(roster, ids)
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	sess.Server.StoreRoster(roster, ids)
 
 	deliveries, err := stage(StageShares, drops.live(StageShares, clients),
 		func(c *Client) ([]Envelope, error) { return c.SealShares(roster) },

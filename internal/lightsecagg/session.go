@@ -197,15 +197,39 @@ func (s *Session) matrix(cfg Config) (*encodingMatrix, error) {
 }
 
 // ServerSession is the aggregator's state across the sub-rounds of one
-// round: the shared continuity state (session.ServerState — the sealed
-// roster for the advertise skip; the server never reconstructs client key
-// material, so its taint set stays empty) and nothing else.
+// round: the roster the last sealed advertise stage broadcast and the
+// client set it was sealed for, so a later sub-round skips the advertise
+// stage. It keeps nothing else — no taint, no ratchet mark, no record:
+// the server never reconstructs client key material, and LightSecAgg
+// sessions live one in-process round. Safe for concurrent use.
 type ServerSession struct {
-	session.ServerState
+	mu        sync.Mutex
+	roster    []AdvertiseMsg
+	rosterIDs []uint64
 }
 
 // NewServerSession returns an empty server session.
 func NewServerSession() *ServerSession { return &ServerSession{} }
+
+// StoreRoster caches the sealed stage-0 roster together with the client
+// set it was sealed for, copying both: the caller's slices stay its own.
+func (s *ServerSession) StoreRoster(roster []AdvertiseMsg, clientIDs []uint64) {
+	r, ids := slices.Clone(roster), slices.Clone(clientIDs)
+	s.mu.Lock()
+	s.roster, s.rosterIDs = r, ids
+	s.mu.Unlock()
+}
+
+// RosterFor returns the cached roster if it was sealed for exactly the
+// given client set, else nil.
+func (s *ServerSession) RosterFor(clientIDs []uint64) []AdvertiseMsg {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.roster == nil || !slices.Equal(s.rosterIDs, clientIDs) {
+		return nil
+	}
+	return s.roster
+}
 
 // RoundSessions bundles the per-participant sessions a driver shares
 // across the chunked sub-rounds of one logical round (core.RunRound builds
@@ -252,15 +276,24 @@ func (rs *RoundSessions) Release() {
 }
 
 // resumable reports whether the sessions can skip the advertise stage for
-// cfg (session.ServerState.Resumable over every sampled client: the
-// offline phase needs them all, so there is no partial-roster resume;
-// rosterBroadcast follows ClientIDs order, so both are ascending).
+// cfg: the cached roster was sealed for exactly cfg.ClientIDs, lists every
+// one of them — the offline phase needs them all, so there is no
+// partial-roster resume — and each member's client session still
+// advertises the cached channel key. rosterBroadcast follows ClientIDs
+// order, so the roster is ascending like them.
 func (rs *RoundSessions) resumable(cfg Config) bool {
 	if rs == nil {
 		return false
 	}
-	return rs.Server.Resumable(cfg.ClientIDs, cfg.ClientIDs, func(m AdvertiseMsg) bool {
+	roster := rs.Server.RosterFor(cfg.ClientIDs)
+	if roster == nil || len(roster) != len(cfg.ClientIDs) {
+		return false
+	}
+	for i, m := range roster {
 		sess := rs.Client[m.From]
-		return sess != nil && bytes.Equal(sess.PublicBytes(), m.CipherPub)
-	})
+		if m.From != cfg.ClientIDs[i] || sess == nil || !bytes.Equal(sess.PublicBytes(), m.CipherPub) {
+			return false
+		}
+	}
+	return true
 }

@@ -93,6 +93,63 @@ func TestSessionsSkipAdvertiseOnResume(t *testing.T) {
 	}
 }
 
+// TestCachedRosterResumes: a cached roster resumes a sub-round only for
+// the id set it was sealed for, only when it lists every one of them, and
+// only while every client session still advertises the cached channel key.
+func TestCachedRosterResumes(t *testing.T) {
+	cfg := testConfig(4, 1, 1, 16)
+	ids := cfg.ClientIDs
+	sess, err := NewRoundSessions(ids, rng("cached-roster"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	advertised := func() []AdvertiseMsg {
+		roster := make([]AdvertiseMsg, len(ids))
+		for i, id := range ids {
+			roster[i] = AdvertiseMsg{From: id, CipherPub: sess.Client[id].PublicBytes()}
+		}
+		return roster
+	}
+	roster := advertised()
+	sess.Server.StoreRoster(roster, ids)
+	roster[0].From = 99 // the cache holds its own copy
+	if !sess.resumable(cfg) {
+		t.Fatal("a roster sealed for the round's clients, on their keys, must resume")
+	}
+	for _, other := range [][]uint64{ids[:3], {2, 1, 3, 4}, {1, 2, 3, 4, 5}} {
+		if sess.Server.RosterFor(other) != nil {
+			t.Errorf("RosterFor(%v) answered for a roster sealed for %v", other, ids)
+		}
+		o := cfg
+		o.ClientIDs = other
+		if sess.resumable(o) {
+			t.Errorf("resumable over %v on a roster sealed for %v", other, ids)
+		}
+	}
+
+	sess.Server.StoreRoster(advertised()[:3], ids)
+	if sess.resumable(cfg) {
+		t.Error("resumable on a roster missing a sampled client")
+	}
+	sess.Server.StoreRoster(advertised(), ids)
+	rekeyed, err := NewSession(rng("cached-roster-rekey"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Client[2] = rekeyed
+	if sess.resumable(cfg) {
+		t.Error("resumable although client 2's session advertises another key")
+	}
+	delete(sess.Client, 2)
+	if sess.resumable(cfg) {
+		t.Error("resumable although client 2 has no session")
+	}
+	var none *RoundSessions
+	if none.resumable(cfg) {
+		t.Error("no sessions resumed")
+	}
+}
+
 // TestSessionsResumeWithDropouts: a resumed round still handles the §6.1
 // dropout model — and because LightSecAgg's server never reconstructs
 // client keys, the dropper's session stays valid for the round after.

@@ -44,8 +44,9 @@ type ServerRound struct {
 }
 
 // Program lays the server's round out as a stage table over its Add*/Seal*
-// methods. Every message that names its sender gets the link-verified one
-// stamped over it (engine.Stamped).
+// methods. Every row whose message names its sender writes the
+// link-verified one over it, on its own copy, so no client uploads under
+// another's id.
 func (s *Server) Program(round *ServerRound, resume bool, divergent []uint64) engine.ServerProgram {
 	cfg := s.cfg
 	var noiseReq *NoiseShareRequest
@@ -63,7 +64,11 @@ func (s *Server) Program(round *ServerRound, resume bool, divergent []uint64) en
 	}
 	steps := []engine.ServerStep{{
 		Name: StageAdvertiseKeys.String(), Tag: TagAdvertise,
-		Apply: engine.Stamped(s.AddAdvertise, func(m *AdvertiseMsg) *uint64 { return &m.From }),
+		Apply: func(from uint64, body any) error {
+			m := body.(AdvertiseMsg)
+			m.From = from
+			return s.AddAdvertise(m)
+		},
 		Seal: func() (engine.Downlink, error) {
 			if resume {
 				cached := s.session.RosterFor(cfg.ClientIDs)
@@ -98,7 +103,11 @@ func (s *Server) Program(round *ServerRound, resume bool, divergent []uint64) en
 		// Masked vectors fold into the partial aggregate as they arrive —
 		// the round's dominant payload never waits for a stage barrier.
 		Name: StageMaskedInput.String(), Tag: TagMasked,
-		Apply: engine.Stamped(s.AddMasked, func(m *MaskedInputMsg) *uint64 { return &m.From }),
+		Apply: func(from uint64, body any) error {
+			m := body.(MaskedInputMsg)
+			m.From = from
+			return s.AddMasked(m)
+		},
 		Seal: func() (engine.Downlink, error) {
 			u3, err := s.SealMasked()
 			return engine.Downlink{Tag: TagConsistencyReq, To: u3, Body: u3}, err
@@ -106,7 +115,11 @@ func (s *Server) Program(round *ServerRound, resume bool, divergent []uint64) en
 	}, {
 		// Uniform flow: signatures are empty when semi-honest.
 		Name: StageConsistencyCheck.String(), Tag: TagConsistency,
-		Apply: engine.Stamped(s.AddConsistency, func(m *ConsistencyMsg) *uint64 { return &m.From }),
+		Apply: func(from uint64, body any) error {
+			m := body.(ConsistencyMsg)
+			m.From = from
+			return s.AddConsistency(m)
+		},
 		Seal: func() (engine.Downlink, error) {
 			req, err := s.SealConsistency()
 			return engine.Downlink{Tag: TagUnmaskReq, To: req.U4, Body: req}, err
@@ -117,7 +130,11 @@ func (s *Server) Program(round *ServerRound, resume bool, divergent []uint64) en
 		// SecAgg+ graph when the last short cohort fills, under the
 		// complete graph at the t-th response.
 		Name: StageUnmasking.String(), Tag: TagUnmask, QuorumMet: unmaskQuorumMet,
-		Apply: engine.Stamped(s.AddUnmask, func(m *UnmaskMsg) *uint64 { return &m.From }),
+		Apply: func(from uint64, body any) error {
+			m := body.(UnmaskMsg)
+			m.From = from
+			return s.AddUnmask(m)
+		},
 		Seal: func() (engine.Downlink, error) {
 			var err error
 			if noiseReq, err = s.SealUnmask(); noiseReq == nil {
@@ -129,7 +146,11 @@ func (s *Server) Program(round *ServerRound, resume bool, divergent []uint64) en
 		// Collected only when survivors died between stages 2 and 4; the
 		// seal closes the round either way.
 		Name: StageNoiseRemoval.String(), Tag: TagNoise,
-		Apply: engine.Stamped(s.AddNoiseShare, func(m *NoiseShareMsg) *uint64 { return &m.From }),
+		Apply: func(from uint64, body any) error {
+			m := body.(NoiseShareMsg)
+			m.From = from
+			return s.AddNoiseShare(m)
+		},
 		Seal: func() (engine.Downlink, error) {
 			if noiseReq != nil {
 				if err := s.SealNoiseShares(); err != nil {
@@ -146,8 +167,9 @@ func (s *Server) Program(round *ServerRound, resume bool, divergent []uint64) en
 
 // ClientRound is what walking a client's Program leaves behind.
 type ClientRound struct {
-	Roster []AdvertiseMsg // the roster the client shared keys against
-	Result *Result        // nil when the client dropped or was excluded
+	Roster   []AdvertiseMsg // the roster the client shared keys against
+	Result   Result         // the round's result, when Received
+	Received bool           // false when the client dropped or was excluded
 }
 
 // Program lays the client's round out as a stage table over its stage
@@ -210,7 +232,7 @@ func (c *Client) Program(round *ClientRound, resume bool, divergent []uint64) en
 		Do: func(body any) (any, error) {
 			res, err := c.receiveResult(body.(Result))
 			if err == nil {
-				round.Result = &res
+				round.Result, round.Received = res, true
 			}
 			return nil, err
 		},

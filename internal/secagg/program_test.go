@@ -133,3 +133,31 @@ func TestResumeRows(t *testing.T) {
 		}
 	})
 }
+
+// TestResultStepAllocatesNothing: the Result step keeps what it receives
+// in the ClientRound by value, so a warm step's Do allocates nothing —
+// RunWithSessions walks it once per (client, sub-round) and discards the
+// round.
+func TestResultStepAllocatesNothing(t *testing.T) {
+	const n, dim = 5, 32
+	cfg, inputs, _ := sessionRoundConfig(n, dim)
+	c, err := newClient(cfg, 1, inputs[1], nil, sessionRand("result-step"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var round ClientRound
+	steps := c.Program(&round, false, nil).Steps
+	result := steps[len(steps)-1]
+	want := Result{Sum: make([]uint64, dim), Survivors: cfg.ClientIDs}
+	var body any = want
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := result.Do(body); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("a warm Result step allocates %v per Do, want 0", allocs)
+	}
+	if !round.Received || &round.Result.Sum[0] != &want.Sum[0] {
+		t.Fatal("the Result step did not keep the result it received")
+	}
+}

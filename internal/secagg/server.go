@@ -475,8 +475,7 @@ func (s *Server) unmask() error {
 		// The server is about to hold v's raw mask key: taint v in the
 		// session so no later round resumes on a key generation whose
 		// future pairwise masks this server can now derive.
-		s.session.MarkTainted(v)
-		kp := s.session.key(advPub)
+		kp := s.session.taintKey(v, advPub)
 		if kp == nil {
 			bundles := s.maskKeyShares[v]
 			keyBytes, err := reconstructKey(bundles, s.cfg.Threshold)

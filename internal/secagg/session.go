@@ -160,12 +160,16 @@ func (d *deal) fits(cfg Config, id uint64, roster []AdvertiseMsg) bool {
 // Session is one client's amortized key-agreement state: the two X25519
 // key pairs it advertises and the pairwise secrets agreed with each peer,
 // cached across the sub-rounds (pipeline chunks) and rounds that share the
-// session, on top of the shared continuity state (session.ClientState:
-// cached roster, in-flight taint, ratchet high-water mark). Taint is real
-// on this substrate — a client that vanished mid-round may have had its
-// mask key reconstructed by the server — and a ratchet step derives mask
-// streams, so resuming below the mark would repeat them. Safe for
-// concurrent use — mask expansion fans agreements across a worker pool.
+// session, with the continuity state the re-key handshake
+// (core.RunHandshakeClient) drives and the session persists: the cached
+// roster (advertise skip), the ratchet high-water mark, and taint, which
+// marks a round in flight or abandoned — set when the client commits to a
+// round, cleared only on clean completion. A client that vanished
+// mid-round may have had its mask key reconstructed by the server, so a
+// tainted session must never resume: the next handshake reports the taint
+// and forces a re-key. A ratchet step derives mask streams, so resuming
+// below the mark would repeat them. Safe for concurrent use — mask
+// expansion fans agreements across a worker pool.
 //
 // The session also keeps its client's one buffer (NewClient), leased from
 // buffers, across the sub-rounds and rounds that share it, re-sliced to
@@ -173,11 +177,13 @@ func (d *deal) fits(cfg Config, id uint64, roster []AdvertiseMsg) bool {
 // upload and the sum it receives live there until the session's next
 // sub-round or RoundSessions.Release.
 type Session struct {
-	session.ClientState
-
-	mu        sync.Mutex  // guards the key pairs (Rekey swaps them) and the step state
+	mu        sync.Mutex  // guards every field but the two secret caches, which lock themselves
 	cipherKey *dh.KeyPair // c^PK / c^SK
 	maskKey   *dh.KeyPair // s^PK / s^SK
+
+	roster      []AdvertiseMsg // the last completed advertise stage's roster; nil when none
+	nextRatchet uint64         // the lowest ratchet step not served yet
+	taint       bool           // a round in flight or abandoned
 
 	mask    session.Secrets // peer mask pub → secret
 	channel session.Secrets // peer cipher pub → channel key
@@ -302,6 +308,77 @@ func (s *Session) channelKey(peerPub []byte, step uint64) (*aead.Key, error) {
 		func() ([dh.SharedSize]byte, error) { return cipherKey.Agree(peerPub) })
 }
 
+// StoreRoster caches the verified stage-0 roster of a completed advertise
+// stage, so a later round on the session can skip the advertise stage; the
+// driver stores only rosters it obtained that way. The session keeps the
+// slice it is handed — the step's deal borrows the same one (ShareKeys) —
+// so nobody writes to it afterwards, and RekeyEdges never filters it in
+// place.
+func (s *Session) StoreRoster(roster []AdvertiseMsg) {
+	s.mu.Lock()
+	s.roster = roster
+	s.mu.Unlock()
+}
+
+// Roster returns the cached stage-0 roster, or nil when none is stored.
+func (s *Session) Roster() []AdvertiseMsg {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.roster
+}
+
+// StateHash returns the digest of the roster this session could resume on,
+// with ok=false when no completed advertise stage was cached. It is the
+// client's half of the handshake's shared-state check.
+func (s *Session) StateHash() ([32]byte, bool) {
+	roster := s.Roster()
+	if roster == nil {
+		return [32]byte{}, false
+	}
+	return session.RosterHash(roster), true
+}
+
+// Taint marks a round in flight on this session: until ClearTaint, the
+// session must not resume. Drivers taint when they commit to a round and
+// clear only on clean completion, so a crash-and-restore surfaces as taint
+// at the next handshake.
+func (s *Session) Taint() { s.setTaint(true) }
+
+// ClearTaint marks the in-flight round cleanly completed.
+func (s *Session) ClearTaint() { s.setTaint(false) }
+
+func (s *Session) setTaint(t bool) {
+	s.mu.Lock()
+	s.taint = t
+	s.mu.Unlock()
+}
+
+// Tainted reports whether the session carries dropout taint.
+func (s *Session) Tainted() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.taint
+}
+
+// NextRatchet returns the lowest ratchet step this key generation has not
+// served yet. Resuming at an earlier step would repeat the mask streams
+// the step derives, so the handshake refuses offers below it.
+func (s *Session) NextRatchet() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.nextRatchet
+}
+
+// MarkRatchetUsed burns the derivation point at step: the session will
+// refuse to resume at or below it. Burning happens at handshake commit
+// time, before the round runs, so an aborted round still consumes its
+// step. The mark only ever rises.
+func (s *Session) MarkRatchetUsed(step uint64) {
+	s.mu.Lock()
+	s.nextRatchet = max(s.nextRatchet, step+1)
+	s.mu.Unlock()
+}
+
 // Rekey replaces the session's key pairs with fresh ones and drops every
 // cached secret, the deal, the reveal ledger, the roster, the taint, and
 // the ratchet position — the clean re-key the handshake falls back to
@@ -318,10 +395,10 @@ func (s *Session) Rekey(rand io.Reader) error {
 	s.mu.Lock()
 	s.cipherKey, s.maskKey = cipherKey, maskKey
 	s.deal, s.revealed = nil, nil
+	s.roster, s.taint, s.nextRatchet = nil, false, 0
 	s.mu.Unlock()
 	s.mask.Clear()
 	s.channel.Clear()
-	s.Reset()
 	return nil
 }
 
@@ -333,32 +410,63 @@ func (s *Session) Rekey(rand io.Reader) error {
 // restart from the new secrets); the rest of the graph keeps its cached
 // secrets and skips advertise. The step's deal goes too (it was dealt
 // against the old roster), and so do the divergent members' ledger
-// entries: their next secrets are new ones.
+// entries: their next secrets are new ones. Taint and the ratchet position
+// are left to the handshake, which manages them around a partial resume.
 func (s *Session) RekeyEdges(ids []uint64) {
 	s.mu.Lock()
 	s.deal = nil
 	for _, id := range ids {
 		delete(s.revealed, id)
 	}
+	var dropped []AdvertiseMsg
+	s.roster, dropped = dropMembers(s.roster, ids)
 	s.mu.Unlock()
-	for _, m := range s.DropMembers(ids) {
+	for _, m := range dropped {
 		s.mask.Delete(string(m.MaskPub))
 		s.channel.Delete(string(m.CipherPub))
 	}
+}
+
+// dropMembers splits roster into the entries of members not in ids and
+// those of members in ids. The kept roster is a fresh slice, never roster
+// filtered in place: Roster and RosterFor hand out the cached slice, and a
+// holder must keep seeing the roster it was given. With no ids it returns
+// roster itself.
+func dropMembers(roster []AdvertiseMsg, ids []uint64) (kept, dropped []AdvertiseMsg) {
+	if len(ids) == 0 {
+		return roster, nil
+	}
+	kept = make([]AdvertiseMsg, 0, len(roster))
+	for _, m := range roster {
+		if slices.Contains(ids, m.From) {
+			dropped = append(dropped, m)
+		} else {
+			kept = append(kept, m)
+		}
+	}
+	return kept, dropped
 }
 
 // ServerSession is the aggregator's amortized key-agreement state: the
 // reconstructed-and-verified mask keys of dropped clients, the pairwise
 // secrets derived from them with their mask streams, and the self-mask
 // streams of reconstructed self seeds, cached across the sub-rounds and
-// rounds that share the session, on top of the shared continuity state
-// (session.ServerState: sealed roster, tainted members, ratchet high-water
-// mark). Reconstructing a key is what taints its owner. Safe for
-// concurrent use.
+// rounds that share the session, with the continuity state the re-key
+// handshake drives and the session persists (MarshalBinary): the sealed
+// stage-0 roster with the client set it was sealed for, the ratchet
+// high-water mark, and the tainted members — the clients whose key
+// material this server reconstructed during the rounds sharing the key
+// generation. A reconstructed key would let the server derive that
+// client's future pairwise masks, so the next handshake re-keys exactly
+// those members' edges. Safe for concurrent use.
 type ServerSession struct {
-	session.ServerState
+	mu sync.Mutex // guards every field but the secret cache, which locks itself
 
-	mu      sync.Mutex
+	roster      []AdvertiseMsg  // the sealed stage-0 roster; nil when none
+	rosterIDs   []uint64        // the client ids the roster was sealed for
+	nextRatchet uint64          // the lowest ratchet step not served yet
+	tainted     map[uint64]bool // clients whose key material was reconstructed
+
 	keys    map[string]*dh.KeyPair // advertised mask pub → verified key
 	selves  map[uint64]selfMask    // client → its last reconstructed self seed's stream
 	secrets session.Secrets        // canonical pub pair → secret and mask stream
@@ -373,6 +481,103 @@ type selfMask struct {
 // NewServerSession returns an empty server session.
 func NewServerSession() *ServerSession {
 	return &ServerSession{keys: make(map[string]*dh.KeyPair)}
+}
+
+// StoreRoster caches the sealed stage-0 roster together with the client
+// set it was sealed for, copying both: the caller's slices stay its own.
+func (s *ServerSession) StoreRoster(roster []AdvertiseMsg, clientIDs []uint64) {
+	r, ids := slices.Clone(roster), slices.Clone(clientIDs)
+	s.mu.Lock()
+	s.roster, s.rosterIDs = r, ids
+	s.mu.Unlock()
+}
+
+// RosterFor returns the cached roster if it was sealed for exactly the
+// given client set, else nil.
+func (s *ServerSession) RosterFor(clientIDs []uint64) []AdvertiseMsg {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.roster == nil || !slices.Equal(s.rosterIDs, clientIDs) {
+		return nil
+	}
+	return s.roster
+}
+
+// StateHashFor returns the digest of the roster this session could resume
+// a round over clientIDs on, with ok=false when none is cached for that
+// client set. The roster need not cover every client: members it misses
+// (dead or unheard at the sealing advertise stage) are reported by
+// MissingMembers and folded into the handshake's divergent subset — they
+// re-advertise under a partial resume instead of forcing a full re-key of
+// every cached edge, and instead of being silently excluded forever.
+func (s *ServerSession) StateHashFor(clientIDs []uint64) ([32]byte, bool) {
+	roster := s.RosterFor(clientIDs)
+	if len(roster) == 0 {
+		return [32]byte{}, false
+	}
+	return session.RosterHash(roster), true
+}
+
+// MissingMembers returns the subset of clientIDs the cached roster (for
+// exactly that client set) does not cover. These members hold no advertised
+// keys in the current generation, so a resumed round must treat them as
+// divergent: they re-advertise and their edges agree fresh. Returns nil
+// when no roster is cached at all (a full re-key applies then anyway).
+func (s *ServerSession) MissingMembers(clientIDs []uint64) []uint64 {
+	roster := s.RosterFor(clientIDs)
+	if roster == nil {
+		return nil
+	}
+	have := make(map[uint64]bool, len(roster))
+	for _, m := range roster {
+		have[m.From] = true
+	}
+	var out []uint64
+	for _, id := range clientIDs {
+		if !have[id] {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// TaintedMembers returns the ids whose key material this server
+// reconstructed (or may have) during this key generation, ascending. The
+// handshake folds them into the divergent subset of a partial resume:
+// re-keying exactly those members' edges removes the reconstruction hazard
+// without burning the rest of the graph's cached secrets.
+func (s *ServerSession) TaintedMembers() []uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return transport.SortedKeys(s.tainted)
+}
+
+// NextRatchet returns the lowest ratchet step this key generation has not
+// served yet; the handshake proposes a resume at it.
+func (s *ServerSession) NextRatchet() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.nextRatchet
+}
+
+// MarkRatchetUsed burns the derivation point at step, as
+// Session.MarkRatchetUsed does. The mark only ever rises.
+func (s *ServerSession) MarkRatchetUsed(step uint64) {
+	s.mu.Lock()
+	s.nextRatchet = max(s.nextRatchet, step+1)
+	s.mu.Unlock()
+}
+
+// taintKey adds client v to the tainted members and returns the
+// reconstructed key pair cached under v's advertised mask key pub, or nil.
+func (s *ServerSession) taintKey(v uint64, pub []byte) *dh.KeyPair {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.tainted == nil {
+		s.tainted = make(map[uint64]bool)
+	}
+	s.tainted[v] = true
+	return s.keys[string(pub)]
 }
 
 // key returns the cached reconstructed key pair advertised as pub, or nil.
@@ -431,19 +636,24 @@ func (s *ServerSession) selfStream(u uint64, b field.Element) *prg.Stream {
 // their roster entries and taint marks, any reconstructed key pairs, and
 // every pairwise secret with one end at a divergent member — while keeping
 // all other edges. This is the server half of the handshake's partial
-// resume.
+// resume: a past reconstruction poisons exactly the dropper's edges
+// instead of the whole key generation.
 func (s *ServerSession) RekeyEdges(ids []uint64) {
-	dropped := s.DropMembers(ids)
-	if len(dropped) == 0 {
-		return
+	s.mu.Lock()
+	var dropped []AdvertiseMsg
+	s.roster, dropped = dropMembers(s.roster, ids)
+	for _, id := range ids {
+		delete(s.tainted, id)
 	}
 	dropPubs := make(map[string]bool, len(dropped))
-	s.mu.Lock()
 	for _, m := range dropped {
 		dropPubs[string(m.MaskPub)] = true
 		delete(s.keys, string(m.MaskPub))
 	}
 	s.mu.Unlock()
+	if len(dropped) == 0 {
+		return
+	}
 	// pairKey concatenates two mask public keys; drop the pair when either
 	// half belongs to a divergent member.
 	s.secrets.DeleteFunc(func(k string) bool {
@@ -459,9 +669,9 @@ func (s *ServerSession) Rekey() {
 	s.mu.Lock()
 	clear(s.keys)
 	clear(s.selves)
+	s.roster, s.rosterIDs, s.tainted, s.nextRatchet = nil, nil, nil, 0
 	s.mu.Unlock()
 	s.secrets.Clear()
-	s.Reset()
 }
 
 // ErrWindowServed refuses a sub-round whose mask window overlaps one the
@@ -538,21 +748,31 @@ func (rs *RoundSessions) Release() {
 }
 
 // resumable reports whether the sessions can skip the advertise stage for
-// cfg under the round's drop schedule (session.ServerState.Resumable over
-// the clients alive at the advertise stage; SealAdvertise sorts the roster
-// and Validate sorts ClientIDs, so both are ascending).
+// cfg under the round's drop schedule: the cached roster was sealed for
+// exactly cfg.ClientIDs, its members are exactly the clients alive at the
+// advertise stage — so a client that was dead when the roster was sealed
+// but has since recovered forces a fresh advertise stage instead of being
+// silently excluded forever — and every member has a client session that
+// still advertises the cached entry's keys. SealAdvertise sorts the roster
+// and Validate sorts ClientIDs, so both lists are ascending.
 func (rs *RoundSessions) resumable(cfg *Config, drops DropSchedule) bool {
 	if rs == nil {
 		return false
 	}
-	return rs.Server.Resumable(cfg.ClientIDs, drops.participants(cfg.ClientIDs, StageAdvertiseKeys),
-		func(m AdvertiseMsg) bool {
-			sess := rs.Client[m.From]
-			if sess == nil {
-				return false
-			}
-			cipherKey, maskKey := sess.keyPairs()
-			return bytes.Equal(cipherKey.PublicBytes(), m.CipherPub) &&
-				bytes.Equal(maskKey.PublicBytes(), m.MaskPub)
-		})
+	roster := rs.Server.RosterFor(cfg.ClientIDs)
+	alive := drops.participants(cfg.ClientIDs, StageAdvertiseKeys)
+	if roster == nil || len(roster) != len(alive) {
+		return false
+	}
+	for i, m := range roster {
+		sess := rs.Client[m.From]
+		if m.From != alive[i] || sess == nil {
+			return false
+		}
+		cipherKey, maskKey := sess.keyPairs()
+		if !bytes.Equal(cipherKey.PublicBytes(), m.CipherPub) || !bytes.Equal(maskKey.PublicBytes(), m.MaskPub) {
+			return false
+		}
+	}
+	return true
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/fuzzcorpus"
 	"repro/internal/secagg"
-	"repro/internal/session"
 )
 
 // The conformance table of the 0xDA at-rest session records — the SecAgg
@@ -79,8 +78,8 @@ func recordFamily(tb testing.TB) *fuzzcorpus.Family {
 			Encode: func(v any) ([]byte, error) { return v.(*secagg.Session).MarshalBinary() },
 			Decode: func(p []byte) (any, error) { return secagg.UnmarshalSession(p) }},
 		{Name: "server",
-			Encode: func(v any) ([]byte, error) { return v.(*session.ServerState).MarshalBinary() },
-			Decode: func(p []byte) (any, error) { s := new(session.ServerState); return s, s.UnmarshalBinary(p) }},
+			Encode: func(v any) ([]byte, error) { return v.(*secagg.ServerSession).MarshalBinary() },
+			Decode: func(p []byte) (any, error) { return secagg.UnmarshalServerSession(p) }},
 	}
 	for i, golden := range [][]string{{secaggRecord}, {serverRecord, emptyServer}} {
 		for _, s := range golden {

@@ -3,7 +3,6 @@ package session
 import (
 	"bytes"
 	"crypto/rand"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -11,190 +10,6 @@ import (
 	"repro/internal/dh"
 	"repro/internal/prg"
 )
-
-func testRoster(ids ...uint64) []Entry {
-	out := make([]Entry, len(ids))
-	for i, id := range ids {
-		out[i] = Entry{From: id, CipherPub: []byte{byte(id), 0xC}, MaskPub: []byte{byte(id), 0xA}}
-	}
-	return out
-}
-
-func rosterIDs(roster []Entry) []uint64 {
-	out := make([]uint64, len(roster))
-	for i, m := range roster {
-		out[i] = m.From
-	}
-	return out
-}
-
-// TestRosterCopyAndAliasing pins the two slice rules of both states: the
-// cache never shares the caller's backing array (copy on store), and a
-// slice handed out before DropMembers keeps showing the members it had
-// (fresh slice, never an in-place filter).
-func TestRosterCopyAndAliasing(t *testing.T) {
-	ids := []uint64{1, 2, 3, 4}
-	var c ClientState
-	var s ServerState
-	for name, state := range map[string]struct {
-		store func(roster []Entry)
-		get   func() []Entry
-		drop  func(ids []uint64) []Entry
-	}{
-		"client": {c.StoreRoster, c.Roster, c.DropMembers},
-		"server": {func(r []Entry) { s.StoreRoster(r, ids) }, func() []Entry { return s.RosterFor(ids) }, s.DropMembers},
-	} {
-		in := testRoster(ids...)
-		state.store(in)
-		in[0].From = 99
-		held := state.get()
-		if got := rosterIDs(held); !reflect.DeepEqual(got, ids) {
-			t.Fatalf("%s: caller's write reached the cache: %v", name, got)
-		}
-		dropped := state.drop([]uint64{2, 4, 7})
-		if got := rosterIDs(dropped); !reflect.DeepEqual(got, []uint64{2, 4}) {
-			t.Fatalf("%s: dropped %v, want [2 4]", name, got)
-		}
-		if got := rosterIDs(held); !reflect.DeepEqual(got, ids) {
-			t.Fatalf("%s: slice held across DropMembers now shows %v", name, got)
-		}
-		if got := rosterIDs(state.get()); !reflect.DeepEqual(got, []uint64{1, 3}) {
-			t.Fatalf("%s: cache after drop = %v, want [1 3]", name, got)
-		}
-		if state.drop(nil) != nil {
-			t.Fatalf("%s: dropping nobody returned entries", name)
-		}
-	}
-}
-
-func TestServerRosterForAndMissingMembers(t *testing.T) {
-	var s ServerState
-	if s.RosterFor([]uint64{1}) != nil || s.MissingMembers([]uint64{1}) != nil {
-		t.Fatal("empty state answered a roster query")
-	}
-	if _, ok := s.StateHashFor([]uint64{1}); ok {
-		t.Fatal("empty state answered a state hash")
-	}
-	sealedFor := []uint64{1, 2, 3, 4}
-	s.StoreRoster(testRoster(1, 3), sealedFor) // 2 and 4 were dead at sealing
-	for _, tc := range []struct {
-		name string
-		ids  []uint64
-		hit  bool
-	}{
-		{"exact", []uint64{1, 2, 3, 4}, true},
-		{"permuted", []uint64{2, 1, 3, 4}, false},
-		{"subset", []uint64{1, 2, 3}, false},
-		{"superset", []uint64{1, 2, 3, 4, 5}, false},
-		{"roster members only", []uint64{1, 3}, false},
-		{"empty", nil, false},
-	} {
-		if got := s.RosterFor(tc.ids) != nil; got != tc.hit {
-			t.Errorf("RosterFor(%s) hit = %v, want %v", tc.name, got, tc.hit)
-		}
-		if _, got := s.StateHashFor(tc.ids); got != tc.hit {
-			t.Errorf("StateHashFor(%s) ok = %v, want %v", tc.name, got, tc.hit)
-		}
-	}
-	if got := s.MissingMembers(sealedFor); !reflect.DeepEqual(got, []uint64{2, 4}) {
-		t.Fatalf("MissingMembers = %v, want [2 4]", got)
-	}
-	if got := s.MissingMembers([]uint64{1, 3}); got != nil {
-		t.Fatalf("MissingMembers for another client set = %v, want nil", got)
-	}
-	want := RosterHash(testRoster(1, 3))
-	if got, _ := s.StateHashFor(sealedFor); got != want {
-		t.Fatal("StateHashFor is not the hash of the cached roster")
-	}
-}
-
-func TestResumable(t *testing.T) {
-	ids := []uint64{1, 2, 3}
-	live := func(Entry) bool { return true }
-	var s ServerState
-	s.StoreRoster(testRoster(1, 2), ids) // 3 was dead at sealing
-	for _, tc := range []struct {
-		name   string
-		expect []uint64
-		live   func(Entry) bool
-		want   bool
-	}{
-		{"same cohort alive", []uint64{1, 2}, live, true},
-		{"dead member recovered", []uint64{1, 2, 3}, live, false},
-		{"member now dead", []uint64{1}, live, false},
-		{"different member", []uint64{1, 3}, live, false},
-		{"session lost or re-keyed", []uint64{1, 2}, func(m Entry) bool { return m.From != 2 }, false},
-	} {
-		if got := s.Resumable(ids, tc.expect, tc.live); got != tc.want {
-			t.Errorf("%s: Resumable = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-	if s.Resumable([]uint64{1, 2}, []uint64{1, 2}, live) {
-		t.Error("resumable over a client set the roster was not sealed for")
-	}
-}
-
-func TestRatchetMarkMonotone(t *testing.T) {
-	var c ClientState
-	var s ServerState
-	for name, state := range map[string]struct {
-		mark  func(uint64)
-		next  func() uint64
-		reset func()
-	}{
-		"client": {c.MarkRatchetUsed, c.NextRatchet, c.Reset},
-		"server": {s.MarkRatchetUsed, s.NextRatchet, s.Reset},
-	} {
-		for _, step := range []struct{ mark, want uint64 }{{0, 1}, {4, 5}, {2, 5}, {4, 5}, {5, 6}} {
-			state.mark(step.mark)
-			if got := state.next(); got != step.want {
-				t.Fatalf("%s: after marking %d NextRatchet = %d, want %d", name, step.mark, got, step.want)
-			}
-		}
-		state.reset()
-		if got := state.next(); got != 0 {
-			t.Fatalf("%s: NextRatchet after Reset = %d", name, got)
-		}
-	}
-}
-
-func TestTaint(t *testing.T) {
-	var c ClientState
-	c.StoreRoster(testRoster(1, 2))
-	c.Taint()
-	c.DropMembers([]uint64{1}) // a partial resume leaves client taint to the handshake
-	if !c.Tainted() {
-		t.Fatal("DropMembers cleared the client's in-flight taint")
-	}
-	c.ClearTaint()
-	if c.Tainted() {
-		t.Fatal("ClearTaint left the taint set")
-	}
-	c.Taint()
-	c.Reset()
-	if c.Tainted() || c.Roster() != nil {
-		t.Fatal("Reset left taint or roster behind")
-	}
-
-	var s ServerState
-	s.MarkTainted() // no ids: no taint
-	if len(s.TaintedMembers()) != 0 {
-		t.Fatal("empty MarkTainted tainted the state")
-	}
-	s.StoreRoster(testRoster(1, 2, 5), []uint64{1, 2, 5})
-	s.MarkTainted(5, 2, 5)
-	if got := s.TaintedMembers(); !reflect.DeepEqual(got, []uint64{2, 5}) {
-		t.Fatalf("TaintedMembers = %v, want [2 5]", got)
-	}
-	s.DropMembers([]uint64{5})
-	if got := s.TaintedMembers(); !reflect.DeepEqual(got, []uint64{2}) {
-		t.Fatalf("after dropping 5, TaintedMembers = %v, want [2]", got)
-	}
-	s.Reset()
-	if len(s.TaintedMembers()) > 0 || s.RosterFor([]uint64{1, 2, 5}) != nil {
-		t.Fatal("Reset left taint or roster behind")
-	}
-}
 
 // TestSecretsMonotone: the cache serves a step below the cached one by
 // re-agreeing, and never lets that lower step overwrite the higher one.

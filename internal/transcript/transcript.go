@@ -83,9 +83,9 @@ const (
 )
 
 // RosterEntry is one member's stage-0 advertisement as the transcript
-// commits it: identity plus the advertised public keys. For substrates
-// with a single key (LightSecAgg), MaskPub is empty; the leaf encoding
-// length-prefixes both keys, so entries never alias across shapes.
+// commits it: identity plus the advertised public keys. Only SecAgg builds
+// transcripts, so both keys are set; the leaf encoding length-prefixes
+// each, so an entry with an empty MaskPub could never alias a two-key one.
 type RosterEntry struct {
 	ID        uint64
 	CipherPub []byte
