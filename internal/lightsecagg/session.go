@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/aead"
 	"repro/internal/dh"
+	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/session"
 	"repro/internal/transport"
@@ -250,12 +251,23 @@ func NewRoundSessions(ids []uint64, rand io.Reader) (*RoundSessions, error) {
 		Client: make(map[uint64]*Session, len(ids)),
 		Server: NewServerSession(),
 	}
-	for _, id := range ids {
-		s, err := NewSession(rand)
-		if err != nil {
-			return nil, fmt.Errorf("lightsecagg: session for client %d: %w", id, err)
+	// The key pairs are generated on ForEach's workers through one locked
+	// reader. No caller could count on which session draws which bytes:
+	// crypto/ecdh's GenerateKey already skips a byte of its source at
+	// random.
+	sessions := make([]*Session, len(ids))
+	shared := engine.SharedReader(rand)
+	err := engine.ForEach(len(ids), func(i int) (err error) {
+		if sessions[i], err = NewSession(shared); err != nil {
+			return fmt.Errorf("lightsecagg: session for client %d: %w", ids[i], err)
 		}
-		rs.Client[id] = s
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, id := range ids {
+		rs.Client[id] = sessions[i]
 	}
 	return rs, nil
 }

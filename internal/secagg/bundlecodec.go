@@ -2,6 +2,7 @@ package secagg
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/field"
 	"repro/internal/shamir"
@@ -77,21 +78,26 @@ func encodeBundle(b ShareBundle) ([]byte, error) {
 	return w.Done()
 }
 
-func decodeBundle(p []byte) (ShareBundle, error) {
+// decodeBundle decodes p, appending its noise-seed shares to noise — one
+// array a client decodes every bundle it opens into; nil for a list of the
+// bundle's own — and returns noise so grown, or as it came on error.
+func decodeBundle(p []byte, noise []shamir.Share) (ShareBundle, []shamir.Share, error) {
 	r := transport.NewReader(p, bundleMagic, bundleVersion)
 	b := ShareBundle{From: r.Uint64(), To: r.Uint64()}
 	for i := range b.MaskKey {
 		b.MaskKey[i] = ReadShare(r)
 	}
 	b.SelfSeed = ReadShare(r)
+	grown := noise
 	if n := r.Count(16, maxBundleNoiseSeeds); n > 0 {
-		b.NoiseSeeds = make([]shamir.Share, n)
-		for i := range b.NoiseSeeds {
-			b.NoiseSeeds[i] = ReadShare(r)
+		grown = slices.Grow(noise, n)
+		for range n {
+			grown = append(grown, ReadShare(r))
 		}
+		b.NoiseSeeds = grown[len(noise):len(grown):len(grown)]
 	}
 	if err := r.Done(); err != nil {
-		return ShareBundle{}, fmt.Errorf("secagg: share bundle: %w", err)
+		return ShareBundle{}, noise, fmt.Errorf("secagg: share bundle: %w", err)
 	}
-	return b, nil
+	return b, grown, nil
 }

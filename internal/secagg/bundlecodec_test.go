@@ -36,7 +36,7 @@ func BenchmarkBundleDecodeBinary(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := decodeBundle(p); err != nil {
+		if _, _, err := decodeBundle(p, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

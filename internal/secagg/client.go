@@ -56,13 +56,22 @@ type Client struct {
 	maskedDigest    [32]byte
 	hasMaskedDigest bool
 
-	roster     []AdvertiseMsg         // U1 view, ascending by id (rosterEntry)
-	u2         []uint64               // ascending
-	u3         []uint64               // as the server sent it
-	u3sorted   []uint64               // u3 ascending: membership is a binary search
-	channelKey map[uint64]*aead.Key   // peer → AE key
-	received   map[uint64]ShareBundle // decrypted bundles from peers
-	pendingCts map[uint64][]byte      // peer → ciphertext (decrypted lazily at unmask)
+	roster     []AdvertiseMsg          // U1 view, ascending by id (rosterEntry)
+	u2         []uint64                // ascending
+	u3         []uint64                // as the server sent it
+	u3sorted   []uint64                // u3 ascending: membership is a binary search
+	channelKey map[uint64]*aead.Key    // peer → AE key
+	received   map[uint64]*ShareBundle // decrypted bundles from peers, in bundles
+	pendingCts map[uint64][]byte       // peer → ciphertext (decrypted lazily at unmask)
+
+	// Scratch of the bundles this client seals and opens: the route AD,
+	// the plaintext of the bundle being opened (grown by the first open),
+	// and, sized by ShareKeys for the neighbourhood, the bundles received
+	// points into and the one array their noise-seed shares decode into.
+	ad          [session.RouteADSize]byte
+	plain       []byte
+	bundles     []ShareBundle
+	noiseShares []shamir.Share
 }
 
 // NewSessionClient constructs a participant for the round. signer may be
@@ -276,36 +285,35 @@ func (c *Client) ShareKeys(roster []AdvertiseMsg) ([]EncryptedShareMsg, error) {
 	}
 	selfSeed := field.RandomElement(buf)
 	c.selfStream = prg.NewStreamFromElement(selfSeed)
-	maskShares, err := shareKey(c.maskKey.PrivateBytes(), c.cfg.Threshold, xs, c.rand)
-	if err != nil {
-		return nil, err
-	}
-	selfShares, err := shamir.Split(selfSeed, c.cfg.Threshold, xs, c.rand)
-	if err != nil {
-		return nil, err
-	}
-	var noiseShares [][]shamir.Share // [k][participant]
+	// One dealing table: its rows are the mask key's chunks, b_u, then the
+	// removable noise seeds g_{u,1..T} (Fig. 5 never shares g_{u,0}), so
+	// peer i's shares lie in table[i·rows:], in its bundle's order.
+	chunks := bytesToChunks(c.maskKey.PrivateBytes())
+	secrets := append(chunks[:], selfSeed)
 	if c.noise != nil {
-		noiseShares, err = c.noise.ShareSeeds(*c.cfg.XNoise, xs, c.rand)
-		if err != nil {
-			return nil, err
-		}
+		secrets = append(secrets, c.noise.Seeds[1:]...)
+	}
+	rows := len(secrets)
+	table := make([]shamir.Share, len(peers)*rows)
+	if err := shamir.Deal(table, secrets, c.cfg.Threshold, xs, c.rand); err != nil {
+		return nil, fmt.Errorf("secagg: dealing client %d's secrets: %w", c.id, err)
 	}
 
 	c.channelKey = make(map[uint64]*aead.Key, len(peers))
+	c.received = make(map[uint64]*ShareBundle, len(peers))
+	c.bundles = make([]ShareBundle, 0, len(peers))
+	if c.noise != nil {
+		c.noiseShares = make([]shamir.Share, 0, (len(peers)-1)*(rows-numKeyChunks-1))
+	}
 	out := make([]EncryptedShareMsg, 0, len(peers)-1)
-	var ad [session.RouteADSize]byte
 	for i, peer := range peers {
+		row := table[i*rows : (i+1)*rows : (i+1)*rows]
+		bundle := ShareBundle{From: c.id, To: peer, MaskKey: [numKeyChunks]shamir.Share(row),
+			SelfSeed: row[numKeyChunks], NoiseSeeds: row[numKeyChunks+1:]}
 		if peer == c.id {
 			// Keep own shares locally so they participate in unmasking.
-			bundle := ShareBundle{From: c.id, To: c.id, MaskKey: maskShares[i], SelfSeed: selfShares[i]}
-			if c.noise != nil {
-				bundle.NoiseSeeds = sliceNoiseShares(noiseShares, i)
-			}
-			if c.received == nil {
-				c.received = make(map[uint64]ShareBundle)
-			}
-			c.received[c.id] = bundle
+			c.bundles = append(c.bundles, bundle)
+			c.received[c.id] = &c.bundles[len(c.bundles)-1]
 			continue
 		}
 		entry, _ := c.rosterEntry(peer) // peers ⊆ U1
@@ -314,15 +322,11 @@ func (c *Client) ShareKeys(roster []AdvertiseMsg) ([]EncryptedShareMsg, error) {
 			return nil, fmt.Errorf("secagg: channel key agreement with %d: %w", peer, err)
 		}
 		c.channelKey[peer] = key
-		bundle := ShareBundle{From: c.id, To: peer, MaskKey: maskShares[i], SelfSeed: selfShares[i]}
-		if c.noise != nil {
-			bundle.NoiseSeeds = sliceNoiseShares(noiseShares, i)
-		}
 		pt, err := encodeBundle(bundle)
 		if err != nil {
 			return nil, err
 		}
-		ct, err := key.Seal(c.rand, pt, session.AppendRouteAD(ad[:0], c.cfg.Round, c.id, peer))
+		ct, err := key.Seal(c.rand, pt, session.AppendRouteAD(c.ad[:0], c.cfg.Round, c.id, peer))
 		transport.Release(pt)
 		if err != nil {
 			return nil, err
@@ -335,18 +339,6 @@ func (c *Client) ShareKeys(roster []AdvertiseMsg) ([]EncryptedShareMsg, error) {
 		c.session.keepDeal(c.cfg.KeyRatchet, c.deal)
 	}
 	return out, nil
-}
-
-// sliceNoiseShares extracts participant i's share of each removable seed.
-func sliceNoiseShares(noiseShares [][]shamir.Share, i int) []shamir.Share {
-	if noiseShares == nil {
-		return nil
-	}
-	out := make([]shamir.Share, 0, len(noiseShares)-1)
-	for k := 1; k < len(noiseShares); k++ {
-		out = append(out, noiseShares[k][i])
-	}
-	return out
 }
 
 // MaskedInput runs stage 2: store the relayed ciphertexts, derive the
@@ -689,7 +681,7 @@ func (c *Client) holdsBundleFrom(v uint64) bool {
 // to this client.
 func (c *Client) bundleFrom(v uint64) (ShareBundle, error) {
 	if b, ok := c.received[v]; ok {
-		return b, nil
+		return *b, nil
 	}
 	ct, ok := c.pendingCts[v]
 	if !ok {
@@ -708,12 +700,12 @@ func (c *Client) bundleFrom(v uint64) (ShareBundle, error) {
 	if c.deal != nil {
 		round = c.deal.cfg.Round
 	}
-	var ad [session.RouteADSize]byte
-	pt, err := key.Open(ct, session.AppendRouteAD(ad[:0], round, v, c.id))
+	pt, err := key.AppendOpen(c.plain[:0], ct, session.AppendRouteAD(c.ad[:0], round, v, c.id))
 	if err != nil {
 		return ShareBundle{}, fmt.Errorf("secagg: client %d cannot decrypt bundle from %d: %w", c.id, v, err)
 	}
-	bundle, err := decodeBundle(pt)
+	c.plain = pt
+	bundle, noise, err := decodeBundle(pt, c.noiseShares)
 	if err != nil {
 		return ShareBundle{}, err
 	}
@@ -721,7 +713,8 @@ func (c *Client) bundleFrom(v uint64) (ShareBundle, error) {
 		return ShareBundle{}, fmt.Errorf("secagg: bundle routing mismatch (%d→%d, expected %d→%d)",
 			bundle.From, bundle.To, v, c.id)
 	}
-	c.received[v] = bundle
+	c.bundles, c.noiseShares = append(c.bundles, bundle), noise
+	c.received[v] = &c.bundles[len(c.bundles)-1]
 	return bundle, nil
 }
 

@@ -55,8 +55,11 @@ func bundleFamily(tb testing.TB) *fuzzcorpus.Family {
 	binary.LittleEndian.PutUint32(lyingCount[bundleFixedLen-4:], 0x7FFFFFFF)
 	return &fuzzcorpus.Family{
 		Kinds: []fuzzcorpus.Kind{{Name: "bundle",
-			Encode:  func(v any) ([]byte, error) { return encodeBundle(v.(ShareBundle)) },
-			Decode:  func(p []byte) (any, error) { return decodeBundle(p) },
+			Encode: func(v any) ([]byte, error) { return encodeBundle(v.(ShareBundle)) },
+			Decode: func(p []byte) (any, error) {
+				b, _, err := decodeBundle(p, nil)
+				return b, err
+			},
 			Samples: []any{testBundle(0), testBundle(1), testBundle(3)},
 		}},
 		Refuse: []fuzzcorpus.Row{

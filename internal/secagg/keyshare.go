@@ -2,7 +2,6 @@ package secagg
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/field"
 	"repro/internal/shamir"
@@ -50,27 +49,6 @@ func chunksToBytes(chunks [numKeyChunks]field.Element) [32]byte {
 		}
 	}
 	return out
-}
-
-// shareKey produces per-participant share bundles of a 32-byte secret:
-// result[i] is participant xs[i]'s share vector (one share per chunk).
-func shareKey(secret [32]byte, t int, xs []field.Element, rand io.Reader) ([][numKeyChunks]shamir.Share, error) {
-	chunks := bytesToChunks(secret)
-	perChunk := make([][]shamir.Share, numKeyChunks)
-	for c := 0; c < numKeyChunks; c++ {
-		shares, err := shamir.Split(chunks[c], t, xs, rand)
-		if err != nil {
-			return nil, fmt.Errorf("secagg: sharing key chunk %d: %w", c, err)
-		}
-		perChunk[c] = shares
-	}
-	out := make([][numKeyChunks]shamir.Share, len(xs))
-	for i := range xs {
-		for c := 0; c < numKeyChunks; c++ {
-			out[i][c] = perChunk[c][i]
-		}
-	}
-	return out, nil
 }
 
 // reconstructKey recovers the 32-byte secret from at least t share

@@ -73,16 +73,6 @@ func expandMasks(dst ring.Vector, masks []ring.Mask) error {
 	})
 }
 
-// abscissaKey packs the first t share abscissas into a comparable string,
-// identifying a reconstruction cohort.
-func abscissaKey(shares []shamir.Share, t int) string {
-	b := make([]byte, 8*t)
-	for i, s := range shares[:t] {
-		binary.LittleEndian.PutUint64(b[i*8:], s.X.Uint64())
-	}
-	return string(b)
-}
-
 // reconstructGrouped recovers one secret per id, batching ids whose share
 // lists present the same abscissa cohort so the Lagrange coefficients are
 // computed once per cohort rather than once per id. Under the complete
@@ -90,18 +80,30 @@ func abscissaKey(shares []shamir.Share, t int) string {
 // set, collapsing |U3| reconstructions into a single coefficient pass;
 // under a SecAgg+ graph each neighborhood cohort batches separately.
 func reconstructGrouped(ids []uint64, sharesOf func(uint64) []shamir.Share, t int) (map[uint64]field.Element, error) {
-	groups := make(map[string][]uint64)
+	// A cohort's key is its first t abscissas packed into one reused
+	// buffer; the lookup converts without copying, and only a new cohort's
+	// insert makes its key string.
+	groups := make(map[string]int) // key → index in cohorts
+	var cohorts [][]uint64
+	key := make([]byte, 8*t)
 	for _, id := range ids {
 		shares := sharesOf(id)
 		if len(shares) < t {
 			return nil, fmt.Errorf("secagg: client %d: %w (have %d, need %d)",
 				id, shamir.ErrTooFewShares, len(shares), t)
 		}
-		k := abscissaKey(shares, t)
-		groups[k] = append(groups[k], id)
+		for i, s := range shares[:t] {
+			binary.LittleEndian.PutUint64(key[8*i:], s.X.Uint64())
+		}
+		if g, ok := groups[string(key)]; ok {
+			cohorts[g] = append(cohorts[g], id)
+		} else {
+			groups[string(key)] = len(cohorts)
+			cohorts = append(cohorts, []uint64{id})
+		}
 	}
 	out := make(map[uint64]field.Element, len(ids))
-	for _, members := range groups {
+	for _, members := range cohorts {
 		sets := make([][]shamir.Share, len(members))
 		for i, id := range members {
 			sets[i] = sharesOf(id)

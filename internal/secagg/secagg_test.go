@@ -775,9 +775,14 @@ func TestKeyShareReconstruct(t *testing.T) {
 	for i := range xs {
 		xs[i] = field.New(uint64(i + 1))
 	}
-	bundles, err := shareKey(secret, 3, xs, rand.Reader)
-	if err != nil {
+	chunks := bytesToChunks(secret)
+	table := make([]shamir.Share, len(xs)*numKeyChunks)
+	if err := shamir.Deal(table, chunks[:], 3, xs, rand.Reader); err != nil {
 		t.Fatal(err)
+	}
+	bundles := make([][numKeyChunks]shamir.Share, len(xs))
+	for i := range bundles {
+		bundles[i] = [numKeyChunks]shamir.Share(table[i*numKeyChunks:])
 	}
 	got, err := reconstructKey(bundles[1:4], 3)
 	if err != nil {

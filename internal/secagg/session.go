@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/aead"
 	"repro/internal/dh"
+	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/prg"
 	"repro/internal/ring"
@@ -112,9 +113,9 @@ type deal struct {
 	masks []ring.Mask
 
 	channelKey map[uint64]*aead.Key
-	delivered  map[uint64][]byte      // peer → ciphertext of the first delivery; nil until then
-	u2         []uint64               // the first delivery's senders and the client, ascending
-	opened     map[uint64]ShareBundle // own bundle and the peers' opened so far
+	delivered  map[uint64][]byte       // peer → ciphertext of the first delivery; nil until then
+	u2         []uint64                // the first delivery's senders and the client, ascending
+	opened     map[uint64]*ShareBundle // own bundle and the peers' opened so far
 
 	// The step's first reveal and the U3 (ascending) it answered: a later
 	// sub-round naming the same U3 reveals exactly it.
@@ -723,12 +724,23 @@ func NewRoundSessions(ids []uint64, rand io.Reader) (*RoundSessions, error) {
 		Client: make(map[uint64]*Session, len(ids)),
 		Server: NewServerSession(),
 	}
-	for _, id := range ids {
-		s, err := NewSession(rand)
-		if err != nil {
-			return nil, fmt.Errorf("secagg: session for client %d: %w", id, err)
+	// The key pairs are generated on ForEach's workers through one locked
+	// reader. No caller could count on which session draws which bytes:
+	// crypto/ecdh's GenerateKey already skips a byte of its source at
+	// random.
+	sessions := make([]*Session, len(ids))
+	shared := engine.SharedReader(rand)
+	err := engine.ForEach(len(ids), func(i int) (err error) {
+		if sessions[i], err = NewSession(shared); err != nil {
+			return fmt.Errorf("secagg: session for client %d: %w", ids[i], err)
 		}
-		rs.Client[id] = s
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, id := range ids {
+		rs.Client[id] = sessions[i]
 	}
 	return rs, nil
 }

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/field"
 )
@@ -39,41 +40,62 @@ var (
 
 // Split shares secret among the participants identified by the non-zero,
 // pairwise-distinct abscissas xs, with reconstruction threshold t. Randomness
-// for the polynomial coefficients is drawn from rand.
+// for the polynomial coefficients is drawn from rand. It is Deal of the one
+// secret into a fresh share list.
 func Split(secret field.Element, t int, xs []field.Element, rand io.Reader) ([]Share, error) {
-	n := len(xs)
-	if t < 1 || t > n {
-		return nil, fmt.Errorf("%w: t=%d n=%d", ErrThreshold, t, n)
-	}
-	seen := make(map[field.Element]struct{}, n)
-	for _, x := range xs {
-		if x == 0 {
-			return nil, ErrZeroX
-		}
-		if _, dup := seen[x]; dup {
-			return nil, fmt.Errorf("%w: %v", ErrDuplicateX, x)
-		}
-		seen[x] = struct{}{}
-	}
-
-	// One read for all t−1 coefficients: a shared entropy source is one
-	// lock hand-off per sharing, not one per coefficient, and a
-	// deterministic reader yields the same words in the same order.
-	coeffs := make([]field.Element, t)
-	coeffs[0] = secret
-	buf := make([]byte, 8*(t-1))
-	if _, err := io.ReadFull(rand, buf); err != nil {
-		return nil, fmt.Errorf("shamir: reading randomness: %w", err)
-	}
-	for i := 1; i < t; i++ {
-		coeffs[i] = field.RandomElement([8]byte(buf[8*(i-1):]))
-	}
-
-	shares := make([]Share, n)
-	for i, x := range xs {
-		shares[i] = Share{X: x, Y: field.EvalPoly(coeffs, x)}
+	shares := make([]Share, len(xs))
+	if err := Deal(shares, []field.Element{secret}, t, xs, rand); err != nil {
+		return nil, err
 	}
 	return shares, nil
+}
+
+// Deal shares every secret of secrets among the participants at the
+// non-zero, pairwise-distinct abscissas xs with threshold t, exactly as one
+// Split per secret, in order, on the same rand would: a single read draws
+// all their coefficients, secret j's t−1 from the j-th run of 8·(t−1)
+// bytes, little-endian words in coefficient order. Participant i's share
+// of secret j goes to shares[i·len(secrets)+j], which must be that long, so
+// each participant's shares lie together in secret order: a dealer's one
+// table. Deal allocates the coefficient bytes and one polynomial.
+func Deal(shares []Share, secrets []field.Element, t int, xs []field.Element, rand io.Reader) error {
+	n, k := len(xs), len(secrets)
+	if t < 1 || t > n {
+		return fmt.Errorf("%w: t=%d n=%d", ErrThreshold, t, n)
+	}
+	if len(shares) != n*k {
+		return fmt.Errorf("shamir: %d share slots for %d participants × %d secrets", len(shares), n, k)
+	}
+	// Ascending abscissas, every protocol caller's, are distinct when
+	// neighbours differ; any other order is compared pairwise.
+	ascending := slices.IsSorted(xs)
+	for i, x := range xs {
+		if x == 0 {
+			return ErrZeroX
+		}
+		if ascending && i > 0 && xs[i-1] == x || !ascending && slices.Contains(xs[:i], x) {
+			return fmt.Errorf("%w: %v", ErrDuplicateX, x)
+		}
+	}
+
+	// One read for every coefficient: a shared entropy source is one lock
+	// hand-off per deal, not one per coefficient or secret, and a
+	// deterministic reader yields the same words in the same order.
+	coeffs := make([]byte, 8*k*(t-1))
+	if _, err := io.ReadFull(rand, coeffs); err != nil {
+		return fmt.Errorf("shamir: reading randomness: %w", err)
+	}
+	poly := make([]field.Element, t)
+	for j, secret := range secrets {
+		poly[0] = secret
+		for c := 1; c < t; c++ {
+			poly[c] = field.RandomElement([8]byte(coeffs[8*(j*(t-1)+c-1):]))
+		}
+		for i, x := range xs {
+			shares[i*k+j] = Share{X: x, Y: field.EvalPoly(poly, x)}
+		}
+	}
+	return nil
 }
 
 // Reconstruct recovers the secret from at least t shares. Extra shares are

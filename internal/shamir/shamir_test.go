@@ -190,6 +190,53 @@ func TestSplitGolden(t *testing.T) {
 	}
 }
 
+// TestDealMatchesSplit: one Deal of several secrets gives exactly the
+// shares that one Split per secret, in order, gives on the same stream,
+// each participant's shares side by side, and leaves the stream where the
+// Splits leave it; it refuses a zero or repeated abscissa, ascending or
+// not, with Split's errors.
+func TestDealMatchesSplit(t *testing.T) {
+	secrets := []field.Element{field.New(7), field.New(1 << 60), 0, field.New(424242)}
+	xs := []field.Element{3, 1, 4, 9, 5, 2}
+	for _, th := range []int{1, 2, 4, 6} {
+		seed := prg.NewSeed([]byte("deal-matches-split"), []byte{byte(th)})
+		split, deal := prg.NewStream(seed), prg.NewStream(seed)
+		table := make([]Share, len(xs)*len(secrets))
+		if err := Deal(table, secrets, th, xs, deal); err != nil {
+			t.Fatal(err)
+		}
+		for j, secret := range secrets {
+			want, err := Split(secret, th, xs, split)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range xs {
+				if got := table[i*len(secrets)+j]; got != want[i] {
+					t.Fatalf("t=%d: participant %d, secret %d: Deal %v, Split %v", th, i, j, got, want[i])
+				}
+			}
+		}
+		if a, b := split.Uint64(), deal.Uint64(); a != b {
+			t.Fatalf("t=%d: Deal left the stream at another offset than the Splits (next words %#x, %#x)", th, b, a)
+		}
+	}
+	for _, tc := range []struct {
+		xs   []field.Element
+		want error
+	}{
+		{[]field.Element{0, 1, 2}, ErrZeroX},
+		{[]field.Element{1, 2, 0}, ErrZeroX},
+		{[]field.Element{1, 2, 2}, ErrDuplicateX},
+		{[]field.Element{2, 1, 2}, ErrDuplicateX},
+	} {
+		_, splitErr := Split(field.New(1), 2, tc.xs, rand.Reader)
+		dealErr := Deal(make([]Share, 2*len(tc.xs)), secrets[:2], 2, tc.xs, rand.Reader)
+		if !errors.Is(dealErr, tc.want) || !errors.Is(splitErr, tc.want) {
+			t.Errorf("abscissas %v: Deal %v, Split %v, want %v", tc.xs, dealErr, splitErr, tc.want)
+		}
+	}
+}
+
 // TestReconstructBatch: batch reconstruction over a shared abscissa set
 // equals per-secret Reconstruct, and malformed batches are rejected.
 func TestReconstructBatch(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/field"
 	"repro/internal/prg"
 	"repro/internal/rng"
-	"repro/internal/shamir"
 )
 
 // Sampler adds an iid noise value of the given variance to every out[i],
@@ -167,25 +166,6 @@ func (cn *ClientNoise) TotalNoise(p Plan, sampler Sampler, dim int) ([]int64, er
 		return nil, err
 	}
 	return total, nil
-}
-
-// ShareSeeds produces, for each removable component k ∈ [1, T], a t-out-of-n
-// Shamir sharing of g_{u,k} across the participant abscissas xs. Component
-// 0 is never removed and therefore never shared (Fig. 5 ShareKeys shares
-// g_{u,k} only for k ≥ 1).
-func (cn *ClientNoise) ShareSeeds(p Plan, xs []field.Element, rand io.Reader) ([][]shamir.Share, error) {
-	if len(cn.Seeds) != p.NumComponents() {
-		return nil, fmt.Errorf("xnoise: have %d seeds, plan needs %d", len(cn.Seeds), p.NumComponents())
-	}
-	out := make([][]shamir.Share, p.DropoutTolerance+1) // index k; k=0 unused (nil)
-	for k := 1; k <= p.DropoutTolerance; k++ {
-		shares, err := shamir.Split(cn.Seeds[k], p.Threshold, xs, rand)
-		if err != nil {
-			return nil, fmt.Errorf("xnoise: sharing seed %d: %w", k, err)
-		}
-		out[k] = shares
-	}
-	return out, nil
 }
 
 // RemovalNoise computes the total noise vector the server subtracts from

@@ -237,39 +237,6 @@ func TestAddThenRemoveExactAcrossDropouts(t *testing.T) {
 	}
 }
 
-func TestShareAndRecoverSeeds(t *testing.T) {
-	p := Plan{NumClients: 5, DropoutTolerance: 2, Threshold: 3, TargetVariance: 10}
-	cn, err := NewClientNoise(p, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := make([]field.Element, p.NumClients)
-	for i := range xs {
-		xs[i] = field.New(uint64(i + 1))
-	}
-	shared, err := cn.ShareSeeds(p, xs, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shared[0] != nil {
-		t.Error("component 0 must not be shared")
-	}
-	for k := 1; k <= p.DropoutTolerance; k++ {
-		// Any Threshold of the shares recover the seed.
-		got, err := shamir.Reconstruct(shared[k][1:4], p.Threshold)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != cn.Seeds[k] {
-			t.Fatalf("component %d: recovered %v, want %v", k, got, cn.Seeds[k])
-		}
-		// Fewer than Threshold fail.
-		if _, err := shamir.Reconstruct(shared[k][:2], p.Threshold); err == nil {
-			t.Fatal("sub-threshold recovery should fail")
-		}
-	}
-}
-
 func TestDroppedSurvivorRecoveredViaShares(t *testing.T) {
 	// The §3.2 robustness scenario: a survivor included in aggregation
 	// drops before reporting its seeds; the server reconstructs them from
@@ -287,11 +254,12 @@ func TestDroppedSurvivorRecoveredViaShares(t *testing.T) {
 			t.Fatal(err)
 		}
 		clients[i] = cn
-		sh, err := cn.ShareSeeds(p, xs, rand.Reader)
-		if err != nil {
-			t.Fatal(err)
+		allShares[i] = make([][]shamir.Share, p.DropoutTolerance+1) // index k; k=0 is never shared
+		for k := 1; k <= p.DropoutTolerance; k++ {
+			if allShares[i][k], err = shamir.Split(cn.Seeds[k], p.Threshold, xs, rand.Reader); err != nil {
+				t.Fatal(err)
+			}
 		}
-		allShares[i] = sh
 	}
 	// Nobody drops before aggregation (|D| = 0); client 3 drops before
 	// reporting seeds. Server needs its components k ∈ {1,2}.
