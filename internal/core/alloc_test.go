@@ -12,6 +12,7 @@ import (
 	"repro/internal/prg"
 	"repro/internal/ring"
 	"repro/internal/secagg"
+	"repro/internal/secaggplus"
 	"repro/internal/xnoise"
 )
 
@@ -172,9 +173,9 @@ func TestWireRoundAllocBudget(t *testing.T) {
 //     (the CTR copies the key schedule), and no lookahead unless a draw
 //     needs one. Every chunk draws its masks from where the previous chunk
 //     left the stream (the windows lie end to end), so nothing is re-aimed;
-//   - the share stage's lists, which every sub-round after the first still
-//     routes although it reuses the first one's deal;
-//   - each client's stage table, built per sub-round.
+//   - the first sub-round's parties, deal and routing: the sessions keep
+//     the server, the clients and their stage tables, and every later
+//     sub-round re-aims them (TestSubRoundOnDealAllocBound).
 //
 // With every client re-expanding the rotation, every (client, chunk)
 // copying its window and making its noise vector, and two AES-GCM key
@@ -198,8 +199,11 @@ func TestWireRoundAllocBudget(t *testing.T) {
 // sub-round) on the deal rebuilt its mask list, copied U3 twice and grew
 // its secret caches from empty, and at ≈1.33× (≈3.16× under -race) while
 // every client session copied the roster it stored and every (client,
-// sub-round) moved its result, and every stamped uplink, to the heap. It
-// runs at ≈1.29× now, ≈3.10× under -race.
+// sub-round) moved its result, and every stamped uplink, to the heap, and
+// at ≈1.29× (≈3.10× under -race) while every sub-round built its server,
+// its clients and their stage tables, routed the shares again and
+// reconstructed the same self seeds again. It runs at ≈0.97× now, ≈2.82×
+// under -race.
 //
 // lsa_dropout's shape — 32 clients, 16384 coordinates in 4 chunks on
 // LightSecAgg, U = 24 and T = D = 8, XNoise tolerating 8 dropouts with 4
@@ -225,9 +229,9 @@ func TestWireRoundAllocBudget(t *testing.T) {
 //
 // LightSecAgg's budget is its figure plus ~15 % and 0.06× — the 0.25 MB
 // encoder — for each core past two (it reads ≈1.03× at GOMAXPROCS 4 and
-// ≈1.16× at 8); SecAgg+'s is its figure plus ~10 % and 0.05× for each core
-// past two (it reads ≈1.36× at GOMAXPROCS 4 and ≈1.43× at 8). The -race
-// budgets are their figures plus ~15 %.
+// ≈1.16× at 8); SecAgg+'s is its figure plus ~12 % and 0.05× for each core
+// past two (it reads ≈1.00× at GOMAXPROCS 4 and ≈1.09× at 8). The -race
+// budgets are their figures plus ~15–18 %.
 func TestRunRoundAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		proto                     Protocol
@@ -236,7 +240,7 @@ func TestRunRoundAllocBudget(t *testing.T) {
 		perCore                   float64 // added to budget per core past two
 		tolerance, drops          int
 	}{
-		{ProtocolSecAggPlus, 64, 16384, 48, 8, 1.45, 3.65, 0.05, 16, 8},
+		{ProtocolSecAggPlus, 64, 16384, 48, 8, 1.1, 3.35, 0.05, 16, 8},
 		{ProtocolLightSecAgg, 32, 16384, 24, 4, 1.1, 1.65, 0.06, 8, 4},
 	} {
 		t.Run(tc.proto.String(), func(t *testing.T) {
@@ -278,5 +282,90 @@ func TestRunRoundAllocBudget(t *testing.T) {
 				t.Fatalf("round allocated %d bytes, more than %.1f× its %d client-vector bytes", got, budget, vectorBytes)
 			}
 		})
+	}
+}
+
+// TestSubRoundOnDealAllocBound: a sub-round on its step's deal builds
+// nothing but its masked window. On flat_cold's SecAgg+ shape — 64
+// clients, t = 48, every eighth dropped before its masked input,
+// 2048-coordinate chunks — RunWithSessions keeps the round's parties on
+// its sessions: the server, re-aimed with its stage maps emptied in
+// place, hands out the step's kept deliveries and reuses the self seeds it
+// reconstructed from the same shares; each client, re-aimed on its deal,
+// walks the same stage table on the same walk scratch. What a sub-round
+// after the first still allocates is its masked sum (the window the
+// result hands over), the messages boxed for the engine, the stages' id
+// sets and result lists, and each ForEach's workers. It measures ≈380
+// objects and 19–30 KiB beyond the window on two cores (at most 387
+// objects and 29.6 KiB over 105 sub-rounds); each core past two adds
+// ForEach workers, ≈7 objects a sub-round, and at GOMAXPROCS 8 on two
+// cores the runtime now and then makes new goroutines (up to 444 objects
+// and 46 KiB). While every sub-round built its server and clients, it
+// allocated ≈1,965 objects and ≈0.34 MB. The bounds are the two-core
+// maxima plus ~15 % of the objects and ~35 % of the bytes, and 10
+// objects and 4 KiB a core past two.
+func TestSubRoundOnDealAllocBound(t *testing.T) {
+	if raceBuild {
+		t.Skip("a -race build allocates on its own schedule")
+	}
+	const (
+		n, dim, chunks = 64, 2048, 8
+		perCore        = 10
+	)
+	cores := uint64(max(runtime.GOMAXPROCS(0)-2, 0))
+	maxObjects, maxBytes := 440+perCore*cores, (40+4*cores)<<10 // bytes beyond the masked window
+	ids := make([]uint64, n)
+	for i := range ids {
+		ids[i] = uint64(i + 1)
+	}
+	cfg, err := newPlusConfig(secagg.Config{ClientIDs: ids, Threshold: 48, Bits: 20, Dim: dim},
+		secaggplus.RecommendedDegree(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	inputs := make(map[uint64]ring.Vector, n)
+	drops := make(secagg.DropSchedule)
+	var want uint64
+	for _, id := range ids {
+		v := ring.NewVector(cfg.Bits, dim)
+		for j := range v.Data {
+			v.Data[j] = id
+		}
+		inputs[id] = v
+		if id%8 == 0 {
+			drops[id] = secagg.StageMaskedInput
+		} else {
+			want += id
+		}
+	}
+	sess, err := secagg.NewRoundSessions(ids, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := uint64(dim * 8)
+	for c := range chunks {
+		sub := cfg
+		sub.Round, sub.MaskEpoch = uint64(c), uint64(c)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rr, err := secagg.RunWithSessions(sub, inputs, nil, drops, rand.Reader, sess)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("sub-round %d: %v", c, err)
+		}
+		for j, got := range rr.Result.Sum {
+			if got != want {
+				t.Fatalf("sub-round %d: coordinate %d sums to %d, want %d", c, j, got, want)
+			}
+		}
+		objects, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+		t.Logf("sub-round %d: %d objects, %d B (%d B beyond its %d B window)", c, objects, bytes, bytes-window, window)
+		if c > 0 && (objects > maxObjects || bytes > window+maxBytes) {
+			t.Fatalf("sub-round %d on the deal allocated %d objects and %d B; want ≤ %d and ≤ %d B beyond its %d B window",
+				c, objects, bytes, maxObjects, maxBytes, window)
+		}
 	}
 }

@@ -3,12 +3,15 @@
 package core
 
 import (
+	"context"
 	"crypto/rand"
 	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/prg"
+	"repro/internal/secagg"
+	"repro/internal/xnoise"
 )
 
 // TestGapSecAggPlusAdjacentDrops: a round whose config declares Tolerance
@@ -43,5 +46,31 @@ func TestGapSecAggPlusAdjacentDrops(t *testing.T) {
 					len(drops), cfg.Tolerance, err)
 			}
 		})
+	}
+}
+
+// TestGapDegradedShardFoldSeals: shards plan XNoise at μ/S so that S of
+// them compose to μ, so a fold that misses a shard releases a sum carrying
+// (S−1)/S of the target noise. With no shard tolerance planned, the
+// combiner must refuse that fold, as a flat round refuses more dropouts
+// than its tolerance. Four shards at μ/4, quorum 3, one shard dead before
+// its round (a cancelled server context): today the combiner seals at
+// the third partial and reports the fold degraded, at 3/4 of μ.
+func TestGapDegradedShardFoldSeals(t *testing.T) {
+	const shards, mu = 4, 60.0
+	rig := newShardedRig(t, seqIDs(16), shards, secagg.Config{Threshold: 3, Bits: 20, Dim: 64})
+	rig.quorum = shards - 1
+	for _, sh := range rig.shards {
+		sh.cfg.XNoise = &xnoise.Plan{NumClients: len(sh.cfg.ClientIDs), DropoutTolerance: 1, Threshold: 3,
+			TargetVariance: mu / shards}
+	}
+	dead, kill := context.WithCancel(context.Background())
+	kill()
+	rig.shards[2].serverCtx, rig.shards[2].lenient = dead, true
+	report, _, err := rig.round(5, nil)
+	if err == nil {
+		t.Errorf("GAP: the combiner sealed a fold missing shards %v of %d, each planned at μ/%d with no shard "+
+			"tolerance, so the release carries %d/%d of the target noise (degraded %v)",
+			report.Missing, shards, shards, shards-len(report.Missing), shards, report.Degraded)
 	}
 }

@@ -440,35 +440,43 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 	if plan != nil {
 		removing = make([]int64, longest)
 	}
-	chunkInputs := make([]map[uint64]ring.Vector, m)
 	chunkSums := make([]ring.Vector, m)
+	window := func(i, c int) ring.Vector { // client i's window of chunk c
+		lo, hi := i*pd+bounds[c][0], i*pd+bounds[c][1]
+		return ring.Vector{Bits: cfg.Codec.Bits, Data: slab[lo:hi:hi]}
+	}
 	stageClient := func(c int) error {
-		// c-comp: assemble chunk inputs; survivors add their XNoise. A
-		// chunk input is the client's window of the slab, noised in place:
-		// chunk ranges are disjoint, each chunk passes here once, and the
-		// substrates only read their inputs.
-		lo, hi := bounds[c][0], bounds[c][1]
-		inputs := make(map[uint64]ring.Vector, len(ids))
-		for i, id := range ids {
-			chunk := ring.Vector{Bits: cfg.Codec.Bits, Data: slab[i*pd+lo : i*pd+hi : i*pd+hi]}
-			if plan != nil && aggregated(id) {
-				err := chunk.AddSignedVia(func(acc []int64) error {
-					return noise[i].AddTotalNoise(*plan, sampler, acc)
-				})
-				if err != nil {
-					return err
-				}
-			}
-			inputs[id] = chunk
+		// c-comp: survivors add their XNoise. A chunk input is the client's
+		// window of the slab, noised in place: chunk ranges are disjoint,
+		// each chunk passes here once, and the substrates only read their
+		// inputs.
+		if plan == nil {
+			return nil
 		}
-		chunkInputs[c] = inputs
+		for i, id := range ids {
+			if !aggregated(id) {
+				continue
+			}
+			err := window(i, c).AddSignedVia(func(acc []int64) error {
+				return noise[i].AddTotalNoise(*plan, sampler, acc)
+			})
+			if err != nil {
+				return err
+			}
+		}
 		return nil
 	}
+	// One inputs map serves every chunk: the aggregation stage runs one
+	// chunk at a time, and aims the map at that chunk's windows.
+	inputs := make(map[uint64]ring.Vector, len(ids))
 	stageProtocol := func(c int) error {
 		// comm (+ the protocol's own compute): secure aggregation of the
 		// chunk.
+		for i, id := range ids {
+			inputs[id] = window(i, c)
+		}
 		if proto == ProtocolLightSecAgg {
-			sum, err := runLightSecAggChunk(lsaCfg, c, chunkInputs[c], schedule, rand, lsaSess)
+			sum, err := runLightSecAggChunk(lsaCfg, c, inputs, schedule, rand, lsaSess)
 			if err != nil {
 				return fmt.Errorf("core: chunk %d aggregation: %w", c, err)
 			}
@@ -477,9 +485,9 @@ func runRoundRing(cfg RoundConfig, updates map[uint64][]float64, drops []uint64,
 		}
 		chunkCfg := baseCfg
 		chunkCfg.Round = subRound(cfg.Round, c)
-		chunkCfg.Dim = len(chunkInputs[c][ids[0]].Data)
+		chunkCfg.Dim = bounds[c][1] - bounds[c][0]
 		chunkCfg.MaskEpoch = uint64(c)
-		rr, err := secagg.RunWithSessions(chunkCfg, chunkInputs[c], nil, schedule, rand, sess)
+		rr, err := secagg.RunWithSessions(chunkCfg, inputs, nil, schedule, rand, sess)
 		if err != nil {
 			return fmt.Errorf("core: chunk %d aggregation: %w", c, err)
 		}

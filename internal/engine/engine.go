@@ -190,6 +190,8 @@ type Engine struct {
 	// keyed by (tag, sender) so a retransmit replaces rather than
 	// accumulates.
 	parked map[parkedKey]Msg
+
+	pending map[uint64]bool // Collect's senders still expected, emptied per stage
 }
 
 type parkedKey struct {
@@ -215,7 +217,11 @@ func (e *Engine) Collect(ctx context.Context, s Stage) ([]uint64, error) {
 	}
 
 	// pending holds the expected senders not yet admitted.
-	pending := make(map[uint64]bool, len(s.Expect))
+	if e.pending == nil {
+		e.pending = make(map[uint64]bool, len(s.Expect))
+	}
+	pending := e.pending
+	clear(pending)
 	for _, id := range s.Expect {
 		pending[id] = true
 	}

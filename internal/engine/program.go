@@ -166,9 +166,10 @@ func walkServer(ctx context.Context, l serverLink, p ServerProgram) error {
 // with the ones the server walker delivers.
 type clientWalk struct {
 	p    ClientProgram
-	drop int  // vanish before the first sending step at or after it (NoDrop: never)
-	at   int  // the step that runs next
-	gone bool // the client vanished
+	drop int   // vanish before the first sending step at or after it (NoDrop: never)
+	at   int   // the step that runs next
+	gone bool  // the client vanished
+	out  []Msg // RunLocal: the uplinks of the walk's last advance
 }
 
 // waiting reports whether the walk still waits for a downlink: it has
@@ -233,6 +234,22 @@ func (w *clientWalk) advance(m Msg, send func(tag int, body any) error) error {
 
 // --- the in-process network: lockstep, typed values ---
 
+// Local is RunLocal's walk scratch: the client walks and their uplink
+// slots, the uplink queue and the engine that drains it. A driver that
+// runs round after round on one set of stage tables keeps one and hands
+// it to every round, which then makes none of these; nil makes a fresh
+// one for the round. A Local runs one round at a time.
+type Local struct {
+	walks []clientWalk
+	sends []func(tag int, body any) error // walk i's uplinks go to walks[i].out
+	index map[uint64]int                  // client id → walk
+	ids   []uint64                        // the round's clients, in table order
+	queue []Msg                           // uplinks not yet collected, in downlink order
+	head  int
+	eng   *Engine
+	link  serverLink
+}
+
 // RunLocal walks a server program and its clients' programs in one
 // process, in lockstep: the clients start together, then every downlink
 // a step seals runs its recipients' walks on ForEach's workers, and the
@@ -242,58 +259,87 @@ func (w *clientWalk) advance(m Msg, send func(tag int, body any) error) error {
 // waits on a deadline: dropStep maps a client to the step before which it
 // vanishes (NoDrop for none), and a vanished client simply sends nothing.
 // A client whose step fails aborts the round with that error, the first
-// failing recipient's in downlink order.
-func RunLocal(server ServerProgram, clients []ClientProgram, dropStep func(id uint64) int) error {
-	walks := make(map[uint64]*clientWalk, len(clients))
-	everyone := make([]uint64, len(clients))
-	for i, p := range clients {
-		walks[p.ID] = &clientWalk{p: p, drop: dropStep(p.ID)}
-		everyone[i] = p.ID
+// failing recipient's in downlink order. l is the walk scratch (Local);
+// nil runs on fresh scratch.
+func RunLocal(l *Local, server ServerProgram, clients []ClientProgram, dropStep func(id uint64) int) error {
+	if l == nil {
+		l = new(Local)
 	}
-	// Each recipient queues its uplinks in its own slot, so the workers
-	// share nothing and the queue keeps downlink order.
-	outs := make([][]Msg, len(clients))
-	var (
-		queue []Msg // uplinks not yet collected, in downlink order
-		head  int
-	)
-	deliver := func(d Downlink) error {
-		if len(d.To) > len(outs) {
-			outs = make([][]Msg, len(d.To))
-		}
-		err := ForEach(len(d.To), func(i int) error {
-			id := d.To[i]
-			outs[i] = outs[i][:0]
-			w := walks[id]
-			if w == nil || d.Tag != NoTag && !w.awaits(d.Tag) {
-				return nil
-			}
-			body := d.Body
-			if d.Each != nil {
-				body = d.Each(id)
-			}
-			return w.advance(Msg{Stage: d.Tag, Body: body}, func(tag int, body any) error {
-				outs[i] = append(outs[i], Msg{From: id, Stage: tag, Body: body})
-				return nil
-			})
+	l.start(clients, dropStep)
+	if err := l.deliver(Downlink{Tag: NoTag, To: l.ids}); err != nil { // the round's start
+		return err
+	}
+	return walkServer(context.Background(), l.link, server)
+}
+
+// start aims the scratch at a round of clients: one walk each, at step 0,
+// with an empty uplink slot, and an empty queue. Each walk's send is made
+// once, for its slot, so no round makes one.
+func (l *Local) start(clients []ClientProgram, dropStep func(id uint64) int) {
+	if l.eng == nil {
+		l.index = make(map[uint64]int, len(clients))
+		l.eng = New(l.next)
+		l.link = serverLink{eng: l.eng, deliver: l.deliver}
+	}
+	for i := len(l.sends); i < len(clients); i++ {
+		l.sends = append(l.sends, func(tag int, body any) error {
+			w := &l.walks[i]
+			w.out = append(w.out, Msg{From: w.p.ID, Stage: tag, Body: body})
+			return nil
 		})
-		for _, out := range outs[:len(d.To)] {
-			queue = append(queue, out...)
-		}
-		return err
 	}
-	eng := New(func(context.Context) (Msg, error) {
-		if head == len(queue) {
-			queue, head = queue[:0], 0
-			return Msg{}, io.EOF // drained: the stage is over
+	if cap(l.walks) < len(clients) {
+		l.walks = make([]clientWalk, len(clients))
+	}
+	l.walks = l.walks[:len(clients)]
+	clear(l.index)
+	l.ids = l.ids[:0]
+	for i, p := range clients {
+		l.walks[i] = clientWalk{p: p, drop: dropStep(p.ID), out: l.walks[i].out[:0]}
+		l.index[p.ID] = i
+		l.ids = append(l.ids, p.ID)
+	}
+	l.queue, l.head = l.queue[:0], 0
+}
+
+// deliver runs a downlink's recipients' walks on ForEach's workers, each
+// queueing its uplinks in its own walk's slot so the workers share
+// nothing, then appends the slots to the queue in downlink order.
+func (l *Local) deliver(d Downlink) error {
+	err := ForEach(len(d.To), func(i int) error {
+		id := d.To[i]
+		j, ok := l.index[id]
+		if !ok {
+			return nil
 		}
-		head++
-		return queue[head-1], nil
+		w := &l.walks[j]
+		w.out = w.out[:0]
+		if d.Tag != NoTag && !w.awaits(d.Tag) {
+			return nil
+		}
+		body := d.Body
+		if d.Each != nil {
+			body = d.Each(id)
+		}
+		return w.advance(Msg{Stage: d.Tag, Body: body}, l.sends[j])
 	})
-	if err := deliver(Downlink{Tag: NoTag, To: everyone}); err != nil { // the round's start
-		return err
+	for _, id := range d.To {
+		if j, ok := l.index[id]; ok {
+			l.queue = append(l.queue, l.walks[j].out...)
+		}
 	}
-	return walkServer(context.Background(), serverLink{eng: eng, deliver: deliver}, server)
+	return err
+}
+
+// next is the engine's source: the queue, until it is drained, which ends
+// the stage.
+func (l *Local) next(context.Context) (Msg, error) {
+	if l.head == len(l.queue) {
+		l.queue, l.head = l.queue[:0], 0
+		return Msg{}, io.EOF
+	}
+	l.head++
+	return l.queue[l.head-1], nil
 }
 
 // SharedReader serializes reads so the clients of a local round, stepping

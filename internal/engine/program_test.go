@@ -181,7 +181,7 @@ func runToyLocal(s *toyServer, clients []*toyClient, resume bool, divergent []ui
 	for _, c := range clients {
 		cps = append(cps, c.program(resume, divergent))
 	}
-	return RunLocal(s.program(resume, divergent), cps, func(id uint64) int {
+	return RunLocal(nil, s.program(resume, divergent), cps, func(id uint64) int {
 		if d, ok := drops[id]; ok {
 			return d
 		}
@@ -378,7 +378,7 @@ func TestRunLocalBoundsWorkers(t *testing.T) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}, func(uint64, string) { inFlight.Add(-1) })
-	if err := RunLocal(s.program(false, nil), cps, func(uint64) int { return NoDrop }); err != nil {
+	if err := RunLocal(nil, s.program(false, nil), cps, func(uint64) int { return NoDrop }); err != nil {
 		t.Fatal(err)
 	}
 	if s.sum != 64*65/2 {
@@ -412,7 +412,7 @@ func TestRunLocalAppliesInIDOrder(t *testing.T) {
 		order = append(order, from)
 		return apply(from, body)
 	}
-	if err := RunLocal(sp, cps, func(uint64) int { return NoDrop }); err != nil {
+	if err := RunLocal(nil, sp, cps, func(uint64) int { return NoDrop }); err != nil {
 		t.Fatal(err)
 	}
 	if !slices.IsSorted(order) || len(order) != n {

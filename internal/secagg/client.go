@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/aead"
 	"repro/internal/dh"
+	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/prg"
 	"repro/internal/ring"
@@ -72,6 +73,11 @@ type Client struct {
 	plain       []byte
 	bundles     []ShareBundle
 	noiseShares []shamir.Share
+
+	// The stage table (Program), built once, and the walk state its rows
+	// read.
+	steps []engine.ClientStep
+	walk  clientWalk
 }
 
 // NewSessionClient constructs a participant for the round. signer may be
@@ -100,25 +106,40 @@ func NewSessionClient(cfg Config, id uint64, input ring.Vector, signer *sig.Sign
 
 // newClient is NewSessionClient for a cfg the caller has validated.
 func newClient(cfg Config, id uint64, input ring.Vector, signer *sig.Signer, rand io.Reader, sess *Session) (*Client, error) {
-	if _, err := cfg.indexOf(id); err != nil {
+	c := &Client{id: id}
+	if err := c.aim(cfg, input, signer, rand, sess); err != nil {
 		return nil, err
 	}
+	return c, nil
+}
+
+// aim readies c for a sub-round of cfg, as newClient readies a new one:
+// every per-round field starts zero — keys, deal, roster, id sets, the
+// bundles opened — and only the stage table and the plaintext buffer it
+// opens bundles in carry over, so a kept client (RunWithSessions) reads
+// nothing of its last sub-round but what its session keeps. With XNoise
+// it draws fresh noise seeds from rand.
+func (c *Client) aim(cfg Config, input ring.Vector, signer *sig.Signer, rand io.Reader, sess *Session) error {
+	if _, err := cfg.indexOf(c.id); err != nil {
+		return err
+	}
 	if input.Bits != cfg.Bits || input.Len() != cfg.Dim {
-		return nil, fmt.Errorf("secagg: client %d input %d×%db, config wants %d×%db",
-			id, input.Len(), input.Bits, cfg.Dim, cfg.Bits)
+		return fmt.Errorf("secagg: client %d input %d×%db, config wants %d×%db",
+			c.id, input.Len(), input.Bits, cfg.Dim, cfg.Bits)
 	}
 	if cfg.Registry != nil && signer == nil {
-		return nil, fmt.Errorf("secagg: malicious mode requires a signer for client %d", id)
+		return fmt.Errorf("secagg: malicious mode requires a signer for client %d", c.id)
 	}
-	c := &Client{cfg: cfg, id: id, input: input, rand: rand, signer: signer, session: sess}
+	*c = Client{cfg: cfg, id: c.id, input: input, rand: rand, signer: signer, session: sess,
+		plain: c.plain, steps: c.steps}
 	if cfg.XNoise != nil {
 		noise, err := xnoise.NewClientNoise(*cfg.XNoise, rand)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		c.noise = noise
 	}
-	return c, nil
+	return nil
 }
 
 // buffer returns the client's one vector (NewClient), Dim long: its
@@ -375,7 +396,7 @@ func (c *Client) MaskedInput(ciphertexts []EncryptedShareMsg) (MaskedInputMsg, e
 		}
 		c.u2 = transport.SortedKeys(u2set)
 		if d != nil {
-			d.delivered, d.u2 = c.pendingCts, c.u2
+			d.delivered, d.u2, d.seen = c.pendingCts, c.u2, make([]bool, len(c.u2))
 		}
 	}
 
@@ -431,7 +452,7 @@ func (c *Client) masks() ([]ring.Mask, error) {
 			tasks = append(tasks, maskTask{sign: pairMaskSign(c.id, peer), id: c.id, peer: peer})
 		}
 	}
-	masks, err := resolveMasks(tasks, window, func(t maskTask) (*prg.Stream, error) {
+	masks, err := resolveMasks(nil, tasks, window, func(t maskTask) (*prg.Stream, error) {
 		if t.self {
 			return c.selfStream, nil
 		}

@@ -146,13 +146,13 @@ func (c *Config) Validate() error {
 	if n < 2 {
 		return fmt.Errorf("secagg: need at least 2 clients, got %d", n)
 	}
-	seen := make(map[uint64]struct{}, n)
-	for i, id := range c.ClientIDs {
-		if _, dup := seen[id]; dup {
-			return fmt.Errorf("secagg: duplicate client id %d", id)
-		}
-		seen[id] = struct{}{}
-		if i > 0 && c.ClientIDs[i-1] >= id {
+	for i := 1; i < n; i++ {
+		if id := c.ClientIDs[i]; c.ClientIDs[i-1] >= id {
+			// The ids before i ascend, so id repeats one of them or breaks
+			// the order.
+			if _, dup := slices.BinarySearch(c.ClientIDs[:i], id); dup {
+				return fmt.Errorf("secagg: duplicate client id %d", id)
+			}
 			return fmt.Errorf("secagg: client ids must be sorted ascending")
 		}
 	}
@@ -190,7 +190,7 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("secagg: XNoise threshold %d != config threshold %d", c.XNoise.Threshold, c.Threshold)
 		}
 	}
-	if c.Graph != nil && !c.nbrsCover(seen) {
+	if c.Graph != nil && !c.nbrsCover() {
 		// One Neighbors call per client, kept ascending, so the symmetry
 		// check is a binary search per edge.
 		nbrs := make(map[uint64][]uint64, n)
@@ -204,7 +204,7 @@ func (c *Config) Validate() error {
 				if v == id {
 					return fmt.Errorf("secagg: client %d lists itself as neighbor", id)
 				}
-				if _, ok := seen[v]; !ok {
+				if _, ok := slices.BinarySearch(c.ClientIDs, v); !ok {
 					return fmt.Errorf("secagg: client %d has unknown neighbor %d", id, v)
 				}
 			}
@@ -226,17 +226,18 @@ func (c *Config) Validate() error {
 }
 
 // nbrsCover reports whether the memoized neighbor map already covers
-// exactly the given client set, in which case a re-Validate (every client
+// exactly the client set (distinct, as Validate checked before), in which
+// case a re-Validate (every client
 // and server constructor validates its own Config copy) skips rebuilding
 // the memo and re-running the O(n·k) graph pass — the memo only exists if
 // a previous Validate of this very Config value passed. A caller that
 // swaps the Graph on an already-validated copy without clearing ClientIDs
 // is outside the supported use of the type.
-func (c *Config) nbrsCover(ids map[uint64]struct{}) bool {
-	if c.nbrs == nil || len(c.nbrs) != len(ids) {
+func (c *Config) nbrsCover() bool {
+	if c.nbrs == nil || len(c.nbrs) != len(c.ClientIDs) {
 		return false
 	}
-	for id := range ids {
+	for _, id := range c.ClientIDs {
 		if _, ok := c.nbrs[id]; !ok {
 			return false
 		}

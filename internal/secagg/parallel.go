@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/field"
@@ -23,24 +24,29 @@ type maskTask struct {
 
 // applyMaskTasks accumulates Σ sign_i·PRG_i straight into dst — the
 // server's masked sum — reading every stream from keystream byte window on
-// (the sub-round's mask window, Config.maskWindow): resolveMasks, then
-// expandMasks, so dst is untouched on error. A client runs the two halves
-// itself, to keep the resolved list on its deal (Client.masks).
-func applyMaskTasks(dst ring.Vector, tasks []maskTask, window uint64, stream func(maskTask) (*prg.Stream, error)) error {
-	masks, err := resolveMasks(tasks, window, stream)
+// (the sub-round's mask window, Config.maskWindow): resolveMasks, in
+// masks' memory, then expandMasks, so dst is untouched on error. It
+// returns the resolved masks, for the caller to hand back as scratch. A
+// client runs the two halves itself, to keep the resolved list on its deal
+// (Client.masks).
+func applyMaskTasks(dst ring.Vector, masks []ring.Mask, tasks []maskTask, window uint64,
+	stream func(maskTask) (*prg.Stream, error)) ([]ring.Mask, error) {
+
+	masks, err := resolveMasks(masks, tasks, window, stream)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return expandMasks(dst, masks)
+	return masks, expandMasks(dst, masks)
 }
 
 // resolveMasks finds or builds every task's stream on engine.ForEach,
 // stream (the caller's one resolver: an X25519 agreement, a cache lookup)
-// running exactly once per task, and returns the masks aimed at window. A
-// failing stream stops further claims — the round is aborting, no point
-// burning key agreements — and its error is returned.
-func resolveMasks(tasks []maskTask, window uint64, stream func(maskTask) (*prg.Stream, error)) ([]ring.Mask, error) {
-	masks := make([]ring.Mask, len(tasks))
+// running exactly once per task, and returns the masks aimed at window, in
+// masks' memory when it has room. A failing stream stops further claims —
+// the round is aborting, no point burning key agreements — and its error
+// is returned.
+func resolveMasks(masks []ring.Mask, tasks []maskTask, window uint64, stream func(maskTask) (*prg.Stream, error)) ([]ring.Mask, error) {
+	masks = slices.Grow(masks[:0], len(tasks))[:len(tasks)]
 	err := engine.ForEach(len(tasks), func(i int) error {
 		s, err := stream(tasks[i])
 		masks[i] = ring.Mask{Stream: s, Sign: int(tasks[i].sign), Off: window}
@@ -66,6 +72,9 @@ func expandMasks(dst ring.Vector, masks []ring.Mask) error {
 	block := ring.MaskBlockLen(dst.Bits)
 	blocks := (dst.Len() + block - 1) / block
 	ranges := min(runtime.GOMAXPROCS(0), blocks)
+	if ranges == 1 {
+		return dst.MaskManyInPlace(masks, 0, dst.Len())
+	}
 	return engine.ForEach(ranges, func(r int) error {
 		lo := blocks * r / ranges * block
 		hi := min(blocks*(r+1)/ranges*block, dst.Len())

@@ -51,7 +51,7 @@ func TestApplyMaskTasksSegmentedMatchesSequential(t *testing.T) {
 				dst.Data[i] = uint64(i) & dst.Mask()
 			}
 			tasks, stream, want, made := seededTasks(t, dst, ntasks)
-			if err := applyMaskTasks(dst, tasks, 0, stream); err != nil {
+			if _, err := applyMaskTasks(dst, nil, tasks, 0, stream); err != nil {
 				t.Fatal(err)
 			}
 			if !ring.Equal(dst, want) {
@@ -90,7 +90,7 @@ func TestApplyMaskTasksSegmentedError(t *testing.T) {
 			return prg.NewStream(prg.NewSeed([]byte("ok"))), nil
 		}
 		dst := ring.NewVector(20, 3*ring.MaskBlockLen(20))
-		if err := applyMaskTasks(dst, tasks, 0, stream); !errors.Is(err, boom) {
+		if _, err := applyMaskTasks(dst, nil, tasks, 0, stream); !errors.Is(err, boom) {
 			t.Fatalf("procs=%d: got err %v, want %v", procs, err, boom)
 		}
 		if !ring.Equal(dst, ring.NewVector(20, dst.Len())) {
@@ -121,7 +121,7 @@ func TestApplyMaskTasksSmallDimUnchanged(t *testing.T) {
 		}
 		dst := ring.NewVector(16, dim)
 		tasks, stream, want, _ := seededTasks(t, dst, 5)
-		if err := applyMaskTasks(dst, tasks, 0, stream); err != nil {
+		if _, err := applyMaskTasks(dst, nil, tasks, 0, stream); err != nil {
 			t.Fatal(err)
 		}
 		if !ring.Equal(dst, want) {

@@ -46,23 +46,38 @@ type ServerRound struct {
 // Program lays the server's round out as a stage table over its Add*/Seal*
 // methods. Every row whose message names its sender writes the
 // link-verified one over it, on its own copy, so no client uploads under
-// another's id.
+// another's id. The table is built on the first call and kept: its rows
+// read the walk's state (round, resume) from the server, so a kept server
+// (RunWithSessions) hands the engine the same table every sub-round.
 func (s *Server) Program(round *ServerRound, resume bool, divergent []uint64) engine.ServerProgram {
-	cfg := s.cfg
-	var noiseReq *NoiseShareRequest
-	unmaskQuorumMet := s.UnmaskQuorumMet
-	if cfg.XNoise != nil {
-		// XNoise rounds wait for every survivor: see UnmaskQuorumMet.
-		unmaskQuorumMet = nil
+	s.walk = serverWalk{round: round, resume: resume, silentRoster: resume && len(divergent) == 0}
+	if s.steps == nil {
+		s.steps = s.table()
+		s.quorum = s.UnmaskQuorumMet
 	}
-	advertisers, rosterTag := cfg.ClientIDs, TagRoster
+	s.steps[StageUnmasking].QuorumMet = s.quorum
+	if s.cfg.XNoise != nil {
+		// XNoise rounds wait for every survivor: see UnmaskQuorumMet.
+		s.steps[StageUnmasking].QuorumMet = nil
+	}
+	advertisers := s.cfg.ClientIDs
 	if resume {
 		advertisers = divergent
-		if len(divergent) == 0 {
-			rosterTag = engine.NoTag
-		}
 	}
-	steps := []engine.ServerStep{{
+	return engine.ServerProgram{Roster: advertisers, Steps: s.steps}
+}
+
+// serverWalk is the state a server's table reads during one walk.
+type serverWalk struct {
+	round        *ServerRound
+	resume       bool
+	silentRoster bool               // a full resume: the roster seals without a broadcast
+	noiseReq     *NoiseShareRequest // the stage-5 request, when one was sent
+}
+
+// table builds the server's stage table, one row per protocol stage.
+func (s *Server) table() []engine.ServerStep {
+	return []engine.ServerStep{{
 		Name: StageAdvertiseKeys.String(), Tag: TagAdvertise,
 		Apply: func(from uint64, body any) error {
 			m := body.(AdvertiseMsg)
@@ -70,10 +85,17 @@ func (s *Server) Program(round *ServerRound, resume bool, divergent []uint64) en
 			return s.AddAdvertise(m)
 		},
 		Seal: func() (engine.Downlink, error) {
-			if resume {
-				cached := s.session.RosterFor(cfg.ClientIDs)
+			if s.walk.resume {
+				cached := s.session.RosterFor(s.cfg.ClientIDs)
 				if cached == nil {
 					return engine.Downlink{}, fmt.Errorf("secagg: no cached roster for this client set")
+				}
+				if s.walk.silentRoster {
+					// Nobody re-advertised: the cached roster is the sealed
+					// one, kept as it is.
+					err := s.InstallRoster(cached)
+					s.walk.round.Roster = cached
+					return engine.Downlink{Tag: engine.NoTag, To: s.u1}, err
 				}
 				for _, m := range cached {
 					if err := s.AddAdvertise(m); err != nil {
@@ -83,10 +105,10 @@ func (s *Server) Program(round *ServerRound, resume bool, divergent []uint64) en
 			}
 			roster, err := s.SealAdvertise()
 			if err == nil {
-				s.session.StoreRoster(roster, cfg.ClientIDs)
+				s.session.StoreRoster(roster, s.cfg.ClientIDs)
 			}
-			round.Roster = roster
-			return engine.Downlink{Tag: rosterTag, To: s.u1, Body: roster}, err
+			s.walk.round.Roster = roster
+			return engine.Downlink{Tag: TagRoster, To: s.u1, Body: roster}, err
 		},
 	}, {
 		// Each sender's ciphertext list routes into recipient outboxes on
@@ -125,22 +147,22 @@ func (s *Server) Program(round *ServerRound, resume bool, divergent []uint64) en
 			return engine.Downlink{Tag: TagUnmaskReq, To: req.U4, Body: req}, err
 		},
 	}, {
-		// The per-cohort predicate cuts the stage before all-of-N the
-		// moment every reconstruction cohort holds its t shares — on a
-		// SecAgg+ graph when the last short cohort fills, under the
-		// complete graph at the t-th response.
-		Name: StageUnmasking.String(), Tag: TagUnmask, QuorumMet: unmaskQuorumMet,
+		// The per-cohort predicate (Program installs it) cuts the stage
+		// before all-of-N the moment every reconstruction cohort holds its t
+		// shares — on a SecAgg+ graph when the last short cohort fills,
+		// under the complete graph at the t-th response.
+		Name: StageUnmasking.String(), Tag: TagUnmask,
 		Apply: func(from uint64, body any) error {
 			m := body.(UnmaskMsg)
 			m.From = from
 			return s.AddUnmask(m)
 		},
 		Seal: func() (engine.Downlink, error) {
-			var err error
-			if noiseReq, err = s.SealUnmask(); noiseReq == nil {
+			req, err := s.SealUnmask()
+			if s.walk.noiseReq = req; req == nil {
 				return engine.Downlink{}, err // nobody to ask: the next step falls through
 			}
-			return engine.Downlink{Tag: TagNoiseReq, To: noiseReq.U5, Body: *noiseReq}, err
+			return engine.Downlink{Tag: TagNoiseReq, To: req.U5, Body: *req}, err
 		},
 	}, {
 		// Collected only when survivors died between stages 2 and 4; the
@@ -152,17 +174,17 @@ func (s *Server) Program(round *ServerRound, resume bool, divergent []uint64) en
 			return s.AddNoiseShare(m)
 		},
 		Seal: func() (engine.Downlink, error) {
-			if noiseReq != nil {
+			if s.walk.noiseReq != nil {
 				if err := s.SealNoiseShares(); err != nil {
 					return engine.Downlink{}, err
 				}
 			}
+			round := s.walk.round
 			var err error
 			round.Result, err = s.Finalize()
 			return engine.Downlink{Tag: TagResult, To: round.Result.Survivors, Body: round.Result}, err
 		},
 	}}
-	return engine.ServerProgram{Roster: advertisers, Steps: steps}
 }
 
 // ClientRound is what walking a client's Program leaves behind.
@@ -173,21 +195,39 @@ type ClientRound struct {
 }
 
 // Program lays the client's round out as a stage table over its stage
-// methods.
+// methods. Like the server's, the table is built on the first call and
+// kept, its rows reading the walk's state from the client; only the two
+// tags a resume silences are rewritten per call.
 func (c *Client) Program(round *ClientRound, resume bool, divergent []uint64) engine.ClientProgram {
-	keepsKeys := resume && !slices.Contains(divergent, c.id)
-	holdsRoster := resume && len(divergent) == 0
-	advertiseTag, rosterTag := TagAdvertise, TagRoster
-	if keepsKeys {
-		advertiseTag = engine.NoTag
+	c.walk = clientWalk{round: round, keepsKeys: resume && !slices.Contains(divergent, c.id),
+		holdsRoster: resume && len(divergent) == 0}
+	if c.steps == nil {
+		c.steps = c.table()
 	}
-	if holdsRoster {
-		rosterTag = engine.NoTag
+	c.steps[StageAdvertiseKeys].Send, c.steps[StageShareKeys].Await = TagAdvertise, TagRoster
+	if c.walk.keepsKeys {
+		c.steps[StageAdvertiseKeys].Send = engine.NoTag
 	}
-	steps := []engine.ClientStep{{
-		Name: StageAdvertiseKeys.String(), Await: engine.NoTag, Send: advertiseTag,
+	if c.walk.holdsRoster {
+		c.steps[StageShareKeys].Await = engine.NoTag
+	}
+	return engine.ClientProgram{ID: c.id, Steps: c.steps}
+}
+
+// clientWalk is the state a client's table reads during one walk.
+type clientWalk struct {
+	round       *ClientRound
+	keepsKeys   bool // resumed on its session's keys: nothing to advertise
+	holdsRoster bool // a full resume: the cached roster, no broadcast
+}
+
+// table builds the client's stage table, one row per protocol stage and
+// the Result step.
+func (c *Client) table() []engine.ClientStep {
+	return []engine.ClientStep{{
+		Name: StageAdvertiseKeys.String(), Await: engine.NoTag, Send: TagAdvertise,
 		Do: func(any) (any, error) {
-			if keepsKeys {
+			if c.walk.keepsKeys {
 				return nil, nil
 			}
 			return c.AdvertiseKeys()
@@ -196,16 +236,17 @@ func (c *Client) Program(round *ClientRound, resume bool, divergent []uint64) en
 		// ShareKeys verifies this client's own entry in whatever roster it
 		// ends up with, so a merge that lost or replaced it fails loudly
 		// here rather than desynchronize the round.
-		Name: StageShareKeys.String(), Await: rosterTag, Send: TagShares,
+		Name: StageShareKeys.String(), Await: TagRoster, Send: TagShares,
 		Do: func(body any) (any, error) {
-			if keepsKeys {
+			round := c.walk.round
+			if c.walk.keepsKeys {
 				// Here, not at stage 0, so a failure is reported under a
 				// tag the server collects from this client.
 				if err := c.SkipAdvertise(); err != nil {
 					return nil, err
 				}
 			}
-			if !holdsRoster {
+			if !c.walk.holdsRoster {
 				round.Roster = body.([]AdvertiseMsg)
 				if c.session != nil {
 					c.session.StoreRoster(round.Roster)
@@ -232,10 +273,9 @@ func (c *Client) Program(round *ClientRound, resume bool, divergent []uint64) en
 		Do: func(body any) (any, error) {
 			res, err := c.receiveResult(body.(Result))
 			if err == nil {
-				round.Result, round.Received = res, true
+				c.walk.round.Result, c.walk.round.Received = res, true
 			}
 			return nil, err
 		},
 	}}
-	return engine.ClientProgram{ID: c.id, Steps: steps}
 }

@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"repro/internal/dh"
+	"repro/internal/engine"
 	"repro/internal/field"
 	"repro/internal/prg"
 	"repro/internal/ring"
@@ -74,6 +75,34 @@ type Server struct {
 	cohortShort int            // cohorts still below the threshold
 
 	sum ring.Vector
+
+	// The share stage's uploads in admission order, and the step's kept
+	// routing while every upload so far is byte-equal to its kept one
+	// (AddShare); those uploads are routed only if one differs.
+	uploads []upload
+	kept    *routing
+
+	// Scratch a kept server reuses sub-round after sub-round: the slabs
+	// the unmask stage's share lists are cut from (sized by initCohorts),
+	// and unmask's mask tasks, their resolved masks and the dropped
+	// clients' keys.
+	selfSlab []shamir.Share
+	keySlab  [][numKeyChunks]shamir.Share
+	tasks    []maskTask
+	masks    []ring.Mask
+	keys     map[uint64]*dh.KeyPair
+
+	// The stage table (Program), built once, and the walk state its rows
+	// read.
+	steps  []engine.ServerStep
+	quorum func() bool // UnmaskQuorumMet, bound once
+	walk   serverWalk
+}
+
+// upload is one sender's stage-1 list.
+type upload struct {
+	from uint64
+	cts  []EncryptedShareMsg
 }
 
 // NewSessionServer constructs the aggregator for a round. sess is an
@@ -96,15 +125,50 @@ func newServer(cfg Config, sess *ServerSession) *Server {
 	return &Server{cfg: cfg, session: sess}
 }
 
+// aim readies a kept server for another sub-round of cfg on sess
+// (RunWithSessions): every stage map is emptied in place — clear keeps its
+// buckets — and every other per-round field starts zero, so nothing of the
+// last sub-round is read again; the stage table and the scratch slices
+// carry over. The last sub-round's sum was handed over (Finalize), so the
+// next AddMasked makes a new one.
+func (s *Server) aim(cfg Config, sess *ServerSession) {
+	*s = Server{cfg: cfg, session: sess,
+		roster: s.roster, outbox: s.outbox, u2set: s.u2set, sigs: s.sigs, u4set: s.u4set,
+		u3set: s.u3set, maskedDigests: s.maskedDigests,
+		u5set: s.u5set, maskKeyShares: s.maskKeyShares, selfSeedShares: s.selfSeedShares,
+		noiseSeeds: s.noiseSeeds, nsSenders: s.nsSenders, noiseShares: s.noiseShares,
+		selfNeed: s.selfNeed, keyNeed: s.keyNeed,
+		uploads: s.uploads[:0], selfSlab: s.selfSlab, keySlab: s.keySlab, tasks: s.tasks, masks: s.masks,
+		keys: s.keys, steps: s.steps, quorum: s.quorum}
+	clear(s.roster)
+	clear(s.outbox)
+	clear(s.u2set)
+	clear(s.sigs)
+	clear(s.u4set)
+	clear(s.u3set)
+	clear(s.maskedDigests)
+	clear(s.u5set)
+	clear(s.maskKeyShares)
+	clear(s.selfSeedShares)
+	clear(s.noiseSeeds)
+	clear(s.nsSenders)
+	clear(s.noiseShares)
+	clear(s.selfNeed)
+	clear(s.keyNeed)
+	clear(s.keys)
+}
+
 // InstallRoster seeds the stage-0 state from a cached roster instead of
 // collecting advertisements — the session-aware skippable advertise stage.
 // The roster must come from a previously sealed advertise stage over the
 // same client set and key generation.
 func (s *Server) InstallRoster(roster []AdvertiseMsg) error {
-	if s.roster != nil {
+	if len(s.roster) != 0 {
 		return fmt.Errorf("secagg: advertise stage already started")
 	}
-	s.roster = make(map[uint64]AdvertiseMsg, len(roster))
+	if s.roster == nil {
+		s.roster = make(map[uint64]AdvertiseMsg, len(roster))
+	}
 	for _, m := range roster {
 		if _, err := s.cfg.indexOf(m.From); err != nil {
 			return err
@@ -151,11 +215,21 @@ func (s *Server) SealAdvertise() ([]AdvertiseMsg, error) {
 }
 
 // AddShare ingests one sender's stage-1 ciphertext list on arrival,
-// routing each ciphertext to its recipient's outbox.
+// routing each ciphertext to its recipient's outbox. At a ratchet step
+// whose share stage the server's session already routed, an upload
+// byte-equal to the one that sender made then is held back instead: if
+// every upload of the stage is, SealShares hands out the kept deliveries,
+// which routing them would rebuild; the first upload that is not routes
+// every held one, in admission order, and itself, as routing on arrival
+// would have.
 func (s *Server) AddShare(sender uint64, cts []EncryptedShareMsg) error {
-	if s.outbox == nil {
+	if s.u2set == nil {
 		s.outbox = make(map[uint64][]EncryptedShareMsg)
 		s.u2set = make(map[uint64]struct{}, len(s.u1))
+		s.uploads = make([]upload, 0, len(s.u1))
+	}
+	if len(s.uploads) == 0 {
+		s.kept = s.session.routingAt(s.cfg.KeyRatchet)
 	}
 	if _, inU1 := s.roster[sender]; !inU1 {
 		return fmt.Errorf("secagg: shares from client %d outside U1", sender)
@@ -163,14 +237,45 @@ func (s *Server) AddShare(sender uint64, cts []EncryptedShareMsg) error {
 	if _, dup := s.u2set[sender]; dup {
 		return fmt.Errorf("secagg: duplicate share list from %d", sender)
 	}
-	s.u2set[sender] = struct{}{}
 	for _, ct := range cts {
 		if ct.From != sender {
 			return fmt.Errorf("secagg: ciphertext spoofing: %d claimed by %d", ct.From, sender)
 		}
+	}
+	s.u2set[sender] = struct{}{}
+	s.uploads = append(s.uploads, upload{from: sender, cts: cts})
+	if s.kept != nil {
+		if first, ok := s.kept.uploads[sender]; ok && sameUpload(cts, first) {
+			return nil
+		}
+		s.routeHeld(len(s.uploads) - 1)
+	}
+	s.route(cts)
+	return nil
+}
+
+// routeHeld routes the first n uploads, which AddShare held back against
+// the kept routing, and drops it.
+func (s *Server) routeHeld(n int) {
+	for _, u := range s.uploads[:n] {
+		s.route(u.cts)
+	}
+	s.kept = nil
+}
+
+// route appends each ciphertext of one upload to its recipient's outbox.
+func (s *Server) route(cts []EncryptedShareMsg) {
+	for _, ct := range cts {
 		s.outbox[ct.To] = appendSized(s.outbox[ct.To], ct, s.neighbors(ct.To))
 	}
-	return nil
+}
+
+// sameUpload reports whether two share uploads are byte-equal, entry for
+// entry.
+func sameUpload(a, b []EncryptedShareMsg) bool {
+	return slices.EqualFunc(a, b, func(x, y EncryptedShareMsg) bool {
+		return x.From == y.From && x.To == y.To && bytes.Equal(x.Ciphertext, y.Ciphertext)
+	})
 }
 
 // neighbors is how many peers v shares with, which bounds the lists the
@@ -198,13 +303,27 @@ func appendSized[T any](list []T, x T, n int) []T {
 
 // SealShares closes stage 1: the senders form U2, and each U2 recipient's
 // delivery is filtered to ciphertexts from U2 members (a recipient cannot
-// use shares from clients that never sent theirs).
+// use shares from clients that never sent theirs). When every upload of
+// the stage was held back against the step's kept routing (AddShare) —
+// the same senders, each byte-equal — the delivery is the kept one;
+// otherwise the server's session keeps this stage's routing for the
+// step's later sub-rounds. The deliveries are read, never written, by
+// their recipients, and hold until the session's next share stage that
+// routes afresh.
 func (s *Server) SealShares() (map[uint64][]EncryptedShareMsg, error) {
 	if len(s.u2set) < s.cfg.Threshold {
 		return nil, fmt.Errorf("secagg: |U2|=%d < t=%d, aborting", len(s.u2set), s.cfg.Threshold)
 	}
 	s.u2 = transport.SortedKeys(s.u2set)
-	deliver := make(map[uint64][]EncryptedShareMsg, len(s.u2))
+	if s.kept != nil {
+		if len(s.uploads) == len(s.kept.uploads) {
+			return s.kept.deliveries, nil
+		}
+		s.routeHeld(len(s.uploads))
+	}
+	r := s.session.takeRouting()
+	r.step = s.cfg.KeyRatchet
+	deliver := r.deliveries
 	for _, recipient := range s.u2 {
 		// Filtered in place: the outbox is read no more.
 		box := s.outbox[recipient]
@@ -216,6 +335,10 @@ func (s *Server) SealShares() (map[uint64][]EncryptedShareMsg, error) {
 		}
 		deliver[recipient] = list
 	}
+	for _, u := range s.uploads {
+		r.uploads[u.from] = u.cts
+	}
+	s.session.keepRouting(r)
 	return deliver, nil
 }
 
@@ -229,6 +352,8 @@ func (s *Server) SealShares() (map[uint64][]EncryptedShareMsg, error) {
 func (s *Server) AddMasked(m MaskedInputMsg) error {
 	if s.u3set == nil {
 		s.u3set = make(map[uint64]struct{}, len(s.u2))
+	}
+	if s.maskedSum.Data == nil {
 		s.maskedSum = ring.NewVector(s.cfg.Bits, s.cfg.Dim)
 	}
 	if _, inU2 := s.u2set[m.From]; !inU2 {
@@ -328,11 +453,13 @@ func (s *Server) SealConsistency() (UnmaskRequest, error) {
 // AddUnmask ingests one stage-4 response on arrival, indexing its share
 // bundles by target client so reconstruction cohorts are ready at Seal.
 func (s *Server) AddUnmask(m UnmaskMsg) error {
-	if s.u5set == nil {
-		s.u5set = make(map[uint64]struct{}, len(s.u4))
-		s.maskKeyShares = make(map[uint64][][numKeyChunks]shamir.Share)
-		s.selfSeedShares = make(map[uint64][]shamir.Share)
-		s.noiseSeeds = make(map[uint64]map[int]field.Element)
+	if len(s.u5set) == 0 {
+		if s.u5set == nil {
+			s.u5set = make(map[uint64]struct{}, len(s.u4))
+			s.maskKeyShares = make(map[uint64][][numKeyChunks]shamir.Share)
+			s.selfSeedShares = make(map[uint64][]shamir.Share)
+			s.noiseSeeds = make(map[uint64]map[int]field.Element)
+		}
 		s.initCohorts()
 	}
 	if _, inU4 := s.u4set[m.From]; !inU4 {
@@ -345,11 +472,11 @@ func (s *Server) AddUnmask(m UnmaskMsg) error {
 	// A target's shares come from its neighbours, and a live target's
 	// also from itself.
 	for v, sh := range m.MaskKeyShares {
-		s.maskKeyShares[v] = appendSized(s.maskKeyShares[v], sh, s.neighbors(v))
+		s.maskKeyShares[v] = appendCut(&s.keySlab, s.maskKeyShares[v], sh, s.neighbors(v))
 		s.cohortFill(s.keyNeed, v)
 	}
 	for v, sh := range m.SelfSeedShares {
-		s.selfSeedShares[v] = appendSized(s.selfSeedShares[v], sh, s.neighbors(v)+1)
+		s.selfSeedShares[v] = appendCut(&s.selfSlab, s.selfSeedShares[v], sh, s.neighbors(v)+1)
 		s.cohortFill(s.selfNeed, v)
 	}
 	if m.OwnNoiseSeeds != nil {
@@ -365,23 +492,57 @@ func (s *Server) AddUnmask(m UnmaskMsg) error {
 // initCohorts seeds the per-cohort deficit counters consulted by
 // UnmaskQuorumMet: every live client's self-seed needs t shares, and
 // every dropped client's mask key needs t bundles unless the session
-// already holds the verified key from an earlier sub-round.
+// already holds the verified key from an earlier sub-round. It sizes the
+// share slabs for every list an honest stage fills: a live client's from
+// its neighbours and itself, a dropped client's from its neighbours.
 func (s *Server) initCohorts() {
-	s.selfNeed = make(map[uint64]int, len(s.u3))
+	if s.selfNeed == nil {
+		s.selfNeed = make(map[uint64]int, len(s.u3))
+		s.keyNeed = make(map[uint64]int)
+	}
+	clear(s.selfNeed)
+	clear(s.keyNeed)
+	selfShares, keyShares := 0, 0
 	for _, u := range s.u3 {
 		s.selfNeed[u] = s.cfg.Threshold
+		selfShares += s.neighbors(u) + 1
 	}
-	s.keyNeed = make(map[uint64]int)
 	for _, v := range s.u2 {
 		if slices.Contains(s.u3, v) {
 			continue
 		}
+		keyShares += s.neighbors(v)
 		if s.session.key(s.roster[v].MaskPub) != nil {
 			continue
 		}
 		s.keyNeed[v] = s.cfg.Threshold
 	}
 	s.cohortShort = len(s.selfNeed) + len(s.keyNeed)
+	s.selfSlab = emptySlab(s.selfSlab, selfShares)
+	s.keySlab = emptySlab(s.keySlab, keyShares)
+}
+
+// emptySlab returns slab emptied, or a new one if it has no room for n.
+func emptySlab[T any](slab []T, n int) []T {
+	if cap(slab) < n {
+		return make([]T, 0, n)
+	}
+	return slab[:0]
+}
+
+// appendCut appends x to list, cutting the list from slab with room for n
+// when it is nil — made instead, when the slab is spent. A list never
+// grows into its neighbour in the slab: append past n moves it out.
+func appendCut[T any](slab *[]T, list []T, x T, n int) []T {
+	if list == nil {
+		if l := len(*slab); cap(*slab)-l >= n {
+			*slab = (*slab)[:l+n]
+			list = (*slab)[l : l : l+n]
+		} else {
+			list = make([]T, 0, n)
+		}
+	}
+	return append(list, x)
 }
 
 // cohortFill decrements one cohort's deficit after a share arrival.
@@ -447,17 +608,29 @@ func (s *Server) unmask() error {
 	z := s.maskedSum
 
 	// Reconstruct the self-mask seeds of live clients in one batch per
-	// abscissa cohort.
-	selfSeeds, err := reconstructGrouped(s.u3, func(u uint64) []shamir.Share {
-		return s.selfSeedShares[u]
-	}, s.cfg.Threshold)
-	if err != nil {
-		return fmt.Errorf("secagg: reconstructing self seeds: %w", err)
+	// abscissa cohort — all but those whose shares are, byte for byte, the
+	// ones the session reconstructed a seed from earlier in the step.
+	var fresh []uint64
+	for _, u := range s.u3 {
+		if s.session.keptSelf(u, s.cfg.KeyRatchet, s.cfg.Threshold, s.selfSeedShares[u]) == nil {
+			fresh = append(fresh, u)
+		}
+	}
+	if len(fresh) > 0 {
+		selfSeeds, err := reconstructGrouped(fresh, func(u uint64) []shamir.Share {
+			return s.selfSeedShares[u]
+		}, s.cfg.Threshold)
+		if err != nil {
+			return fmt.Errorf("secagg: reconstructing self seeds: %w", err)
+		}
+		for _, u := range fresh {
+			s.session.keepSelf(u, selfSeeds[u], s.cfg.KeyRatchet, s.cfg.Threshold, s.selfSeedShares[u])
+		}
 	}
 
 	// Remove self masks of live clients via reconstructed b_u; every mask
 	// is read from this sub-round's window of its stream.
-	tasks := make([]maskTask, 0, len(s.u3))
+	tasks := s.tasks[:0]
 	for _, u := range s.u3 {
 		tasks = append(tasks, maskTask{sign: -1, id: u, self: true})
 	}
@@ -466,7 +639,10 @@ func (s *Server) unmask() error {
 	// skipped entirely when the session already holds the verified key);
 	// the per-neighbor key agreements and mask expansions — the bulk of the
 	// work — run on the workers, hitting the session cache when one is live.
-	keys := make(map[uint64]*dh.KeyPair) // dropped v → its mask key
+	if s.keys == nil {
+		s.keys = make(map[uint64]*dh.KeyPair) // dropped v → its mask key
+	}
+	keys := s.keys
 	for _, v := range s.u2 {
 		if slices.Contains(s.u3, v) {
 			continue
@@ -502,9 +678,10 @@ func (s *Server) unmask() error {
 			}
 		}
 	}
-	err = applyMaskTasks(z, tasks, s.cfg.maskWindow(), func(t maskTask) (*prg.Stream, error) {
+	s.tasks = tasks
+	masks, err := applyMaskTasks(z, s.masks, tasks, s.cfg.maskWindow(), func(t maskTask) (*prg.Stream, error) {
 		if t.self {
-			return s.session.selfStream(t.id, selfSeeds[t.id]), nil
+			return s.session.selfStream(t.id), nil
 		}
 		ps, err := s.session.pairStream(keys[t.peer], s.roster[t.id].MaskPub, s.cfg.KeyRatchet)
 		if err != nil {
@@ -515,7 +692,7 @@ func (s *Server) unmask() error {
 	if err != nil {
 		return err
 	}
-	s.sum = z
+	s.masks, s.sum = masks, z
 	return nil
 }
 

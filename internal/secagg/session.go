@@ -15,6 +15,7 @@ import (
 	"repro/internal/prg"
 	"repro/internal/ring"
 	"repro/internal/session"
+	"repro/internal/shamir"
 	"repro/internal/transport"
 )
 
@@ -115,6 +116,7 @@ type deal struct {
 	channelKey map[uint64]*aead.Key
 	delivered  map[uint64][]byte       // peer → ciphertext of the first delivery; nil until then
 	u2         []uint64                // the first delivery's senders and the client, ascending
+	seen       []bool                  // redelivered's scratch, by u2 index
 	opened     map[uint64]*ShareBundle // own bundle and the peers' opened so far
 
 	// The step's first reveal and the U3 (ascending) it answered: a later
@@ -130,7 +132,8 @@ func (d *deal) redelivered(cts []EncryptedShareMsg) bool {
 	if len(cts) != len(d.delivered) {
 		return false
 	}
-	seen := make([]bool, len(d.u2))
+	seen := d.seen
+	clear(seen)
 	for _, m := range cts {
 		i, _ := slices.BinarySearch(d.u2, m.From)
 		first, ok := d.delivered[m.From]
@@ -450,8 +453,9 @@ func dropMembers(roster []AdvertiseMsg, ids []uint64) (kept, dropped []Advertise
 
 // ServerSession is the aggregator's amortized key-agreement state: the
 // reconstructed-and-verified mask keys of dropped clients, the pairwise
-// secrets derived from them with their mask streams, and the self-mask
-// streams of reconstructed self seeds, cached across the sub-rounds and
+// secrets derived from them with their mask streams, the self-mask
+// streams of reconstructed self seeds with the shares they came from, and
+// the last share stage's routing, cached across the sub-rounds and
 // rounds that share the session, with the continuity state the re-key
 // handshake drives and the session persists (MarshalBinary): the sealed
 // stage-0 roster with the client set it was sealed for, the ratchet
@@ -471,12 +475,31 @@ type ServerSession struct {
 	keys    map[string]*dh.KeyPair // advertised mask pub → verified key
 	selves  map[uint64]selfMask    // client → its last reconstructed self seed's stream
 	secrets session.Secrets        // canonical pub pair → secret and mask stream
+
+	routed *routing // the last share stage's routing; nil when none
 }
 
-// selfMask is a self seed b_u and its mask stream PRG(b_u).
+// selfMask is a self seed b_u, its mask stream PRG(b_u), and what b_u was
+// last reconstructed from: shares, at ratchet step step, threshold t.
 type selfMask struct {
 	seed   field.Element
 	stream *prg.Stream
+	step   uint64
+	t      int
+	shares []shamir.Share
+}
+
+// routing is what a server routed at one ratchet step's share stage: each
+// sender's upload, as AddShare was handed it, and the deliveries routed
+// from them. Routing is a function of the uploads, so a later sub-round
+// of the step whose senders upload exactly these lists again would route
+// exactly these deliveries (Server.AddShare). Nobody writes to a list in
+// them, and only the next share stage that routes afresh empties the maps
+// (takeRouting).
+type routing struct {
+	step       uint64
+	uploads    map[uint64][]EncryptedShareMsg // sender → its upload
+	deliveries map[uint64][]EncryptedShareMsg // recipient → its delivery
 }
 
 // NewServerSession returns an empty server session.
@@ -616,21 +639,78 @@ func (s *ServerSession) pairStream(kp *dh.KeyPair, peerPub []byte, step uint64) 
 		func() ([dh.SharedSize]byte, error) { return kp.Agree(peerPub) }, newPairMaskStream)
 }
 
-// selfStream returns the self-mask stream PRG(b) of client u's
-// reconstructed self seed b, keyed once for as long as u's seed stays b —
-// the sub-rounds of a step that reuse one deal.
-func (s *ServerSession) selfStream(u uint64, b field.Element) *prg.Stream {
+// keptSelf returns the mask stream of client u's self seed if the session
+// reconstructed it at ratchet step step, under threshold t, from exactly
+// shares — byte-equal, in order — else nil. Interpolation is a function of
+// its shares and t, so the same shares give the same b_u: a sub-round on
+// the step's deal, whose reveals repeat the first's, reconstructs nothing.
+func (s *ServerSession) keptSelf(u, step uint64, t int, shares []shamir.Share) *prg.Stream {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if m, ok := s.selves[u]; ok && m.seed == b {
+	if m, ok := s.selves[u]; ok && m.step == step && m.t == t && slices.Equal(m.shares, shares) {
 		return m.stream
 	}
+	return nil
+}
+
+// keepSelf records b as client u's self seed, reconstructed at ratchet
+// step step under threshold t from shares, of which it keeps a copy. The
+// stream PRG(b) is keyed once for as long as u's seed stays b — the
+// sub-rounds of a step that reuse one deal.
+func (s *ServerSession) keepSelf(u uint64, b field.Element, step uint64, t int, shares []shamir.Share) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.selves == nil {
 		s.selves = make(map[uint64]selfMask)
 	}
-	m := selfMask{seed: b, stream: prg.NewStreamFromElement(b)}
+	m, ok := s.selves[u]
+	if !ok || m.seed != b {
+		m.seed, m.stream = b, prg.NewStreamFromElement(b)
+	}
+	m.step, m.t, m.shares = step, t, append(m.shares[:0], shares...)
 	s.selves[u] = m
-	return m.stream
+}
+
+// selfStream returns the self-mask stream of client u's last kept self
+// seed (keepSelf).
+func (s *ServerSession) selfStream(u uint64) *prg.Stream {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.selves[u].stream
+}
+
+// routingAt returns the share routing kept for ratchet step step, or nil.
+func (s *ServerSession) routingAt(step uint64) *routing {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.routed == nil || s.routed.step != step {
+		return nil
+	}
+	return s.routed
+}
+
+// takeRouting takes the kept routing out of the session and returns it
+// emptied — or a new one — for a share stage to fill and keep
+// (keepRouting): the last stage's deliveries have been handed out, and
+// a routing is filled only by the stage that routed afresh.
+func (s *ServerSession) takeRouting() *routing {
+	s.mu.Lock()
+	r := s.routed
+	s.routed = nil
+	s.mu.Unlock()
+	if r == nil {
+		return &routing{uploads: make(map[uint64][]EncryptedShareMsg), deliveries: make(map[uint64][]EncryptedShareMsg)}
+	}
+	clear(r.uploads)
+	clear(r.deliveries)
+	return r
+}
+
+// keepRouting keeps r as its step's share routing.
+func (s *ServerSession) keepRouting(r *routing) {
+	s.mu.Lock()
+	s.routed = r
+	s.mu.Unlock()
 }
 
 // RekeyEdges drops the cached state touching the given divergent members —
@@ -641,6 +721,7 @@ func (s *ServerSession) selfStream(u uint64, b field.Element) *prg.Stream {
 // instead of the whole key generation.
 func (s *ServerSession) RekeyEdges(ids []uint64) {
 	s.mu.Lock()
+	s.routed = nil
 	var dropped []AdvertiseMsg
 	s.roster, dropped = dropMembers(s.roster, ids)
 	for _, id := range ids {
@@ -670,7 +751,7 @@ func (s *ServerSession) Rekey() {
 	s.mu.Lock()
 	clear(s.keys)
 	clear(s.selves)
-	s.roster, s.rosterIDs, s.tainted, s.nextRatchet = nil, nil, nil, 0
+	s.roster, s.rosterIDs, s.tainted, s.nextRatchet, s.routed = nil, nil, nil, 0, nil
 	s.mu.Unlock()
 	s.secrets.Clear()
 }
@@ -687,13 +768,29 @@ var ErrWindowServed = errors.New("secagg: mask window already served")
 // since two aggregations reading one keystream byte would share pairwise
 // masks — and the server, which legitimately reconstructs self-mask seeds
 // each round, could then difference the two uploads and recover individual
-// update deltas.
+// update deltas. It keeps RunWithSessions' parties too (parties), so it
+// runs one sub-round at a time, as the deals its client sessions keep
+// already require.
 type RoundSessions struct {
 	Client map[uint64]*Session
 	Server *ServerSession
 
 	mu     sync.Mutex
 	served map[uint64][][2]uint64 // KeyRatchet → windows served, [first, last] keystream bytes
+
+	kept    *parties // RunWithSessions' parties, over keptIDs
+	keptIDs []uint64
+}
+
+// partiesFor returns the parties kept for a sub-round over ids, keeping
+// new ones when there are none or they were built for another client set.
+func (rs *RoundSessions) partiesFor(ids []uint64) *parties {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if rs.kept == nil || !slices.Equal(rs.keptIDs, ids) {
+		rs.kept, rs.keptIDs = new(parties), slices.Clone(ids)
+	}
+	return rs.kept
 }
 
 // markServed records the mask window cfg's sub-round reads and refuses

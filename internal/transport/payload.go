@@ -24,22 +24,44 @@ type Reader struct {
 	err error
 }
 
-// NewReader starts a decode of p, which must lead with [magic][tag].
+// NewReader starts a decode of p, which must lead with [magic][tag]. It
+// inlines, so a decoder's Reader stays on the decoder's stack.
 func NewReader(p []byte, magic, tag byte) *Reader {
-	if len(p) < 2 || p[0] != magic || p[1] != tag {
-		return &Reader{err: fmt.Errorf("transport: not a 0x%02X payload with tag 0x%02X", magic, tag)}
+	r := &Reader{b: p}
+	r.header(magic, tag)
+	return r
+}
+
+// header reads the [magic][tag] header, failing the reader unless the
+// payload leads with it. It stays out of line, which keeps NewReader
+// inlinable.
+//
+//go:noinline
+func (r *Reader) header(magic, tag byte) {
+	if len(r.b) < 2 || r.b[0] != magic || r.b[1] != tag {
+		r.Fail(fmt.Errorf("transport: not a 0x%02X payload with tag 0x%02X", magic, tag))
+		return
 	}
-	return &Reader{b: p[2:]}
+	r.b = r.b[2:]
 }
 
 // NewVersionedReader starts a decode of p, which must lead with
-// [magic][tag][version].
+// [magic][tag][version]. Like NewReader, it inlines.
 func NewVersionedReader(p []byte, magic, tag, version byte) *Reader {
-	r := NewReader(p, magic, tag)
+	r := &Reader{b: p}
+	r.versionedHeader(magic, tag, version)
+	return r
+}
+
+// versionedHeader reads the [magic][tag][version] header, out of line as
+// header is.
+//
+//go:noinline
+func (r *Reader) versionedHeader(magic, tag, version byte) {
+	r.header(magic, tag)
 	if v := r.Byte(); v != version {
 		r.Fail(fmt.Errorf("transport: 0x%02X payload version %d, want %d", magic, v, version))
 	}
-	return r
 }
 
 // Fail poisons the reader with err (the first failure wins).
